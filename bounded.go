@@ -114,8 +114,10 @@ func (h *HeavyHitters) Update(i uint64, delta int64) { h.impl.Update(i, delta) }
 func (h *HeavyHitters) UpdateBatch(batch []Update) { h.impl.UpdateBatch(batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch (plan → hash →
-// apply): the CSSS rows hash the whole index column in straight-line
-// batch evaluations and apply row-major in the exact (rate-1) regime.
+// apply): the CSSS rows hash a whole key column in one batch
+// evaluation and apply row-major — the full index column in the exact
+// (rate-1) regime, and once sampling only the updates its thin step
+// kept, drawn in the per-item path's rng order.
 func (h *HeavyHitters) UpdateColumns(b *Batch) { h.impl.UpdateColumns(b) }
 
 // HeavyHitters returns the detected heavy coordinates, sorted.

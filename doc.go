@@ -201,13 +201,24 @@
 //     table row at a time), and candidate tracking re-estimates the
 //     batch's DISTINCT indices in one further batched hash pass.
 //
+// Once CSSS is sampling (sampling exponent p >= 1, the regime past 2S
+// units where a long-lived monitor spends its life) two steps run
+// ahead of HASH: THIN draws each update's per-row sampling decisions
+// for a whole run of updates below the next halving boundary, and
+// COMPACT packs the updates that at least one row kept — key, units kept,
+// row mask — into the batch's scratch. Only those survivors are hashed
+// and applied, so deeper sampling means fewer keys hashed; p = 0 is
+// the same code with nothing thinned away. Only the one update that
+// lands on a halving boundary takes the per-item path.
+//
 // The columnar path is bit-for-bit identical to feeding the same
 // updates through Update: counter adds commute, per-counter write
-// order is preserved, and sampling stages (CSSS past its rate-1
-// regime, the precision sampler, subsampling levels) fall back to the
-// per-item path exactly where rng draws occur, preserving the draw
-// sequence. Differential tests assert this equality per structure and
-// through the engine at 1/2/4/8 shards.
+// order is preserved, and the rng draw order is the contract — CSSS's
+// thin step makes exactly the draws the per-item path makes for the
+// same updates, in the same order, while the precision sampler and
+// the subsampling levels still apply per-item exactly where their
+// draws occur. Differential tests assert this equality per structure
+// and through the engine at 1/2/4/8 shards.
 //
 // # Querying: capability-typed interfaces and columnar batched reads
 //

@@ -1,8 +1,28 @@
 package bounded
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 )
+
+// cssPastBoundary rewrites the first CSSampSim sketch nested in a
+// marshalled structure so its position sits on the halving boundary
+// its exponent implies (t = S*2^(p+1)+1, here p = 0) — a sampling
+// clock no ingest can produce, which UnmarshalBinary must refuse.
+func cssPastBoundary(data []byte) []byte {
+	at := bytes.Index(data, []byte{'X', 'S', 1})
+	if at < 0 {
+		return nil
+	}
+	out := append([]byte(nil), data...)
+	sk := out[at:]
+	const params = 3 + 4 + 4 + 8 + 4 // magic+version, rows, K, S, fixed-point bits
+	budget := binary.LittleEndian.Uint64(sk[3+4+4:])
+	pos := params + 4 + int(binary.LittleEndian.Uint32(sk[params:])) // past the length-prefixed hash wiring
+	binary.LittleEndian.PutUint64(sk[pos:], 2*budget+1)
+	return out
+}
 
 // FuzzUnmarshal drives arbitrary bytes through every deserialization
 // entry point. The contract under fuzzing: corrupt, truncated,
@@ -34,6 +54,20 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	seed(NewHeavyHitters(cfg))
 	seed(NewHeavyHitters(cfg, WithStrict(false)))
+	// One payload ingest cannot produce: a CSSampSim position sitting on
+	// its own halving boundary. Decoding must refuse it.
+	hhData, err := must(NewHeavyHitters(cfg)).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	bad := cssPastBoundary(hhData)
+	if bad == nil {
+		f.Fatal("no CSSampSim payload inside a HeavyHitters encoding")
+	}
+	if _, err := UnmarshalSketch(bad); err == nil {
+		f.Fatal("accepted a CSSampSim position on its halving boundary")
+	}
+	f.Add(bad)
 	seed(NewL1Estimator(cfg))
 	seed(NewL1Estimator(cfg, WithStrict(false)))
 	seed(NewL0Estimator(cfg))
@@ -50,8 +84,10 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The generic dispatcher.
 		if s, err := UnmarshalSketch(data); err == nil {
-			// A successfully restored sketch must be usable.
+			// A successfully restored sketch must be usable, per item and
+			// through the columnar run splitter.
 			s.Update(1, 1)
+			s.UpdateBatch([]Update{{Index: 2, Delta: 1}, {Index: 3, Delta: -1}, {Index: 2, Delta: 4}})
 			if _, err := s.MarshalBinary(); err != nil {
 				t.Errorf("restored sketch failed to re-marshal: %v", err)
 			}

@@ -28,6 +28,15 @@
 //     remains well defined. Thinning sub-units independently is unbiased
 //     and no less concentrated than thinning whole updates.
 //
+// Updates arrive two ways. Update/UpdateWeighted is the per-item path:
+// it defines the sampling — which rng draws an update makes, in which
+// order — and is the only path weighted updates take. UpdateColumns is
+// the batch path: thin → compact → apply over each run of updates
+// between halving boundaries, making the per-item path's draws in the
+// per-item path's order, so the two are interchangeable bit for bit in
+// every regime, and hashing only the updates some row kept, so a deeper
+// sampling exponent costs less per update, not more.
+//
 // A Sketch is single-goroutine for updates AND queries: the update
 // path and Query share per-sketch scratch (the row-hash memo) — the
 // source of the zero-allocation steady state. Shard across sketches
@@ -71,7 +80,7 @@ type Params struct {
 // functional form S = (alpha/eps)^2 * log2(n): quadratic in alpha/eps,
 // logarithmic in the universe. The paper's constant-laden
 // Theta(alpha^2 eps^-2 T^2 log n) with T = 4/eps^2 + log n is astronomical
-// at laptop scale; DESIGN.md section 5 records this substitution.
+// at laptop scale.
 func RecommendedS(alpha, eps float64, n uint64) int64 {
 	if eps <= 0 || eps >= 1 {
 		panic("csss: eps must be in (0,1)")
@@ -167,8 +176,8 @@ func (s *Sketch) Update(i uint64, delta int64) {
 	s.UpdateWeighted(i, delta, 1.0)
 }
 
-// UpdateBatch applies a batch of updates through the columnar plan →
-// hash → apply pipeline (see UpdateColumns).
+// UpdateBatch applies a batch of updates through the columnar
+// pipeline (see UpdateColumns).
 func (s *Sketch) UpdateBatch(batch []stream.Update) {
 	b := core.GetBatch()
 	b.LoadUpdates(batch)
@@ -176,90 +185,249 @@ func (s *Sketch) UpdateBatch(batch []stream.Update) {
 	core.PutBatch(b)
 }
 
-// UpdateColumns applies a pre-planned columnar batch. In the rate-1
-// regime (sampling exponent p = 0, the regime until the stream passes
-// 2S units) every unit is kept, so a run of updates that stays
-// strictly below the next halving boundary needs no rng and no
-// per-item chunking: one batch hash evaluation fills all rows' bucket
-// and sign columns and the apply stage sweeps the table row-major.
-// Updates that cross a halving boundary — and everything once p > 0 —
-// go through the scalar per-item path, which preserves the rng draw
-// sequence exactly; the result is bit-identical to feeding the same
-// updates through Update in every regime.
+// UpdateColumns applies a pre-planned columnar batch as a sequence of
+// runs: a run is the longest prefix of what is left whose unit mass
+// keeps t strictly below the next halving boundary, so the whole run is
+// sampled at one rate 2^-p and goes through thin → compact → apply
+// (applyRun). Only the update that lands on (or crosses) a halving
+// boundary takes the scalar chunk loop, which performs the halving.
+//
+// Contract: the thin stage makes exactly the rng draws addSampled
+// makes, in the same order, and nothing else in a run draws — so the
+// result (every table cell, t, p, and the rng's next output) is
+// bit-identical to feeding the same updates through Update in every
+// regime. The scalar path is the oracle the differential tests hold
+// this to.
 func (s *Sketch) UpdateColumns(b *core.Batch) {
 	idx, deltas := b.Idx, b.Delta
+	// A sketch deeper than a survivor's row mask batches nothing (no
+	// sketch in this library is built that deep; a decoded one may be).
+	batchable := s.rows <= maxMaskRows
 	j := 0
 	for j < len(idx) {
-		if s.p != 0 {
-			for ; j < len(idx); j++ {
-				s.UpdateWeighted(idx[j], deltas[j], 1.0)
-			}
-			return
-		}
-		// Longest prefix whose unit mass keeps t strictly below the
-		// halving boundary: all of it is rate-1, order-commutative.
 		// Overflow discipline: room - mass >= 0 by loop invariant, so
 		// `m > room-mass` detects a boundary crossing without mass+m
 		// ever wrapping; m < 0 after negation means delta == MinInt64,
 		// which the scalar path treats as a no-op (decompose leaves a
 		// negative magnitude) — route it there rather than corrupt t.
+		// One update wider than a survivor's count field goes there too.
 		room := s.nextHalf - 1 - s.t
 		var mass int64
 		k := j
-		for k < len(idx) {
+		for batchable && k < len(idx) {
 			m := deltas[k]
 			if m < 0 {
 				m = -m
 			}
-			if m < 0 || m > room-mass {
+			if m < 0 || m > room-mass || m > maxCount {
 				break
 			}
 			mass += m
 			k++
 		}
 		if k > j {
-			s.applyRateOne(b, idx[j:k], deltas[j:k])
+			survivors := s.applyRun(b, idx[j:k], deltas[j:k])
 			s.t += mass
+			if s.p == 0 {
+				unitsRate1.Add(mass)
+			} else {
+				unitsThinned.Add(mass)
+			}
+			survivorsHashed.Add(survivors)
 			j = k
 		}
 		if j < len(idx) {
-			// This update crosses (or lands on) the boundary: the scalar
-			// chunk loop handles the halving and any post-halving
-			// sampling with the exact rng sequence of the scalar path.
+			// This update crosses (or lands on) the boundary, or cannot be
+			// batched: the scalar chunk loop handles the halving and any
+			// post-halving sampling.
 			s.UpdateWeighted(idx[j], deltas[j], 1.0)
+			if m := deltas[j]; m != math.MinInt64 { // which carries no units
+				unitsScalar.Add(max(m, -m))
+			}
 			j++
 		}
 	}
 }
 
-// applyRateOne applies a rate-1 run columnar-ly: every row's bucket
-// and sign come from one batch hash evaluation, and each update adds
-// its full unit mass (at fixed-point weight 1.0) to the selected side
-// of the selected cell — the same writes the scalar rate-1 path makes,
-// reordered row-major (integer adds commute).
-func (s *Sketch) applyRateOne(b *core.Batch, idx []uint64, deltas []int64) {
+// A survivor is a key plus one packed word: how many of the update's
+// units were kept (low 32 bits), which rows kept that many (one bit
+// per row from bit 32 up), and the delta's sign (bit 63).
+const (
+	maxCount    = 1<<32 - 1 // widest count, hence widest single update, a survivor carries
+	rowBit0     = 1 << 32   // row r's mask bit is rowBit0 << r
+	maxMaskRows = 31        // deepest sketch the row mask describes
+)
+
+// applyRun ingests a run of updates that all sample at the current rate
+// 2^-p, none reaching the halving boundary (the caller advances t).
+//
+// Thin draws, item by item and row by row, the sampling decisions
+// addSampled would draw for the same update: nothing at p = 0 (every
+// row keeps every unit), one Uint64 split into p-bit fields for a unit
+// update while p*rows <= 64, one Dyadic or Binomial per row otherwise.
+// Compact writes what survived — the key and its packed count, row
+// mask and sign — into the batch's column scratch; an update sampled
+// out of every row leaves nothing behind and is never hashed. Apply
+// (applySurvivors) hashes the survivor column once and sweeps the
+// table row-major. It returns the number of survivors hashed.
+func (s *Sketch) applyRun(b *core.Batch, idx []uint64, deltas []int64) int64 {
 	n := len(idx)
-	cols := b.Cols32(s.rows * n)
-	signs := b.Signs8(s.rows * n)
-	s.buckets.BucketSignsBatch(idx, cols, signs)
-	_, _, wfp := s.decompose(1, 1.0) // weight 1.0 quantized exactly as the scalar path does
-	// Per-item sub-unit masses, computed once (branchless |d|); a zero
-	// delta contributes a zero add, which is cheaper than a branch.
-	mags := b.Col64(n)
-	for t, d := range deltas {
-		m := (d ^ (d >> 63)) - (d >> 63)
-		mags[t] = uint64(m * wfp)
-	}
-	for r := 0; r < s.rows; r++ {
-		base := r * int(s.cols)
-		rc := cols[r*n : r*n+n : r*n+n]
-		rs := signs[r*n : r*n+n : r*n+n]
+	if s.p == 0 {
+		// Degenerate thin: everything survives in every row, so the keys
+		// need no compaction. A zero delta contributes a zero add, which
+		// is cheaper than a branch.
+		kept := b.Col64(n)
+		all := uint64(1)<<uint(s.rows) - 1
 		for t, d := range deltas {
-			// side 0 (positive mass) iff sign(d)*g > 0: the XOR of the
-			// two sign bits, branch-free.
-			side := int((uint8(rs[t]) >> 7) ^ uint8(uint64(d)>>63))
-			s.table[base+int(rc[t])][side] += int64(mags[t])
+			units := (d ^ (d >> 63)) - (d >> 63) // branchless |d|
+			kept[t] = uint64(d)>>63<<63 | all*rowBit0 | uint64(units)
 		}
+		s.applySurvivors(b, idx, kept)
+		return int64(n)
+	}
+	// An update leaves at most `rows` survivors (one per distinct
+	// per-row count), so with n+rows slots a run of unit updates never
+	// fills the scratch and applies in one sweep; only a run whose big
+	// deltas fan out flushes early.
+	slots := n + s.rows
+	u64 := b.Col64(2 * slots)
+	keys, kept := u64[:slots], u64[slots:]
+	packed := s.p*s.rows <= 64
+	rows, width := uint(s.rows), uint(s.p)
+	var low, top uint64
+	if packed {
+		low, top = fieldMasks(width, rows)
+	}
+	var hashed int64
+	m := 0
+	for t, d := range deltas {
+		if d == 0 {
+			continue
+		}
+		if m+s.rows > slots {
+			s.applySurvivors(b, keys[:m], kept[:m])
+			hashed += int64(m)
+			m = 0
+		}
+		neg := uint64(d) >> 63 << 63
+		units := (d ^ (d >> 63)) - (d >> 63)
+		if units != 1 {
+			m = s.thinCounts(keys, kept, m, idx[t], units, neg)
+			continue
+		}
+		// Row r keeps the unit iff its coin lands: its p-bit field of
+		// one shared word is zero, or past 64 bits its own Dyadic draw.
+		// The field test and the compaction are branch free — at mid
+		// rates neither outcome is predictable.
+		var hits uint64
+		if packed {
+			hits = zeroFields(s.rng.Uint64(), low, top, width, rows)
+		} else {
+			for r := 0; r < s.rows; r++ {
+				if sample.Dyadic(s.rng, s.p) {
+					hits |= 1 << uint(r)
+				}
+			}
+		}
+		keys[m], kept[m] = idx[t], neg|hits*rowBit0|1
+		m += int((hits | -hits) >> 63) // keep the slot iff any row hit
+	}
+	s.applySurvivors(b, keys[:m], kept[:m])
+	return hashed + int64(m)
+}
+
+// fieldMasks describes a word cut into `rows` fields of `width` bits
+// from bit 0 up (width*rows <= 64): low has every field's bits below its
+// top bit, top has every field's top bit.
+func fieldMasks(width, rows uint) (low, top uint64) {
+	for r := uint(0); r < rows; r++ {
+		low |= (1<<(width-1) - 1) << (r * width)
+		top |= 1 << (r*width + width - 1)
+	}
+	return low, top
+}
+
+// zeroFields returns bit r set iff field r of word is zero — the
+// packed-word coin of addSampled for all rows at once, without a
+// branch. Adding low carries into a field's top bit iff its lower bits
+// are nonzero, so after the OR with word the top bit says "field != 0";
+// inverting and masking leaves one flag per field, `width` apart. The
+// loop squeezes them into adjacent bits: each shift by width-1 lands
+// the next field's flag on its own bit.
+func zeroFields(word, low, top uint64, width, rows uint) uint64 {
+	z := (^(((word & low) + low) | word) & top) >> (width - 1)
+	var hits uint64
+	for bit := uint64(1); bit < 1<<rows; bit <<= 1 {
+		hits |= z & bit
+		z >>= width - 1
+	}
+	return hits
+}
+
+// thinCounts thins a multi-unit update: each row draws its sampled
+// count Bin(units, 2^-p), and the update leaves one survivor per
+// distinct nonzero count, masking the rows that drew it, from slot m
+// on. It returns the next free slot.
+func (s *Sketch) thinCounts(keys, kept []uint64, m int, key uint64, units int64, neg uint64) int {
+	rate := math.Ldexp(1, -s.p)
+	for r := range s.cnts {
+		s.cnts[r] = sample.Binomial(s.rng, units, rate)
+	}
+	var done uint64
+	for r, cnt := range s.cnts {
+		if cnt == 0 || done>>uint(r)&1 != 0 {
+			continue
+		}
+		same := uint64(1) << uint(r)
+		for q := r + 1; q < len(s.cnts); q++ {
+			if s.cnts[q] == cnt {
+				same |= 1 << uint(q)
+			}
+		}
+		done |= same
+		keys[m], kept[m] = key, neg|same*rowBit0|uint64(cnt)
+		m++
+	}
+	return m
+}
+
+// applySurvivors adds every survivor's kept units, at weight 1.0, to
+// the cells of the rows its mask names: one batch hash evaluation fills
+// all rows' bucket and sign columns, then the table is swept row-major
+// — the same writes the scalar path makes, reordered (integer adds
+// commute).
+func (s *Sketch) applySurvivors(b *core.Batch, keys, kept []uint64) {
+	m := len(keys)
+	if m == 0 {
+		return
+	}
+	cols := b.Cols32(s.rows * m)
+	signs := b.Signs8(s.rows * m)
+	s.buckets.BucketSignsBatch(keys, cols, signs)
+	_, _, wfp := s.decompose(1, 1.0) // weight 1.0 quantized exactly as the scalar path does
+	width := int(s.cols)
+	for r := 0; r < s.rows; r++ {
+		applyRow(s.table[r*width:r*width+width], cols[r*m:r*m+m], signs[r*m:r*m+m], kept, uint64(wfp), rowBit0<<uint(r))
+	}
+}
+
+// applyRow is one row's sweep of applySurvivors, split out so the loop
+// keeps its operands in registers: survivor t adds its count times wfp
+// to bucket rc[t] when its mask has this row's bit. A masked-out row
+// adds zero rather than branching.
+//
+//go:noinline
+func applyRow(row []cell, rc []uint32, rs []int8, kept []uint64, wfp, bit uint64) {
+	rc, rs = rc[:len(kept)], rs[:len(kept)]
+	for t, k := range kept {
+		amt := (k & maxCount) * wfp
+		if k&bit == 0 {
+			amt = 0 // a conditional move, not a branch
+		}
+		// side 0 (positive mass) iff sign(delta)*g > 0: the XOR of the
+		// two sign bits.
+		side := (uint8(rs[t])>>7 ^ uint8(k>>63)) & 1
+		row[rc[t]][side] += int64(amt)
 	}
 }
 
@@ -465,6 +633,7 @@ func (s *Sketch) maybeHalve() {
 // maybeHalve drives it on schedule; Merge drives it to align two
 // sketches' sampling rates.
 func (s *Sketch) halveOnce() {
+	halvings.Inc()
 	s.refreshMaxCount()
 	for c := range s.table {
 		cl := &s.table[c]

@@ -1,10 +1,12 @@
 package csss
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -297,12 +299,44 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 	New(rand.New(rand.NewSource(12)), Params{Rows: 0, K: 1, S: 1})
 }
 
-func BenchmarkUpdateUnit(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	sk := New(rng, Params{Rows: 7, K: 32, S: 1 << 15})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sk.Update(uint64(i%4096), 1)
+// BenchmarkUpdateColumns pins one sampling regime per sub-benchmark:
+// p halvings are forced up front and S is large enough that no b.N
+// reaches the next boundary, so every iteration ingests one batch of
+// unit updates at rate 2^-p — through per-item Update (scalar) or
+// through UpdateColumns (columns). The table is the benchmark's
+// (7 rows x 2400 columns); ns/update is the figure to compare.
+func BenchmarkUpdateColumns(b *testing.B) {
+	for _, p := range []int{0, 1, 2, 4, 8, 10} {
+		for _, n := range []int{1024, 4096} {
+			rng := rand.New(rand.NewSource(15))
+			batch := core.GetBatch()
+			for i := 0; i < n; i++ {
+				batch.Append(uint64(rng.Intn(1<<20)), int64(1-2*(i%8/7))) // one deletion in eight
+			}
+			for _, path := range []string{"scalar", "columns"} {
+				b.Run(fmt.Sprintf("p=%d/len=%d/%s", p, n, path), func(b *testing.B) {
+					sk := New(rand.New(rand.NewSource(13)), Params{Rows: 7, K: 400, S: 1 << 40})
+					for sk.p < p {
+						sk.halveOnce()
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if path == "columns" {
+							sk.UpdateColumns(batch)
+							continue
+						}
+						for j, k := range batch.Idx {
+							sk.Update(k, batch.Delta[j])
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/update")
+					if sk.p != p {
+						b.Fatalf("regime drifted: p = %d, want %d", sk.p, p)
+					}
+				})
+			}
+			core.PutBatch(batch)
+		}
 	}
 }
 

@@ -72,9 +72,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if params.Rows < 1 || params.K < 1 || params.S < 1 || params.FixedPointBits > 42 {
 		return errors.New("csss: bad Sketch parameters")
 	}
-	if p < 0 || p > 60 || t < 0 || params.S > int64(1)<<(61-uint(p)) {
-		// The last clause keeps the rederived halving boundary
-		// S*2^(p+1)+1 inside int64.
+	if p < 0 || p > 60 || t < 0 || params.S > int64(1)<<(61-uint(p)) || t > params.S<<uint(p+1) {
+		// The S clause keeps the rederived halving boundary S*2^(p+1)+1
+		// inside int64. The last clause keeps t short of that boundary:
+		// every Update, Merge and Clone leaves it so (they halve until it
+		// is), and UpdateColumns sizes its runs by the room left below it.
 		return errors.New("csss: bad Sketch sampling clock")
 	}
 	cols := uint64(6 * params.K)

@@ -1,10 +1,13 @@
 package csss
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/stream"
 )
 
 func TestSketchMarshalRoundTrip(t *testing.T) {
@@ -121,5 +124,70 @@ func TestSketchUnmarshalRejectsGarbage(t *testing.T) {
 	bad[2] = 99 // version byte
 	if err := fresh.UnmarshalBinary(bad); err == nil {
 		t.Error("accepted wrong version")
+	}
+}
+
+// positionOffset locates the position field t inside an encoded
+// Sketch: the fixed-width parameter block, then the length-prefixed
+// hash wiring, then t.
+func positionOffset(data []byte) int {
+	const params = 3 + 4 + 4 + 8 + 4 // magic+version, rows, K, S, fixed-point bits
+	return params + 4 + int(binary.LittleEndian.Uint32(data[params:]))
+}
+
+// TestSketchUnmarshalRejectsPositionPastBoundary: exponent p implies
+// the next halving boundary S*2^(p+1)+1, and no sequence of
+// Update/Merge/Clone leaves t at or past it. A payload that claims so
+// is a bad sampling clock — and the one input that would hand the run
+// splitter negative room. The largest legal position still decodes, and
+// the tail estimator inherits the check from its two instances.
+func TestSketchUnmarshalRejectsPositionPastBoundary(t *testing.T) {
+	params := Params{Rows: 3, K: 4, S: 64}
+	sk := New(rand.New(rand.NewSource(9)), params)
+	for i := 0; i < 300; i++ { // past 2S+1 = 129 and 4S+1 = 257
+		sk.Update(uint64(i%11), 1)
+	}
+	if sk.p != 2 || sk.nextHalf != 513 {
+		t.Fatalf("fixture at p=%d nextHalf=%d, want 2 and 513", sk.p, sk.nextHalf)
+	}
+	data, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := positionOffset(data)
+	if got := int64(binary.LittleEndian.Uint64(data[off:])); got != sk.t {
+		t.Fatalf("position field reads %d, sketch is at %d", got, sk.t)
+	}
+	patched := func(pos int64) []byte {
+		out := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(out[off:], uint64(pos))
+		return out
+	}
+	for _, pos := range []int64{sk.nextHalf, sk.nextHalf + 1, 1 << 40} {
+		err := new(Sketch).UnmarshalBinary(patched(pos))
+		if err == nil || !strings.Contains(err.Error(), "sampling clock") {
+			t.Errorf("position %d with boundary %d: err = %v, want a bad sampling clock", pos, sk.nextHalf, err)
+		}
+	}
+	last := new(Sketch)
+	if err := last.UnmarshalBinary(patched(sk.nextHalf - 1)); err != nil {
+		t.Fatalf("position one short of the boundary rejected: %v", err)
+	}
+	last.UpdateBatch([]stream.Update{{Index: 1, Delta: 1}, {Index: 2, Delta: 1}})
+	if last.p != 3 || last.t != sk.nextHalf+1 {
+		t.Fatalf("after two units from the brink: p=%d t=%d, want 3 and %d", last.p, last.t, sk.nextHalf+1)
+	}
+
+	te := NewTailEstimator(rand.New(rand.NewSource(3)), params)
+	te.Update(5, 2)
+	blob, err := te.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// k, then CS1 as a length-prefixed blob; patch CS1's position.
+	const cs1 = 3 + 4 + 4
+	binary.LittleEndian.PutUint64(blob[cs1+positionOffset(blob[cs1:]):], uint64(2*params.S+1))
+	if err := new(TailEstimator).UnmarshalBinary(blob); err == nil {
+		t.Error("tail estimator accepted an instance past its halving boundary")
 	}
 }

@@ -11,35 +11,48 @@ import (
 
 // TestAlphaL1ColumnarMatchesScalar: feeding the heavy-hitters
 // structure through the columnar batch path must reproduce the scalar
-// path bit-for-bit in the exact (rate-1) regime: same sketch, same L1
-// scale, same candidate set, same answers.
+// path bit-for-bit — same sketch, same L1 scale, same candidate set,
+// same answers — both in the exact (rate-1) regime and once CSSS is
+// sampling: its thin stage makes the scalar path's rng draws, so the
+// S = 512 case (the stream ends several halvings in) holds to the same
+// standard.
 func TestAlphaL1ColumnarMatchesScalar(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 1 << 14, Items: 30000, Alpha: 4, Zipf: 1.5, Seed: 3})
-	p := AlphaL1Params{N: 1 << 14, Eps: 0.05, Mode: Strict, Alpha: 4}
-	a := NewAlphaL1(rand.New(rand.NewSource(23)), p)
-	b := NewAlphaL1(rand.New(rand.NewSource(23)), p)
-	for _, u := range s.Updates {
-		a.Update(u.Index, u.Delta)
-	}
-	sizes := []int{64, 1, 509, 2048}
-	for off, k := 0, 0; off < len(s.Updates); k++ {
-		end := off + sizes[k%len(sizes)]
-		if end > len(s.Updates) {
-			end = len(s.Updates)
-		}
-		b.UpdateBatch(s.Updates[off:end])
-		off = end
-	}
-	if !reflect.DeepEqual(a.HeavyHitters(), b.HeavyHitters()) {
-		t.Fatalf("HeavyHitters: scalar %v, columnar %v", a.HeavyHitters(), b.HeavyHitters())
-	}
-	for i := uint64(0); i < 1<<14; i += 97 {
-		if qa, qb := a.Query(i), b.Query(i); qa != qb {
-			t.Fatalf("Query(%d): scalar %v, columnar %v", i, qa, qb)
-		}
-	}
-	if sa, sb := a.SpaceBits(), b.SpaceBits(); sa != sb {
-		t.Fatalf("SpaceBits: scalar %d, columnar %d", sa, sb)
+	for _, tc := range []struct {
+		name   string
+		budget int64 // CSSS per-row sample budget; 0 keeps the default
+	}{{"rate1", 0}, {"sampled", 512}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := AlphaL1Params{N: 1 << 14, Eps: 0.05, Mode: Strict, Alpha: 4, S: tc.budget}
+			a := NewAlphaL1(rand.New(rand.NewSource(23)), p)
+			b := NewAlphaL1(rand.New(rand.NewSource(23)), p)
+			for _, u := range s.Updates {
+				a.Update(u.Index, u.Delta)
+			}
+			sizes := []int{64, 1, 509, 2048}
+			for off, k := 0, 0; off < len(s.Updates); k++ {
+				end := off + sizes[k%len(sizes)]
+				if end > len(s.Updates) {
+					end = len(s.Updates)
+				}
+				b.UpdateBatch(s.Updates[off:end])
+				off = end
+			}
+			if pa, pb := a.sk.SampleExponent(), b.sk.SampleExponent(); pa != pb || (pb > 0) != (tc.budget > 0) {
+				t.Fatalf("stream ended at exponent %d (scalar %d) with budget %d", pb, pa, tc.budget)
+			}
+			if !reflect.DeepEqual(a.HeavyHitters(), b.HeavyHitters()) {
+				t.Fatalf("HeavyHitters: scalar %v, columnar %v", a.HeavyHitters(), b.HeavyHitters())
+			}
+			for i := uint64(0); i < 1<<14; i += 97 {
+				if qa, qb := a.Query(i), b.Query(i); qa != qb {
+					t.Fatalf("Query(%d): scalar %v, columnar %v", i, qa, qb)
+				}
+			}
+			if sa, sb := a.SpaceBits(), b.SpaceBits(); sa != sb {
+				t.Fatalf("SpaceBits: scalar %d, columnar %d", sa, sb)
+			}
+		})
 	}
 }
 

@@ -142,8 +142,9 @@ func (h *AlphaL1) UpdateBatch(batch []stream.Update) {
 }
 
 // UpdateColumns feeds a pre-planned columnar batch. The CSSS sketch
-// consumes the columns directly (rate-1 runs apply row-major off one
-// batch hash evaluation); the L1 scale ingests the delta column; the
+// consumes the columns directly (each run applies row-major off one
+// batch hash evaluation of the updates its thin step kept); the L1
+// scale ingests the delta column; the
 // candidate tracker is refreshed once per DISTINCT index at the end of
 // the batch — the CSSS median query is the dominant per-update cost of
 // the scalar path, and an index updated k times in one batch needs
