@@ -1,6 +1,6 @@
 package bounded
 
-// One benchmark per experiment in DESIGN.md's index: every Figure 1 row
+// One benchmark per experiment: every Figure 1 row
 // (the paper's central table), every constructive figure (2-8), the
 // Appendix A algorithm, the Section 8 adversarial instance, and the
 // design ablations. Each benchmark
@@ -11,8 +11,7 @@ package bounded
 //     unbounded-deletion baseline), and
 //   - times the alpha-property structure's update path (ns/op).
 //
-// cmd/bdbench prints the same comparisons as human-readable tables and
-// EXPERIMENTS.md records paper-vs-measured conclusions.
+// cmd/bdbench prints the same comparisons as human-readable tables.
 
 import (
 	"math"

@@ -10,8 +10,7 @@
 //	go run ./cmd/bdbench -exp F1.1   # one experiment by id
 //	go run ./cmd/bdbench -reps 5     # more repetitions (medians reported)
 //
-// Experiment ids follow DESIGN.md's index (F1.1..F1.8, F7, A1, LB,
-// AB1..AB3).
+// Experiment ids: F1.1..F1.8, F7, A1, LB, AB1..AB3.
 //
 // Streams are fed through each structure's UpdateBatch — the batched
 // ingest idiom (one call per structure per stream) that the library

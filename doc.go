@@ -51,22 +51,7 @@
 // configurations and out-of-range or non-applicable options return
 // descriptive errors; nothing is silently clamped (the historical API
 // replaced a bad L1 failure probability with 0.1 — that bug class is
-// gone). The deprecated positional Must* wrappers have now been REMOVED
-// after their one-release grace period; migrate as follows:
-//
-//	removed                          replacement
-//	MustHeavyHitters(cfg, strict)    NewHeavyHitters(cfg, WithStrict(strict))
-//	MustL1Estimator(cfg, s, delta)   NewL1Estimator(cfg, WithStrict(s), WithFailureProb(delta))
-//	MustL0Estimator(cfg)             NewL0Estimator(cfg)
-//	MustL1Sampler(cfg, copies)       NewL1Sampler(cfg, WithCopies(copies))
-//	MustSupportSampler(cfg, k)       NewSupportSampler(cfg, WithK(k))
-//	MustInnerProduct(cfg)            NewInnerProduct(cfg)
-//	MustSyncSketch(cfg, capacity)    NewSyncSketch(cfg, WithCapacity(capacity))
-//	MustL2HeavyHitters(cfg)          NewL2HeavyHitters(cfg)
-//
-// (Each New* returns (*X, error); the old wrappers panicked on invalid
-// Config, so a mechanical translation is x, err := NewX(...); if err !=
-// nil { panic(err) }.)
+// gone).
 //
 // Every structure implements the Sketch interface —
 //
@@ -108,9 +93,10 @@
 // candidate trackers and norm scales all round-trip. Corrupt,
 // truncated, or wrong-version payloads return errors, never panic —
 // enforced by the FuzzUnmarshal target CI runs. The engine exposes the
-// same mechanics at aggregate level via Engine.Snapshot/Restore;
-// examples/distributedmerge runs the whole exchange across real OS
-// processes.
+// sending half at aggregate level — Engine.Snapshot(kind) marshals one
+// structure's merged state — and the receiving half stays exactly the
+// three lines above; examples/distributedmerge runs the whole exchange
+// across real OS processes.
 //
 // # Performance
 //
@@ -171,11 +157,9 @@
 // archives them with every baseline. Same-run ratios on the
 // BENCH_8.json reference host: 1.85x on BucketSignsBatch at 1024
 // keys vs scalar (2.35x at 4096), 7.9x on MedianOf7Cols, 1.9x on row
-// gathers, with the fused-vs-per-row delta reported by the
-// kernel=avx2 vs kernel=avx2-perrow sub-benchmarks. GOAMD64 does not
-// change dispatch (detection is runtime CPUID), and single-CPU hosts
-// see the full win — the kernels vectorize within one core, not
-// across cores.
+// gathers. GOAMD64 does not change dispatch (detection is runtime
+// CPUID), and single-CPU hosts see the full win — the kernels
+// vectorize within one core, not across cores.
 //
 // # Batched ingest: the plan → hash → apply columnar pipeline
 //
@@ -316,6 +300,11 @@
 // Engine.Probe(i) routes a support membership probe the same way, and
 // Engine.Support unions the shards' live recoveries (partition
 // completeness makes them disjoint) without a single clone or merge.
+// The five routed reads share one sequence and are always routed:
+// whole-engine state moves only as a partitioned snapshot, which
+// restores shard-for-shard into the topology it was taken at
+// (engine.RestoreCheckpoint adopts it from the header; any other shard
+// count is an error, since sketch state cannot be re-keyed).
 // Global queries (HeavyHitters, L1, ...) still answer from the merged
 // snapshot, behind a generation-tagged cache that is checked before
 // the engine mutex, so query bursts do not stall producers.
@@ -384,8 +373,4 @@
 // sockets, mid-run reconnect included, by internal/netagg's
 // differential test. examples/distributedmerge is the one-shot,
 // pipe-based precursor showing the same frames without the lifecycle.
-//
-// See DESIGN.md for the system inventory and the laptop-scale parameter
-// substitutions, and EXPERIMENTS.md for measured results per table and
-// figure.
 package bounded

@@ -89,55 +89,6 @@ func TestEngineEstimateBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestEngineEstimateBatchAfterRestore: once Restore imports external
-// state, EstimateBatch must fall back to the merged view — and stay
-// bit-identical to the scalar Estimate, which falls back the same way.
-func TestEngineEstimateBatchAfterRestore(t *testing.T) {
-	s, _ := fig1Stream(23)
-	half := len(s.Updates) / 2
-	e, err := New(testCfg, Options{Shards: 4, BatchSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.Ingest(s.Updates[:half]); err != nil {
-		t.Fatal(err)
-	}
-	other := must(bounded.NewHeavyHitters(testCfg))
-	other.UpdateBatch(s.Updates[half:])
-	wire, err := other.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Restore(wire); err != nil {
-		t.Fatal(err)
-	}
-
-	whole := must(bounded.NewHeavyHitters(testCfg))
-	whole.UpdateBatch(s.Updates)
-	idxs := whole.HeavyHitters()
-	if len(idxs) == 0 {
-		t.Fatal("workload produced no heavy hitters")
-	}
-	idxs = append(idxs, idxs...) // duplicates through the fallback too
-	got, err := e.EstimateBatch(idxs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, i := range idxs {
-		want, err := e.Estimate(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[j] != want {
-			t.Fatalf("post-Restore EstimateBatch[%d] (index %d) = %v, scalar Estimate = %v", j, i, got[j], want)
-		}
-	}
-	if n := e.Stats().SnapshotBuilds; n < 1 {
-		t.Fatalf("post-Restore queries built %d snapshots, want >= 1 (merged-view fallback)", n)
-	}
-}
-
 // TestEngineProbeSupportRouted: the routed Probe answers exactly like
 // the owning shard's single-writer reference sampler, the routed
 // Support is the union of the per-shard references, and neither builds
@@ -213,9 +164,7 @@ func TestEngineProbeSupportRouted(t *testing.T) {
 // TestEngineProbeBatchMatchesScalar is the batched prober's
 // acceptance differential: ProbeBatch must return exactly the
 // per-index Probe verdicts at 1/2/4 shards — duplicate-laden and
-// never-updated indices included — without building a snapshot, and
-// must keep matching after Restore flips both paths to the merged
-// view.
+// never-updated indices included — without building a snapshot.
 func TestEngineProbeBatchMatchesScalar(t *testing.T) {
 	s, _ := fig1Stream(37)
 	for _, shards := range []int{1, 2, 4} {
@@ -244,42 +193,26 @@ func TestEngineProbeBatchMatchesScalar(t *testing.T) {
 			idxs = append(idxs, (i*2654435761)%(1<<16))
 		}
 		idxs = append(idxs, idxs[0], idxs[0]) // adjacent duplicates
-		check := func(point string) {
-			t.Helper()
-			got, err := e.ProbeBatch(idxs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(idxs) {
-				t.Fatalf("shards=%d %s: %d verdicts for %d indices", shards, point, len(got), len(idxs))
-			}
-			for j, i := range idxs {
-				want, err := e.Probe(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[j] != want {
-					t.Fatalf("shards=%d %s: ProbeBatch[%d] (index %d) = %v, scalar Probe = %v",
-						shards, point, j, i, got[j], want)
-				}
-			}
-		}
-		check("routed")
-		if n := e.Stats().SnapshotBuilds; n != 0 {
-			t.Fatalf("shards=%d: routed ProbeBatch built %d snapshots, want 0", shards, n)
-		}
-		// Restore flips both Probe and ProbeBatch to the merged view;
-		// the differential must keep holding there.
-		other := must(bounded.NewSupportSampler(testCfg, bounded.WithK(16)))
-		other.Update(99991%(1<<16), 5)
-		wire, err := other.MarshalBinary()
+		got, err := e.ProbeBatch(idxs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Restore(wire); err != nil {
-			t.Fatal(err)
+		if len(got) != len(idxs) {
+			t.Fatalf("shards=%d: %d verdicts for %d indices", shards, len(got), len(idxs))
 		}
-		check("post-Restore")
+		for j, i := range idxs {
+			want, err := e.Probe(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[j] != want {
+				t.Fatalf("shards=%d: ProbeBatch[%d] (index %d) = %v, scalar Probe = %v",
+					shards, j, i, got[j], want)
+			}
+		}
+		if n := e.Stats().SnapshotBuilds; n != 0 {
+			t.Fatalf("shards=%d: routed ProbeBatch built %d snapshots, want 0", shards, n)
+		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,12 @@
 // durability.go is the engine's partitioned-snapshot and checkpoint
-// layer. Where Snapshot/Restore ship ONE merged structure (and restore
-// by folding it into shard 0, permanently demoting point queries to the
-// merged view), SnapshotPartitioned/RestorePartitioned ship the whole
-// sharded state with the partition preserved: each shard's goroutine
-// marshals its own live structures, and a restoring engine with the
-// same topology installs them shard-for-shard — routed point reads keep
-// working and no merged view is ever built. Checkpoint/OpenCheckpoint
-// put that format on disk through internal/ckpt's crash-safe store.
+// layer. Where Snapshot ships ONE merged structure for an
+// UnmarshalSketch + Merge consumer, SnapshotPartitioned and
+// RestorePartitioned ship the whole sharded state with the partition
+// preserved: each shard's goroutine marshals its own live structures,
+// and a restoring engine with the same topology installs them
+// shard-for-shard — routed reads keep working and no merged view is
+// ever built. Checkpoint/OpenCheckpoint put that format on disk through
+// internal/ckpt's crash-safe store.
 package engine
 
 import (
@@ -19,131 +19,23 @@ import (
 	"repro/internal/wire"
 )
 
-// marshalBlobs serializes every structure selected by enabled into
-// bit-tagged wire blobs, ascending bit order. It runs inside the shard
-// goroutine (serialized with the shard's ingest), so it reads
-// consistent state without cloning.
-func (s *structSet) marshalBlobs(enabled Structures) ([]wire.PartBlob, error) {
+// marshalBlobs serializes every enabled structure into bit-tagged wire
+// blobs, ascending bit order. It runs inside the shard goroutine
+// (serialized with the shard's ingest), so it reads consistent state
+// without cloning.
+func (s structSet) marshalBlobs() ([]wire.PartBlob, error) {
 	var blobs []wire.PartBlob
-	for bit := HeavyHitters; bit <= SyncSketch; bit <<= 1 {
-		if enabled&bit == 0 {
+	for i, sk := range s {
+		if sk == nil {
 			continue
-		}
-		sk, ok := s.sketchFor(bit)
-		if !ok {
-			return nil, fmt.Errorf("engine: snapshot of structure %b: %w", bit, ErrNotEnabled)
 		}
 		payload, err := sk.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		blobs = append(blobs, wire.PartBlob{Bit: uint32(bit), Payload: payload})
+		blobs = append(blobs, wire.PartBlob{Bit: uint32(kinds[i].bit), Payload: payload})
 	}
 	return blobs, nil
-}
-
-// setSketch files a decoded sketch under its structure bit, rejecting a
-// payload whose concrete type does not match the bit it was tagged
-// with.
-func (s *structSet) setSketch(bit Structures, sk bounded.Sketch) error {
-	mismatch := func() error {
-		return fmt.Errorf("engine: partitioned snapshot blob tagged %b holds a %T", bit, sk)
-	}
-	switch bit {
-	case HeavyHitters:
-		v, ok := sk.(*bounded.HeavyHitters)
-		if !ok {
-			return mismatch()
-		}
-		s.hh = v
-	case L1Estimator:
-		v, ok := sk.(*bounded.L1Estimator)
-		if !ok {
-			return mismatch()
-		}
-		s.l1 = v
-	case L0Estimator:
-		v, ok := sk.(*bounded.L0Estimator)
-		if !ok {
-			return mismatch()
-		}
-		s.l0 = v
-	case L1Sampler:
-		v, ok := sk.(*bounded.L1Sampler)
-		if !ok {
-			return mismatch()
-		}
-		s.smp = v
-	case SupportSampler:
-		v, ok := sk.(*bounded.SupportSampler)
-		if !ok {
-			return mismatch()
-		}
-		s.sup = v
-	case L2HeavyHitters:
-		v, ok := sk.(*bounded.L2HeavyHitters)
-		if !ok {
-			return mismatch()
-		}
-		s.l2 = v
-	case SyncSketch:
-		v, ok := sk.(*bounded.SyncSketch)
-		if !ok {
-			return mismatch()
-		}
-		s.syn = v
-	default:
-		return fmt.Errorf("engine: partitioned snapshot blob with unknown structure bit %b", bit)
-	}
-	return nil
-}
-
-// install adopts from's structures (bits in mask) into s, replacing the
-// empty instances a pristine engine built. Runs inside the shard
-// goroutine: the worker ingests through the same *structSet pointer, so
-// the swap is serialized with ingest like any other shard mutation.
-func (s *structSet) install(from *structSet, mask Structures) {
-	if mask&HeavyHitters != 0 {
-		s.hh = from.hh
-	}
-	if mask&L1Estimator != 0 {
-		s.l1 = from.l1
-	}
-	if mask&L0Estimator != 0 {
-		s.l0 = from.l0
-	}
-	if mask&L1Sampler != 0 {
-		s.smp = from.smp
-	}
-	if mask&SupportSampler != 0 {
-		s.sup = from.sup
-	}
-	if mask&L2HeavyHitters != 0 {
-		s.l2 = from.l2
-	}
-	if mask&SyncSketch != 0 {
-		s.syn = from.syn
-	}
-}
-
-// mergeMasked folds from's structures (bits in mask) into s. Unlike
-// merge it touches only the masked bits, so an engine whose enabled set
-// is a superset of the snapshot's keeps its extra structures untouched.
-func (s *structSet) mergeMasked(from *structSet, mask Structures) error {
-	for bit := HeavyHitters; bit <= SyncSketch; bit <<= 1 {
-		if mask&bit == 0 {
-			continue
-		}
-		dst, ok := s.sketchFor(bit)
-		if !ok {
-			return fmt.Errorf("engine: restore of structure %b: %w", bit, ErrNotEnabled)
-		}
-		src, _ := from.sketchFor(bit)
-		if err := dst.Merge(src); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SnapshotPartitioned serializes the engine's WHOLE sharded state with
@@ -153,9 +45,10 @@ func (s *structSet) mergeMasked(from *structSet, mask Structures) error {
 // merged view is built and SnapshotBuilds does not advance. Feed the
 // bytes to RestorePartitioned on a peer (or back through
 // Checkpoint/OpenCheckpoint via disk): a peer with the same topology
-// restores shard-for-shard and keeps routed point reads; any other
-// peer falls back to a merged import. For a single structure to ship
-// to a non-engine consumer, use Snapshot instead.
+// restores shard-for-shard and keeps routed reads; any other topology
+// is refused (open the bytes with RestoreCheckpoint(payload,
+// Options{}) instead). For a single structure to ship to an
+// UnmarshalSketch + Merge consumer, use Snapshot.
 func (e *Engine) SnapshotPartitioned() ([]byte, error) {
 	start := obs.Now()
 	e.mu.Lock()
@@ -171,14 +64,7 @@ func (e *Engine) SnapshotPartitioned() ([]byte, error) {
 	}
 	shards := make([][]wire.PartBlob, len(e.workers))
 	errs := make([]error, len(e.workers))
-	barriers := make([]<-chan struct{}, len(e.workers))
-	for i, w := range e.workers {
-		i, set := i, e.sets[i]
-		barriers[i] = w.DoAsync(func() { shards[i], errs[i] = set.marshalBlobs(e.opt.Structures) })
-	}
-	for _, b := range barriers {
-		<-b
-	}
+	e.eachShard(func(s int) { shards[s], errs[s] = e.sets[s].marshalBlobs() })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -207,33 +93,25 @@ func (e *Engine) SnapshotPartitioned() ([]byte, error) {
 }
 
 // RestorePartitioned loads a SnapshotPartitioned image into a PRISTINE
-// engine (one that has never ingested or restored — Generation() == 0);
+// engine (no Ingest and no RestorePartitioned yet — Generation() == 0);
 // anything else errors, because a partitioned install replaces shard
 // state rather than merging into it. The engine's Config must equal the
-// snapshot's echoed Config exactly, and the snapshot's structure set
-// must be a subset of the engine's (extra engine structures stay
-// empty).
+// snapshot's echoed Config exactly, its topology (shard count and
+// partition hash) must equal the snapshot's, and the snapshot's
+// structure set must be a subset of the engine's (extra engine
+// structures stay empty).
 //
-// Two install paths:
-//
-//   - Topology match (same shard count AND same partition hash): each
-//     shard's payloads are installed into that shard's live structures,
-//     inside its goroutine. The restored engine is bit-identical to the
-//     producer — routed point/probe/support reads keep answering from
-//     owning shards and Stats().SnapshotBuilds stays 0. This is the
-//     checkpoint/restart path.
-//
-//   - Topology mismatch (different shard count, or a partition hash
-//     from a different seed derivation): the per-shard payloads are
-//     merged and imported into shard 0, exactly like legacy Restore —
-//     answers remain correct, but point queries permanently demote to
-//     the merged view because the imported mass is not partitioned by
-//     this engine's hash. Sketch state cannot be decomposed back into
-//     per-key updates, so true re-keying is impossible; the merged
-//     rebase is the correct general fallback.
+// Each shard's payloads are installed into that shard's live
+// structures, inside its goroutine. The engine is then bit-identical
+// to the producer — routed reads keep answering from owning shards and
+// Stats().SnapshotBuilds stays 0. Sketch state cannot be decomposed
+// back into per-key updates, so a snapshot cannot be re-keyed onto a
+// different shard count: that is an error here, and the way to open
+// such a snapshot is with its own topology, which
+// RestoreCheckpoint(payload, Options{}) adopts from the header.
 //
 // Validation is all-or-nothing: every blob is decoded and checked
-// (Config echo, bit/type agreement, per-shard completeness) before any
+// (Config echo, tag/kind agreement, per-shard completeness) before any
 // shard is touched, so a failed restore leaves the engine unchanged
 // and still pristine.
 func (e *Engine) RestorePartitioned(data []byte) error {
@@ -252,92 +130,85 @@ func (e *Engine) RestorePartitioned(data []byte) error {
 		return fmt.Errorf("engine: RestorePartitioned on closed engine")
 	}
 	if e.gen.Load() != 0 {
-		return fmt.Errorf("engine: RestorePartitioned requires a pristine engine (generation 0, never ingested or restored)")
+		return fmt.Errorf("engine: RestorePartitioned requires a pristine engine (generation 0: no Ingest and no RestorePartitioned yet)")
 	}
 	if snapCfg != e.cfg {
 		return fmt.Errorf("engine: partitioned snapshot Config %+v does not match engine Config %+v", snapCfg, e.cfg)
+	}
+	if int(hdr.Shards) != e.opt.Shards {
+		return fmt.Errorf("engine: partitioned snapshot was taken at %d shards, engine has %d; sketch state cannot be re-keyed — open it with its own topology via RestoreCheckpoint(payload, Options{})",
+			hdr.Shards, e.opt.Shards)
+	}
+	var hdrPart hash.KWise
+	if err := hdrPart.UnmarshalBinary(hdr.Partitioner); err != nil {
+		return fmt.Errorf("engine: partitioned snapshot partitioner echo: %w", err)
+	}
+	if !e.part.Equal(&hdrPart) {
+		return fmt.Errorf("engine: partitioned snapshot's partition hash differs from the engine's; open it with its own topology via RestoreCheckpoint(payload, Options{})")
 	}
 	if snapStructs == 0 {
 		return fmt.Errorf("engine: partitioned snapshot with empty structure set")
 	}
 	if extra := snapStructs &^ e.opt.Structures; extra != 0 {
-		return fmt.Errorf("engine: partitioned snapshot carries structures %b the engine does not enable", extra)
+		return fmt.Errorf("engine: partitioned snapshot carries structures %s the engine does not enable", extra)
 	}
 
 	// Decode and validate EVERYTHING before touching any shard.
-	decoded := make([]*structSet, len(ps.Shards))
+	decoded := make([]structSet, len(ps.Shards))
 	for si, blobs := range ps.Shards {
-		set := &structSet{}
+		set := make(structSet, len(kinds))
 		var seen Structures
 		for _, b := range blobs {
 			bit := Structures(b.Bit)
-			if bit == 0 || bit&(bit-1) != 0 {
-				return fmt.Errorf("engine: shard %d blob with malformed structure bit %b", si, b.Bit)
+			row, ok := bit.row()
+			if !ok {
+				return fmt.Errorf("engine: shard %d blob with malformed structure bit %#x", si, b.Bit)
 			}
 			if bit&snapStructs == 0 {
-				return fmt.Errorf("engine: shard %d blob bit %b outside the header structure set %b", si, bit, snapStructs)
+				return fmt.Errorf("engine: shard %d blob %s outside the header structure set %s", si, bit, snapStructs)
 			}
 			if seen&bit != 0 {
-				return fmt.Errorf("engine: shard %d carries structure %b twice", si, bit)
+				return fmt.Errorf("engine: shard %d carries structure %s twice", si, bit)
 			}
 			seen |= bit
+			// The tag must name what the payload holds, so a snapshot
+			// cannot file an L1 estimator under the heavy-hitters slot.
+			kind, err := bounded.SketchKind(b.Payload)
+			if err != nil {
+				return fmt.Errorf("engine: shard %d structure %s: %w", si, bit, err)
+			}
+			if kind != kinds[row].kind {
+				return fmt.Errorf("engine: shard %d blob tagged %s holds a %s", si, bit, kind)
+			}
 			bcfg, err := bounded.SketchConfig(b.Payload)
 			if err != nil {
-				return fmt.Errorf("engine: shard %d structure %b: %w", si, bit, err)
+				return fmt.Errorf("engine: shard %d structure %s: %w", si, bit, err)
 			}
 			if bcfg != e.cfg {
-				return fmt.Errorf("engine: shard %d structure %b built from Config %+v, engine has %+v", si, bit, bcfg, e.cfg)
+				return fmt.Errorf("engine: shard %d structure %s built from Config %+v, engine has %+v", si, bit, bcfg, e.cfg)
 			}
-			sk, err := bounded.UnmarshalSketch(b.Payload)
-			if err != nil {
-				return fmt.Errorf("engine: shard %d structure %b: %w", si, bit, err)
-			}
-			if err := set.setSketch(bit, sk); err != nil {
-				return err
+			if set[row], err = bounded.UnmarshalSketch(b.Payload); err != nil {
+				return fmt.Errorf("engine: shard %d structure %s: %w", si, bit, err)
 			}
 		}
 		if seen != snapStructs {
-			return fmt.Errorf("engine: shard %d carries structures %b, header promises %b", si, seen, snapStructs)
+			return fmt.Errorf("engine: shard %d carries structures %s, header promises %s", si, seen, snapStructs)
 		}
 		decoded[si] = set
 	}
 
-	var hdrPart hash.KWise
-	if err := hdrPart.UnmarshalBinary(hdr.Partitioner); err != nil {
-		return fmt.Errorf("engine: partitioned snapshot partitioner echo: %w", err)
-	}
-
-	if int(hdr.Shards) == e.opt.Shards && e.part.Equal(&hdrPart) {
-		// Topology match: install shard-for-shard inside each shard's
-		// goroutine. Routed reads stay live; no merged view, no demotion.
-		barriers := make([]<-chan struct{}, len(e.workers))
-		for i, w := range e.workers {
-			set, from := e.sets[i], decoded[i]
-			barriers[i] = w.DoAsync(func() { set.install(from, snapStructs) })
-		}
-		for _, b := range barriers {
-			<-b
-		}
-		e.met.partRestores.Inc()
-	} else {
-		// Topology mismatch: merge the decoded shards and import into
-		// shard 0 with legacy-Restore semantics.
-		merged := decoded[0]
-		for _, s := range decoded[1:] {
-			if err := merged.merge(s); err != nil {
-				return err
+	// Install shard-for-shard inside each shard's goroutine: the worker
+	// ingests through the same structSet, so the swap is serialized with
+	// ingest like any other shard mutation.
+	e.eachShard(func(s int) {
+		for row, sk := range decoded[s] {
+			if sk != nil {
+				e.sets[s][row] = sk
 			}
 		}
-		var mErr error
-		set := e.sets[0]
-		<-e.workers[0].DoAsync(func() { mErr = set.mergeMasked(merged, snapStructs) })
-		if mErr != nil {
-			return mErr
-		}
-		e.restored.Store(true)
-		e.met.partRestoresMerged.Inc()
-	}
+	})
 	e.gen.Add(1)
+	e.met.partRestores.Inc()
 	e.met.partRestoreNanos.ObserveSince(start)
 	return nil
 }
@@ -371,10 +242,9 @@ func (e *Engine) CheckpointTo(store *ckpt.Store) (uint64, error) {
 // (Shards, Structures) are filled from the header too, so the default
 // recovery — OpenCheckpoint(dir, engine.Options{}) — reproduces the
 // producing topology exactly and restores shard-for-shard with routed
-// reads intact. Pass explicit non-matching opts to re-partition into a
-// different topology (merged-fallback semantics; see
-// RestorePartitioned). ckpt.ErrNoCheckpoint when dir holds nothing
-// valid.
+// reads intact. An explicit Shards that differs from the checkpoint's
+// is RestorePartitioned's topology error. ckpt.ErrNoCheckpoint when
+// dir holds nothing valid.
 func OpenCheckpoint(dir string, opts Options) (*Engine, error) {
 	store, err := ckpt.Open(dir, ckpt.Options{})
 	if err != nil {

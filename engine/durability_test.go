@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -55,6 +57,18 @@ func buildIngested(t *testing.T, shards int) *Engine {
 // engines bit-for-bit.
 func assertBitIdentical(t *testing.T, want, got *Engine) {
 	t.Helper()
+	assertRoutedIdentical(t, want, got)
+	wl := must(want.L1())
+	gl := must(got.L1())
+	if wl != gl {
+		t.Fatalf("L1: got %v, want %v", gl, wl)
+	}
+}
+
+// assertRoutedIdentical compares the five routed reads of two engines
+// bit-for-bit; none of them may build a merged view.
+func assertRoutedIdentical(t *testing.T, want, got *Engine) {
+	t.Helper()
 	idxs := queryIndices()
 	for _, i := range idxs[:64] { // scalar path on a subset; batch below covers all
 		w := must(want.Estimate(i))
@@ -85,10 +99,12 @@ func assertBitIdentical(t *testing.T, want, got *Engine) {
 			t.Fatalf("Support[%d]: got %d, want %d", j, gs[j], ws[j])
 		}
 	}
-	wl := must(want.L1())
-	gl := must(got.L1())
-	if wl != gl {
-		t.Fatalf("L1: got %v, want %v", gl, wl)
+	wp := must(want.ProbeBatch(idxs))
+	gp := must(got.ProbeBatch(idxs))
+	for j := range wp {
+		if wp[j] != gp[j] {
+			t.Fatalf("ProbeBatch[%d] (index %d): got %v, want %v", j, idxs[j], gp[j], wp[j])
+		}
 	}
 }
 
@@ -146,9 +162,8 @@ func TestRestorePartitionedDifferential(t *testing.T) {
 			t.Fatalf("shards=%d: L1: got %v, want %v", shards, g, w)
 		}
 		if obs.Enabled {
-			if st := dst.Stats(); st.PartitionedRestores != 1 || st.PartitionedRestoresMerged != 0 {
-				t.Fatalf("shards=%d: restore counters matched=%d merged=%d, want 1/0",
-					shards, st.PartitionedRestores, st.PartitionedRestoresMerged)
+			if n := dst.Stats().PartitionedRestores; n != 1 {
+				t.Fatalf("shards=%d: PartitionedRestores = %d, want 1", shards, n)
 			}
 		}
 		// The restored engine is live: it accepts further ingest and its
@@ -158,17 +173,13 @@ func TestRestorePartitionedDifferential(t *testing.T) {
 	}
 }
 
-// TestRestorePartitionedShardMismatch restores a 4-shard snapshot into
-// engines with different shard counts: answers must remain correct
-// under merged-fallback semantics, like legacy Restore. A demoted
-// engine answers every read from the merged view, whose estimates
-// carry the merged table's collision noise and whose support comes
-// from ONE merged k-budget sampler — both legitimately different from
-// the source's routed answers. But the merged state itself is a
-// partition-independent fold of the same shard payloads, so every
-// mismatched topology must answer IDENTICALLY to every other, and the
-// path-identical globals (L1, HeavyHitters — merged on both sides)
-// must equal the source exactly.
+// TestRestorePartitionedShardMismatch: sketch state cannot be re-keyed,
+// so a 4-shard snapshot offered to an engine with a different shard
+// count is refused with an error naming both counts and the way out,
+// the engine stays pristine (it then accepts a snapshot of its own
+// topology), and RestoreCheckpoint with zero Options opens the same
+// bytes at the snapshot's topology — bit-identical to the source, with
+// routed reads intact.
 func TestRestorePartitionedShardMismatch(t *testing.T) {
 	src := buildIngested(t, 4)
 	defer src.Close()
@@ -176,68 +187,53 @@ func TestRestorePartitionedShardMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxs := queryIndices()
-	srcL1 := must(src.L1())
-	srcHH := must(src.HeavyHitters())
-
-	var refEst []float64
-	var refSup []uint64
-	var refProbe []bool
 	for _, shards := range []int{1, 2, 8} {
 		dst, err := New(testCfg, Options{Shards: shards, Structures: durTestStructures})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.RestorePartitioned(snap); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+		err = dst.RestorePartitioned(snap)
+		if err == nil {
+			t.Fatalf("shards=%d: engine accepted a 4-shard snapshot", shards)
 		}
-		if l1 := must(dst.L1()); l1 != srcL1 {
-			t.Fatalf("shards=%d: L1: got %v, want %v", shards, l1, srcL1)
-		}
-		hh := must(dst.HeavyHitters())
-		if len(hh) != len(srcHH) {
-			t.Fatalf("shards=%d: HeavyHitters length %d, want %d", shards, len(hh), len(srcHH))
-		}
-		for j := range srcHH {
-			if hh[j] != srcHH[j] {
-				t.Fatalf("shards=%d: HeavyHitters[%d]: got %d, want %d", shards, j, hh[j], srcHH[j])
+		for _, want := range []string{"4 shards", fmt.Sprintf("engine has %d", shards), "RestoreCheckpoint(payload, Options{})"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("shards=%d: mismatch error %q does not mention %q", shards, err, want)
 			}
 		}
-		est := must(dst.EstimateBatch(idxs))
-		sup := must(dst.Support())
-		probe := make([]bool, 64)
-		for j := range probe {
-			probe[j] = must(dst.Probe(idxs[j]))
+		if g := dst.Generation(); g != 0 {
+			t.Fatalf("shards=%d: refused restore advanced generation to %d", shards, g)
 		}
-		if refEst == nil {
-			refEst, refSup, refProbe = est, sup, probe
-		} else {
-			for j := range refEst {
-				if est[j] != refEst[j] {
-					t.Fatalf("shards=%d: EstimateBatch[%d]: got %v, want %v", shards, j, est[j], refEst[j])
-				}
-			}
-			if len(sup) != len(refSup) {
-				t.Fatalf("shards=%d: Support length %d differs from first mismatched restore's %d", shards, len(sup), len(refSup))
-			}
-			for j := range refSup {
-				if sup[j] != refSup[j] {
-					t.Fatalf("shards=%d: Support[%d]: got %d, want %d", shards, j, sup[j], refSup[j])
-				}
-			}
-			for j := range refProbe {
-				if probe[j] != refProbe[j] {
-					t.Fatalf("shards=%d: Probe(%d): got %v, want %v", shards, idxs[j], probe[j], refProbe[j])
-				}
-			}
+		if n := dst.Stats().PartitionedRestores; n != 0 {
+			t.Fatalf("shards=%d: refused restore counted %d installs", shards, n)
 		}
-		if obs.Enabled {
-			if st := dst.Stats(); st.PartitionedRestores != 0 || st.PartitionedRestoresMerged != 1 {
-				t.Fatalf("shards=%d: restore counters matched=%d merged=%d, want 0/1",
-					shards, st.PartitionedRestores, st.PartitionedRestoresMerged)
-			}
+		same := buildIngested(t, shards)
+		matching, err := same.SnapshotPartitioned()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := dst.RestorePartitioned(matching); err != nil {
+			t.Fatalf("shards=%d: engine refused a matching snapshot after the mismatch: %v", shards, err)
+		}
+		assertBitIdentical(t, same, dst)
+		same.Close()
 		dst.Close()
+	}
+
+	opened, err := RestoreCheckpoint(snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	if opened.Shards() != 4 || opened.Structures() != durTestStructures {
+		t.Fatalf("RestoreCheckpoint opened %d shards / %s, want 4 / %s", opened.Shards(), opened.Structures(), durTestStructures)
+	}
+	assertRoutedIdentical(t, src, opened)
+	if n := opened.Stats().SnapshotBuilds; n != 0 {
+		t.Fatalf("engine opened at the snapshot's topology built %d merged views on routed reads, want 0", n)
+	}
+	if _, err := RestoreCheckpoint(snap, Options{Shards: 2}); err == nil {
+		t.Fatal("RestoreCheckpoint with an explicit mismatched shard count succeeded")
 	}
 }
 
@@ -272,8 +268,9 @@ func TestRestorePartitionedStructureRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if err := sub.RestorePartitioned(snap); err == nil {
-		t.Fatal("engine missing snapshot structures accepted the snapshot")
+	// The refusal names the missing structures, not their bit pattern.
+	if err := sub.RestorePartitioned(snap); err == nil || !strings.Contains(err.Error(), "L1Estimator|SupportSampler") {
+		t.Fatalf("engine missing snapshot structures: %v, want an error naming L1Estimator|SupportSampler", err)
 	}
 	if g := sub.Generation(); g != 0 {
 		t.Fatalf("failed restore advanced generation to %d", g)
@@ -281,8 +278,7 @@ func TestRestorePartitionedStructureRules(t *testing.T) {
 }
 
 // TestRestorePartitionedRequiresPristine: any prior state-changing
-// operation (Ingest, Restore, RestorePartitioned) blocks a partitioned
-// restore.
+// operation (Ingest, RestorePartitioned) blocks a partitioned restore.
 func TestRestorePartitionedRequiresPristine(t *testing.T) {
 	src := buildIngested(t, 2)
 	defer src.Close()

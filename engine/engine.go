@@ -21,12 +21,13 @@
 //	   │  └────────── snapshot ∘ merge ───────┘
 //	   │                │
 //	   │            global Query (HeavyHitters, L1, L0, Sample, ...)
-//	   └─ routed Query (Estimate, EstimateBatch, Probe, Support):
-//	      answered by the OWNING shard(s), snapshot-free — no flush
-//	      barrier, no merged-view rebuild. EstimateBatch mirrors
-//	      Ingest: one hash evaluation computes every queried index's
-//	      shard, columns scatter, shards answer concurrently, results
-//	      reassemble in input order.
+//	   └─ routed Query (Estimate, EstimateBatch, Probe, ProbeBatch,
+//	      Support): answered by the OWNING shard(s), snapshot-free — no
+//	      flush barrier, no merged-view rebuild. All five run one
+//	      sequence (routedRead); the batched ones mirror Ingest: one
+//	      hash evaluation computes every queried index's shard, columns
+//	      scatter, shards answer concurrently, results reassemble in
+//	      input order.
 //
 // Each shard goroutine receives ready-to-apply column batches and fans
 // them to its structures' UpdateColumns — the plan → hash → apply
@@ -56,30 +57,34 @@
 // when the generation-tagged view cache is stale (point queries never
 // pay that; they serialize only with the owning shard's ingest).
 //
-// # Durability
+// # Shipping state
 //
+// Snapshot(kind) marshals ONE structure's merged state in the library
+// wire format; the sketches are linear, so the receiving side is
+// bounded.UnmarshalSketch + Merge (what the networked aggregator does).
 // SnapshotPartitioned serializes every shard's live structures in
 // place (no merge) under a versioned envelope carrying the shard
 // count, partition-hash coefficients, Config echo, structure set, and
-// generation. RestorePartitioned installs that state into a pristine
-// same-config engine: on a topology match each shard's payload lands
-// in its own worker and the routed query fast paths keep working
-// (SnapshotBuilds stays 0); on a shard-count mismatch the payloads
-// merge into shard 0 and the engine answers from its merged view —
-// still exact, since the sketches are linear. Checkpoint and
-// OpenCheckpoint put those snapshots through internal/ckpt's
-// CRC-guarded atomic store, so a process can restart from disk
-// without replaying its stream; OpenCheckpoint fills zero
-// Options.Shards/Structures from the snapshot header.
+// generation. RestorePartitioned installs that state shard-for-shard
+// into a pristine engine with the same Config and topology, so routed
+// reads keep working (SnapshotBuilds stays 0). Sketch state cannot be
+// re-keyed: a snapshot from a different shard count is an error, to be
+// opened with its own topology — RestoreCheckpoint and OpenCheckpoint
+// fill zero Options.Shards/Structures from the snapshot header.
+// Checkpoint and OpenCheckpoint put those snapshots through
+// internal/ckpt's CRC-guarded atomic store, so a process can restart
+// from disk without replaying its stream.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -110,6 +115,86 @@ const (
 	// SyncSketch enables the s-sparse recovery sync sketch.
 	SyncSketch
 )
+
+// kinds is the one table of structure kinds: per Structures bit, the
+// wire kind its snapshots carry and the constructor with its Options
+// plumbing. Rows are in ascending bit order (kinds[i].bit == 1<<i), so
+// a structSet is indexed by row and "each enabled structure" is a loop.
+var kinds = [...]struct {
+	bit   Structures
+	kind  bounded.Kind
+	build func(bounded.Config, Options) (bounded.Sketch, error)
+}{
+	{HeavyHitters, bounded.KindHeavyHitters, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+		return bounded.NewHeavyHitters(cfg, bounded.WithStrict(!o.General))
+	}},
+	{L1Estimator, bounded.KindL1Estimator, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+		opts := []bounded.Option{bounded.WithStrict(!o.General)}
+		// L1Delta == 0 means "the constructor's default"; any other value
+		// goes through WithFailureProb so an out-of-range delta surfaces
+		// as NewL1Estimator's descriptive error instead of being clamped.
+		// The general variant has no delta knob (its failure probability
+		// is fixed by its row count), so L1Delta is ignored there.
+		if o.L1Delta != 0 && !o.General {
+			opts = append(opts, bounded.WithFailureProb(o.L1Delta))
+		}
+		return bounded.NewL1Estimator(cfg, opts...)
+	}},
+	{L0Estimator, bounded.KindL0Estimator, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
+		return bounded.NewL0Estimator(cfg)
+	}},
+	{L1Sampler, bounded.KindL1Sampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+		var opts []bounded.Option
+		if o.SamplerCopies > 0 {
+			opts = append(opts, bounded.WithCopies(o.SamplerCopies))
+		}
+		return bounded.NewL1Sampler(cfg, opts...)
+	}},
+	{SupportSampler, bounded.KindSupportSampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+		return bounded.NewSupportSampler(cfg, bounded.WithK(o.SupportK))
+	}},
+	{L2HeavyHitters, bounded.KindL2HeavyHitters, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
+		return bounded.NewL2HeavyHitters(cfg)
+	}},
+	{SyncSketch, bounded.KindSyncSketch, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+		return bounded.NewSyncSketch(cfg, bounded.WithCapacity(o.SyncCapacity))
+	}},
+}
+
+// row maps a single Structures bit to its kinds row; ok is false when s
+// is not exactly one known kind.
+func (s Structures) row() (int, bool) {
+	i := bits.TrailingZeros32(uint32(s))
+	return i, s != 0 && s&(s-1) == 0 && i < len(kinds)
+}
+
+// Kind reports the wire kind that snapshots of a single structure bit
+// carry — what a receiver compares bounded.SketchKind(payload) against
+// before filing a blob under that bit. ok is false when s is not
+// exactly one known structure.
+func (s Structures) Kind() (bounded.Kind, bool) {
+	i, ok := s.row()
+	if !ok {
+		return 0, false
+	}
+	return kinds[i].kind, true
+}
+
+// String names the set by its kinds ("HeavyHitters|SupportSampler");
+// bits outside the table print in hex.
+func (s Structures) String() string {
+	var names []string
+	for _, k := range kinds {
+		if s&k.bit != 0 {
+			names = append(names, k.kind.String())
+			s &^= k.bit
+		}
+	}
+	if s != 0 || len(names) == 0 {
+		names = append(names, fmt.Sprintf("%#x", uint32(s)))
+	}
+	return strings.Join(names, "|")
+}
 
 // Options configures an Engine. The zero value is usable: it means
 // "one shard per CPU, 1024-update hand-off batches, heavy hitters
@@ -169,69 +254,22 @@ func (o *Options) fill() {
 // selected in Options.Structures.
 var ErrNotEnabled = fmt.Errorf("engine: structure not enabled in Options.Structures")
 
-// structSet is one shard's sketch collection. All shards hold sets
-// built from the same Config, which is what makes them mergeable.
-type structSet struct {
-	hh  *bounded.HeavyHitters
-	l1  *bounded.L1Estimator
-	l0  *bounded.L0Estimator
-	smp *bounded.L1Sampler
-	sup *bounded.SupportSampler
-	l2  *bounded.L2HeavyHitters
-	syn *bounded.SyncSketch
-}
+// structSet is one shard's sketch collection, indexed by kinds row (nil
+// = not enabled). All shards hold sets built from the same Config,
+// which is what makes them mergeable.
+type structSet []bounded.Sketch
 
-func newStructSet(cfg bounded.Config, o Options) (*structSet, error) {
-	s := &structSet{}
-	var err error
-	if o.Structures&HeavyHitters != 0 {
-		if s.hh, err = bounded.NewHeavyHitters(cfg, bounded.WithStrict(!o.General)); err != nil {
+func newStructSet(cfg bounded.Config, o Options) (structSet, error) {
+	s := make(structSet, len(kinds))
+	for i, k := range kinds {
+		if o.Structures&k.bit == 0 {
+			continue
+		}
+		sk, err := k.build(cfg, o)
+		if err != nil {
 			return nil, err
 		}
-	}
-	if o.Structures&L1Estimator != 0 {
-		opts := []bounded.Option{bounded.WithStrict(!o.General)}
-		// L1Delta == 0 means "the constructor's default"; any other value
-		// goes through WithFailureProb so an out-of-range delta surfaces
-		// as NewL1Estimator's descriptive error instead of being clamped.
-		// The general variant has no delta knob (its failure probability
-		// is fixed by its row count), so L1Delta is ignored there as it
-		// always was.
-		if o.L1Delta != 0 && !o.General {
-			opts = append(opts, bounded.WithFailureProb(o.L1Delta))
-		}
-		if s.l1, err = bounded.NewL1Estimator(cfg, opts...); err != nil {
-			return nil, err
-		}
-	}
-	if o.Structures&L0Estimator != 0 {
-		if s.l0, err = bounded.NewL0Estimator(cfg); err != nil {
-			return nil, err
-		}
-	}
-	if o.Structures&L1Sampler != 0 {
-		var opts []bounded.Option
-		if o.SamplerCopies > 0 {
-			opts = append(opts, bounded.WithCopies(o.SamplerCopies))
-		}
-		if s.smp, err = bounded.NewL1Sampler(cfg, opts...); err != nil {
-			return nil, err
-		}
-	}
-	if o.Structures&SupportSampler != 0 {
-		if s.sup, err = bounded.NewSupportSampler(cfg, bounded.WithK(o.SupportK)); err != nil {
-			return nil, err
-		}
-	}
-	if o.Structures&L2HeavyHitters != 0 {
-		if s.l2, err = bounded.NewL2HeavyHitters(cfg); err != nil {
-			return nil, err
-		}
-	}
-	if o.Structures&SyncSketch != 0 {
-		if s.syn, err = bounded.NewSyncSketch(cfg, bounded.WithCapacity(o.SyncCapacity)); err != nil {
-			return nil, err
-		}
+		s[i] = sk
 	}
 	return s, nil
 }
@@ -240,122 +278,45 @@ func newStructSet(cfg bounded.Config, o Options) (*structSet, error) {
 // structure (shard.Ingester). The batch's index/delta columns are
 // shared read-only; each structure hashes them with its own batch
 // evaluators into the batch's reusable column scratch and applies.
-func (s *structSet) UpdateColumns(b *core.Batch) {
-	if s.hh != nil {
-		s.hh.UpdateColumns(b)
-	}
-	if s.l1 != nil {
-		s.l1.UpdateColumns(b)
-	}
-	if s.l0 != nil {
-		s.l0.UpdateColumns(b)
-	}
-	if s.smp != nil {
-		s.smp.UpdateColumns(b)
-	}
-	if s.sup != nil {
-		s.sup.UpdateColumns(b)
-	}
-	if s.l2 != nil {
-		s.l2.UpdateColumns(b)
-	}
-	if s.syn != nil {
-		s.syn.UpdateColumns(b)
+func (s structSet) UpdateColumns(b *core.Batch) {
+	for _, sk := range s {
+		if sk != nil {
+			sk.UpdateColumns(b)
+		}
 	}
 }
 
-// snapshot deep-clones every enabled structure. (Clone returns the
-// bounded.Sketch interface; the set stores concrete types, hence the
-// assertions.)
-func (s *structSet) snapshot() *structSet {
-	c := &structSet{}
-	if s.hh != nil {
-		c.hh = s.hh.Clone().(*bounded.HeavyHitters)
-	}
-	if s.l1 != nil {
-		c.l1 = s.l1.Clone().(*bounded.L1Estimator)
-	}
-	if s.l0 != nil {
-		c.l0 = s.l0.Clone().(*bounded.L0Estimator)
-	}
-	if s.smp != nil {
-		c.smp = s.smp.Clone().(*bounded.L1Sampler)
-	}
-	if s.sup != nil {
-		c.sup = s.sup.Clone().(*bounded.SupportSampler)
-	}
-	if s.l2 != nil {
-		c.l2 = s.l2.Clone().(*bounded.L2HeavyHitters)
-	}
-	if s.syn != nil {
-		c.syn = s.syn.Clone().(*bounded.SyncSketch)
+// snapshot deep-clones every enabled structure.
+func (s structSet) snapshot() structSet {
+	c := make(structSet, len(s))
+	for i, sk := range s {
+		if sk != nil {
+			c[i] = sk.Clone()
+		}
 	}
 	return c
 }
 
 // merge folds other into s, structure by structure. other must not be
 // used afterwards.
-func (s *structSet) merge(other *structSet) error {
-	if s.hh != nil {
-		if err := s.hh.Merge(other.hh); err != nil {
-			return err
+func (s structSet) merge(other structSet) error {
+	for i, sk := range s {
+		if sk == nil {
+			continue
 		}
-	}
-	if s.l1 != nil {
-		if err := s.l1.Merge(other.l1); err != nil {
-			return err
-		}
-	}
-	if s.l0 != nil {
-		if err := s.l0.Merge(other.l0); err != nil {
-			return err
-		}
-	}
-	if s.smp != nil {
-		if err := s.smp.Merge(other.smp); err != nil {
-			return err
-		}
-	}
-	if s.sup != nil {
-		if err := s.sup.Merge(other.sup); err != nil {
-			return err
-		}
-	}
-	if s.l2 != nil {
-		if err := s.l2.Merge(other.l2); err != nil {
-			return err
-		}
-	}
-	if s.syn != nil {
-		if err := s.syn.Merge(other.syn); err != nil {
+		if err := sk.Merge(other[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (s *structSet) spaceBits() int64 {
+func (s structSet) spaceBits() int64 {
 	var total int64
-	if s.hh != nil {
-		total += s.hh.SpaceBits()
-	}
-	if s.l1 != nil {
-		total += s.l1.SpaceBits()
-	}
-	if s.l0 != nil {
-		total += s.l0.SpaceBits()
-	}
-	if s.smp != nil {
-		total += s.smp.SpaceBits()
-	}
-	if s.sup != nil {
-		total += s.sup.SpaceBits()
-	}
-	if s.l2 != nil {
-		total += s.l2.SpaceBits()
-	}
-	if s.syn != nil {
-		total += s.syn.SpaceBits()
+	for _, sk := range s {
+		if sk != nil {
+			total += sk.SpaceBits()
+		}
 	}
 	return total
 }
@@ -366,8 +327,8 @@ func (s *structSet) spaceBits() int64 {
 // queryMu (the merged snapshot's query paths share scratch) but — when
 // the generation-tagged view cache is warm — never touch the engine
 // mutex, so a query burst does not stall producers' partitioning.
-// Point queries (Estimate) route to the owning shard and serialize only
-// with that shard's ingest.
+// Routed queries go to the owning shard(s) and serialize only with
+// those shards' ingest.
 type Engine struct {
 	mu      sync.Mutex // engine state: pending buffers, workers, view rebuild
 	queryMu sync.Mutex // serializes queries over the cached merged view
@@ -375,22 +336,23 @@ type Engine struct {
 	opt     Options
 	part    *hash.KWise
 	workers []*shard.Worker
-	sets    []*structSet // owned by the worker goroutines; touch via Do
+	sets    []structSet // elements owned by the worker goroutines; touch via Do
 	pending []*core.Batch
-	// Partition-plan scratch (guarded by mu): the whole incoming batch's
-	// keys and shard assignments, computed in one batch hash evaluation
-	// before the columnar scatter.
+	// Partition-plan scratch (guarded by mu): an incoming batch's key
+	// column and the shard column one batch hash evaluation computes
+	// from it (planLocked), consumed by the columnar scatter before the
+	// lock is released.
 	planKeys   []uint64
 	planShards []uint64
-	// inflight counts producers (and point queries) that are handing
+	// inflight counts producers (and routed reads) that are handing
 	// filled buffers to shard inboxes or running shard closures outside
 	// the lock; flushLocked waits for them so a flush (and therefore a
 	// merged view, and Close) covers every Ingest whose locked section
 	// completed.
 	inflight sync.WaitGroup
-	// gen is bumped on every state-changing Ingest/Restore; a cached
-	// view is valid iff viewGen == gen. All three cache fields are
-	// atomics so the global-query fast path can check them before
+	// gen is bumped on every state-changing Ingest/RestorePartitioned; a
+	// cached view is valid iff viewGen == gen. All three cache fields
+	// are atomics so the global-query fast path can check them before
 	// taking any engine lock.
 	gen     atomic.Uint64
 	viewGen atomic.Uint64
@@ -405,11 +367,6 @@ type Engine struct {
 	// met is the engine-level observability cell block (stats.go);
 	// zero-size and recording-free under -tags noobs.
 	met engineMetrics
-	// restored flips (permanently) when Restore imports external state:
-	// imported mass lands in shard 0 only, so the per-shard point-query
-	// routing loses its "owning shard holds the index's entire mass"
-	// invariant and Estimate falls back to the merged view.
-	restored atomic.Bool
 }
 
 // partitionSeedSalt decorrelates the partition hash from the structure
@@ -428,7 +385,7 @@ func New(cfg bounded.Config, opts Options) (*Engine, error) {
 		opt:     opts,
 		part:    hash.NewPairwise(rand.New(rand.NewSource(cfg.Seed ^ partitionSeedSalt))),
 		workers: make([]*shard.Worker, opts.Shards),
-		sets:    make([]*structSet, opts.Shards),
+		sets:    make([]structSet, opts.Shards),
 		pending: make([]*core.Batch, opts.Shards),
 	}
 	for i := range e.workers {
@@ -443,7 +400,7 @@ func New(cfg bounded.Config, opts Options) (*Engine, error) {
 		// Applied batches return to the shared columnar arena. The shard
 		// name labels the worker goroutine in CPU profiles and names its
 		// apply regions in execution traces.
-		e.workers[i] = shard.NewNamed(e.sets[i], opts.Queue, core.PutBatch, strconv.Itoa(i))
+		e.workers[i] = shard.NewNamed(set, opts.Queue, core.PutBatch, strconv.Itoa(i))
 		e.pending[i] = core.GetBatch()
 	}
 	return e, nil
@@ -458,11 +415,11 @@ func (e *Engine) Shards() int { return e.opt.Shards }
 func (e *Engine) Structures() Structures { return e.opt.Structures }
 
 // Generation returns the engine's state generation: it advances on
-// every state-changing Ingest and Restore and is stable across queries,
-// flushes, and snapshots. Two equal readings with no error in between
-// mean the engine's sketch state is unchanged — the token the
-// networked agent's incremental sync compares against its last ACKed
-// snapshot to skip shipping sketches that cannot have moved.
+// every state-changing Ingest and RestorePartitioned and is stable
+// across queries, flushes, and snapshots. Two equal readings with no
+// error in between mean the engine's sketch state is unchanged — the
+// token the networked agent's incremental sync compares against its
+// last ACKed snapshot to skip shipping sketches that cannot have moved.
 //
 // Read the generation BEFORE marshaling a snapshot: ingest racing the
 // marshal can only make the snapshot carry MORE than the recorded
@@ -476,12 +433,54 @@ func (e *Engine) Generation() uint64 { return e.gen.Load() }
 // tooling (cmd/bdquery's routing report, load-balance diagnostics) can
 // explain where a batched read fanned out; the mapping is fixed for
 // the engine's lifetime.
-func (e *Engine) ShardOf(i uint64) int { return e.shardOf(i) }
-
-// shardOf maps an index to its owning shard with the library's
-// fast-range hash — the same reduction the sketches use for buckets.
-func (e *Engine) shardOf(i uint64) int {
+func (e *Engine) ShardOf(i uint64) int {
 	return int(e.part.Range(i, uint64(e.opt.Shards)))
+}
+
+// planLocked computes every key's owning shard in one straight-line
+// batch hash sweep — the plan step Ingest and the batched routed reads
+// share. The result is the mu-guarded shard-column scratch: valid until
+// the caller releases e.mu.
+func (e *Engine) planLocked(keys []uint64) []uint64 {
+	n := len(keys)
+	if cap(e.planShards) < n {
+		e.planShards = make([]uint64, n)
+	}
+	shards := e.planShards[:n]
+	e.part.RangeBatch(keys, uint64(e.opt.Shards), shards)
+	return shards
+}
+
+// pendingHandoff is one pending buffer detached under e.mu, awaiting
+// its post-unlock Send.
+type pendingHandoff struct {
+	shard int
+	buf   *core.Batch
+}
+
+// sendHandoffs pushes detached pending buffers to their shard inboxes.
+// It runs AFTER e.mu is released, by a caller registered with
+// e.inflight, so a full inbox blocks only that caller; worker inboxes
+// are FIFO, so a hand-off lands before any closure the caller enqueues
+// on the same shard afterwards.
+func (e *Engine) sendHandoffs(full []pendingHandoff) {
+	for _, h := range full {
+		e.workers[h.shard].Send(h.buf)
+	}
+	e.met.batchesSent.Add(int64(len(full)))
+}
+
+// eachShard runs f(s) inside every shard's goroutine — serialized with
+// that shard's ingest, the shards concurrent with each other — and
+// returns when all have run, which makes an empty f a flush barrier.
+func (e *Engine) eachShard(f func(s int)) {
+	barriers := make([]<-chan struct{}, len(e.workers))
+	for s, w := range e.workers {
+		barriers[s] = w.DoAsync(func() { f(s) })
+	}
+	for _, b := range barriers {
+		<-b
+	}
 }
 
 // Ingest partitions a batch across the shards columnar-ly: one pass
@@ -503,22 +502,15 @@ func (e *Engine) Ingest(batch []bounded.Update) error {
 		e.mu.Unlock()
 		return fmt.Errorf("engine: Ingest on closed engine")
 	}
-	// Plan: shard keys for the whole batch in one straight-line hash
-	// sweep, then scatter by column. Each cap is checked independently:
-	// EstimateBatch grows only planShards, so the two scratch slices do
-	// not move in lockstep.
 	n := len(batch)
 	if cap(e.planKeys) < n {
 		e.planKeys = make([]uint64, n)
 	}
-	if cap(e.planShards) < n {
-		e.planShards = make([]uint64, n)
-	}
-	keys, shards := e.planKeys[:n], e.planShards[:n]
+	keys := e.planKeys[:n]
 	for j, u := range batch {
 		keys[j] = u.Index
 	}
-	e.part.RangeBatch(keys, uint64(e.opt.Shards), shards)
+	shards := e.planLocked(keys)
 	// Scatter under the lock; hand filled buffers off OUTSIDE it, so a
 	// full shard inbox blocks only this producer — other producers keep
 	// partitioning and queries keep answering (they wait, via inflight,
@@ -526,32 +518,21 @@ func (e *Engine) Ingest(batch []bounded.Update) error {
 	// interleave their filled buffers in a shard's inbox in either
 	// order; every structure's state is a commutative fold of updates,
 	// so shard state is unaffected.
-	type sendJob struct {
-		shard int
-		buf   *core.Batch
-	}
-	var full []sendJob
+	var full []pendingHandoff
 	for j, u := range batch {
 		s := shards[j]
 		p := e.pending[s]
 		p.Append(u.Index, u.Delta)
 		if p.Len() >= e.opt.BatchSize {
-			full = append(full, sendJob{shard: int(s), buf: p})
+			full = append(full, pendingHandoff{shard: int(s), buf: p})
 			e.pending[s] = core.GetBatch()
 		}
 	}
 	e.gen.Add(1)
-	if len(full) > 0 {
-		e.inflight.Add(1)
-	}
+	e.inflight.Add(1)
 	e.mu.Unlock()
-	if len(full) > 0 {
-		for _, j := range full {
-			e.workers[j.shard].Send(j.buf)
-		}
-		e.met.batchesSent.Add(int64(len(full)))
-		e.inflight.Done()
-	}
+	e.sendHandoffs(full)
+	e.inflight.Done()
 	e.met.ingestCalls.Inc()
 	e.met.ingestedKeys.Add(int64(n))
 	e.met.ingestNanos.ObserveSince(start)
@@ -569,13 +550,7 @@ func (e *Engine) flushLocked() {
 			e.pending[s] = core.GetBatch()
 		}
 	}
-	barriers := make([]<-chan struct{}, len(e.workers))
-	for i, w := range e.workers {
-		barriers[i] = w.DoAsync(nil)
-	}
-	for _, b := range barriers {
-		<-b
-	}
+	e.eachShard(func(int) {})
 }
 
 // Flush blocks until every update passed to Ingest so far has been
@@ -593,19 +568,22 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
-// withView runs f over the merged snapshot. Structure queries mutate
-// per-structure scratch (that is where the hot path's zero allocations
-// come from), so concurrent queries against the shared cached view
-// serialize on queryMu. The generation-tagged cache is checked BEFORE
-// the engine mutex: a query burst against a warm cache never touches
-// e.mu, so it cannot stall producers partitioning under it — the
-// query/ingest interleave cost is one atomic load plus queryMu.
-func (e *Engine) withView(f func(*structSet) error) error {
+// withView runs f over kind's sketch in the merged snapshot — the one
+// path behind every global query; op names the caller in errors.
+// Structure queries mutate per-structure scratch (that is where the
+// hot path's zero allocations come from), so concurrent queries
+// against the shared cached view serialize on queryMu. The
+// generation-tagged cache is checked BEFORE the engine mutex: a query
+// burst against a warm cache never touches e.mu, so it cannot stall
+// producers partitioning under it — the query/ingest interleave cost
+// is one atomic load plus queryMu.
+func (e *Engine) withView(kind Structures, op string, f func(bounded.Sketch)) error {
+	row, ok := kind.row()
+	if !ok || e.opt.Structures&kind == 0 {
+		return fmt.Errorf("%s: %w", op, ErrNotEnabled)
+	}
 	start := obs.Now()
-	defer func() {
-		e.met.mergedQueries.Inc()
-		e.met.mergedNanos.ObserveSince(start)
-	}()
+	defer e.met.merged.observe(start)
 	if e.hasView.Load() && e.viewGen.Load() == e.gen.Load() {
 		e.queryMu.Lock()
 		if e.closed.Load() {
@@ -615,9 +593,9 @@ func (e *Engine) withView(f func(*structSet) error) error {
 		// Re-verify under queryMu: the cache may have gone stale between
 		// the check and the lock; if so, fall through to the slow path.
 		if e.hasView.Load() && e.viewGen.Load() == e.gen.Load() {
-			err := f(e.view.Load())
+			f((*e.view.Load())[row])
 			e.queryMu.Unlock()
-			return err
+			return nil
 		}
 		e.queryMu.Unlock()
 	}
@@ -636,9 +614,9 @@ func (e *Engine) withView(f func(*structSet) error) error {
 	}
 	e.queryMu.Lock()
 	e.mu.Unlock()
-	err = f(v)
+	f(v[row])
 	e.queryMu.Unlock()
-	return err
+	return nil
 }
 
 // mergedViewLocked returns the merged snapshot of all shards, flushing
@@ -646,9 +624,9 @@ func (e *Engine) withView(f func(*structSet) error) error {
 // Ingest, so query bursts between ingest rounds rebuild nothing: a
 // valid cache means no Ingest completed since the view was built,
 // hence nothing pending or in flight to flush. Callers hold e.mu.
-func (e *Engine) mergedViewLocked() (*structSet, error) {
+func (e *Engine) mergedViewLocked() (structSet, error) {
 	if e.hasView.Load() && e.viewGen.Load() == e.gen.Load() {
-		return e.view.Load(), nil
+		return *e.view.Load(), nil
 	}
 	// The rebuild is the engine's most expensive maintenance step, so it
 	// gets a trace task (flush + clone fan-out + merge chain show up as
@@ -663,16 +641,9 @@ func (e *Engine) mergedViewLocked() (*structSet, error) {
 	// will hold.
 	genAt := e.gen.Load()
 	e.snapshotBuilds.Add(1)
-	snaps := make([]*structSet, len(e.workers))
-	barriers := make([]<-chan struct{}, len(e.workers))
+	snaps := make([]structSet, len(e.workers))
 	cloneSpan := obs.StartRegion(task.Context(), "engine.cloneShards")
-	for i, w := range e.workers {
-		i, set := i, e.sets[i]
-		barriers[i] = w.DoAsync(func() { snaps[i] = set.snapshot() })
-	}
-	for _, b := range barriers {
-		<-b
-	}
+	e.eachShard(func(s int) { snaps[s] = e.sets[s].snapshot() })
 	cloneSpan.End()
 	mergeSpan := obs.StartRegion(task.Context(), "engine.mergeShards")
 	merged := snaps[0]
@@ -684,140 +655,163 @@ func (e *Engine) mergedViewLocked() (*structSet, error) {
 	}
 	mergeSpan.End()
 	e.met.snapshotNanos.ObserveSince(start)
-	e.view.Store(merged)
+	e.view.Store(&merged)
 	e.viewGen.Store(genAt)
 	e.hasView.Store(true)
 	return merged, nil
 }
 
-// lockRouted acquires e.mu for a routed (snapshot-free) query: it
-// fails fast on a closed engine and reports fallback=true — WITHOUT
-// holding the mutex — when Restore won the race between the caller's
-// lock-free restored check and the Lock (Restore flips the flag under
-// e.mu, so this re-check is authoritative; skipping it would let
-// per-shard routing silently omit freshly imported mass). On (false,
-// nil) the caller holds e.mu and owns the routed path.
-func (e *Engine) lockRouted() (fallback bool, err error) {
+// shardColumn is one involved shard's slice of a routed read: the keys
+// the shard owns and their positions in the caller's input (both nil
+// for reads that carry no key column).
+type shardColumn struct {
+	shard int
+	keys  []uint64
+	pos   []int
+}
+
+// everyShard routes a read to all shards, with no key column.
+func (e *Engine) everyShard() []shardColumn {
+	cols := make([]shardColumn, e.opt.Shards)
+	for s := range cols {
+		cols[s].shard = s
+	}
+	return cols
+}
+
+// scatterLocked routes a batched read — the read-side mirror of
+// Ingest's columnar scatter: planLocked computes every key's owning
+// shard, and keys plus input positions scatter by column; only shards
+// that own a key are returned. The columns outlive the lock (the shard
+// closures consume them), so they are per-call storage, not plan
+// scratch. Callers hold e.mu.
+func (e *Engine) scatterLocked(keys []uint64) []shardColumn {
+	byShard := make([]shardColumn, e.opt.Shards)
+	for j, s := range e.planLocked(keys) {
+		c := &byShard[s]
+		c.keys = append(c.keys, keys[j])
+		c.pos = append(c.pos, j)
+	}
+	cols := byShard[:0]
+	for s, c := range byShard {
+		if len(c.keys) > 0 {
+			c.shard = s
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}
+
+// routedRead is the one sequence behind all five routed (snapshot-free)
+// reads. The same fast-range partition hash that routes an index's
+// updates routes the read, and the owning shard's live structure holds
+// that index's entire mass, so the read runs as a closure in the shard
+// goroutine — serialized with that shard's ingest — and never pays the
+// all-shard flush barrier or builds a merged view (SnapshotBuilds does
+// not move). Routing to the owner is also slightly more accurate than
+// querying a merged table: the owner's counters only carry collision
+// noise from its own partition of the key space.
+//
+// cols names the involved shards; a batched read passes its keys
+// instead and they scatter into per-shard columns under e.mu. The
+// involved shards' pending runs are detached so they apply first; run
+// then executes once per involved shard, inside its goroutine, on its
+// live sketch of the given kind.
+func (e *Engine) routedRead(kind Structures, op string, path *pathMetrics, cols []shardColumn, keys []uint64, run func(bounded.Sketch, shardColumn)) error {
+	row, ok := kind.row()
+	if !ok || e.opt.Structures&kind == 0 {
+		return fmt.Errorf("%s: %w", op, ErrNotEnabled)
+	}
+	start := obs.Now()
 	e.mu.Lock()
 	if e.closed.Load() {
 		e.mu.Unlock()
-		return false, fmt.Errorf("engine: query on closed engine")
+		return fmt.Errorf("engine: %s on closed engine", op)
 	}
-	if e.restored.Load() {
-		e.mu.Unlock()
-		return true, nil
+	if keys != nil {
+		cols = e.scatterLocked(keys)
 	}
-	return false, nil
-}
-
-// pendingHandoff is one pending buffer detached by swapPendingLocked,
-// awaiting its post-unlock Send.
-type pendingHandoff struct {
-	shard int
-	buf   *core.Batch
-}
-
-// swapPendingLocked detaches the nonempty pending buffers of every
-// shard selected by involved, replacing each with a fresh pooled batch
-// — the routed queries' early hand-off. The caller holds e.mu, must
-// register with e.inflight before releasing it, and must sendHandoffs
-// AFTER releasing it: worker inboxes are FIFO, so the hand-off
-// happens before any query closure subsequently enqueued on those
-// shards, without a full inbox stalling other producers under the
-// lock.
-func (e *Engine) swapPendingLocked(involved func(int) bool) []pendingHandoff {
 	var full []pendingHandoff
-	for s := range e.pending {
-		if involved(s) && e.pending[s].Len() > 0 {
-			full = append(full, pendingHandoff{shard: s, buf: e.pending[s]})
-			e.pending[s] = core.GetBatch()
+	for _, c := range cols {
+		if p := e.pending[c.shard]; p.Len() > 0 {
+			full = append(full, pendingHandoff{shard: c.shard, buf: p})
+			e.pending[c.shard] = core.GetBatch()
 		}
 	}
-	return full
-}
-
-// sendHandoffs pushes swapped pending buffers to their shard inboxes.
-func (e *Engine) sendHandoffs(full []pendingHandoff) {
-	for _, h := range full {
-		e.workers[h.shard].Send(h.buf)
-	}
-	e.met.batchesSent.Add(int64(len(full)))
-}
-
-// HeavyHitters returns the eps-heavy coordinates of the full ingested
-// stream, from the merged shard snapshots.
-func (e *Engine) HeavyHitters() ([]uint64, error) {
-	var out []uint64
-	err := e.withView(func(v *structSet) error {
-		if v.hh == nil {
-			return fmt.Errorf("HeavyHitters: %w", ErrNotEnabled)
-		}
-		out = v.hh.HeavyHitters()
-		return nil
-	})
-	return out, err
-}
-
-// Estimate returns the heavy-hitters structure's point estimate of
-// f_i, answered snapshot-free by the index's OWNING shard: the same
-// fast-range partition hash that routes i's updates routes the query,
-// and that shard's live structure holds i's entire mass. The query
-// runs as a closure in the shard's goroutine — serialized with that
-// shard's ingest, after the shard's pending run (if any) is handed off
-// — so it never pays the all-shard flush barrier and never builds a
-// merged snapshot (SnapshotBuilds does not move). Routing to the owner
-// is also slightly more accurate than querying a merged table: the
-// owning shard's counters only carry collision noise from its own
-// partition of the key space.
-//
-// Exception: once Restore has imported external state (which lands in
-// shard 0 only), the owning shard no longer holds an index's entire
-// mass, so Estimate permanently reverts to answering from the merged
-// view — correct over the union, at the usual merged-query cost.
-func (e *Engine) Estimate(i uint64) (float64, error) {
-	if e.restored.Load() {
-		return e.estimateView(i)
-	}
-	start := obs.Now()
-	if fallback, err := e.lockRouted(); err != nil {
-		return 0, err
-	} else if fallback {
-		return e.estimateView(i)
-	}
-	s := e.shardOf(i)
-	full := e.swapPendingLocked(func(x int) bool { return x == s })
-	w, set := e.workers[s], e.sets[s]
 	// Registering with inflight keeps Flush/Close honest: they wait for
-	// the early hand-off and the shard closure below, so they can never
-	// observe (or tear down) the shard mid-query.
+	// the hand-off and the shard closures below, so they can never
+	// observe (or tear down) a shard mid-read.
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
 	e.sendHandoffs(full)
-	var out float64
-	var qErr error
-	w.Do(func() {
-		if set.hh == nil {
-			qErr = fmt.Errorf("Estimate: %w", ErrNotEnabled)
-			return
-		}
-		out = set.hh.Estimate(i)
-	})
-	e.met.pointQueries.Inc()
-	e.met.pointNanos.ObserveSince(start)
-	return out, qErr
+	// Each closure reads its sketch and writes its results inside the
+	// shard goroutine; the barrier waits establish the happens-before
+	// for those writes.
+	var few [4]<-chan struct{} // keeps the scalar reads' barrier off the heap
+	barriers := few[:0]
+	for _, c := range cols {
+		barriers = append(barriers, e.workers[c.shard].DoAsync(func() { run(e.sets[c.shard][row], c) }))
+	}
+	for _, b := range barriers {
+		<-b
+	}
+	path.observe(start)
+	return nil
 }
 
-// estimateView answers a point estimate from the merged view — the
-// post-Restore fallback shared by Estimate's two check sites.
-func (e *Engine) estimateView(i uint64) (float64, error) {
-	var out float64
-	err := e.withView(func(v *structSet) error {
-		if v.hh == nil {
-			return fmt.Errorf("Estimate: %w", ErrNotEnabled)
-		}
-		out = v.hh.Estimate(i)
-		return nil
+// members answers a set query from kind's merged sketch.
+func (e *Engine) members(kind Structures, op string) (out []uint64, err error) {
+	err = e.withView(kind, op, func(sk bounded.Sketch) { out = sk.(bounded.SetQuerier).Members() })
+	return out, err
+}
+
+// scalar answers a whole-stream scalar query from kind's merged sketch.
+func (e *Engine) scalar(kind Structures, op string) (out float64, err error) {
+	err = e.withView(kind, op, func(sk bounded.Sketch) { out = sk.(bounded.ScalarQuerier).Estimate() })
+	return out, err
+}
+
+// HeavyHitters returns the eps-heavy coordinates of the full ingested
+// stream, from the merged shard snapshots.
+func (e *Engine) HeavyHitters() ([]uint64, error) { return e.members(HeavyHitters, "HeavyHitters") }
+
+// L2HeavyHitters returns the merged Appendix A L2 heavy hitters.
+func (e *Engine) L2HeavyHitters() ([]uint64, error) {
+	return e.members(L2HeavyHitters, "L2HeavyHitters")
+}
+
+// L1 returns the merged (1 +- eps) estimate of ||f||_1.
+func (e *Engine) L1() (float64, error) { return e.scalar(L1Estimator, "L1") }
+
+// L0 returns the merged (1 +- eps) estimate of ||f||_0.
+func (e *Engine) L0() (float64, error) { return e.scalar(L0Estimator, "L0") }
+
+// Sample draws one L1 sample from the merged sampler; ok is false when
+// every sampler instance FAILed (the sampler never fabricates).
+func (e *Engine) Sample() (res bounded.Sample, ok bool, err error) {
+	err = e.withView(L1Sampler, "Sample", func(sk bounded.Sketch) {
+		res, ok = sk.(bounded.SampleQuerier).Sample()
+	})
+	return res, ok, err
+}
+
+// SyncSketch returns a private copy of the merged sync sketch — the
+// full-stream sketch a peer exchange serializes, subtracts, and
+// decodes. Mutating the copy does not affect the engine.
+func (e *Engine) SyncSketch() (out *bounded.SyncSketch, err error) {
+	err = e.withView(SyncSketch, "SyncSketch", func(sk bounded.Sketch) {
+		out = sk.Clone().(*bounded.SyncSketch)
+	})
+	return out, err
+}
+
+// Estimate returns the heavy-hitters structure's point estimate of f_i,
+// answered snapshot-free by the index's OWNING shard (see routedRead).
+func (e *Engine) Estimate(i uint64) (out float64, err error) {
+	owner := []shardColumn{{shard: e.ShardOf(i)}}
+	err = e.routedRead(HeavyHitters, "Estimate", &e.met.point, owner, nil, func(sk bounded.Sketch, _ shardColumn) {
+		out = sk.(bounded.PointQuerier).Estimate(i)
 	})
 	return out, err
 }
@@ -833,40 +827,25 @@ func (e *Engine) estimateView(i uint64) (float64, error) {
 const estimateBatchCutover = 16
 
 // EstimateBatch returns the heavy-hitters point estimate of every
-// index in idxs, in input order — the batched, snapshot-free form of
-// Estimate and the read-side mirror of Ingest's columnar plan: ONE
-// batch hash evaluation computes every index's owning shard, the index
-// set scatters by column into per-shard key lists, each involved shard
-// answers its whole column inside its own goroutine with the
-// structure's batched reader (one hash pass over the column, row-major
-// table sweeps), and the answers reassemble into input positions. Like
-// Estimate it pays no flush barrier and builds no merged view
-// (SnapshotBuilds does not move); unlike N scalar calls it crosses
-// into each involved shard once per batch instead of once per index,
-// and distinct shards answer their columns concurrently. Answers are
+// index in idxs, in input order — the batched form of Estimate and the
+// read-side mirror of Ingest's columnar plan: ONE batch hash evaluation
+// computes every index's owning shard, the index set scatters by
+// column into per-shard key lists, each involved shard answers its
+// whole column with the structure's batched reader (one hash pass over
+// the column, row-major table sweeps), and the answers reassemble into
+// input positions. Unlike N scalar calls it crosses into each involved
+// shard once per batch instead of once per index. Answers are
 // bit-identical to calling Estimate once per index (duplicates simply
 // repeat their estimate).
-//
-// After Restore has imported external state, the owning-shard
-// invariant is gone and EstimateBatch answers from the merged view —
-// still batched, still bit-identical to per-index Estimate (which
-// falls back the same way).
 func (e *Engine) EstimateBatch(idxs []uint64) ([]float64, error) {
-	out := make([]float64, len(idxs))
-	if len(idxs) == 0 {
-		return out, nil
-	}
-	if e.opt.Structures&HeavyHitters == 0 {
-		return nil, fmt.Errorf("EstimateBatch: %w", ErrNotEnabled)
-	}
 	// Small batches route through the scalar path: below the cutover
 	// the plan (shard hash, scatter, per-shard goroutine crossing and
 	// barrier) costs more than per-index owning-shard queries, so the
 	// batched entry point would be SLOWER than a caller's own Estimate
 	// loop — measured at the crossover on the regression benchmark's
-	// size=16 case. Answers are identical either way; Estimate handles
-	// the post-Restore fallback itself.
+	// size=16 case. Answers are identical either way.
 	if len(idxs) <= estimateBatchCutover {
+		out := make([]float64, len(idxs))
 		for j, i := range idxs {
 			v, err := e.Estimate(i)
 			if err != nil {
@@ -876,75 +855,24 @@ func (e *Engine) EstimateBatch(idxs []uint64) ([]float64, error) {
 		}
 		return out, nil
 	}
-	if e.restored.Load() {
-		return e.estimateBatchView(idxs, out)
-	}
-	start := obs.Now()
-	if fallback, err := e.lockRouted(); err != nil {
-		return nil, err
-	} else if fallback {
-		return e.estimateBatchView(idxs, out)
-	}
-	// Plan: every index's owning shard in one batch hash evaluation —
-	// the same evaluator and shard-column scratch Ingest plans with,
-	// under the same lock (idxs already IS the key column, so the
-	// planKeys scratch is not needed here).
-	n := len(idxs)
-	if cap(e.planShards) < n {
-		e.planShards = make([]uint64, n)
-	}
-	shards := e.planShards[:n]
-	e.part.RangeBatch(idxs, uint64(e.opt.Shards), shards)
-	// Scatter by column into per-shard key + position lists. These
-	// outlive the lock (the shard closures consume them), so they are
-	// per-call storage, not the mu-guarded plan scratch.
-	keysBy := make([][]uint64, e.opt.Shards)
-	posBy := make([][]int, e.opt.Shards)
-	for j, s := range shards {
-		keysBy[s] = append(keysBy[s], idxs[j])
-		posBy[s] = append(posBy[s], j)
-	}
-	// Involved shards' pending runs must apply before their columns are
-	// answered — the batched form of the scalar path's early hand-off.
-	full := e.swapPendingLocked(func(s int) bool { return len(keysBy[s]) > 0 })
-	e.inflight.Add(1)
-	e.mu.Unlock()
-	defer e.inflight.Done()
-	e.sendHandoffs(full)
-	// Fan out: each involved shard answers its key column in its own
-	// goroutine, writing straight into its disjoint output positions;
-	// the barrier waits establish the happens-before for those writes.
-	var barriers []<-chan struct{}
-	for s := range keysBy {
-		if len(keysBy[s]) == 0 {
-			continue
-		}
-		keys, pos, set := keysBy[s], posBy[s], e.sets[s]
-		barriers = append(barriers, e.workers[s].DoAsync(func() {
-			est := set.hh.EstimateBatch(keys)
-			for t, p := range pos {
-				out[p] = est[t]
-			}
-		}))
-	}
-	for _, b := range barriers {
-		<-b
-	}
-	e.met.batchedQueries.Inc()
-	e.met.batchedNanos.ObserveSince(start)
-	return out, nil
+	return routedBatch(e, HeavyHitters, "EstimateBatch", idxs, func(sk bounded.Sketch, keys []uint64) []float64 {
+		return sk.(bounded.BatchPointQuerier).EstimateBatch(keys)
+	})
 }
 
-// estimateBatchView answers a batched point query from the merged view
-// — the post-Restore fallback shared by EstimateBatch's two check
-// sites. out has len(idxs) entries and is returned on success.
-func (e *Engine) estimateBatchView(idxs []uint64, out []float64) ([]float64, error) {
-	err := e.withView(func(v *structSet) error {
-		b := core.GetBatch()
-		b.LoadKeys(idxs)
-		v.hh.EstimateColumns(b, out)
-		core.PutBatch(b)
-		return nil
+// routedBatch is the batched routed read behind EstimateBatch and
+// ProbeBatch: idxs scatter to their owning shards, answer runs on each
+// involved shard's key column, and the answers reassemble into input
+// positions (the shards write disjoint positions of out).
+func routedBatch[T any](e *Engine, kind Structures, op string, idxs []uint64, answer func(bounded.Sketch, []uint64) []T) ([]T, error) {
+	out := make([]T, len(idxs))
+	if len(idxs) == 0 {
+		return out, nil
+	}
+	err := e.routedRead(kind, op, &e.met.batched, nil, idxs, func(sk bounded.Sketch, c shardColumn) {
+		for t, v := range answer(sk, c.keys) {
+			out[c.pos[t]] = v
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -953,214 +881,43 @@ func (e *Engine) estimateBatchView(idxs []uint64, out []float64) ([]float64, err
 }
 
 // Probe reports whether index i is in the ingested stream's support,
-// answered snapshot-free by the index's OWNING shard: the partition
-// hash that routes i's updates routes the probe, and that shard's live
-// support sampler holds i's entire substream — the same routing, and
-// the same serialize-only-with-the-owner cost, as Estimate. After
-// Restore the owning-shard invariant is gone and the probe answers
-// from the merged view.
-func (e *Engine) Probe(i uint64) (bool, error) {
-	if e.opt.Structures&SupportSampler == 0 {
-		return false, fmt.Errorf("Probe: %w", ErrNotEnabled)
-	}
-	if e.restored.Load() {
-		return e.probeView(i)
-	}
-	start := obs.Now()
-	if fallback, err := e.lockRouted(); err != nil {
-		return false, err
-	} else if fallback {
-		return e.probeView(i)
-	}
-	s := e.shardOf(i)
-	full := e.swapPendingLocked(func(x int) bool { return x == s })
-	w, set := e.workers[s], e.sets[s]
-	e.inflight.Add(1)
-	e.mu.Unlock()
-	defer e.inflight.Done()
-	e.sendHandoffs(full)
-	var out bool
-	w.Do(func() { out = set.sup.Contains(i) })
-	e.met.pointQueries.Inc()
-	e.met.pointNanos.ObserveSince(start)
-	return out, nil
-}
-
-// probeView answers a membership probe from the merged view — the
-// post-Restore fallback shared by Probe's two check sites.
-func (e *Engine) probeView(i uint64) (bool, error) {
-	var out bool
-	err := e.withView(func(v *structSet) error {
-		out = v.sup.Contains(i)
-		return nil
+// answered snapshot-free by the index's OWNING shard, whose live
+// support sampler holds i's entire substream (see routedRead).
+func (e *Engine) Probe(i uint64) (out bool, err error) {
+	owner := []shardColumn{{shard: e.ShardOf(i)}}
+	err = e.routedRead(SupportSampler, "Probe", &e.met.point, owner, nil, func(sk bounded.Sketch, _ shardColumn) {
+		out = sk.(bounded.Prober).Contains(i)
 	})
 	return out, err
 }
 
 // ProbeBatch reports, for every index in idxs in input order, whether
-// it belongs to the stream's support — the batched, snapshot-free form
-// of Probe and the membership twin of EstimateBatch: ONE batch hash
-// evaluation computes every index's owning shard, the index set
-// scatters by column into per-shard key lists, each involved shard
-// answers its whole column inside its own goroutine with the sampler's
-// batched prober (one hash pass over the column, at most one decode
-// per live recovery level), and the verdicts reassemble into input
-// positions. Like Probe it pays no flush barrier and builds no merged
-// view; unlike N scalar calls it crosses into each involved shard once
-// per batch and decodes each shard's level sketches once instead of
-// once per index. Verdicts are identical to calling Probe once per
-// index. After Restore the owning-shard invariant is gone and
-// ProbeBatch answers from the merged view, like Probe.
+// it belongs to the stream's support — the batched form of Probe and
+// the membership twin of EstimateBatch: each involved shard answers
+// its whole key column with the sampler's batched prober (one hash
+// pass over the column, at most one decode per live recovery level
+// instead of one per index). Verdicts are identical to calling Probe
+// once per index.
 func (e *Engine) ProbeBatch(idxs []uint64) ([]bool, error) {
-	out := make([]bool, len(idxs))
-	if len(idxs) == 0 {
-		return out, nil
-	}
-	if e.opt.Structures&SupportSampler == 0 {
-		return nil, fmt.Errorf("ProbeBatch: %w", ErrNotEnabled)
-	}
-	if e.restored.Load() {
-		return e.probeBatchView(idxs, out)
-	}
-	start := obs.Now()
-	if fallback, err := e.lockRouted(); err != nil {
-		return nil, err
-	} else if fallback {
-		return e.probeBatchView(idxs, out)
-	}
-	n := len(idxs)
-	if cap(e.planShards) < n {
-		e.planShards = make([]uint64, n)
-	}
-	shards := e.planShards[:n]
-	e.part.RangeBatch(idxs, uint64(e.opt.Shards), shards)
-	keysBy := make([][]uint64, e.opt.Shards)
-	posBy := make([][]int, e.opt.Shards)
-	for j, s := range shards {
-		keysBy[s] = append(keysBy[s], idxs[j])
-		posBy[s] = append(posBy[s], j)
-	}
-	full := e.swapPendingLocked(func(s int) bool { return len(keysBy[s]) > 0 })
-	e.inflight.Add(1)
-	e.mu.Unlock()
-	defer e.inflight.Done()
-	e.sendHandoffs(full)
-	var barriers []<-chan struct{}
-	for s := range keysBy {
-		if len(keysBy[s]) == 0 {
-			continue
-		}
-		keys, pos, set := keysBy[s], posBy[s], e.sets[s]
-		barriers = append(barriers, e.workers[s].DoAsync(func() {
-			verdicts := set.sup.ProbeBatch(keys)
-			for t, p := range pos {
-				out[p] = verdicts[t]
-			}
-		}))
-	}
-	for _, b := range barriers {
-		<-b
-	}
-	e.met.batchedQueries.Inc()
-	e.met.batchedNanos.ObserveSince(start)
-	return out, nil
-}
-
-// probeBatchView answers a batched membership probe from the merged
-// view — the post-Restore fallback shared by ProbeBatch's two check
-// sites. out has len(idxs) entries and is returned on success.
-func (e *Engine) probeBatchView(idxs []uint64, out []bool) ([]bool, error) {
-	err := e.withView(func(v *structSet) error {
-		b := core.GetBatch()
-		b.LoadKeys(idxs)
-		v.sup.ProbeColumns(b, out)
-		core.PutBatch(b)
-		return nil
+	return routedBatch(e, SupportSampler, "ProbeBatch", idxs, func(sk bounded.Sketch, keys []uint64) []bool {
+		return sk.(bounded.BatchProber).ProbeBatch(keys)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// L1 returns the merged (1 +- eps) estimate of ||f||_1.
-func (e *Engine) L1() (float64, error) {
-	var out float64
-	err := e.withView(func(v *structSet) error {
-		if v.l1 == nil {
-			return fmt.Errorf("L1: %w", ErrNotEnabled)
-		}
-		out = v.l1.Estimate()
-		return nil
-	})
-	return out, err
-}
-
-// L0 returns the merged (1 +- eps) estimate of ||f||_0.
-func (e *Engine) L0() (float64, error) {
-	var out float64
-	err := e.withView(func(v *structSet) error {
-		if v.l0 == nil {
-			return fmt.Errorf("L0: %w", ErrNotEnabled)
-		}
-		out = v.l0.Estimate()
-		return nil
-	})
-	return out, err
-}
-
-// Sample draws one L1 sample from the merged sampler; ok is false when
-// every sampler instance FAILed (the sampler never fabricates).
-func (e *Engine) Sample() (bounded.Sample, bool, error) {
-	var res bounded.Sample
-	var ok bool
-	err := e.withView(func(v *structSet) error {
-		if v.smp == nil {
-			return fmt.Errorf("Sample: %w", ErrNotEnabled)
-		}
-		res, ok = v.smp.Sample()
-		return nil
-	})
-	return res, ok, err
 }
 
 // Support returns distinct support coordinates of the full ingested
-// stream, sorted — answered snapshot-free by routing, like Estimate:
-// the partition hash sends every update for an index to exactly one
-// shard, so the union of the shards' LIVE support recoveries covers
-// the full stream without cloning or merging a single sampler. Every
-// shard decodes its own levels inside its own goroutine (the shards
-// work concurrently), and the union reassembles outside. SnapshotBuilds
-// does not move. After Restore the partition invariant is gone and
-// Support answers from the merged view.
+// stream, sorted — answered snapshot-free by routing: the partition
+// hash sends every update for an index to exactly one shard, so the
+// union of the shards' LIVE support recoveries covers the full stream
+// without cloning or merging a single sampler. Every shard decodes its
+// own levels inside its own goroutine, and the union reassembles
+// outside.
 func (e *Engine) Support() ([]uint64, error) {
-	if e.opt.Structures&SupportSampler == 0 {
-		return nil, fmt.Errorf("Support: %w", ErrNotEnabled)
-	}
-	if e.restored.Load() {
-		return e.supportView()
-	}
-	start := obs.Now()
-	if fallback, err := e.lockRouted(); err != nil {
+	results := make([][]uint64, e.opt.Shards)
+	err := e.routedRead(SupportSampler, "Support", &e.met.batched, e.everyShard(), nil, func(sk bounded.Sketch, c shardColumn) {
+		results[c.shard] = sk.(bounded.SetQuerier).Members()
+	})
+	if err != nil {
 		return nil, err
-	} else if fallback {
-		return e.supportView()
-	}
-	// Every shard's pending run must apply before its recovery — the
-	// all-shard form of the point query's early hand-off.
-	full := e.swapPendingLocked(func(int) bool { return true })
-	e.inflight.Add(1)
-	e.mu.Unlock()
-	defer e.inflight.Done()
-	e.sendHandoffs(full)
-	results := make([][]uint64, len(e.workers))
-	barriers := make([]<-chan struct{}, len(e.workers))
-	for i, w := range e.workers {
-		i, set := i, e.sets[i]
-		barriers[i] = w.DoAsync(func() { results[i] = set.sup.Recover() })
-	}
-	for _, b := range barriers {
-		<-b
 	}
 	// Partition completeness makes the per-shard recoveries disjoint;
 	// the set union is belt and braces against a (fingerprint-verified,
@@ -1176,163 +933,26 @@ func (e *Engine) Support() ([]uint64, error) {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	e.met.batchedQueries.Inc()
-	e.met.batchedNanos.ObserveSince(start)
 	return out, nil
-}
-
-// supportView answers a support recovery from the merged view — the
-// post-Restore fallback shared by Support's two check sites.
-func (e *Engine) supportView() ([]uint64, error) {
-	var out []uint64
-	err := e.withView(func(v *structSet) error {
-		out = v.sup.Recover()
-		return nil
-	})
-	return out, err
-}
-
-// L2HeavyHitters returns the merged Appendix A L2 heavy hitters.
-func (e *Engine) L2HeavyHitters() ([]uint64, error) {
-	var out []uint64
-	err := e.withView(func(v *structSet) error {
-		if v.l2 == nil {
-			return fmt.Errorf("L2HeavyHitters: %w", ErrNotEnabled)
-		}
-		out = v.l2.HeavyHitters()
-		return nil
-	})
-	return out, err
-}
-
-// SyncSketch returns a private copy of the merged sync sketch — the
-// full-stream sketch a peer exchange serializes, subtracts, and
-// decodes. Mutating the copy does not affect the engine.
-func (e *Engine) SyncSketch() (*bounded.SyncSketch, error) {
-	var out *bounded.SyncSketch
-	err := e.withView(func(v *structSet) error {
-		if v.syn == nil {
-			return fmt.Errorf("SyncSketch: %w", ErrNotEnabled)
-		}
-		out = v.syn.Clone().(*bounded.SyncSketch)
-		return nil
-	})
-	return out, err
-}
-
-// sketchFor maps a single Structures bit to the merged view's sketch.
-func (s *structSet) sketchFor(kind Structures) (bounded.Sketch, bool) {
-	switch kind {
-	case HeavyHitters:
-		return s.hh, s.hh != nil
-	case L1Estimator:
-		return s.l1, s.l1 != nil
-	case L0Estimator:
-		return s.l0, s.l0 != nil
-	case L1Sampler:
-		return s.smp, s.smp != nil
-	case SupportSampler:
-		return s.sup, s.sup != nil
-	case L2HeavyHitters:
-		return s.l2, s.l2 != nil
-	case SyncSketch:
-		return s.syn, s.syn != nil
-	}
-	return nil, false
 }
 
 // Snapshot serializes the merged full-stream state of ONE structure
 // (pass exactly one Structures bit) in the library's self-describing
-// wire format: ship the bytes to a peer engine (Restore) or a direct
-// bounded.UnmarshalSketch consumer, or write them to disk as a
-// checkpoint. The merged view is built the same way queries build it,
-// so a snapshot reflects every update Ingest accepted before the call.
-func (e *Engine) Snapshot(kind Structures) ([]byte, error) {
+// wire format. The receiving side is bounded.UnmarshalSketch followed
+// by Merge into a same-Config sketch — linearity makes that the union
+// of both streams, which is how the networked aggregator combines
+// sites. The merged view is built the same way queries build it, so a
+// snapshot reflects every update Ingest accepted before the call.
+func (e *Engine) Snapshot(kind Structures) (out []byte, err error) {
 	if kind == 0 || kind&(kind-1) != 0 {
-		return nil, fmt.Errorf("engine: Snapshot takes exactly one Structures bit, got %b", kind)
+		return nil, fmt.Errorf("engine: Snapshot takes exactly one Structures bit, got %s", kind)
 	}
-	var out []byte
-	err := e.withView(func(v *structSet) error {
-		sk, ok := v.sketchFor(kind)
-		if !ok {
-			return fmt.Errorf("Snapshot: %w", ErrNotEnabled)
-		}
-		var mErr error
-		out, mErr = sk.MarshalBinary()
-		return mErr
-	})
-	return out, err
-}
-
-// Restore merges a serialized sketch — an engine peer's Snapshot or any
-// structure's MarshalBinary bytes — into this engine's state. The
-// payload must hold a structure that is enabled in Options.Structures
-// and was built from the same Config (hash-coefficient equality is
-// enforced by the underlying Merge). The imported state lands in shard
-// 0's structure, serialized through that shard's worker goroutine like
-// any other mutation, and subsequent queries and Snapshots answer for
-// the union of the local stream and the imported state. Because the
-// imported mass is not partitioned by this engine's hash, Restore also
-// permanently switches Estimate from per-shard routing to the merged
-// view (see Estimate).
-func (e *Engine) Restore(data []byte) error {
-	sk, err := bounded.UnmarshalSketch(data)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed.Load() {
-		return fmt.Errorf("engine: Restore on closed engine")
-	}
-	set := e.sets[0]
 	var mErr error
-	<-e.workers[0].DoAsync(func() {
-		switch v := sk.(type) {
-		case *bounded.HeavyHitters:
-			mErr = mergeInto(set.hh, v)
-		case *bounded.L1Estimator:
-			mErr = mergeInto(set.l1, v)
-		case *bounded.L0Estimator:
-			mErr = mergeInto(set.l0, v)
-		case *bounded.L1Sampler:
-			mErr = mergeInto(set.smp, v)
-		case *bounded.SupportSampler:
-			mErr = mergeInto(set.sup, v)
-		case *bounded.InnerProduct:
-			mErr = fmt.Errorf("engine: Restore of InnerProduct: %w", ErrNotEnabled)
-		case *bounded.L2HeavyHitters:
-			mErr = mergeInto(set.l2, v)
-		case *bounded.SyncSketch:
-			mErr = mergeInto(set.syn, v)
-		default:
-			mErr = fmt.Errorf("engine: Restore of unsupported sketch %T", sk)
-		}
-	})
-	if mErr != nil {
-		return mErr
+	err = e.withView(kind, "Snapshot", func(sk bounded.Sketch) { out, mErr = sk.MarshalBinary() })
+	if err == nil {
+		err = mErr
 	}
-	// The merged view cache now lags shard 0's state, and point queries
-	// must stop trusting per-shard routing: the imported mass is not
-	// partitioned by the engine's hash.
-	e.gen.Add(1)
-	e.restored.Store(true)
-	return nil
-}
-
-// mergeInto folds an imported sketch into a shard structure, reporting
-// not-enabled for structures the engine does not maintain. The type
-// parameter keeps the nil check on the CONCRETE pointer: a nil *X boxed
-// in the Sketch interface would slip past an interface nil check.
-func mergeInto[T interface {
-	comparable
-	bounded.Sketch
-}](dst T, src bounded.Sketch) error {
-	var zero T
-	if dst == zero {
-		return fmt.Errorf("Restore: %w", ErrNotEnabled)
-	}
-	return dst.Merge(src)
+	return out, err
 }
 
 // SpaceBits reports the summed space of every shard's structures (the
@@ -1345,20 +965,9 @@ func (e *Engine) SpaceBits() (int64, error) {
 		return 0, fmt.Errorf("engine: SpaceBits on closed engine")
 	}
 	e.flushLocked()
-	totals := make([]int64, len(e.workers))
-	barriers := make([]<-chan struct{}, len(e.workers))
-	for i, w := range e.workers {
-		i, set := i, e.sets[i]
-		barriers[i] = w.DoAsync(func() { totals[i] = set.spaceBits() })
-	}
-	for _, b := range barriers {
-		<-b
-	}
-	var sum int64
-	for _, t := range totals {
-		sum += t
-	}
-	return sum, nil
+	var sum atomic.Int64
+	e.eachShard(func(s int) { sum.Add(e.sets[s].spaceBits()) })
+	return sum.Load(), nil
 }
 
 // Close flushes pending updates and stops every shard goroutine. The
@@ -1370,8 +979,8 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	// Publish closure before tearing down workers: queries that start
-	// after this point fail fast instead of racing the shutdown. Point
-	// queries and producer hand-offs already in flight are covered by
+	// after this point fail fast instead of racing the shutdown. Routed
+	// reads and producer hand-offs already in flight are covered by
 	// flushLocked's inflight wait.
 	e.closed.Store(true)
 	start := obs.Now()

@@ -78,14 +78,14 @@ func TestEngineMatchesSingleWriter(t *testing.T) {
 			refs[r] = must(bounded.NewHeavyHitters(testCfg))
 		}
 		for _, u := range s.Updates {
-			refs[e.shardOf(u.Index)].Update(u.Index, u.Delta)
+			refs[e.ShardOf(u.Index)].Update(u.Index, u.Delta)
 		}
 		for _, i := range want {
 			ge, err := e.Estimate(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if se := refs[e.shardOf(i)].Estimate(i); ge != se {
+			if se := refs[e.ShardOf(i)].Estimate(i); ge != se {
 				t.Fatalf("shards=%d: estimate of %d is %v, owning-shard reference says %v", shards, i, ge, se)
 			}
 		}

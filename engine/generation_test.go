@@ -7,10 +7,10 @@ import (
 )
 
 // TestGenerationSemantics pins the incremental-sync token's contract:
-// the generation moves on Ingest and Restore, and ONLY on those —
-// queries, flushes, and snapshot marshals leave it unchanged, so an
-// agent comparing generations across a quiet interval correctly skips
-// shipping state.
+// the generation moves on Ingest and RestorePartitioned, and ONLY on
+// those — queries, flushes, and snapshot marshals leave it unchanged,
+// so an agent comparing generations across a quiet interval correctly
+// skips shipping state.
 func TestGenerationSemantics(t *testing.T) {
 	cfg := bounded.Config{N: 1 << 12, Eps: 0.1, Alpha: 4, Seed: 5}
 	e, err := New(cfg, Options{Shards: 2, Structures: HeavyHitters})
@@ -48,12 +48,31 @@ func TestGenerationSemantics(t *testing.T) {
 		t.Fatalf("queries/snapshot moved the generation: %d -> %d", g1, g)
 	}
 
-	// Restore is a state change: it must advance.
-	if err := e.Restore(snap); err != nil {
+	// Shipping a snapshot into a peer sketch happens outside the engine:
+	// UnmarshalSketch + Merge is not a state change here.
+	peer := must(bounded.NewHeavyHitters(cfg))
+	if err := peer.Merge(must(bounded.UnmarshalSketch(snap))); err != nil {
 		t.Fatal(err)
 	}
-	if g := e.Generation(); g <= g1 {
-		t.Fatalf("Restore did not advance the generation: %d -> %d", g1, g)
+	if g := e.Generation(); g != g1 {
+		t.Fatalf("a peer merging the snapshot moved the generation: %d -> %d", g1, g)
+	}
+
+	// RestorePartitioned is a state change: it must advance.
+	part, err := e.SnapshotPartitioned()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(cfg, Options{Shards: 2, Structures: HeavyHitters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.RestorePartitioned(part); err != nil {
+		t.Fatal(err)
+	}
+	if g := fresh.Generation(); g == 0 {
+		t.Fatal("RestorePartitioned did not advance the generation")
 	}
 
 	if e.Structures() != HeavyHitters {

@@ -1,0 +1,123 @@
+package engine
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	bounded "repro"
+	"repro/internal/wire"
+)
+
+// TestKindTableComplete walks the one table of structure kinds: the
+// rows are the Structures bits in order with nothing missing, and every
+// bit on its own constructs, ships snapshots of its table kind, names
+// itself by that kind, and round-trips SnapshotPartitioned →
+// RestoreCheckpoint to a bit-identical engine.
+func TestKindTableComplete(t *testing.T) {
+	if last := kinds[len(kinds)-1].bit; last != SyncSketch {
+		t.Fatalf("kinds table ends at %s, the last Structures bit is SyncSketch", last)
+	}
+	cfg := bounded.Config{N: 1 << 12, Eps: 0.1, Alpha: 4, Seed: 5}
+	updates := []bounded.Update{{Index: 1, Delta: 3}, {Index: 7, Delta: 1}, {Index: 1, Delta: -1}, {Index: 900, Delta: 2}}
+	var all Structures
+	var names []string
+	for i, k := range kinds {
+		if k.bit != 1<<i {
+			t.Fatalf("kinds[%d] holds bit %#x, want %#x", i, uint32(k.bit), 1<<i)
+		}
+		all |= k.bit
+		names = append(names, k.kind.String())
+		if got, ok := k.bit.Kind(); !ok || got != k.kind {
+			t.Fatalf("%s.Kind() = %v, %v; want %v", k.bit, got, ok, k.kind)
+		}
+		if k.bit.String() != k.kind.String() {
+			t.Fatalf("Structures bit %#x prints %q, want its kind name %q", uint32(k.bit), k.bit, k.kind)
+		}
+
+		e, err := New(cfg, Options{Shards: 2, Structures: k.bit})
+		if err != nil {
+			t.Fatalf("%s does not construct: %v", k.bit, err)
+		}
+		if err := e.Ingest(updates); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := e.Snapshot(k.bit)
+		if err != nil {
+			t.Fatalf("Snapshot(%s): %v", k.bit, err)
+		}
+		if got, err := bounded.SketchKind(blob); err != nil || got != k.kind {
+			t.Fatalf("Snapshot(%s) carries kind %v, %v; want %v", k.bit, got, err, k.kind)
+		}
+		snap, err := e.SnapshotPartitioned()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := RestoreCheckpoint(snap, Options{})
+		if err != nil {
+			t.Fatalf("RestoreCheckpoint of a %s engine: %v", k.bit, err)
+		}
+		if back.Structures() != k.bit || back.Shards() != 2 {
+			t.Fatalf("reopened as %d shards / %s, want 2 / %s", back.Shards(), back.Structures(), k.bit)
+		}
+		again, err := back.SnapshotPartitioned()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap, again) {
+			t.Fatalf("%s: reopened engine's partitioned snapshot differs from the one it was opened from", k.bit)
+		}
+		e.Close()
+		back.Close()
+	}
+	if got, want := all.String(), strings.Join(names, "|"); got != want {
+		t.Fatalf("all structures print %q, want %q", got, want)
+	}
+	if _, ok := (SyncSketch << 1).Kind(); ok {
+		t.Fatal("a bit past the table reports a kind")
+	}
+	if _, ok := (HeavyHitters | L1Estimator).Kind(); ok {
+		t.Fatal("a two-bit set reports a kind")
+	}
+	if got := (SupportSampler | SyncSketch<<1).String(); got != "SupportSampler|0x80" {
+		t.Fatalf("set with an unknown bit prints %q", got)
+	}
+	if got := Structures(0).String(); got != "0x0" {
+		t.Fatalf("empty set prints %q", got)
+	}
+}
+
+// TestRestorePartitionedRejectsMistaggedBlob: a blob filed under the
+// wrong structure bit is refused by comparing the payload's wire kind
+// against the table — and the refusal names both kinds.
+func TestRestorePartitionedRejectsMistaggedBlob(t *testing.T) {
+	src := buildIngested(t, 2)
+	defer src.Close()
+	snap, err := src.SnapshotPartitioned()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps wire.PartSnapshot
+	if err := ps.UnmarshalBinary(snap); err != nil {
+		t.Fatal(err)
+	}
+	// durTestStructures order: HeavyHitters, L1Estimator, SupportSampler.
+	blobs := ps.Shards[0]
+	blobs[0].Payload, blobs[1].Payload = blobs[1].Payload, blobs[0].Payload
+	forged, err := ps.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(testCfg, Options{Shards: 2, Structures: durTestStructures})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	err = dst.RestorePartitioned(forged)
+	if err == nil || !strings.Contains(err.Error(), "tagged HeavyHitters holds a L1Estimator") {
+		t.Fatalf("mistagged blob: %v, want an error saying the HeavyHitters tag holds a L1Estimator", err)
+	}
+	if g := dst.Generation(); g != 0 {
+		t.Fatalf("refused restore advanced generation to %d", g)
+	}
+}

@@ -1,110 +1,83 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	bounded "repro"
 )
 
+// snapshotSketch ships one structure out of an engine the way a peer
+// receives it: Snapshot bytes through bounded.UnmarshalSketch.
+func snapshotSketch(t *testing.T, e *Engine, kind Structures) bounded.Sketch {
+	t.Helper()
+	wire, err := e.Snapshot(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := kind.Kind()
+	if k, err := bounded.SketchKind(wire); err != nil || k != want {
+		t.Fatalf("snapshot kind = %v, %v; want %v", k, err, want)
+	}
+	sk, err := bounded.UnmarshalSketch(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk
+}
+
 // TestSnapshotRestoreAcrossEngines models the distributed-monitoring
 // deployment the wire format exists for: two engines (two "sites")
-// ingest disjoint substreams, one Snapshots its merged state, the other
-// Restores it, and the receiver then answers for the union — identical
-// to a single engine that ingested everything.
+// ingest disjoint substreams, each Snapshots its merged state, and a
+// receiver combines them with UnmarshalSketch + Merge — the only import
+// semantics there is. The union answers identically to a single engine
+// that ingested everything.
 func TestSnapshotRestoreAcrossEngines(t *testing.T) {
 	s, _ := fig1Stream(19)
 	half := len(s.Updates) / 2
 
-	whole, err := New(testCfg, Options{Shards: 2, BatchSize: 512})
-	if err != nil {
-		t.Fatal(err)
+	ingested := func(shards int, updates []bounded.Update) *Engine {
+		e, err := New(testCfg, Options{Shards: shards, BatchSize: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		if err := e.Ingest(updates); err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	defer whole.Close()
-	if err := whole.Ingest(s.Updates); err != nil {
-		t.Fatal(err)
-	}
+	whole := ingested(2, s.Updates)
+	siteA := ingested(2, s.Updates[:half])
+	siteB := ingested(3, s.Updates[half:])
 
-	siteA, err := New(testCfg, Options{Shards: 2, BatchSize: 512})
-	if err != nil {
+	union := snapshotSketch(t, siteA, HeavyHitters)
+	if err := union.Merge(snapshotSketch(t, siteB, HeavyHitters)); err != nil {
 		t.Fatal(err)
 	}
-	defer siteA.Close()
-	siteB, err := New(testCfg, Options{Shards: 3, BatchSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer siteB.Close()
-	if err := siteA.Ingest(s.Updates[:half]); err != nil {
-		t.Fatal(err)
-	}
-	if err := siteB.Ingest(s.Updates[half:]); err != nil {
-		t.Fatal(err)
-	}
+	got := union.(*bounded.HeavyHitters)
+	ref := snapshotSketch(t, whole, HeavyHitters).(*bounded.HeavyHitters)
 
-	// Ship B's merged heavy-hitters state to A.
-	wire, err := siteB.Snapshot(HeavyHitters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k, err := bounded.SketchKind(wire); err != nil || k != bounded.KindHeavyHitters {
-		t.Fatalf("snapshot kind = %v, %v", k, err)
-	}
-	if err := siteA.Restore(wire); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := siteA.HeavyHitters()
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := whole.HeavyHitters()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored engine answers %v, whole-stream engine answers %v", got, want)
+	if hh := got.HeavyHitters(); !reflect.DeepEqual(hh, want) {
+		t.Fatalf("two merged sites answer %v, whole-stream engine answers %v", hh, want)
 	}
-	// Merged counters are identical after restore: the two engines'
-	// serialized full-stream states answer every point estimate the
-	// same. (Engine.Estimate itself answers from the owning shard's
-	// live structure, which legitimately differs between the restored
-	// and whole-stream topologies — the merged state is the invariant.)
-	mergedA, err := siteA.Snapshot(HeavyHitters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mergedW, err := whole.Snapshot(HeavyHitters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hhA, err := bounded.UnmarshalSketch(mergedA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hhW, err := bounded.UnmarshalSketch(mergedW)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Merged counters are identical: the union of the two sites' shipped
+	// states answers every point estimate like the whole-stream engine's
+	// shipped state. (Engine.Estimate itself answers from the owning
+	// shard's live structure, which legitimately differs between
+	// topologies — the merged state is the invariant.)
 	for _, i := range want {
-		ga := hhA.(*bounded.HeavyHitters).Estimate(i)
-		gw := hhW.(*bounded.HeavyHitters).Estimate(i)
-		if ga != gw {
-			t.Fatalf("merged estimate of %d: restored %v, whole %v", i, ga, gw)
-		}
-		// After Restore the engine's OWN Estimate falls back to the
-		// merged view (imported mass is not hash-partitioned), so it
-		// must agree with the merged-state reference exactly.
-		ea, err := siteA.Estimate(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ea != gw {
-			t.Fatalf("restored engine Estimate(%d) = %v, merged reference %v", i, ea, gw)
+		if g, w := got.Estimate(i), ref.Estimate(i); g != w {
+			t.Fatalf("merged estimate of %d: two sites %v, whole %v", i, g, w)
 		}
 	}
-
-	// Restoring does not freeze the engine: more ingest still lands.
+	// Shipping state is a read: both sites keep ingesting afterwards.
 	if err := siteA.Ingest([]bounded.Update{{Index: 1, Delta: 3}}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,28 +144,34 @@ func TestEngineRejectsBadL1Delta(t *testing.T) {
 	g.Close()
 }
 
-// TestSnapshotRestoreErrors covers the failure surface: multiple bits,
-// disabled structures, wrong-config payloads, garbage.
+// TestSnapshotRestoreErrors covers the failure surface of shipping one
+// structure: Snapshot's argument checks on the sending side, and on the
+// receiving side UnmarshalSketch rejecting garbage and Merge refusing a
+// different-seed or different-kind sketch.
 func TestSnapshotRestoreErrors(t *testing.T) {
 	e, err := New(testCfg, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.Snapshot(HeavyHitters | L1Estimator); err == nil {
-		t.Error("Snapshot accepted two bits")
+	if _, err := e.Snapshot(HeavyHitters | L1Estimator); err == nil || !strings.Contains(err.Error(), "HeavyHitters|L1Estimator") {
+		t.Errorf("Snapshot of two bits: %v, want an error naming HeavyHitters|L1Estimator", err)
 	}
 	if _, err := e.Snapshot(0); err == nil {
 		t.Error("Snapshot accepted zero bits")
 	}
-	if _, err := e.Snapshot(L0Estimator); err == nil {
-		t.Error("Snapshot of a disabled structure succeeded")
+	if _, err := e.Snapshot(L0Estimator); !errors.Is(err, ErrNotEnabled) {
+		t.Errorf("Snapshot of a disabled structure: %v, want ErrNotEnabled", err)
 	}
-	if err := e.Restore([]byte("garbage")); err == nil {
-		t.Error("Restore accepted garbage")
+	if _, err := e.Snapshot(SyncSketch << 1); !errors.Is(err, ErrNotEnabled) {
+		t.Errorf("Snapshot of an unknown bit: %v, want ErrNotEnabled", err)
 	}
-	// A payload from a different seed restores fine but must be refused
-	// at merge time (hash wirings differ).
+	if _, err := bounded.UnmarshalSketch([]byte("garbage")); err == nil {
+		t.Error("UnmarshalSketch accepted garbage")
+	}
+	local := snapshotSketch(t, e, HeavyHitters)
+	// A payload from a different seed unmarshals fine but must be
+	// refused at merge time (hash wirings differ).
 	otherCfg := testCfg
 	otherCfg.Seed = 999
 	other, err := New(otherCfg, Options{Shards: 1})
@@ -200,23 +179,11 @@ func TestSnapshotRestoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	wire, err := other.Snapshot(HeavyHitters)
-	if err != nil {
-		t.Fatal(err)
+	if err := local.Merge(snapshotSketch(t, other, HeavyHitters)); err == nil {
+		t.Error("Merge accepted a different-seed snapshot")
 	}
-	if err := e.Restore(wire); err == nil {
-		t.Error("Restore accepted a different-seed snapshot")
-	}
-	// A structure the engine does not maintain is refused.
-	l0sketch, err := bounded.NewL0Estimator(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l0wire, err := l0sketch.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Restore(l0wire); err == nil {
-		t.Error("Restore accepted a disabled structure's payload")
+	// So must a different structure's payload.
+	if err := local.Merge(must(bounded.NewL0Estimator(testCfg))); err == nil {
+		t.Error("Merge accepted a different structure")
 	}
 }

@@ -25,12 +25,9 @@ type engineMetrics struct {
 	ingestNanos  obs.Histogram // wall time per Ingest call (incl. backpressure)
 
 	// Query side, by path.
-	pointQueries   obs.Counter   // routed scalar queries (Estimate, Probe)
-	pointNanos     obs.Histogram // wall time per routed scalar query
-	batchedQueries obs.Counter   // routed batched queries (EstimateBatch, ProbeBatch, Support)
-	batchedNanos   obs.Histogram // wall time per routed batched query
-	mergedQueries  obs.Counter   // queries answered from the merged view
-	mergedNanos    obs.Histogram // wall time per merged-view query
+	point   pathMetrics // routed scalar queries (Estimate, Probe)
+	batched pathMetrics // routed batched queries (EstimateBatch, ProbeBatch, Support)
+	merged  pathMetrics // queries answered from the merged view
 
 	// Maintenance.
 	snapshotNanos obs.Histogram // wall time per merged-view rebuild
@@ -39,11 +36,22 @@ type engineMetrics struct {
 	closeNanos    obs.Histogram // wall time of Close (one observation)
 
 	// Durability (durability.go).
-	partSnapshots      obs.Counter   // SnapshotPartitioned calls completed
-	partSnapNanos      obs.Histogram // wall time per partitioned snapshot
-	partRestores       obs.Counter   // RestorePartitioned topology-matched installs
-	partRestoresMerged obs.Counter   // RestorePartitioned merged-fallback imports
-	partRestoreNanos   obs.Histogram // wall time per partitioned restore
+	partSnapshots    obs.Counter   // SnapshotPartitioned calls completed
+	partSnapNanos    obs.Histogram // wall time per partitioned snapshot
+	partRestores     obs.Counter   // RestorePartitioned installs
+	partRestoreNanos obs.Histogram // wall time per partitioned restore
+}
+
+// pathMetrics is one query path's call counter and wall-time histogram.
+type pathMetrics struct {
+	queries obs.Counter
+	nanos   obs.Histogram
+}
+
+// observe records one query that started at start (obs.Now).
+func (p *pathMetrics) observe(start int64) {
+	p.queries.Inc()
+	p.nanos.ObserveSince(start)
 }
 
 // ShardStats is one shard's slice of an engine Stats snapshot.
@@ -91,7 +99,7 @@ type Stats struct {
 	// Support) — note EstimateBatch at or below its small-batch cutover
 	// answers via per-index Estimate calls, which then also count as
 	// point queries; MergedQueries queries answered from the merged view
-	// (global queries, and every query after Restore).
+	// (the global queries and Snapshot).
 	PointQueries   int64
 	PointLatency   obs.HistogramSnapshot
 	BatchedQueries int64
@@ -112,13 +120,11 @@ type Stats struct {
 	CloseLatency obs.HistogramSnapshot
 
 	// PartitionedSnapshots counts SnapshotPartitioned calls;
-	// PartitionedRestores topology-matched shard-for-shard installs
-	// (routed reads preserved) and PartitionedRestoresMerged the
-	// merged-fallback imports (point queries demoted, like Restore).
+	// PartitionedRestores successful RestorePartitioned installs
+	// (shard-for-shard, routed reads preserved).
 	PartitionedSnapshots       int64
 	PartitionedSnapshotLatency obs.HistogramSnapshot
 	PartitionedRestores        int64
-	PartitionedRestoresMerged  int64
 	PartitionedRestoreLatency  obs.HistogramSnapshot
 
 	// BackpressureStalls sums SendStalls over shards.
@@ -139,12 +145,12 @@ func (e *Engine) Stats() Stats {
 		IngestedKeys:    e.met.ingestedKeys.Load(),
 		BatchesSent:     e.met.batchesSent.Load(),
 		IngestLatency:   e.met.ingestNanos.Snapshot(),
-		PointQueries:    e.met.pointQueries.Load(),
-		PointLatency:    e.met.pointNanos.Snapshot(),
-		BatchedQueries:  e.met.batchedQueries.Load(),
-		BatchedLatency:  e.met.batchedNanos.Snapshot(),
-		MergedQueries:   e.met.mergedQueries.Load(),
-		MergedLatency:   e.met.mergedNanos.Snapshot(),
+		PointQueries:    e.met.point.queries.Load(),
+		PointLatency:    e.met.point.nanos.Snapshot(),
+		BatchedQueries:  e.met.batched.queries.Load(),
+		BatchedLatency:  e.met.batched.nanos.Snapshot(),
+		MergedQueries:   e.met.merged.queries.Load(),
+		MergedLatency:   e.met.merged.nanos.Snapshot(),
 		SnapshotBuilds:  e.snapshotBuilds.Load(),
 		SnapshotLatency: e.met.snapshotNanos.Snapshot(),
 		Flushes:         e.met.flushCalls.Load(),
@@ -154,7 +160,6 @@ func (e *Engine) Stats() Stats {
 		PartitionedSnapshots:       e.met.partSnapshots.Load(),
 		PartitionedSnapshotLatency: e.met.partSnapNanos.Snapshot(),
 		PartitionedRestores:        e.met.partRestores.Load(),
-		PartitionedRestoresMerged:  e.met.partRestoresMerged.Load(),
 		PartitionedRestoreLatency:  e.met.partRestoreNanos.Snapshot(),
 
 		PerShard: make([]ShardStats, len(e.workers)),
@@ -196,20 +201,21 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 	c("repro_engine_ingested_keys_total", "updates accepted by Ingest", m.ingestedKeys.Load, inst)
 	c("repro_engine_batches_sent_total", "columnar batches handed to shard inboxes", m.batchesSent.Load, inst)
 	h("repro_engine_ingest_seconds", "wall time per Ingest call", m.ingestNanos.Snapshot, inst)
-	c("repro_engine_queries_total", "queries by path", m.pointQueries.Load, inst, obs.Label{Key: "path", Value: "point"})
-	c("repro_engine_queries_total", "queries by path", m.batchedQueries.Load, inst, obs.Label{Key: "path", Value: "batched"})
-	c("repro_engine_queries_total", "queries by path", m.mergedQueries.Load, inst, obs.Label{Key: "path", Value: "merged"})
-	h("repro_engine_query_seconds", "query wall time by path", m.pointNanos.Snapshot, inst, obs.Label{Key: "path", Value: "point"})
-	h("repro_engine_query_seconds", "query wall time by path", m.batchedNanos.Snapshot, inst, obs.Label{Key: "path", Value: "batched"})
-	h("repro_engine_query_seconds", "query wall time by path", m.mergedNanos.Snapshot, inst, obs.Label{Key: "path", Value: "merged"})
+	for _, p := range []struct {
+		name string
+		m    *pathMetrics
+	}{{"point", &m.point}, {"batched", &m.batched}, {"merged", &m.merged}} {
+		path := obs.Label{Key: "path", Value: p.name}
+		c("repro_engine_queries_total", "queries by path", p.m.queries.Load, inst, path)
+		h("repro_engine_query_seconds", "query wall time by path", p.m.nanos.Snapshot, inst, path)
+	}
 	c("repro_engine_snapshot_builds_total", "merged-view rebuilds", e.snapshotBuilds.Load, inst)
 	h("repro_engine_snapshot_build_seconds", "merged-view rebuild wall time", m.snapshotNanos.Snapshot, inst)
 	c("repro_engine_flushes_total", "public Flush calls", m.flushCalls.Load, inst)
 	h("repro_engine_flush_seconds", "public Flush wall time", m.flushNanos.Snapshot, inst)
 	c("repro_engine_part_snapshots_total", "partitioned snapshots built", m.partSnapshots.Load, inst)
 	h("repro_engine_part_snapshot_seconds", "partitioned snapshot wall time", m.partSnapNanos.Snapshot, inst)
-	c("repro_engine_part_restores_total", "partitioned restores by path", m.partRestores.Load, inst, obs.Label{Key: "path", Value: "matched"})
-	c("repro_engine_part_restores_total", "partitioned restores by path", m.partRestoresMerged.Load, inst, obs.Label{Key: "path", Value: "merged"})
+	c("repro_engine_part_restores_total", "partitioned restores installed", m.partRestores.Load, inst)
 	h("repro_engine_part_restore_seconds", "partitioned restore wall time", m.partRestoreNanos.Snapshot, inst)
 	for i, w := range e.workers {
 		w := w

@@ -289,9 +289,8 @@ type sampledLevel struct {
 // NewSampledSketch builds the Theorem 8 estimator. base is the interval
 // base s: the level answering a query at time m has sampled between
 // base/m and base^2/m of the suffix, so base sets the sample budget (the
-// paper's s = poly(alpha/eps); DESIGN.md section 5 records the constant
-// scaling). fpBits is the fixed-point resolution of sampled Cauchy
-// contributions.
+// paper's s = poly(alpha/eps), scaled down by a constant here). fpBits
+// is the fixed-point resolution of sampled Cauchy contributions.
 func NewSampledSketch(rng *rand.Rand, r, rPrime, k int, base int64, fpBits uint) *SampledSketch {
 	if base < 4 {
 		panic("cauchy: interval base must be >= 4")

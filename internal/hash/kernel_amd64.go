@@ -19,15 +19,10 @@ import (
 // nt.MulAddLazyMersenne61Halves (Horner steps), Reduce (fast range)
 // and order.MedianOf7 (the median network).
 //
-// Hosts with AVX2 register TWO vector tables:
-//
-//   - "avx2" (the default): FUSED all-rows entry points loop rows
-//     inside one assembly call — one vector power-up per batch — and
-//     compare the batch's TOTAL key volume against the family cutover;
-//   - "avx2-perrow": the pre-fusion dispatch (one assembly call per
-//     row, per-row cutover), kept selectable so benchmarks measure the
-//     fused-vs-per-row delta in the same run and the differential
-//     suites assert bit-identical state across all three tables.
+// Hosts with AVX2 register the "avx2" table and make it the default:
+// its FUSED all-rows entry points loop rows inside one assembly call —
+// one vector power-up per batch — and compare the batch's TOTAL key
+// volume against the family cutover.
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -88,10 +83,8 @@ func medianOf7ColsAVX2(est, out *float64, stride, count int)
 //
 // Each wrapper routes below-cutover calls to the scalar twin, calls
 // the assembly on the 4-aligned prefix and hands the sub-4 tail back
-// to scalar code. Named (not closures) because BOTH vector tables
-// share them: "avx2-perrow" uses them as its fused bodies' row loop,
-// and calibration probes the raw assembly against the scalar bodies
-// directly.
+// to scalar code. Single-row calls dispatch through them; calibration
+// probes the raw assembly against the scalar bodies directly.
 
 func bucketSignsRowVec(c0, c1, c2, c3, r uint64, keys []uint64, cols []uint32, signs []int8) {
 	if len(keys) < cutoverValues[famBucketSigns] {
@@ -254,38 +247,6 @@ func gatherSignDiffRowsFused(cells []int64, stride, rows int, idx []uint32, sign
 	}
 }
 
-// --- per-row fused bodies (the "avx2-perrow" table) -----------------
-//
-// The pre-fusion dispatch, preserved verbatim in behavior: one vector
-// call (and one power-up) per row, each row's column length compared
-// against the cutover alone. Exists so same-run benchmarks quantify
-// the fusion win and differential tests pin all three tables to
-// identical state.
-
-func bucketSignsRowsPerRow(flat []uint64, rows int, r uint64, keys []uint64, cols []uint32, signs []int8) {
-	n := len(keys)
-	for i := 0; i < rows; i++ {
-		c := flat[4*i : 4*i+4 : 4*i+4]
-		bucketSignsRowVec(c[0], c[1], c[2], c[3], r, keys, cols[i*n:i*n+n:i*n+n], signs[i*n:i*n+n:i*n+n])
-	}
-}
-
-func rangeK2RowsPerRow(flat []uint64, rows int, r uint64, keys []uint64, out []uint64) {
-	n := len(keys)
-	for i := 0; i < rows; i++ {
-		c := flat[2*i : 2*i+2 : 2*i+2]
-		rangeK2Vec(c[0], c[1], r, keys, out[i*n:i*n+n:i*n+n])
-	}
-}
-
-func gatherSignRowsPerRow(table []int64, stride, rows int, idx []uint32, signs []int8, out []int64) {
-	n := len(out) / rows
-	for i := 0; i < rows; i++ {
-		gatherSignInt64Vec(table[i*stride:i*stride+stride:i*stride+stride],
-			idx[i*n:i*n+n:i*n+n], signs[i*n:i*n+n:i*n+n], out[i*n:i*n+n:i*n+n])
-	}
-}
-
 var avx2Table = kernelTable{
 	name:               "avx2",
 	vector:             true,
@@ -298,22 +259,6 @@ var avx2Table = kernelTable{
 	gatherSignInt64:    gatherSignInt64Vec,
 	gatherSignRows:     gatherSignRowsFused,
 	gatherSignDiffRows: gatherSignDiffRowsFused,
-	medianOf7Cols:      medianOf7ColsVec,
-}
-
-var avx2PerRowTable = kernelTable{
-	name:            "avx2-perrow",
-	vector:          true,
-	bucketSignsRow:  bucketSignsRowVec,
-	bucketSignsRows: bucketSignsRowsPerRow,
-	fieldK2:         fieldK2Vec,
-	fieldK4:         fieldK4Vec,
-	rangeK2:         rangeK2Vec,
-	rangeK2Rows:     rangeK2RowsPerRow,
-	gatherSignInt64: gatherSignInt64Vec,
-	gatherSignRows:  gatherSignRowsPerRow,
-	// PR 6 had no vector diff gather: csss ran this sweep in scalar Go.
-	gatherSignDiffRows: gatherSignDiffRowsScalar,
 	medianOf7Cols:      medianOf7ColsVec,
 }
 
@@ -418,7 +363,6 @@ func init() {
 	}
 	cpuFeatures = "avx2"
 	tables["avx2"] = &avx2Table
-	tables["avx2-perrow"] = &avx2PerRowTable
 	active = &avx2Table
 	if env, ok := parseCutoverEnv(os.Getenv("BD_KERNEL_CUTOVER")); ok {
 		cutoverValues = env

@@ -36,11 +36,9 @@ func forEachKernel(b *testing.B, run func(b *testing.B)) {
 func BenchmarkBucketSignsBatch(b *testing.B) {
 	// The grid straddles the calibrated cutovers from both sides: with
 	// 7 rows the fused table compares 7n against the bucket_signs bar
-	// (so even n=64 can go vector once calibration drops the bar),
-	// while the per-row table compares n alone — the same-run delta
-	// between kernel=avx2 and kernel=avx2-perrow at each size IS the
-	// fusion win. 1024 and 4096 amortize the vector entry cost to
-	// different degrees.
+	// (so even n=64 can go vector once calibration drops the bar).
+	// 1024 and 4096 amortize the vector entry cost to different
+	// degrees.
 	const rows = 7
 	for _, n := range []int{64, 128, 256, 512, 1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -21,7 +21,7 @@ import (
 // Count-Sketch over f verifies at threshold (3 eps / 4) ||f||_2.
 //
 // The appendix invokes BPTree for the insertion-only pass; we substitute
-// a Count-Sketch over I+D (DESIGN.md section 5), preserving the
+// a Count-Sketch over I+D, preserving the
 // (alpha/eps)^2 shape the appendix establishes.
 type AlphaL2 struct {
 	eps   float64

@@ -114,7 +114,7 @@ func NewEstimator(rng *rand.Rand, params Params) *Estimator {
 // RecommendedWindow returns a row window for Figure 7 in the paper's
 // form 2*log2(4*alpha/eps), padded by the constant slack our rough
 // estimators' looser factors consume (their O(1) factors are 32 and 110
-// rather than 8, costing ~6 extra levels; see DESIGN.md section 5).
+// rather than 8, costing ~6 extra levels).
 func RecommendedWindow(alpha, eps float64) int {
 	if alpha < 1 {
 		alpha = 1
@@ -282,8 +282,8 @@ func invertOccupancy(t, k int) float64 {
 // K >= 3200 (eps <= 1/57). At laptop-scale K the selected row would hold
 // a handful of balls, so we anchor at the paper's i* and probe the
 // maintained rows nearest to it for a well-conditioned occupancy (load
-// in [5%, 85%]) before inverting; DESIGN.md section 5 records this
-// substitution and ablation AB2 measures it.
+// in [5%, 85%]) before inverting; ablation AB2 measures this
+// substitution.
 func (e *Estimator) Estimate() float64 {
 	// Exact path: L0 <= 100 (Lemma 17 / Lemma 19).
 	if n, ok := e.small.Count(); ok {

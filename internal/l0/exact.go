@@ -7,7 +7,7 @@
 //     the promised bound.
 //   - RoughF0: a non-decreasing O(1)-factor overestimate of F0 valid at
 //     every point in the stream (the paper cites [40]'s RoughF0Est,
-//     Lemma 18; DESIGN.md section 5 records our Flajolet-Martin-style
+//     Lemma 18; rough.go documents our Flajolet-Martin-style
 //     substitution). On an L0 alpha-property stream this doubles as
 //     alphaStreamRoughL0Est (Corollary 2): L0_t <= R_t <= O(alpha) L0.
 //   - RoughL0: the constant-factor L0 estimator at stream end (Lemma 14

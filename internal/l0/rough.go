@@ -11,7 +11,7 @@ import (
 // RoughF0 produces non-decreasing constant-factor overestimates of F0
 // (the number of distinct identities seen so far) at every point of the
 // stream, in O(log n) bits. It substitutes for the paper's RoughF0Est
-// (Lemma 18, cited from [40]); see DESIGN.md section 5: each of `copies`
+// (Lemma 18, cited from [40]): each of `copies`
 // repetitions tracks the Flajolet-Martin level bitmap of a pairwise hash,
 // estimates 2^(highest set level), and the reported value is the running
 // max of safety * median(copies) — running max forces monotonicity,

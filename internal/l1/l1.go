@@ -16,7 +16,7 @@
 //     callers find both variants in one place.
 //
 // An exact-clock variant (Morris counter replaced by a log(n)-bit
-// position counter) is provided for the DESIGN.md ablation AB3.
+// position counter) is provided for ablation AB3.
 package l1
 
 import (

@@ -150,8 +150,11 @@ type Agent struct {
 	syncNanos                       obs.Histogram
 }
 
-// NewAgent builds the agent and its local engine. Close releases the
-// engine's shard goroutines.
+// NewAgent builds the agent and its local engine, restoring the engine
+// from CheckpointDir's newest checkpoint when there is one: the
+// checkpoint must echo opt.Config, and an explicit Engine.Shards must
+// equal the checkpoint's shard count (zero adopts it). Close releases
+// the engine's shard goroutines.
 func NewAgent(opt AgentOptions) (*Agent, error) {
 	if opt.ID == "" {
 		return nil, errors.New("netagg: AgentOptions.ID is required")
@@ -160,16 +163,27 @@ func NewAgent(opt AgentOptions) (*Agent, error) {
 		return nil, errors.New("netagg: AgentOptions.Aggregator is required")
 	}
 	opt.fill()
-	eng, err := engine.New(opt.Config, opt.Engine)
+	a := &Agent{opt: opt, lastAckedGen: -1, lastCkptGen: -1}
+	var payload []byte
+	if opt.CheckpointDir != "" {
+		var err error
+		if payload, err = a.loadCheckpoint(); err != nil {
+			return nil, err
+		}
+	}
+	eng, err := engine.New(a.opt.Config, a.opt.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("netagg: agent engine: %w", err)
 	}
-	a := &Agent{opt: opt, eng: eng, lastAckedGen: -1, lastCkptGen: -1}
-	if opt.CheckpointDir != "" {
-		if err := a.openCheckpoint(); err != nil {
+	a.eng = eng
+	if payload != nil {
+		// The restart-without-replay path: the engine is still pristine.
+		if err := eng.RestorePartitioned(payload); err != nil {
 			eng.Close()
-			return nil, err
+			return nil, fmt.Errorf("netagg: agent %s restoring checkpoint: %w", a.opt.ID, err)
 		}
+		a.lastCkptGen = int64(eng.Generation())
+		a.restoredCkpt = true
 	}
 	return a, nil
 }
@@ -256,7 +270,7 @@ func (a *Agent) Sync(ctx context.Context) error {
 		payload, err := a.eng.Snapshot(bit)
 		if err != nil {
 			a.syncFailures.Add(1)
-			return fmt.Errorf("netagg: agent %s marshaling %#x: %w", a.opt.ID, uint32(bit), err)
+			return fmt.Errorf("netagg: agent %s marshaling %s: %w", a.opt.ID, bit, err)
 		}
 		blobs = append(blobs, netproto.SketchBlob{StructureBit: uint32(bit), Payload: payload})
 	}

@@ -114,9 +114,9 @@ type AggregatorStats struct {
 
 // Aggregator terminates many agent connections, retains each agent's
 // latest full snapshot, and answers client queries over the merged
-// union. It never feeds an engine.Restore — periodic full snapshots
-// REPLACE per-agent state keyed by agent ID, which is what keeps
-// resends and reconnects from double-counting mass.
+// union. Periodic full snapshots REPLACE per-agent state keyed by agent
+// ID, which is what keeps resends and reconnects from double-counting
+// mass.
 type Aggregator struct {
 	opt AggregatorOptions
 
@@ -334,8 +334,8 @@ func (a *Aggregator) handle(conn net.Conn) {
 			return
 		}
 		if extra := engine.Structures(hello.Structures) &^ a.opt.Structures; extra != 0 {
-			refuse("agent ships structures %#x the aggregator does not accept (accepts %#x)",
-				hello.Structures, uint32(a.opt.Structures))
+			refuse("agent ships structures %s the aggregator does not accept (accepts %s)",
+				engine.Structures(hello.Structures), a.opt.Structures)
 			return
 		}
 		a.mu.Lock()
@@ -397,17 +397,14 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 	for _, blob := range m.Sketches {
 		bit := engine.Structures(blob.StructureBit)
 		if bit&^a.opt.Structures != 0 {
-			return fmt.Errorf("structure bit %#x not accepted", blob.StructureBit)
+			return fmt.Errorf("structure %s not accepted", bit)
 		}
 		if _, dup := decoded[bit]; dup {
-			return fmt.Errorf("duplicate blob for structure bit %#x", blob.StructureBit)
+			return fmt.Errorf("duplicate blob for structure %s", bit)
 		}
-		sk, err := bounded.UnmarshalSketch(blob.Payload)
+		sk, err := decodeBlob(bit, blob.Payload)
 		if err != nil {
 			return err
-		}
-		if !sketchMatchesBit(bit, sk) {
-			return fmt.Errorf("blob for structure bit %#x decodes to %T", blob.StructureBit, sk)
 		}
 		decoded[bit] = sk
 	}
@@ -442,34 +439,21 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 	return nil
 }
 
-// sketchMatchesBit pins the blob's declared structure bit to the
-// concrete type its payload decoded to, so an agent cannot file an L1
-// estimator under the heavy-hitters slot and skew the merged view.
-func sketchMatchesBit(bit engine.Structures, sk bounded.Sketch) bool {
-	switch bit {
-	case engine.HeavyHitters:
-		_, ok := sk.(*bounded.HeavyHitters)
-		return ok
-	case engine.L1Estimator:
-		_, ok := sk.(*bounded.L1Estimator)
-		return ok
-	case engine.L0Estimator:
-		_, ok := sk.(*bounded.L0Estimator)
-		return ok
-	case engine.L1Sampler:
-		_, ok := sk.(*bounded.L1Sampler)
-		return ok
-	case engine.SupportSampler:
-		_, ok := sk.(*bounded.SupportSampler)
-		return ok
-	case engine.L2HeavyHitters:
-		_, ok := sk.(*bounded.L2HeavyHitters)
-		return ok
-	case engine.SyncSketch:
-		_, ok := sk.(*bounded.SyncSketch)
-		return ok
+// decodeBlob unmarshals a blob filed under one structure bit, first
+// pinning the payload's wire kind to the kind the engine's table gives
+// that bit, so an agent cannot file an L1 estimator under the
+// heavy-hitters slot and skew the merged view.
+func decodeBlob(bit engine.Structures, payload []byte) (bounded.Sketch, error) {
+	want, ok := bit.Kind()
+	if !ok {
+		return nil, fmt.Errorf("blob tagged %s, not a single known structure", bit)
 	}
-	return false
+	if got, err := bounded.SketchKind(payload); err != nil {
+		return nil, err
+	} else if got != want {
+		return nil, fmt.Errorf("blob tagged %s holds a %s", bit, got)
+	}
+	return bounded.UnmarshalSketch(payload)
 }
 
 // mergedView returns the union-of-all-agents sketch set, rebuilding
@@ -530,8 +514,8 @@ func (a *Aggregator) answer(q *netproto.Query) *netproto.Answer {
 	ans := &netproto.Answer{ID: q.ID}
 	need := func(bit engine.Structures) (bounded.Sketch, bool) {
 		if bit&^a.opt.Structures != 0 {
-			ans.Err = fmt.Sprintf("netagg: %s needs structure %#x, aggregator accepts %#x",
-				q.Op, uint32(bit), uint32(a.opt.Structures))
+			ans.Err = fmt.Sprintf("netagg: %s needs structure %s, aggregator accepts %s",
+				q.Op, bit, a.opt.Structures)
 			return nil, false
 		}
 		view, err := a.mergedView()

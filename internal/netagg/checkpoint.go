@@ -60,7 +60,7 @@ func marshalAggState(cfg bounded.Config, accept engine.Structures, rows []aggAge
 		for _, bit := range bits {
 			payload, err := row.sketches[bit].MarshalBinary()
 			if err != nil {
-				return nil, fmt.Errorf("netagg: checkpoint marshaling agent %q bit %#x: %w", row.id, uint32(bit), err)
+				return nil, fmt.Errorf("netagg: checkpoint marshaling agent %q %s: %w", row.id, bit, err)
 			}
 			w.U32(uint32(bit))
 			w.Bytes32(payload)
@@ -90,8 +90,8 @@ func unmarshalAggState(data []byte, cfg bounded.Config, accept engine.Structures
 		return nil, fmt.Errorf("netagg: checkpoint config %+v does not match aggregator config %+v", fileCfg, cfg)
 	}
 	if extra := fileAccept &^ accept; extra != 0 {
-		return nil, fmt.Errorf("netagg: checkpoint holds structures %#x the aggregator no longer accepts (accepts %#x)",
-			uint32(fileAccept), uint32(accept))
+		return nil, fmt.Errorf("netagg: checkpoint holds structures %s the aggregator no longer accepts (accepts %s)",
+			fileAccept, accept)
 	}
 	// Each agent row costs at least 40 encoded bytes; a count that
 	// cannot fit in the remaining payload is forged.
@@ -128,18 +128,15 @@ func unmarshalAggState(data []byte, cfg bounded.Config, accept engine.Structures
 				return nil, fmt.Errorf("netagg: checkpoint agent %q blob %d: %w", row.id, b, err)
 			}
 			if bit == 0 || bit&(bit-1) != 0 || bit&^fileAccept != 0 {
-				return nil, fmt.Errorf("netagg: checkpoint agent %q has invalid structure bit %#x", row.id, uint32(bit))
+				return nil, fmt.Errorf("netagg: checkpoint agent %q has invalid structure bit %s", row.id, bit)
 			}
 			if bit <= prev {
-				return nil, fmt.Errorf("netagg: checkpoint agent %q blobs out of order at bit %#x", row.id, uint32(bit))
+				return nil, fmt.Errorf("netagg: checkpoint agent %q blobs out of order at %s", row.id, bit)
 			}
 			prev = bit
-			sk, err := bounded.UnmarshalSketch(payload)
+			sk, err := decodeBlob(bit, payload)
 			if err != nil {
-				return nil, fmt.Errorf("netagg: checkpoint agent %q bit %#x: %w", row.id, uint32(bit), err)
-			}
-			if !sketchMatchesBit(bit, sk) {
-				return nil, fmt.Errorf("netagg: checkpoint agent %q bit %#x decodes to %T", row.id, uint32(bit), sk)
+				return nil, fmt.Errorf("netagg: checkpoint agent %q: %w", row.id, err)
 			}
 			row.sketches[bit] = sk
 		}
@@ -282,26 +279,32 @@ func (a *Agent) Checkpoint() error {
 	return nil
 }
 
-// openCheckpoint opens the agent's store and, when a checkpoint
-// exists, restores the freshly built (still pristine) engine from it —
-// the restart-without-replay path. Called from NewAgent.
-func (a *Agent) openCheckpoint() error {
+// loadCheckpoint opens the agent's store and returns the newest
+// checkpoint payload (nil on a cold start). Called from NewAgent BEFORE
+// the engine is built: when Engine.Shards is zero ("one per CPU") the
+// agent adopts the checkpoint's shard count — the fill rule
+// engine.RestoreCheckpoint applies — so a restart under a different
+// GOMAXPROCS reopens the topology the state was partitioned for instead
+// of failing the restore.
+func (a *Agent) loadCheckpoint() ([]byte, error) {
 	store, err := ckpt.Open(a.opt.CheckpointDir, ckpt.Options{})
 	if err != nil {
-		return fmt.Errorf("netagg: agent %s checkpoint dir: %w", a.opt.ID, err)
+		return nil, fmt.Errorf("netagg: agent %s checkpoint dir: %w", a.opt.ID, err)
 	}
 	a.store = store
 	payload, _, err := store.Load()
 	if errors.Is(err, ckpt.ErrNoCheckpoint) {
-		return nil // cold start
+		return nil, nil // cold start
 	}
 	if err != nil {
-		return fmt.Errorf("netagg: agent %s loading checkpoint: %w", a.opt.ID, err)
+		return nil, fmt.Errorf("netagg: agent %s loading checkpoint: %w", a.opt.ID, err)
 	}
-	if err := a.eng.RestorePartitioned(payload); err != nil {
-		return fmt.Errorf("netagg: agent %s restoring checkpoint: %w", a.opt.ID, err)
+	if a.opt.Engine.Shards <= 0 {
+		var ps wire.PartSnapshot
+		if err := ps.UnmarshalBinary(payload); err != nil {
+			return nil, fmt.Errorf("netagg: agent %s loading checkpoint: %w", a.opt.ID, err)
+		}
+		a.opt.Engine.Shards = int(ps.Header.Shards)
 	}
-	a.lastCkptGen = int64(a.eng.Generation())
-	a.restoredCkpt = true
-	return nil
+	return payload, nil
 }

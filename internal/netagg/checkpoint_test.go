@@ -2,6 +2,8 @@ package netagg
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -125,7 +127,9 @@ func TestAggregatorCheckpointValidation(t *testing.T) {
 	}
 	narrower := opts
 	narrower.Structures = engine.L1Estimator
-	if _, err := NewAggregator(narrower); err == nil || !strings.Contains(err.Error(), "no longer accepts") {
+	// The refusal names the structures, not their bit patterns.
+	if _, err := NewAggregator(narrower); err == nil ||
+		!strings.Contains(err.Error(), "holds structures HeavyHitters the aggregator no longer accepts (accepts L1Estimator)") {
 		t.Fatalf("narrower-structures recovery: err = %v, want structures refusal", err)
 	}
 
@@ -147,5 +151,110 @@ func TestAggregatorCheckpointValidation(t *testing.T) {
 	}
 	if ans.Values[0] != 9 || ans.Values[1] != 2 || ans.Values[2] != 0 {
 		t.Fatalf("recovered estimates = %v, want [9 2 0]", ans.Values)
+	}
+}
+
+// TestAgentCheckpointAcrossCPUCountChange: an agent configured with
+// Shards 0 ("one per CPU") that checkpointed on a 4-CPU host and
+// restarts on a 2-CPU one reopens the checkpoint's own 4-shard topology
+// — routed reads stay shard-local (no merged view is ever built) and
+// answer exactly as before the restart. An explicit shard count that
+// disagrees with the checkpoint, or a different Config, fails NewAgent.
+func TestAgentCheckpointAcrossCPUCountChange(t *testing.T) {
+	opts := AgentOptions{
+		ID: "elastic", Aggregator: "127.0.0.1:1", Config: testConfig,
+		Engine:        engine.Options{Structures: testStructures},
+		CheckpointDir: t.TempDir(),
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a1, err := NewAgent(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a1.Engine().Shards(); got != 4 {
+		t.Fatalf("cold start under GOMAXPROCS(4) built %d shards, want 4", got)
+	}
+	if err := a1.Ingest(testStream(10_000, 31)); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, 200)
+	for j := range keys {
+		keys[j] = uint64(j * 131)
+	}
+	type answers struct {
+		est     []float64
+		probes  []bool
+		support []uint64
+	}
+	routedAnswers := func(e *engine.Engine) answers {
+		t.Helper()
+		var got answers
+		var err error
+		if got.est, err = e.EstimateBatch(keys); err != nil {
+			t.Fatal(err)
+		}
+		if got.probes, err = e.ProbeBatch(keys); err != nil {
+			t.Fatal(err)
+		}
+		if got.support, err = e.Support(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := routedAnswers(a1.Engine())
+	if err := a1.Close(); err != nil { // writes the final checkpoint
+		t.Fatal(err)
+	}
+
+	runtime.GOMAXPROCS(2)
+	a2, err := NewAgent(opts)
+	if err != nil {
+		t.Fatalf("restart under GOMAXPROCS(2): %v", err)
+	}
+	defer a2.Close()
+	if !a2.RestoredFromCheckpoint() {
+		t.Fatal("restart with a checkpoint on disk started cold")
+	}
+	if got := a2.Engine().Shards(); got != 4 {
+		t.Fatalf("restart under GOMAXPROCS(2) built %d shards, want the checkpoint's 4", got)
+	}
+	if got := routedAnswers(a2.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatal("routed reads answer differently after the restart")
+	}
+	if n := a2.Engine().Stats().SnapshotBuilds; n != 0 {
+		t.Fatalf("restarted agent built %d merged views on routed reads, want 0", n)
+	}
+
+	explicit := opts
+	explicit.Engine.Shards = 2
+	if _, err := NewAgent(explicit); err == nil ||
+		!strings.Contains(err.Error(), "4 shards") || !strings.Contains(err.Error(), "engine has 2") {
+		t.Fatalf("explicit 2 shards over a 4-shard checkpoint: %v, want an error naming both counts", err)
+	}
+	otherCfg := opts
+	otherCfg.Config.Seed++
+	if _, err := NewAgent(otherCfg); err == nil || !strings.Contains(err.Error(), "Config") {
+		t.Fatalf("different Config over the checkpoint: %v, want a Config refusal", err)
+	}
+}
+
+// TestAggregatorRejectsMistaggedBlob: a snapshot that files one
+// structure's payload under another's bit is refused — by wire kind
+// against the engine's table — and the refusal names both kinds.
+func TestAggregatorRejectsMistaggedBlob(t *testing.T) {
+	agg, err := NewAggregator(AggregatorOptions{Config: testConfig, Structures: testStructures})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	err = agg.applySnapshot("site-a", &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []netproto.SketchBlob{{
+		StructureBit: uint32(engine.SupportSampler),
+		Payload:      hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}}),
+	}}})
+	if err == nil || !strings.Contains(err.Error(), "tagged SupportSampler holds a HeavyHitters") {
+		t.Fatalf("mistagged blob: %v, want an error saying the SupportSampler tag holds a HeavyHitters", err)
+	}
+	if got := agg.Stats().SnapshotsApplied; got != 0 {
+		t.Fatalf("refused snapshot counted as applied (%d)", got)
 	}
 }

@@ -39,8 +39,7 @@ type Params struct {
 	// K is the number of support coordinates the caller wants.
 	K int
 	// SparsityFactor scales the per-level sketch capacity s = factor*K
-	// (the paper's s = 205k; 8 is the laptop-scaled default used when 0;
-	// DESIGN.md section 5).
+	// (the paper's s = 205k; 8 is the laptop-scaled default used when 0).
 	SparsityFactor int
 	// Windowed selects Figure 8 (true) or the keep-all-levels baseline
 	// (false).

@@ -20,7 +20,7 @@ import (
 // the contract the distributed scenarios compose against — each site
 // feeds Update/UpdateBatch, ships MarshalBinary bytes, and a
 // coordinator UnmarshalBinary-restores and Merges them — and the engine
-// package's Snapshot/Restore speaks exactly this interface.
+// package's Snapshot ships exactly these bytes.
 //
 // Merge requires the other sketch to be the same concrete type, built
 // from the same Config (seed included); violations return a descriptive
@@ -232,7 +232,8 @@ func SketchKind(data []byte) (Kind, error) {
 
 // UnmarshalSketch restores any serialized structure, dispatching on the
 // envelope's kind byte — the receive side of a heterogeneous sketch
-// exchange (engine.Restore is built on it).
+// exchange (the networked aggregator and the engine's partitioned
+// restore are built on it).
 func UnmarshalSketch(data []byte) (Sketch, error) {
 	kind, err := SketchKind(data)
 	if err != nil {
