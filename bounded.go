@@ -279,8 +279,9 @@ func (e *L0Estimator) Update(i uint64, delta int64) { e.impl.Update(i, delta) }
 // UpdateBatch feeds a batch of updates in one call.
 func (e *L0Estimator) UpdateBatch(batch []Update) { e.impl.UpdateBatch(batch) }
 
-// UpdateColumns feeds a pre-planned columnar batch (the subsampling
-// level hash is batch-evaluated into one contiguous column).
+// UpdateColumns feeds a pre-planned columnar batch: the column is cut
+// at the items that move the row window and each run between cuts is
+// hashed and applied in bulk, bit-identical to per-item Update.
 func (e *L0Estimator) UpdateColumns(b *Batch) { e.impl.UpdateColumns(b) }
 
 // Estimate returns the (1 +- eps) estimate of ||f||_0 — the
@@ -395,8 +396,10 @@ func (s *SupportSampler) Update(i uint64, delta int64) { s.impl.Update(i, delta)
 // UpdateBatch feeds a batch of updates in one call.
 func (s *SupportSampler) UpdateBatch(batch []Update) { s.impl.UpdateBatch(batch) }
 
-// UpdateColumns feeds a pre-planned columnar batch (the level hash is
-// batch-evaluated into one contiguous column).
+// UpdateColumns feeds a pre-planned columnar batch: each item is
+// hashed once for all levels, the column is cut at the items that move
+// the level window and each run between cuts is applied in bulk,
+// bit-identical to per-item Update.
 func (s *SupportSampler) UpdateColumns(b *Batch) { s.impl.UpdateColumns(b) }
 
 // Recover returns distinct support coordinates, sorted.

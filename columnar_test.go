@@ -1,6 +1,7 @@
 package bounded
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -18,10 +19,16 @@ func TestPublicUpdateColumns(t *testing.T) {
 	colHH := must(NewHeavyHitters(cfg))
 	scalarSyn := must(NewSyncSketch(cfg, WithCapacity(128)))
 	colSyn := must(NewSyncSketch(cfg, WithCapacity(128)))
+	scalarL0 := must(NewL0Estimator(cfg))
+	colL0 := must(NewL0Estimator(cfg))
+	scalarSup := must(NewSupportSampler(cfg, WithK(8)))
+	colSup := must(NewSupportSampler(cfg, WithK(8)))
 
 	for _, u := range s.Updates {
 		scalarHH.Update(u.Index, u.Delta)
 		scalarSyn.Update(u.Index, u.Delta)
+		scalarL0.Update(u.Index, u.Delta)
+		scalarSup.Update(u.Index, u.Delta)
 	}
 	for off := 0; off < len(s.Updates); off += 513 {
 		end := off + 513
@@ -31,7 +38,27 @@ func TestPublicUpdateColumns(t *testing.T) {
 		b := PlanBatch(s.Updates[off:end])
 		colHH.UpdateColumns(b)  // one planned batch fans across
 		colSyn.UpdateColumns(b) // several structures (read-only columns)
+		colL0.UpdateColumns(b)
+		colSup.UpdateColumns(b)
 		PutBatch(b)
+	}
+
+	// The windowed structures draw no randomness: identical bytes.
+	for name, pair := range map[string][2]Sketch{"L0Estimator": {scalarL0, colL0}, "SupportSampler": {scalarSup, colSup}} {
+		a, errA := pair[0].MarshalBinary()
+		b, errB := pair[1].MarshalBinary()
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: columnar state differs from scalar", name)
+		}
+	}
+	if a, b := scalarL0.Estimate(), colL0.Estimate(); a != b {
+		t.Fatalf("L0 Estimate: scalar %v, columnar %v", a, b)
+	}
+	if a, b := scalarSup.Recover(), colSup.Recover(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("Recover: scalar %v, columnar %v", a, b)
 	}
 
 	if !reflect.DeepEqual(scalarHH.HeavyHitters(), colHH.HeavyHitters()) {

@@ -200,9 +200,25 @@
 // order is preserved, and the rng draw order is the contract — CSSS's
 // thin step makes exactly the draws the per-item path makes for the
 // same updates, in the same order, while the precision sampler and
-// the subsampling levels still apply per-item exactly where their
-// draws occur. Differential tests assert this equality per structure
-// and through the engine at 1/2/4/8 shards.
+// the l1 estimator's sampled stages still apply per-item exactly where
+// their draws occur. Differential tests assert this equality per
+// structure and through the engine at 1/2/4/8 shards.
+//
+// The windowed structures (the L0 estimator, its constant-factor level
+// estimator, the support sampler) keep only the rows / levels around
+// the rough estimate R_t, which never falls (Corollary 2) and so moves
+// O(log n) times in a stream's life. Their batches are CUT AT THE
+// WINDOW EVENTS AND BATCHED BETWEEN THEM: the rough estimator scans the
+// key column (one batch hash per copy, level bits OR-reduced) and
+// reports the first item that raises R_t; the column is cut there, the
+// window re-syncs — the raising item is applied under the window it
+// produces, the per-item order rough → sync → apply — and each run
+// between cuts goes compact → hash → apply against a dense row/level
+// array: L0 keeps the items whose row is live and batch-evaluates its
+// bin hashes over them, the support sampler hashes each item once and
+// applies that entry to every live level that samples it. No draws are
+// involved, so the contract is bit-identity with per-item Update,
+// which takes the same event-driven sync and stays the oracle.
 //
 // # Querying: capability-typed interfaces and columnar batched reads
 //

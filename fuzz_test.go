@@ -24,6 +24,21 @@ func cssPastBoundary(data []byte) []byte {
 	return out
 }
 
+// roughLevelOutOfRange sets level 63 in the last bitmap of the first
+// RoughF0 nested in a marshalled structure. Field values stay below
+// 2^61, so no ingest sets a level above 60 and the median select
+// indexes by it: UnmarshalBinary must refuse the blob.
+func roughLevelOutOfRange(data []byte) []byte {
+	at := bytes.Index(data, []byte{'0', 'F', 1})
+	if at < 4 {
+		return nil
+	}
+	out := append([]byte(nil), data...)
+	end := at + int(binary.LittleEndian.Uint32(out[at-4:])) // nested blobs are length-prefixed
+	out[end-1] |= 0x80
+	return out
+}
+
 // FuzzUnmarshal drives arbitrary bytes through every deserialization
 // entry point. The contract under fuzzing: corrupt, truncated,
 // bit-flipped or wrong-version payloads return errors — they never
@@ -73,6 +88,22 @@ func FuzzUnmarshal(f *testing.F) {
 	seed(NewL0Estimator(cfg))
 	seed(NewL1Sampler(Config{N: 1 << 10, Eps: 0.25, Alpha: 2, Seed: 9}, WithCopies(2)))
 	seed(NewSupportSampler(cfg, WithK(4)))
+	// Another: a rough-F0 bitmap with a level no hash value reaches. All
+	// three windowed structures nest one.
+	for _, s := range []Sketch{must(NewL0Estimator(cfg)), must(NewSupportSampler(cfg, WithK(4)))} {
+		data, err := s.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		bad := roughLevelOutOfRange(data)
+		if bad == nil {
+			f.Fatal("no RoughF0 payload inside a windowed structure's encoding")
+		}
+		if _, err := UnmarshalSketch(bad); err == nil {
+			f.Fatal("accepted a RoughF0 level out of range")
+		}
+		f.Add(bad)
+	}
 	seed(NewInnerProduct(cfg))
 	seed(NewL2HeavyHitters(cfg))
 	seed(NewSyncSketch(cfg, WithCapacity(16)))

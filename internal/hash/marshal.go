@@ -90,6 +90,11 @@ func (b *Buckets) UnmarshalBinary(data []byte) error {
 	if rows < 1 || cols < 1 {
 		return errors.New("hash: malformed Buckets dims")
 	}
+	if rows > (len(data)-15)/4 {
+		// Every row carries at least its length prefix: refuse before
+		// allocating by a count the payload cannot back.
+		return errors.New("hash: truncated Buckets data")
+	}
 	pos := 15
 	fns := make([]*KWise, rows)
 	for i := 0; i < rows; i++ {

@@ -1,6 +1,7 @@
 package hash
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -69,7 +70,11 @@ func TestBucketsMarshalRoundTrip(t *testing.T) {
 func TestBucketsUnmarshalRejects(t *testing.T) {
 	b := &Buckets{}
 	good, _ := NewBuckets(rand.New(rand.NewSource(3)), 2, 8).MarshalBinary()
-	for i, data := range [][]byte{nil, good[:10], good[:len(good)-2], append(append([]byte{}, good...), 0)} {
+	// A row count the payload cannot back (FuzzUnmarshal found it asking
+	// for a 28 GiB slice): refused before anything is allocated by it.
+	rows := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(rows[3:], 0xE0000000)
+	for i, data := range [][]byte{nil, good[:10], good[:len(good)-2], append(append([]byte{}, good...), 0), rows} {
 		if err := b.UnmarshalBinary(data); err == nil {
 			t.Errorf("case %d: accepted bad data", i)
 		}

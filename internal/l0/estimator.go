@@ -34,19 +34,24 @@ type Params struct {
 // A bin is "hit" iff its value is nonzero, and inverting the occupancy
 // expectation K(1-(1-1/K)^A) yields the level's ball count.
 type Estimator struct {
-	params   Params
-	k        int // K bins per row
-	maxRow   int
-	p        uint64
-	h1       *hash.KWise // level hash: row = lsb(h1(i))
-	h2       *hash.KWise // [n] -> [K^3] perfect hash
-	h3       *hash.KWise // [K^3] -> [K], k-wise
-	h4       *hash.KWise // [K^3] -> [K], pairwise, selects u entry
-	u        []uint64    // random multipliers in F_p
-	rows     map[int][]uint64
+	params Params
+	k      int // K bins per row
+	maxRow int
+	p      uint64
+	h1     *hash.KWise // level hash: row = lsb(h1(i))
+	h2     *hash.KWise // [n] -> [K^3] perfect hash
+	h3     *hash.KWise // [K^3] -> [K], k-wise
+	h4     *hash.KWise // [K^3] -> [K], pairwise, selects u entry
+	u      []uint64    // random multipliers in F_p
+	// rows is the live row window, indexed by row; nil means the row is
+	// not maintained.
+	rows     [WindowSlots][]uint64
 	rough    *RoughF0 // drives the Figure 7 row window
 	floorRow int64    // 8 log n / log log n clamp of Figure 7
 	final    *RoughL0 // constant-factor R for query-time row selection
+	// syncedAt is the rough estimate the live rows were last synced at
+	// (see RoughL0.syncedAt).
+	syncedAt int64
 
 	// Small-L0 side structures (Lemma 17 / Lemma 19).
 	small         *ExactSmall
@@ -89,7 +94,6 @@ func NewEstimator(rng *rand.Rand, params Params) *Estimator {
 		h3:     hash.NewKWise(rng, 8), // Theta(log(1/eps)/loglog(1/eps))-wise
 		h4:     hash.NewPairwise(rng),
 		u:      randomVector(rng, k, p),
-		rows:   make(map[int][]uint64),
 		small:  NewExactSmall(rng, 100),
 		h2s:    hash.NewPairwise(rng),
 		h3s:    hash.NewKWise(rng, 8),
@@ -162,64 +166,87 @@ func (e *Estimator) rowRange() (int, int) {
 func (e *Estimator) syncRows() {
 	lo, hi := e.rowRange()
 	for j := range e.rows {
-		if j < lo || j > hi {
-			delete(e.rows, j)
-		}
-	}
-	for j := lo; j <= hi; j++ {
-		if _, ok := e.rows[j]; !ok {
+		switch {
+		case j < lo || j > hi:
+			e.rows[j] = nil
+		case e.rows[j] == nil:
 			e.rows[j] = make([]uint64, e.k)
 		}
 	}
-	if len(e.rows) > e.maxLiveRows {
-		e.maxLiveRows = len(e.rows)
+	live := e.LiveRows()
+	if live > e.maxLiveRows {
+		e.maxLiveRows = live
 	}
+	if e.rough != nil {
+		e.syncedAt = e.rough.Estimate()
+	}
+	liveRows.Set(int64(live))
 }
 
-// Update feeds one stream update.
+// windowMoved re-syncs the row window after the rough estimate moved —
+// one window event.
+func (e *Estimator) windowMoved() {
+	e.syncRows()
+	windowEvents.Inc()
+}
+
+// Update feeds one stream update: rough estimate, then the row window
+// it produces, then the item.
 func (e *Estimator) Update(i uint64, delta int64) {
 	if delta == 0 {
 		return // before hashing: zero-delta updates cost nothing
 	}
-	e.updateHashed(i, delta, e.h1.Field(i))
-}
-
-// updateHashed is Update with the level hash h1(i) pre-evaluated — the
-// consumption point of the columnar pipeline's pre-hashed level column.
-func (e *Estimator) updateHashed(i uint64, delta int64, h1v uint64) {
-	if delta == 0 {
-		return
-	}
 	if e.params.Windowed {
 		e.rough.Update(i)
-		e.syncRows()
+		if e.rough.Estimate() != e.syncedAt {
+			e.windowMoved()
+		}
 	}
 	e.final.Update(i, delta)
 	e.small.Update(i, delta)
 
+	// Main matrix.
+	if bins := e.rows[e.rowOf(e.h1.Field(i))]; bins != nil {
+		id := e.h2.Range(i, cube(e.k))
+		bin := e.h3.Range(id, uint64(e.k))
+		mult := e.u[e.h4.Range(id, uint64(e.k))]
+		bins[bin] = nt.AddMod(bins[bin], e.term(delta, mult), e.p)
+	}
+	// Single collapsed row (the 100 < L0 < K/32 regime of Lemma 17).
+	ids := e.h2s.Range(i, cube(2*e.k))
+	bin := e.h3s.Range(ids, uint64(2*e.k))
+	mult := e.us[e.h4s.Range(ids, uint64(2*e.k))]
+	e.singleRow[bin] = nt.AddMod(e.singleRow[bin], e.term(delta, mult), e.p)
+}
+
+// term returns delta * mult mod p, the amount a bin accumulates. Unit
+// deltas — most of any real stream — need neither the signed division
+// that embeds delta into F_p nor MulMod's 128-bit one.
+func (e *Estimator) term(delta int64, mult uint64) uint64 {
+	if mult < e.p && e.p < 1<<63 {
+		switch {
+		case delta == 1:
+			return mult
+		case delta == -1 && mult == 0:
+			return 0
+		case delta == -1:
+			return e.p - mult
+		}
+	}
 	dm := delta % int64(e.p)
 	if dm < 0 {
 		dm += int64(e.p)
 	}
-	d := uint64(dm)
+	return nt.MulMod(uint64(dm), mult, e.p)
+}
 
-	// Main matrix.
+// rowOf maps a level hash value h1(i) to its row, lsb clamped to maxRow.
+func (e *Estimator) rowOf(h1v uint64) int {
 	row := hash.LSB(h1v, e.maxRow)
 	if row > e.maxRow {
 		row = e.maxRow
 	}
-	if bins, ok := e.rows[row]; ok {
-		id := e.h2.Range(i, cube(e.k))
-		bin := e.h3.Range(id, uint64(e.k))
-		mult := e.u[e.h4.Range(id, uint64(e.k))]
-		bins[bin] = nt.AddMod(bins[bin], nt.MulMod(d, mult, e.p), e.p)
-	}
-
-	// Single collapsed row (the 100 < L0 < K/32 regime of Lemma 17).
-	ids := e.h2s.Range(i, cube(2*e.k))
-	bins := e.h3s.Range(ids, uint64(2*e.k))
-	mult := e.us[e.h4s.Range(ids, uint64(2*e.k))]
-	e.singleRow[bins] = nt.AddMod(e.singleRow[bins], nt.MulMod(d, mult, e.p), e.p)
+	return row
 }
 
 // UpdateBatch applies a batch of updates through the columnar pipeline
@@ -231,19 +258,74 @@ func (e *Estimator) UpdateBatch(batch []stream.Update) {
 	core.PutBatch(b)
 }
 
-// UpdateColumns consumes a pre-planned columnar batch: the level hash
-// h1 is batch-evaluated into a contiguous column up front, then items
-// apply in order (row liveness can change between items, so the apply
-// stage itself stays per-item). State is identical to the scalar path.
+// UpdateColumns consumes a pre-planned columnar batch: cut at the
+// window events, batch between them. The rough estimator scans the key
+// column and reports the first item that raises R_t — the only kind
+// that can move the row window (Corollary 2: R_t never falls); the
+// column is cut there, the window re-syncs, and the items between cuts
+// run compact → hash → apply under one fixed set of live rows. Nothing
+// here draws randomness, so state is bit-identical to per-item Update.
 func (e *Estimator) UpdateColumns(b *core.Batch) {
-	n := b.Len()
-	if n == 0 {
+	ZeroFreeRuns(b.Idx, b.Delta, func(keys []uint64, deltas []int64) { e.updateRun(b, keys, deltas) })
+}
+
+// updateRun applies a zero-free column of at most columnChunk updates.
+// The four component structures share no state, so each consumes the
+// whole column in turn; only the main matrix depends on the row window.
+func (e *Estimator) updateRun(b *core.Batch, keys []uint64, deltas []int64) {
+	n := len(keys)
+	col := b.Col64(7 * n)
+	h1v, scratch := col[:n], col[n:]
+
+	e.final.UpdateColumn(keys, deltas, scratch)
+	e.small.UpdateColumn(keys, deltas, scratch)
+
+	// Single collapsed row.
+	ids, bin, mult := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+	e.h2s.RangeBatch(keys, cube(2*e.k), ids)
+	e.h3s.RangeBatch(ids, uint64(2*e.k), bin)
+	e.h4s.RangeBatch(ids, uint64(2*e.k), mult)
+	for j, d := range deltas {
+		e.singleRow[bin[j]] = nt.AddMod(e.singleRow[bin[j]], e.term(d, e.us[mult[j]]), e.p)
+	}
+
+	// Main matrix, run by run.
+	e.h1.FieldBatch(keys, h1v)
+	apply := func(lo, hi int) {
+		e.applyRows(keys[lo:hi], deltas[lo:hi], h1v[lo:hi], scratch)
+	}
+	if !e.params.Windowed {
+		apply(0, n)
 		return
 	}
-	h1v := b.Col64(n)
-	e.h1.FieldBatch(b.Idx, h1v)
-	for j, i := range b.Idx {
-		e.updateHashed(i, b.Delta[j], h1v[j])
+	e.rough.CutRuns(keys, scratch, e.rough.Estimate() == e.syncedAt, e.windowMoved, apply)
+}
+
+// applyRows applies one run to the main matrix under the current row
+// window: keep the items whose row is live, batch-evaluate h2, h3 and
+// h4 over the survivors, add. scratch holds at least 6*len(keys)
+// entries.
+func (e *Estimator) applyRows(keys []uint64, deltas []int64, h1v, scratch []uint64) {
+	n := len(keys)
+	live, d, row := scratch[:0:n], scratch[n:n:2*n], scratch[2*n:2*n:3*n]
+	for j, hv := range h1v {
+		if r := e.rowOf(hv); e.rows[r] != nil {
+			live = append(live, keys[j])
+			d = append(d, uint64(deltas[j]))
+			row = append(row, uint64(r))
+		}
+	}
+	m := len(live)
+	if m == 0 {
+		return
+	}
+	ids, bin, mult := scratch[3*n:3*n+m], scratch[4*n:4*n+m], scratch[5*n:5*n+m]
+	e.h2.RangeBatch(live, cube(e.k), ids)
+	e.h3.RangeBatch(ids, uint64(e.k), bin)
+	e.h4.RangeBatch(ids, uint64(e.k), mult)
+	for j, r := range row {
+		bins := e.rows[r]
+		bins[bin[j]] = nt.AddMod(bins[bin[j]], e.term(int64(d[j]), e.u[mult[j]]), e.p)
 	}
 }
 
@@ -307,6 +389,9 @@ func (e *Estimator) Estimate() float64 {
 	// j = i*).
 	var ests []float64
 	for j, bins := range e.rows {
+		if bins == nil {
+			continue
+		}
 		t := occupancy(bins)
 		load := float64(t) / float64(e.k)
 		if load < 0.05 || load > 0.85 {
@@ -323,8 +408,8 @@ func (e *Estimator) Estimate() float64 {
 			iStar = nt.Log2Floor(uint64(v))
 		}
 		best := -1
-		for j := range e.rows {
-			if best == -1 || absInt(j-iStar) < absInt(best-iStar) {
+		for j, bins := range e.rows {
+			if bins != nil && (best == -1 || absInt(j-iStar) < absInt(best-iStar)) {
 				best = j
 			}
 		}
@@ -377,11 +462,13 @@ func (e *Estimator) Merge(other *Estimator) error {
 		e.singleRow[b] = nt.AddMod(e.singleRow[b], other.singleRow[b], e.p)
 	}
 	for j, obins := range other.rows {
-		if bins, ok := e.rows[j]; ok {
+		switch bins := e.rows[j]; {
+		case obins == nil:
+		case bins != nil:
 			for b := range bins {
 				bins[b] = nt.AddMod(bins[b], obins[b], e.p)
 			}
-		} else {
+		default:
 			e.rows[j] = append([]uint64(nil), obins...)
 		}
 	}
@@ -395,40 +482,31 @@ func (e *Estimator) Merge(other *Estimator) error {
 // Clone returns a deep copy sharing the (immutable) hash functions and
 // multiplier vectors.
 func (e *Estimator) Clone() *Estimator {
-	c := &Estimator{
-		params:   e.params,
-		k:        e.k,
-		maxRow:   e.maxRow,
-		p:        e.p,
-		h1:       e.h1,
-		h2:       e.h2,
-		h3:       e.h3,
-		h4:       e.h4,
-		u:        e.u,
-		rows:     make(map[int][]uint64, len(e.rows)),
-		floorRow: e.floorRow,
-		final:    e.final.Clone(),
-		small:    e.small.Clone(),
-		singleRow: append([]uint64(nil),
-			e.singleRow...),
-		h2s:         e.h2s,
-		h3s:         e.h3s,
-		h4s:         e.h4s,
-		us:          e.us,
-		maxLiveRows: e.maxLiveRows,
-		seeds:       e.seeds,
-	}
+	c := *e
+	c.final = e.final.Clone()
+	c.small = e.small.Clone()
+	c.singleRow = append([]uint64(nil), e.singleRow...)
 	if e.rough != nil {
 		c.rough = e.rough.Clone()
 	}
 	for j, bins := range e.rows {
-		c.rows[j] = append([]uint64(nil), bins...)
+		if bins != nil {
+			c.rows[j] = append([]uint64(nil), bins...)
+		}
 	}
-	return c
+	return &c
 }
 
 // LiveRows reports the number of maintained rows.
-func (e *Estimator) LiveRows() int { return len(e.rows) }
+func (e *Estimator) LiveRows() int {
+	live := 0
+	for _, bins := range e.rows {
+		if bins != nil {
+			live++
+		}
+	}
+	return live
+}
 
 // K returns the bins-per-row parameter.
 func (e *Estimator) K() int { return e.k }

@@ -68,7 +68,23 @@ func (e *ExactSmall) Update(i uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	b := e.hash.Range(i, e.buckets)
+	e.updateBucket(e.hash.Range(i, e.buckets), delta)
+}
+
+// UpdateColumn feeds a column of updates in order, the bucket hash
+// batch-evaluated into col (at least len(keys) entries). State is
+// identical to per-item Update.
+func (e *ExactSmall) UpdateColumn(keys []uint64, deltas []int64, col []uint64) {
+	e.hash.RangeBatch(keys, e.buckets, col)
+	for j, d := range deltas {
+		if d != 0 {
+			e.updateBucket(col[j], d)
+		}
+	}
+}
+
+// updateBucket adds a nonzero delta to bucket b.
+func (e *ExactSmall) updateBucket(b uint64, delta int64) {
 	cur, ok := e.counters[b]
 	if !ok {
 		if len(e.counters) >= e.c {

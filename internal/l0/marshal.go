@@ -147,8 +147,17 @@ func (r *RoughF0) UnmarshalBinary(data []byte) error {
 	if len(bitmaps) != n {
 		return errors.New("l0: RoughF0 bitmap count disagrees with copies")
 	}
+	for _, bm := range bitmaps {
+		// Field values stay below 2^61, so no update sets a level above
+		// 60; current() indexes by the top level and relies on it.
+		if bm>>61 != 0 {
+			return errors.New("l0: RoughF0 level out of range")
+		}
+	}
 	r.hs, r.bitmaps = hs, bitmaps
 	r.best, r.safety = best, safety
+	r.pending = make([]uint64, n)
+	r.stale = r.current() > best
 	return nil
 }
 
@@ -168,15 +177,13 @@ func (r *RoughL0) MarshalBinary() ([]byte, error) {
 			return nil, err
 		}
 	}
-	js := sortedIntKeys(len(r.levels), func(f func(int)) {
-		for j := range r.levels {
-			f(j)
+	w.U32(uint32(r.LiveLevels()))
+	for j, b := range r.levels {
+		if b == nil {
+			continue
 		}
-	})
-	w.U32(uint32(len(js)))
-	for _, j := range js {
 		w.U32(uint32(j))
-		if err := w.Marshal(r.levels[j]); err != nil {
+		if err := w.Marshal(b); err != nil {
 			return nil, err
 		}
 	}
@@ -230,7 +237,7 @@ func (r *RoughL0) UnmarshalBinary(data []byte) error {
 	if maxLevel < 0 || maxLevel > 64 || window < 0 || nLevels < 0 || nLevels > rd.Remaining() {
 		return errors.New("l0: bad RoughL0 shape")
 	}
-	levels := make(map[int]*ExactSmall, nLevels)
+	var levels [WindowSlots]*ExactSmall
 	for i := 0; i < nLevels; i++ {
 		j := int(rd.U32())
 		b := &ExactSmall{}
@@ -241,7 +248,7 @@ func (r *RoughL0) UnmarshalBinary(data []byte) error {
 		if j > maxLevel {
 			return errors.New("l0: RoughL0 level out of range")
 		}
-		if _, dup := levels[j]; dup {
+		if levels[j] != nil {
 			return errors.New("l0: duplicate RoughL0 level")
 		}
 		levels[j] = b
@@ -268,6 +275,7 @@ func (r *RoughL0) UnmarshalBinary(data []byte) error {
 	r.rough = rough
 	r.levelFloor = levelFloor
 	r.created = created
+	r.syncedAt = Unsynced
 	return nil
 }
 
@@ -301,15 +309,12 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	if err := w.Marshal(e.small); err != nil {
 		return nil, err
 	}
-	js := sortedIntKeys(len(e.rows), func(f func(int)) {
-		for j := range e.rows {
-			f(j)
+	w.U32(uint32(e.LiveRows()))
+	for j, bins := range e.rows {
+		if bins != nil {
+			w.U32(uint32(j))
+			w.U64s(bins)
 		}
-	})
-	w.U32(uint32(len(js)))
-	for _, j := range js {
-		w.U32(uint32(j))
-		w.U64s(e.rows[j])
 	}
 	return w.Bytes(), nil
 }
@@ -367,7 +372,7 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 	if nRows < 0 || nRows > rd.Remaining() {
 		return errors.New("l0: bad Estimator row count")
 	}
-	rows := make(map[int][]uint64, nRows)
+	var rows [WindowSlots][]uint64
 	for i := 0; i < nRows; i++ {
 		j := int(rd.U32())
 		bins := rd.U64s()
@@ -377,7 +382,7 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 		if len(bins) != k || j > 64 {
 			return errors.New("l0: bad Estimator row")
 		}
-		if _, dup := rows[j]; dup {
+		if rows[j] != nil {
 			return errors.New("l0: duplicate Estimator row")
 		}
 		rows[j] = bins
@@ -406,6 +411,7 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 		h4s:         hs[6],
 		us:          us,
 		maxLiveRows: maxLiveRows,
+		syncedAt:    Unsynced,
 	}
 	restored.seeds = restored.h1.SpaceBits() + restored.h2.SpaceBits() +
 		restored.h3.SpaceBits() + restored.h4.SpaceBits() +

@@ -39,13 +39,13 @@ func TestEstimatorMergeBitForBitUnwindowed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(merged.rows) != len(whole.rows) {
-		t.Fatalf("row count: merged %d, single-stream %d", len(merged.rows), len(whole.rows))
+	if merged.LiveRows() != whole.LiveRows() {
+		t.Fatalf("row count: merged %d, single-stream %d", merged.LiveRows(), whole.LiveRows())
 	}
 	for j, bins := range whole.rows {
-		mbins, ok := merged.rows[j]
-		if !ok {
-			t.Fatalf("merged estimator lost row %d", j)
+		mbins := merged.rows[j]
+		if (mbins == nil) != (bins == nil) {
+			t.Fatalf("row %d: merged live %v, single-stream live %v", j, mbins != nil, bins != nil)
 		}
 		for b := range bins {
 			if mbins[b] != bins[b] {

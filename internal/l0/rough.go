@@ -2,6 +2,7 @@ package l0
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/hash"
@@ -19,12 +20,31 @@ import (
 //
 // On an L0 alpha-property stream the output doubles as the paper's
 // alphaStreamRoughL0Est (Corollary 2): L0_t <= R_t <= O(alpha) * L0.
+//
+// The median moves only when some copy's TOP level rises, which happens
+// at most 61 times per copy in a stream's life. Both ingest paths rest
+// on that: Update recomputes the median only then, and UpdateColumn
+// OR-reduces whole key columns between such items.
 type RoughF0 struct {
 	hs      []*hash.KWise
 	bitmaps []uint64
 	best    int64
 	safety  int64
+	// stale marks a restored state whose best lags its own bitmaps (only
+	// a crafted blob has one): the next update recomputes the median
+	// whether or not a top level rises, as every update once did.
+	stale bool
+	// pending holds one OR-reduced level mask per copy between
+	// UpdateColumn's scan and its commit.
+	pending []uint64
+	// block is UpdateColumn's next scan length — pacing, not state: it
+	// changes how far ahead keys are hashed, never what they leave.
+	block int
 }
+
+// zeroLevel is the level bit of a zero hash value: hash.LSB(0, 60) = 60.
+// Field values stay below 2^61, so it is also the highest level bit.
+const zeroLevel = 1 << 60
 
 // NewRoughF0 builds the estimator with the given number of parallel
 // copies (more copies tighten the constant; 16 is the library default).
@@ -36,6 +56,7 @@ func NewRoughF0(rng *rand.Rand, copies int) *RoughF0 {
 		hs:      make([]*hash.KWise, copies),
 		bitmaps: make([]uint64, copies),
 		safety:  4,
+		pending: make([]uint64, copies),
 	}
 	for i := range r.hs {
 		r.hs[i] = hash.NewPairwise(rng)
@@ -43,25 +64,172 @@ func NewRoughF0(rng *rand.Rand, copies int) *RoughF0 {
 	return r
 }
 
+// levelBit returns 1 << hash.LSB(v, 60) for a field value v.
+func levelBit(v uint64) uint64 {
+	v |= zeroLevel
+	return v & -v
+}
+
 // Update feeds one identity (deltas are irrelevant to F0: any touch
-// counts).
-func (r *RoughF0) Update(i uint64) {
+// counts) and reports whether it raised the estimate.
+func (r *RoughF0) Update(i uint64) bool {
+	rose := r.stale
 	for c, h := range r.hs {
-		lvl := hash.LSB(h.Field(i), 60)
-		r.bitmaps[c] |= 1 << uint(lvl)
+		b := levelBit(h.Field(i))
+		// A single bit exceeds the bitmap iff it lies above its top bit.
+		rose = rose || b > r.bitmaps[c]
+		r.bitmaps[c] |= b
 	}
+	if !rose {
+		return false
+	}
+	r.stale = false
 	if v := r.current(); v > r.best {
 		r.best = v
+		return true
+	}
+	return false
+}
+
+// UpdateColumn feeds keys in order and stops after the first one that
+// raises the estimate. It returns that key's index — keys[:index+1] are
+// consumed — or len(keys) when every key is consumed and the estimate
+// stands. col is scratch of at least len(keys) entries, shared by all
+// copies. State after the consumed prefix equals per-key Update.
+//
+// Keys are scanned in blocks: minScanBlock after a key lifted some
+// copy's top level, four times longer after each block in which none
+// did. A warm estimator therefore scans whole columns, and a cold one —
+// whose lifts come a few keys apart — never hashes far past the next.
+func (r *RoughF0) UpdateColumn(keys, col []uint64) int {
+	done := 0
+	for done < len(keys) {
+		rest := keys[done:]
+		block := max(r.block, minScanBlock)
+		quiet := 0
+		if !r.stale {
+			rest = rest[:min(len(rest), block)]
+			quiet = r.quietPrefix(rest, col)
+		}
+		done += quiet
+		if quiet == len(rest) {
+			r.block = min(4*block, columnChunk)
+			continue
+		}
+		// This key lifts some copy's top level (or the state is stale):
+		// the only kind of item that can move the median.
+		r.block = minScanBlock
+		if r.Update(rest[quiet]) {
+			return done
+		}
+		done++
+	}
+	return done
+}
+
+// minScanBlock is UpdateColumn's scan length right after a top level
+// rose.
+const minScanBlock = 16
+
+// CutRuns feeds keys to the estimator and hands apply each maximal run
+// keys[lo:hi] over which R_t stands still, calling raised between runs.
+// The key that raises R_t heads the NEXT run — the per-item order is
+// rough estimate, then the window it produces, then the item. synced
+// says the caller's window was last synced at the current estimate; one
+// that was not (fresh from UnmarshalBinary) converges as the per-item
+// path makes it: raised is called once the first key is fed, whether or
+// not that key moves R_t.
+func (r *RoughF0) CutRuns(keys, col []uint64, synced bool, raised func(), apply func(lo, hi int)) {
+	pos, fed := 0, 0
+	if !synced && len(keys) > 0 {
+		r.Update(keys[0])
+		raised()
+		fed = 1
+	}
+	for pos < len(keys) {
+		cut := fed + r.UpdateColumn(keys[fed:], col)
+		apply(pos, cut)
+		pos, fed = cut, cut+1
+		if cut < len(keys) {
+			raised()
+		}
 	}
 }
 
-// current computes safety * 2^(median of per-copy max levels).
-func (r *RoughF0) current() int64 {
-	levels := make([]int, len(r.bitmaps))
-	for c, bm := range r.bitmaps {
-		levels[c] = 63 - leadingZeros(bm)
+// columnChunk bounds one columnar run, and with it the scratch a batch
+// of any length needs.
+const columnChunk = 4096
+
+// ZeroFreeRuns hands apply the update columns in order as runs free of
+// zero deltas, each at most columnChunk long: a zero-delta update costs
+// the windowed structures nothing, not even a rough-estimate touch.
+func ZeroFreeRuns(idx []uint64, delta []int64, apply func(keys []uint64, deltas []int64)) {
+	for lo := 0; lo < len(idx); {
+		if delta[lo] == 0 {
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for hi < len(idx) && hi-lo < columnChunk && delta[hi] != 0 {
+			hi++
+		}
+		apply(idx[lo:hi], delta[lo:hi])
+		lo = hi
 	}
-	med := medianInt(levels)
+}
+
+// quietPrefix commits the longest prefix of keys that raises no copy's
+// top level — so cannot move the estimate — and returns its length: one
+// FieldBatch and one OR-reduction per copy, no per-key branch.
+func (r *RoughF0) quietPrefix(keys, col []uint64) int {
+	limit := len(keys)
+	for shrunk := true; shrunk; {
+		shrunk = false
+		for c, h := range r.hs {
+			h.FieldBatch(keys[:limit], col)
+			var m uint64
+			for _, v := range col[:limit] {
+				m |= levelBit(v)
+			}
+			if bits.Len64(m) <= bits.Len64(r.bitmaps[c]) {
+				r.pending[c] = m
+				continue
+			}
+			// Copy c's top rises inside keys[:limit]: cut before it.
+			// Masks already taken cover a longer prefix, so one more
+			// pass retakes them over the final one (no copy rises
+			// inside it, so that pass is the last).
+			for j, v := range col[:limit] {
+				if levelBit(v) > r.bitmaps[c] {
+					limit = j
+					break
+				}
+			}
+			shrunk = true
+		}
+	}
+	for c, m := range r.pending {
+		r.bitmaps[c] |= m
+	}
+	return limit
+}
+
+// current computes safety * 2^(median of per-copy top levels).
+func (r *RoughF0) current() int64 {
+	// Counting select over the 62 possible tops (-1 for an empty bitmap,
+	// then levels 0..60): the median is the element of rank len/2.
+	var count [62]int
+	for _, bm := range r.bitmaps {
+		count[bits.Len64(bm)]++
+	}
+	med, seen := -1, 0
+	for t, n := range count {
+		seen += n
+		if seen > len(r.bitmaps)/2 {
+			med = t - 1
+			break
+		}
+	}
 	if med < 0 {
 		return 0
 	}
@@ -99,6 +267,7 @@ func (r *RoughF0) Merge(other *RoughF0) error {
 	if v := r.current(); v > r.best {
 		r.best = v
 	}
+	r.stale = false
 	return nil
 }
 
@@ -109,6 +278,9 @@ func (r *RoughF0) Clone() *RoughF0 {
 		bitmaps: append([]uint64(nil), r.bitmaps...),
 		best:    r.best,
 		safety:  r.safety,
+		stale:   r.stale,
+		pending: make([]uint64, len(r.bitmaps)),
+		block:   r.block,
 	}
 }
 
@@ -121,33 +293,9 @@ func (r *RoughF0) SpaceBits() int64 {
 	return int64(len(r.bitmaps))*61 + seeds + int64(nt.BitsFor(uint64(r.best)))
 }
 
-func leadingZeros(x uint64) int {
-	n := 0
-	for b := 32; b > 0; b /= 2 {
-		if x>>(64-uint(b)) == 0 {
-			n += b
-			x <<= uint(b)
-		}
-	}
-	if x == 0 {
-		return 64
-	}
-	return n
-}
-
-func medianInt(xs []int) int {
-	s := make([]int, len(xs))
-	copy(s, xs)
-	for i := 1; i < len(s); i++ { // insertion sort: tiny slices
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	if len(s) == 0 {
-		return -1
-	}
-	return s[len(s)/2]
-}
+// WindowSlots bounds a row or level index: both run 0..Log2Ceil(n) and
+// n is a uint64, so 65 slots hold any window.
+const WindowSlots = 65
 
 // RoughL0 is the constant-factor end-of-stream L0 estimator: Lemma 14
 // ([40]'s RoughL0Estimator) when windowed == false, and the paper's
@@ -156,8 +304,10 @@ func medianInt(xs []int) int {
 // maintained, shrinking the level set from log n to O(log(alpha/eps)).
 type RoughL0 struct {
 	maxLevel int
-	levels   map[int]*ExactSmall
-	h        *hash.KWise // level hash h: [n] -> [n], level = lsb(h(i))
+	// levels is the live window, indexed by level; nil means the level
+	// is not maintained.
+	levels [WindowSlots]*ExactSmall
+	h      *hash.KWise // level hash h: [n] -> [n], level = lsb(h(i))
 	// levelSeed derives each level's ExactSmall wiring as a pure
 	// function of the level index, so instances built from the same
 	// seed agree on every level's hash and prime no matter WHEN the
@@ -170,7 +320,16 @@ type RoughL0 struct {
 	// n) lower clamp.
 	levelFloor int64
 	created    map[int]bool // levels ever instantiated (diagnostics)
+	// syncedAt is the rough estimate the live levels were last synced
+	// at. The window is a function of that estimate alone, so updates
+	// re-sync only when it moved; Unsynced (fresh from UnmarshalBinary)
+	// forces the next update to.
+	syncedAt int64
 }
+
+// Unsynced is the syncedAt of a live set nobody has synced: no rough
+// estimate is negative.
+const Unsynced = -1
 
 const (
 	roughC   = 132 // Lemma 21's exact-count bound
@@ -193,7 +352,6 @@ func NewRoughL0Windowed(rng *rand.Rand, n uint64, window int) *RoughL0 {
 func newRoughL0(rng *rand.Rand, n uint64, windowed bool, window int) *RoughL0 {
 	r := &RoughL0{
 		maxLevel:  nt.Log2Ceil(n),
-		levels:    make(map[int]*ExactSmall),
 		h:         hash.NewPairwise(rng),
 		levelSeed: rng.Int63(),
 		windowed:  windowed,
@@ -234,15 +392,16 @@ func (r *RoughL0) liveRange() (int, int) {
 func (r *RoughL0) syncLevels() {
 	lo, hi := r.liveRange()
 	for j := range r.levels {
-		if j < lo || j > hi {
-			delete(r.levels, j)
-		}
-	}
-	for j := lo; j <= hi; j++ {
-		if _, ok := r.levels[j]; !ok {
+		switch {
+		case j < lo || j > hi:
+			r.levels[j] = nil
+		case r.levels[j] == nil:
 			r.levels[j] = NewExactSmall(r.levelRNG(j), roughC)
 			r.created[j] = true
 		}
+	}
+	if r.rough != nil {
+		r.syncedAt = r.rough.Estimate()
 	}
 }
 
@@ -253,19 +412,48 @@ func (r *RoughL0) levelRNG(j int) *rand.Rand {
 	return rand.New(rand.NewSource(r.levelSeed ^ (int64(j)+1)*0x5851F42D4C957F2D))
 }
 
-// Update feeds one stream update.
+// Update feeds one stream update: rough estimate, then the window it
+// produces, then the item.
 func (r *RoughL0) Update(i uint64, delta int64) {
 	if r.windowed {
 		r.rough.Update(i)
-		r.syncLevels()
+		if r.rough.Estimate() != r.syncedAt {
+			r.syncLevels()
+		}
 	}
-	lvl := hash.LSB(r.h.Field(i), r.maxLevel)
+	r.apply(i, delta, r.h.Field(i))
+}
+
+// apply routes one update to its level, given the level hash hv = h(i).
+func (r *RoughL0) apply(i uint64, delta int64, hv uint64) {
+	lvl := hash.LSB(hv, r.maxLevel)
 	if lvl > r.maxLevel {
 		lvl = r.maxLevel
 	}
-	if b, ok := r.levels[lvl]; ok {
+	if b := r.levels[lvl]; b != nil {
 		b.Update(i, delta)
 	}
+}
+
+// UpdateColumn feeds a column of updates, state identical to per-item
+// Update: the level hash is batch-evaluated once, the rough estimator
+// cuts the column at each item that moves the window, and the items
+// between cuts apply under one fixed live set. col is scratch of at
+// least 2*len(keys) entries.
+func (r *RoughL0) UpdateColumn(keys []uint64, deltas []int64, col []uint64) {
+	n := len(keys)
+	hv := col[:n]
+	r.h.FieldBatch(keys, hv)
+	apply := func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			r.apply(keys[j], deltas[j], hv[j])
+		}
+	}
+	if !r.windowed {
+		apply(0, n)
+		return
+	}
+	r.rough.CutRuns(keys, col[n:], r.rough.Estimate() == r.syncedAt, r.syncLevels, apply)
 }
 
 // Estimate returns R in [L0, c*L0] with constant probability (c = 110
@@ -276,7 +464,7 @@ func (r *RoughL0) Update(i uint64, delta int64) {
 func (r *RoughL0) Estimate() int64 {
 	best := -1
 	for j, b := range r.levels {
-		if b.CountSaturating() > roughEta && j > best {
+		if b != nil && b.CountSaturating() > roughEta {
 			best = j
 		}
 	}
@@ -288,7 +476,15 @@ func (r *RoughL0) Estimate() int64 {
 
 // LiveLevels reports how many level structures are currently maintained
 // (log n for the baseline, O(window) for Lemma 20).
-func (r *RoughL0) LiveLevels() int { return len(r.levels) }
+func (r *RoughL0) LiveLevels() int {
+	live := 0
+	for _, b := range r.levels {
+		if b != nil {
+			live++
+		}
+	}
+	return live
+}
 
 // Merge folds another RoughL0 built from the same seed into this one:
 // the rough-F0 tracker merges, levels maintained by both add their
@@ -308,11 +504,13 @@ func (r *RoughL0) Merge(other *RoughL0) error {
 		}
 	}
 	for j, ob := range other.levels {
-		if b, ok := r.levels[j]; ok {
-			if err := b.Merge(ob); err != nil {
+		switch {
+		case ob == nil:
+		case r.levels[j] != nil:
+			if err := r.levels[j].Merge(ob); err != nil {
 				return err
 			}
-		} else {
+		default:
 			r.levels[j] = ob.Clone()
 			r.created[j] = true
 		}
@@ -323,26 +521,20 @@ func (r *RoughL0) Merge(other *RoughL0) error {
 
 // Clone returns a deep copy sharing the (immutable) hash function.
 func (r *RoughL0) Clone() *RoughL0 {
-	c := &RoughL0{
-		maxLevel:   r.maxLevel,
-		levels:     make(map[int]*ExactSmall, len(r.levels)),
-		h:          r.h,
-		levelSeed:  r.levelSeed,
-		windowed:   r.windowed,
-		window:     r.window,
-		levelFloor: r.levelFloor,
-		created:    make(map[int]bool, len(r.created)),
-	}
+	c := *r
+	c.created = make(map[int]bool, len(r.created))
 	if r.rough != nil {
 		c.rough = r.rough.Clone()
 	}
 	for j, b := range r.levels {
-		c.levels[j] = b.Clone()
+		if b != nil {
+			c.levels[j] = b.Clone()
+		}
 	}
 	for j := range r.created {
 		c.created[j] = true
 	}
-	return c
+	return &c
 }
 
 // SpaceBits sums the live level structures, the level hash, and the
@@ -350,7 +542,9 @@ func (r *RoughL0) Clone() *RoughL0 {
 func (r *RoughL0) SpaceBits() int64 {
 	var total int64
 	for _, b := range r.levels {
-		total += b.SpaceBits()
+		if b != nil {
+			total += b.SpaceBits()
+		}
 	}
 	total += r.h.SpaceBits()
 	if r.rough != nil {

@@ -89,14 +89,61 @@ func (r *Recovery) Update(x uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	xm := x % nt.MersennePrime61
-	fpx := r.fp.Field(x)
-	dm := fieldOf(delta)
+	e := Entry{delta: delta}
+	e.setTerms(x, r.fp.Field(x))
+	for t := range e.cell {
+		e.cell[t] = uint32(r.bucket(t, x))
+	}
+	r.Apply(&e)
+}
+
+// Entry is one update with every hash-derived quantity evaluated: the
+// three cell indices and the two field terms its cells accumulate. An
+// entry depends only on the hash functions, so one entry serves every
+// sketch that shares them (Sibling, Clone) — the support sampler hashes
+// a key once and applies it to each of its live levels.
+type Entry struct {
+	delta   int64
+	keyTerm uint64 // delta * x      mod p
+	fpTerm  uint64 // delta * fp(x)  mod p
+	cell    [subtables]uint32
+}
+
+func (e *Entry) setTerms(x, fpx uint64) {
+	dm := fieldOf(e.delta)
+	e.keyTerm = nt.MulModMersenne61(dm, x%nt.MersennePrime61)
+	e.fpTerm = nt.MulModMersenne61(dm, fpx)
+}
+
+// HashColumn fills out[j] with the entry of update (keys[j], deltas[j])
+// — the fingerprint and the three bucket hashes batch-evaluated over
+// the key column. deltas must be nonzero; col is scratch of at least
+// len(keys) entries and out must hold len(keys) entries.
+func (r *Recovery) HashColumn(keys []uint64, deltas []int64, col []uint64, out []Entry) {
+	n := len(keys)
+	col, out = col[:n], out[:n]
+	r.fp.FieldBatch(keys, col)
+	for j, x := range keys {
+		out[j].delta = deltas[j]
+		out[j].setTerms(x, col[j])
+	}
 	for t := 0; t < subtables; t++ {
-		c := &r.cells[r.bucket(t, x)]
-		c.count += delta
-		c.keySum = nt.AddModMersenne61(c.keySum, nt.MulModMersenne61(dm, xm))
-		c.fpSum = nt.AddModMersenne61(c.fpSum, nt.MulModMersenne61(dm, fpx))
+		r.hs[t].RangeBatch(keys, uint64(r.perTable), col)
+		base := uint32(t * r.perTable)
+		for j, b := range col {
+			out[j].cell[t] = base + uint32(b)
+		}
+	}
+}
+
+// Apply adds a pre-hashed update; cells and maxCount end exactly as
+// Update would leave them.
+func (r *Recovery) Apply(e *Entry) {
+	for _, ci := range e.cell {
+		c := &r.cells[ci]
+		c.count += e.delta
+		c.keySum = nt.AddModMersenne61(c.keySum, e.keyTerm)
+		c.fpSum = nt.AddModMersenne61(c.fpSum, e.fpTerm)
 		if a := abs64(c.count); a > r.maxCount {
 			r.maxCount = a
 		}
@@ -253,8 +300,7 @@ func (r *Recovery) trySingleton(ci int) (uint64, int64, bool) {
 		return 0, 0, false
 	}
 	cm := fieldOf(c.count)
-	inv := nt.PowMod(cm, nt.MersennePrime61-2, nt.MersennePrime61)
-	x := nt.MulModMersenne61(c.keySum, inv)
+	x := nt.MulModMersenne61(c.keySum, inverse(c.count))
 	if x >= r.universe {
 		return 0, 0, false
 	}
@@ -268,6 +314,39 @@ func (r *Recovery) trySingleton(ci int) (uint64, int64, bool) {
 		return 0, 0, false
 	}
 	return x, c.count, true
+}
+
+// inverse returns fieldOf(count)^-1 in the Mersenne field (0 for a count
+// that is 0 there). Most singletons hold a count of +-1.
+func inverse(count int64) uint64 {
+	switch count {
+	case 1:
+		return 1
+	case -1:
+		return nt.MersennePrime61 - 1
+	}
+	// a^(p-2) by the addition chain for p-2 = 2^61 - 3: x_k denotes
+	// a^(2^k - 1), built by doubling k, and 2^61 - 3 = 4*(2^59 - 1) + 1.
+	// 60 squarings and 11 multiplications with the Mersenne reduction,
+	// against the ~120 division-based steps of the generic nt.PowMod.
+	mul := nt.MulModMersenne61
+	sqr := func(v uint64, times int) uint64 {
+		for ; times > 0; times-- {
+			v = mul(v, v)
+		}
+		return v
+	}
+	a := fieldOf(count)
+	x2 := mul(sqr(a, 1), a)
+	x3 := mul(sqr(x2, 1), a)
+	x6 := mul(sqr(x3, 3), x3)
+	x12 := mul(sqr(x6, 6), x6)
+	x24 := mul(sqr(x12, 12), x12)
+	x48 := mul(sqr(x24, 24), x24)
+	x54 := mul(sqr(x48, 6), x6)
+	x57 := mul(sqr(x54, 3), x3)
+	x59 := mul(sqr(mul(sqr(x57, 1), a), 1), a)
+	return mul(sqr(x59, 2), a)
 }
 
 // remove peels (x, count) out of all three subtables.

@@ -2,8 +2,6 @@ package support
 
 import (
 	"errors"
-	"math/rand"
-	"sort"
 
 	"repro/internal/hash"
 	"repro/internal/l0"
@@ -15,8 +13,7 @@ import (
 // Wire layout of the Figure 8 support sampler: Params (every field —
 // merge compatibility compares them), the level hash, the rough-F0
 // tracker, the hash-sharing sparse-recovery prototype, and each live
-// level's sketch. The restored instance reseeds its rng from the
-// payload; counters and hash wirings are exact.
+// level's sketch; counters and hash wirings are exact.
 const (
 	samplerMagic = "SS"
 	formatV1     = 1
@@ -41,15 +38,13 @@ func (sp *Sampler) MarshalBinary() ([]byte, error) {
 	if err := w.Marshal(sp.proto); err != nil {
 		return nil, err
 	}
-	js := make([]int, 0, len(sp.levels))
-	for j := range sp.levels {
-		js = append(js, j)
-	}
-	sort.Ints(js)
-	w.U32(uint32(len(js)))
-	for _, j := range js {
+	w.U32(uint32(sp.LiveLevels()))
+	for j, lv := range sp.levels {
+		if lv == nil {
+			continue
+		}
 		w.U32(uint32(j))
-		if err := w.Marshal(sp.levels[j].sketch); err != nil {
+		if err := w.Marshal(lv); err != nil {
 			return nil, err
 		}
 	}
@@ -95,7 +90,7 @@ func (sp *Sampler) UnmarshalBinary(data []byte) error {
 	if nLevels < 0 || nLevels > rd.Remaining() {
 		return errors.New("support: bad Sampler level count")
 	}
-	levels := make(map[int]*levelSketch, nLevels)
+	var levels [l0.WindowSlots]*sparse.Recovery
 	for i := 0; i < nLevels; i++ {
 		j := int(rd.U32())
 		sk := &sparse.Recovery{}
@@ -106,10 +101,10 @@ func (sp *Sampler) UnmarshalBinary(data []byte) error {
 		if j > maxLevel {
 			return errors.New("support: Sampler level out of range")
 		}
-		if _, dup := levels[j]; dup {
+		if levels[j] != nil {
 			return errors.New("support: duplicate Sampler level")
 		}
-		levels[j] = &levelSketch{j: j, sketch: sk}
+		levels[j] = sk
 	}
 	if err := rd.Done(); err != nil {
 		return err
@@ -117,7 +112,10 @@ func (sp *Sampler) UnmarshalBinary(data []byte) error {
 	// Every level sketch must share the prototype's wiring, the invariant
 	// Merge and Recover rely on.
 	for _, lv := range levels {
-		if err := proto.Compatible(lv.sketch); err != nil {
+		if lv == nil {
+			continue
+		}
+		if err := proto.Compatible(lv); err != nil {
 			return errors.New("support: level sketch wiring disagrees with prototype")
 		}
 	}
@@ -128,7 +126,7 @@ func (sp *Sampler) UnmarshalBinary(data []byte) error {
 	sp.rough = rough
 	sp.levels = levels
 	sp.proto = proto
-	sp.rng = rand.New(rand.NewSource(wire.Seed(data)))
+	sp.syncedAt = l0.Unsynced
 	sp.maxLiveLevels = maxLiveLevels
 	return nil
 }

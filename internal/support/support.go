@@ -21,6 +21,7 @@ package support
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -69,17 +70,17 @@ type Sampler struct {
 	maxLevel int
 	h        *hash.KWise
 	rough    *l0.RoughF0
-	levels   map[int]*levelSketch
-	proto    *sparse.Recovery // hash-sharing prototype for level sketches
-	rng      *rand.Rand
-	// alwaysFrom: levels >= this index are always maintained (Figure 8's
-	// j >= log(n*s*loglog n / (24 log n)) clause, covering tiny L0).
+	// levels is the live window, indexed by level; nil means the level
+	// is not maintained. Every sketch shares proto's hash functions.
+	levels [l0.WindowSlots]*sparse.Recovery
+	proto  *sparse.Recovery // hash-sharing prototype for level sketches
+	// syncedAt is the rough estimate the live levels were last synced
+	// at. The window is a function of that estimate alone, so updates
+	// re-sync only when it moved; l0.Unsynced (fresh from
+	// UnmarshalBinary) forces the next update to.
+	syncedAt      int64
 	maxLiveLevels int
-}
-
-type levelSketch struct {
-	j      int
-	sketch *sparse.Recovery
+	entries       []sparse.Entry // UpdateColumns scratch: one pre-hashed entry per item
 }
 
 // NewSampler builds a support sampler.
@@ -97,8 +98,6 @@ func NewSampler(rng *rand.Rand, params Params) *Sampler {
 		maxLevel: nt.Log2Ceil(params.N),
 		h:        hash.NewPairwise(rng),
 		rough:    l0.NewRoughF0(rng, 16),
-		levels:   make(map[int]*levelSketch),
-		rng:      rng,
 	}
 	sp.proto = sparse.NewRecovery(rng, sp.s, params.N)
 	sp.syncLevels()
@@ -131,54 +130,50 @@ func (sp *Sampler) liveRange() (int, int) {
 
 func (sp *Sampler) syncLevels() {
 	lo, hi := sp.liveRange()
-	keep := func(j int) bool {
-		if j >= lo && j <= hi {
-			return true
-		}
-		// Figure 8's always-on top levels (they cover streams whose L0
-		// stays below the rough estimator's reliable range).
-		return j > sp.maxLevel-2 && j <= sp.maxLevel
-	}
 	for j := range sp.levels {
-		if !keep(j) {
-			delete(sp.levels, j)
+		// Figure 8's always-on top levels cover streams whose L0 stays
+		// below the rough estimator's reliable range.
+		inWindow := j >= lo && j <= hi
+		alwaysOn := j > sp.maxLevel-2 && j <= sp.maxLevel
+		switch {
+		case !inWindow && !alwaysOn:
+			sp.levels[j] = nil
+		case sp.levels[j] == nil:
+			sp.levels[j] = sp.proto.Sibling()
 		}
 	}
-	for j := 0; j <= sp.maxLevel; j++ {
-		if keep(j) {
-			if _, ok := sp.levels[j]; !ok {
-				sp.levels[j] = &levelSketch{j: j, sketch: sp.proto.Sibling()}
-			}
-		}
+	live := sp.LiveLevels()
+	if live > sp.maxLiveLevels {
+		sp.maxLiveLevels = live
 	}
-	if len(sp.levels) > sp.maxLiveLevels {
-		sp.maxLiveLevels = len(sp.levels)
-	}
+	sp.syncedAt = sp.rough.Estimate()
+	liveLevels.Set(int64(live))
 }
 
-// Update feeds one stream update.
+// windowMoved re-syncs the level window after the rough estimate moved
+// — one window event.
+func (sp *Sampler) windowMoved() {
+	sp.syncLevels()
+	windowEvents.Inc()
+}
+
+// minLevel returns the lowest level that samples an item with level
+// hash hv: i belongs to I_j iff hv < 2^j, i.e. j >= bitlen(hv).
+func minLevel(hv uint64) int { return bits.Len64(hv) }
+
+// Update feeds one stream update: rough estimate, then the level window
+// it produces, then the item.
 func (sp *Sampler) Update(i uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	sp.updateHashed(i, delta, sp.h.Range(i, sp.params.N))
-}
-
-// updateHashed is Update with the level hash h(i) pre-evaluated — the
-// consumption point of the columnar pipeline's pre-hashed level column.
-func (sp *Sampler) updateHashed(i uint64, delta int64, hv uint64) {
 	sp.rough.Update(i)
-	if sp.params.Windowed {
-		sp.syncLevels()
+	if sp.params.Windowed && sp.rough.Estimate() != sp.syncedAt {
+		sp.windowMoved()
 	}
-	// i belongs to I_j iff hv < 2^j, i.e. j >= bitlen(hv).
-	minLevel := 0
-	if hv > 0 {
-		minLevel = nt.Log2Floor(hv) + 1
-	}
-	for j, lv := range sp.levels {
-		if j >= minLevel {
-			lv.sketch.Update(i, delta)
+	for _, lv := range sp.levels[minLevel(sp.h.Range(i, sp.params.N)):] {
+		if lv != nil {
+			lv.Update(i, delta)
 		}
 	}
 }
@@ -192,23 +187,48 @@ func (sp *Sampler) UpdateBatch(batch []stream.Update) {
 	core.PutBatch(b)
 }
 
-// UpdateColumns consumes a pre-planned columnar batch: the level hash
-// is batch-evaluated into one contiguous column, then items apply in
-// order (level liveness moves with the rough estimate, so the apply
-// stage stays per-item). State is identical to the scalar path.
+// UpdateColumns consumes a pre-planned columnar batch: cut at the
+// window events, batch between them. Every level sketch shares the
+// prototype's hash functions, so the level hash, the fingerprint and
+// the three bucket hashes are batch-evaluated ONCE per item into a
+// pre-hashed entry, whichever levels it then reaches; the rough
+// estimator scans the key column and reports the first item that raises
+// R_t — the only kind that can move the level window (Corollary 2: R_t
+// never falls) — the column is cut there, the window re-syncs, and the
+// items between cuts apply their entries to every live level at or
+// above their minimum. Nothing here draws randomness, so state is
+// bit-identical to per-item Update.
 func (sp *Sampler) UpdateColumns(b *core.Batch) {
-	n := b.Len()
-	if n == 0 {
-		return
+	l0.ZeroFreeRuns(b.Idx, b.Delta, func(keys []uint64, deltas []int64) { sp.updateRun(b, keys, deltas) })
+}
+
+// updateRun applies a zero-free column of at most a chunk of updates.
+func (sp *Sampler) updateRun(b *core.Batch, keys []uint64, deltas []int64) {
+	n := len(keys)
+	col := b.Col64(2 * n)
+	hv, scratch := col[:n], col[n:]
+	if cap(sp.entries) < n {
+		sp.entries = make([]sparse.Entry, n)
 	}
-	hv := b.Col64(n)
-	sp.h.RangeBatch(b.Idx, sp.params.N, hv)
-	for j, i := range b.Idx {
-		if b.Delta[j] == 0 {
-			continue
+	entries := sp.entries[:n]
+	sp.proto.HashColumn(keys, deltas, scratch, entries)
+	sp.h.RangeBatch(keys, sp.params.N, hv)
+	apply := func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			for _, lv := range sp.levels[minLevel(hv[j]):] {
+				if lv != nil {
+					lv.Apply(&entries[j])
+				}
+			}
 		}
-		sp.updateHashed(i, b.Delta[j], hv[j])
 	}
+	// Unwindowed, every level is live for good: the rough estimator is
+	// still fed (it is part of the state), its events move nothing.
+	synced, raised := true, func() {}
+	if sp.params.Windowed {
+		synced, raised = sp.rough.Estimate() == sp.syncedAt, sp.windowMoved
+	}
+	sp.rough.CutRuns(keys, scratch, synced, raised, apply)
 }
 
 // Recover returns distinct support coordinates — every one strictly
@@ -217,15 +237,13 @@ func (sp *Sampler) UpdateColumns(b *core.Batch) {
 // min(K, ||f||_0) entries with the probability of Theorem 11.
 func (sp *Sampler) Recover() []uint64 {
 	found := make(map[uint64]bool)
-	// Decode denser (higher) levels last so sparse levels contribute
+	// Denser (higher) levels decode last so sparse levels contribute
 	// first; order is cosmetic since we take a union.
-	order := make([]int, 0, len(sp.levels))
-	for j := range sp.levels {
-		order = append(order, j)
-	}
-	sort.Ints(order)
-	for _, j := range order {
-		vec, err := sp.levels[j].sketch.Decode()
+	for _, lv := range sp.levels {
+		if lv == nil {
+			continue
+		}
+		vec, err := lv.Decode()
 		if err != nil {
 			continue // DENSE level; other levels may still decode
 		}
@@ -251,20 +269,11 @@ func (sp *Sampler) Recover() []uint64 {
 // Recover()'s union: a level below i's minimum never received i, so
 // skipping it cannot change the verdict.
 func (sp *Sampler) Contains(i uint64) bool {
-	hv := sp.h.Range(i, sp.params.N)
-	minLevel := 0
-	if hv > 0 {
-		minLevel = nt.Log2Floor(hv) + 1
-	}
-	order := make([]int, 0, len(sp.levels))
-	for j := range sp.levels {
-		if j >= minLevel {
-			order = append(order, j)
+	for _, lv := range sp.levels[minLevel(sp.h.Range(i, sp.params.N)):] {
+		if lv == nil {
+			continue
 		}
-	}
-	sort.Ints(order)
-	for _, j := range order {
-		vec, err := sp.levels[j].sketch.Decode()
+		vec, err := lv.Decode()
 		if err != nil {
 			continue // DENSE level; sparser evidence may still exist
 		}
@@ -299,18 +308,14 @@ func (sp *Sampler) ProbeBatch(b *core.Batch, keys []uint64, out []bool) {
 	minLv := b.Col64(n)
 	sp.h.RangeBatch(keys, sp.params.N, minLv)
 	for t, hv := range minLv {
-		if hv > 0 {
-			minLv[t] = uint64(nt.Log2Floor(hv)) + 1
-		}
+		minLv[t] = uint64(minLevel(hv))
 		out[t] = false
 	}
-	order := make([]int, 0, len(sp.levels))
-	for j := range sp.levels {
-		order = append(order, j)
-	}
-	sort.Ints(order)
-	for _, j := range order {
-		vec, err := sp.levels[j].sketch.Decode()
+	for j, lv := range sp.levels {
+		if lv == nil {
+			continue
+		}
+		vec, err := lv.Decode()
 		if err != nil {
 			continue // DENSE level; sparser evidence may still exist
 		}
@@ -344,12 +349,14 @@ func (sp *Sampler) Merge(other *Sampler) error {
 		return err
 	}
 	for j, olv := range other.levels {
-		if lv, ok := sp.levels[j]; ok {
-			if err := lv.sketch.Merge(olv.sketch); err != nil {
+		switch lv := sp.levels[j]; {
+		case olv == nil:
+		case lv != nil:
+			if err := lv.Merge(olv); err != nil {
 				return err
 			}
-		} else {
-			sp.levels[j] = &levelSketch{j: j, sketch: olv.sketch.Clone()}
+		default:
+			sp.levels[j] = olv.Clone()
 		}
 	}
 	if other.maxLiveLevels > sp.maxLiveLevels {
@@ -362,32 +369,37 @@ func (sp *Sampler) Merge(other *Sampler) error {
 // Clone returns a deep copy sharing the (immutable) hash functions and
 // sketch prototype.
 func (sp *Sampler) Clone() *Sampler {
-	c := &Sampler{
-		params:        sp.params,
-		s:             sp.s,
-		maxLevel:      sp.maxLevel,
-		h:             sp.h,
-		rough:         sp.rough.Clone(),
-		levels:        make(map[int]*levelSketch, len(sp.levels)),
-		proto:         sp.proto,
-		rng:           rand.New(rand.NewSource(sp.rng.Int63())),
-		maxLiveLevels: sp.maxLiveLevels,
-	}
+	c := *sp
+	c.rough = sp.rough.Clone()
+	c.entries = nil
 	for j, lv := range sp.levels {
-		c.levels[j] = &levelSketch{j: j, sketch: lv.sketch.Clone()}
+		if lv != nil {
+			c.levels[j] = lv.Clone()
+		}
 	}
-	return c
+	return &c
 }
 
 // LiveLevels reports the number of maintained level sketches.
-func (sp *Sampler) LiveLevels() int { return len(sp.levels) }
+func (sp *Sampler) LiveLevels() int {
+	live := 0
+	for _, lv := range sp.levels {
+		if lv != nil {
+			live++
+		}
+	}
+	return live
+}
 
 // SpaceBits sums the live level sketches (at the peak live count), the
 // level hash, and the rough estimator.
 func (sp *Sampler) SpaceBits() int64 {
 	var perLevel int64
 	for _, lv := range sp.levels {
-		if b := lv.sketch.SpaceBits(); b > perLevel {
+		if lv == nil {
+			continue
+		}
+		if b := lv.SpaceBits(); b > perLevel {
 			perLevel = b
 		}
 	}
