@@ -85,7 +85,7 @@ const benchBatchSize = 256
 
 // timeBatches times the batched ingest path: ns/op remains
 // per-update so numbers are directly comparable with timeUpdates.
-func timeBatches(b *testing.B, s *stream.Stream, up func([]stream.Update), m metrics) {
+func timeBatches(b *testing.B, s *stream.Stream, apply func(*core.Batch), m metrics) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
@@ -97,7 +97,7 @@ func timeBatches(b *testing.B, s *stream.Stream, up func([]stream.Update), m met
 			if take := b.N - done; end-off > take {
 				end = off + take
 			}
-			up(s.Updates[off:end])
+			core.UpdateBatch(apply, s.Updates[off:end])
 			done += end - off
 		}
 	}
@@ -136,7 +136,7 @@ func BenchmarkFig1HeavyHittersStrictBatch(b *testing.B) {
 	s, _ := benchHHStream()
 	rng := rand.New(rand.NewSource(benchSeed))
 	fresh := heavy.NewAlphaL1(rng, heavy.AlphaL1Params{N: benchN, Eps: benchEps, Mode: heavy.Strict, Alpha: benchAlpha})
-	timeBatches(b, s, fresh.UpdateBatch, metrics{})
+	timeBatches(b, s, fresh.UpdateColumns, metrics{})
 }
 
 // BenchmarkFig1HeavyHittersGeneral — Figure 1 row 2: eps-HH, general
@@ -393,7 +393,7 @@ func BenchmarkFig3AlphaL1SamplerBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(benchSeed))
 	p := sampler.Params{N: 64, Eps: 0.25, Alpha: 2, S: 1 << 18}
 	fresh := sampler.New(rng, p, 4)
-	timeBatches(b, s, fresh.UpdateBatch, metrics{})
+	timeBatches(b, s, fresh.UpdateColumns, metrics{})
 }
 
 // BenchmarkFig4AlphaL1Estimator — Figure 4 / Theorem 6.

@@ -111,7 +111,7 @@ func (h *HeavyHitters) Update(i uint64, delta int64) { h.impl.Update(i, delta) }
 // UpdateBatch feeds a batch of updates in one call — the preferred
 // high-throughput ingest path: per-call overhead amortizes across the
 // batch and candidate tracking refreshes once per distinct index.
-func (h *HeavyHitters) UpdateBatch(batch []Update) { h.impl.UpdateBatch(batch) }
+func (h *HeavyHitters) UpdateBatch(batch []Update) { core.UpdateBatch(h.UpdateColumns, batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch (plan → hash →
 // apply): the CSSS rows hash a whole key column in one batch
@@ -214,13 +214,7 @@ func (e *L1Estimator) Update(i uint64, delta int64) {
 }
 
 // UpdateBatch feeds a batch of updates in one call.
-func (e *L1Estimator) UpdateBatch(batch []Update) {
-	if e.strict != nil {
-		e.strict.UpdateBatch(batch)
-	} else {
-		e.general.UpdateBatch(batch)
-	}
-}
+func (e *L1Estimator) UpdateBatch(batch []Update) { core.UpdateBatch(e.UpdateColumns, batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch.
 func (e *L1Estimator) UpdateColumns(b *Batch) {
@@ -277,7 +271,7 @@ func NewL0Estimator(cfg Config, opts ...Option) (*L0Estimator, error) {
 func (e *L0Estimator) Update(i uint64, delta int64) { e.impl.Update(i, delta) }
 
 // UpdateBatch feeds a batch of updates in one call.
-func (e *L0Estimator) UpdateBatch(batch []Update) { e.impl.UpdateBatch(batch) }
+func (e *L0Estimator) UpdateBatch(batch []Update) { core.UpdateBatch(e.UpdateColumns, batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch: the column is cut
 // at the items that move the row window and each run between cuts is
@@ -347,7 +341,7 @@ func (s *L1Sampler) Update(i uint64, delta int64) { s.impl.Update(i, delta) }
 // UpdateBatch feeds a batch of updates in one call; the distinct-index
 // candidate refresh is computed once and shared across the sampler's
 // parallel copies.
-func (s *L1Sampler) UpdateBatch(batch []Update) { s.impl.UpdateBatch(batch) }
+func (s *L1Sampler) UpdateBatch(batch []Update) { core.UpdateBatch(s.UpdateColumns, batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch.
 func (s *L1Sampler) UpdateColumns(b *Batch) { s.impl.UpdateColumns(b) }
@@ -394,7 +388,7 @@ func NewSupportSampler(cfg Config, opts ...Option) (*SupportSampler, error) {
 func (s *SupportSampler) Update(i uint64, delta int64) { s.impl.Update(i, delta) }
 
 // UpdateBatch feeds a batch of updates in one call.
-func (s *SupportSampler) UpdateBatch(batch []Update) { s.impl.UpdateBatch(batch) }
+func (s *SupportSampler) UpdateBatch(batch []Update) { core.UpdateBatch(s.UpdateColumns, batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch: each item is
 // hashed once for all levels, the column is cut at the items that move
@@ -487,7 +481,7 @@ func NewInnerProduct(cfg Config, opts ...Option) (*InnerProduct, error) {
 func (ip *InnerProduct) Update(i uint64, delta int64) { ip.impl.UpdateF(i, delta) }
 
 // UpdateBatch feeds a batch of updates to the first stream f.
-func (ip *InnerProduct) UpdateBatch(batch []Update) { ip.impl.UpdateBatchF(batch) }
+func (ip *InnerProduct) UpdateBatch(batch []Update) { core.UpdateBatch(ip.UpdateColumns, batch) }
 
 // UpdateF feeds an update to the first stream (alias of Update).
 func (ip *InnerProduct) UpdateF(i uint64, delta int64) { ip.impl.UpdateF(i, delta) }
@@ -497,10 +491,10 @@ func (ip *InnerProduct) UpdateG(i uint64, delta int64) { ip.impl.UpdateG(i, delt
 
 // UpdateBatchF feeds a batch of updates to the first stream (alias of
 // UpdateBatch).
-func (ip *InnerProduct) UpdateBatchF(batch []Update) { ip.impl.UpdateBatchF(batch) }
+func (ip *InnerProduct) UpdateBatchF(batch []Update) { core.UpdateBatch(ip.UpdateColumns, batch) }
 
 // UpdateBatchG feeds a batch of updates to the second stream.
-func (ip *InnerProduct) UpdateBatchG(batch []Update) { ip.impl.UpdateBatchG(batch) }
+func (ip *InnerProduct) UpdateBatchG(batch []Update) { core.UpdateBatch(ip.UpdateColumnsG, batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch to the first
 // stream; UpdateColumnsG feeds the second.
@@ -558,7 +552,7 @@ func NewSyncSketch(cfg Config, opts ...Option) (*SyncSketch, error) {
 func (s *SyncSketch) Update(i uint64, delta int64) { s.impl.Update(i, delta) }
 
 // UpdateBatch feeds a batch of updates in one call.
-func (s *SyncSketch) UpdateBatch(batch []Update) { s.impl.UpdateBatch(batch) }
+func (s *SyncSketch) UpdateBatch(batch []Update) { core.UpdateBatch(s.UpdateColumns, batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch: the fingerprint
 // column is hashed once and each IBLT subtable applies it in one
@@ -622,7 +616,7 @@ func NewL2HeavyHitters(cfg Config, opts ...Option) (*L2HeavyHitters, error) {
 func (h *L2HeavyHitters) Update(i uint64, delta int64) { h.impl.Update(i, delta) }
 
 // UpdateBatch feeds a batch of updates in one call.
-func (h *L2HeavyHitters) UpdateBatch(batch []Update) { h.impl.UpdateBatch(batch) }
+func (h *L2HeavyHitters) UpdateBatch(batch []Update) { core.UpdateBatch(h.UpdateColumns, batch) }
 
 // UpdateColumns feeds a pre-planned columnar batch to both the
 // insertion-pass and verifier Count-Sketches.

@@ -179,8 +179,6 @@ func parseAlphas(s string) []float64 {
 	return out
 }
 
-func median(xs []float64) float64 { return core.Median(xs) }
-
 // --- Figure 1 rows ---------------------------------------------------
 
 // hhTable has two sections. Accuracy rows sweep alpha at the paper's
@@ -203,8 +201,8 @@ func hhTable(alphas []float64, mode heavy.Mode) *core.Table {
 			rng := rand.New(rand.NewSource(*seed + int64(100+r)))
 			alg := heavy.NewAlphaL1(rng, heavy.AlphaL1Params{N: n, Eps: eps, Mode: mode, Alpha: a})
 			base := heavy.NewCountSketchHH(rng, n, eps, mode, 8, 7)
-			alg.UpdateBatch(s.Updates)
-			base.UpdateBatch(s.Updates)
+			core.UpdateBatch(alg.UpdateColumns, s.Updates)
+			core.UpdateBatch(base.UpdateColumns, s.Updates)
 			got := alg.HeavyHitters()
 			recA = append(recA, core.Recall(got, want))
 			spurA = append(spurA, 1-core.Precision(got, allowed))
@@ -213,10 +211,10 @@ func hhTable(alphas []float64, mode heavy.Mode) *core.Table {
 			bitsB = append(bitsB, float64(base.SpaceBits()))
 		}
 		t.Add(fmt.Sprintf("alpha=%g", a),
-			fmt.Sprintf("%.2f", median(recA)), fmt.Sprintf("%.2f", median(spurA)),
-			fmt.Sprintf("%.2f", median(recB)),
-			core.HumanBits(int64(median(bitsA))), core.HumanBits(int64(median(bitsB))),
-			fmt.Sprintf("%.2fx", median(bitsB)/median(bitsA)))
+			fmt.Sprintf("%.2f", core.Median(recA)), fmt.Sprintf("%.2f", core.Median(spurA)),
+			fmt.Sprintf("%.2f", core.Median(recB)),
+			core.HumanBits(int64(core.Median(bitsA))), core.HumanBits(int64(core.Median(bitsB))),
+			fmt.Sprintf("%.2fx", core.Median(bitsB)/core.Median(bitsA)))
 	}
 	// Space shape: m sweep at alpha = 8 with a fixed sampling budget.
 	// Larger m is reached by scaling update magnitudes (the structures
@@ -262,19 +260,19 @@ func innerTable(alphas []float64) *core.Table {
 			alg := inner.New(rng, inner.Params{N: n, Eps: 0.1, Base: int64(16 * a * a * 10), Rows: 5})
 			cs1 := sketch.NewCountSketch(rng, 5, 256)
 			cs2 := sketch.NewCountSketchWithBuckets(cs1.Buckets())
-			alg.UpdateBatchF(f1.Updates)
-			cs1.UpdateBatch(f1.Updates)
-			alg.UpdateBatchG(f2.Updates)
-			cs2.UpdateBatch(f2.Updates)
+			core.UpdateBatch(alg.UpdateColumnsF, f1.Updates)
+			core.UpdateBatch(cs1.UpdateColumns, f1.Updates)
+			core.UpdateBatch(alg.UpdateColumnsG, f2.Updates)
+			core.UpdateBatch(cs2.UpdateColumns, f2.Updates)
 			errA = append(errA, math.Abs(alg.Estimate()-want)/norm)
 			errB = append(errB, math.Abs(float64(cs1.InnerProduct(cs2))-want)/norm)
 			bitsA = append(bitsA, float64(alg.SpaceBits()))
 			bitsB = append(bitsB, float64(cs1.SpaceBits()+cs2.SpaceBits()))
 		}
 		t.Add(fmt.Sprintf("alpha=%g", a),
-			fmt.Sprintf("%.4f", median(errA)), fmt.Sprintf("%.4f", median(errB)),
-			core.HumanBits(int64(median(bitsA))), core.HumanBits(int64(median(bitsB))),
-			fmt.Sprintf("%.2fx", median(bitsB)/median(bitsA)))
+			fmt.Sprintf("%.4f", core.Median(errA)), fmt.Sprintf("%.4f", core.Median(errB)),
+			core.HumanBits(int64(core.Median(bitsA))), core.HumanBits(int64(core.Median(bitsB))),
+			fmt.Sprintf("%.2fx", core.Median(bitsB)/core.Median(bitsA)))
 	}
 	return t
 }
@@ -288,15 +286,15 @@ func l1StrictTable(alphas []float64) *core.Table {
 			want := float64(s.Materialize().L1())
 			rng := rand.New(rand.NewSource(*seed + int64(300+r)))
 			alg := l1.New(rng, int64(32*a))
-			alg.UpdateBatch(s.Updates)
+			core.UpdateBatch(alg.UpdateColumns, s.Updates)
 			errA = append(errA, core.RelErr(alg.Estimate(), want))
 			bitsA = append(bitsA, float64(alg.SpaceBits()))
 		}
 		counterBits := 64.0
 		t.Add(fmt.Sprintf("alpha=%g", a),
-			fmt.Sprintf("%.3f", median(errA)),
-			core.HumanBits(int64(median(bitsA))), core.HumanBits(int64(counterBits)),
-			fmt.Sprintf("%.2fx", counterBits/median(bitsA)))
+			fmt.Sprintf("%.3f", core.Median(errA)),
+			core.HumanBits(int64(core.Median(bitsA))), core.HumanBits(int64(counterBits)),
+			fmt.Sprintf("%.2fx", counterBits/core.Median(bitsA)))
 	}
 	// Space shape vs m (alpha = 2): the structure stays at
 	// O(log(alpha/eps) + loglog m) bits while an exact counter needs
@@ -343,16 +341,16 @@ func l1GeneralTable(alphas []float64) *core.Table {
 			}
 			alg := cauchy.NewSampledSketch(rng, 192, 32, 6, sampleBase, 10)
 			base := cauchy.NewSketch(rng, 192, 32, 6)
-			alg.UpdateBatch(s.Updates)
-			base.UpdateBatch(s.Updates)
+			core.UpdateBatch(alg.UpdateColumns, s.Updates)
+			core.UpdateBatch(base.UpdateColumns, s.Updates)
 			errA = append(errA, core.RelErr(alg.Estimate(), want))
 			errB = append(errB, core.RelErr(base.LnCosEstimate(), want))
 			cbA = append(cbA, float64(alg.MaxCounterBits()))
 			cbB = append(cbB, float64(base.MaxCounterBits()))
 		}
 		t.Add(fmt.Sprintf("alpha=%g", a),
-			fmt.Sprintf("%.3f", median(errA)), fmt.Sprintf("%.3f", median(errB)),
-			fmt.Sprintf("%.0f", median(cbA)), fmt.Sprintf("%.0f", median(cbB)))
+			fmt.Sprintf("%.3f", core.Median(errA)), fmt.Sprintf("%.3f", core.Median(errB)),
+			fmt.Sprintf("%.0f", core.Median(cbA)), fmt.Sprintf("%.0f", core.Median(cbB)))
 	}
 	return t
 }
@@ -368,8 +366,8 @@ func l0Table(alphas []float64) *core.Table {
 			rng := rand.New(rand.NewSource(*seed + int64(500+r)))
 			alg := l0.NewEstimator(rng, l0.Params{N: n, Eps: 0.1, Windowed: true, Window: l0.RecommendedWindow(a, 0.1)})
 			base := l0.NewEstimator(rng, l0.Params{N: n, Eps: 0.1})
-			alg.UpdateBatch(s.Updates)
-			base.UpdateBatch(s.Updates)
+			core.UpdateBatch(alg.UpdateColumns, s.Updates)
+			core.UpdateBatch(base.UpdateColumns, s.Updates)
 			errA = append(errA, core.RelErr(alg.Estimate(), want))
 			errB = append(errB, core.RelErr(base.Estimate(), want))
 			rowsA = append(rowsA, float64(alg.LiveRows()))
@@ -378,10 +376,10 @@ func l0Table(alphas []float64) *core.Table {
 			bitsB = append(bitsB, float64(base.SpaceBits()))
 		}
 		t.Add(fmt.Sprintf("alpha=%g", a),
-			fmt.Sprintf("%.3f", median(errA)), fmt.Sprintf("%.3f", median(errB)),
-			fmt.Sprintf("%.0f", median(rowsA)), fmt.Sprintf("%.0f", median(rowsB)),
-			core.HumanBits(int64(median(bitsA))), core.HumanBits(int64(median(bitsB))),
-			fmt.Sprintf("%.2fx", median(bitsB)/median(bitsA)))
+			fmt.Sprintf("%.3f", core.Median(errA)), fmt.Sprintf("%.3f", core.Median(errB)),
+			fmt.Sprintf("%.0f", core.Median(rowsA)), fmt.Sprintf("%.0f", core.Median(rowsB)),
+			core.HumanBits(int64(core.Median(bitsA))), core.HumanBits(int64(core.Median(bitsB))),
+			fmt.Sprintf("%.2fx", core.Median(bitsB)/core.Median(bitsA)))
 	}
 	return t
 }
@@ -403,7 +401,7 @@ func samplerTable(alphas []float64) *core.Table {
 		var bitsA, bitsB float64
 		for trial := 0; trial < trials; trial++ {
 			sp := sampler.New(rng, p, 16)
-			sp.UpdateBatch(s.Updates)
+			core.UpdateBatch(sp.UpdateColumns, s.Updates)
 			if res, ok := sp.Sample(); ok {
 				succ++
 				counts[res.Index]++
@@ -411,7 +409,9 @@ func samplerTable(alphas []float64) *core.Table {
 			if trial == 0 {
 				bitsA = float64(sp.SpaceBits())
 				base := sampler.NewBaseline(rng, p, 16)
-				base.UpdateBatch(s.Updates)
+				for _, u := range s.Updates {
+					base.Update(u.Index, u.Delta)
+				}
 				bitsB = float64(base.SpaceBits())
 			}
 		}
@@ -457,8 +457,8 @@ func supportTable(alphas []float64) *core.Table {
 			rng := rand.New(rand.NewSource(*seed + int64(700+r)))
 			alg := support.NewSampler(rng, support.Params{N: n, K: k, Windowed: true, Window: support.RecommendedWindow(a)})
 			base := support.NewSampler(rng, support.Params{N: n, K: k})
-			alg.UpdateBatch(s.Updates)
-			base.UpdateBatch(s.Updates)
+			core.UpdateBatch(alg.UpdateColumns, s.Updates)
+			core.UpdateBatch(base.UpdateColumns, s.Updates)
 			got := alg.Recover()
 			for _, i := range got {
 				if v[i] == 0 {
@@ -476,10 +476,10 @@ func supportTable(alphas []float64) *core.Table {
 			valid = "NO"
 		}
 		t.Add(fmt.Sprintf("alpha=%g", a),
-			fmt.Sprintf("%.0f/%d", median(rec), k), valid,
-			fmt.Sprintf("%.0f", median(lvA)), fmt.Sprintf("%.0f", median(lvB)),
-			core.HumanBits(int64(median(bitsA))), core.HumanBits(int64(median(bitsB))),
-			fmt.Sprintf("%.2fx", median(bitsB)/median(bitsA)))
+			fmt.Sprintf("%.0f/%d", core.Median(rec), k), valid,
+			fmt.Sprintf("%.0f", core.Median(lvA)), fmt.Sprintf("%.0f", core.Median(lvB)),
+			core.HumanBits(int64(core.Median(bitsA))), core.HumanBits(int64(core.Median(bitsB))),
+			fmt.Sprintf("%.2fx", core.Median(bitsB)/core.Median(bitsA)))
 	}
 	return t
 }
@@ -518,7 +518,7 @@ func serTable() *core.Table {
 	}
 	for _, sc := range structures {
 		sk := must(sc.make())
-		sk.UpdateBatch(s.Updates)
+		core.UpdateBatch(sk.UpdateColumns, s.Updates)
 		// Median-of-reps marshal and unmarshal timings.
 		var data []byte
 		var marshalNS, unmarshalNS []float64
@@ -539,8 +539,8 @@ func serTable() *core.Table {
 		}
 		t.Add(sc.name,
 			fmt.Sprintf("%d", len(data)),
-			time.Duration(median(marshalNS)).String(),
-			time.Duration(median(unmarshalNS)).String(),
+			time.Duration(core.Median(marshalNS)).String(),
+			time.Duration(core.Median(unmarshalNS)).String(),
 			core.HumanBits(sk.SpaceBits()))
 	}
 	return t
@@ -554,7 +554,7 @@ func engTable() *core.Table {
 
 	single := must(bounded.NewHeavyHitters(cfg))
 	start := time.Now()
-	single.UpdateBatch(s.Updates)
+	core.UpdateBatch(single.UpdateColumns, s.Updates)
 	baseTime := time.Since(start)
 	want := single.HeavyHitters()
 	t.Add("single-writer", baseTime.Round(time.Millisecond).String(), "1.00x", "-", "-", "-",
@@ -728,7 +728,7 @@ func l0RowsTable(alphas []float64) *core.Table {
 		rng := rand.New(rand.NewSource(*seed))
 		alg := l0.NewEstimator(rng, l0.Params{N: n, Eps: 0.1, Windowed: true, Window: win})
 		s := gen.SensorOccupancy(gen.Config{N: n, Items: 20000, Alpha: a, Seed: *seed})
-		alg.UpdateBatch(s.Updates)
+		core.UpdateBatch(alg.UpdateColumns, s.Updates)
 		t.Add(fmt.Sprintf("alpha=%g", a),
 			fmt.Sprintf("%d", win), fmt.Sprintf("%d", alg.LiveRows()),
 			fmt.Sprintf("%d", nt.Log2Ceil(n)+1))
@@ -756,12 +756,12 @@ func l2Table(alphas []float64) *core.Table {
 			v := st.Materialize()
 			want := v.L2HeavyHitters(0.25)
 			alg := heavy.NewAlphaL2(rng, n, 0.25, a)
-			alg.UpdateBatch(st.Updates)
+			core.UpdateBatch(alg.UpdateColumns, st.Updates)
 			rec = append(rec, core.Recall(alg.HeavyHitters(), want))
 			bits = append(bits, float64(alg.SpaceBits()))
 		}
 		t.Add(fmt.Sprintf("alpha=%g", a),
-			fmt.Sprintf("%.2f", median(rec)), core.HumanBits(int64(median(bits))))
+			fmt.Sprintf("%.2f", core.Median(rec)), core.HumanBits(int64(core.Median(bits))))
 	}
 	return t
 }
@@ -772,7 +772,7 @@ func lbTable() *core.Table {
 		inst := gen.AdversarialInd(*seed, 1<<16, 0.05, 1000, level)
 		rng := rand.New(rand.NewSource(*seed + int64(level)))
 		alg := heavy.NewAlphaL1(rng, heavy.AlphaL1Params{N: 1 << 16, Eps: 0.05, Mode: heavy.Strict, Alpha: 1e6})
-		alg.UpdateBatch(inst.Stream.Updates)
+		core.UpdateBatch(alg.UpdateColumns, inst.Stream.Updates)
 		got := alg.HeavyHitters()
 		t.Add(fmt.Sprintf("query level %d", inst.QueryLevel),
 			fmt.Sprintf("%d", inst.QueryLevel),
@@ -791,8 +791,8 @@ func ab1Table() *core.Table {
 	const k = 32
 	a := csss.New(rng, csss.Params{Rows: 7, K: k, S: 1 << 13})
 	d := sketch.NewCountSketch(rng, 7, 6*k)
-	a.UpdateBatch(s.Updates)
-	d.UpdateBatch(s.Updates)
+	core.UpdateBatch(a.UpdateColumns, s.Updates)
+	core.UpdateBatch(d.UpdateColumns, s.Updates)
 	var errA, errD float64
 	for _, e := range top {
 		errA += math.Abs(a.Query(e.Index) - float64(e.Value))
@@ -830,14 +830,14 @@ func ab2Table() *core.Table {
 		for r := 0; r < *reps; r++ {
 			rng := rand.New(rand.NewSource(*seed + int64(1100+r)))
 			e := l0.NewEstimator(rng, l0.Params{N: 1 << 30, Eps: 0.1, Windowed: true, Window: win})
-			e.UpdateBatch(s.Updates)
+			core.UpdateBatch(e.UpdateColumns, s.Updates)
 			errs = append(errs, core.RelErr(e.Estimate(), want))
 			rows = append(rows, float64(e.LiveRows()))
 			bits = append(bits, float64(e.SpaceBits()))
 		}
 		t.Add(fmt.Sprintf("window=%d", win),
-			fmt.Sprintf("%.3f", median(errs)), fmt.Sprintf("%.0f", median(rows)),
-			core.HumanBits(int64(median(bits))))
+			fmt.Sprintf("%.3f", core.Median(errs)), fmt.Sprintf("%.0f", core.Median(rows)),
+			core.HumanBits(int64(core.Median(bits))))
 	}
 	return t
 }
@@ -852,14 +852,14 @@ func ab3Table() *core.Table {
 		rng := rand.New(rand.NewSource(*seed + int64(1200+r)))
 		am := l1.New(rng, 64)
 		ae := l1.NewExactClock(rng, 64)
-		am.UpdateBatch(s.Updates)
-		ae.UpdateBatch(s.Updates)
+		core.UpdateBatch(am.UpdateColumns, s.Updates)
+		core.UpdateBatch(ae.UpdateColumns, s.Updates)
 		mErrs = append(mErrs, core.RelErr(am.Estimate(), want))
 		eErrs = append(eErrs, core.RelErr(ae.Estimate(), want))
 		mBits, eBits = am.SpaceBits(), ae.SpaceBits()
 	}
-	t.Add("Morris clock", fmt.Sprintf("%.3f", median(mErrs)), core.HumanBits(mBits))
-	t.Add("exact clock", fmt.Sprintf("%.3f", median(eErrs)), core.HumanBits(eBits))
+	t.Add("Morris clock", fmt.Sprintf("%.3f", core.Median(mErrs)), core.HumanBits(mBits))
+	t.Add("exact clock", fmt.Sprintf("%.3f", core.Median(eErrs)), core.HumanBits(eBits))
 	return t
 }
 
@@ -874,7 +874,7 @@ func f2Table() *core.Table {
 	for _, budget := range []int64{1 << 11, 1 << 13, 1 << 15} {
 		rng := rand.New(rand.NewSource(*seed + budget))
 		sk := csss.New(rng, csss.Params{Rows: 7, K: 32, S: budget})
-		sk.UpdateBatch(s.Updates)
+		core.UpdateBatch(sk.UpdateColumns, s.Updates)
 		var errSum float64
 		for _, e := range top {
 			errSum += math.Abs(sk.Query(e.Index) - float64(e.Value))
@@ -907,12 +907,12 @@ func f4Table() *core.Table {
 		for r := 0; r < 5**reps; r++ {
 			rng := rand.New(rand.NewSource(*seed + int64(2000+r)))
 			a := l1.New(rng, base)
-			a.UpdateBatch(s.Updates)
+			core.UpdateBatch(a.UpdateColumns, s.Updates)
 			errs = append(errs, core.RelErr(a.Estimate(), want))
 			bits = a.SpaceBits()
 		}
 		t.Add(fmt.Sprintf("base=%d", base),
-			fmt.Sprintf("%.3f", median(errs)), core.HumanBits(bits))
+			fmt.Sprintf("%.3f", core.Median(errs)), core.HumanBits(bits))
 	}
 	return t
 }
@@ -928,12 +928,12 @@ func f5Table() *core.Table {
 		for r := 0; r < *reps; r++ {
 			rng := rand.New(rand.NewSource(*seed + int64(2100+r)))
 			sk := cauchy.NewSketch(rng, rows, 32, 6)
-			sk.UpdateBatch(s.Updates)
+			core.UpdateBatch(sk.UpdateColumns, s.Updates)
 			errs = append(errs, core.RelErr(sk.LnCosEstimate(), want))
 			bits = sk.SpaceBits()
 		}
 		t.Add(fmt.Sprintf("r=%d", rows),
-			fmt.Sprintf("%.3f", median(errs)), core.HumanBits(bits))
+			fmt.Sprintf("%.3f", core.Median(errs)), core.HumanBits(bits))
 	}
 	return t
 }
@@ -948,12 +948,12 @@ func f6Table() *core.Table {
 		for r := 0; r < *reps; r++ {
 			rng := rand.New(rand.NewSource(*seed + int64(2200+r)))
 			e := l0.NewEstimator(rng, l0.Params{N: 1 << 30, Eps: eps})
-			e.UpdateBatch(s.Updates)
+			core.UpdateBatch(e.UpdateColumns, s.Updates)
 			errs = append(errs, core.RelErr(e.Estimate(), want))
 			bits = append(bits, float64(e.SpaceBits()))
 		}
 		t.Add(fmt.Sprintf("eps=%.2f", eps),
-			fmt.Sprintf("%.3f", median(errs)), core.HumanBits(int64(median(bits))))
+			fmt.Sprintf("%.3f", core.Median(errs)), core.HumanBits(int64(core.Median(bits))))
 	}
 	return t
 }
@@ -971,7 +971,7 @@ func f8Table() *core.Table {
 			N: 1 << 30, K: k, SparsityFactor: factor,
 			Windowed: true, Window: support.RecommendedWindow(8),
 		})
-		sp.UpdateBatch(s.Updates)
+		core.UpdateBatch(sp.UpdateColumns, s.Updates)
 		got := sp.Recover()
 		valid := "yes"
 		for _, i := range got {

@@ -1,12 +1,13 @@
 // Command benchjson converts `go test -bench` text output into a stable
-// JSON document, so CI can archive a machine-readable performance
-// baseline (BENCH_1.json) and future changes can diff their benchmark
-// trajectory against it instead of eyeballing logs.
+// JSON document, so CI gates (allocation-free update paths, calibration
+// provenance, the batched point-query ratio) read fields instead of
+// scraping logs. It is not the benchmark: that is bench/ — see
+// bench/README.md and BENCHMARK.json.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkFig1' -benchmem | go run ./cmd/benchjson -out BENCH_1.json
-//	go run ./cmd/benchjson -in bench.txt -out BENCH_1.json
+//	go test -run '^$' -bench 'BenchmarkFig1' -benchmem | go run ./cmd/benchjson -out BENCH_1.ci.json
+//	go run ./cmd/benchjson -in bench.txt -out BENCH_1.ci.json
 //
 // Each benchmark line has the shape
 //

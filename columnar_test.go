@@ -85,3 +85,76 @@ func TestPublicUpdateColumns(t *testing.T) {
 		t.Fatalf("columnar sync sketch differs from scalar: %v", diff)
 	}
 }
+
+// TestIngestRolesAgree is the three-role ingest contract over every
+// public structure: UpdateBatch is plan + UpdateColumns and nothing
+// else, so feeding the same chunks through UpdateBatch and through an
+// explicit PlanBatch + UpdateColumns must leave byte-identical
+// MarshalBinary state; and where a structure's batch path is
+// bit-identical to the per-item oracle as STATE (not just as answers),
+// per-item Update must leave those same bytes too. The three
+// tracker-bearing structures are held to the oracle by answers instead
+// (TestPublicUpdateColumns, the internal differentials): a batch offers
+// each distinct index once with its final estimate, the per-item path
+// offers after every update, so the candidate heap's layout — not its
+// decisions — can differ.
+func TestIngestRolesAgree(t *testing.T) {
+	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 12000, Alpha: 4, Zipf: 1.4, Seed: 9})
+	cfg := Config{N: 1 << 12, Eps: 0.1, Alpha: 4, Seed: 77}
+	type feed struct {
+		item    func(i uint64, delta int64)
+		batch   func([]Update)
+		columns func(*Batch)
+	}
+	first := func(sk Sketch) feed { return feed{sk.Update, sk.UpdateBatch, sk.UpdateColumns} }
+	second := func(sk Sketch) feed {
+		ip := sk.(*InnerProduct)
+		return feed{ip.UpdateG, ip.UpdateBatchG, ip.UpdateColumnsG}
+	}
+	for _, tc := range []struct {
+		name      string
+		build     func() Sketch
+		feed      func(Sketch) feed
+		itemBytes bool // per-item Update leaves the batch path's bytes
+	}{
+		{"HeavyHitters", func() Sketch { return must(NewHeavyHitters(cfg)) }, first, false},
+		{"HeavyHitters/general", func() Sketch { return must(NewHeavyHitters(cfg, WithStrict(false))) }, first, false},
+		{"L1Estimator", func() Sketch { return must(NewL1Estimator(cfg)) }, first, true},
+		{"L1Estimator/general", func() Sketch { return must(NewL1Estimator(cfg, WithStrict(false))) }, first, true},
+		{"L0Estimator", func() Sketch { return must(NewL0Estimator(cfg)) }, first, true},
+		{"L1Sampler", func() Sketch { return must(NewL1Sampler(cfg, WithCopies(2))) }, first, false},
+		{"SupportSampler", func() Sketch { return must(NewSupportSampler(cfg, WithK(8))) }, first, true},
+		{"InnerProduct/f", func() Sketch { return must(NewInnerProduct(cfg)) }, first, true},
+		{"InnerProduct/g", func() Sketch { return must(NewInnerProduct(cfg)) }, second, true},
+		{"L2HeavyHitters", func() Sketch { return must(NewL2HeavyHitters(cfg)) }, first, false},
+		{"SyncSketch", func() Sketch { return must(NewSyncSketch(cfg, WithCapacity(128))) }, first, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			byBatch, byColumns, byItem := tc.build(), tc.build(), tc.build()
+			fb, fc, fi := tc.feed(byBatch), tc.feed(byColumns), tc.feed(byItem)
+			for off, k := 0, 0; off < len(s.Updates); k++ {
+				end := min(off+[]int{1, 7, 513, 64, 1024}[k%5], len(s.Updates))
+				chunk := s.Updates[off:end]
+				fb.batch(chunk)
+				b := PlanBatch(chunk)
+				fc.columns(b)
+				PutBatch(b)
+				for _, u := range chunk {
+					fi.item(u.Index, u.Delta)
+				}
+				off = end
+			}
+			fb.batch(nil) // an empty batch is a no-op on every path
+			want := must(byBatch.MarshalBinary())
+			if got := must(byColumns.MarshalBinary()); !bytes.Equal(got, want) {
+				t.Fatal("PlanBatch + UpdateColumns state differs from UpdateBatch state")
+			}
+			if got := must(byItem.MarshalBinary()); tc.itemBytes && !bytes.Equal(got, want) {
+				t.Fatal("per-item Update state differs from UpdateBatch state")
+			}
+			if byItem.SpaceBits() != byBatch.SpaceBits() {
+				t.Fatalf("SpaceBits: per-item %d, batch %d", byItem.SpaceBits(), byBatch.SpaceBits())
+			}
+		})
+	}
+}

@@ -98,6 +98,16 @@
 // three lines above; examples/distributedmerge runs the whole exchange
 // across real OS processes.
 //
+// A site's whole state is a list of these envelopes, one per structure,
+// each tagged with its engine.Structures bit. The partitioned engine
+// snapshot, the aggregator checkpoint and the SNAPSHOT frame all ship
+// that one list layout (wire.Blob: one writer, one count-bounded
+// reader), and one function admits it on receipt, engine.DecodeBlobs:
+// a single known bit inside the receiver's accept set, not repeated,
+// the payload's kind the one the engine's table gives that bit, the
+// payload's Config echo equal to the receiver's Config, then
+// UnmarshalSketch — every blob decoded before any is committed.
+//
 // # Performance
 //
 // The update pipeline is allocation-free in steady state and built for
@@ -123,10 +133,10 @@
 //	BenchmarkFig1HeavyHittersStrict   669 ns/op  1 alloc/op  ->  184 ns/op  0 allocs/op  (3.6x; 4.1x on min-vs-min)
 //	BenchmarkFig3AlphaL1Sampler      3059 ns/op  4 allocs/op -> 1002 ns/op  0 allocs/op  (3.1x)
 //
-// BENCH_1.json at the repository root archives the full post-change
-// baseline (regenerate with `go test -run '^$' -bench 'Fig1|Fig2|Fig3'
-// -benchmem | go run ./cmd/benchjson`); CI re-emits it on every push so
-// future PRs can diff their perf trajectory.
+// Those are one host's numbers at one commit. The repository's
+// benchmark is bench/ (bench/README.md, BENCHMARK.json): regime-pinned
+// workloads, end-to-end metrics and a per-layer ledger, compared as
+// same-run A/B pairs against the parent commit.
 //
 // Beneath the batch evaluators sits a dispatchable kernel layer
 // (internal/hash): the inner loops — Horner chains over 2^61 - 1,
@@ -154,8 +164,8 @@
 // families, or comma-separated family=value pairs), purego builds
 // skip both and keep the scalar loops. hash.KernelCutovers and
 // hash.KernelCutoverSource expose the resolved values; cmd/benchjson
-// archives them with every baseline. Same-run ratios on the
-// BENCH_8.json reference host: 1.85x on BucketSignsBatch at 1024
+// records them in every report. Same-run ratios on a 1-CPU Xeon
+// reference host: 1.85x on BucketSignsBatch at 1024
 // keys vs scalar (2.35x at 4096), 7.9x on MedianOf7Cols, 1.9x on row
 // gathers. GOAMD64 does not change dispatch (detection is runtime
 // CPUID), and single-CPU hosts see the full win — the kernels
@@ -170,6 +180,12 @@
 //	// ... append network reads ...
 //	hh.UpdateBatch(batch) // one call per structure per batch
 //
+// The three ingest entry points have three roles, stated once beside
+// the one shared helper (core.UpdateBatch): Update is the per-item
+// ORACLE the differential tests hold the batch path to (it keeps its
+// own scalar hashing because it is the reference), UpdateColumns is
+// the PATH, and UpdateBatch is plan + UpdateColumns and nothing else.
+//
 // Internally every batch runs a three-stage columnar pipeline:
 //
 //  1. PLAN — the batch is laid out as contiguous index and delta
@@ -183,7 +199,8 @@
 //  3. APPLY — the counter tables are swept row-major against the
 //     pre-hashed columns (sequential column reads, one cache-resident
 //     table row at a time), and candidate tracking re-estimates the
-//     batch's DISTINCT indices in one further batched hash pass.
+//     batch's DISTINCT indices in one further batched hash pass (one
+//     shared step, topk.Refresher, for every tracker-bearing structure).
 //
 // Once CSSS is sampling (sampling exponent p >= 1, the regime past 2S
 // units where a long-lived monitor spends its life) two steps run
@@ -235,7 +252,7 @@
 //	Prober             Contains(i) bool          SupportSampler
 //
 // (The authoritative table is the compile-time assert block in
-// querier.go, next to the _ Sketch = ... block.)
+// querier.go; kindTable in sketch.go is its Sketch counterpart.)
 //
 // Batched reads run the same plan → hash → apply shape as batched
 // writes, with "apply" replaced by "gather": EstimateBatch hashes the
@@ -356,9 +373,9 @@
 // engine.cloneShards, engine.mergeShards, shard.apply) when tracing is
 // enabled. Building with -tags noobs compiles the whole layer out
 // (zero-size counters, no-op recording; Stats reads zero except Shards
-// and SnapshotBuilds, which stays exact in every flavor); BENCH_6.json
-// records the enabled build at parity with the noobs build on the
-// Fig1 ingest paths, and CI enforces a <2% overhead budget.
+// and SnapshotBuilds, which stays exact in every flavor); CI measures
+// the enabled build against the noobs build on the Fig1 ingest paths
+// and enforces a <2% overhead budget.
 //
 // # Networked aggregation
 //
@@ -383,7 +400,11 @@
 // Because snapshots carry full state, a resend after a lost ACK or a
 // reconnect REPLACES the agent's prior contribution rather than
 // double-counting, and the aggregator commits each snapshot
-// atomically (every blob decodes or none applies). In the sketches'
+// atomically (every blob decodes or none applies), admitting blobs
+// through engine.DecodeBlobs: a blob whose Config echo differs is
+// refused at SNAPSHOT time (ERROR reply, nothing committed, the state
+// already held keeps answering), and a checkpoint carrying one is
+// refused on open. In the sketches'
 // exact regimes the aggregator's answers are bit-identical to one
 // engine fed every site's stream — asserted over real loopback
 // sockets, mid-run reconnect included, by internal/netagg's

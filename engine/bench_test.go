@@ -14,10 +14,10 @@ import (
 // throughput through the engine on the Figure 1 heavy-hitters workload,
 // across shard counts. ns/op is wall-clock per ingested update with S
 // producers feeding S shards concurrently, flushed before the clock
-// stops — the number BENCH_2.json archives. Scaling with shard count
-// requires cores: on a single-CPU host the curve is flat (the workers
-// time-share), which the BENCH_2.json note records alongside the
-// numbers.
+// stops. Scaling with shard count requires cores: on a single-CPU host
+// the curve is flat (the workers time-share). This is a probe; the
+// curve of record is the `engine.shard_scaling` ledger row of bench/
+// (bench/README.md, BENCHMARK.json).
 func BenchmarkEngineIngest(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

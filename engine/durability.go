@@ -23,8 +23,8 @@ import (
 // blobs, ascending bit order. It runs inside the shard goroutine
 // (serialized with the shard's ingest), so it reads consistent state
 // without cloning.
-func (s structSet) marshalBlobs() ([]wire.PartBlob, error) {
-	var blobs []wire.PartBlob
+func (s structSet) marshalBlobs() ([]wire.Blob, error) {
+	var blobs []wire.Blob
 	for i, sk := range s {
 		if sk == nil {
 			continue
@@ -33,7 +33,7 @@ func (s structSet) marshalBlobs() ([]wire.PartBlob, error) {
 		if err != nil {
 			return nil, err
 		}
-		blobs = append(blobs, wire.PartBlob{Bit: uint32(kinds[i].bit), Payload: payload})
+		blobs = append(blobs, wire.Blob{Bit: uint32(kinds[i].bit), Payload: payload})
 	}
 	return blobs, nil
 }
@@ -62,7 +62,7 @@ func (e *Engine) SnapshotPartitioned() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := make([][]wire.PartBlob, len(e.workers))
+	shards := make([][]wire.Blob, len(e.workers))
 	errs := make([]error, len(e.workers))
 	e.eachShard(func(s int) { shards[s], errs[s] = e.sets[s].marshalBlobs() })
 	for _, err := range errs {
@@ -156,40 +156,17 @@ func (e *Engine) RestorePartitioned(data []byte) error {
 	// Decode and validate EVERYTHING before touching any shard.
 	decoded := make([]structSet, len(ps.Shards))
 	for si, blobs := range ps.Shards {
+		sks, err := DecodeBlobs(blobs, snapStructs, e.cfg)
+		if err != nil {
+			return fmt.Errorf("engine: shard %d: %w", si, err)
+		}
 		set := make(structSet, len(kinds))
 		var seen Structures
-		for _, b := range blobs {
+		for j, b := range blobs {
 			bit := Structures(b.Bit)
-			row, ok := bit.row()
-			if !ok {
-				return fmt.Errorf("engine: shard %d blob with malformed structure bit %#x", si, b.Bit)
-			}
-			if bit&snapStructs == 0 {
-				return fmt.Errorf("engine: shard %d blob %s outside the header structure set %s", si, bit, snapStructs)
-			}
-			if seen&bit != 0 {
-				return fmt.Errorf("engine: shard %d carries structure %s twice", si, bit)
-			}
+			row, _ := bit.row()
+			set[row] = sks[j]
 			seen |= bit
-			// The tag must name what the payload holds, so a snapshot
-			// cannot file an L1 estimator under the heavy-hitters slot.
-			kind, err := bounded.SketchKind(b.Payload)
-			if err != nil {
-				return fmt.Errorf("engine: shard %d structure %s: %w", si, bit, err)
-			}
-			if kind != kinds[row].kind {
-				return fmt.Errorf("engine: shard %d blob tagged %s holds a %s", si, bit, kind)
-			}
-			bcfg, err := bounded.SketchConfig(b.Payload)
-			if err != nil {
-				return fmt.Errorf("engine: shard %d structure %s: %w", si, bit, err)
-			}
-			if bcfg != e.cfg {
-				return fmt.Errorf("engine: shard %d structure %s built from Config %+v, engine has %+v", si, bit, bcfg, e.cfg)
-			}
-			if set[row], err = bounded.UnmarshalSketch(b.Payload); err != nil {
-				return fmt.Errorf("engine: shard %d structure %s: %w", si, bit, err)
-			}
 		}
 		if seen != snapStructs {
 			return fmt.Errorf("engine: shard %d carries structures %s, header promises %s", si, seen, snapStructs)

@@ -93,6 +93,7 @@ import (
 	"repro/internal/hash"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // Structures selects which sketches every shard maintains; combine with
@@ -178,6 +179,66 @@ func (s Structures) Kind() (bounded.Kind, bool) {
 		return 0, false
 	}
 	return kinds[i].kind, true
+}
+
+// Bits lists the single-structure bits set in s in table order (low to
+// high) — the canonical blob order of every container that ships one
+// blob per structure. Bits outside the table are not listed.
+func (s Structures) Bits() []Structures {
+	var out []Structures
+	for _, k := range kinds {
+		if s&k.bit != 0 {
+			out = append(out, k.bit)
+		}
+	}
+	return out
+}
+
+// DecodeBlobs is the one admission check for bit-tagged sketch blobs
+// arriving from outside the process: a partitioned snapshot's shard
+// list, a SNAPSHOT frame, a checkpointed agent table. Each blob must be
+// filed under a single known structure bit inside accept, at most once;
+// its payload must hold the wire kind the table gives that bit (an L1
+// estimator cannot be filed under the heavy-hitters slot), echo exactly
+// cfg (same seed ⇒ same hash wirings ⇒ mergeable — a foreign Config
+// admitted here would poison every later Merge), and unmarshal. The
+// sketches come back parallel to blobs, and only once every blob has
+// passed, so a caller commits all of a list or none of it.
+func DecodeBlobs(blobs []wire.Blob, accept Structures, cfg bounded.Config) ([]bounded.Sketch, error) {
+	out := make([]bounded.Sketch, len(blobs))
+	var seen Structures
+	for j, b := range blobs {
+		bit := Structures(b.Bit)
+		row, ok := bit.row()
+		if !ok {
+			return nil, fmt.Errorf("blob tagged %s, not a single known structure", bit)
+		}
+		if bit&accept == 0 {
+			return nil, fmt.Errorf("structure %s outside the accepted set %s", bit, accept)
+		}
+		if seen&bit != 0 {
+			return nil, fmt.Errorf("structure %s carried twice", bit)
+		}
+		seen |= bit
+		kind, err := bounded.SketchKind(b.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("structure %s: %w", bit, err)
+		}
+		if kind != kinds[row].kind {
+			return nil, fmt.Errorf("blob tagged %s holds a %s", bit, kind)
+		}
+		bcfg, err := bounded.SketchConfig(b.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("structure %s: %w", bit, err)
+		}
+		if bcfg != cfg {
+			return nil, fmt.Errorf("structure %s built from Config %+v, receiver has %+v", bit, bcfg, cfg)
+		}
+		if out[j], err = bounded.UnmarshalSketch(b.Payload); err != nil {
+			return nil, fmt.Errorf("structure %s: %w", bit, err)
+		}
+	}
+	return out, nil
 }
 
 // String names the set by its kinds ("HeavyHitters|SupportSampler");

@@ -34,6 +34,7 @@ import (
 	bounded "repro"
 	"repro/engine"
 	"repro/internal/netproto"
+	"repro/internal/wire"
 )
 
 const (
@@ -103,9 +104,9 @@ func runSite(site int) {
 		engine.HeavyHitters: hh,
 		engine.L1Estimator:  l1,
 	} {
-		snap.Sketches = append(snap.Sketches, netproto.SketchBlob{
-			StructureBit: uint32(bit),
-			Payload:      must(sk.MarshalBinary()),
+		snap.Sketches = append(snap.Sketches, wire.Blob{
+			Bit:     uint32(bit),
+			Payload: must(sk.MarshalBinary()),
 		})
 	}
 	if err := mw.Write(snap); err != nil {

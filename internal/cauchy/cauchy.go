@@ -103,7 +103,7 @@ func (s *Sketch) entryAPrime(j int, i uint64) float64 {
 // Update adds delta to coordinate i of the underlying frequency vector.
 func (s *Sketch) Update(i uint64, delta int64) {
 	d := float64(delta)
-	s.m += absInt64(delta)
+	s.m += stream.Abs64(delta)
 	for j := range s.y {
 		s.y[j] += s.entryA(j, i) * d
 		if a := math.Abs(s.y[j]); a > s.maxAbs {
@@ -118,15 +118,6 @@ func (s *Sketch) Update(i uint64, delta int64) {
 	}
 }
 
-// UpdateBatch applies a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (s *Sketch) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	s.UpdateColumns(b)
-	core.PutBatch(b)
-}
-
 // UpdateColumns applies a pre-planned columnar batch accumulator-major:
 // each dense counter folds the whole batch in one straight-line loop
 // before the next counter is touched. Every accumulator sees its adds
@@ -135,7 +126,7 @@ func (s *Sketch) UpdateBatch(batch []stream.Update) {
 func (s *Sketch) UpdateColumns(b *core.Batch) {
 	idx, deltas := b.Idx, b.Delta
 	for _, d := range deltas {
-		s.m += absInt64(d)
+		s.m += stream.Abs64(d)
 	}
 	for j := range s.y {
 		acc := s.y[j]
@@ -310,7 +301,7 @@ func NewSampledSketch(rng *rand.Rand, r, rPrime, k int, base int64, fpBits uint)
 // Update feeds an update, expanding |delta| into unit updates (each unit
 // sampled independently at every live level's rate).
 func (s *SampledSketch) Update(i uint64, delta int64) {
-	mag := absInt64(delta)
+	mag := stream.Abs64(delta)
 	sign := int64(1)
 	if delta < 0 {
 		sign = -1
@@ -325,15 +316,6 @@ func (s *SampledSketch) Update(i uint64, delta int64) {
 			s.addTo(lv, i, sign)
 		}
 	}
-}
-
-// UpdateBatch applies a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (s *SampledSketch) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	s.UpdateColumns(b)
-	core.PutBatch(b)
 }
 
 // UpdateColumns consumes a pre-planned columnar batch. The sampled
@@ -360,14 +342,14 @@ func (s *SampledSketch) addTo(lv *sampledLevel, i uint64, sign int64) {
 	for j := range lv.y {
 		c := int64(math.Round(cauchyFromUnit(s.hA.Unit(entryKey(j, i))) * unit))
 		lv.y[j] += sign * c
-		if a := absInt64(lv.y[j]); a > s.maxCount {
+		if a := stream.Abs64(lv.y[j]); a > s.maxCount {
 			s.maxCount = a
 		}
 	}
 	for j := range lv.yPrime {
 		c := int64(math.Round(cauchyFromUnit(s.hAPrime.Unit(entryKey(j, i))) * unit))
 		lv.yPrime[j] += sign * c
-		if a := absInt64(lv.yPrime[j]); a > s.maxCount {
+		if a := stream.Abs64(lv.yPrime[j]); a > s.maxCount {
 			s.maxCount = a
 		}
 	}
@@ -560,11 +542,4 @@ func medianAbsScratch(xs, scratch []float64) (float64, []float64) {
 		return a[n/2], scratch
 	}
 	return (a[n/2-1] + a[n/2]) / 2, scratch
-}
-
-func absInt64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -24,7 +25,7 @@ func TestSketchColumnarMatchesScalar(t *testing.T) {
 		if end > len(s.Updates) {
 			end = len(s.Updates)
 		}
-		b.UpdateBatch(s.Updates[off:end])
+		core.UpdateBatch(b.UpdateColumns, s.Updates[off:end])
 		off = end
 	}
 	if ma, mb := a.MedianEstimate(), b.MedianEstimate(); ma != mb {

@@ -75,6 +75,27 @@ func (b *Batch) LoadUpdates(us []stream.Update) {
 	}
 }
 
+// UpdateBatch is the array-of-structs convenience entry of every
+// structure: plan the updates into a pooled Batch, hand it to the
+// structure's UpdateColumns, return the batch. It is the one place the
+// ingest contract's three roles meet:
+//
+//   - Update(i, delta) is the per-item ORACLE — the reference the
+//     differential tests hold the batch path to; it keeps its own
+//     scalar hashing because it is the reference, not a fast path;
+//   - UpdateColumns(b) is the PATH — plan → hash → apply over a
+//     columnar batch, what the engine's shards call directly;
+//   - UpdateBatch(updates) is plan + UpdateColumns, nothing else, so no
+//     structure carries a wrapper of its own.
+//
+// apply receives the batch for the duration of the call only.
+func UpdateBatch(apply func(*Batch), updates []stream.Update) {
+	b := GetBatch()
+	b.LoadUpdates(updates)
+	apply(b)
+	PutBatch(b)
+}
+
 // LoadKeys replaces the batch contents with a bare index column (the
 // delta column stays empty) — the plan step for batched READS, where
 // only indices flow: load the query set once, then hand the batch to

@@ -81,7 +81,7 @@ func feedBoth(t *testing.T, a, b *Sketch, us []stream.Update) {
 		for _, u := range us[off:end] {
 			a.Update(u.Index, u.Delta)
 		}
-		b.UpdateBatch(us[off:end])
+		core.UpdateBatch(b.UpdateColumns, us[off:end])
 		requireSameState(t, a, b)
 		off = end
 	}
@@ -191,7 +191,7 @@ func TestRegimeCountersRoutes(t *testing.T) {
 	sk := New(rand.New(rand.NewSource(7)), Params{Rows: 7, K: 8, S: S})
 	before := DispatchStats()
 	for off := 0; off < n; off += 1000 {
-		sk.UpdateBatch(us[off : off+1000])
+		core.UpdateBatch(sk.UpdateColumns, us[off:off+1000])
 	}
 	after := DispatchStats()
 	if !obs.Enabled {
@@ -297,7 +297,7 @@ func TestUpdateColumnsExtremeDeltas(t *testing.T) {
 		for _, u := range us {
 			a.Update(u.Index, u.Delta)
 		}
-		b.UpdateBatch(us)
+		core.UpdateBatch(b.UpdateColumns, us)
 		requireSameState(t, a, b)
 		if a.Position() != 3+5+1<<40+2+2*maxCount+1+1 {
 			t.Fatalf("S=%d: position %d", s, a.Position())
@@ -323,7 +323,7 @@ func TestUpdateColumnsRateOneExact(t *testing.T) {
 	for _, u := range us {
 		a.Update(u.Index, u.Delta)
 	}
-	b.UpdateBatch(us)
+	core.UpdateBatch(b.UpdateColumns, us)
 	for i := uint64(0); i < 256; i++ {
 		if qa, qb := a.Query(i), b.Query(i); qa != qb {
 			t.Fatalf("Query(%d): scalar %v, columnar %v", i, qa, qb)

@@ -55,7 +55,6 @@ import (
 	"repro/internal/nt"
 	"repro/internal/order"
 	"repro/internal/sample"
-	"repro/internal/stream"
 )
 
 // Params configures a CSSampSim sketch.
@@ -174,15 +173,6 @@ func New(rng *rand.Rand, params Params) *Sketch {
 // thinning (Section 1.3 / Remark 2 of the paper).
 func (s *Sketch) Update(i uint64, delta int64) {
 	s.UpdateWeighted(i, delta, 1.0)
-}
-
-// UpdateBatch applies a batch of updates through the columnar
-// pipeline (see UpdateColumns).
-func (s *Sketch) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	s.UpdateColumns(b)
-	core.PutBatch(b)
 }
 
 // UpdateColumns applies a pre-planned columnar batch as a sequence of

@@ -7,8 +7,8 @@ import (
 )
 
 // Kernel microbenchmarks, parameterized by registered kernel table so
-// one run produces the scalar-vs-vector comparison BENCH_*.json
-// records. ns/key is the headline metric: total kernel time divided by
+// one run produces the scalar-vs-vector comparison in the same
+// process. ns/key is the headline metric: total kernel time divided by
 // keys processed (buckets amortize rows into each key).
 
 func benchKeys(n int) []uint64 {

@@ -35,7 +35,7 @@ func TestAlphaL1ColumnarMatchesScalar(t *testing.T) {
 				if end > len(s.Updates) {
 					end = len(s.Updates)
 				}
-				b.UpdateBatch(s.Updates[off:end])
+				core.UpdateBatch(b.UpdateColumns, s.Updates[off:end])
 				off = end
 			}
 			if pa, pb := a.sk.SampleExponent(), b.sk.SampleExponent(); pa != pb || (pb > 0) != (tc.budget > 0) {
@@ -61,7 +61,7 @@ func TestAlphaL1ColumnarMatchesScalar(t *testing.T) {
 func TestAlphaL1QueryColumnsMatchesScalar(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 1 << 14, Items: 30000, Alpha: 4, Zipf: 1.5, Seed: 9})
 	h := NewAlphaL1(rand.New(rand.NewSource(31)), AlphaL1Params{N: 1 << 14, Eps: 0.05, Mode: Strict, Alpha: 4})
-	h.UpdateBatch(s.Updates)
+	core.UpdateBatch(h.UpdateColumns, s.Updates)
 	keys := make([]uint64, 0, 256)
 	for i := uint64(0); i < 1<<14; i += 97 {
 		keys = append(keys, i)
@@ -84,7 +84,7 @@ func TestAlphaL1QueryColumnsMatchesScalar(t *testing.T) {
 func TestAlphaL2QueryColumnsMatchesScalar(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 15000, Alpha: 4, Zipf: 1.4, Seed: 15})
 	h := NewAlphaL2(rand.New(rand.NewSource(37)), 1<<12, 0.25, 4)
-	h.UpdateBatch(s.Updates)
+	core.UpdateBatch(h.UpdateColumns, s.Updates)
 	keys := make([]uint64, 0, 128)
 	for i := uint64(0); i < 1<<12; i += 37 {
 		keys = append(keys, i)
@@ -116,7 +116,7 @@ func TestAlphaL2ColumnarMatchesScalar(t *testing.T) {
 		if end > len(s.Updates) {
 			end = len(s.Updates)
 		}
-		b.UpdateBatch(s.Updates[off:end])
+		core.UpdateBatch(b.UpdateColumns, s.Updates[off:end])
 	}
 	if !reflect.DeepEqual(a.HeavyHitters(), b.HeavyHitters()) {
 		t.Fatalf("HeavyHitters: scalar %v, columnar %v", a.HeavyHitters(), b.HeavyHitters())

@@ -26,7 +26,6 @@ import (
 	"repro/internal/csss"
 	"repro/internal/nt"
 	"repro/internal/sketch"
-	"repro/internal/stream"
 	"repro/internal/topk"
 )
 
@@ -42,6 +41,81 @@ const (
 	General
 )
 
+// l1Scale is R, the L1 scale the 3 eps R / 4 rule thresholds against —
+// stated once for AlphaL1 and its dense baseline. In the strict
+// turnstile model R is an exact running sum (Theorem 4); in the general
+// model it is a constant-factor Cauchy median (Fact 1 / Theorem 3), and
+// l1Est is nil exactly when the scale is exact.
+type l1Scale struct {
+	l1Exact int64          // Strict mode: running sum of deltas
+	maxL1   int64          // Strict mode: high-water mark, for SpaceBits
+	l1Est   *cauchy.Sketch // General mode: constant-factor estimator
+}
+
+func newL1Scale(rng *rand.Rand, mode Mode) l1Scale {
+	if mode == Strict {
+		return l1Scale{}
+	}
+	// Fact 1: a constant-factor L1 suffices; 32 median rows give
+	// (1 +- 1/4) with good probability.
+	return l1Scale{l1Est: cauchy.NewSketch(rng, 4, 32, 4)}
+}
+
+func (r *l1Scale) add(delta int64) {
+	r.l1Exact += delta
+	r.maxL1 = max(r.maxL1, r.l1Exact)
+}
+
+func (r *l1Scale) update(i uint64, delta int64) {
+	if r.l1Est != nil {
+		r.l1Est.Update(i, delta)
+		return
+	}
+	r.add(delta)
+}
+
+func (r *l1Scale) updateColumns(b *core.Batch) {
+	if r.l1Est != nil {
+		r.l1Est.UpdateColumns(b)
+		return
+	}
+	for _, d := range b.Delta {
+		r.add(d)
+	}
+}
+
+// merge folds another scale of the same mode into r.
+func (r *l1Scale) merge(other *l1Scale) error {
+	if r.l1Est != nil {
+		return r.l1Est.Merge(other.l1Est)
+	}
+	r.add(other.l1Exact)
+	r.maxL1 = max(r.maxL1, other.maxL1)
+	return nil
+}
+
+func (r *l1Scale) value() float64 {
+	if r.l1Est != nil {
+		return r.l1Est.MedianEstimate()
+	}
+	return float64(r.l1Exact)
+}
+
+func (r *l1Scale) spaceBits() int64 {
+	if r.l1Est != nil {
+		return r.l1Est.SpaceBits()
+	}
+	return int64(nt.BitsFor(uint64(r.maxL1))) + 1
+}
+
+func (r *l1Scale) clone() l1Scale {
+	c := *r
+	if r.l1Est != nil {
+		c.l1Est = r.l1Est.Clone()
+	}
+	return c
+}
+
 // AlphaL1 is the Section 3 heavy hitters structure.
 type AlphaL1 struct {
 	mode    Mode
@@ -49,14 +123,9 @@ type AlphaL1 struct {
 	sk      *csss.Sketch
 	tracker *topk.Tracker
 	n       uint64
+	scale   l1Scale
 
-	l1Exact int64          // Strict mode: running sum of deltas
-	l1Est   *cauchy.Sketch // General mode: constant-factor estimator
-	maxL1   int64
-
-	batchSeen map[uint64]struct{} // scratch for stream.DistinctColumn
-	distinct  []uint64
-	estBuf    []float64 // scratch for the batched candidate refresh
+	refresh topk.Refresher[float64]
 }
 
 // AlphaL1Params configures AlphaL1.
@@ -103,88 +172,28 @@ func NewAlphaL1(rng *rand.Rand, p AlphaL1Params) *AlphaL1 {
 		tracker: topk.New(4 * int(math.Ceil(1/p.Eps))),
 		n:       p.N,
 	}
-	if p.Mode == General {
-		// Fact 1: a constant-factor L1 suffices; 32 median rows give
-		// (1 +- 1/4) with good probability.
-		h.l1Est = cauchy.NewSketch(rng, 4, 32, 4)
-	}
+	h.scale = newL1Scale(rng, p.Mode) // after the sketch: the rng draw order is part of the seed contract
 	return h
 }
 
 // Update feeds one stream update.
 func (h *AlphaL1) Update(i uint64, delta int64) {
-	h.ingest(i, delta)
-	h.tracker.Offer(i, h.sk.Query(i))
-}
-
-// ingest feeds the sketch and the L1 scale without touching the
-// candidate tracker.
-func (h *AlphaL1) ingest(i uint64, delta int64) {
 	h.sk.Update(i, delta)
-	switch h.mode {
-	case Strict:
-		h.l1Exact += delta
-		if h.l1Exact > h.maxL1 {
-			h.maxL1 = h.l1Exact
-		}
-	case General:
-		h.l1Est.Update(i, delta)
-	}
-}
-
-// UpdateBatch feeds a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (h *AlphaL1) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	h.UpdateColumns(b)
-	core.PutBatch(b)
+	h.scale.update(i, delta)
+	h.tracker.Offer(i, h.sk.Query(i))
 }
 
 // UpdateColumns feeds a pre-planned columnar batch. The CSSS sketch
 // consumes the columns directly (each run applies row-major off one
-// batch hash evaluation of the updates its thin step kept); the L1
-// scale ingests the delta column; the
-// candidate tracker is refreshed once per DISTINCT index at the end of
-// the batch — the CSSS median query is the dominant per-update cost of
-// the scalar path, and an index updated k times in one batch needs
-// only its final estimate offered.
+// batch hash evaluation of the updates its thin step kept), the L1
+// scale ingests the delta column, and the candidate tracker is
+// refreshed once per distinct index at the end of the batch (see
+// topk.Refresher).
 func (h *AlphaL1) UpdateColumns(b *core.Batch) {
 	h.sk.UpdateColumns(b)
-	switch h.mode {
-	case Strict:
-		for _, d := range b.Delta {
-			h.l1Exact += d
-			if h.l1Exact > h.maxL1 {
-				h.maxL1 = h.l1Exact
-			}
-		}
-	case General:
-		h.l1Est.UpdateColumns(b)
-	}
-	if h.batchSeen == nil {
-		h.batchSeen = make(map[uint64]struct{}, 256)
-	}
-	h.distinct = stream.DistinctColumn(h.distinct[:0], h.batchSeen, b.Idx)
-	// Batched refresh: hash ALL distinct indices in one pass (reusing
-	// the batch's column scratch — the sketch is done with it) and
-	// offer the fresh estimates.
-	if cap(h.estBuf) < len(h.distinct) {
-		h.estBuf = make([]float64, len(h.distinct))
-	}
-	est := h.estBuf[:len(h.distinct)]
-	h.sk.QueryColumns(b, h.distinct, est)
-	for j, i := range h.distinct {
-		h.tracker.Offer(i, est[j])
-	}
-}
-
-// scale returns R, the L1 scale estimate.
-func (h *AlphaL1) scale() float64 {
-	if h.mode == Strict {
-		return float64(h.l1Exact)
-	}
-	return h.l1Est.MedianEstimate()
+	h.scale.updateColumns(b)
+	h.refresh.Distinct(b.Idx)
+	h.refresh.Offer(h.tracker, b, h.sk)
 }
 
 // HeavyHitters returns every tracked item whose CSSS estimate crosses
@@ -195,22 +204,18 @@ func (h *AlphaL1) scale() float64 {
 // reads) instead of one Query per candidate; estimates, and hence the
 // returned set, are bit-identical either way.
 func (h *AlphaL1) HeavyHitters() []uint64 {
-	r := h.scale()
-	thr := 3 * h.eps * r / 4
+	thr := 3 * h.eps * h.scale.value() / 4
 	cand := h.tracker.Candidates()
 	if len(cand) == 0 {
 		return nil
 	}
-	if cap(h.estBuf) < len(cand) {
-		h.estBuf = make([]float64, len(cand))
-	}
-	est := h.estBuf[:len(cand)]
+	est := make([]float64, len(cand))
 	b := core.GetBatch()
 	h.sk.QueryColumns(b, cand, est)
 	core.PutBatch(b)
 	var out []uint64
 	for j, i := range cand {
-		if abs(est[j]) >= thr {
+		if math.Abs(est[j]) >= thr {
 			out = append(out, i)
 		}
 	}
@@ -246,19 +251,8 @@ func (h *AlphaL1) Merge(other *AlphaL1) error {
 	if err := h.sk.Merge(other.sk); err != nil {
 		return err
 	}
-	switch h.mode {
-	case Strict:
-		h.l1Exact += other.l1Exact
-		if h.l1Exact > h.maxL1 {
-			h.maxL1 = h.l1Exact
-		}
-		if other.maxL1 > h.maxL1 {
-			h.maxL1 = other.maxL1
-		}
-	case General:
-		if err := h.l1Est.Merge(other.l1Est); err != nil {
-			return err
-		}
+	if err := h.scale.merge(&other.scale); err != nil {
+		return err
 	}
 	return h.tracker.Merge(other.tracker, h.sk.Query)
 }
@@ -266,31 +260,20 @@ func (h *AlphaL1) Merge(other *AlphaL1) error {
 // Clone returns a deep copy (snapshot) safe to hand to another
 // goroutine for merge-and-query while the original keeps ingesting.
 func (h *AlphaL1) Clone() *AlphaL1 {
-	c := &AlphaL1{
+	return &AlphaL1{
 		mode:    h.mode,
 		eps:     h.eps,
 		sk:      h.sk.Clone(),
 		tracker: h.tracker.Clone(),
 		n:       h.n,
-		l1Exact: h.l1Exact,
-		maxL1:   h.maxL1,
+		scale:   h.scale.clone(),
 	}
-	if h.l1Est != nil {
-		c.l1Est = h.l1Est.Clone()
-	}
-	return c
 }
 
 // SpaceBits charges the CSSS sketch, the scale estimator, and the
 // candidate tracker.
 func (h *AlphaL1) SpaceBits() int64 {
-	total := h.sk.SpaceBits() + h.tracker.SpaceBits(h.n)
-	if h.mode == Strict {
-		total += int64(nt.BitsFor(uint64(h.maxL1))) + 1
-	} else {
-		total += h.l1Est.SpaceBits()
-	}
-	return total
+	return h.sk.SpaceBits() + h.tracker.SpaceBits(h.n) + h.scale.spaceBits()
 }
 
 // CountSketchHH is the unbounded-deletion baseline: a full-width
@@ -300,14 +283,10 @@ type CountSketchHH struct {
 	eps     float64
 	sk      *sketch.CountSketch
 	tracker *topk.Tracker
-	mode    Mode
 	n       uint64
-	l1Exact int64
-	maxL1   int64
-	l1Est   *cauchy.Sketch
+	scale   l1Scale
 
-	batchSeen map[uint64]struct{}
-	distinct  []uint64
+	refresh topk.Refresher[int64]
 }
 
 // NewCountSketchHH builds the baseline with K = ceil(quality/eps)
@@ -327,72 +306,32 @@ func NewCountSketchHH(rng *rand.Rand, n uint64, eps float64, mode Mode, quality 
 		eps:     eps,
 		sk:      sketch.NewCountSketch(rng, rows, k),
 		tracker: topk.New(4 * int(math.Ceil(1/eps))),
-		mode:    mode,
 		n:       n,
 	}
-	if mode == General {
-		b.l1Est = cauchy.NewSketch(rng, 4, 32, 4)
-	}
+	b.scale = newL1Scale(rng, mode)
 	return b
 }
 
 // Update feeds one update.
 func (b *CountSketchHH) Update(i uint64, delta int64) {
-	b.ingest(i, delta)
+	b.sk.Update(i, delta)
+	b.scale.update(i, delta)
 	b.tracker.Offer(i, float64(b.sk.Query(i)))
 }
 
-// ingest feeds the sketch and the L1 scale without touching the
-// candidate tracker — the shared body of Update and UpdateBatch.
-func (b *CountSketchHH) ingest(i uint64, delta int64) {
-	b.sk.Update(i, delta)
-	if b.mode == Strict {
-		b.l1Exact += delta
-		if b.l1Exact > b.maxL1 {
-			b.maxL1 = b.l1Exact
-		}
-	} else {
-		b.l1Est.Update(i, delta)
-	}
-}
-
-// UpdateBatch feeds a batch of updates through the columnar pipeline
-// (see AlphaL1.UpdateColumns for the distinct-index tracker refresh).
-func (b *CountSketchHH) UpdateBatch(batch []stream.Update) {
-	cb := core.GetBatch()
-	cb.LoadUpdates(batch)
-	b.UpdateColumns(cb)
-	core.PutBatch(cb)
-}
-
 // UpdateColumns feeds a pre-planned columnar batch (the baseline's
-// dense Count-Sketch applies it row-major off one batch hash pass).
+// dense Count-Sketch applies it row-major off one batch hash pass),
+// with the same per-distinct-index tracker refresh as AlphaL1.
 func (b *CountSketchHH) UpdateColumns(cb *core.Batch) {
 	b.sk.UpdateColumns(cb)
-	if b.mode == Strict {
-		for _, d := range cb.Delta {
-			b.l1Exact += d
-			if b.l1Exact > b.maxL1 {
-				b.maxL1 = b.l1Exact
-			}
-		}
-	} else {
-		b.l1Est.UpdateColumns(cb)
-	}
-	if b.batchSeen == nil {
-		b.batchSeen = make(map[uint64]struct{}, 256)
-	}
-	b.distinct = stream.DistinctColumn(b.distinct[:0], b.batchSeen, cb.Idx)
-	b.tracker.OfferAll(b.distinct, func(i uint64) float64 { return float64(b.sk.Query(i)) })
+	b.scale.updateColumns(cb)
+	b.refresh.Distinct(cb.Idx)
+	b.refresh.Offer(b.tracker, cb, b.sk)
 }
 
 // HeavyHitters applies the same 3 eps R / 4 rule as AlphaL1.
 func (b *CountSketchHH) HeavyHitters() []uint64 {
-	r := float64(b.l1Exact)
-	if b.mode == General {
-		r = b.l1Est.MedianEstimate()
-	}
-	thr := 3 * b.eps * r / 4
+	thr := 3 * b.eps * b.scale.value() / 4
 	var out []uint64
 	for _, i := range b.tracker.Candidates() {
 		if math.Abs(float64(b.sk.Query(i))) >= thr {
@@ -405,13 +344,7 @@ func (b *CountSketchHH) HeavyHitters() []uint64 {
 
 // SpaceBits charges the dense sketch, scale estimator and tracker.
 func (b *CountSketchHH) SpaceBits() int64 {
-	total := b.sk.SpaceBits() + b.tracker.SpaceBits(b.n)
-	if b.mode == Strict {
-		total += int64(nt.BitsFor(uint64(b.maxL1))) + 1
-	} else {
-		total += b.l1Est.SpaceBits()
-	}
-	return total
+	return b.sk.SpaceBits() + b.tracker.SpaceBits(b.n) + b.scale.spaceBits()
 }
 
 // MisraGries is the classic insertion-only deterministic heavy hitters
@@ -480,11 +413,4 @@ func (mg *MisraGries) Estimate(i uint64) int64 { return mg.counters[i] }
 // SpaceBits charges k (id, counter) slots.
 func (mg *MisraGries) SpaceBits() int64 {
 	return int64(mg.k) * int64(64+nt.BitsFor(uint64(mg.m)))
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

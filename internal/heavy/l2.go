@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sketch"
-	"repro/internal/stream"
 	"repro/internal/topk"
 )
 
@@ -31,9 +30,8 @@ type AlphaL2 struct {
 	trk   *topk.Tracker
 	n     uint64
 
-	batchSeen map[uint64]struct{}
-	distinct  []uint64
-	qInt      []int64 // scratch for QueryColumns' verifier gather
+	refresh topk.Refresher[int64]
+	qInt    []int64 // scratch for QueryColumns' verifier gather
 }
 
 // NewAlphaL2 builds the Appendix A structure. Column counts follow the
@@ -75,20 +73,11 @@ func (h *AlphaL2) Update(i uint64, delta int64) {
 	h.trk.Offer(i, float64(h.insCS.Query(i)))
 }
 
-// UpdateBatch feeds a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (h *AlphaL2) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	h.UpdateColumns(b)
-	core.PutBatch(b)
-}
-
 // UpdateColumns feeds a pre-planned columnar batch: the verifier
 // sketch consumes the columns as-is; the insertion-pass sketch
 // consumes a second pooled batch holding the same index column with
 // magnitude deltas (the I + D stream); the candidate tracker refreshes
-// once per distinct index.
+// once per distinct index against the insertion-pass sketch.
 func (h *AlphaL2) UpdateColumns(b *core.Batch) {
 	ins := core.GetBatch()
 	for j, i := range b.Idx {
@@ -101,11 +90,8 @@ func (h *AlphaL2) UpdateColumns(b *core.Batch) {
 	h.insCS.UpdateColumns(ins)
 	core.PutBatch(ins)
 	h.verCS.UpdateColumns(b)
-	if h.batchSeen == nil {
-		h.batchSeen = make(map[uint64]struct{}, 256)
-	}
-	h.distinct = stream.DistinctColumn(h.distinct[:0], h.batchSeen, b.Idx)
-	h.trk.OfferAll(h.distinct, func(i uint64) float64 { return float64(h.insCS.Query(i)) })
+	h.refresh.Distinct(b.Idx)
+	h.refresh.Offer(h.trk, b, h.insCS)
 }
 
 // HeavyHitters returns the verified eps L2 heavy hitters of f. The

@@ -27,8 +27,8 @@ func (h *AlphaL1) MarshalBinary() ([]byte, error) {
 	w.U8(uint8(h.mode))
 	w.F64(h.eps)
 	w.U64(h.n)
-	w.I64(h.l1Exact)
-	w.I64(h.maxL1)
+	w.I64(h.scale.l1Exact)
+	w.I64(h.scale.maxL1)
 	if err := w.Marshal(h.sk); err != nil {
 		return nil, err
 	}
@@ -36,7 +36,7 @@ func (h *AlphaL1) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	if h.mode == General {
-		if err := w.Marshal(h.l1Est); err != nil {
+		if err := w.Marshal(h.scale.l1Est); err != nil {
 			return nil, err
 		}
 	}
@@ -81,9 +81,7 @@ func (h *AlphaL1) UnmarshalBinary(data []byte) error {
 	}
 	h.mode, h.eps, h.n = mode, eps, n
 	h.sk, h.tracker = sk, tracker
-	h.l1Exact, h.maxL1 = l1Exact, maxL1
-	h.l1Est = l1Est
-	h.batchSeen, h.distinct = nil, nil
+	h.scale = l1Scale{l1Exact: l1Exact, maxL1: maxL1, l1Est: l1Est}
 	return nil
 }
 
@@ -134,6 +132,5 @@ func (h *AlphaL2) UnmarshalBinary(data []byte) error {
 	}
 	h.eps, h.alpha, h.n = eps, alpha, n
 	h.insCS, h.verCS, h.trk = insCS, verCS, trk
-	h.batchSeen, h.distinct = nil, nil
 	return nil
 }

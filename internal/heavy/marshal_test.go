@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -18,7 +19,7 @@ func TestAlphaL1MarshalRoundTrip(t *testing.T) {
 		h := NewAlphaL1(rand.New(rand.NewSource(11)), AlphaL1Params{
 			N: 1 << 12, Eps: 0.05, Mode: mode, Alpha: 4,
 		})
-		h.UpdateBatch(fig1Workload(3))
+		core.UpdateBatch(h.UpdateColumns, fig1Workload(3))
 		data, err := h.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +50,7 @@ func TestAlphaL1MarshalRoundTrip(t *testing.T) {
 
 func TestAlphaL2MarshalRoundTrip(t *testing.T) {
 	h := NewAlphaL2(rand.New(rand.NewSource(12)), 1<<12, 0.1, 2)
-	h.UpdateBatch(fig1Workload(4))
+	core.UpdateBatch(h.UpdateColumns, fig1Workload(4))
 	data, err := h.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -27,14 +28,14 @@ func TestAlphaL1MergeMatchesSingleStream(t *testing.T) {
 	p := AlphaL1Params{N: 1 << 14, Eps: 0.05, Mode: Strict, Alpha: 4}
 	const seed = 37
 	whole := NewAlphaL1(rand.New(rand.NewSource(seed)), p)
-	whole.UpdateBatch(s.Updates)
+	core.UpdateBatch(whole.UpdateColumns, s.Updates)
 
 	parts := splitByIndex(s, 4)
 	merged := NewAlphaL1(rand.New(rand.NewSource(seed)), p)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	for _, pt := range parts[1:] {
 		sh := NewAlphaL1(rand.New(rand.NewSource(seed)), p)
-		sh.UpdateBatch(pt)
+		core.UpdateBatch(sh.UpdateColumns, pt)
 		if err := merged.Merge(sh); err != nil {
 			t.Fatal(err)
 		}
@@ -56,13 +57,13 @@ func TestAlphaL1MergeGeneralMode(t *testing.T) {
 	p := AlphaL1Params{N: 1 << 12, Eps: 0.05, Mode: General, Alpha: 4}
 	const seed = 43
 	whole := NewAlphaL1(rand.New(rand.NewSource(seed)), p)
-	whole.UpdateBatch(s.Updates)
+	core.UpdateBatch(whole.UpdateColumns, s.Updates)
 
 	parts := splitByIndex(s, 2)
 	merged := NewAlphaL1(rand.New(rand.NewSource(seed)), p)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	sh := NewAlphaL1(rand.New(rand.NewSource(seed)), p)
-	sh.UpdateBatch(parts[1])
+	core.UpdateBatch(sh.UpdateColumns, parts[1])
 	if err := merged.Merge(sh); err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +108,13 @@ func TestAlphaL2Merge(t *testing.T) {
 
 	const seed = 53
 	whole := NewAlphaL2(rand.New(rand.NewSource(seed)), n, 0.25, 2)
-	whole.UpdateBatch(st.Updates)
+	core.UpdateBatch(whole.UpdateColumns, st.Updates)
 	parts := splitByIndex(st, 3)
 	merged := NewAlphaL2(rand.New(rand.NewSource(seed)), n, 0.25, 2)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	for _, pt := range parts[1:] {
 		sh := NewAlphaL2(rand.New(rand.NewSource(seed)), n, 0.25, 2)
-		sh.UpdateBatch(pt)
+		core.UpdateBatch(sh.UpdateColumns, pt)
 		if err := merged.Merge(sh); err != nil {
 			t.Fatal(err)
 		}

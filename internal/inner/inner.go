@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/nt"
+	"repro/internal/order"
 	"repro/internal/sample"
 	"repro/internal/stream"
 )
@@ -131,24 +132,6 @@ func (e *Estimator) UpdateF(i uint64, delta int64) { e.update(e.f, i, delta) }
 // UpdateG feeds an update to the second stream.
 func (e *Estimator) UpdateG(i uint64, delta int64) { e.update(e.g, i, delta) }
 
-// UpdateBatchF feeds a batch of updates to the first stream through
-// the columnar pipeline.
-func (e *Estimator) UpdateBatchF(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	e.UpdateColumnsF(b)
-	core.PutBatch(b)
-}
-
-// UpdateBatchG feeds a batch of updates to the second stream through
-// the columnar pipeline.
-func (e *Estimator) UpdateBatchG(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	e.UpdateColumnsG(b)
-	core.PutBatch(b)
-}
-
 // UpdateColumnsF consumes a pre-planned columnar batch for the first
 // stream. Sampled levels draw rng per unit update, so application
 // stays per-item in column order.
@@ -184,7 +167,7 @@ func (e *Estimator) update(sd *side, i uint64, delta int64) {
 				b := e.hb[r].Range(reduced, uint64(e.params.K))
 				s := int64(e.hs[r].Sign(reduced))
 				lv.bins[r][b] += sign * s
-				if a := abs64(lv.bins[r][b]); a > sd.maxCount {
+				if a := stream.Abs64(lv.bins[r][b]); a > sd.maxCount {
 					sd.maxCount = a
 				}
 			}
@@ -243,14 +226,14 @@ func (e *Estimator) Estimate() float64 {
 		}
 		ests[r] = scaleF * scaleG * float64(dot)
 	}
-	return medianFloat(ests)
+	return order.MedianFloat64(ests)
 }
 
 // SpaceBits charges the live bins at sampled-count width, seeds at
 // log(P) scale, and the position counters — the
 // O(eps^-1 log(alpha log n / eps)) layout of Theorem 2.
 func (e *Estimator) SpaceBits() int64 {
-	width := int64(nt.BitsFor(uint64(maxI64(e.f.maxCount, e.g.maxCount)))) + 1
+	width := int64(nt.BitsFor(uint64(max(e.f.maxCount, e.g.maxCount)))) + 1
 	var bins int64
 	for _, sd := range []*side{e.f, e.g} {
 		for range sd.levels {
@@ -263,36 +246,4 @@ func (e *Estimator) SpaceBits() int64 {
 	}
 	positions := int64(nt.BitsFor(uint64(e.f.t)) + nt.BitsFor(uint64(e.g.t)))
 	return bins*width + seeds + positions + int64(nt.BitsFor(e.prime))
-}
-
-func medianFloat(xs []float64) float64 {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	n := len(s)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

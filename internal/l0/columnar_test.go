@@ -105,7 +105,7 @@ func feedEstimators(t testing.TB, item, cols *Estimator, us []stream.Update, cut
 		for _, u := range us[off : off+n] {
 			item.Update(u.Index, u.Delta)
 		}
-		cols.UpdateBatch(us[off : off+n])
+		core.UpdateBatch(cols.UpdateColumns, us[off:off+n])
 		checkEstimators(t, item, cols, fmt.Sprintf("after updates [%d,%d)", off, off+n))
 		if rt() != before {
 			moved++
@@ -184,7 +184,7 @@ func TestUpdateColumnsAfterRestore(t *testing.T) {
 		us := burstStream(rng, n, 8, 40, 200)
 		half := len(us) / 3
 		orig, _ := estimatorPair(Params{N: n, Eps: 0.25, Windowed: windowed, Window: 5})
-		orig.UpdateBatch(us[:half])
+		core.UpdateBatch(orig.UpdateColumns, us[:half])
 		blob := mustMarshal(t, orig)
 		item, cols := &Estimator{}, &Estimator{}
 		for _, e := range []*Estimator{item, cols} {
@@ -193,7 +193,7 @@ func TestUpdateColumnsAfterRestore(t *testing.T) {
 			}
 		}
 		feedEstimators(t, item, cols, us[half:], cutter(rng, 0))
-		orig.UpdateBatch(us[half:])
+		core.UpdateBatch(orig.UpdateColumns, us[half:])
 		checkEstimators(t, orig, cols, fmt.Sprintf("windowed=%v: never-marshalled vs restored", windowed))
 	}
 }
@@ -235,7 +235,7 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 		for _, size := range []int{1, 1000, 0} {
 			t.Run(fmt.Sprintf("%s/cut=%d", name, size), func(t *testing.T) {
 				src, _ := estimatorPair(Params{N: n, Eps: 0.25, Windowed: true, Window: 5})
-				src.UpdateBatch(us[:len(us)/3])
+				core.UpdateBatch(src.UpdateColumns, us[:len(us)/3])
 				craft(src)
 				blob := mustMarshal(t, src)
 				item, cols := &Estimator{}, &Estimator{}
@@ -486,7 +486,7 @@ func FuzzWindowedColumnsDifferential(f *testing.F) {
 			for _, u := range batch {
 				item.Update(u.Index, u.Delta)
 			}
-			cols.UpdateBatch(batch)
+			core.UpdateBatch(cols.UpdateColumns, batch)
 			checkEstimators(t, item, cols, fmt.Sprintf("program %v", prog))
 			batch = batch[:0]
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/nt"
-	"repro/internal/stream"
 )
 
 // Params configures the (1 +- eps) L0 estimator.
@@ -247,15 +246,6 @@ func (e *Estimator) rowOf(h1v uint64) int {
 		row = e.maxRow
 	}
 	return row
-}
-
-// UpdateBatch applies a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (e *Estimator) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	e.UpdateColumns(b)
-	core.PutBatch(b)
 }
 
 // UpdateColumns consumes a pre-planned columnar batch: cut at the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -27,14 +28,14 @@ func TestEstimatorMergeBitForBitUnwindowed(t *testing.T) {
 	p := Params{N: 1 << 30, Eps: 0.1}
 	const seed = 61
 	whole := NewEstimator(rand.New(rand.NewSource(seed)), p)
-	whole.UpdateBatch(s.Updates)
+	core.UpdateBatch(whole.UpdateColumns, s.Updates)
 
 	parts := splitByIndex(s, 3)
 	merged := NewEstimator(rand.New(rand.NewSource(seed)), p)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	for _, pt := range parts[1:] {
 		sh := NewEstimator(rand.New(rand.NewSource(seed)), p)
-		sh.UpdateBatch(pt)
+		core.UpdateBatch(sh.UpdateColumns, pt)
 		if err := merged.Merge(sh); err != nil {
 			t.Fatal(err)
 		}
@@ -73,10 +74,10 @@ func TestEstimatorMergeWindowed(t *testing.T) {
 	const seed = 71
 	parts := splitByIndex(s, 4)
 	merged := NewEstimator(rand.New(rand.NewSource(seed)), p)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	for _, pt := range parts[1:] {
 		sh := NewEstimator(rand.New(rand.NewSource(seed)), p)
-		sh.UpdateBatch(pt)
+		core.UpdateBatch(sh.UpdateColumns, pt)
 		if err := merged.Merge(sh); err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/morris"
 	"repro/internal/nt"
 	"repro/internal/sample"
-	"repro/internal/stream"
 )
 
 // Clock abstracts the stream-position estimate: Figure 4 uses a Morris
@@ -177,15 +176,6 @@ func (a *AlphaEstimator) Update(i uint64, delta int64) {
 		}
 		mag -= chunk
 	}
-}
-
-// UpdateBatch applies a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (a *AlphaEstimator) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	a.UpdateColumns(b)
-	core.PutBatch(b)
 }
 
 // UpdateColumns consumes a pre-planned columnar batch. The estimator

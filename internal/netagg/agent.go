@@ -14,6 +14,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/netproto"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // AgentOptions configures an Agent.
@@ -264,15 +265,15 @@ func (a *Agent) Sync(ctx context.Context) error {
 	}
 
 	start := obs.Now()
-	bits := structureBits(a.eng.Structures())
-	blobs := make([]netproto.SketchBlob, 0, len(bits))
+	bits := a.eng.Structures().Bits()
+	blobs := make([]wire.Blob, 0, len(bits))
 	for _, bit := range bits {
 		payload, err := a.eng.Snapshot(bit)
 		if err != nil {
 			a.syncFailures.Add(1)
 			return fmt.Errorf("netagg: agent %s marshaling %s: %w", a.opt.ID, bit, err)
 		}
-		blobs = append(blobs, netproto.SketchBlob{StructureBit: uint32(bit), Payload: payload})
+		blobs = append(blobs, wire.Blob{Bit: uint32(bit), Payload: payload})
 	}
 
 	a.seq++

@@ -388,25 +388,16 @@ func (a *Aggregator) handle(conn net.Conn) {
 	}
 }
 
-// applySnapshot decodes every blob, then commits all of them in one
-// critical section. Decode-before-commit is the atomicity guarantee:
-// a snapshot with any malformed blob changes nothing.
+// applySnapshot decodes and checks every blob (engine.DecodeBlobs: the
+// admission rules the engine's own restore applies, the Config echo
+// included), then commits all of them in one critical section.
+// Decode-before-commit is the atomicity guarantee: a snapshot with any
+// malformed or foreign blob changes nothing.
 func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 	start := obs.Now()
-	decoded := make(map[engine.Structures]bounded.Sketch, len(m.Sketches))
-	for _, blob := range m.Sketches {
-		bit := engine.Structures(blob.StructureBit)
-		if bit&^a.opt.Structures != 0 {
-			return fmt.Errorf("structure %s not accepted", bit)
-		}
-		if _, dup := decoded[bit]; dup {
-			return fmt.Errorf("duplicate blob for structure %s", bit)
-		}
-		sk, err := decodeBlob(bit, blob.Payload)
-		if err != nil {
-			return err
-		}
-		decoded[bit] = sk
+	decoded, err := engine.DecodeBlobs(m.Sketches, a.opt.Structures, a.opt.Config)
+	if err != nil {
+		return err
 	}
 
 	a.mu.Lock()
@@ -424,8 +415,8 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 		a.snapshotsStale.Add(1)
 		return nil
 	}
-	for bit, sk := range decoded {
-		st.sketches[bit] = sk
+	for j, sk := range decoded {
+		st.sketches[engine.Structures(m.Sketches[j].Bit)] = sk
 	}
 	st.seq = m.Seq
 	st.gen = m.Gen
@@ -437,23 +428,6 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 	a.snapshotsApplied.Add(1)
 	a.applyNanos.ObserveSince(start)
 	return nil
-}
-
-// decodeBlob unmarshals a blob filed under one structure bit, first
-// pinning the payload's wire kind to the kind the engine's table gives
-// that bit, so an agent cannot file an L1 estimator under the
-// heavy-hitters slot and skew the merged view.
-func decodeBlob(bit engine.Structures, payload []byte) (bounded.Sketch, error) {
-	want, ok := bit.Kind()
-	if !ok {
-		return nil, fmt.Errorf("blob tagged %s, not a single known structure", bit)
-	}
-	if got, err := bounded.SketchKind(payload); err != nil {
-		return nil, err
-	} else if got != want {
-		return nil, fmt.Errorf("blob tagged %s holds a %s", bit, got)
-	}
-	return bounded.UnmarshalSketch(payload)
 }
 
 // mergedView returns the union-of-all-agents sketch set, rebuilding

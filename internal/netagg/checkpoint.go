@@ -51,27 +51,27 @@ func marshalAggState(cfg bounded.Config, accept engine.Structures, rows []aggAge
 		w.U64(row.gen)
 		w.I64(row.lastSyncNano)
 		w.I64(row.snapshots)
-		bits := make([]engine.Structures, 0, len(row.sketches))
+		var held engine.Structures
 		for bit := range row.sketches {
-			bits = append(bits, bit)
+			held |= bit
 		}
-		sort.Slice(bits, func(i, j int) bool { return bits[i] < bits[j] })
-		w.U32(uint32(len(bits)))
-		for _, bit := range bits {
+		var blobs []wire.Blob
+		for _, bit := range held.Bits() {
 			payload, err := row.sketches[bit].MarshalBinary()
 			if err != nil {
 				return nil, fmt.Errorf("netagg: checkpoint marshaling agent %q %s: %w", row.id, bit, err)
 			}
-			w.U32(uint32(bit))
-			w.Bytes32(payload)
+			blobs = append(blobs, wire.Blob{Bit: uint32(bit), Payload: payload})
 		}
+		w.Blobs(blobs)
 	}
 	return w.Bytes(), nil
 }
 
-// unmarshalAggState decodes an "AG" payload, validating every blob
-// against cfg and the accept mask before returning. All-or-nothing: a
-// payload with any malformed or mismatched blob restores no agents.
+// unmarshalAggState decodes an "AG" payload, admitting every blob
+// through engine.DecodeBlobs (cfg's echo, the file's accept mask)
+// before returning. All-or-nothing: a payload with any malformed or
+// mismatched blob restores no agents.
 func unmarshalAggState(data []byte, cfg bounded.Config, accept engine.Structures) ([]aggAgentRow, error) {
 	r, version, err := wire.NewReader(data, aggStateMagic)
 	if err != nil {
@@ -119,26 +119,20 @@ func unmarshalAggState(data []byte, cfg bounded.Config, accept engine.Structures
 			return nil, fmt.Errorf("netagg: checkpoint repeats agent %q", row.id)
 		}
 		seen[row.id] = true
-		blobs := int(r.U32())
-		prev := engine.Structures(0)
-		for b := 0; b < blobs; b++ {
-			bit := engine.Structures(r.U32())
-			payload := r.Bytes32()
-			if err := r.Err(); err != nil {
-				return nil, fmt.Errorf("netagg: checkpoint agent %q blob %d: %w", row.id, b, err)
+		blobs := r.Blobs()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("netagg: checkpoint agent %q blobs: %w", row.id, err)
+		}
+		sks, err := engine.DecodeBlobs(blobs, fileAccept, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("netagg: checkpoint agent %q: %w", row.id, err)
+		}
+		for j, b := range blobs {
+			// Ascending bits is the canonical order marshalAggState writes.
+			if j > 0 && b.Bit <= blobs[j-1].Bit {
+				return nil, fmt.Errorf("netagg: checkpoint agent %q blobs out of order at %s", row.id, engine.Structures(b.Bit))
 			}
-			if bit == 0 || bit&(bit-1) != 0 || bit&^fileAccept != 0 {
-				return nil, fmt.Errorf("netagg: checkpoint agent %q has invalid structure bit %s", row.id, bit)
-			}
-			if bit <= prev {
-				return nil, fmt.Errorf("netagg: checkpoint agent %q blobs out of order at %s", row.id, bit)
-			}
-			prev = bit
-			sk, err := decodeBlob(bit, payload)
-			if err != nil {
-				return nil, fmt.Errorf("netagg: checkpoint agent %q: %w", row.id, err)
-			}
-			row.sketches[bit] = sk
+			row.sketches[engine.Structures(b.Bit)] = sks[j]
 		}
 		rows = append(rows, row)
 	}

@@ -10,7 +10,9 @@ import (
 
 	bounded "repro"
 	"repro/engine"
+	"repro/internal/ckpt"
 	"repro/internal/netproto"
+	"repro/internal/wire"
 )
 
 // TestAgentCheckpointResume pins the restart-without-replay path: a
@@ -106,9 +108,9 @@ func TestAggregatorCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &netproto.Snapshot{Seq: 3, Gen: 5, Sketches: []netproto.SketchBlob{{
-		StructureBit: uint32(engine.HeavyHitters),
-		Payload:      hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}, {Index: 7, Delta: 2}}),
+	snap := &netproto.Snapshot{Seq: 3, Gen: 5, Sketches: []wire.Blob{{
+		Bit:     uint32(engine.HeavyHitters),
+		Payload: hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}, {Index: 7, Delta: 2}}),
 	}}}
 	if err := a1.applySnapshot("site-a", snap); err != nil {
 		t.Fatal(err)
@@ -131,6 +133,36 @@ func TestAggregatorCheckpointValidation(t *testing.T) {
 	if _, err := NewAggregator(narrower); err == nil ||
 		!strings.Contains(err.Error(), "holds structures HeavyHitters the aggregator no longer accepts (accepts L1Estimator)") {
 		t.Fatalf("narrower-structures recovery: err = %v, want structures refusal", err)
+	}
+
+	// A checkpoint carrying a blob built from a foreign Config is
+	// refused on open, whatever its header echoes: crafted here with the
+	// aggregator's own header around a Seed-99 sketch.
+	foreignCfg := testConfig
+	foreignCfg.Seed = 99
+	foreign, err := bounded.NewHeavyHitters(foreignCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.Update(42, 9)
+	crafted, err := marshalAggState(testConfig, engine.HeavyHitters, []aggAgentRow{{
+		id: "site-x", seq: 1, gen: 1, snapshots: 1,
+		sketches: map[engine.Structures]bounded.Sketch{engine.HeavyHitters: foreign},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := opts
+	poisoned.CheckpointDir = t.TempDir()
+	store, err := ckpt.Open(poisoned.CheckpointDir, ckpt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(crafted); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewAggregator(poisoned); err == nil || !strings.Contains(err.Error(), "Config") {
+		t.Fatalf("checkpoint holding a foreign-Config blob: err = %v, want a Config refusal", err)
 	}
 
 	a2, err := NewAggregator(opts)
@@ -247,9 +279,9 @@ func TestAggregatorRejectsMistaggedBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agg.Close()
-	err = agg.applySnapshot("site-a", &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []netproto.SketchBlob{{
-		StructureBit: uint32(engine.SupportSampler),
-		Payload:      hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}}),
+	err = agg.applySnapshot("site-a", &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []wire.Blob{{
+		Bit:     uint32(engine.SupportSampler),
+		Payload: hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}}),
 	}}})
 	if err == nil || !strings.Contains(err.Error(), "tagged SupportSampler holds a HeavyHitters") {
 		t.Fatalf("mistagged blob: %v, want an error saying the SupportSampler tag holds a HeavyHitters", err)

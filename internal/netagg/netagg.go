@@ -82,18 +82,6 @@ func configEcho(cfg bounded.Config) netproto.ConfigEcho {
 	return netproto.ConfigEcho{N: cfg.N, Eps: cfg.Eps, Alpha: cfg.Alpha, Seed: cfg.Seed}
 }
 
-// structureBits iterates the single-structure bits set in s, low to
-// high — the canonical blob order inside a SNAPSHOT.
-func structureBits(s engine.Structures) []engine.Structures {
-	var bits []engine.Structures
-	for b := engine.Structures(1); b != 0 && b <= s; b <<= 1 {
-		if s&b != 0 {
-			bits = append(bits, b)
-		}
-	}
-	return bits
-}
-
 // structureNames maps the CLI spelling of each structure to its bit —
 // the vocabulary cmd/bdagent and cmd/bdaggd share.
 var structureNames = map[string]engine.Structures{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/engine"
 	"repro/internal/gen"
 	"repro/internal/netproto"
+	"repro/internal/wire"
 )
 
 // testConfig is the e2e parameterization: the distributedmerge
@@ -559,9 +561,9 @@ func TestPartialSnapshotNoCorruption(t *testing.T) {
 
 	// Commit one good snapshot.
 	conn, mr, mw := rawAgentConn(t, addr, "raw")
-	good := &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []netproto.SketchBlob{{
-		StructureBit: uint32(engine.HeavyHitters),
-		Payload:      hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}}),
+	good := &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []wire.Blob{{
+		Bit:     uint32(engine.HeavyHitters),
+		Payload: hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}}),
 	}}}
 	if err := mw.Write(good); err != nil {
 		t.Fatal(err)
@@ -586,9 +588,9 @@ func TestPartialSnapshotNoCorruption(t *testing.T) {
 	}
 
 	// Disconnect mid-frame: a full length prefix, half the payload.
-	payload := netproto.Encode(&netproto.Snapshot{Seq: 2, Gen: 2, Sketches: []netproto.SketchBlob{{
-		StructureBit: uint32(engine.HeavyHitters),
-		Payload:      hhBlob(t, []bounded.Update{{Index: 42, Delta: 1000}}),
+	payload := netproto.Encode(&netproto.Snapshot{Seq: 2, Gen: 2, Sketches: []wire.Blob{{
+		Bit:     uint32(engine.HeavyHitters),
+		Payload: hhBlob(t, []bounded.Update{{Index: 42, Delta: 1000}}),
 	}}})
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -599,9 +601,9 @@ func TestPartialSnapshotNoCorruption(t *testing.T) {
 
 	// A second connection ships a snapshot whose blob does not decode.
 	_, mr2, mw2 := rawAgentConn(t, addr, "raw2")
-	bad := &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []netproto.SketchBlob{{
-		StructureBit: uint32(engine.HeavyHitters),
-		Payload:      []byte("BD not a sketch"),
+	bad := &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []wire.Blob{{
+		Bit:     uint32(engine.HeavyHitters),
+		Payload: []byte("BD not a sketch"),
 	}}}
 	if err := mw2.Write(bad); err != nil {
 		t.Fatal(err)
@@ -635,6 +637,78 @@ func TestPartialSnapshotNoCorruption(t *testing.T) {
 	}
 	if after[0] != baseline[0] {
 		t.Fatalf("estimate(42) moved %v -> %v across torn/malformed snapshots", baseline[0], after[0])
+	}
+}
+
+// TestForeignConfigSnapshotRefused: an agent whose HELLO echoes the
+// aggregator's Config but whose blob was built from another seed is
+// refused at SNAPSHOT time — ERROR reply, SnapshotsRejected +1, nothing
+// committed — and the good agent's state keeps answering. Admitted, the
+// foreign blob would fail every later merged view ("different hash
+// wirings") until that agent resent, and be persisted by the next
+// checkpoint.
+func TestForeignConfigSnapshotRefused(t *testing.T) {
+	agg, addr := startAggregator(t, AggregatorOptions{
+		Config: testConfig, Structures: engine.HeavyHitters,
+		IOTimeout: 2 * time.Second,
+	})
+	defer agg.Close()
+
+	_, mr, mw := rawAgentConn(t, addr, "good")
+	if err := mw.Write(&netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []wire.Blob{{
+		Bit:     uint32(engine.HeavyHitters),
+		Payload: hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}}),
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := mr.Next(); err != nil {
+		t.Fatal(err)
+	} else if ack, ok := reply.(*netproto.Ack); !ok || ack.Seq != 1 {
+		t.Fatalf("reply = %#v, want ACK{1}", reply)
+	}
+
+	foreignCfg := testConfig
+	foreignCfg.Seed = 99
+	foreign, err := bounded.NewHeavyHitters(foreignCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.Update(42, 1000)
+	payload, err := foreign.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mr2, mw2 := rawAgentConn(t, addr, "foreign") // HELLO echoes testConfig
+	if err := mw2.Write(&netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []wire.Blob{{
+		Bit: uint32(engine.HeavyHitters), Payload: payload,
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := mr2.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := reply.(*netproto.Error); !ok || !strings.Contains(e.Msg, "Config") {
+		t.Fatalf("foreign-Config snapshot answered %#v, want an ERROR naming the Config", reply)
+	}
+
+	st := agg.Stats()
+	if st.SnapshotsApplied != 1 || st.SnapshotsRejected != 1 {
+		t.Fatalf("SnapshotsApplied = %d, SnapshotsRejected = %d; want 1 and 1", st.SnapshotsApplied, st.SnapshotsRejected)
+	}
+	if len(st.Agents) != 1 || st.Agents[0].ID != "good" {
+		t.Fatalf("agent table holds %+v, want only the good agent", st.Agents)
+	}
+	client, err := DialClient(addr, ClientOptions{Config: testConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if est, err := client.Estimate([]uint64{42}); err != nil || est[0] != 9 {
+		t.Fatalf("estimate(42) = %v, %v; want 9 from the good agent alone", est, err)
+	}
+	if hh, err := client.HeavyHitters(); err != nil || len(hh) != 1 || hh[0] != 42 {
+		t.Fatalf("heavy hitters = %v, %v; want [42]", hh, err)
 	}
 }
 

@@ -30,7 +30,7 @@ func FuzzFrameDecode(f *testing.F) {
 		&Hello{Role: RoleAgent, Agent: "seed", MinVersion: 1, MaxVersion: 1,
 			Config: ConfigEcho{N: 1 << 16, Eps: 0.05, Alpha: 4, Seed: 7}, Structures: 1, Shards: 2},
 		&Welcome{Version: 1, LastSeq: 3},
-		&Snapshot{Seq: 1, Gen: 2, Sketches: []SketchBlob{{StructureBit: 1, Payload: []byte("BDxx")}}},
+		&Snapshot{Seq: 1, Gen: 2, Sketches: []wire.Blob{{Bit: 1, Payload: []byte("BDxx")}}},
 		&Ack{Seq: 1},
 		&Query{ID: 1, Op: OpEstimate, Keys: []uint64{1, 2, 3}},
 		&Answer{ID: 1, Values: []float64{1.5}},

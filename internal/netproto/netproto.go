@@ -217,16 +217,6 @@ func decodeWelcome(r *wire.Reader) (*Welcome, error) {
 	return m, nil
 }
 
-// SketchBlob is one serialized structure inside a SNAPSHOT: the
-// engine.Structures bit naming it and the exact MarshalBinary bytes
-// ("BD" envelope) of its engine-merged full-stream state.
-type SketchBlob struct {
-	// StructureBit is the single engine.Structures bit this blob holds.
-	StructureBit uint32
-	// Payload is the structure's self-describing wire envelope.
-	Payload []byte
-}
-
 // Snapshot pushes an agent's full sketch state. Seq strictly increases
 // per agent across connections; the aggregator commits a snapshot
 // atomically (all blobs decoded or none applied) and answers ACK{Seq}.
@@ -238,9 +228,12 @@ type SketchBlob struct {
 // re-sending after a lost ACK or a reconnect REPLACES the agent's
 // previous contribution instead of double-counting it.
 type Snapshot struct {
-	Seq      uint64
-	Gen      uint64
-	Sketches []SketchBlob
+	Seq uint64
+	Gen uint64
+	// Sketches holds one blob per structure: the engine.Structures bit
+	// naming it and the exact MarshalBinary bytes ("BD" envelope) of its
+	// engine-merged full-stream state.
+	Sketches []wire.Blob
 }
 
 // Kind implements Msg.
@@ -249,32 +242,17 @@ func (*Snapshot) Kind() MsgKind { return KindSnapshot }
 func (m *Snapshot) encode(w *wire.Writer) {
 	w.U64(m.Seq)
 	w.U64(m.Gen)
-	w.U32(uint32(len(m.Sketches)))
-	for _, s := range m.Sketches {
-		w.U32(s.StructureBit)
-		w.Bytes32(s.Payload)
-	}
+	w.Blobs(m.Sketches)
 }
 
 func decodeSnapshot(r *wire.Reader) (*Snapshot, error) {
-	m := &Snapshot{Seq: r.U64(), Gen: r.U64()}
-	n := r.U32()
-	for i := uint32(0); i < n; i++ {
-		// Check the latched error every element: a hostile count with a
-		// truncated body must fail on its first missing byte, not spin
-		// through four billion zero-value iterations.
-		if r.Err() != nil {
-			break
-		}
-		blob := SketchBlob{StructureBit: r.U32(), Payload: r.Bytes32()}
-		m.Sketches = append(m.Sketches, blob)
-	}
+	m := &Snapshot{Seq: r.U64(), Gen: r.U64(), Sketches: r.Blobs()}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	for _, s := range m.Sketches {
-		if s.StructureBit == 0 || s.StructureBit&(s.StructureBit-1) != 0 {
-			return nil, fmt.Errorf("netproto: SNAPSHOT blob names %#x, want a single structure bit", s.StructureBit)
+		if s.Bit == 0 || s.Bit&(s.Bit-1) != 0 {
+			return nil, fmt.Errorf("netproto: SNAPSHOT blob names %#x, want a single structure bit", s.Bit)
 		}
 	}
 	return m, nil

@@ -5,6 +5,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // roundTrip encodes m, frames it, reads it back through the streaming
@@ -32,9 +34,9 @@ func TestMessageRoundTrips(t *testing.T) {
 		},
 		&Hello{Role: RoleClient, MinVersion: 1, MaxVersion: 1},
 		&Welcome{Version: 1, LastSeq: 42},
-		&Snapshot{Seq: 9, Gen: 31, Sketches: []SketchBlob{
-			{StructureBit: 1, Payload: []byte("BD-envelope-bytes")},
-			{StructureBit: 4, Payload: []byte{}},
+		&Snapshot{Seq: 9, Gen: 31, Sketches: []wire.Blob{
+			{Bit: 1, Payload: []byte("BD-envelope-bytes")},
+			{Bit: 4, Payload: []byte{}},
 		}},
 		&Snapshot{Seq: 1, Gen: 0},
 		&Ack{Seq: 9},
@@ -59,12 +61,12 @@ func TestMessageRoundTrips(t *testing.T) {
 
 func TestSnapshotBlobFidelity(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xBD, 0x01, 0xFF}, 1000)
-	m := &Snapshot{Seq: 2, Gen: 5, Sketches: []SketchBlob{{StructureBit: 2, Payload: payload}}}
+	m := &Snapshot{Seq: 2, Gen: 5, Sketches: []wire.Blob{{Bit: 2, Payload: payload}}}
 	got := roundTrip(t, m).(*Snapshot)
 	if got.Seq != 2 || got.Gen != 5 || len(got.Sketches) != 1 {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if got.Sketches[0].StructureBit != 2 || !bytes.Equal(got.Sketches[0].Payload, payload) {
+	if got.Sketches[0].Bit != 2 || !bytes.Equal(got.Sketches[0].Payload, payload) {
 		t.Fatal("blob bytes not preserved")
 	}
 }
@@ -104,7 +106,7 @@ func TestDecodeRejectsSemanticViolations(t *testing.T) {
 		t.Error("unknown op accepted")
 	}
 	// Snapshot blob with a non-power-of-two structure bit.
-	s := Encode(&Snapshot{Seq: 1, Sketches: []SketchBlob{{StructureBit: 3, Payload: nil}}})
+	s := Encode(&Snapshot{Seq: 1, Sketches: []wire.Blob{{Bit: 3, Payload: nil}}})
 	if _, err := Decode(s); err == nil {
 		t.Error("multi-bit structure id accepted")
 	}
@@ -156,7 +158,7 @@ func TestMessageReaderStream(t *testing.T) {
 // frame above the cap is refused and the reader latches.
 func TestMessageReaderCapsFrames(t *testing.T) {
 	var buf bytes.Buffer
-	big := &Snapshot{Seq: 1, Sketches: []SketchBlob{{StructureBit: 1, Payload: bytes.Repeat([]byte{1}, 4096)}}}
+	big := &Snapshot{Seq: 1, Sketches: []wire.Blob{{Bit: 1, Payload: bytes.Repeat([]byte{1}, 4096)}}}
 	if err := WriteMessage(&buf, big); err != nil {
 		t.Fatal(err)
 	}

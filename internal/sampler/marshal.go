@@ -60,7 +60,6 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	s.instances = instances
-	s.batchSeen, s.distinct = nil, nil
 	return nil
 }
 

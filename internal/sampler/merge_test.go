@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -28,13 +29,13 @@ func TestSamplerMergeMatchesSingleStream(t *testing.T) {
 	p := Params{N: 16, Eps: 0.25, Alpha: 2, S: 1 << 18}
 	const seed = 113
 	whole := New(rand.New(rand.NewSource(seed)), p, 8)
-	whole.UpdateBatch(s.Updates)
+	core.UpdateBatch(whole.UpdateColumns, s.Updates)
 
 	parts := splitByIndex(s, 2)
 	merged := New(rand.New(rand.NewSource(seed)), p, 8)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	sh := New(rand.New(rand.NewSource(seed)), p, 8)
-	sh.UpdateBatch(parts[1])
+	core.UpdateBatch(sh.UpdateColumns, parts[1])
 	if err := merged.Merge(sh); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,6 @@ import (
 	"repro/internal/hash"
 	"repro/internal/nt"
 	"repro/internal/sketch"
-	"repro/internal/stream"
 	"repro/internal/topk"
 )
 
@@ -250,9 +249,7 @@ func (in *instance) spaceBits() int64 {
 type Sampler struct {
 	instances []*instance
 
-	batchSeen map[uint64]struct{} // scratch for stream.DistinctColumn
-	distinct  []uint64            // the batch's distinct indices, shared by copies
-	estBuf    []float64           // scratch for the batched candidate refresh
+	refresh topk.Refresher[float64] // one distinct column per batch, shared by the copies
 }
 
 // New builds a sampler with `copies` parallel instances; pass
@@ -276,15 +273,6 @@ func (s *Sampler) Update(i uint64, delta int64) {
 	}
 }
 
-// UpdateBatch feeds a batch to all instances through the columnar
-// pipeline (see UpdateColumns).
-func (s *Sampler) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	s.UpdateColumns(b)
-	core.PutBatch(b)
-}
-
 // UpdateColumns feeds a pre-planned columnar batch to all instances.
 // Each instance ingests every update (per-item: the precision-sampling
 // weights and binomial thinning draw per-instance rng) but refreshes
@@ -293,25 +281,15 @@ func (s *Sampler) UpdateBatch(batch []stream.Update) {
 // scalar path, and the distinct-index column is computed once and
 // shared across the ~2/eps parallel copies.
 func (s *Sampler) UpdateColumns(b *core.Batch) {
-	if s.batchSeen == nil {
-		s.batchSeen = make(map[uint64]struct{}, 256)
-	}
-	s.distinct = stream.DistinctColumn(s.distinct[:0], s.batchSeen, b.Idx)
-	if cap(s.estBuf) < len(s.distinct) {
-		s.estBuf = make([]float64, len(s.distinct))
-	}
-	est := s.estBuf[:len(s.distinct)]
+	s.refresh.Distinct(b.Idx)
 	for _, in := range s.instances {
 		for j, i := range b.Idx {
 			in.ingest(i, b.Delta[j])
 		}
-		// Batched refresh: one hash pass re-estimates every distinct
-		// index against this instance's CS1 (b's column scratch is free
-		// again once the instance finished ingesting).
-		in.te.CS1.QueryColumns(b, s.distinct, est)
-		for j, i := range s.distinct {
-			in.trk.Offer(i, est[j])
-		}
+		// b's column scratch is free again once the instance finished
+		// ingesting: one hash pass re-estimates every distinct index
+		// against this instance's CS1.
+		s.refresh.Offer(in.trk, b, in.te.CS1)
 	}
 }
 
@@ -542,15 +520,6 @@ func (bi *baseInstance) sample() (Result, bool) {
 func (b *Baseline) Update(i uint64, delta int64) {
 	for _, in := range b.instances {
 		in.update(i, delta)
-	}
-}
-
-// UpdateBatch feeds a batch to all baseline instances.
-func (b *Baseline) UpdateBatch(batch []stream.Update) {
-	for _, in := range b.instances {
-		for _, u := range batch {
-			in.update(u.Index, u.Delta)
-		}
 	}
 }
 

@@ -14,16 +14,16 @@ func columnarStream(seed int64) *stream.Stream {
 	return gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: seed})
 }
 
-// feedChunks pushes the stream through UpdateBatch in uneven chunks so
-// batch boundaries land at arbitrary offsets.
-func feedChunks(s *stream.Stream, up func([]stream.Update)) {
+// feedChunks pushes the stream through core.UpdateBatch in uneven
+// chunks so batch boundaries land at arbitrary offsets.
+func feedChunks(s *stream.Stream, apply func(*core.Batch)) {
 	sizes := []int{1, 7, 64, 321, 1024}
 	for off, k := 0, 0; off < len(s.Updates); k++ {
 		end := off + sizes[k%len(sizes)]
 		if end > len(s.Updates) {
 			end = len(s.Updates)
 		}
-		up(s.Updates[off:end])
+		core.UpdateBatch(apply, s.Updates[off:end])
 		off = end
 	}
 }
@@ -38,7 +38,7 @@ func TestCountSketchColumnarMatchesScalar(t *testing.T) {
 	for _, u := range s.Updates {
 		a.Update(u.Index, u.Delta)
 	}
-	feedChunks(s, b.UpdateBatch)
+	feedChunks(s, b.UpdateColumns)
 	for i := uint64(0); i < 1<<12; i += 17 {
 		if qa, qb := a.Query(i), b.Query(i); qa != qb {
 			t.Fatalf("Query(%d): scalar %d, columnar %d", i, qa, qb)
@@ -73,7 +73,7 @@ func queryKeySet() []uint64 {
 func TestCountSketchQueryColumnsMatchesScalar(t *testing.T) {
 	s := columnarStream(11)
 	cs := NewCountSketch(rand.New(rand.NewSource(5)), 7, 96)
-	feedChunks(s, cs.UpdateBatch)
+	feedChunks(s, cs.UpdateColumns)
 	keys := queryKeySet()
 	out := make([]int64, len(keys))
 	b := core.GetBatch()
@@ -91,7 +91,7 @@ func TestCountSketchQueryColumnsMatchesScalar(t *testing.T) {
 func TestCountMinQueryColumnsMatchesScalar(t *testing.T) {
 	s := columnarStream(13)
 	cm := NewCountMin(rand.New(rand.NewSource(9)), 5, 128)
-	feedChunks(s, cm.UpdateBatch)
+	feedChunks(s, cm.UpdateColumns)
 	keys := queryKeySet()
 	out := make([]int64, len(keys))
 	b := core.GetBatch()
@@ -114,7 +114,7 @@ func TestCountMinColumnarMatchesScalar(t *testing.T) {
 	for _, u := range s.Updates {
 		a.Update(u.Index, u.Delta)
 	}
-	feedChunks(s, b.UpdateBatch)
+	feedChunks(s, b.UpdateColumns)
 	for i := uint64(0); i < 1<<12; i += 13 {
 		if qa, qb := a.Query(i), b.Query(i); qa != qb {
 			t.Fatalf("Query(%d): scalar %d, columnar %d", i, qa, qb)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/hash"
 	"repro/internal/nt"
 	"repro/internal/order"
-	"repro/internal/stream"
 )
 
 // CountMin is a d-row, w-column Count-Min sketch. On strict turnstile
@@ -64,15 +63,6 @@ func (cm *CountMin) Update(i uint64, delta int64) {
 			cm.maxAbs = -a
 		}
 	}
-}
-
-// UpdateBatch applies a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (cm *CountMin) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	cm.UpdateColumns(b)
-	core.PutBatch(b)
 }
 
 // UpdateColumns applies a pre-planned columnar batch: ONE fused hash

@@ -30,7 +30,6 @@ import (
 	"repro/internal/hash"
 	"repro/internal/nt"
 	"repro/internal/order"
-	"repro/internal/stream"
 )
 
 // CountSketch is a d-row, w-column Count-Sketch with int64 counters.
@@ -102,16 +101,6 @@ func (cs *CountSketch) Update(i uint64, delta int64) {
 	for r := 0; r < cs.rows; r++ {
 		cs.table[r][cs.upCols[r]] += cs.upSigns[r] * delta
 	}
-}
-
-// UpdateBatch applies a batch of updates through the columnar plan →
-// hash → apply pipeline: the batch is laid out as index/delta columns
-// in a pooled arena batch, then UpdateColumns hashes and applies it.
-func (cs *CountSketch) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	cs.UpdateColumns(b)
-	core.PutBatch(b)
 }
 
 // UpdateColumns applies a pre-planned columnar batch: one batch hash

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -26,13 +27,13 @@ func TestCountSketchMergeBitForBit(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: 3})
 	const seed = 99
 	whole := NewCountSketch(rand.New(rand.NewSource(seed)), 5, 128)
-	whole.UpdateBatch(s.Updates)
+	core.UpdateBatch(whole.UpdateColumns, s.Updates)
 
 	parts := splitByIndex(s, 3)
 	shards := make([]*CountSketch, len(parts))
 	for i, p := range parts {
 		shards[i] = NewCountSketch(rand.New(rand.NewSource(seed)), 5, 128)
-		shards[i].UpdateBatch(p)
+		core.UpdateBatch(shards[i].UpdateColumns, p)
 	}
 	merged := shards[0]
 	for _, sh := range shards[1:] {
@@ -70,14 +71,14 @@ func TestCountMinMergeBitForBit(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: 4})
 	const seed = 7
 	whole := NewCountMin(rand.New(rand.NewSource(seed)), 5, 256)
-	whole.UpdateBatch(s.Updates)
+	core.UpdateBatch(whole.UpdateColumns, s.Updates)
 
 	parts := splitByIndex(s, 4)
 	merged := NewCountMin(rand.New(rand.NewSource(seed)), 5, 256)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	for _, p := range parts[1:] {
 		sh := NewCountMin(rand.New(rand.NewSource(seed)), 5, 256)
-		sh.UpdateBatch(p)
+		core.UpdateBatch(sh.UpdateColumns, p)
 		if err := merged.Merge(sh); err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/nt"
 	"repro/internal/stream"
 )
@@ -33,7 +34,7 @@ func TestRecoveryColumnarMatchesScalar(t *testing.T) {
 		if end > len(us) {
 			end = len(us)
 		}
-		b.UpdateBatch(us[off:end])
+		core.UpdateBatch(b.UpdateColumns, us[off:end])
 		off = end
 	}
 	da, errA := a.Decode()

@@ -144,19 +144,10 @@ func (r *Recovery) Apply(e *Entry) {
 		c.count += e.delta
 		c.keySum = nt.AddModMersenne61(c.keySum, e.keyTerm)
 		c.fpSum = nt.AddModMersenne61(c.fpSum, e.fpTerm)
-		if a := abs64(c.count); a > r.maxCount {
+		if a := stream.Abs64(c.count); a > r.maxCount {
 			r.maxCount = a
 		}
 	}
-}
-
-// UpdateBatch applies a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (r *Recovery) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	r.UpdateColumns(b)
-	core.PutBatch(b)
 }
 
 // UpdateColumns applies a pre-planned columnar batch: the fingerprint
@@ -187,7 +178,7 @@ func (r *Recovery) UpdateColumns(b *core.Batch) {
 			c.count += delta
 			c.keySum = nt.AddModMersenne61(c.keySum, nt.MulModMersenne61(dm, x%nt.MersennePrime61))
 			c.fpSum = nt.AddModMersenne61(c.fpSum, nt.MulModMersenne61(dm, fpx[j]))
-			if a := abs64(c.count); a > r.maxCount {
+			if a := stream.Abs64(c.count); a > r.maxCount {
 				r.maxCount = a
 			}
 		}
@@ -221,7 +212,7 @@ func (r *Recovery) combine(other *Recovery, sign int64) {
 		r.cells[i].count += sign * oc.count
 		r.cells[i].keySum = nt.AddModMersenne61(r.cells[i].keySum, ks)
 		r.cells[i].fpSum = nt.AddModMersenne61(r.cells[i].fpSum, fs)
-		if a := abs64(r.cells[i].count); a > r.maxCount {
+		if a := stream.Abs64(r.cells[i].count); a > r.maxCount {
 			r.maxCount = a
 		}
 	}
@@ -260,7 +251,7 @@ func (r *Recovery) Merge(other *Recovery) error {
 		r.cells[i].count += oc.count
 		r.cells[i].keySum = nt.AddModMersenne61(r.cells[i].keySum, oc.keySum)
 		r.cells[i].fpSum = nt.AddModMersenne61(r.cells[i].fpSum, oc.fpSum)
-		if a := abs64(r.cells[i].count); a > r.maxCount {
+		if a := stream.Abs64(r.cells[i].count); a > r.maxCount {
 			r.maxCount = a
 		}
 	}
@@ -436,11 +427,4 @@ func fieldOf(d int64) uint64 {
 		m += int64(nt.MersennePrime61)
 	}
 	return uint64(m)
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

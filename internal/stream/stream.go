@@ -24,23 +24,6 @@ type Update struct {
 	Delta int64
 }
 
-// DistinctColumn appends the column's distinct indices to dst in
-// first-occurrence order and returns the extended slice. seen is
-// caller-owned scratch (cleared here) so batched ingest paths can
-// refresh per-index state — candidate trackers, cached estimates —
-// once per distinct index without allocating per batch.
-func DistinctColumn(dst []uint64, seen map[uint64]struct{}, idx []uint64) []uint64 {
-	clear(seen)
-	for _, i := range idx {
-		if _, ok := seen[i]; ok {
-			continue
-		}
-		seen[i] = struct{}{}
-		dst = append(dst, i)
-	}
-	return dst
-}
-
 // Stream is an ordered sequence of updates over a universe of size N.
 type Stream struct {
 	N       uint64 // universe size; indices are in [0, N)
@@ -57,7 +40,7 @@ func (s *Stream) Len() int { return len(s.Updates) }
 func (s *Stream) UnitLength() int64 {
 	var m int64
 	for _, u := range s.Updates {
-		m += abs64(u.Delta)
+		m += Abs64(u.Delta)
 	}
 	return m
 }
@@ -101,7 +84,7 @@ func (v Vector) L0() int64 { return int64(len(v)) }
 func (v Vector) L1() int64 {
 	var t int64
 	for _, x := range v {
-		t += abs64(x)
+		t += Abs64(x)
 	}
 	return t
 }
@@ -158,7 +141,7 @@ func (v Vector) TopK(k int) []Entry {
 		all = append(all, Entry{i, x})
 	}
 	sort.Slice(all, func(a, b int) bool {
-		av, bv := abs64(all[a].Value), abs64(all[b].Value)
+		av, bv := Abs64(all[a].Value), Abs64(all[b].Value)
 		if av != bv {
 			return av > bv
 		}
@@ -248,7 +231,7 @@ func (t *Tracker) Update(u Update) {
 		panic(fmt.Sprintf("stream: index %d outside universe [0,%d)", u.Index, t.N))
 	}
 	t.F.Apply(u)
-	t.M += abs64(u.Delta)
+	t.M += Abs64(u.Delta)
 	if u.Delta >= 0 {
 		if u.Delta != 0 {
 			t.I[u.Index] += u.Delta
@@ -322,7 +305,7 @@ func (t *Tracker) StrongAlpha() float64 {
 	worst := 1.0
 	for i := range seen {
 		traffic := t.I[i] + t.D[i]
-		f := abs64(t.F[i])
+		f := Abs64(t.F[i])
 		if f == 0 {
 			return math.Inf(1)
 		}
@@ -351,19 +334,18 @@ func ExpandUnits(s *Stream) *Stream {
 		if u.Delta < 0 {
 			step = -1
 		}
-		for k := int64(0); k < abs64(u.Delta); k++ {
+		for k := int64(0); k < Abs64(u.Delta); k++ {
 			out.Updates = append(out.Updates, Update{u.Index, step})
 		}
 	}
 	return out
 }
 
-func abs64(x int64) int64 {
+// Abs64 returns |x| — the one integer absolute value the sketch
+// packages share.
+func Abs64(x int64) int64 {
 	if x < 0 {
 		return -x
 	}
 	return x
 }
-
-// Abs64 exposes absolute value for sibling packages.
-func Abs64(x int64) int64 { return abs64(x) }

@@ -103,7 +103,7 @@ func feedSamplers(t testing.TB, item, cols *Sampler, us []stream.Update, cut fun
 		for _, u := range us[off : off+n] {
 			item.Update(u.Index, u.Delta)
 		}
-		cols.UpdateBatch(us[off : off+n])
+		core.UpdateBatch(cols.UpdateColumns, us[off:off+n])
 		checkSamplers(t, item, cols, fmt.Sprintf("after updates [%d,%d)", off, off+n))
 		if item.rough.Estimate() != before {
 			moved++
@@ -170,7 +170,7 @@ func TestUpdateColumnsAfterRestore(t *testing.T) {
 		us := burstStream(rng, n, 8, 40, 200)
 		third := len(us) / 3
 		orig, _ := samplerPair(Params{N: n, K: 4, SparsityFactor: 2, Windowed: windowed, Window: 3})
-		orig.UpdateBatch(us[:third])
+		core.UpdateBatch(orig.UpdateColumns, us[:third])
 		blob := mustMarshal(t, orig)
 		item, cols := &Sampler{}, &Sampler{}
 		for _, sp := range []*Sampler{item, cols} {
@@ -179,7 +179,7 @@ func TestUpdateColumnsAfterRestore(t *testing.T) {
 			}
 		}
 		feedSamplers(t, item, cols, us[third:], cutter(rng, 0))
-		orig.UpdateBatch(us[third:])
+		core.UpdateBatch(orig.UpdateColumns, us[third:])
 		checkSamplers(t, orig, cols, fmt.Sprintf("windowed=%v: never-marshalled vs restored", windowed))
 	}
 }
@@ -215,7 +215,7 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 		for _, size := range []int{1, 1000, 0} {
 			t.Run(fmt.Sprintf("%s/cut=%d", name, size), func(t *testing.T) {
 				src, _ := samplerPair(Params{N: n, K: 4, SparsityFactor: 2, Windowed: true, Window: 3})
-				src.UpdateBatch(us[:len(us)/3])
+				core.UpdateBatch(src.UpdateColumns, us[:len(us)/3])
 				craft(src)
 				blob := mustMarshal(t, src)
 				item, cols := &Sampler{}, &Sampler{}
@@ -272,7 +272,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 // -race.
 func TestCloneLeavesSourceUntouched(t *testing.T) {
 	sp, _ := samplerPair(Params{N: 1 << 20, K: 4, Windowed: true, Window: 3})
-	sp.UpdateBatch(burstStream(rand.New(rand.NewSource(1)), 1<<20, 5, 40, 50))
+	core.UpdateBatch(sp.UpdateColumns, burstStream(rand.New(rand.NewSource(1)), 1<<20, 5, 40, 50))
 	before := mustMarshal(t, sp)
 	done := make(chan []byte)
 	for g := 0; g < 4; g++ {
@@ -314,7 +314,7 @@ func FuzzWindowedColumnsDifferential(f *testing.F) {
 			for _, u := range batch {
 				item.Update(u.Index, u.Delta)
 			}
-			cols.UpdateBatch(batch)
+			core.UpdateBatch(cols.UpdateColumns, batch)
 			checkSamplers(t, item, cols, fmt.Sprintf("program %v", prog))
 			batch = batch[:0]
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -26,14 +27,14 @@ func TestMergeMatchesSingleStreamUnwindowed(t *testing.T) {
 	p := Params{N: 1 << 20, K: 16}
 	const seed = 101
 	whole := NewSampler(rand.New(rand.NewSource(seed)), p)
-	whole.UpdateBatch(s.Updates)
+	core.UpdateBatch(whole.UpdateColumns, s.Updates)
 
 	parts := splitByIndex(s, 3)
 	merged := NewSampler(rand.New(rand.NewSource(seed)), p)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	for _, pt := range parts[1:] {
 		sh := NewSampler(rand.New(rand.NewSource(seed)), p)
-		sh.UpdateBatch(pt)
+		core.UpdateBatch(sh.UpdateColumns, pt)
 		if err := merged.Merge(sh); err != nil {
 			t.Fatal(err)
 		}
@@ -54,10 +55,10 @@ func TestMergeWindowedStaysValid(t *testing.T) {
 	const seed = 107
 	parts := splitByIndex(s, 4)
 	merged := NewSampler(rand.New(rand.NewSource(seed)), p)
-	merged.UpdateBatch(parts[0])
+	core.UpdateBatch(merged.UpdateColumns, parts[0])
 	for _, pt := range parts[1:] {
 		sh := NewSampler(rand.New(rand.NewSource(seed)), p)
-		sh.UpdateBatch(pt)
+		core.UpdateBatch(sh.UpdateColumns, pt)
 		if err := merged.Merge(sh); err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/l0"
 	"repro/internal/nt"
 	"repro/internal/sparse"
-	"repro/internal/stream"
 )
 
 // Params configures a Sampler.
@@ -176,15 +175,6 @@ func (sp *Sampler) Update(i uint64, delta int64) {
 			lv.Update(i, delta)
 		}
 	}
-}
-
-// UpdateBatch applies a batch of updates through the columnar pipeline
-// (see UpdateColumns).
-func (sp *Sampler) UpdateBatch(batch []stream.Update) {
-	b := core.GetBatch()
-	b.LoadUpdates(batch)
-	sp.UpdateColumns(b)
-	core.PutBatch(b)
 }
 
 // UpdateColumns consumes a pre-planned columnar batch: cut at the

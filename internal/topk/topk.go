@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/core"
 	"repro/internal/nt"
 )
 
@@ -189,13 +190,51 @@ func (t *Tracker) Offer(i uint64, est float64) {
 	t.down(0)
 }
 
-// OfferAll offers every id its fresh estimate — the batched-ingest
-// refresh loop: callers pass the batch's distinct-index column and the
-// owning sketch's query, so an index updated k times in one batch pays
-// one query and one Offer.
-func (t *Tracker) OfferAll(ids []uint64, est func(uint64) float64) {
-	for _, id := range ids {
-		t.Offer(id, est(id))
+// Refresher is the batched-ingest candidate refresh — distinct column
+// → batched re-estimate → offer — stated once for every structure that
+// keeps a Tracker beside a point sketch. The sketch's median query is
+// the dominant per-update cost of the per-item path, and an index
+// updated k times in one batch needs only its final estimate offered,
+// so a batch re-estimates each DISTINCT index once, through the
+// sketch's QueryColumns (one batch hash pass, bit-identical to Query).
+// The Refresher owns the scratch; E is the sketch's estimate type.
+type Refresher[E int64 | float64] struct {
+	seen map[uint64]struct{}
+	ids  []uint64 // the batch's distinct indices, first-occurrence order
+	est  []E
+}
+
+// Distinct records idx's distinct indices in first-occurrence order —
+// once per batch, shared by every Offer that follows (the L1 sampler
+// offers the same column to each of its parallel copies).
+func (r *Refresher[E]) Distinct(idx []uint64) {
+	if r.seen == nil {
+		r.seen = make(map[uint64]struct{}, 256)
+	}
+	clear(r.seen)
+	r.ids = r.ids[:0]
+	for _, i := range idx {
+		if _, ok := r.seen[i]; !ok {
+			r.seen[i] = struct{}{}
+			r.ids = append(r.ids, i)
+		}
+	}
+}
+
+// Offer re-estimates the recorded indices against q in one
+// QueryColumns call and offers each fresh estimate to t. b supplies the
+// hash-column scratch (the ingest that preceded the refresh is done
+// with it).
+func (r *Refresher[E]) Offer(t *Tracker, b *core.Batch, q interface {
+	QueryColumns(b *core.Batch, keys []uint64, est []E)
+}) {
+	if cap(r.est) < len(r.ids) {
+		r.est = make([]E, len(r.ids))
+	}
+	est := r.est[:len(r.ids)]
+	q.QueryColumns(b, r.ids, est)
+	for j, id := range r.ids {
+		t.Offer(id, float64(est[j]))
 	}
 }
 

@@ -20,14 +20,6 @@ const (
 	PartVersion = 1
 )
 
-// PartBlob is one structure's serialized state within one shard: the
-// engine Structures bit it was filed under and the structure's own
-// self-describing "BD" envelope bytes.
-type PartBlob struct {
-	Bit     uint32
-	Payload []byte
-}
-
 // PartHeader names the topology a partitioned snapshot was built
 // under. Shards and Partitioner decide whether a restore can install
 // shard-for-shard; the Config echo gates mergeability either way.
@@ -57,7 +49,7 @@ type PartHeader struct {
 // blob list per shard (len(Shards) == int(Header.Shards)).
 type PartSnapshot struct {
 	Header PartHeader
-	Shards [][]PartBlob
+	Shards [][]Blob
 }
 
 // MarshalBinary frames the snapshot.
@@ -76,11 +68,7 @@ func (p *PartSnapshot) MarshalBinary() ([]byte, error) {
 	w.U32(p.Header.Structures)
 	w.U64(p.Header.Generation)
 	for _, blobs := range p.Shards {
-		w.U32(uint32(len(blobs)))
-		for _, b := range blobs {
-			w.U32(b.Bit)
-			w.Bytes32(b.Payload)
-		}
+		w.Blobs(blobs)
 	}
 	return w.Bytes(), nil
 }
@@ -117,22 +105,12 @@ func (p *PartSnapshot) UnmarshalBinary(data []byte) error {
 	if int64(hdr.Shards)*4 > int64(r.Remaining()) {
 		return fmt.Errorf("wire: shard count %d exceeds remaining %d bytes", hdr.Shards, r.Remaining())
 	}
-	shards := make([][]PartBlob, hdr.Shards)
+	shards := make([][]Blob, hdr.Shards)
 	for si := range shards {
-		n := r.count(8) // per blob: 4-byte bit + 4-byte length prefix
+		shards[si] = r.Blobs()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		blobs := make([]PartBlob, 0, n)
-		for j := 0; j < n; j++ {
-			bit := r.U32()
-			payload := r.Bytes32()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			blobs = append(blobs, PartBlob{Bit: bit, Payload: payload})
-		}
-		shards[si] = blobs
 	}
 	if err := r.Done(); err != nil {
 		return err

@@ -18,7 +18,7 @@ func samplePartSnapshot() *PartSnapshot {
 			Structures:  0b10001,
 			Generation:  77,
 		},
-		Shards: [][]PartBlob{
+		Shards: [][]Blob{
 			{{Bit: 1, Payload: []byte("hh-shard0")}, {Bit: 16, Payload: []byte("sup-shard0")}},
 			{{Bit: 1, Payload: []byte{}}, {Bit: 16, Payload: []byte("sup-shard1")}},
 		},

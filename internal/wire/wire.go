@@ -108,6 +108,31 @@ func (w *Writer) F64s(v []float64) {
 	}
 }
 
+// Blob is one structure's serialized state as every container ships
+// it: the engine Structures bit it is filed under and the structure's
+// own self-describing "BD" envelope bytes. A site's state is a list of
+// these — one per structure — and the partitioned engine snapshot
+// ("BP"), the aggregator checkpoint ("AG") and the netproto SNAPSHOT
+// frame all carry that one list layout:
+//
+//	u32 n, n × (u32 bit, bytes32 payload)
+//
+// The codec is structural only; engine.DecodeBlobs owns the semantic
+// checks (known bit, accept mask, tag/kind agreement, Config echo).
+type Blob struct {
+	Bit     uint32
+	Payload []byte
+}
+
+// Blobs appends a bit-tagged blob list.
+func (w *Writer) Blobs(blobs []Blob) {
+	w.U32(uint32(len(blobs)))
+	for _, b := range blobs {
+		w.U32(b.Bit)
+		w.Bytes32(b.Payload)
+	}
+}
+
 // Marshal appends a nested BinaryMarshaler as a length-prefixed blob.
 func (w *Writer) Marshal(m encoding.BinaryMarshaler) error {
 	enc, err := m.MarshalBinary()
@@ -272,6 +297,26 @@ func (r *Reader) F64s() []float64 {
 		out[i] = r.F64()
 	}
 	return out
+}
+
+// Blobs reads a bit-tagged blob list (nil when empty). The count is
+// bounded by the input — each blob costs at least its 4-byte bit and
+// 4-byte length prefix — and the loop stops at the first missing byte,
+// so a hostile count can neither allocate past the input size nor spin.
+func (r *Reader) Blobs() []Blob {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	blobs := make([]Blob, 0, n)
+	for len(blobs) < n {
+		b := Blob{Bit: r.U32(), Payload: r.Bytes32()}
+		if r.err != nil {
+			return nil
+		}
+		blobs = append(blobs, b)
+	}
+	return blobs
 }
 
 // Unmarshal reads a length-prefixed nested blob into m.

@@ -95,7 +95,7 @@ type BatchProber interface {
 	ProbeBatch(idxs []uint64) []bool
 }
 
-// Compile-time capability checks, alongside the _ Sketch block in
+// Compile-time capability checks, alongside kindTable in
 // sketch.go: these lines are the authoritative table of which
 // structure satisfies which capability.
 var (

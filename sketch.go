@@ -58,18 +58,6 @@ type Sketch interface {
 	encoding.BinaryUnmarshaler
 }
 
-// Compile-time interface checks: every public structure is a Sketch.
-var (
-	_ Sketch = (*HeavyHitters)(nil)
-	_ Sketch = (*L1Estimator)(nil)
-	_ Sketch = (*L0Estimator)(nil)
-	_ Sketch = (*L1Sampler)(nil)
-	_ Sketch = (*SupportSampler)(nil)
-	_ Sketch = (*InnerProduct)(nil)
-	_ Sketch = (*L2HeavyHitters)(nil)
-	_ Sketch = (*SyncSketch)(nil)
-)
-
 // Kind identifies a structure in the wire format.
 type Kind uint8
 
@@ -86,33 +74,32 @@ const (
 	KindSyncSketch
 )
 
-// valid reports whether k names a known structure — the single home of
-// the wire-kind range check (parseEnvelope, SketchKind, and any future
-// kind-dispatching reader share it, so adding a ninth structure means
-// updating exactly one bound).
-func (k Kind) valid() bool {
-	return k >= KindHeavyHitters && k <= KindSyncSketch
+// kindTable is the one enumeration of the wire kinds: per kind, its
+// name and a zero-value constructor (what UnmarshalSketch restores
+// into, and the compile-time proof that every public structure is a
+// Sketch). A ninth structure is one constant and one row; a kind in
+// range always has a constructor.
+var kindTable = [...]struct {
+	name string
+	zero func() Sketch
+}{
+	KindHeavyHitters:   {"HeavyHitters", func() Sketch { return &HeavyHitters{} }},
+	KindL1Estimator:    {"L1Estimator", func() Sketch { return &L1Estimator{} }},
+	KindL0Estimator:    {"L0Estimator", func() Sketch { return &L0Estimator{} }},
+	KindL1Sampler:      {"L1Sampler", func() Sketch { return &L1Sampler{} }},
+	KindSupportSampler: {"SupportSampler", func() Sketch { return &SupportSampler{} }},
+	KindInnerProduct:   {"InnerProduct", func() Sketch { return &InnerProduct{} }},
+	KindL2HeavyHitters: {"L2HeavyHitters", func() Sketch { return &L2HeavyHitters{} }},
+	KindSyncSketch:     {"SyncSketch", func() Sketch { return &SyncSketch{} }},
 }
+
+// valid reports whether k names a known structure (kind 0 is unused).
+func (k Kind) valid() bool { return k >= 1 && int(k) < len(kindTable) }
 
 // String names the kind for diagnostics.
 func (k Kind) String() string {
-	switch k {
-	case KindHeavyHitters:
-		return "HeavyHitters"
-	case KindL1Estimator:
-		return "L1Estimator"
-	case KindL0Estimator:
-		return "L0Estimator"
-	case KindL1Sampler:
-		return "L1Sampler"
-	case KindSupportSampler:
-		return "SupportSampler"
-	case KindInnerProduct:
-		return "InnerProduct"
-	case KindL2HeavyHitters:
-		return "L2HeavyHitters"
-	case KindSyncSketch:
-		return "SyncSketch"
+	if k.valid() {
+		return kindTable[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -198,6 +185,32 @@ func parseEnvelope(data []byte, wantKind Kind) (*envelope, error) {
 	return e, nil
 }
 
+// restoreEnvelope is the shared body of the UnmarshalBinary methods:
+// parse the envelope, check it holds kind, validate the Config echo,
+// and decode the payload into a fresh T. Nothing is committed here, so
+// a failure leaves the caller's receiver untouched.
+func restoreEnvelope[T any, P interface {
+	*T
+	encoding.BinaryUnmarshaler
+}](data []byte, kind Kind) (*envelope, P, error) {
+	env, err := parseEnvelope(data, kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	// A sync sketch restored from a legacy frame re-marshals with a zero
+	// Config echo; accept that alongside fully-described payloads.
+	if kind != KindSyncSketch || env.cfg != (Config{}) {
+		if err := env.cfg.Validate(); err != nil {
+			return nil, nil, err
+		}
+	}
+	impl := P(new(T))
+	if err := impl.UnmarshalBinary(env.payload); err != nil {
+		return nil, nil, err
+	}
+	return env, impl, nil
+}
+
 // SketchConfig peeks at a serialized sketch's Config echo without
 // unmarshaling the state — the cross-check a partitioned restore runs
 // on every blob before installing it into a live shard. Legacy "SR"
@@ -239,25 +252,7 @@ func UnmarshalSketch(data []byte) (Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	var s Sketch
-	switch kind {
-	case KindHeavyHitters:
-		s = &HeavyHitters{}
-	case KindL1Estimator:
-		s = &L1Estimator{}
-	case KindL0Estimator:
-		s = &L0Estimator{}
-	case KindL1Sampler:
-		s = &L1Sampler{}
-	case KindSupportSampler:
-		s = &SupportSampler{}
-	case KindInnerProduct:
-		s = &InnerProduct{}
-	case KindL2HeavyHitters:
-		s = &L2HeavyHitters{}
-	case KindSyncSketch:
-		s = &SyncSketch{}
-	}
+	s := kindTable[kind].zero()
 	if err := s.UnmarshalBinary(data); err != nil {
 		return nil, err
 	}
@@ -280,18 +275,11 @@ func (h *HeavyHitters) MarshalBinary() ([]byte, error) {
 // works on a zero-value receiver; on failure the receiver is left
 // unchanged.
 func (h *HeavyHitters) UnmarshalBinary(data []byte) error {
-	e, err := parseEnvelope(data, KindHeavyHitters)
+	env, impl, err := restoreEnvelope[heavy.AlphaL1](data, KindHeavyHitters)
 	if err != nil {
 		return err
 	}
-	if err := e.cfg.Validate(); err != nil {
-		return err
-	}
-	impl := &heavy.AlphaL1{}
-	if err := impl.UnmarshalBinary(e.payload); err != nil {
-		return err
-	}
-	h.cfg, h.strict, h.impl = e.cfg, e.opts.strict, impl
+	h.cfg, h.strict, h.impl = env.cfg, env.opts.strict, impl
 	return nil
 }
 
@@ -312,28 +300,25 @@ func (e *L1Estimator) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
 func (e *L1Estimator) UnmarshalBinary(data []byte) error {
+	// The options echo says which variant the payload holds; peek it
+	// before choosing the type to restore into.
 	env, err := parseEnvelope(data, KindL1Estimator)
 	if err != nil {
 		return err
 	}
-	if err := env.cfg.Validate(); err != nil {
-		return err
-	}
 	if env.opts.strict {
-		impl := &l1.AlphaEstimator{}
-		if err := impl.UnmarshalBinary(env.payload); err != nil {
+		env, impl, err := restoreEnvelope[l1.AlphaEstimator](data, KindL1Estimator)
+		if err != nil {
 			return err
 		}
-		e.cfg, e.delta = env.cfg, env.opts.failureProb
-		e.strict, e.general = impl, nil
+		e.cfg, e.delta, e.strict, e.general = env.cfg, env.opts.failureProb, impl, nil
 		return nil
 	}
-	impl := &cauchy.SampledSketch{}
-	if err := impl.UnmarshalBinary(env.payload); err != nil {
+	env, impl, err := restoreEnvelope[cauchy.SampledSketch](data, KindL1Estimator)
+	if err != nil {
 		return err
 	}
-	e.cfg, e.delta = env.cfg, env.opts.failureProb
-	e.strict, e.general = nil, impl
+	e.cfg, e.delta, e.strict, e.general = env.cfg, env.opts.failureProb, nil, impl
 	return nil
 }
 
@@ -347,15 +332,8 @@ func (e *L0Estimator) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
 func (e *L0Estimator) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data, KindL0Estimator)
+	env, impl, err := restoreEnvelope[l0.Estimator](data, KindL0Estimator)
 	if err != nil {
-		return err
-	}
-	if err := env.cfg.Validate(); err != nil {
-		return err
-	}
-	impl := &l0.Estimator{}
-	if err := impl.UnmarshalBinary(env.payload); err != nil {
 		return err
 	}
 	e.cfg, e.impl = env.cfg, impl
@@ -372,15 +350,8 @@ func (s *L1Sampler) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a sampler serialized by MarshalBinary.
 func (s *L1Sampler) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data, KindL1Sampler)
+	env, impl, err := restoreEnvelope[sampler.Sampler](data, KindL1Sampler)
 	if err != nil {
-		return err
-	}
-	if err := env.cfg.Validate(); err != nil {
-		return err
-	}
-	impl := &sampler.Sampler{}
-	if err := impl.UnmarshalBinary(env.payload); err != nil {
 		return err
 	}
 	s.cfg, s.copies, s.impl = env.cfg, env.opts.copies, impl
@@ -397,15 +368,8 @@ func (s *SupportSampler) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a sampler serialized by MarshalBinary.
 func (s *SupportSampler) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data, KindSupportSampler)
+	env, impl, err := restoreEnvelope[support.Sampler](data, KindSupportSampler)
 	if err != nil {
-		return err
-	}
-	if err := env.cfg.Validate(); err != nil {
-		return err
-	}
-	impl := &support.Sampler{}
-	if err := impl.UnmarshalBinary(env.payload); err != nil {
 		return err
 	}
 	s.cfg, s.k, s.impl = env.cfg, env.opts.k, impl
@@ -422,15 +386,8 @@ func (ip *InnerProduct) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
 func (ip *InnerProduct) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data, KindInnerProduct)
+	env, impl, err := restoreEnvelope[inner.Estimator](data, KindInnerProduct)
 	if err != nil {
-		return err
-	}
-	if err := env.cfg.Validate(); err != nil {
-		return err
-	}
-	impl := &inner.Estimator{}
-	if err := impl.UnmarshalBinary(env.payload); err != nil {
 		return err
 	}
 	ip.cfg, ip.impl = env.cfg, impl
@@ -447,15 +404,8 @@ func (h *L2HeavyHitters) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a structure serialized by MarshalBinary.
 func (h *L2HeavyHitters) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data, KindL2HeavyHitters)
+	env, impl, err := restoreEnvelope[heavy.AlphaL2](data, KindL2HeavyHitters)
 	if err != nil {
-		return err
-	}
-	if err := env.cfg.Validate(); err != nil {
-		return err
-	}
-	impl := &heavy.AlphaL2{}
-	if err := impl.UnmarshalBinary(env.payload); err != nil {
 		return err
 	}
 	h.cfg, h.impl = env.cfg, impl
@@ -489,19 +439,8 @@ func (s *SyncSketch) UnmarshalBinary(data []byte) error {
 		s.impl = impl
 		return nil
 	}
-	env, err := parseEnvelope(data, KindSyncSketch)
+	env, impl, err := restoreEnvelope[sparse.Recovery](data, KindSyncSketch)
 	if err != nil {
-		return err
-	}
-	// A sync sketch restored from a legacy frame re-marshals with a zero
-	// Config echo; accept that alongside fully-described payloads.
-	if env.cfg != (Config{}) {
-		if err := env.cfg.Validate(); err != nil {
-			return err
-		}
-	}
-	impl := &sparse.Recovery{}
-	if err := impl.UnmarshalBinary(env.payload); err != nil {
 		return err
 	}
 	s.cfg, s.capacity, s.impl = env.cfg, env.opts.capacity, impl
