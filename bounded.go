@@ -39,9 +39,12 @@ type Config struct {
 	// Alpha is the assumed L_p alpha-property bound of the input stream
 	// (>= 1). It scales sampling budgets and retention windows.
 	Alpha float64
-	// Seed drives all randomness; equal seeds give identical structures.
-	// Peers that intend to merge or exchange serialized sketches must
-	// construct them from identical Configs.
+	// Seed drives all randomness: equal Configs fed equal call sequences
+	// give identical bytes in every regime (the determinism contract in
+	// the package documentation, which also says what Clone and
+	// UnmarshalBinary do to the rng stream). Peers that intend to merge or
+	// exchange serialized sketches must construct them from identical
+	// Configs.
 	Seed int64
 }
 

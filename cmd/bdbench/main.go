@@ -10,7 +10,10 @@
 //	go run ./cmd/bdbench -exp F1.1   # one experiment by id
 //	go run ./cmd/bdbench -reps 5     # more repetitions (medians reported)
 //
-// Experiment ids: F1.1..F1.8, F7, A1, LB, AB1..AB3.
+// Experiment ids: F1.1..F1.8, F2, F4..F8, A1, LB, AB1..AB3 — the paper's
+// artefacts only. Engine shard scaling, wire size and marshal time, and
+// checkpoint cost are rows of `bash bench/run.sh`'s ledger; that sharded
+// answers equal the single writer's is asserted by `go test ./engine`.
 //
 // Streams are fed through each structure's UpdateBatch — the batched
 // ingest idiom (one call per structure per stream) that the library
@@ -26,12 +29,7 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	bounded "repro"
-	"repro/engine"
 	"repro/internal/cauchy"
 	"repro/internal/core"
 	"repro/internal/csss"
@@ -62,15 +60,6 @@ type experiment struct {
 	run   func() *core.Table
 }
 
-// must unwraps a constructor result; bdbench always builds from valid
-// in-tree configurations.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 func main() {
 	flag.Parse()
 	alphas := parseAlphas(*alphaList)
@@ -91,9 +80,6 @@ func main() {
 		{"F8", "Fig 8 — support sampler sparsity budget sweep", f8Table},
 		{"A1", "Appendix A — L2 heavy hitters", func() *core.Table { return l2Table(alphas) }},
 		{"LB", "Sec 8 — adversarial augmented-indexing instance", lbTable},
-		{"ENG", "Engine — sharded concurrent ingest vs single writer (F1.1 workload)", engTable},
-		{"SER", "Serialization — wire size and marshal/unmarshal cost per structure", serTable},
-		{"CKPT", "Durability — partitioned checkpoint write/load cost vs shards", ckptTable},
 		{"AB1", "Ablation — CSSS vs dense Count-Sketch at equal dims", ab1Table},
 		{"AB2", "Ablation — Fig 7 window width", ab2Table},
 		{"AB3", "Ablation — Morris vs exact clock in Fig 4", ab3Table},
@@ -480,240 +466,6 @@ func supportTable(alphas []float64) *core.Table {
 			fmt.Sprintf("%.0f", core.Median(lvA)), fmt.Sprintf("%.0f", core.Median(lvB)),
 			core.HumanBits(int64(core.Median(bitsA))), core.HumanBits(int64(core.Median(bitsB))),
 			fmt.Sprintf("%.2fx", core.Median(bitsB)/core.Median(bitsA)))
-	}
-	return t
-}
-
-// engTable drives the sharded ingest engine on the Figure 1 row 1
-// workload and compares it against the single-writer structure: same
-// heavy-hitters answer (the differential guarantee), wall-clock ingest
-// time across shard counts, and the aggregate space cost of S-way
-// parallelism. Producers equal shards; scaling needs cores.
-// serTable measures the wire format: serialized size and
-// marshal/unmarshal latency per public structure on the Fig1 workload —
-// the cost of shipping each summary to a peer (examples/distributedmerge
-// and engine.Snapshot pay exactly these).
-func serTable() *core.Table {
-	t := &core.Table{Headers: []string{"bytes", "marshal", "unmarshal", "sketch bits"}}
-	const n = 1 << 14
-	cfg := bounded.Config{N: n, Eps: 0.05, Alpha: 4, Seed: *seed}
-	s := gen.BoundedDeletion(gen.Config{N: n, Items: 50000, Alpha: 4, Zipf: 1.3, Seed: *seed})
-
-	structures := []struct {
-		name string
-		make func() (bounded.Sketch, error)
-	}{
-		{"HeavyHitters", func() (bounded.Sketch, error) { return bounded.NewHeavyHitters(cfg) }},
-		{"L1Estimator", func() (bounded.Sketch, error) { return bounded.NewL1Estimator(cfg) }},
-		{"L0Estimator", func() (bounded.Sketch, error) { return bounded.NewL0Estimator(cfg) }},
-		{"L1Sampler", func() (bounded.Sketch, error) {
-			return bounded.NewL1Sampler(bounded.Config{N: n, Eps: 0.25, Alpha: 4, Seed: *seed}, bounded.WithCopies(4))
-		}},
-		{"SupportSampler", func() (bounded.Sketch, error) { return bounded.NewSupportSampler(cfg, bounded.WithK(32)) }},
-		{"InnerProduct", func() (bounded.Sketch, error) { return bounded.NewInnerProduct(cfg) }},
-		{"L2HeavyHitters", func() (bounded.Sketch, error) {
-			return bounded.NewL2HeavyHitters(bounded.Config{N: n, Eps: 0.1, Alpha: 4, Seed: *seed})
-		}},
-		{"SyncSketch", func() (bounded.Sketch, error) { return bounded.NewSyncSketch(cfg, bounded.WithCapacity(256)) }},
-	}
-	for _, sc := range structures {
-		sk := must(sc.make())
-		core.UpdateBatch(sk.UpdateColumns, s.Updates)
-		// Median-of-reps marshal and unmarshal timings.
-		var data []byte
-		var marshalNS, unmarshalNS []float64
-		rounds := 3 * *reps
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			var err error
-			data, err = sk.MarshalBinary()
-			if err != nil {
-				panic(err)
-			}
-			marshalNS = append(marshalNS, float64(time.Since(start).Nanoseconds()))
-			start = time.Now()
-			if _, err := bounded.UnmarshalSketch(data); err != nil {
-				panic(err)
-			}
-			unmarshalNS = append(unmarshalNS, float64(time.Since(start).Nanoseconds()))
-		}
-		t.Add(sc.name,
-			fmt.Sprintf("%d", len(data)),
-			time.Duration(core.Median(marshalNS)).String(),
-			time.Duration(core.Median(unmarshalNS)).String(),
-			core.HumanBits(sk.SpaceBits()))
-	}
-	return t
-}
-
-func engTable() *core.Table {
-	t := &core.Table{Headers: []string{"ingest", "speedup", "answers", "stalls", "snaps", "bits"}}
-	const n, eps, alpha = 1 << 16, 0.05, 8.0
-	cfg := bounded.Config{N: n, Eps: eps, Alpha: alpha, Seed: *seed}
-	s := gen.BoundedDeletion(gen.Config{N: n, Items: 200000, Alpha: alpha, Zipf: 1.5, Seed: *seed})
-
-	single := must(bounded.NewHeavyHitters(cfg))
-	start := time.Now()
-	core.UpdateBatch(single.UpdateColumns, s.Updates)
-	baseTime := time.Since(start)
-	want := single.HeavyHitters()
-	t.Add("single-writer", baseTime.Round(time.Millisecond).String(), "1.00x", "-", "-", "-",
-		core.HumanBits(single.SpaceBits()))
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		e, err := engine.New(cfg, engine.Options{Shards: shards, BatchSize: 1024, Queue: 8})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		const chunk = 4096
-		start := time.Now()
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for p := 0; p < shards; p++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					off := int(next.Add(chunk)) - chunk
-					if off >= len(s.Updates) {
-						return
-					}
-					end := off + chunk
-					if end > len(s.Updates) {
-						end = len(s.Updates)
-					}
-					if err := e.Ingest(s.Updates[off:end]); err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := e.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		elapsed := time.Since(start)
-		got, err := e.HeavyHitters()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		match := "IDENTICAL"
-		if len(got) != len(want) {
-			match = "DIFFER"
-		} else {
-			for i := range want {
-				if got[i] != want[i] {
-					match = "DIFFER"
-				}
-			}
-		}
-		bits, _ := e.SpaceBits()
-		st := e.Stats()
-		t.Add(fmt.Sprintf("engine shards=%d", shards),
-			elapsed.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2fx", float64(baseTime)/float64(elapsed)),
-			match,
-			fmt.Sprintf("%d", st.BackpressureStalls),
-			fmt.Sprintf("%d", st.SnapshotBuilds),
-			core.HumanBits(bits))
-		e.Close()
-	}
-	return t
-}
-
-// ckptTable measures the durability subsystem: wall time to write a
-// partitioned checkpoint of a loaded engine, on-disk size, wall time
-// to reopen a cold engine from it, and whether the restored engine's
-// merged answers are bit-identical to the source's.
-func ckptTable() *core.Table {
-	t := &core.Table{Headers: []string{"write", "load", "on-disk", "match"}}
-	const n, eps, alpha = 1 << 16, 0.05, 8.0
-	cfg := bounded.Config{N: n, Eps: eps, Alpha: alpha, Seed: *seed}
-	s := gen.BoundedDeletion(gen.Config{N: n, Items: 200000, Alpha: alpha, Zipf: 1.5, Seed: *seed})
-	structs := engine.HeavyHitters | engine.L1Estimator | engine.SupportSampler
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		e, err := engine.New(cfg, engine.Options{Shards: shards, BatchSize: 1024, Structures: structs})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := e.Ingest(s.Updates); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		wantHH, err := e.HeavyHitters()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		wantL1, err := e.L1()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-
-		dir, err := os.MkdirTemp("", "bdbench-ckpt-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		start := time.Now()
-		if err := e.Checkpoint(dir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		writeTime := time.Since(start)
-
-		var diskBits int64
-		if entries, err := os.ReadDir(dir); err == nil {
-			for _, ent := range entries {
-				if info, err := ent.Info(); err == nil {
-					diskBits += info.Size() * 8
-				}
-			}
-		}
-
-		start = time.Now()
-		r, err := engine.OpenCheckpoint(dir, engine.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		loadTime := time.Since(start)
-
-		gotHH, err := r.HeavyHitters()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		gotL1, err := r.L1()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		match := "IDENTICAL"
-		if gotL1 != wantL1 || len(gotHH) != len(wantHH) {
-			match = "DIFFER"
-		} else {
-			for i := range wantHH {
-				if gotHH[i] != wantHH[i] {
-					match = "DIFFER"
-				}
-			}
-		}
-
-		t.Add(fmt.Sprintf("checkpoint shards=%d", shards),
-			writeTime.Round(10*time.Microsecond).String(),
-			loadTime.Round(10*time.Microsecond).String(),
-			core.HumanBits(diskBits),
-			match)
-		r.Close()
-		e.Close()
-		os.RemoveAll(dir)
 	}
 	return t
 }

@@ -67,8 +67,45 @@
 // — so generic code (the engine, a network shipper, a checkpointer)
 // handles all eight uniformly. SpaceBits is an information-theoretic
 // space account in the paper's cost model, which the benchmark harness
-// uses to regenerate Figure 1 empirically. All randomness is seeded
-// and deterministic.
+// uses to regenerate Figure 1 empirically.
+//
+// # Determinism
+//
+// The same Config, the same update sequence and the same call sequence
+// give the same bytes, in every regime of every structure — still
+// exact, one sampled level live, or two that draw on every update.
+// Every draw is made in an order the code fixes: rows in row order,
+// the live levels of an interval schedule in ascending level order
+// (internal/sample.Window, the one schedule under the strict and
+// general L1 estimators and both sides of the inner product), never in
+// map order. TestSameSeedSameBytes holds all eight structures to this;
+// every bit-identity differential and golden digest rests on it.
+//
+// Clone and restore derive a fresh rng stream, deterministically: Clone
+// seeds the copy from one draw of the original's generator (so a Clone
+// is part of the call sequence — it advances the original), and
+// UnmarshalBinary seeds from a hash of the payload (Go's generator
+// state is not portable). Equal bytes restore equal structures, and
+// counters, positions and schedules round-trip exactly; but the copy's
+// FUTURE sampling decisions are not the original's, so "restored in
+// mid-stream" equals "never marshalled" as bytes only while nothing is
+// drawn (the exact regimes).
+//
+// What one update costs in |delta|: nothing extra for the linear
+// structures (L0Estimator, SupportSampler, SyncSketch and the dense
+// baselines fold delta in field or integer arithmetic). The sampling
+// structures treat delta as |delta| unit updates without looping over
+// them: CSSS (both HeavyHitters, the L1Sampler's tail estimator) thins
+// with one binomial per row and cuts only at its O(log |delta|)
+// halving boundaries; the strict L1 estimator walks its Morris clock
+// in O(log |delta|) geometrically growing chunks, one binomial per
+// sampled live level per chunk; the general L1 estimator and
+// InnerProduct step through the interval schedule in runs over which
+// the live set stands still — level 0 adds the run in closed form, a
+// sampled level keeps Binomial(run, s^-j) units — O(1) draws per live
+// level per window move, O(log_s |delta|) moves. A run of exactly one
+// unit draws the single coin it always drew, so unit-delta streams are
+// byte-identical to a per-unit loop.
 //
 // # Serialization: sketches cross process boundaries
 //
@@ -217,8 +254,8 @@
 // order is preserved, and the rng draw order is the contract — CSSS's
 // thin step makes exactly the draws the per-item path makes for the
 // same updates, in the same order, while the precision sampler and
-// the l1 estimator's sampled stages still apply per-item exactly where
-// their draws occur. Differential tests assert this equality per
+// the interval-schedule structures (l1, sampled Cauchy, inner product)
+// still apply per-item exactly where their draws occur. Differential tests assert this equality per
 // structure and through the engine at 1/2/4/8 shards.
 //
 // The windowed structures (the L0 estimator, its constant-factor level

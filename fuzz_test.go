@@ -39,6 +39,60 @@ func roughLevelOutOfRange(data []byte) []byte {
 	return out
 }
 
+// l1LevelList returns the offset of the level count inside the strict
+// (Morris-clock) Figure 4 estimator nested in a marshalled L1Estimator:
+// u32 count, then per level u32 index, i64 c+, i64 c-.
+func l1LevelList(data []byte) int {
+	at := bytes.Index(data, []byte{'L', '1', 1})
+	if at < 0 {
+		return -1
+	}
+	return at + 3 + 8 + 1 + 2 + 8 + 8 // magic+version, base, clock tag, Morris (v, max), peak, units
+}
+
+// craftedL1Windows are three level lists no ingest produces but the
+// decoder admits, because the first update re-syncs the window: a level
+// at the top index 62, an empty list at a large position, and two
+// non-adjacent levels.
+func craftedL1Windows(f *testing.F, cfg Config) [][]byte {
+	blob := func(units int64) ([]byte, int) {
+		e := must(NewL1Estimator(cfg))
+		if units > 0 {
+			e.Update(3, units)
+		}
+		data := must(e.MarshalBinary())
+		at := l1LevelList(data)
+		if at < 0 {
+			f.Fatal("no Figure 4 estimator inside an L1Estimator encoding")
+		}
+		return data, at
+	}
+	top, at := blob(2)
+	binary.LittleEndian.PutUint32(top[at+4:], 62)
+	empty, at := blob(0)
+	if binary.LittleEndian.Uint32(empty[at:]) != 0 {
+		f.Fatal("a fresh estimator already lists levels")
+	}
+	empty[at-18], empty[at-17] = 40, 40 // Morris exponent and its peak: t = 2^40 - 1
+	apart, at := blob(1 << 30)
+	if binary.LittleEndian.Uint32(apart[at:]) != 2 {
+		f.Fatal("2^30 units left the estimator with other than two live levels")
+	}
+	binary.LittleEndian.PutUint32(apart[at+4+20:], 37)
+	out := [][]byte{top, empty, apart}
+	for i, data := range out {
+		s, err := UnmarshalSketch(data)
+		if err != nil {
+			f.Fatalf("crafted window %d refused: %v", i, err)
+		}
+		s.Update(1, 1)
+		if again := must(UnmarshalSketch(must(s.MarshalBinary()))); again.(*L1Estimator).strict.LiveLevels() > 2 {
+			f.Fatalf("crafted window %d still holds %d levels after an update", i, again.(*L1Estimator).strict.LiveLevels())
+		}
+	}
+	return out
+}
+
 // FuzzUnmarshal drives arbitrary bytes through every deserialization
 // entry point. The contract under fuzzing: corrupt, truncated,
 // bit-flipped or wrong-version payloads return errors — they never
@@ -85,6 +139,9 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(bad)
 	seed(NewL1Estimator(cfg))
 	seed(NewL1Estimator(cfg, WithStrict(false)))
+	for _, data := range craftedL1Windows(f, cfg) {
+		f.Add(data)
+	}
 	seed(NewL0Estimator(cfg))
 	seed(NewL1Sampler(Config{N: 1 << 10, Eps: 0.25, Alpha: 2, Seed: 9}, WithCopies(2)))
 	seed(NewSupportSampler(cfg, WithK(4)))
@@ -105,6 +162,15 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(bad)
 	}
 	seed(NewInnerProduct(cfg))
+	// A row count the payload cannot hold must be refused before it sizes
+	// an allocation.
+	ipData := must(must(NewInnerProduct(cfg)).MarshalBinary())
+	rows := bytes.Index(ipData, []byte{'I', 'P', 1}) + 3 + 8 + 8 + 8 + 4 // magic+version, N, Eps, Base, K
+	binary.LittleEndian.PutUint32(ipData[rows:], 1<<31)
+	if _, err := UnmarshalSketch(ipData); err == nil {
+		f.Fatal("accepted an InnerProduct row count of 2^31")
+	}
+	f.Add(ipData)
 	seed(NewL2HeavyHitters(cfg))
 	seed(NewSyncSketch(cfg, WithCapacity(16)))
 	f.Add([]byte{})

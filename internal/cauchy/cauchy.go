@@ -261,7 +261,7 @@ type SampledSketch struct {
 	base      int64 // interval base s
 	fpBits    uint
 	t         int64
-	levels    map[int]*sampledLevel
+	win       *sample.Window[sampledLevel]
 	rng       *rand.Rand
 	maxCount  int64
 
@@ -271,7 +271,6 @@ type SampledSketch struct {
 }
 
 type sampledLevel struct {
-	j      int
 	start  int64
 	y      []int64 // fixed-point sampled Cauchy sums
 	yPrime []int64
@@ -293,28 +292,43 @@ func NewSampledSketch(rng *rand.Rand, r, rPrime, k int, base int64, fpBits uint)
 		r: r, rPrime: rPrime, base: base, fpBits: fpBits,
 		hA:      hash.NewKWise(rng, k),
 		hAPrime: hash.NewKWise(rng, 4),
-		levels:  make(map[int]*sampledLevel),
+		win:     sample.NewWindow[sampledLevel](base),
 		rng:     rng,
 	}
 }
 
-// Update feeds an update, expanding |delta| into unit updates (each unit
-// sampled independently at every live level's rate).
+// Update feeds an update: |delta| unit updates, each sampled
+// independently at every live level's rate, applied in runs over which
+// the live set stands still — one draw per sampled level per run (in
+// ascending level order), so the cost is O(log |delta|) window moves
+// and never |delta| iterations.
 func (s *SampledSketch) Update(i uint64, delta int64) {
 	mag := stream.Abs64(delta)
 	sign := int64(1)
 	if delta < 0 {
 		sign = -1
 	}
-	for u := int64(0); u < mag; u++ {
-		s.t++
-		s.syncLevels()
-		for _, lv := range s.levels {
-			if !s.sampleAtLevel(lv.j) {
-				continue
+	for mag > 0 {
+		run := s.win.Step(&s.t, mag, s.newLevel)
+		for j, lv := range s.win.Each {
+			if kept := sample.Thin(s.rng, run, sample.Pow(s.base, j)); kept != 0 {
+				s.addTo(lv, i, sign*kept)
 			}
-			s.addTo(lv, i, sign)
 		}
+		mag -= run
+	}
+}
+
+// newLevel opens a level at the current position.
+func (s *SampledSketch) newLevel(int) *sampledLevel {
+	return &sampledLevel{start: s.t, y: make([]int64, s.r), yPrime: make([]int64, s.rPrime)}
+}
+
+func copySampledLevel(lv *sampledLevel) *sampledLevel {
+	return &sampledLevel{
+		start:  lv.start,
+		y:      append([]int64(nil), lv.y...),
+		yPrime: append([]int64(nil), lv.yPrime...),
 	}
 }
 
@@ -328,73 +342,36 @@ func (s *SampledSketch) UpdateColumns(b *core.Batch) {
 	}
 }
 
-// sampleAtLevel draws one Bernoulli(base^-j) decision.
-func (s *SampledSketch) sampleAtLevel(j int) bool {
-	if j == 0 {
-		return true
-	}
-	denom := sample.Pow(s.base, j)
-	return s.rng.Int63n(denom) == 0
-}
-
-func (s *SampledSketch) addTo(lv *sampledLevel, i uint64, sign int64) {
+// addTo adds units signed copies of item i's Cauchy row to the level
+// in closed form: equal contributions move a counter monotonically, so
+// its peak magnitude is at an endpoint.
+func (s *SampledSketch) addTo(lv *sampledLevel, i uint64, units int64) {
 	unit := float64(int64(1) << s.fpBits)
 	for j := range lv.y {
 		c := int64(math.Round(cauchyFromUnit(s.hA.Unit(entryKey(j, i))) * unit))
-		lv.y[j] += sign * c
+		lv.y[j] += units * c
 		if a := stream.Abs64(lv.y[j]); a > s.maxCount {
 			s.maxCount = a
 		}
 	}
 	for j := range lv.yPrime {
 		c := int64(math.Round(cauchyFromUnit(s.hAPrime.Unit(entryKey(j, i))) * unit))
-		lv.yPrime[j] += sign * c
+		lv.yPrime[j] += units * c
 		if a := stream.Abs64(lv.yPrime[j]); a > s.maxCount {
 			s.maxCount = a
 		}
 	}
 }
 
-// syncLevels creates/destroys level sketches per the interval schedule.
-func (s *SampledSketch) syncLevels() {
-	lo, hi := sample.ActiveLevels(s.t, s.base)
-	for j := range s.levels {
-		if j < lo || j > hi {
-			delete(s.levels, j)
-		}
-	}
-	for j := lo; j <= hi; j++ {
-		if _, ok := s.levels[j]; !ok {
-			s.levels[j] = &sampledLevel{
-				j:      j,
-				start:  s.t,
-				y:      make([]int64, s.r),
-				yPrime: make([]int64, s.rPrime),
-			}
-		}
-	}
-}
-
-// oldest returns the level that has been live longest (smallest j).
-func (s *SampledSketch) oldest() *sampledLevel {
-	var best *sampledLevel
-	for _, lv := range s.levels {
-		if best == nil || lv.j < best.j {
-			best = lv
-		}
-	}
-	return best
-}
-
 // Estimate returns the ln-cos L1 estimate from the oldest live level,
 // rescaled by its sampling rate. The rescaled rows live in reusable
 // scratch, so steady-state queries allocate nothing.
 func (s *SampledSketch) Estimate() float64 {
-	lv := s.oldest()
+	j, lv := s.win.Oldest()
 	if lv == nil {
 		return 0
 	}
-	scale := float64(sample.Pow(s.base, lv.j)) / float64(int64(1)<<s.fpBits)
+	scale := float64(sample.Pow(s.base, j)) / float64(int64(1)<<s.fpBits)
 	s.qY = rescaleInto(s.qY, lv.y, scale)
 	s.qYPrime = rescaleInto(s.qYPrime, lv.yPrime, scale)
 	var m float64
@@ -405,11 +382,11 @@ func (s *SampledSketch) Estimate() float64 {
 // MedianEstimate returns the constant-factor Indyk estimate from the
 // oldest live level.
 func (s *SampledSketch) MedianEstimate() float64 {
-	lv := s.oldest()
+	j, lv := s.win.Oldest()
 	if lv == nil {
 		return 0
 	}
-	scale := float64(sample.Pow(s.base, lv.j)) / float64(int64(1)<<s.fpBits)
+	scale := float64(sample.Pow(s.base, j)) / float64(int64(1)<<s.fpBits)
 	s.qYPrime = rescaleInto(s.qYPrime, lv.yPrime, scale)
 	var m float64
 	m, s.qAbs = medianAbsScratch(s.qYPrime, s.qAbs)
@@ -446,55 +423,33 @@ func (s *SampledSketch) Merge(other *SampledSketch) error {
 	if !s.hA.Equal(other.hA) || !s.hAPrime.Equal(other.hAPrime) {
 		return fmt.Errorf("cauchy: merging SampledSketches with different hash functions (same seed required)")
 	}
-	for j, olv := range other.levels {
-		if lv, ok := s.levels[j]; ok {
-			for i := range lv.y {
-				lv.y[i] += olv.y[i]
-			}
-			for i := range lv.yPrime {
-				lv.yPrime[i] += olv.yPrime[i]
-			}
-			if olv.start < lv.start {
-				lv.start = olv.start
-			}
-		} else {
-			s.levels[j] = &sampledLevel{
-				j:      j,
-				start:  olv.start,
-				y:      append([]int64(nil), olv.y...),
-				yPrime: append([]int64(nil), olv.yPrime...),
-			}
+	s.win.Merge(other.win, func(lv, olv *sampledLevel) {
+		for i := range lv.y {
+			lv.y[i] += olv.y[i]
 		}
-	}
-	s.t += other.t
-	if other.maxCount > s.maxCount {
-		s.maxCount = other.maxCount
-	}
-	s.syncLevels()
+		for i := range lv.yPrime {
+			lv.yPrime[i] += olv.yPrime[i]
+		}
+		lv.start = min(lv.start, olv.start)
+	}, copySampledLevel)
+	s.t = sample.AddPos(s.t, other.t)
+	s.maxCount = max(s.maxCount, other.maxCount)
+	s.win.Sync(s.t, s.newLevel)
 	return nil
 }
 
 // Clone returns a deep copy sharing the (immutable) hash functions,
 // with a fresh rng stream for the clone's own sampling decisions.
 func (s *SampledSketch) Clone() *SampledSketch {
-	c := &SampledSketch{
+	return &SampledSketch{
 		r: s.r, rPrime: s.rPrime,
 		hA: s.hA, hAPrime: s.hAPrime,
 		base: s.base, fpBits: s.fpBits,
 		t:        s.t,
-		levels:   make(map[int]*sampledLevel, len(s.levels)),
+		win:      s.win.Clone(copySampledLevel),
 		rng:      rand.New(rand.NewSource(s.rng.Int63())),
 		maxCount: s.maxCount,
 	}
-	for j, lv := range s.levels {
-		c.levels[j] = &sampledLevel{
-			j:      lv.j,
-			start:  lv.start,
-			y:      append([]int64(nil), lv.y...),
-			yPrime: append([]int64(nil), lv.yPrime...),
-		}
-	}
-	return c
 }
 
 // MaxCounterBits returns the width of the widest sampled counter — the
@@ -508,10 +463,7 @@ func (s *SampledSketch) MaxCounterBits() int64 {
 // plus the matrix seeds and the position counter.
 func (s *SampledSketch) SpaceBits() int64 {
 	perCounter := s.MaxCounterBits()
-	var counters int64
-	for _, lv := range s.levels {
-		counters += int64(len(lv.y)+len(lv.yPrime)) * perCounter
-	}
+	counters := int64(s.win.Len()) * int64(s.r+s.rPrime) * perCounter
 	seeds := s.hA.SpaceBits() + s.hAPrime.SpaceBits()
 	position := int64(nt.BitsFor(uint64(s.t)))
 	return counters + seeds + position

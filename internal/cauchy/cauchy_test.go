@@ -174,8 +174,8 @@ func TestSampledMatchesDenseWhenUnsampled(t *testing.T) {
 	for _, u := range s.Updates {
 		sk.Update(u.Index, u.Delta)
 	}
-	if lv := sk.oldest(); lv.j != 0 {
-		t.Fatalf("expected level 0 to survive, got %d", lv.j)
+	if j, _ := sk.win.Oldest(); j != 0 {
+		t.Fatalf("expected level 0 to survive, got %d", j)
 	}
 	got := sk.Estimate()
 	if math.Abs(got-want) > 0.2*want {
@@ -189,11 +189,11 @@ func TestSampledSketchLevels(t *testing.T) {
 	sk := NewSampledSketch(rng, 4, 4, 4, 8, 8)
 	for i := 0; i < 100000; i++ {
 		sk.Update(uint64(i%100), 1)
-		if len(sk.levels) > 2 {
-			t.Fatalf("%d levels live at t=%d", len(sk.levels), sk.t)
+		if sk.win.Len() > 2 {
+			t.Fatalf("%d levels live at t=%d", sk.win.Len(), sk.t)
 		}
 	}
-	if sk.oldest() == nil {
+	if _, lv := sk.win.Oldest(); lv == nil {
 		t.Fatal("no live level at stream end")
 	}
 }

@@ -3,9 +3,9 @@ package cauchy
 import (
 	"errors"
 	"math/rand"
-	"sort"
 
 	"repro/internal/hash"
+	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
@@ -88,20 +88,11 @@ func (s *SampledSketch) MarshalBinary() ([]byte, error) {
 	}
 	w.I64(s.t)
 	w.I64(s.maxCount)
-	// Levels in ascending j for a canonical encoding.
-	js := make([]int, 0, len(s.levels))
-	for j := range s.levels {
-		js = append(js, j)
-	}
-	sort.Ints(js)
-	w.U32(uint32(len(js)))
-	for _, j := range js {
-		lv := s.levels[j]
-		w.U32(uint32(j))
+	s.win.WriteLevels(w, func(lv *sampledLevel) {
 		w.I64(lv.start)
 		w.I64s(lv.y)
 		w.I64s(lv.yPrime)
-	}
+	})
 	return w.Bytes(), nil
 }
 
@@ -126,32 +117,21 @@ func (s *SampledSketch) UnmarshalBinary(data []byte) error {
 	rd.Unmarshal(hAPrime)
 	t := rd.I64()
 	maxCount := rd.I64()
-	nLevels := int(rd.U32())
 	if rd.Err() != nil {
 		return rd.Err()
 	}
 	if r < 1 || rPrime < 1 || base < 4 || fpBits > 62 || t < 0 {
 		return errors.New("cauchy: bad SampledSketch parameters")
 	}
-	if nLevels < 0 || nLevels > rd.Remaining() {
-		return errors.New("cauchy: bad SampledSketch level count")
-	}
-	levels := make(map[int]*sampledLevel, nLevels)
-	for i := 0; i < nLevels; i++ {
-		j := int(rd.U32())
-		start := rd.I64()
-		y := rd.I64s()
-		yPrime := rd.I64s()
-		if rd.Err() != nil {
-			return rd.Err()
+	win, err := sample.ReadLevels(rd, base, func() (*sampledLevel, error) {
+		lv := &sampledLevel{start: rd.I64(), y: rd.I64s(), yPrime: rd.I64s()}
+		if len(lv.y) != r || len(lv.yPrime) != rPrime {
+			return nil, errors.New("cauchy: bad SampledSketch level")
 		}
-		if j > 62 || len(y) != r || len(yPrime) != rPrime {
-			return errors.New("cauchy: bad SampledSketch level")
-		}
-		if _, dup := levels[j]; dup {
-			return errors.New("cauchy: duplicate SampledSketch level")
-		}
-		levels[j] = &sampledLevel{j: j, start: start, y: y, yPrime: yPrime}
+		return lv, nil
+	})
+	if err != nil {
+		return err
 	}
 	if err := rd.Done(); err != nil {
 		return err
@@ -160,7 +140,7 @@ func (s *SampledSketch) UnmarshalBinary(data []byte) error {
 	s.base, s.fpBits = base, fpBits
 	s.hA, s.hAPrime = hA, hAPrime
 	s.t, s.maxCount = t, maxCount
-	s.levels = levels
+	s.win = win
 	s.rng = rand.New(rand.NewSource(wire.Seed(data)))
 	return nil
 }

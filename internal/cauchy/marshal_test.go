@@ -48,9 +48,9 @@ func TestSampledSketchMarshalRoundTrip(t *testing.T) {
 	if err := restored.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if restored.t != s.t || len(restored.levels) != len(s.levels) {
+	if restored.t != s.t || restored.win.Len() != s.win.Len() {
 		t.Fatalf("state: restored (t=%d, levels=%d), original (t=%d, levels=%d)",
-			restored.t, len(restored.levels), s.t, len(s.levels))
+			restored.t, restored.win.Len(), s.t, s.win.Len())
 	}
 	if restored.Estimate() != s.Estimate() {
 		t.Errorf("Estimate differs: %v vs %v", restored.Estimate(), s.Estimate())

@@ -80,8 +80,9 @@ func TestSampledSketchMergeExactInRateOneRegime(t *testing.T) {
 	if a.t != whole.t {
 		t.Fatalf("position: merged %d, single-stream %d", a.t, whole.t)
 	}
-	la, lw := a.levels[0], whole.levels[0]
-	if la == nil || lw == nil {
+	ja, la := a.win.Oldest()
+	jw, lw := whole.win.Oldest()
+	if la == nil || lw == nil || ja != 0 || jw != 0 {
 		t.Fatal("level 0 missing")
 	}
 	for j := range lw.y {

@@ -77,12 +77,11 @@ type Estimator struct {
 // side is the per-stream interval-sampled Count-Sketch stack.
 type side struct {
 	t        int64
-	levels   map[int]*ipLevel
+	win      *sample.Window[ipLevel]
 	maxCount int64
 }
 
 type ipLevel struct {
-	j     int
 	start int64
 	bins  [][]int64 // [row][bucket] signed sampled counts
 }
@@ -109,8 +108,8 @@ func New(rng *rand.Rand, params Params) *Estimator {
 	e := &Estimator{
 		params: params,
 		prime:  prime,
-		f:      newSide(),
-		g:      newSide(),
+		f:      &side{win: sample.NewWindow[ipLevel](params.Base)},
+		g:      &side{win: sample.NewWindow[ipLevel](params.Base)},
 		rng:    rng,
 	}
 	e.hb = make([]*hash.KWise, params.Rows)
@@ -122,10 +121,6 @@ func New(rng *rand.Rand, params Params) *Estimator {
 	return e
 }
 
-func newSide() *side {
-	return &side{levels: make(map[int]*ipLevel)}
-}
-
 // UpdateF feeds an update to the first stream.
 func (e *Estimator) UpdateF(i uint64, delta int64) { e.update(e.f, i, delta) }
 
@@ -133,8 +128,8 @@ func (e *Estimator) UpdateF(i uint64, delta int64) { e.update(e.f, i, delta) }
 func (e *Estimator) UpdateG(i uint64, delta int64) { e.update(e.g, i, delta) }
 
 // UpdateColumnsF consumes a pre-planned columnar batch for the first
-// stream. Sampled levels draw rng per unit update, so application
-// stays per-item in column order.
+// stream. Sampled levels draw rng per update, so application stays
+// per-item in column order.
 func (e *Estimator) UpdateColumnsF(b *core.Batch) { e.updateColumns(e.f, b) }
 
 // UpdateColumnsG consumes a pre-planned columnar batch for the second
@@ -148,76 +143,54 @@ func (e *Estimator) updateColumns(sd *side, b *core.Batch) {
 }
 
 func (e *Estimator) update(sd *side, i uint64, delta int64) {
-	mag := delta
-	sign := int64(1)
-	if mag < 0 {
-		mag = -mag
-		sign = -1
-	}
+	mag := stream.Abs64(delta)
 	// Reduce the identity once per update (Lemma 7 small-space mod).
 	reduced := hash.StreamedMod(i, e.prime)
-	for u := int64(0); u < mag; u++ {
-		sd.t++
-		e.syncLevels(sd)
-		for _, lv := range sd.levels {
-			if !e.sampleAt(lv.j) {
+	// The |delta| unit updates are applied in runs over which the live
+	// set stands still: one draw per sampled level per run, in ascending
+	// level order, so the cost is O(log |delta|) window moves.
+	fresh := func(int) *ipLevel { return e.newLevel(sd.t) }
+	for mag > 0 {
+		run := sd.win.Step(&sd.t, mag, fresh)
+		for j, lv := range sd.win.Each {
+			kept := sample.Thin(e.rng, run, sample.Pow(e.params.Base, j))
+			if kept == 0 {
 				continue
+			}
+			if delta < 0 {
+				kept = -kept
 			}
 			for r := 0; r < e.params.Rows; r++ {
 				b := e.hb[r].Range(reduced, uint64(e.params.K))
 				s := int64(e.hs[r].Sign(reduced))
-				lv.bins[r][b] += sign * s
+				lv.bins[r][b] += s * kept
 				if a := stream.Abs64(lv.bins[r][b]); a > sd.maxCount {
 					sd.maxCount = a
 				}
 			}
 		}
+		mag -= run
 	}
 }
 
-func (e *Estimator) sampleAt(j int) bool {
-	if j == 0 {
-		return true
+// newLevel opens a level at position start.
+func (e *Estimator) newLevel(start int64) *ipLevel {
+	lv := &ipLevel{start: start, bins: make([][]int64, e.params.Rows)}
+	for r := range lv.bins {
+		lv.bins[r] = make([]int64, e.params.K)
 	}
-	return e.rng.Int63n(sample.Pow(e.params.Base, j)) == 0
-}
-
-func (e *Estimator) syncLevels(sd *side) {
-	lo, hi := sample.ActiveLevels(sd.t, e.params.Base)
-	for j := range sd.levels {
-		if j < lo || j > hi {
-			delete(sd.levels, j)
-		}
-	}
-	for j := lo; j <= hi; j++ {
-		if _, ok := sd.levels[j]; !ok {
-			lv := &ipLevel{j: j, start: sd.t, bins: make([][]int64, e.params.Rows)}
-			for r := range lv.bins {
-				lv.bins[r] = make([]int64, e.params.K)
-			}
-			sd.levels[j] = lv
-		}
-	}
-}
-
-func oldest(sd *side) *ipLevel {
-	var best *ipLevel
-	for _, lv := range sd.levels {
-		if best == nil || lv.j < best.j {
-			best = lv
-		}
-	}
-	return best
+	return lv
 }
 
 // Estimate returns p_f^-1 p_g^-1 <A, B> (median over rows).
 func (e *Estimator) Estimate() float64 {
-	lf, lg := oldest(e.f), oldest(e.g)
+	jf, lf := e.f.win.Oldest()
+	jg, lg := e.g.win.Oldest()
 	if lf == nil || lg == nil {
 		return 0
 	}
-	scaleF := float64(sample.Pow(e.params.Base, lf.j))
-	scaleG := float64(sample.Pow(e.params.Base, lg.j))
+	scaleF := float64(sample.Pow(e.params.Base, jf))
+	scaleG := float64(sample.Pow(e.params.Base, jg))
 	ests := make([]float64, e.params.Rows)
 	for r := range ests {
 		var dot int64
@@ -234,12 +207,7 @@ func (e *Estimator) Estimate() float64 {
 // O(eps^-1 log(alpha log n / eps)) layout of Theorem 2.
 func (e *Estimator) SpaceBits() int64 {
 	width := int64(nt.BitsFor(uint64(max(e.f.maxCount, e.g.maxCount)))) + 1
-	var bins int64
-	for _, sd := range []*side{e.f, e.g} {
-		for range sd.levels {
-			bins += int64(e.params.Rows) * int64(e.params.K)
-		}
-	}
+	bins := int64(e.f.win.Len()+e.g.win.Len()) * int64(e.params.Rows) * int64(e.params.K)
 	var seeds int64
 	for r := range e.hb {
 		seeds += e.hb[r].SpaceBits() + e.hs[r].SpaceBits()

@@ -3,9 +3,9 @@ package inner
 import (
 	"errors"
 	"math/rand"
-	"sort"
 
 	"repro/internal/hash"
+	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
@@ -36,32 +36,17 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 		}
 	}
 	for _, sd := range []*side{e.f, e.g} {
-		if err := marshalSide(w, sd); err != nil {
-			return nil, err
-		}
+		w.I64(sd.t)
+		w.I64(sd.maxCount)
+		sd.win.WriteLevels(w, func(lv *ipLevel) {
+			w.I64(lv.start)
+			w.U32(uint32(len(lv.bins)))
+			for r := range lv.bins {
+				w.I64s(lv.bins[r])
+			}
+		})
 	}
 	return w.Bytes(), nil
-}
-
-func marshalSide(w *wire.Writer, sd *side) error {
-	w.I64(sd.t)
-	w.I64(sd.maxCount)
-	js := make([]int, 0, len(sd.levels))
-	for j := range sd.levels {
-		js = append(js, j)
-	}
-	sort.Ints(js)
-	w.U32(uint32(len(js)))
-	for _, j := range js {
-		lv := sd.levels[j]
-		w.U32(uint32(j))
-		w.I64(lv.start)
-		w.U32(uint32(len(lv.bins)))
-		for r := range lv.bins {
-			w.I64s(lv.bins[r])
-		}
-	}
-	return nil
 }
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary. On
@@ -85,8 +70,9 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 	if rd.Err() != nil {
 		return rd.Err()
 	}
+	// Every row ships two hashes, so the payload bounds the row count.
 	if !(params.Eps > 0 && params.Eps < 1) || params.Base < 4 ||
-		params.K < 1 || params.Rows < 1 || prime < 2 {
+		params.K < 1 || params.Rows < 1 || params.Rows > rd.Remaining() || prime < 2 {
 		return errors.New("inner: bad Estimator parameters")
 	}
 	hb := make([]*hash.KWise, params.Rows)
@@ -119,38 +105,29 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 func unmarshalSide(rd *wire.Reader, params Params) (*side, error) {
 	t := rd.I64()
 	maxCount := rd.I64()
-	nLevels := int(rd.U32())
 	if rd.Err() != nil {
 		return nil, rd.Err()
 	}
-	if t < 0 || nLevels < 0 || nLevels > rd.Remaining() {
-		return nil, errors.New("inner: bad side shape")
+	if t < 0 {
+		return nil, errors.New("inner: bad side position")
 	}
-	sd := &side{t: t, maxCount: maxCount, levels: make(map[int]*ipLevel, nLevels)}
-	for i := 0; i < nLevels; i++ {
-		j := int(rd.U32())
+	win, err := sample.ReadLevels(rd, params.Base, func() (*ipLevel, error) {
 		start := rd.I64()
 		nRows := int(rd.U32())
-		if rd.Err() != nil {
-			return nil, rd.Err()
-		}
-		if j > 62 || nRows != params.Rows {
+		if rd.Err() != nil || nRows != params.Rows {
 			return nil, errors.New("inner: bad side level")
 		}
-		lv := &ipLevel{j: j, start: start, bins: make([][]int64, nRows)}
+		lv := &ipLevel{start: start, bins: make([][]int64, nRows)}
 		for r := range lv.bins {
 			lv.bins[r] = rd.I64s()
-			if rd.Err() != nil {
-				return nil, rd.Err()
-			}
 			if len(lv.bins[r]) != params.K {
 				return nil, errors.New("inner: bad side bins")
 			}
 		}
-		if _, dup := sd.levels[j]; dup {
-			return nil, errors.New("inner: duplicate side level")
-		}
-		sd.levels[j] = lv
+		return lv, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return sd, nil
+	return &side{t: t, maxCount: maxCount, win: win}, nil
 }

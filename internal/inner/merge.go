@@ -3,6 +3,8 @@ package inner
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/sample"
 )
 
 // Merge folds another Estimator built from the same seed into this one.
@@ -33,35 +35,31 @@ func (e *Estimator) Merge(other *Estimator) error {
 
 // mergeSide folds one stream's level stack into the receiver's.
 func (e *Estimator) mergeSide(sd, osd *side) {
-	for j, olv := range osd.levels {
-		if lv, ok := sd.levels[j]; ok {
-			for r := range lv.bins {
-				for c := range lv.bins[r] {
-					lv.bins[r][c] += olv.bins[r][c]
-				}
+	sd.win.Merge(osd.win, func(lv, olv *ipLevel) {
+		for r := range lv.bins {
+			for c := range lv.bins[r] {
+				lv.bins[r][c] += olv.bins[r][c]
 			}
-			if olv.start < lv.start {
-				lv.start = olv.start
-			}
-		} else {
-			lv := &ipLevel{j: j, start: olv.start, bins: make([][]int64, len(olv.bins))}
-			for r := range olv.bins {
-				lv.bins[r] = append([]int64(nil), olv.bins[r]...)
-			}
-			sd.levels[j] = lv
 		}
+		lv.start = min(lv.start, olv.start)
+	}, copyLevel)
+	sd.t = sample.AddPos(sd.t, osd.t)
+	sd.maxCount = max(sd.maxCount, osd.maxCount)
+	sd.win.Sync(sd.t, func(int) *ipLevel { return e.newLevel(sd.t) })
+}
+
+func copyLevel(lv *ipLevel) *ipLevel {
+	c := &ipLevel{start: lv.start, bins: make([][]int64, len(lv.bins))}
+	for r := range lv.bins {
+		c.bins[r] = append([]int64(nil), lv.bins[r]...)
 	}
-	sd.t += osd.t
-	if osd.maxCount > sd.maxCount {
-		sd.maxCount = osd.maxCount
-	}
-	e.syncLevels(sd)
+	return c
 }
 
 // Clone returns a deep copy sharing the (immutable) hash functions,
 // with a fresh rng stream for the clone's own sampling decisions.
 func (e *Estimator) Clone() *Estimator {
-	c := &Estimator{
+	return &Estimator{
 		params: e.params,
 		prime:  e.prime,
 		hb:     e.hb,
@@ -70,17 +68,8 @@ func (e *Estimator) Clone() *Estimator {
 		g:      cloneSide(e.g),
 		rng:    rand.New(rand.NewSource(e.rng.Int63())),
 	}
-	return c
 }
 
 func cloneSide(sd *side) *side {
-	c := &side{t: sd.t, maxCount: sd.maxCount, levels: make(map[int]*ipLevel, len(sd.levels))}
-	for j, lv := range sd.levels {
-		nl := &ipLevel{j: lv.j, start: lv.start, bins: make([][]int64, len(lv.bins))}
-		for r := range lv.bins {
-			nl.bins[r] = append([]int64(nil), lv.bins[r]...)
-		}
-		c.levels[j] = nl
-	}
-	return c
+	return &side{t: sd.t, maxCount: sd.maxCount, win: sd.win.Clone(copyLevel)}
 }

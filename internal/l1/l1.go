@@ -28,6 +28,7 @@ import (
 	"repro/internal/morris"
 	"repro/internal/nt"
 	"repro/internal/sample"
+	"repro/internal/stream"
 )
 
 // Clock abstracts the stream-position estimate: Figure 4 uses a Morris
@@ -58,7 +59,7 @@ type exactClock struct {
 	max int64
 }
 
-func (e *exactClock) Advance(n int64) { e.t += n; e.max = e.t }
+func (e *exactClock) Advance(n int64) { e.t = sample.AddPos(e.t, n); e.max = e.t }
 func (e *exactClock) Now() int64      { return e.t }
 func (e *exactClock) SpaceBits() int64 {
 	return int64(nt.BitsFor(uint64(e.max)))
@@ -69,19 +70,21 @@ func (e *exactClock) Clone(*rand.Rand) Clock {
 
 // AlphaEstimator is the Figure 4 structure.
 type AlphaEstimator struct {
-	base   int64 // s = poly(alpha * log(n) / eps), laptop-scaled
-	clock  Clock
-	levels map[int]*level
-	rng    *rand.Rand
+	base  int64 // s = poly(alpha * log(n) / eps), laptop-scaled
+	clock Clock
+	win   *sample.Window[level]
+	rng   *rand.Rand
 
 	maxCount int64
 	units    int64 // exact unit count, kept only for tests/metrics
 }
 
-type level struct {
-	j        int
-	pos, neg int64
-}
+// level is one interval's (c+, c-) counter pair.
+type level struct{ pos, neg int64 }
+
+func newLevel(int) *level { return new(level) }
+
+func copyLevel(lv *level) *level { c := *lv; return &c }
 
 // New builds the estimator with interval base s (the paper's
 // s = O(alpha^2 delta^-1 log^3(n) / eps^2); pass RecommendedBase for a
@@ -101,10 +104,10 @@ func newWithClock(rng *rand.Rand, base int64, clock Clock) *AlphaEstimator {
 		panic(fmt.Sprintf("l1: interval base must be >= 4, got %d", base))
 	}
 	return &AlphaEstimator{
-		base:   base,
-		clock:  clock,
-		levels: make(map[int]*level),
-		rng:    rng,
+		base:  base,
+		clock: clock,
+		win:   sample.NewWindow[level](base),
+		rng:   rng,
 	}
 }
 
@@ -135,15 +138,11 @@ func RecommendedBase(alpha, eps, delta float64, n uint64) int64 {
 // quarter of the current clock estimate so the level schedule is
 // re-synced at least as often as the intervals can move — the same
 // granularity tolerance the psi-slack of Theorem 6's analysis already
-// absorbs.
+// absorbs. The cost is O(log |delta|) chunks of one Morris walk and one
+// binomial draw per sampled live level, drawn in ascending level order.
 func (a *AlphaEstimator) Update(i uint64, delta int64) {
 	_ = i // the L1 estimator is index-oblivious: it sums signed samples
-	mag := delta
-	sign := int64(1)
-	if mag < 0 {
-		mag = -mag
-		sign = -1
-	}
+	mag := stream.Abs64(delta)
 	for mag > 0 {
 		chunk := a.clock.Now()/4 + 1
 		if chunk > mag {
@@ -151,28 +150,21 @@ func (a *AlphaEstimator) Update(i uint64, delta int64) {
 		}
 		a.clock.Advance(chunk)
 		a.units += chunk
-		a.syncLevels()
-		for _, lv := range a.levels {
-			var cnt int64
-			if lv.j == 0 {
-				cnt = chunk
-			} else {
-				cnt = sample.Binomial(a.rng, chunk, 1/float64(sample.Pow(a.base, lv.j)))
+		a.win.Sync(a.clock.Now(), newLevel)
+		for j, lv := range a.win.Each {
+			cnt := chunk
+			if j > 0 {
+				cnt = sample.Binomial(a.rng, chunk, 1/float64(sample.Pow(a.base, j)))
 			}
 			if cnt == 0 {
 				continue
 			}
-			if sign > 0 {
-				lv.pos += cnt
-				if lv.pos > a.maxCount {
-					a.maxCount = lv.pos
-				}
-			} else {
-				lv.neg += cnt
-				if lv.neg > a.maxCount {
-					a.maxCount = lv.neg
-				}
+			c := &lv.pos
+			if delta < 0 {
+				c = &lv.neg
 			}
+			*c += cnt
+			a.maxCount = max(a.maxCount, *c)
 		}
 		mag -= chunk
 	}
@@ -204,51 +196,25 @@ func (a *AlphaEstimator) Merge(other *AlphaEstimator) error {
 	}
 	a.clock.Advance(other.clock.Now())
 	a.units += other.units
-	for j, olv := range other.levels {
-		if lv, ok := a.levels[j]; ok {
-			lv.pos += olv.pos
-			lv.neg += olv.neg
-		} else {
-			a.levels[j] = &level{j: j, pos: olv.pos, neg: olv.neg}
-		}
-	}
-	if other.maxCount > a.maxCount {
-		a.maxCount = other.maxCount
-	}
-	a.syncLevels()
+	a.win.Merge(other.win, func(dst, src *level) {
+		dst.pos += src.pos
+		dst.neg += src.neg
+	}, copyLevel)
+	a.maxCount = max(a.maxCount, other.maxCount)
+	a.win.Sync(a.clock.Now(), newLevel)
 	return nil
 }
 
 // Clone returns a deep copy with a fresh rng stream.
 func (a *AlphaEstimator) Clone() *AlphaEstimator {
 	rng := rand.New(rand.NewSource(a.rng.Int63()))
-	c := &AlphaEstimator{
+	return &AlphaEstimator{
 		base:     a.base,
 		clock:    a.clock.Clone(rng),
-		levels:   make(map[int]*level, len(a.levels)),
+		win:      a.win.Clone(copyLevel),
 		rng:      rng,
 		maxCount: a.maxCount,
 		units:    a.units,
-	}
-	for j, lv := range a.levels {
-		c.levels[j] = &level{j: lv.j, pos: lv.pos, neg: lv.neg}
-	}
-	return c
-}
-
-// syncLevels keeps exactly the levels the (approximate) clock says are
-// live: Figure 4 steps 2-4.
-func (a *AlphaEstimator) syncLevels() {
-	lo, hi := sample.ActiveLevels(a.clock.Now(), a.base)
-	for j := range a.levels {
-		if j < lo || j > hi {
-			delete(a.levels, j)
-		}
-	}
-	for j := lo; j <= hi; j++ {
-		if _, ok := a.levels[j]; !ok {
-			a.levels[j] = &level{j: j}
-		}
 	}
 }
 
@@ -256,20 +222,15 @@ func (a *AlphaEstimator) syncLevels() {
 // surviving counter pair (Figure 4 step 5). On a strict turnstile
 // alpha-property stream this is a (1 +- eps) estimate of ||f||_1.
 func (a *AlphaEstimator) Estimate() float64 {
-	var oldest *level
-	for _, lv := range a.levels {
-		if oldest == nil || lv.j < oldest.j {
-			oldest = lv
-		}
-	}
-	if oldest == nil {
+	j, lv := a.win.Oldest()
+	if lv == nil {
 		return 0
 	}
-	return float64(sample.Pow(a.base, oldest.j)) * float64(oldest.pos-oldest.neg)
+	return float64(sample.Pow(a.base, j)) * float64(lv.pos-lv.neg)
 }
 
 // LiveLevels returns the number of live counter pairs (always <= 2).
-func (a *AlphaEstimator) LiveLevels() int { return len(a.levels) }
+func (a *AlphaEstimator) LiveLevels() int { return a.win.Len() }
 
 // Units returns the exact unit-update count (test/metric support only;
 // the algorithm itself never reads it).
@@ -280,11 +241,9 @@ func (a *AlphaEstimator) Units() int64 { return a.units }
 // log log n) layout of Theorem 6.
 func (a *AlphaEstimator) SpaceBits() int64 {
 	perCounter := int64(nt.BitsFor(uint64(a.maxCount)))
-	var counters int64
-	for range a.levels {
-		counters += 2 * perCounter
-	}
-	levelIndex := int64(2 * nt.BitsFor(uint64(len(a.levels)+2)))
+	live := a.win.Len()
+	counters := int64(live) * 2 * perCounter
+	levelIndex := int64(2 * nt.BitsFor(uint64(live+2)))
 	baseBits := int64(nt.BitsFor(uint64(a.base)))
 	return a.clock.SpaceBits() + counters + levelIndex + baseBits
 }

@@ -3,9 +3,9 @@ package l1
 import (
 	"errors"
 	"math/rand"
-	"sort"
 
 	"repro/internal/morris"
+	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
@@ -40,18 +40,10 @@ func (a *AlphaEstimator) MarshalBinary() ([]byte, error) {
 	}
 	w.I64(a.maxCount)
 	w.I64(a.units)
-	js := make([]int, 0, len(a.levels))
-	for j := range a.levels {
-		js = append(js, j)
-	}
-	sort.Ints(js)
-	w.U32(uint32(len(js)))
-	for _, j := range js {
-		lv := a.levels[j]
-		w.U32(uint32(j))
+	a.win.WriteLevels(w, func(lv *level) {
 		w.I64(lv.pos)
 		w.I64(lv.neg)
-	}
+	})
 	return w.Bytes(), nil
 }
 
@@ -91,38 +83,28 @@ func (a *AlphaEstimator) UnmarshalBinary(data []byte) error {
 	}
 	maxCount := rd.I64()
 	units := rd.I64()
-	nLevels := int(rd.U32())
 	if rd.Err() != nil {
 		return rd.Err()
 	}
 	if base < 4 {
 		return errors.New("l1: bad interval base")
 	}
-	if nLevels < 0 || nLevels > rd.Remaining() {
-		return errors.New("l1: bad level count")
-	}
-	levels := make(map[int]*level, nLevels)
-	for i := 0; i < nLevels; i++ {
-		j := int(rd.U32())
-		pos := rd.I64()
-		neg := rd.I64()
-		if rd.Err() != nil {
-			return rd.Err()
+	win, err := sample.ReadLevels(rd, base, func() (*level, error) {
+		lv := &level{pos: rd.I64(), neg: rd.I64()}
+		if lv.pos < 0 || lv.neg < 0 {
+			return nil, errors.New("l1: bad level counters")
 		}
-		if j > 62 || pos < 0 || neg < 0 {
-			return errors.New("l1: bad level counters")
-		}
-		if _, dup := levels[j]; dup {
-			return errors.New("l1: duplicate level")
-		}
-		levels[j] = &level{j: j, pos: pos, neg: neg}
+		return lv, nil
+	})
+	if err != nil {
+		return err
 	}
 	if err := rd.Done(); err != nil {
 		return err
 	}
 	a.base = base
 	a.clock = clock
-	a.levels = levels
+	a.win = win
 	a.rng = rng
 	a.maxCount = maxCount
 	a.units = units

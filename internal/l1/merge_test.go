@@ -33,8 +33,9 @@ func TestMergeExactInLevelZeroRegime(t *testing.T) {
 	if a.Units() != whole.Units() {
 		t.Fatalf("units: merged %d, single-stream %d", a.Units(), whole.Units())
 	}
-	la, lw := a.levels[0], whole.levels[0]
-	if la == nil || lw == nil {
+	ja, la := a.win.Oldest()
+	jw, lw := whole.win.Oldest()
+	if la == nil || lw == nil || ja != 0 || jw != 0 {
 		t.Fatal("level 0 missing; base too small for the exact-regime test")
 	}
 	if la.pos != lw.pos || la.neg != lw.neg {

@@ -6,11 +6,8 @@
 //   - binomial thinning Bin(c, 1/2) used to halve CSSS counters at the
 //     schedule boundaries t = 2^r log(S) + 1, and Bin(|Delta|, p) used to
 //     expand large updates into sampled unit updates (Section 1.3),
-//   - the exponential-interval double-buffer schedule I_j = [s^j, s^{j+2}]
-//     from Figure 4 and Theorem 2: at any time exactly the two levels
-//     floor(log_s t)-1 and floor(log_s t) are live, so the survivor at
-//     query time has sampled at least a (1 - 2/s) suffix of the stream,
-//   - a classic reservoir sampler used by tests and baselines.
+//   - the exponential-interval double-buffer schedule of Figure 4 and
+//     Theorems 2 and 8, said once as Window (window.go).
 package sample
 
 import (
@@ -98,14 +95,15 @@ func Binomial(rng *rand.Rand, n int64, p float64) int64 {
 			if u == 0 {
 				u = math.SmallestNonzeroFloat64
 			}
-			gap := int64(math.Floor(math.Log(u)/logq)) + 1
-			if gap <= 0 { // numerical floor guard
+			gap := math.Floor(math.Log(u)/logq) + 1
+			if gap < 1 { // numerical floor guard
 				gap = 1
 			}
-			i += gap
-			if i > n {
+			// For tiny p the gap can exceed int64.
+			if gap >= 1<<63 || int64(gap) > n-i {
 				return count
 			}
+			i += int64(gap)
 			count++
 		}
 	}
@@ -158,34 +156,3 @@ func Pow(s int64, j int) int64 {
 	}
 	return result
 }
-
-// Reservoir maintains a uniform sample of k items from a stream of
-// unknown length (Vitter's algorithm R). It is used by baselines and
-// test oracles.
-type Reservoir struct {
-	K     int
-	Items []uint64
-	seen  int64
-	rng   *rand.Rand
-}
-
-// NewReservoir returns a reservoir of capacity k.
-func NewReservoir(rng *rand.Rand, k int) *Reservoir {
-	return &Reservoir{K: k, rng: rng}
-}
-
-// Offer feeds one item.
-func (r *Reservoir) Offer(x uint64) {
-	r.seen++
-	if len(r.Items) < r.K {
-		r.Items = append(r.Items, x)
-		return
-	}
-	j := r.rng.Int63n(r.seen)
-	if j < int64(r.K) {
-		r.Items[j] = x
-	}
-}
-
-// Seen returns the number of items offered so far.
-func (r *Reservoir) Seen() int64 { return r.seen }

@@ -136,6 +136,23 @@ func TestBinomialEdge(t *testing.T) {
 	}
 }
 
+// TestBinomialTinyRate: with p near 2^-60 a geometric gap exceeds int64;
+// the walk must end there, not restart one step at a time.
+func TestBinomialTinyRate(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var sum int64
+	for i := 0; i < 200; i++ {
+		v := Binomial(rng, math.MaxInt64, 1/float64(int64(1)<<60))
+		if v < 0 || v > 40 {
+			t.Fatalf("Bin(2^63-1, 2^-60) = %d, mean is 8", v)
+		}
+		sum += v
+	}
+	if sum < 200*6 || sum > 200*10 {
+		t.Errorf("mean of 200 draws %.2f, want about 8", float64(sum)/200)
+	}
+}
+
 func TestBinomialLargeGaussianPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := int64(1) << 30
@@ -171,10 +188,15 @@ func TestActiveLevels(t *testing.T) {
 }
 
 // TestActiveLevelsInvariant: at every time t, t is inside I_j = [s^j,
-// s^{j+2}] for both returned levels, so both live sketches are valid.
+// s^{j+2}] for both returned levels, so both live sketches are valid —
+// and a Window synced at every t holds exactly those levels with their
+// own payloads, each built once: when t first crosses its power of s.
 func TestActiveLevelsInvariant(t *testing.T) {
 	for _, s := range []int64{2, 4, 10} {
-		for tm := int64(1); tm < 100000; tm += 7 {
+		w := NewWindow[int64](s)
+		built := 0
+		fresh := func(j int) *int64 { built++; v := int64(j); return &v }
+		for tm := int64(1); tm < 100000; tm++ {
 			lo, hi := ActiveLevels(tm, s)
 			for _, j := range []int{lo, hi} {
 				lower := Pow(s, j)
@@ -187,6 +209,23 @@ func TestActiveLevelsInvariant(t *testing.T) {
 			if hi-lo > 1 {
 				t.Fatalf("more than two live levels at t=%d", tm)
 			}
+			w.Sync(tm, fresh)
+			var live []int
+			for j, v := range w.Each {
+				if int(*v) != j {
+					t.Fatalf("t=%d s=%d: level %d holds level %d's payload", tm, s, j, *v)
+				}
+				live = append(live, j)
+			}
+			if len(live) != hi-lo+1 || live[0] != lo || live[len(live)-1] != hi {
+				t.Fatalf("t=%d s=%d: window holds %v, schedule [%d, %d]", tm, s, live, lo, hi)
+			}
+			if j, _ := w.Oldest(); j != lo {
+				t.Fatalf("t=%d s=%d: Oldest = %d, want %d", tm, s, j, lo)
+			}
+			if built != hi+1 {
+				t.Fatalf("t=%d s=%d: %d levels built so far, want one per level 0..%d", tm, s, built, hi)
+			}
 		}
 	}
 }
@@ -197,41 +236,6 @@ func TestPow(t *testing.T) {
 	}
 	if Pow(10, 30) != math.MaxInt64 {
 		t.Error("Pow should saturate")
-	}
-}
-
-func TestReservoirUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const n = 50
-	const k = 5
-	const reps = 30000
-	counts := make([]int, n)
-	for rep := 0; rep < reps; rep++ {
-		r := NewReservoir(rng, k)
-		for i := uint64(0); i < n; i++ {
-			r.Offer(i)
-		}
-		if len(r.Items) != k {
-			t.Fatalf("reservoir holds %d items, want %d", len(r.Items), k)
-		}
-		for _, it := range r.Items {
-			counts[it]++
-		}
-	}
-	want := float64(reps) * k / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("item %d sampled %d times, want about %.0f", i, c, want)
-		}
-	}
-}
-
-func TestReservoirFewerThanK(t *testing.T) {
-	r := NewReservoir(rand.New(rand.NewSource(10)), 10)
-	r.Offer(1)
-	r.Offer(2)
-	if len(r.Items) != 2 || r.Seen() != 2 {
-		t.Errorf("reservoir state wrong: %v seen=%d", r.Items, r.Seen())
 	}
 }
 

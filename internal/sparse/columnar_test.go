@@ -141,7 +141,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 		support := rng.Intn(3 * capacity)
 		for i := 0; i < support; i++ {
 			x := uint64(rng.Int63n(1 << 32))
-			d := []int64{1, -1, 3, 1 << 45, -(1 << 45), math.MaxInt64}[rng.Intn(6)]
+			d := []int64{1, -1, 3, 1 << 45, -(1 << 45), math.MaxInt64, math.MinInt64}[rng.Intn(7)]
 			r.Update(x, d)
 			if rng.Intn(5) == 0 {
 				r.Update(x, -d) // cancelled: must vanish from the decode

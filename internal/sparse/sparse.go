@@ -340,11 +340,15 @@ func inverse(count int64) uint64 {
 	return mul(sqr(x59, 2), a)
 }
 
-// remove peels (x, count) out of all three subtables.
+// remove peels (x, count) out of all three subtables. The count is
+// negated in the field, not in int64, where -MinInt64 overflows.
 func (r *Recovery) remove(x uint64, count int64) {
 	xm := x % nt.MersennePrime61
 	fpx := r.fp.Field(x)
-	dm := fieldOf(-count)
+	dm := fieldOf(count)
+	if dm != 0 {
+		dm = nt.MersennePrime61 - dm
+	}
 	for t := 0; t < subtables; t++ {
 		c := &r.cells[r.bucket(t, x)]
 		c.count -= count

@@ -1,6 +1,7 @@
 package bounded
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -108,6 +109,60 @@ func marshalCases() []marshalCase {
 			make:   func(t *testing.T) Sketch { return must(NewSyncSketch(cfg, WithCapacity(64)))(t) },
 			answer: func(s Sketch) any { return s.(*SyncSketch).SpaceBits() },
 		},
+	}
+}
+
+// TestSameSeedSameBytes is the determinism contract of doc.go over all
+// eight public structures: two instances built from one Config and fed
+// one update sequence marshal to the same bytes. A small Alpha and a
+// large Eps put the interval bases at 32 (inner product), 128 (general
+// L1) and 520 (strict L1, fed 64-fold deltas), so this stream carries
+// all three far past base^2, where both live levels sample and the draw
+// order between them decides the bytes.
+func TestSameSeedSameBytes(t *testing.T) {
+	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 30000, Alpha: 4, Zipf: 1.3, Seed: 77})
+	cfg := Config{N: 1 << 12, Eps: 0.5, Alpha: 1, Seed: 7}
+	for _, tc := range []struct {
+		name  string
+		scale int64
+		build func() (Sketch, error)
+	}{
+		{"HeavyHitters", 1, func() (Sketch, error) { return NewHeavyHitters(cfg) }},
+		{"HeavyHitters/general", 1, func() (Sketch, error) { return NewHeavyHitters(cfg, WithStrict(false)) }},
+		{"L1Estimator", 64, func() (Sketch, error) { return NewL1Estimator(cfg) }},
+		{"L1Estimator/general", 1, func() (Sketch, error) { return NewL1Estimator(cfg, WithStrict(false)) }},
+		{"L0Estimator", 1, func() (Sketch, error) { return NewL0Estimator(cfg) }},
+		{"L1Sampler", 1, func() (Sketch, error) { return NewL1Sampler(cfg, WithCopies(2)) }},
+		{"SupportSampler", 1, func() (Sketch, error) { return NewSupportSampler(cfg, WithK(8)) }},
+		{"InnerProduct", 1, func() (Sketch, error) { return NewInnerProduct(cfg) }},
+		{"L2HeavyHitters", 1, func() (Sketch, error) { return NewL2HeavyHitters(cfg) }},
+		{"SyncSketch", 1, func() (Sketch, error) { return NewSyncSketch(cfg, WithCapacity(64)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() []byte {
+				sk, err := tc.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, u := range s.Updates {
+					sk.Update(u.Index, u.Delta*tc.scale)
+					if ip, ok := sk.(*InnerProduct); ok {
+						ip.UpdateG(u.Index^1, u.Delta)
+					}
+				}
+				data, err := sk.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			want := run()
+			for rep := 0; rep < 2; rep++ {
+				if !bytes.Equal(run(), want) {
+					t.Fatal("two instances from one Config, fed one stream, marshal to different bytes")
+				}
+			}
+		})
 	}
 }
 
