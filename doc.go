@@ -272,7 +272,15 @@
 // bin hashes over them, the support sampler hashes each item once and
 // applies that entry to every live level that samples it. No draws are
 // involved, so the contract is bit-identity with per-item Update,
-// which takes the same event-driven sync and stays the oracle.
+// which takes the same event-driven sync and stays the oracle. All
+// three hold one window type, l0.Window, over the level-indexed slot
+// set (sample.Slots) the interval-schedule window also drives: it owns
+// the slots, the estimate they were last synced at (a set fresh from
+// UnmarshalBinary or Merge is unsynced and converges on its first
+// update, on both paths), the per-item and per-column steps, merge,
+// clone, the live and peak counts and the level-list framing, while a
+// structure supplies its payload, its constructor for level j and its
+// centre formula.
 //
 // # Querying: capability-typed interfaces and columnar batched reads
 //

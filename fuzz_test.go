@@ -39,6 +39,39 @@ func roughLevelOutOfRange(data []byte) []byte {
 	return out
 }
 
+// countSketchColsWrapped adds 2^61 to the column count of the first
+// Count-Sketch nested in a marshalled structure — in its "CS" header and
+// in the "HB" hash wiring the header is checked against — so that
+// rows * cols * 8 wraps back to the honest table length.
+// UnmarshalBinary must refuse the blob without sizing anything by it.
+func countSketchColsWrapped(data []byte) []byte {
+	const csHeader = 34 // magic, rows, cols, maxAbs, mass, wiring length
+	hb := bytes.Index(data, []byte{'H', 'B', 2})
+	if hb < csHeader || data[hb-csHeader] != 'C' || data[hb-csHeader+1] != 'S' {
+		return nil
+	}
+	out := append([]byte(nil), data...)
+	for _, at := range []int{hb - csHeader + 6, hb + 7} {
+		binary.LittleEndian.PutUint64(out[at:], binary.LittleEndian.Uint64(out[at:])+1<<61)
+	}
+	return out
+}
+
+// trackerCapacity rewrites the capacity of the first candidate tracker
+// nested in a marshalled structure. A tracker's tables are sized by its
+// capacity, not by the entries the blob carries, and every owner can
+// derive the capacity from its own parameters: UnmarshalBinary must
+// refuse any other before allocating.
+func trackerCapacity(data []byte, capacity uint32) []byte {
+	at := bytes.Index(data, []byte{'T', 'K', 1})
+	if at < 0 {
+		return nil
+	}
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[at+3:], capacity)
+	return out
+}
+
 // l1LevelList returns the offset of the level count inside the strict
 // (Morris-clock) Figure 4 estimator nested in a marshalled L1Estimator:
 // u32 count, then per level u32 index, i64 c+, i64 c-.
@@ -172,6 +205,22 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add(ipData)
 	seed(NewL2HeavyHitters(cfg))
+	// Two wire values that once sized an allocation unchecked: a
+	// Count-Sketch column count that wraps the length check, and a
+	// candidate-tracker capacity of 2^22 (576 MiB of tables).
+	l2Data := must(must(NewL2HeavyHitters(cfg)).MarshalBinary())
+	for name, bad := range map[string][]byte{
+		"Count-Sketch column count + 2^61": countSketchColsWrapped(l2Data),
+		"tracker capacity 2^22":            trackerCapacity(hhData, 1<<22),
+	} {
+		if bad == nil {
+			f.Fatalf("%s: nothing to patch in the encoding", name)
+		}
+		if _, err := UnmarshalSketch(bad); err == nil {
+			f.Fatalf("accepted a %s", name)
+		}
+		f.Add(bad)
+	}
 	seed(NewSyncSketch(cfg, WithCapacity(16)))
 	f.Add([]byte{})
 	f.Add([]byte{'B', 'D'})

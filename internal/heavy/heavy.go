@@ -169,12 +169,16 @@ func NewAlphaL1(rng *rand.Rand, p AlphaL1Params) *AlphaL1 {
 		mode:    p.Mode,
 		eps:     p.Eps,
 		sk:      csss.New(rng, csss.Params{Rows: rows, K: k, S: s}),
-		tracker: topk.New(4 * int(math.Ceil(1/p.Eps))),
+		tracker: topk.New(l1TrackerCap(p.Eps)),
 		n:       p.N,
 	}
 	h.scale = newL1Scale(rng, p.Mode) // after the sketch: the rng draw order is part of the seed contract
 	return h
 }
+
+// l1TrackerCap is the candidate capacity at sensitivity eps: at most
+// 1/eps items can be eps-heavy, kept with a factor 4 of slack.
+func l1TrackerCap(eps float64) int { return 4 * int(math.Ceil(1/eps)) }
 
 // Update feeds one stream update.
 func (h *AlphaL1) Update(i uint64, delta int64) {
@@ -305,7 +309,7 @@ func NewCountSketchHH(rng *rand.Rand, n uint64, eps float64, mode Mode, quality 
 	b := &CountSketchHH{
 		eps:     eps,
 		sk:      sketch.NewCountSketch(rng, rows, k),
-		tracker: topk.New(4 * int(math.Ceil(1/eps))),
+		tracker: topk.New(l1TrackerCap(eps)),
 		n:       n,
 	}
 	b.scale = newL1Scale(rng, mode)

@@ -57,10 +57,15 @@ func NewAlphaL2(rng *rand.Rand, n uint64, eps, alpha float64) *AlphaL2 {
 		alpha: alpha,
 		insCS: sketch.NewCountSketch(rng, 5, insCols),
 		verCS: sketch.NewCountSketch(rng, 7, verCols),
-		trk:   topk.New(2 * int(math.Ceil((alpha/eps)*(alpha/eps)))),
+		trk:   topk.New(l2TrackerCap(eps, alpha)),
 		n:     n,
 	}
 }
+
+// l2TrackerCap is the candidate capacity of the insertion pass: at most
+// (alpha/eps)^2 items are (eps/alpha)-heavy in L2, kept with a factor 2
+// of slack.
+func l2TrackerCap(eps, alpha float64) int { return 2 * int(math.Ceil((alpha/eps)*(alpha/eps))) }
 
 // Update feeds one stream update.
 func (h *AlphaL2) Update(i uint64, delta int64) {

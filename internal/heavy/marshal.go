@@ -69,7 +69,7 @@ func (h *AlphaL1) UnmarshalBinary(data []byte) error {
 	}
 	sk := &csss.Sketch{}
 	rd.Unmarshal(sk)
-	tracker := &topk.Tracker{}
+	tracker := topk.Expect(l1TrackerCap(eps))
 	rd.Unmarshal(tracker)
 	var l1Est *cauchy.Sketch
 	if mode == General {
@@ -125,7 +125,7 @@ func (h *AlphaL2) UnmarshalBinary(data []byte) error {
 	insCS, verCS := &sketch.CountSketch{}, &sketch.CountSketch{}
 	rd.Unmarshal(insCS)
 	rd.Unmarshal(verCS)
-	trk := &topk.Tracker{}
+	trk := topk.Expect(l2TrackerCap(eps, alpha))
 	rd.Unmarshal(trk)
 	if err := rd.Done(); err != nil {
 		return err

@@ -209,18 +209,20 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 	us := burstStream(rng, n, 8, 40, 200)
 	crafts := map[string]func(e *Estimator){
 		"extra-and-missing-rows": func(e *Estimator) {
-			lo, hi := e.rowRange()
-			e.rows[lo], e.rows[hi+3] = nil, make([]uint64, e.k)
-			e.rows[hi+3][1] = 5
+			lo, hi := e.span(e.rough.Estimate())
+			lo = max(lo, 0)
+			e.rows.Drop(lo)
+			e.rows.Put(hi+3, e.newRow(hi+3))
+			(*e.rows.At(hi + 3))[1] = 5
 			if lo > 0 {
-				e.rows[0] = make([]uint64, e.k)
+				e.rows.Put(0, e.newRow(0))
 			}
 		},
 		"extra-and-missing-levels": func(e *Estimator) {
-			lo, hi := e.final.liveRange()
-			e.final.levels[lo] = nil
-			if hi+1 < len(e.final.levels) && hi < e.final.maxLevel {
-				e.final.levels[hi+1] = NewExactSmall(e.final.levelRNG(hi+1), roughC)
+			lo, hi := e.final.span(e.final.rough.Estimate())
+			e.final.levels.Drop(max(lo, 0))
+			if hi < e.final.maxLevel {
+				e.final.levels.Put(hi+1, e.final.newLevel(hi+1))
 			}
 		},
 		"lagging-running-max": func(e *Estimator) {
@@ -264,7 +266,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 	const n = 1 << 30
 	rng := rand.New(rand.NewSource(10))
 	e, _ := estimatorPair(Params{N: n, Eps: 0.25, Windowed: true, Window: 5})
-	events := windowEvents.Load()
+	events := rowStats.Events.Load()
 	moves := int64(0)
 	for _, u := range burstStream(rng, n, 7, 40, 100) {
 		before := e.rough.Estimate()
@@ -273,8 +275,10 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 			moves++
 		}
 		state := mustMarshal(t, e)
-		e.syncRows()
-		e.final.syncLevels()
+		// Forget what the windows were synced at: these two run in full.
+		e.rows.syncedAt, e.final.levels.syncedAt = unsynced, unsynced
+		e.rows.Sync(e.rough, e.span, e.newRow)
+		e.final.levels.Sync(e.final.rough, e.final.span, e.final.newLevel)
 		if !bytes.Equal(state, mustMarshal(t, e)) {
 			t.Fatalf("sync after update of key %d changed the state", u.Index)
 		}
@@ -282,7 +286,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 	if moves < 5 {
 		t.Fatalf("stream moved R_t %d times, want several", moves)
 	}
-	if got := windowEvents.Load() - events; obs.Enabled && got != moves {
+	if got := rowStats.Events.Load() - events; obs.Enabled && got != moves {
 		t.Fatalf("repro_l0_window_events_total grew by %d over %d moves of R_t", got, moves)
 	}
 }

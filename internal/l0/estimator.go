@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -33,33 +34,25 @@ type Params struct {
 // A bin is "hit" iff its value is nonzero, and inverting the occupancy
 // expectation K(1-(1-1/K)^A) yields the level's ball count.
 type Estimator struct {
-	params Params
-	k      int // K bins per row
-	maxRow int
-	p      uint64
-	h1     *hash.KWise // level hash: row = lsb(h1(i))
-	h2     *hash.KWise // [n] -> [K^3] perfect hash
-	h3     *hash.KWise // [K^3] -> [K], k-wise
-	h4     *hash.KWise // [K^3] -> [K], pairwise, selects u entry
-	u      []uint64    // random multipliers in F_p
-	// rows is the live row window, indexed by row; nil means the row is
-	// not maintained.
-	rows     [WindowSlots][]uint64
-	rough    *RoughF0 // drives the Figure 7 row window
-	floorRow int64    // 8 log n / log log n clamp of Figure 7
-	final    *RoughL0 // constant-factor R for query-time row selection
-	// syncedAt is the rough estimate the live rows were last synced at
-	// (see RoughL0.syncedAt).
-	syncedAt int64
+	params   Params
+	k        int // K bins per row
+	maxRow   int
+	p        uint64
+	h1       *hash.KWise      // level hash: row = lsb(h1(i))
+	h2       *hash.KWise      // [n] -> [K^3] perfect hash
+	h3       *hash.KWise      // [K^3] -> [K], k-wise
+	h4       *hash.KWise      // [K^3] -> [K], pairwise, selects u entry
+	u        []uint64         // random multipliers in F_p
+	rows     Window[[]uint64] // the maintained rows of K bins, indexed by row
+	rough    *RoughF0         // drives the Figure 7 row window
+	floorRow int64            // 8 log n / log log n clamp of Figure 7
+	final    *RoughL0         // constant-factor R for query-time row selection
 
 	// Small-L0 side structures (Lemma 17 / Lemma 19).
 	small         *ExactSmall
 	singleRow     []uint64
 	h2s, h3s, h4s *hash.KWise
 	us            []uint64
-
-	maxLiveRows int
-	seeds       int64
 }
 
 // NewEstimator builds the estimator. For Figure 6 pass Windowed: false;
@@ -108,9 +101,8 @@ func NewEstimator(rng *rand.Rand, params Params) *Estimator {
 	} else {
 		e.final = NewRoughL0(rng, params.N)
 	}
-	e.seeds = e.h1.SpaceBits() + e.h2.SpaceBits() + e.h3.SpaceBits() +
-		e.h4.SpaceBits() + e.h2s.SpaceBits() + e.h3s.SpaceBits() + e.h4s.SpaceBits()
-	e.syncRows()
+	e.rows = NewWindow[[]uint64](e.maxRow, params.Windowed, 0, &rowStats)
+	e.rows.Sync(e.rough, e.span, e.newRow)
 	return e
 }
 
@@ -136,57 +128,25 @@ func randomVector(rng *rand.Rand, n int, p uint64) []uint64 {
 	return v
 }
 
-// rowRange returns the maintained row interval.
-func (e *Estimator) rowRange() (int, int) {
-	if !e.params.Windowed {
-		return 0, e.maxRow
-	}
-	est := e.floorRow
-	if r := e.rough.Estimate(); r > est {
-		est = r
-	}
-	// Center at i* = log2(16 * Lbar / K), Figure 7 step 3. The window is
-	// asymmetric: the rough estimate Lbar only ever overshoots L0 (it
-	// upper-bounds F0 >= L0), so the informative rows sit below the
-	// center by up to log2 of the overshoot factor, never meaningfully
-	// above it.
-	center := nt.Log2Floor(uint64(16*est)/uint64(e.k) + 1)
-	lo := center - e.params.Window
-	hi := center + 2
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > e.maxRow {
-		hi = e.maxRow
-	}
-	return lo, hi
+// span returns the row interval Figure 7 maintains at rough estimate
+// est: the rows around i* = log2(16 * Lbar / K) (step 3), Lbar =
+// max(est, floor). The window is asymmetric: the rough estimate Lbar
+// only ever overshoots L0 (it upper-bounds F0 >= L0), so the informative
+// rows sit below the center by up to log2 of the overshoot factor, never
+// meaningfully above it.
+func (e *Estimator) span(est int64) (int, int) {
+	center := nt.Log2Floor(uint64(16*max(est, e.floorRow))/uint64(e.k) + 1)
+	return center - e.params.Window, center + 2
 }
 
-func (e *Estimator) syncRows() {
-	lo, hi := e.rowRange()
-	for j := range e.rows {
-		switch {
-		case j < lo || j > hi:
-			e.rows[j] = nil
-		case e.rows[j] == nil:
-			e.rows[j] = make([]uint64, e.k)
-		}
-	}
-	live := e.LiveRows()
-	if live > e.maxLiveRows {
-		e.maxLiveRows = live
-	}
-	if e.rough != nil {
-		e.syncedAt = e.rough.Estimate()
-	}
-	liveRows.Set(int64(live))
+func (e *Estimator) newRow(int) *[]uint64 {
+	bins := make([]uint64, e.k)
+	return &bins
 }
 
-// windowMoved re-syncs the row window after the rough estimate moved —
-// one window event.
-func (e *Estimator) windowMoved() {
-	e.syncRows()
-	windowEvents.Inc()
+func copyRow(bins *[]uint64) *[]uint64 {
+	c := append([]uint64(nil), *bins...)
+	return &c
 }
 
 // Update feeds one stream update: rough estimate, then the row window
@@ -195,17 +155,13 @@ func (e *Estimator) Update(i uint64, delta int64) {
 	if delta == 0 {
 		return // before hashing: zero-delta updates cost nothing
 	}
-	if e.params.Windowed {
-		e.rough.Update(i)
-		if e.rough.Estimate() != e.syncedAt {
-			e.windowMoved()
-		}
-	}
+	e.rows.Observe(e.rough, i, e.span, e.newRow)
 	e.final.Update(i, delta)
 	e.small.Update(i, delta)
 
 	// Main matrix.
-	if bins := e.rows[e.rowOf(e.h1.Field(i))]; bins != nil {
+	if row := e.rows.At(e.rowOf(e.h1.Field(i))); row != nil {
+		bins := *row
 		id := e.h2.Range(i, cube(e.k))
 		bin := e.h3.Range(id, uint64(e.k))
 		mult := e.u[e.h4.Range(id, uint64(e.k))]
@@ -249,12 +205,10 @@ func (e *Estimator) rowOf(h1v uint64) int {
 }
 
 // UpdateColumns consumes a pre-planned columnar batch: cut at the
-// window events, batch between them. The rough estimator scans the key
-// column and reports the first item that raises R_t — the only kind
-// that can move the row window (Corollary 2: R_t never falls); the
-// column is cut there, the window re-syncs, and the items between cuts
-// run compact → hash → apply under one fixed set of live rows. Nothing
-// here draws randomness, so state is bit-identical to per-item Update.
+// window events (Window.CutRuns), batch between them — the items
+// between cuts run compact → hash → apply under one fixed set of live
+// rows. Nothing here draws randomness, so state is bit-identical to
+// per-item Update.
 func (e *Estimator) UpdateColumns(b *core.Batch) {
 	ZeroFreeRuns(b.Idx, b.Delta, func(keys []uint64, deltas []int64) { e.updateRun(b, keys, deltas) })
 }
@@ -281,14 +235,9 @@ func (e *Estimator) updateRun(b *core.Batch, keys []uint64, deltas []int64) {
 
 	// Main matrix, run by run.
 	e.h1.FieldBatch(keys, h1v)
-	apply := func(lo, hi int) {
+	e.rows.CutRuns(e.rough, keys, scratch, e.span, e.newRow, func(lo, hi int) {
 		e.applyRows(keys[lo:hi], deltas[lo:hi], h1v[lo:hi], scratch)
-	}
-	if !e.params.Windowed {
-		apply(0, n)
-		return
-	}
-	e.rough.CutRuns(keys, scratch, e.rough.Estimate() == e.syncedAt, e.windowMoved, apply)
+	})
 }
 
 // applyRows applies one run to the main matrix under the current row
@@ -299,7 +248,7 @@ func (e *Estimator) applyRows(keys []uint64, deltas []int64, h1v, scratch []uint
 	n := len(keys)
 	live, d, row := scratch[:0:n], scratch[n:n:2*n], scratch[2*n:2*n:3*n]
 	for j, hv := range h1v {
-		if r := e.rowOf(hv); e.rows[r] != nil {
+		if r := e.rowOf(hv); e.rows.At(r) != nil {
 			live = append(live, keys[j])
 			d = append(d, uint64(deltas[j]))
 			row = append(row, uint64(r))
@@ -314,7 +263,7 @@ func (e *Estimator) applyRows(keys []uint64, deltas []int64, h1v, scratch []uint
 	e.h3.RangeBatch(ids, uint64(e.k), bin)
 	e.h4.RangeBatch(ids, uint64(e.k), mult)
 	for j, r := range row {
-		bins := e.rows[r]
+		bins := *e.rows.At(int(r))
 		bins[bin[j]] = nt.AddMod(bins[bin[j]], e.term(int64(d[j]), e.u[mult[j]]), e.p)
 	}
 }
@@ -378,11 +327,8 @@ func (e *Estimator) Estimate() float64 {
 	// invert(T_j) * 2^(j+1) (= 32R/K * balls in the paper's form when
 	// j = i*).
 	var ests []float64
-	for j, bins := range e.rows {
-		if bins == nil {
-			continue
-		}
-		t := occupancy(bins)
+	for j, bins := range e.rows.Each {
+		t := occupancy(*bins)
 		load := float64(t) / float64(e.k)
 		if load < 0.05 || load > 0.85 {
 			continue
@@ -398,15 +344,15 @@ func (e *Estimator) Estimate() float64 {
 			iStar = nt.Log2Floor(uint64(v))
 		}
 		best := -1
-		for j, bins := range e.rows {
-			if bins != nil && (best == -1 || absInt(j-iStar) < absInt(best-iStar)) {
+		for j := range e.rows.Each {
+			if best == -1 || absInt(j-iStar) < absInt(best-iStar) {
 				best = j
 			}
 		}
 		if best == -1 {
 			return 0
 		}
-		return invertOccupancy(occupancy(e.rows[best]), e.k) * math.Ldexp(1, best+1)
+		return invertOccupancy(occupancy(*e.rows.At(best)), e.k) * math.Ldexp(1, best+1)
 	}
 	sort.Float64s(ests)
 	n := len(ests)
@@ -434,7 +380,7 @@ func (e *Estimator) Merge(other *Estimator) error {
 		!e.h2s.Equal(other.h2s) || !e.h3s.Equal(other.h3s) || !e.h4s.Equal(other.h4s) {
 		return fmt.Errorf("l0: merging Estimators with different hash functions (same seed required)")
 	}
-	if !slicesEqual(e.u, other.u) || !slicesEqual(e.us, other.us) {
+	if !slices.Equal(e.u, other.u) || !slices.Equal(e.us, other.us) {
 		return fmt.Errorf("l0: merging Estimators with different multiplier vectors (same seed required)")
 	}
 	if e.params.Windowed {
@@ -451,21 +397,17 @@ func (e *Estimator) Merge(other *Estimator) error {
 	for b := range e.singleRow {
 		e.singleRow[b] = nt.AddMod(e.singleRow[b], other.singleRow[b], e.p)
 	}
-	for j, obins := range other.rows {
-		switch bins := e.rows[j]; {
-		case obins == nil:
-		case bins != nil:
-			for b := range bins {
-				bins[b] = nt.AddMod(bins[b], obins[b], e.p)
-			}
-		default:
-			e.rows[j] = append([]uint64(nil), obins...)
+	addRow := func(dst, src *[]uint64) error {
+		bins, obins := *dst, *src
+		for b := range bins {
+			bins[b] = nt.AddMod(bins[b], obins[b], e.p)
 		}
+		return nil
 	}
-	if other.maxLiveRows > e.maxLiveRows {
-		e.maxLiveRows = other.maxLiveRows
+	if err := e.rows.Merge(&other.rows, addRow, copyRow); err != nil {
+		return err
 	}
-	e.syncRows()
+	e.rows.Sync(e.rough, e.span, e.newRow)
 	return nil
 }
 
@@ -479,24 +421,12 @@ func (e *Estimator) Clone() *Estimator {
 	if e.rough != nil {
 		c.rough = e.rough.Clone()
 	}
-	for j, bins := range e.rows {
-		if bins != nil {
-			c.rows[j] = append([]uint64(nil), bins...)
-		}
-	}
+	c.rows = e.rows.Clone(copyRow)
 	return &c
 }
 
 // LiveRows reports the number of maintained rows.
-func (e *Estimator) LiveRows() int {
-	live := 0
-	for _, bins := range e.rows {
-		if bins != nil {
-			live++
-		}
-	}
-	return live
-}
+func (e *Estimator) LiveRows() int { return e.rows.Len() }
 
 // K returns the bins-per-row parameter.
 func (e *Estimator) K() int { return e.k }
@@ -505,26 +435,17 @@ func (e *Estimator) K() int { return e.k }
 // per bin, plus side structures and seeds.
 func (e *Estimator) SpaceBits() int64 {
 	perBin := int64(nt.BitsFor(e.p))
-	main := int64(e.maxLiveRows) * int64(e.k) * perBin
+	main := int64(e.rows.Peak()) * int64(e.k) * perBin
 	single := int64(2*e.k) * perBin
 	uBits := int64(len(e.u)+len(e.us)) * perBin
-	total := main + single + uBits + e.seeds + e.small.SpaceBits() + e.final.SpaceBits()
+	total := main + single + uBits + e.small.SpaceBits() + e.final.SpaceBits()
+	for _, h := range []*hash.KWise{e.h1, e.h2, e.h3, e.h4, e.h2s, e.h3s, e.h4s} {
+		total += h.SpaceBits()
+	}
 	if e.rough != nil {
 		total += e.rough.SpaceBits()
 	}
 	return total
-}
-
-func slicesEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func absInt(x int) int {

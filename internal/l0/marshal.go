@@ -177,35 +177,13 @@ func (r *RoughL0) MarshalBinary() ([]byte, error) {
 			return nil, err
 		}
 	}
-	w.U32(uint32(r.LiveLevels()))
-	for j, b := range r.levels {
-		if b == nil {
-			continue
-		}
-		w.U32(uint32(j))
-		if err := w.Marshal(b); err != nil {
-			return nil, err
-		}
+	var err error
+	r.levels.WriteLevels(w, func(b *ExactSmall) { err = errors.Join(err, w.Marshal(b)) })
+	if err != nil {
+		return nil, err
 	}
-	created := sortedIntKeys(len(r.created), func(f func(int)) {
-		for j := range r.created {
-			f(j)
-		}
-	})
-	w.U32(uint32(len(created)))
-	for _, j := range created {
-		w.U32(uint32(j))
-	}
+	r.levels.WriteEver(w)
 	return w.Bytes(), nil
-}
-
-// sortedIntKeys collects map keys via the supplied iterator and sorts
-// them — canonical encodings need deterministic order.
-func sortedIntKeys(n int, iterate func(func(int))) []int {
-	out := make([]int, 0, n)
-	iterate(func(j int) { out = append(out, j) })
-	sort.Ints(out)
-	return out
 }
 
 // UnmarshalBinary restores a RoughL0 serialized by MarshalBinary. On
@@ -230,39 +208,22 @@ func (r *RoughL0) UnmarshalBinary(data []byte) error {
 		rough = &RoughF0{}
 		rd.Unmarshal(rough)
 	}
-	nLevels := int(rd.U32())
 	if rd.Err() != nil {
 		return rd.Err()
 	}
-	if maxLevel < 0 || maxLevel > 64 || window < 0 || nLevels < 0 || nLevels > rd.Remaining() {
+	if maxLevel < 0 || maxLevel > 64 || window < 0 {
 		return errors.New("l0: bad RoughL0 shape")
 	}
-	var levels [WindowSlots]*ExactSmall
-	for i := 0; i < nLevels; i++ {
-		j := int(rd.U32())
+	levels := NewWindow[ExactSmall](maxLevel, windowed, 0, nil)
+	if err := levels.ReadLevels(rd, 0, func() (*ExactSmall, error) {
 		b := &ExactSmall{}
 		rd.Unmarshal(b)
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		if j > maxLevel {
-			return errors.New("l0: RoughL0 level out of range")
-		}
-		if levels[j] != nil {
-			return errors.New("l0: duplicate RoughL0 level")
-		}
-		levels[j] = b
+		return b, nil
+	}); err != nil {
+		return err
 	}
-	nCreated := int(rd.U32())
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	if nCreated < 0 || nCreated*4 > rd.Remaining() {
-		return errors.New("l0: bad RoughL0 created count")
-	}
-	created := make(map[int]bool, nCreated)
-	for i := 0; i < nCreated; i++ {
-		created[int(rd.U32())] = true
+	if err := levels.ReadEver(rd); err != nil {
+		return err
 	}
 	if err := rd.Done(); err != nil {
 		return err
@@ -274,8 +235,6 @@ func (r *RoughL0) UnmarshalBinary(data []byte) error {
 	r.windowed, r.window = windowed, window
 	r.rough = rough
 	r.levelFloor = levelFloor
-	r.created = created
-	r.syncedAt = Unsynced
 	return nil
 }
 
@@ -289,7 +248,7 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	w.U32(uint32(e.k))
 	w.U64(e.p)
 	w.I64(e.floorRow)
-	w.U32(uint32(e.maxLiveRows))
+	w.U32(uint32(e.rows.Peak()))
 	for _, h := range []*hash.KWise{e.h1, e.h2, e.h3, e.h4, e.h2s, e.h3s, e.h4s} {
 		if err := w.Marshal(h); err != nil {
 			return nil, err
@@ -309,13 +268,7 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	if err := w.Marshal(e.small); err != nil {
 		return nil, err
 	}
-	w.U32(uint32(e.LiveRows()))
-	for j, bins := range e.rows {
-		if bins != nil {
-			w.U32(uint32(j))
-			w.U64s(bins)
-		}
-	}
+	e.rows.WriteLevels(w, func(bins *[]uint64) { w.U64s(*bins) })
 	return w.Bytes(), nil
 }
 
@@ -362,60 +315,46 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 	rd.Unmarshal(final)
 	small := &ExactSmall{}
 	rd.Unmarshal(small)
-	nRows := int(rd.U32())
 	if rd.Err() != nil {
 		return rd.Err()
 	}
 	if len(u) != k || len(us) != 2*k || len(singleRow) != 2*k {
 		return errors.New("l0: Estimator vector lengths disagree with k")
 	}
-	if nRows < 0 || nRows > rd.Remaining() {
-		return errors.New("l0: bad Estimator row count")
-	}
-	var rows [WindowSlots][]uint64
-	for i := 0; i < nRows; i++ {
-		j := int(rd.U32())
+	maxRow := nt.Log2Ceil(params.N)
+	rows := NewWindow[[]uint64](maxRow, params.Windowed, 0, &rowStats)
+	if err := rows.ReadLevels(rd, maxLiveRows, func() (*[]uint64, error) {
 		bins := rd.U64s()
-		if rd.Err() != nil {
-			return rd.Err()
+		if len(bins) != k {
+			return nil, errors.New("l0: bad Estimator row")
 		}
-		if len(bins) != k || j > 64 {
-			return errors.New("l0: bad Estimator row")
-		}
-		if rows[j] != nil {
-			return errors.New("l0: duplicate Estimator row")
-		}
-		rows[j] = bins
+		return &bins, nil
+	}); err != nil {
+		return err
 	}
 	if err := rd.Done(); err != nil {
 		return err
 	}
-	restored := &Estimator{
-		params:      params,
-		k:           k,
-		maxRow:      nt.Log2Ceil(params.N),
-		p:           p,
-		h1:          hs[0],
-		h2:          hs[1],
-		h3:          hs[2],
-		h4:          hs[3],
-		u:           u,
-		rows:        rows,
-		rough:       rough,
-		floorRow:    floorRow,
-		final:       final,
-		small:       small,
-		singleRow:   singleRow,
-		h2s:         hs[4],
-		h3s:         hs[5],
-		h4s:         hs[6],
-		us:          us,
-		maxLiveRows: maxLiveRows,
-		syncedAt:    Unsynced,
+	*e = Estimator{
+		params:    params,
+		k:         k,
+		maxRow:    maxRow,
+		p:         p,
+		h1:        hs[0],
+		h2:        hs[1],
+		h3:        hs[2],
+		h4:        hs[3],
+		u:         u,
+		rows:      rows,
+		rough:     rough,
+		floorRow:  floorRow,
+		final:     final,
+		small:     small,
+		singleRow: singleRow,
+		h2s:       hs[4],
+		h3s:       hs[5],
+		h4s:       hs[6],
+		us:        us,
 	}
-	restored.seeds = restored.h1.SpaceBits() + restored.h2.SpaceBits() +
-		restored.h3.SpaceBits() + restored.h4.SpaceBits() +
-		restored.h2s.SpaceBits() + restored.h3s.SpaceBits() + restored.h4s.SpaceBits()
-	*e = *restored
 	return nil
 }

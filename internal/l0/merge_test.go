@@ -43,14 +43,17 @@ func TestEstimatorMergeBitForBitUnwindowed(t *testing.T) {
 	if merged.LiveRows() != whole.LiveRows() {
 		t.Fatalf("row count: merged %d, single-stream %d", merged.LiveRows(), whole.LiveRows())
 	}
-	for j, bins := range whole.rows {
-		mbins := merged.rows[j]
+	for j := 0; j <= whole.maxRow; j++ {
+		bins, mbins := whole.rows.At(j), merged.rows.At(j)
 		if (mbins == nil) != (bins == nil) {
 			t.Fatalf("row %d: merged live %v, single-stream live %v", j, mbins != nil, bins != nil)
 		}
-		for b := range bins {
-			if mbins[b] != bins[b] {
-				t.Fatalf("row %d bin %d: merged %d, single-stream %d", j, b, mbins[b], bins[b])
+		if bins == nil {
+			continue
+		}
+		for b := range *bins {
+			if (*mbins)[b] != (*bins)[b] {
+				t.Fatalf("row %d bin %d: merged %d, single-stream %d", j, b, (*mbins)[b], (*bins)[b])
 			}
 		}
 	}

@@ -131,31 +131,6 @@ func (r *RoughF0) UpdateColumn(keys, col []uint64) int {
 // rose.
 const minScanBlock = 16
 
-// CutRuns feeds keys to the estimator and hands apply each maximal run
-// keys[lo:hi] over which R_t stands still, calling raised between runs.
-// The key that raises R_t heads the NEXT run — the per-item order is
-// rough estimate, then the window it produces, then the item. synced
-// says the caller's window was last synced at the current estimate; one
-// that was not (fresh from UnmarshalBinary) converges as the per-item
-// path makes it: raised is called once the first key is fed, whether or
-// not that key moves R_t.
-func (r *RoughF0) CutRuns(keys, col []uint64, synced bool, raised func(), apply func(lo, hi int)) {
-	pos, fed := 0, 0
-	if !synced && len(keys) > 0 {
-		r.Update(keys[0])
-		raised()
-		fed = 1
-	}
-	for pos < len(keys) {
-		cut := fed + r.UpdateColumn(keys[fed:], col)
-		apply(pos, cut)
-		pos, fed = cut, cut+1
-		if cut < len(keys) {
-			raised()
-		}
-	}
-}
-
 // columnChunk bounds one columnar run, and with it the scratch a batch
 // of any length needs.
 const columnChunk = 4096
@@ -293,10 +268,6 @@ func (r *RoughF0) SpaceBits() int64 {
 	return int64(len(r.bitmaps))*61 + seeds + int64(nt.BitsFor(uint64(r.best)))
 }
 
-// WindowSlots bounds a row or level index: both run 0..Log2Ceil(n) and
-// n is a uint64, so 65 slots hold any window.
-const WindowSlots = 65
-
 // RoughL0 is the constant-factor end-of-stream L0 estimator: Lemma 14
 // ([40]'s RoughL0Estimator) when windowed == false, and the paper's
 // alphaStreamConstL0Est (Lemma 20) when windowed == true — then only the
@@ -304,10 +275,8 @@ const WindowSlots = 65
 // maintained, shrinking the level set from log n to O(log(alpha/eps)).
 type RoughL0 struct {
 	maxLevel int
-	// levels is the live window, indexed by level; nil means the level
-	// is not maintained.
-	levels [WindowSlots]*ExactSmall
-	h      *hash.KWise // level hash h: [n] -> [n], level = lsb(h(i))
+	levels   Window[ExactSmall] // the maintained levels, indexed by level
+	h        *hash.KWise        // level hash h: [n] -> [n], level = lsb(h(i))
 	// levelSeed derives each level's ExactSmall wiring as a pure
 	// function of the level index, so instances built from the same
 	// seed agree on every level's hash and prime no matter WHEN the
@@ -319,17 +288,7 @@ type RoughL0 struct {
 	// levelFloor notes the paper's L_t = max(estimate, 8 log n / log log
 	// n) lower clamp.
 	levelFloor int64
-	created    map[int]bool // levels ever instantiated (diagnostics)
-	// syncedAt is the rough estimate the live levels were last synced
-	// at. The window is a function of that estimate alone, so updates
-	// re-sync only when it moved; Unsynced (fresh from UnmarshalBinary)
-	// forces the next update to.
-	syncedAt int64
 }
-
-// Unsynced is the syncedAt of a live set nobody has synced: no rough
-// estimate is negative.
-const Unsynced = -1
 
 const (
 	roughC   = 132 // Lemma 21's exact-count bound
@@ -356,71 +315,35 @@ func newRoughL0(rng *rand.Rand, n uint64, windowed bool, window int) *RoughL0 {
 		levelSeed: rng.Int63(),
 		windowed:  windowed,
 		window:    window,
-		created:   make(map[int]bool),
 	}
+	r.levels = NewWindow[ExactSmall](r.maxLevel, windowed, 0, nil)
 	if windowed {
 		r.rough = NewRoughF0(rng, 16)
 		r.levelFloor = 8
 	}
-	r.syncLevels()
+	r.levels.Sync(r.rough, r.span, r.newLevel)
 	return r
 }
 
-// liveRange returns the currently maintained level interval.
-func (r *RoughL0) liveRange() (int, int) {
-	if !r.windowed {
-		return 0, r.maxLevel
-	}
-	est := r.levelFloor
-	if r.rough != nil {
-		if e := r.rough.Estimate(); e > est {
-			est = e
-		}
-	}
-	center := nt.Log2Floor(uint64(est))
-	lo := center - r.window
-	hi := center + r.window
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > r.maxLevel {
-		hi = r.maxLevel
-	}
-	return lo, hi
+// span returns the level interval Lemma 20 maintains at rough estimate
+// est: log2(max(est, floor)) +- window.
+func (r *RoughL0) span(est int64) (int, int) {
+	center := nt.Log2Floor(uint64(max(est, r.levelFloor)))
+	return center - r.window, center + r.window
 }
 
-func (r *RoughL0) syncLevels() {
-	lo, hi := r.liveRange()
-	for j := range r.levels {
-		switch {
-		case j < lo || j > hi:
-			r.levels[j] = nil
-		case r.levels[j] == nil:
-			r.levels[j] = NewExactSmall(r.levelRNG(j), roughC)
-			r.created[j] = true
-		}
-	}
-	if r.rough != nil {
-		r.syncedAt = r.rough.Estimate()
-	}
-}
-
-// levelRNG derives level j's private construction rng from the shared
-// per-instance seed, so the level's ExactSmall wiring is identical in
-// every instance built from the same seed.
-func (r *RoughL0) levelRNG(j int) *rand.Rand {
-	return rand.New(rand.NewSource(r.levelSeed ^ (int64(j)+1)*0x5851F42D4C957F2D))
+// newLevel builds level j's exact counter from a construction rng
+// derived from the shared per-instance seed, so the level's ExactSmall
+// wiring is identical in every instance built from the same seed.
+func (r *RoughL0) newLevel(j int) *ExactSmall {
+	rng := rand.New(rand.NewSource(r.levelSeed ^ (int64(j)+1)*0x5851F42D4C957F2D))
+	return NewExactSmall(rng, roughC)
 }
 
 // Update feeds one stream update: rough estimate, then the window it
 // produces, then the item.
 func (r *RoughL0) Update(i uint64, delta int64) {
-	if r.windowed {
-		r.rough.Update(i)
-		if r.rough.Estimate() != r.syncedAt {
-			r.syncLevels()
-		}
-	}
+	r.levels.Observe(r.rough, i, r.span, r.newLevel)
 	r.apply(i, delta, r.h.Field(i))
 }
 
@@ -430,30 +353,25 @@ func (r *RoughL0) apply(i uint64, delta int64, hv uint64) {
 	if lvl > r.maxLevel {
 		lvl = r.maxLevel
 	}
-	if b := r.levels[lvl]; b != nil {
+	if b := r.levels.At(lvl); b != nil {
 		b.Update(i, delta)
 	}
 }
 
 // UpdateColumn feeds a column of updates, state identical to per-item
-// Update: the level hash is batch-evaluated once, the rough estimator
-// cuts the column at each item that moves the window, and the items
-// between cuts apply under one fixed live set. col is scratch of at
-// least 2*len(keys) entries.
+// Update: the level hash is batch-evaluated once, the window cuts the
+// column at each item that moves it, and the items between cuts apply
+// under one fixed live set. col is scratch of at least 2*len(keys)
+// entries.
 func (r *RoughL0) UpdateColumn(keys []uint64, deltas []int64, col []uint64) {
 	n := len(keys)
 	hv := col[:n]
 	r.h.FieldBatch(keys, hv)
-	apply := func(lo, hi int) {
+	r.levels.CutRuns(r.rough, keys, col[n:], r.span, r.newLevel, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			r.apply(keys[j], deltas[j], hv[j])
 		}
-	}
-	if !r.windowed {
-		apply(0, n)
-		return
-	}
-	r.rough.CutRuns(keys, col[n:], r.rough.Estimate() == r.syncedAt, r.syncLevels, apply)
+	})
 }
 
 // Estimate returns R in [L0, c*L0] with constant probability (c = 110
@@ -463,8 +381,8 @@ func (r *RoughL0) UpdateColumn(keys []uint64, deltas []int64, col []uint64) {
 // (20000/99) * 2^j; with no such level return 50.
 func (r *RoughL0) Estimate() int64 {
 	best := -1
-	for j, b := range r.levels {
-		if b != nil && b.CountSaturating() > roughEta {
+	for j, b := range r.levels.Each {
+		if b.CountSaturating() > roughEta {
 			best = j
 		}
 	}
@@ -476,15 +394,7 @@ func (r *RoughL0) Estimate() int64 {
 
 // LiveLevels reports how many level structures are currently maintained
 // (log n for the baseline, O(window) for Lemma 20).
-func (r *RoughL0) LiveLevels() int {
-	live := 0
-	for _, b := range r.levels {
-		if b != nil {
-			live++
-		}
-	}
-	return live
-}
+func (r *RoughL0) LiveLevels() int { return r.levels.Len() }
 
 // Merge folds another RoughL0 built from the same seed into this one:
 // the rough-F0 tracker merges, levels maintained by both add their
@@ -503,50 +413,30 @@ func (r *RoughL0) Merge(other *RoughL0) error {
 			return err
 		}
 	}
-	for j, ob := range other.levels {
-		switch {
-		case ob == nil:
-		case r.levels[j] != nil:
-			if err := r.levels[j].Merge(ob); err != nil {
-				return err
-			}
-		default:
-			r.levels[j] = ob.Clone()
-			r.created[j] = true
-		}
+	if err := r.levels.Merge(&other.levels, (*ExactSmall).Merge, (*ExactSmall).Clone); err != nil {
+		return err
 	}
-	r.syncLevels()
+	r.levels.Sync(r.rough, r.span, r.newLevel)
 	return nil
 }
 
 // Clone returns a deep copy sharing the (immutable) hash function.
 func (r *RoughL0) Clone() *RoughL0 {
 	c := *r
-	c.created = make(map[int]bool, len(r.created))
 	if r.rough != nil {
 		c.rough = r.rough.Clone()
 	}
-	for j, b := range r.levels {
-		if b != nil {
-			c.levels[j] = b.Clone()
-		}
-	}
-	for j := range r.created {
-		c.created[j] = true
-	}
+	c.levels = r.levels.Clone((*ExactSmall).Clone)
 	return &c
 }
 
 // SpaceBits sums the live level structures, the level hash, and the
 // rough-F0 tracker.
 func (r *RoughL0) SpaceBits() int64 {
-	var total int64
-	for _, b := range r.levels {
-		if b != nil {
-			total += b.SpaceBits()
-		}
+	total := r.h.SpaceBits()
+	for _, b := range r.levels.Each {
+		total += b.SpaceBits()
 	}
-	total += r.h.SpaceBits()
 	if r.rough != nil {
 		total += r.rough.SpaceBits()
 	}

@@ -137,7 +137,7 @@ func (in *instance) UnmarshalBinary(data []byte) error {
 	rd.Unmarshal(tHash)
 	te := &csss.TailEstimator{}
 	rd.Unmarshal(te)
-	trk := &topk.Tracker{}
+	trk := topk.Expect(trackerCap(p.K))
 	rd.Unmarshal(trk)
 	var rSketch, qSketch *cauchy.Sketch
 	if p.General {

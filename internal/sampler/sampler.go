@@ -133,6 +133,10 @@ type instance struct {
 	qFP     float64
 }
 
+// trackerCap is the candidate capacity of one instance: 8 per CSSS
+// column.
+func trackerCap(k int) int { return 8 * k }
+
 func newInstance(rng *rand.Rand, p Params) *instance {
 	p.fill()
 	logN := math.Max(4, float64(nt.Log2Ceil(p.N)))
@@ -140,7 +144,7 @@ func newInstance(rng *rand.Rand, p Params) *instance {
 		p:       p,
 		tHash:   hash.NewKWise(rng, p.TWise),
 		te:      csss.NewTailEstimator(rng, csss.Params{Rows: p.Rows, K: p.K, S: p.S, FixedPointBits: p.FPBits}),
-		trk:     topk.New(8 * p.K),
+		trk:     topk.New(trackerCap(p.K)),
 		epsPrim: p.Eps * p.Eps * p.Eps / (logN * logN),
 		logN:    logN,
 	}
@@ -426,7 +430,7 @@ func NewBaseline(rng *rand.Rand, p Params, copies int) *Baseline {
 			tHash:   hash.NewKWise(rng, p.TWise),
 			cs1:     sketch.NewCountSketch(rng, p.Rows, uint64(6*p.K)),
 			cs2:     sketch.NewCountSketch(rng, p.Rows, uint64(6*p.K)),
-			trk:     topk.New(8 * p.K),
+			trk:     topk.New(trackerCap(p.K)),
 			epsPrim: p.Eps * p.Eps * p.Eps / (logN * logN),
 			logN:    logN,
 			fpUnit:  float64(int64(1) << p.FPBits),

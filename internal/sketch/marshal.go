@@ -68,8 +68,11 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	if buckets.Rows != rows || buckets.Cols != cols {
 		return errBadSketchData
 	}
-	need := rows * int(cols) * 8
-	if len(data)-pos != need {
+	// cols is an unbounded wire value (rows * cols * 8 wraps back to the
+	// honest length at cols + 2^61): hold it against the counter bytes
+	// that remain by dividing, before any arithmetic on it.
+	rest := uint64(len(data) - pos)
+	if rest%8 != 0 || rest/8%uint64(rows) != 0 || rest/8/uint64(rows) != cols {
 		return errBadSketchData
 	}
 	flat := make([]int64, uint64(rows)*cols)

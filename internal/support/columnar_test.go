@@ -195,11 +195,11 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 	us := burstStream(rng, n, 8, 40, 200)
 	crafts := map[string]func(sp *Sampler){
 		"extra-and-missing-levels": func(sp *Sampler) {
-			lo, hi := sp.liveRange()
-			sp.levels[lo] = nil
-			sp.levels[hi+1] = sp.proto.Sibling()
-			sp.levels[hi+1].Update(77, 3)
-			sp.levels[0] = sp.proto.Sibling()
+			lo, hi := sp.span(sp.rough.Estimate())
+			sp.levels.Drop(max(lo, 0))
+			sp.levels.Put(hi+1, sp.newLevel(hi+1))
+			sp.levels.At(hi+1).Update(77, 3)
+			sp.levels.Put(0, sp.newLevel(0))
 		},
 		"lagging-running-max": func(sp *Sampler) {
 			stale := &Sampler{}
@@ -208,7 +208,7 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 			}
 			// The untouched twin's rough estimator (running max 0) under
 			// the fed twin's levels: every level is out of place.
-			sp.rough, sp.syncedAt = stale.rough, stale.syncedAt
+			sp.rough = stale.rough
 		},
 	}
 	for name, craft := range crafts {
@@ -244,7 +244,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(10))
 	sp, _ := samplerPair(Params{N: n, K: 4, SparsityFactor: 2, Windowed: true, Window: 3})
-	events := windowEvents.Load()
+	events := levelStats.Events.Load()
 	moves := int64(0)
 	for _, u := range burstStream(rng, n, 7, 40, 100) {
 		before := sp.rough.Estimate()
@@ -253,15 +253,21 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 			moves++
 		}
 		state := mustMarshal(t, sp)
-		sp.syncLevels()
-		if !bytes.Equal(state, mustMarshal(t, sp)) {
+		// A restored window has forgotten what it was synced at, so this
+		// Sync runs in full.
+		full := &Sampler{}
+		if err := full.UnmarshalBinary(state); err != nil {
+			t.Fatal(err)
+		}
+		full.levels.Sync(full.rough, full.span, full.newLevel)
+		if !bytes.Equal(state, mustMarshal(t, full)) {
 			t.Fatalf("sync after update of key %d changed the state", u.Index)
 		}
 	}
 	if moves < 5 {
 		t.Fatalf("stream moved R_t %d times, want several", moves)
 	}
-	if got := windowEvents.Load() - events; obs.Enabled && got != moves {
+	if got := levelStats.Events.Load() - events; obs.Enabled && got != moves {
 		t.Fatalf("repro_support_window_events_total grew by %d over %d moves of R_t", got, moves)
 	}
 }

@@ -28,7 +28,7 @@ func (sp *Sampler) MarshalBinary() ([]byte, error) {
 	w.Bool(sp.params.Windowed)
 	w.U32(uint32(sp.params.Window))
 	w.U32(uint32(sp.s))
-	w.U32(uint32(sp.maxLiveLevels))
+	w.U32(uint32(sp.levels.Peak()))
 	if err := w.Marshal(sp.h); err != nil {
 		return nil, err
 	}
@@ -38,15 +38,10 @@ func (sp *Sampler) MarshalBinary() ([]byte, error) {
 	if err := w.Marshal(sp.proto); err != nil {
 		return nil, err
 	}
-	w.U32(uint32(sp.LiveLevels()))
-	for j, lv := range sp.levels {
-		if lv == nil {
-			continue
-		}
-		w.U32(uint32(j))
-		if err := w.Marshal(lv); err != nil {
-			return nil, err
-		}
+	var err error
+	sp.levels.WriteLevels(w, func(lv *sparse.Recovery) { err = errors.Join(err, w.Marshal(lv)) })
+	if err != nil {
+		return nil, err
 	}
 	return w.Bytes(), nil
 }
@@ -82,42 +77,25 @@ func (sp *Sampler) UnmarshalBinary(data []byte) error {
 	rd.Unmarshal(rough)
 	proto := &sparse.Recovery{}
 	rd.Unmarshal(proto)
-	nLevels := int(rd.U32())
 	if rd.Err() != nil {
 		return rd.Err()
 	}
 	maxLevel := nt.Log2Ceil(params.N)
-	if nLevels < 0 || nLevels > rd.Remaining() {
-		return errors.New("support: bad Sampler level count")
-	}
-	var levels [l0.WindowSlots]*sparse.Recovery
-	for i := 0; i < nLevels; i++ {
-		j := int(rd.U32())
-		sk := &sparse.Recovery{}
-		rd.Unmarshal(sk)
-		if rd.Err() != nil {
-			return rd.Err()
+	levels := l0.NewWindow[sparse.Recovery](maxLevel, params.Windowed, alwaysOn, &levelStats)
+	if err := levels.ReadLevels(rd, maxLiveLevels, func() (*sparse.Recovery, error) {
+		lv := &sparse.Recovery{}
+		rd.Unmarshal(lv)
+		// Every level sketch must share the prototype's wiring, the
+		// invariant Merge and Recover rely on.
+		if rd.Err() == nil && proto.Compatible(lv) != nil {
+			return nil, errors.New("support: level sketch wiring disagrees with prototype")
 		}
-		if j > maxLevel {
-			return errors.New("support: Sampler level out of range")
-		}
-		if levels[j] != nil {
-			return errors.New("support: duplicate Sampler level")
-		}
-		levels[j] = sk
+		return lv, nil
+	}); err != nil {
+		return err
 	}
 	if err := rd.Done(); err != nil {
 		return err
-	}
-	// Every level sketch must share the prototype's wiring, the invariant
-	// Merge and Recover rely on.
-	for _, lv := range levels {
-		if lv == nil {
-			continue
-		}
-		if err := proto.Compatible(lv); err != nil {
-			return errors.New("support: level sketch wiring disagrees with prototype")
-		}
 	}
 	sp.params = params
 	sp.s = s
@@ -126,7 +104,5 @@ func (sp *Sampler) UnmarshalBinary(data []byte) error {
 	sp.rough = rough
 	sp.levels = levels
 	sp.proto = proto
-	sp.syncedAt = l0.Unsynced
-	sp.maxLiveLevels = maxLiveLevels
 	return nil
 }

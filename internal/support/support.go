@@ -69,18 +69,17 @@ type Sampler struct {
 	maxLevel int
 	h        *hash.KWise
 	rough    *l0.RoughF0
-	// levels is the live window, indexed by level; nil means the level
-	// is not maintained. Every sketch shares proto's hash functions.
-	levels [l0.WindowSlots]*sparse.Recovery
-	proto  *sparse.Recovery // hash-sharing prototype for level sketches
-	// syncedAt is the rough estimate the live levels were last synced
-	// at. The window is a function of that estimate alone, so updates
-	// re-sync only when it moved; l0.Unsynced (fresh from
-	// UnmarshalBinary) forces the next update to.
-	syncedAt      int64
-	maxLiveLevels int
-	entries       []sparse.Entry // UpdateColumns scratch: one pre-hashed entry per item
+	// levels holds the maintained level sketches, indexed by level; every
+	// sketch shares proto's hash functions.
+	levels  l0.Window[sparse.Recovery]
+	proto   *sparse.Recovery // hash-sharing prototype for level sketches
+	entries []sparse.Entry   // UpdateColumns scratch: one pre-hashed entry per item
 }
+
+// alwaysOn is the number of top levels Figure 8 keeps at every estimate:
+// they cover streams whose L0 stays below the rough estimator's reliable
+// range.
+const alwaysOn = 2
 
 // NewSampler builds a support sampler.
 func NewSampler(rng *rand.Rand, params Params) *Sampler {
@@ -99,62 +98,21 @@ func NewSampler(rng *rand.Rand, params Params) *Sampler {
 		rough:    l0.NewRoughF0(rng, 16),
 	}
 	sp.proto = sparse.NewRecovery(rng, sp.s, params.N)
-	sp.syncLevels()
+	sp.levels = l0.NewWindow[sparse.Recovery](sp.maxLevel, params.Windowed, alwaysOn, &levelStats)
+	sp.levels.Sync(sp.rough, sp.span, sp.newLevel)
 	return sp
 }
 
-// liveRange returns the maintained level interval [lo, maxLevel] — the
-// top levels are always kept; below the window only.
-func (sp *Sampler) liveRange() (int, int) {
-	if !sp.params.Windowed {
-		return 0, sp.maxLevel
-	}
-	r := sp.rough.Estimate()
-	if r < 1 {
-		r = 1
-	}
-	// center = log2(n*s / (3*R_t)).
+// span returns the level interval Figure 8 maintains at rough estimate r
+// (the always-on top levels come on top of it): log2(n*s / (3*R_t)) +-
+// Window.
+func (sp *Sampler) span(r int64) (int, int) {
 	ns := float64(sp.params.N) * float64(sp.s)
-	center := int(math.Floor(math.Log2(ns / (3 * float64(r)))))
-	lo := center - sp.params.Window
-	hi := center + sp.params.Window
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > sp.maxLevel {
-		hi = sp.maxLevel
-	}
-	return lo, hi
+	center := int(math.Floor(math.Log2(ns / (3 * float64(max(r, 1))))))
+	return center - sp.params.Window, center + sp.params.Window
 }
 
-func (sp *Sampler) syncLevels() {
-	lo, hi := sp.liveRange()
-	for j := range sp.levels {
-		// Figure 8's always-on top levels cover streams whose L0 stays
-		// below the rough estimator's reliable range.
-		inWindow := j >= lo && j <= hi
-		alwaysOn := j > sp.maxLevel-2 && j <= sp.maxLevel
-		switch {
-		case !inWindow && !alwaysOn:
-			sp.levels[j] = nil
-		case sp.levels[j] == nil:
-			sp.levels[j] = sp.proto.Sibling()
-		}
-	}
-	live := sp.LiveLevels()
-	if live > sp.maxLiveLevels {
-		sp.maxLiveLevels = live
-	}
-	sp.syncedAt = sp.rough.Estimate()
-	liveLevels.Set(int64(live))
-}
-
-// windowMoved re-syncs the level window after the rough estimate moved
-// — one window event.
-func (sp *Sampler) windowMoved() {
-	sp.syncLevels()
-	windowEvents.Inc()
-}
+func (sp *Sampler) newLevel(int) *sparse.Recovery { return sp.proto.Sibling() }
 
 // minLevel returns the lowest level that samples an item with level
 // hash hv: i belongs to I_j iff hv < 2^j, i.e. j >= bitlen(hv).
@@ -166,11 +124,8 @@ func (sp *Sampler) Update(i uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	sp.rough.Update(i)
-	if sp.params.Windowed && sp.rough.Estimate() != sp.syncedAt {
-		sp.windowMoved()
-	}
-	for _, lv := range sp.levels[minLevel(sp.h.Range(i, sp.params.N)):] {
+	sp.levels.Observe(sp.rough, i, sp.span, sp.newLevel)
+	for _, lv := range sp.levels.From(minLevel(sp.h.Range(i, sp.params.N))) {
 		if lv != nil {
 			lv.Update(i, delta)
 		}
@@ -178,13 +133,10 @@ func (sp *Sampler) Update(i uint64, delta int64) {
 }
 
 // UpdateColumns consumes a pre-planned columnar batch: cut at the
-// window events, batch between them. Every level sketch shares the
-// prototype's hash functions, so the level hash, the fingerprint and
-// the three bucket hashes are batch-evaluated ONCE per item into a
-// pre-hashed entry, whichever levels it then reaches; the rough
-// estimator scans the key column and reports the first item that raises
-// R_t — the only kind that can move the level window (Corollary 2: R_t
-// never falls) — the column is cut there, the window re-syncs, and the
+// window events (l0.Window.CutRuns), batch between them. Every level
+// sketch shares the prototype's hash functions, so the level hash, the
+// fingerprint and the three bucket hashes are batch-evaluated ONCE per
+// item into a pre-hashed entry, whichever levels it then reaches; the
 // items between cuts apply their entries to every live level at or
 // above their minimum. Nothing here draws randomness, so state is
 // bit-identical to per-item Update.
@@ -203,22 +155,15 @@ func (sp *Sampler) updateRun(b *core.Batch, keys []uint64, deltas []int64) {
 	entries := sp.entries[:n]
 	sp.proto.HashColumn(keys, deltas, scratch, entries)
 	sp.h.RangeBatch(keys, sp.params.N, hv)
-	apply := func(lo, hi int) {
+	sp.levels.CutRuns(sp.rough, keys, scratch, sp.span, sp.newLevel, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			for _, lv := range sp.levels[minLevel(hv[j]):] {
+			for _, lv := range sp.levels.From(minLevel(hv[j])) {
 				if lv != nil {
 					lv.Apply(&entries[j])
 				}
 			}
 		}
-	}
-	// Unwindowed, every level is live for good: the rough estimator is
-	// still fed (it is part of the state), its events move nothing.
-	synced, raised := true, func() {}
-	if sp.params.Windowed {
-		synced, raised = sp.rough.Estimate() == sp.syncedAt, sp.windowMoved
-	}
-	sp.rough.CutRuns(keys, scratch, synced, raised, apply)
+	})
 }
 
 // Recover returns distinct support coordinates — every one strictly
@@ -229,10 +174,7 @@ func (sp *Sampler) Recover() []uint64 {
 	found := make(map[uint64]bool)
 	// Denser (higher) levels decode last so sparse levels contribute
 	// first; order is cosmetic since we take a union.
-	for _, lv := range sp.levels {
-		if lv == nil {
-			continue
-		}
+	for _, lv := range sp.levels.Each {
 		vec, err := lv.Decode()
 		if err != nil {
 			continue // DENSE level; other levels may still decode
@@ -259,7 +201,7 @@ func (sp *Sampler) Recover() []uint64 {
 // Recover()'s union: a level below i's minimum never received i, so
 // skipping it cannot change the verdict.
 func (sp *Sampler) Contains(i uint64) bool {
-	for _, lv := range sp.levels[minLevel(sp.h.Range(i, sp.params.N)):] {
+	for _, lv := range sp.levels.From(minLevel(sp.h.Range(i, sp.params.N))) {
 		if lv == nil {
 			continue
 		}
@@ -301,10 +243,7 @@ func (sp *Sampler) ProbeBatch(b *core.Batch, keys []uint64, out []bool) {
 		minLv[t] = uint64(minLevel(hv))
 		out[t] = false
 	}
-	for j, lv := range sp.levels {
-		if lv == nil {
-			continue
-		}
+	for j, lv := range sp.levels.Each {
 		vec, err := lv.Decode()
 		if err != nil {
 			continue // DENSE level; sparser evidence may still exist
@@ -338,21 +277,10 @@ func (sp *Sampler) Merge(other *Sampler) error {
 	if err := sp.rough.Merge(other.rough); err != nil {
 		return err
 	}
-	for j, olv := range other.levels {
-		switch lv := sp.levels[j]; {
-		case olv == nil:
-		case lv != nil:
-			if err := lv.Merge(olv); err != nil {
-				return err
-			}
-		default:
-			sp.levels[j] = olv.Clone()
-		}
+	if err := sp.levels.Merge(&other.levels, (*sparse.Recovery).Merge, (*sparse.Recovery).Clone); err != nil {
+		return err
 	}
-	if other.maxLiveLevels > sp.maxLiveLevels {
-		sp.maxLiveLevels = other.maxLiveLevels
-	}
-	sp.syncLevels()
+	sp.levels.Sync(sp.rough, sp.span, sp.newLevel)
 	return nil
 }
 
@@ -362,36 +290,19 @@ func (sp *Sampler) Clone() *Sampler {
 	c := *sp
 	c.rough = sp.rough.Clone()
 	c.entries = nil
-	for j, lv := range sp.levels {
-		if lv != nil {
-			c.levels[j] = lv.Clone()
-		}
-	}
+	c.levels = sp.levels.Clone((*sparse.Recovery).Clone)
 	return &c
 }
 
 // LiveLevels reports the number of maintained level sketches.
-func (sp *Sampler) LiveLevels() int {
-	live := 0
-	for _, lv := range sp.levels {
-		if lv != nil {
-			live++
-		}
-	}
-	return live
-}
+func (sp *Sampler) LiveLevels() int { return sp.levels.Len() }
 
 // SpaceBits sums the live level sketches (at the peak live count), the
 // level hash, and the rough estimator.
 func (sp *Sampler) SpaceBits() int64 {
 	var perLevel int64
-	for _, lv := range sp.levels {
-		if lv == nil {
-			continue
-		}
-		if b := lv.SpaceBits(); b > perLevel {
-			perLevel = b
-		}
+	for _, lv := range sp.levels.Each {
+		perLevel = max(perLevel, lv.SpaceBits())
 	}
-	return int64(sp.maxLiveLevels)*perLevel + sp.h.SpaceBits() + sp.rough.SpaceBits()
+	return int64(sp.levels.Peak())*perLevel + sp.h.SpaceBits() + sp.rough.SpaceBits()
 }

@@ -1,20 +1,19 @@
 // window_stats.go answers "which regime is the sampler in": how often
-// the Figure 8 level window moves, and how many levels it holds. Both
-// are obs primitives (zero-size no-ops under -tags noobs), process-wide
-// like the CSSS regime counters, and written once per window event —
-// never per key.
+// the Figure 8 level window moves, and how many levels it holds.
+// Process-wide like the CSSS regime counters; l0.Window writes them (see
+// l0.WindowStats).
 package support
 
-import "repro/internal/obs"
-
-var (
-	windowEvents obs.Counter // updates that raised R_t and re-synced a Sampler's level window
-	liveLevels   obs.Gauge   // levels held by the Sampler that synced last
+import (
+	"repro/internal/l0"
+	"repro/internal/obs"
 )
+
+var levelStats l0.WindowStats
 
 func init() {
 	obs.Default.CounterFunc("", "repro_support_window_events_total",
-		"updates that raised the rough L0 estimate and moved a support sampler's level window", windowEvents.Load)
+		"updates that raised the rough L0 estimate and moved a support sampler's level window", levelStats.Events.Load)
 	obs.Default.GaugeFunc("", "repro_support_live_levels",
-		"level sketches maintained by the support sampler that last synced its window", liveLevels.Load)
+		"level sketches maintained by the support sampler that last synced its window", levelStats.Live.Load)
 }

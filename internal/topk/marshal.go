@@ -29,8 +29,21 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary restores a tracker serialized by MarshalBinary. On
-// failure the receiver is left unchanged.
+// Expect returns an unsized placeholder that restores only a payload of
+// exactly this capacity. A tracker's tables are sized by its capacity
+// (about 144 bytes per unit), not by the entries the payload carries, so
+// an owner restoring one derives the capacity from its own parameters
+// and has any other refused before anything is allocated.
+func Expect(capacity int) *Tracker {
+	if capacity < 1 {
+		capacity = -1 // derived from bad parameters: matches no payload
+	}
+	return &Tracker{cap: capacity}
+}
+
+// UnmarshalBinary restores a tracker serialized by MarshalBinary into a
+// zero Tracker or an Expect placeholder. On failure the receiver is left
+// unchanged.
 func (t *Tracker) UnmarshalBinary(data []byte) error {
 	r, v, err := wire.NewReader(data, trackerMagic)
 	if err != nil {
@@ -46,6 +59,9 @@ func (t *Tracker) UnmarshalBinary(data []byte) error {
 	}
 	if capacity < 1 || capacity > 1<<30 {
 		return errors.New("topk: bad Tracker capacity")
+	}
+	if t.cap != 0 && capacity != t.cap {
+		return errors.New("topk: Tracker capacity disagrees with its owner's parameters")
 	}
 	if n < 0 || n > 2*capacity || n*16 > r.Remaining() {
 		return errors.New("topk: bad Tracker entry count")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -376,5 +377,56 @@ func TestUnmarshalSketchRejectsGarbage(t *testing.T) {
 	wrongKind[3] = 200
 	if _, err := UnmarshalSketch(wrongKind); err == nil {
 		t.Error("accepted unknown kind byte")
+	}
+}
+
+// TestCraftedCountSketchColsRefused: a column count of honest + 2^61
+// wraps rows * cols * 8 back to the real table length; the decoder once
+// passed its length check on that and panicked sizing the table.
+func TestCraftedCountSketchColsRefused(t *testing.T) {
+	blob := must(must(NewL2HeavyHitters(Config{N: 1 << 16, Eps: 0.1, Alpha: 2, Seed: 7})).MarshalBinary())
+	bad := countSketchColsWrapped(blob)
+	if bad == nil {
+		t.Fatal("no Count-Sketch inside an L2HeavyHitters encoding")
+	}
+	if _, err := UnmarshalSketch(bad); err == nil {
+		t.Fatal("accepted a Count-Sketch column count that wraps the length check")
+	}
+	if _, err := UnmarshalSketch(blob); err != nil {
+		t.Fatalf("honest blob refused: %v", err)
+	}
+}
+
+// TestCraftedTrackerCapacityRefused: every structure that owns a
+// candidate tracker derives its capacity from parameters in the same
+// payload, so a blob that names another is refused before the tracker
+// is sized — restoring allocates in proportion to the blob, whatever
+// capacity it claims (2^22 once cost 576 MiB from a 54 KB blob).
+func TestCraftedTrackerCapacityRefused(t *testing.T) {
+	cfg := Config{N: 1 << 16, Eps: 0.1, Alpha: 2, Seed: 7}
+	for name, s := range map[string]Sketch{
+		"HeavyHitters":   must(NewHeavyHitters(cfg)),
+		"L2HeavyHitters": must(NewL2HeavyHitters(cfg)),
+		"L1Sampler":      must(NewL1Sampler(Config{N: 1 << 16, Eps: 0.25, Alpha: 2, Seed: 7}, WithCopies(2))),
+	} {
+		s.Update(3, 2)
+		blob := must(s.MarshalBinary())
+		bad := trackerCapacity(blob, 1<<22)
+		if bad == nil {
+			t.Fatalf("%s: no tracker inside the encoding", name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalSketch(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted a tracker capacity of 2^22", name)
+		}
+		if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(8*len(blob)+1<<20); got > ceiling {
+			t.Errorf("%s: refusing a %d-byte blob allocated %d bytes, ceiling %d", name, len(blob), got, ceiling)
+		}
+		if _, err := UnmarshalSketch(blob); err != nil {
+			t.Errorf("%s: honest blob refused: %v", name, err)
+		}
 	}
 }
