@@ -2,6 +2,7 @@ package bounded
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/gen"
@@ -48,6 +49,39 @@ func TestPublicHeavyHitters(t *testing.T) {
 	}
 	if hh.SpaceBits() <= 0 {
 		t.Error("SpaceBits must be positive")
+	}
+}
+
+// TestHeavyHittersSteadyStateAllocationFree: once a strict HeavyHitters
+// is warm — candidate tracker at capacity, batch arena populated —
+// Update and UpdateBatch allocate nothing.
+func TestHeavyHittersSteadyStateAllocationFree(t *testing.T) {
+	s := gen.BoundedDeletion(gen.Config{N: 1 << 14, Items: 40000, Alpha: 4, Zipf: 1.5, Seed: 1})
+	hh := must(NewHeavyHitters(Config{N: 1 << 14, Eps: 0.05, Alpha: 4, Seed: 2}))
+	hh.UpdateBatch(s.Updates)
+	next := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		u := s.Updates[next%len(s.Updates)]
+		next++
+		hh.Update(u.Index, u.Delta)
+	}); a != 0 {
+		t.Errorf("Update: %v allocs per call after warm-up, want 0", a)
+	}
+	// Under the race detector sync.Pool drops a quarter of its Puts on
+	// purpose, so there the batch arena allocates by design.
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range info.Settings {
+			if kv.Key == "-race" && kv.Value == "true" {
+				return
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		off := next % (len(s.Updates) - 256)
+		next += 256
+		hh.UpdateBatch(s.Updates[off : off+256])
+	}); a != 0 {
+		t.Errorf("UpdateBatch: %v allocs per 256-update call after warm-up, want 0", a)
 	}
 }
 

@@ -190,23 +190,22 @@
 // The row-structured kernels are FUSED: one entry point takes the
 // flat coefficient (or table) bundle for all sketch rows plus the row
 // width and loops rows inside the call, so a whole multi-row batch
-// evaluation (Buckets.BucketSignsBatch, PairRows.RangeBatchRows, the
+// evaluation (Buckets.BucketSignsBatch, the
 // GatherSignRows/GatherSignDiffRows query gathers) pays ONE vector
 // entry cost — the per-call vector-unit power-up after VZEROUPPER,
 // ~1.5us on the reference Xeon — instead of one per row. Each
 // dispatch compares its total key count (rows x batch length for the
-// fused forms) against a per-family cutover calibrated at package
-// init by a scalar-vs-vector microprobe on the running host;
-// BD_KERNEL_CUTOVER overrides calibration (one integer for all
-// families, or comma-separated family=value pairs), purego builds
-// skip both and keep the scalar loops. hash.KernelCutovers and
-// hash.KernelCutoverSource expose the resolved values; cmd/benchjson
-// records them in every report. Same-run ratios on a 1-CPU Xeon
-// reference host: 1.85x on BucketSignsBatch at 1024
-// keys vs scalar (2.35x at 4096), 7.9x on MedianOf7Cols, 1.9x on row
-// gathers. GOAMD64 does not change dispatch (detection is runtime
-// CPUID), and single-CPU hosts see the full win — the kernels
-// vectorize within one core, not across cores.
+// fused forms) against a per-family cutover and routes below-bar calls
+// to the scalar loops. The cutovers are calibrated at package init by
+// a scalar-vs-vector microprobe on the running host (min-of-3 timing
+// of both bodies down a size ladder, through the assembly entries
+// that traffic takes; the smallest size at which vector still wins);
+// nothing overrides them, and purego builds skip the probe and keep
+// the scalar loops. hash.KernelCutovers and hash.KernelCutoverSource
+// expose the resolved values. Single-CPU hosts see the full win — the
+// kernels vectorize within one core, not across cores. The measured
+// ratios per kernel, and what an operator can read and force, are in
+// README § "the vector kernel layer".
 //
 // # Batched ingest: the plan → hash → apply columnar pipeline
 //

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,5 +120,37 @@ func TestRestorePartitionedRejectsMistaggedBlob(t *testing.T) {
 	}
 	if g := dst.Generation(); g != 0 {
 		t.Fatalf("refused restore advanced generation to %d", g)
+	}
+}
+
+// TestDecodeBlobsAllocatesOnceOverTheBlob: admitting a blob peeks its
+// kind, peeks its Config and restores it, and only the restore may
+// allocate in proportion to the blob — the restored tables are about 1x
+// its length, and a peek or a parse that copies the payload adds 1x
+// each.
+func TestDecodeBlobsAllocatesOnceOverTheBlob(t *testing.T) {
+	cfg := bounded.Config{N: 1 << 20, Eps: 0.01, Alpha: 8, Seed: 1}
+	hh, err := bounded.NewHeavyHitters(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 5000; i++ {
+		hh.Update(i*i%(1<<20), 1)
+	}
+	payload, err := hh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := []wire.Blob{{Bit: uint32(HeavyHitters), Payload: payload}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DecodeBlobs(blobs, HeavyHitters, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(len(payload))*3/2; got > ceiling {
+		t.Fatalf("DecodeBlobs of a %d-byte blob allocated %d bytes (%.2fx), ceiling 1.5x",
+			len(payload), got, float64(got)/float64(len(payload)))
 	}
 }

@@ -1,5 +1,5 @@
-// Package core ties the library together: the common interfaces every
-// sketch in this repository satisfies, and the evaluation metrics the
+// Package core ties the library together: the columnar batch every
+// structure ingests (batch.go), and the evaluation metrics the
 // benchmark harness uses to regenerate the paper's Figure 1 rows
 // (relative error, recall/precision for heavy hitters, total variation
 // distance for samplers, and space-ratio reporting).
@@ -11,17 +11,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Algorithm is the minimal contract of every streaming structure here.
-type Algorithm interface {
-	Update(i uint64, delta int64)
-	SpaceBits() int64
-}
-
-// SpaceReporter is satisfied by everything that accounts its bits.
-type SpaceReporter interface {
-	SpaceBits() int64
-}
 
 // RelErr returns |got-want| / |want| (or |got| when want == 0).
 func RelErr(got, want float64) float64 {

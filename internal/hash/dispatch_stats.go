@@ -37,8 +37,8 @@ func (d *dispatchCounters) count(n int, calls int64) {
 var (
 	bucketSignsDispatch = dispatchCounters{fam: famBucketSigns} // fused BucketSignsBatch calls
 	fieldDispatch       = dispatchCounters{fam: famField}       // FieldBatch (k2/k4/fallback)
-	rangeDispatch       = dispatchCounters{fam: famRange}       // RangeBatch + fused RangeBatchRows
-	gatherDispatch      = dispatchCounters{fam: famGather}      // GatherSignInt64 + fused row gathers
+	rangeDispatch       = dispatchCounters{fam: famRange}       // RangeBatch
+	gatherDispatch      = dispatchCounters{fam: famGather}      // GatherSignRows + GatherSignDiffRows
 	medianDispatch      = dispatchCounters{fam: famMedian}      // MedianOf7Columns
 )
 

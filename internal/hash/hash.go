@@ -335,50 +335,3 @@ func (b *Buckets) SpaceBits() int64 {
 	}
 	return total
 }
-
-// PairRows bundles the coefficients of several pairwise hash functions
-// into one flat array (2 per row) so a multi-row range evaluation —
-// the back-to-back per-row RangeBatch loop of Count-Min-style plans —
-// can run as ONE fused kernel call with a single vector power-up.
-// Construct with NewPairRows; the zero value is unusable.
-type PairRows struct {
-	Rows int
-	flat []uint64 // row i's (c0, c1) at flat[2i:2i+2]
-}
-
-// NewPairRows builds the fused bundle from pairwise hash functions.
-// Returns nil if any function is not exactly pairwise (K() != 2) —
-// callers treat nil as "fall back to per-row RangeBatch", which keeps
-// hostile or legacy wire states on the safe generic path.
-func NewPairRows(hs []*KWise) *PairRows {
-	if len(hs) == 0 {
-		return nil
-	}
-	flat := make([]uint64, 0, 2*len(hs))
-	for _, h := range hs {
-		if h == nil || len(h.coeffs) != 2 {
-			return nil
-		}
-		flat = append(flat, h.coeffs...)
-	}
-	return &PairRows{Rows: len(hs), flat: flat}
-}
-
-// RangeBatchRows fills, for every row i and key j, the bucket
-// out[i*len(keys)+j] of keys[j] in [0, r) under row i's hash —
-// bit-identical to calling each row's RangeBatch in turn, but through
-// one fused kernel dispatch. out must hold Rows*len(keys) entries.
-func (p *PairRows) RangeBatchRows(keys []uint64, r uint64, out []uint64) {
-	if r == 0 {
-		panic("hash: RangeBatchRows with r == 0")
-	}
-	n := len(keys)
-	if n == 0 {
-		return // before stats: an empty sweep is not a dispatch
-	}
-	if len(out) < p.Rows*n {
-		panic(fmt.Sprintf("hash: RangeBatchRows output holds %d entries, need %d", len(out), p.Rows*n))
-	}
-	rangeDispatch.count(p.Rows*n, 1)
-	active.rangeK2Rows(p.flat, p.Rows, r, keys, out[:p.Rows*n])
-}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/nt"
 	"repro/internal/order"
@@ -35,8 +33,9 @@ import (
 // The kernel layer lives in package hash because every consumer
 // (sketch, csss, the engine) already imports hash for the batch
 // evaluators the kernels back; the gather and median kernels are
-// exported directly (GatherSignInt64, MedianOf7Columns) for the table
-// sweeps in internal/sketch and internal/csss.
+// exported directly (GatherSignRows, GatherSignDiffRows,
+// MedianOf7Columns) for the table sweeps in internal/sketch and
+// internal/csss.
 
 // kernelTable bundles the batch-evaluator inner loops the public batch
 // methods dispatch through.
@@ -46,10 +45,8 @@ type kernelTable struct {
 	// assembly; with the per-family length cutovers it decides how a
 	// dispatch is counted (see dispatch_stats.go).
 	vector bool
-	// bucketSignsRow fills one Count-Sketch row's bucket and sign
-	// columns for a whole key column (coefficients c0..c3, row width r).
-	bucketSignsRow func(c0, c1, c2, c3, r uint64, keys []uint64, cols []uint32, signs []int8)
-	// bucketSignsRows is the FUSED all-rows form: flat holds every
+	// bucketSignsRows fills every Count-Sketch row's bucket and sign
+	// columns for a whole key column (row width r): flat holds every
 	// row's 4 coefficients contiguously (Buckets.flat layout), and the
 	// row loop runs INSIDE the kernel — one vector power-up per batch
 	// instead of one per row, which is what moves the effective vector
@@ -64,17 +61,8 @@ type kernelTable struct {
 	// onto [0, r) — r may be universe-sized (up to 2^64), so the
 	// reduction is a full 64x64 high multiply.
 	rangeK2 func(c0, c1, r uint64, keys []uint64, out []uint64)
-	// rangeK2Rows is the fused multi-hash form of rangeK2: flat holds
-	// rows pairwise coefficient pairs (2 per row), and every hash is
-	// evaluated over the same key column in one call — the back-to-back
-	// per-row RangeBatch loop of Count-Min-style row plans, fused.
-	// out is row-major: row i fills out[i*n:(i+1)*n].
-	rangeK2Rows func(flat []uint64, rows int, r uint64, keys []uint64, out []uint64)
-	// gatherSignInt64 fills out[j] = signs[j] * row[idx[j]] — the
-	// Count-Sketch row gather.
-	gatherSignInt64 func(row []int64, idx []uint32, signs []int8, out []int64)
-	// gatherSignRows is the fused all-rows gather over a flat
-	// rows x stride table: out[i*n+j] = signs[i*n+j] *
+	// gatherSignRows is the Count-Sketch gather, all rows of a flat
+	// rows x stride table in one call: out[i*n+j] = signs[i*n+j] *
 	// table[i*stride + idx[i*n+j]], n = len(out)/rows.
 	gatherSignRows func(table []int64, stride, rows int, idx []uint32, signs []int8, out []int64)
 	// gatherSignDiffRows is gatherSignRows over two-sided cells
@@ -89,13 +77,10 @@ type kernelTable struct {
 
 var scalarTable = kernelTable{
 	name:               "scalar",
-	bucketSignsRow:     bucketSignsRowScalar,
 	bucketSignsRows:    bucketSignsRowsScalar,
 	fieldK2:            fieldK2Scalar,
 	fieldK4:            fieldK4Scalar,
 	rangeK2:            rangeK2Scalar,
-	rangeK2Rows:        rangeK2RowsScalar,
-	gatherSignInt64:    gatherSignInt64Scalar,
 	gatherSignRows:     gatherSignRowsScalar,
 	gatherSignDiffRows: gatherSignDiffRowsScalar,
 	medianOf7Cols:      medianOf7ColsScalar,
@@ -110,14 +95,13 @@ var scalarTable = kernelTable{
 // hard-coded that bar at 512 keys; it is now a PER-FAMILY value,
 // calibrated once at init on hosts with vector kernels by a microprobe
 // that measures the actual scalar-vs-vector crossover (see
-// calibrateCutovers in kernel_amd64.go), or pinned by the
-// BD_KERNEL_CUTOVER environment variable. Under -tags purego and on
+// calibrateCutovers in kernel_amd64.go). Under -tags purego and on
 // CPUs without vector kernels no calibration runs and the values are
 // inert (every call is scalar).
 //
-// Units are KEYS PER KERNEL CALL: a per-row dispatch compares its
-// column length n, a fused all-rows dispatch compares rows*n — fusing
-// is what drops the effective per-row bar to cut/rows.
+// Units are KEYS PER KERNEL CALL: a single-column dispatch compares
+// its column length n, a fused all-rows dispatch compares rows*n —
+// fusing is what drops the effective per-row bar to cut/rows.
 
 // kernelFamily indexes the per-family cutovers and dispatch counters.
 type kernelFamily int
@@ -131,8 +115,8 @@ const (
 	famCount
 )
 
-// familyNames are the stable external names (env override keys,
-// KernelCutovers map keys, obs label values).
+// familyNames are the stable external names (KernelCutovers map
+// keys, obs label values).
 var familyNames = [famCount]string{"bucket_signs", "field", "range", "gather", "median"}
 
 // defaultCutover is the pre-calibration value — PR 6's measured bar on
@@ -146,14 +130,15 @@ const defaultCutover = 512
 const maxCutover = 4096
 
 // cutoverValues holds the per-family key-count bars. Written once at
-// init (calibration or env) and by SetKernelCutover (tests/benchmarks,
-// same non-concurrent contract as SetKernel); read on every dispatch.
+// init by calibration (in-package tests that need a bar assign it
+// directly, under SetKernel's non-concurrent contract); read on every
+// dispatch.
 var cutoverValues = [famCount]int{defaultCutover, defaultCutover, defaultCutover, defaultCutover, defaultCutover}
 
 // cutoverSource records where cutoverValues came from: "default" (no
-// vector kernels or calibration skipped), "calibrated" (init-time
-// microprobe), or "env" (BD_KERNEL_CUTOVER). Bench tooling records it
-// next to the values as provenance.
+// vector kernels, so no calibration ran) or "calibrated" (init-time
+// microprobe). Bench tooling records it next to the values as
+// provenance.
 var cutoverSource = "default"
 
 // KernelCutovers reports the per-family vector cutovers in keys per
@@ -168,74 +153,8 @@ func KernelCutovers() map[string]int {
 }
 
 // KernelCutoverSource reports how the cutovers were chosen:
-// "calibrated", "env", or "default".
+// "calibrated" or "default".
 func KernelCutoverSource() string { return cutoverSource }
-
-// SetKernelCutover pins one family's vector cutover — a test and
-// benchmark hook. Same contract as SetKernel: not synchronized, do not
-// call concurrently with sketch use.
-func SetKernelCutover(family string, n int) error {
-	if n < 1 {
-		return fmt.Errorf("hash: cutover must be >= 1, got %d", n)
-	}
-	for f, name := range familyNames {
-		if name == family {
-			cutoverValues[f] = n
-			return nil
-		}
-	}
-	return fmt.Errorf("hash: unknown kernel family %q (families: %v)", family, familyNames)
-}
-
-// parseCutoverEnv parses BD_KERNEL_CUTOVER: either one integer for
-// every family ("256") or comma-separated family=value pairs
-// ("bucket_signs=128,gather=1024"; unnamed families keep the default).
-// Returns ok=false on empty or malformed input, in which case the
-// caller falls back to calibration.
-func parseCutoverEnv(s string) ([famCount]int, bool) {
-	vals := [famCount]int{defaultCutover, defaultCutover, defaultCutover, defaultCutover, defaultCutover}
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return vals, false
-	}
-	if n, err := strconv.Atoi(s); err == nil {
-		if n < 1 {
-			return vals, false
-		}
-		for f := range vals {
-			vals[f] = n
-		}
-		return vals, true
-	}
-	any := false
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, found := strings.Cut(part, "=")
-		if !found {
-			return vals, false
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || n < 1 {
-			return vals, false
-		}
-		matched := false
-		for f, fam := range familyNames {
-			if fam == strings.TrimSpace(name) {
-				vals[f] = n
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return vals, false
-		}
-		any = true
-	}
-	return vals, any
-}
 
 // tables registers every kernel table the build supports; the amd64
 // init adds "avx2" when the CPU does.
@@ -274,42 +193,18 @@ func SetKernel(name string) error {
 	return nil
 }
 
-// cpuFeatures summarizes the detected CPU features relevant to kernel
-// dispatch; set by the amd64 init, empty elsewhere.
-var cpuFeatures = ""
-
-// CPUFeatures reports the detected dispatch-relevant CPU features
-// ("avx2"), or the empty string when none were found (or the build
-// cannot use them: purego, non-amd64). Bench tooling records this next
-// to its numbers.
-func CPUFeatures() string { return cpuFeatures }
-
-// GatherSignInt64 fills out[j] = int64(signs[j]) * row[idx[j]] for
-// every j — the row gather of the Count-Sketch batched query sweep.
-// signs entries must be ±1 and idx entries must be valid row indices
-// (the vector path gathers without bounds checks); both slices must
-// hold len(out) entries.
-func GatherSignInt64(row []int64, idx []uint32, signs []int8, out []int64) {
-	if len(out) == 0 {
-		return // before stats: an empty sweep is not a dispatch
-	}
-	if len(idx) < len(out) || len(signs) < len(out) {
-		panic(fmt.Sprintf("hash: GatherSignInt64 columns hold %d/%d entries, need %d", len(idx), len(signs), len(out)))
-	}
-	gatherDispatch.count(len(out), 1)
-	active.gatherSignInt64(row, idx, signs, out)
-}
-
-// GatherSignRows is the FUSED all-rows form of GatherSignInt64 over a
-// flat row-major table (row i at table[i*stride : i*stride+stride]):
-// for every row i and key j it fills
+// GatherSignRows is the row gather of the Count-Sketch batched query
+// sweep over a flat row-major table (row i at
+// table[i*stride : i*stride+stride]): for every row i and key j it
+// fills
 //
 //	out[i*n+j] = int64(signs[i*n+j]) * table[i*stride + idx[i*n+j]]
 //
 // with n = len(out)/rows — one kernel call (one vector power-up) for
 // the whole gather matrix instead of one per row. idx/signs/out are
-// row-major with rows*n entries; idx entries must be valid row offsets
-// (< stride — the vector path gathers without bounds checks).
+// row-major with rows*n entries; signs entries must be ±1 and idx
+// entries must be valid row offsets (< stride — the vector path
+// gathers without bounds checks).
 func GatherSignRows(table []int64, stride, rows int, idx []uint32, signs []int8, out []int64) {
 	if len(out) == 0 {
 		return
@@ -448,14 +343,6 @@ func bucketSignsRowsScalar(flat []uint64, rows int, r uint64, keys []uint64, col
 	for i := 0; i < rows; i++ {
 		c := flat[4*i : 4*i+4 : 4*i+4]
 		bucketSignsRowScalar(c[0], c[1], c[2], c[3], r, keys, cols[i*n:i*n+n:i*n+n], signs[i*n:i*n+n:i*n+n])
-	}
-}
-
-func rangeK2RowsScalar(flat []uint64, rows int, r uint64, keys []uint64, out []uint64) {
-	n := len(keys)
-	for i := 0; i < rows; i++ {
-		c := flat[2*i : 2*i+2 : 2*i+2]
-		rangeK2Scalar(c[0], c[1], r, keys, out[i*n:i*n+n:i*n+n])
 	}
 }
 

@@ -2,10 +2,7 @@
 
 package hash
 
-import (
-	"os"
-	"time"
-)
+import "time"
 
 // AVX2 kernel dispatch. Feature detection is hand-rolled CPUID (this
 // module has no dependencies): AVX2 requires the CPU flag itself plus
@@ -50,9 +47,6 @@ func detectAVX2() bool {
 }
 
 //go:noescape
-func bucketSignsRowAVX2(c0, c1, c2, c3, r uint64, keys []uint64, cols []uint32, signs []int8)
-
-//go:noescape
 func bucketSignsRowsAVX2(flat *uint64, rows int, r uint64, keys []uint64, cols *uint32, signs *int8, stride int)
 
 //go:noescape
@@ -65,12 +59,6 @@ func fieldK4AVX2(c0, c1, c2, c3 uint64, keys []uint64, out []uint64)
 func rangeK2AVX2(c0, c1, r uint64, keys []uint64, out []uint64)
 
 //go:noescape
-func rangeK2RowsAVX2(flat *uint64, rows int, r uint64, keys []uint64, out *uint64, stride int)
-
-//go:noescape
-func gatherSignInt64AVX2(row []int64, idx []uint32, signs []int8, out []int64)
-
-//go:noescape
 func gatherSignRowsAVX2(table *int64, tstride, rows int, idx *uint32, signs *int8, out *int64, m, rstride int)
 
 //go:noescape
@@ -79,26 +67,13 @@ func gatherSignDiffRowsAVX2(cells *int64, tstride, rows int, idx *uint32, signs 
 //go:noescape
 func medianOf7ColsAVX2(est, out *float64, stride, count int)
 
-// --- per-row vector wrappers ----------------------------------------
+// --- single-column vector wrappers ----------------------------------
 //
 // Each wrapper routes below-cutover calls to the scalar twin, calls
 // the assembly on the 4-aligned prefix and hands the sub-4 tail back
-// to scalar code. Single-row calls dispatch through them; calibration
-// probes the raw assembly against the scalar bodies directly.
-
-func bucketSignsRowVec(c0, c1, c2, c3, r uint64, keys []uint64, cols []uint32, signs []int8) {
-	if len(keys) < cutoverValues[famBucketSigns] {
-		bucketSignsRowScalar(c0, c1, c2, c3, r, keys, cols, signs)
-		return
-	}
-	m := len(keys) &^ 3
-	if m > 0 {
-		bucketSignsRowAVX2(c0, c1, c2, c3, r, keys[:m], cols[:m], signs[:m])
-	}
-	if m < len(keys) {
-		bucketSignsRowScalar(c0, c1, c2, c3, r, keys[m:], cols[m:], signs[m:])
-	}
-}
+// to scalar code. The field, range and median kernels dispatch through
+// them; calibration probes the raw assembly against the scalar bodies
+// directly.
 
 func fieldK2Vec(c0, c1 uint64, keys []uint64, out []uint64) {
 	if len(keys) < cutoverValues[famField] {
@@ -142,20 +117,6 @@ func rangeK2Vec(c0, c1, r uint64, keys []uint64, out []uint64) {
 	}
 }
 
-func gatherSignInt64Vec(row []int64, idx []uint32, signs []int8, out []int64) {
-	if len(out) < cutoverValues[famGather] {
-		gatherSignInt64Scalar(row, idx, signs, out)
-		return
-	}
-	m := len(out) &^ 3
-	if m > 0 {
-		gatherSignInt64AVX2(row, idx[:m], signs[:m], out[:m])
-	}
-	if m < len(out) {
-		gatherSignInt64Scalar(row, idx[m:], signs[m:], out[m:])
-	}
-}
-
 func medianOf7ColsVec(est []float64, out []float64) {
 	n := len(out)
 	if n < cutoverValues[famMedian] {
@@ -192,22 +153,6 @@ func bucketSignsRowsFused(flat []uint64, rows int, r uint64, keys []uint64, cols
 		for i := 0; i < rows; i++ {
 			c := flat[4*i : 4*i+4 : 4*i+4]
 			bucketSignsRowScalar(c[0], c[1], c[2], c[3], r, keys[m:], cols[i*n+m:i*n+n:i*n+n], signs[i*n+m:i*n+n:i*n+n])
-		}
-	}
-}
-
-func rangeK2RowsFused(flat []uint64, rows int, r uint64, keys []uint64, out []uint64) {
-	n := len(keys)
-	m := n &^ 3
-	if rows*n < cutoverValues[famRange] || m == 0 {
-		rangeK2RowsScalar(flat, rows, r, keys, out)
-		return
-	}
-	rangeK2RowsAVX2(&flat[0], rows, r, keys[:m], &out[0], n)
-	if m < n {
-		for i := 0; i < rows; i++ {
-			c := flat[2*i : 2*i+2 : 2*i+2]
-			rangeK2Scalar(c[0], c[1], r, keys[m:], out[i*n+m:i*n+n:i*n+n])
 		}
 	}
 }
@@ -250,13 +195,10 @@ func gatherSignDiffRowsFused(cells []int64, stride, rows int, idx []uint32, sign
 var avx2Table = kernelTable{
 	name:               "avx2",
 	vector:             true,
-	bucketSignsRow:     bucketSignsRowVec,
 	bucketSignsRows:    bucketSignsRowsFused,
 	fieldK2:            fieldK2Vec,
 	fieldK4:            fieldK4Vec,
 	rangeK2:            rangeK2Vec,
-	rangeK2Rows:        rangeK2RowsFused,
-	gatherSignInt64:    gatherSignInt64Vec,
 	gatherSignRows:     gatherSignRowsFused,
 	gatherSignDiffRows: gatherSignDiffRowsFused,
 	medianOf7Cols:      medianOf7ColsVec,
@@ -289,6 +231,8 @@ func timeKernel(f func()) time.Duration {
 // family ON THIS HOST and writes cutoverValues/cutoverSource. It probes
 // the raw kernel bodies (never the dispatch wrappers), so no dispatch
 // stats are recorded and the current cutovers don't bias the probe.
+// The fused families are probed at rows = 1: the same work per key as
+// any row count, through the assembly entry that traffic takes.
 // A family whose vector body never wins — even at the largest probe —
 // settles at maxCutover rather than "never": calls that large amortize
 // any plausible power-up.
@@ -323,6 +267,7 @@ func calibrateCutovers() {
 	const p61 = 1<<61 - 1
 	const c0, c1 = uint64(0x0123456789ABCDEF) % p61, uint64(0x0FEDCBA987654321) % p61
 	const c2, c3 = uint64(0x1122334455667788) % p61, uint64(0x18877665544332211 % p61)
+	flat := [4]uint64{c0, c1, c2, c3}
 	const width = uint64(1 << 20)
 
 	probe := func(fam kernelFamily, scalar, vector func(n int)) {
@@ -340,7 +285,7 @@ func calibrateCutovers() {
 
 	probe(famBucketSigns,
 		func(n int) { bucketSignsRowScalar(c0, c1, c2, c3, width, keys[:n], cols[:n], sgns[:n]) },
-		func(n int) { bucketSignsRowAVX2(c0, c1, c2, c3, width, keys[:n], cols[:n], sgns[:n]) })
+		func(n int) { bucketSignsRowsAVX2(&flat[0], 1, width, keys[:n], &cols[0], &sgns[0], n) })
 	probe(famField,
 		func(n int) { fieldK4Scalar(c0, c1, c2, c3, keys[:n], out[:n]) },
 		func(n int) { fieldK4AVX2(c0, c1, c2, c3, keys[:n], out[:n]) })
@@ -349,7 +294,7 @@ func calibrateCutovers() {
 		func(n int) { rangeK2AVX2(c0, c1, width, keys[:n], out[:n]) })
 	probe(famGather,
 		func(n int) { gatherSignInt64Scalar(row, idx[:n], gsigns[:n], gout[:n]) },
-		func(n int) { gatherSignInt64AVX2(row, idx[:n], gsigns[:n], gout[:n]) })
+		func(n int) { gatherSignRowsAVX2(&row[0], tableN, 1, &idx[0], &gsigns[0], &gout[0], n, n) })
 	probe(famMedian,
 		func(n int) { medianOf7ColsScalar(est[:7*n], med[:n]) },
 		func(n int) { medianOf7ColsAVX2(&est[0], &med[0], n, n) })
@@ -361,13 +306,7 @@ func init() {
 	if !hasAVX2 {
 		return
 	}
-	cpuFeatures = "avx2"
 	tables["avx2"] = &avx2Table
 	active = &avx2Table
-	if env, ok := parseCutoverEnv(os.Getenv("BD_KERNEL_CUTOVER")); ok {
-		cutoverValues = env
-		cutoverSource = "env"
-	} else {
-		calibrateCutovers()
-	}
+	calibrateCutovers()
 }

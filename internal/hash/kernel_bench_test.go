@@ -105,7 +105,7 @@ func BenchmarkGatherSignInt64(b *testing.B) {
 	forEachKernel(b, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			GatherSignInt64(row, idx, signs, out)
+			GatherSignRows(row, len(row), 1, idx, signs, out)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
 	})

@@ -8,8 +8,8 @@ import (
 )
 
 // maxFamilyCutover returns the largest per-family cutover currently in
-// effect — fuzz columns tile past it so every kernel body (per-row and
-// fused) runs its vector path regardless of what calibration chose.
+// effect — fuzz columns tile past it so every kernel body runs its
+// vector path regardless of what calibration chose.
 func maxFamilyCutover() int {
 	max := 1
 	for _, v := range cutoverValues {
@@ -23,11 +23,12 @@ func maxFamilyCutover() int {
 // FuzzKernelDifferential drives arbitrary byte strings — decoded into
 // a key column, polynomial coefficients, a range width and a row count
 // — through every registered vector kernel against its scalar oracle,
-// per-row AND fused forms. The fuzzer owns the lengths and the row
-// count (1..8), so unaligned and odd tails (the 4-lane body plus sub-4
-// scalar remainder), adjacent-duplicate columns, and every rows/length
-// combination straddling the calibrated cutovers fall out of the
-// corpus rather than hand-picked cases. On builds with no vector
+// the fused forms at one row and at the fuzzer's row count. The fuzzer
+// owns the lengths and the row count (1..8), so unaligned and odd
+// tails (the 4-lane body plus sub-4 scalar remainder),
+// adjacent-duplicate columns, and every rows/length combination
+// straddling the calibrated cutovers fall out of the corpus rather
+// than hand-picked cases. On builds with no vector
 // kernel (purego, non-amd64, no AVX2) the loop is empty and the fuzz
 // target trivially passes.
 func FuzzKernelDifferential(f *testing.F) {
@@ -82,49 +83,46 @@ func FuzzKernelDifferential(f *testing.F) {
 		n := len(keys)
 		wantCols, gotCols := make([]uint32, rows*n), make([]uint32, rows*n)
 		wantSigns, gotSigns := make([]int8, rows*n), make([]int8, rows*n)
-		want, got := make([]uint64, rows*n), make([]uint64, rows*n)
+		want, got := make([]uint64, n), make([]uint64, n)
 		// Fused coefficient bundles: row 0 carries c0..c3 exactly, later
 		// rows perturb them so rows differ.
 		flat4 := make([]uint64, 4*rows)
-		flat2 := make([]uint64, 2*rows)
 		for i := 0; i < rows; i++ {
 			d := uint64(i) * 0x9E3779B97F4A7C15 % nt.MersennePrime61
 			flat4[4*i] = (c0 + d) % nt.MersennePrime61
 			flat4[4*i+1] = (c1 + d) % nt.MersennePrime61
 			flat4[4*i+2] = (c2 + d) % nt.MersennePrime61
 			flat4[4*i+3] = (c3 + d) % nt.MersennePrime61
-			flat2[2*i] = flat4[4*i]
-			flat2[2*i+1] = flat4[4*i+1]
 		}
 		for _, vt := range vectorTables() {
 			// Row widths live in [1, 2^32-1]: BucketSignsBatch rejects
 			// wider tables (the bucket columns are uint32), and the
 			// vector mulhi assumes r < 2^32.
 			rw := r%(1<<32-1) + 1
-			scalarTable.bucketSignsRow(c0, c1, c2, c3, rw, keys, wantCols[:n], wantSigns[:n])
-			vt.bucketSignsRow(c0, c1, c2, c3, rw, keys, gotCols[:n], gotSigns[:n])
+			scalarTable.bucketSignsRows(flat4[:4], 1, rw, keys, wantCols[:n], wantSigns[:n])
+			vt.bucketSignsRows(flat4[:4], 1, rw, keys, gotCols[:n], gotSigns[:n])
 			for j := range keys {
 				if gotCols[j] != wantCols[j] || gotSigns[j] != wantSigns[j] {
-					t.Fatalf("%s bucketSignsRow key[%d]=%#x: got (%d,%d), want (%d,%d)",
+					t.Fatalf("%s bucketSignsRows rows=1 key[%d]=%#x: got (%d,%d), want (%d,%d)",
 						vt.name, j, keys[j], gotCols[j], gotSigns[j], wantCols[j], wantSigns[j])
 				}
 			}
-			scalarTable.fieldK2(c0, c1, keys, want[:n])
-			vt.fieldK2(c0, c1, keys, got[:n])
+			scalarTable.fieldK2(c0, c1, keys, want)
+			vt.fieldK2(c0, c1, keys, got)
 			for j := range keys {
 				if got[j] != want[j] {
 					t.Fatalf("%s fieldK2 key[%d]=%#x: got %d, want %d", vt.name, j, keys[j], got[j], want[j])
 				}
 			}
-			scalarTable.fieldK4(c0, c1, c2, c3, keys, want[:n])
-			vt.fieldK4(c0, c1, c2, c3, keys, got[:n])
+			scalarTable.fieldK4(c0, c1, c2, c3, keys, want)
+			vt.fieldK4(c0, c1, c2, c3, keys, got)
 			for j := range keys {
 				if got[j] != want[j] {
 					t.Fatalf("%s fieldK4 key[%d]=%#x: got %d, want %d", vt.name, j, keys[j], got[j], want[j])
 				}
 			}
-			scalarTable.rangeK2(c0, c1, r, keys, want[:n])
-			vt.rangeK2(c0, c1, r, keys, got[:n])
+			scalarTable.rangeK2(c0, c1, r, keys, want)
+			vt.rangeK2(c0, c1, r, keys, got)
 			for j := range keys {
 				if got[j] != want[j] {
 					t.Fatalf("%s rangeK2 r=%d key[%d]=%#x: got %d, want %d", vt.name, r, j, keys[j], got[j], want[j])
@@ -138,13 +136,6 @@ func FuzzKernelDifferential(f *testing.F) {
 				if gotCols[j] != wantCols[j] || gotSigns[j] != wantSigns[j] {
 					t.Fatalf("%s bucketSignsRows rows=%d n=%d out[%d]: got (%d,%d), want (%d,%d)",
 						vt.name, rows, n, j, gotCols[j], gotSigns[j], wantCols[j], wantSigns[j])
-				}
-			}
-			scalarTable.rangeK2Rows(flat2, rows, r, keys, want)
-			vt.rangeK2Rows(flat2, rows, r, keys, got)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%s rangeK2Rows rows=%d n=%d out[%d]: got %d, want %d", vt.name, rows, n, j, got[j], want[j])
 				}
 			}
 

@@ -59,29 +59,6 @@ func vectorTables() []*kernelTable {
 	return vts
 }
 
-func TestKernelBucketSignsRowBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, vt := range vectorTables() {
-		for _, r := range []uint64{1, 2, 3, 6 * 1024, 1 << 20, 1<<32 - 1} {
-			for ci, keys := range kernelKeyCases(rng) {
-				c0, c1 := rng.Uint64()%nt.MersennePrime61, rng.Uint64()%nt.MersennePrime61
-				c2, c3 := rng.Uint64()%nt.MersennePrime61, rng.Uint64()%nt.MersennePrime61
-				n := len(keys)
-				wantCols, gotCols := make([]uint32, n), make([]uint32, n)
-				wantSigns, gotSigns := make([]int8, n), make([]int8, n)
-				scalarTable.bucketSignsRow(c0, c1, c2, c3, r, keys, wantCols, wantSigns)
-				vt.bucketSignsRow(c0, c1, c2, c3, r, keys, gotCols, gotSigns)
-				for j := range keys {
-					if gotCols[j] != wantCols[j] || gotSigns[j] != wantSigns[j] {
-						t.Fatalf("kernel %s r=%d case=%d key[%d]=%#x: got (%d,%d), want (%d,%d)",
-							vt.name, r, ci, j, keys[j], gotCols[j], gotSigns[j], wantCols[j], wantSigns[j])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestKernelFieldBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, vt := range vectorTables() {
@@ -125,40 +102,6 @@ func TestKernelRangeK2BitIdentical(t *testing.T) {
 						t.Fatalf("kernel %s rangeK2 r=%d case=%d key[%d]=%#x: got %d, want %d",
 							vt.name, r, ci, j, keys[j], got[j], want[j])
 					}
-				}
-			}
-		}
-	}
-}
-
-func TestKernelGatherSignInt64BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	row := make([]int64, 1024)
-	for i := range row {
-		switch i {
-		case 0:
-			row[i] = math.MaxInt64
-		case 1:
-			row[i] = math.MinInt64
-		default:
-			row[i] = rng.Int63() - rng.Int63()
-		}
-	}
-	for _, vt := range vectorTables() {
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 63, 64, 65, 257, 511, 512, 513, 514, 515, 700} {
-			idx := make([]uint32, n)
-			signs := make([]int8, n)
-			for j := range idx {
-				idx[j] = uint32(rng.Intn(len(row)))
-				signs[j] = 1 - int8(rng.Intn(2))<<1
-			}
-			want, got := make([]int64, n), make([]int64, n)
-			scalarTable.gatherSignInt64(row, idx, signs, want)
-			vt.gatherSignInt64(row, idx, signs, got)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("kernel %s gather n=%d j=%d idx=%d sign=%d: got %d, want %d",
-						vt.name, n, j, idx[j], signs[j], got[j], want[j])
 				}
 			}
 		}
@@ -218,20 +161,61 @@ func fusedLengths(fam kernelFamily, rows int) []int {
 
 // TestKernelFusedRowsBitIdentical pins every fused all-rows kernel to
 // its scalar twin across every registered vector table, for every row
-// count 1..8 and lengths straddling the calibrated cutovers.
+// count 1..8 and lengths straddling the calibrated cutovers; at rows 1
+// and 7 it adds the adversarial columns: kernelKeyCases (field-boundary
+// keys, runs of duplicates) under narrow, typical and 2^32-1 row
+// widths, and gather tables holding both int64 extremes.
 func TestKernelFusedRowsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, vt := range vectorTables() {
+		checkBuckets := func(flat []uint64, rows int, r uint64, keys []uint64) {
+			t.Helper()
+			n := len(keys)
+			wantCols, gotCols := make([]uint32, rows*n), make([]uint32, rows*n)
+			wantSigns, gotSigns := make([]int8, rows*n), make([]int8, rows*n)
+			scalarTable.bucketSignsRows(flat, rows, r, keys, wantCols, wantSigns)
+			vt.bucketSignsRows(flat, rows, r, keys, gotCols, gotSigns)
+			for j := range wantCols {
+				if gotCols[j] != wantCols[j] || gotSigns[j] != wantSigns[j] {
+					t.Fatalf("kernel %s bucketSignsRows rows=%d r=%d n=%d out[%d]: got (%d,%d), want (%d,%d)",
+						vt.name, rows, r, n, j, gotCols[j], gotSigns[j], wantCols[j], wantSigns[j])
+				}
+			}
+		}
+		// checkGathers draws rows*n indices and signs over a rows x tsize
+		// table (cells: the same shape two-sided) and compares both
+		// gather kernels.
+		checkGathers := func(table, cells []int64, tsize, rows, n int) {
+			t.Helper()
+			idx := make([]uint32, rows*n)
+			signs := make([]int8, rows*n)
+			for j := range idx {
+				idx[j] = uint32(rng.Intn(tsize))
+				signs[j] = 1 - int8(rng.Intn(2))<<1
+			}
+			want, got := make([]int64, rows*n), make([]int64, rows*n)
+			scalarTable.gatherSignRows(table, tsize, rows, idx, signs, want)
+			vt.gatherSignRows(table, tsize, rows, idx, signs, got)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("kernel %s gatherSignRows rows=%d n=%d out[%d] idx=%d sign=%d: got %d, want %d",
+						vt.name, rows, n, j, idx[j], signs[j], got[j], want[j])
+				}
+			}
+			scalarTable.gatherSignDiffRows(cells, 2*tsize, rows, idx, signs, want)
+			vt.gatherSignDiffRows(cells, 2*tsize, rows, idx, signs, got)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("kernel %s gatherSignDiffRows rows=%d n=%d out[%d]: got %d, want %d",
+						vt.name, rows, n, j, got[j], want[j])
+				}
+			}
+		}
 		for rows := 1; rows <= 8; rows++ {
-			flat4 := make([]uint64, 4*rows)
-			flat2 := make([]uint64, 2*rows)
-			for i := range flat4 {
-				flat4[i] = rng.Uint64() % nt.MersennePrime61
+			flat := make([]uint64, 4*rows)
+			for i := range flat {
+				flat[i] = rng.Uint64() % nt.MersennePrime61
 			}
-			for i := range flat2 {
-				flat2[i] = rng.Uint64() % nt.MersennePrime61
-			}
-			const rw = uint64(6 * 1024)
 			for _, n := range fusedLengths(famBucketSigns, rows) {
 				keys := make([]uint64, n)
 				for j := range keys {
@@ -241,26 +225,7 @@ func TestKernelFusedRowsBitIdentical(t *testing.T) {
 						keys[j] = rng.Uint64()
 					}
 				}
-				wantCols, gotCols := make([]uint32, rows*n), make([]uint32, rows*n)
-				wantSigns, gotSigns := make([]int8, rows*n), make([]int8, rows*n)
-				scalarTable.bucketSignsRows(flat4, rows, rw, keys, wantCols, wantSigns)
-				vt.bucketSignsRows(flat4, rows, rw, keys, gotCols, gotSigns)
-				for j := range wantCols {
-					if gotCols[j] != wantCols[j] || gotSigns[j] != wantSigns[j] {
-						t.Fatalf("kernel %s bucketSignsRows rows=%d n=%d out[%d]: got (%d,%d), want (%d,%d)",
-							vt.name, rows, n, j, gotCols[j], gotSigns[j], wantCols[j], wantSigns[j])
-					}
-				}
-
-				want, got := make([]uint64, rows*n), make([]uint64, rows*n)
-				scalarTable.rangeK2Rows(flat2, rows, 1<<60, keys, want)
-				vt.rangeK2Rows(flat2, rows, 1<<60, keys, got)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("kernel %s rangeK2Rows rows=%d n=%d out[%d]: got %d, want %d",
-							vt.name, rows, n, j, got[j], want[j])
-					}
-				}
+				checkBuckets(flat, rows, 6*1024, keys)
 			}
 
 			const tsize = 257
@@ -273,29 +238,24 @@ func TestKernelFusedRowsBitIdentical(t *testing.T) {
 				cells[i] = rng.Int63() >> 1 // nonnegative mass < 2^62
 			}
 			for _, n := range fusedLengths(famGather, rows) {
-				idx := make([]uint32, rows*n)
-				signs := make([]int8, rows*n)
-				for j := range idx {
-					idx[j] = uint32(rng.Intn(tsize))
-					signs[j] = 1 - int8(rng.Intn(2))<<1
+				checkGathers(table, cells, tsize, rows, n)
+			}
+
+			if rows != 1 && rows != 7 {
+				continue
+			}
+			for _, r := range []uint64{1, 2, 3, 6 * 1024, 1 << 20, 1<<32 - 1} {
+				for _, keys := range kernelKeyCases(rng) {
+					checkBuckets(flat, rows, r, keys)
 				}
-				want, got := make([]int64, rows*n), make([]int64, rows*n)
-				scalarTable.gatherSignRows(table, tsize, rows, idx, signs, want)
-				vt.gatherSignRows(table, tsize, rows, idx, signs, got)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("kernel %s gatherSignRows rows=%d n=%d out[%d]: got %d, want %d",
-							vt.name, rows, n, j, got[j], want[j])
-					}
-				}
-				scalarTable.gatherSignDiffRows(cells, 2*tsize, rows, idx, signs, want)
-				vt.gatherSignDiffRows(cells, 2*tsize, rows, idx, signs, got)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("kernel %s gatherSignDiffRows rows=%d n=%d out[%d]: got %d, want %d",
-							vt.name, rows, n, j, got[j], want[j])
-					}
-				}
+			}
+			// Each row's first two counters are the int64 extremes:
+			// negating MinInt64 must wrap the same way on both paths.
+			for i := 0; i < rows; i++ {
+				table[i*tsize], table[i*tsize+1] = math.MaxInt64, math.MinInt64
+			}
+			for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 63, 64, 65, 257, 511, 512, 513, 514, 515, 700} {
+				checkGathers(table, cells, tsize, rows, n)
 			}
 		}
 	}

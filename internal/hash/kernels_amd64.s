@@ -15,13 +15,10 @@
 // VZEROUPPER immediately before it. No early RET, no conditional jump
 // past the epilogue. Checked per symbol:
 //
-//	bucketSignsRowAVX2    single exit (done:)  VZEROUPPER+RET
 //	bucketSignsRowsAVX2   single exit (done:)  VZEROUPPER+RET
 //	fieldK2AVX2           single exit (done:)  VZEROUPPER+RET
 //	fieldK4AVX2           single exit (done:)  VZEROUPPER+RET
 //	rangeK2AVX2           single exit (done:)  VZEROUPPER+RET
-//	rangeK2RowsAVX2       single exit (done:)  VZEROUPPER+RET
-//	gatherSignInt64AVX2   single exit (done:)  VZEROUPPER+RET
 //	gatherSignRowsAVX2    single exit (done:)  VZEROUPPER+RET
 //	gatherSignDiffRowsAVX2 single exit (done:) VZEROUPPER+RET
 //	medianOf7ColsAVX2     single exit (done:)  VZEROUPPER+RET
@@ -137,82 +134,20 @@ DATA signtab<>+0x38(SB)/4, $0xFFFFFF01
 DATA signtab<>+0x3c(SB)/4, $0xFFFFFFFF
 GLOBL signtab<>(SB), RODATA|NOPTR, $64
 
-// func bucketSignsRowAVX2(c0, c1, c2, c3, r uint64, keys []uint64, cols []uint32, signs []int8)
-//
-// One Count-Sketch row: evaluate the 4-wise polynomial, split the
-// canonical value into sign (low bit) and bucket (remaining 60 bits
-// through the Lemire fast range (v>>1)<<4 * r >> 64; r < 2^32 so the
-// high multiply needs only two VPMULUDQ). Buckets pack to dwords via
-// an in-lane dword shuffle plus a cross-lane qword permute; signs
-// drop to a 4-bit VMOVMSKPD mask looked up in signtab.
-TEXT ·bucketSignsRowAVX2(SB), NOSPLIT, $0-112
-	BCAST(c3+24(FP), Y8)
-	BCAST(c2+16(FP), Y9)
-	BCAST(c1+8(FP), Y10)
-	BCAST(c0+0(FP), Y11)
-	BCAST(r+32(FP), Y13)
-	MOVQ $0xFFFFFFFFFFFFFFF7, AX // ~8: (v<<3) &^ 8 == (v>>1)<<4
-	MOVQ AX, X7
-	VPBROADCASTQ X7, Y12
-	CONSTANTS
-	MOVQ keys_base+40(FP), SI
-	MOVQ keys_len+48(FP), CX
-	MOVQ cols_base+64(FP), DI
-	MOVQ signs_base+88(FP), R8
-	LEAQ signtab<>(SB), R9
-	XORQ DX, DX
-	CMPQ DX, CX
-	JGE  done
-
-loop:
-	LOADKEYS
-	VMOVDQA Y8, Y2
-	HSTEP(Y9)
-	HSTEP(Y10)
-	HSTEP(Y11)
-	CREDUCE
-
-	// signs: low bit of V to bit 63, VMOVMSKPD to a 4-bit mask, table
-	// lookup writes 4 sign bytes at once.
-	VPSLLQ    $63, Y2, Y3
-	VMOVMSKPD Y3, AX
-	MOVL      (R9)(AX*4), AX
-	MOVL      AX, (R8)(DX*1)
-
-	// buckets: w = (v<<3) &^ 8, bucket = mulhi64(w, r) with r < 2^32:
-	// mulhi = (wH*r + ((wL*r)>>32)) >> 32.
-	VPSLLQ   $3, Y2, Y3
-	VPAND    Y12, Y3, Y3
-	VPSRLQ   $32, Y3, Y4
-	VPMULUDQ Y13, Y3, Y5
-	VPMULUDQ Y13, Y4, Y4
-	VPSRLQ   $32, Y5, Y5
-	VPADDQ   Y5, Y4, Y4
-	VPSRLQ   $32, Y4, Y4
-
-	// pack the 4 qword-lane buckets (< 2^32) into 4 dwords.
-	VPSHUFD $0x88, Y4, Y4
-	VPERMQ  $0x08, Y4, Y4
-	VMOVDQU X4, (DI)(DX*4)
-
-	ADDQ $4, DX
-	CMPQ DX, CX
-	JLT  loop
-
-done:
-	VZEROUPPER
-	RET
-
 // func bucketSignsRowsAVX2(flat *uint64, rows int, r uint64, keys []uint64, cols *uint32, signs *int8, stride int)
 //
-// FUSED all-rows form of bucketSignsRowAVX2: the row loop runs inside
-// the kernel, so a whole Count-Sketch batch pays ONE vector power-up
-// instead of one per row. flat holds every row's 4 coefficients
-// contiguously (c0,c1,c2,c3 per row); each row's coefficients are
-// rebroadcast from memory at rowloop, everything else matches the
-// single-row kernel. cols/signs are row-major with stride elements per
-// row (stride >= len(keys); the Go wrapper passes the full column
-// width and keeps sub-4 tails for the scalar twin).
+// Every Count-Sketch row over one key column: evaluate the row's
+// 4-wise polynomial, split the canonical value into sign (low bit) and
+// bucket (remaining 60 bits through the Lemire fast range
+// (v>>1)<<4 * r >> 64; r < 2^32 so the high multiply needs only two
+// VPMULUDQ). Buckets pack to dwords via an in-lane dword shuffle plus
+// a cross-lane qword permute; signs drop to a 4-bit VMOVMSKPD mask
+// looked up in signtab. The row loop runs inside the kernel, so a
+// whole batch pays ONE vector power-up instead of one per row. flat
+// holds every row's 4 coefficients contiguously (c0,c1,c2,c3 per row),
+// rebroadcast from memory at rowloop. cols/signs are row-major with
+// stride elements per row (stride >= len(keys); the Go wrapper passes
+// the full column width and keeps sub-4 tails for the scalar twin).
 TEXT ·bucketSignsRowsAVX2(SB), NOSPLIT, $0-72
 	BCAST(r+16(FP), Y13)
 	MOVQ $0xFFFFFFFFFFFFFFF7, AX // ~8: (v<<3) &^ 8 == (v>>1)<<4
@@ -254,7 +189,8 @@ keyloop:
 	MOVL      (R9)(AX*4), AX
 	MOVL      AX, (R8)(DX*1)
 
-	// buckets: w = (v<<3) &^ 8, bucket = mulhi64(w, r) with r < 2^32.
+	// buckets: w = (v<<3) &^ 8, bucket = mulhi64(w, r) with r < 2^32:
+	// mulhi = (wH*r + ((wL*r)>>32)) >> 32.
 	VPSLLQ   $3, Y2, Y3
 	VPAND    Y12, Y3, Y3
 	VPSRLQ   $32, Y3, Y4
@@ -264,6 +200,7 @@ keyloop:
 	VPADDQ   Y5, Y4, Y4
 	VPSRLQ   $32, Y4, Y4
 
+	// pack the 4 qword-lane buckets (< 2^32) into 4 dwords.
 	VPSHUFD $0x88, Y4, Y4
 	VPERMQ  $0x08, Y4, Y4
 	VMOVDQU X4, (DI)(DX*4)
@@ -400,123 +337,17 @@ done:
 	VZEROUPPER
 	RET
 
-// func rangeK2RowsAVX2(flat *uint64, rows int, r uint64, keys []uint64, out *uint64, stride int)
-//
-// FUSED all-rows form of rangeK2AVX2 — the back-to-back per-row
-// RangeBatch loop of Count-Min-style plans fused into one call (one
-// vector power-up). flat holds rows pairwise coefficient pairs
-// (c0,c1 per row), rebroadcast from memory at rowloop; out is
-// row-major with stride qwords per row.
-TEXT ·rangeK2RowsAVX2(SB), NOSPLIT, $0-64
-	BCAST(r+16(FP), Y13) // low dwords = rL
-	MOVQ r+16(FP), AX
-	SHRQ $32, AX
-	MOVQ AX, X7
-	VPBROADCASTQ X7, Y12 // rH
-	MOVQ $0xFFFFFFFF, AX
-	MOVQ AX, X7
-	VPBROADCASTQ X7, Y11 // dword mask
-	CONSTANTS
-	MOVQ flat+0(FP), BX
-	MOVQ rows+8(FP), R10
-	MOVQ keys_base+24(FP), SI
-	MOVQ keys_len+32(FP), CX
-	MOVQ out+48(FP), DI
-	MOVQ stride+56(FP), R11
-
-rowloop:
-	TESTQ R10, R10
-	JLE   done
-	VPBROADCASTQ 8(BX), Y8 // c1
-	VPBROADCASTQ (BX), Y9  // c0
-	XORQ DX, DX
-	CMPQ DX, CX
-	JGE  rownext
-
-keyloop:
-	LOADKEYS
-	VMOVDQA Y8, Y2
-	HSTEP(Y9)
-	CREDUCE
-
-	// hi = mulhi64(w, r), w = v<<3 — same partial products as rangeK2AVX2.
-	VPSLLQ   $3, Y2, Y2
-	VPSRLQ   $32, Y2, Y3
-	VPMULUDQ Y13, Y2, Y4 // wL*rL
-	VPMULUDQ Y12, Y2, Y5 // wL*rH
-	VPMULUDQ Y13, Y3, Y6 // wH*rL
-	VPMULUDQ Y12, Y3, Y3 // wH*rH
-	VPSRLQ   $32, Y4, Y4
-	VPAND    Y11, Y5, Y7
-	VPADDQ   Y7, Y4, Y4
-	VPAND    Y11, Y6, Y7
-	VPADDQ   Y7, Y4, Y4
-	VPSRLQ   $32, Y4, Y4 // carry
-	VPSRLQ   $32, Y5, Y5
-	VPSRLQ   $32, Y6, Y6
-	VPADDQ   Y5, Y3, Y3
-	VPADDQ   Y6, Y3, Y3
-	VPADDQ   Y4, Y3, Y3  // hi
-	VMOVDQU  Y3, (DI)(DX*8)
-
-	ADDQ $4, DX
-	CMPQ DX, CX
-	JLT  keyloop
-
-rownext:
-	ADDQ $16, BX         // next row's coefficient pair
-	LEAQ (DI)(R11*8), DI // out += stride qwords
-	DECQ R10
-	JMP  rowloop
-
-done:
-	VZEROUPPER
-	RET
-
-// func gatherSignInt64AVX2(row []int64, idx []uint32, signs []int8, out []int64)
-//
-// out[j] = signs[j] * row[idx[j]] for signs in {-1, +1}: VPGATHERDQ
-// pulls 4 counters by dword index, the sign bytes sign-extend to
-// qword lanes, and lanes equal to -1 negate branch-free via
-// (x ^ m) - m with m = (signs == -1).
-TEXT ·gatherSignInt64AVX2(SB), NOSPLIT, $0-96
-	MOVQ row_base+0(FP), BX
-	MOVQ idx_base+24(FP), SI
-	MOVQ signs_base+48(FP), R8
-	MOVQ out_base+72(FP), DI
-	MOVQ out_len+80(FP), CX
-	XORQ DX, DX
-	CMPQ DX, CX
-	JGE  done
-
-loop:
-	VMOVDQU    (SI)(DX*4), X1
-	VPCMPEQD   Y2, Y2, Y2         // gather mask: all lanes
-	VPGATHERDQ Y2, (BX)(X1*8), Y3
-	VMOVD      (R8)(DX*1), X4
-	VPMOVSXBQ  X4, Y4
-	VPCMPEQD   Y5, Y5, Y5
-	VPCMPEQQ   Y5, Y4, Y5         // m = (sign == -1) per lane
-	VPXOR      Y5, Y3, Y3
-	VPSUBQ     Y5, Y3, Y3         // (x ^ m) - m
-	VMOVDQU    Y3, (DI)(DX*8)
-	ADDQ       $4, DX
-	CMPQ       DX, CX
-	JLT        loop
-
-done:
-	VZEROUPPER
-	RET
-
 // func gatherSignRowsAVX2(table *int64, tstride, rows int, idx *uint32, signs *int8, out *int64, m, rstride int)
 //
-// FUSED all-rows form of gatherSignInt64AVX2 over a flat row-major
-// table (tstride int64s per row): one call gathers every row of the
-// Count-Sketch query matrix. idx/signs/out are row-major with rstride
-// elements per row; m is the per-row vector count (a multiple of 4,
-// <= rstride — the Go wrapper keeps sub-4 tails for the scalar twin).
-// The gather mask register is fully consumed by VPGATHERDQ and must be
-// reloaded every iteration.
+// out = sign * table[row][idx] for signs in {-1, +1}, every row of the
+// Count-Sketch query matrix in one call over a flat row-major table
+// (tstride int64s per row): VPGATHERDQ pulls 4 counters by dword
+// index, the sign bytes sign-extend to qword lanes, and lanes equal to
+// -1 negate branch-free via (x ^ m) - m with m = (signs == -1).
+// idx/signs/out are row-major with rstride elements per row; m is the
+// per-row vector count (a multiple of 4, <= rstride — the Go wrapper
+// keeps sub-4 tails for the scalar twin). The gather mask register is
+// fully consumed by VPGATHERDQ and must be reloaded every iteration.
 TEXT ·gatherSignRowsAVX2(SB), NOSPLIT, $0-64
 	MOVQ table+0(FP), BX
 	MOVQ tstride+8(FP), R12

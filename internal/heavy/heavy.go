@@ -8,8 +8,7 @@
 //     Cauchy median estimate (Fact 1 / Theorem 3). Space is
 //     O(eps^-1 log n log(alpha log n / eps)), replacing the turnstile
 //     Omega(eps^-1 log^2 n) lower bound's second log n factor.
-//   - CountSketchHH / CountMinHH: the unbounded-deletion baselines.
-//   - MisraGries: the insertion-only (alpha = 1) comparison point.
+//   - CountSketchHH: the unbounded-deletion baseline.
 //   - AlphaL2 (Appendix A): L2 heavy hitters for alpha-property streams
 //     via an insertion-only eps/alpha L2 HH over I+D plus a Count-Sketch
 //     verification pass over f, in O((alpha/eps)^2 ...) space.
@@ -349,72 +348,4 @@ func (b *CountSketchHH) HeavyHitters() []uint64 {
 // SpaceBits charges the dense sketch, scale estimator and tracker.
 func (b *CountSketchHH) SpaceBits() int64 {
 	return b.sk.SpaceBits() + b.tracker.SpaceBits(b.n) + b.scale.spaceBits()
-}
-
-// MisraGries is the classic insertion-only deterministic heavy hitters
-// summary (alpha = 1 reference point): k counters answer phi = 1/k
-// frequency queries with additive m/k error.
-type MisraGries struct {
-	k        int
-	counters map[uint64]int64
-	m        int64
-}
-
-// NewMisraGries builds a summary with ceil(2/eps) counters.
-func NewMisraGries(eps float64) *MisraGries {
-	if eps <= 0 || eps >= 1 {
-		panic("heavy: eps must be in (0,1)")
-	}
-	k := int(math.Ceil(2 / eps))
-	return &MisraGries{k: k, counters: make(map[uint64]int64, k+1)}
-}
-
-// Update feeds an insertion-only update (delta must be positive).
-func (mg *MisraGries) Update(i uint64, delta int64) {
-	if delta <= 0 {
-		panic("heavy: MisraGries requires insertion-only input")
-	}
-	mg.m += delta
-	if c, ok := mg.counters[i]; ok || len(mg.counters) < mg.k {
-		mg.counters[i] = c + delta
-		return
-	}
-	// Decrement-all step.
-	dec := delta
-	for j, c := range mg.counters {
-		if c < dec {
-			dec = c
-		}
-		_ = j
-	}
-	for j := range mg.counters {
-		mg.counters[j] -= dec
-		if mg.counters[j] <= 0 {
-			delete(mg.counters, j)
-		}
-	}
-	if rem := delta - dec; rem > 0 && len(mg.counters) < mg.k {
-		mg.counters[i] = rem
-	}
-}
-
-// HeavyHitters returns items with counter >= (eps/2) m for eps = 2/k.
-func (mg *MisraGries) HeavyHitters() []uint64 {
-	thr := mg.m / int64(mg.k)
-	var out []uint64
-	for i, c := range mg.counters {
-		if c >= thr {
-			out = append(out, i)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// Estimate returns the summary's frequency estimate.
-func (mg *MisraGries) Estimate(i uint64) int64 { return mg.counters[i] }
-
-// SpaceBits charges k (id, counter) slots.
-func (mg *MisraGries) SpaceBits() int64 {
-	return int64(mg.k) * int64(64+nt.BitsFor(uint64(mg.m)))
 }

@@ -145,41 +145,6 @@ func TestAlphaSpaceAdvantage(t *testing.T) {
 	}
 }
 
-func TestMisraGries(t *testing.T) {
-	mg := NewMisraGries(0.1)
-	// 60% of mass on item 7, rest spread.
-	for i := 0; i < 6000; i++ {
-		mg.Update(7, 1)
-	}
-	for i := 0; i < 4000; i++ {
-		mg.Update(uint64(100+i%997), 1)
-	}
-	hh := mg.HeavyHitters()
-	found := false
-	for _, i := range hh {
-		if i == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("MisraGries missed a 60% item")
-	}
-	// Estimate error bounded by m/k.
-	if est := mg.Estimate(7); est < 6000-10000/20 {
-		t.Errorf("MisraGries estimate %d too low", est)
-	}
-}
-
-func TestMisraGriesPanicsOnDeletion(t *testing.T) {
-	mg := NewMisraGries(0.5)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on deletion")
-		}
-	}()
-	mg.Update(1, -1)
-}
-
 func TestAlphaL2(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 1 << 14
@@ -271,7 +236,6 @@ func TestNewPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewAlphaL1(rng, AlphaL1Params{N: 10, Eps: 0}) },
 		func() { NewCountSketchHH(rng, 10, 1.5, Strict, 0, 0) },
-		func() { NewMisraGries(0) },
 		func() { NewAlphaL2(rng, 10, 0, 1) },
 	} {
 		func() {

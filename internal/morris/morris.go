@@ -9,11 +9,6 @@
 // stream-position clock so the whole structure stays below log(n) bits;
 // the estimator only needs the clock within a poly(log) factor, exactly
 // what Lemma 11 provides.
-//
-// Averaged (multi-copy) counters are also provided: averaging b
-// independent counters is the standard variance reduction and yields
-// (1 +- eps) estimates; tests use it to cross-check the single-counter
-// bounds.
 package morris
 
 import (
@@ -68,14 +63,16 @@ func (c *Counter) Add(n int64) {
 		if u == 0 {
 			u = math.SmallestNonzeroFloat64
 		}
-		gap := int64(math.Floor(math.Log(u)/math.Log1p(-p))) + 1
-		if gap <= 0 {
+		gap := math.Floor(math.Log(u)/math.Log1p(-p)) + 1
+		if gap < 1 { // numerical floor guard
 			gap = 1
 		}
-		if gap > n {
+		// Compare before converting: from v = 58 an honest gap can
+		// exceed int64, and a wrapped one would read as a success.
+		if gap >= 1<<63 || int64(gap) > n {
 			return // no success within the remaining events
 		}
-		n -= gap
+		n -= int64(gap)
 		c.v++
 		if c.v > c.max {
 			c.max = c.v
@@ -112,47 +109,4 @@ func Restore(rng *rand.Rand, v, max uint8) *Counter {
 // counter occupies.
 func (c *Counter) SpaceBits() int64 {
 	return int64(nt.BitsFor(uint64(c.max)))
-}
-
-// Averaged is the mean of b independent Morris counters, trading a
-// factor-b space increase for concentration ~ 1/sqrt(b).
-type Averaged struct {
-	counters []*Counter
-}
-
-// NewAveraged returns an averaged counter over b independent copies.
-func NewAveraged(rng *rand.Rand, b int) *Averaged {
-	if b < 1 {
-		b = 1
-	}
-	cs := make([]*Counter, b)
-	for i := range cs {
-		cs[i] = New(rng)
-	}
-	return &Averaged{counters: cs}
-}
-
-// Increment registers one event on every copy.
-func (a *Averaged) Increment() {
-	for _, c := range a.counters {
-		c.Increment()
-	}
-}
-
-// Estimate returns the averaged estimate.
-func (a *Averaged) Estimate() int64 {
-	var sum int64
-	for _, c := range a.counters {
-		sum += c.Estimate()
-	}
-	return sum / int64(len(a.counters))
-}
-
-// SpaceBits returns the total space of all copies.
-func (a *Averaged) SpaceBits() int64 {
-	var total int64
-	for _, c := range a.counters {
-		total += c.SpaceBits()
-	}
-	return total
 }

@@ -96,38 +96,6 @@ func TestExponentGrowth(t *testing.T) {
 	}
 }
 
-// TestAveragedConcentration: averaging copies tightens relative error.
-func TestAveragedConcentration(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const events = 1 << 14
-	const reps = 100
-	bad := 0
-	for r := 0; r < reps; r++ {
-		a := NewAveraged(rng, 64)
-		for i := 0; i < events; i++ {
-			a.Increment()
-		}
-		e := float64(a.Estimate())
-		if e < 0.6*events || e > 1.4*events {
-			bad++
-		}
-	}
-	if bad > reps/10 {
-		t.Errorf("averaged Morris out of 40%% band in %d/%d runs", bad, reps)
-	}
-}
-
-func TestAveragedMinimumOneCopy(t *testing.T) {
-	a := NewAveraged(rand.New(rand.NewSource(7)), 0)
-	a.Increment()
-	if a.Estimate() < 0 {
-		t.Error("estimate negative")
-	}
-	if a.SpaceBits() < 1 {
-		t.Error("SpaceBits must be positive")
-	}
-}
-
 func TestZeroEvents(t *testing.T) {
 	c := New(rand.New(rand.NewSource(8)))
 	if c.Estimate() != 0 {
@@ -176,5 +144,23 @@ func TestAddHugeCount(t *testing.T) {
 	e := c.Estimate()
 	if e < (1<<50)/128 || e > (1<<50)*128 {
 		t.Errorf("estimate %d far from 2^50", e)
+	}
+}
+
+// onesSource is a rand.Source whose every Int63 is 1, so Float64 draws
+// u = 2^-53: the smallest nonzero uniform, hence the longest gap.
+type onesSource struct{}
+
+func (onesSource) Int63() int64 { return 1 }
+func (onesSource) Seed(int64)   {}
+
+// TestAddGapBeyondInt64: at exponent 60 the draw u = 2^-53 gives a
+// geometric gap of about 4e19 events, past int64. No success can fall
+// within 1000 events, so the exponent must stand still.
+func TestAddGapBeyondInt64(t *testing.T) {
+	c := Restore(rand.New(onesSource{}), 60, 60)
+	c.Add(1000)
+	if got := c.Exponent(); got != 60 {
+		t.Fatalf("exponent after Add(1000) at v=60 is %d, want 60", got)
 	}
 }

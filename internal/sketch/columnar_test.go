@@ -85,48 +85,3 @@ func TestCountSketchQueryColumnsMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestCountMinQueryColumnsMatchesScalar: same contract for Count-Min's
-// min-of-rows batched read.
-func TestCountMinQueryColumnsMatchesScalar(t *testing.T) {
-	s := columnarStream(13)
-	cm := NewCountMin(rand.New(rand.NewSource(9)), 5, 128)
-	feedChunks(s, cm.UpdateColumns)
-	keys := queryKeySet()
-	out := make([]int64, len(keys))
-	b := core.GetBatch()
-	cm.QueryColumns(b, keys, out)
-	core.PutBatch(b)
-	for j, k := range keys {
-		if want := cm.Query(k); out[j] != want {
-			t.Fatalf("QueryColumns[%d] (key %d) = %d, Query = %d", j, k, out[j], want)
-		}
-	}
-}
-
-// TestCountMinColumnarMatchesScalar: same contract for Count-Min,
-// including the order-sensitive largest-counter-ever peak (per-counter
-// write sequences are preserved by the row-major sweep).
-func TestCountMinColumnarMatchesScalar(t *testing.T) {
-	s := columnarStream(7)
-	a := NewCountMin(rand.New(rand.NewSource(9)), 5, 128)
-	b := NewCountMin(rand.New(rand.NewSource(9)), 5, 128)
-	for _, u := range s.Updates {
-		a.Update(u.Index, u.Delta)
-	}
-	feedChunks(s, b.UpdateColumns)
-	for i := uint64(0); i < 1<<12; i += 13 {
-		if qa, qb := a.Query(i), b.Query(i); qa != qb {
-			t.Fatalf("Query(%d): scalar %d, columnar %d", i, qa, qb)
-		}
-		if qa, qb := a.QueryMedian(i), b.QueryMedian(i); qa != qb {
-			t.Fatalf("QueryMedian(%d): scalar %d, columnar %d", i, qa, qb)
-		}
-	}
-	if ta, tb := a.Total(), b.Total(); ta != tb {
-		t.Fatalf("Total: scalar %d, columnar %d", ta, tb)
-	}
-	if sa, sb := a.SpaceBits(), b.SpaceBits(); sa != sb {
-		t.Fatalf("SpaceBits (maxAbs peak): scalar %d, columnar %d", sa, sb)
-	}
-}

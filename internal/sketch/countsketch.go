@@ -1,9 +1,9 @@
-// Package sketch implements the classic linear sketches the paper builds
-// on: Count-Sketch (Charikar, Chen, Farach-Colton) and Count-Min
-// (Cormode, Muthukrishnan). Both are linear maps of the frequency vector,
-// so sketches of two streams can be added, subtracted, and compared; the
-// alpha-property structures in sibling packages (csss, inner, heavy) reuse
-// these tables on sampled sub-streams.
+// Package sketch implements the classic linear sketch the paper builds
+// on: Count-Sketch (Charikar, Chen, Farach-Colton). It is a linear map
+// of the frequency vector, so sketches of two streams can be added,
+// subtracted, and compared; the alpha-property structures in sibling
+// packages (csss, inner, heavy) reuse these tables on sampled
+// sub-streams.
 //
 // The Count-Sketch guarantee reproduced here is Lemma 2 of the paper: a
 // d x 6k table answers point queries within Err^k_2(f)/sqrt(k) with high

@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"repro/internal/hash"
-	"repro/internal/wire"
 )
 
 // Binary layout of a CountSketch: "CS" magic, rows, cols, maxAbs, mass,
@@ -90,110 +89,5 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	cs.qFloat = make([]float64, rows)
 	cs.upCols = make([]uint64, rows)
 	cs.upSigns = make([]int64, rows)
-	return nil
-}
-
-// CombineRemote adds (sign > 0) or subtracts (sign < 0) a serialized
-// sketch into this one, verifying the wirings match by re-encoding —
-// the receive-side of a synchronization exchange.
-func (cs *CountSketch) CombineRemote(data []byte, sign int) error {
-	remote := &CountSketch{}
-	if err := remote.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	localWiring, err := cs.buckets.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	remoteWiring, err := remote.buckets.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if string(localWiring) != string(remoteWiring) {
-		return errors.New("sketch: remote sketch uses different hash functions")
-	}
-	// Graft the remote table onto the local wiring so combine's pointer
-	// check passes.
-	remote.buckets = cs.buckets
-	if sign >= 0 {
-		cs.Add(remote)
-	} else {
-		cs.Sub(remote)
-	}
-	cs.mass += remote.mass
-	return nil
-}
-
-// countMinMagic/countMinFormatV1 frame the CountMin wire layout: the
-// per-row pairwise hashes, the running totals, then the counter table.
-const (
-	countMinMagic    = "SM"
-	countMinFormatV1 = 1
-)
-
-// MarshalBinary encodes the Count-Min including its hash functions.
-func (cm *CountMin) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(countMinMagic, countMinFormatV1)
-	w.U32(uint32(cm.rows))
-	w.U64(cm.cols)
-	w.I64(cm.maxAbs)
-	w.I64(cm.total)
-	for _, h := range cm.hs {
-		if err := w.Marshal(h); err != nil {
-			return nil, err
-		}
-	}
-	for r := 0; r < cm.rows; r++ {
-		w.I64s(cm.table[r])
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary restores a Count-Min serialized by MarshalBinary. On
-// failure the receiver is left unchanged.
-func (cm *CountMin) UnmarshalBinary(data []byte) error {
-	r, v, err := wire.NewReader(data, countMinMagic)
-	if err != nil {
-		return err
-	}
-	if v != countMinFormatV1 {
-		return errors.New("sketch: unsupported CountMin format version")
-	}
-	rows := int(r.U32())
-	cols := r.U64()
-	maxAbs := r.I64()
-	total := r.I64()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if rows < 1 || rows > r.Remaining() || cols < 1 {
-		return errors.New("sketch: bad CountMin dimensions")
-	}
-	hs := make([]*hash.KWise, rows)
-	for i := range hs {
-		hs[i] = &hash.KWise{}
-		r.Unmarshal(hs[i])
-	}
-	table := make([][]int64, rows)
-	for i := range table {
-		table[i] = r.I64s()
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	for i := range table {
-		if uint64(len(table[i])) != cols {
-			return errors.New("sketch: CountMin row length disagrees with dimensions")
-		}
-	}
-	cm.rows, cm.cols = rows, cols
-	cm.hs = hs
-	// NewPairRows returns nil when any decoded hash is not pairwise
-	// (hostile or legacy wire state); the batch paths then fall back to
-	// the per-row RangeBatch loop.
-	cm.pairs = hash.NewPairRows(hs)
-	cm.table = table
-	cm.maxAbs, cm.total = maxAbs, total
-	cm.qInt = make([]int64, rows)
 	return nil
 }

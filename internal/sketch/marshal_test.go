@@ -29,93 +29,6 @@ func TestCountSketchMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCombineRemote: the difference of two serialized sketches built on
-// the same wiring answers queries about f - g.
-func TestCombineRemote(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := NewCountSketch(rng, 7, 256)
-	b := NewCountSketchWithBuckets(a.Buckets())
-	a.Update(5, 100)
-	a.Update(9, 40)
-	b.Update(9, 40)
-	b.Update(11, 25)
-	wire, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.CombineRemote(wire, -1); err != nil {
-		t.Fatal(err)
-	}
-	// a now sketches f - g: {5: 100, 11: -25}.
-	if got := a.Query(5); got != 100 {
-		t.Errorf("Query(5) = %d, want 100", got)
-	}
-	if got := a.Query(9); got != 0 {
-		t.Errorf("Query(9) = %d, want 0", got)
-	}
-	if got := a.Query(11); got != -25 {
-		t.Errorf("Query(11) = %d, want -25", got)
-	}
-}
-
-func TestCombineRemoteRejectsForeign(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := NewCountSketch(rng, 3, 16)
-	b := NewCountSketch(rng, 3, 16) // fresh hashes
-	wire, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.CombineRemote(wire, 1); err == nil {
-		t.Error("expected rejection of foreign wiring")
-	}
-}
-
-func TestCountMinMarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	cm := NewCountMin(rng, 5, 128)
-	for i := uint64(0); i < 700; i++ {
-		cm.Update(i%90, int64(i%11)-2)
-	}
-	data, err := cm.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := &CountMin{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 90; i++ {
-		if restored.Query(i) != cm.Query(i) || restored.QueryMedian(i) != cm.QueryMedian(i) {
-			t.Fatalf("query %d differs after round trip", i)
-		}
-	}
-	if restored.Total() != cm.Total() || restored.SpaceBits() != cm.SpaceBits() {
-		t.Errorf("diagnostics differ after round trip")
-	}
-	if err := restored.Merge(cm.Clone()); err != nil {
-		t.Fatalf("merge of restored CountMin rejected: %v", err)
-	}
-}
-
-func TestCountMinUnmarshalRejectsGarbage(t *testing.T) {
-	cm := NewCountMin(rand.New(rand.NewSource(7)), 2, 8)
-	cm.Update(1, 1)
-	data, _ := cm.MarshalBinary()
-	fresh := &CountMin{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
-		t.Error("accepted nil")
-	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-2]); err == nil {
-		t.Error("accepted truncated payload")
-	}
-	bad := append([]byte(nil), data...)
-	bad[2] = 77
-	if err := fresh.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted wrong version")
-	}
-}
-
 func TestCountSketchUnmarshalRejectsGarbage(t *testing.T) {
 	cs := &CountSketch{}
 	for _, data := range [][]byte{nil, {9}, []byte("CSgarbagegarbagegarbagegarbagegar")} {

@@ -66,38 +66,6 @@ func TestCountSketchMergeRejectsDifferentSeeds(t *testing.T) {
 	}
 }
 
-// TestCountMinMergeBitForBit mirrors the Count-Sketch test.
-func TestCountMinMergeBitForBit(t *testing.T) {
-	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: 4})
-	const seed = 7
-	whole := NewCountMin(rand.New(rand.NewSource(seed)), 5, 256)
-	core.UpdateBatch(whole.UpdateColumns, s.Updates)
-
-	parts := splitByIndex(s, 4)
-	merged := NewCountMin(rand.New(rand.NewSource(seed)), 5, 256)
-	core.UpdateBatch(merged.UpdateColumns, parts[0])
-	for _, p := range parts[1:] {
-		sh := NewCountMin(rand.New(rand.NewSource(seed)), 5, 256)
-		core.UpdateBatch(sh.UpdateColumns, p)
-		if err := merged.Merge(sh); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for r := range whole.table {
-		for c := range whole.table[r] {
-			if merged.table[r][c] != whole.table[r][c] {
-				t.Fatalf("cell (%d,%d): merged %d, single-stream %d", r, c, merged.table[r][c], whole.table[r][c])
-			}
-		}
-	}
-	if merged.total != whole.total {
-		t.Fatalf("total: merged %d, single-stream %d", merged.total, whole.total)
-	}
-	if err := merged.Merge(NewCountMin(rand.New(rand.NewSource(seed+1)), 5, 256)); err == nil {
-		t.Fatal("merging different-seed CountMins should fail")
-	}
-}
-
 // TestCountSketchCloneIsolated: a clone shares no mutable state.
 func TestCountSketchCloneIsolated(t *testing.T) {
 	cs := NewCountSketch(rand.New(rand.NewSource(5)), 5, 64)
@@ -109,19 +77,5 @@ func TestCountSketchCloneIsolated(t *testing.T) {
 	}
 	if got := cs.Query(10); got != 3 {
 		t.Fatalf("original query = %d, want 3", got)
-	}
-}
-
-// TestCountMinCloneIsolated mirrors the Count-Sketch clone test.
-func TestCountMinCloneIsolated(t *testing.T) {
-	cm := NewCountMin(rand.New(rand.NewSource(6)), 4, 64)
-	cm.Update(10, 3)
-	c := cm.Clone()
-	c.Update(10, 40)
-	if got := cm.Query(10); got != 3 {
-		t.Fatalf("original query = %d, want 3", got)
-	}
-	if got := c.Query(10); got != 43 {
-		t.Fatalf("clone query = %d, want 43", got)
 	}
 }

@@ -182,79 +182,6 @@ func TestMedianInt64(t *testing.T) {
 	}
 }
 
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	cm := NewCountMin(rng, 5, 64)
-	v := buildZipf(rng, 1<<12, 10000)
-	for i, x := range v {
-		cm.Update(i, x)
-	}
-	for i, x := range v {
-		if got := cm.Query(i); got < x {
-			t.Errorf("CountMin underestimated f_%d: %d < %d", i, got, x)
-		}
-	}
-	if cm.Total() != v.L1() { // all-positive vector: total = L1
-		t.Errorf("Total = %d, want %d", cm.Total(), v.L1())
-	}
-}
-
-func TestCountMinErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const cols = 256
-	cm := NewCountMin(rng, 7, cols)
-	v := buildZipf(rng, 1<<12, 50000)
-	for i, x := range v {
-		cm.Update(i, x)
-	}
-	bound := 4 * float64(v.L1()) / cols
-	viol := 0
-	for i, x := range v {
-		if float64(cm.Query(i)-x) > bound {
-			viol++
-		}
-	}
-	if viol > len(v)/100 {
-		t.Errorf("CountMin exceeded error bound on %d/%d items", viol, len(v))
-	}
-}
-
-func TestCountMinMedianGeneralTurnstile(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	cm := NewCountMin(rng, 9, 512)
-	v := stream.Vector{1: -50, 2: 30, 3: -7}
-	for i, x := range v {
-		cm.Update(i, x)
-	}
-	for i, x := range v {
-		got := cm.QueryMedian(i)
-		if math.Abs(float64(got-x)) > 10 {
-			t.Errorf("QueryMedian(%d) = %d, want near %d", i, got, x)
-		}
-	}
-}
-
-func TestCountMinInnerProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f := buildZipf(rng, 1<<10, 20000)
-	g := buildZipf(rng, 1<<10, 20000)
-	a := NewCountMin(rng, 5, 512)
-	b := a.SameHashes()
-	for i, x := range f {
-		a.Update(i, x)
-	}
-	for i, x := range g {
-		b.Update(i, x)
-	}
-	want := float64(f.Inner(g))
-	got := float64(a.InnerProduct(b))
-	// Count-Min overestimates; the excess is bounded by L1*L1/cols per row.
-	excess := float64(f.L1()) * float64(g.L1()) / 512
-	if got < want || got > want+4*excess {
-		t.Errorf("CountMin inner = %.0f, want in [%.0f, %.0f]", got, want, want+4*excess)
-	}
-}
-
 func BenchmarkCountSketchUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	cs := NewCountSketch(rng, 7, 192)
@@ -273,14 +200,5 @@ func BenchmarkCountSketchQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.Query(uint64(i % 10000))
-	}
-}
-
-func BenchmarkCountMinUpdate(b *testing.B) {
-	rng := rand.New(rand.NewSource(14))
-	cm := NewCountMin(rng, 5, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm.Update(uint64(i), 1)
 	}
 }

@@ -248,14 +248,18 @@ func (r *Reader) count(elemBytes int) int {
 	return int(n)
 }
 
+// View32 reads a u32-length-prefixed byte slice WITHOUT copying it: the
+// result aliases the reader's input, so it is for a caller that decodes
+// the bytes into its own arrays before the input can change.
+func (r *Reader) View32() []byte { return r.take(r.count(1)) }
+
 // Bytes32 reads a u32-length-prefixed byte slice (copied).
 func (r *Reader) Bytes32() []byte {
-	n := r.count(1)
-	b := r.take(n)
+	b := r.View32()
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
+	out := make([]byte, len(b))
 	copy(out, b)
 	return out
 }
@@ -321,8 +325,7 @@ func (r *Reader) Blobs() []Blob {
 
 // Unmarshal reads a length-prefixed nested blob into m.
 func (r *Reader) Unmarshal(m encoding.BinaryUnmarshaler) {
-	n := r.count(1)
-	b := r.take(n)
+	b := r.View32()
 	if r.err != nil {
 		return
 	}

@@ -214,7 +214,9 @@ func TestShipMergeMatchesCloneMerge(t *testing.T) {
 }
 
 // TestMarshalRoundTripAnswers: Unmarshal(Marshal(s)) answers exactly
-// like s on the full Fig1 workload.
+// like s on the full Fig1 workload, and keeps no view of the input —
+// the envelope hands its payload to the decoder uncopied, so the bytes
+// are overwritten before the restored sketch is read.
 func TestMarshalRoundTripAnswers(t *testing.T) {
 	whole, _, _ := fig1Stream(t)
 	for _, tc := range marshalCases() {
@@ -225,9 +227,16 @@ func TestMarshalRoundTripAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sent := bytes.Clone(data)
 			restored, err := UnmarshalSketch(data)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for i := range data {
+				data[i] = 0xA5
+			}
+			if again, err := restored.MarshalBinary(); err != nil || !bytes.Equal(again, sent) {
+				t.Fatalf("restored sketch re-marshals differently once its input is overwritten (err %v)", err)
 			}
 			if got, want := tc.answer(restored), tc.answer(s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("restored answer %v differs from original %v", got, want)

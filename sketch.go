@@ -116,7 +116,9 @@ const (
 	envelopeV1    = 1
 )
 
-// envelope is the decoded public frame.
+// envelope is the decoded public frame. payload aliases the input:
+// every structure decoder copies what it keeps into fresh arrays, so
+// the frame itself is never copied.
 type envelope struct {
 	kind    Kind
 	cfg     Config
@@ -154,9 +156,10 @@ func marshalEnvelope(kind Kind, cfg Config, o sketchOptions, impl encoding.Binar
 	return w.Bytes(), nil
 }
 
-// parseEnvelope decodes the public frame, verifying the kind when
-// wantKind is nonzero.
-func parseEnvelope(data []byte, wantKind Kind) (*envelope, error) {
+// openEnvelope checks the frame's magic and version and returns a
+// reader standing at the fixed header: the kind byte, then the Config
+// echo (configEcho). The header peeks stop there; parseEnvelope goes on.
+func openEnvelope(data []byte) (*wire.Reader, error) {
 	rd, v, err := wire.NewReader(data, envelopeMagic)
 	if err != nil {
 		return nil, err
@@ -164,15 +167,29 @@ func parseEnvelope(data []byte, wantKind Kind) (*envelope, error) {
 	if v != envelopeV1 {
 		return nil, fmt.Errorf("bounded: unsupported wire format version %d", v)
 	}
+	return rd, nil
+}
+
+func configEcho(rd *wire.Reader) Config {
+	return Config{N: rd.U64(), Eps: rd.F64(), Alpha: rd.F64(), Seed: rd.I64()}
+}
+
+// parseEnvelope decodes the public frame, verifying the kind when
+// wantKind is nonzero.
+func parseEnvelope(data []byte, wantKind Kind) (*envelope, error) {
+	rd, err := openEnvelope(data)
+	if err != nil {
+		return nil, err
+	}
 	e := &envelope{}
 	e.kind = Kind(rd.U8())
-	e.cfg = Config{N: rd.U64(), Eps: rd.F64(), Alpha: rd.F64(), Seed: rd.I64()}
+	e.cfg = configEcho(rd)
 	e.opts.strict = rd.Bool()
 	e.opts.copies = int(rd.U32())
 	e.opts.failureProb = rd.F64()
 	e.opts.k = int(rd.U32())
 	e.opts.capacity = int(rd.U32())
-	e.payload = rd.Bytes32()
+	e.payload = rd.View32()
 	if err := rd.Done(); err != nil {
 		return nil, err
 	}
@@ -197,41 +214,55 @@ func restoreEnvelope[T any, P interface {
 	if err != nil {
 		return nil, nil, err
 	}
+	impl, err := restorePayload[T, P](env)
+	return env, impl, err
+}
+
+// restorePayload is restoreEnvelope after the parse, for a caller that
+// reads the options echo to pick T.
+func restorePayload[T any, P interface {
+	*T
+	encoding.BinaryUnmarshaler
+}](env *envelope) (P, error) {
 	// A sync sketch restored from a legacy frame re-marshals with a zero
 	// Config echo; accept that alongside fully-described payloads.
-	if kind != KindSyncSketch || env.cfg != (Config{}) {
+	if env.kind != KindSyncSketch || env.cfg != (Config{}) {
 		if err := env.cfg.Validate(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	impl := P(new(T))
 	if err := impl.UnmarshalBinary(env.payload); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return env, impl, nil
+	return impl, nil
 }
 
 // SketchConfig peeks at a serialized sketch's Config echo without
 // unmarshaling the state — the cross-check a partitioned restore runs
 // on every blob before installing it into a live shard. Legacy "SR"
-// sync-sketch frames carry no envelope and are rejected.
+// sync-sketch frames carry no envelope and are rejected. Like
+// SketchKind it reads the fixed header only: a frame whose state is
+// truncated or malformed still answers here and fails UnmarshalSketch.
 func SketchConfig(data []byte) (Config, error) {
-	e, err := parseEnvelope(data, 0)
+	rd, err := openEnvelope(data)
 	if err != nil {
 		return Config{}, err
 	}
-	return e.cfg, nil
+	rd.U8() // kind
+	cfg := configEcho(rd)
+	if err := rd.Err(); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
 }
 
 // SketchKind peeks at a serialized sketch and reports which structure
 // it holds, without unmarshaling the state.
 func SketchKind(data []byte) (Kind, error) {
-	rd, v, err := wire.NewReader(data, envelopeMagic)
+	rd, err := openEnvelope(data)
 	if err != nil {
 		return 0, err
-	}
-	if v != envelopeV1 {
-		return 0, fmt.Errorf("bounded: unsupported wire format version %d", v)
 	}
 	k := Kind(rd.U8())
 	if err := rd.Err(); err != nil {
@@ -300,21 +331,20 @@ func (e *L1Estimator) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
 func (e *L1Estimator) UnmarshalBinary(data []byte) error {
-	// The options echo says which variant the payload holds; peek it
-	// before choosing the type to restore into.
 	env, err := parseEnvelope(data, KindL1Estimator)
 	if err != nil {
 		return err
 	}
+	// The options echo says which variant the payload holds.
 	if env.opts.strict {
-		env, impl, err := restoreEnvelope[l1.AlphaEstimator](data, KindL1Estimator)
+		impl, err := restorePayload[l1.AlphaEstimator](env)
 		if err != nil {
 			return err
 		}
 		e.cfg, e.delta, e.strict, e.general = env.cfg, env.opts.failureProb, impl, nil
 		return nil
 	}
-	env, impl, err := restoreEnvelope[cauchy.SampledSketch](data, KindL1Estimator)
+	impl, err := restorePayload[cauchy.SampledSketch](env)
 	if err != nil {
 		return err
 	}
