@@ -318,7 +318,11 @@
 // Queries share per-structure scratch with updates (that is where the
 // zero allocations come from), so a structure is single-goroutine for
 // queries AND updates — shard across instances, or query through the
-// engine, for parallel readers.
+// engine, for parallel readers. What a query writes is only that
+// scratch, never the sketch: the sparse-recovery decode under
+// SupportSampler's Recover / Contains / ProbeBatch and under
+// SyncSketch.Decode peels a scratch copy of the cells, so answers
+// repeat and marshaled bytes do not depend on what was asked before.
 //
 // Query methods on a zero-value structure (never constructed, or left
 // untouched by a failed UnmarshalBinary) panic with a diagnostic that
@@ -382,15 +386,18 @@
 // restores shard-for-shard into the topology it was taken at
 // (engine.RestoreCheckpoint adopts it from the header; any other shard
 // count is an error, since sketch state cannot be re-keyed).
-// Global queries (HeavyHitters, L1, ...) still answer from the merged
-// snapshot, behind a generation-tagged cache that is checked before
-// the engine mutex, so query bursts do not stall producers.
+// Global queries (HeavyHitters, L1, ...) answer from the merged view,
+// one row per kind behind a generation-tagged cache that is checked
+// before the engine mutex, so query bursts do not stall producers; what
+// a stale row costs to build is the operator's concern and is in the
+// README (Merge-on-query).
 //
 // Pick the engine when ingest throughput is the bottleneck and cores
 // are available (producers can be many goroutines; Ingest is
 // concurrency-safe); pick a direct structure when one goroutine keeps
-// up — global engine queries pay S snapshots plus S-1 merges per
-// refresh, a direct structure answers from live state.
+// up — a global engine query pays S clones plus S-1 merges of the
+// structure it asks for, once per generation; a direct structure
+// answers from live state.
 // examples/shardedingest walks the full pattern end to end.
 //
 // Invalid configurations no longer clamp silently: Config.Validate

@@ -195,6 +195,45 @@ func BenchmarkEngineEstimateBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineGlobalRead charges one global read at a fresh
+// generation with every structure enabled: each op ingests a 64-update
+// batch (so the cached view is stale) and asks one kind. B/op is the
+// reading: the flush, then a clone of the asked kind alone — not of the
+// seven structures, the support sampler's level sketches among them.
+func BenchmarkEngineGlobalRead(b *testing.B) {
+	s, _ := fig1Stream(42)
+	for _, read := range []struct {
+		name string
+		ask  func(*Engine) error
+	}{
+		{"L1", func(e *Engine) error { _, err := e.L1(); return err }},
+		{"HeavyHitters", func(e *Engine) error { _, err := e.HeavyHitters(); return err }},
+		{"L0", func(e *Engine) error { _, err := e.L0(); return err }},
+	} {
+		b.Run(read.name+"/structures=all", func(b *testing.B) {
+			e, err := New(testCfg, Options{Shards: 1, Structures: everyKind})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			if err := e.Ingest(s.Updates[:8192]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := 8192 + i*64%(len(s.Updates)-8192-64)
+				if err := e.Ingest(s.Updates[off : off+64]); err != nil {
+					b.Fatal(err)
+				}
+				if err := read.ask(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSingleWriterBaseline is the same workload through one
 // bounded.HeavyHitters on the bench goroutine — the no-engine reference
 // point for the shards=1 overhead and the scaling ratio.

@@ -1,90 +1,12 @@
-// Package engine is the sharded concurrent ingest layer over the
-// bounded-deletion sketch library (module root package "repro").
-//
-// Every structure in the library is single-writer: updates and queries
-// share per-structure scratch, which is where the zero-allocation hot
-// path comes from, and why one instance cannot absorb updates from many
-// goroutines. The engine turns that constraint into the scaling story
-// used by production deployments of bounded-deletion sketches (e.g. the
-// SpaceSaving± line of work): it owns S single-writer shards, one
-// goroutine each, hash-partitions incoming batches across them with the
-// library's fast-range hash, and answers queries from merged snapshots.
-//
-//	              Ingest(batch)
-//	                   │ plan: one batch hash evaluation computes every
-//	                   │ update's shard; scatter indices+deltas by column
-//	   ┌───────────────┼───────────────┐
-//	[shard 0]       [shard 1]  ...  [shard S-1]   bounded channels of
-//	goroutine        goroutine       goroutine    columnar batches,
-//	   │                │                │        blocking = backpressure
-//	sketches         sketches        sketches     same Config ⇒ same seed
-//	   │  └────────── snapshot ∘ merge ───────┘
-//	   │                │
-//	   │            global Query (HeavyHitters, L1, L0, Sample, ...)
-//	   └─ routed Query (Estimate, EstimateBatch, Probe, ProbeBatch,
-//	      Support): answered by the OWNING shard(s), snapshot-free — no
-//	      flush barrier, no merged-view rebuild. All five run one
-//	      sequence (routedRead); the batched ones mirror Ingest: one
-//	      hash evaluation computes every queried index's shard, columns
-//	      scatter, shards answer concurrently, results reassemble in
-//	      input order.
-//
-// Each shard goroutine receives ready-to-apply column batches and fans
-// them to its structures' UpdateColumns — the plan → hash → apply
-// pipeline runs end to end without re-deriving an index per item.
-//
-// Correctness rests on three properties the library guarantees:
-//
-//  1. Mergeability: all shards build their structures from the SAME
-//     Config, so hash functions agree and two instances combine by
-//     coordinate-wise addition (Merge). A merged snapshot answers for
-//     the whole stream; in the sketches' exact regimes the answer is
-//     identical to a single-writer structure fed the same updates.
-//  2. Snapshot isolation: snapshots are taken inside each shard's
-//     goroutine (serialized with its ingest), so queries never race
-//     updates; -race clean with any number of producers.
-//  3. Partition completeness: the fast-range partition hash routes
-//     EVERY update for an index to one shard, so that shard's live
-//     structure alone answers point queries for the index — in the
-//     sketches' exact regimes identically to a single-writer structure
-//     fed that shard's substream, and generally with LESS collision
-//     noise than a merged table.
-//
-// Choose the engine over direct bounded.* use when ingest throughput is
-// the bottleneck and multiple cores (or multiple producer goroutines)
-// are available; stay with a direct structure when a single goroutine
-// can keep up — global merged queries cost S snapshots plus S-1 merges
-// when the generation-tagged view cache is stale (point queries never
-// pay that; they serialize only with the owning shard's ingest).
-//
-// # Shipping state
-//
-// Snapshot(kind) marshals ONE structure's merged state in the library
-// wire format; the sketches are linear, so the receiving side is
-// bounded.UnmarshalSketch + Merge (what the networked aggregator does).
-// SnapshotPartitioned serializes every shard's live structures in
-// place (no merge) under a versioned envelope carrying the shard
-// count, partition-hash coefficients, Config echo, structure set, and
-// generation. RestorePartitioned installs that state shard-for-shard
-// into a pristine engine with the same Config and topology, so routed
-// reads keep working (SnapshotBuilds stays 0). Sketch state cannot be
-// re-keyed: a snapshot from a different shard count is an error, to be
-// opened with its own topology — RestoreCheckpoint and OpenCheckpoint
-// fill zero Options.Shards/Structures from the snapshot header.
-// Checkpoint and OpenCheckpoint put those snapshots through
-// internal/ckpt's CRC-guarded atomic store, so a process can restart
-// from disk without replaying its stream.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -93,169 +15,7 @@ import (
 	"repro/internal/hash"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/wire"
 )
-
-// Structures selects which sketches every shard maintains; combine with
-// bitwise OR. Each enabled structure costs its full space per shard.
-type Structures uint32
-
-const (
-	// HeavyHitters enables the Section 3 eps-heavy-hitters structure.
-	HeavyHitters Structures = 1 << iota
-	// L1Estimator enables the Figure 4 / Theorem 8 L1 estimator.
-	L1Estimator
-	// L0Estimator enables the Figure 7 L0 (support size) estimator.
-	L0Estimator
-	// L1Sampler enables the Figure 3 perfect L1 sampler.
-	L1Sampler
-	// SupportSampler enables the Figure 8 support sampler.
-	SupportSampler
-	// L2HeavyHitters enables the Appendix A L2 heavy hitters.
-	L2HeavyHitters
-	// SyncSketch enables the s-sparse recovery sync sketch.
-	SyncSketch
-)
-
-// kinds is the one table of structure kinds: per Structures bit, the
-// wire kind its snapshots carry and the constructor with its Options
-// plumbing. Rows are in ascending bit order (kinds[i].bit == 1<<i), so
-// a structSet is indexed by row and "each enabled structure" is a loop.
-var kinds = [...]struct {
-	bit   Structures
-	kind  bounded.Kind
-	build func(bounded.Config, Options) (bounded.Sketch, error)
-}{
-	{HeavyHitters, bounded.KindHeavyHitters, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
-		return bounded.NewHeavyHitters(cfg, bounded.WithStrict(!o.General))
-	}},
-	{L1Estimator, bounded.KindL1Estimator, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
-		opts := []bounded.Option{bounded.WithStrict(!o.General)}
-		// L1Delta == 0 means "the constructor's default"; any other value
-		// goes through WithFailureProb so an out-of-range delta surfaces
-		// as NewL1Estimator's descriptive error instead of being clamped.
-		// The general variant has no delta knob (its failure probability
-		// is fixed by its row count), so L1Delta is ignored there.
-		if o.L1Delta != 0 && !o.General {
-			opts = append(opts, bounded.WithFailureProb(o.L1Delta))
-		}
-		return bounded.NewL1Estimator(cfg, opts...)
-	}},
-	{L0Estimator, bounded.KindL0Estimator, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
-		return bounded.NewL0Estimator(cfg)
-	}},
-	{L1Sampler, bounded.KindL1Sampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
-		var opts []bounded.Option
-		if o.SamplerCopies > 0 {
-			opts = append(opts, bounded.WithCopies(o.SamplerCopies))
-		}
-		return bounded.NewL1Sampler(cfg, opts...)
-	}},
-	{SupportSampler, bounded.KindSupportSampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
-		return bounded.NewSupportSampler(cfg, bounded.WithK(o.SupportK))
-	}},
-	{L2HeavyHitters, bounded.KindL2HeavyHitters, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
-		return bounded.NewL2HeavyHitters(cfg)
-	}},
-	{SyncSketch, bounded.KindSyncSketch, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
-		return bounded.NewSyncSketch(cfg, bounded.WithCapacity(o.SyncCapacity))
-	}},
-}
-
-// row maps a single Structures bit to its kinds row; ok is false when s
-// is not exactly one known kind.
-func (s Structures) row() (int, bool) {
-	i := bits.TrailingZeros32(uint32(s))
-	return i, s != 0 && s&(s-1) == 0 && i < len(kinds)
-}
-
-// Kind reports the wire kind that snapshots of a single structure bit
-// carry — what a receiver compares bounded.SketchKind(payload) against
-// before filing a blob under that bit. ok is false when s is not
-// exactly one known structure.
-func (s Structures) Kind() (bounded.Kind, bool) {
-	i, ok := s.row()
-	if !ok {
-		return 0, false
-	}
-	return kinds[i].kind, true
-}
-
-// Bits lists the single-structure bits set in s in table order (low to
-// high) — the canonical blob order of every container that ships one
-// blob per structure. Bits outside the table are not listed.
-func (s Structures) Bits() []Structures {
-	var out []Structures
-	for _, k := range kinds {
-		if s&k.bit != 0 {
-			out = append(out, k.bit)
-		}
-	}
-	return out
-}
-
-// DecodeBlobs is the one admission check for bit-tagged sketch blobs
-// arriving from outside the process: a partitioned snapshot's shard
-// list, a SNAPSHOT frame, a checkpointed agent table. Each blob must be
-// filed under a single known structure bit inside accept, at most once;
-// its payload must hold the wire kind the table gives that bit (an L1
-// estimator cannot be filed under the heavy-hitters slot), echo exactly
-// cfg (same seed ⇒ same hash wirings ⇒ mergeable — a foreign Config
-// admitted here would poison every later Merge), and unmarshal. The
-// sketches come back parallel to blobs, and only once every blob has
-// passed, so a caller commits all of a list or none of it.
-func DecodeBlobs(blobs []wire.Blob, accept Structures, cfg bounded.Config) ([]bounded.Sketch, error) {
-	out := make([]bounded.Sketch, len(blobs))
-	var seen Structures
-	for j, b := range blobs {
-		bit := Structures(b.Bit)
-		row, ok := bit.row()
-		if !ok {
-			return nil, fmt.Errorf("blob tagged %s, not a single known structure", bit)
-		}
-		if bit&accept == 0 {
-			return nil, fmt.Errorf("structure %s outside the accepted set %s", bit, accept)
-		}
-		if seen&bit != 0 {
-			return nil, fmt.Errorf("structure %s carried twice", bit)
-		}
-		seen |= bit
-		kind, err := bounded.SketchKind(b.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("structure %s: %w", bit, err)
-		}
-		if kind != kinds[row].kind {
-			return nil, fmt.Errorf("blob tagged %s holds a %s", bit, kind)
-		}
-		bcfg, err := bounded.SketchConfig(b.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("structure %s: %w", bit, err)
-		}
-		if bcfg != cfg {
-			return nil, fmt.Errorf("structure %s built from Config %+v, receiver has %+v", bit, bcfg, cfg)
-		}
-		if out[j], err = bounded.UnmarshalSketch(b.Payload); err != nil {
-			return nil, fmt.Errorf("structure %s: %w", bit, err)
-		}
-	}
-	return out, nil
-}
-
-// String names the set by its kinds ("HeavyHitters|SupportSampler");
-// bits outside the table print in hex.
-func (s Structures) String() string {
-	var names []string
-	for _, k := range kinds {
-		if s&k.bit != 0 {
-			names = append(names, k.kind.String())
-			s &^= k.bit
-		}
-	}
-	if s != 0 || len(names) == 0 {
-		names = append(names, fmt.Sprintf("%#x", uint32(s)))
-	}
-	return strings.Join(names, "|")
-}
 
 // Options configures an Engine. The zero value is usable: it means
 // "one shard per CPU, 1024-update hand-off batches, heavy hitters
@@ -315,73 +75,6 @@ func (o *Options) fill() {
 // selected in Options.Structures.
 var ErrNotEnabled = fmt.Errorf("engine: structure not enabled in Options.Structures")
 
-// structSet is one shard's sketch collection, indexed by kinds row (nil
-// = not enabled). All shards hold sets built from the same Config,
-// which is what makes them mergeable.
-type structSet []bounded.Sketch
-
-func newStructSet(cfg bounded.Config, o Options) (structSet, error) {
-	s := make(structSet, len(kinds))
-	for i, k := range kinds {
-		if o.Structures&k.bit == 0 {
-			continue
-		}
-		sk, err := k.build(cfg, o)
-		if err != nil {
-			return nil, err
-		}
-		s[i] = sk
-	}
-	return s, nil
-}
-
-// UpdateColumns fans one pre-planned columnar batch to every enabled
-// structure (shard.Ingester). The batch's index/delta columns are
-// shared read-only; each structure hashes them with its own batch
-// evaluators into the batch's reusable column scratch and applies.
-func (s structSet) UpdateColumns(b *core.Batch) {
-	for _, sk := range s {
-		if sk != nil {
-			sk.UpdateColumns(b)
-		}
-	}
-}
-
-// snapshot deep-clones every enabled structure.
-func (s structSet) snapshot() structSet {
-	c := make(structSet, len(s))
-	for i, sk := range s {
-		if sk != nil {
-			c[i] = sk.Clone()
-		}
-	}
-	return c
-}
-
-// merge folds other into s, structure by structure. other must not be
-// used afterwards.
-func (s structSet) merge(other structSet) error {
-	for i, sk := range s {
-		if sk == nil {
-			continue
-		}
-		if err := sk.Merge(other[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s structSet) spaceBits() int64 {
-	var total int64
-	for _, sk := range s {
-		if sk != nil {
-			total += sk.SpaceBits()
-		}
-	}
-	return total
-}
-
 // Engine is the sharded ingest engine. All methods are safe for
 // concurrent use by multiple goroutines; ingest from many producers is
 // the intended deployment. Global queries serialize with each other on
@@ -411,19 +104,17 @@ type Engine struct {
 	// merged view, and Close) covers every Ingest whose locked section
 	// completed.
 	inflight sync.WaitGroup
-	// gen is bumped on every state-changing Ingest/RestorePartitioned; a
-	// cached view is valid iff viewGen == gen. All three cache fields
-	// are atomics so the global-query fast path can check them before
-	// taking any engine lock.
-	gen     atomic.Uint64
-	viewGen atomic.Uint64
-	hasView atomic.Bool
-	view    atomic.Pointer[structSet] // written under mu, queried under queryMu
-	closed  atomic.Bool               // transitions under mu
-	// snapshotBuilds counts merged-view rebuilds. It is a plain atomic —
-	// not an obs.Counter — because its exactness backs the routed-query
-	// contract ("Estimate never builds a snapshot") in every build
-	// flavor, including -tags noobs where obs counters read zero.
+	// gen is bumped on every state-changing Ingest/RestorePartitioned; the
+	// cached view is valid iff its gen equals it. Both are atomics so the
+	// global-query fast path can check them before taking any engine lock.
+	gen    atomic.Uint64
+	view   atomic.Pointer[mergedView] // stored under mu, rows queried under queryMu
+	closed atomic.Bool                // transitions under mu
+	// snapshotBuilds counts the generations a merged view was started
+	// for. It is a plain atomic — not an obs.Counter — because its
+	// exactness backs the routed-query contract ("Estimate never builds a
+	// snapshot") in every build flavor, including -tags noobs where obs
+	// counters read zero.
 	snapshotBuilds atomic.Int64
 	// met is the engine-level observability cell block (stats.go);
 	// zero-size and recording-free under -tags noobs.
@@ -629,6 +320,24 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
+// mergedView is the merged snapshot at one generation: one row per
+// kind, nil until a global read asks for that kind. A published view is
+// never written again — a row built later is published in a copy of the
+// row set — so a reader may hold one without a lock.
+type mergedView struct {
+	gen  uint64
+	rows structSet
+}
+
+// cachedRow returns row's merged sketch if one was built at the current
+// generation.
+func (e *Engine) cachedRow(row int) bounded.Sketch {
+	if v := e.view.Load(); v != nil && v.gen == e.gen.Load() {
+		return v.rows[row]
+	}
+	return nil
+}
+
 // withView runs f over kind's sketch in the merged snapshot — the one
 // path behind every global query; op names the caller in errors.
 // Structure queries mutate per-structure scratch (that is where the
@@ -645,7 +354,7 @@ func (e *Engine) withView(kind Structures, op string, f func(bounded.Sketch)) er
 	}
 	start := obs.Now()
 	defer e.met.merged.observe(start)
-	if e.hasView.Load() && e.viewGen.Load() == e.gen.Load() {
+	if e.cachedRow(row) != nil {
 		e.queryMu.Lock()
 		if e.closed.Load() {
 			e.queryMu.Unlock()
@@ -653,72 +362,79 @@ func (e *Engine) withView(kind Structures, op string, f func(bounded.Sketch)) er
 		}
 		// Re-verify under queryMu: the cache may have gone stale between
 		// the check and the lock; if so, fall through to the slow path.
-		if e.hasView.Load() && e.viewGen.Load() == e.gen.Load() {
-			f((*e.view.Load())[row])
+		if sk := e.cachedRow(row); sk != nil {
+			f(sk)
 			e.queryMu.Unlock()
 			return nil
 		}
 		e.queryMu.Unlock()
 	}
-	// Slow path: (re)build the merged view under the engine mutex, then
-	// release it before running the query — only queryMu is held while
-	// the query walks the view, so producers resume immediately.
+	// Slow path: build the row under the engine mutex, then release it
+	// before running the query — only queryMu is held while the query
+	// walks the row, so producers resume immediately.
 	e.mu.Lock()
 	if e.closed.Load() {
 		e.mu.Unlock()
 		return fmt.Errorf("engine: query on closed engine")
 	}
-	v, err := e.mergedViewLocked()
+	sk, err := e.viewRowLocked(row)
 	if err != nil {
 		e.mu.Unlock()
 		return err
 	}
 	e.queryMu.Lock()
 	e.mu.Unlock()
-	f(v[row])
+	f(sk)
 	e.queryMu.Unlock()
 	return nil
 }
 
-// mergedViewLocked returns the merged snapshot of all shards, flushing
-// first when the cache is stale. The result is cached until the next
-// Ingest, so query bursts between ingest rounds rebuild nothing: a
-// valid cache means no Ingest completed since the view was built,
-// hence nothing pending or in flight to flush. Callers hold e.mu.
-func (e *Engine) mergedViewLocked() (structSet, error) {
-	if e.hasView.Load() && e.viewGen.Load() == e.gen.Load() {
-		return *e.view.Load(), nil
+// viewRowLocked returns row's sketch merged over all shards, building
+// what is missing: a stale view is replaced by an empty one at the
+// current generation after ONE flush, and the row is cloned inside each
+// shard's goroutine and merged — the other kinds are left alone until
+// somebody asks. Rows are cached until the next Ingest, and a valid
+// view means no Ingest completed since its flush, hence nothing pending
+// or in flight: a second kind at the same generation flushes nothing.
+// Callers hold e.mu.
+func (e *Engine) viewRowLocked(row int) (bounded.Sketch, error) {
+	v := e.view.Load()
+	stale := v == nil || v.gen != e.gen.Load()
+	if !stale && v.rows[row] != nil {
+		return v.rows[row], nil
 	}
-	// The rebuild is the engine's most expensive maintenance step, so it
-	// gets a trace task (flush + clone fan-out + merge chain show up as
-	// one unit in `go tool trace`) and a latency histogram observation.
+	// Building a row is the engine's most expensive maintenance step, so
+	// it gets a trace task (flush + clone fan-out + merge chain show up
+	// as one unit in `go tool trace`) and a latency histogram observation.
 	start := obs.Now()
 	task := obs.StartTask(context.Background(), "engine.snapshotBuild")
 	defer task.End()
-	e.flushLocked()
-	// Every Ingest whose locked section completed has bumped gen by now
-	// (it did so under e.mu) and been flushed; later Ingests are blocked
-	// on e.mu, so this generation stamp covers exactly what the view
-	// will hold.
-	genAt := e.gen.Load()
-	e.snapshotBuilds.Add(1)
-	snaps := make([]structSet, len(e.workers))
+	if stale {
+		e.flushLocked()
+		// Every Ingest whose locked section completed has bumped gen by now
+		// (it did so under e.mu) and been flushed; later Ingests are blocked
+		// on e.mu, so this generation stamp covers exactly what the view's
+		// rows will hold.
+		v = &mergedView{gen: e.gen.Load(), rows: make(structSet, len(kinds))}
+		e.snapshotBuilds.Add(1)
+	}
+	clones := make([]bounded.Sketch, len(e.workers))
 	cloneSpan := obs.StartRegion(task.Context(), "engine.cloneShards")
-	e.eachShard(func(s int) { snaps[s] = e.sets[s].snapshot() })
+	e.eachShard(func(s int) { clones[s] = e.sets[s][row].Clone() })
 	cloneSpan.End()
 	mergeSpan := obs.StartRegion(task.Context(), "engine.mergeShards")
-	merged := snaps[0]
-	for _, s := range snaps[1:] {
-		if err := merged.merge(s); err != nil {
+	merged := clones[0]
+	for _, c := range clones[1:] {
+		if err := merged.Merge(c); err != nil {
 			mergeSpan.End()
 			return nil, err
 		}
 	}
 	mergeSpan.End()
 	e.met.snapshotNanos.ObserveSince(start)
-	e.view.Store(&merged)
-	e.viewGen.Store(genAt)
-	e.hasView.Store(true)
+	next := &mergedView{gen: v.gen, rows: slices.Clone(v.rows)}
+	next.rows[row] = merged
+	e.view.Store(next)
 	return merged, nil
 }
 
@@ -981,20 +697,14 @@ func (e *Engine) Support() ([]uint64, error) {
 		return nil, err
 	}
 	// Partition completeness makes the per-shard recoveries disjoint;
-	// the set union is belt and braces against a (fingerprint-verified,
-	// hence overwhelmingly unlikely) forged decode.
-	seen := make(map[uint64]struct{})
+	// compacting the sorted union is belt and braces against a
+	// (fingerprint-verified, hence overwhelmingly unlikely) forged decode.
 	var out []uint64
 	for _, r := range results {
-		for _, i := range r {
-			if _, dup := seen[i]; !dup {
-				seen[i] = struct{}{}
-				out = append(out, i)
-			}
-		}
+		out = append(out, r...)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // Snapshot serializes the merged full-stream state of ONE structure

@@ -30,7 +30,7 @@ type engineMetrics struct {
 	merged  pathMetrics // queries answered from the merged view
 
 	// Maintenance.
-	snapshotNanos obs.Histogram // wall time per merged-view rebuild
+	snapshotNanos obs.Histogram // wall time per merged-view row built
 	flushCalls    obs.Counter   // public Flush invocations
 	flushNanos    obs.Histogram // wall time per public Flush
 	closeNanos    obs.Histogram // wall time of Close (one observation)
@@ -107,9 +107,12 @@ type Stats struct {
 	MergedQueries  int64
 	MergedLatency  obs.HistogramSnapshot
 
-	// SnapshotBuilds counts merged-view rebuilds (exact in every build
-	// flavor — it backs the routed-query contract tests); SnapshotLatency
-	// the wall time of each rebuild (flush, S clone closures, S-1 merges).
+	// SnapshotBuilds counts the generations a merged view was started for
+	// — one flush each, however many kinds were then read (exact in every
+	// build flavor — it backs the routed-query contract tests);
+	// SnapshotLatency the wall time of each kind's row built in them (S
+	// clone closures, S-1 merges, and for a generation's first row the
+	// flush).
 	SnapshotBuilds  int64
 	SnapshotLatency obs.HistogramSnapshot
 
@@ -209,8 +212,8 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 		c("repro_engine_queries_total", "queries by path", p.m.queries.Load, inst, path)
 		h("repro_engine_query_seconds", "query wall time by path", p.m.nanos.Snapshot, inst, path)
 	}
-	c("repro_engine_snapshot_builds_total", "merged-view rebuilds", e.snapshotBuilds.Load, inst)
-	h("repro_engine_snapshot_build_seconds", "merged-view rebuild wall time", m.snapshotNanos.Snapshot, inst)
+	c("repro_engine_snapshot_builds_total", "generations a merged view was started for", e.snapshotBuilds.Load, inst)
+	h("repro_engine_snapshot_build_seconds", "merged-view row build wall time", m.snapshotNanos.Snapshot, inst)
 	c("repro_engine_flushes_total", "public Flush calls", m.flushCalls.Load, inst)
 	h("repro_engine_flush_seconds", "public Flush wall time", m.flushNanos.Snapshot, inst)
 	c("repro_engine_part_snapshots_total", "partitioned snapshots built", m.partSnapshots.Load, inst)

@@ -1,0 +1,248 @@
+package engine
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	bounded "repro"
+	"repro/internal/obs"
+)
+
+// everyKind enables all seven structures.
+const everyKind = HeavyHitters | L1Estimator | L0Estimator | L1Sampler | SupportSampler | L2HeavyHitters | SyncSketch
+
+// builtRows lists the kinds whose row the current merged view holds.
+func builtRows(e *Engine) Structures {
+	var built Structures
+	if v := e.view.Load(); v != nil && v.gen == e.gen.Load() {
+		for i, sk := range v.rows {
+			if sk != nil {
+				built |= kinds[i].bit
+			}
+		}
+	}
+	return built
+}
+
+// TestGlobalReadBuildsOnlyItsKind: with every structure enabled, a
+// global read after an ingest clones and merges its own kind and leaves
+// every other row unbuilt — counted in bytes: the read allocates less
+// than ONE support sampler holds.
+func TestGlobalReadBuildsOnlyItsKind(t *testing.T) {
+	s, _ := fig1Stream(7)
+	for _, shards := range []int{1, 4} {
+		e, err := New(testCfg, Options{Shards: shards, Structures: everyKind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Ingest(s.Updates[:8000]); err != nil {
+			t.Fatal(err)
+		}
+		samplerBytes := uint64(len(must(e.Snapshot(SupportSampler))))
+		if got := builtRows(e); got != SupportSampler {
+			t.Fatalf("shards=%d: Snapshot(SupportSampler) built rows %s", shards, got)
+		}
+		// Stale the view, apply everything, then charge one L1 read.
+		if err := e.Ingest(s.Updates[8000:12000]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.L1(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := builtRows(e); got != L1Estimator {
+			t.Errorf("shards=%d: L1() built rows %s, want its own only", shards, got)
+		}
+		if spent := after.TotalAlloc - before.TotalAlloc; spent >= samplerBytes {
+			t.Errorf("shards=%d: L1() allocated %d bytes, one support sampler marshals to %d", shards, spent, samplerBytes)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// globalAnswers asks the three global reads the benchmark's reader
+// cycles through, in the given order, and returns them in a fixed one.
+func globalAnswers(t *testing.T, e *Engine, order []Structures) (hh []uint64, l1, l0 float64) {
+	t.Helper()
+	for _, kind := range order {
+		switch kind {
+		case HeavyHitters:
+			hh = must(e.HeavyHitters())
+		case L1Estimator:
+			l1 = must(e.L1())
+		case L0Estimator:
+			l0 = must(e.L0())
+		}
+	}
+	return hh, l1, l0
+}
+
+// TestViewRowsShareOneGeneration: three kinds asked at one generation
+// start ONE view (one flush, SnapshotBuilds == 1) and each adds its row
+// beside the rows already there, which are published again as they are,
+// not rebuilt; after the next Ingest the first read starts over from an
+// empty row set, and every answer is the one a twin engine that was
+// never queried in between gives.
+func TestViewRowsShareOneGeneration(t *testing.T) {
+	s, _ := fig1Stream(7)
+	order := []Structures{HeavyHitters, L1Estimator, L0Estimator}
+	for _, shards := range []int{1, 4} {
+		opts := Options{Shards: shards, Structures: HeavyHitters | L1Estimator | L0Estimator | SupportSampler}
+		e, twin := must(New(testCfg, opts)), must(New(testCfg, opts))
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Ingest(s.Updates[:30000]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var built Structures
+		var hhRow bounded.Sketch
+		for _, kind := range order {
+			globalAnswers(t, e, []Structures{kind})
+			built |= kind
+			if got := builtRows(e); got != built {
+				t.Fatalf("shards=%d: rows built after %s: %s, want %s", shards, kind, got, built)
+			}
+			row, _ := HeavyHitters.row()
+			if kind == HeavyHitters {
+				hhRow = e.view.Load().rows[row]
+			} else if e.view.Load().rows[row] != hhRow {
+				t.Fatalf("shards=%d: reading %s rebuilt the heavy hitters row", shards, kind)
+			}
+		}
+		st := e.Stats()
+		if st.SnapshotBuilds != 1 {
+			t.Fatalf("shards=%d: SnapshotBuilds = %d after three kinds at one generation, want 1", shards, st.SnapshotBuilds)
+		}
+		if obs.Enabled && (st.SnapshotLatency.Count != 3 || st.MergedQueries != 3) {
+			t.Errorf("shards=%d: %d row builds timed over %d merged queries, want 3 and 3", shards, st.SnapshotLatency.Count, st.MergedQueries)
+		}
+		// A warm row answers again without building anything.
+		globalAnswers(t, e, order)
+		if n := e.Stats().SnapshotBuilds; n != 1 {
+			t.Fatalf("shards=%d: warm reads moved SnapshotBuilds to %d", shards, n)
+		}
+
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Ingest(s.Updates[30000:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := builtRows(e); got != 0 {
+			t.Fatalf("shards=%d: rows %s still current after an Ingest", shards, got)
+		}
+		l1 := must(e.L1())
+		if got := builtRows(e); got != L1Estimator {
+			t.Fatalf("shards=%d: first read of the next generation holds rows %s", shards, got)
+		}
+		hh, _, l0 := globalAnswers(t, e, order)
+		wantHH, wantL1, wantL0 := globalAnswers(t, twin, order)
+		if !reflect.DeepEqual(hh, wantHH) || l1 != wantL1 || l0 != wantL0 {
+			t.Fatalf("shards=%d: answers (%v, %v, %v); a twin never read in between says (%v, %v, %v)",
+				shards, hh, l1, l0, wantHH, wantL1, wantL0)
+		}
+		if n := e.Stats().SnapshotBuilds; n != 2 {
+			t.Fatalf("shards=%d: SnapshotBuilds = %d after two generations were read, want 2", shards, n)
+		}
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestGlobalReadsRaceWithIngest: four readers ask different kinds in
+// shuffled orders while a producer ingests — rows of one generation get
+// published by whichever reader needs them first (run under -race). At
+// quiesce the heavy hitters are the single writer's, every answer is
+// that of a twin engine fed the same calls and never read, and so is
+// the merged state, byte for byte, of the kinds whose state does not
+// depend on where a reader's flush cut the batches (the heavy hitters'
+// candidate refresh and the L1 estimator's thinning draws run once per
+// batch).
+func TestGlobalReadsRaceWithIngest(t *testing.T) {
+	s, _ := fig1Stream(7)
+	single := must(bounded.NewHeavyHitters(testCfg))
+	single.UpdateBatch(s.Updates)
+	const structures = HeavyHitters | L1Estimator | L0Estimator | SupportSampler | SyncSketch
+	order := []Structures{HeavyHitters, L1Estimator, L0Estimator}
+
+	for _, shards := range []int{1, 2, 4, 8} {
+		opts := Options{Shards: shards, BatchSize: 512, Structures: structures}
+		e, twin := must(New(testCfg, opts)), must(New(testCfg, opts))
+		var readers sync.WaitGroup
+		stop := make(chan struct{})
+		for q := 0; q < 4; q++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				rng := rand.New(rand.NewSource(int64(q)))
+				mine := append([]Structures(nil), order...)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rng.Shuffle(len(mine), func(a, b int) { mine[a], mine[b] = mine[b], mine[a] })
+					for _, kind := range mine {
+						var err error
+						switch kind {
+						case HeavyHitters:
+							_, err = e.HeavyHitters()
+						case L1Estimator:
+							_, err = e.L1()
+						case L0Estimator:
+							_, err = e.L0()
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		for off := 0; off < len(s.Updates); off += 777 {
+			chunk := s.Updates[off:min(off+777, len(s.Updates))]
+			if err := e.Ingest(chunk); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Ingest(chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		readers.Wait()
+
+		hh, l1, l0 := globalAnswers(t, e, order)
+		wantHH, wantL1, wantL0 := globalAnswers(t, twin, order)
+		if !reflect.DeepEqual(hh, single.HeavyHitters()) {
+			t.Fatalf("shards=%d: heavy hitters %v, single writer %v", shards, hh, single.HeavyHitters())
+		}
+		if !reflect.DeepEqual(hh, wantHH) || l1 != wantL1 || l0 != wantL0 {
+			t.Fatalf("shards=%d: answers (%v, %v, %v), unread twin (%v, %v, %v)", shards, hh, l1, l0, wantHH, wantL1, wantL0)
+		}
+		for _, kind := range (L0Estimator | SupportSampler | SyncSketch).Bits() {
+			if !bytes.Equal(must(e.Snapshot(kind)), must(twin.Snapshot(kind))) {
+				t.Errorf("shards=%d: merged %s differs from the unread twin's", shards, kind)
+			}
+		}
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -126,6 +126,42 @@ func craftedL1Windows(f *testing.F, cfg Config) [][]byte {
 	return out
 }
 
+// pingPongFrames crafts two legacy "SR" frames around one planted cell:
+// (k, k*x, k*fp(x)) in x's subtable-0 cell and nothing in its other two
+// cells, which no stream produces. Peeling the cell makes the other two
+// verified singletons of (x, -k), and peeling those restores it. tiny
+// carries it under a header no constructor writes — one cell per
+// subtable, capacity 2^22 — where the old capacity-sized peel guard let
+// the trade run for seconds (minutes at 2^32-1); held keeps the honest
+// dimensions.
+func pingPongFrames(f *testing.F, cfg Config) (tiny, held []byte) {
+	s := must(NewSyncSketch(cfg, WithCapacity(16)))
+	s.Update(5, 3)
+	frame, err := syncPayload(must(s.MarshalBinary()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	const cellBytes = 24
+	per := int(binary.LittleEndian.Uint32(frame[14:])) // after magic, capacity, universe
+	cellsAt := len(frame) - 3*per*cellBytes
+	var one []byte
+	for c := frame[cellsAt : cellsAt+per*cellBytes]; len(c) > 0; c = c[cellBytes:] {
+		if !bytes.Equal(c[:cellBytes], make([]byte, cellBytes)) {
+			one = c[:cellBytes]
+		}
+	}
+	if one == nil {
+		f.Fatal("no nonzero cell in subtable 0")
+	}
+	held = append([]byte(nil), frame...)
+	clear(held[cellsAt+per*cellBytes:])
+	tiny = append([]byte(nil), frame[:cellsAt]...)
+	binary.LittleEndian.PutUint32(tiny[2:], 1<<22)
+	binary.LittleEndian.PutUint32(tiny[14:], 1)
+	tiny = append(append(tiny, one...), make([]byte, 2*cellBytes)...)
+	return tiny, held
+}
+
 // FuzzUnmarshal drives arbitrary bytes through every deserialization
 // entry point. The contract under fuzzing: corrupt, truncated,
 // bit-flipped or wrong-version payloads return errors — they never
@@ -222,6 +258,19 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(bad)
 	}
 	seed(NewSyncSketch(cfg, WithCapacity(16)))
+	tiny, held := pingPongFrames(f, cfg)
+	var syn SyncSketch
+	if err := syn.UnmarshalBinary(tiny); err == nil {
+		f.Fatal("accepted a sparse-recovery header whose cell count disagrees with its capacity")
+	}
+	if err := syn.UnmarshalBinary(held); err != nil {
+		f.Fatalf("planted cell at honest dimensions refused: %v", err)
+	}
+	if _, err := syn.Decode(); err != ErrDense {
+		f.Fatalf("planted cell decoded: %v", err)
+	}
+	f.Add(tiny)
+	f.Add(held)
 	f.Add([]byte{})
 	f.Add([]byte{'B', 'D'})
 	f.Add([]byte{'B', 'D', 1, 1, 0, 0, 0})
@@ -257,6 +306,7 @@ func FuzzUnmarshal(f *testing.F) {
 		_ = l2.UnmarshalBinary(data)
 		var syn SyncSketch
 		if err := syn.UnmarshalBinary(data); err == nil {
+			_, _ = syn.Decode() // the cells as sent, then their difference with themselves
 			_ = syn.SubRemote(data)
 			_, _ = syn.Decode()
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/nt"
 	"repro/internal/stream"
 )
 
@@ -84,98 +83,6 @@ func TestHashColumnApplyMatchesUpdate(t *testing.T) {
 				t.Fatalf("n=%d prefill=%d: pre-hashed apply diverged from Update (count peak %d vs %d)",
 					n, prefill, a.maxCount, b.maxCount)
 			}
-		}
-	}
-}
-
-// referenceDecode is Decode as it stood before the Mersenne inverse:
-// every nonzero cell's count inverted with the generic nt.PowMod.
-func referenceDecode(r *Recovery) (map[uint64]int64, error) {
-	work := r.Clone()
-	recovered := make(map[uint64]int64)
-	peeled := 0
-	for progress := true; progress; {
-		progress = false
-		for ci := range work.cells {
-			c := work.cells[ci]
-			if c.count == 0 {
-				continue
-			}
-			cm := fieldOf(c.count)
-			x := nt.MulModMersenne61(c.keySum, nt.PowMod(cm, nt.MersennePrime61-2, nt.MersennePrime61))
-			if x >= work.universe || work.bucket(ci/work.perTable, x) != ci ||
-				c.fpSum != nt.MulModMersenne61(cm, work.fp.Field(x)) {
-				continue
-			}
-			work.remove(x, c.count)
-			if recovered[x] += c.count; recovered[x] == 0 {
-				delete(recovered, x)
-			}
-			progress = true
-			if peeled++; peeled > subtables*work.perTable+work.capacity {
-				return nil, ErrDense
-			}
-		}
-	}
-	for _, c := range work.cells {
-		if c != (cell{}) {
-			return nil, ErrDense
-		}
-	}
-	if len(recovered) > work.capacity {
-		return nil, ErrDense
-	}
-	return recovered, nil
-}
-
-// TestDecodeMatchesReference: decoded vectors and DENSE verdicts are
-// those of the reference on random sketches straddling the capacity —
-// sparse, borderline, dense, with cancellations and wide counts — and
-// Decode still restores the sketch.
-func TestDecodeMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	verdicts := map[bool]int{}
-	for trial := 0; trial < 400; trial++ {
-		capacity := 1 + rng.Intn(40)
-		r := NewRecovery(rand.New(rand.NewSource(int64(trial))), capacity, 1<<32)
-		support := rng.Intn(3 * capacity)
-		for i := 0; i < support; i++ {
-			x := uint64(rng.Int63n(1 << 32))
-			d := []int64{1, -1, 3, 1 << 45, -(1 << 45), math.MaxInt64, math.MinInt64}[rng.Intn(7)]
-			r.Update(x, d)
-			if rng.Intn(5) == 0 {
-				r.Update(x, -d) // cancelled: must vanish from the decode
-			}
-		}
-		before := append([]cell(nil), r.cells...)
-		want, wantErr := referenceDecode(r)
-		got, gotErr := r.Decode()
-		if wantErr != gotErr || !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d (capacity %d, %d keys): Decode = %v, %v; reference %v, %v",
-				trial, capacity, support, got, gotErr, want, wantErr)
-		}
-		if !reflect.DeepEqual(before, r.cells) {
-			t.Fatalf("trial %d: Decode did not restore the sketch", trial)
-		}
-		verdicts[gotErr == nil]++
-	}
-	if verdicts[true] < 50 || verdicts[false] < 50 {
-		t.Fatalf("verdicts %v: want both sparse and DENSE well represented", verdicts)
-	}
-}
-
-// TestInverseMatchesPowMod pins the addition chain against the generic
-// exponentiation, zero and the +-1 short cuts included.
-func TestInverseMatchesPowMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	counts := []int64{0, 1, -1, 2, -2, math.MaxInt64, math.MinInt64, int64(nt.MersennePrime61), -int64(nt.MersennePrime61)}
-	for i := 0; i < 2000; i++ {
-		counts = append(counts, int64(rng.Uint64()))
-	}
-	for _, c := range counts {
-		want := nt.PowMod(fieldOf(c), nt.MersennePrime61-2, nt.MersennePrime61)
-		if got := inverse(c); got != want {
-			t.Fatalf("inverse(%d) = %d, want %d", c, got, want)
 		}
 	}
 }

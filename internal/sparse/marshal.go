@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/hash"
+	"repro/internal/nt"
 )
 
 // Binary layout of a Recovery sketch: "SR" magic, capacity, universe,
@@ -59,7 +60,10 @@ func (r *Recovery) UnmarshalBinary(data []byte) error {
 	universe := binary.LittleEndian.Uint64(data[6:])
 	perTable := int(binary.LittleEndian.Uint32(data[14:]))
 	maxCount := int64(binary.LittleEndian.Uint64(data[18:]))
-	if capacity < 1 || perTable < 1 {
+	// The peel bound and the decode scratch are sized from the cell
+	// count, so the two header fields must agree the way NewRecovery
+	// makes them.
+	if capacity < 1 || perTable != perTableFor(capacity) {
 		return errBadRecoveryData
 	}
 	pos := 26
@@ -89,6 +93,11 @@ func (r *Recovery) UnmarshalBinary(data []byte) error {
 		cells[i].count = int64(binary.LittleEndian.Uint64(data[pos:]))
 		cells[i].keySum = binary.LittleEndian.Uint64(data[pos+8:])
 		cells[i].fpSum = binary.LittleEndian.Uint64(data[pos+16:])
+		// Every encoder writes reduced sums; the field adds and the
+		// decode's division test assume them.
+		if cells[i].keySum >= nt.MersennePrime61 || cells[i].fpSum >= nt.MersennePrime61 {
+			return errBadRecoveryData
+		}
 		pos += 24
 	}
 	r.capacity, r.universe, r.perTable = capacity, universe, perTable

@@ -21,9 +21,11 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hash"
@@ -62,10 +64,7 @@ func NewRecovery(rng *rand.Rand, capacity int, universe uint64) *Recovery {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sparse: capacity must be >= 1, got %d", capacity))
 	}
-	per := (8*capacity + 9) / 10 // 0.8 * capacity per subtable = 2.4s total
-	if per < 4 {
-		per = 4
-	}
+	per := perTableFor(capacity)
 	r := &Recovery{
 		capacity: capacity,
 		universe: universe,
@@ -77,6 +76,12 @@ func NewRecovery(rng *rand.Rand, capacity int, universe uint64) *Recovery {
 		r.hs[i] = hash.NewPairwise(rng)
 	}
 	return r
+}
+
+// perTableFor returns the cells per subtable of a capacity-s sketch:
+// 0.8 * s, i.e. 2.4s cells in total, and never fewer than four.
+func perTableFor(capacity int) int {
+	return max(4, (8*capacity+9)/10)
 }
 
 // bucket returns the cell index of key x in subtable t.
@@ -283,32 +288,183 @@ func (r *Recovery) Sibling() *Recovery {
 	return s
 }
 
-// trySingleton checks whether cell index ci holds exactly one key and, if
-// so, returns (key, count, true).
-func (r *Recovery) trySingleton(ci int) (uint64, int64, bool) {
-	c := r.cells[ci]
+// Pair is one coordinate of a decoded vector.
+type Pair struct {
+	Key   uint64
+	Count int64
+}
+
+// Scratch is the caller-owned working state of DecodeInto: the copy of
+// the cells that gets peeled, the worklist and the recovered pairs. The
+// zero value is ready; one Scratch serves any number of decodes, of any
+// sketches, one at a time, and stops allocating once it has grown to the
+// largest of them.
+type Scratch struct {
+	cells []cell
+	work  []uint32
+	pairs []Pair
+}
+
+// DecodeInto recovers the sketched vector if it is capacity-sparse and
+// returns ErrDense when peeling stalls or the vector exceeds capacity.
+// It reads the sketch and writes only s, so any number of goroutines
+// may decode one sketch at once, each with its own Scratch. The pairs —
+// ascending distinct keys, nonzero counts — alias s and stay valid until
+// its next decode.
+func (r *Recovery) DecodeInto(s *Scratch) ([]Pair, error) {
+	pairs, peels, err := r.peel(s)
+	recordDecode(err == nil, peels)
+	return pairs, err
+}
+
+// peel is the decode kernel; peels counts the singletons it removed,
+// whatever the verdict.
+func (r *Recovery) peel(s *Scratch) (pairs []Pair, peels int, err error) {
+	// An honest peel empties its cell for good, so an honest sketch
+	// peels at most once per cell; crafted cells can trade one key back
+	// and forth for ever and are cut off there. The worklist is seeded
+	// with at most every cell and grows by two per peel.
+	n := len(r.cells)
+	s.cells = append(s.cells[:0], r.cells...)
+	if cap(s.work) < subtables*n {
+		s.work = make([]uint32, 0, subtables*n)
+	}
+	if cap(s.pairs) < n {
+		s.pairs = make([]Pair, 0, n)
+	}
+	cells, work, pairs := s.cells, s.work[:0], s.pairs[:0]
+	// One sweep seeds the worklist; after it a cell can only become a
+	// singleton when a peel changes it, so a peel queues the two other
+	// cells it touched and nothing is swept again.
+	for ci := range cells {
+		if cells[ci].count != 0 {
+			work = append(work, uint32(ci))
+		}
+	}
+	limit := divisionLimit(r.universe)
+	for head := 0; head < len(work); head++ {
+		ci := int(work[head])
+		x, fpx, ok := r.singleton(&cells[ci], ci, limit)
+		if !ok {
+			continue
+		}
+		if len(pairs) == n {
+			return nil, n, ErrDense
+		}
+		count := cells[ci].count
+		pairs = append(pairs, Pair{x, count})
+		// Negated in the field, not in int64, where -MinInt64 overflows.
+		dm := fieldOf(count)
+		if dm != 0 {
+			dm = nt.MersennePrime61 - dm
+		}
+		keyTerm := nt.MulModMersenne61(dm, x%nt.MersennePrime61)
+		fpTerm := nt.MulModMersenne61(dm, fpx)
+		for t := 0; t < subtables; t++ {
+			cj := r.bucket(t, x)
+			c := &cells[cj]
+			c.count -= count
+			c.keySum = nt.AddModMersenne61(c.keySum, keyTerm)
+			c.fpSum = nt.AddModMersenne61(c.fpSum, fpTerm)
+			if cj != ci && c.count != 0 {
+				work = append(work, uint32(cj))
+			}
+		}
+	}
+	peels = len(pairs)
+	for _, c := range cells {
+		if c != (cell{}) {
+			return nil, peels, ErrDense
+		}
+	}
+	// Only a false peel (a 1/p event) or crafted cells peel one key
+	// twice; folding repeats keeps the vector exact even then.
+	slices.SortFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+	pairs = foldRepeats(pairs)
+	if len(pairs) > r.capacity {
+		return nil, peels, ErrDense
+	}
+	return pairs, peels, nil
+}
+
+// foldRepeats sums the counts of equal keys in key-sorted pairs, in
+// place, and drops the keys whose counts cancel.
+func foldRepeats(pairs []Pair) []Pair {
+	out := pairs[:0]
+	for _, p := range pairs {
+		if last := len(out) - 1; last >= 0 && out[last].Key == p.Key {
+			if out[last].Count += p.Count; out[last].Count == 0 {
+				out = out[:last]
+			}
+			continue
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// CountOf returns key's count in a decoded vector — pairs as DecodeInto
+// returns them — and 0 when the vector does not hold it.
+func CountOf(pairs []Pair, key uint64) int64 {
+	i, found := slices.BinarySearchFunc(pairs, key, func(p Pair, k uint64) int { return cmp.Compare(p.Key, k) })
+	if !found {
+		return 0
+	}
+	return pairs[i].Count
+}
+
+// divisionLimit returns the largest |count| for which |count|*x cannot
+// wrap mod p for any key x below universe: |count|*(universe-1) < p.
+// Zero (no count qualifies) when the universe has no key above 0.
+func divisionLimit(universe uint64) uint64 {
+	if universe <= 1 {
+		return 0
+	}
+	return (nt.MersennePrime61 - 1) / (universe - 1)
+}
+
+// singleton checks whether cell c (index ci) holds exactly one key and,
+// if so, returns the key and its fingerprint. The candidate key is
+// keySum/count in the field. While |count| is within limit (see
+// divisionLimit) count*x did not wrap, so keySum — p - keySum for a
+// negative count — is |count|*x as an integer: one division finds x, and
+// a remainder means no in-range key explains the cell. Wider counts pay
+// the modular inverse.
+func (r *Recovery) singleton(c *cell, ci int, limit uint64) (x, fpx uint64, ok bool) {
 	if c.count == 0 {
 		return 0, 0, false
 	}
-	cm := fieldOf(c.count)
-	x := nt.MulModMersenne61(c.keySum, inverse(c.count))
+	a, sum := uint64(c.count), c.keySum
+	if c.count < 0 {
+		a = -a // 2^63 for MinInt64: above every limit
+		if sum != 0 {
+			sum = nt.MersennePrime61 - sum
+		}
+	}
+	if a <= limit {
+		if x = sum / a; x*a != sum {
+			return 0, 0, false
+		}
+	} else {
+		x = nt.MulModMersenne61(c.keySum, inverse(c.count))
+	}
 	if x >= r.universe {
 		return 0, 0, false
 	}
 	// The key must actually hash to this cell in this subtable.
-	t := ci / r.perTable
-	if r.bucket(t, x) != ci {
+	if r.bucket(ci/r.perTable, x) != ci {
 		return 0, 0, false
 	}
 	// Fingerprint must verify: fpSum == count * fp(x).
-	if c.fpSum != nt.MulModMersenne61(cm, r.fp.Field(x)) {
+	fpx = r.fp.Field(x)
+	if c.fpSum != nt.MulModMersenne61(fieldOf(c.count), fpx) {
 		return 0, 0, false
 	}
-	return x, c.count, true
+	return x, fpx, true
 }
 
 // inverse returns fieldOf(count)^-1 in the Mersenne field (0 for a count
-// that is 0 there). Most singletons hold a count of +-1.
+// that is 0 there).
 func inverse(count int64) uint64 {
 	switch count {
 	case 1:
@@ -340,72 +496,19 @@ func inverse(count int64) uint64 {
 	return mul(sqr(x59, 2), a)
 }
 
-// remove peels (x, count) out of all three subtables. The count is
-// negated in the field, not in int64, where -MinInt64 overflows.
-func (r *Recovery) remove(x uint64, count int64) {
-	xm := x % nt.MersennePrime61
-	fpx := r.fp.Field(x)
-	dm := fieldOf(count)
-	if dm != 0 {
-		dm = nt.MersennePrime61 - dm
-	}
-	for t := 0; t < subtables; t++ {
-		c := &r.cells[r.bucket(t, x)]
-		c.count -= count
-		c.keySum = nt.AddModMersenne61(c.keySum, nt.MulModMersenne61(dm, xm))
-		c.fpSum = nt.AddModMersenne61(c.fpSum, nt.MulModMersenne61(dm, fpx))
-	}
-}
-
-// Decode recovers the sketched vector if it is capacity-sparse,
-// restoring the sketch to its pre-Decode state before returning. It
-// returns ErrDense when peeling stalls or the vector exceeds capacity.
+// Decode is DecodeInto for a caller that wants a map and keeps no
+// scratch (a one-off sync exchange).
 func (r *Recovery) Decode() (map[uint64]int64, error) {
-	recovered := make(map[uint64]int64)
-	var peeled []struct {
-		x uint64
-		c int64
+	var s Scratch
+	pairs, err := r.DecodeInto(&s)
+	if err != nil {
+		return nil, err
 	}
-	restore := func() {
-		for _, p := range peeled {
-			r.Update(p.x, p.c)
-		}
+	vec := make(map[uint64]int64, len(pairs))
+	for _, p := range pairs {
+		vec[p.Key] = p.Count
 	}
-	progress := true
-	for progress {
-		progress = false
-		for ci := range r.cells {
-			x, count, ok := r.trySingleton(ci)
-			if !ok {
-				continue
-			}
-			r.remove(x, count)
-			recovered[x] += count
-			if recovered[x] == 0 {
-				delete(recovered, x)
-			}
-			peeled = append(peeled, struct {
-				x uint64
-				c int64
-			}{x, count})
-			progress = true
-			if len(peeled) > subtables*r.perTable+r.capacity {
-				restore()
-				return nil, ErrDense
-			}
-		}
-	}
-	for ci := range r.cells {
-		if r.cells[ci].count != 0 || r.cells[ci].keySum != 0 || r.cells[ci].fpSum != 0 {
-			restore()
-			return nil, ErrDense
-		}
-	}
-	restore()
-	if len(recovered) > r.capacity {
-		return nil, ErrDense
-	}
-	return recovered, nil
+	return vec, nil
 }
 
 // Capacity returns s.

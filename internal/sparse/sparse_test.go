@@ -244,17 +244,3 @@ func BenchmarkUpdate(b *testing.B) {
 		r.Update(uint64(i), 1)
 	}
 }
-
-func BenchmarkDecode64(b *testing.B) {
-	rng := rand.New(rand.NewSource(14))
-	r := NewRecovery(rng, 64, 1<<40)
-	for i := 0; i < 64; i++ {
-		r.Update(rng.Uint64()%(1<<40), 1+rng.Int63n(9))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Decode(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -23,7 +23,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hash"
@@ -74,6 +74,7 @@ type Sampler struct {
 	levels  l0.Window[sparse.Recovery]
 	proto   *sparse.Recovery // hash-sharing prototype for level sketches
 	entries []sparse.Entry   // UpdateColumns scratch: one pre-hashed entry per item
+	decode  sparse.Scratch   // read scratch: every level decodes into it, one at a time
 }
 
 // alwaysOn is the number of top levels Figure 8 keeps at every estimate:
@@ -171,26 +172,21 @@ func (sp *Sampler) updateRun(b *core.Batch, keys []uint64, deltas []int64) {
 // strict turnstile stream. On success the result has at least
 // min(K, ||f||_0) entries with the probability of Theorem 11.
 func (sp *Sampler) Recover() []uint64 {
-	found := make(map[uint64]bool)
-	// Denser (higher) levels decode last so sparse levels contribute
-	// first; order is cosmetic since we take a union.
+	out := []uint64{}
 	for _, lv := range sp.levels.Each {
-		vec, err := lv.Decode()
+		vec, err := lv.DecodeInto(&sp.decode)
 		if err != nil {
 			continue // DENSE level; other levels may still decode
 		}
-		for x, v := range vec {
-			if v > 0 {
-				found[x] = true
+		for _, p := range vec {
+			if p.Count > 0 {
+				out = append(out, p.Key)
 			}
 		}
 	}
-	out := make([]uint64, 0, len(found))
-	for x := range found {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	// The levels are nested samples, so most keys arrive more than once.
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Contains reports whether i belongs to the sampler's recovered
@@ -205,11 +201,11 @@ func (sp *Sampler) Contains(i uint64) bool {
 		if lv == nil {
 			continue
 		}
-		vec, err := lv.Decode()
+		vec, err := lv.DecodeInto(&sp.decode)
 		if err != nil {
 			continue // DENSE level; sparser evidence may still exist
 		}
-		if vec[i] > 0 {
+		if sparse.CountOf(vec, i) > 0 {
 			return true
 		}
 	}
@@ -244,12 +240,12 @@ func (sp *Sampler) ProbeBatch(b *core.Batch, keys []uint64, out []bool) {
 		out[t] = false
 	}
 	for j, lv := range sp.levels.Each {
-		vec, err := lv.Decode()
+		vec, err := lv.DecodeInto(&sp.decode)
 		if err != nil {
 			continue // DENSE level; sparser evidence may still exist
 		}
 		for t, i := range keys {
-			if !out[t] && uint64(j) >= minLv[t] && vec[i] > 0 {
+			if !out[t] && uint64(j) >= minLv[t] && sparse.CountOf(vec, i) > 0 {
 				out[t] = true
 			}
 		}
@@ -289,7 +285,7 @@ func (sp *Sampler) Merge(other *Sampler) error {
 func (sp *Sampler) Clone() *Sampler {
 	c := *sp
 	c.rough = sp.rough.Clone()
-	c.entries = nil
+	c.entries, c.decode = nil, sparse.Scratch{}
 	c.levels = sp.levels.Clone((*sparse.Recovery).Clone)
 	return &c
 }
