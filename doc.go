@@ -127,13 +127,15 @@
 // is bit-identical to an in-process Clone + Merge (asserted by
 // differential tests on the Fig1 workload for every structure), and
 // the restored structure keeps ingesting: counters, sampling clocks,
-// candidate trackers and norm scales all round-trip. Corrupt,
-// truncated, or wrong-version payloads return errors, never panic —
-// enforced by the FuzzUnmarshal target CI runs. The engine exposes the
-// sending half at aggregate level — Engine.Snapshot(kind) marshals one
-// structure's merged state — and the receiving half stays exactly the
-// three lines above; examples/distributedmerge runs the whole exchange
-// across real OS processes.
+// candidate trackers and norm scales all round-trip. UnmarshalBinary
+// copies what it keeps, so the caller may overwrite or reuse the bytes
+// the moment it returns. Corrupt, truncated, or wrong-version payloads
+// return errors, never panic — enforced by the FuzzUnmarshal target CI
+// runs. The engine exposes the sending half at aggregate level —
+// Engine.Snapshot(kind) marshals one structure's merged state — and
+// the receiving half stays exactly the three lines above;
+// examples/distributedmerge runs the whole exchange across real OS
+// processes.
 //
 // A site's whole state is a list of these envelopes, one per structure,
 // each tagged with its engine.Structures bit. The partitioned engine

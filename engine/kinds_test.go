@@ -154,3 +154,43 @@ func TestDecodeBlobsAllocatesOnceOverTheBlob(t *testing.T) {
 			len(payload), got, float64(got)/float64(len(payload)))
 	}
 }
+
+// TestSnapshotAllocatesTwiceOverTheBlob: a one-shard Snapshot clones the
+// shard's structure for the view (about 1x the blob) and encodes it into
+// ONE buffer grown once (1x) — every nesting level appends in place.
+// A level that marshals its child apart and copies it in, or a size
+// hint that falls short, each cost the blob again.
+func TestSnapshotAllocatesTwiceOverTheBlob(t *testing.T) {
+	cfg := bounded.Config{N: 1 << 20, Eps: 0.01, Alpha: 8, Seed: 1}
+	e, err := New(cfg, Options{Shards: 1, Structures: HeavyHitters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	batch := make([]bounded.Update, 5000)
+	for i := range batch {
+		batch[i] = bounded.Update{Index: uint64(i*i) % (1 << 20), Delta: 1}
+	}
+	snapshot := func() ([]byte, uint64) {
+		if err := e.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		blob, err := e.Snapshot(HeavyHitters)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob, after.TotalAlloc - before.TotalAlloc
+	}
+	snapshot() // warms the engine's own scratch
+	blob, got := snapshot()
+	if ceiling := uint64(len(blob)) * 5 / 2; got > ceiling {
+		t.Fatalf("Snapshot of a %d-byte blob allocated %d bytes (%.2fx), ceiling 2.5x",
+			len(blob), got, float64(got)/float64(len(blob)))
+	}
+}

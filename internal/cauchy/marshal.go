@@ -20,8 +20,18 @@ const (
 )
 
 // MarshalBinary encodes the dense Figure 5 sketch.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(sketchMagic, formatV1)
+func (s *Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// EncodedLen is the length of the sketch's encoding, a closed form of
+// its dimensions: what an enclosing structure grows its buffer by.
+func (s *Sketch) EncodedLen() int {
+	return 3 + 8 + 4 + s.hA.EncodedLen() + 4 + s.hAPrime.EncodedLen() + 4 + 8*len(s.y) + 4 + 8*len(s.yPrime) + 16
+}
+
+// AppendBinary appends the sketch's encoding to dst.
+func (s *Sketch) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, sketchMagic, formatV1)
+	w.Grow(s.EncodedLen())
 	w.U32(uint32(s.r))
 	w.U32(uint32(s.rPrime))
 	if err := w.Marshal(s.hA); err != nil {
@@ -74,8 +84,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 
 // MarshalBinary encodes the sampled Theorem 8 sketch: parameters, matrix
 // seeds, stream position, and every live level's fixed-point counters.
-func (s *SampledSketch) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(sampledSketchMagic, formatV1)
+func (s *SampledSketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends the sampled sketch's encoding to dst, growing
+// it once by the length its live levels will take.
+func (s *SampledSketch) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, sampledSketchMagic, formatV1)
+	w.Grow(3 + 20 + 4 + s.hA.EncodedLen() + 4 + s.hAPrime.EncodedLen() + 20 + s.win.Len()*(20+8*(s.r+s.rPrime)))
 	w.U32(uint32(s.r))
 	w.U32(uint32(s.rPrime))
 	w.I64(s.base)

@@ -3,6 +3,8 @@ package cauchy
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestSketchMarshalRoundTrip(t *testing.T) {
@@ -94,5 +96,24 @@ func TestCauchyUnmarshalRejectsGarbage(t *testing.T) {
 	bad[2] = 77
 	if err := freshS.UnmarshalBinary(bad); err == nil {
 		t.Error("accepted wrong version")
+	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: both sketches obey the wire
+// nesting rule and pay for one buffer, the sampled one with two levels
+// live.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	dense := NewSketch(rand.New(rand.NewSource(1)), 256, 64, 4)
+	sampled := NewSampledSketch(rand.New(rand.NewSource(2)), 256, 64, 4, 4, 6)
+	for i := uint64(0); i < 400; i++ {
+		dense.Update(i, int64(i%9)-4)
+		sampled.Update(i%64, 1)
+	}
+	if sampled.win.Len() < 2 {
+		t.Fatalf("sampled sketch has %d live levels, want at least 2", sampled.win.Len())
+	}
+	for _, m := range []wiretest.Codec{dense, sampled} {
+		wiretest.CheckAppend(t, m)
+		wiretest.CheckGrowsOnce(t, m)
 	}
 }

@@ -1,6 +1,7 @@
 package csss
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -24,8 +25,18 @@ const (
 )
 
 // MarshalBinary encodes the sketch.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(sketchMagic, formatV1)
+func (s *Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// EncodedLen is the length of the sketch's encoding, a closed form of
+// its dimensions: what an enclosing structure grows its buffer by.
+func (s *Sketch) EncodedLen() int {
+	return 3 + 20 + 4 + s.buckets.EncodedLen() + 24 + 16*len(s.table)
+}
+
+// AppendBinary appends the sketch's encoding to dst.
+func (s *Sketch) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, sketchMagic, formatV1)
+	w.Grow(s.EncodedLen())
 	w.U32(uint32(s.params.Rows))
 	w.U32(uint32(s.params.K))
 	w.I64(s.params.S)
@@ -37,9 +48,10 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	w.U32(uint32(s.p))
 	w.I64(s.maxCount)
 	w.U32(uint32(len(s.table)))
+	b := w.Extend(16 * len(s.table))
 	for c := range s.table {
-		w.I64(s.table[c][0])
-		w.I64(s.table[c][1])
+		binary.LittleEndian.PutUint64(b[16*c:], uint64(s.table[c][0]))
+		binary.LittleEndian.PutUint64(b[16*c+8:], uint64(s.table[c][1]))
 	}
 	return w.Bytes(), nil
 }
@@ -86,15 +98,14 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if uint64(nCells) != uint64(params.Rows)*cols || nCells*16 > rd.Remaining() {
 		return errors.New("csss: bad Sketch cell count")
 	}
-	table := make([]cell, nCells)
-	for c := range table {
-		table[c][0] = rd.I64()
-		table[c][1] = rd.I64()
-	}
+	b := rd.Take(16 * nCells)
 	if err := rd.Done(); err != nil {
 		return err
 	}
+	table := make([]cell, nCells)
 	for c := range table {
+		table[c][0] = int64(binary.LittleEndian.Uint64(b[16*c:]))
+		table[c][1] = int64(binary.LittleEndian.Uint64(b[16*c+8:]))
 		if table[c][0] < 0 || table[c][1] < 0 {
 			return errors.New("csss: negative sampled counter")
 		}
@@ -126,8 +137,17 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes the two-instance Lemma 5 tail estimator.
-func (te *TailEstimator) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(tailEstimatorMagic, formatV1)
+func (te *TailEstimator) MarshalBinary() ([]byte, error) { return te.AppendBinary(nil) }
+
+// EncodedLen is the length of the tail estimator's encoding.
+func (te *TailEstimator) EncodedLen() int {
+	return 3 + 4 + 4 + te.CS1.EncodedLen() + 4 + te.CS2.EncodedLen()
+}
+
+// AppendBinary appends the tail estimator's encoding to dst.
+func (te *TailEstimator) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, tailEstimatorMagic, formatV1)
+	w.Grow(te.EncodedLen())
 	w.U32(uint32(te.k))
 	if err := w.Marshal(te.CS1); err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
+	"repro/internal/wire/wiretest"
 )
 
 func TestSketchMarshalRoundTrip(t *testing.T) {
@@ -190,5 +191,22 @@ func TestSketchUnmarshalRejectsPositionPastBoundary(t *testing.T) {
 	binary.LittleEndian.PutUint64(blob[cs1+positionOffset(blob[cs1:]):], uint64(2*params.S+1))
 	if err := new(TailEstimator).UnmarshalBinary(blob); err == nil {
 		t.Error("tail estimator accepted an instance past its halving boundary")
+	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: the sketch and the tail
+// estimator obey the wire nesting rule, state their lengths exactly and
+// so pay for one buffer.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: 8})
+	sk := New(rand.New(rand.NewSource(17)), Params{Rows: 5, K: 64, S: 1 << 12})
+	core.UpdateBatch(sk.UpdateColumns, s.Updates)
+	te := NewTailEstimator(rand.New(rand.NewSource(3)), Params{Rows: 5, K: 32, S: 1 << 16, FixedPointBits: 4})
+	for i := uint64(0); i < 300; i++ {
+		te.UpdateWeighted(i, int64(i%5)-2, 1.5)
+	}
+	for _, m := range []wiretest.Codec{sk, te} {
+		wiretest.CheckAppend(t, m)
+		wiretest.CheckGrowsOnce(t, m)
 	}
 }

@@ -18,14 +18,19 @@ import (
 var errBadHashData = errors.New("hash: malformed KWise data")
 
 // MarshalBinary encodes the function's coefficients.
-func (h *KWise) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 4+8*len(h.coeffs))
-	buf[0], buf[1] = 'H', 'K'
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(h.coeffs)))
-	for i, c := range h.coeffs {
-		binary.LittleEndian.PutUint64(buf[4+8*i:], c)
+func (h *KWise) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
+
+// EncodedLen is the length of the function's encoding.
+func (h *KWise) EncodedLen() int { return 4 + 8*len(h.coeffs) }
+
+// AppendBinary appends the function's encoding to dst.
+func (h *KWise) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, 'H', 'K')
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.coeffs)))
+	for _, c := range h.coeffs {
+		dst = binary.LittleEndian.AppendUint64(dst, c)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // UnmarshalBinary restores a function serialized by MarshalBinary.
@@ -54,24 +59,27 @@ func (h *KWise) UnmarshalBinary(data []byte) error {
 // single-polynomial-per-row layout (bucket and sign share one
 // evaluation); the version byte rejects payloads from the historical
 // two-polynomial layout instead of silently mis-wiring them.
-func (b *Buckets) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 16+b.Rows*(4+4+8*4))
-	out = append(out, 'H', 'B', bucketsFormatV2)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(b.Rows))
-	binary.LittleEndian.PutUint64(hdr[4:], b.Cols)
-	out = append(out, hdr[:]...)
-	for i := 0; i < b.Rows; i++ {
-		enc, err := b.fns[i].MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(enc)))
-		out = append(out, l[:]...)
-		out = append(out, enc...)
+func (b *Buckets) MarshalBinary() ([]byte, error) { return b.AppendBinary(nil) }
+
+// EncodedLen is the length of the wiring's encoding.
+func (b *Buckets) EncodedLen() int {
+	n := 15
+	for _, f := range b.fns {
+		n += 4 + f.EncodedLen()
 	}
-	return out, nil
+	return n
+}
+
+// AppendBinary appends the wiring's encoding to dst.
+func (b *Buckets) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, 'H', 'B', bucketsFormatV2)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Rows))
+	dst = binary.LittleEndian.AppendUint64(dst, b.Cols)
+	for _, f := range b.fns {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.EncodedLen()))
+		dst, _ = f.AppendBinary(dst) // a KWise encoding cannot fail
+	}
+	return dst, nil
 }
 
 // bucketsFormatV2 tags the single-polynomial-per-row wire layout.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestKWiseMarshalRoundTrip(t *testing.T) {
@@ -79,4 +81,14 @@ func TestBucketsUnmarshalRejects(t *testing.T) {
 			t.Errorf("case %d: accepted bad data", i)
 		}
 	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: both hash encodings obey the
+// wire nesting rule and state their lengths exactly.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, k := range []int{1, 4, 16} {
+		wiretest.CheckAppend(t, NewKWise(rng, k))
+	}
+	wiretest.CheckAppend(t, NewBuckets(rng, 5, 96))
 }

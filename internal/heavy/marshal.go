@@ -22,8 +22,17 @@ const (
 )
 
 // MarshalBinary encodes the Section 3 structure.
-func (h *AlphaL1) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(alphaL1Magic, formatV1)
+func (h *AlphaL1) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
+
+// AppendBinary appends the structure's encoding to dst, growing it
+// once by the length its components will take.
+func (h *AlphaL1) AppendBinary(dst []byte) ([]byte, error) {
+	size := 3 + 33 + 4 + h.sk.EncodedLen() + 4 + h.tracker.EncodedLen()
+	if h.mode == General {
+		size += 4 + h.scale.l1Est.EncodedLen()
+	}
+	w := wire.Append(dst, alphaL1Magic, formatV1)
+	w.Grow(size)
 	w.U8(uint8(h.mode))
 	w.F64(h.eps)
 	w.U64(h.n)
@@ -86,8 +95,13 @@ func (h *AlphaL1) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes the Appendix A structure.
-func (h *AlphaL2) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(alphaL2Magic, formatV1)
+func (h *AlphaL2) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
+
+// AppendBinary appends the structure's encoding to dst, growing it
+// once by the length its components will take.
+func (h *AlphaL2) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, alphaL2Magic, formatV1)
+	w.Grow(3 + 24 + 4 + h.insCS.EncodedLen() + 4 + h.verCS.EncodedLen() + 4 + h.trk.EncodedLen())
 	w.F64(h.eps)
 	w.F64(h.alpha)
 	w.U64(h.n)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
+	"repro/internal/wire/wiretest"
 )
 
 func fig1Workload(seed int64) []stream.Update {
@@ -88,5 +89,22 @@ func TestHeavyUnmarshalRejectsGarbage(t *testing.T) {
 	bad[3] = 9 // mode byte
 	if err := fresh.UnmarshalBinary(bad); err == nil {
 		t.Error("accepted unknown mode")
+	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: both structures obey the wire
+// nesting rule and grow their buffer once for all their components.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	l2 := NewAlphaL2(rand.New(rand.NewSource(12)), 1<<12, 0.1, 2)
+	core.UpdateBatch(l2.UpdateColumns, fig1Workload(4))
+	cases := []wiretest.Codec{l2}
+	for _, mode := range []Mode{Strict, General} {
+		h := NewAlphaL1(rand.New(rand.NewSource(11)), AlphaL1Params{N: 1 << 12, Eps: 0.05, Mode: mode, Alpha: 4})
+		core.UpdateBatch(h.UpdateColumns, fig1Workload(3))
+		cases = append(cases, h)
+	}
+	for _, m := range cases {
+		wiretest.CheckAppend(t, m)
+		wiretest.CheckGrowsOnce(t, m)
 	}
 }

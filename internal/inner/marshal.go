@@ -19,8 +19,20 @@ const (
 )
 
 // MarshalBinary encodes the estimator.
-func (e *Estimator) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(estimatorMagic, formatV1)
+func (e *Estimator) MarshalBinary() ([]byte, error) { return e.AppendBinary(nil) }
+
+// AppendBinary appends the estimator's encoding to dst, growing it
+// once by the length its hashes and live levels will take.
+func (e *Estimator) AppendBinary(dst []byte) ([]byte, error) {
+	size := 3 + 40
+	for r := range e.hb {
+		size += 4 + e.hb[r].EncodedLen() + 4 + e.hs[r].EncodedLen()
+	}
+	for _, sd := range []*side{e.f, e.g} {
+		size += 20 + sd.win.Len()*(16+e.params.Rows*(4+8*e.params.K))
+	}
+	w := wire.Append(dst, estimatorMagic, formatV1)
+	w.Grow(size)
 	w.U64(e.params.N)
 	w.F64(e.params.Eps)
 	w.I64(e.params.Base)

@@ -3,6 +3,8 @@ package inner
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func buildEstimator(seed int64) *Estimator {
@@ -108,4 +110,19 @@ func TestInnerUnmarshalRejectsGarbage(t *testing.T) {
 	if err := fresh.UnmarshalBinary(bad); err == nil {
 		t.Error("accepted wrong version")
 	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: the estimator obeys the wire
+// nesting rule and pays for one buffer, with two levels live on a side.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	e := New(rand.New(rand.NewSource(41)), Params{N: 1 << 10, Eps: 0.05, Base: 4, Rows: 5})
+	for i := uint64(0); i < 200; i++ {
+		e.UpdateF(i%40, 2)
+		e.UpdateG(i%40, 1)
+	}
+	if e.f.win.Len() < 2 {
+		t.Fatalf("side f has %d live levels, want at least 2", e.f.win.Len())
+	}
+	wiretest.CheckAppend(t, e)
+	wiretest.CheckGrowsOnce(t, e)
 }

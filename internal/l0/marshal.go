@@ -1,8 +1,9 @@
 package l0
 
 import (
+	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/hash"
 	"repro/internal/nt"
@@ -22,9 +23,21 @@ const (
 	formatV1        = 1
 )
 
+// The EncodedLen methods below give each structure's encoded length as
+// a closed form of its dimensions; Estimator, the one that reaches a
+// public envelope, grows its buffer by it once.
+
 // MarshalBinary encodes the exact small-L0 structure.
-func (e *ExactSmall) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(exactSmallMagic, formatV1)
+func (e *ExactSmall) MarshalBinary() ([]byte, error) { return e.AppendBinary(nil) }
+
+// EncodedLen is the length of the structure's encoding.
+func (e *ExactSmall) EncodedLen() int {
+	return 3 + 25 + 4 + e.hash.EncodedLen() + 4 + 16*len(e.counters)
+}
+
+// AppendBinary appends the structure's encoding to dst.
+func (e *ExactSmall) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, exactSmallMagic, formatV1)
 	w.U32(uint32(e.c))
 	w.U64(e.buckets)
 	w.U64(e.prime)
@@ -37,11 +50,12 @@ func (e *ExactSmall) MarshalBinary() ([]byte, error) {
 	for b := range e.counters {
 		keys = append(keys, b)
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	w.U32(uint32(len(keys)))
-	for _, b := range keys {
-		w.U64(b)
-		w.U64(e.counters[b])
+	out := w.Extend(16 * len(keys))
+	for i, b := range keys {
+		binary.LittleEndian.PutUint64(out[16*i:], b)
+		binary.LittleEndian.PutUint64(out[16*i+8:], e.counters[b])
 	}
 	return w.Bytes(), nil
 }
@@ -73,13 +87,11 @@ func (e *ExactSmall) UnmarshalBinary(data []byte) error {
 	if n < 0 || n*16 > rd.Remaining() {
 		return errors.New("l0: bad ExactSmall counter count")
 	}
+	in := rd.Take(16 * n)
 	counters := make(map[uint64]uint64, n)
 	for i := 0; i < n; i++ {
-		b := rd.U64()
-		val := rd.U64()
-		if rd.Err() != nil {
-			return rd.Err()
-		}
+		b := binary.LittleEndian.Uint64(in[16*i:])
+		val := binary.LittleEndian.Uint64(in[16*i+8:])
 		if b >= buckets || val == 0 || val >= prime {
 			return errors.New("l0: bad ExactSmall counter")
 		}
@@ -102,8 +114,20 @@ func (e *ExactSmall) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes the rough F0 overestimator.
-func (r *RoughF0) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(roughF0Magic, formatV1)
+func (r *RoughF0) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
+
+// EncodedLen is the length of the overestimator's encoding.
+func (r *RoughF0) EncodedLen() int {
+	n := 3 + 20 + 4 + 8*len(r.bitmaps)
+	for _, h := range r.hs {
+		n += 4 + h.EncodedLen()
+	}
+	return n
+}
+
+// AppendBinary appends the overestimator's encoding to dst.
+func (r *RoughF0) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, roughF0Magic, formatV1)
 	w.I64(r.best)
 	w.I64(r.safety)
 	w.U32(uint32(len(r.hs)))
@@ -162,8 +186,23 @@ func (r *RoughF0) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes the constant-factor L0 estimator.
-func (r *RoughL0) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(roughL0Magic, formatV1)
+func (r *RoughL0) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
+
+// EncodedLen is the length of the estimator's encoding.
+func (r *RoughL0) EncodedLen() int {
+	n := 3 + 25 + 4 + r.h.EncodedLen() + 4 + 4 + 4*r.levels.ever.Len()
+	if r.windowed {
+		n += 4 + r.rough.EncodedLen()
+	}
+	for _, b := range r.levels.Each {
+		n += 8 + b.EncodedLen()
+	}
+	return n
+}
+
+// AppendBinary appends the estimator's encoding to dst.
+func (r *RoughL0) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, roughL0Magic, formatV1)
 	w.U32(uint32(r.maxLevel))
 	w.I64(r.levelSeed)
 	w.Bool(r.windowed)
@@ -239,8 +278,25 @@ func (r *RoughL0) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes the (1 +- eps) balls-into-bins estimator.
-func (e *Estimator) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(estimatorMagic, formatV1)
+func (e *Estimator) MarshalBinary() ([]byte, error) { return e.AppendBinary(nil) }
+
+// EncodedLen is the length of the estimator's encoding.
+func (e *Estimator) EncodedLen() int {
+	n := 3 + 45 + 12 + 8*(len(e.u)+len(e.us)+len(e.singleRow)) +
+		4 + e.final.EncodedLen() + 4 + e.small.EncodedLen() + 4 + e.rows.Len()*(8+8*e.k)
+	for _, h := range []*hash.KWise{e.h1, e.h2, e.h3, e.h4, e.h2s, e.h3s, e.h4s} {
+		n += 4 + h.EncodedLen()
+	}
+	if e.params.Windowed {
+		n += 4 + e.rough.EncodedLen()
+	}
+	return n
+}
+
+// AppendBinary appends the estimator's encoding to dst.
+func (e *Estimator) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, estimatorMagic, formatV1)
+	w.Grow(e.EncodedLen())
 	w.U64(e.params.N)
 	w.F64(e.params.Eps)
 	w.Bool(e.params.Windowed)

@@ -3,6 +3,8 @@ package l0
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestExactSmallMarshalRoundTrip(t *testing.T) {
@@ -136,5 +138,35 @@ func TestL0UnmarshalRejectsGarbage(t *testing.T) {
 	bad[2] = 200
 	if err := fresh.UnmarshalBinary(bad); err == nil {
 		t.Error("accepted wrong version")
+	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: all four structures obey the
+// wire nesting rule and state their lengths exactly, windowed and not;
+// the estimator — the one a public envelope holds — pays for one buffer.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	small := NewExactSmall(rand.New(rand.NewSource(1)), 50)
+	rough := NewRoughF0(rand.New(rand.NewSource(2)), 8)
+	for i := uint64(0); i < 5000; i++ {
+		small.Update(i%30, int64(i)+1)
+		rough.Update(i)
+	}
+	wiretest.CheckAppend(t, small)
+	wiretest.CheckAppend(t, rough)
+	for _, windowed := range []bool{false, true} {
+		r := NewRoughL0(rand.New(rand.NewSource(3)), 1<<12)
+		if windowed {
+			r = NewRoughL0Windowed(rand.New(rand.NewSource(3)), 1<<12, 8)
+		}
+		e := NewEstimator(rand.New(rand.NewSource(4)), Params{
+			N: 1 << 12, Eps: 0.1, Windowed: windowed, Window: RecommendedWindow(4, 0.1),
+		})
+		for i := uint64(0); i < 3000; i++ {
+			r.Update(i, 1)
+			e.Update(i%1500, 1)
+		}
+		wiretest.CheckAppend(t, r)
+		wiretest.CheckAppend(t, e)
+		wiretest.CheckGrowsOnce(t, e)
 	}
 }

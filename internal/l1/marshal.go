@@ -22,8 +22,11 @@ const (
 )
 
 // MarshalBinary encodes the estimator.
-func (a *AlphaEstimator) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(estimatorMagic, formatV1)
+func (a *AlphaEstimator) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
+
+// AppendBinary appends the estimator's encoding to dst.
+func (a *AlphaEstimator) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, estimatorMagic, formatV1)
 	w.I64(a.base)
 	switch c := a.clock.(type) {
 	case morrisClock:

@@ -3,6 +3,8 @@ package l1
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestAlphaEstimatorMarshalRoundTrip(t *testing.T) {
@@ -59,5 +61,19 @@ func TestAlphaEstimatorUnmarshalRejectsGarbage(t *testing.T) {
 	bad[2] = 42
 	if err := fresh.UnmarshalBinary(bad); err == nil {
 		t.Error("accepted wrong version")
+	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: the estimator obeys the wire
+// nesting rule under either clock.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	for _, a := range []*AlphaEstimator{
+		New(rand.New(rand.NewSource(1)), 1<<16),
+		NewExactClock(rand.New(rand.NewSource(1)), 1<<16),
+	} {
+		for i := uint64(0); i < 500; i++ {
+			a.Update(i, 3)
+		}
+		wiretest.CheckAppend(t, a)
 	}
 }

@@ -44,10 +44,25 @@ func (c *Counter) Increment() {
 	}
 }
 
+// unitMiss[v] is 1 - 2^-v scaled down by 2^-48. A draw u below it has
+// ln u / ln(1-p) > 1 + 2^-48, far above what the at most one ulp errors
+// of Log, Log1p and their quotient can take away, so Add's geometric
+// gap comes out at least 2: one event left cannot succeed. The table
+// ends where 1 - 2^-v stops being a float64 below 1.
+var unitMiss = func() (t [53]float64) {
+	for v := range t {
+		t[v] = (1 - math.Ldexp(1, -v)) * (1 - 0x1p-48)
+	}
+	return t
+}()
+
 // Add registers n events at once, exactly distributed as n Increment
 // calls: the wait until the next successful increment at exponent v is
 // Geometric(2^-v), so the batch walks geometric gaps — O(log n) work
-// per call instead of O(n).
+// per call instead of O(n). The unit step — the L1 estimator's clock
+// tick, almost always a miss — is answered from the draw alone whenever
+// it is clear of the boundary (see unitMiss); every success and the
+// band around 1-p take the arithmetic below, on the same one draw.
 func (c *Counter) Add(n int64) {
 	for n > 0 && c.v < 63 {
 		if c.v == 0 {
@@ -58,8 +73,11 @@ func (c *Counter) Add(n int64) {
 			n--
 			continue
 		}
-		p := math.Ldexp(1, -int(c.v))
 		u := c.rng.Float64()
+		if n == 1 && int(c.v) < len(unitMiss) && u < unitMiss[c.v] {
+			return
+		}
+		p := math.Ldexp(1, -int(c.v))
 		if u == 0 {
 			u = math.SmallestNonzeroFloat64
 		}

@@ -164,3 +164,101 @@ func TestAddGapBeyondInt64(t *testing.T) {
 		t.Fatalf("exponent after Add(1000) at v=60 is %d, want 60", got)
 	}
 }
+
+// referenceAdd is Add as it stood before the unit step learned to skip
+// its logarithms: the oracle the fast path must agree with draw for
+// draw.
+func referenceAdd(c *Counter, n int64) {
+	for n > 0 && c.v < 63 {
+		if c.v == 0 {
+			c.v++
+			if c.v > c.max {
+				c.max = c.v
+			}
+			n--
+			continue
+		}
+		p := math.Ldexp(1, -int(c.v))
+		u := c.rng.Float64()
+		if u == 0 {
+			u = math.SmallestNonzeroFloat64
+		}
+		gap := math.Floor(math.Log(u)/math.Log1p(-p)) + 1
+		if gap < 1 {
+			gap = 1
+		}
+		if gap >= 1<<63 || int64(gap) > n {
+			return
+		}
+		n -= int64(gap)
+		c.v++
+		if c.v > c.max {
+			c.max = c.v
+		}
+	}
+}
+
+// scriptSource plays back fixed Int63 values; Float64 divides each by
+// 2^63, so k << 10 draws the uniform k / 2^53 exactly.
+type scriptSource struct {
+	vals []int64
+	next int
+}
+
+func (s *scriptSource) Int63() int64 { s.next++; return s.vals[s.next-1] }
+func (s *scriptSource) Seed(int64)   {}
+
+// TestAddUnitFastPathMatchesReference: Add(1) is bit-identical to the
+// all-logarithm body — the same exponent after every step and the same
+// number of draws spent — on long same-seed runs and, for every
+// exponent, on draws planted within 3000 grid steps of the success
+// boundary 1 - 2^-v, where the skip must hand over to the arithmetic.
+func TestAddUnitFastPathMatchesReference(t *testing.T) {
+	seeds, steps := 10, 2_000_000
+	if testing.Short() {
+		seeds, steps = 2, 200_000
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		fastRng, refRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		fast, ref := New(fastRng), New(refRng)
+		for i := 0; i < steps; i++ {
+			fast.Add(1)
+			referenceAdd(ref, 1)
+			if fast.v != ref.v || fast.max != ref.max {
+				t.Fatalf("seed %d step %d: exponent %d (max %d), reference %d (max %d)", seed, i, fast.v, fast.max, ref.v, ref.max)
+			}
+		}
+		if a, b := fastRng.Int63(), refRng.Int63(); a != b {
+			t.Fatalf("seed %d: the rngs left in step: next draws %d and %d", seed, a, b)
+		}
+	}
+
+	const grid, reach = int64(1) << 53, 3000
+	cases, successes := 0, 0
+	for v := uint8(1); v <= 62; v++ {
+		boundary := grid - 1 // 1 - 2^-v is above every draw from v = 54 on
+		if v <= 53 {
+			boundary = grid - grid>>v
+		}
+		for k := max(0, boundary-reach); k <= min(grid-1, boundary+reach); k++ {
+			// A second value stands behind the first so that a wrong
+			// extra draw shows up as a difference, not as a panic.
+			fastSrc, refSrc := &scriptSource{vals: []int64{k << 10, 1}}, &scriptSource{vals: []int64{k << 10, 1}}
+			fast, ref := Restore(rand.New(fastSrc), v, v), Restore(rand.New(refSrc), v, v)
+			fast.Add(1)
+			referenceAdd(ref, 1)
+			if fast.v != ref.v || fast.max != ref.max || fastSrc.next != refSrc.next {
+				t.Fatalf("v=%d u=%d/2^53: exponent %d after %d draws, reference %d after %d",
+					v, k, fast.v, fastSrc.next, ref.v, refSrc.next)
+			}
+			cases++
+			if ref.v > v {
+				successes++
+			}
+		}
+	}
+	if successes == 0 || successes == cases {
+		t.Fatalf("%d of %d boundary cases succeeded: the planted draws do not straddle the boundary", successes, cases)
+	}
+	t.Logf("%d boundary cases, %d successes, no differences", cases, successes)
+}

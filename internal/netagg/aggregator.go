@@ -67,10 +67,11 @@ func (o *AggregatorOptions) fill() {
 	o.Logf = logfOr(o.Logf)
 }
 
-// agentState is one agent's latest committed contribution. Sketches
-// are immutable once stored — a commit REPLACES pointers, it never
-// mutates a stored sketch — so the merged-view builder may read them
-// outside the lock after capturing the pointers under it.
+// agentState is one agent's latest committed contribution: exactly the
+// kinds its newest snapshot carried. Sketches are immutable once stored
+// — a commit REPLACES the whole map, it never mutates a stored sketch
+// or keeps a kind the snapshot left out — so the merged-view builder
+// may read them outside the lock after capturing the pointers under it.
 type agentState struct {
 	sketches map[engine.Structures]bounded.Sketch
 	seq      uint64 // highest committed Snapshot.Seq
@@ -399,11 +400,17 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 	if err != nil {
 		return err
 	}
+	// The agent's whole kind map, from this list alone: a kind the
+	// snapshot leaves out is a kind the agent no longer contributes.
+	sketches := make(map[engine.Structures]bounded.Sketch, len(decoded))
+	for j, sk := range decoded {
+		sketches[engine.Structures(m.Sketches[j].Bit)] = sk
+	}
 
 	a.mu.Lock()
 	st := a.agents[id]
 	if st == nil {
-		st = &agentState{sketches: make(map[engine.Structures]bounded.Sketch)}
+		st = &agentState{}
 		a.agents[id] = st
 		a.registerAgentGauge(id, st)
 	}
@@ -415,9 +422,7 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 		a.snapshotsStale.Add(1)
 		return nil
 	}
-	for j, sk := range decoded {
-		st.sketches[engine.Structures(m.Sketches[j].Bit)] = sk
-	}
+	st.sketches = sketches
 	st.seq = m.Seq
 	st.gen = m.Gen
 	st.lastSyncUnixNano.Store(time.Now().UnixNano())

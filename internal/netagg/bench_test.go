@@ -13,7 +13,7 @@ import (
 // benchSetup stands up a loopback aggregator + one agent with phase-1
 // state committed, so each benchmark iteration measures steady-state
 // work, not cold starts.
-func benchSetup(b *testing.B) (*Agent, *Aggregator, string) {
+func benchSetup(b testing.TB) (*Agent, *Aggregator, string) {
 	b.Helper()
 	agg, err := NewAggregator(AggregatorOptions{Config: testConfig, Structures: testStructures})
 	if err != nil {
@@ -52,6 +52,7 @@ func BenchmarkSyncRoundTrip(b *testing.B) {
 	a, _, _ := benchSetup(b)
 	tick := []bounded.Update{{Index: 1, Delta: 1}}
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := a.Ingest(tick); err != nil {
@@ -64,7 +65,9 @@ func BenchmarkSyncRoundTrip(b *testing.B) {
 	b.StopTimer()
 	st := a.Stats()
 	if st.SnapshotsSent > 0 {
-		b.ReportMetric(float64(st.BytesOut)/float64(st.SnapshotsSent), "bytes/snapshot")
+		perSnapshot := float64(st.BytesOut) / float64(st.SnapshotsSent)
+		b.SetBytes(int64(perSnapshot))
+		b.ReportMetric(perSnapshot, "bytes/snapshot")
 	}
 }
 

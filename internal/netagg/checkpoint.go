@@ -26,8 +26,8 @@ const (
 )
 
 // aggAgentRow is one agent's state captured under a.mu for
-// checkpointing. Sketch pointers are safe to marshal outside the lock:
-// commits replace pointers, they never mutate a stored sketch.
+// checkpointing. The kind map is safe to marshal outside the lock:
+// commits replace it, they never mutate it or a stored sketch.
 type aggAgentRow struct {
 	id           string
 	seq, gen     uint64
@@ -209,23 +209,18 @@ func (a *Aggregator) Checkpoint() error {
 		a.mu.Unlock()
 		return nil
 	}
-	// Stored sketches are immutable once committed (commits REPLACE
-	// pointers), so capturing the pointers under the lock licenses
-	// marshaling them outside it; only the maps themselves need
-	// private copies.
+	// An agent's kind map and the sketches in it are immutable once
+	// committed (a commit REPLACES the map), so capturing the maps under
+	// the lock licenses marshaling them outside it.
 	rows := make([]aggAgentRow, 0, len(a.agents))
 	for id, st := range a.agents {
-		private := make(map[engine.Structures]bounded.Sketch, len(st.sketches))
-		for bit, sk := range st.sketches {
-			private[bit] = sk
-		}
 		rows = append(rows, aggAgentRow{
 			id:           id,
 			seq:          st.seq,
 			gen:          st.gen,
 			lastSyncNano: st.lastSyncUnixNano.Load(),
 			snapshots:    st.snapshots.Load(),
-			sketches:     private,
+			sketches:     st.sketches,
 		})
 	}
 	a.mu.Unlock()

@@ -64,6 +64,8 @@ func FuzzFrameDecode(f *testing.F) {
 	hostile.U64(1)
 	hostile.U32(0xFFFFFFFF)
 	f.Add(frame(hostile.Bytes()))
+	// A header claiming the whole cap, ten body bytes, then EOF.
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 1<<20), "ten bytes!"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mr := NewMessageReader(bytes.NewReader(data), 1<<20)

@@ -411,9 +411,12 @@ func decodeString(r *wire.Reader, what string) (string, error) {
 }
 
 // Encode serializes one message as a frame payload (no length prefix;
-// pair it with wire.WriteFrame / WriteMessage).
-func Encode(m Msg) []byte {
-	w := wire.NewWriter(Magic, VersionMax)
+// pair it with wire.WriteFrame, or send it with a MessageWriter).
+func Encode(m Msg) []byte { return appendMessage(nil, m) }
+
+// appendMessage appends one message's frame payload to dst.
+func appendMessage(dst []byte, m Msg) []byte {
+	w := wire.Append(dst, Magic, VersionMax)
 	w.U8(uint8(m.Kind()))
 	m.encode(w)
 	return w.Bytes()
@@ -475,24 +478,33 @@ func Negotiate(h *Hello) (uint8, error) {
 
 // WriteMessage frames and writes one message. It allocates per call;
 // hot paths hold a MessageWriter instead.
-func WriteMessage(w io.Writer, m Msg) error {
-	return wire.WriteFrame(w, Encode(m))
-}
+func WriteMessage(w io.Writer, m Msg) error { return NewMessageWriter(w).Write(m) }
 
-// MessageWriter writes framed messages over one stream, reusing the
-// frame buffer across sends. Not safe for concurrent use; connection
+// MessageWriter writes framed messages over one stream. A frame is
+// built where it is sent: the message encodes into the writer's one
+// buffer behind a reserved length prefix, which is reused across sends,
+// so a steady snapshot or query stream allocates only when a frame
+// outgrows every earlier one. Not safe for concurrent use; connection
 // owners serialize their writes.
 type MessageWriter struct {
-	fw *wire.FrameWriter
+	w   io.Writer
+	buf []byte
 }
 
 // NewMessageWriter returns a MessageWriter over w.
-func NewMessageWriter(w io.Writer) *MessageWriter {
-	return &MessageWriter{fw: wire.NewFrameWriter(w)}
-}
+func NewMessageWriter(w io.Writer) *MessageWriter { return &MessageWriter{w: w} }
 
-// Write frames and writes one message.
-func (mw *MessageWriter) Write(m Msg) error { return mw.fw.WriteFrame(Encode(m)) }
+// Write frames one message and writes it with a single Write call (one
+// syscall, one TCP segment for small frames).
+func (mw *MessageWriter) Write(m Msg) error {
+	mw.buf = appendMessage(append(mw.buf[:0], make([]byte, wire.FrameHeaderLen)...), m)
+	frame, err := wire.SealFrame(mw.buf)
+	if err != nil {
+		return err
+	}
+	_, err = mw.w.Write(frame)
+	return err
+}
 
 // MessageReader reads framed messages off one stream — wire.FrameReader
 // (streaming frame assembly, partial-read tolerant, size-capped)

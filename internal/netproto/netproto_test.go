@@ -2,7 +2,9 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"net"
 	"reflect"
 	"testing"
 
@@ -185,5 +187,104 @@ func TestKindAndOpStrings(t *testing.T) {
 	}
 	if reflect.TypeOf(Role(0)).Kind() != reflect.Uint8 {
 		t.Error("Role must stay one byte (wire format)")
+	}
+}
+
+// TestMessageWriterFrameEqualsEncode: what a MessageWriter puts on a
+// connection is the 4-byte length followed by Encode's bytes, in ONE
+// Write per message, for every message kind — and still after the
+// writer's buffer has held a larger frame.
+func TestMessageWriterFrameEqualsEncode(t *testing.T) {
+	msgs := []Msg{
+		&Snapshot{Seq: 9, Gen: 31, Sketches: []wire.Blob{
+			{Bit: 1, Payload: bytes.Repeat([]byte{0xBD}, 70000)},
+			{Bit: 4, Payload: []byte("second")},
+		}},
+		&Hello{Role: RoleAgent, Agent: "site-7", MinVersion: VersionMin, MaxVersion: VersionMax,
+			Config: ConfigEcho{N: 1 << 20, Eps: 0.05, Alpha: 4, Seed: -7}, Structures: 0b101, Shards: 8},
+		&Welcome{Version: 1, LastSeq: 42},
+		&Snapshot{Seq: 1, Gen: 0},
+		&Ack{Seq: 9},
+		&Query{ID: 3, Op: OpEstimate, Keys: []uint64{1, 2, 1 << 40}},
+		&Answer{ID: 3, Err: "partial", Values: []float64{1.5, -2, 0}, Keys: []uint64{7}},
+		&Error{Msg: "config mismatch"},
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	sent := make(chan error, 1)
+	go func() {
+		defer server.Close()
+		mw := NewMessageWriter(server)
+		for _, m := range msgs {
+			if err := mw.Write(m); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for _, m := range msgs {
+		want := Encode(m)
+		want = append(binary.LittleEndian.AppendUint32(nil, uint32(len(want))), want...)
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(client, got); err != nil {
+			t.Fatalf("%s: reading the frame: %v", m.Kind(), err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: bytes on the connection differ from length ‖ Encode(m)", m.Kind())
+		}
+	}
+	if n, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("after the last frame: read %d bytes, %v; want EOF", n, err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+
+	var writes []int
+	mw := NewMessageWriter(writerFunc(func(p []byte) (int, error) {
+		writes = append(writes, len(p))
+		return len(p), nil
+	}))
+	for _, m := range msgs[:3] {
+		if err := mw.Write(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(writes) != 3 {
+		t.Errorf("3 messages took Write calls of %v bytes, want one call each", writes)
+	}
+}
+
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestSnapshotPayloadsAliasFrame pins what MessageReader.Next documents:
+// a SNAPSHOT's blob payloads are views of the reader's one frame buffer
+// — no copy per blob — so they hold the NEXT frame's bytes once it has
+// been read.
+func TestSnapshotPayloadsAliasFrame(t *testing.T) {
+	var buf bytes.Buffer
+	mw := NewMessageWriter(&buf)
+	for _, fill := range []byte{'a', 'b'} {
+		if err := mw.Write(&Snapshot{Seq: 1, Sketches: []wire.Blob{{Bit: 1, Payload: bytes.Repeat([]byte{fill}, 512)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mr := NewMessageReader(&buf, 0)
+	first, err := mr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := first.(*Snapshot).Sketches[0].Payload
+	if !bytes.Equal(held, bytes.Repeat([]byte{'a'}, 512)) {
+		t.Fatalf("first payload = %q", held[:8])
+	}
+	if _, err := mr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, bytes.Repeat([]byte{'b'}, 512)) {
+		t.Fatalf("the first frame's payload reads %q after the second frame: it was copied out of the frame buffer", held[:8])
 	}
 }

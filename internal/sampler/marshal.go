@@ -23,8 +23,17 @@ const (
 )
 
 // MarshalBinary encodes all parallel instances.
-func (s *Sampler) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(samplerMagic, formatV1)
+func (s *Sampler) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends the sampler's encoding to dst, growing it once
+// by the length its instances will take.
+func (s *Sampler) AppendBinary(dst []byte) ([]byte, error) {
+	size := 3 + 4
+	for _, in := range s.instances {
+		size += 4 + in.EncodedLen()
+	}
+	w := wire.Append(dst, samplerMagic, formatV1)
+	w.Grow(size)
 	w.U32(uint32(len(s.instances)))
 	for _, in := range s.instances {
 		if err := w.Marshal(in); err != nil {
@@ -64,8 +73,20 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes one sampling instance.
-func (in *instance) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(instanceMagic, formatV1)
+func (in *instance) MarshalBinary() ([]byte, error) { return in.AppendBinary(nil) }
+
+// EncodedLen is the length of one instance's encoding.
+func (in *instance) EncodedLen() int {
+	n := 3 + 89 + 4 + in.tHash.EncodedLen() + 4 + in.te.EncodedLen() + 4 + in.trk.EncodedLen()
+	if in.p.General {
+		n += 4 + in.rSketch.EncodedLen() + 4 + in.qSketch.EncodedLen()
+	}
+	return n
+}
+
+// AppendBinary appends one sampling instance's encoding to dst.
+func (in *instance) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, instanceMagic, formatV1)
 	w.U64(in.p.N)
 	w.F64(in.p.Eps)
 	w.U32(uint32(in.p.Rows))

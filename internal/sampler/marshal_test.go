@@ -3,6 +3,8 @@ package sampler
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestSamplerMarshalRoundTrip(t *testing.T) {
@@ -53,5 +55,21 @@ func TestSamplerUnmarshalRejectsGarbage(t *testing.T) {
 	bad[2] = 55
 	if err := fresh.UnmarshalBinary(bad); err == nil {
 		t.Error("accepted wrong version")
+	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: the sampler and one of its
+// instances obey the wire nesting rule; the sampler pays for one buffer
+// in either mode.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	for _, general := range []bool{false, true} {
+		s := New(rand.New(rand.NewSource(21)), Params{N: 1 << 10, Eps: 0.25, Alpha: 2, General: general}, 4)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 2000; i++ {
+			s.Update(uint64(rng.Intn(64)), 1)
+		}
+		wiretest.CheckAppend(t, s)
+		wiretest.CheckGrowsOnce(t, s)
+		wiretest.CheckAppend(t, s.instances[0])
 	}
 }

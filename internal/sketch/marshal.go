@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/hash"
+	"repro/internal/wire"
 )
 
 // Binary layout of a CountSketch: "CS" magic, rows, cols, maxAbs, mass,
@@ -16,29 +17,28 @@ import (
 var errBadSketchData = errors.New("sketch: malformed CountSketch data")
 
 // MarshalBinary encodes the sketch including its hash functions.
-func (cs *CountSketch) MarshalBinary() ([]byte, error) {
-	wiring, err := cs.buckets.MarshalBinary()
-	if err != nil {
-		return nil, err
+func (cs *CountSketch) MarshalBinary() ([]byte, error) { return cs.AppendBinary(nil) }
+
+// EncodedLen is the length of the sketch's encoding, a closed form of
+// its dimensions: what an enclosing structure grows its buffer by.
+func (cs *CountSketch) EncodedLen() int { return 34 + cs.buckets.EncodedLen() + 8*len(cs.flat) }
+
+// AppendBinary appends the sketch's encoding to dst.
+func (cs *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.Grow(dst, cs.EncodedLen())
+	dst = append(dst, 'C', 'S')
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(cs.rows))
+	dst = binary.LittleEndian.AppendUint64(dst, cs.cols)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(cs.MaxAbs()))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(cs.mass))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(cs.buckets.EncodedLen()))
+	dst, _ = cs.buckets.AppendBinary(dst) // a Buckets encoding cannot fail
+	at := len(dst)
+	dst = dst[:at+8*len(cs.flat)]
+	for i, v := range cs.flat {
+		binary.LittleEndian.PutUint64(dst[at+8*i:], uint64(v))
 	}
-	buf := make([]byte, 0, 64+len(wiring)+8*cs.rows*int(cs.cols))
-	buf = append(buf, 'C', 'S')
-	var hdr [40]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(cs.rows))
-	binary.LittleEndian.PutUint64(hdr[4:], cs.cols)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(cs.MaxAbs()))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(cs.mass))
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(len(wiring)))
-	buf = append(buf, hdr[:32]...)
-	buf = append(buf, wiring...)
-	var cell [8]byte
-	for r := range cs.table {
-		for _, v := range cs.table[r] {
-			binary.LittleEndian.PutUint64(cell[:], uint64(v))
-			buf = append(buf, cell[:]...)
-		}
-	}
-	return buf, nil
+	return dst, nil
 }
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
@@ -75,13 +75,12 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 		return errBadSketchData
 	}
 	flat := make([]int64, uint64(rows)*cols)
+	for i := range flat {
+		flat[i] = int64(binary.LittleEndian.Uint64(data[pos+8*i:]))
+	}
 	table := make([][]int64, rows)
 	for r := range table {
 		table[r] = flat[uint64(r)*cols : uint64(r+1)*cols : uint64(r+1)*cols]
-		for c := range table[r] {
-			table[r][c] = int64(binary.LittleEndian.Uint64(data[pos:]))
-			pos += 8
-		}
 	}
 	cs.buckets, cs.rows, cs.cols = buckets, rows, cols
 	cs.flat, cs.table, cs.mass = flat, table, mass

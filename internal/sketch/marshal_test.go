@@ -3,6 +3,8 @@ package sketch
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestCountSketchMarshalRoundTrip(t *testing.T) {
@@ -40,4 +42,15 @@ func TestCountSketchUnmarshalRejectsGarbage(t *testing.T) {
 	if err := cs.UnmarshalBinary(good[:len(good)-3]); err == nil {
 		t.Error("accepted truncated data")
 	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: the sketch obeys the wire
+// nesting rule, states its length exactly and pays for one buffer.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	cs := NewCountSketch(rand.New(rand.NewSource(1)), 5, 512)
+	for i := uint64(0); i < 500; i++ {
+		cs.Update(i, int64(i%7)-3)
+	}
+	wiretest.CheckAppend(t, cs)
+	wiretest.CheckGrowsOnce(t, cs)
 }

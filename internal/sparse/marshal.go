@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hash"
 	"repro/internal/nt"
+	"repro/internal/wire"
 )
 
 // Binary layout of a Recovery sketch: "SR" magic, capacity, universe,
@@ -18,37 +19,39 @@ import (
 var errBadRecoveryData = errors.New("sparse: malformed Recovery data")
 
 // MarshalBinary encodes the sketch including its hash functions.
-func (r *Recovery) MarshalBinary() ([]byte, error) {
-	var hashes [][]byte
+func (r *Recovery) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
+
+// EncodedLen is the length of the sketch's encoding, a closed form of
+// its dimensions: what an enclosing structure grows its buffer by.
+func (r *Recovery) EncodedLen() int {
+	n := 26 + 4 + r.fp.EncodedLen() + 24*len(r.cells)
+	for _, h := range r.hs {
+		n += 4 + h.EncodedLen()
+	}
+	return n
+}
+
+// AppendBinary appends the sketch's encoding to dst.
+func (r *Recovery) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.Grow(dst, r.EncodedLen())
+	dst = append(dst, 'S', 'R')
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.capacity))
+	dst = binary.LittleEndian.AppendUint64(dst, r.universe)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.perTable))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.maxCount))
 	for _, h := range []*hash.KWise{r.hs[0], r.hs[1], r.hs[2], r.fp} {
-		enc, err := h.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		hashes = append(hashes, enc)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(h.EncodedLen()))
+		dst, _ = h.AppendBinary(dst) // a KWise encoding cannot fail
 	}
-	buf := make([]byte, 0, 64+len(r.cells)*24)
-	buf = append(buf, 'S', 'R')
-	var hdr [32]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(r.capacity))
-	binary.LittleEndian.PutUint64(hdr[4:], r.universe)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(r.perTable))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(r.maxCount))
-	buf = append(buf, hdr[:24]...)
-	for _, enc := range hashes {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(enc)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, enc...)
+	at := len(dst)
+	dst = dst[:at+24*len(r.cells)]
+	for i, c := range r.cells {
+		b := dst[at+24*i : at+24*i+24]
+		binary.LittleEndian.PutUint64(b, uint64(c.count))
+		binary.LittleEndian.PutUint64(b[8:], c.keySum)
+		binary.LittleEndian.PutUint64(b[16:], c.fpSum)
 	}
-	var cell [24]byte
-	for _, c := range r.cells {
-		binary.LittleEndian.PutUint64(cell[0:], uint64(c.count))
-		binary.LittleEndian.PutUint64(cell[8:], c.keySum)
-		binary.LittleEndian.PutUint64(cell[16:], c.fpSum)
-		buf = append(buf, cell[:]...)
-	}
-	return buf, nil
+	return dst, nil
 }
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
@@ -90,15 +93,15 @@ func (r *Recovery) UnmarshalBinary(data []byte) error {
 	}
 	cells := make([]cell, nCells)
 	for i := range cells {
-		cells[i].count = int64(binary.LittleEndian.Uint64(data[pos:]))
-		cells[i].keySum = binary.LittleEndian.Uint64(data[pos+8:])
-		cells[i].fpSum = binary.LittleEndian.Uint64(data[pos+16:])
+		b := data[pos+24*i : pos+24*i+24]
+		cells[i].count = int64(binary.LittleEndian.Uint64(b))
+		cells[i].keySum = binary.LittleEndian.Uint64(b[8:])
+		cells[i].fpSum = binary.LittleEndian.Uint64(b[16:])
 		// Every encoder writes reduced sums; the field adds and the
 		// decode's division test assume them.
 		if cells[i].keySum >= nt.MersennePrime61 || cells[i].fpSum >= nt.MersennePrime61 {
 			return errBadRecoveryData
 		}
-		pos += 24
 	}
 	r.capacity, r.universe, r.perTable = capacity, universe, perTable
 	r.maxCount = maxCount

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -94,4 +96,15 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if err := r.UnmarshalBinary(good[:len(good)-5]); err == nil {
 		t.Error("accepted truncated data")
 	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: the sketch obeys the wire
+// nesting rule, states its length exactly and pays for one buffer.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	r := NewRecovery(rand.New(rand.NewSource(1)), 256, 1<<20)
+	for x := uint64(0); x < 100; x++ {
+		r.Update(x*977, int64(x)-50)
+	}
+	wiretest.CheckAppend(t, r)
+	wiretest.CheckGrowsOnce(t, r)
 }

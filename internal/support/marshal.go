@@ -20,8 +20,17 @@ const (
 )
 
 // MarshalBinary encodes the sampler.
-func (sp *Sampler) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(samplerMagic, formatV1)
+func (sp *Sampler) MarshalBinary() ([]byte, error) { return sp.AppendBinary(nil) }
+
+// AppendBinary appends the sampler's encoding to dst, growing it once
+// by the length its components will take.
+func (sp *Sampler) AppendBinary(dst []byte) ([]byte, error) {
+	size := 3 + 29 + 4 + sp.h.EncodedLen() + 4 + sp.rough.EncodedLen() + 4 + sp.proto.EncodedLen() + 4
+	for _, lv := range sp.levels.Each {
+		size += 8 + lv.EncodedLen()
+	}
+	w := wire.Append(dst, samplerMagic, formatV1)
+	w.Grow(size)
 	w.U64(sp.params.N)
 	w.U32(uint32(sp.params.K))
 	w.U32(uint32(sp.params.SparsityFactor))

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/l0"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 func TestSamplerMarshalRoundTrip(t *testing.T) {
@@ -187,5 +188,20 @@ func TestLevelListReadersRefuse(t *testing.T) {
 		if err := f.build(2).UnmarshalBinary(blob); err != nil {
 			t.Errorf("%s: honest blob refused: %v", f.magic, err)
 		}
+	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: the sampler obeys the wire
+// nesting rule and pays for one buffer, windowed and not.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	for _, windowed := range []bool{false, true} {
+		sp := NewSampler(rand.New(rand.NewSource(31)), Params{
+			N: 1 << 10, K: 8, Windowed: windowed, Window: RecommendedWindow(4),
+		})
+		for i := uint64(0); i < 200; i++ {
+			sp.Update(i*37%1024, int64(i)+1)
+		}
+		wiretest.CheckAppend(t, sp)
+		wiretest.CheckGrowsOnce(t, sp)
 	}
 }

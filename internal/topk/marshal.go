@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 
@@ -18,13 +19,20 @@ const (
 )
 
 // MarshalBinary encodes the tracked (item, estimate) set.
-func (t *Tracker) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(trackerMagic, trackerFormatV1)
+func (t *Tracker) MarshalBinary() ([]byte, error) { return t.AppendBinary(nil) }
+
+// EncodedLen is the length of the tracker's encoding.
+func (t *Tracker) EncodedLen() int { return 3 + 8 + 16*len(t.heap) }
+
+// AppendBinary appends the tracker's encoding to dst.
+func (t *Tracker) AppendBinary(dst []byte) ([]byte, error) {
+	w := wire.Append(dst, trackerMagic, trackerFormatV1)
 	w.U32(uint32(t.cap))
 	w.U32(uint32(len(t.heap)))
+	b := w.Extend(16 * len(t.heap))
 	for i := range t.heap {
-		w.U64(t.heap[i].id)
-		w.F64(t.heap[i].est)
+		binary.LittleEndian.PutUint64(b[16*i:], t.heap[i].id)
+		binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(t.heap[i].est))
 	}
 	return w.Bytes(), nil
 }
@@ -66,22 +74,19 @@ func (t *Tracker) UnmarshalBinary(data []byte) error {
 	if n < 0 || n > 2*capacity || n*16 > r.Remaining() {
 		return errors.New("topk: bad Tracker entry count")
 	}
-	ids := make([]uint64, n)
-	ests := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ids[i] = r.U64()
-		ests[i] = r.F64()
-	}
+	b := r.Take(16 * n)
 	if err := r.Done(); err != nil {
 		return err
 	}
 	restored := New(capacity)
 	for i := 0; i < n; i++ {
-		if math.IsNaN(ests[i]) {
+		id := binary.LittleEndian.Uint64(b[16*i:])
+		est := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
+		if math.IsNaN(est) {
 			return errors.New("topk: NaN estimate in Tracker payload")
 		}
 		before := restored.Len()
-		restored.Offer(ids[i], ests[i])
+		restored.Offer(id, est)
 		if restored.Len() == before {
 			// A duplicate id updates in place instead of growing the heap;
 			// a valid payload never carries duplicates.

@@ -2,6 +2,8 @@ package topk
 
 import (
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestTrackerMarshalRoundTrip(t *testing.T) {
@@ -69,4 +71,15 @@ func TestTrackerUnmarshalRejectsGarbage(t *testing.T) {
 	if err := fresh.UnmarshalBinary(d2); err == nil {
 		t.Error("accepted duplicate ids")
 	}
+}
+
+// TestAppendBinaryMatchesMarshalBinary: the tracker obeys the wire
+// nesting rule and states its length exactly, empty or full.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	tr := New(8)
+	wiretest.CheckAppend(t, tr)
+	for i := uint64(0); i < 40; i++ {
+		tr.Offer(i, float64(i)*1.5-20)
+	}
+	wiretest.CheckAppend(t, tr)
 }

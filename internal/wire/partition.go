@@ -53,12 +53,20 @@ type PartSnapshot struct {
 }
 
 // MarshalBinary frames the snapshot.
-func (p *PartSnapshot) MarshalBinary() ([]byte, error) {
+func (p *PartSnapshot) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
+
+// AppendBinary appends the framed snapshot to dst.
+func (p *PartSnapshot) AppendBinary(dst []byte) ([]byte, error) {
 	if len(p.Shards) != int(p.Header.Shards) {
 		return nil, fmt.Errorf("wire: partitioned snapshot header declares %d shards, body has %d",
 			p.Header.Shards, len(p.Shards))
 	}
-	w := NewWriter(partMagic, PartVersion)
+	size := 3 + 52 + len(p.Header.Partitioner)
+	for _, blobs := range p.Shards {
+		size += blobsLen(blobs)
+	}
+	w := Append(dst, partMagic, PartVersion)
+	w.Grow(size)
 	w.U32(p.Header.Shards)
 	w.Bytes32(p.Header.Partitioner)
 	w.U64(p.Header.N)
@@ -76,7 +84,7 @@ func (p *PartSnapshot) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary parses a frame produced by MarshalBinary. Like every
 // reader in this package it is allocation-bounded by the input size (a
 // corrupt count can never drive an oversized allocation) and commits
-// nothing on failure.
+// nothing on failure. The blob payloads alias data.
 func (p *PartSnapshot) UnmarshalBinary(data []byte) error {
 	r, v, err := NewReader(data, partMagic)
 	if err != nil {

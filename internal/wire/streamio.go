@@ -14,10 +14,12 @@
 //   - the length prefix is little-endian u32, like every other integer
 //     in the codec;
 //   - the reader refuses prefixes above its caller-chosen cap before
-//     allocating anything, so a corrupt or hostile length can never
-//     drive an allocation larger than the cap (the stream-side twin of
-//     Reader's remaining-bytes guard — on a stream "remaining" is
-//     unknowable, so the cap takes its place);
+//     allocating anything, and below the cap it reserves memory as the
+//     body arrives, never ahead of it, so a corrupt or hostile length
+//     can drive an allocation neither larger than the cap nor larger
+//     than about twice what the peer has actually sent (the stream-side
+//     twin of Reader's remaining-bytes guard — on a stream "remaining"
+//     is unknowable, so the cap and the bytes received take its place);
 //   - a clean EOF on a frame boundary reports io.EOF; an EOF inside a
 //     header or body reports io.ErrUnexpectedEOF — callers can tell a
 //     finished peer from a truncated one;
@@ -33,44 +35,38 @@ import (
 	"math"
 )
 
-// frameHeaderLen is the length-prefix size in bytes.
-const frameHeaderLen = 4
+const (
+	// FrameHeaderLen is the length-prefix size in bytes.
+	FrameHeaderLen = 4
+	// frameGrowStep is the least a FrameReader grows its body buffer by.
+	frameGrowStep = 64 << 10
+)
 
 // WriteFrame writes payload to w as one length-prefixed frame, header
 // and body in a single Write call (one syscall, one TCP segment for
-// small frames). It allocates a combined buffer per call; use a
-// FrameWriter to reuse that buffer across frames.
+// small frames). It allocates a combined buffer per call; a sender that
+// builds its payload itself reserves FrameHeaderLen bytes ahead of it
+// and calls SealFrame instead.
 func WriteFrame(w io.Writer, payload []byte) error {
-	return (&FrameWriter{w: w}).WriteFrame(payload)
-}
-
-// FrameWriter writes length-prefixed frames to an io.Writer, reusing
-// one combined header+body buffer across frames so a steady snapshot
-// or query stream allocates only when a frame outgrows every earlier
-// one. Not safe for concurrent use.
-type FrameWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewFrameWriter returns a FrameWriter over w.
-func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
-
-// WriteFrame writes one frame. Payloads longer than MaxUint32 are
-// refused (the length prefix could not represent them).
-func (f *FrameWriter) WriteFrame(payload []byte) error {
-	if len(payload) > math.MaxUint32 {
-		return fmt.Errorf("wire: frame payload %d bytes exceeds u32 length prefix", len(payload))
+	frame, err := SealFrame(append(make([]byte, FrameHeaderLen, FrameHeaderLen+len(payload)), payload...))
+	if err != nil {
+		return err
 	}
-	need := frameHeaderLen + len(payload)
-	if cap(f.buf) < need {
-		f.buf = make([]byte, need)
-	}
-	buf := f.buf[:need]
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[frameHeaderLen:], payload)
-	_, err := f.w.Write(buf)
+	_, err = w.Write(frame)
 	return err
+}
+
+// SealFrame turns a buffer whose first FrameHeaderLen bytes were
+// reserved into a frame by writing the length of the rest there.
+// Payloads longer than MaxUint32 are refused (the length prefix could
+// not represent them).
+func SealFrame(frame []byte) ([]byte, error) {
+	n := len(frame) - FrameHeaderLen
+	if n > math.MaxUint32 {
+		return nil, fmt.Errorf("wire: frame payload %d bytes exceeds u32 length prefix", n)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	return frame, nil
 }
 
 // FrameReader reads length-prefixed frames off an io.Reader into one
@@ -82,6 +78,7 @@ func (f *FrameWriter) WriteFrame(payload []byte) error {
 type FrameReader struct {
 	r   io.Reader
 	max uint32
+	hdr [FrameHeaderLen]byte // here, not on Next's stack: it escapes through r.Read
 	buf []byte
 	err error
 }
@@ -90,7 +87,8 @@ type FrameReader struct {
 // payload exceeds max bytes. max bounds the reader's total allocation:
 // on a stream the in-memory Reader's "length exceeds remaining input"
 // guard has no "remaining" to check, so the cap is the anti-OOM
-// contract instead.
+// contract instead, and what a peer has sent bounds what is reserved
+// for it below the cap.
 func NewFrameReader(r io.Reader, max uint32) *FrameReader {
 	return &FrameReader{r: r, max: max}
 }
@@ -106,8 +104,7 @@ func (f *FrameReader) Next() ([]byte, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(f.r, f.hdr[:]); err != nil {
 		// EOF before any header byte is the clean end of the stream;
 		// anything mid-header means the peer died inside a frame.
 		if err == io.EOF {
@@ -117,19 +114,26 @@ func (f *FrameReader) Next() ([]byte, error) {
 		}
 		return nil, f.err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(f.hdr[:])
 	if n > f.max {
 		f.err = fmt.Errorf("wire: frame length %d exceeds cap %d", n, f.max)
 		return nil, f.err
 	}
-	if uint32(cap(f.buf)) < n {
-		f.buf = make([]byte, n)
+	// A buffer that earlier frames grew is read into directly; past
+	// it, each step reserves at most as much again as has arrived, so a
+	// peer must send n/2 bytes before n are reserved for it.
+	// (uint64: 2n must not wrap int where int is 32 bits.)
+	buf := f.buf[:0]
+	for uint32(len(buf)) < n {
+		got := len(buf)
+		end := int(min(uint64(n), max(uint64(cap(buf)), uint64(got)+max(uint64(got), frameGrowStep))))
+		buf = Grow(buf, end-got)[:end]
+		if _, err := io.ReadFull(f.r, buf[got:]); err != nil {
+			f.err = fmt.Errorf("wire: frame body (%d bytes): %w", n, unexpectedEOF(err))
+			return nil, f.err
+		}
 	}
-	buf := f.buf[:n]
-	if _, err := io.ReadFull(f.r, buf); err != nil {
-		f.err = fmt.Errorf("wire: frame body (%d bytes): %w", n, unexpectedEOF(err))
-		return nil, f.err
-	}
+	f.buf = buf
 	return buf, nil
 }
 

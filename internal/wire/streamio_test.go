@@ -5,13 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
 	payloads := [][]byte{
 		[]byte("hello"),
 		{},
@@ -19,7 +20,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		[]byte("tail"),
 	}
 	for _, p := range payloads {
-		if err := fw.WriteFrame(p); err != nil {
+		if err := WriteFrame(&buf, p); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
@@ -185,3 +186,50 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestFrameReaderAllocatesWhatArrives: a header may claim the whole cap,
+// but memory is reserved as the body arrives, so a peer that sends ten
+// bytes and hangs up has cost the reader one growth step, not the cap.
+func TestFrameReaderAllocatesWhatArrives(t *testing.T) {
+	const claimed = 64 << 20
+	stream := binary.LittleEndian.AppendUint32(nil, claimed)
+	stream = append(stream, "ten bytes!"...)
+	fr := NewFrameReader(bytes.NewReader(stream), claimed)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := fr.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated body: got %v, want ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte claim backed by 10 bytes allocated %d bytes", claimed, got)
+	}
+	if _, again := fr.Next(); again != err {
+		t.Fatalf("latched: got %v, want %v", again, err)
+	}
+
+	// A body that does arrive is assembled across the growth steps, and
+	// the buffer it leaves behind serves the next frame as it is.
+	big := make([]byte, 5*frameGrowStep+123)
+	rand.New(rand.NewSource(3)).Read(big)
+	var buf bytes.Buffer
+	for i := 0; i < 3; i++ { // AllocsPerRun reads two: a warm-up and the measured one
+		if err := WriteFrame(&buf, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr = NewFrameReader(iotest.HalfReader(&buf), 1<<20)
+	first, err := fr.Next()
+	if err != nil || !bytes.Equal(first, big) {
+		t.Fatalf("grown frame: %d bytes, %v", len(first), err)
+	}
+	base := &first[0]
+	if allocs := testing.AllocsPerRun(1, func() { first, err = fr.Next() }); allocs != 0 {
+		t.Errorf("a later frame of the same size allocated %v times", allocs)
+	}
+	if err != nil || !bytes.Equal(first, big) || &first[0] != base {
+		t.Fatalf("reused buffer: %d bytes, %v, same array %v", len(first), err, &first[0] == base)
+	}
+}

@@ -22,6 +22,20 @@
 // trailing-garbage check. Unmarshal implementations parse into locals,
 // call Done(), validate ranges, and only then commit to the receiver, so
 // a failed restore leaves the receiver untouched.
+//
+// Nesting rule: a structure encodes itself with AppendBinary(dst), and a
+// parent nests a child with Writer.Marshal, which reserves the u32
+// length, lets the child append to the SAME buffer and back-patches the
+// length — no level copies the level below it. A child must therefore
+// never write below len(dst): what is there belongs to its ancestors.
+// MarshalBinary is AppendBinary(nil) everywhere.
+//
+// Aliasing rule: Reader.View32, Reader.Take, Reader.Blobs (every Blob
+// payload) and Reader.Unmarshal hand out slices of the reader's INPUT,
+// not copies. They are for a caller that decodes the bytes into its own
+// arrays before the input can change — which every UnmarshalBinary in
+// this library does (the round-trip tests overwrite the input afterwards
+// to catch one that does not). Bytes32 is the copying read.
 package wire
 
 import (
@@ -31,24 +45,50 @@ import (
 	"math"
 )
 
-// Writer accumulates one framed payload.
+// Writer accumulates one framed payload at the end of a buffer.
 type Writer struct {
 	buf []byte
 }
 
-// NewWriter opens a payload with a two-character package magic and a
-// format version byte.
+// NewWriter opens a payload in a buffer of its own.
 func NewWriter(magic string, version uint8) *Writer {
+	return Append(nil, magic, version)
+}
+
+// Append opens a payload at the end of dst — a two-character package
+// magic and a format version byte — leaving dst's own bytes untouched;
+// Bytes returns dst extended by the payload.
+func Append(dst []byte, magic string, version uint8) *Writer {
 	if len(magic) != 2 {
 		panic("wire: magic must be exactly two bytes")
 	}
-	w := &Writer{buf: make([]byte, 0, 64)}
-	w.buf = append(w.buf, magic[0], magic[1], version)
-	return w
+	return &Writer{buf: append(dst, magic[0], magic[1], version)}
 }
 
-// Bytes returns the accumulated payload.
+// Bytes returns the buffer: what Append was given, then the payload.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// Grow returns dst with room for n more bytes behind it, reallocating
+// to exactly that when it has less — so a structure that knows its
+// encoded length pays for one buffer of that length, and copies what
+// its ancestors already wrote at most once.
+func Grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
+}
+
+// Grow makes room for n more bytes (see the function Grow).
+func (w *Writer) Grow(n int) { w.buf = Grow(w.buf, n) }
+
+// Extend appends n bytes and returns them for the caller to fill with
+// fixed-offset stores — the bulk write under every counter table.
+func (w *Writer) Extend(n int) []byte {
+	at := len(w.buf)
+	w.buf = Grow(w.buf, n)[:at+n]
+	return w.buf[at:]
+}
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -87,24 +127,27 @@ func (w *Writer) Bytes32(b []byte) {
 // U64s appends a u32-count-prefixed []uint64.
 func (w *Writer) U64s(v []uint64) {
 	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.U64(x)
+	b := w.Extend(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
 	}
 }
 
 // I64s appends a u32-count-prefixed []int64.
 func (w *Writer) I64s(v []int64) {
 	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.I64(x)
+	b := w.Extend(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
 }
 
 // F64s appends a u32-count-prefixed []float64.
 func (w *Writer) F64s(v []float64) {
 	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.F64(x)
+	b := w.Extend(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -124,8 +167,19 @@ type Blob struct {
 	Payload []byte
 }
 
+// blobsLen is the encoded length of a blob list: what a container
+// grows its buffer by before it copies the payloads in.
+func blobsLen(blobs []Blob) int {
+	n := 4
+	for _, b := range blobs {
+		n += 8 + len(b.Payload)
+	}
+	return n
+}
+
 // Blobs appends a bit-tagged blob list.
 func (w *Writer) Blobs(blobs []Blob) {
+	w.Grow(blobsLen(blobs))
 	w.U32(uint32(len(blobs)))
 	for _, b := range blobs {
 		w.U32(b.Bit)
@@ -133,13 +187,17 @@ func (w *Writer) Blobs(blobs []Blob) {
 	}
 }
 
-// Marshal appends a nested BinaryMarshaler as a length-prefixed blob.
-func (w *Writer) Marshal(m encoding.BinaryMarshaler) error {
-	enc, err := m.MarshalBinary()
+// Marshal appends a nested structure as a u32-length-prefixed payload:
+// the length is reserved, the child appends in place, and the length is
+// patched once the child has said how long it was.
+func (w *Writer) Marshal(m encoding.BinaryAppender) error {
+	at := len(w.buf)
+	buf, err := m.AppendBinary(append(w.buf, 0, 0, 0, 0))
 	if err != nil {
 		return err
 	}
-	w.Bytes32(enc)
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	w.buf = buf
 	return nil
 }
 
@@ -173,9 +231,11 @@ func (r *Reader) fail(format string, args ...any) {
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.data) - r.pos }
 
-// take returns the next n bytes, or nil after latching a truncation
-// error.
-func (r *Reader) take(n int) []byte {
+// Take returns the next n bytes WITHOUT copying them (see the package
+// comment's aliasing rule), or nil after latching a truncation error —
+// the one bounds check under a bulk read, which then decodes with
+// fixed-offset loads.
+func (r *Reader) Take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -190,7 +250,7 @@ func (r *Reader) take(n int) []byte {
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	b := r.take(1)
+	b := r.Take(1)
 	if b == nil {
 		return 0
 	}
@@ -209,7 +269,7 @@ func (r *Reader) Bool() bool {
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
-	b := r.take(4)
+	b := r.Take(4)
 	if b == nil {
 		return 0
 	}
@@ -218,7 +278,7 @@ func (r *Reader) U32() uint32 {
 
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
-	b := r.take(8)
+	b := r.Take(8)
 	if b == nil {
 		return 0
 	}
@@ -248,10 +308,8 @@ func (r *Reader) count(elemBytes int) int {
 	return int(n)
 }
 
-// View32 reads a u32-length-prefixed byte slice WITHOUT copying it: the
-// result aliases the reader's input, so it is for a caller that decodes
-// the bytes into its own arrays before the input can change.
-func (r *Reader) View32() []byte { return r.take(r.count(1)) }
+// View32 reads a u32-length-prefixed byte slice WITHOUT copying it.
+func (r *Reader) View32() []byte { return r.Take(r.count(1)) }
 
 // Bytes32 reads a u32-length-prefixed byte slice (copied).
 func (r *Reader) Bytes32() []byte {
@@ -264,49 +322,58 @@ func (r *Reader) Bytes32() []byte {
 	return out
 }
 
+// words reads a u32 count and returns the bytes of that many 8-byte
+// elements, or false after a latched error; count has held the prefix
+// against the remaining input before the caller allocates by it.
+func (r *Reader) words() ([]byte, bool) {
+	b := r.Take(8 * r.count(8))
+	return b, r.err == nil
+}
+
 // U64s reads a u32-count-prefixed []uint64.
 func (r *Reader) U64s() []uint64 {
-	n := r.count(8)
-	if r.err != nil {
+	b, ok := r.words()
+	if !ok {
 		return nil
 	}
-	out := make([]uint64, n)
+	out := make([]uint64, len(b)/8)
 	for i := range out {
-		out[i] = r.U64()
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
 }
 
 // I64s reads a u32-count-prefixed []int64.
 func (r *Reader) I64s() []int64 {
-	n := r.count(8)
-	if r.err != nil {
+	b, ok := r.words()
+	if !ok {
 		return nil
 	}
-	out := make([]int64, n)
+	out := make([]int64, len(b)/8)
 	for i := range out {
-		out[i] = r.I64()
+		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
 // F64s reads a u32-count-prefixed []float64.
 func (r *Reader) F64s() []float64 {
-	n := r.count(8)
-	if r.err != nil {
+	b, ok := r.words()
+	if !ok {
 		return nil
 	}
-	out := make([]float64, n)
+	out := make([]float64, len(b)/8)
 	for i := range out {
-		out[i] = r.F64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
-// Blobs reads a bit-tagged blob list (nil when empty). The count is
-// bounded by the input — each blob costs at least its 4-byte bit and
-// 4-byte length prefix — and the loop stops at the first missing byte,
-// so a hostile count can neither allocate past the input size nor spin.
+// Blobs reads a bit-tagged blob list (nil when empty) whose payloads
+// alias the reader's input. The count is bounded by the input — each
+// blob costs at least its 4-byte bit and 4-byte length prefix — and the
+// loop stops at the first missing byte, so a hostile count can neither
+// allocate past the input size nor spin.
 func (r *Reader) Blobs() []Blob {
 	n := r.count(8)
 	if n == 0 {
@@ -314,7 +381,7 @@ func (r *Reader) Blobs() []Blob {
 	}
 	blobs := make([]Blob, 0, n)
 	for len(blobs) < n {
-		b := Blob{Bit: r.U32(), Payload: r.Bytes32()}
+		b := Blob{Bit: r.U32(), Payload: r.View32()}
 		if r.err != nil {
 			return nil
 		}
@@ -349,18 +416,42 @@ func (r *Reader) Done() error {
 	return nil
 }
 
-// Seed derives a deterministic 63-bit rng seed from a payload (FNV-1a).
+// Seed derives a deterministic 63-bit rng seed from a payload.
 // Structures that embed a rand source cannot serialize Go's generator
 // state portably; instead a restored instance reseeds from its own wire
 // bytes. The seed only drives FUTURE sampling decisions — restored
 // counters are exact — so any fixed function of the state preserves the
 // sketches' probabilistic guarantees while keeping unmarshal
-// deterministic (equal bytes restore equal structures).
+// deterministic (equal bytes restore equal structures). It sits under
+// every decode of an rng-bearing table, so it reads the payload a
+// little-endian word at a time — four words of a 32-byte block into
+// four lanes whose multiplies overlap, then the lanes, the words left
+// over and the tail bytes singly into one state. Each step is one-to-one
+// in the running state and in the word, so payloads of one length that
+// differ anywhere leave different states.
 func Seed(data []byte) int64 {
-	var h uint64 = 14695981039346656037
+	const basis = 14695981039346656037
+	h := seedStep(basis, uint64(len(data)))
+	a, b, c, d := uint64(basis), uint64(basis+1), uint64(basis+2), uint64(basis+3)
+	for ; len(data) >= 32; data = data[32:] {
+		a = seedStep(a, binary.LittleEndian.Uint64(data))
+		b = seedStep(b, binary.LittleEndian.Uint64(data[8:]))
+		c = seedStep(c, binary.LittleEndian.Uint64(data[16:]))
+		d = seedStep(d, binary.LittleEndian.Uint64(data[24:]))
+	}
+	h = seedStep(seedStep(seedStep(seedStep(h, a), b), c), d)
+	for ; len(data) >= 8; data = data[8:] {
+		h = seedStep(h, binary.LittleEndian.Uint64(data))
+	}
 	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
+		h = seedStep(h, uint64(b))
 	}
 	return int64(h &^ (1 << 63))
+}
+
+// seedStep folds one word into the state: xor, an odd multiply and an
+// xor-shift that brings the well-mixed high half back down.
+func seedStep(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
 }

@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -132,5 +136,129 @@ func TestSeedDeterministicAndNonNegative(t *testing.T) {
 	}
 	if a < 0 || c < 0 {
 		t.Error("Seed must be non-negative (rand.NewSource-safe)")
+	}
+}
+
+// leaf is a nested structure with a payload of its own.
+type leaf struct{ body []byte }
+
+func (l leaf) MarshalBinary() ([]byte, error) { return l.AppendBinary(nil) }
+func (l leaf) AppendBinary(dst []byte) ([]byte, error) {
+	w := Append(dst, "LF", 1)
+	w.Bytes32(l.body)
+	return w.Bytes(), nil
+}
+
+// tree nests two leaves and a column between them.
+type tree struct {
+	a, b leaf
+	col  []int64
+}
+
+func (tr tree) MarshalBinary() ([]byte, error) { return tr.AppendBinary(nil) }
+func (tr tree) AppendBinary(dst []byte) ([]byte, error) {
+	w := Append(dst, "TR", 1)
+	if err := w.Marshal(tr.a); err != nil {
+		return nil, err
+	}
+	w.I64s(tr.col)
+	if err := w.Marshal(tr.b); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
+}
+
+// TestAppendBinaryMatchesMarshalBinary pins the nesting rule on the
+// Writer itself — children append in place behind a reserved length
+// that is patched to exactly the child's length — and on the one
+// AppendBinary this package owns.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	tr := tree{a: leaf{[]byte("first")}, b: leaf{bytes.Repeat([]byte{9}, 300)}, col: []int64{-1, 2, -3}}
+	wiretest.CheckAppend(t, tr)
+	wiretest.CheckAppend(t, &PartSnapshot{
+		Header: PartHeader{Shards: 2, Partitioner: []byte("part"), N: 8, Eps: 0.5, Alpha: 2, Seed: 3, Structures: 5, Generation: 7},
+		Shards: [][]Blob{{{Bit: 1, Payload: []byte("one")}, {Bit: 4, Payload: nil}}, {{Bit: 1, Payload: bytes.Repeat([]byte{1}, 200)}}},
+	})
+
+	enc, _ := tr.MarshalBinary()
+	r, _, err := NewReader(enc, "TR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, child := range []leaf{tr.a, tr.b} {
+		want, _ := child.MarshalBinary()
+		if got := r.View32(); !bytes.Equal(got, want) {
+			t.Errorf("nested payload is %d bytes %q, child marshals to %d bytes", len(got), got, len(want))
+		}
+		if child.body[0] == 'f' {
+			if got := r.I64s(); len(got) != 3 || got[2] != -3 {
+				t.Errorf("column between the children = %v", got)
+			}
+		}
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBlobsAliasInput: the payloads of a decoded blob list are views of
+// the reader's input, not copies, in list order.
+func TestBlobsAliasInput(t *testing.T) {
+	w := NewWriter("XY", 1)
+	w.Blobs([]Blob{{Bit: 1, Payload: []byte("alpha")}, {Bit: 2, Payload: nil}, {Bit: 4, Payload: []byte("gamma")}})
+	data := w.Bytes()
+	r, _, err := NewReader(data, "XY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := r.Blobs()
+	if err := r.Done(); err != nil || len(blobs) != 3 {
+		t.Fatalf("Blobs: %d blobs, %v", len(blobs), err)
+	}
+	if string(blobs[0].Payload) != "alpha" || len(blobs[1].Payload) != 0 || string(blobs[2].Payload) != "gamma" {
+		t.Fatalf("payloads = %q", blobs)
+	}
+	for i := range data {
+		data[i] = 'z'
+	}
+	if string(blobs[0].Payload) != "zzzzz" || string(blobs[2].Payload) != "zzzzz" {
+		t.Fatalf("payloads did not follow the input: %q — Blobs copied them", blobs)
+	}
+}
+
+// TestSeedReadsEveryByte: the word-wise seed still depends on every
+// byte of the payload, whatever is left behind the last 32-byte block —
+// whole words, tail bytes, both or neither.
+func TestSeedReadsEveryByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	buf := make([]byte, 4096+39)
+	rng.Read(buf)
+	data := buf[:4099]
+	base := Seed(data)
+	if base < 0 || base != Seed(bytes.Clone(data)) {
+		t.Fatalf("Seed = %d: want non-negative and equal for equal bytes", base)
+	}
+	for i := range data {
+		data[i] ^= 1 << (i % 8)
+		if s := Seed(data); s == base || s < 0 {
+			t.Fatalf("flipping byte %d of %d: seed %d (base %d)", i, len(data), s, base)
+		}
+		data[i] ^= 1 << (i % 8)
+	}
+	seen := map[int64]int{}
+	for tail := 0; tail <= 39; tail++ {
+		p := buf[:4096+tail]
+		s := Seed(p)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("tail lengths %d and %d share seed %d", prev, tail, s)
+		}
+		seen[s] = tail
+		for i := 4096; i < len(p); i++ {
+			p[i] ^= 0x80
+			if Seed(p) == s {
+				t.Fatalf("tail length %d: flipping tail byte %d left the seed alone", tail, i-4096)
+			}
+			p[i] ^= 0x80
+		}
 	}
 }

@@ -1,0 +1,71 @@
+// Package wiretest holds the one check every package with an
+// AppendBinary runs on it: the nesting rule of package wire, from the
+// child's side.
+package wiretest
+
+import (
+	"bytes"
+	"encoding"
+	"runtime"
+	"testing"
+)
+
+// Codec is a structure under the nesting rule.
+type Codec interface {
+	encoding.BinaryMarshaler
+	encoding.BinaryAppender
+}
+
+// CheckAppend asserts AppendBinary(prefix) == prefix ‖ MarshalBinary()
+// for an empty prefix, a short one with room behind it and one whose
+// capacity is exhausted, that the bytes of the caller's prefix were
+// left alone, and — for a structure that states its encoded length —
+// that the statement is exact.
+func CheckAppend(t *testing.T, m Codec) {
+	t.Helper()
+	want, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatalf("%T.MarshalBinary: %v", m, err)
+	}
+	if s, ok := m.(interface{ EncodedLen() int }); ok && s.EncodedLen() != len(want) {
+		t.Errorf("%T.EncodedLen() = %d, encoding is %d bytes", m, s.EncodedLen(), len(want))
+	}
+	roomy := append(make([]byte, 0, 64), 0xA5, 0x5A, 0xC3)
+	prefixes := map[string][]byte{
+		"empty":         nil,
+		"3-byte":        roomy,
+		"cap-exhausted": bytes.Repeat([]byte{0x7E}, 16),
+	}
+	for name, prefix := range prefixes {
+		kept := bytes.Clone(prefix)
+		got, err := m.AppendBinary(prefix)
+		if err != nil {
+			t.Fatalf("%T.AppendBinary(%s prefix): %v", m, name, err)
+		}
+		if !bytes.Equal(prefix, kept) {
+			t.Errorf("%T.AppendBinary wrote below len(dst) (%s prefix)", m, name)
+		}
+		if !bytes.Equal(got, append(kept, want...)) {
+			t.Errorf("%T.AppendBinary(%s prefix) != prefix ‖ MarshalBinary()", m, name)
+		}
+	}
+}
+
+// CheckGrowsOnce asserts that a structure which grows its buffer by its
+// encoded length up front pays for one buffer: MarshalBinary allocates
+// little more than the bytes it returns (the slack covers allocator
+// size classes and the small Writer headers of the nesting), where a
+// size that fell short would cost the encoding again.
+func CheckGrowsOnce(t *testing.T, m Codec) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	enc, err := m.MarshalBinary()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("%T.MarshalBinary: %v", m, err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(enc))*115/100+4096; got > limit {
+		t.Errorf("%T.MarshalBinary allocated %d bytes for a %d-byte encoding (limit %d)", m, got, len(enc), limit)
+	}
+}

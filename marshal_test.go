@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/stream"
+	"repro/internal/wire/wiretest"
 )
 
 // fig1Stream is the shared marshal-test workload: the Fig1
@@ -243,6 +244,45 @@ func TestMarshalRoundTripAnswers(t *testing.T) {
 			}
 			if restored.SpaceBits() != s.SpaceBits() {
 				t.Errorf("SpaceBits differs: %d vs %d", restored.SpaceBits(), s.SpaceBits())
+			}
+		})
+	}
+}
+
+// appender exposes a public structure's unexported append to the wire
+// package's nesting check.
+type appender struct{ Sketch }
+
+func (a appender) AppendBinary(dst []byte) ([]byte, error) {
+	return a.Sketch.(interface {
+		appendBinary([]byte) ([]byte, error)
+	}).appendBinary(dst)
+}
+
+// TestAppendBinaryMatchesMarshalBinary: every public envelope obeys the
+// wire nesting rule — appended behind any prefix it is the bytes
+// MarshalBinary returns, the prefix untouched — its back-patched payload
+// length is exactly the structure's own encoding (the payload view ends
+// where the frame ends), and the structure's size hint makes the whole
+// frame cost one buffer.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	whole, _, _ := fig1Stream(t)
+	for _, tc := range marshalCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.make(t)
+			s.UpdateBatch(whole[:len(whole)/4]) // the general L1 estimator takes seconds over all of it
+			wiretest.CheckAppend(t, appender{s})
+			wiretest.CheckGrowsOnce(t, appender{s})
+			data, err := s.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := parseEnvelope(data, tc.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(env.payload); n == 0 || &env.payload[n-1] != &data[len(data)-1] {
+				t.Fatalf("a %d-byte payload view does not end at the end of the %d-byte frame", n, len(data))
 			}
 		})
 	}

@@ -128,18 +128,20 @@ type envelope struct {
 
 // errZeroValueMarshal is the zero-value-receiver diagnostic. Callers
 // must check their CONCRETE impl pointer before calling
-// marshalEnvelope: a nil *X boxed into the BinaryMarshaler parameter
+// appendEnvelope: a nil *X boxed into the BinaryAppender parameter
 // would slip past an interface nil check (the typed-nil trap).
 func errZeroValueMarshal(kind Kind) error {
 	return fmt.Errorf("bounded: marshal of zero-value %s (construct or UnmarshalBinary first)", kind)
 }
 
-// marshalEnvelope frames a structure's payload.
-func marshalEnvelope(kind Kind, cfg Config, o sketchOptions, impl encoding.BinaryMarshaler) ([]byte, error) {
+// appendEnvelope appends a structure's framed payload to dst. The
+// structure appends in place behind the header and grows the buffer by
+// its own encoded length, so the frame costs one allocation.
+func appendEnvelope(dst []byte, kind Kind, cfg Config, o sketchOptions, impl encoding.BinaryAppender) ([]byte, error) {
 	if impl == nil {
 		return nil, errZeroValueMarshal(kind)
 	}
-	w := wire.NewWriter(envelopeMagic, envelopeV1)
+	w := wire.Append(dst, envelopeMagic, envelopeV1)
 	w.U8(uint8(kind))
 	w.U64(cfg.N)
 	w.F64(cfg.Eps)
@@ -295,11 +297,15 @@ func UnmarshalSketch(data []byte) (Sketch, error) {
 // its hash coefficients. Ship the bytes to a peer holding a same-Config
 // instance and Merge there — identical to an in-process merge in the
 // sketches' exact regimes.
-func (h *HeavyHitters) MarshalBinary() ([]byte, error) {
+func (h *HeavyHitters) MarshalBinary() ([]byte, error) { return h.appendBinary(nil) }
+
+// appendBinary is MarshalBinary onto the end of dst, as on every
+// structure below.
+func (h *HeavyHitters) appendBinary(dst []byte) ([]byte, error) {
 	if h == nil || h.impl == nil {
 		return nil, errZeroValueMarshal(KindHeavyHitters)
 	}
-	return marshalEnvelope(KindHeavyHitters, h.cfg, sketchOptions{strict: h.strict}, h.impl)
+	return appendEnvelope(dst, KindHeavyHitters, h.cfg, sketchOptions{strict: h.strict}, h.impl)
 }
 
 // UnmarshalBinary restores a structure serialized by MarshalBinary. It
@@ -315,17 +321,19 @@ func (h *HeavyHitters) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary serializes the estimator (see HeavyHitters.MarshalBinary).
-func (e *L1Estimator) MarshalBinary() ([]byte, error) {
+func (e *L1Estimator) MarshalBinary() ([]byte, error) { return e.appendBinary(nil) }
+
+func (e *L1Estimator) appendBinary(dst []byte) ([]byte, error) {
 	if e == nil || (e.strict == nil && e.general == nil) {
 		return nil, errZeroValueMarshal(KindL1Estimator)
 	}
-	var impl encoding.BinaryMarshaler
+	var impl encoding.BinaryAppender
 	if e.strict != nil {
 		impl = e.strict
 	} else {
 		impl = e.general
 	}
-	return marshalEnvelope(KindL1Estimator, e.cfg,
+	return appendEnvelope(dst, KindL1Estimator, e.cfg,
 		sketchOptions{strict: e.strict != nil, failureProb: e.delta}, impl)
 }
 
@@ -353,11 +361,13 @@ func (e *L1Estimator) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary serializes the estimator (see HeavyHitters.MarshalBinary).
-func (e *L0Estimator) MarshalBinary() ([]byte, error) {
+func (e *L0Estimator) MarshalBinary() ([]byte, error) { return e.appendBinary(nil) }
+
+func (e *L0Estimator) appendBinary(dst []byte) ([]byte, error) {
 	if e == nil || e.impl == nil {
 		return nil, errZeroValueMarshal(KindL0Estimator)
 	}
-	return marshalEnvelope(KindL0Estimator, e.cfg, sketchOptions{}, e.impl)
+	return appendEnvelope(dst, KindL0Estimator, e.cfg, sketchOptions{}, e.impl)
 }
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
@@ -371,11 +381,13 @@ func (e *L0Estimator) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary serializes the sampler (see HeavyHitters.MarshalBinary).
-func (s *L1Sampler) MarshalBinary() ([]byte, error) {
+func (s *L1Sampler) MarshalBinary() ([]byte, error) { return s.appendBinary(nil) }
+
+func (s *L1Sampler) appendBinary(dst []byte) ([]byte, error) {
 	if s == nil || s.impl == nil {
 		return nil, errZeroValueMarshal(KindL1Sampler)
 	}
-	return marshalEnvelope(KindL1Sampler, s.cfg, sketchOptions{copies: s.copies}, s.impl)
+	return appendEnvelope(dst, KindL1Sampler, s.cfg, sketchOptions{copies: s.copies}, s.impl)
 }
 
 // UnmarshalBinary restores a sampler serialized by MarshalBinary.
@@ -389,11 +401,13 @@ func (s *L1Sampler) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary serializes the sampler (see HeavyHitters.MarshalBinary).
-func (s *SupportSampler) MarshalBinary() ([]byte, error) {
+func (s *SupportSampler) MarshalBinary() ([]byte, error) { return s.appendBinary(nil) }
+
+func (s *SupportSampler) appendBinary(dst []byte) ([]byte, error) {
 	if s == nil || s.impl == nil {
 		return nil, errZeroValueMarshal(KindSupportSampler)
 	}
-	return marshalEnvelope(KindSupportSampler, s.cfg, sketchOptions{k: s.k}, s.impl)
+	return appendEnvelope(dst, KindSupportSampler, s.cfg, sketchOptions{k: s.k}, s.impl)
 }
 
 // UnmarshalBinary restores a sampler serialized by MarshalBinary.
@@ -407,11 +421,13 @@ func (s *SupportSampler) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary serializes the estimator (see HeavyHitters.MarshalBinary).
-func (ip *InnerProduct) MarshalBinary() ([]byte, error) {
+func (ip *InnerProduct) MarshalBinary() ([]byte, error) { return ip.appendBinary(nil) }
+
+func (ip *InnerProduct) appendBinary(dst []byte) ([]byte, error) {
 	if ip == nil || ip.impl == nil {
 		return nil, errZeroValueMarshal(KindInnerProduct)
 	}
-	return marshalEnvelope(KindInnerProduct, ip.cfg, sketchOptions{}, ip.impl)
+	return appendEnvelope(dst, KindInnerProduct, ip.cfg, sketchOptions{}, ip.impl)
 }
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
@@ -425,11 +441,13 @@ func (ip *InnerProduct) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary serializes the structure (see HeavyHitters.MarshalBinary).
-func (h *L2HeavyHitters) MarshalBinary() ([]byte, error) {
+func (h *L2HeavyHitters) MarshalBinary() ([]byte, error) { return h.appendBinary(nil) }
+
+func (h *L2HeavyHitters) appendBinary(dst []byte) ([]byte, error) {
 	if h == nil || h.impl == nil {
 		return nil, errZeroValueMarshal(KindL2HeavyHitters)
 	}
-	return marshalEnvelope(KindL2HeavyHitters, h.cfg, sketchOptions{}, h.impl)
+	return appendEnvelope(dst, KindL2HeavyHitters, h.cfg, sketchOptions{}, h.impl)
 }
 
 // UnmarshalBinary restores a structure serialized by MarshalBinary.
@@ -444,11 +462,13 @@ func (h *L2HeavyHitters) UnmarshalBinary(data []byte) error {
 
 // MarshalBinary serializes the sync sketch in the self-describing
 // envelope every other structure uses.
-func (s *SyncSketch) MarshalBinary() ([]byte, error) {
+func (s *SyncSketch) MarshalBinary() ([]byte, error) { return s.appendBinary(nil) }
+
+func (s *SyncSketch) appendBinary(dst []byte) ([]byte, error) {
 	if s == nil || s.impl == nil {
 		return nil, errZeroValueMarshal(KindSyncSketch)
 	}
-	return marshalEnvelope(KindSyncSketch, s.cfg, sketchOptions{capacity: s.capacity}, s.impl)
+	return appendEnvelope(dst, KindSyncSketch, s.cfg, sketchOptions{capacity: s.capacity}, s.impl)
 }
 
 // UnmarshalBinary restores a sync sketch. It accepts both the envelope
