@@ -543,7 +543,7 @@ func ab1Table() *core.Table {
 	const k = 32
 	a := csss.New(rng, csss.Params{Rows: 7, K: k, S: 1 << 13})
 	d := sketch.NewCountSketch(rng, 7, 6*k)
-	core.UpdateBatch(a.UpdateColumns, s.Updates)
+	core.UpdateBatch(func(b *core.Batch) { a.UpdateColumns(b) }, s.Updates)
 	core.UpdateBatch(d.UpdateColumns, s.Updates)
 	var errA, errD float64
 	for _, e := range top {
@@ -626,7 +626,7 @@ func f2Table() *core.Table {
 	for _, budget := range []int64{1 << 11, 1 << 13, 1 << 15} {
 		rng := rand.New(rand.NewSource(*seed + budget))
 		sk := csss.New(rng, csss.Params{Rows: 7, K: 32, S: budget})
-		core.UpdateBatch(sk.UpdateColumns, s.Updates)
+		core.UpdateBatch(func(b *core.Batch) { sk.UpdateColumns(b) }, s.Updates)
 		var errSum float64
 		for _, e := range top {
 			errSum += math.Abs(sk.Query(e.Index) - float64(e.Value))

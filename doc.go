@@ -224,31 +224,50 @@
 // own scalar hashing because it is the reference), UpdateColumns is
 // the PATH, and UpdateBatch is plan + UpdateColumns and nothing else.
 //
-// Internally every batch runs a three-stage columnar pipeline:
+// Internally every batch runs a four-stage columnar pipeline:
 //
 //  1. PLAN — the batch is laid out as contiguous index and delta
 //     columns in a pooled arena Batch (UpdateBatch does this for you;
 //     PlanBatch + UpdateColumns is the explicit form, and lets one
-//     planned batch fan across several structures).
+//     planned batch fan across several structures). The batch also
+//     carries its DISTINCT PLAN, built the first time a structure asks
+//     and kept until the index column changes: the distinct indices in
+//     first-occurrence order, and for every update the ordinal of its
+//     index (an open-addressed table stamped by generation: no map,
+//     nothing cleared, nothing allocated once warm). A batch repeats
+//     indices — 0.3 to 0.6 distinct per update on the benchmark's
+//     streams — and everything per-key below is done per distinct key.
 //  2. HASH — the structure's batch evaluators fill whole bucket/sign
-//     columns per Count-Sketch row from the shared index column:
-//     straight-line multiply-add loops with the row coefficients in
-//     registers, no per-item function calls.
-//  3. APPLY — the counter tables are swept row-major against the
-//     pre-hashed columns (sequential column reads, one cache-resident
-//     table row at a time), and candidate tracking re-estimates the
-//     batch's DISTINCT indices in one further batched hash pass (one
-//     shared step, topk.Refresher, for every tracker-bearing structure).
+//     columns per Count-Sketch row: straight-line multiply-add loops
+//     with the row coefficients in registers, no per-item function
+//     calls. The heavy-hitters CSSS sketch hashes the DISTINCT column,
+//     once per batch; the dense Count-Sketch structures hash the index
+//     column as it stands.
+//  3. APPLY — the counter tables are swept row-major (one
+//     cache-resident table row at a time). CSSS applies through the
+//     ordinals: at sampling rate 1 a run's mass is first summed per
+//     distinct index and sign, and each row adds two products per
+//     distinct index instead of one per update (int64 adds commute and
+//     wrap associatively, so every cell is bit-identical).
+//  4. REFRESH — candidate tracking re-estimates the batch's distinct
+//     indices and offers each to the tracker (one shared step,
+//     topk.Refresher, for every tracker-bearing structure). The CSSS
+//     heavy hitters read those estimates off the SAME bucket/sign
+//     columns stage 2 filled — one hash pass per batch, not two; the
+//     Count-Sketch-backed structures and the L1 sampler's copies, whose
+//     sketches did not hash the distinct column, take one further
+//     batched hash pass over it.
 //
 // Once CSSS is sampling (sampling exponent p >= 1, the regime past 2S
 // units where a long-lived monitor spends its life) two steps run
-// ahead of HASH: THIN draws each update's per-row sampling decisions
-// for a whole run of updates below the next halving boundary, and
-// COMPACT packs the updates that at least one row kept — key, units kept,
-// row mask — into the batch's scratch. Only those survivors are hashed
-// and applied, so deeper sampling means fewer keys hashed; p = 0 is
-// the same code with nothing thinned away. Only the one update that
-// lands on a halving boundary takes the per-item path.
+// between HASH and APPLY: THIN draws each update's per-row sampling
+// decisions for a whole run of updates below the next halving
+// boundary, and COMPACT packs the updates that at least one row kept —
+// the index's ordinal, units kept, row mask — into the batch's scratch.
+// Only those survivors are applied, each reading its bucket and sign
+// through its ordinal; p = 0 is the same run loop with nothing thinned
+// away. Only the one update that lands on a halving boundary takes the
+// per-item path.
 //
 // The columnar path is bit-for-bit identical to feeding the same
 // updates through Update: counter adds commute, per-counter write

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stream"
+	"repro/internal/topk"
 )
 
 // mixedDeltas draws a delta column that exercises every thin branch:
@@ -67,27 +68,92 @@ func requireSameState(t *testing.T, scalar, columnar *Sketch) {
 	}
 }
 
-// feedBoth ingests us into a per update and into b in batches of
-// cycling sizes, holding the two to the same state after every batch
-// and to the same next rng draw at the end.
-func feedBoth(t *testing.T, a, b *Sketch, us []stream.Update) {
+// lockstep holds the batch path to the per-item path: same-seeded
+// sketches a (fed by Update) and b (fed by UpdateColumns), and beside
+// each the candidate tracker a heavy-hitters structure keeps — a's
+// offered every distinct key of the batch, in first-occurrence order,
+// with the estimate a hash pass of its own gives (QueryColumns), b's
+// from the bucket and sign columns UpdateColumns returned.
+type lockstep struct {
+	a, b       *Sketch
+	trkA, trkB *topk.Tracker
+	refresh    topk.Refresher[float64]
+	scratch    core.Batch // a's QueryColumns hashes into its own columns
+}
+
+func newLockstep(seed int64, p Params) *lockstep {
+	return &lockstep{
+		a: New(rand.New(rand.NewSource(seed)), p), b: New(rand.New(rand.NewSource(seed)), p),
+		trkA: topk.New(8), trkB: topk.New(8), // 16 slots: the byte-sized key spaces here overflow it
+	}
+}
+
+// feed ingests one batch into both sides and compares everything a
+// batch can leave behind: encoded state, the estimates the refresh
+// read off the hashed columns, and the trackers.
+func (l *lockstep) feed(t *testing.T, batch *core.Batch) {
+	t.Helper()
+	var distinct []uint64
+	seen := make(map[uint64]bool)
+	for j, i := range batch.Idx {
+		l.a.Update(i, batch.Delta[j])
+		if !seen[i] {
+			seen[i] = true
+			distinct = append(distinct, i)
+		}
+	}
+	want := make([]float64, len(distinct))
+	l.a.QueryColumns(&l.scratch, distinct, want)
+	for j, i := range distinct {
+		l.trkA.Offer(i, want[j])
+	}
+	cols, signs := l.b.UpdateColumns(batch)
+	est := make([]float64, len(distinct))
+	l.b.EstimateHashed(cols, signs, est)
+	for j, i := range distinct {
+		if est[j] != want[j] || est[j] != l.a.Query(i) {
+			t.Fatalf("estimate of key %d off the hashed columns = %v, QueryColumns = %v, Query = %v", i, est[j], want[j], l.a.Query(i))
+		}
+	}
+	l.refresh.OfferHashed(l.trkB, batch, cols, signs, l.b)
+	requireSameState(t, l.a, l.b)
+	ta, _ := l.trkA.MarshalBinary()
+	tb, _ := l.trkB.MarshalBinary()
+	if !bytes.Equal(ta, tb) {
+		t.Fatalf("candidate sets differ: per-item %v, planned %v", l.trkA.Candidates(), l.trkB.Candidates())
+	}
+}
+
+// feedUpdates is feed over a fresh pooled batch.
+func (l *lockstep) feedUpdates(t *testing.T, us []stream.Update) {
+	t.Helper()
+	batch := core.GetBatch()
+	batch.LoadUpdates(us)
+	l.feed(t, batch)
+	core.PutBatch(batch)
+}
+
+// requireSameDraw ends a comparison: both rngs must be at the same
+// point of the same stream.
+func (l *lockstep) requireSameDraw(t *testing.T) {
+	t.Helper()
+	if l.a.rng.Uint64() != l.b.rng.Uint64() {
+		t.Fatal("rng streams diverged: the columnar path did not make the scalar path's draws")
+	}
+}
+
+// feedBoth ingests us per update and in batches of cycling sizes,
+// holding the two sides together after every batch and to the same
+// next rng draw at the end.
+func feedBoth(t *testing.T, l *lockstep, us []stream.Update) {
 	t.Helper()
 	sizes := []int{1, 3, 17, 129, 511, 1024, 4096}
 	for off, k := 0, 0; off < len(us); k++ {
-		end := off + sizes[k%len(sizes)]
-		if end > len(us) {
-			end = len(us)
-		}
-		for _, u := range us[off:end] {
-			a.Update(u.Index, u.Delta)
-		}
-		core.UpdateBatch(b.UpdateColumns, us[off:end])
-		requireSameState(t, a, b)
+		end := min(off+sizes[k%len(sizes)], len(us))
+		l.feedUpdates(t, us[off:end])
 		off = end
 	}
-	if a.rng.Uint64() != b.rng.Uint64() {
-		t.Fatal("rng streams diverged: the columnar path did not make the scalar path's draws")
-	}
+	l.requireSameDraw(t)
 }
 
 // TestUpdateColumnsMatchesScalar: the columnar batch path must be
@@ -100,37 +166,34 @@ func feedBoth(t *testing.T, a, b *Sketch, us []stream.Update) {
 // walk starts at p = 0 with S = 16, so early batches straddle several
 // halvings each and the exponent climbs past 12 inside one stream; 33
 // rows is deeper than a survivor's row mask and pins the per-item
-// route. The p=e cases force e halvings and park the sketch a few
+// apply under a planned refresh. The p=e cases force e halvings and park the sketch a few
 // thousand units short of the next boundary, so each exponent sees long
 // thinned runs on either side of one halving: exponents 1..12 cover the
 // packed-word branch (p*rows <= 64) and the per-row-draw branch at both
 // depths.
 func TestUpdateColumnsMatchesScalar(t *testing.T) {
-	pair := func(p Params) (a, b *Sketch) {
-		return New(rand.New(rand.NewSource(31)), p), New(rand.New(rand.NewSource(31)), p)
-	}
 	for _, fb := range []uint{0, 6} {
 		for _, rows := range []int{5, 7, 33} {
 			t.Run(fmt.Sprintf("walk/rows=%d/fb=%d", rows, fb), func(t *testing.T) {
-				a, b := pair(Params{Rows: rows, K: 8, S: 16, FixedPointBits: fb})
-				feedBoth(t, a, b, mixedDeltas(rand.New(rand.NewSource(21)), 60000))
-				if b.SampleExponent() < 12 {
-					t.Fatalf("walk ended at exponent %d, want >= 12", b.SampleExponent())
+				l := newLockstep(31, Params{Rows: rows, K: 8, S: 16, FixedPointBits: fb})
+				feedBoth(t, l, mixedDeltas(rand.New(rand.NewSource(21)), 60000))
+				if l.b.SampleExponent() < 12 {
+					t.Fatalf("walk ended at exponent %d, want >= 12", l.b.SampleExponent())
 				}
 			})
 		}
 		for _, rows := range []int{5, 7} {
 			for e := 1; e <= 12; e++ {
 				t.Run(fmt.Sprintf("p=%d/rows=%d/fb=%d", e, rows, fb), func(t *testing.T) {
-					a, b := pair(Params{Rows: rows, K: 8, S: 64, FixedPointBits: fb})
-					for _, sk := range []*Sketch{a, b} {
+					l := newLockstep(31, Params{Rows: rows, K: 8, S: 64, FixedPointBits: fb})
+					for _, sk := range []*Sketch{l.a, l.b} {
 						for sk.p < e {
 							sk.halveOnce()
 						}
 						sk.t = max(0, sk.nextHalf-1-4000)
 					}
-					feedBoth(t, a, b, mixedDeltas(rand.New(rand.NewSource(int64(e))), 6000))
-					if b.SampleExponent() <= e {
+					feedBoth(t, l, mixedDeltas(rand.New(rand.NewSource(int64(e))), 6000))
+					if l.b.SampleExponent() <= e {
 						t.Fatalf("stream never crossed the boundary out of exponent %d", e)
 					}
 				})
@@ -191,7 +254,7 @@ func TestRegimeCountersRoutes(t *testing.T) {
 	sk := New(rand.New(rand.NewSource(7)), Params{Rows: 7, K: 8, S: S})
 	before := DispatchStats()
 	for off := 0; off < n; off += 1000 {
-		core.UpdateBatch(sk.UpdateColumns, us[off:off+1000])
+		feedColumns(sk, us[off:off+1000])
 	}
 	after := DispatchStats()
 	if !obs.Enabled {
@@ -207,11 +270,14 @@ func TestRegimeCountersRoutes(t *testing.T) {
 		t.Fatalf("stream ended at exponent %d, want 6", halved)
 	}
 	got := RegimeStats{
-		UnitsRate1:      after.UnitsRate1 - before.UnitsRate1,
-		UnitsThinned:    after.UnitsThinned - before.UnitsThinned,
-		UnitsScalar:     after.UnitsScalar - before.UnitsScalar,
-		SurvivorsHashed: after.SurvivorsHashed - before.SurvivorsHashed,
-		Halvings:        after.Halvings - before.Halvings,
+		UnitsRate1:       after.UnitsRate1 - before.UnitsRate1,
+		UnitsThinned:     after.UnitsThinned - before.UnitsThinned,
+		UnitsScalar:      after.UnitsScalar - before.UnitsScalar,
+		SurvivorsApplied: after.SurvivorsApplied - before.SurvivorsApplied,
+		BatchKeys:        after.BatchKeys - before.BatchKeys,
+		KeysHashed:       after.KeysHashed - before.KeysHashed,
+		Halvings:         after.Halvings - before.Halvings,
+		SampleExponent:   after.SampleExponent,
 	}
 	if got.UnitsScalar != halved || got.Halvings != halved {
 		t.Errorf("scalar route took %d units over %d halvings, want %d and %d", got.UnitsScalar, got.Halvings, halved, halved)
@@ -222,17 +288,49 @@ func TestRegimeCountersRoutes(t *testing.T) {
 	if got.UnitsThinned != n-2*S-halved {
 		t.Errorf("thinned route took %d units, want %d", got.UnitsThinned, n-2*S-halved)
 	}
-	// Thinning must drop work: every rate-1 unit is hashed, and past
+	// Thinning must drop work: every rate-1 unit is applied, and past
 	// p = 3 most thinned updates are sampled out of all seven rows.
-	if got.SurvivorsHashed < 2*S || got.SurvivorsHashed >= n-halved {
-		t.Errorf("apply hashed %d survivors of %d batched updates", got.SurvivorsHashed, n-halved)
+	if got.SurvivorsApplied < 2*S || got.SurvivorsApplied >= n-halved {
+		t.Errorf("apply added %d survivors of %d batched updates", got.SurvivorsApplied, n-halved)
+	}
+	// Five batches of 1000 updates over 97 keys: each batch hashes its
+	// 97 distinct keys once, whatever the regime.
+	if got.BatchKeys != n || got.KeysHashed != 5*97 {
+		t.Errorf("UpdateColumns was handed %d updates and hashed %d keys, want %d and %d", got.BatchKeys, got.KeysHashed, n, 5*97)
+	}
+	if got.SampleExponent != halved {
+		t.Errorf("sample-exponent gauge reads %d after %d halvings", got.SampleExponent, halved)
+	}
+	// Construction, restore and merge set the gauge too.
+	New(rand.New(rand.NewSource(8)), Params{Rows: 7, K: 8, S: S})
+	if p := DispatchStats().SampleExponent; p != 0 {
+		t.Errorf("gauge reads %d after a construction, want 0", p)
+	}
+	blob, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored Sketch
+	if err := restored.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if p := DispatchStats().SampleExponent; p != halved {
+		t.Errorf("gauge reads %d after restoring a sketch at exponent %d", p, halved)
+	}
+	fresh := New(rand.New(rand.NewSource(7)), Params{Rows: 7, K: 8, S: S})
+	if err := fresh.Merge(&restored); err != nil {
+		t.Fatal(err)
+	}
+	if p := DispatchStats().SampleExponent; p != int64(fresh.SampleExponent()) || p < halved {
+		t.Errorf("gauge reads %d after a merge that left the sketch at exponent %d", p, fresh.SampleExponent())
 	}
 }
 
 // FuzzUpdateColumnsDifferential hands the fuzzer the sample budget, the
 // depth, the fixed-point resolution, the deltas and the batch cuts, and
-// holds UpdateColumns to the scalar path bit for bit — state and next
-// rng draw. Each update is three bytes: key, delta code, and a shift
+// holds UpdateColumns to the scalar path bit for bit — state, refresh
+// estimates, candidate set and next rng draw. Keys are one byte, so
+// batches repeat them densely. Each update is three bytes: key, delta code, and a shift
 // that scales the delta (large magnitudes cross several halvings in
 // one update); a set top bit in the shift byte cuts the batch there.
 func FuzzUpdateColumnsDifferential(f *testing.F) {
@@ -243,30 +341,25 @@ func FuzzUpdateColumnsDifferential(f *testing.F) {
 	f.Add(uint16(64), uint8(7), uint8(3), bytes.Repeat([]byte{1, 90, 2, 2, 128, 0}, 40)) // big deltas, MinInt64
 	f.Fuzz(func(t *testing.T, budget uint16, depth, fb uint8, data []byte) {
 		p := Params{Rows: int(depth%40) + 1, K: 2, S: int64(budget) + 1, FixedPointBits: uint(fb % 8)}
-		a := New(rand.New(rand.NewSource(5)), p)
-		b := New(rand.New(rand.NewSource(5)), p)
+		l := newLockstep(5, p)
 		batch := core.GetBatch()
 		defer core.PutBatch(batch)
 		flush := func() {
-			b.UpdateColumns(batch)
+			l.feed(t, batch)
 			batch.Reset()
-			requireSameState(t, a, b)
 		}
 		for i := 0; i+2 < len(data); i += 3 {
 			d := int64(int8(data[i+1])) << (data[i+2] % 3 * 3)
 			if data[i+1] == 128 {
 				d = math.MinInt64
 			}
-			a.Update(uint64(data[i]), d)
 			batch.Append(uint64(data[i]), d)
 			if data[i+2]&0x80 != 0 {
 				flush()
 			}
 		}
 		flush()
-		if a.rng.Uint64() != b.rng.Uint64() {
-			t.Fatal("rng streams diverged")
-		}
+		l.requireSameDraw(t)
 	})
 }
 
@@ -291,20 +384,12 @@ func TestUpdateColumnsExtremeDeltas(t *testing.T) {
 		{Index: 9, Delta: 1},
 	}
 	for _, s := range []int64{64, 1 << 50} { // sampled throughout, and rate-1 throughout
-		p := Params{Rows: 5, K: 8, S: s, FixedPointBits: 3}
-		a := New(rand.New(rand.NewSource(51)), p)
-		b := New(rand.New(rand.NewSource(51)), p)
-		for _, u := range us {
-			a.Update(u.Index, u.Delta)
+		l := newLockstep(51, Params{Rows: 5, K: 8, S: s, FixedPointBits: 3})
+		l.feedUpdates(t, us)
+		if l.a.Position() != 3+5+1<<40+2+2*maxCount+1+1 {
+			t.Fatalf("S=%d: position %d", s, l.a.Position())
 		}
-		core.UpdateBatch(b.UpdateColumns, us)
-		requireSameState(t, a, b)
-		if a.Position() != 3+5+1<<40+2+2*maxCount+1+1 {
-			t.Fatalf("S=%d: position %d", s, a.Position())
-		}
-		if a.rng.Uint64() != b.rng.Uint64() {
-			t.Fatalf("S=%d: rng streams diverged", s)
-		}
+		l.requireSameDraw(t)
 	}
 }
 
@@ -318,18 +403,168 @@ func TestUpdateColumnsRateOneExact(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		us = append(us, stream.Update{Index: uint64(rng.Intn(256)), Delta: int64(rng.Intn(9) - 4)})
 	}
-	a := New(rand.New(rand.NewSource(2)), p)
-	b := New(rand.New(rand.NewSource(2)), p)
-	for _, u := range us {
-		a.Update(u.Index, u.Delta)
-	}
-	core.UpdateBatch(b.UpdateColumns, us)
+	l := newLockstep(2, p)
+	l.feedUpdates(t, us)
 	for i := uint64(0); i < 256; i++ {
-		if qa, qb := a.Query(i), b.Query(i); qa != qb {
+		if qa, qb := l.a.Query(i), l.b.Query(i); qa != qb {
 			t.Fatalf("Query(%d): scalar %v, columnar %v", i, qa, qb)
 		}
 	}
-	if a.rng.Uint64() != b.rng.Uint64() {
-		t.Fatal("rate-1 columnar path consumed rng; scalar path does not")
+	l.requireSameDraw(t) // the rate-1 path draws nothing; nor does the scalar path
+}
+
+// TestUpdateColumnsPlannedCases: directed batches for what the distinct
+// plan added to the batch path — every update reaches the table through
+// its key's ordinal, a rate-1 run sums a key's mass before it is
+// applied, and one plan serves a whole batch whatever happens to the
+// sketch inside it. Each case runs in the rate-1 regime, parked just
+// short of the first halving, and well into the sampled regime.
+func TestUpdateColumnsPlannedCases(t *testing.T) {
+	const wide = maxCount + 1 // too wide for a survivor: the scalar loop takes it, cutting the run
+	rep := func(n int, u ...stream.Update) []stream.Update {
+		var out []stream.Update
+		for ; n > 0; n-- {
+			out = append(out, u...)
+		}
+		return out
+	}
+	distinct := make([]stream.Update, 300)
+	for i := range distinct {
+		distinct[i] = stream.Update{Index: uint64(i) << 20, Delta: int64(i%5 - 2)}
+	}
+	cases := []struct {
+		name string
+		us   []stream.Update
+	}{
+		// Key 7 sits on both sides of every boundary the batch crosses,
+		// and is the update that crosses it.
+		{"same key across a halving", rep(200, stream.Update{Index: 7, Delta: 1}, stream.Update{Index: 9, Delta: -1}, stream.Update{Index: 7, Delta: 3})},
+		// One key's mass inside one run passes 2^32 on the insert side
+		// alone, then on both sides at once.
+		{"coalesced mass past 2^32", rep(5, stream.Update{Index: 3, Delta: maxCount})},
+		{"coalesced mass past 2^32, both signs", rep(5, stream.Update{Index: 3, Delta: maxCount}, stream.Update{Index: 3, Delta: -maxCount}, stream.Update{Index: 4, Delta: 1})},
+		{"all distinct", distinct},
+		{"all identical", rep(300, stream.Update{Index: 1 << 40, Delta: 1})},
+		{"zero and MinInt64 beside duplicates", rep(40, stream.Update{Index: 5, Delta: 0}, stream.Update{Index: 5, Delta: 2}, stream.Update{Index: 5, Delta: math.MinInt64}, stream.Update{Index: 6, Delta: 0}, stream.Update{Index: 5, Delta: -1})},
+		{"length 1", []stream.Update{{Index: 11, Delta: -4}}},
+		// Wide updates cut the batch into runs shorter than its key
+		// column: at rate 1 those apply update by update, not key by key.
+		{"runs shorter than the key column", rep(6, stream.Update{Index: 1, Delta: 1}, stream.Update{Index: 2, Delta: -2}, stream.Update{Index: 3, Delta: wide}, stream.Update{Index: 4, Delta: 1}, stream.Update{Index: 1, Delta: 5}, stream.Update{Index: 5, Delta: -wide})},
+	}
+	regimes := []struct {
+		name   string
+		budget int64
+		halve  int
+		gap    int64 // park t this far short of the next boundary; 0 leaves t alone
+	}{
+		{"rate1", 1 << 50, 0, 0},
+		{"rate1 to sampled", 1 << 36, 0, 150},
+		{"sampled", 1 << 36, 3, 150},
+		{"sampled deep", 64, 9, 0},
+	}
+	for _, rows := range []int{5, 7, 33} { // 33: deeper than the row mask, scalar apply under a planned refresh
+		for _, rg := range regimes {
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("rows=%d/%s/%s", rows, rg.name, tc.name), func(t *testing.T) {
+					l := newLockstep(61, Params{Rows: rows, K: 4, S: rg.budget, FixedPointBits: 2})
+					for _, sk := range []*Sketch{l.a, l.b} {
+						for sk.p < rg.halve {
+							sk.halveOnce()
+						}
+						if rg.gap > 0 {
+							sk.t = sk.nextHalf - 1 - rg.gap
+						}
+					}
+					l.feedUpdates(t, tc.us)
+					l.requireSameDraw(t)
+				})
+			}
+		}
+	}
+}
+
+// TestUpdateColumnsServesNoStalePlan: one batch object fed again after
+// Append (the plan computed for the shorter batch must not be served)
+// and after Reset to the same length with other keys (nor must one that
+// merely fits).
+func TestUpdateColumnsServesNoStalePlan(t *testing.T) {
+	for _, budget := range []int64{1 << 40, 32} {
+		l := newLockstep(71, Params{Rows: 7, K: 4, S: budget})
+		batch := core.GetBatch()
+		for j := 0; j < 50; j++ {
+			batch.Append(uint64(j%6), 1)
+		}
+		l.feed(t, batch)
+		batch.Append(100, 2) // grows the key column
+		batch.Append(3, -1)  // and the update column alone
+		l.feed(t, batch)
+		n := batch.Len()
+		batch.Reset()
+		for j := 0; j < n; j++ {
+			batch.Append(uint64(200+j%9), int64(1-j%3))
+		}
+		l.feed(t, batch)
+		core.PutBatch(batch)
+		l.requireSameDraw(t)
+	}
+}
+
+// TestCloneAndRestoreShareNoBatchScratch: a sketch, its Clone and its
+// restored copy ingest alternately — through one pooled batch each and
+// then through the SAME batch — and each must end where a sketch fed
+// the same updates per item ends. Nothing of one sketch's batch path
+// (hashed columns, survivors, summed mass) may live where another's
+// call can reach it.
+func TestCloneAndRestoreShareNoBatchScratch(t *testing.T) {
+	p := Params{Rows: 7, K: 8, S: 128}
+	src := New(rand.New(rand.NewSource(81)), p)
+	us := mixedDeltas(rand.New(rand.NewSource(82)), 6000)
+	feedColumns(src, us[:1000])
+	clone := src.Clone()
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := new(Sketch)
+	if err := restored.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	// Each sketch draws from its own rng from here on, so each gets its
+	// own per-item twin, made the same way at the same moment.
+	twin := func(sk *Sketch) *Sketch {
+		b, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw := new(Sketch)
+		if err := tw.UnmarshalBinary(b); err != nil {
+			t.Fatal(err)
+		}
+		b2, _ := tw.MarshalBinary()
+		if err := sk.UnmarshalBinary(b2); err != nil { // both now seeded by the same bytes
+			t.Fatal(err)
+		}
+		return tw
+	}
+	sketches := []*Sketch{src, clone, restored}
+	twins := []*Sketch{twin(src), twin(clone), twin(restored)}
+	shared := core.GetBatch()
+	defer core.PutBatch(shared)
+	for off := 1000; off < len(us); off += 500 {
+		chunk := us[off : off+500]
+		for k, sk := range sketches {
+			for _, u := range chunk[k*100 : k*100+300] {
+				twins[k].Update(u.Index, u.Delta)
+			}
+			if off/500%2 == 0 {
+				feedColumns(sk, chunk[k*100:k*100+300])
+			} else {
+				shared.LoadUpdates(chunk[k*100 : k*100+300])
+				sk.UpdateColumns(shared)
+			}
+		}
+		for k := range sketches {
+			requireSameState(t, twins[k], sketches[k])
+		}
 	}
 }

@@ -31,11 +31,12 @@
 // Updates arrive two ways. Update/UpdateWeighted is the per-item path:
 // it defines the sampling — which rng draws an update makes, in which
 // order — and is the only path weighted updates take. UpdateColumns is
-// the batch path: thin → compact → apply over each run of updates
-// between halving boundaries, making the per-item path's draws in the
-// per-item path's order, so the two are interchangeable bit for bit in
-// every regime, and hashing only the updates some row kept, so a deeper
-// sampling exponent costs less per update, not more.
+// the batch path: hash the batch's distinct keys once, then thin →
+// compact → apply over each run of updates between halving boundaries,
+// making the per-item path's draws in the per-item path's order, so the
+// two are interchangeable bit for bit in every regime. A key costs one
+// hash evaluation per batch however often the batch repeats it, and the
+// candidate refresh that follows reads the same columns.
 //
 // A Sketch is single-goroutine for updates AND queries: the update
 // path and Query share per-sketch scratch (the row-hash memo) — the
@@ -165,6 +166,7 @@ func New(rng *rand.Rand, params Params) *Sketch {
 		qest:     make([]float64, params.Rows),
 	}
 	s.table = make([]cell, uint64(s.rows)*cols)
+	sampleExponent.Set(0)
 	return s
 }
 
@@ -175,12 +177,20 @@ func (s *Sketch) Update(i uint64, delta int64) {
 	s.UpdateWeighted(i, delta, 1.0)
 }
 
-// UpdateColumns applies a pre-planned columnar batch as a sequence of
-// runs: a run is the longest prefix of what is left whose unit mass
-// keeps t strictly below the next halving boundary, so the whole run is
-// sampled at one rate 2^-p and goes through thin → compact → apply
-// (applyRun). Only the update that lands on (or crosses) a halving
-// boundary takes the scalar chunk loop, which performs the halving.
+// UpdateColumns applies a pre-planned columnar batch: hash the batch's
+// distinct keys once (core.Distinct; b must be Plannable), then
+// apply the updates as a sequence of runs through their keys' ordinals.
+// A run is the longest prefix of what is left whose unit mass keeps t
+// strictly below the next halving boundary, so the whole run is sampled
+// at one rate 2^-p and goes through thin → compact → apply (applyRun).
+// Only the update that lands on (or crosses) a halving boundary takes
+// the scalar chunk loop, which performs the halving.
+//
+// It returns the distinct keys' bucket and sign columns (row-major,
+// rows x len(keys), in b's column scratch and valid until that scratch
+// is next sized) so the candidate refresh that follows an ingest can
+// estimate from them (EstimateHashed) instead of hashing the same keys
+// again.
 //
 // Contract: the thin stage makes exactly the rng draws addSampled
 // makes, in the same order, and nothing else in a run draws — so the
@@ -188,13 +198,26 @@ func (s *Sketch) Update(i uint64, delta int64) {
 // bit-identical to feeding the same updates through Update in every
 // regime. The scalar path is the oracle the differential tests hold
 // this to.
-func (s *Sketch) UpdateColumns(b *core.Batch) {
+func (s *Sketch) UpdateColumns(b *core.Batch) (cols []uint32, signs []int8) {
 	idx, deltas := b.Idx, b.Delta
+	keys, slot := core.Distinct(b)
+	n, d := len(idx), len(keys)
+	if n == 0 {
+		return nil, nil
+	}
+	batchKeys.Add(int64(n))
+	keysHashed.Add(int64(d))
+	// One sizing of the batch's uint32 scratch: the hashed columns in
+	// front, behind them the survivor ordinals of a thinned run (see
+	// applyRun for the n+rows).
+	u32 := b.Cols32(s.rows*d + n + s.rows)
+	h := hashed{d: d, cols: u32[:s.rows*d], signs: b.Signs8(s.rows * d)}
+	s.buckets.BucketSignsBatch(keys, h.cols, h.signs)
 	// A sketch deeper than a survivor's row mask batches nothing (no
 	// sketch in this library is built that deep; a decoded one may be).
 	batchable := s.rows <= maxMaskRows
 	j := 0
-	for j < len(idx) {
+	for j < n {
 		// Overflow discipline: room - mass >= 0 by loop invariant, so
 		// `m > room-mass` detects a boundary crossing without mass+m
 		// ever wrapping; m < 0 after negation means delta == MinInt64,
@@ -204,7 +227,7 @@ func (s *Sketch) UpdateColumns(b *core.Batch) {
 		room := s.nextHalf - 1 - s.t
 		var mass int64
 		k := j
-		for batchable && k < len(idx) {
+		for batchable && k < n {
 			m := deltas[k]
 			if m < 0 {
 				m = -m
@@ -216,17 +239,17 @@ func (s *Sketch) UpdateColumns(b *core.Batch) {
 			k++
 		}
 		if k > j {
-			survivors := s.applyRun(b, idx[j:k], deltas[j:k])
+			survivors := s.applyRun(b, h, slot[j:k], deltas[j:k], u32[s.rows*d:])
 			s.t += mass
 			if s.p == 0 {
 				unitsRate1.Add(mass)
 			} else {
 				unitsThinned.Add(mass)
 			}
-			survivorsHashed.Add(survivors)
+			survivorsApplied.Add(survivors)
 			j = k
 		}
-		if j < len(idx) {
+		if j < n {
 			// This update crosses (or lands on) the boundary, or cannot be
 			// batched: the scalar chunk loop handles the halving and any
 			// post-halving sampling.
@@ -237,11 +260,25 @@ func (s *Sketch) UpdateColumns(b *core.Batch) {
 			j++
 		}
 	}
+	return h.cols, h.signs
 }
 
-// A survivor is a key plus one packed word: how many of the update's
-// units were kept (low 32 bits), which rows kept that many (one bit
-// per row from bit 32 up), and the delta's sign (bit 63).
+// hashed is a key column seen through the sketch's hash functions:
+// key t's bucket in row r is cols[r*d+t], its sign signs[r*d+t].
+type hashed struct {
+	d     int
+	cols  []uint32
+	signs []int8
+}
+
+// row returns row r's bucket and sign columns.
+func (h hashed) row(r int) ([]uint32, []int8) {
+	return h.cols[r*h.d : r*h.d+h.d], h.signs[r*h.d : r*h.d+h.d]
+}
+
+// A survivor is a key's ordinal plus one packed word: how many of the
+// update's units were kept (low 32 bits), which rows kept that many
+// (one bit per row from bit 32 up), and the delta's sign (bit 63).
 const (
 	maxCount    = 1<<32 - 1 // widest count, hence widest single update, a survivor carries
 	rowBit0     = 1 << 32   // row r's mask bit is rowBit0 << r
@@ -250,29 +287,37 @@ const (
 
 // applyRun ingests a run of updates that all sample at the current rate
 // 2^-p, none reaching the halving boundary (the caller advances t).
+// slot names each update's key by its ordinal in the hashed column h;
+// ords is scratch for len(slot)+rows survivor ordinals.
 //
 // Thin draws, item by item and row by row, the sampling decisions
 // addSampled would draw for the same update: nothing at p = 0 (every
 // row keeps every unit), one Uint64 split into p-bit fields for a unit
 // update while p*rows <= 64, one Dyadic or Binomial per row otherwise.
-// Compact writes what survived — the key and its packed count, row
-// mask and sign — into the batch's column scratch; an update sampled
-// out of every row leaves nothing behind and is never hashed. Apply
-// (applySurvivors) hashes the survivor column once and sweeps the
-// table row-major. It returns the number of survivors hashed.
-func (s *Sketch) applyRun(b *core.Batch, idx []uint64, deltas []int64) int64 {
-	n := len(idx)
+// Compact writes what survived — the key's ordinal and its packed
+// count, row mask and sign — into the batch's column scratch; an update
+// sampled out of every row leaves nothing behind. Apply (applySurvivors)
+// sweeps the table row-major, reading each survivor's bucket and sign
+// through its ordinal. It returns the number of survivors applied.
+func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64, ords []uint32) int64 {
+	n := len(slot)
 	if s.p == 0 {
-		// Degenerate thin: everything survives in every row, so the keys
-		// need no compaction. A zero delta contributes a zero add, which
-		// is cheaper than a branch.
+		if n >= h.d {
+			s.applyCoalesced(b, h, slot, deltas)
+			return int64(n)
+		}
+		// A run shorter than the key column (a batch cut up by updates
+		// the scalar loop took) is cheaper update by update than key by
+		// key. Everything survives in every row, so the ordinals need no
+		// compaction; a zero delta contributes a zero add, which is
+		// cheaper than a branch.
 		kept := b.Col64(n)
 		all := uint64(1)<<uint(s.rows) - 1
 		for t, d := range deltas {
 			units := (d ^ (d >> 63)) - (d >> 63) // branchless |d|
 			kept[t] = uint64(d)>>63<<63 | all*rowBit0 | uint64(units)
 		}
-		s.applySurvivors(b, idx, kept)
+		s.applySurvivors(h, slot, kept)
 		return int64(n)
 	}
 	// An update leaves at most `rows` survivors (one per distinct
@@ -280,29 +325,28 @@ func (s *Sketch) applyRun(b *core.Batch, idx []uint64, deltas []int64) int64 {
 	// fills the scratch and applies in one sweep; only a run whose big
 	// deltas fan out flushes early.
 	slots := n + s.rows
-	u64 := b.Col64(2 * slots)
-	keys, kept := u64[:slots], u64[slots:]
+	ords, kept := ords[:slots], b.Col64(slots)
 	packed := s.p*s.rows <= 64
 	rows, width := uint(s.rows), uint(s.p)
 	var low, top uint64
 	if packed {
 		low, top = fieldMasks(width, rows)
 	}
-	var hashed int64
+	var applied int64
 	m := 0
 	for t, d := range deltas {
 		if d == 0 {
 			continue
 		}
 		if m+s.rows > slots {
-			s.applySurvivors(b, keys[:m], kept[:m])
-			hashed += int64(m)
+			s.applySurvivors(h, ords[:m], kept[:m])
+			applied += int64(m)
 			m = 0
 		}
 		neg := uint64(d) >> 63 << 63
 		units := (d ^ (d >> 63)) - (d >> 63)
 		if units != 1 {
-			m = s.thinCounts(keys, kept, m, idx[t], units, neg)
+			m = s.thinCounts(ords, kept, m, slot[t], units, neg)
 			continue
 		}
 		// Row r keeps the unit iff its coin lands: its p-bit field of
@@ -319,11 +363,42 @@ func (s *Sketch) applyRun(b *core.Batch, idx []uint64, deltas []int64) int64 {
 				}
 			}
 		}
-		keys[m], kept[m] = idx[t], neg|hits*rowBit0|1
+		ords[m], kept[m] = slot[t], neg|hits*rowBit0|1
 		m += int((hits | -hits) >> 63) // keep the slot iff any row hit
 	}
-	s.applySurvivors(b, keys[:m], kept[:m])
-	return hashed + int64(m)
+	s.applySurvivors(h, ords[:m], kept[:m])
+	return applied + int64(m)
+}
+
+// applyCoalesced is a rate-1 run's apply, key by key: every row keeps
+// every unit, so the run's mass is first summed per key and side of
+// zero — mass[2t] from the positive deltas of key t, mass[2t+1] from
+// the negative, in fixed-point sub-units — and each row then adds two
+// sums per DISTINCT key instead of one product per update. int64 adds commute and wrap associatively,
+// so every cell ends bit-identical to the per-update sweep. The sums
+// are 64 bits wide: a key's mass over a run is not bounded by a
+// survivor's count field.
+func (s *Sketch) applyCoalesced(b *core.Batch, h hashed, slot []uint32, deltas []int64) {
+	_, _, wfp := s.decompose(1, 1.0) // weight 1.0 quantized exactly as the scalar path does
+	mass := b.Col64(2 * h.d)
+	clear(mass)
+	for t, d := range deltas {
+		units := (d ^ (d >> 63)) - (d >> 63) // branchless |d|
+		mass[2*uint(slot[t])+uint(uint64(d)>>63)] += uint64(units) * uint64(wfp)
+	}
+	width := int(s.cols)
+	for r := 0; r < s.rows; r++ {
+		row := s.table[r*width : r*width+width]
+		rc, rs := h.row(r)
+		for t, c := range rc {
+			// Positive-delta mass lands on the side g's sign bit names
+			// (side 0 iff g > 0), negative-delta mass on the other.
+			g := uint8(rs[t]) >> 7
+			cl := &row[c]
+			cl[g] += int64(mass[2*t])
+			cl[g^1] += int64(mass[2*t+1])
+		}
+	}
 }
 
 // fieldMasks describes a word cut into `rows` fields of `width` bits
@@ -358,7 +433,7 @@ func zeroFields(word, low, top uint64, width, rows uint) uint64 {
 // count Bin(units, 2^-p), and the update leaves one survivor per
 // distinct nonzero count, masking the rows that drew it, from slot m
 // on. It returns the next free slot.
-func (s *Sketch) thinCounts(keys, kept []uint64, m int, key uint64, units int64, neg uint64) int {
+func (s *Sketch) thinCounts(ords []uint32, kept []uint64, m int, ord uint32, units int64, neg uint64) int {
 	rate := math.Ldexp(1, -s.p)
 	for r := range s.cnts {
 		s.cnts[r] = sample.Binomial(s.rng, units, rate)
@@ -375,40 +450,36 @@ func (s *Sketch) thinCounts(keys, kept []uint64, m int, key uint64, units int64,
 			}
 		}
 		done |= same
-		keys[m], kept[m] = key, neg|same*rowBit0|uint64(cnt)
+		ords[m], kept[m] = ord, neg|same*rowBit0|uint64(cnt)
 		m++
 	}
 	return m
 }
 
 // applySurvivors adds every survivor's kept units, at weight 1.0, to
-// the cells of the rows its mask names: one batch hash evaluation fills
-// all rows' bucket and sign columns, then the table is swept row-major
-// — the same writes the scalar path makes, reordered (integer adds
+// the cells of the rows its mask names, sweeping the table row-major —
+// the same writes the scalar path makes, reordered (integer adds
 // commute).
-func (s *Sketch) applySurvivors(b *core.Batch, keys, kept []uint64) {
-	m := len(keys)
-	if m == 0 {
+func (s *Sketch) applySurvivors(h hashed, ords []uint32, kept []uint64) {
+	if len(ords) == 0 {
 		return
 	}
-	cols := b.Cols32(s.rows * m)
-	signs := b.Signs8(s.rows * m)
-	s.buckets.BucketSignsBatch(keys, cols, signs)
 	_, _, wfp := s.decompose(1, 1.0) // weight 1.0 quantized exactly as the scalar path does
 	width := int(s.cols)
 	for r := 0; r < s.rows; r++ {
-		applyRow(s.table[r*width:r*width+width], cols[r*m:r*m+m], signs[r*m:r*m+m], kept, uint64(wfp), rowBit0<<uint(r))
+		rc, rs := h.row(r)
+		applyRow(s.table[r*width:r*width+width], rc, rs, ords, kept, uint64(wfp), rowBit0<<uint(r))
 	}
 }
 
 // applyRow is one row's sweep of applySurvivors, split out so the loop
 // keeps its operands in registers: survivor t adds its count times wfp
-// to bucket rc[t] when its mask has this row's bit. A masked-out row
-// adds zero rather than branching.
+// to its key's bucket when its mask has this row's bit. A masked-out
+// row adds zero rather than branching.
 //
 //go:noinline
-func applyRow(row []cell, rc []uint32, rs []int8, kept []uint64, wfp, bit uint64) {
-	rc, rs = rc[:len(kept)], rs[:len(kept)]
+func applyRow(row []cell, rc []uint32, rs []int8, ords []uint32, kept []uint64, wfp, bit uint64) {
+	rs, ords = rs[:len(rc)], ords[:len(kept)]
 	for t, k := range kept {
 		amt := (k & maxCount) * wfp
 		if k&bit == 0 {
@@ -416,8 +487,9 @@ func applyRow(row []cell, rc []uint32, rs []int8, kept []uint64, wfp, bit uint64
 		}
 		// side 0 (positive mass) iff sign(delta)*g > 0: the XOR of the
 		// two sign bits.
-		side := (uint8(rs[t])>>7 ^ uint8(k>>63)) & 1
-		row[rc[t]][side] += int64(amt)
+		o := ords[t]
+		side := (uint8(rs[o])>>7 ^ uint8(k>>63)) & 1
+		row[rc[o]][side] += int64(amt)
 	}
 }
 
@@ -631,6 +703,7 @@ func (s *Sketch) halveOnce() {
 		cl[1] = sample.Half(s.rng, cl[1])
 	}
 	s.p++
+	sampleExponent.Set(int64(s.p))
 	s.scale *= 2
 	s.estScale *= 2
 	s.nextHalf = 2*s.nextHalf - 1 // S*2^r + 1 -> S*2^(r+1) + 1
@@ -671,6 +744,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	s.haveLast = false // the memoized cell contents changed
 	s.maybeHalve()
+	sampleExponent.Set(int64(s.p)) // other may have halved last, to align
 	return nil
 }
 
@@ -740,13 +814,9 @@ func (s *Sketch) cachedRowEstimate(r int) float64 {
 
 // QueryColumns fills est[j] with Query(keys[j]) for every key, hashing
 // the whole key column in ONE batch evaluation into b's column scratch
-// — the batched form of the candidate-refresh loop of the heavy
-// hitters and sampler batch paths, where an entire batch's distinct
-// indices are re-estimated at once, and the read path behind the
-// public BatchPointQuerier capability. The gather stage sweeps the
-// table row-major (every read of row r happens while r's cells are
-// cache-resident) before the per-key medians select over the gathered
-// estimate matrix. Answers are bit-identical to Query's; est must hold
+// — the read path behind the public BatchPointQuerier capability and
+// the candidate re-estimate of HeavyHitters and of the L1 sampler's
+// refresh. Answers are bit-identical to Query's; est must hold
 // len(keys) entries.
 func (s *Sketch) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 	n := len(keys)
@@ -759,6 +829,24 @@ func (s *Sketch) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 	cols := b.Cols32(s.rows * n)
 	signs := b.Signs8(s.rows * n)
 	s.buckets.BucketSignsBatch(keys, cols, signs)
+	s.EstimateHashed(cols, signs, est[:n])
+}
+
+// EstimateHashed is QueryColumns past the hash: cols and signs are the
+// bucket and sign columns of len(est) keys (row-major, as
+// BucketSignsBatch fills them and UpdateColumns returns them), and
+// est[j] becomes the j-th key's Query. The gather stage sweeps the
+// table row-major (every read of row r happens while r's cells are
+// cache-resident) before the per-key medians select over the gathered
+// estimate matrix.
+func (s *Sketch) EstimateHashed(cols []uint32, signs []int8, est []float64) {
+	n := len(est)
+	if n == 0 {
+		return
+	}
+	if len(cols) != s.rows*n || len(signs) != s.rows*n {
+		panic(fmt.Sprintf("csss: EstimateHashed got %d buckets and %d signs for %d keys in %d rows", len(cols), len(signs), n, s.rows))
+	}
 	if cap(s.qBatch) < s.rows*n {
 		s.qBatch = make([]float64, s.rows*n)
 		s.qDiff = make([]int64, s.rows*n)
@@ -785,7 +873,7 @@ func (s *Sketch) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 	case 7:
 		// The strict-turnstile depth: a columnar median kernel selects
 		// all n medians over the row-major estimate matrix at once.
-		hash.MedianOf7Columns(rowEst, est[:n])
+		hash.MedianOf7Columns(rowEst, est)
 	default:
 		for j := 0; j < n; j++ {
 			for r := 0; r < s.rows; r++ {

@@ -39,6 +39,12 @@ func feed(sk *Sketch, s *stream.Stream) {
 	}
 }
 
+// feedColumns ingests us through the batch path: plan, then
+// UpdateColumns.
+func feedColumns(sk *Sketch, us []stream.Update) {
+	core.UpdateBatch(func(b *core.Batch) { sk.UpdateColumns(b) }, us)
+}
+
 // TestExactWhenUnsampled: while t <= 2S the sketch samples everything and
 // must agree exactly with a plain Count-Sketch; on a sparse vector with
 // wide rows it recovers frequencies exactly.

@@ -133,6 +133,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	// nextHalf follows the S*2^r + 1 schedule: r = p+1 boundaries passed.
 	restored.nextHalf = params.S<<uint(p+1) + 1
 	*s = *restored
+	sampleExponent.Set(int64(p))
 	return nil
 }
 

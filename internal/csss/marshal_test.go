@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
 	"repro/internal/wire/wiretest"
@@ -16,7 +15,7 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: 8})
 	params := Params{Rows: 5, K: 16, S: 1 << 20}
 	sk := New(rand.New(rand.NewSource(17)), params)
-	core.UpdateBatch(sk.UpdateColumns, s.Updates)
+	feedColumns(sk, s.Updates)
 
 	data, err := sk.MarshalBinary()
 	if err != nil {
@@ -175,7 +174,7 @@ func TestSketchUnmarshalRejectsPositionPastBoundary(t *testing.T) {
 	if err := last.UnmarshalBinary(patched(sk.nextHalf - 1)); err != nil {
 		t.Fatalf("position one short of the boundary rejected: %v", err)
 	}
-	core.UpdateBatch(last.UpdateColumns, []stream.Update{{Index: 1, Delta: 1}, {Index: 2, Delta: 1}})
+	feedColumns(last, []stream.Update{{Index: 1, Delta: 1}, {Index: 2, Delta: 1}})
 	if last.p != 3 || last.t != sk.nextHalf+1 {
 		t.Fatalf("after two units from the brink: p=%d t=%d, want 3 and %d", last.p, last.t, sk.nextHalf+1)
 	}
@@ -200,7 +199,7 @@ func TestSketchUnmarshalRejectsPositionPastBoundary(t *testing.T) {
 func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: 8})
 	sk := New(rand.New(rand.NewSource(17)), Params{Rows: 5, K: 64, S: 1 << 12})
-	core.UpdateBatch(sk.UpdateColumns, s.Updates)
+	feedColumns(sk, s.Updates)
 	te := NewTailEstimator(rand.New(rand.NewSource(3)), Params{Rows: 5, K: 32, S: 1 << 16, FixedPointBits: 4})
 	for i := uint64(0); i < 300; i++ {
 		te.UpdateWeighted(i, int64(i%5)-2, 1.5)

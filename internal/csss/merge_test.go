@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -28,17 +27,17 @@ func TestMergeExactInRateOneRegime(t *testing.T) {
 	params := Params{Rows: 5, K: 16, S: 1 << 20} // S far above the stream mass
 	const seed = 17
 	whole := New(rand.New(rand.NewSource(seed)), params)
-	core.UpdateBatch(whole.UpdateColumns, s.Updates)
+	feedColumns(whole, s.Updates)
 	if whole.SampleExponent() != 0 {
 		t.Fatal("test workload unexpectedly left the rate-1 regime")
 	}
 
 	parts := splitByIndex(s, 3)
 	merged := New(rand.New(rand.NewSource(seed)), params)
-	core.UpdateBatch(merged.UpdateColumns, parts[0])
+	feedColumns(merged, parts[0])
 	for _, p := range parts[1:] {
 		sh := New(rand.New(rand.NewSource(seed)), params)
-		core.UpdateBatch(sh.UpdateColumns, p)
+		feedColumns(sh, p)
 		if err := merged.Merge(sh); err != nil {
 			t.Fatal(err)
 		}

@@ -187,16 +187,19 @@ func (h *AlphaL1) Update(i uint64, delta int64) {
 }
 
 // UpdateColumns feeds a pre-planned columnar batch. The CSSS sketch
-// consumes the columns directly (each run applies row-major off one
-// batch hash evaluation of the updates its thin step kept), the L1
-// scale ingests the delta column, and the candidate tracker is
-// refreshed once per distinct index at the end of the batch (see
-// topk.Refresher).
+// hashes the batch's distinct indices once and applies every run
+// through them, the candidate tracker is refreshed once per distinct
+// index from those same bucket and sign columns (topk.Refresher; the
+// refresh runs before anything else sizes the batch's column scratch
+// they live in), and the L1 scale ingests the delta column.
 func (h *AlphaL1) UpdateColumns(b *core.Batch) {
-	h.sk.UpdateColumns(b)
+	if !core.Plannable(b) {
+		core.Split(b, h.UpdateColumns)
+		return
+	}
+	cols, signs := h.sk.UpdateColumns(b)
+	h.refresh.OfferHashed(h.tracker, b, cols, signs, h.sk)
 	h.scale.updateColumns(b)
-	h.refresh.Distinct(b.Idx)
-	h.refresh.Offer(h.tracker, b, h.sk)
 }
 
 // HeavyHitters returns every tracked item whose CSSS estimate crosses
@@ -328,7 +331,6 @@ func (b *CountSketchHH) Update(i uint64, delta int64) {
 func (b *CountSketchHH) UpdateColumns(cb *core.Batch) {
 	b.sk.UpdateColumns(cb)
 	b.scale.updateColumns(cb)
-	b.refresh.Distinct(cb.Idx)
 	b.refresh.Offer(b.tracker, cb, b.sk)
 }
 

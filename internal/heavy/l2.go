@@ -95,7 +95,6 @@ func (h *AlphaL2) UpdateColumns(b *core.Batch) {
 	h.insCS.UpdateColumns(ins)
 	core.PutBatch(ins)
 	h.verCS.UpdateColumns(b)
-	h.refresh.Distinct(b.Idx)
 	h.refresh.Offer(h.trk, b, h.insCS)
 }
 

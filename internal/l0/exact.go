@@ -21,7 +21,9 @@ package l0
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/hash"
 	"repro/internal/nt"
@@ -37,9 +39,121 @@ type ExactSmall struct {
 	hash     *hash.KWise
 	buckets  uint64
 	prime    uint64
-	counters map[uint64]uint64 // occupied bucket -> frequency mod prime
+	counters bucketTable // occupied bucket -> frequency mod prime
 	overflow bool
 	maxLive  int
+}
+
+// bucketTable maps the occupied buckets to their counters: a flat
+// open-addressed table on the Fibonacci hash, linear probing,
+// backward-shift delete (the idiom of topk.Tracker's index), so the
+// per-update lookup is a multiply and a compare instead of a Go map
+// access. A live counter is never zero, so a zero count marks a free
+// cell, and a counter that returns to zero leaves no tombstone.
+type bucketTable struct {
+	cells []bucketCell // power-of-two length, at most three quarters full
+	n     int          // occupied cells
+	shift uint         // 64 - log2(len(cells))
+}
+
+type bucketCell struct {
+	bucket, count uint64
+}
+
+// newBucketTable returns a table that holds n counters without growing.
+// A table starts small and doubles as it fills, as the map it replaced
+// did: most of a RoughL0's levels hold a handful of counters, and a
+// table sized for the promise bound up front made the state a
+// fourteenth larger.
+func newBucketTable(n int) bucketTable {
+	log := max(3, bits.Len(uint(max(0, 4*n-1)/3))) // the least power of two >= 4n/3
+	return bucketTable{cells: make([]bucketCell, 1<<log), shift: uint(64 - log)}
+}
+
+func (t *bucketTable) home(b uint64) uint64 { return b * 0x9E3779B97F4A7C15 >> t.shift }
+
+// find returns the index of bucket b's cell: its own when it is
+// occupied, else the free cell an insertion fills.
+func (t *bucketTable) find(b uint64) uint64 {
+	mask := uint64(len(t.cells) - 1)
+	i := t.home(b)
+	for t.cells[i].count != 0 && t.cells[i].bucket != b {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// has reports whether bucket b is occupied.
+func (t *bucketTable) has(b uint64) bool { return t.cells[t.find(b)].count != 0 }
+
+// addMod folds v into bucket b's counter modulo prime and reports
+// whether that occupied a new cell. A counter that reaches zero frees
+// its cell. The table doubles when an insertion would fill it past
+// three quarters; it never shrinks, so a structure whose live set has
+// peaked allocates no more.
+func (t *bucketTable) addMod(b, v, prime uint64) (inserted bool) {
+	i := t.find(b)
+	cur := t.cells[i].count
+	nv := nt.AddMod(cur, v, prime)
+	switch {
+	case nv == 0:
+		if cur != 0 {
+			t.del(i)
+		}
+	case cur != 0:
+		t.cells[i].count = nv
+	default:
+		if 4*(t.n+1) > 3*len(t.cells) {
+			old := t.cells
+			*t = newBucketTable(3 * len(old) / 2) // twice the cells
+			for _, c := range old {
+				if c.count != 0 {
+					t.cells[t.find(c.bucket)] = c
+					t.n++
+				}
+			}
+			i = t.find(b)
+		}
+		t.cells[i] = bucketCell{bucket: b, count: nv}
+		t.n++
+		return true
+	}
+	return false
+}
+
+// del frees the occupied cell i and closes the hole: each later cell
+// of the probe chain moves back unless its home lies cyclically within
+// (hole, cell], where it already sits as early as it can.
+func (t *bucketTable) del(i uint64) {
+	mask := uint64(len(t.cells) - 1)
+	t.n--
+	for j := i; ; {
+		t.cells[i].count = 0
+		for {
+			j = (j + 1) & mask
+			if t.cells[j].count == 0 {
+				return
+			}
+			if h := t.home(t.cells[j].bucket); (j-h)&mask >= (j-i)&mask {
+				break
+			}
+		}
+		t.cells[i] = t.cells[j]
+		i = j
+	}
+}
+
+// buckets returns the occupied buckets in ascending order, the order
+// the "0E" encoding lists them in.
+func (t *bucketTable) buckets() []uint64 {
+	out := make([]uint64, 0, t.n)
+	for _, c := range t.cells {
+		if c.count != 0 {
+			out = append(out, c.bucket)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // NewExactSmall builds the structure for the promise bound c. The prime
@@ -59,7 +173,7 @@ func NewExactSmall(rng *rand.Rand, c int) *ExactSmall {
 		hash:     hash.NewPairwise(rng),
 		buckets:  uint64(4 * c * c),
 		prime:    p,
-		counters: make(map[uint64]uint64),
+		counters: newBucketTable(0),
 	}
 }
 
@@ -85,25 +199,17 @@ func (e *ExactSmall) UpdateColumn(keys []uint64, deltas []int64, col []uint64) {
 
 // updateBucket adds a nonzero delta to bucket b.
 func (e *ExactSmall) updateBucket(b uint64, delta int64) {
-	cur, ok := e.counters[b]
-	if !ok {
-		if len(e.counters) >= e.c {
-			e.overflow = true
-			return
-		}
+	t := &e.counters
+	if t.n >= e.c && !t.has(b) {
+		e.overflow = true
+		return
 	}
 	d := delta % int64(e.prime)
 	if d < 0 {
 		d += int64(e.prime)
 	}
-	nv := nt.AddMod(cur, uint64(d), e.prime)
-	if nv == 0 {
-		delete(e.counters, b)
-	} else {
-		e.counters[b] = nv
-		if !ok && len(e.counters) > e.maxLive {
-			e.maxLive = len(e.counters)
-		}
+	if t.addMod(b, uint64(d), e.prime) && t.n > e.maxLive {
+		e.maxLive = t.n
 	}
 }
 
@@ -113,7 +219,7 @@ func (e *ExactSmall) Count() (int64, bool) {
 	if e.overflow {
 		return 0, false
 	}
-	return int64(len(e.counters)), true
+	return int64(e.counters.n), true
 }
 
 // CountSaturating returns the exact count when available and c+1 when
@@ -136,17 +242,14 @@ func (e *ExactSmall) Merge(other *ExactSmall) error {
 	if e.c != other.c || e.prime != other.prime || e.buckets != other.buckets || !e.hash.Equal(other.hash) {
 		return fmt.Errorf("l0: merging ExactSmall structures with different wiring (same seed/params required)")
 	}
-	for b, v := range other.counters {
-		nv := nt.AddMod(e.counters[b], v, e.prime)
-		if nv == 0 {
-			delete(e.counters, b)
-		} else {
-			e.counters[b] = nv
+	for _, c := range other.counters.cells {
+		if c.count != 0 {
+			e.counters.addMod(c.bucket, c.count, e.prime)
 		}
 	}
-	e.overflow = e.overflow || other.overflow || len(e.counters) > e.c
-	if len(e.counters) > e.maxLive {
-		e.maxLive = len(e.counters)
+	e.overflow = e.overflow || other.overflow || e.counters.n > e.c
+	if e.counters.n > e.maxLive {
+		e.maxLive = e.counters.n
 	}
 	if other.maxLive > e.maxLive {
 		e.maxLive = other.maxLive
@@ -156,19 +259,9 @@ func (e *ExactSmall) Merge(other *ExactSmall) error {
 
 // Clone returns a deep copy sharing the (immutable) hash function.
 func (e *ExactSmall) Clone() *ExactSmall {
-	c := &ExactSmall{
-		c:        e.c,
-		hash:     e.hash,
-		buckets:  e.buckets,
-		prime:    e.prime,
-		counters: make(map[uint64]uint64, len(e.counters)),
-		overflow: e.overflow,
-		maxLive:  e.maxLive,
-	}
-	for b, v := range e.counters {
-		c.counters[b] = v
-	}
-	return c
+	c := *e
+	c.counters.cells = slices.Clone(e.counters.cells)
+	return &c
 }
 
 // SpaceBits charges the occupied (bucket id, counter) pairs at their

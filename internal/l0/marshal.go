@@ -3,7 +3,6 @@ package l0
 import (
 	"encoding/binary"
 	"errors"
-	"slices"
 
 	"repro/internal/hash"
 	"repro/internal/nt"
@@ -32,7 +31,7 @@ func (e *ExactSmall) MarshalBinary() ([]byte, error) { return e.AppendBinary(nil
 
 // EncodedLen is the length of the structure's encoding.
 func (e *ExactSmall) EncodedLen() int {
-	return 3 + 25 + 4 + e.hash.EncodedLen() + 4 + 16*len(e.counters)
+	return 3 + 25 + 4 + e.hash.EncodedLen() + 4 + 16*e.counters.n
 }
 
 // AppendBinary appends the structure's encoding to dst.
@@ -46,16 +45,12 @@ func (e *ExactSmall) AppendBinary(dst []byte) ([]byte, error) {
 	if err := w.Marshal(e.hash); err != nil {
 		return nil, err
 	}
-	keys := make([]uint64, 0, len(e.counters))
-	for b := range e.counters {
-		keys = append(keys, b)
-	}
-	slices.Sort(keys)
+	keys := e.counters.buckets()
 	w.U32(uint32(len(keys)))
 	out := w.Extend(16 * len(keys))
 	for i, b := range keys {
 		binary.LittleEndian.PutUint64(out[16*i:], b)
-		binary.LittleEndian.PutUint64(out[16*i+8:], e.counters[b])
+		binary.LittleEndian.PutUint64(out[16*i+8:], e.counters.cells[e.counters.find(b)].count)
 	}
 	return w.Bytes(), nil
 }
@@ -88,17 +83,19 @@ func (e *ExactSmall) UnmarshalBinary(data []byte) error {
 		return errors.New("l0: bad ExactSmall counter count")
 	}
 	in := rd.Take(16 * n)
-	counters := make(map[uint64]uint64, n)
+	counters := newBucketTable(n)
 	for i := 0; i < n; i++ {
 		b := binary.LittleEndian.Uint64(in[16*i:])
 		val := binary.LittleEndian.Uint64(in[16*i+8:])
 		if b >= buckets || val == 0 || val >= prime {
 			return errors.New("l0: bad ExactSmall counter")
 		}
-		if _, dup := counters[b]; dup {
+		cell := &counters.cells[counters.find(b)]
+		if cell.count != 0 {
 			return errors.New("l0: duplicate ExactSmall bucket")
 		}
-		counters[b] = val
+		*cell = bucketCell{bucket: b, count: val}
+		counters.n++
 	}
 	if err := rd.Done(); err != nil {
 		return err

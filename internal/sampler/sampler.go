@@ -253,7 +253,7 @@ func (in *instance) spaceBits() int64 {
 type Sampler struct {
 	instances []*instance
 
-	refresh topk.Refresher[float64] // one distinct column per batch, shared by the copies
+	refresh topk.Refresher[float64] // estimate scratch, shared by the copies
 }
 
 // New builds a sampler with `copies` parallel instances; pass
@@ -282,10 +282,9 @@ func (s *Sampler) Update(i uint64, delta int64) {
 // weights and binomial thinning draw per-instance rng) but refreshes
 // its candidate tracker only once per distinct index — the tracker
 // offer costs a full CSSS median query, the dominant term of the
-// scalar path, and the distinct-index column is computed once and
-// shared across the ~2/eps parallel copies.
+// scalar path, and the distinct-index column is the batch's own plan,
+// computed once and shared across the ~2/eps parallel copies.
 func (s *Sampler) UpdateColumns(b *core.Batch) {
-	s.refresh.Distinct(b.Idx)
 	for _, in := range s.instances {
 		for j, i := range b.Idx {
 			in.ingest(i, b.Delta[j])

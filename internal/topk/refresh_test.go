@@ -25,7 +25,7 @@ func (r *recorder[E]) QueryColumns(b *core.Batch, keys []uint64, est []E) {
 	r.q.QueryColumns(b, keys, est)
 }
 
-// checkRefresh runs one Distinct + Offer over b against q and asserts
+// checkRefresh runs one Offer over b against q and asserts
 // the shared step's contract: the sketch is asked for exactly the
 // batch's distinct indices in first-occurrence order, once, and every
 // one of them lands in the tracker with the estimate per-index Query
@@ -42,7 +42,6 @@ func checkRefresh[E int64 | float64](t *testing.T, r *Refresher[E], b *core.Batc
 	}
 	rec := &recorder[E]{q: q}
 	trk := New(len(b.Idx) + 1)
-	r.Distinct(b.Idx)
 	r.Offer(trk, b, rec)
 	if !slices.Equal(rec.keys, want) {
 		t.Fatalf("re-estimated %v, want the distinct indices in first-occurrence order %v", rec.keys, want)

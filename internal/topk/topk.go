@@ -195,45 +195,55 @@ func (t *Tracker) Offer(i uint64, est float64) {
 // keeps a Tracker beside a point sketch. The sketch's median query is
 // the dominant per-update cost of the per-item path, and an index
 // updated k times in one batch needs only its final estimate offered,
-// so a batch re-estimates each DISTINCT index once, through the
-// sketch's QueryColumns (one batch hash pass, bit-identical to Query).
-// The Refresher owns the scratch; E is the sketch's estimate type.
+// so a batch re-estimates each DISTINCT index once. The distinct column
+// is the batch's own plan (core.Distinct), built once however
+// many trackers are refreshed from it (the L1 sampler offers the same
+// column to each of its parallel copies). The Refresher owns the
+// estimate scratch; E is the sketch's estimate type.
 type Refresher[E int64 | float64] struct {
-	seen map[uint64]struct{}
-	ids  []uint64 // the batch's distinct indices, first-occurrence order
-	est  []E
+	est []E
 }
 
-// Distinct records idx's distinct indices in first-occurrence order —
-// once per batch, shared by every Offer that follows (the L1 sampler
-// offers the same column to each of its parallel copies).
-func (r *Refresher[E]) Distinct(idx []uint64) {
-	if r.seen == nil {
-		r.seen = make(map[uint64]struct{}, 256)
-	}
-	clear(r.seen)
-	r.ids = r.ids[:0]
-	for _, i := range idx {
-		if _, ok := r.seen[i]; !ok {
-			r.seen[i] = struct{}{}
-			r.ids = append(r.ids, i)
-		}
-	}
-}
-
-// Offer re-estimates the recorded indices against q in one
-// QueryColumns call and offers each fresh estimate to t. b supplies the
-// hash-column scratch (the ingest that preceded the refresh is done
-// with it).
+// Offer re-estimates b's distinct indices against q in one
+// QueryColumns call (one batch hash pass, bit-identical to Query) and
+// offers each fresh estimate to t. b also supplies the hash-column
+// scratch: the ingest that preceded the refresh is done with it. A
+// batch too long to plan is refreshed piece by piece.
 func (r *Refresher[E]) Offer(t *Tracker, b *core.Batch, q interface {
 	QueryColumns(b *core.Batch, keys []uint64, est []E)
 }) {
-	if cap(r.est) < len(r.ids) {
-		r.est = make([]E, len(r.ids))
+	if !core.Plannable(b) {
+		core.Split(b, func(piece *core.Batch) { r.Offer(t, piece, q) })
+		return
 	}
-	est := r.est[:len(r.ids)]
-	q.QueryColumns(b, r.ids, est)
-	for j, id := range r.ids {
+	keys, _ := core.Distinct(b)
+	est := r.estimates(len(keys))
+	q.QueryColumns(b, keys, est)
+	offerAll(t, keys, est)
+}
+
+// OfferHashed is Offer against a sketch that hashed b's distinct
+// indices while it applied the batch: cols and signs are those bucket
+// and sign columns, and q estimates from them without a second hash
+// pass.
+func (r *Refresher[E]) OfferHashed(t *Tracker, b *core.Batch, cols []uint32, signs []int8, q interface {
+	EstimateHashed(cols []uint32, signs []int8, est []E)
+}) {
+	keys, _ := core.Distinct(b)
+	est := r.estimates(len(keys))
+	q.EstimateHashed(cols, signs, est)
+	offerAll(t, keys, est)
+}
+
+func (r *Refresher[E]) estimates(n int) []E {
+	if cap(r.est) < n {
+		r.est = make([]E, n)
+	}
+	return r.est[:n]
+}
+
+func offerAll[E int64 | float64](t *Tracker, keys []uint64, est []E) {
+	for j, id := range keys {
 		t.Offer(id, float64(est[j]))
 	}
 }
