@@ -233,30 +233,30 @@
 //     carries its DISTINCT PLAN, built the first time a structure asks
 //     and kept until the index column changes: the distinct indices in
 //     first-occurrence order, and for every update the ordinal of its
-//     index (an open-addressed table stamped by generation: no map,
-//     nothing cleared, nothing allocated once warm). A batch repeats
-//     indices — 0.3 to 0.6 distinct per update on the benchmark's
-//     streams — and everything per-key below is done per distinct key.
-//  2. HASH — the structure's batch evaluators fill whole bucket/sign
-//     columns per Count-Sketch row: straight-line multiply-add loops
-//     with the row coefficients in registers, no per-item function
-//     calls. The heavy-hitters CSSS sketch hashes the DISTINCT column,
-//     once per batch; the dense Count-Sketch structures hash the index
-//     column as it stands.
-//  3. APPLY — the counter tables are swept row-major (one
-//     cache-resident table row at a time). CSSS applies through the
-//     ordinals: at sampling rate 1 a run's mass is first summed per
-//     distinct index and sign, and each row adds two products per
-//     distinct index instead of one per update (int64 adds commute and
-//     wrap associatively, so every cell is bit-identical).
+//     index (an open-addressed table stamped by generation and keyed
+//     per process: no map, nothing cleared, nothing allocated once
+//     warm). A batch repeats indices — 0.3 to 0.6 distinct per update
+//     on the benchmark's streams.
+//  2. HASH — batch evaluators fill whole columns in straight-line
+//     multiply-add loops, no per-item function calls. The three PLANNED
+//     kinds — the CSSS heavy hitters, the L0 estimator (with its rough
+//     and exact side structures) and the support sampler — hash the
+//     DISTINCT column, once per batch; the dense Count-Sketch
+//     structures hash the index column as it stands.
+//  3. APPLY — the planned kinds apply THROUGH THE ORDINALS: an update
+//     reads its index's hashes, it does not recompute them. What only
+//     sums is coalesced per distinct index first — CSSS's rows at
+//     sampling rate 1 (per index and sign), the L0 estimator's two bin
+//     matrices (the deltas summed mod p) — which is exact because the
+//     adds commute and wrap, or reduce, associatively. What depends on
+//     the order of updates (an exact counter's overflow latch, a
+//     sparse-recovery cell's count peak) applies update by update.
 //  4. REFRESH — candidate tracking re-estimates the batch's distinct
 //     indices and offers each to the tracker (one shared step,
-//     topk.Refresher, for every tracker-bearing structure). The CSSS
-//     heavy hitters read those estimates off the SAME bucket/sign
-//     columns stage 2 filled — one hash pass per batch, not two; the
-//     Count-Sketch-backed structures and the L1 sampler's copies, whose
-//     sketches did not hash the distinct column, take one further
-//     batched hash pass over it.
+//     topk.Refresher). The CSSS heavy hitters read those estimates off
+//     the SAME columns stage 2 filled; the Count-Sketch-backed
+//     structures and the L1 sampler's copies take one further batched
+//     hash pass over the distinct column.
 //
 // Once CSSS is sampling (sampling exponent p >= 1, the regime past 2S
 // units where a long-lived monitor spends its life) two steps run
@@ -264,43 +264,36 @@
 // decisions for a whole run of updates below the next halving
 // boundary, and COMPACT packs the updates that at least one row kept —
 // the index's ordinal, units kept, row mask — into the batch's scratch.
-// Only those survivors are applied, each reading its bucket and sign
-// through its ordinal; p = 0 is the same run loop with nothing thinned
-// away. Only the one update that lands on a halving boundary takes the
-// per-item path.
+// Only those survivors are applied; p = 0 is the same run loop with
+// nothing thinned away, and only the one update that lands on a halving
+// boundary takes the per-item path.
 //
-// The columnar path is bit-for-bit identical to feeding the same
-// updates through Update: counter adds commute, per-counter write
-// order is preserved, and the rng draw order is the contract — CSSS's
-// thin step makes exactly the draws the per-item path makes for the
-// same updates, in the same order, while the precision sampler and
-// the interval-schedule structures (l1, sampled Cauchy, inner product)
-// still apply per-item exactly where their draws occur. Differential tests assert this equality per
-// structure and through the engine at 1/2/4/8 shards.
-//
-// The windowed structures (the L0 estimator, its constant-factor level
+// The windowed kinds (the L0 estimator, its constant-factor level
 // estimator, the support sampler) keep only the rows / levels around
 // the rough estimate R_t, which never falls (Corollary 2) and so moves
 // O(log n) times in a stream's life. Their batches are CUT AT THE
 // WINDOW EVENTS AND BATCHED BETWEEN THEM: the rough estimator scans the
-// key column (one batch hash per copy, level bits OR-reduced) and
-// reports the first item that raises R_t; the column is cut there, the
-// window re-syncs — the raising item is applied under the window it
-// produces, the per-item order rough → sync → apply — and each run
-// between cuts goes compact → hash → apply against a dense row/level
-// array: L0 keeps the items whose row is live and batch-evaluates its
-// bin hashes over them, the support sampler hashes each item once and
-// applies that entry to every live level that samples it. No draws are
-// involved, so the contract is bit-identity with per-item Update,
-// which takes the same event-driven sync and stays the oracle. All
-// three hold one window type, l0.Window, over the level-indexed slot
-// set (sample.Slots) the interval-schedule window also drives: it owns
-// the slots, the estimate they were last synced at (a set fresh from
-// UnmarshalBinary or Merge is unsynced and converges on its first
-// update, on both paths), the per-item and per-column steps, merge,
-// clone, the live and peak counts and the level-list framing, while a
-// structure supplies its payload, its constructor for level j and its
-// centre formula.
+// distinct column (a repeat only ORs in level bits its first occurrence
+// set, so only a first occurrence can raise R_t) and reports the first
+// index that does; the batch is cut before that index's first update,
+// the window re-syncs — the raising update is applied under the window
+// it produces, the per-item order rough → sync → apply — and stages 2
+// and 3 run between cuts against a dense row/level array. A batch with
+// zero deltas, or longer than a column chunk, is compacted and split
+// first and each piece planned. All three hold one window type,
+// l0.Window (see its comment), over the level-indexed slot set the
+// interval-schedule window also drives.
+//
+// The columnar path is bit-for-bit identical to feeding the same
+// updates through Update: counter adds commute, per-counter write
+// order is preserved where it shows, and the rng draw order is the
+// contract — CSSS's thin step makes exactly the draws the per-item
+// path makes for the same updates, in the same order, the windowed
+// kinds draw nothing, and the precision sampler and the
+// interval-schedule structures (l1, sampled Cauchy, inner product)
+// still apply per-item exactly where their draws occur. Differential
+// tests assert this equality per structure and through the engine at
+// 1/2/4/8 shards.
 //
 // # Querying: capability-typed interfaces and columnar batched reads
 //

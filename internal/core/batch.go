@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand/v2"
 	"sync"
 
 	"repro/internal/stream"
@@ -62,6 +63,7 @@ type Batch struct {
 	planned bool
 	keys    []uint64 // distinct indices, first-occurrence order
 	slot    []uint32 // slot[j] is the ordinal in keys of Idx[j]
+	first   []uint32 // see First; empty until asked for
 }
 
 // Len returns the number of updates in the batch.
@@ -159,9 +161,9 @@ func (b *Batch) split(max int, apply func(*Batch)) {
 // Both columns belong to the batch and are read-only to the caller.
 //
 // The lookup behind it is an open-addressed table on the Fibonacci
-// hash, linear probing, cells stamped with a generation (planTable): no
-// map, no clearing, no allocation once the batch has seen its working
-// size. b must be Plannable.
+// hash, keyed per process (planKey), linear probing, cells stamped with
+// a generation (planTable): no map, no clearing, no allocation once the
+// batch has seen its working size. b must be Plannable.
 func Distinct(b *Batch) (keys []uint64, slot []uint32) {
 	if !b.planned {
 		n := len(b.Idx)
@@ -177,9 +179,29 @@ func Distinct(b *Batch) (keys []uint64, slot []uint32) {
 		if len(t.cells) <= 2*maxRetainedCap { // what planning the longest retained batch takes
 			planTables.Put(t)
 		}
-		b.keys, b.slot, b.planned = b.keys[:d], b.slot[:n], true
+		b.keys, b.slot, b.first, b.planned = b.keys[:d], b.slot[:n], b.first[:0], true
 	}
 	return b.keys, b.slot
+}
+
+// First returns the position in Idx of each distinct key's first
+// occurrence (ascending: the plan lists keys in that order) and, one
+// past the last key, Len(): every update before first[o] carries a key
+// of ordinal below o, so a cut between two keys maps to one between two
+// updates. Derived on the first call and cached beside the plan.
+func First(b *Batch) []uint32 {
+	keys, slot := Distinct(b)
+	if len(b.first) == 0 {
+		if cap(b.first) <= len(keys) {
+			b.first = make([]uint32, cap(b.slot)+1)
+		}
+		b.first = b.first[:len(keys)+1]
+		b.first[len(keys)] = uint32(len(slot))
+		for j := len(slot) - 1; j >= 0; j-- {
+			b.first[slot[j]] = uint32(j)
+		}
+	}
+	return b.first
 }
 
 // planTable is the index -> ordinal table a plan is built with. It is
@@ -203,6 +225,14 @@ type planCell struct {
 
 var planTables = sync.Pool{New: func() any { return new(planTable) }}
 
+// planKey is XORed into every key before the Fibonacci multiply: drawn
+// once per process, so no key set chosen in advance piles a batch into
+// one probe chain (unkeyed, the keys i/phi all home to cell 0), while
+// runs of consecutive keys keep the constant's even spread — a random
+// multiplier loses it in one process in a hundred. The plan — keys and
+// slot — does not depend on it.
+var planKey = rand.Uint64()
+
 // build fills keys with idx's distinct indices in first-occurrence
 // order and slot[j] with the ordinal of idx[j], and returns how many
 // keys there are. keys holds len(idx)+1 entries, slot len(idx).
@@ -224,7 +254,7 @@ func (t *planTable) build(idx, keys []uint64, slot []uint32) int {
 		t.gen = 1
 	}
 	tab, gen := t.cells[:1<<lg], t.gen
-	shift, mask := 64-lg, uint64(1)<<lg-1
+	shift, mask, key := 64-lg, uint64(1)<<lg-1, planKey
 	// Whether an update's key is new to the batch is a coin no branch
 	// predictor calls (it cost more than the table's cache misses), so
 	// the loop does not branch on it: a probe stops at the first cell
@@ -234,7 +264,7 @@ func (t *planTable) build(idx, keys []uint64, slot []uint32) int {
 	// written and the column's length depend on which it was.
 	d := uint32(0)
 	for j, k := range idx {
-		h := k * 0x9E3779B97F4A7C15 >> shift
+		h := (k ^ key) * 0x9E3779B97F4A7C15 >> shift
 		c := &tab[h]
 		free := nonzero(uint64(c.gen ^ gen))
 		for nonzero(c.key^k)&^free != 0 {

@@ -214,3 +214,111 @@ func TestPlanScratchFollowsRetainCap(t *testing.T) {
 		t.Fatalf("PutBatch kept a batch whose plan holds %d slots (oversized drops: %d)", cap(b.slot), got)
 	}
 }
+
+// probeSteps is the number of steps past their home cells the keys of
+// the plan last built in tab lie, summed: what the linear probe walked
+// to place them, give or take the order of insertion.
+func probeSteps(tab *planTable, n int) (steps uint64) {
+	lg := uint(0)
+	for 1<<lg < 2*n {
+		lg++
+	}
+	for at, c := range tab.cells[:1<<lg] {
+		if c.gen == tab.gen {
+			steps += (uint64(at) - (c.key^planKey)*0x9E3779B97F4A7C15>>(64-lg)) & (1<<lg - 1)
+		}
+	}
+	return steps
+}
+
+// TestPlanTableKeyedAgainstChosenKeys: the keys i / phi mod 2^64 all
+// home to cell 0 under the unkeyed Fibonacci hash — a plan quadratic in
+// the batch length. Under the process's own key, which no sender knows,
+// the same batch plans like random keys: within two probe steps per
+// update (3000 draws of the key read 0.50 to 0.62). Runs of consecutive
+// keys, the constant's best case, stay collision-free under any key.
+func TestPlanTableKeyedAgainstChosenKeys(t *testing.T) {
+	const n, phi = 4096, 0x9E3779B97F4A7C15
+	inv := uint64(1) // phi^-1 mod 2^64, by Newton's iteration
+	for i := 0; i < 6; i++ {
+		inv *= 2 - phi*inv
+	}
+	chosen, run := make([]uint64, n), make([]uint64, n)
+	for i := range chosen {
+		chosen[i], run[i] = uint64(i)*inv, 1<<40+uint64(i)
+	}
+	keys, slot := make([]uint64, n+1), make([]uint32, n)
+	defer func(k uint64) { planKey = k }(planKey)
+	tab := new(planTable)
+	if d := tab.build(chosen, keys, slot); d != n {
+		t.Fatalf("%d distinct keys, want %d", d, n)
+	}
+	if steps := probeSteps(tab, n); steps > 2*n {
+		t.Fatalf("the keyed table walked %d probe steps for %d chosen keys, bound %d", steps, n, 2*n)
+	}
+	tab.build(run, keys, slot)
+	if steps := probeSteps(tab, n); steps != 0 {
+		t.Fatalf("consecutive keys walked %d probe steps under the process's key, want none", steps)
+	}
+	planKey = 0
+	tab.build(chosen, keys, slot)
+	if steps := probeSteps(tab, n); steps != n*(n-1)/2 {
+		t.Fatalf("unkeyed, the chosen keys walk %d steps, want the full quadratic %d: the test lost its adversary", steps, n*(n-1)/2)
+	}
+}
+
+// TestPlanIndependentOfKey: the plan is a function of the index column
+// alone — same keys, same slots, same first positions under any table
+// key — so nothing a structure marshals can depend on the process it ran
+// in (TestSameSeedSameBytes at the root holds that end).
+func TestPlanIndependentOfKey(t *testing.T) {
+	defer func(k uint64) { planKey = k }(planKey)
+	rng := rand.New(rand.NewSource(3))
+	b := new(Batch)
+	for j := 0; j < 3000; j++ {
+		b.Append(uint64(rng.Intn(900))<<uint(rng.Intn(50)), 1)
+	}
+	var keys0 []uint64
+	var slot0, first0 []uint32
+	for i, key := range []uint64{planKey, 0, 0x9E3779B97F4A7C15, 0xFFFFFFFFFFFFFFFF} {
+		planKey = key
+		b.planned = false
+		requirePlan(t, b)
+		keys, slot := Distinct(b)
+		first := First(b)
+		if i == 0 {
+			keys0, slot0, first0 = slices.Clone(keys), slices.Clone(slot), slices.Clone(first)
+		}
+		if !slices.Equal(keys, keys0) || !slices.Equal(slot, slot0) || !slices.Equal(first, first0) {
+			t.Fatalf("the plan under table key %#x differs from the one under the process's", key)
+		}
+	}
+}
+
+// TestFirstPositions: first[o] is where key o first occurs, one past the
+// last key the batch length; rebuilt with the plan, never served stale.
+func TestFirstPositions(t *testing.T) {
+	b := new(Batch)
+	check := func() {
+		t.Helper()
+		keys, _ := Distinct(b)
+		first := First(b)
+		if len(first) != len(keys)+1 || int(first[len(keys)]) != b.Len() {
+			t.Fatalf("first has %d entries ending in %d for %d keys of %d updates", len(first), first[len(first)-1], len(keys), b.Len())
+		}
+		for o, k := range keys {
+			if got, want := int(first[o]), slices.Index(b.Idx, k); got != want {
+				t.Fatalf("key %d (ordinal %d) first occurs at %d, First says %d", k, o, want, got)
+			}
+		}
+	}
+	check() // empty
+	for _, k := range []uint64{7, 7, 3, 7, 9, 3, 3, 11} {
+		b.Append(k, 1)
+		check()
+	}
+	b.LoadUpdates([]stream.Update{{Index: 3}, {Index: 3}, {Index: 7}})
+	check()
+	b.Reset()
+	check()
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/nt"
 )
 
 // Batch evaluators — the "hash" stage of the columnar plan → hash →
@@ -43,8 +45,9 @@ func (b *Buckets) BucketSignsBatch(keys []uint64, cols []uint32, signs []int8) {
 
 // FieldBatch fills out[j] with the polynomial evaluation at keys[j],
 // bit-identical to Field. out must hold len(keys) entries. The k = 2
-// and k = 4 cases run as kernels with coefficients in registers; other
-// degrees fall back to the scalar evaluator per key.
+// and k = 4 cases run as kernels with coefficients in registers, k = 8
+// as four interleaved scalar chains (fieldK8); other degrees fall back
+// to the scalar evaluator per key.
 func (h *KWise) FieldBatch(keys []uint64, out []uint64) {
 	if len(keys) == 0 {
 		return // before stats: an empty sweep is not a dispatch
@@ -59,12 +62,40 @@ func (h *KWise) FieldBatch(keys []uint64, out []uint64) {
 	case 4:
 		fieldDispatch.count(len(keys), 1)
 		active.fieldK4(h.coeffs[0], h.coeffs[1], h.coeffs[2], h.coeffs[3], keys, out)
+	case 8:
+		fieldDispatch.scalar.Inc() // portable Go whatever the length
+		h.fieldK8(keys, out)
 	default:
 		// Per-key fallback: always the scalar route regardless of length.
 		fieldDispatch.scalar.Inc()
 		for j, x := range keys {
 			out[j] = h.Field(x)
 		}
+	}
+}
+
+// fieldK8 evaluates a degree-7 polynomial four keys at a time: one
+// Horner chain is seven DEPENDENT multiply-adds, four stepped together
+// keep the multiplier fed. The steps and the reduction are
+// fieldReduced's, so the values are Field's.
+func (h *KWise) fieldK8(keys, out []uint64) {
+	c, step := (*[8]uint64)(h.coeffs), nt.MulAddLazyMersenne61
+	j := 0
+	for ; j+4 <= len(keys); j += 4 {
+		x0, x1 := keys[j]%nt.MersennePrime61, keys[j+1]%nt.MersennePrime61
+		x2, x3 := keys[j+2]%nt.MersennePrime61, keys[j+3]%nt.MersennePrime61
+		a0, a1, a2, a3 := step(c[7], x0, c[6]), step(c[7], x1, c[6]), step(c[7], x2, c[6]), step(c[7], x3, c[6])
+		a0, a1, a2, a3 = step(a0, x0, c[5]), step(a1, x1, c[5]), step(a2, x2, c[5]), step(a3, x3, c[5])
+		a0, a1, a2, a3 = step(a0, x0, c[4]), step(a1, x1, c[4]), step(a2, x2, c[4]), step(a3, x3, c[4])
+		a0, a1, a2, a3 = step(a0, x0, c[3]), step(a1, x1, c[3]), step(a2, x2, c[3]), step(a3, x3, c[3])
+		a0, a1, a2, a3 = step(a0, x0, c[2]), step(a1, x1, c[2]), step(a2, x2, c[2]), step(a3, x3, c[2])
+		a0, a1, a2, a3 = step(a0, x0, c[1]), step(a1, x1, c[1]), step(a2, x2, c[1]), step(a3, x3, c[1])
+		a0, a1, a2, a3 = step(a0, x0, c[0]), step(a1, x1, c[0]), step(a2, x2, c[0]), step(a3, x3, c[0])
+		out[j], out[j+1] = nt.ReduceLazyMersenne61(a0), nt.ReduceLazyMersenne61(a1)
+		out[j+2], out[j+3] = nt.ReduceLazyMersenne61(a2), nt.ReduceLazyMersenne61(a3)
+	}
+	for ; j < len(keys); j++ {
+		out[j] = h.Field(keys[j])
 	}
 }
 

@@ -3,6 +3,8 @@ package hash
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/nt"
 )
 
 // TestBucketSignsBatchMatchesScalar: the row-major batch evaluator must
@@ -71,6 +73,38 @@ func TestRangeBatchMatchesScalar(t *testing.T) {
 				if want := h.Range(x, r); out[j] != want {
 					t.Fatalf("k=%d r=%d key %d: batch %d != scalar %d", k, r, x, out[j], want)
 				}
+			}
+		}
+	}
+}
+
+// TestFieldBatchK8Interleaved: the four-at-a-time k = 8 evaluator
+// against per-key Field at every length around its stride — none, a
+// tail only, whole groups, groups and a tail — and at keys the field
+// reduction folds: p - 1, p, p + 1, 2p, 2^61, 2^62 and the top of the
+// range.
+func TestFieldBatchK8Interleaved(t *testing.T) {
+	const p = nt.MersennePrime61
+	rng := rand.New(rand.NewSource(29))
+	edge := []uint64{p - 1, p, p + 1, 2 * p, 2*p + 1, 1 << 61, 1 << 62, 1<<63 + 5, ^uint64(0), ^uint64(0) - p}
+	for trial := 0; trial < 50; trial++ {
+		h := NewKWise(rng, 8)
+		for n := 0; n <= 9; n++ {
+			keys, out := make([]uint64, n), make([]uint64, n+1)
+			for j := range keys {
+				if keys[j] = rng.Uint64(); trial%2 == 0 {
+					keys[j] = edge[(trial+n+j)%len(edge)]
+				}
+			}
+			out[n] = 12345 // one past the column: never written
+			h.FieldBatch(keys, out)
+			for j, x := range keys {
+				if want := h.Field(x); out[j] != want || want != h.FieldReference(x) {
+					t.Fatalf("n=%d key %d: batch %d, Field %d, reference %d", n, x, out[j], want, h.FieldReference(x))
+				}
+			}
+			if out[n] != 12345 {
+				t.Fatalf("n=%d: FieldBatch wrote past its column", n)
 			}
 		}
 	}

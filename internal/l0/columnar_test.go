@@ -313,7 +313,7 @@ func TestRoughL0UpdateColumnMatchesScalar(t *testing.T) {
 					item.Update(u.Index, u.Delta)
 					keys[j], deltas[j] = u.Index, u.Delta
 				}
-				cols.UpdateColumn(keys, deltas, col)
+				cols.UpdateColumn(&core.Batch{Idx: keys, Delta: deltas}, col)
 				if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
 					t.Fatalf("windowed=%v cut=%d: state differs after updates [%d,%d)", windowed, size, off, off+m)
 				}
@@ -343,7 +343,7 @@ func TestRaisingItemAppliesUnderNewWindow(t *testing.T) {
 			for j := off; j < off+batch; j++ {
 				item.Update(keys[j], deltas[j])
 			}
-			cols.UpdateColumn(keys[off:off+batch], deltas[off:off+batch], col)
+			cols.UpdateColumn(&core.Batch{Idx: keys[off : off+batch], Delta: deltas[off : off+batch]}, col)
 			if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
 				t.Fatalf("seed %d: one-level window diverged in updates [%d,%d)", seed, off, off+batch)
 			}
@@ -638,6 +638,293 @@ func TestTermMatchesMulMod(t *testing.T) {
 			if got, want := e.term(delta, mult), nt.MulMod(uint64(dm), mult, e.p); got != want {
 				t.Fatalf("p=%d mult=%d delta=%d: term %d, want %d", e.p, mult, delta, got, want)
 			}
+		}
+	}
+}
+
+// --- the planned batch: directed cases ---------------------------------
+//
+// The column path hashes each distinct key of a batch once and maps the
+// rough estimator's cuts back through the plan's first-occurrence
+// order. The cases below aim at the places that mapping can go wrong;
+// each is fed in lockstep (per-item Update against UpdateColumns, bytes,
+// SpaceBits and answers compared after every batch) to the windowed
+// estimator and to the Figure 6 baseline.
+
+// keySource hands out never-seen keys, and walks of them that end in a
+// key raising R_t. One fresh key seldom moves the median of sixteen
+// copies by itself, so a walk feeds the shadow rough estimator fresh keys
+// until one does: the keys before it are fillers the case feeds as plain
+// +1 updates, in order, ahead of the raiser. A structure with no rough
+// estimator (the baseline) gets a fresh key and no fillers.
+type keySource struct {
+	n, next uint64
+	shadow  *RoughF0 // mirrors the structure's estimator as the case will have fed it
+}
+
+func (ks *keySource) fresh() uint64 {
+	ks.next++
+	return ks.next * 0x9E3779B97F4A7C15 % ks.n
+}
+
+// walk returns fillers and a raiser, all fed to the shadow; with feed
+// false the raiser is only found, as a key the case will not feed.
+func (ks *keySource) walk(t testing.TB, feed bool) (fill []stream.Update, raiser uint64) {
+	for try := 0; try < 1<<16; try++ {
+		k := ks.fresh()
+		switch {
+		case ks.shadow == nil:
+			return nil, k
+		case ks.shadow.Clone().Update(k):
+			if feed {
+				ks.shadow.Update(k)
+			}
+			return fill, k
+		}
+		ks.shadow.Update(k)
+		fill = append(fill, stream.Update{Index: k, Delta: 1})
+	}
+	t.Fatal("no run of fresh keys raises the rough estimate")
+	return nil, 0
+}
+
+// directedCase is one named case: the batches it feeds, built when run.
+type directedCase struct {
+	name  string
+	build func() [][]stream.Update
+}
+
+// directedCases lists the cases. known are keys the structure has seen;
+// ks.shadow mirrors its rough estimator at the start of each build.
+func directedCases(t testing.TB, ks *keySource, known []uint64) []directedCase {
+	up := func(k uint64, d int64) stream.Update { return stream.Update{Index: k, Delta: d} }
+	cat := func(parts ...[]stream.Update) (us []stream.Update) {
+		for _, p := range parts {
+			us = append(us, p...)
+		}
+		return us
+	}
+	one := func(us ...stream.Update) []stream.Update { return us }
+	return []directedCase{
+		// Planning before compaction would rank a before b, and touch
+		// the rough estimator with c, which per-item Update never sees.
+		{"zero-first", func() [][]stream.Update {
+			fc, c := ks.walk(t, false)
+			fb, b := ks.walk(t, true)
+			fa, a := ks.walk(t, true)
+			return [][]stream.Update{cat(fc, one(up(c, 0), up(a, 0), up(known[0], 1)), fb, one(up(b, 1)), fa, one(up(a, 1), up(c, 0)))}
+		}},
+		{"raiser-repeated", func() [][]stream.Update {
+			f, r := ks.walk(t, true)
+			return [][]stream.Update{cat(one(up(known[0], 1)), f, one(up(r, 1), up(known[1], -1), up(r, 1), up(known[0], 1), up(r, -1)))}
+		}},
+		{"raisers-back-to-back", func() [][]stream.Update {
+			f1, r1 := ks.walk(t, true)
+			f2, r2 := ks.walk(t, true)
+			for len(f2) > 0 { // back to back: no filler between the two
+				f1 = cat(f1, one(up(r1, 1)), f2)
+				r1 = r2
+				f2, r2 = ks.walk(t, true)
+			}
+			return [][]stream.Update{cat(one(up(known[0], 1)), f1, one(up(r1, 1), up(r2, 1), up(known[0], 1), up(r1, 1), up(r2, -1)))}
+		}},
+		// A key the batch nets to zero still reaches the rough estimator.
+		{"plus-minus-one-run", func() [][]stream.Update {
+			f, r := ks.walk(t, true)
+			g := ks.fresh()
+			return [][]stream.Update{f, {up(r, 1), up(r, -1)}, {up(known[0], 1), up(g, 1), up(known[0], -1), up(g, -1)}}
+		}},
+		{"plus-minus-across-a-cut", func() [][]stream.Update {
+			g := ks.fresh()
+			if ks.shadow != nil {
+				ks.shadow.Update(g)
+			}
+			f, r := ks.walk(t, true)
+			return [][]stream.Update{cat(one(up(g, 1), up(known[0], 1)), f, one(up(r, 1), up(g, -1), up(known[0], -1)))}
+		}},
+		// Sums that leave int64, and one that wraps back into it: the
+		// coalesced delta is a residue mod p, never an int64.
+		{"huge-deltas", func() [][]stream.Update {
+			a, b, c := ks.fresh(), ks.fresh(), known[0]
+			return [][]stream.Update{{
+				up(a, math.MaxInt64), up(b, math.MinInt64), up(a, math.MaxInt64), up(c, math.MaxInt64),
+				up(a, math.MinInt64), up(b, math.MinInt64), up(c, math.MaxInt64), up(c, math.MaxInt64),
+			}}
+		}},
+		{"all-identical", func() [][]stream.Update {
+			f, r := ks.walk(t, true)
+			same := func(k uint64) []stream.Update {
+				us := make([]stream.Update, 300)
+				for j := range us {
+					us[j] = up(k, oddDeltas[1+j%(len(oddDeltas)-1)])
+				}
+				return us
+			}
+			return [][]stream.Update{f, same(r), same(known[0])}
+		}},
+		{"all-distinct", func() [][]stream.Update {
+			us := make([]stream.Update, 700)
+			for j := range us {
+				us[j] = up(ks.fresh(), 1)
+			}
+			return [][]stream.Update{us}
+		}},
+		// One update past the column chunk: two planned pieces, with a
+		// known key and a +1/-1 pair on both sides of the split.
+		{"chunk-plus-one", func() [][]stream.Update {
+			us := make([]stream.Update, 0, columnChunk+1)
+			g := ks.fresh()
+			for len(us) < columnChunk-2 {
+				us = append(us, up(known[len(us)%len(known)], 1), up(ks.fresh(), 1))
+			}
+			return [][]stream.Update{append(us, up(g, 1), up(known[0], 5), up(g, -1))}
+		}},
+	}
+}
+
+// runDirected feeds every case to a fresh pair cloned from warm — from
+// cold for the two raisers in a row, which only a young estimator sees —
+// and checks the cases built on a raiser did move R_t inside a batch.
+func runDirected(t *testing.T, name string, warm, cold *Estimator, known []uint64, n uint64) {
+	ks := &keySource{n: n}
+	for _, c := range directedCases(t, ks, known) {
+		t.Run(name+"/"+c.name, func(t *testing.T) {
+			item, cols := warm.Clone(), warm.Clone()
+			if c.name == "raisers-back-to-back" {
+				item, cols = cold.Clone(), cold.Clone()
+			}
+			ks.next = 1 << 32
+			if ks.shadow = nil; item.rough != nil {
+				ks.shadow = item.rough.Clone()
+			}
+			moved := 0
+			for _, us := range c.build() {
+				m, _ := feedEstimators(t, item, cols, us, func() int { return len(us) })
+				moved += m
+			}
+			if item.rough != nil && moved == 0 && c.name != "huge-deltas" {
+				t.Fatal("no batch moved R_t: the case lost its point")
+			}
+		})
+	}
+}
+
+func TestUpdateColumnsDirectedCases(t *testing.T) {
+	const n = 1 << 30
+	for _, windowed := range []bool{true, false} { // false: the Figure 6 baseline
+		warm, cold := estimatorPair(Params{N: n, Eps: 0.25, Windowed: windowed, Window: 1})
+		var known []uint64
+		for j := uint64(1); j <= 150; j++ {
+			known = append(known, j*0x9E3779B97F4A7C15%n)
+			warm.Update(known[j-1], 1)
+		}
+		runDirected(t, fmt.Sprintf("windowed=%v", windowed), warm, cold, known, n)
+		if !windowed {
+			continue
+		}
+		// The same cases on a restored state whose running max lags its
+		// bitmaps (stale) and whose windows nobody has synced: the first
+		// key of the first batch repairs both, on both paths.
+		warm.rough.best, warm.final.rough.best = 0, 0
+		stale := &Estimator{}
+		if err := stale.UnmarshalBinary(mustMarshal(t, warm)); err != nil {
+			t.Fatal(err)
+		}
+		if !stale.rough.stale || stale.rows.syncedAt != unsynced {
+			t.Fatal("the restored estimator is not stale and unsynced")
+		}
+		runDirected(t, "stale-unsynced", stale, cold, known, n)
+	}
+}
+
+// TestUpdateColumnsCutsAtFirstOccurrence races the cut mapping. Which
+// window an update is applied under shows only when its key lands on a
+// row or level that the cut beside it creates, so a one-level window is
+// started cold over many key sets, in batches whose repeats make every
+// ordinal differ from its position; a cut mapped one update off, or
+// distinct keys scanned out of first-occurrence order, loses an update
+// in a few of them.
+func TestUpdateColumnsCutsAtFirstOccurrence(t *testing.T) {
+	const n, trials = 1 << 30, 400
+	mk := func() *RoughL0 { return newRoughL0(rand.New(rand.NewSource(7)), n, true, 0) }
+	col := make([]uint64, 64)
+	for trial := uint64(0); trial < trials; trial++ {
+		item, cols := mk(), mk()
+		key := func(j uint64) uint64 { return (trial<<20 + j + 1) * 0x9E3779B97F4A7C15 % n }
+		for fresh := uint64(0); fresh < 150; {
+			// a b a c b c d ... : each new key between repeats of the last two.
+			var b core.Batch
+			for len(b.Idx) < 9 {
+				b.Append(key(fresh), 1)
+				if fresh > 0 {
+					b.Append(key(fresh-1), 1)
+				}
+				b.Append(key(fresh), -1)
+				fresh++
+			}
+			for j, k := range b.Idx {
+				item.Update(k, b.Delta[j])
+			}
+			cols.UpdateColumn(&b, col)
+			if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+				t.Fatalf("trial %d: one-level window diverged before fresh key %d", trial, fresh)
+			}
+		}
+	}
+}
+
+// TestUpdateColumnsPlanCounters: one add per planned batch to each of
+// the two series, n nonzero updates and d distinct keys.
+func TestUpdateColumnsPlanCounters(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("counters compiled out")
+	}
+	e, _ := estimatorPair(Params{N: 1 << 20, Eps: 0.25, Windowed: true, Window: 2})
+	n0, d0 := rowStats.BatchKeys.Load(), rowStats.KeysHashed.Load()
+	core.UpdateBatch(e.UpdateColumns, []stream.Update{{Index: 5, Delta: 1}, {Index: 9, Delta: 0}, {Index: 5, Delta: -1}, {Index: 7, Delta: 2}})
+	if n, d := rowStats.BatchKeys.Load()-n0, rowStats.KeysHashed.Load()-d0; n != 3 || d != 2 {
+		t.Fatalf("repro_l0_batch_keys_total grew by %d, repro_l0_keys_hashed_total by %d; want 3 and 2", n, d)
+	}
+}
+
+// TestUpdateColumnsAllocationFree: a warm planned UpdateColumns — plan
+// cached or rebuilt, scratch sized — allocates nothing.
+func TestUpdateColumnsAllocationFree(t *testing.T) {
+	const n = 1 << 26
+	e := NewEstimator(rand.New(rand.NewSource(16)), Params{N: n, Eps: 0.1, Windowed: true, Window: RecommendedWindow(8, 0.1)})
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+	rng := rand.New(rand.NewSource(17))
+	fill := func() { // a new batch each time: the plan is rebuilt, not served
+		b.Reset()
+		for j := 0; j < 2048; j++ {
+			b.Append(uint64(1+rng.Intn(1<<11))*0x9E3779B97F4A7C15%n, int64(1-2*(j%8/7)))
+		}
+	}
+	for warm := 0; warm < 16; warm++ { // every key seen, R_t at rest, tables grown
+		fill()
+		e.UpdateColumns(b)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { fill(); e.UpdateColumns(b) }); allocs != 0 {
+		t.Fatalf("warm planned UpdateColumns allocates %.1f times per batch", allocs)
+	}
+}
+
+// TestEstimatorUnmarshalRejectsUnreducedBin: bins are residues mod p.
+func TestEstimatorUnmarshalRejectsUnreducedBin(t *testing.T) {
+	e, _ := estimatorPair(Params{N: 1 << 20, Eps: 0.25, Windowed: true, Window: 2})
+	e.Update(3, 1)
+	for _, poke := range []func(){
+		func() { e.singleRow[1] = e.p },
+		func() { _, row := e.rows.Oldest(); (*row)[0] = e.p + 5 },
+	} {
+		good := mustMarshal(t, e)
+		poke()
+		if err := (&Estimator{}).UnmarshalBinary(mustMarshal(t, e)); err == nil {
+			t.Fatal("accepted a bin at or above p")
+		}
+		if err := e.UnmarshalBinary(good); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

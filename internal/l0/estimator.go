@@ -160,7 +160,7 @@ func (e *Estimator) Update(i uint64, delta int64) {
 	e.small.Update(i, delta)
 
 	// Main matrix.
-	if row := e.rows.At(e.rowOf(e.h1.Field(i))); row != nil {
+	if row := e.rows.At(min(hash.LSB(e.h1.Field(i), e.maxRow), e.maxRow)); row != nil {
 		bins := *row
 		id := e.h2.Range(i, cube(e.k))
 		bin := e.h3.Range(id, uint64(e.k))
@@ -174,98 +174,83 @@ func (e *Estimator) Update(i uint64, delta int64) {
 	e.singleRow[bin] = nt.AddMod(e.singleRow[bin], e.term(delta, mult), e.p)
 }
 
-// term returns delta * mult mod p, the amount a bin accumulates. Unit
-// deltas — most of any real stream — need neither the signed division
-// that embeds delta into F_p nor MulMod's 128-bit one.
+// term returns delta * mult mod p, the amount a bin accumulates.
 func (e *Estimator) term(delta int64, mult uint64) uint64 {
-	if mult < e.p && e.p < 1<<63 {
+	return e.scale(residue(delta, e.p), mult)
+}
+
+// scale returns s * mult mod p for a residue s. Plus and minus one —
+// most of any real stream, coalesced or not — need no 128-bit division.
+func (e *Estimator) scale(s, mult uint64) uint64 {
+	if mult < e.p {
 		switch {
-		case delta == 1:
+		case s == 1:
 			return mult
-		case delta == -1 && mult == 0:
+		case s == e.p-1 && mult == 0:
 			return 0
-		case delta == -1:
+		case s == e.p-1:
 			return e.p - mult
 		}
 	}
-	dm := delta % int64(e.p)
-	if dm < 0 {
-		dm += int64(e.p)
-	}
-	return nt.MulMod(uint64(dm), mult, e.p)
+	return nt.MulMod(s, mult, e.p)
 }
 
-// rowOf maps a level hash value h1(i) to its row, lsb clamped to maxRow.
-func (e *Estimator) rowOf(h1v uint64) int {
-	row := hash.LSB(h1v, e.maxRow)
-	if row > e.maxRow {
-		row = e.maxRow
-	}
-	return row
-}
+// UpdateColumns consumes a columnar batch: plan → hash the distinct
+// keys → apply through the ordinals, cut at the window events
+// (Window.CutPlanned). Nothing here draws randomness, so state is
+// bit-identical to per-item Update.
+func (e *Estimator) UpdateColumns(b *core.Batch) { ZeroFreeRuns(b, e.updateRun) }
 
-// UpdateColumns consumes a pre-planned columnar batch: cut at the
-// window events (Window.CutRuns), batch between them — the items
-// between cuts run compact → hash → apply under one fixed set of live
-// rows. Nothing here draws randomness, so state is bit-identical to
-// per-item Update.
-func (e *Estimator) UpdateColumns(b *core.Batch) {
-	ZeroFreeRuns(b.Idx, b.Delta, func(keys []uint64, deltas []int64) { e.updateRun(b, keys, deltas) })
-}
-
-// updateRun applies a zero-free column of at most columnChunk updates.
+// updateRun applies a zero-free batch of at most columnChunk updates.
 // The four component structures share no state, so each consumes the
-// whole column in turn; only the main matrix depends on the row window.
-func (e *Estimator) updateRun(b *core.Batch, keys []uint64, deltas []int64) {
-	n := len(keys)
-	col := b.Col64(7 * n)
-	h1v, scratch := col[:n], col[n:]
+// whole batch in turn. The order-sensitive two apply update by update;
+// the bins of the collapsed row and of the main matrix are sums mod p,
+// so each run between two window events adds (sum of the key's deltas
+// mod p) * u once per distinct key — exact whatever the deltas.
+func (e *Estimator) updateRun(b *core.Batch) {
+	keys, slot := core.Distinct(b)
+	d := len(keys)
+	col := b.Col64(8 * d)
+	e.final.UpdateColumn(b, col)
+	e.small.UpdateColumn(b, col)
 
-	e.final.UpdateColumn(keys, deltas, scratch)
-	e.small.UpdateColumn(keys, deltas, scratch)
-
-	// Single collapsed row.
-	ids, bin, mult := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+	row, sum, bin, mult, scratch := col[:d], col[d:2*d], col[2*d:3*d], col[3*d:4*d], col[4*d:]
+	ids := scratch[:d]
 	e.h2s.RangeBatch(keys, cube(2*e.k), ids)
 	e.h3s.RangeBatch(ids, uint64(2*e.k), bin)
 	e.h4s.RangeBatch(ids, uint64(2*e.k), mult)
-	for j, d := range deltas {
-		e.singleRow[bin[j]] = nt.AddMod(e.singleRow[bin[j]], e.term(d, e.us[mult[j]]), e.p)
+	e.h1.FieldBatch(keys, row)
+	for o, hv := range row {
+		row[o] = uint64(min(hash.LSB(hv, e.maxRow), e.maxRow)) // lsb, clamped
 	}
-
-	// Main matrix, run by run.
-	e.h1.FieldBatch(keys, h1v)
-	e.rows.CutRuns(e.rough, keys, scratch, e.span, e.newRow, func(lo, hi int) {
-		e.applyRows(keys[lo:hi], deltas[lo:hi], h1v[lo:hi], scratch)
-	})
-}
-
-// applyRows applies one run to the main matrix under the current row
-// window: keep the items whose row is live, batch-evaluate h2, h3 and
-// h4 over the survivors, add. scratch holds at least 6*len(keys)
-// entries.
-func (e *Estimator) applyRows(keys []uint64, deltas []int64, h1v, scratch []uint64) {
-	n := len(keys)
-	live, d, row := scratch[:0:n], scratch[n:n:2*n], scratch[2*n:2*n:3*n]
-	for j, hv := range h1v {
-		if r := e.rowOf(hv); e.rows.At(r) != nil {
-			live = append(live, keys[j])
-			d = append(d, uint64(deltas[j]))
-			row = append(row, uint64(r))
+	e.rows.CutPlanned(e.rough, b, scratch, e.span, e.newRow, func(lo, hi, seen int) {
+		clear(sum[:seen])
+		for j, delta := range b.Delta[lo:hi] {
+			o := slot[lo+j]
+			sum[o] = addReduced(sum[o], residue(delta, e.p), e.p)
 		}
-	}
-	m := len(live)
-	if m == 0 {
-		return
-	}
-	ids, bin, mult := scratch[3*n:3*n+m], scratch[4*n:4*n+m], scratch[5*n:5*n+m]
-	e.h2.RangeBatch(live, cube(e.k), ids)
-	e.h3.RangeBatch(ids, uint64(e.k), bin)
-	e.h4.RangeBatch(ids, uint64(e.k), mult)
-	for j, r := range row {
-		bins := *e.rows.At(int(r))
-		bins[bin[j]] = nt.AddMod(bins[bin[j]], e.term(int64(d[j]), e.u[mult[j]]), e.p)
-	}
+		// Collapsed row, and the keys the main matrix keeps under this
+		// window: their ordinals first, then h2, h3 and h4 over them.
+		live, at := scratch[:0:d], scratch[d:d:2*d]
+		for o, s := range sum[:seen] {
+			if s == 0 {
+				continue
+			}
+			e.singleRow[bin[o]] = addReduced(e.singleRow[bin[o]], e.scale(s, e.us[mult[o]]), e.p)
+			if e.rows.At(int(row[o])) != nil {
+				live, at = append(live, keys[o]), append(at, uint64(o))
+			}
+		}
+		m := len(live)
+		id, bins := scratch[2*d:2*d+m], scratch[3*d:3*d+m]
+		e.h2.RangeBatch(live, cube(e.k), id)
+		e.h3.RangeBatch(id, uint64(e.k), bins)
+		e.h4.RangeBatch(id, uint64(e.k), live) // the keys are spent: their column takes the multipliers
+		for j, o := range at {
+			r := *e.rows.At(int(row[o]))
+			r[bins[j]] = addReduced(r[bins[j]], e.scale(sum[o], e.u[live[j]]), e.p)
+		}
+	})
 }
 
 func cube(k int) uint64 {

@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/nt"
 )
@@ -83,18 +84,14 @@ func (t *bucketTable) find(b uint64) uint64 {
 	return i
 }
 
-// has reports whether bucket b is occupied.
-func (t *bucketTable) has(b uint64) bool { return t.cells[t.find(b)].count != 0 }
-
-// addMod folds v into bucket b's counter modulo prime and reports
-// whether that occupied a new cell. A counter that reaches zero frees
-// its cell. The table doubles when an insertion would fill it past
-// three quarters; it never shrinks, so a structure whose live set has
-// peaked allocates no more.
-func (t *bucketTable) addMod(b, v, prime uint64) (inserted bool) {
-	i := t.find(b)
+// addMod folds v into the counter of bucket b — cell i = find(b), which
+// the caller has probed — modulo prime and reports whether that occupied
+// a new cell. A counter that reaches zero frees its cell. The table
+// doubles when an insertion would fill it past three quarters; it never
+// shrinks, so a structure whose live set has peaked allocates no more.
+func (t *bucketTable) addMod(i, b, v, prime uint64) (inserted bool) {
 	cur := t.cells[i].count
-	nv := nt.AddMod(cur, v, prime)
+	nv := addReduced(cur, v, prime) // counters and residues both are
 	switch {
 	case nv == 0:
 		if cur != 0 {
@@ -185,14 +182,16 @@ func (e *ExactSmall) Update(i uint64, delta int64) {
 	e.updateBucket(e.hash.Range(i, e.buckets), delta)
 }
 
-// UpdateColumn feeds a column of updates in order, the bucket hash
-// batch-evaluated into col (at least len(keys) entries). State is
-// identical to per-item Update.
-func (e *ExactSmall) UpdateColumn(keys []uint64, deltas []int64, col []uint64) {
+// UpdateColumn feeds a batch: the bucket hash is batch-evaluated over
+// the plan's distinct keys into col (at least that many entries) and
+// the updates apply IN ORDER through their ordinals (the overflow latch
+// and maxLive depend on it). State is identical to per-item Update.
+func (e *ExactSmall) UpdateColumn(b *core.Batch, col []uint64) {
+	keys, slot := core.Distinct(b)
 	e.hash.RangeBatch(keys, e.buckets, col)
-	for j, d := range deltas {
+	for j, d := range b.Delta {
 		if d != 0 {
-			e.updateBucket(col[j], d)
+			e.updateBucket(col[slot[j]], d)
 		}
 	}
 }
@@ -200,17 +199,37 @@ func (e *ExactSmall) UpdateColumn(keys []uint64, deltas []int64, col []uint64) {
 // updateBucket adds a nonzero delta to bucket b.
 func (e *ExactSmall) updateBucket(b uint64, delta int64) {
 	t := &e.counters
-	if t.n >= e.c && !t.has(b) {
+	i := t.find(b) // one probe serves the overflow test and the add
+	if t.n >= e.c && t.cells[i].count == 0 {
 		e.overflow = true
 		return
 	}
-	d := delta % int64(e.prime)
-	if d < 0 {
-		d += int64(e.prime)
-	}
-	if t.addMod(b, uint64(d), e.prime) && t.n > e.maxLive {
+	if t.addMod(i, b, residue(delta, e.prime), e.prime) && t.n > e.maxLive {
 		e.maxLive = t.n
 	}
+}
+
+// residue embeds a signed delta into the integers mod m: delta %
+// int64(m), lifted into [0, m). A delta of magnitude below m — every
+// unit update — needs no division.
+func residue(delta int64, m uint64) uint64 {
+	sign := delta >> 63
+	if m < 1<<63 && uint64((delta^sign)-sign) < m {
+		return uint64(delta) + uint64(sign)&m
+	}
+	dm := delta % int64(m)
+	if dm < 0 {
+		dm += int64(m)
+	}
+	return uint64(dm) % m // a no-op below 2^63, where the signed form is sound
+}
+
+// addReduced is nt.AddMod for operands already below m: no division.
+func addReduced(a, b, m uint64) uint64 {
+	if a >= m-b && b != 0 {
+		return a - (m - b)
+	}
+	return a + b
 }
 
 // Count returns (L0, true) when the structure can answer exactly, or
@@ -244,7 +263,7 @@ func (e *ExactSmall) Merge(other *ExactSmall) error {
 	}
 	for _, c := range other.counters.cells {
 		if c.count != 0 {
-			e.counters.addMod(c.bucket, c.count, e.prime)
+			e.counters.addMod(e.counters.find(c.bucket), c.bucket, c.count, e.prime)
 		}
 	}
 	e.overflow = e.overflow || other.overflow || e.counters.n > e.c

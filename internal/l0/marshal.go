@@ -3,6 +3,7 @@ package l0
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"repro/internal/hash"
 	"repro/internal/nt"
@@ -374,11 +375,16 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 	if len(u) != k || len(us) != 2*k || len(singleRow) != 2*k {
 		return errors.New("l0: Estimator vector lengths disagree with k")
 	}
+	// The coalesced add skips a zero sum: a no-op only on a reduced bin.
+	reduced := func(bins []uint64) bool { return !slices.ContainsFunc(bins, func(v uint64) bool { return v >= p }) }
+	if !reduced(singleRow) {
+		return errors.New("l0: Estimator bin not reduced mod p")
+	}
 	maxRow := nt.Log2Ceil(params.N)
 	rows := NewWindow[[]uint64](maxRow, params.Windowed, 0, &rowStats)
 	if err := rows.ReadLevels(rd, maxLiveRows, func() (*[]uint64, error) {
 		bins := rd.U64s()
-		if len(bins) != k {
+		if len(bins) != k || !reduced(bins) {
 			return nil, errors.New("l0: bad Estimator row")
 		}
 		return &bins, nil

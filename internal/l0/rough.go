@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/nt"
 )
@@ -135,21 +137,27 @@ const minScanBlock = 16
 // of any length needs.
 const columnChunk = 4096
 
-// ZeroFreeRuns hands apply the update columns in order as runs free of
-// zero deltas, each at most columnChunk long: a zero-delta update costs
-// the windowed structures nothing, not even a rough-estimate touch.
-func ZeroFreeRuns(idx []uint64, delta []int64, apply func(keys []uint64, deltas []int64)) {
-	for lo := 0; lo < len(idx); {
-		if delta[lo] == 0 {
-			lo++
-			continue
+// ZeroFreeRuns hands apply b's updates in order as batches free of zero
+// deltas, each at most columnChunk long: a zero-delta update costs the
+// windowed structures nothing, not even a rough-estimate touch. A batch
+// that qualifies goes through as it is, with the plan it carries; any
+// other is compacted FIRST and planned piece by piece (a plan made
+// before would rank a key by an occurrence that is not there).
+func ZeroFreeRuns(b *core.Batch, apply func(*core.Batch)) {
+	if b.Len() <= columnChunk && !slices.Contains(b.Delta, 0) {
+		apply(b)
+		return
+	}
+	piece := core.GetBatch()
+	defer core.PutBatch(piece)
+	for j, d := range b.Delta {
+		if d != 0 {
+			piece.Append(b.Idx[j], d)
 		}
-		hi := lo + 1
-		for hi < len(idx) && hi-lo < columnChunk && delta[hi] != 0 {
-			hi++
+		if n := piece.Len(); n == columnChunk || n > 0 && j == len(b.Delta)-1 {
+			apply(piece)
+			piece.Reset()
 		}
-		apply(idx[lo:hi], delta[lo:hi])
-		lo = hi
 	}
 }
 
@@ -344,32 +352,36 @@ func (r *RoughL0) newLevel(j int) *ExactSmall {
 // produces, then the item.
 func (r *RoughL0) Update(i uint64, delta int64) {
 	r.levels.Observe(r.rough, i, r.span, r.newLevel)
-	r.apply(i, delta, r.h.Field(i))
-}
-
-// apply routes one update to its level, given the level hash hv = h(i).
-func (r *RoughL0) apply(i uint64, delta int64, hv uint64) {
-	lvl := hash.LSB(hv, r.maxLevel)
-	if lvl > r.maxLevel {
-		lvl = r.maxLevel
-	}
-	if b := r.levels.At(lvl); b != nil {
+	if b := r.levels.At(min(hash.LSB(r.h.Field(i), r.maxLevel), r.maxLevel)); b != nil {
 		b.Update(i, delta)
 	}
 }
 
-// UpdateColumn feeds a column of updates, state identical to per-item
-// Update: the level hash is batch-evaluated once, the window cuts the
-// column at each item that moves it, and the items between cuts apply
-// under one fixed live set. col is scratch of at least 2*len(keys)
-// entries.
-func (r *RoughL0) UpdateColumn(keys []uint64, deltas []int64, col []uint64) {
-	n := len(keys)
-	hv := col[:n]
-	r.h.FieldBatch(keys, hv)
-	r.levels.CutRuns(r.rough, keys, col[n:], r.span, r.newLevel, func(lo, hi int) {
+// UpdateColumn feeds a batch, state identical to per-item Update: the
+// level hash is batch-evaluated over the plan's distinct keys, the
+// window cuts the batch at each key that moves it, and the updates
+// between cuts apply through their ordinals under one fixed live set,
+// a key's bucket hashed once per run by its level's own function. col
+// is scratch of at least twice the distinct keys.
+func (r *RoughL0) UpdateColumn(b *core.Batch, col []uint64) {
+	keys, slot := core.Distinct(b)
+	d := len(keys)
+	lvl, bucket := col[:d], col[d:2*d]
+	r.h.FieldBatch(keys, lvl)
+	for o, hv := range lvl {
+		lvl[o] = uint64(min(hash.LSB(hv, r.maxLevel), r.maxLevel))
+	}
+	r.levels.CutPlanned(r.rough, b, bucket, r.span, r.newLevel, func(lo, hi, seen int) {
+		for o, k := range keys[:seen] {
+			if lv := r.levels.At(int(lvl[o])); lv != nil {
+				bucket[o] = lv.hash.Range(k, lv.buckets)
+			}
+		}
 		for j := lo; j < hi; j++ {
-			r.apply(keys[j], deltas[j], hv[j])
+			o := slot[j]
+			if lv := r.levels.At(int(lvl[o])); lv != nil && b.Delta[j] != 0 {
+				lv.updateBucket(bucket[o], b.Delta[j])
+			}
 		}
 	})
 }

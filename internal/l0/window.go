@@ -1,6 +1,7 @@
 package l0
 
 import (
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/wire"
@@ -47,12 +48,15 @@ var instantiated = &struct{}{}
 // estimate is negative.
 const unsynced = -1
 
-// WindowStats are the two process-wide series a windowed structure
+// WindowStats are the process-wide series a windowed structure
 // publishes (obs primitives: zero-size no-ops under -tags noobs),
-// written once per window event, never per key.
+// written once per window event or per planned batch, never per key.
 type WindowStats struct {
 	Events obs.Counter // updates that raised R_t and moved a window
 	Live   obs.Gauge   // levels held by the window that synced last
+	// Updates of the planned batches the window cut, and the distinct
+	// keys among them: what its structure hashed.
+	BatchKeys, KeysHashed obs.Counter
 }
 
 // NewWindow returns an empty, unsynced window over levels 0..top whose
@@ -148,6 +152,25 @@ func (w *Window[T]) CutRuns(rough *RoughF0, keys, col []uint64,
 			w.moved(rough, span, fresh)
 		}
 	}
+}
+
+// CutPlanned is CutRuns for a planned batch. The rough estimator scans
+// the plan's distinct keys, in first-occurrence order, instead of every
+// update: a repeat ORs in level bits its first occurrence already set,
+// so only a first occurrence can raise R_t. A cut before distinct key o
+// falls before that key's first update (core.First): apply gets update
+// positions and the number of distinct keys the scan has reached —
+// b.Idx[lo:hi] holds keys of ordinal below seen, none beyond. col holds
+// at least as many entries as the batch has distinct keys.
+func (w *Window[T]) CutPlanned(rough *RoughF0, b *core.Batch, col []uint64,
+	span func(int64) (int, int), fresh func(int) *T, apply func(lo, hi, seen int)) {
+	keys, _ := core.Distinct(b)
+	first := core.First(b)
+	if w.stats != nil {
+		w.stats.BatchKeys.Add(int64(b.Len()))
+		w.stats.KeysHashed.Add(int64(len(keys)))
+	}
+	w.CutRuns(rough, keys, col, span, fresh, func(lo, hi int) { apply(int(first[lo]), int(first[hi]), hi) })
 }
 
 // Merge folds other's levels into w: a level live in both is combined

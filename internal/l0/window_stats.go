@@ -1,6 +1,7 @@
 // window_stats.go answers "which regime is the estimator in": how often
-// the Figure 7 row window moves, and how many rows it holds. Process-wide
-// like the CSSS regime counters; Window writes them (see WindowStats).
+// the Figure 7 row window moves, how many rows it holds, and how much of
+// a batch's hash work its distinct plan leaves. Process-wide like the
+// CSSS regime counters; Window writes them (see WindowStats).
 package l0
 
 import "repro/internal/obs"
@@ -12,4 +13,15 @@ func init() {
 		"updates that raised the rough L0 estimate and moved an estimator's row window", rowStats.Events.Load)
 	obs.Default.GaugeFunc("", "repro_l0_live_rows",
 		"rows maintained by the L0 estimator that last synced its window", rowStats.Live.Load)
+	rowStats.RegisterPlan("l0")
+}
+
+// RegisterPlan publishes s's plan counters under the L0 family's two
+// structure-labelled series.
+func (s *WindowStats) RegisterPlan(structure string) {
+	label := obs.Label{Key: "structure", Value: structure}
+	obs.Default.CounterFunc("", "repro_l0_batch_keys_total",
+		"nonzero updates in the planned batches an L0-family structure ingested", s.BatchKeys.Load, label)
+	obs.Default.CounterFunc("", "repro_l0_keys_hashed_total",
+		"distinct keys an L0-family structure hashed, once per planned batch", s.KeysHashed.Load, label)
 }

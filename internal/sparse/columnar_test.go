@@ -49,10 +49,11 @@ func TestRecoveryColumnarMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestHashColumnApplyMatchesUpdate: a pre-hashed entry applied to any
-// sketch sharing the hash functions must leave it exactly as Update
-// would — cells and the count peak, over deltas of every shape,
-// including the int64 whose negation overflows.
+// TestHashColumnApplyMatchesUpdate: an entry built from its key's
+// column hashes — the distinct keys hashed once, whatever updates carry
+// them — and applied to any sketch sharing the hash functions must
+// leave it exactly as Update would: cells and the count peak, over
+// deltas of every shape, including the int64 whose negation overflows.
 func TestHashColumnApplyMatchesUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	proto := NewRecovery(rand.New(rand.NewSource(43)), 40, 1<<40)
@@ -66,8 +67,14 @@ func TestHashColumnApplyMatchesUpdate(t *testing.T) {
 			}
 			ds[j] = deltas[rng.Intn(len(deltas))]
 		}
+		b := &core.Batch{Idx: keys, Delta: ds}
+		dk, slot := core.Distinct(b)
+		fp, cells := make([]uint64, len(dk)), make([]uint32, 3*len(dk))
+		proto.HashColumn(dk, make([]uint64, len(dk)), fp, cells)
 		entries := make([]Entry, n)
-		proto.HashColumn(keys, ds, make([]uint64, n), entries)
+		for j, o := range slot {
+			entries[j] = MakeEntry(keys[j], ds[j], fp[o], cells[3*o:])
+		}
 		// Two siblings at different states share one set of entries.
 		for _, prefill := range []int{0, 50} {
 			a, b := proto.Sibling(), proto.Sibling()

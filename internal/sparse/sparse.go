@@ -94,19 +94,19 @@ func (r *Recovery) Update(x uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
-	e := Entry{delta: delta}
-	e.setTerms(x, r.fp.Field(x))
-	for t := range e.cell {
-		e.cell[t] = uint32(r.bucket(t, x))
+	var cells [subtables]uint32
+	for t := range cells {
+		cells[t] = uint32(r.bucket(t, x))
 	}
+	e := MakeEntry(x, delta, r.fp.Field(x), cells[:])
 	r.Apply(&e)
 }
 
 // Entry is one update with every hash-derived quantity evaluated: the
 // three cell indices and the two field terms its cells accumulate. An
 // entry depends only on the hash functions, so one entry serves every
-// sketch that shares them (Sibling, Clone) — the support sampler hashes
-// a key once and applies it to each of its live levels.
+// sketch that shares them (Sibling, Clone) — the support sampler builds
+// an update's entry once and applies it to each of its live levels.
 type Entry struct {
 	delta   int64
 	keyTerm uint64 // delta * x      mod p
@@ -114,29 +114,31 @@ type Entry struct {
 	cell    [subtables]uint32
 }
 
-func (e *Entry) setTerms(x, fpx uint64) {
-	dm := fieldOf(e.delta)
-	e.keyTerm = nt.MulModMersenne61(dm, x%nt.MersennePrime61)
-	e.fpTerm = nt.MulModMersenne61(dm, fpx)
+// MakeEntry returns the entry of update (x, delta) from x's hashes as
+// HashColumn fills them: its fingerprint and its three cell indices.
+func MakeEntry(x uint64, delta int64, fpx uint64, cells []uint32) Entry {
+	dm := fieldOf(delta)
+	return Entry{
+		delta:   delta,
+		keyTerm: nt.MulModMersenne61(dm, x%nt.MersennePrime61),
+		fpTerm:  nt.MulModMersenne61(dm, fpx),
+		cell:    [subtables]uint32(cells),
+	}
 }
 
-// HashColumn fills out[j] with the entry of update (keys[j], deltas[j])
-// — the fingerprint and the three bucket hashes batch-evaluated over
-// the key column. deltas must be nonzero; col is scratch of at least
-// len(keys) entries and out must hold len(keys) entries.
-func (r *Recovery) HashColumn(keys []uint64, deltas []int64, col []uint64, out []Entry) {
-	n := len(keys)
-	col, out = col[:n], out[:n]
-	r.fp.FieldBatch(keys, col)
-	for j, x := range keys {
-		out[j].delta = deltas[j]
-		out[j].setTerms(x, col[j])
-	}
+// HashColumn hashes a key column — a batch's distinct keys — once for
+// every update that carries one of them: fp[j] receives the fingerprint
+// of keys[j] and cells[3j:3j+3] its three cell indices, batch-evaluated.
+// col is scratch; col and fp hold at least len(keys) entries, cells
+// three times as many.
+func (r *Recovery) HashColumn(keys, col, fp []uint64, cells []uint32) {
+	col = col[:len(keys)]
+	r.fp.FieldBatch(keys, fp)
 	for t := 0; t < subtables; t++ {
 		r.hs[t].RangeBatch(keys, uint64(r.perTable), col)
 		base := uint32(t * r.perTable)
 		for j, b := range col {
-			out[j].cell[t] = base + uint32(b)
+			cells[subtables*j+t] = base + uint32(b)
 		}
 	}
 }

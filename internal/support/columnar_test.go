@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/l0"
 	"repro/internal/obs"
 	"repro/internal/stream"
 )
@@ -419,5 +420,237 @@ func BenchmarkUpdateColumns(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// --- the planned batch: directed cases ---------------------------------
+//
+// The column path hashes each distinct key of a batch once and maps the
+// rough estimator's cuts back through the plan's first-occurrence
+// order. The cases aim at the places that mapping can go wrong; each is
+// fed in lockstep (per-item Update against UpdateColumns; bytes,
+// SpaceBits and Recover compared after every batch) to the windowed
+// sampler and to the keep-all-levels baseline.
+
+// raiserWalk feeds shadow never-seen keys (counted on by *next) until
+// one raises R_t and returns the keys before it as +1 updates and the
+// raiser, fed to the shadow only if feed is set.
+func raiserWalk(t testing.TB, shadow *l0.RoughF0, next *uint64, n uint64, feed bool) (fill []stream.Update, raiser uint64) {
+	for try := 0; try < 1<<16; try++ {
+		*next++
+		k := *next * 0x9E3779B97F4A7C15 % n
+		if shadow.Clone().Update(k) {
+			if feed {
+				shadow.Update(k)
+			}
+			return fill, k
+		}
+		shadow.Update(k)
+		fill = append(fill, stream.Update{Index: k, Delta: 1})
+	}
+	t.Fatal("no run of fresh keys raises the rough estimate")
+	return nil, 0
+}
+
+func TestUpdateColumnsDirectedCases(t *testing.T) {
+	const n = 1 << 20
+	up := func(k uint64, d int64) stream.Update { return stream.Update{Index: k, Delta: d} }
+	cat := func(parts ...[]stream.Update) (us []stream.Update) {
+		for _, p := range parts {
+			us = append(us, p...)
+		}
+		return us
+	}
+	one := func(us ...stream.Update) []stream.Update { return us }
+	for _, windowed := range []bool{true, false} {
+		warm, cold := samplerPair(Params{N: n, K: 4, SparsityFactor: 2, Windowed: windowed, Window: 1})
+		var known []uint64
+		for j := uint64(1); j <= 150; j++ {
+			known = append(known, j*0x9E3779B97F4A7C15%n)
+			warm.Update(known[j-1], 1)
+		}
+		// A restored twin whose rough estimator is an untouched one (its
+		// running max 0 under the fed twin's levels): unsynced, and every
+		// level out of place until the first key of the first batch.
+		lagging := warm.Clone()
+		lagging.rough = cold.rough.Clone()
+		restored := &Sampler{}
+		if err := restored.UnmarshalBinary(mustMarshal(t, lagging)); err != nil {
+			t.Fatal(err)
+		}
+		var next uint64
+		var shadow *l0.RoughF0
+		walk := func(feed bool) ([]stream.Update, uint64) { return raiserWalk(t, shadow, &next, n, feed) }
+		fresh := func() uint64 {
+			next++
+			k := next * 0x9E3779B97F4A7C15 % n
+			shadow.Update(k)
+			return k
+		}
+		cases := []struct {
+			name  string
+			start *Sampler
+			build func() [][]stream.Update
+		}{
+			// Planning before compaction would rank a before b, and touch
+			// the rough estimator with c, which per-item Update never sees.
+			{"zero-first", warm, func() [][]stream.Update {
+				fc, c := walk(false)
+				fb, b := walk(true)
+				fa, a := walk(true)
+				return [][]stream.Update{cat(fc, one(up(c, 0), up(a, 0), up(known[0], 1)), fb, one(up(b, 1)), fa, one(up(a, 1), up(c, 0)))}
+			}},
+			{"raiser-repeated", warm, func() [][]stream.Update {
+				f, r := walk(true)
+				return [][]stream.Update{cat(one(up(known[0], 1)), f, one(up(r, 1), up(known[1], -1), up(r, 1), up(known[0], 1), up(r, -1)))}
+			}},
+			// Two raisers in a row: only a young estimator sees that.
+			{"raisers-back-to-back", cold, func() [][]stream.Update {
+				f1, r1 := walk(true)
+				f2, r2 := walk(true)
+				for len(f2) > 0 {
+					f1, r1 = cat(f1, one(up(r1, 1)), f2), r2
+					f2, r2 = walk(true)
+				}
+				return [][]stream.Update{cat(f1, one(up(r1, 1), up(r2, 1), up(r1, 1), up(r2, -1)))}
+			}},
+			// A key the batch nets to zero still reaches the rough estimator.
+			{"plus-minus-one-run", warm, func() [][]stream.Update {
+				f, r := walk(true)
+				g := fresh()
+				return [][]stream.Update{f, {up(r, 1), up(r, -1)}, {up(known[0], 1), up(g, 1), up(known[0], -1), up(g, -1)}}
+			}},
+			{"plus-minus-across-a-cut", warm, func() [][]stream.Update {
+				g := fresh()
+				f, r := walk(true)
+				return [][]stream.Update{cat(one(up(g, 1), up(known[0], 1)), f, one(up(r, 1), up(g, -1), up(known[0], -1)))}
+			}},
+			{"huge-deltas", warm, func() [][]stream.Update {
+				a, b, c := fresh(), fresh(), known[0]
+				return [][]stream.Update{{
+					up(a, math.MaxInt64), up(b, math.MinInt64), up(a, math.MaxInt64), up(c, math.MaxInt64),
+					up(a, math.MinInt64), up(b, math.MinInt64), up(c, math.MaxInt64), up(c, math.MaxInt64),
+				}}
+			}},
+			{"all-identical", warm, func() [][]stream.Update {
+				f, r := walk(true)
+				same := func(k uint64) []stream.Update {
+					us := make([]stream.Update, 300)
+					for j := range us {
+						us[j] = up(k, oddDeltas[1+j%(len(oddDeltas)-1)])
+					}
+					return us
+				}
+				return [][]stream.Update{f, same(r), same(known[0])}
+			}},
+			{"all-distinct", warm, func() [][]stream.Update {
+				us := make([]stream.Update, 700)
+				for j := range us {
+					us[j] = up(fresh(), 1)
+				}
+				return [][]stream.Update{us}
+			}},
+			// One update past the column chunk: two planned pieces, with a
+			// known key and a +1/-1 pair on both sides of the split.
+			{"chunk-plus-one", warm, func() [][]stream.Update {
+				us := make([]stream.Update, 0, 4097)
+				g := fresh()
+				for len(us) < 4094 {
+					us = append(us, up(known[len(us)%len(known)], 1), up(fresh(), 1))
+				}
+				return [][]stream.Update{append(us, up(g, 1), up(known[0], 5), up(g, -1))}
+			}},
+			// The first key repairs the window, raise or no raise, and is
+			// then met again in the same batch.
+			{"unsynced-first-key", restored, func() [][]stream.Update {
+				return [][]stream.Update{{up(known[3], 1), up(known[4], 1), up(known[3], -1), up(known[3], 2)}}
+			}},
+		}
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("windowed=%v/%s", windowed, c.name), func(t *testing.T) {
+				item, cols := c.start.Clone(), c.start.Clone()
+				next, shadow = 1<<32, item.rough.Clone()
+				moved := 0
+				for _, us := range c.build() {
+					m, _ := feedSamplers(t, item, cols, us, func() int { return len(us) })
+					moved += m
+				}
+				if moved == 0 && c.name != "huge-deltas" {
+					t.Fatal("no batch moved R_t: the case lost its point")
+				}
+			})
+		}
+	}
+}
+
+// TestUpdateColumnsCutsAtFirstOccurrence races the cut mapping. Which
+// window an update is applied under shows only when its key is sampled
+// by a level the cut beside it creates, so a one-level window is started
+// cold over many key sets, in batches whose repeats make every ordinal
+// differ from its position; a cut mapped one update off, or distinct
+// keys scanned out of first-occurrence order, loses an update in a few
+// of them.
+func TestUpdateColumnsCutsAtFirstOccurrence(t *testing.T) {
+	const n, trials = 1 << 12, 200
+	cold, _ := samplerPair(Params{N: n, K: 8, SparsityFactor: 8, Windowed: true, Window: 0})
+	for trial := uint64(0); trial < trials; trial++ {
+		item, cols := cold.Clone(), cold.Clone()
+		key := func(j uint64) uint64 { return (trial*997 + j + 1) * 0x9E3779B97F4A7C15 % n }
+		for fresh := uint64(0); fresh < 300; {
+			// a b a c b c d ... : each new key between repeats of the last two.
+			var us []stream.Update
+			for len(us) < 9 {
+				us = append(us, stream.Update{Index: key(fresh), Delta: 1})
+				if fresh > 0 {
+					us = append(us, stream.Update{Index: key(fresh - 1), Delta: 1})
+				}
+				us = append(us, stream.Update{Index: key(fresh), Delta: -1})
+				fresh++
+			}
+			for _, u := range us {
+				item.Update(u.Index, u.Delta)
+			}
+			core.UpdateBatch(cols.UpdateColumns, us)
+			if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+				t.Fatalf("trial %d: one-level window diverged before fresh key %d", trial, fresh)
+			}
+		}
+	}
+}
+
+// TestUpdateColumnsPlanCounters: one add per planned batch to each of
+// the two series, n nonzero updates and d distinct keys.
+func TestUpdateColumnsPlanCounters(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("counters compiled out")
+	}
+	sp, _ := samplerPair(Params{N: 1 << 20, K: 4, Windowed: true, Window: 3})
+	n0, d0 := levelStats.BatchKeys.Load(), levelStats.KeysHashed.Load()
+	core.UpdateBatch(sp.UpdateColumns, []stream.Update{{Index: 5, Delta: 1}, {Index: 9, Delta: 0}, {Index: 5, Delta: -1}, {Index: 7, Delta: 2}})
+	if n, d := levelStats.BatchKeys.Load()-n0, levelStats.KeysHashed.Load()-d0; n != 3 || d != 2 {
+		t.Fatalf("repro_l0_batch_keys_total grew by %d, repro_l0_keys_hashed_total by %d; want 3 and 2", n, d)
+	}
+}
+
+// TestUpdateColumnsAllocationFree: a warm planned UpdateColumns — plan
+// rebuilt, scratch sized — allocates nothing.
+func TestUpdateColumnsAllocationFree(t *testing.T) {
+	const n = 1 << 26
+	sp := NewSampler(rand.New(rand.NewSource(16)), Params{N: n, K: 32, Windowed: true, Window: RecommendedWindow(8)})
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+	rng := rand.New(rand.NewSource(17))
+	fill := func() { // a new batch each time: the plan is rebuilt, not served
+		b.Reset()
+		for j := 0; j < 2048; j++ {
+			b.Append(uint64(1+rng.Intn(1<<11))*0x9E3779B97F4A7C15%n, int64(1-2*(j%8/7)))
+		}
+	}
+	for warm := 0; warm < 16; warm++ { // every key seen, R_t at rest
+		fill()
+		sp.UpdateColumns(b)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { fill(); sp.UpdateColumns(b) }); allocs != 0 {
+		t.Fatalf("warm planned UpdateColumns allocates %.1f times per batch", allocs)
 	}
 }

@@ -71,10 +71,9 @@ type Sampler struct {
 	rough    *l0.RoughF0
 	// levels holds the maintained level sketches, indexed by level; every
 	// sketch shares proto's hash functions.
-	levels  l0.Window[sparse.Recovery]
-	proto   *sparse.Recovery // hash-sharing prototype for level sketches
-	entries []sparse.Entry   // UpdateColumns scratch: one pre-hashed entry per item
-	decode  sparse.Scratch   // read scratch: every level decodes into it, one at a time
+	levels l0.Window[sparse.Recovery]
+	proto  *sparse.Recovery // hash-sharing prototype for level sketches
+	decode sparse.Scratch   // read scratch: every level decodes into it, one at a time
 }
 
 // alwaysOn is the number of top levels Figure 8 keeps at every estimate:
@@ -133,34 +132,37 @@ func (sp *Sampler) Update(i uint64, delta int64) {
 	}
 }
 
-// UpdateColumns consumes a pre-planned columnar batch: cut at the
-// window events (l0.Window.CutRuns), batch between them. Every level
-// sketch shares the prototype's hash functions, so the level hash, the
-// fingerprint and the three bucket hashes are batch-evaluated ONCE per
-// item into a pre-hashed entry, whichever levels it then reaches; the
-// items between cuts apply their entries to every live level at or
-// above their minimum. Nothing here draws randomness, so state is
-// bit-identical to per-item Update.
-func (sp *Sampler) UpdateColumns(b *core.Batch) {
-	l0.ZeroFreeRuns(b.Idx, b.Delta, func(keys []uint64, deltas []int64) { sp.updateRun(b, keys, deltas) })
-}
+// UpdateColumns consumes a columnar batch: plan → hash the distinct
+// keys → apply through the ordinals, cut at the window events
+// (l0.Window.CutPlanned). Every level sketch shares the prototype's
+// hash functions, so the level hash, the fingerprint and the three
+// bucket hashes are batch-evaluated ONCE per distinct key, whichever
+// updates carry it and whichever levels they reach; the updates between
+// cuts apply in order (a sketch's count peak depends on it) to every
+// live level at or above their key's minimum. Nothing here draws
+// randomness, so state is bit-identical to per-item Update.
+func (sp *Sampler) UpdateColumns(b *core.Batch) { l0.ZeroFreeRuns(b, sp.updateRun) }
 
-// updateRun applies a zero-free column of at most a chunk of updates.
-func (sp *Sampler) updateRun(b *core.Batch, keys []uint64, deltas []int64) {
-	n := len(keys)
-	col := b.Col64(2 * n)
-	hv, scratch := col[:n], col[n:]
-	if cap(sp.entries) < n {
-		sp.entries = make([]sparse.Entry, n)
+// updateRun applies a zero-free batch of at most a chunk of updates.
+func (sp *Sampler) updateRun(b *core.Batch) {
+	keys, slot := core.Distinct(b)
+	d := len(keys)
+	col := b.Col64(3 * d)
+	from, fp, scratch := col[:d], col[d:2*d], col[2*d:]
+	cells := b.Cols32(3 * d)
+	sp.proto.HashColumn(keys, scratch, fp, cells)
+	sp.h.RangeBatch(keys, sp.params.N, from)
+	for o, hv := range from {
+		from[o] = uint64(minLevel(hv))
 	}
-	entries := sp.entries[:n]
-	sp.proto.HashColumn(keys, deltas, scratch, entries)
-	sp.h.RangeBatch(keys, sp.params.N, hv)
-	sp.levels.CutRuns(sp.rough, keys, scratch, sp.span, sp.newLevel, func(lo, hi int) {
+	top := sp.maxLevel + 1 // no level above it: the walk up stops there, not at slot 64
+	sp.levels.CutPlanned(sp.rough, b, scratch, sp.span, sp.newLevel, func(lo, hi, _ int) {
 		for j := lo; j < hi; j++ {
-			for _, lv := range sp.levels.From(minLevel(hv[j])) {
+			o := slot[j]
+			e := sparse.MakeEntry(b.Idx[j], b.Delta[j], fp[o], cells[3*o:])
+			for _, lv := range sp.levels.From(0)[from[o]:top] {
 				if lv != nil {
-					lv.Apply(&entries[j])
+					lv.Apply(&e)
 				}
 			}
 		}
@@ -285,7 +287,7 @@ func (sp *Sampler) Merge(other *Sampler) error {
 func (sp *Sampler) Clone() *Sampler {
 	c := *sp
 	c.rough = sp.rough.Clone()
-	c.entries, c.decode = nil, sparse.Scratch{}
+	c.decode = sparse.Scratch{}
 	c.levels = sp.levels.Clone((*sparse.Recovery).Clone)
 	return &c
 }

@@ -1,6 +1,7 @@
 // window_stats.go answers "which regime is the sampler in": how often
-// the Figure 8 level window moves, and how many levels it holds.
-// Process-wide like the CSSS regime counters; l0.Window writes them (see
+// the Figure 8 level window moves, how many levels it holds, and how
+// much of a batch's hash work its distinct plan leaves. Process-wide
+// like the CSSS regime counters; l0.Window writes them (see
 // l0.WindowStats).
 package support
 
@@ -16,4 +17,5 @@ func init() {
 		"updates that raised the rough L0 estimate and moved a support sampler's level window", levelStats.Events.Load)
 	obs.Default.GaugeFunc("", "repro_support_live_levels",
 		"level sketches maintained by the support sampler that last synced its window", levelStats.Live.Load)
+	levelStats.RegisterPlan("support")
 }
