@@ -123,6 +123,13 @@ func (h *HeavyHitters) UpdateBatch(batch []Update) { core.UpdateBatch(h.UpdateCo
 // kept, drawn in the per-item path's rng order.
 func (h *HeavyHitters) UpdateColumns(b *Batch) { h.impl.UpdateColumns(b) }
 
+// SampleExponent returns p: the structure's CSSS rows sample the stream
+// at rate 2^-p, 0 while it is exact (fewer than 2S units seen).
+func (h *HeavyHitters) SampleExponent() int {
+	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "SampleExponent")
+	return h.impl.SampleExponent()
+}
+
 // HeavyHitters returns the detected heavy coordinates, sorted.
 func (h *HeavyHitters) HeavyHitters() []uint64 {
 	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "HeavyHitters")

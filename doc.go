@@ -245,10 +245,11 @@
 //     structures hash the index column as it stands.
 //  3. APPLY — the planned kinds apply THROUGH THE ORDINALS: an update
 //     reads its index's hashes, it does not recompute them. What only
-//     sums is coalesced per distinct index first — CSSS's rows at
-//     sampling rate 1 (per index and sign), the L0 estimator's two bin
-//     matrices (the deltas summed mod p) — which is exact because the
-//     adds commute and wrap, or reduce, associatively. What depends on
+//     sums is coalesced per distinct index first — CSSS's rows (per
+//     index and sign: the mass at sampling rate 1, what each row kept
+//     once sampling), the L0 estimator's two bin matrices (the deltas
+//     summed mod p) — which is exact because the adds commute and
+//     wrap, or reduce, associatively. What depends on
 //     the order of updates (an exact counter's overflow latch, a
 //     sparse-recovery cell's count peak) applies update by update.
 //  4. REFRESH — candidate tracking re-estimates the batch's distinct
@@ -262,11 +263,19 @@
 // units where a long-lived monitor spends its life) two steps run
 // between HASH and APPLY: THIN draws each update's per-row sampling
 // decisions for a whole run of updates below the next halving
-// boundary, and COMPACT packs the updates that at least one row kept —
-// the index's ordinal, units kept, row mask — into the batch's scratch.
-// Only those survivors are applied; p = 0 is the same run loop with
-// nothing thinned away, and only the one update that lands on a halving
-// boundary takes the per-item path.
+// boundary; then either ACCUMULATE adds a unit update's row hits to its
+// index's per-row counts (16-bit lanes in the batch's scratch, swept
+// before 2^16 - 1 more unit updates could wrap one) and APPLY adds two
+// counts per DISTINCT index per row, or COMPACT packs the updates some
+// row kept — the index's ordinal, units kept, row mask — and APPLY adds
+// those survivors one by one. The run decides: it accumulates when the
+// expected number of surviving updates, n(1 - (1 - 2^-p)^rows) of its
+// n, is at least twice the batch's distinct count, and compacts
+// otherwise (sparse keys, deep sampling: a sweep over every distinct
+// index would cost more than the few survivors); the table ends the
+// same either way. p = 0 is the same run loop with nothing thinned
+// away, and only the one update that lands on a halving boundary takes
+// the per-item path.
 //
 // The windowed kinds (the L0 estimator, its constant-factor level
 // estimator, the support sampler) keep only the rows / levels around

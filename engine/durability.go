@@ -183,6 +183,7 @@ func (e *Engine) RestorePartitioned(data []byte) error {
 				e.sets[s][row] = sk
 			}
 		}
+		applyShard{e, s}.publish()
 	})
 	e.gen.Add(1)
 	e.met.partRestores.Inc()

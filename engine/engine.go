@@ -140,6 +140,7 @@ func New(cfg bounded.Config, opts Options) (*Engine, error) {
 		sets:    make([]structSet, opts.Shards),
 		pending: make([]*core.Batch, opts.Shards),
 	}
+	e.met.csssExponent = make([]obs.Gauge, opts.Shards)
 	for i := range e.workers {
 		set, err := newStructSet(cfg, opts)
 		if err != nil {
@@ -152,7 +153,7 @@ func New(cfg bounded.Config, opts Options) (*Engine, error) {
 		// Applied batches return to the shared columnar arena. The shard
 		// name labels the worker goroutine in CPU profiles and names its
 		// apply regions in execution traces.
-		e.workers[i] = shard.NewNamed(set, opts.Queue, core.PutBatch, strconv.Itoa(i))
+		e.workers[i] = shard.NewNamed(applyShard{e, i}, opts.Queue, core.PutBatch, strconv.Itoa(i))
 		e.pending[i] = core.GetBatch()
 	}
 	return e, nil
@@ -192,14 +193,17 @@ func (e *Engine) ShardOf(i uint64) int {
 // planLocked computes every key's owning shard in one straight-line
 // batch hash sweep — the plan step Ingest and the batched routed reads
 // share. The result is the mu-guarded shard-column scratch: valid until
-// the caller releases e.mu.
+// the caller releases e.mu. A one-shard engine hashes nothing and reads
+// no key: its column stays as make zeroed it.
 func (e *Engine) planLocked(keys []uint64) []uint64 {
 	n := len(keys)
 	if cap(e.planShards) < n {
 		e.planShards = make([]uint64, n)
 	}
 	shards := e.planShards[:n]
-	e.part.RangeBatch(keys, uint64(e.opt.Shards), shards)
+	if e.opt.Shards > 1 {
+		e.part.RangeBatch(keys, uint64(e.opt.Shards), shards)
+	}
 	return shards
 }
 
@@ -259,8 +263,10 @@ func (e *Engine) Ingest(batch []bounded.Update) error {
 		e.planKeys = make([]uint64, n)
 	}
 	keys := e.planKeys[:n]
-	for j, u := range batch {
-		keys[j] = u.Index
+	if e.opt.Shards > 1 { // the only shard owns every key unread
+		for j, u := range batch {
+			keys[j] = u.Index
+		}
 	}
 	shards := e.planLocked(keys)
 	// Scatter under the lock; hand filled buffers off OUTSIDE it, so a

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strconv"
 
+	bounded "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -40,6 +42,29 @@ type engineMetrics struct {
 	partSnapNanos    obs.Histogram // wall time per partitioned snapshot
 	partRestores     obs.Counter   // RestorePartitioned installs
 	partRestoreNanos obs.Histogram // wall time per partitioned restore
+
+	// Algorithm state per shard, stored by its goroutine (applyShard.publish).
+	csssExponent []obs.Gauge // sampling exponent p of the heavy hitters structure
+}
+
+// applyShard is shard s's shard.Ingester: apply the batch, then publish
+// the shard's algorithm-state gauges.
+type applyShard struct {
+	e *Engine
+	s int
+}
+
+func (a applyShard) UpdateColumns(b *core.Batch) {
+	a.e.sets[a.s].UpdateColumns(b)
+	a.publish()
+}
+
+// publish runs in the shard's goroutine, after each applied batch and
+// after a restore: one atomic store, nothing under -tags noobs.
+func (a applyShard) publish() {
+	if hh, ok := a.e.sets[a.s][0].(*bounded.HeavyHitters); ok { // kinds[0]
+		a.e.met.csssExponent[a.s].Set(int64(hh.SampleExponent()))
+	}
 }
 
 // pathMetrics is one query path's call counter and wall-time histogram.
@@ -71,6 +96,9 @@ type ShardStats struct {
 	// bound.
 	QueueDepth int
 	QueueCap   int
+	// SampleExponent is the CSSS exponent p (rate 2^-p, 0 = exact) of the
+	// shard's heavy hitters structure as of its last batch or restore.
+	SampleExponent int
 }
 
 // Stats is a point-in-time snapshot of the engine's metrics. Counters
@@ -176,6 +204,7 @@ func (e *Engine) Stats() Stats {
 			SendStalls:     m.SendStalls.Load(),
 			QueueDepth:     w.QueueDepth(),
 			QueueCap:       w.QueueCap(),
+			SampleExponent: int(e.met.csssExponent[i].Load()),
 		}
 		s.PerShard[i] = ss
 		s.BackpressureStalls += ss.SendStalls
@@ -232,6 +261,8 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 			func() int64 { return int64(w.QueueDepth()) }, inst, sh)
 		r.GaugeFunc(owner, "repro_engine_shard_queue_cap", "inbox bound per shard",
 			func() int64 { return int64(w.QueueCap()) }, inst, sh)
+		r.GaugeFunc(owner, "repro_engine_shard_csss_exponent", "CSSS sampling exponent p (rate 2^-p) of the shard's heavy hitters",
+			m.csssExponent[i].Load, inst, sh)
 	}
 	return func() { r.RemoveOwner(owner) }
 }

@@ -320,3 +320,69 @@ func TestStatsHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardSampleExponent: each shard publishes its heavy hitters
+// structure's CSSS exponent — after every applied batch and after a
+// restore — so Stats and the scrape surface say per shard which regime
+// it is in, where the process-wide repro_csss_sample_exponent gauge
+// says only who set it last. Shard 0 is fed past 2S, shard 1 and a twin
+// engine stay below it; an engine opened from the checkpoint reports the
+// restored exponents before its first batch.
+func TestShardSampleExponent(t *testing.T) {
+	cfg := bounded.Config{N: 1 << 20, Eps: 0.1, Alpha: 1, Seed: 9} // S = 2100
+	feed := func(e *Engine, shard, units int) {
+		t.Helper()
+		var us []bounded.Update
+		for i := uint64(0); len(us) < units; i++ {
+			if e.ShardOf(i) == shard {
+				us = append(us, bounded.Update{Index: i, Delta: 1})
+			}
+		}
+		if err := e.Ingest(us); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exponents := func(e *Engine) [2]int {
+		st := e.Stats()
+		return [2]int{st.PerShard[0].SampleExponent, st.PerShard[1].SampleExponent}
+	}
+	want := [2]int{1, 0}
+	if !obs.Enabled {
+		want = [2]int{}
+	}
+	e := must(New(cfg, Options{Shards: 2, Structures: HeavyHitters, BatchSize: 256}))
+	defer e.Close()
+	twin := must(New(cfg, Options{Shards: 2, Structures: HeavyHitters, BatchSize: 256}))
+	defer twin.Close()
+	feed(e, 0, 4300)
+	feed(e, 1, 4100)
+	feed(twin, 0, 4100)
+	if got := exponents(e); got != want {
+		t.Errorf("shard 0 past 2S, shard 1 below: exponents %v, want %v", got, want)
+	}
+	if got := exponents(twin); got != [2]int{} {
+		t.Errorf("twin below 2S: exponents %v, want zeros", got)
+	}
+	reg := obs.NewRegistry()
+	defer e.ExposeMetrics(reg, "exp")()
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if row := `repro_engine_shard_csss_exponent{instance="exp",shard="0"} 1`; obs.Enabled && !strings.Contains(rec.Body.String(), row) {
+		t.Errorf("scrape missing %q", row)
+	}
+	snap, err := e.SnapshotPartitioned()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := RestoreCheckpoint(snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	if got := exponents(opened); got != want {
+		t.Errorf("restored engine before its first batch: exponents %v, want %v", got, want)
+	}
+}

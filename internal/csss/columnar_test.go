@@ -301,6 +301,25 @@ func TestRegimeCountersRoutes(t *testing.T) {
 	if got.SampleExponent != halved {
 		t.Errorf("sample-exponent gauge reads %d after %d halvings", got.SampleExponent, halved)
 	}
+	// The same stream in batches of 100 coalesces its first, rate-1
+	// batch and nothing after (97 keys to 100 updates); in batches of
+	// 1000 the rate-1 run and one run each at p = 2, 3, 4 and 5 do. The
+	// draws are the same draws, so the unit routes and the survivor
+	// count read the same through either apply, and only the sweeps say
+	// which one ran.
+	twin := New(rand.New(rand.NewSource(7)), Params{Rows: 7, K: 8, S: S})
+	for off := 0; off < n; off += 100 {
+		feedColumns(twin, us[off:off+100])
+	}
+	requireSameState(t, sk, twin)
+	last := DispatchStats()
+	if r1, th, sc, sv := last.UnitsRate1-after.UnitsRate1, last.UnitsThinned-after.UnitsThinned, last.UnitsScalar-after.UnitsScalar, last.SurvivorsApplied-after.SurvivorsApplied; r1 != got.UnitsRate1 || th != got.UnitsThinned || sc != got.UnitsScalar || sv != got.SurvivorsApplied {
+		t.Errorf("batches of 100 routed (rate1 %d, thinned %d, scalar %d, survivors %d), batches of 1000 %+v", r1, th, sc, sv, got)
+	}
+	if k1000, k100 := after.KeySweeps-before.KeySweeps, last.KeySweeps-after.KeySweeps; k1000 != 5 || k100 != 1 {
+		t.Errorf("%d key sweeps in batches of 1000 and %d in batches of 100, want 5 and 1", k1000, k100)
+	}
+	after = last
 	// Construction, restore and merge set the gauge too.
 	New(rand.New(rand.NewSource(8)), Params{Rows: 7, K: 8, S: S})
 	if p := DispatchStats().SampleExponent; p != 0 {
@@ -339,6 +358,16 @@ func FuzzUpdateColumnsDifferential(f *testing.F) {
 	f.Add(uint16(0), uint8(11), uint8(0), bytes.Repeat([]byte{5, 1, 0, 6, 255, 0}, 80))  // 12 rows leave the packed word at p = 6
 	f.Add(uint16(2), uint8(40), uint8(0), bytes.Repeat([]byte{9, 3, 2}, 50))             // deeper than the row mask
 	f.Add(uint16(64), uint8(7), uint8(3), bytes.Repeat([]byte{1, 90, 2, 2, 128, 0}, 40)) // big deltas, MinInt64
+	// A 4096-update batch on the coalescing side of the rule: 8200 unit
+	// updates, a cut, then the batch — at p = 1 under S = 4097 and at
+	// p = 3 under S = 1024.
+	long := make([]byte, 0, 3*(8200+4096))
+	for j := 0; j < 8200+4096; j++ {
+		long = append(long, byte(j*37), byte(1-j%4/3*2), 0)
+	}
+	long[3*8199+2] = 0x81 // cuts the batch; 0x81 % 3 == 0 leaves the delta a unit
+	f.Add(uint16(4096), uint8(6), uint8(0), long)
+	f.Add(uint16(1023), uint8(6), uint8(0), long)
 	f.Fuzz(func(t *testing.T, budget uint16, depth, fb uint8, data []byte) {
 		p := Params{Rows: int(depth%40) + 1, K: 2, S: int64(budget) + 1, FixedPointBits: uint(fb % 8)}
 		l := newLockstep(5, p)
@@ -479,6 +508,174 @@ func TestUpdateColumnsPlannedCases(t *testing.T) {
 					l.requireSameDraw(t)
 				})
 			}
+		}
+	}
+}
+
+// parked returns a lockstep whose two sketches sit at exponent e, gap
+// units short of the next halving boundary: a batch of fewer units is
+// one run at rate 2^-e.
+func parked(seed int64, p Params, e int, gap int64) *lockstep {
+	l := newLockstep(seed, p)
+	for _, sk := range []*Sketch{l.a, l.b} {
+		for sk.p < e {
+			sk.halveOnce()
+		}
+		sk.t = sk.nextHalf - 1 - gap
+	}
+	return l
+}
+
+// sweeps runs f and returns how many table sweeps each apply made in
+// it (zeros under -tags noobs).
+func sweeps(f func()) (perKey, perSurvivor int64) {
+	before := DispatchStats()
+	f()
+	after := DispatchStats()
+	return after.KeySweeps - before.KeySweeps, after.SurvivorSweeps - before.SurvivorSweeps
+}
+
+// cycle is n unit updates over d keys in turn, every third a deletion.
+func cycle(n, d int) []stream.Update {
+	us := make([]stream.Update, n)
+	for j := range us {
+		us[j] = stream.Update{Index: uint64(j%d) << 24, Delta: int64(1 - j%3/2*2)}
+	}
+	return us
+}
+
+// TestUpdateColumnsLaneWrap: one key repeated in ONE run up to and past
+// what a 16-bit lane counts, insertions or deletions, so the sweep that
+// is cut every laneMax unit updates is what keeps the table right. At
+// p = 1 a row keeps half the run: 140 000 repeats put ~70 000 in a lane
+// — the length that fails when the cut is removed; the shorter ones pin
+// the cut's edges (one sweep at 65 535, two from 65 536).
+func TestUpdateColumnsLaneWrap(t *testing.T) {
+	for _, e := range []int{1, 3} {
+		for _, n := range []int{laneMax, laneMax + 1, 70000, 140000} {
+			for _, delta := range []int64{1, -1} {
+				l := parked(91, Params{Rows: 7, K: 4, S: 1 << 40}, e, 1<<30)
+				us := make([]stream.Update, n)
+				for j := range us {
+					us[j] = stream.Update{Index: 77, Delta: delta}
+				}
+				perKey, _ := sweeps(func() { l.feedUpdates(t, us) })
+				l.requireSameDraw(t)
+				if want := int64((n + laneMax - 1) / laneMax); obs.Enabled && perKey != want {
+					t.Errorf("p=%d n=%d: %d key sweeps, want %d", e, n, perKey, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUpdateColumnsRuleRoutes: runs one update under and exactly at the
+// coalescing rule, p = 1..4, on the same seeds — both applies leave the
+// per-item path's state — and the benchmark's two key shapes: a uniform
+// batch (all distinct) takes the survivor sweep at every p, a zipf 1.2
+// batch the key sweep while the rule says so. The sweep counts are the
+// only assertions here an inverted rule fails: which apply runs is
+// pacing, not state, and no lockstep comparison can see it.
+func TestUpdateColumnsRuleRoutes(t *testing.T) {
+	const d = 60
+	for e := 1; e <= 4; e++ {
+		rule, at := parked(1, Params{Rows: 7, K: 4, S: 1 << 40}, e, 1).b, 1
+		for !rule.coalesces(at, d) {
+			at++
+		}
+		for want, n := range []int{at - 1, at} { // 0 key sweeps under the rule, 1 at it
+			l := parked(int64(100+e), Params{Rows: 7, K: 4, S: 1 << 40}, e, 1<<30)
+			perKey, perSurvivor := sweeps(func() { l.feedUpdates(t, cycle(n, d)) })
+			l.requireSameDraw(t)
+			if obs.Enabled && (perKey != int64(want) || perSurvivor != int64(1-want)) {
+				t.Errorf("p=%d n=%d (rule at %d): %d key sweeps and %d survivor sweeps", e, n, at, perKey, perSurvivor)
+			}
+		}
+	}
+	for _, skew := range []float64{0, 1.2} {
+		for _, e := range []int{1, 2, 4, 8} {
+			batch := skewedBatch(int64(e), 4096, skew)
+			keys, _ := core.Distinct(batch)
+			l := parked(5, Params{Rows: 7, K: 400, S: 1 << 40}, e, 1<<30)
+			perKey, perSurvivor := sweeps(func() { l.feed(t, batch) })
+			want := int64(0)
+			if l.b.coalesces(4096, len(keys)) {
+				want = 1
+			}
+			if skew == 0 && want != 0 || skew != 0 && e <= 2 && want != 1 {
+				t.Errorf("skew %v p=%d: rule says coalesce=%d for %d keys", skew, e, want, len(keys))
+			}
+			if obs.Enabled && (perKey != want || perSurvivor != 1-want) {
+				t.Errorf("skew %v p=%d: %d key sweeps and %d survivor sweeps, want %d and %d", skew, e, perKey, perSurvivor, want, 1-want)
+			}
+			core.PutBatch(batch)
+		}
+	}
+}
+
+// TestUpdateColumnsCoalescedCases: directed batches for the thinned
+// key sweep, each one run parked at exponent e unless it says otherwise,
+// at every lane word boundary (rows 4, 5, 8, 9), at the sampler's and the
+// heavy hitters' depths, and at 33 rows, which no batch path takes.
+func TestUpdateColumnsCoalescedCases(t *testing.T) {
+	mixed := cycle(3000, 40)
+	for j := range mixed { // multi-unit updates of the same keys between the unit ones
+		if j%7 == 3 {
+			mixed[j].Delta *= int64(2 + j%50)
+		}
+	}
+	distinct := cycle(2000, 2000)
+	cases := []struct {
+		name   string
+		us     []stream.Update
+		e      int
+		gap    int64
+		perKey int64 // key sweeps expected of a batchable depth
+	}{
+		{"all identical", cycle(3000, 1), 2, 1 << 30, 1},
+		{"all distinct", distinct, 1, 1 << 30, 0},
+		{"unit and multi-unit updates of one key interleaved", mixed, 1, 1 << 30, 1},
+		// 150 updates over 100 keys stay under the rule, the boundary
+		// update goes to the scalar loop, and the 2849 left coalesce one
+		// exponent up — with the first run's plan and lane column.
+		{"a run cut by a halving, its halves on different applies", cycle(3000, 100), 1, 150, 1},
+		// Both halves coalesce: the second must not see the first's lanes.
+		{"a run cut by a halving, both halves coalesced", cycle(6000, 20), 2, 2500, 2},
+		{"p*rows past the packed word", cycle(40000, 2), 10, 1 << 30, 1},
+	}
+	for _, rows := range []int{4, 5, 7, 8, 9, 33} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("rows=%d/%s", rows, tc.name), func(t *testing.T) {
+				l := parked(93, Params{Rows: rows, K: 4, S: 1 << 40, FixedPointBits: 2}, tc.e, tc.gap)
+				perKey, _ := sweeps(func() { l.feedUpdates(t, tc.us) })
+				l.requireSameDraw(t)
+				want := tc.perKey
+				if rows > maxMaskRows {
+					want = 0
+				}
+				if obs.Enabled && perKey != want {
+					t.Errorf("%d key sweeps, want %d", perKey, want)
+				}
+			})
+		}
+	}
+}
+
+// TestUpdateColumnsSampledAllocationFree: a warm planned batch of
+// skewed keys, coalescing at p = 1 and at p = 3, allocates nothing —
+// the lane column is the batch's scratch like the survivors before it.
+func TestUpdateColumnsSampledAllocationFree(t *testing.T) {
+	batch := skewedBatch(3, 4096, 1.2)
+	defer core.PutBatch(batch)
+	for _, e := range []int{1, 3} {
+		sk := parked(7, Params{Rows: 7, K: 400, S: 1 << 40}, e, 1<<30).b
+		keys, _ := core.Distinct(batch)
+		if !sk.coalesces(batch.Len(), len(keys)) {
+			t.Fatalf("p=%d: %d updates over %d keys do not coalesce", e, batch.Len(), len(keys))
+		}
+		sk.UpdateColumns(batch)
+		if allocs := testing.AllocsPerRun(20, func() { sk.UpdateColumns(batch) }); allocs != 0 {
+			t.Errorf("p=%d: %v allocs per warm UpdateColumns, want 0", e, allocs)
 		}
 	}
 }

@@ -32,11 +32,16 @@
 // it defines the sampling — which rng draws an update makes, in which
 // order — and is the only path weighted updates take. UpdateColumns is
 // the batch path: hash the batch's distinct keys once, then thin →
-// compact → apply over each run of updates between halving boundaries,
-// making the per-item path's draws in the per-item path's order, so the
-// two are interchangeable bit for bit in every regime. A key costs one
-// hash evaluation per batch however often the batch repeats it, and the
-// candidate refresh that follows reads the same columns.
+// accumulate or compact → apply over each run of updates between
+// halving boundaries, making the per-item path's draws in the per-item
+// path's order, so the two are interchangeable bit for bit in every
+// regime. A run whose expected survivors reach twice the batch's
+// distinct keys accumulates per key (16-bit row lanes, swept before
+// 2^16 - 1 more unit updates could wrap one) and sweeps the table once
+// per key; any other compacts its survivors and sweeps once per
+// survivor (coalesces). A key costs one hash evaluation per batch
+// however often the batch repeats it, and the candidate refresh that
+// follows reads the same columns.
 //
 // A Sketch is single-goroutine for updates AND queries: the update
 // path and Query share per-sketch scratch (the row-hash memo) — the
@@ -182,7 +187,7 @@ func (s *Sketch) Update(i uint64, delta int64) {
 // apply the updates as a sequence of runs through their keys' ordinals.
 // A run is the longest prefix of what is left whose unit mass keeps t
 // strictly below the next halving boundary, so the whole run is sampled
-// at one rate 2^-p and goes through thin → compact → apply (applyRun).
+// at one rate 2^-p: thin → accumulate or compact → apply (applyRun).
 // Only the update that lands on (or crosses) a halving boundary takes
 // the scalar chunk loop, which performs the halving.
 //
@@ -294,15 +299,19 @@ const (
 // addSampled would draw for the same update: nothing at p = 0 (every
 // row keeps every unit), one Uint64 split into p-bit fields for a unit
 // update while p*rows <= 64, one Dyadic or Binomial per row otherwise.
-// Compact writes what survived — the key's ordinal and its packed
-// count, row mask and sign — into the batch's column scratch; an update
-// sampled out of every row leaves nothing behind. Apply (applySurvivors)
-// sweeps the table row-major, reading each survivor's bucket and sign
-// through its ordinal. It returns the number of survivors applied.
+// What they kept reaches the table one of two ways (coalesces says
+// which). Accumulate: a unit update's row hits go to its key's lane
+// counts — a rate-1 run's units to its key's mass, applyCoalesced — and
+// one sweep adds two sums per DISTINCT key per row. Compact: the key's
+// ordinal and its packed count, row mask and sign go to the batch's
+// column scratch, nothing for an update no row kept, and applySurvivors
+// sweeps every row per SURVIVOR; multi-unit updates do so in either
+// kind of run. It returns the number of updates some row kept.
 func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64, ords []uint32) int64 {
 	n := len(slot)
+	coalesce := s.coalesces(n, h.d)
 	if s.p == 0 {
-		if n >= h.d {
+		if coalesce {
 			s.applyCoalesced(b, h, slot, deltas)
 			return int64(n)
 		}
@@ -323,9 +332,15 @@ func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64
 	// An update leaves at most `rows` survivors (one per distinct
 	// per-row count), so with n+rows slots a run of unit updates never
 	// fills the scratch and applies in one sweep; only a run whose big
-	// deltas fan out flushes early.
-	slots := n + s.rows
-	ords, kept := ords[:slots], b.Col64(slots)
+	// deltas fan out flushes early. Behind them, a coalescing run's lane
+	// counts: 2d words for every laneRows rows.
+	slots, size := n+s.rows, n+s.rows
+	if coalesce {
+		size += 2 * h.d * ((s.rows + laneRows - 1) / laneRows)
+	}
+	ords, kept := ords[:slots], b.Col64(size)
+	kept, lanes := kept[:slots], kept[slots:]
+	clear(lanes)
 	packed := s.p*s.rows <= 64
 	rows, width := uint(s.rows), uint(s.p)
 	var low, top uint64
@@ -333,7 +348,7 @@ func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64
 		low, top = fieldMasks(width, rows)
 	}
 	var applied int64
-	m := 0
+	m, laned := 0, 0 // survivors compacted; unit updates in the lanes
 	for t, d := range deltas {
 		if d == 0 {
 			continue
@@ -351,7 +366,7 @@ func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64
 		}
 		// Row r keeps the unit iff its coin lands: its p-bit field of
 		// one shared word is zero, or past 64 bits its own Dyadic draw.
-		// The field test and the compaction are branch free — at mid
+		// The field test and both ways on are branch free — at mid
 		// rates neither outcome is predictable.
 		var hits uint64
 		if packed {
@@ -363,11 +378,71 @@ func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64
 				}
 			}
 		}
-		ords[m], kept[m] = slot[t], neg|hits*rowBit0|1
-		m += int((hits | -hits) >> 63) // keep the slot iff any row hit
+		hit := (hits | -hits) >> 63 // 1 iff any row hit
+		if !coalesce {
+			ords[m], kept[m] = slot[t], neg|hits*rowBit0|1
+			m += int(hit) // keep the slot iff any row hit
+			continue
+		}
+		// One multiply puts laneRows row bits each in its own lane.
+		applied += int64(hit)
+		for a := 2*uint(slot[t]) + uint(neg>>63); a < uint(len(lanes)); a += 2 * uint(h.d) {
+			lanes[a] += (hits & (1<<laneRows - 1)) * laneSpread & laneOnes
+			hits >>= laneRows
+		}
+		if laned++; laned == laneMax { // one more could wrap a lane
+			s.sweepLanes(h, lanes)
+			clear(lanes)
+			laned = 0
+		}
 	}
 	s.applySurvivors(h, ords[:m], kept[:m])
+	if laned > 0 {
+		s.sweepLanes(h, lanes)
+	}
 	return applied + int64(m)
+}
+
+// A coalescing thinned run counts what each row kept of key t's unit
+// updates in 16-bit lanes, laneRows rows to a word: row r's two counts
+// are lane r%laneRows of lanes[2d*(r/laneRows)+2t] (positive deltas) and
+// of the next word (negative). A unit update adds at most one to a
+// lane, so a sweep every laneMax of them keeps every lane from wrapping.
+const (
+	laneRows   = 4
+	laneMax    = 1<<16 - 1
+	laneOnes   = 0x0001000100010001        // bit 0 of every lane
+	laneSpread = 1 | 1<<15 | 1<<30 | 1<<45 // times a nibble: its bit r at bit 16r
+)
+
+// coalesceBar is the expected number of surviving updates per distinct
+// key from which a thinned run coalesces. With the rule forced either
+// way (BenchmarkUpdateColumns' table; zipf 1.05 and 1.2; 1024 and 4096
+// updates; p = 1..4) lanes cost, in survivor sweeps, 1.24 | 1.13 | 1.08
+// | 1.0-1.05 | 0.98 | 0.95 | 0.88 | 0.76 at 0.6 | 1.0 | 1.2 | 1.7 | 1.9 |
+// 2.4 | 3.0 | 3.4 expected survivors per key.
+const coalesceBar = 2
+
+// coalesces is the one rule for which apply a run of n updates takes,
+// from what the run shows before its first draw: n, the batch's d
+// distinct keys, p and rows. The key sweep costs 2*rows adds per key
+// however few updates survive, the survivor sweep rows adds per update
+// some row kept: a run coalesces when the EXPECTED number of those,
+// n(1-(1-2^-p)^rows), reaches coalesceBar*d. At p = 0 all n survive and
+// the bar is one, a run no shorter than the key column (else alternating
+// unit and huge deltas would be quadratic). It is pacing, not state:
+// either apply leaves the same table. Measured and NOT shipped: lanes
+// for every thinned run (uniform keys, d = n = 4096: p = 1 64 -> 82,
+// p = 4 60 -> 94, p = 8 53 -> 93 ns/update); sweeping only the keys a
+// run touched (mends p = 8, costs all-distinct p = 1 53 -> 76); no
+// survivor sweep at all, multi-unit updates and short runs adding
+// straight to their cells (inherits the first).
+func (s *Sketch) coalesces(n, d int) bool {
+	if s.p == 0 {
+		return n >= d
+	}
+	kept := 1 - math.Pow(1-math.Ldexp(1, -s.p), float64(s.rows))
+	return float64(n)*kept >= coalesceBar*float64(d)
 }
 
 // applyCoalesced is a rate-1 run's apply, key by key: every row keeps
@@ -379,6 +454,7 @@ func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64
 // are 64 bits wide: a key's mass over a run is not bounded by a
 // survivor's count field.
 func (s *Sketch) applyCoalesced(b *core.Batch, h hashed, slot []uint32, deltas []int64) {
+	keySweeps.Inc()
 	_, _, wfp := s.decompose(1, 1.0) // weight 1.0 quantized exactly as the scalar path does
 	mass := b.Col64(2 * h.d)
 	clear(mass)
@@ -401,6 +477,32 @@ func (s *Sketch) applyCoalesced(b *core.Batch, h hashed, slot []uint32, deltas [
 	}
 }
 
+// sweepLanes is applyCoalesced's sweep over a thinned run's lane
+// counts: each row adds two counts times wfp per distinct key.
+func (s *Sketch) sweepLanes(h hashed, lanes []uint64) {
+	keySweeps.Inc()
+	_, _, wfp := s.decompose(1, 1.0) // weight 1.0 quantized exactly as the scalar path does
+	width := int(s.cols)
+	for r := 0; r < s.rows; r++ {
+		rc, rs := h.row(r)
+		sweepLaneRow(s.table[r*width:r*width+width], rc, rs, lanes[2*h.d*(r/laneRows):], uint(r%laneRows*16), uint64(wfp))
+	}
+}
+
+// sweepLaneRow is one row of sweepLanes, split out so the loop keeps
+// its operands in registers; sides as in applyCoalesced.
+//
+//go:noinline
+func sweepLaneRow(row []cell, rc []uint32, rs []int8, lanes []uint64, shift uint, wfp uint64) {
+	rs, lanes, shift = rs[:len(rc)], lanes[:2*len(rc)], shift&63
+	for t, c := range rc {
+		g := uint8(rs[t]) >> 7
+		cl := &row[c]
+		cl[g] += int64((lanes[2*t] >> shift & laneMax) * wfp)
+		cl[g^1] += int64((lanes[2*t+1] >> shift & laneMax) * wfp)
+	}
+}
+
 // fieldMasks describes a word cut into `rows` fields of `width` bits
 // from bit 0 up (width*rows <= 64): low has every field's bits below its
 // top bit, top has every field's top bit.
@@ -418,9 +520,12 @@ func fieldMasks(width, rows uint) (low, top uint64) {
 // are nonzero, so after the OR with word the top bit says "field != 0";
 // inverting and masking leaves one flag per field, `width` apart. The
 // loop squeezes them into adjacent bits: each shift by width-1 lands
-// the next field's flag on its own bit.
+// the next field's flag on its own bit (at width 1 it already is).
 func zeroFields(word, low, top uint64, width, rows uint) uint64 {
 	z := (^(((word & low) + low) | word) & top) >> (width - 1)
+	if width == 1 {
+		return z
+	}
 	var hits uint64
 	for bit := uint64(1); bit < 1<<rows; bit <<= 1 {
 		hits |= z & bit
@@ -464,6 +569,7 @@ func (s *Sketch) applySurvivors(h hashed, ords []uint32, kept []uint64) {
 	if len(ords) == 0 {
 		return
 	}
+	survivorSweeps.Inc()
 	_, _, wfp := s.decompose(1, 1.0) // weight 1.0 quantized exactly as the scalar path does
 	width := int(s.cols)
 	for r := 0; r < s.rows; r++ {

@@ -310,40 +310,61 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 // reaches the next boundary, so every iteration ingests one batch of
 // unit updates at rate 2^-p — through per-item Update (scalar) or
 // through UpdateColumns (columns). The table is the benchmark's
-// (7 rows x 2400 columns); ns/update is the figure to compare.
+// (7 rows x 2400 columns); ns/update is the figure to compare. Keys are
+// uniform over 2^20 (every batch all-distinct: the survivor sweep at
+// every p > 0) or zipfian (d/n, reported, is what the coalescing rule
+// reads).
 func BenchmarkUpdateColumns(b *testing.B) {
-	for _, p := range []int{0, 1, 2, 4, 8, 10} {
-		for _, n := range []int{1024, 4096} {
-			rng := rand.New(rand.NewSource(15))
-			batch := core.GetBatch()
-			for i := 0; i < n; i++ {
-				batch.Append(uint64(rng.Intn(1<<20)), int64(1-2*(i%8/7))) // one deletion in eight
-			}
-			for _, path := range []string{"scalar", "columns"} {
-				b.Run(fmt.Sprintf("p=%d/len=%d/%s", p, n, path), func(b *testing.B) {
-					sk := New(rand.New(rand.NewSource(13)), Params{Rows: 7, K: 400, S: 1 << 40})
-					for sk.p < p {
-						sk.halveOnce()
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if path == "columns" {
-							sk.UpdateColumns(batch)
-							continue
+	for _, skew := range []float64{0, 1.05, 1.2} {
+		for _, p := range []int{0, 1, 2, 3, 4, 8, 10} {
+			for _, n := range []int{1024, 4096} {
+				batch, name := skewedBatch(15, n, skew), fmt.Sprintf("p=%d/len=%d", p, n)
+				if skew != 0 {
+					name += fmt.Sprintf("/zipf=%v", skew)
+				}
+				keys, _ := core.Distinct(batch)
+				for _, path := range []string{"scalar", "columns"} {
+					b.Run(name+"/"+path, func(b *testing.B) {
+						sk := New(rand.New(rand.NewSource(13)), Params{Rows: 7, K: 400, S: 1 << 40})
+						for sk.p < p {
+							sk.halveOnce()
 						}
-						for j, k := range batch.Idx {
-							sk.Update(k, batch.Delta[j])
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if path == "columns" {
+								sk.UpdateColumns(batch)
+								continue
+							}
+							for j, k := range batch.Idx {
+								sk.Update(k, batch.Delta[j])
+							}
 						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/update")
-					if sk.p != p {
-						b.Fatalf("regime drifted: p = %d, want %d", sk.p, p)
-					}
-				})
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/update")
+						b.ReportMetric(float64(len(keys))/float64(n), "d/n")
+						if sk.p != p {
+							b.Fatalf("regime drifted: p = %d, want %d", sk.p, p)
+						}
+					})
+				}
+				core.PutBatch(batch)
 			}
-			core.PutBatch(batch)
 		}
 	}
+}
+
+// skewedBatch draws n unit updates, one deletion in eight, over keys
+// uniform in [0, 2^20) (skew 0) or zipfian with the given exponent.
+func skewedBatch(seed int64, n int, skew float64) *core.Batch {
+	rng := rand.New(rand.NewSource(seed))
+	key := func() uint64 { return uint64(rng.Intn(1 << 20)) }
+	if skew != 0 {
+		key = rand.NewZipf(rng, skew, 1, 1<<20-1).Uint64
+	}
+	batch := core.GetBatch()
+	for i := 0; i < n; i++ {
+		batch.Append(key(), int64(1-2*(i%8/7)))
+	}
+	return batch
 }
 
 func BenchmarkQuery(b *testing.B) {

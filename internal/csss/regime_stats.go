@@ -16,6 +16,8 @@ var (
 	unitsThinned     obs.Counter // unit mass thinned and applied by runs at p > 0
 	unitsScalar      obs.Counter // unit mass UpdateColumns handed to the scalar chunk loop
 	survivorsApplied obs.Counter // survivors the apply stage added to the table, all runs
+	keySweeps        obs.Counter // table sweeps adding two sums per distinct key (applyCoalesced, sweepLanes)
+	survivorSweeps   obs.Counter // table sweeps adding one count per survivor (applySurvivors)
 	batchKeys        obs.Counter // updates UpdateColumns was handed, all batches
 	keysHashed       obs.Counter // distinct keys UpdateColumns hashed, one pass per batch
 	halvings         obs.Counter // counter halvings, scheduled and merge-alignment alike
@@ -38,6 +40,9 @@ type RegimeStats struct {
 	// least one row sampled. None of them is hashed: a survivor reads
 	// its key's bucket and sign through the batch's distinct plan.
 	SurvivorsApplied int64
+	// KeySweeps and SurvivorSweeps count table sweeps by apply: which
+	// side of the coalescing rule (coalesces) the runs fell on.
+	KeySweeps, SurvivorSweeps int64
 	// BatchKeys counts the updates UpdateColumns was handed and
 	// KeysHashed the distinct keys among them, batch by batch — the
 	// keys it hashed, once each per batch. Their ratio is what the
@@ -57,6 +62,8 @@ func DispatchStats() RegimeStats {
 		UnitsThinned:     unitsThinned.Load(),
 		UnitsScalar:      unitsScalar.Load(),
 		SurvivorsApplied: survivorsApplied.Load(),
+		KeySweeps:        keySweeps.Load(),
+		SurvivorSweeps:   survivorSweeps.Load(),
 		BatchKeys:        batchKeys.Load(),
 		KeysHashed:       keysHashed.Load(),
 		Halvings:         halvings.Load(),
@@ -73,6 +80,10 @@ func init() {
 			"unit mass CSSS UpdateColumns applied, by route", r.c.Load,
 			obs.Label{Key: "route", Value: r.route})
 	}
+	obs.Default.CounterFunc("", "repro_csss_sweeps_total",
+		"CSSS table sweeps, by apply", keySweeps.Load, obs.Label{Key: "apply", Value: "key"})
+	obs.Default.CounterFunc("", "repro_csss_sweeps_total",
+		"CSSS table sweeps, by apply", survivorSweeps.Load, obs.Label{Key: "apply", Value: "survivor"})
 	obs.Default.CounterFunc("", "repro_csss_survivors_total",
 		"updates the CSSS apply stage added to the table after thinning", survivorsApplied.Load)
 	obs.Default.CounterFunc("", "repro_csss_batch_keys_total",

@@ -276,6 +276,9 @@ func (h *AlphaL1) Clone() *AlphaL1 {
 	}
 }
 
+// SampleExponent returns the CSSS sketch's sampling exponent p.
+func (h *AlphaL1) SampleExponent() int { return h.sk.SampleExponent() }
+
 // SpaceBits charges the CSSS sketch, the scale estimator, and the
 // candidate tracker.
 func (h *AlphaL1) SpaceBits() int64 {
