@@ -83,7 +83,9 @@
 //
 // Clone and restore derive a fresh rng stream, deterministically: Clone
 // seeds the copy from one draw of the original's generator (so a Clone
-// is part of the call sequence — it advances the original), and
+// is part of the call sequence — it advances the original; Merge takes
+// the same one draw from its ARGUMENT when, and only when, it must thin
+// a copy of the argument's CSSS table — until wire v2, ROADMAP 4a), and
 // UnmarshalBinary seeds from a hash of the payload (Go's generator
 // state is not portable). Equal bytes restore equal structures, and
 // counters, positions and schedules round-trip exactly; but the copy's
@@ -374,7 +376,8 @@
 //
 // because all of the paper's sketches are linear (or monotone) in their
 // input stream — Count-Sketch/CSSS tables add coordinate-wise (CSSS
-// aligns sampling rates by extra halvings first), subsampling bins add
+// aligns sampling rates by extra halvings first — of the receiver or of
+// a COPY of the argument's table: other is read), subsampling bins add
 // modulo the shared prime, candidate trackers re-rank the union under
 // merged estimates, and InnerProduct's f- and g-sketches each add
 // coordinate-wise. Merge requires both instances to come from the SAME

@@ -398,7 +398,8 @@ func (e *Engine) withView(kind Structures, op string, f func(bounded.Sketch)) er
 // viewRowLocked returns row's sketch merged over all shards, building
 // what is missing: a stale view is replaced by an empty one at the
 // current generation after ONE flush, and the row is cloned inside each
-// shard's goroutine and merged — the other kinds are left alone until
+// shard's goroutine (the shard keeps ingesting; Merge itself only reads
+// its argument) and merged — the other kinds are left alone until
 // somebody asks. Rows are cached until the next Ingest, and a valid
 // view means no Ingest completed since its flush, hence nothing pending
 // or in flight: a second kind at the same generation flushes nothing.

@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -142,8 +143,7 @@ type Sketch struct {
 	lastSign int64
 	haveLast bool
 	qest     []float64
-	qBatch   []float64 // scratch for QueryColumns' row-major gather
-	qDiff    []int64   // scratch for QueryColumns' fused (a+ - a-) gather
+	qBatch   []float64 // scratch for QueryColumns' row-major gather, (a+ - a-) then estimates
 	resid    []float64
 }
 
@@ -818,12 +818,13 @@ func (s *Sketch) halveOnce() {
 // Merge folds another CSSS sketch built with the same seed and params
 // into this one. Both sketches' tables are honest rate-2^-p samples of
 // their input streams; the merge thins the finer-sampled sketch down to
-// the coarser rate (extra halvings — other may be mutated to align),
-// adds counters coordinate-wise, sums stream positions, and re-applies
-// the halving schedule at the combined position. While neither sketch
-// has halved (combined position within the rate-1 regime), the merge is
-// exact: counters equal those of a single sketch that ingested the
-// concatenated stream.
+// the coarser rate (extra halvings), adds counters coordinate-wise, sums
+// stream positions, and re-applies the halving schedule at the combined
+// position. other is read, never thinned: when it is the finer one, a
+// COPY of its table is halved, under an rng seeded as Clone seeds one —
+// the one word Merge takes from other (until wire v2, ROADMAP 4a). While
+// neither sketch has halved (the rate-1 regime), the merge is exact:
+// counters equal a single sketch's that ingested the concatenated stream.
 func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil {
 		return fmt.Errorf("csss: merge with nil sketch")
@@ -837,8 +838,14 @@ func (s *Sketch) Merge(other *Sketch) error {
 	for s.p < other.p {
 		s.halveOnce()
 	}
-	for other.p < s.p {
-		other.halveOnce()
+	if other.p < s.p {
+		thin := *other // halveOnce touches table, rng and the rate fields only
+		thin.table = slices.Clone(other.table)
+		thin.rng = rand.New(rand.NewSource(other.rng.Int63()))
+		for thin.p < s.p {
+			thin.halveOnce()
+		}
+		other = &thin
 	}
 	for c := range s.table {
 		s.table[c][0] += other.table[c][0]
@@ -850,7 +857,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	s.haveLast = false // the memoized cell contents changed
 	s.maybeHalve()
-	sampleExponent.Set(int64(s.p)) // other may have halved last, to align
+	sampleExponent.Set(int64(s.p)) // the thinned copy may have halved last
 	return nil
 }
 
@@ -955,10 +962,10 @@ func (s *Sketch) EstimateHashed(cols []uint32, signs []int8, est []float64) {
 	}
 	if cap(s.qBatch) < s.rows*n {
 		s.qBatch = make([]float64, s.rows*n)
-		s.qDiff = make([]int64, s.rows*n)
 	}
 	rowEst := s.qBatch[:s.rows*n]
-	diffs := s.qDiff[:s.rows*n]
+	// The int64 differences land in the estimates' own memory.
+	diffs := unsafe.Slice((*int64)(unsafe.Pointer(&rowEst[0])), len(rowEst))
 	// ONE fused kernel call gathers every row's signed (a+ - a-)
 	// differences over the table viewed as a flat int64 array (each
 	// cell is a [2]int64 pair, so a row strides 2*cols ints). The float

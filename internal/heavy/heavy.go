@@ -245,8 +245,7 @@ func (h *AlphaL1) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 // the CSSS sketches and L1 scale merge, then the union of both
 // candidate sets is re-offered against the merged sketch, so the
 // tracker holds the top candidates under post-merge estimates. other
-// may be mutated (its sketch may be thinned to align sampling rates)
-// and must not be used afterwards.
+// is only read.
 func (h *AlphaL1) Merge(other *AlphaL1) error {
 	if other == nil {
 		return fmt.Errorf("heavy: merge with nil AlphaL1")
@@ -260,7 +259,9 @@ func (h *AlphaL1) Merge(other *AlphaL1) error {
 	if err := h.scale.merge(&other.scale); err != nil {
 		return err
 	}
-	return h.tracker.Merge(other.tracker, h.sk.Query)
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+	return h.refresh.Merge(h.tracker, other.tracker, b, h.sk)
 }
 
 // Clone returns a deep copy (snapshot) safe to hand to another

@@ -266,3 +266,29 @@ func BenchmarkCountSketchHHUpdate(b *testing.B) {
 		h.Update(uint64(i%4096), 1)
 	}
 }
+
+// BenchmarkAlphaL1Merge times one pairwise merge of two rate-1
+// structures with full candidate trackers (eps 0.01: 800 candidates a
+// side): the table add plus the candidate union's re-rank — the step a
+// merged view repeats per shard or agent. The receiver's clone is
+// outside the timer.
+func BenchmarkAlphaL1Merge(b *testing.B) {
+	build := func(offset uint64) *AlphaL1 {
+		h := NewAlphaL1(rand.New(rand.NewSource(7)), AlphaL1Params{N: 1 << 20, Eps: 0.01, Mode: Strict, Alpha: 4})
+		for i := uint64(0); i < 40_000; i++ {
+			h.Update(offset+i%3000, 1)
+		}
+		return h
+	}
+	dst, src := build(0), build(1500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		acc := dst.Clone()
+		b.StartTimer()
+		if err := acc.Merge(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -165,9 +165,9 @@ func (h *AlphaL2) Merge(other *AlphaL2) error {
 	if err := h.verCS.Merge(other.verCS); err != nil {
 		return err
 	}
-	return h.trk.Merge(other.trk, func(i uint64) float64 {
-		return float64(h.insCS.Query(i))
-	})
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+	return h.refresh.Merge(h.trk, other.trk, b, h.insCS)
 }
 
 // Clone returns a deep copy (snapshot).

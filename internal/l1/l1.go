@@ -170,13 +170,43 @@ func (a *AlphaEstimator) Update(i uint64, delta int64) {
 	}
 }
 
-// UpdateColumns consumes a pre-planned columnar batch. The estimator
-// is index-oblivious and every chunk draws Morris/binomial rng, so
-// application stays per-item in column order — the rng sequence (and
-// therefore the state) is identical to the scalar path.
+// UpdateColumns consumes a pre-planned columnar batch in column order,
+// making Update's draws in Update's order (the state is identical to
+// the scalar path's). Unit deltas under the Morris clock skip Update's
+// per-item set-up: the live levels and their rates are re-read only
+// when the clock's exponent moved or a wider delta went through Update.
 func (a *AlphaEstimator) UpdateColumns(b *core.Batch) {
-	for j, i := range b.Idx {
-		a.Update(i, b.Delta[j])
+	mc, morris := a.clock.(morrisClock)
+	var lvs [2]*level // the n live levels and their sampling rates,
+	var rate [2]float64
+	n, exp := 0, -1 // as read at Morris exponent exp (-1: not read)
+	for pos, delta := range b.Delta {
+		if !morris || (delta != 1 && delta != -1) {
+			a.Update(b.Idx[pos], delta)
+			exp = -1
+			continue
+		}
+		mc.c.Add(1)
+		a.units++
+		if e := mc.c.Exponent(); e != exp {
+			exp, n = e, 0
+			a.win.Sync(mc.c.Estimate(), newLevel)
+			for j, lv := range a.win.Each {
+				lvs[n], rate[n] = lv, 1/float64(sample.Pow(a.base, j))
+				n++
+			}
+		}
+		for k, lv := range lvs[:n] {
+			if rate[k] < 1 && sample.Binomial(a.rng, 1, rate[k]) == 0 {
+				continue
+			}
+			c := &lv.pos
+			if delta < 0 {
+				c = &lv.neg
+			}
+			*c++
+			a.maxCount = max(a.maxCount, *c)
+		}
 	}
 }
 

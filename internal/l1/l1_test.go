@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -212,5 +213,38 @@ func BenchmarkUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Update(uint64(i%1000), 1)
+	}
+}
+
+// BenchmarkUpdateColumns times unit updates with two SAMPLED levels
+// live (base 16, warmed past 16^2, so every update flips two coins),
+// per item and per column batch.
+func BenchmarkUpdateColumns(b *testing.B) {
+	us := make([]stream.Update, 4096)
+	for i := range us {
+		us[i] = stream.Update{Index: uint64(i % 1000), Delta: 1 - 2*int64(i%5/4)}
+	}
+	for _, mode := range []string{"scalar", "columns"} {
+		b.Run(mode, func(b *testing.B) {
+			a := New(rand.New(rand.NewSource(11)), 16)
+			a.Update(0, 1<<20)
+			if js := liveSet(a); len(js) != 2 || js[0] < 1 {
+				b.Fatalf("live levels %v, want two sampled ones", js)
+			}
+			batch := core.GetBatch()
+			defer core.PutBatch(batch)
+			batch.LoadUpdates(us)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "columns" {
+					a.UpdateColumns(batch)
+					continue
+				}
+				for _, u := range us {
+					a.Update(u.Index, u.Delta)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(us)), "ns/update")
+		})
 	}
 }

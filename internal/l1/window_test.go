@@ -289,3 +289,65 @@ func TestHugeDeltasAreCheap(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateColumnsLockstep holds the column loop to the per-item
+// oracle batch by batch: equal encoded state AND an equal next rng word
+// (so no draw was added, dropped or reordered), with levels 1 and 2
+// live (small base), unit / multi-unit / zero / MinInt64 deltas mixed in
+// one batch, Morris hits in mid-batch, a marshal-and-restore in
+// mid-stream (the restored window is unsynced) and the exact-clock
+// variant, which stays on the per-item loop.
+func TestUpdateColumnsLockstep(t *testing.T) {
+	builders := map[string]func(*rand.Rand, int64) *AlphaEstimator{"morris": New, "exact": NewExactClock}
+	for _, base := range []int64{4, 16} {
+		for clock, build := range builders {
+			item, col := build(rand.New(rand.NewSource(9)), base), build(rand.New(rand.NewSource(9)), base)
+			work := rand.New(rand.NewSource(base))
+			hitMidBatch, sampledLevels := false, 0
+			for round := 0; round < 80; round++ {
+				us := make([]stream.Update, 1+work.Intn(400))
+				for k := range us {
+					d := int64(1)
+					switch v := work.Intn(40); {
+					case v == 0:
+						d = 0
+					case v == 1:
+						d = math.MinInt64
+					case v < 6:
+						d = 2 + int64(work.Intn(30))
+					}
+					if work.Intn(5) == 0 {
+						d = -d
+					}
+					us[k] = stream.Update{Index: uint64(k), Delta: d}
+				}
+				for k, u := range us {
+					before := item.clock.Now()
+					item.Update(u.Index, u.Delta)
+					if clock == "morris" && stream.Abs64(u.Delta) == 1 && item.clock.Now() != before && k > 0 && k < len(us)-1 {
+						hitMidBatch = true
+					}
+				}
+				core.UpdateBatch(col.UpdateColumns, us)
+				if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, col)) {
+					t.Fatalf("base %d %s round %d: column state differs from per-item state", base, clock, round)
+				}
+				if item.rng.Int63() != col.rng.Int63() {
+					t.Fatalf("base %d %s round %d: next rng word differs", base, clock, round)
+				}
+				if js := liveSet(item); len(js) == 2 && js[0] >= 1 {
+					sampledLevels = max(sampledLevels, js[1])
+				}
+				if round == 40 {
+					item, col = restore(t, mustMarshal(t, item)), restore(t, mustMarshal(t, col))
+				}
+			}
+			if sampledLevels < 2 {
+				t.Fatalf("base %d %s: never had two sampled levels live", base, clock)
+			}
+			if clock == "morris" && !hitMidBatch {
+				t.Fatalf("base %d: no Morris hit on a unit update in mid-batch", base)
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	bounded "repro"
 	"repro/engine"
 	"repro/internal/ckpt"
+	"repro/internal/csss"
 	"repro/internal/netproto"
 	"repro/internal/obs"
 )
@@ -105,6 +106,10 @@ type AggregatorStats struct {
 	QueriesServed, QueryErrors       int64
 	HandshakeFailures                int64
 	ViewBuilds                       int64
+	// ViewSampleExponent is the CSSS exponent p of the merged heavy
+	// hitters view at its last build: the UNION can have left rate 1 (every
+	// rebuild then pays alignment halvings) while each agent reports 0.
+	ViewSampleExponent int
 	// CheckpointsWritten counts state checkpoints actually written
 	// (unchanged-state ticks are not counted); RecoveredAgents counts
 	// agents whose state was restored from disk at construction.
@@ -158,6 +163,7 @@ type Aggregator struct {
 	queriesServed, queryErrors       atomic.Int64
 	handshakeFailures                atomic.Int64
 	viewBuilds                       atomic.Int64
+	viewExponent, viewHalvings       atomic.Int64 // the HH view's p at its last build; CSSS halvings builds performed
 	mergeNanos                       obs.Histogram
 	applyNanos                       obs.Histogram
 
@@ -437,12 +443,12 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 
 // mergedView returns the union-of-all-agents sketch set, rebuilding
 // the cache only when a commit moved stateVersion since the last
-// build. Agents merge in sorted-ID order and blobs in ascending bit
-// order, so the same committed state always produces the same merged
-// bytes — the determinism the bit-identity e2e test leans on. The
-// caller must hold qmu; the returned sketches stay valid (and are
-// mutated only under qmu, e.g. heavy-hitters query scratch) until the
-// next rebuild.
+// build. Kinds merge in ascending bit order and, within a kind, agents
+// in sorted-ID order, so the same committed state always produces the
+// same merged bytes — the determinism the bit-identity e2e test leans
+// on. The caller must hold qmu; the returned sketches stay valid (and
+// are mutated only under qmu, e.g. heavy-hitters query scratch) until
+// the next rebuild.
 func (a *Aggregator) mergedView() (map[engine.Structures]bounded.Sketch, error) {
 	a.mu.Lock()
 	version := a.stateVersion
@@ -455,30 +461,41 @@ func (a *Aggregator) mergedView() (map[engine.Structures]bounded.Sketch, error) 
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	byBit := make(map[engine.Structures][]bounded.Sketch)
-	for _, id := range ids {
-		for bit, sk := range a.agents[id].sketches {
-			byBit[bit] = append(byBit[bit], sk)
-		}
+	stored := make([]map[engine.Structures]bounded.Sketch, len(ids))
+	for j, id := range ids {
+		stored[j] = a.agents[id].sketches
 	}
 	a.mu.Unlock()
 
-	// Merge outside the state lock: stored sketches are immutable, and
-	// Merge's license to mutate its argument is satisfied by cloning
-	// both sides. A commit racing this build just tags the cache with
-	// the pre-commit version, forcing a rebuild on the next query.
+	// Merge outside the state lock: stored sketches are immutable and
+	// Merge only reads its argument, so a build copies one accumulator
+	// per kind. A commit racing this build just tags the cache with the
+	// pre-commit version, forcing a rebuild on the next query.
 	start := obs.Now()
-	view := make(map[engine.Structures]bounded.Sketch, len(byBit))
-	for bit, list := range byBit {
-		acc := list[0].Clone()
-		for _, sk := range list[1:] {
-			if err := acc.Merge(sk.Clone()); err != nil {
+	halvings := csss.DispatchStats().Halvings
+	view := make(map[engine.Structures]bounded.Sketch)
+	for _, bit := range a.opt.Structures.Bits() {
+		var acc bounded.Sketch
+		for _, sketches := range stored {
+			sk := sketches[bit]
+			if sk == nil {
+				continue
+			}
+			if acc == nil {
+				acc = sk.Clone()
+			} else if err := acc.Merge(sk); err != nil {
 				return nil, fmt.Errorf("netagg: merging %T: %w", sk, err)
 			}
 		}
-		view[bit] = acc
+		if acc != nil {
+			view[bit] = acc
+		}
 	}
 	a.viewBuilds.Add(1)
+	a.viewHalvings.Add(csss.DispatchStats().Halvings - halvings)
+	if hh, ok := view[engine.HeavyHitters].(*bounded.HeavyHitters); ok {
+		a.viewExponent.Store(int64(hh.SampleExponent()))
+	}
 	a.mergeNanos.ObserveSince(start)
 
 	a.view, a.viewVersion, a.haveView = view, version, true
@@ -565,6 +582,7 @@ func (a *Aggregator) Stats() AggregatorStats {
 		QueryErrors:        a.queryErrors.Load(),
 		HandshakeFailures:  a.handshakeFailures.Load(),
 		ViewBuilds:         a.viewBuilds.Load(),
+		ViewSampleExponent: int(a.viewExponent.Load()),
 		CheckpointsWritten: a.checkpointsWritten.Load(),
 		RecoveredAgents:    a.recoveredAgents.Load(),
 	}
@@ -609,6 +627,8 @@ func (a *Aggregator) ExposeMetrics(r *obs.Registry, instance string) func() {
 	c("repro_aggd_query_errors_total", "client queries answered with an error", a.queryErrors.Load, inst)
 	c("repro_aggd_handshake_failures_total", "connections refused during handshake", a.handshakeFailures.Load, inst)
 	c("repro_aggd_view_builds_total", "merged-view rebuilds", a.viewBuilds.Load, inst)
+	r.GaugeFunc(owner, "repro_netagg_view_csss_exponent", "CSSS exponent p of the merged heavy-hitters view at its last build (0 = exact)", a.viewExponent.Load, inst)
+	c("repro_netagg_view_align_halvings_total", "CSSS halvings performed by merged-view builds", a.viewHalvings.Load, inst)
 	c("repro_aggd_checkpoints_total", "state checkpoints written", a.checkpointsWritten.Load, inst)
 	c("repro_aggd_recovered_agents_total", "agents restored from a checkpoint at startup", a.recoveredAgents.Load, inst)
 	r.HistogramFunc(owner, "repro_aggd_merge_seconds", "merged-view rebuild wall time", a.mergeNanos.Snapshot, inst)

@@ -2,6 +2,7 @@ package netagg
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -106,6 +107,42 @@ func BenchmarkQueryRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Estimate(keys); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkViewRebuild measures the fleet-wide read after a commit: one
+// agent's heavy-hitters blob is decoded and committed, and the
+// HeavyHitters query that follows rebuilds the merged view over every
+// agent. rate1 keeps the union exact (B/op is one blob decode plus one
+// accumulator, whatever the fleet size); past2S has every agent at rate
+// 1 and their union past 2S — fleet-sync's shape, where each build also
+// halves the accumulator and a copy of every later agent's table.
+func BenchmarkViewRebuild(b *testing.B) {
+	for _, regime := range []struct {
+		name string
+		cfg  bounded.Config
+		mass int
+	}{{"rate1", testConfig, 10_000}, {"past2S", sampledConfig, 700}} {
+		for _, agents := range []int{4, 16} {
+			b.Run(fmt.Sprintf("%s/agents=%d", regime.name, agents), func(b *testing.B) {
+				agg, err := NewAggregator(AggregatorOptions{Config: regime.cfg})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer agg.Close()
+				blobs := rate1Sites(b, agg, regime.cfg, agents, regime.mass)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					commitHH(b, agg, "site-0", uint64(i+2), blobs[0])
+					askHH(b, agg)
+				}
+				b.StopTimer()
+				if got := agg.Stats().ViewBuilds; got != int64(b.N) {
+					b.Fatalf("%d view builds in %d laps", got, b.N)
+				}
+			})
 		}
 	}
 }

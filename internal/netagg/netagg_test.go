@@ -536,15 +536,7 @@ func rawAgentConn(t *testing.T, addr, id string) (net.Conn, *netproto.MessageRea
 // hhBlob marshals a heavy-hitters sketch holding the given updates.
 func hhBlob(t *testing.T, updates []bounded.Update) []byte {
 	t.Helper()
-	hh, err := bounded.NewHeavyHitters(testConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hh.UpdateBatch(updates)
-	b, err := hh.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, _ := hhBlobAt(t, testConfig, updates)
 	return b
 }
 

@@ -86,16 +86,20 @@ func TestSnapshotReplacesWholeAgentState(t *testing.T) {
 // siteBlobs builds one site's three structures over a stream and
 // marshals them in blob order.
 func siteBlobs(t *testing.T, seed int64) []wire.Blob {
+	return siteBlobsAt(t, testConfig, testStream(5000, seed))
+}
+
+func siteBlobsAt(t *testing.T, cfg bounded.Config, updates []bounded.Update) []wire.Blob {
 	t.Helper()
-	hh, err := bounded.NewHeavyHitters(testConfig)
+	hh, err := bounded.NewHeavyHitters(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1, err := bounded.NewL1Estimator(testConfig)
+	l1, err := bounded.NewL1Estimator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := bounded.NewSupportSampler(testConfig)
+	sp, err := bounded.NewSupportSampler(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +108,7 @@ func siteBlobs(t *testing.T, seed int64) []wire.Blob {
 		bit engine.Structures
 		sk  bounded.Sketch
 	}{{engine.HeavyHitters, hh}, {engine.L1Estimator, l1}, {engine.SupportSampler, sp}} {
-		s.sk.UpdateBatch(testStream(5000, seed))
+		s.sk.UpdateBatch(updates)
 		payload, err := s.sk.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

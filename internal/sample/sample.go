@@ -87,11 +87,20 @@ func Binomial(rng *rand.Rand, n int64, p float64) int64 {
 	if float64(n)*p <= binomialExactLimit {
 		// Count successes by jumping geometric gaps: the index of the
 		// next success after position i is i + Geom(p). Exact.
+		//
+		// One trial — the L1 estimator's per-unit coin, almost always a
+		// miss — is answered from the draw alone when it is clear of the
+		// boundary: u < (1-p)(1-2^-48) puts ln u / ln(1-p) above 1 + 2^-48,
+		// beyond what one-ulp errors of Log, Log1p and the quotient undo,
+		// so the gap is at least 2. The rest take the arithmetic, on that u.
+		u := rng.Float64()
+		if n == 1 && u < (1-p)*(1-0x1p-48) {
+			return 0
+		}
 		var count int64
 		i := int64(0)
 		logq := math.Log1p(-p)
-		for {
-			u := rng.Float64()
+		for ; ; u = rng.Float64() {
 			if u == 0 {
 				u = math.SmallestNonzeroFloat64
 			}

@@ -259,3 +259,87 @@ func BenchmarkBinomialSmallMean(b *testing.B) {
 		Binomial(rng, 1<<20, 1e-5)
 	}
 }
+
+// referenceUnitBinomial is Binomial(rng, 1, p) for 0 < p < 1/2 as it
+// stood before the single trial learned to skip its logarithms: the
+// oracle the n == 1 arm must agree with draw for draw.
+func referenceUnitBinomial(rng *rand.Rand, p float64) int64 {
+	var count, i int64
+	logq := math.Log1p(-p)
+	for {
+		u := rng.Float64()
+		if u == 0 {
+			u = math.SmallestNonzeroFloat64
+		}
+		gap := math.Floor(math.Log(u)/logq) + 1
+		if gap < 1 {
+			gap = 1
+		}
+		if gap >= 1<<63 || int64(gap) > 1-i {
+			return count
+		}
+		i += int64(gap)
+		count++
+	}
+}
+
+// scriptSource plays back fixed Int63 values; Float64 divides each by
+// 2^63, so k << 10 draws the uniform k / 2^53 exactly.
+type scriptSource struct {
+	vals []int64
+	next int
+}
+
+func (s *scriptSource) Int63() int64 { s.next++; return s.vals[s.next-1] }
+func (s *scriptSource) Seed(int64)   {}
+
+// TestBinomialUnitMatchesReference: Binomial(rng, 1, p) returns what the
+// all-logarithm body returned and leaves the rng on the same word — a
+// success spends a second draw before the walk ends — on 10^6 same-seed
+// draws per rate and on draws planted within 3000 grid steps of the
+// success boundary 1 - p, where the skip must hand over to the
+// arithmetic.
+func TestBinomialUnitMatchesReference(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 100_000
+	}
+	for _, e := range []int{2, 10, 24, 40, 60} {
+		p := math.Ldexp(1, -e)
+		fastRng, refRng := rand.New(rand.NewSource(int64(e))), rand.New(rand.NewSource(int64(e)))
+		hits := 0
+		for i := 0; i < draws; i++ {
+			got, want := Binomial(fastRng, 1, p), referenceUnitBinomial(refRng, p)
+			if got != want {
+				t.Fatalf("p=2^-%d draw %d: Binomial = %d, reference %d", e, i, got, want)
+			}
+			hits += int(want)
+		}
+		if a, b := fastRng.Int63(), refRng.Int63(); a != b {
+			t.Fatalf("p=2^-%d: the rngs left in step after %d hits: next draws %d and %d", e, hits, a, b)
+		}
+		if e <= 10 && hits == 0 {
+			t.Fatalf("p=2^-%d: no success in %d draws", e, draws)
+		}
+
+		const grid, reach = int64(1) << 53, 3000
+		boundary := grid - 1 // 1 - p is above every draw from p = 2^-54 on
+		if e <= 53 {
+			boundary = grid - grid>>e
+		}
+		successes := 0
+		for k := max(0, boundary-reach); k <= min(grid-1, boundary+reach); k++ {
+			// Two values stand behind the first so that a wrong extra
+			// draw shows up as a difference, not as a panic.
+			fastSrc, refSrc := &scriptSource{vals: []int64{k << 10, 1, 1}}, &scriptSource{vals: []int64{k << 10, 1, 1}}
+			got, want := Binomial(rand.New(fastSrc), 1, p), referenceUnitBinomial(rand.New(refSrc), p)
+			if got != want || fastSrc.next != refSrc.next {
+				t.Fatalf("p=2^-%d u=%d/2^53: %d after %d draws, reference %d after %d", e, k, got, fastSrc.next, want, refSrc.next)
+			}
+			successes += int(want)
+		}
+		if e <= 40 && (successes == 0 || successes > 2*reach) {
+			t.Fatalf("p=2^-%d: %d of %d boundary cases succeeded: the planted draws do not straddle the boundary", e, successes, 2*reach+1)
+		}
+	}
+}

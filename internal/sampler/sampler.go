@@ -296,8 +296,10 @@ func (s *Sampler) UpdateColumns(b *core.Batch) {
 	}
 }
 
-// merge folds another instance built from the same seed into this one.
-func (in *instance) merge(other *instance) error {
+// merge folds another instance built from the same seed into this one;
+// r and b are the sampler's estimate and hash-column scratch for the
+// candidate re-rank.
+func (in *instance) merge(other *instance, r *topk.Refresher[float64], b *core.Batch) error {
 	if in.p != other.p {
 		return fmt.Errorf("sampler: merging instances with different params")
 	}
@@ -323,7 +325,7 @@ func (in *instance) merge(other *instance) error {
 			return err
 		}
 	}
-	return in.trk.Merge(other.trk, in.te.CS1.Query)
+	return r.Merge(in.trk, other.trk, b, in.te.CS1)
 }
 
 // clone returns a deep copy of the instance.
@@ -348,8 +350,7 @@ func (in *instance) clone() *instance {
 }
 
 // Merge folds another Sampler built from the same seed into this one,
-// instance by instance. other may be mutated (sampling-rate alignment)
-// and must not be used afterwards.
+// instance by instance. other is only read.
 func (s *Sampler) Merge(other *Sampler) error {
 	if other == nil {
 		return fmt.Errorf("sampler: merge with nil Sampler")
@@ -358,8 +359,10 @@ func (s *Sampler) Merge(other *Sampler) error {
 		return fmt.Errorf("sampler: merging Samplers with different copy counts (%d vs %d)",
 			len(s.instances), len(other.instances))
 	}
+	b := core.GetBatch()
+	defer core.PutBatch(b)
 	for i := range s.instances {
-		if err := s.instances[i].merge(other.instances[i]); err != nil {
+		if err := s.instances[i].merge(other.instances[i], &s.refresh, b); err != nil {
 			return err
 		}
 	}

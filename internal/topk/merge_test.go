@@ -1,9 +1,123 @@
 package topk
 
 import (
+	"bytes"
+	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/csss"
+	"repro/internal/sketch"
 )
+
+// estFunc answers the merge's one QueryColumns call from a per-id
+// estimate.
+type estFunc func(uint64) float64
+
+func (f estFunc) QueryColumns(_ *core.Batch, keys []uint64, est []float64) {
+	for j, k := range keys {
+		est[j] = f(k)
+	}
+}
+
+// merge runs the batched merge with throwaway scratch.
+func merge[E int64 | float64](t, other *Tracker, q interface {
+	QueryColumns(*core.Batch, []uint64, []E)
+}) error {
+	var r Refresher[E]
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+	return r.Merge(t, other, b, q)
+}
+
+// referenceMerge is the scalar merge the batched one replaced: the
+// union re-offered one Query at a time.
+func referenceMerge(t, other *Tracker, est func(uint64) float64) {
+	ids := t.Candidates()
+	ids = append(ids, other.Candidates()...)
+	t.Reset()
+	for _, id := range ids {
+		t.Offer(id, est(id))
+	}
+}
+
+// TestMergeMatchesReference: the batched merge leaves the bytes the
+// scalar loop left — heap order included — and does not write other.
+func TestMergeMatchesReference(t *testing.T) {
+	build := func(capacity int, ids []uint64, est func(uint64) float64) *Tracker {
+		tr := New(capacity)
+		for _, id := range ids {
+			tr.Offer(id, est(id))
+		}
+		return tr
+	}
+	seq := func(lo, n uint64) []uint64 {
+		ids := make([]uint64, n)
+		for j := range ids {
+			ids[j] = lo + uint64(j)*7
+		}
+		return ids
+	}
+	cs := csss.New(rand.New(rand.NewSource(11)), csss.Params{Rows: 7, K: 32, S: 1 << 20})
+	dense := sketch.NewCountSketch(rand.New(rand.NewSource(12)), 5, 64)
+	rng := rand.New(rand.NewSource(13))
+	for j := 0; j < 4000; j++ {
+		i, d := uint64(rng.Intn(300)), int64(rng.Intn(7)-2)
+		cs.Update(i, d)
+		dense.Update(i, d)
+	}
+	stale := func(i uint64) float64 { return float64(i % 5) } // what the sides held before the merge
+	cases := []struct {
+		name string
+		a, b []uint64
+		est  func(uint64) float64
+	}{
+		{"full trackers, disjoint", seq(0, 40), seq(3, 40), func(i uint64) float64 { return float64(i * 31 % 101) }},
+		{"ids on both sides", seq(0, 30), seq(70, 30), func(i uint64) float64 { return float64(i * 17 % 53) }},
+		{"negative and tied", seq(0, 25), seq(1, 25), func(i uint64) float64 { return float64(int64(i%4) - 2) }},
+		{"empty other", seq(0, 12), nil, func(i uint64) float64 { return -float64(i) }},
+		{"empty receiver", nil, seq(0, 12), func(i uint64) float64 { return float64(i) }},
+		{"both empty", nil, nil, func(uint64) float64 { return 1 }},
+	}
+	for _, tc := range cases {
+		want, got, other := build(10, tc.a, stale), build(10, tc.a, stale), build(10, tc.b, stale)
+		before, _ := other.MarshalBinary()
+		referenceMerge(want, other, tc.est)
+		if err := merge(got, other, estFunc(tc.est)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wb, _ := want.MarshalBinary()
+		gb, _ := got.MarshalBinary()
+		if !bytes.Equal(wb, gb) {
+			t.Fatalf("%s: batched merge marshals differently from the scalar reference", tc.name)
+		}
+		if after, _ := other.MarshalBinary(); !bytes.Equal(before, after) {
+			t.Fatalf("%s: merge wrote its argument", tc.name)
+		}
+	}
+	// The two real backings: CSSS (float estimates; AlphaL1, the L1
+	// sampler) and Count-Sketch (integer estimates; AlphaL2) — one
+	// QueryColumns call against per-id Query.
+	for name, side := range map[string]struct {
+		merge func(t, other *Tracker) error
+		query func(uint64) float64
+	}{
+		"csss":         {func(t, other *Tracker) error { return merge(t, other, cs) }, cs.Query},
+		"count-sketch": {func(t, other *Tracker) error { return merge(t, other, dense) }, func(i uint64) float64 { return float64(dense.Query(i)) }},
+	} {
+		want, got, other := build(10, seq(0, 40), stale), build(10, seq(0, 40), stale), build(10, seq(140, 40), stale)
+		referenceMerge(want, other, side.query)
+		if err := side.merge(got, other); err != nil {
+			t.Fatal(err)
+		}
+		wb, _ := want.MarshalBinary()
+		gb, _ := got.MarshalBinary()
+		if !bytes.Equal(wb, gb) {
+			t.Fatalf("%s estimates: batched merge marshals differently from the scalar reference", name)
+		}
+	}
+}
 
 // TestMergeKeepsTopOfUnion: after a merge the tracked set is the
 // top-of-union under the supplied estimates, independent of which
@@ -18,7 +132,7 @@ func TestMergeKeepsTopOfUnion(t *testing.T) {
 	for _, i := range []uint64{2, 8, 7, 4} {
 		b.Offer(i, est(i))
 	}
-	if err := a.Merge(b, est); err != nil {
+	if err := merge(a, b, estFunc(est)); err != nil {
 		t.Fatal(err)
 	}
 	got := a.Candidates()
@@ -48,11 +162,11 @@ func TestMergeOrderIndependent(t *testing.T) {
 	itemsA := []uint64{1, 2, 3, 4, 5, 6, 7}
 	itemsB := []uint64{8, 9, 10, 11, 12, 13}
 	ab := build(itemsA)
-	if err := ab.Merge(build(itemsB), est); err != nil {
+	if err := merge(ab, build(itemsB), estFunc(est)); err != nil {
 		t.Fatal(err)
 	}
 	ba := build(itemsB)
-	if err := ba.Merge(build(itemsA), est); err != nil {
+	if err := merge(ba, build(itemsA), estFunc(est)); err != nil {
 		t.Fatal(err)
 	}
 	ga, gb := ab.Candidates(), ba.Candidates()
@@ -71,7 +185,7 @@ func TestMergeOrderIndependent(t *testing.T) {
 // TestMergeRejectsCapacityMismatch.
 func TestMergeRejectsCapacityMismatch(t *testing.T) {
 	a, b := New(2), New(3)
-	if err := a.Merge(b, func(uint64) float64 { return 0 }); err == nil {
+	if err := merge(a, b, estFunc(func(uint64) float64 { return 0 })); err == nil {
 		t.Fatal("merging different capacities should fail")
 	}
 }

@@ -302,25 +302,32 @@ func (t *Tracker) Clone() *Tracker {
 	return c
 }
 
-// Merge combines another tracker's candidate set into this one: the
-// union of both candidate sets is re-offered with estimates from est
-// (normally the merged sketch's Query), so the surviving set is the
-// top-limit of the union under the post-merge estimates. Because Offer
-// retains the top-limit set of distinct items regardless of insertion
-// order, the result is deterministic.
-func (t *Tracker) Merge(other *Tracker, est func(uint64) float64) error {
+// Merge combines other's candidate set into t's: the union of both
+// sets is re-estimated against q — the merged sketch — in ONE
+// QueryColumns call, as Offer re-estimates a batch's distinct keys, and
+// re-offered, so the surviving set is the top-limit of the union under
+// the post-merge estimates, whatever the insertion order (an id tracked
+// on both sides is offered twice with the same estimate). b supplies
+// the hash-column scratch; other is only read.
+func (r *Refresher[E]) Merge(t, other *Tracker, b *core.Batch, q interface {
+	QueryColumns(b *core.Batch, keys []uint64, est []E)
+}) error {
 	if other == nil {
 		return fmt.Errorf("topk: merge with nil Tracker")
 	}
 	if t.cap != other.cap {
 		return fmt.Errorf("topk: merging trackers with different capacities (%d vs %d)", t.cap, other.cap)
 	}
-	ids := t.Candidates()
-	ids = append(ids, other.Candidates()...)
-	t.Reset()
-	for _, id := range ids {
-		t.Offer(id, est(id))
+	ids := make([]uint64, 0, len(t.heap)+len(other.heap))
+	for _, h := range [][]entry{t.heap, other.heap} {
+		for i := range h {
+			ids = append(ids, h[i].id)
+		}
 	}
+	est := r.estimates(len(ids))
+	q.QueryColumns(b, ids, est)
+	t.Reset()
+	offerAll(t, ids, est)
 	return nil
 }
 

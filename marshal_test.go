@@ -34,7 +34,13 @@ type marshalCase struct {
 }
 
 func marshalCases() []marshalCase {
-	cfg := Config{N: 1 << 12, Eps: 0.05, Alpha: 4, Seed: 5}
+	return marshalCasesFor(Config{N: 1 << 12, Eps: 0.05, Alpha: 4, Seed: 5})
+}
+
+// marshalCasesFor is the case table at cfg; the L1 sampler and the L2
+// heavy hitters keep their own, coarser Eps.
+func marshalCasesFor(cfg Config) []marshalCase {
+	withEps := func(eps float64) Config { c := cfg; c.Eps = eps; return c }
 	must := func(s Sketch, err error) func(*testing.T) Sketch {
 		return func(t *testing.T) Sketch {
 			if err != nil {
@@ -78,7 +84,7 @@ func marshalCases() []marshalCase {
 			name: "L1Sampler",
 			kind: KindL1Sampler,
 			make: func(t *testing.T) Sketch {
-				return must(NewL1Sampler(Config{N: 1 << 12, Eps: 0.25, Alpha: 4, Seed: 5}, WithCopies(4)))(t)
+				return must(NewL1Sampler(withEps(0.25), WithCopies(4)))(t)
 			},
 			answer: func(s Sketch) any {
 				r, ok := s.(*L1Sampler).Sample()
@@ -101,7 +107,7 @@ func marshalCases() []marshalCase {
 			name: "L2HeavyHitters",
 			kind: KindL2HeavyHitters,
 			make: func(t *testing.T) Sketch {
-				return must(NewL2HeavyHitters(Config{N: 1 << 12, Eps: 0.1, Alpha: 4, Seed: 5}))(t)
+				return must(NewL2HeavyHitters(withEps(0.1)))(t)
 			},
 			answer: func(s Sketch) any { return s.(*L2HeavyHitters).HeavyHitters() },
 		},
@@ -211,6 +217,67 @@ func TestShipMergeMatchesCloneMerge(t *testing.T) {
 				t.Fatalf("wire-merged answer %v differs from clone-merged answer %v", got, want)
 			}
 		})
+	}
+}
+
+// TestMergeReadsItsArgument is the Merge contract of sketch.go over all
+// eight structures, at rate 1 and with CSSS past 2S, with the receiver
+// behind, level with and ahead of the argument's sampling exponent:
+// a.Merge(b) leaves b's encoding and answers as they were (only
+// alignment ever thinned b, and it thins a copy now), and at rate 1 the
+// same b merged into two equal copies of a leaves equal bytes — b
+// merges the second time as it did the first.
+func TestMergeReadsItsArgument(t *testing.T) {
+	whole, _, _ := fig1Stream(t)
+	for _, regime := range []struct {
+		name    string
+		cfg     Config
+		updates []stream.Update
+	}{
+		{"rate1", Config{N: 1 << 12, Eps: 0.05, Alpha: 4, Seed: 5}, whole[:len(whole)/4]},
+		{"sampled", Config{N: 1 << 12, Eps: 0.2, Alpha: 1.5, Seed: 5}, whole},
+	} {
+		n := len(regime.updates)
+		for _, split := range []struct {
+			name string
+			cut  int
+			sign int // of a's exponent minus b's, in the sampled regime
+		}{{"behind", n / 8, -1}, {"level", n / 2, 0}, {"ahead", n - n/8, 1}} {
+			for _, tc := range marshalCasesFor(regime.cfg) {
+				t.Run(regime.name+"/"+split.name+"/"+tc.name, func(t *testing.T) {
+					a, b := tc.make(t), tc.make(t)
+					a.UpdateBatch(regime.updates[:split.cut])
+					b.UpdateBatch(regime.updates[split.cut:])
+					if ha, ok := a.(*HeavyHitters); ok {
+						pa, pb := ha.SampleExponent(), b.(*HeavyHitters).SampleExponent()
+						switch {
+						case regime.name == "rate1" && (pa != 0 || pb != 0):
+							t.Fatalf("exponents %d and %d, want the rate-1 regime", pa, pb)
+						case regime.name == "sampled" && (min(pa, pb) < 1 || (pa > pb) != (split.sign > 0) || (pa < pb) != (split.sign < 0)):
+							t.Fatalf("exponents %d and %d do not put the receiver %s", pa, pb, split.name)
+						}
+					}
+					twin := a.Clone()
+					before, answer := must(b.MarshalBinary()), tc.answer(b)
+					for _, dst := range []Sketch{a, twin} {
+						if err := dst.Merge(b); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(must(b.MarshalBinary()), before) {
+							t.Fatal("Merge changed its argument's encoding")
+						}
+						if got := tc.answer(b); !reflect.DeepEqual(got, answer) {
+							t.Fatalf("Merge changed its argument's answer: %v, was %v", got, answer)
+						}
+					}
+					// The strict L1 estimator has no drawless regime: its Morris
+					// clock advances by a draw on every merge.
+					if regime.name == "rate1" && tc.name != "L1Estimator" && !bytes.Equal(must(a.MarshalBinary()), must(twin.MarshalBinary())) {
+						t.Fatal("one argument merged into two equal receivers left different bytes")
+					}
+				})
+			}
+		}
 	}
 }
 

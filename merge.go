@@ -18,9 +18,12 @@ package bounded
 //     structures must have been built with identical Config (and
 //     options); mismatches return a descriptive error and leave the
 //     receiver unchanged where practical.
-//   - Merge may mutate other (e.g. thinning a CSSS table to align
-//     sampling rates); other must not be used afterwards. Merge clones
-//     when you need to keep the inputs.
+//   - Merge leaves other's answers and encoding unchanged: other is
+//     read, never thinned (CSSS aligns sampling rates on the receiver
+//     or on a copy of other's table), so a stored sketch needs no
+//     defensive Clone before it is merged. All Merge may take from other
+//     is the generator word that seeds that copy — Clone's clause, see
+//     Sketch.Merge; until wire v2 (ROADMAP 4a).
 //   - Neither Merge nor Clone is safe concurrently with updates to the
 //     involved structures; the engine serializes them through its shard
 //     workers.

@@ -47,8 +47,11 @@ type Sketch interface {
 	UpdateColumns(b *Batch)
 	// Merge folds another same-type, same-Config sketch into this one;
 	// afterwards queries answer for the union of both input streams.
-	// other may be mutated (e.g. sampling-rate alignment) and must not
-	// be used afterwards.
+	// Merge leaves other's answers and encoding unchanged: other is
+	// read, never thinned. (Until wire v2, ROADMAP 4a: to align CSSS
+	// sampling rates Merge thins a COPY of other's table under a
+	// generator seeded, as Clone seeds one, by one draw of other's — so
+	// like Clone it is part of other's call sequence.)
 	Merge(other Sketch) error
 	// Clone returns a deep snapshot.
 	Clone() Sketch
