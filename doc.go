@@ -59,7 +59,7 @@
 //	UpdateBatch(batch []Update)
 //	UpdateColumns(b *Batch)
 //	Merge(other Sketch) error
-//	Clone() Sketch
+//	CloneInto(dst Sketch) Sketch  // Clone() is CloneInto(nil)
 //	SpaceBits() int64
 //	MarshalBinary() ([]byte, error)
 //	UnmarshalBinary([]byte) error
@@ -82,12 +82,14 @@
 // every bit-identity differential and golden digest rests on it.
 //
 // Clone and restore derive a fresh rng stream, deterministically: Clone
-// seeds the copy from one draw of the original's generator (so a Clone
-// is part of the call sequence — it advances the original; Merge takes
-// the same one draw from its ARGUMENT when, and only when, it must thin
-// a copy of the argument's CSSS table — until wire v2, ROADMAP 4a), and
-// UnmarshalBinary seeds from a hash of the payload (Go's generator
-// state is not portable). Equal bytes restore equal structures, and
+// (CloneInto, into any storage) seeds the copy from one draw of the
+// original's generator (so a Clone is part of the call sequence — it
+// advances the original; Merge takes the same one draw from its ARGUMENT
+// when, and only when, it must thin a copy of the argument's CSSS table
+// — until wire v2, ROADMAP 4a), and UnmarshalBinary seeds from a hash of
+// the payload (Go's generator state is not portable). The seed word is
+// kept and the generator built at the copy's first draw: the same draws,
+// paid only by a copy that samples. Equal bytes restore equal structures, and
 // counters, positions and schedules round-trip exactly; but the copy's
 // FUTURE sampling decisions are not the original's, so "restored in
 // mid-stream" equals "never marshalled" as bytes only while nothing is
@@ -371,8 +373,8 @@
 // mergeability layer in this package: every structure exposes the
 // Sketch interface's
 //
-//	Merge(other Sketch) error  // fold a same-Config instance in; counters add
-//	Clone() Sketch             // deep snapshot, safe to merge/query elsewhere
+//	Merge(other Sketch) error      // fold a same-Config instance in; counters add
+//	CloneInto(dst Sketch) Sketch   // deep snapshot into dst's storage, safe to merge/query elsewhere
 //
 // because all of the paper's sketches are linear (or monotone) in their
 // input stream — Count-Sketch/CSSS tables add coordinate-wise (CSSS

@@ -53,10 +53,11 @@
 // Choose the engine over direct bounded.* use when ingest throughput is
 // the bottleneck and multiple cores (or multiple producer goroutines)
 // are available; stay with a direct structure when a single goroutine
-// can keep up — a global merged query costs S clones plus S-1 merges of
+// can keep up — a global merged query costs S copies plus S-1 merges of
 // the ONE structure it asks for when the generation-tagged view cache
-// holds no row of that kind yet (point queries never pay that; they
-// serialize only with the owning shard's ingest).
+// holds no row of that kind yet, the copies written into the storage of
+// that kind's last build (point queries never pay that; they serialize
+// only with the owning shard's ingest).
 //
 // # Shipping state
 //

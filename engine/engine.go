@@ -110,6 +110,10 @@ type Engine struct {
 	gen    atomic.Uint64
 	view   atomic.Pointer[mergedView] // stored under mu, rows queried under queryMu
 	closed atomic.Bool                // transitions under mu
+	// copies holds each row's per-shard copies from its last build, which
+	// its next build overwrites; copies[row][0], merged into, is the row.
+	// Written under mu AND queryMu, which every read of a view row holds.
+	copies [len(kinds)][]bounded.Sketch
 	// snapshotBuilds counts the generations a merged view was started
 	// for. It is a plain atomic — not an obs.Counter — because its
 	// exactness backs the routed-query contract ("Estimate never builds a
@@ -276,15 +280,21 @@ func (e *Engine) Ingest(batch []bounded.Update) error {
 	// interleave their filled buffers in a shard's inbox in either
 	// order; every structure's state is a commutative fold of updates,
 	// so shard state is unaffected.
+	// Runs of same-shard updates, cut where a buffer fills, copy at once.
 	var full []pendingHandoff
-	for j, u := range batch {
+	for j := 0; j < n; {
 		s := shards[j]
 		p := e.pending[s]
-		p.Append(u.Index, u.Delta)
+		k, end := j+1, min(n, j+e.opt.BatchSize-p.Len())
+		for k < end && shards[k] == s {
+			k++
+		}
+		p.AppendUpdates(batch[j:k])
 		if p.Len() >= e.opt.BatchSize {
 			full = append(full, pendingHandoff{shard: int(s), buf: p})
 			e.pending[s] = core.GetBatch()
 		}
+		j = k
 	}
 	e.gen.Add(1)
 	e.inflight.Add(1)
@@ -375,35 +385,33 @@ func (e *Engine) withView(kind Structures, op string, f func(bounded.Sketch)) er
 		}
 		e.queryMu.Unlock()
 	}
-	// Slow path: build the row under the engine mutex, then release it
-	// before running the query — only queryMu is held while the query
-	// walks the row, so producers resume immediately.
+	// Slow path: build the row under the engine mutex and queryMu (it
+	// overwrites the row's last generation), then release the engine
+	// mutex before running the query, so producers resume immediately.
 	e.mu.Lock()
 	if e.closed.Load() {
 		e.mu.Unlock()
 		return fmt.Errorf("engine: query on closed engine")
 	}
-	sk, err := e.viewRowLocked(row)
-	if err != nil {
-		e.mu.Unlock()
-		return err
-	}
 	e.queryMu.Lock()
+	sk, err := e.viewRowLocked(row)
 	e.mu.Unlock()
-	f(sk)
+	if err == nil {
+		f(sk)
+	}
 	e.queryMu.Unlock()
-	return nil
+	return err
 }
 
 // viewRowLocked returns row's sketch merged over all shards, building
 // what is missing: a stale view is replaced by an empty one at the
 // current generation after ONE flush, and the row is cloned inside each
 // shard's goroutine (the shard keeps ingesting; Merge itself only reads
-// its argument) and merged — the other kinds are left alone until
-// somebody asks. Rows are cached until the next Ingest, and a valid
-// view means no Ingest completed since its flush, hence nothing pending
-// or in flight: a second kind at the same generation flushes nothing.
-// Callers hold e.mu.
+// its argument) into the storage of the row's last build, and merged —
+// the other kinds are left alone until somebody asks. Rows are cached
+// until the next Ingest, and a valid view means no Ingest completed
+// since its flush, hence nothing pending or in flight: a second kind at
+// the same generation flushes nothing. Callers hold e.mu and e.queryMu.
 func (e *Engine) viewRowLocked(row int) (bounded.Sketch, error) {
 	v := e.view.Load()
 	stale := v == nil || v.gen != e.gen.Load()
@@ -425,13 +433,19 @@ func (e *Engine) viewRowLocked(row int) (bounded.Sketch, error) {
 		v = &mergedView{gen: e.gen.Load(), rows: make(structSet, len(kinds))}
 		e.snapshotBuilds.Add(1)
 	}
-	clones := make([]bounded.Sketch, len(e.workers))
+	copies := e.copies[row]
+	storage := &e.met.viewCopiesReused
+	if copies == nil {
+		copies, storage = make([]bounded.Sketch, len(e.workers)), &e.met.viewCopiesAllocated
+		e.copies[row] = copies
+	}
+	storage.Add(int64(len(copies)))
 	cloneSpan := obs.StartRegion(task.Context(), "engine.cloneShards")
-	e.eachShard(func(s int) { clones[s] = e.sets[s][row].Clone() })
+	e.eachShard(func(s int) { copies[s] = e.sets[s][row].CloneInto(copies[s]) })
 	cloneSpan.End()
 	mergeSpan := obs.StartRegion(task.Context(), "engine.mergeShards")
-	merged := clones[0]
-	for _, c := range clones[1:] {
+	merged := copies[0]
+	for _, c := range copies[1:] {
 		if err := merged.Merge(c); err != nil {
 			mergeSpan.End()
 			return nil, err

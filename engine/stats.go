@@ -36,6 +36,9 @@ type engineMetrics struct {
 	flushCalls    obs.Counter   // public Flush invocations
 	flushNanos    obs.Histogram // wall time per public Flush
 	closeNanos    obs.Histogram // wall time of Close (one observation)
+	// Per-shard copies merged-view rows were built from: into the storage
+	// of the row's last build, or (its first build) into fresh storage.
+	viewCopiesReused, viewCopiesAllocated obs.Counter
 
 	// Durability (durability.go).
 	partSnapshots    obs.Counter   // SnapshotPartitioned calls completed
@@ -243,6 +246,9 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 	}
 	c("repro_engine_snapshot_builds_total", "generations a merged view was started for", e.snapshotBuilds.Load, inst)
 	h("repro_engine_snapshot_build_seconds", "merged-view row build wall time", m.snapshotNanos.Snapshot, inst)
+	const copies = "per-shard copies merged-view rows were built from, by storage"
+	c("repro_engine_view_copies_total", copies, m.viewCopiesReused.Load, inst, obs.Label{Key: "storage", Value: "reused"})
+	c("repro_engine_view_copies_total", copies, m.viewCopiesAllocated.Load, inst, obs.Label{Key: "storage", Value: "allocated"})
 	c("repro_engine_flushes_total", "public Flush calls", m.flushCalls.Load, inst)
 	h("repro_engine_flush_seconds", "public Flush wall time", m.flushNanos.Snapshot, inst)
 	c("repro_engine_part_snapshots_total", "partitioned snapshots built", m.partSnapshots.Load, inst)

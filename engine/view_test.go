@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -238,6 +240,150 @@ func TestGlobalReadsRaceWithIngest(t *testing.T) {
 			if !bytes.Equal(must(e.Snapshot(kind)), must(twin.Snapshot(kind))) {
 				t.Errorf("shards=%d: merged %s differs from the unread twin's", shards, kind)
 			}
+		}
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// series reads one series off r's Prometheus text: 0 when it is absent
+// (under -tags noobs nothing is).
+func series(t *testing.T, r *obs.Registry, name string) int64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := r.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if got, v, ok := strings.Cut(line, " "); ok && got == name {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestRecycledViewsMatchFreshClones: every kind, read after every ingest
+// at one and three shards, is answered from a row rebuilt into the
+// storage of its last build, and that row marshals to the bytes of the
+// row a twin builds from fresh clones (its copies are dropped before
+// every read) — at rate 1, past 2S where the heavy hitters sample, and
+// across moves of the L0 and support windows (the chunks double, so F0
+// keeps rising). Afterwards the two engines' shard state is equal byte
+// for byte, and every read after a kind's first was counted as reused.
+func TestRecycledViewsMatchFreshClones(t *testing.T) {
+	cfg := bounded.Config{N: 1 << 16, Eps: 0.25, Alpha: 1, Seed: 9} // S = 1024: past 2048 units a shard samples
+	s, _ := fig1Stream(11)
+	asked := everyKind.Bits()
+	for _, shards := range []int{1, 3} {
+		opts := Options{Shards: shards, BatchSize: 512, Structures: everyKind}
+		e, twin := must(New(cfg, opts)), must(New(cfg, opts))
+		reg := obs.NewRegistry()
+		e.ExposeMetrics(reg, "e")
+		moves := func() int64 {
+			return series(t, obs.Default, "repro_l0_window_events_total") + series(t, obs.Default, "repro_support_window_events_total")
+		}
+		var movedAt int64
+		rounds := 0
+		for off, n := 0, 256; off < len(s.Updates); off, n = off+n, 2*n {
+			chunk := s.Updates[off:min(off+n, len(s.Updates))]
+			for _, eng := range []*Engine{e, twin} {
+				if err := eng.Ingest(chunk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, kind := range asked {
+				twin.copies = [len(kinds)][]bounded.Sketch{}
+				if !bytes.Equal(must(e.Snapshot(kind)), must(twin.Snapshot(kind))) {
+					t.Fatalf("shards=%d round %d: %s from recycled storage differs from fresh clones", shards, rounds, kind)
+				}
+			}
+			if rounds++; rounds == 1 {
+				movedAt = moves()
+			}
+		}
+		if p := e.view.Load().rows[0].(*bounded.HeavyHitters).SampleExponent(); p < 1 {
+			t.Fatalf("shards=%d: the heavy hitters ended at exponent %d, never sampled", shards, p)
+		}
+		if obs.Enabled && moves() == movedAt {
+			t.Fatalf("shards=%d: no L0 or support window moved after the first read", shards)
+		}
+		if !bytes.Equal(must(e.SnapshotPartitioned()), must(twin.SnapshotPartitioned())) {
+			t.Fatalf("shards=%d: shard state differs from the twin whose reads cloned", shards)
+		}
+		copies := int64(len(asked) * shards)
+		if reused, allocated := series(t, reg, `repro_engine_view_copies_total{instance="e",storage="reused"}`),
+			series(t, reg, `repro_engine_view_copies_total{instance="e",storage="allocated"}`); obs.Enabled &&
+			(reused != int64(rounds-1)*copies || allocated != copies) {
+			t.Fatalf("shards=%d: %d copies reused and %d allocated over %d rounds of %d kinds, want %d and %d",
+				shards, reused, allocated, rounds, len(asked), int64(rounds-1)*copies, copies)
+		}
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestRecycledRowsRaceWithIngest: two readers of different kinds — the
+// heavy hitters and their snapshot, the L0 estimate and its snapshot —
+// with a producer ingesting between their reads, so each rebuild
+// overwrites its row's last generation while the other reader may be
+// answering from its own (run under -race). At quiesce the answers and
+// the L0 bytes are those of a twin nobody read.
+func TestRecycledRowsRaceWithIngest(t *testing.T) {
+	s, _ := fig1Stream(5)
+	for _, shards := range []int{1, 4} {
+		opts := Options{Shards: shards, BatchSize: 512, Structures: HeavyHitters | L0Estimator}
+		e, twin := must(New(testCfg, opts)), must(New(testCfg, opts))
+		var readers sync.WaitGroup
+		stop := make(chan struct{})
+		for _, read := range []func() error{
+			func() error { _, err := e.HeavyHitters(); return err },
+			func() error { _, err := e.Snapshot(HeavyHitters); return err },
+			func() error { _, err := e.L0(); return err },
+			func() error { _, err := e.Snapshot(L0Estimator); return err },
+		} {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := read(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		for off := 0; off < len(s.Updates); off += 501 {
+			chunk := s.Updates[off:min(off+501, len(s.Updates))]
+			for _, eng := range []*Engine{e, twin} {
+				if err := eng.Ingest(chunk); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		close(stop)
+		readers.Wait()
+		hh, _, l0 := globalAnswers(t, e, []Structures{HeavyHitters, L0Estimator})
+		wantHH, _, wantL0 := globalAnswers(t, twin, []Structures{HeavyHitters, L0Estimator})
+		if !reflect.DeepEqual(hh, wantHH) || l0 != wantL0 {
+			t.Fatalf("shards=%d: answers (%v, %v), unread twin (%v, %v)", shards, hh, l0, wantHH, wantL0)
+		}
+		if !bytes.Equal(must(e.Snapshot(L0Estimator)), must(twin.Snapshot(L0Estimator))) {
+			t.Fatalf("shards=%d: merged L0 differs from the unread twin's", shards)
 		}
 		for _, eng := range []*Engine{e, twin} {
 			if err := eng.Close(); err != nil {

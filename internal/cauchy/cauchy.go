@@ -220,17 +220,14 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash functions.
-func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{
-		r: s.r, rPrime: s.rPrime,
-		hA: s.hA, hAPrime: s.hAPrime,
-		y:      append([]float64(nil), s.y...),
-		yPrime: append([]float64(nil), s.yPrime...),
-		maxAbs: s.maxAbs,
-		m:      s.m,
-	}
-	return c
+// CloneInto returns a deep copy sharing the (immutable) hash functions,
+// written into dst (nil: a new one), an earlier copy nobody else holds.
+func (s *Sketch) CloneInto(dst *Sketch) *Sketch {
+	dst = core.OrNew(dst)
+	c := *s
+	c.y, c.yPrime, c.qAbs = append(dst.y[:0], s.y...), append(dst.yPrime[:0], s.yPrime...), dst.qAbs
+	*dst = c
+	return dst
 }
 
 // MaxCounterBits returns the fixed-point width one dense counter needs:
@@ -262,7 +259,7 @@ type SampledSketch struct {
 	fpBits    uint
 	t         int64
 	win       *sample.Window[sampledLevel]
-	rng       *rand.Rand
+	rng       *sample.Rand
 	maxCount  int64
 
 	// Query scratch: Estimate/MedianEstimate rescale the oldest level's
@@ -293,7 +290,7 @@ func NewSampledSketch(rng *rand.Rand, r, rPrime, k int, base int64, fpBits uint)
 		hA:      hash.NewKWise(rng, k),
 		hAPrime: hash.NewKWise(rng, 4),
 		win:     sample.NewWindow[sampledLevel](base),
-		rng:     rng,
+		rng:     sample.Wrap(rng),
 	}
 }
 
@@ -311,7 +308,7 @@ func (s *SampledSketch) Update(i uint64, delta int64) {
 	for mag > 0 {
 		run := s.win.Step(&s.t, mag, s.newLevel)
 		for j, lv := range s.win.Each {
-			if kept := sample.Thin(s.rng, run, sample.Pow(s.base, j)); kept != 0 {
+			if kept := sample.Thin(s.rng.Get(), run, sample.Pow(s.base, j)); kept != 0 {
 				s.addTo(lv, i, sign*kept)
 			}
 		}
@@ -324,12 +321,10 @@ func (s *SampledSketch) newLevel(int) *sampledLevel {
 	return &sampledLevel{start: s.t, y: make([]int64, s.r), yPrime: make([]int64, s.rPrime)}
 }
 
-func copySampledLevel(lv *sampledLevel) *sampledLevel {
-	return &sampledLevel{
-		start:  lv.start,
-		y:      append([]int64(nil), lv.y...),
-		yPrime: append([]int64(nil), lv.yPrime...),
-	}
+func copySampledLevel(lv, dst *sampledLevel) *sampledLevel {
+	dst = core.OrNew(dst)
+	*dst = sampledLevel{start: lv.start, y: append(dst.y[:0], lv.y...), yPrime: append(dst.yPrime[:0], lv.yPrime...)}
+	return dst
 }
 
 // UpdateColumns consumes a pre-planned columnar batch. The sampled
@@ -438,18 +433,16 @@ func (s *SampledSketch) Merge(other *SampledSketch) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash functions,
-// with a fresh rng stream for the clone's own sampling decisions.
-func (s *SampledSketch) Clone() *SampledSketch {
-	return &SampledSketch{
-		r: s.r, rPrime: s.rPrime,
-		hA: s.hA, hAPrime: s.hAPrime,
-		base: s.base, fpBits: s.fpBits,
-		t:        s.t,
-		win:      s.win.Clone(copySampledLevel),
-		rng:      rand.New(rand.NewSource(s.rng.Int63())),
-		maxCount: s.maxCount,
-	}
+// CloneInto is Sketch.CloneInto; the copy's rng stream is seeded by one
+// draw of s's and built when the copy first draws.
+func (s *SampledSketch) CloneInto(dst *SampledSketch) *SampledSketch {
+	dst = core.OrNew(dst)
+	c := *s
+	c.win = s.win.CloneInto(dst.win, copySampledLevel)
+	c.rng = sample.Seeded(s.rng.Get().Int63())
+	c.qY, c.qYPrime, c.qAbs = dst.qY, dst.qYPrime, dst.qAbs
+	*dst = c
+	return dst
 }
 
 // MaxCounterBits returns the width of the widest sampled counter — the

@@ -2,7 +2,6 @@ package cauchy
 
 import (
 	"errors"
-	"math/rand"
 
 	"repro/internal/hash"
 	"repro/internal/sample"
@@ -156,6 +155,6 @@ func (s *SampledSketch) UnmarshalBinary(data []byte) error {
 	s.hA, s.hAPrime = hA, hAPrime
 	s.t, s.maxCount = t, maxCount
 	s.win = win
-	s.rng = rand.New(rand.NewSource(wire.Seed(data)))
+	s.rng = sample.Seeded(wire.Seed(data))
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/sample"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -63,8 +65,8 @@ func TestSampledSketchMarshalRoundTrip(t *testing.T) {
 	// Rate-1 regime merge is exact: wire-merge must equal clone-merge.
 	peerA := NewSampledSketch(rand.New(rand.NewSource(2)), 8, 8, 4, 1<<20, 6)
 	peerA.Update(9, 4)
-	peerB := peerA.Clone()
-	if err := peerA.Merge(s.Clone()); err != nil {
+	peerB := peerA.CloneInto(nil)
+	if err := peerA.Merge(s.CloneInto(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := peerB.Merge(restored); err != nil {
@@ -116,4 +118,39 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 		wiretest.CheckAppend(t, m)
 		wiretest.CheckGrowsOnce(t, m)
 	}
+}
+
+// TestCopiesSeedTheirGeneratorLazily: a CloneInto or UnmarshalBinary of
+// a sampled sketch with sampled levels live builds no generator until
+// the copy draws, and then the one it was seeded with — updating a copy
+// seeded late and one seeded at once leaves equal bytes.
+func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
+	build := func() *SampledSketch {
+		s := NewSampledSketch(rand.New(rand.NewSource(5)), 8, 4, 4, 4, 8)
+		for _, u := range wiretest.SignedUnits(300, true) {
+			s.Update(u.Index, u.Delta)
+		}
+		return s
+	}
+	blob := wiretest.MustMarshal(t, build())
+	restore := func() *SampledSketch {
+		s := new(SampledSketch)
+		if err := s.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	seed := func(s *SampledSketch) { s.rng.Get() }
+	work := func(s *SampledSketch) {
+		for _, u := range wiretest.SignedUnits(300, false) {
+			s.Update(u.Index, u.Delta)
+		}
+	}
+	// A generator built at once from the word a copy drew: the source's
+	// next, or the payload's hash.
+	seedWith := func(w int64) func(*SampledSketch) {
+		return func(s *SampledSketch) { *s.rng = *sample.Wrap(rand.New(rand.NewSource(w))) }
+	}
+	wiretest.CheckLazySeeding(t, "CloneInto", func() *SampledSketch { return build().CloneInto(nil) }, seed, seedWith(build().rng.Get().Int63()), work)
+	wiretest.CheckLazySeeding(t, "UnmarshalBinary", restore, seed, seedWith(wire.Seed(blob)), work)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/stream"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 func liveSet(s *SampledSketch) []int {
@@ -22,15 +23,6 @@ func liveSet(s *SampledSketch) []int {
 	return js
 }
 
-func mustMarshal(t *testing.T, s *SampledSketch) []byte {
-	t.Helper()
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func restore(t *testing.T, data []byte) *SampledSketch {
 	t.Helper()
 	s := &SampledSketch{}
@@ -38,23 +30,6 @@ func restore(t *testing.T, data []byte) *SampledSketch {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// signedUnits is a general-turnstile update sequence: every fifth
-// update a deletion, magnitudes 1 (unit) or 1..7.
-func signedUnits(n int, multi bool) []stream.Update {
-	us := make([]stream.Update, n)
-	for i := range us {
-		d := int64(1)
-		if multi {
-			d += int64(i % 7)
-		}
-		if i%5 == 4 {
-			d = -d
-		}
-		us[i] = stream.Update{Index: uint64(i % 97), Delta: d}
-	}
-	return us
 }
 
 func small(seed, base int64) *SampledSketch {
@@ -70,7 +45,7 @@ func small(seed, base int64) *SampledSketch {
 func TestSameSeedSameBytes(t *testing.T) {
 	for _, base := range []int64{4, 16} {
 		for _, multi := range []bool{false, true} {
-			us := signedUnits(6000, multi)
+			us := wiretest.SignedUnits(6000, multi)
 			run := func(mode string) *SampledSketch {
 				s := small(7, base)
 				for off := 0; off < len(us); off += 500 {
@@ -83,27 +58,27 @@ func TestSameSeedSameBytes(t *testing.T) {
 						}
 					}
 					if mode == "restored" && off == 2500 {
-						s = restore(t, mustMarshal(t, s))
+						s = restore(t, wiretest.MustMarshal(t, s))
 					}
 				}
 				return s
 			}
 			name := fmt.Sprintf("base %d multi=%v", base, multi)
 			item := run("item")
-			want := mustMarshal(t, item)
+			want := wiretest.MustMarshal(t, item)
 			if js := liveSet(item); len(js) != 2 || js[0] < 1 {
 				t.Fatalf("%s: live levels %v; the test must end with two sampled levels", name, js)
 			}
 			for rep := 0; rep < 4; rep++ {
-				if !bytes.Equal(mustMarshal(t, run("item")), want) {
+				if !bytes.Equal(wiretest.MustMarshal(t, run("item")), want) {
 					t.Fatalf("%s: two same-seed per-item runs marshal differently", name)
 				}
 			}
-			if !bytes.Equal(mustMarshal(t, run("columns")), want) {
+			if !bytes.Equal(wiretest.MustMarshal(t, run("columns")), want) {
 				t.Fatalf("%s: UpdateColumns state differs from per-item state", name)
 			}
 			restored := run("restored")
-			if !bytes.Equal(mustMarshal(t, run("restored")), mustMarshal(t, restored)) {
+			if !bytes.Equal(wiretest.MustMarshal(t, run("restored")), wiretest.MustMarshal(t, restored)) {
 				t.Fatalf("%s: two runs restored in mid-stream marshal differently", name)
 			}
 			// A restore reseeds the rng, so counters may differ from the
@@ -121,14 +96,14 @@ func TestSameSeedSameBytes(t *testing.T) {
 // never-marshalled run's bytes.
 func TestRestoreMidStreamExactInRateOneRegime(t *testing.T) {
 	whole, cut := small(3, 1<<30), small(3, 1<<30)
-	for i, u := range signedUnits(3000, true) {
+	for i, u := range wiretest.SignedUnits(3000, true) {
 		whole.Update(u.Index, u.Delta)
 		cut.Update(u.Index, u.Delta)
 		if i == 1234 {
-			cut = restore(t, mustMarshal(t, cut))
+			cut = restore(t, wiretest.MustMarshal(t, cut))
 		}
 	}
-	if !bytes.Equal(mustMarshal(t, cut), mustMarshal(t, whole)) {
+	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
 		t.Fatal("restored-in-mid-stream bytes differ from the never-marshalled run")
 	}
 }
@@ -140,7 +115,7 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 	const base = 4
 	build := func(units int) *SampledSketch {
 		s := small(11, base)
-		for _, u := range signedUnits(units, false) {
+		for _, u := range wiretest.SignedUnits(units, false) {
 			s.Update(u.Index, u.Delta)
 		}
 		return s
@@ -158,7 +133,7 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 				}
 			}
 		}
-		ab, ba := a.Clone(), b.Clone()
+		ab, ba := a.CloneInto(nil), b.CloneInto(nil)
 		if err := ab.Merge(b); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +153,7 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 				t.Fatalf("%d+%d units: level %d rows %v, inputs sum to %v", tc.na, tc.nb, j, lv.y, want)
 			}
 		}
-		if !bytes.Equal(mustMarshal(t, ab), mustMarshal(t, ba)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, ab), wiretest.MustMarshal(t, ba)) {
 			t.Fatalf("%d+%d units: a+b and b+a marshal differently", tc.na, tc.nb)
 		}
 		again := build(tc.na)
@@ -193,7 +168,7 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 			again.Update(i, 1)
 			twice.Update(i, 1)
 		}
-		if !bytes.Equal(mustMarshal(t, again), mustMarshal(t, twice)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, again), wiretest.MustMarshal(t, twice)) {
 			t.Fatalf("%d+%d units: the same merge twice, then the same updates, marshals differently", tc.na, tc.nb)
 		}
 	}
@@ -204,7 +179,7 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 // the given order at position pos: sets no ingest produces. Every row
 // of a level holds its fill.
 func craft(t *testing.T, base, pos int64, levels ...[2]int64) []byte {
-	data := mustMarshal(t, small(1, base))
+	data := wiretest.MustMarshal(t, small(1, base))
 	w := wire.NewWriter(sampledSketchMagic, formatV1)
 	w.I64(pos)
 	w.I64(0)
@@ -243,7 +218,7 @@ func TestCraftedLevelLists(t *testing.T) {
 		if j, _ := s.win.Oldest(); len(tc.levels) > 0 && int64(j) != tc.canonical[0][0] {
 			t.Errorf("%s: answers from level %d, want the oldest listed, %d", name, j, tc.canonical[0][0])
 		}
-		if !bytes.Equal(mustMarshal(t, s), craft(t, base, tc.pos, tc.canonical...)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, s), craft(t, base, tc.pos, tc.canonical...)) {
 			t.Errorf("%s: re-marshal is not the ascending encoding", name)
 		}
 		listed := map[int]int64{}

@@ -83,18 +83,25 @@ func (b *Batch) Append(i uint64, delta int64) {
 	b.planned = false
 }
 
+// AppendUpdates adds a run of updates, growing each column at most once.
+func (b *Batch) AppendUpdates(us []stream.Update) {
+	n, m := len(b.Idx), len(b.Idx)+len(us)
+	if cap(b.Idx) < m || cap(b.Delta) < m {
+		b.Idx = append(make([]uint64, 0, m), b.Idx...)
+		b.Delta = append(make([]int64, 0, m), b.Delta...)
+	}
+	idx, delta := b.Idx[n:m], b.Delta[n:m]
+	for j, u := range us {
+		idx[j], delta[j] = u.Index, u.Delta
+	}
+	b.Idx, b.Delta, b.planned = b.Idx[:m], b.Delta[:m], false
+}
+
 // LoadUpdates replaces the batch contents with the given updates — the
 // plan step for callers that receive array-of-structs input.
 func (b *Batch) LoadUpdates(us []stream.Update) {
 	b.Reset()
-	if cap(b.Idx) < len(us) {
-		b.Idx = make([]uint64, 0, len(us))
-		b.Delta = make([]int64, 0, len(us))
-	}
-	for _, u := range us {
-		b.Idx = append(b.Idx, u.Index)
-		b.Delta = append(b.Delta, u.Delta)
-	}
+	b.AppendUpdates(us)
 }
 
 // UpdateBatch is the array-of-structs convenience entry of every

@@ -12,6 +12,15 @@ import (
 	"strings"
 )
 
+// OrNew returns dst, or a new T when dst is nil: the storage a structure's
+// CloneInto writes its copy into.
+func OrNew[T any](dst *T) *T {
+	if dst == nil {
+		return new(T)
+	}
+	return dst
+}
+
 // RelErr returns |got-want| / |want| (or |got| when want == 0).
 func RelErr(got, want float64) float64 {
 	if want == 0 {

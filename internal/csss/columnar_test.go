@@ -137,7 +137,7 @@ func (l *lockstep) feedUpdates(t *testing.T, us []stream.Update) {
 // point of the same stream.
 func (l *lockstep) requireSameDraw(t *testing.T) {
 	t.Helper()
-	if l.a.rng.Uint64() != l.b.rng.Uint64() {
+	if l.a.rng.Get().Uint64() != l.b.rng.Get().Uint64() {
 		t.Fatal("rng streams diverged: the columnar path did not make the scalar path's draws")
 	}
 }
@@ -717,7 +717,7 @@ func TestCloneAndRestoreShareNoBatchScratch(t *testing.T) {
 	src := New(rand.New(rand.NewSource(81)), p)
 	us := mixedDeltas(rand.New(rand.NewSource(82)), 6000)
 	feedColumns(src, us[:1000])
-	clone := src.Clone()
+	clone := src.CloneInto(nil)
 	blob, err := src.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

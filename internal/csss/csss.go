@@ -116,7 +116,7 @@ type Sketch struct {
 	rows    int
 	cols    uint64
 	table   []cell // flat rows*cols layout: row r, column c at r*cols+c
-	rng     *rand.Rand
+	rng     *sample.Rand
 
 	t        int64   // position in the (unit-expanded) stream
 	p        int     // current sampling exponent: rate 2^-p
@@ -158,20 +158,21 @@ func New(rng *rand.Rand, params Params) *Sketch {
 		buckets:  hash.NewBuckets(rng, params.Rows, cols),
 		rows:     params.Rows,
 		cols:     cols,
-		rng:      rng,
+		rng:      sample.Wrap(rng),
 		scale:    1,
 		estScale: 1 / float64(int64(1)<<params.FixedPointBits),
 		nextHalf: 2*params.S + 1,
 		fpUnit:   1 << params.FixedPointBits,
-		rowCols:  make([]uint64, params.Rows),
-		rowSigns: make([]int64, params.Rows),
-		rowIdx:   make([]int, params.Rows),
-		rowSide:  make([]int, params.Rows),
-		cnts:     make([]int64, params.Rows),
-		qest:     make([]float64, params.Rows),
 	}
 	s.table = make([]cell, uint64(s.rows)*cols)
 	sampleExponent.Set(0)
+	return s.withScratch()
+}
+
+// withScratch gives s per-row scratch of its own.
+func (s *Sketch) withScratch() *Sketch {
+	s.rowCols, s.rowSigns, s.rowIdx = make([]uint64, s.rows), make([]int64, s.rows), make([]int, s.rows)
+	s.rowSide, s.cnts, s.qest = make([]int, s.rows), make([]int64, s.rows), make([]float64, s.rows)
 	return s
 }
 
@@ -341,7 +342,7 @@ func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64
 	ords, kept := ords[:slots], b.Col64(size)
 	kept, lanes := kept[:slots], kept[slots:]
 	clear(lanes)
-	packed := s.p*s.rows <= 64
+	packed, rng := s.p*s.rows <= 64, s.rng.Get()
 	rows, width := uint(s.rows), uint(s.p)
 	var low, top uint64
 	if packed {
@@ -370,10 +371,10 @@ func (s *Sketch) applyRun(b *core.Batch, h hashed, slot []uint32, deltas []int64
 		// rates neither outcome is predictable.
 		var hits uint64
 		if packed {
-			hits = zeroFields(s.rng.Uint64(), low, top, width, rows)
+			hits = zeroFields(rng.Uint64(), low, top, width, rows)
 		} else {
 			for r := 0; r < s.rows; r++ {
-				if sample.Dyadic(s.rng, s.p) {
+				if sample.Dyadic(rng, s.p) {
 					hits |= 1 << uint(r)
 				}
 			}
@@ -539,9 +540,9 @@ func zeroFields(word, low, top uint64, width, rows uint) uint64 {
 // distinct nonzero count, masking the rows that drew it, from slot m
 // on. It returns the next free slot.
 func (s *Sketch) thinCounts(ords []uint32, kept []uint64, m int, ord uint32, units int64, neg uint64) int {
-	rate := math.Ldexp(1, -s.p)
+	rate, rng := math.Ldexp(1, -s.p), s.rng.Get()
 	for r := range s.cnts {
-		s.cnts[r] = sample.Binomial(s.rng, units, rate)
+		s.cnts[r] = sample.Binomial(rng, units, rate)
 	}
 	var done uint64
 	for r, cnt := range s.cnts {
@@ -716,7 +717,7 @@ func (s *Sketch) addSampled(i uint64, sign, wfp, units int64) {
 		// disjoint p-bit fields are independent fair bits, so "field ==
 		// 0" is exactly a rate-2^-p event per row with one rng draw
 		// instead of one per row.
-		w := s.rng.Uint64()
+		w := s.rng.Get().Uint64()
 		mask := uint64(1)<<uint(s.p) - 1
 		var hits uint64
 		for r := 0; r < s.rows; r++ {
@@ -736,16 +737,16 @@ func (s *Sketch) addSampled(i uint64, sign, wfp, units int64) {
 		}
 		return
 	}
-	rate := math.Ldexp(1, -s.p)
+	rate, rng := math.Ldexp(1, -s.p), s.rng.Get()
 	any := false
 	for r := 0; r < s.rows; r++ {
 		var cnt int64
 		if units == 1 {
-			if sample.Dyadic(s.rng, s.p) {
+			if sample.Dyadic(rng, s.p) {
 				cnt = 1
 			}
 		} else {
-			cnt = sample.Binomial(s.rng, units, rate)
+			cnt = sample.Binomial(rng, units, rate)
 		}
 		s.cnts[r] = cnt
 		any = any || cnt != 0
@@ -803,10 +804,11 @@ func (s *Sketch) maybeHalve() {
 func (s *Sketch) halveOnce() {
 	halvings.Inc()
 	s.refreshMaxCount()
+	rng := s.rng.Get()
 	for c := range s.table {
 		cl := &s.table[c]
-		cl[0] = sample.Half(s.rng, cl[0])
-		cl[1] = sample.Half(s.rng, cl[1])
+		cl[0] = sample.Half(rng, cl[0])
+		cl[1] = sample.Half(rng, cl[1])
 	}
 	s.p++
 	sampleExponent.Set(int64(s.p))
@@ -841,7 +843,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if other.p < s.p {
 		thin := *other // halveOnce touches table, rng and the rate fields only
 		thin.table = slices.Clone(other.table)
-		thin.rng = rand.New(rand.NewSource(other.rng.Int63()))
+		thin.rng = sample.Seeded(other.rng.Get().Int63())
 		for thin.p < s.p {
 			thin.halveOnce()
 		}
@@ -861,34 +863,20 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash wiring; the
-// clone owns fresh scratch and a fresh rng stream, so it can be handed
-// to another goroutine for merge-and-query snapshots while the original
-// keeps ingesting.
-func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{
-		params:   s.params,
-		buckets:  s.buckets,
-		rows:     s.rows,
-		cols:     s.cols,
-		rng:      rand.New(rand.NewSource(s.rng.Int63())),
-		t:        s.t,
-		p:        s.p,
-		scale:    s.scale,
-		estScale: s.estScale,
-		nextHalf: s.nextHalf,
-		maxCount: s.maxCount,
-		fpUnit:   s.fpUnit,
-		rowCols:  make([]uint64, s.rows),
-		rowSigns: make([]int64, s.rows),
-		rowIdx:   make([]int, s.rows),
-		rowSide:  make([]int, s.rows),
-		cnts:     make([]int64, s.rows),
-		qest:     make([]float64, s.rows),
+// CloneInto returns a deep copy sharing the (immutable) hash wiring,
+// written into dst (nil, or an earlier copy nobody else holds; its table
+// and scratch are reused where the shape matches). The copy's rng stream
+// is seeded by one draw of s's and built when the copy first draws.
+func (s *Sketch) CloneInto(dst *Sketch) *Sketch {
+	if dst == nil || dst.params != s.params {
+		dst = (&Sketch{rows: s.rows}).withScratch()
 	}
-	c.table = make([]cell, len(s.table))
-	copy(c.table, s.table)
-	return c
+	c := *s
+	c.table, c.rng, c.haveLast = append(dst.table[:0], s.table...), sample.Seeded(s.rng.Get().Int63()), false
+	c.rowCols, c.rowSigns, c.rowIdx, c.rowSide = dst.rowCols, dst.rowSigns, dst.rowIdx, dst.rowSide
+	c.cnts, c.qest, c.qBatch, c.resid = dst.cnts, dst.qest, dst.qBatch, dst.resid
+	*dst = c
+	return dst
 }
 
 // RowEstimate returns row r's rescaled estimate of f_i:
@@ -1135,9 +1123,11 @@ func (te *TailEstimator) Merge(other *TailEstimator) error {
 	return te.CS2.Merge(other.CS2)
 }
 
-// Clone returns a deep copy (see Sketch.Clone).
-func (te *TailEstimator) Clone() *TailEstimator {
-	return &TailEstimator{CS1: te.CS1.Clone(), CS2: te.CS2.Clone(), k: te.k}
+// CloneInto returns a deep copy written into dst (see Sketch.CloneInto).
+func (te *TailEstimator) CloneInto(dst *TailEstimator) *TailEstimator {
+	dst = core.OrNew(dst)
+	*dst = TailEstimator{CS1: te.CS1.CloneInto(dst.CS1), CS2: te.CS2.CloneInto(dst.CS2), k: te.k}
+	return dst
 }
 
 // SpaceBits is the total cost of both instances.

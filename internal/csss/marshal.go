@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"math/rand"
 
 	"repro/internal/hash"
+	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
@@ -116,18 +116,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		rows:     params.Rows,
 		cols:     cols,
 		table:    table,
-		rng:      rand.New(rand.NewSource(wire.Seed(data))),
+		rng:      sample.Seeded(wire.Seed(data)),
 		t:        t,
 		p:        p,
 		maxCount: maxCount,
 		fpUnit:   1 << params.FixedPointBits,
-		rowCols:  make([]uint64, params.Rows),
-		rowSigns: make([]int64, params.Rows),
-		rowIdx:   make([]int, params.Rows),
-		rowSide:  make([]int, params.Rows),
-		cnts:     make([]int64, params.Rows),
-		qest:     make([]float64, params.Rows),
 	}
+	restored.withScratch()
 	restored.scale = math.Ldexp(1, p)
 	restored.estScale = restored.scale / float64(restored.fpUnit)
 	// nextHalf follows the S*2^r + 1 schedule: r = p+1 boundaries passed.

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/sample"
 	"repro/internal/stream"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -42,8 +44,8 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	// result must be bit-identical.
 	peerA := New(rand.New(rand.NewSource(17)), params)
 	peerA.Update(7, 3)
-	peerB := peerA.Clone()
-	if err := peerA.Merge(sk.Clone()); err != nil {
+	peerB := peerA.CloneInto(nil)
+	if err := peerA.Merge(sk.CloneInto(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := peerB.Merge(restored); err != nil {
@@ -208,4 +210,40 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 		wiretest.CheckAppend(t, m)
 		wiretest.CheckGrowsOnce(t, m)
 	}
+}
+
+// TestCopiesSeedTheirGeneratorLazily: a CloneInto or UnmarshalBinary of
+// a sketch past 2S builds no generator until the copy draws, and then
+// the one it was seeded with — halving and updating a copy seeded late
+// and one seeded at once leave equal bytes.
+func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
+	build := func() *Sketch {
+		s := New(rand.New(rand.NewSource(5)), Params{Rows: 5, K: 8, S: 64})
+		for i := 0; i < 1000; i++ {
+			s.Update(uint64(i%61), 1)
+		}
+		return s
+	}
+	blob := wiretest.MustMarshal(t, build())
+	restore := func() *Sketch {
+		s := new(Sketch)
+		if err := s.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	seed := func(s *Sketch) { s.rng.Get() }
+	work := func(s *Sketch) {
+		s.halveOnce()
+		for i := 0; i < 500; i++ {
+			s.Update(uint64(i%61), 1)
+		}
+	}
+	// A generator built at once from the word a copy drew: the source's
+	// next, or the payload's hash.
+	seedWith := func(w int64) func(*Sketch) {
+		return func(s *Sketch) { *s.rng = *sample.Wrap(rand.New(rand.NewSource(w))) }
+	}
+	wiretest.CheckLazySeeding(t, "CloneInto", func() *Sketch { return build().CloneInto(nil) }, seed, seedWith(build().rng.Get().Int63()), work)
+	wiretest.CheckLazySeeding(t, "UnmarshalBinary", restore, seed, seedWith(wire.Seed(blob)), work)
 }

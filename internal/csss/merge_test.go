@@ -109,7 +109,7 @@ func TestMergeRejectsMismatches(t *testing.T) {
 func TestCloneIsolated(t *testing.T) {
 	sk := New(rand.New(rand.NewSource(3)), Params{Rows: 5, K: 8, S: 1 << 12})
 	sk.Update(7, 5)
-	c := sk.Clone()
+	c := sk.CloneInto(nil)
 	c.Update(7, 100)
 	if got := sk.Query(7); got != 5 {
 		t.Fatalf("original query = %v, want 5", got)

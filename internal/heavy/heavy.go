@@ -107,10 +107,10 @@ func (r *l1Scale) spaceBits() int64 {
 	return int64(nt.BitsFor(uint64(r.maxL1))) + 1
 }
 
-func (r *l1Scale) clone() l1Scale {
+func (r *l1Scale) cloneInto(dst *l1Scale) l1Scale {
 	c := *r
 	if r.l1Est != nil {
-		c.l1Est = r.l1Est.Clone()
+		c.l1Est = r.l1Est.CloneInto(dst.l1Est)
 	}
 	return c
 }
@@ -264,17 +264,21 @@ func (h *AlphaL1) Merge(other *AlphaL1) error {
 	return h.refresh.Merge(h.tracker, other.tracker, b, h.sk)
 }
 
-// Clone returns a deep copy (snapshot) safe to hand to another
-// goroutine for merge-and-query while the original keeps ingesting.
-func (h *AlphaL1) Clone() *AlphaL1 {
-	return &AlphaL1{
+// CloneInto returns a deep copy safe to hand to another goroutine while
+// h keeps ingesting, written into dst (nil: a new one), an earlier copy
+// nobody else holds.
+func (h *AlphaL1) CloneInto(dst *AlphaL1) *AlphaL1 {
+	dst = core.OrNew(dst)
+	*dst = AlphaL1{
 		mode:    h.mode,
 		eps:     h.eps,
-		sk:      h.sk.Clone(),
-		tracker: h.tracker.Clone(),
+		sk:      h.sk.CloneInto(dst.sk),
+		tracker: h.tracker.CloneInto(dst.tracker),
 		n:       h.n,
-		scale:   h.scale.clone(),
+		scale:   h.scale.cloneInto(&dst.scale),
+		refresh: dst.refresh,
 	}
+	return dst
 }
 
 // SampleExponent returns the CSSS sketch's sampling exponent p.

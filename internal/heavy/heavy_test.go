@@ -285,7 +285,7 @@ func BenchmarkAlphaL1Merge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		acc := dst.Clone()
+		acc := dst.CloneInto(nil)
 		b.StartTimer()
 		if err := acc.Merge(src); err != nil {
 			b.Fatal(err)

@@ -170,16 +170,21 @@ func (h *AlphaL2) Merge(other *AlphaL2) error {
 	return h.refresh.Merge(h.trk, other.trk, b, h.insCS)
 }
 
-// Clone returns a deep copy (snapshot).
-func (h *AlphaL2) Clone() *AlphaL2 {
-	return &AlphaL2{
-		eps:   h.eps,
-		alpha: h.alpha,
-		insCS: h.insCS.Clone(),
-		verCS: h.verCS.Clone(),
-		trk:   h.trk.Clone(),
-		n:     h.n,
+// CloneInto returns a deep copy (snapshot) written into dst (nil: a new
+// one), an earlier copy nobody else holds.
+func (h *AlphaL2) CloneInto(dst *AlphaL2) *AlphaL2 {
+	dst = core.OrNew(dst)
+	*dst = AlphaL2{
+		eps:     h.eps,
+		alpha:   h.alpha,
+		insCS:   h.insCS.CloneInto(dst.insCS),
+		verCS:   h.verCS.CloneInto(dst.verCS),
+		trk:     h.trk.CloneInto(dst.trk),
+		n:       h.n,
+		refresh: dst.refresh,
+		qInt:    dst.qInt,
 	}
+	return dst
 }
 
 // SpaceBits charges both sketches and the tracker — the appendix's

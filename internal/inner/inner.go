@@ -71,7 +71,7 @@ type Estimator struct {
 	hb     []*hash.KWise // bucket hashes over [P], 4-wise, one per row
 	hs     []*hash.KWise // sign hashes over [P], 4-wise, one per row
 	f, g   *side
-	rng    *rand.Rand
+	rng    *sample.Rand
 }
 
 // side is the per-stream interval-sampled Count-Sketch stack.
@@ -110,7 +110,7 @@ func New(rng *rand.Rand, params Params) *Estimator {
 		prime:  prime,
 		f:      &side{win: sample.NewWindow[ipLevel](params.Base)},
 		g:      &side{win: sample.NewWindow[ipLevel](params.Base)},
-		rng:    rng,
+		rng:    sample.Wrap(rng),
 	}
 	e.hb = make([]*hash.KWise, params.Rows)
 	e.hs = make([]*hash.KWise, params.Rows)
@@ -153,7 +153,7 @@ func (e *Estimator) update(sd *side, i uint64, delta int64) {
 	for mag > 0 {
 		run := sd.win.Step(&sd.t, mag, fresh)
 		for j, lv := range sd.win.Each {
-			kept := sample.Thin(e.rng, run, sample.Pow(e.params.Base, j))
+			kept := sample.Thin(e.rng.Get(), run, sample.Pow(e.params.Base, j))
 			if kept == 0 {
 				continue
 			}

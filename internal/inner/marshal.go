@@ -2,7 +2,6 @@ package inner
 
 import (
 	"errors"
-	"math/rand"
 
 	"repro/internal/hash"
 	"repro/internal/sample"
@@ -110,7 +109,7 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 	e.prime = prime
 	e.hb, e.hs = hb, hs
 	e.f, e.g = f, g
-	e.rng = rand.New(rand.NewSource(wire.Seed(data)))
+	e.rng = sample.Seeded(wire.Seed(data))
 	return nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/sample"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -85,7 +87,7 @@ func TestEstimatorMergeRejectsForeign(t *testing.T) {
 
 func TestEstimatorCloneIsDeep(t *testing.T) {
 	e := buildEstimator(46)
-	c := e.Clone()
+	c := e.CloneInto(nil)
 	if c.Estimate() != e.Estimate() {
 		t.Fatalf("clone answers differently")
 	}
@@ -125,4 +127,39 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 	}
 	wiretest.CheckAppend(t, e)
 	wiretest.CheckGrowsOnce(t, e)
+}
+
+// TestCopiesSeedTheirGeneratorLazily: a CloneInto or UnmarshalBinary of
+// an estimator with sampled levels live on both sides builds no
+// generator until the copy draws, and then the one it was seeded with —
+// updating a copy seeded late and one seeded at once leaves equal bytes.
+func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
+	feed := func(e *Estimator, n int) {
+		for _, u := range wiretest.SignedUnits(n, true) {
+			e.UpdateF(u.Index, u.Delta)
+			e.UpdateG(u.Index+1, u.Delta)
+		}
+	}
+	build := func() *Estimator {
+		e := New(rand.New(rand.NewSource(5)), Params{N: 1 << 10, Eps: 0.25, Base: 4})
+		feed(e, 300)
+		return e
+	}
+	blob := wiretest.MustMarshal(t, build())
+	restore := func() *Estimator {
+		e := new(Estimator)
+		if err := e.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	seed := func(e *Estimator) { e.rng.Get() }
+	work := func(e *Estimator) { feed(e, 300) }
+	// A generator built at once from the word a copy drew: the source's
+	// next, or the payload's hash.
+	seedWith := func(w int64) func(*Estimator) {
+		return func(e *Estimator) { *e.rng = *sample.Wrap(rand.New(rand.NewSource(w))) }
+	}
+	wiretest.CheckLazySeeding(t, "CloneInto", func() *Estimator { return build().CloneInto(nil) }, seed, seedWith(build().rng.Get().Int63()), work)
+	wiretest.CheckLazySeeding(t, "UnmarshalBinary", restore, seed, seedWith(wire.Seed(blob)), work)
 }

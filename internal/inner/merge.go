@@ -2,7 +2,6 @@ package inner
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/sample"
 )
@@ -48,28 +47,37 @@ func (e *Estimator) mergeSide(sd, osd *side) {
 	sd.win.Sync(sd.t, func(int) *ipLevel { return e.newLevel(sd.t) })
 }
 
-func copyLevel(lv *ipLevel) *ipLevel {
-	c := &ipLevel{start: lv.start, bins: make([][]int64, len(lv.bins))}
-	for r := range lv.bins {
-		c.bins[r] = append([]int64(nil), lv.bins[r]...)
+func copyLevel(lv, dst *ipLevel) *ipLevel {
+	if dst == nil || len(dst.bins) != len(lv.bins) {
+		dst = &ipLevel{bins: make([][]int64, len(lv.bins))}
 	}
-	return c
+	dst.start = lv.start
+	for r := range lv.bins {
+		dst.bins[r] = append(dst.bins[r][:0], lv.bins[r]...)
+	}
+	return dst
 }
 
-// Clone returns a deep copy sharing the (immutable) hash functions,
-// with a fresh rng stream for the clone's own sampling decisions.
-func (e *Estimator) Clone() *Estimator {
-	return &Estimator{
+// CloneInto returns a deep copy sharing the (immutable) hash functions,
+// written into dst (nil: a new one), an earlier copy nobody else holds;
+// its rng stream is seeded by one draw of e's, built at its first draw.
+func (e *Estimator) CloneInto(dst *Estimator) *Estimator {
+	if dst == nil {
+		dst = &Estimator{f: new(side), g: new(side)}
+	}
+	*dst = Estimator{
 		params: e.params,
 		prime:  e.prime,
 		hb:     e.hb,
 		hs:     e.hs,
-		f:      cloneSide(e.f),
-		g:      cloneSide(e.g),
-		rng:    rand.New(rand.NewSource(e.rng.Int63())),
+		f:      cloneSide(e.f, dst.f),
+		g:      cloneSide(e.g, dst.g),
+		rng:    sample.Seeded(e.rng.Get().Int63()),
 	}
+	return dst
 }
 
-func cloneSide(sd *side) *side {
-	return &side{t: sd.t, maxCount: sd.maxCount, win: sd.win.Clone(copyLevel)}
+func cloneSide(sd, dst *side) *side {
+	*dst = side{t: sd.t, maxCount: sd.maxCount, win: sd.win.CloneInto(dst.win, copyLevel)}
+	return dst
 }

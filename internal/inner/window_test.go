@@ -12,6 +12,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/stream"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 func liveSet(sd *side) []int {
@@ -22,15 +23,6 @@ func liveSet(sd *side) []int {
 	return js
 }
 
-func mustMarshal(t *testing.T, e *Estimator) []byte {
-	t.Helper()
-	data, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func restore(t *testing.T, data []byte) *Estimator {
 	t.Helper()
 	e := &Estimator{}
@@ -38,23 +30,6 @@ func restore(t *testing.T, data []byte) *Estimator {
 		t.Fatal(err)
 	}
 	return e
-}
-
-// signedUnits is an update sequence with every fifth update a deletion,
-// magnitudes 1 (unit) or 1..7.
-func signedUnits(n int, multi bool) []stream.Update {
-	us := make([]stream.Update, n)
-	for i := range us {
-		d := int64(1)
-		if multi {
-			d += int64(i % 7)
-		}
-		if i%5 == 4 {
-			d = -d
-		}
-		us[i] = stream.Update{Index: uint64(i % 97), Delta: d}
-	}
-	return us
 }
 
 func small(seed, base int64) *Estimator {
@@ -70,7 +45,7 @@ func small(seed, base int64) *Estimator {
 func TestSameSeedSameBytes(t *testing.T) {
 	for _, base := range []int64{4, 16} {
 		for _, multi := range []bool{false, true} {
-			us := signedUnits(6000, multi)
+			us := wiretest.SignedUnits(6000, multi)
 			run := func(mode string) *Estimator {
 				e := small(7, base)
 				for off := 0; off < len(us); off += 500 {
@@ -87,29 +62,29 @@ func TestSameSeedSameBytes(t *testing.T) {
 						}
 					}
 					if mode == "restored" && off == 2500 {
-						e = restore(t, mustMarshal(t, e))
+						e = restore(t, wiretest.MustMarshal(t, e))
 					}
 				}
 				return e
 			}
 			name := fmt.Sprintf("base %d multi=%v", base, multi)
 			item := run("item")
-			want := mustMarshal(t, item)
+			want := wiretest.MustMarshal(t, item)
 			for _, sd := range []*side{item.f, item.g} {
 				if js := liveSet(sd); len(js) != 2 || js[0] < 1 {
 					t.Fatalf("%s: live levels %v; the test must end with two sampled levels a side", name, js)
 				}
 			}
 			for rep := 0; rep < 4; rep++ {
-				if !bytes.Equal(mustMarshal(t, run("item")), want) {
+				if !bytes.Equal(wiretest.MustMarshal(t, run("item")), want) {
 					t.Fatalf("%s: two same-seed per-item runs marshal differently", name)
 				}
 			}
-			if !bytes.Equal(mustMarshal(t, run("columns")), want) {
+			if !bytes.Equal(wiretest.MustMarshal(t, run("columns")), want) {
 				t.Fatalf("%s: UpdateColumns state differs from per-item state", name)
 			}
 			restored := run("restored")
-			if !bytes.Equal(mustMarshal(t, run("restored")), mustMarshal(t, restored)) {
+			if !bytes.Equal(wiretest.MustMarshal(t, run("restored")), wiretest.MustMarshal(t, restored)) {
 				t.Fatalf("%s: two runs restored in mid-stream marshal differently", name)
 			}
 			// A restore reseeds the rng, so bins may differ from the
@@ -128,16 +103,16 @@ func TestSameSeedSameBytes(t *testing.T) {
 // never-marshalled run's bytes.
 func TestRestoreMidStreamExactInRateOneRegime(t *testing.T) {
 	whole, cut := small(3, 1<<30), small(3, 1<<30)
-	for i, u := range signedUnits(3000, true) {
+	for i, u := range wiretest.SignedUnits(3000, true) {
 		for _, e := range []*Estimator{whole, cut} {
 			e.UpdateF(u.Index, u.Delta)
 			e.UpdateG(u.Index+1, u.Delta)
 		}
 		if i == 1234 {
-			cut = restore(t, mustMarshal(t, cut))
+			cut = restore(t, wiretest.MustMarshal(t, cut))
 		}
 	}
-	if !bytes.Equal(mustMarshal(t, cut), mustMarshal(t, whole)) {
+	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
 		t.Fatal("restored-in-mid-stream bytes differ from the never-marshalled run")
 	}
 }
@@ -149,10 +124,10 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 	const base = 4
 	build := func(nf, ng int) *Estimator {
 		e := small(11, base)
-		for _, u := range signedUnits(nf, false) {
+		for _, u := range wiretest.SignedUnits(nf, false) {
 			e.UpdateF(u.Index, u.Delta)
 		}
-		for _, u := range signedUnits(ng, false) {
+		for _, u := range wiretest.SignedUnits(ng, false) {
 			e.UpdateG(u.Index, u.Delta)
 		}
 		return e
@@ -168,7 +143,7 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 				}
 			}
 		}
-		ab, ba := a.Clone(), b.Clone()
+		ab, ba := a.CloneInto(nil), b.CloneInto(nil)
 		if err := ab.Merge(b); err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +162,7 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 				}
 			}
 		}
-		if !bytes.Equal(mustMarshal(t, ab), mustMarshal(t, ba)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, ab), wiretest.MustMarshal(t, ba)) {
 			t.Fatalf("%s: a+b and b+a marshal differently", at)
 		}
 		again := build(tc.fa, tc.ga)
@@ -204,7 +179,7 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 				e.UpdateG(i, 3)
 			}
 		}
-		if !bytes.Equal(mustMarshal(t, again), mustMarshal(t, twice)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, again), wiretest.MustMarshal(t, twice)) {
 			t.Fatalf("%s: the same merge twice, then the same updates, marshals differently", at)
 		}
 	}
@@ -215,7 +190,7 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 // pos holding the given {level, fill} pairs in the given order: sets no
 // ingest produces. Every bin of a level holds its fill.
 func craft(t *testing.T, base, pos int64, levels ...[2]int64) []byte {
-	data := mustMarshal(t, small(1, base))
+	data := wiretest.MustMarshal(t, small(1, base))
 	w := wire.NewWriter(estimatorMagic, formatV1)
 	for side := 0; side < 2; side++ {
 		w.I64(pos)
@@ -261,7 +236,7 @@ func TestCraftedLevelLists(t *testing.T) {
 				t.Errorf("%s: estimate %v, want %v from the oldest listed level", name, e.Estimate(), want)
 			}
 		}
-		if !bytes.Equal(mustMarshal(t, e), craft(t, base, tc.pos, tc.canonical...)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, e), craft(t, base, tc.pos, tc.canonical...)) {
 			t.Errorf("%s: re-marshal is not the ascending encoding", name)
 		}
 		listed := map[int]int64{}

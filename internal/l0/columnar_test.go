@@ -12,6 +12,7 @@ import (
 	"repro/internal/nt"
 	"repro/internal/obs"
 	"repro/internal/stream"
+	"repro/internal/wire/wiretest"
 )
 
 // Differentials for the windowed ingest paths: UpdateColumns / the
@@ -59,18 +60,9 @@ func cutter(rng *rand.Rand, size int) func() int {
 	}
 }
 
-func mustMarshal(t testing.TB, m interface{ MarshalBinary() ([]byte, error) }) []byte {
-	t.Helper()
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func checkEstimators(t testing.TB, item, cols *Estimator, where string) {
 	t.Helper()
-	if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+	if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, cols)) {
 		t.Fatalf("%s: MarshalBinary differs (live rows %d vs %d, R_t %d vs %d)", where,
 			item.LiveRows(), cols.LiveRows(), item.final.Estimate(), cols.final.Estimate())
 	}
@@ -185,7 +177,7 @@ func TestUpdateColumnsAfterRestore(t *testing.T) {
 		half := len(us) / 3
 		orig, _ := estimatorPair(Params{N: n, Eps: 0.25, Windowed: windowed, Window: 5})
 		core.UpdateBatch(orig.UpdateColumns, us[:half])
-		blob := mustMarshal(t, orig)
+		blob := wiretest.MustMarshal(t, orig)
 		item, cols := &Estimator{}, &Estimator{}
 		for _, e := range []*Estimator{item, cols} {
 			if err := e.UnmarshalBinary(blob); err != nil {
@@ -239,7 +231,7 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 				src, _ := estimatorPair(Params{N: n, Eps: 0.25, Windowed: true, Window: 5})
 				core.UpdateBatch(src.UpdateColumns, us[:len(us)/3])
 				craft(src)
-				blob := mustMarshal(t, src)
+				blob := wiretest.MustMarshal(t, src)
 				item, cols := &Estimator{}, &Estimator{}
 				for _, e := range []*Estimator{item, cols} {
 					if err := e.UnmarshalBinary(blob); err != nil {
@@ -274,12 +266,12 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 		if e.rough.Estimate() != before {
 			moves++
 		}
-		state := mustMarshal(t, e)
+		state := wiretest.MustMarshal(t, e)
 		// Forget what the windows were synced at: these two run in full.
 		e.rows.syncedAt, e.final.levels.syncedAt = unsynced, unsynced
 		e.rows.Sync(e.rough, e.span, e.newRow)
 		e.final.levels.Sync(e.final.rough, e.final.span, e.final.newLevel)
-		if !bytes.Equal(state, mustMarshal(t, e)) {
+		if !bytes.Equal(state, wiretest.MustMarshal(t, e)) {
 			t.Fatalf("sync after update of key %d changed the state", u.Index)
 		}
 	}
@@ -314,7 +306,7 @@ func TestRoughL0UpdateColumnMatchesScalar(t *testing.T) {
 					keys[j], deltas[j] = u.Index, u.Delta
 				}
 				cols.UpdateColumn(&core.Batch{Idx: keys, Delta: deltas}, col)
-				if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+				if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, cols)) {
 					t.Fatalf("windowed=%v cut=%d: state differs after updates [%d,%d)", windowed, size, off, off+m)
 				}
 				off += m
@@ -344,7 +336,7 @@ func TestRaisingItemAppliesUnderNewWindow(t *testing.T) {
 				item.Update(keys[j], deltas[j])
 			}
 			cols.UpdateColumn(&core.Batch{Idx: keys[off : off+batch], Delta: deltas[off : off+batch]}, col)
-			if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+			if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, cols)) {
 				t.Fatalf("seed %d: one-level window diverged in updates [%d,%d)", seed, off, off+batch)
 			}
 		}
@@ -384,7 +376,7 @@ func TestRoughF0UpdateColumnMatchesUpdate(t *testing.T) {
 					if cut != want {
 						t.Fatalf("copies=%d len=%d: column stopped at %d, per-item raise at %d", copies, size, cut, want)
 					}
-					if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+					if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, cols)) {
 						t.Fatalf("copies=%d len=%d: state differs after key %d", copies, size, cut)
 					}
 					if cut < len(keys) {
@@ -409,7 +401,7 @@ func TestRoughF0StaleRestore(t *testing.T) {
 	}
 	honest := src.Estimate()
 	src.best = 0
-	blob := mustMarshal(t, src)
+	blob := wiretest.MustMarshal(t, src)
 	item, cols := &RoughF0{}, &RoughF0{}
 	for _, r := range []*RoughF0{item, cols} {
 		if err := r.UnmarshalBinary(blob); err != nil {
@@ -434,23 +426,23 @@ func TestRoughF0StaleRestore(t *testing.T) {
 func TestRoughF0UnmarshalRejectsLevelOutOfRange(t *testing.T) {
 	src := NewRoughF0(rand.New(rand.NewSource(14)), 16)
 	src.Update(5)
-	good := mustMarshal(t, src)
+	good := wiretest.MustMarshal(t, src)
 	for bit := 61; bit < 64; bit++ {
 		src.bitmaps[len(src.bitmaps)-1] |= 1 << bit
 		r := &RoughF0{}
 		if err := r.UnmarshalBinary(good); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.UnmarshalBinary(mustMarshal(t, src)); err == nil {
+		if err := r.UnmarshalBinary(wiretest.MustMarshal(t, src)); err == nil {
 			t.Fatalf("accepted a bitmap with level %d set", bit)
 		}
-		if !bytes.Equal(mustMarshal(t, r), good) {
+		if !bytes.Equal(wiretest.MustMarshal(t, r), good) {
 			t.Fatalf("failed restore (level %d) changed the receiver", bit)
 		}
 		src.bitmaps[len(src.bitmaps)-1] &^= 1 << bit
 	}
 	src.bitmaps[0] |= zeroLevel // the highest honest level stays accepted
-	if err := (&RoughF0{}).UnmarshalBinary(mustMarshal(t, src)); err != nil {
+	if err := (&RoughF0{}).UnmarshalBinary(wiretest.MustMarshal(t, src)); err != nil {
 		t.Fatalf("rejected level 60: %v", err)
 	}
 }
@@ -483,7 +475,7 @@ func FuzzWindowedColumnsDifferential(f *testing.F) {
 			tmpl, _ = estimatorPair(p)
 			fuzzTemplates.m[p] = tmpl
 		}
-		item, cols := tmpl.Clone(), tmpl.Clone()
+		item, cols := tmpl.CloneInto(nil), tmpl.CloneInto(nil)
 		fuzzTemplates.Unlock()
 		var batch []stream.Update
 		flush := func() {
@@ -541,7 +533,7 @@ func BenchmarkUpdateColumns(b *testing.B) {
 						batch.Append(uint64(i)*0x9E3779B97F4A7C15%n, 1)
 					}
 					warm.UpdateColumns(batch)
-					e, fresh := warm.Clone(), uint64(warmKeys)
+					e, fresh := warm.CloneInto(nil), uint64(warmKeys)
 					fill := func() {
 						batch.Reset()
 						for j := 0; j < size; j++ {
@@ -562,7 +554,7 @@ func BenchmarkUpdateColumns(b *testing.B) {
 							b.StopTimer()
 							if i%64 == 0 {
 								moved = moved || e.rough.Estimate() != rt
-								e, fresh = warm.Clone(), uint64(warmKeys)
+								e, fresh = warm.CloneInto(nil), uint64(warmKeys)
 							}
 							fill()
 							b.StartTimer()
@@ -602,7 +594,7 @@ func BenchmarkRoughF0Cold(b *testing.B) {
 	for _, path := range []string{"scalar", "columns"} {
 		b.Run(path, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := fresh.Clone()
+				r := fresh.CloneInto(nil)
 				if path == "scalar" {
 					for _, k := range keys {
 						r.Update(k)
@@ -675,7 +667,7 @@ func (ks *keySource) walk(t testing.TB, feed bool) (fill []stream.Update, raiser
 		switch {
 		case ks.shadow == nil:
 			return nil, k
-		case ks.shadow.Clone().Update(k):
+		case ks.shadow.CloneInto(nil).Update(k):
 			if feed {
 				ks.shadow.Update(k)
 			}
@@ -789,13 +781,13 @@ func runDirected(t *testing.T, name string, warm, cold *Estimator, known []uint6
 	ks := &keySource{n: n}
 	for _, c := range directedCases(t, ks, known) {
 		t.Run(name+"/"+c.name, func(t *testing.T) {
-			item, cols := warm.Clone(), warm.Clone()
+			item, cols := warm.CloneInto(nil), warm.CloneInto(nil)
 			if c.name == "raisers-back-to-back" {
-				item, cols = cold.Clone(), cold.Clone()
+				item, cols = cold.CloneInto(nil), cold.CloneInto(nil)
 			}
 			ks.next = 1 << 32
 			if ks.shadow = nil; item.rough != nil {
-				ks.shadow = item.rough.Clone()
+				ks.shadow = item.rough.CloneInto(nil)
 			}
 			moved := 0
 			for _, us := range c.build() {
@@ -827,7 +819,7 @@ func TestUpdateColumnsDirectedCases(t *testing.T) {
 		// key of the first batch repairs both, on both paths.
 		warm.rough.best, warm.final.rough.best = 0, 0
 		stale := &Estimator{}
-		if err := stale.UnmarshalBinary(mustMarshal(t, warm)); err != nil {
+		if err := stale.UnmarshalBinary(wiretest.MustMarshal(t, warm)); err != nil {
 			t.Fatal(err)
 		}
 		if !stale.rough.stale || stale.rows.syncedAt != unsynced {
@@ -866,7 +858,7 @@ func TestUpdateColumnsCutsAtFirstOccurrence(t *testing.T) {
 				item.Update(k, b.Delta[j])
 			}
 			cols.UpdateColumn(&b, col)
-			if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+			if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, cols)) {
 				t.Fatalf("trial %d: one-level window diverged before fresh key %d", trial, fresh)
 			}
 		}
@@ -918,9 +910,9 @@ func TestEstimatorUnmarshalRejectsUnreducedBin(t *testing.T) {
 		func() { e.singleRow[1] = e.p },
 		func() { _, row := e.rows.Oldest(); (*row)[0] = e.p + 5 },
 	} {
-		good := mustMarshal(t, e)
+		good := wiretest.MustMarshal(t, e)
 		poke()
-		if err := (&Estimator{}).UnmarshalBinary(mustMarshal(t, e)); err == nil {
+		if err := (&Estimator{}).UnmarshalBinary(wiretest.MustMarshal(t, e)); err == nil {
 			t.Fatal("accepted a bin at or above p")
 		}
 		if err := e.UnmarshalBinary(good); err != nil {

@@ -144,9 +144,10 @@ func (e *Estimator) newRow(int) *[]uint64 {
 	return &bins
 }
 
-func copyRow(bins *[]uint64) *[]uint64 {
-	c := append([]uint64(nil), *bins...)
-	return &c
+func copyRow(bins, dst *[]uint64) *[]uint64 {
+	dst = core.OrNew(dst)
+	*dst = append((*dst)[:0], *bins...)
+	return dst
 }
 
 // Update feeds one stream update: rough estimate, then the row window
@@ -396,18 +397,21 @@ func (e *Estimator) Merge(other *Estimator) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash functions and
-// multiplier vectors.
-func (e *Estimator) Clone() *Estimator {
+// CloneInto returns a deep copy sharing the (immutable) hash functions
+// and multiplier vectors, written into dst (nil: a new one), an earlier
+// copy nobody else holds.
+func (e *Estimator) CloneInto(dst *Estimator) *Estimator {
+	dst = core.OrNew(dst)
 	c := *e
-	c.final = e.final.Clone()
-	c.small = e.small.Clone()
-	c.singleRow = append([]uint64(nil), e.singleRow...)
+	c.final = e.final.CloneInto(dst.final)
+	c.small = e.small.CloneInto(dst.small)
+	c.singleRow = append(dst.singleRow[:0], e.singleRow...)
 	if e.rough != nil {
-		c.rough = e.rough.Clone()
+		c.rough = e.rough.CloneInto(dst.rough)
 	}
-	c.rows = e.rows.Clone(copyRow)
-	return &c
+	c.rows = e.rows.Clone(&dst.rows, copyRow)
+	*dst = c
+	return dst
 }
 
 // LiveRows reports the number of maintained rows.

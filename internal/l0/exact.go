@@ -276,11 +276,14 @@ func (e *ExactSmall) Merge(other *ExactSmall) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash function.
-func (e *ExactSmall) Clone() *ExactSmall {
+// CloneInto returns a deep copy sharing the (immutable) hash function,
+// written into dst (nil: a new one), an earlier copy nobody else holds.
+func (e *ExactSmall) CloneInto(dst *ExactSmall) *ExactSmall {
+	dst = core.OrNew(dst)
 	c := *e
-	c.counters.cells = slices.Clone(e.counters.cells)
-	return &c
+	c.counters.cells = append(dst.counters.cells[:0], e.counters.cells...)
+	*dst = c
+	return dst
 }
 
 // SpaceBits charges the occupied (bucket id, counter) pairs at their

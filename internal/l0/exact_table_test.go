@@ -156,7 +156,7 @@ func TestBucketTableMatchesMap(t *testing.T) {
 		if c > 1 && shards[0].counters.n <= c {
 			t.Fatalf("c=%d: the merged structure holds %d counters, want it past the promise bound", c, shards[0].counters.n)
 		}
-		clone := shards[0].Clone()
+		clone := shards[0].CloneInto(nil)
 		for n := 0; n < 2000; n++ {
 			step(0, uint64(2*c+2)) // mostly cancellations and refusals now
 		}

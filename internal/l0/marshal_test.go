@@ -50,7 +50,7 @@ func TestRoughF0MarshalRoundTrip(t *testing.T) {
 	if restored.Estimate() != r.Estimate() {
 		t.Fatalf("Estimate differs: %d vs %d", restored.Estimate(), r.Estimate())
 	}
-	if err := restored.Merge(r.Clone()); err != nil {
+	if err := restored.Merge(r.CloneInto(nil)); err != nil {
 		t.Fatalf("merge of restored RoughF0 rejected: %v", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestRoughL0MarshalRoundTrip(t *testing.T) {
 		if restored.LiveLevels() != r.LiveLevels() {
 			t.Fatalf("windowed=%v: LiveLevels differs", windowed)
 		}
-		if err := restored.Merge(r.Clone()); err != nil {
+		if err := restored.Merge(r.CloneInto(nil)); err != nil {
 			t.Fatalf("windowed=%v: merge of restored RoughL0 rejected: %v", windowed, err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestEstimatorMarshalRoundTrip(t *testing.T) {
 		if restored.Estimate() != e.Estimate() {
 			t.Fatalf("windowed=%v: post-restore ingest diverged", windowed)
 		}
-		if err := restored.Merge(e.Clone()); err != nil {
+		if err := restored.Merge(e.CloneInto(nil)); err != nil {
 			t.Fatalf("windowed=%v: merge of restored Estimator rejected: %v", windowed, err)
 		}
 	}

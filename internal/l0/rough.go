@@ -254,17 +254,22 @@ func (r *RoughF0) Merge(other *RoughF0) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash functions.
-func (r *RoughF0) Clone() *RoughF0 {
-	return &RoughF0{
+// CloneInto returns a deep copy sharing the (immutable) hash functions,
+// written into dst (nil: a new one), an earlier copy nobody else holds.
+func (r *RoughF0) CloneInto(dst *RoughF0) *RoughF0 {
+	if dst == nil || len(dst.pending) != len(r.bitmaps) {
+		dst = &RoughF0{pending: make([]uint64, len(r.bitmaps))}
+	}
+	*dst = RoughF0{
 		hs:      r.hs,
-		bitmaps: append([]uint64(nil), r.bitmaps...),
+		bitmaps: append(dst.bitmaps[:0], r.bitmaps...),
 		best:    r.best,
 		safety:  r.safety,
 		stale:   r.stale,
-		pending: make([]uint64, len(r.bitmaps)),
+		pending: dst.pending,
 		block:   r.block,
 	}
+	return dst
 }
 
 // SpaceBits charges the bitmaps and hash seeds: O(copies * log n).
@@ -425,21 +430,24 @@ func (r *RoughL0) Merge(other *RoughL0) error {
 			return err
 		}
 	}
-	if err := r.levels.Merge(&other.levels, (*ExactSmall).Merge, (*ExactSmall).Clone); err != nil {
+	if err := r.levels.Merge(&other.levels, (*ExactSmall).Merge, (*ExactSmall).CloneInto); err != nil {
 		return err
 	}
 	r.levels.Sync(r.rough, r.span, r.newLevel)
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash function.
-func (r *RoughL0) Clone() *RoughL0 {
+// CloneInto returns a deep copy sharing the (immutable) hash function,
+// written into dst (nil: a new one), an earlier copy nobody else holds.
+func (r *RoughL0) CloneInto(dst *RoughL0) *RoughL0 {
+	dst = core.OrNew(dst)
 	c := *r
 	if r.rough != nil {
-		c.rough = r.rough.Clone()
+		c.rough = r.rough.CloneInto(dst.rough)
 	}
-	c.levels = r.levels.Clone((*ExactSmall).Clone)
-	return &c
+	c.levels = r.levels.Clone(&dst.levels, (*ExactSmall).CloneInto)
+	*dst = c
+	return dst
 }
 
 // SpaceBits sums the live level structures, the level hash, and the

@@ -177,7 +177,7 @@ func (w *Window[T]) CutPlanned(rough *RoughF0, b *core.Batch, col []uint64,
 // with add, a level live only in other survives as a copy (and counts
 // as instantiated here). The window is left unsynced; the caller Syncs
 // at the merged estimate.
-func (w *Window[T]) Merge(other *Window[T], add func(dst, src *T) error, copy func(src *T) *T) error {
+func (w *Window[T]) Merge(other *Window[T], add func(dst, src *T) error, copy func(src, dst *T) *T) error {
 	for j := range other.Each {
 		if w.At(j) == nil {
 			w.ever.Put(j, instantiated)
@@ -194,10 +194,11 @@ func (w *Window[T]) Merge(other *Window[T], add func(dst, src *T) error, copy fu
 	return err
 }
 
-// Clone returns a copy of the window whose payloads are copy's.
-func (w *Window[T]) Clone(copy func(src *T) *T) Window[T] {
+// Clone returns a copy of the window whose payloads are copy's, written
+// into into's payloads (sample.Slots.Clone).
+func (w *Window[T]) Clone(into *Window[T], copy func(src, dst *T) *T) Window[T] {
 	c := *w
-	c.Slots = w.Slots.Clone(copy)
+	c.Slots = w.Slots.Clone(&into.Slots, copy)
 	return c
 }
 

@@ -20,7 +20,13 @@ type cell struct {
 	born, sum int64
 }
 
-func copyCell(c *cell) *cell { d := *c; return &d }
+func copyCell(c, dst *cell) *cell {
+	if dst == nil {
+		dst = new(cell)
+	}
+	*dst = *c
+	return dst
+}
 
 func addCell(dst, src *cell) error {
 	dst.sum += src.sum
@@ -113,7 +119,7 @@ func (r *refWindow) merge(o *refWindow, est int64) {
 		case c != nil:
 			_ = addCell(c, oc)
 		default:
-			r.levels[j] = copyCell(oc)
+			r.levels[j] = copyCell(oc, nil)
 			r.created[j] = true
 		}
 	}
@@ -128,7 +134,7 @@ func (r *refWindow) clone() *refWindow {
 	c.created = make(map[int]bool, len(r.created))
 	for j, rc := range r.levels {
 		if rc != nil {
-			c.levels[j] = copyCell(rc)
+			c.levels[j] = copyCell(rc, nil)
 		}
 	}
 	for j := range r.created {
@@ -330,6 +336,7 @@ func FuzzRoughWindowDifferential(f *testing.F) {
 			return sd
 		}
 		a, b := newSide(1), newSide(2)
+		var spare Window[cell] // a window nothing holds any more, and its payloads
 		newLevel := func(j int) *cell { return &cell{level: j, born: a.rough.Estimate()} }
 		// An item lands on one level, as the L0 structures route it, or on
 		// every level from there up, as the support sampler does.
@@ -444,13 +451,14 @@ func FuzzRoughWindowDifferential(f *testing.F) {
 					t.Fatalf("%s: reference refused the crafted list: %v", at, err)
 				}
 				a.w, a.ref = w, ref
-			case 7: // clone, then scribble on the original
+			case 7: // clone into the window dropped last time, then scribble on the original
 				old, oldRef := a.w, a.ref
-				a.w, a.ref = old.Clone(copyCell), oldRef.clone()
+				a.w, a.ref = old.Clone(&spare, copyCell), oldRef.clone()
 				for j, c := range old.Each {
 					c.sum = -1
 					oldRef.levels[j].sum = -2
 				}
+				spare = old
 			}
 			if a.rough.Estimate() != a.refRough.Estimate() {
 				t.Fatalf("%s: the two rough estimators disagree", at)

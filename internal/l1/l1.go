@@ -40,7 +40,7 @@ type Clock interface {
 	SpaceBits() int64
 	// Clone copies the clock state; the copy draws any randomness it
 	// needs from rng (snapshot support for merge-on-query).
-	Clone(rng *rand.Rand) Clock
+	Clone(rng *sample.Rand) Clock
 }
 
 // morrisClock adapts morris.Counter to Clock.
@@ -49,7 +49,7 @@ type morrisClock struct{ c *morris.Counter }
 func (m morrisClock) Advance(n int64)  { m.c.Add(n) }
 func (m morrisClock) Now() int64       { return m.c.Estimate() }
 func (m morrisClock) SpaceBits() int64 { return m.c.SpaceBits() }
-func (m morrisClock) Clone(rng *rand.Rand) Clock {
+func (m morrisClock) Clone(rng *sample.Rand) Clock {
 	return morrisClock{m.c.Clone(rng)}
 }
 
@@ -64,7 +64,7 @@ func (e *exactClock) Now() int64      { return e.t }
 func (e *exactClock) SpaceBits() int64 {
 	return int64(nt.BitsFor(uint64(e.max)))
 }
-func (e *exactClock) Clone(*rand.Rand) Clock {
+func (e *exactClock) Clone(*sample.Rand) Clock {
 	return &exactClock{t: e.t, max: e.max}
 }
 
@@ -73,7 +73,7 @@ type AlphaEstimator struct {
 	base  int64 // s = poly(alpha * log(n) / eps), laptop-scaled
 	clock Clock
 	win   *sample.Window[level]
-	rng   *rand.Rand
+	rng   *sample.Rand // shared with a Morris clock
 
 	maxCount int64
 	units    int64 // exact unit count, kept only for tests/metrics
@@ -84,7 +84,11 @@ type level struct{ pos, neg int64 }
 
 func newLevel(int) *level { return new(level) }
 
-func copyLevel(lv *level) *level { c := *lv; return &c }
+func copyLevel(lv, dst *level) *level {
+	dst = core.OrNew(dst)
+	*dst = *lv
+	return dst
+}
 
 // New builds the estimator with interval base s (the paper's
 // s = O(alpha^2 delta^-1 log^3(n) / eps^2); pass RecommendedBase for a
@@ -107,7 +111,7 @@ func newWithClock(rng *rand.Rand, base int64, clock Clock) *AlphaEstimator {
 		base:  base,
 		clock: clock,
 		win:   sample.NewWindow[level](base),
-		rng:   rng,
+		rng:   sample.Wrap(rng),
 	}
 }
 
@@ -154,7 +158,7 @@ func (a *AlphaEstimator) Update(i uint64, delta int64) {
 		for j, lv := range a.win.Each {
 			cnt := chunk
 			if j > 0 {
-				cnt = sample.Binomial(a.rng, chunk, 1/float64(sample.Pow(a.base, j)))
+				cnt = sample.Binomial(a.rng.Get(), chunk, 1/float64(sample.Pow(a.base, j)))
 			}
 			if cnt == 0 {
 				continue
@@ -197,7 +201,7 @@ func (a *AlphaEstimator) UpdateColumns(b *core.Batch) {
 			}
 		}
 		for k, lv := range lvs[:n] {
-			if rate[k] < 1 && sample.Binomial(a.rng, 1, rate[k]) == 0 {
+			if rate[k] < 1 && sample.Binomial(a.rng.Get(), 1, rate[k]) == 0 {
 				continue
 			}
 			c := &lv.pos
@@ -235,17 +239,20 @@ func (a *AlphaEstimator) Merge(other *AlphaEstimator) error {
 	return nil
 }
 
-// Clone returns a deep copy with a fresh rng stream.
-func (a *AlphaEstimator) Clone() *AlphaEstimator {
-	rng := rand.New(rand.NewSource(a.rng.Int63()))
-	return &AlphaEstimator{
+// CloneInto returns a deep copy written into dst (nil: a new one), an earlier
+// copy nobody else holds, whose rng stream one draw of a's seeds lazily.
+func (a *AlphaEstimator) CloneInto(dst *AlphaEstimator) *AlphaEstimator {
+	dst = core.OrNew(dst)
+	rng := sample.Seeded(a.rng.Get().Int63())
+	*dst = AlphaEstimator{
 		base:     a.base,
 		clock:    a.clock.Clone(rng),
-		win:      a.win.Clone(copyLevel),
+		win:      a.win.CloneInto(dst.win, copyLevel),
 		rng:      rng,
 		maxCount: a.maxCount,
 		units:    a.units,
 	}
+	return dst
 }
 
 // Estimate returns the scaled difference s^{j*} (c+ - c-) of the oldest

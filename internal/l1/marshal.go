@@ -2,7 +2,6 @@ package l1
 
 import (
 	"errors"
-	"math/rand"
 
 	"repro/internal/morris"
 	"repro/internal/sample"
@@ -61,7 +60,7 @@ func (a *AlphaEstimator) UnmarshalBinary(data []byte) error {
 		return errors.New("l1: unsupported AlphaEstimator format version")
 	}
 	base := rd.I64()
-	rng := rand.New(rand.NewSource(wire.Seed(data)))
+	rng := sample.Seeded(wire.Seed(data))
 	var clock Clock
 	switch tag := rd.U8(); tag {
 	case clockMorris:

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/sample"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -76,4 +78,39 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 		}
 		wiretest.CheckAppend(t, a)
 	}
+}
+
+// TestCopiesSeedTheirGeneratorLazily: a CloneInto or UnmarshalBinary of
+// an estimator with sampled levels live builds no generator until the
+// copy draws, and then the one it was seeded with — updating a copy
+// seeded late and one seeded at once leaves equal bytes.
+func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
+	build := func() *AlphaEstimator {
+		a := New(rand.New(rand.NewSource(5)), 4)
+		for _, u := range wiretest.SignedUnits(3000, true) {
+			a.Update(u.Index, u.Delta)
+		}
+		return a
+	}
+	blob := wiretest.MustMarshal(t, build())
+	restore := func() *AlphaEstimator {
+		a := new(AlphaEstimator)
+		if err := a.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	seed := func(a *AlphaEstimator) { a.rng.Get() }
+	work := func(a *AlphaEstimator) {
+		for _, u := range wiretest.SignedUnits(3000, false) {
+			a.Update(u.Index, u.Delta)
+		}
+	}
+	// A generator built at once from the word a copy drew: the source's
+	// next, or the payload's hash.
+	seedWith := func(w int64) func(*AlphaEstimator) {
+		return func(a *AlphaEstimator) { *a.rng = *sample.Wrap(rand.New(rand.NewSource(w))) }
+	}
+	wiretest.CheckLazySeeding(t, "CloneInto", func() *AlphaEstimator { return build().CloneInto(nil) }, seed, seedWith(build().rng.Get().Int63()), work)
+	wiretest.CheckLazySeeding(t, "UnmarshalBinary", restore, seed, seedWith(wire.Seed(blob)), work)
 }

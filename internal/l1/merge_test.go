@@ -93,7 +93,7 @@ func TestCloneIsolated(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.Update(uint64(i), 1)
 	}
-	c := a.Clone()
+	c := a.CloneInto(nil)
 	for i := 0; i < 500; i++ {
 		c.Update(uint64(i), 1)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/stream"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 func liveSet(a *AlphaEstimator) []int {
@@ -21,15 +22,6 @@ func liveSet(a *AlphaEstimator) []int {
 	return js
 }
 
-func mustMarshal(t *testing.T, a *AlphaEstimator) []byte {
-	t.Helper()
-	data, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func restore(t *testing.T, data []byte) *AlphaEstimator {
 	t.Helper()
 	a := &AlphaEstimator{}
@@ -37,23 +29,6 @@ func restore(t *testing.T, data []byte) *AlphaEstimator {
 		t.Fatal(err)
 	}
 	return a
-}
-
-// signedUnits is a strict-turnstile-shaped update sequence: mostly
-// insertions, every fifth a deletion, magnitudes 1 (unit) or 1..7.
-func signedUnits(n int, multi bool) []stream.Update {
-	us := make([]stream.Update, n)
-	for i := range us {
-		d := int64(1)
-		if multi {
-			d += int64(i % 7)
-		}
-		if i%5 == 4 {
-			d = -d
-		}
-		us[i] = stream.Update{Index: uint64(i % 97), Delta: d}
-	}
-	return us
 }
 
 // TestSameSeedSameBytes: equal seed and equal update sequence leave
@@ -67,7 +42,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 	for _, base := range []int64{4, 16} {
 		for clock, build := range builders {
 			for _, multi := range []bool{false, true} {
-				us := signedUnits(6000, multi)
+				us := wiretest.SignedUnits(6000, multi)
 				run := func(mode string) *AlphaEstimator {
 					a := build(rand.New(rand.NewSource(7)), base)
 					for off := 0; off < len(us); off += 500 {
@@ -80,27 +55,27 @@ func TestSameSeedSameBytes(t *testing.T) {
 							}
 						}
 						if mode == "restored" && off == 2500 {
-							a = restore(t, mustMarshal(t, a))
+							a = restore(t, wiretest.MustMarshal(t, a))
 						}
 					}
 					return a
 				}
 				name := fmt.Sprintf("base %d %s multi=%v", base, clock, multi)
 				item := run("item")
-				want := mustMarshal(t, item)
+				want := wiretest.MustMarshal(t, item)
 				if js := liveSet(item); len(js) != 2 || js[0] < 1 {
 					t.Fatalf("%s: live levels %v; the test must end with two sampled levels", name, js)
 				}
 				for rep := 0; rep < 4; rep++ {
-					if !bytes.Equal(mustMarshal(t, run("item")), want) {
+					if !bytes.Equal(wiretest.MustMarshal(t, run("item")), want) {
 						t.Fatalf("%s: two same-seed per-item runs marshal differently", name)
 					}
 				}
-				if !bytes.Equal(mustMarshal(t, run("columns")), want) {
+				if !bytes.Equal(wiretest.MustMarshal(t, run("columns")), want) {
 					t.Fatalf("%s: UpdateColumns state differs from per-item state", name)
 				}
 				restored := run("restored")
-				if !bytes.Equal(mustMarshal(t, run("restored")), mustMarshal(t, restored)) {
+				if !bytes.Equal(wiretest.MustMarshal(t, run("restored")), wiretest.MustMarshal(t, restored)) {
 					t.Fatalf("%s: two runs restored in mid-stream marshal differently", name)
 				}
 				// A restore reseeds the rng, so counters may differ from the
@@ -118,17 +93,17 @@ func TestSameSeedSameBytes(t *testing.T) {
 // live nothing is drawn, so a run restored in mid-stream ends at the
 // never-marshalled run's bytes.
 func TestRestoreMidStreamExactInLevelZeroRegime(t *testing.T) {
-	us := signedUnits(4000, true)
+	us := wiretest.SignedUnits(4000, true)
 	whole := NewExactClock(rand.New(rand.NewSource(3)), 1<<30)
 	cut := NewExactClock(rand.New(rand.NewSource(3)), 1<<30)
 	for i, u := range us {
 		whole.Update(u.Index, u.Delta)
 		cut.Update(u.Index, u.Delta)
 		if i == 1234 {
-			cut = restore(t, mustMarshal(t, cut))
+			cut = restore(t, wiretest.MustMarshal(t, cut))
 		}
 	}
-	if !bytes.Equal(mustMarshal(t, cut), mustMarshal(t, whole)) {
+	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
 		t.Fatal("restored-in-mid-stream bytes differ from the never-marshalled run")
 	}
 }
@@ -140,7 +115,7 @@ func TestMergeTwoSampledLevels(t *testing.T) {
 	const base = 4
 	build := func(seed int64, units int) *AlphaEstimator {
 		a := NewExactClock(rand.New(rand.NewSource(seed)), base)
-		for _, u := range signedUnits(units, false) {
+		for _, u := range wiretest.SignedUnits(units, false) {
 			a.Update(u.Index, u.Delta)
 		}
 		return a
@@ -153,7 +128,7 @@ func TestMergeTwoSampledLevels(t *testing.T) {
 				before[j] = level{before[j].pos + lv.pos, before[j].neg + lv.neg}
 			}
 		}
-		ab, ba := a.Clone(), b.Clone()
+		ab, ba := a.CloneInto(nil), b.CloneInto(nil)
 		if err := ab.Merge(b); err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +144,7 @@ func TestMergeTwoSampledLevels(t *testing.T) {
 				t.Fatalf("%d+%d units: level %d holds %+v, inputs sum to %+v", tc.na, tc.nb, j, *lv, before[j])
 			}
 		}
-		if !bytes.Equal(mustMarshal(t, ab), mustMarshal(t, ba)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, ab), wiretest.MustMarshal(t, ba)) {
 			t.Fatalf("%d+%d units: a+b and b+a marshal differently", tc.na, tc.nb)
 		}
 		again := build(1, tc.na)
@@ -184,7 +159,7 @@ func TestMergeTwoSampledLevels(t *testing.T) {
 			again.Update(i, 1)
 			twice.Update(i, 1)
 		}
-		if !bytes.Equal(mustMarshal(t, again), mustMarshal(t, twice)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, again), wiretest.MustMarshal(t, twice)) {
 			t.Fatalf("%d+%d units: the same merge twice, then the same updates, marshals differently", tc.na, tc.nb)
 		}
 	}
@@ -241,7 +216,7 @@ func TestCraftedLevelLists(t *testing.T) {
 		if got := a.Estimate(); got != tc.estimate {
 			t.Errorf("%s: estimate %v, want %v from the oldest listed level", name, got, tc.estimate)
 		}
-		if !bytes.Equal(mustMarshal(t, a), craft(base, tc.pos, tc.canonical...)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, a), craft(base, tc.pos, tc.canonical...)) {
 			t.Errorf("%s: re-marshal is not the ascending encoding", name)
 		}
 		listed := map[int][3]int64{}
@@ -329,17 +304,17 @@ func TestUpdateColumnsLockstep(t *testing.T) {
 					}
 				}
 				core.UpdateBatch(col.UpdateColumns, us)
-				if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, col)) {
+				if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, col)) {
 					t.Fatalf("base %d %s round %d: column state differs from per-item state", base, clock, round)
 				}
-				if item.rng.Int63() != col.rng.Int63() {
+				if item.rng.Get().Int63() != col.rng.Get().Int63() {
 					t.Fatalf("base %d %s round %d: next rng word differs", base, clock, round)
 				}
 				if js := liveSet(item); len(js) == 2 && js[0] >= 1 {
 					sampledLevels = max(sampledLevels, js[1])
 				}
 				if round == 40 {
-					item, col = restore(t, mustMarshal(t, item)), restore(t, mustMarshal(t, col))
+					item, col = restore(t, wiretest.MustMarshal(t, item)), restore(t, wiretest.MustMarshal(t, col))
 				}
 			}
 			if sampledLevels < 2 {

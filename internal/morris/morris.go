@@ -16,19 +16,20 @@ import (
 	"math/rand"
 
 	"repro/internal/nt"
+	"repro/internal/sample"
 )
 
 // Counter is a single Morris counter. The zero value is not usable;
 // construct with New.
 type Counter struct {
-	rng *rand.Rand
+	rng *sample.Rand
 	v   uint8 // the exponent; 2^v - 1 estimates the count, v <= 64
 	max uint8 // tracked maximum of v, for space accounting
 }
 
 // New returns a fresh Morris counter drawing randomness from rng.
 func New(rng *rand.Rand) *Counter {
-	return &Counter{rng: rng}
+	return &Counter{rng: sample.Wrap(rng)}
 }
 
 // Increment registers one event: v increases with probability 2^-v.
@@ -36,7 +37,7 @@ func (c *Counter) Increment() {
 	if c.v >= 63 {
 		return // saturated; beyond any stream this library produces
 	}
-	if c.rng.Uint64()&((1<<uint(c.v))-1) == 0 {
+	if c.rng.Get().Uint64()&((1<<uint(c.v))-1) == 0 {
 		c.v++
 		if c.v > c.max {
 			c.max = c.v
@@ -73,7 +74,7 @@ func (c *Counter) Add(n int64) {
 			n--
 			continue
 		}
-		u := c.rng.Float64()
+		u := c.rng.Get().Float64()
 		if n == 1 && int(c.v) < len(unitMiss) && u < unitMiss[c.v] {
 			return
 		}
@@ -105,7 +106,7 @@ func (c *Counter) Estimate() int64 {
 
 // Clone returns a copy of the counter state drawing randomness from
 // rng — the snapshot primitive for structures that embed a Morris clock.
-func (c *Counter) Clone(rng *rand.Rand) *Counter {
+func (c *Counter) Clone(rng *sample.Rand) *Counter {
 	return &Counter{rng: rng, v: c.v, max: c.max}
 }
 
@@ -119,7 +120,7 @@ func (c *Counter) State() (v, max uint8) { return c.v, c.max }
 
 // Restore rebuilds a counter from serialized State, drawing future
 // randomness from rng.
-func Restore(rng *rand.Rand, v, max uint8) *Counter {
+func Restore(rng *sample.Rand, v, max uint8) *Counter {
 	return &Counter{rng: rng, v: v, max: max}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sample"
 )
 
 // TestUnbiased verifies E[2^v - 1] = t for the single counter.
@@ -158,7 +160,7 @@ func (onesSource) Seed(int64)   {}
 // geometric gap of about 4e19 events, past int64. No success can fall
 // within 1000 events, so the exponent must stand still.
 func TestAddGapBeyondInt64(t *testing.T) {
-	c := Restore(rand.New(onesSource{}), 60, 60)
+	c := Restore(sample.Wrap(rand.New(onesSource{})), 60, 60)
 	c.Add(1000)
 	if got := c.Exponent(); got != 60 {
 		t.Fatalf("exponent after Add(1000) at v=60 is %d, want 60", got)
@@ -179,7 +181,7 @@ func referenceAdd(c *Counter, n int64) {
 			continue
 		}
 		p := math.Ldexp(1, -int(c.v))
-		u := c.rng.Float64()
+		u := c.rng.Get().Float64()
 		if u == 0 {
 			u = math.SmallestNonzeroFloat64
 		}
@@ -244,7 +246,7 @@ func TestAddUnitFastPathMatchesReference(t *testing.T) {
 			// A second value stands behind the first so that a wrong
 			// extra draw shows up as a difference, not as a panic.
 			fastSrc, refSrc := &scriptSource{vals: []int64{k << 10, 1}}, &scriptSource{vals: []int64{k << 10, 1}}
-			fast, ref := Restore(rand.New(fastSrc), v, v), Restore(rand.New(refSrc), v, v)
+			fast, ref := Restore(sample.Wrap(rand.New(fastSrc)), v, v), Restore(sample.Wrap(rand.New(refSrc)), v, v)
 			fast.Add(1)
 			referenceAdd(ref, 1)
 			if fast.v != ref.v || fast.max != ref.max || fastSrc.next != refSrc.next {

@@ -469,8 +469,9 @@ func (a *Aggregator) mergedView() (map[engine.Structures]bounded.Sketch, error) 
 
 	// Merge outside the state lock: stored sketches are immutable and
 	// Merge only reads its argument, so a build copies one accumulator
-	// per kind. A commit racing this build just tags the cache with the
-	// pre-commit version, forcing a rebuild on the next query.
+	// per kind, into the previous view's (nothing reads it outside qmu).
+	// A commit racing this build just tags the cache with the pre-commit
+	// version, forcing a rebuild on the next query.
 	start := obs.Now()
 	halvings := csss.DispatchStats().Halvings
 	view := make(map[engine.Structures]bounded.Sketch)
@@ -482,7 +483,7 @@ func (a *Aggregator) mergedView() (map[engine.Structures]bounded.Sketch, error) 
 				continue
 			}
 			if acc == nil {
-				acc = sk.Clone()
+				acc = sk.CloneInto(a.view[bit])
 			} else if err := acc.Merge(sk); err != nil {
 				return nil, fmt.Errorf("netagg: merging %T: %w", sk, err)
 			}

@@ -85,21 +85,23 @@ func (s *Slots[T]) Len() int {
 // with add, a level live only in other survives as a copy. The driver
 // then syncs, which prunes what the merged stream's schedule no longer
 // holds.
-func (s *Slots[T]) Merge(other *Slots[T], add func(dst, src *T), copy func(src *T) *T) {
+func (s *Slots[T]) Merge(other *Slots[T], add func(dst, src *T), copy func(src, dst *T) *T) {
 	for j, ov := range other.Each {
 		if v := s.slots[j]; v != nil {
 			add(v, ov)
 		} else {
-			s.Put(j, copy(ov))
+			s.Put(j, copy(ov, nil))
 		}
 	}
 }
 
-// Clone returns a copy of the set whose payloads are copy's.
-func (s *Slots[T]) Clone(copy func(src *T) *T) Slots[T] {
+// Clone returns a copy of the set whose payloads are copy's. copy(src,
+// dst) may write into dst, into's payload at the same level (nil where
+// into holds none), which the caller owns and gives up.
+func (s *Slots[T]) Clone(into *Slots[T], copy func(src, dst *T) *T) Slots[T] {
 	c := *s
 	for j, v := range s.Each {
-		c.slots[j] = copy(v)
+		c.slots[j] = copy(v, into.slots[j])
 	}
 	return c
 }

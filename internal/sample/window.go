@@ -116,14 +116,19 @@ func Thin(rng *rand.Rand, run, denom int64) int64 {
 // Merge folds other's levels into w (Slots.Merge: both sides of a shared
 // level sampled at rate s^-j, so add sums them). The caller then Syncs
 // at the combined position.
-func (w *Window[T]) Merge(other *Window[T], add func(dst, src *T), copy func(src *T) *T) {
+func (w *Window[T]) Merge(other *Window[T], add func(dst, src *T), copy func(src, dst *T) *T) {
 	w.Slots.Merge(&other.Slots, add, copy)
 	w.from, w.last = 1, 0
 }
 
-// Clone returns a copy of the window whose payloads are copy's.
-func (w *Window[T]) Clone(copy func(src *T) *T) *Window[T] {
-	return &Window[T]{Slots: w.Slots.Clone(copy), base: w.base, from: w.from, last: w.last}
+// CloneInto returns a copy of the window whose payloads are copy's,
+// written into dst (nil: a new window) and its payloads (Slots.Clone).
+func (w *Window[T]) CloneInto(dst *Window[T], copy func(src, dst *T) *T) *Window[T] {
+	if dst == nil {
+		dst = new(Window[T])
+	}
+	*dst = Window[T]{Slots: w.Slots.Clone(&dst.Slots, copy), base: w.base, from: w.from, last: w.last}
+	return dst
 }
 
 // ReadLevels restores a window over interval base s >= 2 from a

@@ -15,7 +15,13 @@ import (
 // been fed since.
 type cell struct{ born, sum int64 }
 
-func copyCell(c *cell) *cell { d := *c; return &d }
+func copyCell(c, dst *cell) *cell {
+	if dst == nil {
+		dst = new(cell)
+	}
+	*dst = *c
+	return dst
+}
 
 func addCell(dst, src *cell) {
 	dst.sum += src.sum
@@ -53,7 +59,7 @@ func (r *refWindow) merge(o *refWindow) {
 		if c := r.levels[j]; c != nil {
 			addCell(c, oc)
 		} else {
-			r.levels[j] = copyCell(oc)
+			r.levels[j] = copyCell(oc, nil)
 		}
 	}
 }
@@ -248,6 +254,7 @@ func FuzzWindowDifferential(f *testing.F) {
 		}
 		a := &pair{w: NewWindow[cell](base), ref: newRefWindow(base)}
 		b := &pair{w: NewWindow[cell](base), ref: newRefWindow(base)}
+		var spare *Window[cell] // a window nothing holds any more, and its payloads
 		fresh := func(int) *cell { return &cell{born: a.pos} }
 		for pc := 0; pc+1 < len(prog); pc += 2 {
 			op, arg := prog[pc], prog[pc+1]
@@ -315,12 +322,13 @@ func FuzzWindowDifferential(f *testing.F) {
 					t.Fatalf("%s: crafted list refused: %v", at, err)
 				}
 				a.w, a.ref = w, craft
-			case 7: // clone, then scribble on the original; jump back
+			case 7: // clone into the window dropped last time, then scribble on the original; jump back
 				old := a.w
-				a.w = a.w.Clone(copyCell)
+				a.w = a.w.CloneInto(spare, copyCell)
 				for _, c := range old.Each {
 					c.sum = -1
 				}
+				spare = old
 				a.pos = int64(arg)
 				a.w.Sync(a.pos, fresh)
 				a.ref.sync(a.pos)

@@ -34,7 +34,7 @@ func TestSamplerMarshalRoundTrip(t *testing.T) {
 			t.Errorf("general=%v: SpaceBits differs", general)
 		}
 		// The restored sampler merges where a clone would.
-		if err := restored.Merge(s.Clone()); err != nil {
+		if err := restored.Merge(s.CloneInto(nil)); err != nil {
 			t.Fatalf("general=%v: merge of restored sampler rejected: %v", general, err)
 		}
 	}

@@ -81,7 +81,7 @@ func TestSamplerCloneIsolated(t *testing.T) {
 	p := Params{N: 64, Eps: 0.25, Alpha: 2, S: 1 << 12}
 	a := New(rand.New(rand.NewSource(3)), p, 4)
 	a.Update(5, 10)
-	c := a.Clone()
+	c := a.CloneInto(nil)
 	for i := 0; i < 100; i++ {
 		c.Update(uint64(i%64), 1)
 	}

@@ -328,25 +328,17 @@ func (in *instance) merge(other *instance, r *topk.Refresher[float64], b *core.B
 	return r.Merge(in.trk, other.trk, b, in.te.CS1)
 }
 
-// clone returns a deep copy of the instance.
-func (in *instance) clone() *instance {
-	c := &instance{
-		p:       in.p,
-		tHash:   in.tHash,
-		te:      in.te.Clone(),
-		trk:     in.trk.Clone(),
-		r:       in.r,
-		q:       in.q,
-		maxR:    in.maxR,
-		epsPrim: in.epsPrim,
-		logN:    in.logN,
-		qFP:     in.qFP,
-	}
+// cloneInto returns a deep copy of the instance written into dst (nil: a
+// new one).
+func (in *instance) cloneInto(dst *instance) *instance {
+	dst = core.OrNew(dst)
+	c := *in
+	c.te, c.trk = in.te.CloneInto(dst.te), in.trk.CloneInto(dst.trk)
 	if in.rSketch != nil {
-		c.rSketch = in.rSketch.Clone()
-		c.qSketch = in.qSketch.Clone()
+		c.rSketch, c.qSketch = in.rSketch.CloneInto(dst.rSketch), in.qSketch.CloneInto(dst.qSketch)
 	}
-	return c
+	*dst = c
+	return dst
 }
 
 // Merge folds another Sampler built from the same seed into this one,
@@ -369,13 +361,16 @@ func (s *Sampler) Merge(other *Sampler) error {
 	return nil
 }
 
-// Clone returns a deep copy (snapshot) of all instances.
-func (s *Sampler) Clone() *Sampler {
-	c := &Sampler{instances: make([]*instance, len(s.instances))}
-	for i, in := range s.instances {
-		c.instances[i] = in.clone()
+// CloneInto returns a deep copy (snapshot) of all instances written into
+// dst (nil: a new one), an earlier copy nobody else holds.
+func (s *Sampler) CloneInto(dst *Sampler) *Sampler {
+	if dst == nil || len(dst.instances) != len(s.instances) {
+		dst = &Sampler{instances: make([]*instance, len(s.instances))}
 	}
-	return c
+	for i, in := range s.instances {
+		dst.instances[i] = in.cloneInto(dst.instances[i])
+	}
+	return dst
 }
 
 // Sample returns the first non-FAIL instance's output; ok is false when

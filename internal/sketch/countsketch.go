@@ -291,14 +291,15 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing the hash functions.
-func (cs *CountSketch) Clone() *CountSketch {
-	c := NewCountSketchWithBuckets(cs.buckets)
-	for r := range cs.table {
-		copy(c.table[r], cs.table[r])
+// CloneInto returns a deep copy sharing the hash functions, written into
+// dst (nil: a new one), an earlier copy nobody else holds.
+func (cs *CountSketch) CloneInto(dst *CountSketch) *CountSketch {
+	if dst == nil || dst.buckets != cs.buckets {
+		dst = NewCountSketchWithBuckets(cs.buckets)
 	}
-	c.mass = cs.mass
-	return c
+	copy(dst.flat, cs.flat)
+	dst.mass = cs.mass
+	return dst
 }
 
 // MaxAbs returns the largest |counter| currently held — a diagnostic,

@@ -70,7 +70,7 @@ func TestCountSketchMergeRejectsDifferentSeeds(t *testing.T) {
 func TestCountSketchCloneIsolated(t *testing.T) {
 	cs := NewCountSketch(rand.New(rand.NewSource(5)), 5, 64)
 	cs.Update(10, 3)
-	c := cs.Clone()
+	c := cs.CloneInto(nil)
 	c.Update(10, 40)
 	if cs.Query(10) == c.Query(10) {
 		t.Fatal("clone mutation leaked into the original")

@@ -82,7 +82,7 @@ func TestCountSketchLinearity(t *testing.T) {
 	vc := stream.Vector{2: 7, 9: 1}
 	feedVector(a, va)
 	feedVector(c, vc)
-	sum := a.Clone()
+	sum := a.CloneInto(nil)
 	sum.Add(c)
 	// sum should equal a sketch of va+vc.
 	direct := NewCountSketchWithBuckets(b)

@@ -39,7 +39,7 @@ func (r *Recovery) remove(x uint64, count int64) {
 // inverted with the generic nt.PowMod. peels counts the singletons it
 // removed, whatever the verdict.
 func referencePeel(r *Recovery) (vec map[uint64]int64, peels int, err error) {
-	work := r.Clone()
+	work := r.CloneInto(nil)
 	recovered := make(map[uint64]int64)
 	for progress := true; progress; {
 		progress = false
@@ -314,7 +314,7 @@ func TestDecodeIsReadOnly(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r.Update(uint64(rng.Int63n(1<<32)), 1+rng.Int63n(9))
 	}
-	dense := r.Clone()
+	dense := r.CloneInto(nil)
 	for i := 0; i < 500; i++ {
 		dense.Update(uint64(rng.Int63n(1<<32)), 1)
 	}
@@ -363,7 +363,7 @@ func TestDecodeCounters(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		sparse.Update(uint64(i)*977, 2)
 	}
-	dense := sparse.Clone()
+	dense := sparse.CloneInto(nil)
 	for i := 0; i < 60; i++ {
 		dense.Update(uint64(rng.Int63n(1<<32)), 1)
 	}

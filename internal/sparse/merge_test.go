@@ -68,7 +68,7 @@ func TestMergeRejectsMismatches(t *testing.T) {
 func TestCloneIsolated(t *testing.T) {
 	r := NewRecovery(rand.New(rand.NewSource(3)), 8, 1<<10)
 	r.Update(5, 2)
-	c := r.Clone()
+	c := r.CloneInto(nil)
 	c.Update(6, 3)
 	got, err := r.Decode()
 	if err != nil {

@@ -105,7 +105,7 @@ func (r *Recovery) Update(x uint64, delta int64) {
 // Entry is one update with every hash-derived quantity evaluated: the
 // three cell indices and the two field terms its cells accumulate. An
 // entry depends only on the hash functions, so one entry serves every
-// sketch that shares them (Sibling, Clone) — the support sampler builds
+// sketch that shares them (Sibling, CloneInto) — the support sampler builds
 // an update's entry once and applies it to each of its live levels.
 type Entry struct {
 	delta   int64
@@ -268,12 +268,14 @@ func (r *Recovery) Merge(other *Recovery) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash functions.
-func (r *Recovery) Clone() *Recovery {
-	c := r.Sibling()
-	copy(c.cells, r.cells)
-	c.maxCount = r.maxCount
-	return c
+// CloneInto returns a deep copy sharing the (immutable) hash functions,
+// written into dst (nil: a new one), an earlier copy nobody else holds.
+func (r *Recovery) CloneInto(dst *Recovery) *Recovery {
+	dst = core.OrNew(dst)
+	c := *r
+	c.cells = append(dst.cells[:0], r.cells...)
+	*dst = c
+	return dst
 }
 
 // Sibling returns an empty sketch sharing hash functions and dimensions,

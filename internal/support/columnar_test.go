@@ -12,6 +12,7 @@ import (
 	"repro/internal/l0"
 	"repro/internal/obs"
 	"repro/internal/stream"
+	"repro/internal/wire/wiretest"
 )
 
 // Differentials for the windowed ingest path: UpdateColumns must leave
@@ -67,18 +68,9 @@ func cutter(rng *rand.Rand, size int) func() int {
 	}
 }
 
-func mustMarshal(t testing.TB, sp *Sampler) []byte {
-	t.Helper()
-	data, err := sp.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func checkSamplers(t testing.TB, item, cols *Sampler, where string) {
 	t.Helper()
-	if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+	if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, cols)) {
 		t.Fatalf("%s: MarshalBinary differs (live levels %d vs %d, R_t %d vs %d)", where,
 			item.LiveLevels(), cols.LiveLevels(), item.rough.Estimate(), cols.rough.Estimate())
 	}
@@ -172,7 +164,7 @@ func TestUpdateColumnsAfterRestore(t *testing.T) {
 		third := len(us) / 3
 		orig, _ := samplerPair(Params{N: n, K: 4, SparsityFactor: 2, Windowed: windowed, Window: 3})
 		core.UpdateBatch(orig.UpdateColumns, us[:third])
-		blob := mustMarshal(t, orig)
+		blob := wiretest.MustMarshal(t, orig)
 		item, cols := &Sampler{}, &Sampler{}
 		for _, sp := range []*Sampler{item, cols} {
 			if err := sp.UnmarshalBinary(blob); err != nil {
@@ -204,7 +196,7 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 		},
 		"lagging-running-max": func(sp *Sampler) {
 			stale := &Sampler{}
-			if err := stale.UnmarshalBinary(mustMarshal(t, NewSampler(rand.New(rand.NewSource(41)), sp.params))); err != nil {
+			if err := stale.UnmarshalBinary(wiretest.MustMarshal(t, NewSampler(rand.New(rand.NewSource(41)), sp.params))); err != nil {
 				t.Fatal(err)
 			}
 			// The untouched twin's rough estimator (running max 0) under
@@ -218,7 +210,7 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 				src, _ := samplerPair(Params{N: n, K: 4, SparsityFactor: 2, Windowed: true, Window: 3})
 				core.UpdateBatch(src.UpdateColumns, us[:len(us)/3])
 				craft(src)
-				blob := mustMarshal(t, src)
+				blob := wiretest.MustMarshal(t, src)
 				item, cols := &Sampler{}, &Sampler{}
 				for _, sp := range []*Sampler{item, cols} {
 					if err := sp.UnmarshalBinary(blob); err != nil {
@@ -253,7 +245,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 		if sp.rough.Estimate() != before {
 			moves++
 		}
-		state := mustMarshal(t, sp)
+		state := wiretest.MustMarshal(t, sp)
 		// A restored window has forgotten what it was synced at, so this
 		// Sync runs in full.
 		full := &Sampler{}
@@ -261,7 +253,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		full.levels.Sync(full.rough, full.span, full.newLevel)
-		if !bytes.Equal(state, mustMarshal(t, full)) {
+		if !bytes.Equal(state, wiretest.MustMarshal(t, full)) {
 			t.Fatalf("sync after update of key %d changed the state", u.Index)
 		}
 	}
@@ -280,11 +272,11 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 func TestCloneLeavesSourceUntouched(t *testing.T) {
 	sp, _ := samplerPair(Params{N: 1 << 20, K: 4, Windowed: true, Window: 3})
 	core.UpdateBatch(sp.UpdateColumns, burstStream(rand.New(rand.NewSource(1)), 1<<20, 5, 40, 50))
-	before := mustMarshal(t, sp)
+	before := wiretest.MustMarshal(t, sp)
 	done := make(chan []byte)
 	for g := 0; g < 4; g++ {
 		go func() {
-			data, err := sp.Clone().MarshalBinary()
+			data, err := sp.CloneInto(nil).MarshalBinary()
 			if err != nil {
 				t.Error(err)
 			}
@@ -296,7 +288,7 @@ func TestCloneLeavesSourceUntouched(t *testing.T) {
 			t.Error("clone differs from its source")
 		}
 	}
-	if !bytes.Equal(before, mustMarshal(t, sp)) {
+	if !bytes.Equal(before, wiretest.MustMarshal(t, sp)) {
 		t.Fatal("Clone changed its source")
 	}
 }
@@ -372,7 +364,7 @@ func BenchmarkUpdateColumns(b *testing.B) {
 						batch.Append(uint64(i)*0x9E3779B97F4A7C15%n, 1)
 					}
 					warm.UpdateColumns(batch)
-					sp, fresh := warm.Clone(), uint64(warmKeys)
+					sp, fresh := warm.CloneInto(nil), uint64(warmKeys)
 					fill := func() {
 						batch.Reset()
 						for j := 0; j < size; j++ {
@@ -396,7 +388,7 @@ func BenchmarkUpdateColumns(b *testing.B) {
 							b.StopTimer()
 							if i%64 == 0 {
 								moved = moved || sp.rough.Estimate() != rt
-								sp, fresh = warm.Clone(), uint64(warmKeys)
+								sp, fresh = warm.CloneInto(nil), uint64(warmKeys)
 							}
 							fill()
 							b.StartTimer()
@@ -439,7 +431,7 @@ func raiserWalk(t testing.TB, shadow *l0.RoughF0, next *uint64, n uint64, feed b
 	for try := 0; try < 1<<16; try++ {
 		*next++
 		k := *next * 0x9E3779B97F4A7C15 % n
-		if shadow.Clone().Update(k) {
+		if shadow.CloneInto(nil).Update(k) {
 			if feed {
 				shadow.Update(k)
 			}
@@ -472,10 +464,10 @@ func TestUpdateColumnsDirectedCases(t *testing.T) {
 		// A restored twin whose rough estimator is an untouched one (its
 		// running max 0 under the fed twin's levels): unsynced, and every
 		// level out of place until the first key of the first batch.
-		lagging := warm.Clone()
-		lagging.rough = cold.rough.Clone()
+		lagging := warm.CloneInto(nil)
+		lagging.rough = cold.rough.CloneInto(nil)
 		restored := &Sampler{}
-		if err := restored.UnmarshalBinary(mustMarshal(t, lagging)); err != nil {
+		if err := restored.UnmarshalBinary(wiretest.MustMarshal(t, lagging)); err != nil {
 			t.Fatal(err)
 		}
 		var next uint64
@@ -568,8 +560,8 @@ func TestUpdateColumnsDirectedCases(t *testing.T) {
 		}
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("windowed=%v/%s", windowed, c.name), func(t *testing.T) {
-				item, cols := c.start.Clone(), c.start.Clone()
-				next, shadow = 1<<32, item.rough.Clone()
+				item, cols := c.start.CloneInto(nil), c.start.CloneInto(nil)
+				next, shadow = 1<<32, item.rough.CloneInto(nil)
 				moved := 0
 				for _, us := range c.build() {
 					m, _ := feedSamplers(t, item, cols, us, func() int { return len(us) })
@@ -594,7 +586,7 @@ func TestUpdateColumnsCutsAtFirstOccurrence(t *testing.T) {
 	const n, trials = 1 << 12, 200
 	cold, _ := samplerPair(Params{N: n, K: 8, SparsityFactor: 8, Windowed: true, Window: 0})
 	for trial := uint64(0); trial < trials; trial++ {
-		item, cols := cold.Clone(), cold.Clone()
+		item, cols := cold.CloneInto(nil), cold.CloneInto(nil)
 		key := func(j uint64) uint64 { return (trial*997 + j + 1) * 0x9E3779B97F4A7C15 % n }
 		for fresh := uint64(0); fresh < 300; {
 			// a b a c b c d ... : each new key between repeats of the last two.
@@ -611,7 +603,7 @@ func TestUpdateColumnsCutsAtFirstOccurrence(t *testing.T) {
 				item.Update(u.Index, u.Delta)
 			}
 			core.UpdateBatch(cols.UpdateColumns, us)
-			if !bytes.Equal(mustMarshal(t, item), mustMarshal(t, cols)) {
+			if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, cols)) {
 				t.Fatalf("trial %d: one-level window diverged before fresh key %d", trial, fresh)
 			}
 		}

@@ -41,7 +41,7 @@ func TestSamplerMarshalRoundTrip(t *testing.T) {
 			t.Fatalf("windowed=%v: LiveLevels differs", windowed)
 		}
 		// The restored sampler merges where a clone would.
-		if err := restored.Merge(sp.Clone()); err != nil {
+		if err := restored.Merge(sp.CloneInto(nil)); err != nil {
 			t.Fatalf("windowed=%v: merge of restored sampler rejected: %v", windowed, err)
 		}
 	}

@@ -275,21 +275,24 @@ func (sp *Sampler) Merge(other *Sampler) error {
 	if err := sp.rough.Merge(other.rough); err != nil {
 		return err
 	}
-	if err := sp.levels.Merge(&other.levels, (*sparse.Recovery).Merge, (*sparse.Recovery).Clone); err != nil {
+	if err := sp.levels.Merge(&other.levels, (*sparse.Recovery).Merge, (*sparse.Recovery).CloneInto); err != nil {
 		return err
 	}
 	sp.levels.Sync(sp.rough, sp.span, sp.newLevel)
 	return nil
 }
 
-// Clone returns a deep copy sharing the (immutable) hash functions and
-// sketch prototype.
-func (sp *Sampler) Clone() *Sampler {
+// CloneInto returns a deep copy sharing the (immutable) hash functions
+// and sketch prototype, written into dst (nil: a new one), an earlier
+// copy nobody else holds.
+func (sp *Sampler) CloneInto(dst *Sampler) *Sampler {
+	dst = core.OrNew(dst)
 	c := *sp
-	c.rough = sp.rough.Clone()
-	c.decode = sparse.Scratch{}
-	c.levels = sp.levels.Clone((*sparse.Recovery).Clone)
-	return &c
+	c.rough = sp.rough.CloneInto(dst.rough)
+	c.decode = dst.decode
+	c.levels = sp.levels.Clone(&dst.levels, (*sparse.Recovery).CloneInto)
+	*dst = c
+	return dst
 }
 
 // LiveLevels reports the number of maintained level sketches.

@@ -195,7 +195,7 @@ func TestCloneIsolated(t *testing.T) {
 	a := New(2)
 	a.Offer(1, 10)
 	a.Offer(2, 20)
-	c := a.Clone()
+	c := a.CloneInto(nil)
 	c.Offer(3, 30)
 	c.Offer(4, 40)
 	c.Offer(5, 50) // evicts from the clone only

@@ -288,18 +288,21 @@ func (t *Tracker) Reset() {
 	}
 }
 
-// Clone returns a deep copy.
-func (t *Tracker) Clone() *Tracker {
-	c := &Tracker{
+// CloneInto returns a deep copy written into dst: nil, or an earlier copy nobody holds.
+func (t *Tracker) CloneInto(dst *Tracker) *Tracker {
+	if dst == nil {
+		dst = &Tracker{heap: make([]entry, 0, t.limit)}
+	}
+	*dst = Tracker{
 		cap:      t.cap,
 		limit:    t.limit,
-		heap:     append(make([]entry, 0, t.limit), t.heap...),
-		idxKeys:  append([]uint64(nil), t.idxKeys...),
-		idxSlots: append([]int32(nil), t.idxSlots...),
+		heap:     append(dst.heap[:0], t.heap...),
+		idxKeys:  append(dst.idxKeys[:0], t.idxKeys...),
+		idxSlots: append(dst.idxSlots[:0], t.idxSlots...),
 		idxMask:  t.idxMask,
 		idxShift: t.idxShift,
 	}
-	return c
+	return dst
 }
 
 // Merge combines other's candidate set into t's: the union of both

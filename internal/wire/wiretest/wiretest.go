@@ -1,6 +1,6 @@
 // Package wiretest holds the one check every package with an
-// AppendBinary runs on it: the nesting rule of package wire, from the
-// child's side.
+// AppendBinary runs on it — the nesting rule of package wire, from the
+// child's side — and the helpers the structure packages' tests share.
 package wiretest
 
 import (
@@ -8,7 +8,57 @@ import (
 	"encoding"
 	"runtime"
 	"testing"
+
+	"repro/internal/stream"
 )
+
+// MustMarshal returns m's encoding, failing the test on an error.
+func MustMarshal(t testing.TB, m encoding.BinaryMarshaler) []byte {
+	t.Helper()
+	data, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// CheckLazySeeding asserts that a copy made by mk holds no generator
+// until it draws — seed builds one: math/rand's two allocations, which
+// mk did not pay — and that its stream is the one eager installs at once
+// from the copy's seed word: after work, which draws, both marshal alike.
+func CheckLazySeeding[T encoding.BinaryMarshaler](t *testing.T, name string, mk func() T, seed, eager, work func(T)) {
+	t.Helper()
+	lazy := testing.AllocsPerRun(5, func() { mk() })
+	seeded := testing.AllocsPerRun(5, func() { seed(mk()) })
+	if seeded-lazy != 2 {
+		t.Errorf("%s: seeding a copy's generator allocated %v times, want 2 (the copy must not have built it)", name, seeded-lazy)
+	}
+	a, b := mk(), mk()
+	eager(b)
+	work(a)
+	work(b)
+	if !bytes.Equal(MustMarshal(t, a), MustMarshal(t, b)) {
+		t.Errorf("%s: a copy seeded on its first draw and one seeded at once marshal differently after the same work", name)
+	}
+}
+
+// SignedUnits is a strict-turnstile-shaped update sequence over 97 keys:
+// every fifth update a deletion, magnitudes 1 (unit) or, with multi,
+// 1..7.
+func SignedUnits(n int, multi bool) []stream.Update {
+	us := make([]stream.Update, n)
+	for i := range us {
+		d := int64(1)
+		if multi {
+			d += int64(i % 7)
+		}
+		if i%5 == 4 {
+			d = -d
+		}
+		us[i] = stream.Update{Index: uint64(i % 97), Delta: d}
+	}
+	return us
+}
 
 // Codec is a structure under the nesting rule.
 type Codec interface {

@@ -42,6 +42,8 @@ package bounded
 import (
 	"fmt"
 	"reflect"
+
+	"repro/internal/core"
 )
 
 // mergeTypeError formats the mismatched-operand diagnostic,
@@ -57,6 +59,13 @@ func mergeTypeError(want Kind, other Sketch) error {
 	return fmt.Errorf("bounded: merge of %T into %s (Merge requires the same concrete type)", other, want)
 }
 
+// reuse returns dst when it is a *T, to be overwritten by CloneInto, and
+// a new T otherwise.
+func reuse[T any](dst Sketch) *T {
+	d, _ := any(dst).(*T)
+	return core.OrNew(d)
+}
+
 // Merge folds another HeavyHitters built from the same Config into this
 // one; afterwards queries answer for the union of both input streams.
 func (h *HeavyHitters) Merge(other Sketch) error {
@@ -67,10 +76,15 @@ func (h *HeavyHitters) Merge(other Sketch) error {
 	return h.impl.Merge(o.impl)
 }
 
-// Clone returns a deep snapshot.
-func (h *HeavyHitters) Clone() Sketch {
-	return &HeavyHitters{cfg: h.cfg, strict: h.strict, impl: h.impl.Clone()}
+// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
+func (h *HeavyHitters) CloneInto(dst Sketch) Sketch {
+	d := reuse[HeavyHitters](dst)
+	*d = HeavyHitters{cfg: h.cfg, strict: h.strict, impl: h.impl.CloneInto(d.impl)}
+	return d
 }
+
+// Clone returns a deep snapshot.
+func (h *HeavyHitters) Clone() Sketch { return h.CloneInto(nil) }
 
 // Merge folds another L1Estimator built from the same Config (and the
 // same strict flag) into this one.
@@ -88,16 +102,21 @@ func (e *L1Estimator) Merge(other Sketch) error {
 	return e.general.Merge(o.general)
 }
 
-// Clone returns a deep snapshot.
-func (e *L1Estimator) Clone() Sketch {
-	c := &L1Estimator{cfg: e.cfg, delta: e.delta}
+// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
+func (e *L1Estimator) CloneInto(dst Sketch) Sketch {
+	d := reuse[L1Estimator](dst)
+	c := L1Estimator{cfg: e.cfg, delta: e.delta}
 	if e.strict != nil {
-		c.strict = e.strict.Clone()
+		c.strict = e.strict.CloneInto(d.strict)
 	} else {
-		c.general = e.general.Clone()
+		c.general = e.general.CloneInto(d.general)
 	}
-	return c
+	*d = c
+	return d
 }
+
+// Clone returns a deep snapshot.
+func (e *L1Estimator) Clone() Sketch { return e.CloneInto(nil) }
 
 // Merge folds another L0Estimator built from the same Config into this
 // one.
@@ -109,10 +128,15 @@ func (e *L0Estimator) Merge(other Sketch) error {
 	return e.impl.Merge(o.impl)
 }
 
-// Clone returns a deep snapshot.
-func (e *L0Estimator) Clone() Sketch {
-	return &L0Estimator{cfg: e.cfg, impl: e.impl.Clone()}
+// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
+func (e *L0Estimator) CloneInto(dst Sketch) Sketch {
+	d := reuse[L0Estimator](dst)
+	*d = L0Estimator{cfg: e.cfg, impl: e.impl.CloneInto(d.impl)}
+	return d
 }
+
+// Clone returns a deep snapshot.
+func (e *L0Estimator) Clone() Sketch { return e.CloneInto(nil) }
 
 // Merge folds another L1Sampler built from the same Config and copy
 // count into this one.
@@ -124,10 +148,15 @@ func (s *L1Sampler) Merge(other Sketch) error {
 	return s.impl.Merge(o.impl)
 }
 
-// Clone returns a deep snapshot.
-func (s *L1Sampler) Clone() Sketch {
-	return &L1Sampler{cfg: s.cfg, copies: s.copies, impl: s.impl.Clone()}
+// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
+func (s *L1Sampler) CloneInto(dst Sketch) Sketch {
+	d := reuse[L1Sampler](dst)
+	*d = L1Sampler{cfg: s.cfg, copies: s.copies, impl: s.impl.CloneInto(d.impl)}
+	return d
 }
+
+// Clone returns a deep snapshot.
+func (s *L1Sampler) Clone() Sketch { return s.CloneInto(nil) }
 
 // Merge folds another SupportSampler built from the same Config and k
 // into this one.
@@ -139,10 +168,15 @@ func (s *SupportSampler) Merge(other Sketch) error {
 	return s.impl.Merge(o.impl)
 }
 
-// Clone returns a deep snapshot.
-func (s *SupportSampler) Clone() Sketch {
-	return &SupportSampler{cfg: s.cfg, k: s.k, impl: s.impl.Clone()}
+// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
+func (s *SupportSampler) CloneInto(dst Sketch) Sketch {
+	d := reuse[SupportSampler](dst)
+	*d = SupportSampler{cfg: s.cfg, k: s.k, impl: s.impl.CloneInto(d.impl)}
+	return d
 }
+
+// Clone returns a deep snapshot.
+func (s *SupportSampler) Clone() Sketch { return s.CloneInto(nil) }
 
 // Merge folds another InnerProduct built from the same Config into this
 // one: both of its stream sketches are linear, so the result estimates
@@ -156,10 +190,15 @@ func (ip *InnerProduct) Merge(other Sketch) error {
 	return ip.impl.Merge(o.impl)
 }
 
-// Clone returns a deep snapshot.
-func (ip *InnerProduct) Clone() Sketch {
-	return &InnerProduct{cfg: ip.cfg, impl: ip.impl.Clone()}
+// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
+func (ip *InnerProduct) CloneInto(dst Sketch) Sketch {
+	d := reuse[InnerProduct](dst)
+	*d = InnerProduct{cfg: ip.cfg, impl: ip.impl.CloneInto(d.impl)}
+	return d
 }
+
+// Clone returns a deep snapshot.
+func (ip *InnerProduct) Clone() Sketch { return ip.CloneInto(nil) }
 
 // Merge folds another L2HeavyHitters built from the same Config into
 // this one.
@@ -171,10 +210,15 @@ func (h *L2HeavyHitters) Merge(other Sketch) error {
 	return h.impl.Merge(o.impl)
 }
 
-// Clone returns a deep snapshot.
-func (h *L2HeavyHitters) Clone() Sketch {
-	return &L2HeavyHitters{cfg: h.cfg, impl: h.impl.Clone()}
+// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
+func (h *L2HeavyHitters) CloneInto(dst Sketch) Sketch {
+	d := reuse[L2HeavyHitters](dst)
+	*d = L2HeavyHitters{cfg: h.cfg, impl: h.impl.CloneInto(d.impl)}
+	return d
 }
+
+// Clone returns a deep snapshot.
+func (h *L2HeavyHitters) Clone() Sketch { return h.CloneInto(nil) }
 
 // Merge folds another SyncSketch built from the same Config and
 // capacity into this one: the sketch is linear, so the result sketches
@@ -191,10 +235,16 @@ func (s *SyncSketch) Merge(other Sketch) error {
 	return s.impl.Merge(o.impl)
 }
 
-// Clone returns a deep snapshot.
-func (s *SyncSketch) Clone() Sketch {
-	if s.impl == nil {
-		return &SyncSketch{cfg: s.cfg, capacity: s.capacity}
+// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
+func (s *SyncSketch) CloneInto(dst Sketch) Sketch {
+	d := reuse[SyncSketch](dst)
+	c := SyncSketch{cfg: s.cfg, capacity: s.capacity}
+	if s.impl != nil {
+		c.impl = s.impl.CloneInto(d.impl)
 	}
-	return &SyncSketch{cfg: s.cfg, capacity: s.capacity, impl: s.impl.Clone()}
+	*d = c
+	return d
 }
+
+// Clone returns a deep snapshot.
+func (s *SyncSketch) Clone() Sketch { return s.CloneInto(nil) }

@@ -53,7 +53,13 @@ type Sketch interface {
 	// generator seeded, as Clone seeds one, by one draw of other's — so
 	// like Clone it is part of other's call sequence.)
 	Merge(other Sketch) error
-	// Clone returns a deep snapshot.
+	// CloneInto returns a deep snapshot written into dst's storage: dst
+	// is nil or a sketch an earlier CloneInto of the same kind returned
+	// that nobody else holds (the caller gives it up; a dst of another
+	// kind is ignored). It draws from the receiver exactly as Clone does,
+	// so the two are interchangeable byte for byte.
+	CloneInto(dst Sketch) Sketch
+	// Clone returns a deep snapshot: CloneInto(nil).
 	Clone() Sketch
 	// SpaceBits reports the structure's space in the paper's cost model.
 	SpaceBits() int64
