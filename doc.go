@@ -34,7 +34,9 @@
 //
 //   - NewHeavyHitters — Section 3 (CSSS, Figure 2)
 //   - NewL1Estimator — Figure 4 (strict) / Theorem 8 (general)
-//   - NewL0Estimator — Figure 7 (windowed KNW matrix)
+//   - NewL0Estimator — Figure 7 (windowed KNW matrix). Its exact
+//     small-L0 counters (Lemmas 19/21) answer LARGE for good once past
+//     their bound, and from then on keep, update and encode no counters.
 //   - NewL1Sampler — Figure 3 (precision sampling over CSSS)
 //   - NewSupportSampler — Figure 8 (windowed sparse recovery)
 //   - NewInnerProduct — Theorem 2 (sampled, universe-reduced sketches)

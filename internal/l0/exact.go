@@ -34,7 +34,9 @@ import (
 // stays at most c (Lemmas 19/21): identities are pairwise-hashed into
 // [C] for C = Theta(c^2) (perfect hashing whp), and each occupied bucket
 // keeps its frequency modulo a random prime so deletions cancel honestly.
-// Beyond c occupied buckets it reports LARGE.
+// Beyond c occupied buckets it reports LARGE, and LARGE is a latch: no
+// answer reads the counters again, so they are dropped, later updates
+// stop at the latch test and the encoding lists no counters.
 type ExactSmall struct {
 	c        int
 	hash     *hash.KWise
@@ -185,8 +187,12 @@ func (e *ExactSmall) Update(i uint64, delta int64) {
 // UpdateColumn feeds a batch: the bucket hash is batch-evaluated over
 // the plan's distinct keys into col (at least that many entries) and
 // the updates apply IN ORDER through their ordinals (the overflow latch
-// and maxLive depend on it). State is identical to per-item Update.
+// and maxLive depend on it). State is identical to per-item Update. A
+// latched structure hashes nothing.
 func (e *ExactSmall) UpdateColumn(b *core.Batch, col []uint64) {
+	if e.overflow {
+		return
+	}
 	keys, slot := core.Distinct(b)
 	e.hash.RangeBatch(keys, e.buckets, col)
 	for j, d := range b.Delta {
@@ -196,12 +202,17 @@ func (e *ExactSmall) UpdateColumn(b *core.Batch, col []uint64) {
 	}
 }
 
-// updateBucket adds a nonzero delta to bucket b.
+// updateBucket adds a nonzero delta to bucket b; a latched structure
+// ignores it.
 func (e *ExactSmall) updateBucket(b uint64, delta int64) {
+	if e.overflow {
+		return
+	}
 	t := &e.counters
 	i := t.find(b) // one probe serves the overflow test and the add
 	if t.n >= e.c && t.cells[i].count == 0 {
-		e.overflow = true
+		e.latch()
+		latches.Inc()
 		return
 	}
 	if t.addMod(i, b, residue(delta, e.prime), e.prime) && t.n > e.maxLive {
@@ -250,10 +261,18 @@ func (e *ExactSmall) CountSaturating() int64 {
 	return int64(e.c) + 1
 }
 
+// latch makes the answer LARGE for good and drops the counters.
+func (e *ExactSmall) latch() {
+	e.overflow = true
+	e.counters = bucketTable{}
+}
+
 // Merge folds another ExactSmall built from the same seed into this
 // one: per-bucket counters add modulo the shared prime (cancellations
-// stay honest), and the structure overflows if either side overflowed
-// or the combined live set exceeds the promise bound.
+// stay honest), and the structure latches if either side has latched
+// or the combined live set exceeds the promise bound. Once a side has
+// latched the union's live count is no longer visible, so maxLive
+// becomes the larger of the two sides'.
 func (e *ExactSmall) Merge(other *ExactSmall) error {
 	if other == nil {
 		return fmt.Errorf("l0: merge with nil ExactSmall")
@@ -261,18 +280,20 @@ func (e *ExactSmall) Merge(other *ExactSmall) error {
 	if e.c != other.c || e.prime != other.prime || e.buckets != other.buckets || !e.hash.Equal(other.hash) {
 		return fmt.Errorf("l0: merging ExactSmall structures with different wiring (same seed/params required)")
 	}
-	for _, c := range other.counters.cells {
-		if c.count != 0 {
-			e.counters.addMod(e.counters.find(c.bucket), c.bucket, c.count, e.prime)
+	if e.overflow || other.overflow {
+		e.latch()
+	} else {
+		for _, c := range other.counters.cells {
+			if c.count != 0 {
+				e.counters.addMod(e.counters.find(c.bucket), c.bucket, c.count, e.prime)
+			}
+		}
+		e.maxLive = max(e.maxLive, e.counters.n)
+		if e.counters.n > e.c {
+			e.latch()
 		}
 	}
-	e.overflow = e.overflow || other.overflow || e.counters.n > e.c
-	if e.counters.n > e.maxLive {
-		e.maxLive = e.counters.n
-	}
-	if other.maxLive > e.maxLive {
-		e.maxLive = other.maxLive
-	}
+	e.maxLive = max(e.maxLive, other.maxLive)
 	return nil
 }
 

@@ -83,26 +83,30 @@ func (e *ExactSmall) UnmarshalBinary(data []byte) error {
 	if n < 0 || n*16 > rd.Remaining() {
 		return errors.New("l0: bad ExactSmall counter count")
 	}
+	if !overflow && n > c {
+		return errors.New("l0: ExactSmall live set exceeds promise bound")
+	}
 	in := rd.Take(16 * n)
-	counters := newBucketTable(n)
+	// A latched structure keeps no counters: a list it carries (one
+	// encoded before LARGE was a latch does) is checked, then dropped.
+	var counters bucketTable
+	if !overflow {
+		counters = newBucketTable(n)
+	}
 	for i := 0; i < n; i++ {
 		b := binary.LittleEndian.Uint64(in[16*i:])
 		val := binary.LittleEndian.Uint64(in[16*i+8:])
-		if b >= buckets || val == 0 || val >= prime {
+		// The list is strictly ascending: a duplicate shows without a table.
+		if b >= buckets || val == 0 || val >= prime || i > 0 && b <= binary.LittleEndian.Uint64(in[16*i-16:]) {
 			return errors.New("l0: bad ExactSmall counter")
 		}
-		cell := &counters.cells[counters.find(b)]
-		if cell.count != 0 {
-			return errors.New("l0: duplicate ExactSmall bucket")
+		if !overflow {
+			counters.cells[counters.find(b)] = bucketCell{bucket: b, count: val}
+			counters.n++
 		}
-		*cell = bucketCell{bucket: b, count: val}
-		counters.n++
 	}
 	if err := rd.Done(); err != nil {
 		return err
-	}
-	if !overflow && n > c {
-		return errors.New("l0: ExactSmall live set exceeds promise bound")
 	}
 	e.c, e.buckets, e.prime = c, buckets, prime
 	e.hash = h

@@ -366,8 +366,9 @@ func (r *RoughL0) Update(i uint64, delta int64) {
 // level hash is batch-evaluated over the plan's distinct keys, the
 // window cuts the batch at each key that moves it, and the updates
 // between cuts apply through their ordinals under one fixed live set,
-// a key's bucket hashed once per run by its level's own function. col
-// is scratch of at least twice the distinct keys.
+// a key's bucket hashed once per run by its level's own function — not
+// at all once that level has latched LARGE. col is scratch of at least
+// twice the distinct keys.
 func (r *RoughL0) UpdateColumn(b *core.Batch, col []uint64) {
 	keys, slot := core.Distinct(b)
 	d := len(keys)
@@ -378,13 +379,13 @@ func (r *RoughL0) UpdateColumn(b *core.Batch, col []uint64) {
 	}
 	r.levels.CutPlanned(r.rough, b, bucket, r.span, r.newLevel, func(lo, hi, seen int) {
 		for o, k := range keys[:seen] {
-			if lv := r.levels.At(int(lvl[o])); lv != nil {
+			if lv := r.levels.At(int(lvl[o])); lv != nil && !lv.overflow {
 				bucket[o] = lv.hash.Range(k, lv.buckets)
 			}
 		}
 		for j := lo; j < hi; j++ {
 			o := slot[j]
-			if lv := r.levels.At(int(lvl[o])); lv != nil && b.Delta[j] != 0 {
+			if lv := r.levels.At(int(lvl[o])); lv != nil && !lv.overflow && b.Delta[j] != 0 {
 				lv.updateBucket(bucket[o], b.Delta[j])
 			}
 		}

@@ -8,7 +8,13 @@ import "repro/internal/obs"
 
 var rowStats WindowStats
 
+// latches counts the exact small-L0 structures an update latched LARGE;
+// a merge or a decode that inherits a latch is not counted.
+var latches obs.Counter
+
 func init() {
+	obs.Default.CounterFunc("", "repro_l0_exact_latched_total",
+		"exact small-L0 structures an update latched LARGE; they keep no counters from then on", latches.Load)
 	obs.Default.CounterFunc("", "repro_l0_window_events_total",
 		"updates that raised the rough L0 estimate and moved an estimator's row window", rowStats.Events.Load)
 	obs.Default.GaugeFunc("", "repro_l0_live_rows",
