@@ -37,6 +37,8 @@
 //   - NewL0Estimator — Figure 7 (windowed KNW matrix). Its exact
 //     small-L0 counters (Lemmas 19/21) answer LARGE for good once past
 //     their bound, and from then on keep, update and encode no counters.
+//     One rough estimate R_t drives both its row window and its Lemma 20
+//     level estimator's, so the two cut at the same events.
 //   - NewL1Sampler — Figure 3 (precision sampling over CSSS)
 //   - NewSupportSampler — Figure 8 (windowed sparse recovery)
 //   - NewInnerProduct — Theorem 2 (sampled, universe-reduced sketches)

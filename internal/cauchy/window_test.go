@@ -15,23 +15,6 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
-func liveSet(s *SampledSketch) []int {
-	var js []int
-	for j := range s.win.Each {
-		js = append(js, j)
-	}
-	return js
-}
-
-func restore(t *testing.T, data []byte) *SampledSketch {
-	t.Helper()
-	s := &SampledSketch{}
-	if err := s.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func small(seed, base int64) *SampledSketch {
 	return NewSampledSketch(rand.New(rand.NewSource(seed)), 4, 4, 4, base, 8)
 }
@@ -58,7 +41,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 						}
 					}
 					if mode == "restored" && off == 2500 {
-						s = restore(t, wiretest.MustMarshal(t, s))
+						s = wiretest.Restore[SampledSketch](t, wiretest.MustMarshal(t, s))
 					}
 				}
 				return s
@@ -66,7 +49,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 			name := fmt.Sprintf("base %d multi=%v", base, multi)
 			item := run("item")
 			want := wiretest.MustMarshal(t, item)
-			if js := liveSet(item); len(js) != 2 || js[0] < 1 {
+			if js := wiretest.LiveSet(item.win.Each); len(js) != 2 || js[0] < 1 {
 				t.Fatalf("%s: live levels %v; the test must end with two sampled levels", name, js)
 			}
 			for rep := 0; rep < 4; rep++ {
@@ -83,9 +66,9 @@ func TestSameSeedSameBytes(t *testing.T) {
 			}
 			// A restore reseeds the rng, so counters may differ from the
 			// never-marshalled run; position and schedule may not.
-			if restored.t != item.t || fmt.Sprint(liveSet(restored)) != fmt.Sprint(liveSet(item)) {
+			if restored.t != item.t || fmt.Sprint(wiretest.LiveSet(restored.win.Each)) != fmt.Sprint(wiretest.LiveSet(item.win.Each)) {
 				t.Fatalf("%s: restored in mid-stream is at t=%d with levels %v, never marshalled t=%d %v",
-					name, restored.t, liveSet(restored), item.t, liveSet(item))
+					name, restored.t, wiretest.LiveSet(restored.win.Each), item.t, wiretest.LiveSet(item.win.Each))
 			}
 		}
 	}
@@ -100,7 +83,7 @@ func TestRestoreMidStreamExactInRateOneRegime(t *testing.T) {
 		whole.Update(u.Index, u.Delta)
 		cut.Update(u.Index, u.Delta)
 		if i == 1234 {
-			cut = restore(t, wiretest.MustMarshal(t, cut))
+			cut = wiretest.Restore[SampledSketch](t, wiretest.MustMarshal(t, cut))
 		}
 	}
 	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
@@ -141,7 +124,7 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo, hi := sample.ActiveLevels(int64(tc.na+tc.nb), base)
-		if got, want := fmt.Sprint(liveSet(ab)), fmt.Sprint([]int{lo, hi}); got != want {
+		if got, want := fmt.Sprint(wiretest.LiveSet(ab.win.Each)), fmt.Sprint([]int{lo, hi}); got != want {
 			t.Fatalf("%d+%d units: merged window %s, schedule at the combined position %s", tc.na, tc.nb, got, want)
 		}
 		for j, lv := range ab.win.Each {
@@ -211,7 +194,7 @@ func TestCraftedLevelLists(t *testing.T) {
 		"empty at a large t":      {1 << 40, nil, nil},
 		"three levels":            {20, [][2]int64{{1, 5e7}, {2, 6e7}, {3, 7e7}}, [][2]int64{{1, 5e7}, {2, 6e7}, {3, 7e7}}},
 	} {
-		s := restore(t, craft(t, base, tc.pos, tc.levels...))
+		s := wiretest.Restore[SampledSketch](t, craft(t, base, tc.pos, tc.levels...))
 		if len(tc.levels) == 0 && s.Estimate() != 0 {
 			t.Errorf("%s: estimate %v from no level", name, s.Estimate())
 		}
@@ -228,7 +211,7 @@ func TestCraftedLevelLists(t *testing.T) {
 		// Item 1's Cauchy entries at 8 fixed-point bits are far below 10^6.
 		s.Update(1, 1)
 		lo, hi := sample.ActiveLevels(tc.pos+1, base)
-		if got, want := fmt.Sprint(liveSet(s)), fmt.Sprint([]int{lo, hi}); got != want {
+		if got, want := fmt.Sprint(wiretest.LiveSet(s.win.Each)), fmt.Sprint([]int{lo, hi}); got != want {
 			t.Fatalf("%s: after one update the window is %s, schedule %s", name, got, want)
 		}
 		for j, lv := range s.win.Each {

@@ -15,23 +15,6 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
-func liveSet(sd *side) []int {
-	var js []int
-	for j := range sd.win.Each {
-		js = append(js, j)
-	}
-	return js
-}
-
-func restore(t *testing.T, data []byte) *Estimator {
-	t.Helper()
-	e := &Estimator{}
-	if err := e.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 func small(seed, base int64) *Estimator {
 	return New(rand.New(rand.NewSource(seed)), Params{N: 1 << 10, Eps: 0.25, Base: base, K: 4, Rows: 2})
 }
@@ -62,7 +45,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 						}
 					}
 					if mode == "restored" && off == 2500 {
-						e = restore(t, wiretest.MustMarshal(t, e))
+						e = wiretest.Restore[Estimator](t, wiretest.MustMarshal(t, e))
 					}
 				}
 				return e
@@ -71,7 +54,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 			item := run("item")
 			want := wiretest.MustMarshal(t, item)
 			for _, sd := range []*side{item.f, item.g} {
-				if js := liveSet(sd); len(js) != 2 || js[0] < 1 {
+				if js := wiretest.LiveSet(sd.win.Each); len(js) != 2 || js[0] < 1 {
 					t.Fatalf("%s: live levels %v; the test must end with two sampled levels a side", name, js)
 				}
 			}
@@ -90,9 +73,9 @@ func TestSameSeedSameBytes(t *testing.T) {
 			// A restore reseeds the rng, so bins may differ from the
 			// never-marshalled run; positions and schedules may not.
 			if restored.f.t != item.f.t || restored.g.t != item.g.t ||
-				fmt.Sprint(liveSet(restored.f), liveSet(restored.g)) != fmt.Sprint(liveSet(item.f), liveSet(item.g)) {
+				fmt.Sprint(wiretest.LiveSet(restored.f.win.Each), wiretest.LiveSet(restored.g.win.Each)) != fmt.Sprint(wiretest.LiveSet(item.f.win.Each), wiretest.LiveSet(item.g.win.Each)) {
 				t.Fatalf("%s: restored in mid-stream holds levels %v/%v, never marshalled %v/%v",
-					name, liveSet(restored.f), liveSet(restored.g), liveSet(item.f), liveSet(item.g))
+					name, wiretest.LiveSet(restored.f.win.Each), wiretest.LiveSet(restored.g.win.Each), wiretest.LiveSet(item.f.win.Each), wiretest.LiveSet(item.g.win.Each))
 			}
 		}
 	}
@@ -109,7 +92,7 @@ func TestRestoreMidStreamExactInRateOneRegime(t *testing.T) {
 			e.UpdateG(u.Index+1, u.Delta)
 		}
 		if i == 1234 {
-			cut = restore(t, wiretest.MustMarshal(t, cut))
+			cut = wiretest.Restore[Estimator](t, wiretest.MustMarshal(t, cut))
 		}
 	}
 	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
@@ -153,7 +136,7 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 		for s, sd := range []*side{ab.f, ab.g} {
 			pos := int64([]int{tc.fa + tc.fb, tc.ga + tc.gb}[s])
 			lo, hi := sample.ActiveLevels(pos, base)
-			if got, want := fmt.Sprint(liveSet(sd)), fmt.Sprint([]int{lo, hi}); got != want || sd.t != pos {
+			if got, want := fmt.Sprint(wiretest.LiveSet(sd.win.Each)), fmt.Sprint([]int{lo, hi}); got != want || sd.t != pos {
 				t.Fatalf("%s: side %d merged window %s at %d, schedule at the combined position %d is %s", at, s, got, sd.t, pos, want)
 			}
 			for j, lv := range sd.win.Each {
@@ -225,7 +208,7 @@ func TestCraftedLevelLists(t *testing.T) {
 		"empty at a large t":      {1 << 40, nil, nil},
 		"three levels":            {20, [][2]int64{{1, 50}, {2, 60}, {3, 70}}, [][2]int64{{1, 50}, {2, 60}, {3, 70}}},
 	} {
-		e := restore(t, craft(t, base, tc.pos, tc.levels...))
+		e := wiretest.Restore[Estimator](t, craft(t, base, tc.pos, tc.levels...))
 		if len(tc.levels) == 0 && e.Estimate() != 0 {
 			t.Errorf("%s: estimate %v from no level", name, e.Estimate())
 		}
@@ -245,10 +228,10 @@ func TestCraftedLevelLists(t *testing.T) {
 		}
 		e.UpdateG(1, 1)
 		if e.f.win.Len() != len(tc.levels) {
-			t.Errorf("%s: an update of g moved f's window to %v", name, liveSet(e.f))
+			t.Errorf("%s: an update of g moved f's window to %v", name, wiretest.LiveSet(e.f.win.Each))
 		}
 		lo, hi := sample.ActiveLevels(tc.pos+1, base)
-		if got, want := fmt.Sprint(liveSet(e.g)), fmt.Sprint([]int{lo, hi}); got != want {
+		if got, want := fmt.Sprint(wiretest.LiveSet(e.g.win.Each)), fmt.Sprint([]int{lo, hi}); got != want {
 			t.Fatalf("%s: after one update the window is %s, schedule %s", name, got, want)
 		}
 		for j, lv := range e.g.win.Each {

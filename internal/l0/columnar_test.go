@@ -211,7 +211,7 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 			}
 		},
 		"extra-and-missing-levels": func(e *Estimator) {
-			lo, hi := e.final.span(e.final.rough.Estimate())
+			lo, hi := e.final.span(e.rough.Estimate())
 			e.final.levels.Drop(max(lo, 0))
 			if hi < e.final.maxLevel {
 				e.final.levels.Put(hi+1, e.final.newLevel(hi+1))
@@ -219,7 +219,6 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 		},
 		"lagging-running-max": func(e *Estimator) {
 			e.rough.best = 0
-			e.final.rough.best /= 4
 		},
 		"running-max-ahead": func(e *Estimator) {
 			e.rough.best *= 16
@@ -270,7 +269,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 		// Forget what the windows were synced at: these two run in full.
 		e.rows.syncedAt, e.final.levels.syncedAt = unsynced, unsynced
 		e.rows.Sync(e.rough, e.span, e.newRow)
-		e.final.levels.Sync(e.final.rough, e.final.span, e.final.newLevel)
+		e.final.levels.Sync(e.rough, e.final.span, e.final.newLevel)
 		if !bytes.Equal(state, wiretest.MustMarshal(t, e)) {
 			t.Fatalf("sync after update of key %d changed the state", u.Index)
 		}
@@ -283,8 +282,9 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 	}
 }
 
-// TestRoughL0UpdateColumnMatchesScalar: the standalone level estimator,
-// whose column path (unlike the Estimator's) also sees zero deltas.
+// TestRoughL0UpdateColumnMatchesScalar: the level estimator's run
+// apply, cut by an R_t of its own (soloL0) and fed zero deltas, which
+// the Estimator's column path never passes it.
 func TestRoughL0UpdateColumnMatchesScalar(t *testing.T) {
 	const n = 1 << 30
 	for _, windowed := range []bool{true, false} {
@@ -294,7 +294,7 @@ func TestRoughL0UpdateColumnMatchesScalar(t *testing.T) {
 			if size == 1 {
 				us = us[:3000]
 			}
-			mk := func() *RoughL0 { return newRoughL0(rand.New(rand.NewSource(6)), n, windowed, 3) }
+			mk := func() *soloL0 { return newSolo(rand.New(rand.NewSource(6)), n, windowed, 3) }
 			item, cols := mk(), mk()
 			col := make([]uint64, 2*4096)
 			cut := cutter(rng, size)
@@ -329,8 +329,8 @@ func TestRaisingItemAppliesUnderNewWindow(t *testing.T) {
 	}
 	col := make([]uint64, 2*batch)
 	for seed := int64(0); seed < 300; seed++ {
-		item := newRoughL0(rand.New(rand.NewSource(seed)), n, true, 0)
-		cols := newRoughL0(rand.New(rand.NewSource(seed)), n, true, 0)
+		item := newSolo(rand.New(rand.NewSource(seed)), n, true, 0)
+		cols := newSolo(rand.New(rand.NewSource(seed)), n, true, 0)
 		for off := 0; off < len(keys); off += batch {
 			for j := off; j < off+batch; j++ {
 				item.Update(keys[j], deltas[j])
@@ -817,7 +817,7 @@ func TestUpdateColumnsDirectedCases(t *testing.T) {
 		// The same cases on a restored state whose running max lags its
 		// bitmaps (stale) and whose windows nobody has synced: the first
 		// key of the first batch repairs both, on both paths.
-		warm.rough.best, warm.final.rough.best = 0, 0
+		warm.rough.best = 0
 		stale := &Estimator{}
 		if err := stale.UnmarshalBinary(wiretest.MustMarshal(t, warm)); err != nil {
 			t.Fatal(err)
@@ -838,7 +838,7 @@ func TestUpdateColumnsDirectedCases(t *testing.T) {
 // in a few of them.
 func TestUpdateColumnsCutsAtFirstOccurrence(t *testing.T) {
 	const n, trials = 1 << 30, 400
-	mk := func() *RoughL0 { return newRoughL0(rand.New(rand.NewSource(7)), n, true, 0) }
+	mk := func() *soloL0 { return newSolo(rand.New(rand.NewSource(7)), n, true, 0) }
 	col := make([]uint64, 64)
 	for trial := uint64(0); trial < trials; trial++ {
 		item, cols := mk(), mk()

@@ -44,9 +44,9 @@ type Estimator struct {
 	h4       *hash.KWise      // [K^3] -> [K], pairwise, selects u entry
 	u        []uint64         // random multipliers in F_p
 	rows     Window[[]uint64] // the maintained rows of K bins, indexed by row
-	rough    *RoughF0         // drives the Figure 7 row window
+	rough    *RoughF0         // R_t: drives the Figure 7 row window, and final's levels at the same events
 	floorRow int64            // 8 log n / log log n clamp of Figure 7
-	final    *RoughL0         // constant-factor R for query-time row selection
+	final    *RoughL0         // Lemma 20's constant-factor R for query-time row selection
 
 	// Small-L0 side structures (Lemma 17 / Lemma 19).
 	small         *ExactSmall
@@ -150,14 +150,14 @@ func copyRow(bins, dst *[]uint64) *[]uint64 {
 	return dst
 }
 
-// Update feeds one stream update: rough estimate, then the row window
-// it produces, then the item.
+// Update feeds one stream update: rough estimate, then the row and
+// level windows it produces, then the item.
 func (e *Estimator) Update(i uint64, delta int64) {
 	if delta == 0 {
 		return // before hashing: zero-delta updates cost nothing
 	}
 	e.rows.Observe(e.rough, i, e.span, e.newRow)
-	e.final.Update(i, delta)
+	e.final.Update(e.rows.syncedAt, i, delta)
 	e.small.Update(i, delta)
 
 	// Main matrix.
@@ -202,20 +202,20 @@ func (e *Estimator) scale(s, mult uint64) uint64 {
 // bit-identical to per-item Update.
 func (e *Estimator) UpdateColumns(b *core.Batch) { ZeroFreeRuns(b, e.updateRun) }
 
-// updateRun applies a zero-free batch of at most columnChunk updates.
-// The four component structures share no state, so each consumes the
-// whole batch in turn. The order-sensitive two apply update by update;
-// the bins of the collapsed row and of the main matrix are sums mod p,
-// so each run between two window events adds (sum of the key's deltas
-// mod p) * u once per distinct key — exact whatever the deltas.
+// updateRun applies a zero-free batch of at most columnChunk updates:
+// the small-L0 side structure whole, then each run between two R_t
+// events to final's levels (synced at the rows' R_t) and the rows. The
+// order-sensitive two apply update by update; the bins of the collapsed
+// row and of the main matrix are sums mod p, so a run adds (sum of the
+// key's deltas mod p) * u once per distinct key — exact whatever the
+// deltas.
 func (e *Estimator) updateRun(b *core.Batch) {
 	keys, slot := core.Distinct(b)
 	d := len(keys)
-	col := b.Col64(8 * d)
-	e.final.UpdateColumn(b, col)
+	col := b.Col64(9 * d)
 	e.small.UpdateColumn(b, col)
 
-	row, sum, bin, mult, scratch := col[:d], col[d:2*d], col[2*d:3*d], col[3*d:4*d], col[4*d:]
+	row, sum, bin, mult, lvl, scratch := col[:d], col[d:2*d], col[2*d:3*d], col[3*d:4*d], col[4*d:5*d], col[5*d:]
 	ids := scratch[:d]
 	e.h2s.RangeBatch(keys, cube(2*e.k), ids)
 	e.h3s.RangeBatch(ids, uint64(2*e.k), bin)
@@ -224,7 +224,9 @@ func (e *Estimator) updateRun(b *core.Batch) {
 	for o, hv := range row {
 		row[o] = uint64(min(hash.LSB(hv, e.maxRow), e.maxRow)) // lsb, clamped
 	}
+	e.final.levelColumn(keys, lvl)
 	e.rows.CutPlanned(e.rough, b, scratch, e.span, e.newRow, func(lo, hi, seen int) {
+		e.final.applyRun(e.rows.syncedAt, b, lo, hi, seen, lvl, scratch)
 		clear(sum[:seen])
 		for j, delta := range b.Delta[lo:hi] {
 			o := slot[lo+j]
@@ -350,11 +352,11 @@ func (e *Estimator) Estimate() float64 {
 
 // Merge folds another estimator built from the same seed into this one.
 // Every component is linear or monotone: bins add modulo the shared
-// prime, the exact-small and rough structures merge, and the row window
-// re-syncs at the merged rough estimate. For the unwindowed (Figure 6)
-// variant the merge is exact — every counter equals the single-stream
-// value; the windowed variant inherits the window-trajectory slack the
-// alpha-property analysis already absorbs.
+// prime, the exact-small and rough structures merge, and the row and
+// level windows re-sync at the merged rough estimate. For the
+// unwindowed (Figure 6) variant the merge is exact — every counter
+// equals the single-stream value; the windowed variant inherits the
+// window-trajectory slack the alpha-property analysis already absorbs.
 func (e *Estimator) Merge(other *Estimator) error {
 	if other == nil {
 		return fmt.Errorf("l0: merge with nil Estimator")
@@ -374,9 +376,6 @@ func (e *Estimator) Merge(other *Estimator) error {
 			return err
 		}
 	}
-	if err := e.final.Merge(other.final); err != nil {
-		return err
-	}
 	if err := e.small.Merge(other.small); err != nil {
 		return err
 	}
@@ -394,7 +393,7 @@ func (e *Estimator) Merge(other *Estimator) error {
 		return err
 	}
 	e.rows.Sync(e.rough, e.span, e.newRow)
-	return nil
+	return e.final.Merge(other.final, e.rows.syncedAt)
 }
 
 // CloneInto returns a deep copy sharing the (immutable) hash functions

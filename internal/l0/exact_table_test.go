@@ -362,28 +362,38 @@ func requireLatchMatches(t *testing.T, ref *parentExact, got *ExactSmall, update
 
 // refL0 is an Estimator's two owners of ExactSmalls — its small-L0
 // side structure and its level estimator — driven by the parent's
-// bodies. Nothing else in an Estimator reads them, so swapping them in
-// gives the parent's Estimator.
+// bodies, the level window at a copy of the Estimator's R_t. Nothing
+// else in an Estimator reads them, so swapping them in gives the
+// parent's Estimator.
 type refL0 struct {
 	small *parentExact
 	final *RoughL0
+	rough *RoughF0 // fed as the Estimator's is
 }
 
 func newRefL0(e *Estimator) *refL0 {
-	return &refL0{small: (*parentExact)(e.small.CloneInto(nil)), final: e.final.CloneInto(nil)}
+	r := &refL0{small: (*parentExact)(e.small.CloneInto(nil)), final: e.final.CloneInto(nil)}
+	if e.rough != nil {
+		r.rough = e.rough.CloneInto(nil)
+	}
+	return r
 }
 
 // update is what Estimator.Update does to the two.
 func (r *refL0) update(i uint64, delta int64) {
 	if delta != 0 {
-		refRoughUpdate(r.final, i, delta)
+		if r.rough != nil {
+			r.rough.Update(i)
+		}
+		r.final.levels.Sync(r.rough, r.final.span, r.final.newLevel)
+		refLevelUpdate(r.final, i, delta)
 		r.small.update(i, delta)
 	}
 }
 
-// refRoughUpdate is RoughL0.Update with the parent's body at each level.
-func refRoughUpdate(f *RoughL0, i uint64, delta int64) {
-	f.levels.Observe(f.rough, i, f.span, f.newLevel)
+// refLevelUpdate is RoughL0's apply step with the parent's body at the
+// item's level.
+func refLevelUpdate(f *RoughL0, i uint64, delta int64) {
 	if b := f.levels.At(min(hash.LSB(f.h.Field(i), f.maxLevel), f.maxLevel)); b != nil {
 		(*parentExact)(b).update(i, delta)
 	}
@@ -392,17 +402,23 @@ func refRoughUpdate(f *RoughL0, i uint64, delta int64) {
 // merge is what Estimator.Merge does to the two.
 func (r *refL0) merge(o *refL0) {
 	r.small.merge(o.small)
-	f := r.final
-	if f.rough != nil {
-		f.rough.Merge(o.final.rough)
+	if r.rough != nil {
+		r.rough.Merge(o.rough)
 	}
+	f := r.final
 	f.levels.Merge(&o.final.levels, func(dst, src *ExactSmall) error {
 		return (*parentExact)(dst).merge((*parentExact)(src))
 	}, (*ExactSmall).CloneInto)
-	f.levels.Sync(f.rough, f.span, f.newLevel)
+	f.levels.Sync(r.rough, f.span, f.newLevel)
 }
 
-func (r *refL0) clone() *refL0 { return &refL0{small: r.small.clone(), final: r.final.CloneInto(nil)} }
+func (r *refL0) clone() *refL0 {
+	c := &refL0{small: r.small.clone(), final: r.final.CloneInto(nil)}
+	if r.rough != nil {
+		c.rough = r.rough.CloneInto(nil)
+	}
+	return c
+}
 
 // as returns e with the reference's two swapped in, each ExactSmall
 // emptied to e's high-water marks when emptied is set.
@@ -539,7 +555,7 @@ func TestLatchMatchesParentBody(t *testing.T) {
 		// early nor apply a key it did not hash.
 		const n = 1 << 20
 		mk := func() *RoughL0 { return NewRoughL0(rand.New(rand.NewSource(6)), n) }
-		got, ref := mk(), mk()
+		got, ref := &soloL0{RoughL0: mk()}, mk()
 		lv0 := got.levels.At(0)
 		var keys []uint64
 		seen := map[uint64]bool{}
@@ -559,7 +575,7 @@ func TestLatchMatchesParentBody(t *testing.T) {
 			b := &core.Batch{Idx: make([]uint64, m), Delta: make([]int64, m)}
 			for j := range m {
 				b.Idx[j], b.Delta[j] = keys[rng.Intn(pool)], []int64{0, 1, 1, 2, -1}[rng.Intn(5)]
-				refRoughUpdate(ref, b.Idx[j], b.Delta[j])
+				refLevelUpdate(ref, b.Idx[j], b.Delta[j])
 			}
 			got.UpdateColumn(b, col)
 			where := fmt.Sprintf("round %d", round)
@@ -726,7 +742,7 @@ func TestLatchCounterCountsLatches(t *testing.T) {
 
 	// A stream: every level of an unwindowed RoughL0 that reports LARGE
 	// was latched once, by an update.
-	r := NewRoughL0(rand.New(rand.NewSource(6)), 1<<20)
+	r := &soloL0{RoughL0: NewRoughL0(rand.New(rand.NewSource(6)), 1<<20)}
 	keys, deltas := make([]uint64, 3000), make([]int64, 3000)
 	for j := range keys {
 		keys[j], deltas[j] = uint64(j)*0x9E3779B97F4A7C15%(1<<20), 1

@@ -124,7 +124,7 @@ func TestRoughL0ConstantFactor(t *testing.T) {
 	for rep := 0; rep < reps; rep++ {
 		r := NewRoughL0(rng, 1<<20)
 		for _, u := range s.Updates {
-			r.Update(u.Index, u.Delta)
+			r.Update(0, u.Index, u.Delta)
 		}
 		e := r.Estimate()
 		if e >= want && e <= 110*want {
@@ -143,7 +143,7 @@ func TestRoughL0WindowedMatchesBaseline(t *testing.T) {
 	good := 0
 	const reps = 15
 	for rep := 0; rep < reps; rep++ {
-		r := NewRoughL0Windowed(rng, 1<<20, 12)
+		r := newSolo(rng, 1<<20, true, 12)
 		for _, u := range s.Updates {
 			r.Update(u.Index, u.Delta)
 		}
@@ -163,9 +163,9 @@ func TestRoughL0WindowedMatchesBaseline(t *testing.T) {
 func TestRoughL0WindowedFewerLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	full := NewRoughL0(rng, 1<<30)
-	win := NewRoughL0Windowed(rng, 1<<30, 6)
+	win := newSolo(rng, 1<<30, true, 6)
 	for i := uint64(0); i < 1000; i++ {
-		full.Update(i, 1)
+		full.Update(0, i, 1)
 		win.Update(i, 1)
 	}
 	if win.LiveLevels() >= full.LiveLevels() {

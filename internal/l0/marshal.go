@@ -21,6 +21,9 @@ const (
 	roughL0Magic    = "0R"
 	estimatorMagic  = "0M"
 	formatV1        = 1
+	// formatV2 is RoughL0's layout since its window follows the owner's
+	// R_t: v1 embedded a RoughF0 after the level hash.
+	formatV2 = 2
 )
 
 // The EncodedLen methods below give each structure's encoded length as
@@ -158,11 +161,13 @@ func (r *RoughF0) UnmarshalBinary(data []byte) error {
 	if rd.Err() != nil {
 		return rd.Err()
 	}
-	if best < 0 || safety < 1 || n < 1 || n > rd.Remaining() {
+	// Each copy's hash takes at least its 4-byte length prefix, so the
+	// copies sized below cost O(1) per byte of input.
+	if best < 0 || safety < 1 || n < 1 || n > rd.Remaining()/4 {
 		return errors.New("l0: bad RoughF0 shape")
 	}
 	hs := make([]*hash.KWise, n)
-	for i := range hs {
+	for i := 0; i < n && rd.Err() == nil; i++ {
 		hs[i] = &hash.KWise{}
 		rd.Unmarshal(hs[i])
 	}
@@ -193,9 +198,6 @@ func (r *RoughL0) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
 // EncodedLen is the length of the estimator's encoding.
 func (r *RoughL0) EncodedLen() int {
 	n := 3 + 25 + 4 + r.h.EncodedLen() + 4 + 4 + 4*r.levels.ever.Len()
-	if r.windowed {
-		n += 4 + r.rough.EncodedLen()
-	}
 	for _, b := range r.levels.Each {
 		n += 8 + b.EncodedLen()
 	}
@@ -204,7 +206,7 @@ func (r *RoughL0) EncodedLen() int {
 
 // AppendBinary appends the estimator's encoding to dst.
 func (r *RoughL0) AppendBinary(dst []byte) ([]byte, error) {
-	w := wire.Append(dst, roughL0Magic, formatV1)
+	w := wire.Append(dst, roughL0Magic, formatV2)
 	w.U32(uint32(r.maxLevel))
 	w.I64(r.levelSeed)
 	w.Bool(r.windowed)
@@ -212,11 +214,6 @@ func (r *RoughL0) AppendBinary(dst []byte) ([]byte, error) {
 	w.I64(r.levelFloor)
 	if err := w.Marshal(r.h); err != nil {
 		return nil, err
-	}
-	if r.windowed {
-		if err := w.Marshal(r.rough); err != nil {
-			return nil, err
-		}
 	}
 	var err error
 	r.levels.WriteLevels(w, func(b *ExactSmall) { err = errors.Join(err, w.Marshal(b)) })
@@ -227,14 +224,17 @@ func (r *RoughL0) AppendBinary(dst []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary restores a RoughL0 serialized by MarshalBinary. On
-// failure the receiver is left unchanged.
+// UnmarshalBinary restores a RoughL0 serialized by MarshalBinary, or by
+// a v1 encoder: the RoughF0 a windowed v1 payload embeds is checked and
+// dropped, and the restored window — unsynced, as every restored one —
+// syncs at the owner's R_t on the next update. On failure the receiver
+// is left unchanged.
 func (r *RoughL0) UnmarshalBinary(data []byte) error {
 	rd, v, err := wire.NewReader(data, roughL0Magic)
 	if err != nil {
 		return err
 	}
-	if v != formatV1 {
+	if v != formatV1 && v != formatV2 {
 		return errors.New("l0: unsupported RoughL0 format version")
 	}
 	maxLevel := int(rd.U32())
@@ -244,10 +244,8 @@ func (r *RoughL0) UnmarshalBinary(data []byte) error {
 	levelFloor := rd.I64()
 	h := &hash.KWise{}
 	rd.Unmarshal(h)
-	var rough *RoughF0
-	if windowed {
-		rough = &RoughF0{}
-		rd.Unmarshal(rough)
+	if windowed && v == formatV1 {
+		rd.Unmarshal(&RoughF0{})
 	}
 	if rd.Err() != nil {
 		return rd.Err()
@@ -274,7 +272,6 @@ func (r *RoughL0) UnmarshalBinary(data []byte) error {
 	r.h = h
 	r.levelSeed = levelSeed
 	r.windowed, r.window = windowed, window
-	r.rough = rough
 	r.levelFloor = levelFloor
 	return nil
 }

@@ -55,33 +55,32 @@ func TestRoughF0MarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoughL0MarshalRoundTrip: the v2 encoding and the parent's v1 one
+// (a windowed v1 payload embeds its R_t) restore the same levels.
 func TestRoughL0MarshalRoundTrip(t *testing.T) {
 	for _, windowed := range []bool{false, true} {
-		var r *RoughL0
-		if windowed {
-			r = NewRoughL0Windowed(rand.New(rand.NewSource(3)), 1<<12, 8)
-		} else {
-			r = NewRoughL0(rand.New(rand.NewSource(3)), 1<<12)
-		}
+		r := newSolo(rand.New(rand.NewSource(3)), 1<<12, windowed, 8)
 		for i := uint64(0); i < 2000; i++ {
 			r.Update(i, 1)
 		}
-		data, err := r.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored := &RoughL0{}
-		if err := restored.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-		if restored.Estimate() != r.Estimate() {
-			t.Fatalf("windowed=%v: Estimate differs: %d vs %d", windowed, restored.Estimate(), r.Estimate())
-		}
-		if restored.LiveLevels() != r.LiveLevels() {
-			t.Fatalf("windowed=%v: LiveLevels differs", windowed)
-		}
-		if err := restored.Merge(r.CloneInto(nil)); err != nil {
-			t.Fatalf("windowed=%v: merge of restored RoughL0 rejected: %v", windowed, err)
+		for version, data := range [][]byte{wiretest.MustMarshal(t, r), wiretest.MustMarshal(t, r.RoughL0)} {
+			restored := &RoughL0{}
+			if err := restored.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+			if restored.Estimate() != r.Estimate() {
+				t.Fatalf("windowed=%v v%d: Estimate differs: %d vs %d", windowed, version+1, restored.Estimate(), r.Estimate())
+			}
+			if restored.LiveLevels() != r.LiveLevels() {
+				t.Fatalf("windowed=%v v%d: LiveLevels differs", windowed, version+1)
+			}
+			var rt int64
+			if windowed {
+				rt = r.rough.Estimate()
+			}
+			if err := restored.Merge(r.RoughL0.CloneInto(nil), rt); err != nil {
+				t.Fatalf("windowed=%v v%d: merge of restored RoughL0 rejected: %v", windowed, version+1, err)
+			}
 		}
 	}
 }
@@ -154,10 +153,7 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 	wiretest.CheckAppend(t, small)
 	wiretest.CheckAppend(t, rough)
 	for _, windowed := range []bool{false, true} {
-		r := NewRoughL0(rand.New(rand.NewSource(3)), 1<<12)
-		if windowed {
-			r = NewRoughL0Windowed(rand.New(rand.NewSource(3)), 1<<12, 8)
-		}
+		r := newSolo(rand.New(rand.NewSource(3)), 1<<12, windowed, 8)
 		e := NewEstimator(rand.New(rand.NewSource(4)), Params{
 			N: 1 << 12, Eps: 0.1, Windowed: windowed, Window: RecommendedWindow(4, 0.1),
 		})
@@ -165,7 +161,7 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 			r.Update(i, 1)
 			e.Update(i%1500, 1)
 		}
-		wiretest.CheckAppend(t, r)
+		wiretest.CheckAppend(t, r.RoughL0)
 		wiretest.CheckAppend(t, e)
 		wiretest.CheckGrowsOnce(t, e)
 	}

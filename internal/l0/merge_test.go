@@ -175,14 +175,14 @@ func TestRoughL0Merge(t *testing.T) {
 	a := NewRoughL0(rand.New(rand.NewSource(seed)), n)
 	b := NewRoughL0(rand.New(rand.NewSource(seed)), n)
 	for i := uint64(0); i < 3000; i++ {
-		whole.Update(i, 1)
+		whole.Update(0, i, 1)
 		if i%2 == 0 {
-			a.Update(i, 1)
+			a.Update(0, i, 1)
 		} else {
-			b.Update(i, 1)
+			b.Update(0, i, 1)
 		}
 	}
-	if err := a.Merge(b); err != nil {
+	if err := a.Merge(b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if a.Estimate() != whole.Estimate() {

@@ -284,8 +284,12 @@ func (r *RoughF0) SpaceBits() int64 {
 // RoughL0 is the constant-factor end-of-stream L0 estimator: Lemma 14
 // ([40]'s RoughL0Estimator) when windowed == false, and the paper's
 // alphaStreamConstL0Est (Lemma 20) when windowed == true — then only the
-// levels within `window` of log2 of the running rough-F0 estimate are
-// maintained, shrinking the level set from log n to O(log(alpha/eps)).
+// levels within `window` of log2 of the running rough-F0 estimate R_t
+// are maintained, shrinking the level set from log n to
+// O(log(alpha/eps)). The windowed variant owns no R_t: its owner hands
+// every call the estimate the update is applied under, the one the
+// owner's own window follows (the Estimator's rows: Figure 7 and Lemma
+// 20 cut at the same R_t events).
 type RoughL0 struct {
 	maxLevel int
 	levels   Window[ExactSmall] // the maintained levels, indexed by level
@@ -297,7 +301,6 @@ type RoughL0 struct {
 	levelSeed int64
 	windowed  bool
 	window    int
-	rough     *RoughF0
 	// levelFloor notes the paper's L_t = max(estimate, 8 log n / log log
 	// n) lower clamp.
 	levelFloor int64
@@ -315,12 +318,14 @@ func NewRoughL0(rng *rand.Rand, n uint64) *RoughL0 {
 }
 
 // NewRoughL0Windowed builds Lemma 20's variant for alpha-property
-// streams: levels within +-window of log2(rough F0 estimate) are
-// maintained; window should be ~ 2*log2(4*alpha/eps).
+// streams: levels within +-window of log2 of the owner's rough F0
+// estimate are maintained; window should be ~ 2*log2(4*alpha/eps).
 func NewRoughL0Windowed(rng *rand.Rand, n uint64, window int) *RoughL0 {
 	return newRoughL0(rng, n, true, window)
 }
 
+// newRoughL0 builds the window at R_t = 0, where its owner's fresh
+// rough estimator stands.
 func newRoughL0(rng *rand.Rand, n uint64, windowed bool, window int) *RoughL0 {
 	r := &RoughL0{
 		maxLevel:  nt.Log2Ceil(n),
@@ -331,10 +336,9 @@ func newRoughL0(rng *rand.Rand, n uint64, windowed bool, window int) *RoughL0 {
 	}
 	r.levels = NewWindow[ExactSmall](r.maxLevel, windowed, 0, nil)
 	if windowed {
-		r.rough = NewRoughF0(rng, 16)
 		r.levelFloor = 8
 	}
-	r.levels.Sync(r.rough, r.span, r.newLevel)
+	r.levels.syncAt(0, r.span, r.newLevel)
 	return r
 }
 
@@ -353,43 +357,45 @@ func (r *RoughL0) newLevel(j int) *ExactSmall {
 	return NewExactSmall(rng, roughC)
 }
 
-// Update feeds one stream update: rough estimate, then the window it
-// produces, then the item.
-func (r *RoughL0) Update(i uint64, delta int64) {
-	r.levels.Observe(r.rough, i, r.span, r.newLevel)
+// Update feeds one stream update under the window of rt, the owner's
+// rough estimate once it has seen i (the baseline is handed 0): sync,
+// then the item.
+func (r *RoughL0) Update(rt int64, i uint64, delta int64) {
+	r.levels.syncAt(rt, r.span, r.newLevel)
 	if b := r.levels.At(min(hash.LSB(r.h.Field(i), r.maxLevel), r.maxLevel)); b != nil {
 		b.Update(i, delta)
 	}
 }
 
-// UpdateColumn feeds a batch, state identical to per-item Update: the
-// level hash is batch-evaluated over the plan's distinct keys, the
-// window cuts the batch at each key that moves it, and the updates
-// between cuts apply through their ordinals under one fixed live set,
-// a key's bucket hashed once per run by its level's own function — not
-// at all once that level has latched LARGE. col is scratch of at least
-// twice the distinct keys.
-func (r *RoughL0) UpdateColumn(b *core.Batch, col []uint64) {
-	keys, slot := core.Distinct(b)
-	d := len(keys)
-	lvl, bucket := col[:d], col[d:2*d]
+// levelColumn writes each key's level into lvl: the level hash
+// batch-evaluated once per distinct key of a planned batch.
+func (r *RoughL0) levelColumn(keys, lvl []uint64) {
 	r.h.FieldBatch(keys, lvl)
-	for o, hv := range lvl {
+	for o, hv := range lvl[:len(keys)] {
 		lvl[o] = uint64(min(hash.LSB(hv, r.maxLevel), r.maxLevel))
 	}
-	r.levels.CutPlanned(r.rough, b, bucket, r.span, r.newLevel, func(lo, hi, seen int) {
-		for o, k := range keys[:seen] {
-			if lv := r.levels.At(int(lvl[o])); lv != nil && !lv.overflow {
-				bucket[o] = lv.hash.Range(k, lv.buckets)
-			}
+}
+
+// applyRun is Update for the run b.Delta[lo:hi] of a planned batch —
+// keys of ordinal below seen, their levels in lvl — over which the
+// owner's R_t stands at rt: sync, then the updates through their
+// ordinals under one fixed live set, a key's bucket hashed once per run
+// by its level's own function, not at all once that level has latched
+// LARGE. bucket is scratch of at least seen entries.
+func (r *RoughL0) applyRun(rt int64, b *core.Batch, lo, hi, seen int, lvl, bucket []uint64) {
+	r.levels.syncAt(rt, r.span, r.newLevel)
+	keys, slot := core.Distinct(b)
+	for o, k := range keys[:seen] {
+		if lv := r.levels.At(int(lvl[o])); lv != nil && !lv.overflow {
+			bucket[o] = lv.hash.Range(k, lv.buckets)
 		}
-		for j := lo; j < hi; j++ {
-			o := slot[j]
-			if lv := r.levels.At(int(lvl[o])); lv != nil && !lv.overflow && b.Delta[j] != 0 {
-				lv.updateBucket(bucket[o], b.Delta[j])
-			}
+	}
+	for j := lo; j < hi; j++ {
+		o := slot[j]
+		if lv := r.levels.At(int(lvl[o])); lv != nil && !lv.overflow && b.Delta[j] != 0 {
+			lv.updateBucket(bucket[o], b.Delta[j])
 		}
-	})
+	}
 }
 
 // Estimate returns R in [L0, c*L0] with constant probability (c = 110
@@ -415,10 +421,10 @@ func (r *RoughL0) Estimate() int64 {
 func (r *RoughL0) LiveLevels() int { return r.levels.Len() }
 
 // Merge folds another RoughL0 built from the same seed into this one:
-// the rough-F0 tracker merges, levels maintained by both add their
-// exact counters, levels maintained by only one survive, and the window
-// re-syncs at the merged estimate.
-func (r *RoughL0) Merge(other *RoughL0) error {
+// levels maintained by both add their exact counters, levels maintained
+// by only one survive, and the window re-syncs at rt, the owner's
+// merged estimate.
+func (r *RoughL0) Merge(other *RoughL0, rt int64) error {
 	if other == nil {
 		return fmt.Errorf("l0: merge with nil RoughL0")
 	}
@@ -426,15 +432,10 @@ func (r *RoughL0) Merge(other *RoughL0) error {
 		r.window != other.window || r.levelSeed != other.levelSeed || !r.h.Equal(other.h) {
 		return fmt.Errorf("l0: merging RoughL0 with different wiring (same seed/params required)")
 	}
-	if r.rough != nil {
-		if err := r.rough.Merge(other.rough); err != nil {
-			return err
-		}
-	}
 	if err := r.levels.Merge(&other.levels, (*ExactSmall).Merge, (*ExactSmall).CloneInto); err != nil {
 		return err
 	}
-	r.levels.Sync(r.rough, r.span, r.newLevel)
+	r.levels.syncAt(rt, r.span, r.newLevel)
 	return nil
 }
 
@@ -443,23 +444,17 @@ func (r *RoughL0) Merge(other *RoughL0) error {
 func (r *RoughL0) CloneInto(dst *RoughL0) *RoughL0 {
 	dst = core.OrNew(dst)
 	c := *r
-	if r.rough != nil {
-		c.rough = r.rough.CloneInto(dst.rough)
-	}
 	c.levels = r.levels.Clone(&dst.levels, (*ExactSmall).CloneInto)
 	*dst = c
 	return dst
 }
 
-// SpaceBits sums the live level structures, the level hash, and the
-// rough-F0 tracker.
+// SpaceBits sums the live level structures and the level hash; the R_t
+// they follow is the owner's to charge.
 func (r *RoughL0) SpaceBits() int64 {
 	total := r.h.SpaceBits()
 	for _, b := range r.levels.Each {
 		total += b.SpaceBits()
-	}
-	if r.rough != nil {
-		total += r.rough.SpaceBits()
 	}
 	return total
 }

@@ -54,6 +54,7 @@ const unsynced = -1
 type WindowStats struct {
 	Events obs.Counter // updates that raised R_t and moved a window
 	Live   obs.Gauge   // levels held by the window that synced last
+	Rough  obs.Gauge   // the R_t it synced at: the family's regime variable
 	// Updates of the planned batches the window cut, and the distinct
 	// keys among them: what its structure hashed.
 	BatchKeys, KeysHashed obs.Counter
@@ -74,13 +75,20 @@ func NewWindow[T any](top int, windowed bool, alwaysOn int, stats *WindowStats) 
 // ones are built with fresh in ascending j. A baseline (whose rough may
 // be nil) stands at estimate 0 with every level.
 func (w *Window[T]) Sync(rough *RoughF0, span func(r int64) (lo, hi int), fresh func(j int) *T) bool {
-	at, lo, hi := int64(0), 0, w.top
+	var at int64
 	if w.windowed {
 		at = rough.Estimate()
 	}
+	return w.syncAt(at, span, fresh)
+}
+
+// syncAt is Sync at an estimate the caller holds: the R_t another
+// window's run is applied under (0 for a baseline).
+func (w *Window[T]) syncAt(at int64, span func(r int64) (lo, hi int), fresh func(j int) *T) bool {
 	if at == w.syncedAt {
 		return false
 	}
+	lo, hi := 0, w.top
 	if w.windowed {
 		lo, hi = span(at)
 	}
@@ -98,6 +106,7 @@ func (w *Window[T]) Sync(rough *RoughF0, span func(r int64) (lo, hi int), fresh 
 	w.peak = max(w.peak, live)
 	if w.stats != nil {
 		w.stats.Live.Set(int64(live))
+		w.stats.Rough.Set(at)
 	}
 	return true
 }

@@ -1,7 +1,8 @@
-// window_stats.go answers "which regime is the estimator in": how often
-// the Figure 7 row window moves, how many rows it holds, and how much of
-// a batch's hash work its distinct plan leaves. Process-wide like the
-// CSSS regime counters; Window writes them (see WindowStats).
+// window_stats.go answers "which regime is the estimator in": the R_t its
+// windows stand at, how often the Figure 7 row window moves, how many
+// rows it holds, and how much of a batch's hash work its distinct plan
+// leaves. Process-wide like the CSSS regime counters; Window writes them
+// (see WindowStats).
 package l0
 
 import "repro/internal/obs"
@@ -19,6 +20,8 @@ func init() {
 		"updates that raised the rough L0 estimate and moved an estimator's row window", rowStats.Events.Load)
 	obs.Default.GaugeFunc("", "repro_l0_live_rows",
 		"rows maintained by the L0 estimator that last synced its window", rowStats.Live.Load)
+	obs.Default.GaugeFunc("", "repro_l0_rough_estimate",
+		"the rough estimate R_t at which an L0 estimator last synced its row and level windows", rowStats.Rough.Load)
 	rowStats.RegisterPlan("l0")
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stream"
+	"repro/internal/wire/wiretest"
 )
 
 // strictStream builds a strict-turnstile alpha-property stream: inserts
@@ -228,7 +229,7 @@ func BenchmarkUpdateColumns(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			a := New(rand.New(rand.NewSource(11)), 16)
 			a.Update(0, 1<<20)
-			if js := liveSet(a); len(js) != 2 || js[0] < 1 {
+			if js := wiretest.LiveSet(a.win.Each); len(js) != 2 || js[0] < 1 {
 				b.Fatalf("live levels %v, want two sampled ones", js)
 			}
 			batch := core.GetBatch()

@@ -14,23 +14,6 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
-func liveSet(a *AlphaEstimator) []int {
-	var js []int
-	for j := range a.win.Each {
-		js = append(js, j)
-	}
-	return js
-}
-
-func restore(t *testing.T, data []byte) *AlphaEstimator {
-	t.Helper()
-	a := &AlphaEstimator{}
-	if err := a.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
 // TestSameSeedSameBytes: equal seed and equal update sequence leave
 // equal bytes, in the regime where two sampled levels are live and each
 // draws per chunk — per item, per column batch, and through a marshal
@@ -55,7 +38,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 							}
 						}
 						if mode == "restored" && off == 2500 {
-							a = restore(t, wiretest.MustMarshal(t, a))
+							a = wiretest.Restore[AlphaEstimator](t, wiretest.MustMarshal(t, a))
 						}
 					}
 					return a
@@ -63,7 +46,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 				name := fmt.Sprintf("base %d %s multi=%v", base, clock, multi)
 				item := run("item")
 				want := wiretest.MustMarshal(t, item)
-				if js := liveSet(item); len(js) != 2 || js[0] < 1 {
+				if js := wiretest.LiveSet(item.win.Each); len(js) != 2 || js[0] < 1 {
 					t.Fatalf("%s: live levels %v; the test must end with two sampled levels", name, js)
 				}
 				for rep := 0; rep < 4; rep++ {
@@ -80,9 +63,9 @@ func TestSameSeedSameBytes(t *testing.T) {
 				}
 				// A restore reseeds the rng, so counters may differ from the
 				// never-marshalled run; under the exact clock the schedule may not.
-				if clock == "exact" && fmt.Sprint(liveSet(restored)) != fmt.Sprint(liveSet(item)) {
+				if clock == "exact" && fmt.Sprint(wiretest.LiveSet(restored.win.Each)) != fmt.Sprint(wiretest.LiveSet(item.win.Each)) {
 					t.Fatalf("%s: restored in mid-stream holds levels %v, never marshalled %v",
-						name, liveSet(restored), liveSet(item))
+						name, wiretest.LiveSet(restored.win.Each), wiretest.LiveSet(item.win.Each))
 				}
 			}
 		}
@@ -100,7 +83,7 @@ func TestRestoreMidStreamExactInLevelZeroRegime(t *testing.T) {
 		whole.Update(u.Index, u.Delta)
 		cut.Update(u.Index, u.Delta)
 		if i == 1234 {
-			cut = restore(t, wiretest.MustMarshal(t, cut))
+			cut = wiretest.Restore[AlphaEstimator](t, wiretest.MustMarshal(t, cut))
 		}
 	}
 	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
@@ -136,7 +119,7 @@ func TestMergeTwoSampledLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo, hi := sample.ActiveLevels(int64(tc.na+tc.nb), base)
-		if got, want := fmt.Sprint(liveSet(ab)), fmt.Sprint([]int{lo, hi}); got != want {
+		if got, want := fmt.Sprint(wiretest.LiveSet(ab.win.Each)), fmt.Sprint([]int{lo, hi}); got != want {
 			t.Fatalf("%d+%d units: merged window %s, schedule at the combined position %s", tc.na, tc.nb, got, want)
 		}
 		for j, lv := range ab.win.Each {
@@ -171,7 +154,7 @@ func TestMergeTwoSampledLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := sample.ActiveLevels(m1.clock.Now(), base)
-	if got, want := fmt.Sprint(liveSet(m1)), fmt.Sprint([]int{lo, hi}); got != want {
+	if got, want := fmt.Sprint(wiretest.LiveSet(m1.win.Each)), fmt.Sprint([]int{lo, hi}); got != want {
 		t.Fatalf("Morris merge: window %s, schedule at the merged clock %s", got, want)
 	}
 }
@@ -212,7 +195,7 @@ func TestCraftedLevelLists(t *testing.T) {
 		"empty at a large t":      {1 << 40, nil, nil, 0},
 		"three levels":            {20, [][3]int64{{1, 5, 0}, {2, 6, 0}, {3, 7, 0}}, [][3]int64{{1, 5, 0}, {2, 6, 0}, {3, 7, 0}}, 5 * 4},
 	} {
-		a := restore(t, craft(base, tc.pos, tc.levels...))
+		a := wiretest.Restore[AlphaEstimator](t, craft(base, tc.pos, tc.levels...))
 		if got := a.Estimate(); got != tc.estimate {
 			t.Errorf("%s: estimate %v, want %v from the oldest listed level", name, got, tc.estimate)
 		}
@@ -225,7 +208,7 @@ func TestCraftedLevelLists(t *testing.T) {
 		}
 		a.Update(1, 1)
 		lo, hi := sample.ActiveLevels(tc.pos+1, base)
-		if got, want := fmt.Sprint(liveSet(a)), fmt.Sprint([]int{lo, hi}); got != want {
+		if got, want := fmt.Sprint(wiretest.LiveSet(a.win.Each)), fmt.Sprint([]int{lo, hi}); got != want {
 			t.Fatalf("%s: after one update the window is %s, schedule %s", name, got, want)
 		}
 		for j, lv := range a.win.Each {
@@ -310,11 +293,11 @@ func TestUpdateColumnsLockstep(t *testing.T) {
 				if item.rng.Get().Int63() != col.rng.Get().Int63() {
 					t.Fatalf("base %d %s round %d: next rng word differs", base, clock, round)
 				}
-				if js := liveSet(item); len(js) == 2 && js[0] >= 1 {
+				if js := wiretest.LiveSet(item.win.Each); len(js) == 2 && js[0] >= 1 {
 					sampledLevels = max(sampledLevels, js[1])
 				}
 				if round == 40 {
-					item, col = restore(t, wiretest.MustMarshal(t, item)), restore(t, wiretest.MustMarshal(t, col))
+					item, col = wiretest.Restore[AlphaEstimator](t, wiretest.MustMarshal(t, item)), wiretest.Restore[AlphaEstimator](t, wiretest.MustMarshal(t, col))
 				}
 			}
 			if sampledLevels < 2 {

@@ -232,7 +232,7 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 // TestSyncIsNoOpBetweenEvents pins the invariant the cut rests on: the
 // live set is a function of the rough estimate alone, so re-syncing
 // after an item changes nothing — Update has already synced if, and
-// only if, R_t moved.
+// only if, R_t moved. The R_t gauge reads the last sync's estimate.
 func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(10))
@@ -262,6 +262,9 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 	}
 	if got := levelStats.Events.Load() - events; obs.Enabled && got != moves {
 		t.Fatalf("repro_support_window_events_total grew by %d over %d moves of R_t", got, moves)
+	}
+	if got := levelStats.Rough.Load(); obs.Enabled && got != sp.rough.Estimate() {
+		t.Fatalf("repro_support_rough_estimate reads %d after the last sync, R_t is %d", got, sp.rough.Estimate())
 	}
 }
 

@@ -106,7 +106,7 @@ func TestLevelListReadersRefuse(t *testing.T) {
 				rd.Bool()
 				rd.U32()
 				rd.I64()
-				nested(rd, 2)
+				nested(rd, 1)
 			},
 			func(prefix uint32) int { return 4 + int(prefix) }, true},
 		{"0M", func(seed int64) codec {

@@ -6,6 +6,7 @@ package wiretest
 import (
 	"bytes"
 	"encoding"
+	"iter"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -21,6 +22,28 @@ func MustMarshal(t testing.TB, m encoding.BinaryMarshaler) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// Restore decodes data into a new T, failing the test on an error.
+func Restore[T any, P interface {
+	*T
+	encoding.BinaryUnmarshaler
+}](t testing.TB, data []byte) P {
+	t.Helper()
+	p := P(new(T))
+	if err := p.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// LiveSet lists the levels a window's Each visits, in its order.
+func LiveSet[T any](each iter.Seq2[int, T]) []int {
+	var js []int
+	for j := range each {
+		js = append(js, j)
+	}
+	return js
 }
 
 // CheckLazySeeding asserts that a copy made by mk holds no generator
