@@ -421,8 +421,8 @@
 // Global queries (HeavyHitters, L1, ...) answer from the merged view,
 // one row per kind behind a generation-tagged cache that is checked
 // before the engine mutex, so query bursts do not stall producers; what
-// a stale row costs to build is the operator's concern and is in the
-// README (Merge-on-query).
+// a stale row costs to build — and why a one-shard engine builds none —
+// is the operator's concern and is in the README (Merge-on-query).
 //
 // Pick the engine when ingest throughput is the bottleneck and cores
 // are available (producers can be many goroutines; Ingest is

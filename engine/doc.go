@@ -40,9 +40,10 @@
 //     coordinate-wise addition (Merge). A merged snapshot answers for
 //     the whole stream; in the sketches' exact regimes the answer is
 //     identical to a single-writer structure fed the same updates.
-//  2. Snapshot isolation: clones are taken inside each shard's
-//     goroutine (serialized with its ingest), so queries never race
-//     updates; -race clean with any number of producers.
+//  2. Snapshot isolation: clones are taken — and a one-shard engine's
+//     global queries run — inside each shard's goroutine (serialized
+//     with its ingest), so queries never race updates; -race clean with
+//     any number of producers.
 //  3. Partition completeness: the fast-range partition hash routes
 //     EVERY update for an index to one shard, so that shard's live
 //     structure alone answers point queries for the index — in the
@@ -53,11 +54,11 @@
 // Choose the engine over direct bounded.* use when ingest throughput is
 // the bottleneck and multiple cores (or multiple producer goroutines)
 // are available; stay with a direct structure when a single goroutine
-// can keep up — a global merged query costs S copies plus S-1 merges of
-// the ONE structure it asks for when the generation-tagged view cache
-// holds no row of that kind yet, the copies written into the storage of
-// that kind's last build (point queries never pay that; they serialize
-// only with the owning shard's ingest).
+// can keep up — with S > 1 shards a global merged query costs S copies
+// plus S-1 merges of the ONE structure it asks for when the
+// generation-tagged view cache holds no row of that kind yet, the copies
+// written into the storage of that kind's last build (point queries
+// never pay that; they serialize only with the owning shard's ingest).
 //
 // # Shipping state
 //

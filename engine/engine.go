@@ -77,12 +77,13 @@ var ErrNotEnabled = fmt.Errorf("engine: structure not enabled in Options.Structu
 
 // Engine is the sharded ingest engine. All methods are safe for
 // concurrent use by multiple goroutines; ingest from many producers is
-// the intended deployment. Global queries serialize with each other on
-// queryMu (the merged snapshot's query paths share scratch) but — when
-// the generation-tagged view cache is warm — never touch the engine
-// mutex, so a query burst does not stall producers' partitioning.
-// Routed queries go to the owning shard(s) and serialize only with
-// those shards' ingest.
+// the intended deployment. Global queries over several shards serialize
+// with each other on queryMu (the merged snapshot's query paths share
+// scratch) but — when the generation-tagged view cache is warm — never
+// touch the engine mutex, so a query burst does not stall producers'
+// partitioning. Routed queries, and a one-shard engine's global ones,
+// go to the owning shard(s) and serialize only with those shards'
+// ingest.
 type Engine struct {
 	mu      sync.Mutex // engine state: pending buffers, workers, view rebuild
 	queryMu sync.Mutex // serializes queries over the cached merged view
@@ -218,16 +219,27 @@ type pendingHandoff struct {
 	buf   *core.Batch
 }
 
-// sendHandoffs pushes detached pending buffers to their shard inboxes.
-// It runs AFTER e.mu is released, by a caller registered with
-// e.inflight, so a full inbox blocks only that caller; worker inboxes
-// are FIFO, so a hand-off lands before any closure the caller enqueues
-// on the same shard afterwards.
+// sendHandoffs pushes an Ingest's filled buffers to their shard inboxes.
+// It runs AFTER e.mu is released, by an Ingest registered with
+// e.inflight, so a full inbox blocks only that producer.
 func (e *Engine) sendHandoffs(full []pendingHandoff) {
 	for _, h := range full {
 		e.workers[h.shard].Send(h.buf)
 	}
 	e.met.batchesSent.Add(int64(len(full)))
+}
+
+// handOffLocked sends shard s's pending run, if any, to its inbox.
+// Callers hold e.mu and have waited for e.inflight, so the run lands
+// behind every earlier hand-off to the shard and ahead of every later
+// one: the shard applies a producer's updates in order, which the L0
+// latch, the recovery peaks and the sampled regime's draws depend on.
+func (e *Engine) handOffLocked(s int) {
+	if e.pending[s].Len() > 0 {
+		e.workers[s].Send(e.pending[s])
+		e.met.batchesSent.Inc()
+		e.pending[s] = core.GetBatch()
+	}
 }
 
 // eachShard runs f(s) inside every shard's goroutine — serialized with
@@ -276,10 +288,10 @@ func (e *Engine) Ingest(batch []bounded.Update) error {
 	// Scatter under the lock; hand filled buffers off OUTSIDE it, so a
 	// full shard inbox blocks only this producer — other producers keep
 	// partitioning and queries keep answering (they wait, via inflight,
-	// only when they need a fresh view). Concurrent producers may then
-	// interleave their filled buffers in a shard's inbox in either
-	// order; every structure's state is a commutative fold of updates,
-	// so shard state is unaffected.
+	// only when they hand a pending run off or need a fresh view).
+	// Concurrent producers may then interleave their filled buffers in a
+	// shard's inbox in either order, as their calls interleave; one
+	// producer's buffers land in the order it ingested them.
 	// Runs of same-shard updates, cut where a buffer fills, copy at once.
 	var full []pendingHandoff
 	for j := 0; j < n; {
@@ -312,11 +324,7 @@ func (e *Engine) Ingest(batch []bounded.Update) error {
 func (e *Engine) flushLocked() {
 	e.inflight.Wait() // in-flight producer hand-offs must land first
 	for s := range e.pending {
-		if e.pending[s].Len() > 0 {
-			e.workers[s].Send(e.pending[s])
-			e.met.batchesSent.Inc()
-			e.pending[s] = core.GetBatch()
-		}
+		e.handOffLocked(s)
 	}
 	e.eachShard(func(int) {})
 }
@@ -354,16 +362,27 @@ func (e *Engine) cachedRow(row int) bounded.Sketch {
 	return nil
 }
 
-// withView runs f over kind's sketch in the merged snapshot — the one
-// path behind every global query; op names the caller in errors.
-// Structure queries mutate per-structure scratch (that is where the
-// hot path's zero allocations come from), so concurrent queries
-// against the shared cached view serialize on queryMu. The
-// generation-tagged cache is checked BEFORE the engine mutex: a query
-// burst against a warm cache never touches e.mu, so it cannot stall
-// producers partitioning under it — the query/ingest interleave cost
-// is one atomic load plus queryMu.
+// withView runs f over kind's sketch of the whole stream — the one path
+// behind every global query; op names the caller in errors. A one-shard
+// engine has nothing to merge: f runs on the live structure inside the
+// shard goroutine (routedRead, timed as a merged query), so the read
+// copies nothing, starts no view and takes no draw from the shard's
+// generators. With more shards f reads the merged view (viewRead).
 func (e *Engine) withView(kind Structures, op string, f func(bounded.Sketch)) error {
+	if e.opt.Shards == 1 {
+		return e.routedRead(kind, op, &e.met.merged, e.everyShard(), nil, func(sk bounded.Sketch, _ shardColumn) { f(sk) })
+	}
+	return e.viewRead(kind, op, f)
+}
+
+// viewRead runs f over kind's sketch in the merged snapshot. Structure
+// queries mutate per-structure scratch (that is where the hot path's
+// zero allocations come from), so concurrent queries against the shared
+// cached view serialize on queryMu. The generation-tagged cache is
+// checked BEFORE the engine mutex: a query burst against a warm cache
+// never touches e.mu, so it cannot stall producers partitioning under it
+// — the query/ingest interleave cost is one atomic load plus queryMu.
+func (e *Engine) viewRead(kind Structures, op string, f func(bounded.Sketch)) error {
 	row, ok := kind.row()
 	if !ok || e.opt.Structures&kind == 0 {
 		return fmt.Errorf("%s: %w", op, ErrNotEnabled)
@@ -501,20 +520,20 @@ func (e *Engine) scatterLocked(keys []uint64) []shardColumn {
 }
 
 // routedRead is the one sequence behind all five routed (snapshot-free)
-// reads. The same fast-range partition hash that routes an index's
-// updates routes the read, and the owning shard's live structure holds
-// that index's entire mass, so the read runs as a closure in the shard
-// goroutine — serialized with that shard's ingest — and never pays the
-// all-shard flush barrier or builds a merged view (SnapshotBuilds does
-// not move). Routing to the owner is also slightly more accurate than
+// reads, and behind a one-shard engine's global reads. The same
+// fast-range partition hash that routes an index's updates routes the
+// read, and the owning shard's live structure holds that index's entire
+// mass, so the read runs as a closure in the shard goroutine —
+// serialized with that shard's ingest — and never pays the all-shard
+// flush barrier or builds a merged view (SnapshotBuilds does not move). Routing to the owner is also slightly more accurate than
 // querying a merged table: the owner's counters only carry collision
 // noise from its own partition of the key space.
 //
 // cols names the involved shards; a batched read passes its keys
 // instead and they scatter into per-shard columns under e.mu. The
-// involved shards' pending runs are detached so they apply first; run
-// then executes once per involved shard, inside its goroutine, on its
-// live sketch of the given kind.
+// involved shards' pending runs are handed off first, as a flush hands
+// them off (handOffLocked); run then executes once per involved shard,
+// inside its goroutine, on its live sketch of the given kind.
 func (e *Engine) routedRead(kind Structures, op string, path *pathMetrics, cols []shardColumn, keys []uint64, run func(bounded.Sketch, shardColumn)) error {
 	row, ok := kind.row()
 	if !ok || e.opt.Structures&kind == 0 {
@@ -529,20 +548,18 @@ func (e *Engine) routedRead(kind Structures, op string, path *pathMetrics, cols 
 	if keys != nil {
 		cols = e.scatterLocked(keys)
 	}
-	var full []pendingHandoff
-	for _, c := range cols {
-		if p := e.pending[c.shard]; p.Len() > 0 {
-			full = append(full, pendingHandoff{shard: c.shard, buf: p})
-			e.pending[c.shard] = core.GetBatch()
+	if slices.ContainsFunc(cols, func(c shardColumn) bool { return e.pending[c.shard].Len() > 0 }) {
+		e.inflight.Wait()
+		for _, c := range cols {
+			e.handOffLocked(c.shard)
 		}
 	}
 	// Registering with inflight keeps Flush/Close honest: they wait for
-	// the hand-off and the shard closures below, so they can never
-	// observe (or tear down) a shard mid-read.
+	// the shard closures below, so they can never observe (or tear down)
+	// a shard mid-read.
 	e.inflight.Add(1)
 	e.mu.Unlock()
 	defer e.inflight.Done()
-	e.sendHandoffs(full)
 	// Each closure reads its sketch and writes its results inside the
 	// shard goroutine; the barrier waits establish the happens-before
 	// for those writes.
@@ -586,9 +603,12 @@ func (e *Engine) L1() (float64, error) { return e.scalar(L1Estimator, "L1") }
 func (e *Engine) L0() (float64, error) { return e.scalar(L0Estimator, "L0") }
 
 // Sample draws one L1 sample from the merged sampler; ok is false when
-// every sampler instance FAILed (the sampler never fabricates).
+// every sampler instance FAILed (the sampler never fabricates). A sample
+// draws, so it reads a copy at every shard count, and making the copy
+// takes one word from the live sampler's generator (until the rng
+// travels on the wire, ROADMAP 4a).
 func (e *Engine) Sample() (res bounded.Sample, ok bool, err error) {
-	err = e.withView(L1Sampler, "Sample", func(sk bounded.Sketch) {
+	err = e.viewRead(L1Sampler, "Sample", func(sk bounded.Sketch) {
 		res, ok = sk.(bounded.SampleQuerier).Sample()
 	})
 	return res, ok, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	bounded "repro"
 	"repro/internal/gen"
 	"repro/internal/stream"
+	"repro/internal/wire/wiretest"
 )
 
 // fig1Stream is the Figure 1 heavy-hitters workload the acceptance
@@ -246,32 +248,20 @@ func TestEngineConcurrentQueriers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var producers, queriers sync.WaitGroup
-	stop := make(chan struct{})
-	for q := 0; q < 4; q++ {
-		queriers.Add(1)
-		go func() {
-			defer queriers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				hh, err := e.HeavyHitters()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for _, i := range hh {
-					if v[i] == 0 {
-						t.Errorf("interim heavy hitter %d outside final support", i)
-						return
-					}
-				}
+	query := func() error {
+		hh, err := e.HeavyHitters()
+		if err != nil {
+			return err
+		}
+		for _, i := range hh {
+			if v[i] == 0 {
+				return fmt.Errorf("interim heavy hitter %d outside final support", i)
 			}
-		}()
+		}
+		return nil
 	}
+	stop := wiretest.Readers(t, query, query, query, query)
+	var producers sync.WaitGroup
 	for p := 0; p < 2; p++ {
 		p := p
 		producers.Add(1)
@@ -290,8 +280,7 @@ func TestEngineConcurrentQueriers(t *testing.T) {
 		}()
 	}
 	producers.Wait()
-	close(stop)
-	queriers.Wait()
+	stop()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -71,19 +71,19 @@ func TestRoutedReadsShareOneSequence(t *testing.T) {
 				if err := e.Ingest(updates); err != nil {
 					t.Fatal(err)
 				}
-				// Park every shard goroutine on a gate and fill its
-				// one-slot inbox, so the read registers as in flight and
-				// then blocks handing its pending run to the owner.
+				// Park every shard goroutine on a gate, so the read's
+				// pending run fills the owner's one-slot inbox and the
+				// read, registered as in flight, blocks queueing its
+				// closure behind it.
 				gate := make(chan struct{})
 				for _, w := range e.workers {
 					parked := make(chan struct{})
 					w.DoAsync(func() { close(parked); <-gate })
 					<-parked
-					w.DoAsync(nil)
 				}
 				readErr := make(chan error, 1)
 				go func() { readErr <- rd.call(e, keys) }()
-				// The read detaches its owner's pending run under e.mu;
+				// The read hands its owner's pending run off under e.mu;
 				// seeing that buffer empty under e.mu means the read has
 				// registered with inflight and released the lock.
 				owner := e.ShardOf(keys[0])

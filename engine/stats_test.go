@@ -8,6 +8,7 @@ import (
 
 	bounded "repro"
 	"repro/internal/obs"
+	"repro/internal/wire/wiretest"
 )
 
 // TestStatsExactWorkload asserts Stats() counters against a
@@ -96,7 +97,7 @@ func TestStatsExactWorkload(t *testing.T) {
 
 		// Queries: 3 routed points, 1 routed batch (above the cutover),
 		// 2 merged (second hits the warm view cache — still a merged
-		// query, but not a second snapshot build).
+		// query, but not a second snapshot build; one shard builds none).
 		for _, i := range []uint64{1, 2, 3} {
 			if _, err := e.Estimate(i); err != nil {
 				t.Fatal(err)
@@ -117,8 +118,11 @@ func TestStatsExactWorkload(t *testing.T) {
 		}
 
 		st = e.Stats()
-		if st.SnapshotBuilds != 1 {
-			t.Errorf("shards=%d: SnapshotBuilds = %d, want 1", shards, st.SnapshotBuilds)
+		if st.SnapshotBuilds != views(shards, 1) {
+			t.Errorf("shards=%d: SnapshotBuilds = %d, want %d", shards, st.SnapshotBuilds, views(shards, 1))
+		}
+		if shards == 1 {
+			checkOneShardReads(t, e, 2)
 		}
 		if obs.Enabled {
 			if st.PointQueries != 3 || st.PointLatency.Count != 3 {
@@ -130,8 +134,8 @@ func TestStatsExactWorkload(t *testing.T) {
 			if st.MergedQueries != 2 || st.MergedLatency.Count != 2 {
 				t.Errorf("shards=%d: MergedQueries = %d (latency count %d), want 2", shards, st.MergedQueries, st.MergedLatency.Count)
 			}
-			if st.SnapshotLatency.Count != 1 {
-				t.Errorf("shards=%d: SnapshotLatency.Count = %d, want 1", shards, st.SnapshotLatency.Count)
+			if st.SnapshotLatency.Count != views(shards, 1) {
+				t.Errorf("shards=%d: SnapshotLatency.Count = %d, want %d", shards, st.SnapshotLatency.Count, views(shards, 1))
 			}
 		}
 
@@ -196,8 +200,30 @@ func TestStatsHammer(t *testing.T) {
 		total += int64(len(chunkOf(p)))
 	}
 
-	var producerWG, readerWG sync.WaitGroup
-	stop := make(chan struct{})
+	// Readers run until the producers finish.
+	idxs := make([]uint64, 40)
+	for j := range idxs {
+		idxs[j] = uint64(j * 13)
+	}
+	stop := wiretest.Readers(t,
+		func() error { // routed point + batched queries
+			if _, err := e.Estimate(7); err != nil {
+				return err
+			}
+			_, err := e.EstimateBatch(idxs)
+			return err
+		},
+		func() error { // merged queries force snapshot rebuilds mid-ingest
+			_, err := e.HeavyHitters()
+			return err
+		},
+		func() error { // Stats snapshots and registry scrapes race the writers
+			_ = e.Stats()
+			reg.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/metrics", nil))
+			return nil
+		},
+	)
+	var producerWG sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		producerWG.Add(1)
 		go func(p int) {
@@ -215,61 +241,8 @@ func TestStatsHammer(t *testing.T) {
 			}
 		}(p)
 	}
-	// Readers run until the producers finish.
-	readerWG.Add(3)
-	go func() { // routed point + batched queries
-		defer readerWG.Done()
-		idxs := make([]uint64, 40)
-		for j := range idxs {
-			idxs[j] = uint64(j * 13)
-		}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := e.Estimate(7); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := e.EstimateBatch(idxs); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	go func() { // merged queries force snapshot rebuilds mid-ingest
-		defer readerWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := e.HeavyHitters(); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	go func() { // Stats snapshots and registry scrapes race the writers
-		defer readerWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = e.Stats()
-			rec := httptest.NewRecorder()
-			reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		}
-	}()
-
 	producerWG.Wait()
-	close(stop)
-	readerWG.Wait()
+	stop()
 
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)

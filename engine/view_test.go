@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	bounded "repro"
 	"repro/internal/obs"
+	"repro/internal/wire/wiretest"
 )
 
 // everyKind enables all seven structures.
@@ -30,45 +31,99 @@ func builtRows(e *Engine) Structures {
 	return built
 }
 
+// viewed is the row set a view holds once rows were read: none at one
+// shard, where a global read runs on the live structure.
+func viewed(shards int, rows Structures) Structures {
+	if shards == 1 {
+		return 0
+	}
+	return rows
+}
+
+// views is the number of views n read generations start: none at one
+// shard.
+func views(shards int, n int64) int64 {
+	if shards == 1 {
+		return 0
+	}
+	return n
+}
+
+// checkOneShardReads asserts the one-shard read contract once reads
+// global reads (Sample aside) have returned: no view was started, no
+// structure copied, and every read was counted and timed as a merged
+// query.
+func checkOneShardReads(t *testing.T, e *Engine, reads int64) {
+	t.Helper()
+	st := e.Stats()
+	if st.SnapshotBuilds != 0 || st.SnapshotLatency.Count != 0 {
+		t.Errorf("one shard: %d views started, %d rows built", st.SnapshotBuilds, st.SnapshotLatency.Count)
+	}
+	for row, c := range e.copies {
+		if c != nil {
+			t.Errorf("one shard: a %s read copied its structure", kinds[row].bit)
+		}
+	}
+	if n := e.met.viewCopiesReused.Load() + e.met.viewCopiesAllocated.Load(); n != 0 {
+		t.Errorf("one shard: repro_engine_view_copies_total reads %d", n)
+	}
+	if obs.Enabled && (st.MergedQueries != reads || st.MergedLatency.Count != reads) {
+		t.Errorf("one shard: %d merged queries (%d timed), want %d", st.MergedQueries, st.MergedLatency.Count, reads)
+	}
+}
+
 // TestGlobalReadBuildsOnlyItsKind: with every structure enabled, a
 // global read after an ingest clones and merges its own kind and leaves
 // every other row unbuilt — counted in bytes: the read allocates less
-// than ONE support sampler holds.
+// than ONE support sampler holds. At one shard it builds no row at all,
+// and its answer is that of a twin nobody read.
 func TestGlobalReadBuildsOnlyItsKind(t *testing.T) {
 	s, _ := fig1Stream(7)
 	for _, shards := range []int{1, 4} {
-		e, err := New(testCfg, Options{Shards: shards, Structures: everyKind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Ingest(s.Updates[:8000]); err != nil {
-			t.Fatal(err)
+		opts := Options{Shards: shards, Structures: everyKind}
+		e, twin := must(New(testCfg, opts)), must(New(testCfg, opts))
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Ingest(s.Updates[:8000]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		samplerBytes := uint64(len(must(e.Snapshot(SupportSampler))))
-		if got := builtRows(e); got != SupportSampler {
+		if got := builtRows(e); got != viewed(shards, SupportSampler) {
 			t.Fatalf("shards=%d: Snapshot(SupportSampler) built rows %s", shards, got)
 		}
-		// Stale the view, apply everything, then charge one L1 read.
-		if err := e.Ingest(s.Updates[8000:12000]); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
+		// Stale the view, apply everything, then charge one L1 read. The
+		// twin flushes where the read cut the batches.
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Ingest(s.Updates[8000:12000]); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := e.L1(); err != nil {
-			t.Fatal(err)
-		}
+		l1 := must(e.L1())
 		runtime.ReadMemStats(&after)
-		if got := builtRows(e); got != L1Estimator {
+		if got := builtRows(e); got != viewed(shards, L1Estimator) {
 			t.Errorf("shards=%d: L1() built rows %s, want its own only", shards, got)
 		}
 		if spent := after.TotalAlloc - before.TotalAlloc; spent >= samplerBytes {
 			t.Errorf("shards=%d: L1() allocated %d bytes, one support sampler marshals to %d", shards, spent, samplerBytes)
 		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
+		if shards == 1 {
+			checkOneShardReads(t, e, 2)
+		}
+		if want := must(twin.L1()); l1 != want {
+			t.Errorf("shards=%d: L1() = %v, the unread twin says %v", shards, l1, want)
+		}
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -95,7 +150,8 @@ func globalAnswers(t *testing.T, e *Engine, order []Structures) (hh []uint64, l1
 // beside the rows already there, which are published again as they are,
 // not rebuilt; after the next Ingest the first read starts over from an
 // empty row set, and every answer is the one a twin engine that was
-// never queried in between gives.
+// never queried in between gives. At one shard no row is ever built and
+// every read is still a timed merged query.
 func TestViewRowsShareOneGeneration(t *testing.T) {
 	s, _ := fig1Stream(7)
 	order := []Structures{HeavyHitters, L1Estimator, L0Estimator}
@@ -112,8 +168,11 @@ func TestViewRowsShareOneGeneration(t *testing.T) {
 		for _, kind := range order {
 			globalAnswers(t, e, []Structures{kind})
 			built |= kind
-			if got := builtRows(e); got != built {
-				t.Fatalf("shards=%d: rows built after %s: %s, want %s", shards, kind, got, built)
+			if got := builtRows(e); got != viewed(shards, built) {
+				t.Fatalf("shards=%d: rows built after %s: %s, want %s", shards, kind, got, viewed(shards, built))
+			}
+			if shards == 1 {
+				continue
 			}
 			row, _ := HeavyHitters.row()
 			if kind == HeavyHitters {
@@ -123,15 +182,17 @@ func TestViewRowsShareOneGeneration(t *testing.T) {
 			}
 		}
 		st := e.Stats()
-		if st.SnapshotBuilds != 1 {
-			t.Fatalf("shards=%d: SnapshotBuilds = %d after three kinds at one generation, want 1", shards, st.SnapshotBuilds)
+		if st.SnapshotBuilds != views(shards, 1) {
+			t.Fatalf("shards=%d: SnapshotBuilds = %d after three kinds at one generation, want %d", shards, st.SnapshotBuilds, views(shards, 1))
 		}
-		if obs.Enabled && (st.SnapshotLatency.Count != 3 || st.MergedQueries != 3) {
+		if shards == 1 {
+			checkOneShardReads(t, e, 3)
+		} else if obs.Enabled && (st.SnapshotLatency.Count != 3 || st.MergedQueries != 3) {
 			t.Errorf("shards=%d: %d row builds timed over %d merged queries, want 3 and 3", shards, st.SnapshotLatency.Count, st.MergedQueries)
 		}
 		// A warm row answers again without building anything.
 		globalAnswers(t, e, order)
-		if n := e.Stats().SnapshotBuilds; n != 1 {
+		if n := e.Stats().SnapshotBuilds; n != views(shards, 1) {
 			t.Fatalf("shards=%d: warm reads moved SnapshotBuilds to %d", shards, n)
 		}
 
@@ -144,7 +205,7 @@ func TestViewRowsShareOneGeneration(t *testing.T) {
 			t.Fatalf("shards=%d: rows %s still current after an Ingest", shards, got)
 		}
 		l1 := must(e.L1())
-		if got := builtRows(e); got != L1Estimator {
+		if got := builtRows(e); got != viewed(shards, L1Estimator) {
 			t.Fatalf("shards=%d: first read of the next generation holds rows %s", shards, got)
 		}
 		hh, _, l0 := globalAnswers(t, e, order)
@@ -153,8 +214,11 @@ func TestViewRowsShareOneGeneration(t *testing.T) {
 			t.Fatalf("shards=%d: answers (%v, %v, %v); a twin never read in between says (%v, %v, %v)",
 				shards, hh, l1, l0, wantHH, wantL1, wantL0)
 		}
-		if n := e.Stats().SnapshotBuilds; n != 2 {
-			t.Fatalf("shards=%d: SnapshotBuilds = %d after two generations were read, want 2", shards, n)
+		if n := e.Stats().SnapshotBuilds; n != views(shards, 2) {
+			t.Fatalf("shards=%d: SnapshotBuilds = %d after two generations were read, want %d", shards, n, views(shards, 2))
+		}
+		if shards == 1 {
+			checkOneShardReads(t, e, 10)
 		}
 		for _, eng := range []*Engine{e, twin} {
 			if err := eng.Close(); err != nil {
@@ -183,39 +247,30 @@ func TestGlobalReadsRaceWithIngest(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		opts := Options{Shards: shards, BatchSize: 512, Structures: structures}
 		e, twin := must(New(testCfg, opts)), must(New(testCfg, opts))
-		var readers sync.WaitGroup
-		stop := make(chan struct{})
-		for q := 0; q < 4; q++ {
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				rng := rand.New(rand.NewSource(int64(q)))
-				mine := append([]Structures(nil), order...)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
+		reads := make([]func() error, 4)
+		for q := range reads {
+			rng := rand.New(rand.NewSource(int64(q)))
+			mine := slices.Clone(order)
+			reads[q] = func() error {
+				rng.Shuffle(len(mine), func(a, b int) { mine[a], mine[b] = mine[b], mine[a] })
+				for _, kind := range mine {
+					var err error
+					switch kind {
+					case HeavyHitters:
+						_, err = e.HeavyHitters()
+					case L1Estimator:
+						_, err = e.L1()
+					case L0Estimator:
+						_, err = e.L0()
 					}
-					rng.Shuffle(len(mine), func(a, b int) { mine[a], mine[b] = mine[b], mine[a] })
-					for _, kind := range mine {
-						var err error
-						switch kind {
-						case HeavyHitters:
-							_, err = e.HeavyHitters()
-						case L1Estimator:
-							_, err = e.L1()
-						case L0Estimator:
-							_, err = e.L0()
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
+					if err != nil {
+						return err
 					}
 				}
-			}()
+				return nil
+			}
 		}
+		stop := wiretest.Readers(t, reads...)
 		for off := 0; off < len(s.Updates); off += 777 {
 			chunk := s.Updates[off:min(off+777, len(s.Updates))]
 			if err := e.Ingest(chunk); err != nil {
@@ -225,8 +280,7 @@ func TestGlobalReadsRaceWithIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		close(stop)
-		readers.Wait()
+		stop()
 
 		hh, l1, l0 := globalAnswers(t, e, order)
 		wantHH, wantL1, wantL0 := globalAnswers(t, twin, order)
@@ -269,21 +323,36 @@ func series(t *testing.T, r *obs.Registry, name string) int64 {
 	return 0
 }
 
+// sampledCfg has S = 1024: past 2048 units a shard's heavy hitters
+// sample.
+var sampledCfg = bounded.Config{N: 1 << 16, Eps: 0.25, Alpha: 1, Seed: 9}
+
+// doublingChunks cuts us into chunks of 256, 512, 1024, ... updates:
+// fed one chunk per Ingest, a shard passes 2S and F0 keeps rising, so
+// the L0 and support windows keep moving.
+func doublingChunks(us []bounded.Update) [][]bounded.Update {
+	var chunks [][]bounded.Update
+	for off, n := 0, 256; off < len(us); off, n = off+n, 2*n {
+		chunks = append(chunks, us[off:min(off+n, len(us))])
+	}
+	return chunks
+}
+
 // TestRecycledViewsMatchFreshClones: every kind, read after every ingest
-// at one and three shards, is answered from a row rebuilt into the
+// at two and three shards, is answered from a row rebuilt into the
 // storage of its last build, and that row marshals to the bytes of the
 // row a twin builds from fresh clones (its copies are dropped before
 // every read) — at rate 1, past 2S where the heavy hitters sample, and
-// across moves of the L0 and support windows (the chunks double, so F0
-// keeps rising). Afterwards the two engines' shard state is equal byte
-// for byte, and every read after a kind's first was counted as reused.
+// across moves of the L0 and support windows. Afterwards the two
+// engines' shard state is equal byte for byte, and every read after a
+// kind's first was counted as reused. (One shard copies nothing:
+// TestOneShardReadsLeaveStateAlone.)
 func TestRecycledViewsMatchFreshClones(t *testing.T) {
-	cfg := bounded.Config{N: 1 << 16, Eps: 0.25, Alpha: 1, Seed: 9} // S = 1024: past 2048 units a shard samples
 	s, _ := fig1Stream(11)
 	asked := everyKind.Bits()
-	for _, shards := range []int{1, 3} {
+	for _, shards := range []int{2, 3} {
 		opts := Options{Shards: shards, BatchSize: 512, Structures: everyKind}
-		e, twin := must(New(cfg, opts)), must(New(cfg, opts))
+		e, twin := must(New(sampledCfg, opts)), must(New(sampledCfg, opts))
 		reg := obs.NewRegistry()
 		e.ExposeMetrics(reg, "e")
 		moves := func() int64 {
@@ -291,8 +360,7 @@ func TestRecycledViewsMatchFreshClones(t *testing.T) {
 		}
 		var movedAt int64
 		rounds := 0
-		for off, n := 0, 256; off < len(s.Updates); off, n = off+n, 2*n {
-			chunk := s.Updates[off:min(off+n, len(s.Updates))]
+		for _, chunk := range doublingChunks(s.Updates) {
 			for _, eng := range []*Engine{e, twin} {
 				if err := eng.Ingest(chunk); err != nil {
 					t.Fatal(err)
@@ -332,6 +400,65 @@ func TestRecycledViewsMatchFreshClones(t *testing.T) {
 	}
 }
 
+// globalReads asks every global read that draws nothing — each kind's
+// query (all but Sample) and each kind's Snapshot — and returns the
+// answers.
+func globalReads(t *testing.T, e *Engine) []any {
+	t.Helper()
+	answers := []any{
+		must(e.HeavyHitters()), must(e.L2HeavyHitters()), must(e.L1()), must(e.L0()),
+		must(e.Support()), must(must(e.SyncSketch()).MarshalBinary()),
+	}
+	for _, kind := range everyKind.Bits() {
+		answers = append(answers, must(e.Snapshot(kind)))
+	}
+	return answers
+}
+
+// TestOneShardReadsLeaveStateAlone: a one-shard engine answers every
+// global read but Sample on its live structures, so every such read and
+// every kind's Snapshot, asked after every Ingest — at rate 1, past 2S
+// where the heavy hitters sample, and across moves of the L0 and support
+// windows — leaves the shard's state byte for byte that of a twin nobody
+// read. The twin flushes where the reads cut the batches (a read hands
+// the pending run to the shard first, and a batch cut elsewhere thins
+// differently). Nothing was copied, and every read was a timed merged
+// query.
+func TestOneShardReadsLeaveStateAlone(t *testing.T) {
+	s, _ := fig1Stream(11)
+	opts := Options{Shards: 1, BatchSize: 512, Structures: everyKind}
+	e, twin := must(New(sampledCfg, opts)), must(New(sampledCfg, opts))
+	var merged int64
+	for _, chunk := range doublingChunks(s.Updates) {
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Ingest(chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged += int64(len(globalReads(t, e)) - 1) // Support is a routed read
+		if err := twin.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var p int
+	e.eachShard(func(int) { p = e.sets[0][0].(*bounded.HeavyHitters).SampleExponent() })
+	if p < 1 {
+		t.Fatalf("the heavy hitters ended at exponent %d, never sampled", p)
+	}
+	checkOneShardReads(t, e, merged)
+	if !bytes.Equal(must(e.SnapshotPartitioned()), must(twin.SnapshotPartitioned())) {
+		t.Fatal("reads moved the shard's state away from the unread twin's")
+	}
+	if got, want := globalReads(t, e), globalReads(t, twin); !reflect.DeepEqual(got, want) {
+		t.Fatal("answers differ from the unread twin's")
+	}
+	for _, eng := range []*Engine{e, twin} {
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRecycledRowsRaceWithIngest: two readers of different kinds — the
 // heavy hitters and their snapshot, the L0 estimate and its snapshot —
 // with a producer ingesting between their reads, so each rebuild
@@ -343,30 +470,12 @@ func TestRecycledRowsRaceWithIngest(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		opts := Options{Shards: shards, BatchSize: 512, Structures: HeavyHitters | L0Estimator}
 		e, twin := must(New(testCfg, opts)), must(New(testCfg, opts))
-		var readers sync.WaitGroup
-		stop := make(chan struct{})
-		for _, read := range []func() error{
+		stop := wiretest.Readers(t,
 			func() error { _, err := e.HeavyHitters(); return err },
 			func() error { _, err := e.Snapshot(HeavyHitters); return err },
 			func() error { _, err := e.L0(); return err },
 			func() error { _, err := e.Snapshot(L0Estimator); return err },
-		} {
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := read(); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
-		}
+		)
 		for off := 0; off < len(s.Updates); off += 501 {
 			chunk := s.Updates[off:min(off+501, len(s.Updates))]
 			for _, eng := range []*Engine{e, twin} {
@@ -375,8 +484,7 @@ func TestRecycledRowsRaceWithIngest(t *testing.T) {
 				}
 			}
 		}
-		close(stop)
-		readers.Wait()
+		stop()
 		hh, _, l0 := globalAnswers(t, e, []Structures{HeavyHitters, L0Estimator})
 		wantHH, _, wantL0 := globalAnswers(t, twin, []Structures{HeavyHitters, L0Estimator})
 		if !reflect.DeepEqual(hh, wantHH) || l0 != wantL0 {

@@ -208,17 +208,13 @@ func (h *AlphaL1) UpdateColumns(b *core.Batch) {
 // stated probability. The candidate set re-estimates through ONE
 // columnar QueryColumns sweep (one batch hash pass, row-major table
 // reads) instead of one Query per candidate; estimates, and hence the
-// returned set, are bit-identical either way.
+// returned set, are bit-identical either way. Candidates and estimates
+// live in scratch: the answer is the one allocation.
 func (h *AlphaL1) HeavyHitters() []uint64 {
 	thr := 3 * h.eps * h.scale.value() / 4
-	cand := h.tracker.Candidates()
-	if len(cand) == 0 {
-		return nil
-	}
-	est := make([]float64, len(cand))
 	b := core.GetBatch()
-	h.sk.QueryColumns(b, cand, est)
-	core.PutBatch(b)
+	defer core.PutBatch(b)
+	cand, est := h.refresh.Estimates(h.tracker, b, h.sk)
 	var out []uint64
 	for j, i := range cand {
 		if math.Abs(est[j]) >= thr {

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +18,7 @@ import (
 	"repro/internal/netproto"
 	"repro/internal/obs"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // sampledConfig puts CSSS's S at 1024, so a site leaves rate 1 after
@@ -330,35 +331,22 @@ func TestViewReadersRaceWithCommitsAndCheckpoints(t *testing.T) {
 	if testing.Short() {
 		length = 200 * time.Millisecond
 	}
-	stop := time.After(length)
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	for reader := 0; reader < 2; reader++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				for _, op := range []netproto.QueryOp{netproto.OpHeavyHitters, netproto.OpEstimate, netproto.OpL1, netproto.OpSupport} {
-					if ans := agg.answer(&netproto.Query{Op: op, Keys: []uint64{1, 2, 3}}); ans.Err != "" {
-						t.Error(ans.Err)
-						return
-					}
-				}
+	read := func() error {
+		for _, op := range []netproto.QueryOp{netproto.OpHeavyHitters, netproto.OpEstimate, netproto.OpL1, netproto.OpSupport} {
+			if ans := agg.answer(&netproto.Query{Op: op, Keys: []uint64{1, 2, 3}}); ans.Err != "" {
+				return errors.New(ans.Err)
 			}
-		}()
+		}
+		return nil
 	}
+	stop := time.After(length)
+	stopReaders := wiretest.Readers(t, read, read)
 	for seq := uint64(2); ; seq++ {
 		site := int(seq) % len(blobs)
 		commit(site, seq, blobs[(site+int(seq/4))%len(blobs)])
 		select {
 		case <-stop:
-			close(done)
-			wg.Wait()
+			stopReaders()
 			if st := agg.Stats(); st.ViewBuilds < 2 || st.CheckpointsWritten < 2 {
 				t.Fatalf("%d view builds and %d checkpoints in %v: nothing raced", st.ViewBuilds, st.CheckpointsWritten, length)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/stream"
+	"repro/internal/sweep"
 )
 
 // strongStream builds a strict-turnstile STRONG alpha-property stream:
@@ -273,33 +274,34 @@ func TestGeneralModeSpaceIncludesEstimators(t *testing.T) {
 // TestTheorem19Instance — the L1-sampling lower bound's own instance
 // (augmented indexing with one planted heavy item per level, eps = 1/2)
 // is decoded by the sampler: the returned index is the planted item.
+// The planted item holds 36001/42003 ≈ 6/7 of ||f||_1, so Theorem 5
+// (eps = 1/4) returns it with probability at least (3/4)(6/7) ≈ 0.64 per
+// successful draw; a miss — a FAIL or another index — is therefore
+// charged at most missRate = 0.4 (≈ 0.36 elsewhere, 0.04 for FAILs; 400
+// seeds measured 0.03 FAIL and 0.085 elsewhere). Each seed builds its
+// own instance and sampler, and the sweep's miss count must stay under
+// the Bin(seeds, missRate) tail at a false-alarm rate of 1e-3.
 func TestTheorem19Instance(t *testing.T) {
-	// 12 independent instances keep the 40% bar far below the ~80%
-	// empirical hit rate, so one unlucky seed cannot flip the verdict.
-	hits, draws := 0, 0
-	for r := int64(0); r < 12; r++ {
-		inst := gen.AdversarialInd(50+r, 1<<12, 0.5, 1000, 2)
+	const (
+		seeds    = 32
+		missRate = 0.4
+		alarm    = 1e-3
+	)
+	missed := sweep.Sweep(sweep.Seeds(seeds), func(seed int64) bool {
+		inst := gen.AdversarialInd(seed, 1<<12, 0.5, 1000, 2)
 		if len(inst.Answer) != 1 {
 			t.Fatalf("instance should plant a single item, got %d", len(inst.Answer))
 		}
-		rng := rand.New(rand.NewSource(60 + r))
-		sp := New(rng, Params{N: 1 << 12, Eps: 0.25, S: 1 << 22, Alpha: 1000}, 16)
+		sp := New(rand.New(rand.NewSource(100+seed)), Params{N: 1 << 12, Eps: 0.25, S: 1 << 22, Alpha: 1000}, 16)
 		for _, u := range inst.Stream.Updates {
 			sp.Update(u.Index, u.Delta)
 		}
 		res, ok := sp.Sample()
-		if !ok {
-			continue
-		}
-		draws++
-		if res.Index == inst.Answer[0] {
-			hits++
-		}
+		return !ok || res.Index != inst.Answer[0]
+	})
+	if limit := sweep.Threshold(seeds, missRate, alarm); len(missed) >= limit {
+		t.Errorf("the planted item was missed on %d of %d seeds %v; an honest sampler reaches %d with probability <= %g",
+			len(missed), seeds, missed, limit, alarm)
 	}
-	if draws == 0 {
-		t.Fatal("sampler never succeeded on the Theorem 19 instance")
-	}
-	if hits*10 < draws*4 {
-		t.Errorf("planted item returned %d/%d draws; Theorem 19 needs >= 4/10", hits, draws)
-	}
+	t.Logf("missed on %d of %d seeds", len(missed), seeds)
 }

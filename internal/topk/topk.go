@@ -235,6 +235,22 @@ func (r *Refresher[E]) OfferHashed(t *Tracker, b *core.Batch, cols []uint32, sig
 	offerAll(t, keys, est)
 }
 
+// Estimates re-estimates t's candidates against q in one QueryColumns
+// call and returns them with their estimates: ids in b's Col64 scratch,
+// est in r's estimate scratch, each valid until its owner's next use, so
+// a read of the candidate set allocates neither.
+func (r *Refresher[E]) Estimates(t *Tracker, b *core.Batch, q interface {
+	QueryColumns(b *core.Batch, keys []uint64, est []E)
+}) (ids []uint64, est []E) {
+	ids = b.Col64(len(t.heap))
+	for i := range t.heap {
+		ids[i] = t.heap[i].id
+	}
+	est = r.estimates(len(ids))
+	q.QueryColumns(b, ids, est)
+	return ids, est
+}
+
 func (r *Refresher[E]) estimates(n int) []E {
 	if cap(r.est) < n {
 		r.est = make([]E, n)

@@ -9,6 +9,7 @@ import (
 	"iter"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/stream"
@@ -44,6 +45,35 @@ func LiveSet[T any](each iter.Seq2[int, T]) []int {
 		js = append(js, j)
 	}
 	return js
+}
+
+// Readers starts one goroutine per read, each calling it over and over
+// until stop is called, and stop returns once they have all returned. A
+// read that fails reports its error and ends its goroutine.
+func Readers(t testing.TB, reads ...func() error) (stop func()) {
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for _, read := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
 }
 
 // CheckLazySeeding asserts that a copy made by mk holds no generator
