@@ -446,15 +446,6 @@ func (s *SupportSampler) ProbeBatch(idxs []uint64) []bool {
 	return out
 }
 
-// ProbeColumns fills out[j] with Contains(b.Idx[j]), reusing b's
-// hash-column scratch — the allocation-conscious form of ProbeBatch
-// for callers that plan one Batch and probe repeatedly. out must hold
-// b.Len() entries.
-func (s *SupportSampler) ProbeColumns(b *Batch, out []bool) {
-	queryGuard(s != nil && s.impl != nil, KindSupportSampler, "ProbeColumns")
-	s.impl.ProbeBatch(b, b.Idx, out)
-}
-
 // SpaceBits reports the structure's space.
 func (s *SupportSampler) SpaceBits() int64 {
 	queryGuard(s != nil && s.impl != nil, KindSupportSampler, "SpaceBits")
@@ -571,11 +562,11 @@ func (s *SyncSketch) UpdateColumns(b *Batch) { s.impl.UpdateColumns(b) }
 
 // SubRemote subtracts a peer's serialized sketch (built with the same
 // seed) from this one, leaving the sketch of the difference vector. It
-// accepts both the enveloped MarshalBinary format and the historical
-// raw frame. On a zero-value receiver that has not restored any state
-// yet it returns a descriptive error instead of panicking: an empty
-// receiver has no hash wiring to subtract against — call
-// UnmarshalBinary (or NewSyncSketch plus updates) first.
+// accepts the MarshalBinary envelope only. On a zero-value receiver
+// that has not restored any state yet it returns a descriptive error
+// instead of panicking: an empty receiver has no hash wiring to
+// subtract against — call UnmarshalBinary (or NewSyncSketch plus
+// updates) first.
 func (s *SyncSketch) SubRemote(data []byte) error {
 	if s.impl == nil {
 		return fmt.Errorf("bounded: SubRemote on zero-value SyncSketch; restore it with UnmarshalBinary (or build it with NewSyncSketch) first")

@@ -68,7 +68,7 @@ func main() {
 		logf("bdagent: -id is required")
 		os.Exit(2)
 	}
-	structs, err := netagg.ParseStructures(*structures)
+	structs, err := engine.ParseStructures(*structures)
 	if err != nil {
 		logf("bdagent: %v", err)
 		os.Exit(2)

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	bounded "repro"
+	"repro/engine"
 	"repro/internal/netagg"
 	"repro/internal/obs"
 )
@@ -60,7 +61,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
 
-	structs, err := netagg.ParseStructures(*structures)
+	structs, err := engine.ParseStructures(*structures)
 	if err != nil {
 		logf("bdaggd: %v", err)
 		os.Exit(2)

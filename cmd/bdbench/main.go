@@ -40,7 +40,6 @@ import (
 	"repro/internal/l0"
 	"repro/internal/l1"
 	"repro/internal/nt"
-	"repro/internal/obs"
 	"repro/internal/sampler"
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -97,7 +96,7 @@ func main() {
 
 // obsSnapshot captures the process-wide observability counters bdbench
 // reports as per-experiment deltas: kernel dispatch routing and batch
-// arena churn. All zero under -tags noobs.
+// arena churn.
 type obsSnapshot struct {
 	disp  hash.DispatchStats
 	arena core.BatchArenaStats
@@ -110,12 +109,8 @@ func takeObsSnapshot() obsSnapshot {
 // printObsDelta prints the kernel-dispatch and arena counters an
 // experiment moved — which batch evaluators ran, how often columns
 // cleared the vector cutover, and how the batch pool churned. Silent
-// when the build carries no observability (-tags noobs) or the
-// experiment touched neither subsystem.
+// when the experiment touched neither subsystem.
 func printObsDelta(before obsSnapshot) {
-	if !obs.Enabled {
-		return
-	}
 	now := takeObsSnapshot()
 	d, b := now.disp, before.disp
 	rows := []struct {

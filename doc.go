@@ -454,11 +454,8 @@
 // Shard goroutines carry pprof labels (shard=N) and merged-view
 // rebuilds emit runtime/trace task/regions (engine.snapshotBuild,
 // engine.cloneShards, engine.mergeShards, shard.apply) when tracing is
-// enabled. Building with -tags noobs compiles the whole layer out
-// (zero-size counters, no-op recording; Stats reads zero except Shards
-// and SnapshotBuilds, which stays exact in every flavor); CI measures
-// the enabled build against the noobs build on the Fig1 ingest paths
-// and enforces a <2% overhead budget.
+// enabled. There is one build: the layer is always on, and the
+// benchmark's end-to-end metrics are measured with it.
 //
 // # Networked aggregation
 //

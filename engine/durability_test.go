@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
-	"repro/internal/obs"
 )
 
 // durTestStructures is the structure set the durability differential
@@ -161,10 +160,8 @@ func TestRestorePartitionedDifferential(t *testing.T) {
 		if w, g := must(src.L1()), must(dst.L1()); w != g {
 			t.Fatalf("shards=%d: L1: got %v, want %v", shards, g, w)
 		}
-		if obs.Enabled {
-			if n := dst.Stats().PartitionedRestores; n != 1 {
-				t.Fatalf("shards=%d: PartitionedRestores = %d, want 1", shards, n)
-			}
+		if n := dst.Stats().PartitionedRestores; n != 1 {
+			t.Fatalf("shards=%d: PartitionedRestores = %d, want 1", shards, n)
 		}
 		// The restored engine is live: it accepts further ingest and its
 		// snapshot round-trips again.

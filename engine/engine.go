@@ -116,13 +116,10 @@ type Engine struct {
 	// Written under mu AND queryMu, which every read of a view row holds.
 	copies [len(kinds)][]bounded.Sketch
 	// snapshotBuilds counts the generations a merged view was started
-	// for. It is a plain atomic — not an obs.Counter — because its
-	// exactness backs the routed-query contract ("Estimate never builds a
-	// snapshot") in every build flavor, including -tags noobs where obs
-	// counters read zero.
+	// for; its exactness backs the routed-query contract ("Estimate never
+	// builds a snapshot").
 	snapshotBuilds atomic.Int64
-	// met is the engine-level observability cell block (stats.go);
-	// zero-size and recording-free under -tags noobs.
+	// met is the engine-level observability cell block (stats.go).
 	met engineMetrics
 }
 

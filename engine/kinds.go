@@ -6,6 +6,7 @@ package engine
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	bounded "repro"
@@ -34,19 +35,21 @@ const (
 	SyncSketch
 )
 
-// kinds is the one table of structure kinds: per Structures bit, the
-// wire kind its snapshots carry and the constructor with its Options
-// plumbing. Rows are in ascending bit order (kinds[i].bit == 1<<i), so
-// a structSet is indexed by row and "each enabled structure" is a loop.
+// kinds is the one table of structure kinds: per Structures bit, its
+// command-line name (ParseStructures), the wire kind its snapshots
+// carry and the constructor with its Options plumbing. Rows are in
+// ascending bit order (kinds[i].bit == 1<<i), so a structSet is indexed
+// by row and "each enabled structure" is a loop.
 var kinds = [...]struct {
 	bit   Structures
+	name  string
 	kind  bounded.Kind
 	build func(bounded.Config, Options) (bounded.Sketch, error)
 }{
-	{HeavyHitters, bounded.KindHeavyHitters, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{HeavyHitters, "hh", bounded.KindHeavyHitters, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		return bounded.NewHeavyHitters(cfg, bounded.WithStrict(!o.General))
 	}},
-	{L1Estimator, bounded.KindL1Estimator, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{L1Estimator, "l1", bounded.KindL1Estimator, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		opts := []bounded.Option{bounded.WithStrict(!o.General)}
 		// L1Delta == 0 means "the constructor's default"; any other value
 		// goes through WithFailureProb so an out-of-range delta surfaces
@@ -58,23 +61,23 @@ var kinds = [...]struct {
 		}
 		return bounded.NewL1Estimator(cfg, opts...)
 	}},
-	{L0Estimator, bounded.KindL0Estimator, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
+	{L0Estimator, "l0", bounded.KindL0Estimator, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
 		return bounded.NewL0Estimator(cfg)
 	}},
-	{L1Sampler, bounded.KindL1Sampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{L1Sampler, "l1sampler", bounded.KindL1Sampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		var opts []bounded.Option
 		if o.SamplerCopies > 0 {
 			opts = append(opts, bounded.WithCopies(o.SamplerCopies))
 		}
 		return bounded.NewL1Sampler(cfg, opts...)
 	}},
-	{SupportSampler, bounded.KindSupportSampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{SupportSampler, "support", bounded.KindSupportSampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		return bounded.NewSupportSampler(cfg, bounded.WithK(o.SupportK))
 	}},
-	{L2HeavyHitters, bounded.KindL2HeavyHitters, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
+	{L2HeavyHitters, "l2hh", bounded.KindL2HeavyHitters, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
 		return bounded.NewL2HeavyHitters(cfg)
 	}},
-	{SyncSketch, bounded.KindSyncSketch, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{SyncSketch, "sync", bounded.KindSyncSketch, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		return bounded.NewSyncSketch(cfg, bounded.WithCapacity(o.SyncCapacity))
 	}},
 }
@@ -109,6 +112,32 @@ func (s Structures) Bits() []Structures {
 		}
 	}
 	return out
+}
+
+// ParseStructures parses a comma-separated list of kinds-table names
+// ("hh,l1,support"), in any case and with spaces around each name, into
+// a structure set — the vocabulary of the -structures flags.
+func ParseStructures(s string) (Structures, error) {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.name
+	}
+	var out Structures
+	for _, name := range strings.Split(s, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		i := slices.Index(names, strings.ToLower(name))
+		if i < 0 {
+			return 0, fmt.Errorf("engine: unknown structure %q (want %s)", name, strings.Join(names, ","))
+		}
+		out |= kinds[i].bit
+	}
+	if out == 0 {
+		return 0, fmt.Errorf("engine: empty structure list (want %s)", strings.Join(names, ","))
+	}
+	return out, nil
 }
 
 // DecodeBlobs is the one admission check for bit-tagged sketch blobs

@@ -88,6 +88,34 @@ func TestKindTableComplete(t *testing.T) {
 	}
 }
 
+// TestParseStructures: the -structures vocabulary is the kinds table's
+// name column, one spelling per row in row order — pinned here, since
+// the CLIs' flags accept exactly these — matched in any case with
+// spaces around a name; anything else, or nothing, is refused with the
+// seven names in the error.
+func TestParseStructures(t *testing.T) {
+	const vocabulary = "hh,l1,l0,l1sampler,support,l2hh,sync"
+	for i, name := range strings.Split(vocabulary, ",") {
+		for _, spelling := range []string{name, strings.ToUpper(name), " " + name + " "} {
+			if got, err := ParseStructures(spelling); err != nil || got != kinds[i].bit {
+				t.Errorf("ParseStructures(%q) = %s, %v; want %s", spelling, got, err, kinds[i].bit)
+			}
+		}
+	}
+	if got, err := ParseStructures(" HH, l1 "); err != nil || got != HeavyHitters|L1Estimator {
+		t.Errorf(`ParseStructures(" HH, l1 ") = %s, %v; want HeavyHitters|L1Estimator`, got, err)
+	}
+	if got, err := ParseStructures(vocabulary); err != nil || got != SyncSketch<<1-1 {
+		t.Errorf("ParseStructures of the whole vocabulary = %s, %v; want every kind", got, err)
+	}
+	for _, bad := range []string{"hh,bogus", "", " , "} {
+		_, err := ParseStructures(bad)
+		if err == nil || !strings.Contains(err.Error(), "(want "+vocabulary+")") {
+			t.Errorf("ParseStructures(%q): %v, want an error listing %s", bad, err, vocabulary)
+		}
+	}
+}
+
 // TestRestorePartitionedRejectsMistaggedBlob: a blob filed under the
 // wrong structure bit is refused by comparing the payload's wire kind
 // against the table — and the refusal names both kinds.

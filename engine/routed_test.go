@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	bounded "repro"
-	"repro/internal/obs"
 )
 
 // routedReads is the table of the engine's five routed (snapshot-free)
@@ -107,7 +106,7 @@ func TestRoutedReadsShareOneSequence(t *testing.T) {
 				// routedRead records its metrics before it leaves
 				// inflight, so a barrier that waited sees the read counted.
 				st := e.Stats()
-				if obs.Enabled && st.PointQueries+st.BatchedQueries != 1 {
+				if st.PointQueries+st.BatchedQueries != 1 {
 					t.Fatalf("%s returned with %d routed reads finished, want 1 (it must wait for the read in flight)",
 						barrier.name, st.PointQueries+st.BatchedQueries)
 				}

@@ -1,8 +1,7 @@
 // stats.go is the engine's observability surface: the engineMetrics
-// cell block the hot paths record into (internal/obs primitives —
-// zero-size no-ops under -tags noobs), the exported Stats snapshot, and
-// ExposeMetrics, which mounts everything on an obs.Registry for the
-// Prometheus-text/JSON HTTP handler.
+// cell block the hot paths record into (internal/obs primitives), the
+// exported Stats snapshot, and ExposeMetrics, which mounts everything
+// on an obs.Registry for the Prometheus-text/JSON HTTP handler.
 package engine
 
 import (
@@ -63,7 +62,7 @@ func (a applyShard) UpdateColumns(b *core.Batch) {
 }
 
 // publish runs in the shard's goroutine, after each applied batch and
-// after a restore: one atomic store, nothing under -tags noobs.
+// after a restore: one atomic store.
 func (a applyShard) publish() {
 	if hh, ok := a.e.sets[a.s][0].(*bounded.HeavyHitters); ok { // kinds[0]
 		a.e.met.csssExponent[a.s].Set(int64(hh.SampleExponent()))
@@ -108,8 +107,7 @@ type ShardStats struct {
 // are exact (every event counted, none sampled); they are read
 // individually, so a snapshot taken while producers run is per-counter
 // atomic rather than a consistent cut — quiesce with Flush first when
-// exact cross-counter identities matter. Under -tags noobs everything
-// except Shards and SnapshotBuilds reads zero.
+// exact cross-counter identities matter.
 type Stats struct {
 	// Shards is the engine's shard count (always populated).
 	Shards int
@@ -139,8 +137,8 @@ type Stats struct {
 	MergedLatency  obs.HistogramSnapshot
 
 	// SnapshotBuilds counts the generations a merged view was started for
-	// — one flush each, however many kinds were then read (exact in every
-	// build flavor — it backs the routed-query contract tests);
+	// — one flush each, however many kinds were then read (it backs the
+	// routed-query contract tests);
 	// SnapshotLatency the wall time of each kind's row built in them (S
 	// clone closures, S-1 merges, and for a generation's first row the
 	// flush).
@@ -219,9 +217,7 @@ func (e *Engine) Stats() Stats {
 // instance label and returns the function that unregisters them (call
 // it when the engine is closed or the registry outlives it). Use
 // obs.Default as r to surface the engine on the process-wide
-// obs.Handler next to the arena and kernel-dispatch metrics. Under
-// -tags noobs registration is a no-op and the returned function does
-// nothing.
+// obs.Handler next to the arena and kernel-dispatch metrics.
 func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 	owner := "engine:" + instance
 	inst := obs.Label{Key: "instance", Value: instance}
@@ -287,6 +283,4 @@ func (e *Engine) ExposeDefaultMetrics(instance string) func() {
 // ExposeDefaultMetrics, plus the batch-arena and kernel-dispatch
 // series — rendered as Prometheus text, or JSON with ?format=json.
 // Mount it with http.Handle("/metrics", engine.MetricsHandler()).
-// Under -tags noobs it serves a body saying observability is compiled
-// out.
 func MetricsHandler() http.Handler { return obs.Handler() }

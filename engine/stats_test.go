@@ -13,9 +13,7 @@ import (
 
 // TestStatsExactWorkload asserts Stats() counters against a
 // hand-counted workload at 1/2/4/8 shards: every counter is exact, not
-// sampled. Counters that live in the obs layer read zero under
-// -tags noobs, so those assertions are guarded by obs.Enabled;
-// SnapshotBuilds is exact in every build flavor.
+// sampled.
 func TestStatsExactWorkload(t *testing.T) {
 	s, _ := fig1Stream(11)
 	const chunk = 777
@@ -49,50 +47,48 @@ func TestStatsExactWorkload(t *testing.T) {
 			t.Errorf("shards=%d: %d snapshot builds before any merged query", shards, st.SnapshotBuilds)
 		}
 
-		if obs.Enabled {
-			if st.IngestCalls != int64(ingestCalls) {
-				t.Errorf("shards=%d: IngestCalls = %d, want %d", shards, st.IngestCalls, ingestCalls)
+		if st.IngestCalls != int64(ingestCalls) {
+			t.Errorf("shards=%d: IngestCalls = %d, want %d", shards, st.IngestCalls, ingestCalls)
+		}
+		if st.IngestedKeys != int64(total) {
+			t.Errorf("shards=%d: IngestedKeys = %d, want %d", shards, st.IngestedKeys, total)
+		}
+		if st.IngestLatency.Count != int64(ingestCalls) {
+			t.Errorf("shards=%d: IngestLatency.Count = %d, want %d", shards, st.IngestLatency.Count, ingestCalls)
+		}
+		// After a flush, every batch handed to an inbox has been
+		// applied: the sent/applied identity is exact, and the applied
+		// keys sum to the ingested keys.
+		var applied, keys int64
+		for _, ss := range st.PerShard {
+			applied += ss.BatchesApplied
+			keys += ss.KeysApplied
+			if ss.QueueDepth != 0 {
+				t.Errorf("shards=%d: nonzero queue depth %d after flush", shards, ss.QueueDepth)
 			}
-			if st.IngestedKeys != int64(total) {
-				t.Errorf("shards=%d: IngestedKeys = %d, want %d", shards, st.IngestedKeys, total)
+			if ss.QueueCap < 1 {
+				t.Errorf("shards=%d: queue cap %d", shards, ss.QueueCap)
 			}
-			if st.IngestLatency.Count != int64(ingestCalls) {
-				t.Errorf("shards=%d: IngestLatency.Count = %d, want %d", shards, st.IngestLatency.Count, ingestCalls)
+		}
+		if applied != st.BatchesSent {
+			t.Errorf("shards=%d: %d batches applied != %d sent", shards, applied, st.BatchesSent)
+		}
+		if keys != int64(total) {
+			t.Errorf("shards=%d: shards applied %d keys, want %d", shards, keys, total)
+		}
+		if shards == 1 {
+			// Single shard: hand-countable batch total — one full
+			// hand-off per batchSize keys, plus the flush remainder.
+			want := int64(total / batchSize)
+			if total%batchSize != 0 {
+				want++
 			}
-			// After a flush, every batch handed to an inbox has been
-			// applied: the sent/applied identity is exact, and the applied
-			// keys sum to the ingested keys.
-			var applied, keys int64
-			for _, ss := range st.PerShard {
-				applied += ss.BatchesApplied
-				keys += ss.KeysApplied
-				if ss.QueueDepth != 0 {
-					t.Errorf("shards=%d: nonzero queue depth %d after flush", shards, ss.QueueDepth)
-				}
-				if ss.QueueCap < 1 {
-					t.Errorf("shards=%d: queue cap %d", shards, ss.QueueCap)
-				}
+			if st.BatchesSent != want {
+				t.Errorf("shards=1: BatchesSent = %d, want %d", st.BatchesSent, want)
 			}
-			if applied != st.BatchesSent {
-				t.Errorf("shards=%d: %d batches applied != %d sent", shards, applied, st.BatchesSent)
-			}
-			if keys != int64(total) {
-				t.Errorf("shards=%d: shards applied %d keys, want %d", shards, keys, total)
-			}
-			if shards == 1 {
-				// Single shard: hand-countable batch total — one full
-				// hand-off per batchSize keys, plus the flush remainder.
-				want := int64(total / batchSize)
-				if total%batchSize != 0 {
-					want++
-				}
-				if st.BatchesSent != want {
-					t.Errorf("shards=1: BatchesSent = %d, want %d", st.BatchesSent, want)
-				}
-			}
-			if st.Flushes != 1 || st.FlushLatency.Count != 1 {
-				t.Errorf("shards=%d: Flushes = %d (latency count %d), want 1", shards, st.Flushes, st.FlushLatency.Count)
-			}
+		}
+		if st.Flushes != 1 || st.FlushLatency.Count != 1 {
+			t.Errorf("shards=%d: Flushes = %d (latency count %d), want 1", shards, st.Flushes, st.FlushLatency.Count)
 		}
 
 		// Queries: 3 routed points, 1 routed batch (above the cutover),
@@ -124,26 +120,24 @@ func TestStatsExactWorkload(t *testing.T) {
 		if shards == 1 {
 			checkOneShardReads(t, e, 2)
 		}
-		if obs.Enabled {
-			if st.PointQueries != 3 || st.PointLatency.Count != 3 {
-				t.Errorf("shards=%d: PointQueries = %d (latency count %d), want 3", shards, st.PointQueries, st.PointLatency.Count)
-			}
-			if st.BatchedQueries != 1 || st.BatchedLatency.Count != 1 {
-				t.Errorf("shards=%d: BatchedQueries = %d (latency count %d), want 1", shards, st.BatchedQueries, st.BatchedLatency.Count)
-			}
-			if st.MergedQueries != 2 || st.MergedLatency.Count != 2 {
-				t.Errorf("shards=%d: MergedQueries = %d (latency count %d), want 2", shards, st.MergedQueries, st.MergedLatency.Count)
-			}
-			if st.SnapshotLatency.Count != views(shards, 1) {
-				t.Errorf("shards=%d: SnapshotLatency.Count = %d, want %d", shards, st.SnapshotLatency.Count, views(shards, 1))
-			}
+		if st.PointQueries != 3 || st.PointLatency.Count != 3 {
+			t.Errorf("shards=%d: PointQueries = %d (latency count %d), want 3", shards, st.PointQueries, st.PointLatency.Count)
+		}
+		if st.BatchedQueries != 1 || st.BatchedLatency.Count != 1 {
+			t.Errorf("shards=%d: BatchedQueries = %d (latency count %d), want 1", shards, st.BatchedQueries, st.BatchedLatency.Count)
+		}
+		if st.MergedQueries != 2 || st.MergedLatency.Count != 2 {
+			t.Errorf("shards=%d: MergedQueries = %d (latency count %d), want 2", shards, st.MergedQueries, st.MergedLatency.Count)
+		}
+		if st.SnapshotLatency.Count != views(shards, 1) {
+			t.Errorf("shards=%d: SnapshotLatency.Count = %d, want %d", shards, st.SnapshotLatency.Count, views(shards, 1))
 		}
 
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 		st = e.Stats() // Stats works on a closed engine
-		if obs.Enabled && st.CloseLatency.Count != 1 {
+		if st.CloseLatency.Count != 1 {
 			t.Errorf("shards=%d: CloseLatency.Count = %d, want 1", shards, st.CloseLatency.Count)
 		}
 	}
@@ -153,9 +147,6 @@ func TestStatsExactWorkload(t *testing.T) {
 // EstimateBatch at or below the cutover answers via per-index Estimate,
 // so it shows up as point queries, not a batched query.
 func TestStatsSmallBatchCutover(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("obs counters read zero under -tags noobs")
-	}
 	e := must(New(testCfg, Options{Shards: 2, BatchSize: 128}))
 	defer e.Close()
 	if err := e.Ingest([]bounded.Update{{Index: 1, Delta: 3}, {Index: 2, Delta: 5}}); err != nil {
@@ -248,45 +239,39 @@ func TestStatsHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if obs.Enabled {
-		if st.IngestedKeys != total {
-			t.Errorf("IngestedKeys = %d, want %d", st.IngestedKeys, total)
-		}
-		var keys, applied int64
-		for _, ss := range st.PerShard {
-			keys += ss.KeysApplied
-			applied += ss.BatchesApplied
-		}
-		if keys != total {
-			t.Errorf("shards applied %d keys, want %d", keys, total)
-		}
-		if applied != st.BatchesSent {
-			t.Errorf("%d batches applied != %d sent", applied, st.BatchesSent)
-		}
+	if st.IngestedKeys != total {
+		t.Errorf("IngestedKeys = %d, want %d", st.IngestedKeys, total)
+	}
+	var keys, applied int64
+	for _, ss := range st.PerShard {
+		keys += ss.KeysApplied
+		applied += ss.BatchesApplied
+	}
+	if keys != total {
+		t.Errorf("shards applied %d keys, want %d", keys, total)
+	}
+	if applied != st.BatchesSent {
+		t.Errorf("%d batches applied != %d sent", applied, st.BatchesSent)
 	}
 
 	// The scrape surface renders the per-shard and engine metrics.
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
-	if obs.Enabled {
-		for _, want := range []string{
-			`repro_engine_ingested_keys_total{instance="hammer"}`,
-			`repro_engine_shard_batches_applied_total{instance="hammer",shard="3"}`,
-			`repro_engine_query_seconds_count{instance="hammer",path="merged"}`,
-		} {
-			if !strings.Contains(body, want) {
-				t.Errorf("scrape missing %q", want)
-			}
+	for _, want := range []string{
+		`repro_engine_ingested_keys_total{instance="hammer"}`,
+		`repro_engine_shard_batches_applied_total{instance="hammer",shard="3"}`,
+		`repro_engine_query_seconds_count{instance="hammer",path="merged"}`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("scrape missing %q", want)
 		}
-		unregister()
-		rec = httptest.NewRecorder()
-		reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		if strings.Contains(rec.Body.String(), "hammer") {
-			t.Error("unregister left engine metrics on the registry")
-		}
-	} else if !strings.Contains(body, "observability disabled") {
-		t.Errorf("noobs scrape body = %q", body)
+	}
+	unregister()
+	rec = httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if strings.Contains(rec.Body.String(), "hammer") {
+		t.Error("unregister left engine metrics on the registry")
 	}
 
 	if err := e.Close(); err != nil {
@@ -323,9 +308,6 @@ func TestShardSampleExponent(t *testing.T) {
 		return [2]int{st.PerShard[0].SampleExponent, st.PerShard[1].SampleExponent}
 	}
 	want := [2]int{1, 0}
-	if !obs.Enabled {
-		want = [2]int{}
-	}
 	e := must(New(cfg, Options{Shards: 2, Structures: HeavyHitters, BatchSize: 256}))
 	defer e.Close()
 	twin := must(New(cfg, Options{Shards: 2, Structures: HeavyHitters, BatchSize: 256}))
@@ -343,7 +325,7 @@ func TestShardSampleExponent(t *testing.T) {
 	defer e.ExposeMetrics(reg, "exp")()
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if row := `repro_engine_shard_csss_exponent{instance="exp",shard="0"} 1`; obs.Enabled && !strings.Contains(rec.Body.String(), row) {
+	if row := `repro_engine_shard_csss_exponent{instance="exp",shard="0"} 1`; !strings.Contains(rec.Body.String(), row) {
 		t.Errorf("scrape missing %q", row)
 	}
 	snap, err := e.SnapshotPartitioned()

@@ -67,7 +67,7 @@ func checkOneShardReads(t *testing.T, e *Engine, reads int64) {
 	if n := e.met.viewCopiesReused.Load() + e.met.viewCopiesAllocated.Load(); n != 0 {
 		t.Errorf("one shard: repro_engine_view_copies_total reads %d", n)
 	}
-	if obs.Enabled && (st.MergedQueries != reads || st.MergedLatency.Count != reads) {
+	if st.MergedQueries != reads || st.MergedLatency.Count != reads {
 		t.Errorf("one shard: %d merged queries (%d timed), want %d", st.MergedQueries, st.MergedLatency.Count, reads)
 	}
 }
@@ -187,7 +187,7 @@ func TestViewRowsShareOneGeneration(t *testing.T) {
 		}
 		if shards == 1 {
 			checkOneShardReads(t, e, 3)
-		} else if obs.Enabled && (st.SnapshotLatency.Count != 3 || st.MergedQueries != 3) {
+		} else if st.SnapshotLatency.Count != 3 || st.MergedQueries != 3 {
 			t.Errorf("shards=%d: %d row builds timed over %d merged queries, want 3 and 3", shards, st.SnapshotLatency.Count, st.MergedQueries)
 		}
 		// A warm row answers again without building anything.
@@ -303,8 +303,7 @@ func TestGlobalReadsRaceWithIngest(t *testing.T) {
 	}
 }
 
-// series reads one series off r's Prometheus text: 0 when it is absent
-// (under -tags noobs nothing is).
+// series reads one series off r's Prometheus text: 0 when it is absent.
 func series(t *testing.T, r *obs.Registry, name string) int64 {
 	t.Helper()
 	var b bytes.Buffer
@@ -379,7 +378,7 @@ func TestRecycledViewsMatchFreshClones(t *testing.T) {
 		if p := e.view.Load().rows[0].(*bounded.HeavyHitters).SampleExponent(); p < 1 {
 			t.Fatalf("shards=%d: the heavy hitters ended at exponent %d, never sampled", shards, p)
 		}
-		if obs.Enabled && moves() == movedAt {
+		if moves() == movedAt {
 			t.Fatalf("shards=%d: no L0 or support window moved after the first read", shards)
 		}
 		if !bytes.Equal(must(e.SnapshotPartitioned()), must(twin.SnapshotPartitioned())) {
@@ -387,8 +386,7 @@ func TestRecycledViewsMatchFreshClones(t *testing.T) {
 		}
 		copies := int64(len(asked) * shards)
 		if reused, allocated := series(t, reg, `repro_engine_view_copies_total{instance="e",storage="reused"}`),
-			series(t, reg, `repro_engine_view_copies_total{instance="e",storage="allocated"}`); obs.Enabled &&
-			(reused != int64(rounds-1)*copies || allocated != copies) {
+			series(t, reg, `repro_engine_view_copies_total{instance="e",storage="allocated"}`); reused != int64(rounds-1)*copies || allocated != copies {
 			t.Fatalf("shards=%d: %d copies reused and %d allocated over %d rounds of %d kinds, want %d and %d",
 				shards, reused, allocated, rounds, len(asked), int64(rounds-1)*copies, copies)
 		}

@@ -27,9 +27,6 @@
 //	  - job_name: netmon
 //	    static_configs:
 //	      - targets: ['localhost:9090']
-//
-// Binaries built with -tags noobs still serve the endpoint, but it
-// reports that observability is compiled out.
 package main
 
 import (

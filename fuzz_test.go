@@ -126,14 +126,20 @@ func craftedL1Windows(f *testing.F, cfg Config) [][]byte {
 	return out
 }
 
-// pingPongFrames crafts two legacy "SR" frames around one planted cell:
+// rawFrame appends its bytes as they are, so appendEnvelope can wrap a
+// crafted payload.
+type rawFrame []byte
+
+func (r rawFrame) AppendBinary(dst []byte) ([]byte, error) { return append(dst, r...), nil }
+
+// pingPongFrames crafts two sync sketches around one planted cell:
 // (k, k*x, k*fp(x)) in x's subtable-0 cell and nothing in its other two
 // cells, which no stream produces. Peeling the cell makes the other two
 // verified singletons of (x, -k), and peeling those restores it. tiny
 // carries it under a header no constructor writes — one cell per
 // subtable, capacity 2^22 — where the old capacity-sized peel guard let
 // the trade run for seconds (minutes at 2^32-1); held keeps the honest
-// dimensions.
+// dimensions. Both are "SR" frames in the "BD" envelope.
 func pingPongFrames(f *testing.F, cfg Config) (tiny, held []byte) {
 	s := must(NewSyncSketch(cfg, WithCapacity(16)))
 	s.Update(5, 3)
@@ -159,7 +165,10 @@ func pingPongFrames(f *testing.F, cfg Config) (tiny, held []byte) {
 	binary.LittleEndian.PutUint32(tiny[2:], 1<<22)
 	binary.LittleEndian.PutUint32(tiny[14:], 1)
 	tiny = append(append(tiny, one...), make([]byte, 2*cellBytes)...)
-	return tiny, held
+	wrap := func(frame []byte) []byte {
+		return must(appendEnvelope(nil, KindSyncSketch, cfg, sketchOptions{capacity: 16}, rawFrame(frame)))
+	}
+	return wrap(tiny), wrap(held)
 }
 
 // FuzzUnmarshal drives arbitrary bytes through every deserialization
@@ -274,6 +283,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'B', 'D'})
 	f.Add([]byte{'B', 'D', 1, 1, 0, 0, 0})
+	// A bare sparse-recovery frame, without the envelope: refused.
 	f.Add([]byte{'S', 'R', 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -287,9 +297,9 @@ func FuzzUnmarshal(f *testing.F) {
 				t.Errorf("restored sketch failed to re-marshal: %v", err)
 			}
 		}
-		// Every typed receiver, including the legacy sync path. A failed
-		// restore must leave the zero value intact (the subsequent
-		// UnmarshalBinary of a valid payload checks nothing leaked).
+		// Every typed receiver. A failed restore must leave the zero
+		// value intact (the subsequent UnmarshalBinary of a valid payload
+		// checks nothing leaked).
 		var hh HeavyHitters
 		_ = hh.UnmarshalBinary(data)
 		var l1e L1Estimator

@@ -94,9 +94,8 @@ type Store struct {
 	nextSeq uint64
 
 	// Observability. The counters and gauges are plain atomics — the
-	// store is cold-path (fsync dominates every op), and Stats() must
-	// stay exact under -tags noobs; only the latency histograms ride
-	// obs and compile out.
+	// store is cold-path (fsync dominates every op), so no cache-line
+	// padding is needed; the latency histograms are obs histograms.
 	saves           atomic.Int64
 	loads           atomic.Int64
 	bytesWritten    atomic.Int64
@@ -411,9 +410,8 @@ func (s *Store) ExposeMetrics(r *obs.Registry, instance string) func() {
 	return func() { r.RemoveOwner(owner) }
 }
 
-// Stats is a point-in-time snapshot of the store's counters (exact
-// except under -tags noobs, where only Kept and LastSuccessUnix are
-// live).
+// Stats is a point-in-time snapshot of the store's counters, each
+// exact.
 type Stats struct {
 	Saves, Loads    int64
 	BytesWritten    int64

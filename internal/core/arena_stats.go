@@ -1,7 +1,7 @@
 // arena_stats.go instruments the batch arena. The counters are
-// package-level obs primitives (zero-size no-ops under -tags noobs) and
-// register themselves into the default observability registry at init —
-// the arena is process-wide state, so its metrics are too.
+// package-level obs primitives and register themselves into the default
+// observability registry at init — the arena is process-wide state, so
+// its metrics are too.
 package core
 
 import "repro/internal/obs"
@@ -33,8 +33,7 @@ type BatchArenaStats struct {
 	Oversized int64
 }
 
-// ArenaStats returns the current arena counters (all zero under
-// -tags noobs).
+// ArenaStats returns the current arena counters.
 func ArenaStats() BatchArenaStats {
 	return BatchArenaStats{
 		Gets:      arenaGets.Load(),
@@ -45,7 +44,6 @@ func ArenaStats() BatchArenaStats {
 }
 
 func init() {
-	// Under noobs every call below is a no-op on the no-op registry.
 	obs.Default.CounterFunc("", "repro_arena_batch_gets_total",
 		"batches handed out by the columnar batch arena", arenaGets.Load)
 	obs.Default.CounterFunc("", "repro_arena_batch_misses_total",

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -210,7 +209,7 @@ func TestPlanScratchFollowsRetainCap(t *testing.T) {
 	b.Reset()
 	before := ArenaStats().Oversized
 	PutBatch(b)
-	if got := ArenaStats().Oversized - before; obs.Enabled && got != 1 {
+	if got := ArenaStats().Oversized - before; got != 1 {
 		t.Fatalf("PutBatch kept a batch whose plan holds %d slots (oversized drops: %d)", cap(b.slot), got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/topk"
 )
@@ -257,12 +256,6 @@ func TestRegimeCountersRoutes(t *testing.T) {
 		feedColumns(sk, us[off:off+1000])
 	}
 	after := DispatchStats()
-	if !obs.Enabled {
-		if after != (RegimeStats{}) {
-			t.Fatalf("noobs build recorded %+v", after)
-		}
-		return
-	}
 	// Boundaries S*2^r + 1 at positions 129, 257, ..., 4097: six
 	// updates land on one, and everything before the first is rate-1.
 	halved := int64(sk.SampleExponent())
@@ -527,7 +520,7 @@ func parked(seed int64, p Params, e int, gap int64) *lockstep {
 }
 
 // sweeps runs f and returns how many table sweeps each apply made in
-// it (zeros under -tags noobs).
+// it.
 func sweeps(f func()) (perKey, perSurvivor int64) {
 	before := DispatchStats()
 	f()
@@ -561,7 +554,7 @@ func TestUpdateColumnsLaneWrap(t *testing.T) {
 				}
 				perKey, _ := sweeps(func() { l.feedUpdates(t, us) })
 				l.requireSameDraw(t)
-				if want := int64((n + laneMax - 1) / laneMax); obs.Enabled && perKey != want {
+				if want := int64((n + laneMax - 1) / laneMax); perKey != want {
 					t.Errorf("p=%d n=%d: %d key sweeps, want %d", e, n, perKey, want)
 				}
 			}
@@ -587,7 +580,7 @@ func TestUpdateColumnsRuleRoutes(t *testing.T) {
 			l := parked(int64(100+e), Params{Rows: 7, K: 4, S: 1 << 40}, e, 1<<30)
 			perKey, perSurvivor := sweeps(func() { l.feedUpdates(t, cycle(n, d)) })
 			l.requireSameDraw(t)
-			if obs.Enabled && (perKey != int64(want) || perSurvivor != int64(1-want)) {
+			if perKey != int64(want) || perSurvivor != int64(1-want) {
 				t.Errorf("p=%d n=%d (rule at %d): %d key sweeps and %d survivor sweeps", e, n, at, perKey, perSurvivor)
 			}
 		}
@@ -605,7 +598,7 @@ func TestUpdateColumnsRuleRoutes(t *testing.T) {
 			if skew == 0 && want != 0 || skew != 0 && e <= 2 && want != 1 {
 				t.Errorf("skew %v p=%d: rule says coalesce=%d for %d keys", skew, e, want, len(keys))
 			}
-			if obs.Enabled && (perKey != want || perSurvivor != 1-want) {
+			if perKey != want || perSurvivor != 1-want {
 				t.Errorf("skew %v p=%d: %d key sweeps and %d survivor sweeps, want %d and %d", skew, e, perKey, perSurvivor, want, 1-want)
 			}
 			core.PutBatch(batch)
@@ -653,7 +646,7 @@ func TestUpdateColumnsCoalescedCases(t *testing.T) {
 				if rows > maxMaskRows {
 					want = 0
 				}
-				if obs.Enabled && perKey != want {
+				if perKey != want {
 					t.Errorf("%d key sweeps, want %d", perKey, want)
 				}
 			})

@@ -2,11 +2,11 @@
 // was handed, by route — the question a batched sampled regime raises
 // on a real workload: does the steady state actually take the batch
 // path, or does it keep falling to the per-item one? — and how many
-// keys it hashed to do it. The counters are obs primitives (zero-size
-// no-ops under -tags noobs), process-wide like the kernel dispatch
-// tallies, and recording is one uncontended atomic add per batch, per
-// run or per halving, never per key. Per-item Update/UpdateWeighted
-// calls are not counted: they are the per-key path.
+// keys it hashed to do it. The counters are obs primitives,
+// process-wide like the kernel dispatch tallies, and recording is one
+// uncontended atomic add per batch, per run or per halving, never per
+// key. Per-item Update/UpdateWeighted calls are not counted: they are
+// the per-key path.
 package csss
 
 import "repro/internal/obs"
@@ -24,8 +24,7 @@ var (
 	sampleExponent   obs.Gauge   // p of the sketch that last set or moved its exponent
 )
 
-// RegimeStats is a point-in-time view of the CSSS regime counters. All
-// zero under -tags noobs.
+// RegimeStats is a point-in-time view of the CSSS regime counters.
 type RegimeStats struct {
 	// UnitsRate1, UnitsThinned and UnitsScalar split the unit mass
 	// UpdateColumns consumed by the route that applied it. Scalar is

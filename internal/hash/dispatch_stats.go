@@ -1,10 +1,9 @@
 // dispatch_stats.go counts kernel dispatches per family and per route
 // (vector assembly vs scalar loop), answering the question the vector
 // cutovers raise on real workloads: how often does a call actually
-// clear its family's bar? The counters are obs primitives — zero-size
-// no-ops under -tags noobs — and recording is one predictable branch
-// plus one uncontended atomic add per batch-evaluator call, off the
-// per-key path entirely. Zero-length sweeps early-out in the public
+// clear its family's bar? The counters are obs primitives, and
+// recording is one predictable branch plus one uncontended atomic add
+// per batch-evaluator call, off the per-key path entirely. Zero-length sweeps early-out in the public
 // entry points BEFORE reaching a counter, so the scalar/vector ratios
 // describe real dispatches only.
 package hash
@@ -44,7 +43,7 @@ var (
 
 // DispatchStats is a point-in-time view of the kernel dispatch
 // counters: per family, how many batch-evaluator calls routed to the
-// vector assembly vs the scalar loop. All zero under -tags noobs.
+// vector assembly vs the scalar loop.
 type DispatchStats struct {
 	// Every family counts whole batch-evaluator calls. BucketSigns
 	// counts fused BucketSignsBatch calls (all Count-Sketch rows in one

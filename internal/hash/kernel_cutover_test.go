@@ -38,8 +38,7 @@ func TestKernelCutoverAccessors(t *testing.T) {
 
 // TestBatchZeroLengthNoDispatch pins satellite behavior: a zero-length
 // sweep returns before touching the dispatch tallies, so obs ratios
-// describe real dispatches only. (Under -tags noobs counters read 0
-// always and the assertions hold vacuously.)
+// describe real dispatches only.
 func TestBatchZeroLengthNoDispatch(t *testing.T) {
 	before := KernelDispatchStats()
 	rng := rand.New(rand.NewSource(41))

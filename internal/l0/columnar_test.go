@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nt"
-	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/wire/wiretest"
 )
@@ -277,7 +276,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 	if moves < 5 {
 		t.Fatalf("stream moved R_t %d times, want several", moves)
 	}
-	if got := rowStats.Events.Load() - events; obs.Enabled && got != moves {
+	if got := rowStats.Events.Load() - events; got != moves {
 		t.Fatalf("repro_l0_window_events_total grew by %d over %d moves of R_t", got, moves)
 	}
 }
@@ -868,9 +867,6 @@ func TestUpdateColumnsCutsAtFirstOccurrence(t *testing.T) {
 // TestUpdateColumnsPlanCounters: one add per planned batch to each of
 // the two series, n nonzero updates and d distinct keys.
 func TestUpdateColumnsPlanCounters(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	e, _ := estimatorPair(Params{N: 1 << 20, Eps: 0.25, Windowed: true, Window: 2})
 	n0, d0 := rowStats.BatchKeys.Load(), rowStats.KeysHashed.Load()
 	core.UpdateBatch(e.UpdateColumns, []stream.Update{{Index: 5, Delta: 1}, {Index: 9, Delta: 0}, {Index: 5, Delta: -1}, {Index: 7, Delta: 2}})

@@ -9,12 +9,10 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/nt"
-	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
@@ -676,16 +674,13 @@ func b2i(b bool) int {
 // TestLatchCounterCountsLatches: repro_l0_exact_latched_total grows by
 // exactly one for each structure an update latches — not again for the
 // updates it then ignores, and not for a merge, clone or decode that
-// inherits a latch. The counter is zero-size under -tags noobs.
+// inherits a latch.
 func TestLatchCounterCountsLatches(t *testing.T) {
-	if !obs.Enabled && unsafe.Sizeof(latches) != 0 {
-		t.Fatalf("the latch counter takes %d bytes with observability compiled out", unsafe.Sizeof(latches))
-	}
 	start := latches.Load()
 	want := int64(0)
 	check := func(what string) {
 		t.Helper()
-		if got := latches.Load() - start; obs.Enabled && got != want {
+		if got := latches.Load() - start; got != want {
 			t.Fatalf("after %s the counter reads %d latches, want %d", what, got, want)
 		}
 	}

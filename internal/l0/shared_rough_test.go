@@ -11,13 +11,11 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/hash"
 	"repro/internal/nt"
-	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/wire/wiretest"
 )
@@ -362,9 +360,6 @@ func TestParentReferenceIsTheParent(t *testing.T) {
 // other four are h1's row hash, final's level hash, and h3s and h3,
 // 8-wise hashes whose RangeBatch evaluates through FieldBatch.
 func TestOneRoughScanPerBatch(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("dispatch counters compiled out")
-	}
 	const n = 1 << 26
 	e := NewEstimator(rand.New(rand.NewSource(16)), Params{N: n, Eps: 0.1, Windowed: true, Window: RecommendedWindow(8, 0.1)})
 	b := core.GetBatch()
@@ -442,15 +437,8 @@ func TestRoughL0DecodesV1(t *testing.T) {
 
 // TestRoughGaugeSetPerSync: repro_l0_rough_estimate reads the R_t the
 // last window sync stood at, is written by syncs only — an update that
-// moves nothing leaves a planted value alone — and takes no space under
-// -tags noobs.
+// moves nothing leaves a planted value alone.
 func TestRoughGaugeSetPerSync(t *testing.T) {
-	if !obs.Enabled {
-		if unsafe.Sizeof(rowStats.Rough) != 0 {
-			t.Fatalf("the gauge takes %d bytes with observability compiled out", unsafe.Sizeof(rowStats.Rough))
-		}
-		t.Skip("gauge compiled out")
-	}
 	const n = 1 << 30
 	e := NewEstimator(rand.New(rand.NewSource(19)), Params{N: n, Eps: 0.25, Windowed: true, Window: 3})
 	us := burstStream(rand.New(rand.NewSource(20)), n, 6, 40, 0)

@@ -49,8 +49,8 @@ var instantiated = &struct{}{}
 const unsynced = -1
 
 // WindowStats are the process-wide series a windowed structure
-// publishes (obs primitives: zero-size no-ops under -tags noobs),
-// written once per window event or per planned batch, never per key.
+// publishes (obs primitives), written once per window event or per
+// planned batch, never per key.
 type WindowStats struct {
 	Events obs.Counter // updates that raised R_t and moved a window
 	Live   obs.Gauge   // levels held by the window that synced last

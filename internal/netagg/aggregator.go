@@ -94,9 +94,8 @@ type AgentSyncStats struct {
 }
 
 // AggregatorStats is a point-in-time snapshot of the aggregator's
-// counters — the exact-count contract surface (plain atomics, live in
-// every build flavor including noobs) that the e2e tests assert
-// incremental sync against.
+// counters — the exact-count contract surface (plain atomics) that the
+// e2e tests assert incremental sync against.
 type AggregatorStats struct {
 	ConnsOpened, ConnsClosed         int64
 	FramesIn, FramesOut              int64

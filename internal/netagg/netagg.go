@@ -41,15 +41,12 @@
 package netagg
 
 import (
-	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	bounded "repro"
-	"repro/engine"
 	"repro/internal/netproto"
 )
 
@@ -80,39 +77,6 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // sites' sketches linear in the same basis.
 func configEcho(cfg bounded.Config) netproto.ConfigEcho {
 	return netproto.ConfigEcho{N: cfg.N, Eps: cfg.Eps, Alpha: cfg.Alpha, Seed: cfg.Seed}
-}
-
-// structureNames maps the CLI spelling of each structure to its bit —
-// the vocabulary cmd/bdagent and cmd/bdaggd share.
-var structureNames = map[string]engine.Structures{
-	"hh":        engine.HeavyHitters,
-	"l1":        engine.L1Estimator,
-	"l0":        engine.L0Estimator,
-	"l1sampler": engine.L1Sampler,
-	"support":   engine.SupportSampler,
-	"l2hh":      engine.L2HeavyHitters,
-	"sync":      engine.SyncSketch,
-}
-
-// ParseStructures parses a comma-separated structure list
-// ("hh,l1,support") into an engine structure set.
-func ParseStructures(s string) (engine.Structures, error) {
-	var out engine.Structures
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		bit, ok := structureNames[strings.ToLower(name)]
-		if !ok {
-			return 0, fmt.Errorf("netagg: unknown structure %q (want hh,l1,l0,l1sampler,support,l2hh,sync)", name)
-		}
-		out |= bit
-	}
-	if out == 0 {
-		return 0, fmt.Errorf("netagg: empty structure list")
-	}
-	return out, nil
 }
 
 // deadline computes an absolute deadline, zero (= none) when d is 0.

@@ -225,9 +225,8 @@ func TestEndToEndDifferential(t *testing.T) {
 	verifyAgainstReference(t, client, ref, probeKeys)
 
 	// Incremental-sync contract: nothing changed since the ACK, so a
-	// sync tick must ship no frame at all — asserted against the plain
-	// atomic counters on both ends, which are exact in every build
-	// flavor (including -tags noobs).
+	// sync tick must ship no frame at all — asserted against the exact
+	// counters on both ends.
 	aggBefore := agg.Stats()
 	for _, a := range agents {
 		before := a.Stats()

@@ -296,7 +296,7 @@ func TestViewExponentReported(t *testing.T) {
 		`repro_netagg_view_csss_exponent{instance="t"} 1`,
 		`repro_netagg_view_align_halvings_total{instance="t"} 2`,
 	} {
-		if obs.Enabled && !strings.Contains(out.String(), want) {
+		if !strings.Contains(out.String(), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
 	}

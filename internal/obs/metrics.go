@@ -1,5 +1,3 @@
-//go:build !noobs
-
 package obs
 
 import (
@@ -7,9 +5,8 @@ import (
 	"time"
 )
 
-// Enabled reports whether this build records metrics (false under
-// `-tags noobs`). It is a constant so `if obs.Enabled { ... }` blocks
-// compile out entirely in the disabled build.
+// Enabled is always true: the package has one build, and it records.
+// The constant stays for the benchmark's provenance field.
 const Enabled = true
 
 // epoch anchors Now(): readings are monotonic nanoseconds since package
@@ -18,8 +15,7 @@ const Enabled = true
 var epoch = time.Now()
 
 // Now returns the current monotonic timestamp in nanoseconds — the
-// start token for Histogram.ObserveSince. Under noobs it returns 0
-// without touching the clock.
+// start token for Histogram.ObserveSince.
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // Counter is a monotonically increasing atomic counter padded to its
@@ -74,7 +70,7 @@ func (h *Histogram) Observe(ns int64) {
 }
 
 // ObserveSince records the elapsed time since start, a token from
-// Now(). Under noobs both sides are no-ops and no clock is read.
+// Now().
 func (h *Histogram) ObserveSince(start int64) { h.Observe(Now() - start) }
 
 // Snapshot copies the histogram. Concurrent recording may land between

@@ -6,18 +6,10 @@
 // dispatch layer record into, and the surface the future aggregation
 // services scrape.
 //
-// The package has two build flavors selected by the noobs build tag:
-//
-//   - the default build (metrics.go, registry.go, trace.go) records for
-//     real: every primitive is an atomic cell (padded to its own cache
-//     line where producers write concurrently), recording is a single
-//     uncontended atomic RMW, and the registry renders whatever the
-//     readback closures report at scrape time;
-//   - `-tags noobs` (the *_noobs.go twins) compiles the whole layer
-//     OUT: the primitives are zero-size structs with empty methods, the
-//     clock reads nothing, registration stores nothing, and the handler
-//     serves a single comment line. Callers keep identical source —
-//     the instrumentation is worth zero bytes and zero cycles.
+// Every primitive is an atomic cell (padded to its own cache line where
+// producers write concurrently), recording is a single uncontended
+// atomic RMW, and the registry renders whatever the readback closures
+// report at scrape time. There is one build: the layer is always on.
 //
 // Recording contract: Counter/Gauge/Histogram methods are safe for any
 // number of concurrent writers and readers, never allocate, and never
@@ -66,7 +58,7 @@ func HistBucketBound(i int) int64 { return int64(1) << uint(i) }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, the form
 // the registry renders and engine.Stats embeds. The zero value is a
-// valid empty snapshot (and is what the noobs build always returns).
+// valid empty snapshot.
 type HistogramSnapshot struct {
 	// Count is the number of observations, Sum their total in
 	// nanoseconds.

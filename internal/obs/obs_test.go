@@ -9,11 +9,6 @@ import (
 	"time"
 )
 
-// The tests in this file run under both build flavors: where behavior
-// differs (recorded values vs compiled-out zeros) they branch on the
-// Enabled constant, so `go test ./internal/obs` and
-// `go test -tags noobs ./internal/obs` both exercise their flavor.
-
 func TestHistBucketMath(t *testing.T) {
 	cases := []struct {
 		ns   int64
@@ -69,30 +64,21 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	g.Add(-2)
 	h.Observe(100)
 	h.ObserveSince(Now() - 1000)
-	if Enabled {
-		if got := c.Load(); got != 5 {
-			t.Errorf("Counter.Load = %d, want 5", got)
-		}
-		if got := g.Load(); got != 5 {
-			t.Errorf("Gauge.Load = %d, want 5", got)
-		}
-		s := h.Snapshot()
-		if s.Count != 2 || s.Sum < 1100 {
-			t.Errorf("Histogram snapshot = %+v", s)
-		}
-	} else {
-		if c.Load() != 0 || g.Load() != 0 || h.Snapshot().Count != 0 {
-			t.Error("noobs primitives must read zero")
-		}
-		if Now() != 0 {
-			t.Error("noobs Now() must be 0")
-		}
+	if got := c.Load(); got != 5 {
+		t.Errorf("Counter.Load = %d, want 5", got)
+	}
+	if got := g.Load(); got != 5 {
+		t.Errorf("Gauge.Load = %d, want 5", got)
+	}
+	s := h.Snapshot()
+	if s.Count != 2 || s.Sum < 1100 {
+		t.Errorf("Histogram snapshot = %+v", s)
 	}
 }
 
 // TestConcurrentRecording hammers one counter and one histogram from
 // many goroutines; under -race this validates the lock-free recording
-// contract, and under the enabled build the totals are exact.
+// contract, and the totals are exact.
 func TestConcurrentRecording(t *testing.T) {
 	const workers = 8
 	const perWorker = 10_000
@@ -124,9 +110,6 @@ func TestConcurrentRecording(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	if !Enabled {
-		return
-	}
 	if got := c.Load(); got != workers*perWorker {
 		t.Errorf("Counter.Load = %d, want %d", got, workers*perWorker)
 	}
@@ -159,12 +142,6 @@ func TestRegistryExposition(t *testing.T) {
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, req)
 	body := rec.Body.String()
-	if !Enabled {
-		if !strings.Contains(body, "observability disabled") {
-			t.Fatalf("noobs handler body = %q", body)
-		}
-		return
-	}
 	for _, want := range []string{
 		"# TYPE repro_test_total counter",
 		`repro_test_total{shard="0"} 42`,
@@ -199,9 +176,6 @@ func TestRegistryExposition(t *testing.T) {
 }
 
 func TestRegistryInvalidNamePanics(t *testing.T) {
-	if !Enabled {
-		t.Skip("no validation under noobs")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on invalid metric name")

@@ -1,5 +1,3 @@
-//go:build !noobs
-
 package obs
 
 import (

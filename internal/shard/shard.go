@@ -51,8 +51,7 @@ type message struct {
 // Metrics is a worker's observability cell block: per-worker counters
 // written only by the owner goroutine (apply side) or the sending
 // goroutine (stall side). Each obs.Counter is cache-line padded, so
-// adjacent workers' metrics never false-share. Under -tags noobs the
-// whole struct is zero-size and every recording call compiles out.
+// adjacent workers' metrics never false-share.
 type Metrics struct {
 	// BatchesApplied and KeysApplied count work the owner goroutine has
 	// finished applying (a flush barrier makes them exact totals).
@@ -146,16 +145,14 @@ func (w *Worker) Send(b *core.Batch) {
 		return
 	}
 	msg := message{batch: b}
-	if obs.Enabled {
-		// Try-then-block: the fast path is one select that succeeds
-		// immediately; only a full inbox pays the second (blocking) send,
-		// and that Send was going to block anyway.
-		select {
-		case w.in <- msg:
-			return
-		default:
-			w.m.SendStalls.Inc()
-		}
+	// Try-then-block: the fast path is one select that succeeds
+	// immediately; only a full inbox pays the second (blocking) send,
+	// and that Send was going to block anyway.
+	select {
+	case w.in <- msg:
+		return
+	default:
+		w.m.SendStalls.Inc()
 	}
 	w.in <- msg
 }

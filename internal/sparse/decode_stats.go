@@ -1,8 +1,8 @@
 // decode_stats.go counts what decodes found: how many came back sparse,
 // how many DENSE, and how many singletons they peeled on the way. The
-// counters are obs primitives (zero-size no-ops under -tags noobs),
-// process-wide like the window-event tallies, and recording is two
-// uncontended atomic adds per decode, never per cell.
+// counters are obs primitives, process-wide like the window-event
+// tallies, and recording is two uncontended atomic adds per decode,
+// never per cell.
 package sparse
 
 import "repro/internal/obs"

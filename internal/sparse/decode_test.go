@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/nt"
-	"repro/internal/obs"
 )
 
 const p61 = int64(nt.MersennePrime61)
@@ -356,7 +355,7 @@ func TestDecodeIsReadOnly(t *testing.T) {
 
 // TestDecodeCounters: the decode counters are exact — one verdict per
 // decode, one peel per singleton removed, wasted peels of a DENSE decode
-// included — and silent under -tags noobs.
+// included.
 func TestDecodeCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	sparse := NewRecovery(rng, 32, 1<<32)
@@ -387,12 +386,6 @@ func TestDecodeCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotS, gotD, gotP := decodesSparse.Load()-s0, decodesDense.Load()-d0, peelsTotal.Load()-p0
-	if !obs.Enabled {
-		if decodesSparse.Load() != 0 || decodesDense.Load() != 0 || peelsTotal.Load() != 0 {
-			t.Fatal("noobs build recorded decodes")
-		}
-		return
-	}
 	if wantP := int64(4*20 + 2*densePeels); gotS != 4 || gotD != 2 || gotP != wantP {
 		t.Errorf("counted %d sparse, %d dense, %d peels; want 4, 2, %d", gotS, gotD, gotP, wantP)
 	}

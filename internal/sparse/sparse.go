@@ -515,9 +515,6 @@ func (r *Recovery) Decode() (map[uint64]int64, error) {
 	return vec, nil
 }
 
-// Capacity returns s.
-func (r *Recovery) Capacity() int { return r.capacity }
-
 // SpaceBits charges each cell a count at observed width plus two 61-bit
 // field sums, plus the four hash seeds: the O(s log n) of Lemma 22.
 func (r *Recovery) SpaceBits() int64 {

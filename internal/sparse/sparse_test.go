@@ -210,9 +210,6 @@ func TestSpaceBitsScalesWithCapacity(t *testing.T) {
 	if big.SpaceBits() <= small.SpaceBits() {
 		t.Error("space should grow with capacity")
 	}
-	if small.Capacity() != 8 {
-		t.Errorf("Capacity = %d", small.Capacity())
-	}
 }
 
 func TestCombinePanicsOnForeign(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/l0"
-	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/wire/wiretest"
 )
@@ -260,10 +259,10 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 	if moves < 5 {
 		t.Fatalf("stream moved R_t %d times, want several", moves)
 	}
-	if got := levelStats.Events.Load() - events; obs.Enabled && got != moves {
+	if got := levelStats.Events.Load() - events; got != moves {
 		t.Fatalf("repro_support_window_events_total grew by %d over %d moves of R_t", got, moves)
 	}
-	if got := levelStats.Rough.Load(); obs.Enabled && got != sp.rough.Estimate() {
+	if got := levelStats.Rough.Load(); got != sp.rough.Estimate() {
 		t.Fatalf("repro_support_rough_estimate reads %d after the last sync, R_t is %d", got, sp.rough.Estimate())
 	}
 }
@@ -616,9 +615,6 @@ func TestUpdateColumnsCutsAtFirstOccurrence(t *testing.T) {
 // TestUpdateColumnsPlanCounters: one add per planned batch to each of
 // the two series, n nonzero updates and d distinct keys.
 func TestUpdateColumnsPlanCounters(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	sp, _ := samplerPair(Params{N: 1 << 20, K: 4, Windowed: true, Window: 3})
 	n0, d0 := levelStats.BatchKeys.Load(), levelStats.KeysHashed.Load()
 	core.UpdateBatch(sp.UpdateColumns, []stream.Update{{Index: 5, Delta: 1}, {Index: 9, Delta: 0}, {Index: 5, Delta: -1}, {Index: 7, Delta: 2}})

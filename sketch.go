@@ -173,7 +173,7 @@ func appendEnvelope(dst []byte, kind Kind, cfg Config, o sketchOptions, impl enc
 func openEnvelope(data []byte) (*wire.Reader, error) {
 	rd, v, err := wire.NewReader(data, envelopeMagic)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bounded: not a sketch envelope: %w", err)
 	}
 	if v != envelopeV1 {
 		return nil, fmt.Errorf("bounded: unsupported wire format version %d", v)
@@ -235,12 +235,8 @@ func restorePayload[T any, P interface {
 	*T
 	encoding.BinaryUnmarshaler
 }](env *envelope) (P, error) {
-	// A sync sketch restored from a legacy frame re-marshals with a zero
-	// Config echo; accept that alongside fully-described payloads.
-	if env.kind != KindSyncSketch || env.cfg != (Config{}) {
-		if err := env.cfg.Validate(); err != nil {
-			return nil, err
-		}
+	if err := env.cfg.Validate(); err != nil {
+		return nil, err
 	}
 	impl := P(new(T))
 	if err := impl.UnmarshalBinary(env.payload); err != nil {
@@ -251,8 +247,7 @@ func restorePayload[T any, P interface {
 
 // SketchConfig peeks at a serialized sketch's Config echo without
 // unmarshaling the state — the cross-check a partitioned restore runs
-// on every blob before installing it into a live shard. Legacy "SR"
-// sync-sketch frames carry no envelope and are rejected. Like
+// on every blob before installing it into a live shard. Like
 // SketchKind it reads the fixed header only: a frame whose state is
 // truncated or malformed still answers here and fails UnmarshalSketch.
 func SketchConfig(data []byte) (Config, error) {
@@ -480,24 +475,11 @@ func (s *SyncSketch) appendBinary(dst []byte) ([]byte, error) {
 	return appendEnvelope(dst, KindSyncSketch, s.cfg, sketchOptions{capacity: s.capacity}, s.impl)
 }
 
-// UnmarshalBinary restores a sync sketch. It accepts both the envelope
-// format and the historical raw sparse-recovery payload (pre-envelope
-// peers shipped the bare "SR" frame), works on a zero-value receiver —
-// `var s SyncSketch; s.UnmarshalBinary(data)` is the receive side of an
-// exchange — and on failure leaves the receiver as it was.
+// UnmarshalBinary restores a sync sketch serialized by MarshalBinary. It
+// works on a zero-value receiver — `var s SyncSketch;
+// s.UnmarshalBinary(data)` is the receive side of an exchange — and on
+// failure leaves the receiver as it was.
 func (s *SyncSketch) UnmarshalBinary(data []byte) error {
-	if legacySyncPayload(data) {
-		impl := &sparse.Recovery{}
-		if err := impl.UnmarshalBinary(data); err != nil {
-			return err
-		}
-		// Legacy frames carry no Config echo; the capacity comes from
-		// the sketch itself.
-		s.cfg = Config{}
-		s.capacity = impl.Capacity()
-		s.impl = impl
-		return nil
-	}
 	env, impl, err := restoreEnvelope[sparse.Recovery](data, KindSyncSketch)
 	if err != nil {
 		return err
@@ -506,18 +488,9 @@ func (s *SyncSketch) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// legacySyncPayload reports whether data is a bare sparse-recovery
-// frame ("SR" magic) rather than the enveloped format.
-func legacySyncPayload(data []byte) bool {
-	return len(data) >= 2 && data[0] == 'S' && data[1] == 'R'
-}
-
-// syncPayload extracts the raw sparse-recovery frame from either wire
-// format — the input SubRemote's subtraction consumes.
+// syncPayload extracts the sparse-recovery frame from a sync sketch's
+// envelope — the input SubRemote's subtraction consumes.
 func syncPayload(data []byte) ([]byte, error) {
-	if legacySyncPayload(data) {
-		return data, nil
-	}
 	env, err := parseEnvelope(data, KindSyncSketch)
 	if err != nil {
 		return nil, err

@@ -79,6 +79,37 @@ func TestSyncSketchZeroValueErrors(t *testing.T) {
 	}
 }
 
+// TestSyncSketchRefusesBareFrame: the sparse-recovery frame a sync
+// sketch's envelope carries is not itself a sync sketch. Offered without
+// the "BD" envelope, UnmarshalBinary and SubRemote both refuse it with an
+// error naming the envelope, and neither receiver changes.
+func TestSyncSketchRefusesBareFrame(t *testing.T) {
+	cfg := Config{N: 1 << 16, Eps: 0.1, Alpha: 2, Seed: 79}
+	s := must(NewSyncSketch(cfg, WithCapacity(32)))
+	s.Update(42, 3)
+	enveloped := must(s.MarshalBinary())
+	bare, err := syncPayload(enveloped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(bare[:2]) != "SR" {
+		t.Fatalf("the envelope carries a %q frame, want SR", bare[:2])
+	}
+	var z SyncSketch
+	if err := z.UnmarshalBinary(bare); err == nil || !strings.Contains(err.Error(), "envelope") {
+		t.Errorf("UnmarshalBinary of a bare SR frame: got %v, want an error naming the envelope", err)
+	}
+	if err := z.SubRemote(nil); err == nil || !strings.Contains(err.Error(), "zero-value") {
+		t.Errorf("the refused frame was installed: %v", err)
+	}
+	if err := s.SubRemote(bare); err == nil || !strings.Contains(err.Error(), "envelope") {
+		t.Errorf("SubRemote of a bare SR frame: got %v, want an error naming the envelope", err)
+	}
+	if string(must(s.MarshalBinary())) != string(enveloped) {
+		t.Error("a refused SubRemote changed the sketch")
+	}
+}
+
 // TestSyncSketchMerge: shard-local sketches of an index partition merge
 // into the sketch of the full stream — byte-identical wire format.
 func TestSyncSketchMerge(t *testing.T) {
