@@ -43,7 +43,7 @@ var (
 	eps        = flag.Float64("eps", 0.05, "heavy hitter threshold eps")
 	alpha      = flag.Float64("alpha", 4, "alpha-property bound")
 	seed       = flag.Int64("seed", 7, "sketch seed (must match the aggregator)")
-	structures = flag.String("structures", "hh,l1,support", "sketches to maintain and ship")
+	structures = flag.String("structures", "hh,l1,support", "sketches to maintain and ship ("+engine.StructureNames()+")")
 	shards     = flag.Int("shards", 0, "engine shards (0 = one per CPU, or the checkpoint's count when restoring from -checkpoint)")
 	interval   = flag.Duration("interval", 500*time.Millisecond, "snapshot sync interval")
 	metrics    = flag.String("metrics", "", "serve /metrics on this address (empty = off)")

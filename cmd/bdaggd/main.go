@@ -46,7 +46,7 @@ var (
 	eps        = flag.Float64("eps", 0.05, "heavy hitter threshold eps")
 	alpha      = flag.Float64("alpha", 4, "alpha-property bound")
 	seed       = flag.Int64("seed", 7, "sketch seed (must match every agent)")
-	structures = flag.String("structures", "hh,l1,support", "accepted sketch set (hh,l1,l0,l1sampler,support,l2hh,sync)")
+	structures = flag.String("structures", "hh,l1,support", "accepted sketch set ("+engine.StructureNames()+")")
 	idle       = flag.Duration("idle-timeout", 0, "drop connections idle for this long (0 = never)")
 	statsEvery = flag.Duration("stats", time.Minute, "log a stats line this often (0 = never)")
 

@@ -263,9 +263,10 @@
 //  4. REFRESH — candidate tracking re-estimates the batch's distinct
 //     indices and offers each to the tracker (one shared step,
 //     topk.Refresher). The CSSS heavy hitters read those estimates off
-//     the SAME columns stage 2 filled; the Count-Sketch-backed
-//     structures and the L1 sampler's copies take one further batched
-//     hash pass over the distinct column.
+//     the SAME columns stage 2 filled and keep an admitted index's
+//     columns, so a HeavyHitters read hashes nothing; the Count-Sketch
+//     backed structures and the L1 sampler's copies take one further
+//     batched hash pass over the distinct column.
 //
 // Once CSSS is sampling (sampling exponent p >= 1, the regime past 2S
 // units where a long-lived monitor spends its life) two steps run
@@ -420,9 +421,10 @@
 // count is an error, since sketch state cannot be re-keyed).
 // Global queries (HeavyHitters, L1, ...) answer from the merged view,
 // one row per kind behind a generation-tagged cache that is checked
-// before the engine mutex, so query bursts do not stall producers; what
-// a stale row costs to build — and why a one-shard engine builds none —
-// is the operator's concern and is in the README (Merge-on-query).
+// before the engine mutex, so query bursts do not stall producers. What
+// a stale row costs to build — and why a one-shard engine's read builds
+// none, copies nothing and hashes nothing — is in the README
+// (Merge-on-query).
 //
 // Pick the engine when ingest throughput is the bottleneck and cores
 // are available (producers can be many goroutines; Ingest is

@@ -231,18 +231,28 @@ func benchGlobalRead(b *testing.B, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	faults, measured := minorFaults()
+	var hashes int64
 	for i := 0; i < b.N; i++ {
 		if err := e.Ingest(s.Updates[i%len(s.Updates) : i%len(s.Updates)+1]); err != nil {
 			b.Fatal(err)
 		}
+		// The read would hand the pending update to its shard first; a
+		// flush applies it (and its hash pass) here, so the count below
+		// is the read's own.
+		if err := e.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		before := bucketSigns()
 		if _, err := e.HeavyHitters(); err != nil {
 			b.Fatal(err)
 		}
+		hashes += bucketSigns() - before
 	}
 	b.StopTimer()
 	if end, ok := minorFaults(); ok && measured {
 		b.ReportMetric(float64(end-faults)/float64(b.N), "minflt/op")
 	}
+	b.ReportMetric(float64(hashes)/float64(b.N), "bucket-signs/op")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc), "state-B")
 }
 

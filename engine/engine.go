@@ -199,10 +199,7 @@ func (e *Engine) ShardOf(i uint64) int {
 // no key: its column stays as make zeroed it.
 func (e *Engine) planLocked(keys []uint64) []uint64 {
 	n := len(keys)
-	if cap(e.planShards) < n {
-		e.planShards = make([]uint64, n)
-	}
-	shards := e.planShards[:n]
+	shards := core.Grow(&e.planShards, n)
 	if e.opt.Shards > 1 {
 		e.part.RangeBatch(keys, uint64(e.opt.Shards), shards)
 	}
@@ -272,10 +269,7 @@ func (e *Engine) Ingest(batch []bounded.Update) error {
 		return fmt.Errorf("engine: Ingest on closed engine")
 	}
 	n := len(batch)
-	if cap(e.planKeys) < n {
-		e.planKeys = make([]uint64, n)
-	}
-	keys := e.planKeys[:n]
+	keys := core.Grow(&e.planKeys, n)
 	if e.opt.Shards > 1 { // the only shard owns every key unread
 		for j, u := range batch {
 			keys[j] = u.Index

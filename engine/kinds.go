@@ -114,14 +114,22 @@ func (s Structures) Bits() []Structures {
 	return out
 }
 
-// ParseStructures parses a comma-separated list of kinds-table names
-// ("hh,l1,support"), in any case and with spaces around each name, into
-// a structure set — the vocabulary of the -structures flags.
-func ParseStructures(s string) (Structures, error) {
+// StructureNames lists the kinds table's names in row order, comma
+// separated — the vocabulary ParseStructures accepts, as the
+// -structures flags' help shows it.
+func StructureNames() string {
 	names := make([]string, len(kinds))
 	for i, k := range kinds {
 		names[i] = k.name
 	}
+	return strings.Join(names, ",")
+}
+
+// ParseStructures parses a comma-separated list of kinds-table names
+// ("hh,l1,support"), in any case and with spaces around each name, into
+// a structure set — the vocabulary of the -structures flags.
+func ParseStructures(s string) (Structures, error) {
+	names := strings.Split(StructureNames(), ",")
 	var out Structures
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
@@ -130,12 +138,12 @@ func ParseStructures(s string) (Structures, error) {
 		}
 		i := slices.Index(names, strings.ToLower(name))
 		if i < 0 {
-			return 0, fmt.Errorf("engine: unknown structure %q (want %s)", name, strings.Join(names, ","))
+			return 0, fmt.Errorf("engine: unknown structure %q (want %s)", name, StructureNames())
 		}
 		out |= kinds[i].bit
 	}
 	if out == 0 {
-		return 0, fmt.Errorf("engine: empty structure list (want %s)", strings.Join(names, ","))
+		return 0, fmt.Errorf("engine: empty structure list (want %s)", StructureNames())
 	}
 	return out, nil
 }

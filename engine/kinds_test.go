@@ -116,6 +116,28 @@ func TestParseStructures(t *testing.T) {
 	}
 }
 
+// TestStructureNamesAreWhatParseAccepts: the names the -structures
+// help lists are exactly the ones ParseStructures accepts — each on its
+// own is one kind, no two the same, all of them every kind — and a
+// refusal lists the same names.
+func TestStructureNamesAreWhatParseAccepts(t *testing.T) {
+	listed := StructureNames()
+	var all Structures
+	for _, name := range strings.Split(listed, ",") {
+		bit, err := ParseStructures(name)
+		if _, one := bit.Kind(); err != nil || !one || all&bit != 0 {
+			t.Fatalf("listed name %q parses to %s, %v; want one kind no other name gave", name, bit, err)
+		}
+		all |= bit
+	}
+	if got, err := ParseStructures(listed); err != nil || got != all || all != SyncSketch<<1-1 {
+		t.Fatalf("ParseStructures(%q) = %s, %v; the names cover %s, want every kind", listed, got, err, all)
+	}
+	if _, err := ParseStructures("sketch"); err == nil || !strings.Contains(err.Error(), "(want "+listed+")") {
+		t.Fatalf("an unlisted name: %v, want an error listing %s", err, listed)
+	}
+}
+
 // TestRestorePartitionedRejectsMistaggedBlob: a blob filed under the
 // wrong structure bit is refused by comparing the payload's wire kind
 // against the table — and the refusal names both kinds.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	bounded "repro"
+	"repro/internal/hash"
 	"repro/internal/obs"
 	"repro/internal/wire/wiretest"
 )
@@ -452,6 +453,43 @@ func TestOneShardReadsLeaveStateAlone(t *testing.T) {
 	}
 	for _, eng := range []*Engine{e, twin} {
 		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// bucketSigns counts fused bucket/sign hash dispatches, process-wide.
+func bucketSigns() int64 {
+	s := hash.KernelDispatchStats()
+	return s.BucketSignsScalar + s.BucketSignsVector
+}
+
+// TestHeavyHittersReadHashesNothing: the candidate tracker keeps the
+// bucket and sign columns each candidate was admitted with, so once the
+// ingest is flushed a global heavy-hitters read hashes nothing — on the
+// live shard at S = 1, and at S = 2 through a view row rebuilt by
+// CloneInto and a merge that re-ranks the union off both slabs.
+func TestHeavyHittersReadHashesNothing(t *testing.T) {
+	s, _ := fig1Stream(42)
+	for _, shards := range []int{1, 2} {
+		e := must(New(testCfg, Options{Shards: shards, Structures: HeavyHitters}))
+		for off := 0; off < len(s.Updates); off += 7919 {
+			if err := e.Ingest(s.Updates[off:min(off+7919, len(s.Updates))]); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			before := bucketSigns()
+			hh := must(e.HeavyHitters())
+			if d := bucketSigns() - before; d != 0 {
+				t.Fatalf("shards=%d: a heavy-hitters read after %d updates made %d bucket/sign hash dispatches, want 0", shards, off, d)
+			}
+			if len(hh) == 0 {
+				t.Fatalf("shards=%d: no heavy hitters after %d updates", shards, off)
+			}
+		}
+		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

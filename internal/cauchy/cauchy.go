@@ -155,18 +155,14 @@ func (s *Sketch) UpdateColumns(b *core.Batch) {
 // estimate the heavy-hitters algorithm needs. The median works over
 // reusable scratch, so steady-state queries allocate nothing.
 func (s *Sketch) MedianEstimate() float64 {
-	var m float64
-	m, s.qAbs = medianAbsScratch(s.yPrime, s.qAbs)
-	return m
+	return medianAbsScratch(s.yPrime, &s.qAbs)
 }
 
 // LnCosEstimate returns the Figure 5 estimator. It falls back to the
 // median estimate when the cosine average is nonpositive (possible only
 // in the extreme tail for small r).
 func (s *Sketch) LnCosEstimate() float64 {
-	var m float64
-	m, s.qAbs = medianAbsScratch(s.yPrime, s.qAbs)
-	return lnCos(s.y, m)
+	return lnCos(s.y, medianAbsScratch(s.yPrime, &s.qAbs))
 }
 
 // lnCos computes ymed * (-ln((1/r) sum cos(y_i/ymed))) with guards.
@@ -367,11 +363,9 @@ func (s *SampledSketch) Estimate() float64 {
 		return 0
 	}
 	scale := float64(sample.Pow(s.base, j)) / float64(int64(1)<<s.fpBits)
-	s.qY = rescaleInto(s.qY, lv.y, scale)
-	s.qYPrime = rescaleInto(s.qYPrime, lv.yPrime, scale)
-	var m float64
-	m, s.qAbs = medianAbsScratch(s.qYPrime, s.qAbs)
-	return lnCos(s.qY, m)
+	rescaleInto(&s.qY, lv.y, scale)
+	rescaleInto(&s.qYPrime, lv.yPrime, scale)
+	return lnCos(s.qY, medianAbsScratch(s.qYPrime, &s.qAbs))
 }
 
 // MedianEstimate returns the constant-factor Indyk estimate from the
@@ -382,23 +376,17 @@ func (s *SampledSketch) MedianEstimate() float64 {
 		return 0
 	}
 	scale := float64(sample.Pow(s.base, j)) / float64(int64(1)<<s.fpBits)
-	s.qYPrime = rescaleInto(s.qYPrime, lv.yPrime, scale)
-	var m float64
-	m, s.qAbs = medianAbsScratch(s.qYPrime, s.qAbs)
-	return m
+	rescaleInto(&s.qYPrime, lv.yPrime, scale)
+	return medianAbsScratch(s.qYPrime, &s.qAbs)
 }
 
-// rescaleInto fills dst (grown on demand) with xs[i]*scale and returns
-// the possibly-regrown buffer sized to len(xs).
-func rescaleInto(dst []float64, xs []int64, scale float64) []float64 {
-	if cap(dst) < len(xs) {
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
+// rescaleInto sizes *dst (grown on demand) to len(xs) and fills it with
+// xs[i]*scale.
+func rescaleInto(dst *[]float64, xs []int64, scale float64) {
+	d := core.Grow(dst, len(xs))
 	for i, v := range xs {
-		dst[i] = float64(v) * scale
+		d[i] = float64(v) * scale
 	}
-	return dst
 }
 
 // Merge folds another SampledSketch built from the same seed into this
@@ -463,28 +451,25 @@ func (s *SampledSketch) SpaceBits() int64 {
 }
 
 func medianAbs(xs []float64) float64 {
-	m, _ := medianAbsScratch(xs, nil)
-	return m
+	var scratch []float64
+	return medianAbsScratch(xs, &scratch)
 }
 
 // medianAbsScratch is medianAbs over a caller-owned scratch buffer
-// (grown on demand and returned): the sort works on a copy, so xs is
-// never reordered, and repeated queries reuse one allocation.
-func medianAbsScratch(xs, scratch []float64) (float64, []float64) {
-	if cap(scratch) < len(xs) {
-		scratch = make([]float64, len(xs))
-	}
-	a := scratch[:len(xs)]
+// (grown on demand): the sort works on a copy, so xs is never
+// reordered, and repeated queries reuse one allocation.
+func medianAbsScratch(xs []float64, scratch *[]float64) float64 {
+	a := core.Grow(scratch, len(xs))
 	for i, v := range xs {
 		a[i] = math.Abs(v)
 	}
 	sort.Float64s(a)
 	n := len(a)
 	if n == 0 {
-		return 0, scratch
+		return 0
 	}
 	if n%2 == 1 {
-		return a[n/2], scratch
+		return a[n/2]
 	}
-	return (a[n/2-1] + a[n/2]) / 2, scratch
+	return (a[n/2-1] + a[n/2]) / 2
 }

@@ -296,31 +296,19 @@ func nonzero(x uint64) uint64 { return (x | -x) >> 63 }
 // (typically rows*Len() for a row-major bucket matrix). Contents are
 // unspecified; the caller fills them.
 func (b *Batch) Cols32(n int) []uint32 {
-	if cap(b.u32) < n {
-		b.u32 = make([]uint32, n)
-	}
-	b.u32 = b.u32[:n]
-	return b.u32
+	return Grow(&b.u32, n)
 }
 
 // Signs8 returns the int8 sign-column scratch sized to n entries.
 func (b *Batch) Signs8(n int) []int8 {
-	if cap(b.i8) < n {
-		b.i8 = make([]int8, n)
-	}
-	b.i8 = b.i8[:n]
-	return b.i8
+	return Grow(&b.i8, n)
 }
 
 // Col64 returns the uint64 hash-column scratch sized to n entries —
 // for bucket ranges too wide for uint32 (universe-sized reductions) and
 // raw field-value columns.
 func (b *Batch) Col64(n int) []uint64 {
-	if cap(b.u64) < n {
-		b.u64 = make([]uint64, n)
-	}
-	b.u64 = b.u64[:n]
-	return b.u64
+	return Grow(&b.u64, n)
 }
 
 // batchPool is the shared arena. Batches from different call sites mix

@@ -21,6 +21,17 @@ func OrNew[T any](dst *T) *T {
 	return dst
 }
 
+// Grow returns (*s)[:n], first replacing *s with a fresh slice when it
+// cannot hold n: the one resize rule of every reusable scratch column.
+// Contents are unspecified; the caller fills them.
+func Grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
 // RelErr returns |got-want| / |want| (or |got| when want == 0).
 func RelErr(got, want float64) float64 {
 	if want == 0 {

@@ -913,12 +913,10 @@ func (s *Sketch) cachedRowEstimate(r int) float64 {
 	return float64(s.rowSigns[r]) * float64(cl[0]-cl[1]) * s.estScale
 }
 
-// QueryColumns fills est[j] with Query(keys[j]) for every key, hashing
-// the whole key column in ONE batch evaluation into b's column scratch
-// — the read path behind the public BatchPointQuerier capability and
-// the candidate re-estimate of HeavyHitters and of the L1 sampler's
-// refresh. Answers are bit-identical to Query's; est must hold
-// len(keys) entries.
+// QueryColumns fills est[j] with Query(keys[j]) for every key —
+// HashColumns, then EstimateHashed: the read path behind the public
+// BatchPointQuerier capability. Answers are bit-identical to Query's;
+// est must hold len(keys) entries.
 func (s *Sketch) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 	n := len(keys)
 	if n == 0 {
@@ -927,16 +925,24 @@ func (s *Sketch) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 	if len(est) < n {
 		panic(fmt.Sprintf("csss: QueryColumns output holds %d entries, need %d", len(est), n))
 	}
-	cols := b.Cols32(s.rows * n)
-	signs := b.Signs8(s.rows * n)
-	s.buckets.BucketSignsBatch(keys, cols, signs)
+	cols, signs := s.HashColumns(b, keys)
 	s.EstimateHashed(cols, signs, est[:n])
 }
 
+// HashColumns hashes the whole key column in ONE batch evaluation into
+// b's column scratch and returns the keys' bucket and sign columns,
+// row-major (rows x len(keys)) — the layout UpdateColumns returns and
+// EstimateHashed reads.
+func (s *Sketch) HashColumns(b *core.Batch, keys []uint64) (cols []uint32, signs []int8) {
+	cols, signs = b.Cols32(s.rows*len(keys)), b.Signs8(s.rows*len(keys))
+	s.buckets.BucketSignsBatch(keys, cols, signs)
+	return cols, signs
+}
+
 // EstimateHashed is QueryColumns past the hash: cols and signs are the
-// bucket and sign columns of len(est) keys (row-major, as
-// BucketSignsBatch fills them and UpdateColumns returns them), and
-// est[j] becomes the j-th key's Query. The gather stage sweeps the
+// bucket and sign columns of len(est) keys (row-major, as HashColumns
+// and UpdateColumns return them, or a candidate tracker caches them),
+// and est[j] becomes the j-th key's Query. The gather stage sweeps the
 // table row-major (every read of row r happens while r's cells are
 // cache-resident) before the per-key medians select over the gathered
 // estimate matrix.
@@ -948,10 +954,7 @@ func (s *Sketch) EstimateHashed(cols []uint32, signs []int8, est []float64) {
 	if len(cols) != s.rows*n || len(signs) != s.rows*n {
 		panic(fmt.Sprintf("csss: EstimateHashed got %d buckets and %d signs for %d keys in %d rows", len(cols), len(signs), n, s.rows))
 	}
-	if cap(s.qBatch) < s.rows*n {
-		s.qBatch = make([]float64, s.rows*n)
-	}
-	rowEst := s.qBatch[:s.rows*n]
+	rowEst := core.Grow(&s.qBatch, s.rows*n)
 	// The int64 differences land in the estimates' own memory.
 	diffs := unsafe.Slice((*int64)(unsafe.Pointer(&rowEst[0])), len(rowEst))
 	// ONE fused kernel call gathers every row's signed (a+ - a-)

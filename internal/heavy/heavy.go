@@ -206,9 +206,12 @@ func (h *AlphaL1) UpdateColumns(b *core.Batch) {
 // (3 eps / 4) R — Section 3's decision rule, which returns all items
 // with |f_i| >= eps ||f||_1 and none below (eps/2) ||f||_1 with the
 // stated probability. The candidate set re-estimates through ONE
-// columnar QueryColumns sweep (one batch hash pass, row-major table
-// reads) instead of one Query per candidate; estimates, and hence the
-// returned set, are bit-identical either way. Candidates and estimates
+// columnar EstimateHashed sweep (row-major table reads) over the bucket
+// and sign columns the tracker kept when it admitted each candidate, so
+// a read hashes nothing — unless a scalar Update or a decode admitted
+// candidates without their columns, in which case the read hashes every
+// candidate once; estimates, and hence the returned set, are
+// bit-identical to one Query per candidate. Candidates and estimates
 // live in scratch: the answer is the one allocation.
 func (h *AlphaL1) HeavyHitters() []uint64 {
 	thr := 3 * h.eps * h.scale.value() / 4

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stream"
+	"repro/internal/sweep"
 	"repro/internal/topk"
 )
 
@@ -68,45 +70,47 @@ func verify(t *testing.T, name string, got []uint64, v stream.Vector, eps float6
 	return missed, spurious
 }
 
-func TestAlphaL1Strict(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+// Figure 1 row 1 over a seed sweep: each seed draws its own planted
+// stream (hhStream) and its own structure, fed through the columnar
+// path (so every read re-estimates off the tracker's cached columns),
+// and a seed fails when the answer misses an eps-heavy item or — strict
+// mode only — returns one below eps/2. The tests hold the structure to a
+// per-seed failure rate of delta = 0.1 at a false-alarm rate of 1e-3
+// (the single-seed tests they replace allowed 2 of 8 strict and 3 of 8
+// general); the honest structure fails on none of 300 seeds in either
+// mode, and a tracker too small to hold the planted items fails every
+// seed.
+const (
+	fig1Seeds = 32
+	fig1Delta = 0.1
+	fig1Alarm = 1e-3
+)
+
+// fig1Sweep returns the seeds on which the mode's answer failed.
+func fig1Sweep(t *testing.T, mode Mode, failed func(missed, spurious int) bool) []int64 {
 	const eps = 0.05
-	s, v := hhStream(rng, 1<<16, eps, 4)
-	good := 0
-	const reps = 8
-	for rep := 0; rep < reps; rep++ {
-		h := NewAlphaL1(rng, AlphaL1Params{N: 1 << 16, Eps: eps, Mode: Strict, Alpha: 4})
-		for _, u := range s.Updates {
-			h.Update(u.Index, u.Delta)
-		}
-		missed, spurious := verify(t, "alpha-strict", h.HeavyHitters(), v, eps)
-		if missed == 0 && spurious == 0 {
-			good++
-		}
-	}
-	if good < reps*3/4 {
-		t.Errorf("strict alpha HH exact on only %d/%d reps", good, reps)
+	return sweep.Sweep(sweep.Seeds(fig1Seeds), func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s, v := hhStream(rng, 1<<16, eps, 4)
+		h := NewAlphaL1(rng, AlphaL1Params{N: 1 << 16, Eps: eps, Mode: mode, Alpha: 4})
+		core.UpdateBatch(h.UpdateColumns, s.Updates)
+		return failed(verify(t, "alpha", h.HeavyHitters(), v, eps))
+	})
+}
+
+func TestAlphaL1Strict(t *testing.T) {
+	failed := fig1Sweep(t, Strict, func(missed, spurious int) bool { return missed > 0 || spurious > 0 })
+	if limit := sweep.Threshold(fig1Seeds, fig1Delta, fig1Alarm); len(failed) >= limit {
+		t.Errorf("strict alpha HH inexact on %d of %d seeds %v; at delta %g that many fail with probability <= %g",
+			len(failed), fig1Seeds, failed, fig1Delta, fig1Alarm)
 	}
 }
 
 func TestAlphaL1General(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const eps = 0.05
-	s, v := hhStream(rng, 1<<16, eps, 4)
-	good := 0
-	const reps = 8
-	for rep := 0; rep < reps; rep++ {
-		h := NewAlphaL1(rng, AlphaL1Params{N: 1 << 16, Eps: eps, Mode: General, Alpha: 4})
-		for _, u := range s.Updates {
-			h.Update(u.Index, u.Delta)
-		}
-		missed, _ := verify(t, "alpha-general", h.HeavyHitters(), v, eps)
-		if missed == 0 {
-			good++
-		}
-	}
-	if good < reps*5/8 {
-		t.Errorf("general alpha HH full recall on only %d/%d reps", good, reps)
+	failed := fig1Sweep(t, General, func(missed, _ int) bool { return missed > 0 })
+	if limit := sweep.Threshold(fig1Seeds, fig1Delta, fig1Alarm); len(failed) >= limit {
+		t.Errorf("general alpha HH missed a heavy item on %d of %d seeds %v; at delta %g that many fail with probability <= %g",
+			len(failed), fig1Seeds, failed, fig1Delta, fig1Alarm)
 	}
 }
 
@@ -194,34 +198,12 @@ func TestAlphaL2(t *testing.T) {
 	}
 }
 
-func TestTopTrackerCompaction(t *testing.T) {
-	tr := topk.New(4)
-	for i := uint64(0); i < 100; i++ {
-		tr.Offer(i, float64(i))
-	}
-	c := tr.Candidates()
-	if len(c) > 8 {
-		t.Errorf("tracker holds %d candidates, cap 4 (2x slack allowed)", len(c))
-	}
-	// The largest-estimate items must survive.
-	has99 := false
-	for _, i := range c {
-		if i == 99 {
-			has99 = true
-		}
-	}
-	if !has99 {
-		t.Error("tracker evicted the top item")
-	}
-}
-
 func TestTopTrackerUpdatesEstimates(t *testing.T) {
-	tr := topk.New(2)
+	tr := topk.New(1) // retains 2
 	tr.Offer(1, 10)
 	tr.Offer(2, 20)
-	tr.Offer(3, 1)
-	tr.Offer(3, 100) // update should raise 3 above eviction
-	tr.Compact()
+	tr.Offer(3, 1)   // below the floor: dropped
+	tr.Offer(3, 100) // a later, larger estimate evicts the minimum
 	keep := map[uint64]bool{}
 	for _, i := range tr.Candidates() {
 		keep[i] = true
@@ -270,22 +252,26 @@ func BenchmarkCountSketchHHUpdate(b *testing.B) {
 // BenchmarkAlphaL1Merge times one pairwise merge of two rate-1
 // structures with full candidate trackers (eps 0.01: 800 candidates a
 // side): the table add plus the candidate union's re-rank — the step a
-// merged view repeats per shard or agent. The receiver's clone is
-// outside the timer.
+// merged view repeats per shard or agent. Both sides are fed in
+// batches, as a shard is, so the re-rank reads both trackers' cached
+// columns. The receiver's clone is outside the timer.
 func BenchmarkAlphaL1Merge(b *testing.B) {
 	build := func(offset uint64) *AlphaL1 {
 		h := NewAlphaL1(rand.New(rand.NewSource(7)), AlphaL1Params{N: 1 << 20, Eps: 0.01, Mode: Strict, Alpha: 4})
-		for i := uint64(0); i < 40_000; i++ {
-			h.Update(offset+i%3000, 1)
+		us := make([]stream.Update, 40_000)
+		for i := range us {
+			us[i] = stream.Update{Index: offset + uint64(i)%3000, Delta: 1}
 		}
+		core.UpdateBatch(h.UpdateColumns, us)
 		return h
 	}
 	dst, src := build(0), build(1500)
+	var acc *AlphaL1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		acc := dst.CloneInto(nil)
+		acc = dst.CloneInto(acc)
 		b.StartTimer()
 		if err := acc.Merge(src); err != nil {
 			b.Fatal(err)

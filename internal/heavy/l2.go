@@ -110,10 +110,7 @@ func (h *AlphaL2) HeavyHitters() []uint64 {
 	if len(cand) == 0 {
 		return nil
 	}
-	if cap(h.qInt) < len(cand) {
-		h.qInt = make([]int64, len(cand))
-	}
-	ints := h.qInt[:len(cand)]
+	ints := core.Grow(&h.qInt, len(cand))
 	b := core.GetBatch()
 	h.verCS.QueryColumns(b, cand, ints)
 	core.PutBatch(b)
@@ -139,10 +136,7 @@ func (h *AlphaL2) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 	if n == 0 {
 		return
 	}
-	if cap(h.qInt) < n {
-		h.qInt = make([]int64, n)
-	}
-	ints := h.qInt[:n]
+	ints := core.Grow(&h.qInt, n)
 	h.verCS.QueryColumns(b, keys, ints)
 	for j, v := range ints {
 		est[j] = float64(v)

@@ -50,7 +50,7 @@ type CountSketch struct {
 	resid   []float64 // scratch for RowResidualL2
 	upCols  []uint64  // scratch for Update's row sweep
 	upSigns []int64
-	qBatch  []int64 // scratch for QueryColumns' row-major gather
+	qBatch  []int64 // scratch for EstimateHashed's row-major gather
 }
 
 // NewCountSketch allocates a rows x cols Count-Sketch with fresh 4-wise
@@ -122,9 +122,7 @@ func (cs *CountSketch) UpdateColumns(b *core.Batch) {
 			cs.mass -= d
 		}
 	}
-	cols := b.Cols32(cs.rows * n)
-	signs := b.Signs8(cs.rows * n)
-	cs.buckets.BucketSignsBatch(b.Idx, cols, signs)
+	cols, signs := cs.HashColumns(b, b.Idx)
 	for r := 0; r < cs.rows; r++ {
 		row := cs.table[r]
 		rc := cols[r*n : r*n+n : r*n+n]
@@ -150,12 +148,9 @@ func (cs *CountSketch) Query(i uint64) int64 {
 }
 
 // QueryColumns fills out[j] with Query(keys[j]) for every key — the
-// batched read twin of UpdateColumns: ONE batch hash evaluation fills
-// every row's bucket/sign columns into b's reusable scratch, the gather
-// stage sweeps the table one row at a time (all of a row's reads happen
-// while that row is cache-resident), and the medians select per key
-// over the gathered row-major estimate matrix. Answers are
-// bit-identical to Query's; out must hold len(keys) entries.
+// batched read twin of UpdateColumns: HashColumns, then
+// EstimateHashed. Answers are bit-identical to Query's; out must hold
+// len(keys) entries.
 func (cs *CountSketch) QueryColumns(b *core.Batch, keys []uint64, out []int64) {
 	n := len(keys)
 	if n == 0 {
@@ -164,13 +159,33 @@ func (cs *CountSketch) QueryColumns(b *core.Batch, keys []uint64, out []int64) {
 	if len(out) < n {
 		panic(fmt.Sprintf("sketch: QueryColumns output holds %d entries, need %d", len(out), n))
 	}
-	cols := b.Cols32(cs.rows * n)
-	signs := b.Signs8(cs.rows * n)
+	cols, signs := cs.HashColumns(b, keys)
+	cs.EstimateHashed(cols, signs, out[:n])
+}
+
+// HashColumns fills every row's bucket/sign columns of keys in ONE
+// batch hash evaluation into b's reusable scratch and returns them,
+// row-major (rows x len(keys)).
+func (cs *CountSketch) HashColumns(b *core.Batch, keys []uint64) (cols []uint32, signs []int8) {
+	cols, signs = b.Cols32(cs.rows*len(keys)), b.Signs8(cs.rows*len(keys))
 	cs.buckets.BucketSignsBatch(keys, cols, signs)
-	if cap(cs.qBatch) < cs.rows*n {
-		cs.qBatch = make([]int64, cs.rows*n)
+	return cols, signs
+}
+
+// EstimateHashed fills out[j] with the j-th key's Query from its
+// columns as HashColumns returns them: the gather stage sweeps the
+// table one row at a time (all of a row's reads happen while that row
+// is cache-resident), and the medians select per key over the gathered
+// row-major estimate matrix.
+func (cs *CountSketch) EstimateHashed(cols []uint32, signs []int8, out []int64) {
+	n := len(out)
+	if n == 0 {
+		return
 	}
-	est := cs.qBatch[:cs.rows*n]
+	if len(cols) != cs.rows*n || len(signs) != cs.rows*n {
+		panic(fmt.Sprintf("sketch: EstimateHashed got %d buckets and %d signs for %d keys in %d rows", len(cols), len(signs), n, cs.rows))
+	}
+	est := core.Grow(&cs.qBatch, cs.rows*n)
 	// ONE fused gather covers every row of the estimate matrix — a
 	// single kernel dispatch (and vector power-up) over the flat table
 	// backing instead of one per row.

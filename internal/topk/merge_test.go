@@ -11,20 +11,30 @@ import (
 	"repro/internal/sketch"
 )
 
-// estFunc answers the merge's one QueryColumns call from a per-id
-// estimate.
+// estFunc is a Columnar whose "hash" is the key itself — two rows, its
+// low and high 32 bits — and whose estimate is a per-id function, so a
+// column that reaches the wrong slot reads the wrong id's estimate.
 type estFunc func(uint64) float64
 
-func (f estFunc) QueryColumns(_ *core.Batch, keys []uint64, est []float64) {
+func (f estFunc) HashColumns(b *core.Batch, keys []uint64) ([]uint32, []int8) {
+	n := len(keys)
+	cols, signs := b.Cols32(2*n), b.Signs8(2*n)
 	for j, k := range keys {
-		est[j] = f(k)
+		cols[j], cols[n+j] = uint32(k), uint32(k>>32)
+		signs[j], signs[n+j] = 1, 1
+	}
+	return cols, signs
+}
+
+func (f estFunc) EstimateHashed(cols []uint32, _ []int8, est []float64) {
+	n := len(est)
+	for j := range est {
+		est[j] = f(uint64(cols[j]) | uint64(cols[n+j])<<32)
 	}
 }
 
 // merge runs the batched merge with throwaway scratch.
-func merge[E int64 | float64](t, other *Tracker, q interface {
-	QueryColumns(*core.Batch, []uint64, []E)
-}) error {
+func merge[E int64 | float64](t, other *Tracker, q Columnar[E]) error {
 	var r Refresher[E]
 	b := core.GetBatch()
 	defer core.PutBatch(b)
@@ -98,7 +108,7 @@ func TestMergeMatchesReference(t *testing.T) {
 	}
 	// The two real backings: CSSS (float estimates; AlphaL1, the L1
 	// sampler) and Count-Sketch (integer estimates; AlphaL2) — one
-	// QueryColumns call against per-id Query.
+	// EstimateHashed call against per-id Query.
 	for name, side := range map[string]struct {
 		merge func(t, other *Tracker) error
 		query func(uint64) float64

@@ -11,18 +11,16 @@ import (
 	"repro/internal/stream"
 )
 
-// recorder wraps a sketch's QueryColumns and keeps the key column it
+// recorder wraps a sketch's HashColumns and keeps the key column it
 // was handed — the Refresher's distinct column, as the sketch saw it.
 type recorder[E int64 | float64] struct {
-	q interface {
-		QueryColumns(*core.Batch, []uint64, []E)
-	}
+	Columnar[E]
 	keys []uint64
 }
 
-func (r *recorder[E]) QueryColumns(b *core.Batch, keys []uint64, est []E) {
+func (r *recorder[E]) HashColumns(b *core.Batch, keys []uint64) ([]uint32, []int8) {
 	r.keys = append(r.keys[:0], keys...)
-	r.q.QueryColumns(b, keys, est)
+	return r.Columnar.HashColumns(b, keys)
 }
 
 // checkRefresh runs one Offer over b against q and asserts
@@ -30,9 +28,7 @@ func (r *recorder[E]) QueryColumns(b *core.Batch, keys []uint64, est []E) {
 // batch's distinct indices in first-occurrence order, once, and every
 // one of them lands in the tracker with the estimate per-index Query
 // gives (the tracker is sized to hold them all).
-func checkRefresh[E int64 | float64](t *testing.T, r *Refresher[E], b *core.Batch, q interface {
-	QueryColumns(*core.Batch, []uint64, []E)
-}, query func(uint64) E) {
+func checkRefresh[E int64 | float64](t *testing.T, r *Refresher[E], b *core.Batch, q Columnar[E], query func(uint64) E) {
 	t.Helper()
 	var want []uint64
 	for _, i := range b.Idx {
@@ -40,7 +36,7 @@ func checkRefresh[E int64 | float64](t *testing.T, r *Refresher[E], b *core.Batc
 			want = append(want, i)
 		}
 	}
-	rec := &recorder[E]{q: q}
+	rec := &recorder[E]{Columnar: q}
 	trk := New(len(b.Idx) + 1)
 	r.Offer(trk, b, rec)
 	if !slices.Equal(rec.keys, want) {

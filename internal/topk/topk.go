@@ -9,11 +9,19 @@
 // linear-probe open-addressing index from item to heap slot, so the
 // per-update Offer is allocation-free and avoids generic map hashing:
 // updating a tracked item re-sifts it in place, and an untracked item
-// either replaces the current minimum or is dropped. (The previous
-// design — an unbounded map periodically compacted by sorting —
-// allocated a fresh sort buffer and map every O(capacity) updates,
-// which dominated the steady-state allocation profile of the
-// heavy-hitters and sampler update loops.)
+// either replaces the current minimum or is dropped.
+//
+// Beside the heap sits a cache of each candidate's hash columns (its
+// bucket and sign in every sketch row), a slab indexed by a slot the
+// candidate keeps while tracked (a merge re-offers the receiver's at
+// their own): an appended candidate takes its heap index, one that
+// evicts the minimum takes the minimum's slot. A batched
+// offer copies an admitted index's columns from the batch's, so a read
+// (Refresher.Estimates) or a merge estimates off the slab and hashes
+// nothing. Tracker.Offer and a decode admit candidates without columns
+// and mark the slab stale: the next read or merge hashes every
+// candidate once. The slab is a function of the ids: SpaceBits does not
+// charge it and the wire does not carry it.
 package topk
 
 import (
@@ -25,18 +33,19 @@ import (
 )
 
 // entry is one tracked (item, latest estimate) pair. absEst caches
-// |est|, the heap ordering key.
+// |est|, the heap ordering key; slot is the item's column in the slab.
 type entry struct {
 	id     uint64
 	est    float64
 	absEst float64
+	slot   int32
 }
 
 // Tracker maintains a bounded set of candidate items with their latest
 // estimates.
 type Tracker struct {
-	cap   int // Compact shrinks to this many items
-	limit int // at most this many items retained between compactions
+	cap   int // what SpaceBits charges
+	limit int // at most this many items retained
 	heap  []entry
 
 	// Linear-probe index: item id -> heap slot. Sized at >= 4x limit so
@@ -45,11 +54,19 @@ type Tracker struct {
 	idxSlots []int32
 	idxMask  uint64
 	idxShift uint
+
+	// The column slab: row r's bucket and sign of the candidate in slot
+	// s are cols[r*limit+s] and signs[r*limit+s]. rows is 0 until the
+	// first columns arrive; stale marks a candidate admitted without its
+	// columns.
+	rows  int
+	cols  []uint32
+	signs []int8
+	stale bool
 }
 
 // New returns a tracker retaining up to 2*capacity items by |estimate|
-// between compactions (the same retention breadth as the historical
-// map-based tracker), shrinking to the top `capacity` on Compact.
+// (the same retention breadth as the historical map-based tracker).
 func New(capacity int) *Tracker {
 	if capacity < 1 {
 		capacity = 1
@@ -150,8 +167,8 @@ func (t *Tracker) idxDel(k uint64) {
 }
 
 // less orders the eviction heap: smaller |estimate| evicts first, ties
-// evict the larger index first (so the surviving set matches the
-// deterministic smallest-index-wins tie-break of the sorted compaction).
+// evict the larger index first (the deterministic smallest-index-wins
+// tie-break).
 func less(a, b *entry) bool {
 	if a.absEst != b.absEst {
 		return a.absEst < b.absEst
@@ -161,8 +178,18 @@ func less(a, b *entry) bool {
 
 // Offer records the latest estimate for item i. Tracked items update in
 // place; untracked items evict the current minimum when they beat it.
-// No allocation occurs once the tracker is full.
+// No allocation occurs once the tracker is full. An item it admits has
+// no columns in the slab, which goes stale.
 func (t *Tracker) Offer(i uint64, est float64) {
+	if t.offer(i, est, int32(len(t.heap))) >= 0 {
+		t.stale = true
+	}
+}
+
+// offer is Offer short of the slab: it returns the slot i was admitted
+// to — at when appended, the evicted minimum's otherwise — or -1 when i
+// was tracked already or fell below the floor.
+func (t *Tracker) offer(i uint64, est float64, at int32) int {
 	a := est
 	if a < 0 {
 		a = -a
@@ -171,23 +198,45 @@ func (t *Tracker) Offer(i uint64, est float64) {
 		t.heap[j].est = est
 		t.heap[j].absEst = a
 		t.fix(int(j))
-		return
+		return -1
 	}
-	e := entry{id: i, est: est, absEst: a}
+	e := entry{id: i, est: est, absEst: a, slot: at}
 	if len(t.heap) < t.limit {
 		t.heap = append(t.heap, e)
 		j := len(t.heap) - 1
 		t.idxPut(i, int32(j))
 		t.up(j)
-		return
+		return int(e.slot)
 	}
 	if less(&e, &t.heap[0]) {
-		return // below the eviction floor
+		return -1 // below the eviction floor
 	}
+	e.slot = t.heap[0].slot
 	t.idxDel(t.heap[0].id)
 	t.heap[0] = e
 	t.idxPut(i, 0)
 	t.down(0)
+	return int(e.slot)
+}
+
+// sizeSlab gives the slab rows rows. A slab it allocates holds no
+// candidate's columns yet.
+func (t *Tracker) sizeSlab(rows int) {
+	if t.rows != rows {
+		t.rows, t.cols, t.signs = rows, make([]uint32, rows*t.limit), make([]int8, rows*t.limit)
+		t.stale = len(t.heap) > 0
+	}
+}
+
+// Columnar is the sketch side of a refresh: HashColumns hashes keys in
+// one batch pass into b's column scratch and returns their bucket and
+// sign columns, row-major (rows x len(keys)); EstimateHashed turns such
+// columns into the keys' point estimates, bit-identical to per-key
+// Query. CSSS (float estimates) and Count-Sketch (integer estimates)
+// implement it.
+type Columnar[E int64 | float64] interface {
+	HashColumns(b *core.Batch, keys []uint64) (cols []uint32, signs []int8)
+	EstimateHashed(cols []uint32, signs []int8, est []E)
 }
 
 // Refresher is the batched-ingest candidate refresh — distinct column
@@ -204,79 +253,78 @@ type Refresher[E int64 | float64] struct {
 	est []E
 }
 
-// Offer re-estimates b's distinct indices against q in one
-// QueryColumns call (one batch hash pass, bit-identical to Query) and
-// offers each fresh estimate to t. b also supplies the hash-column
-// scratch: the ingest that preceded the refresh is done with it. A
-// batch too long to plan is refreshed piece by piece.
-func (r *Refresher[E]) Offer(t *Tracker, b *core.Batch, q interface {
-	QueryColumns(b *core.Batch, keys []uint64, est []E)
-}) {
+// Offer hashes b's distinct indices against q in one pass and hands
+// the columns to OfferHashed. b also supplies the hash-column scratch:
+// the ingest that preceded the refresh is done with it. A batch too
+// long to plan is refreshed piece by piece.
+func (r *Refresher[E]) Offer(t *Tracker, b *core.Batch, q Columnar[E]) {
 	if !core.Plannable(b) {
 		core.Split(b, func(piece *core.Batch) { r.Offer(t, piece, q) })
 		return
 	}
 	keys, _ := core.Distinct(b)
-	est := r.estimates(len(keys))
-	q.QueryColumns(b, keys, est)
-	offerAll(t, keys, est)
+	cols, signs := q.HashColumns(b, keys)
+	r.OfferHashed(t, b, cols, signs, q)
 }
 
-// OfferHashed is Offer against a sketch that hashed b's distinct
-// indices while it applied the batch: cols and signs are those bucket
-// and sign columns, and q estimates from them without a second hash
-// pass.
-func (r *Refresher[E]) OfferHashed(t *Tracker, b *core.Batch, cols []uint32, signs []int8, q interface {
-	EstimateHashed(cols []uint32, signs []int8, est []E)
-}) {
+// OfferHashed offers b's distinct indices to t with the estimates q
+// reads off cols and signs — their bucket and sign columns, as the
+// sketch that applied b hashed them — and copies each admitted index's
+// columns into its slot of t's slab.
+func (r *Refresher[E]) OfferHashed(t *Tracker, b *core.Batch, cols []uint32, signs []int8, q Columnar[E]) {
 	keys, _ := core.Distinct(b)
-	est := r.estimates(len(keys))
+	est := core.Grow(&r.est, len(keys))
 	q.EstimateHashed(cols, signs, est)
-	offerAll(t, keys, est)
-}
-
-// Estimates re-estimates t's candidates against q in one QueryColumns
-// call and returns them with their estimates: ids in b's Col64 scratch,
-// est in r's estimate scratch, each valid until its owner's next use, so
-// a read of the candidate set allocates neither.
-func (r *Refresher[E]) Estimates(t *Tracker, b *core.Batch, q interface {
-	QueryColumns(b *core.Batch, keys []uint64, est []E)
-}) (ids []uint64, est []E) {
-	ids = b.Col64(len(t.heap))
-	for i := range t.heap {
-		ids[i] = t.heap[i].id
+	if len(keys) > 0 {
+		t.sizeSlab(len(cols) / len(keys))
 	}
-	est = r.estimates(len(ids))
-	q.QueryColumns(b, ids, est)
-	return ids, est
-}
-
-func (r *Refresher[E]) estimates(n int) []E {
-	if cap(r.est) < n {
-		r.est = make([]E, n)
-	}
-	return r.est[:n]
-}
-
-func offerAll[E int64 | float64](t *Tracker, keys []uint64, est []E) {
 	for j, id := range keys {
-		t.Offer(id, float64(est[j]))
+		if s := t.offer(id, float64(est[j]), int32(len(t.heap))); s >= 0 {
+			t.put(s, cols, signs, len(keys), j)
+		}
 	}
 }
 
-// Compact shrinks the tracked set to capacity, evicting the smallest
-// |estimate| items (ties evict larger indices, keeping the historical
-// deterministic tie-break).
-func (t *Tracker) Compact() {
-	for len(t.heap) > t.cap {
-		last := len(t.heap) - 1
-		t.idxDel(t.heap[0].id)
-		t.heap[0] = t.heap[last]
-		t.heap = t.heap[:last]
-		if len(t.heap) > 0 {
-			t.idxSet(t.heap[0].id, 0)
-			t.down(0)
+// Estimates re-estimates t's candidates against q in ONE EstimateHashed
+// call over the slab (a stale slab is hashed and refilled first) and
+// returns them with their estimates: ids by slot in b's Col64 scratch,
+// est in r's estimate scratch, each valid until its owner's next use,
+// so a read of the candidate set allocates nothing.
+func (r *Refresher[E]) Estimates(t *Tracker, b *core.Batch, q Columnar[E]) (ids []uint64, est []E) {
+	ids = refill(t, b, q)
+	if len(ids) == 0 {
+		return ids, nil
+	}
+	est = core.Grow(&r.est, t.limit)
+	q.EstimateHashed(t.cols, t.signs, est)
+	return ids, est[:len(ids)]
+}
+
+// refill returns t's candidate ids by slot in b's Col64 scratch, first
+// hashing them into a stale slab, which is whole afterwards.
+func refill[E int64 | float64](t *Tracker, b *core.Batch, q Columnar[E]) []uint64 {
+	n := len(t.heap)
+	ids := b.Col64(n)
+	for i := range t.heap {
+		ids[t.heap[i].slot] = t.heap[i].id
+	}
+	if t.stale && n > 0 {
+		cols, signs := q.HashColumns(b, ids)
+		t.sizeSlab(len(cols) / n)
+		for row := range t.rows {
+			copy(t.cols[row*t.limit:], cols[row*n:(row+1)*n])
+			copy(t.signs[row*t.limit:], signs[row*n:(row+1)*n])
 		}
+		t.stale = false
+	}
+	return ids
+}
+
+// put copies column from of cols and signs (row-major, rows x stride)
+// into slot s.
+func (t *Tracker) put(s int, cols []uint32, signs []int8, stride, from int) {
+	for row := range t.rows {
+		t.cols[row*t.limit+s], t.signs[row*t.limit+s] = cols[row*stride+from], signs[row*stride+from]
 	}
 }
 
@@ -292,16 +340,17 @@ func (t *Tracker) Candidates() []uint64 {
 // Len returns the current number of tracked items.
 func (t *Tracker) Len() int { return len(t.heap) }
 
-// Capacity returns the construction-time capacity (Compact's target).
+// Capacity returns the construction-time capacity.
 func (t *Tracker) Capacity() int { return t.cap }
 
-// Reset empties the tracker in place, keeping its capacity and index
-// storage.
+// Reset empties the tracker in place, keeping its capacity, index and
+// slab storage.
 func (t *Tracker) Reset() {
 	t.heap = t.heap[:0]
 	for i := range t.idxSlots {
 		t.idxSlots[i] = -1
 	}
+	t.stale = false
 }
 
 // CloneInto returns a deep copy written into dst: nil, or an earlier copy nobody holds.
@@ -317,36 +366,70 @@ func (t *Tracker) CloneInto(dst *Tracker) *Tracker {
 		idxSlots: append(dst.idxSlots[:0], t.idxSlots...),
 		idxMask:  t.idxMask,
 		idxShift: t.idxShift,
+		rows:     t.rows,
+		cols:     append(dst.cols[:0], t.cols...),
+		signs:    append(dst.signs[:0], t.signs...),
+		stale:    t.stale,
 	}
 	return dst
 }
 
 // Merge combines other's candidate set into t's: the union of both
-// sets is re-estimated against q — the merged sketch — in ONE
-// QueryColumns call, as Offer re-estimates a batch's distinct keys, and
-// re-offered, so the surviving set is the top-limit of the union under
-// the post-merge estimates, whatever the insertion order (an id tracked
-// on both sides is offered twice with the same estimate). b supplies
-// the hash-column scratch; other is only read.
-func (r *Refresher[E]) Merge(t, other *Tracker, b *core.Batch, q interface {
-	QueryColumns(b *core.Batch, keys []uint64, est []E)
-}) error {
+// sets — t's candidates in heap order, then other's — is re-estimated
+// against q, the merged sketch, off the two slabs (a stale receiver's
+// is refilled first, a stale argument's candidates are hashed) and
+// re-offered into t, reset. t's candidates keep their slots, so their
+// columns stay put; an admitted candidate of other's has its columns
+// copied in. The surviving set is the top-limit of the union under the
+// post-merge estimates whatever the insertion order (an id tracked on
+// both sides is offered twice with the same estimate), and t's slab is
+// whole afterwards. b supplies the hash scratch; other is only read.
+func (r *Refresher[E]) Merge(t, other *Tracker, b *core.Batch, q Columnar[E]) error {
 	if other == nil {
 		return fmt.Errorf("topk: merge with nil Tracker")
 	}
 	if t.cap != other.cap {
 		return fmt.Errorf("topk: merging trackers with different capacities (%d vs %d)", t.cap, other.cap)
 	}
-	ids := make([]uint64, 0, len(t.heap)+len(other.heap))
-	for _, h := range [][]entry{t.heap, other.heap} {
-		for i := range h {
-			ids = append(ids, h[i].id)
+	n, m := len(t.heap), len(other.heap)
+	est := core.Grow(&r.est, 2*t.limit)
+	estT, estO := est[:t.limit], est[t.limit:]
+	if n > 0 {
+		refill(t, b, q)
+		q.EstimateHashed(t.cols, t.signs, estT)
+	}
+	cols, signs, stride := other.cols, other.signs, other.limit
+	if m > 0 {
+		if other.stale {
+			ids := b.Col64(m)
+			for i := range other.heap {
+				ids[i] = other.heap[i].id
+			}
+			cols, signs = q.HashColumns(b, ids)
+			stride = m
+		}
+		q.EstimateHashed(cols, signs, estO[:stride])
+	}
+	old := t.heap
+	t.Reset()
+	for i := range old {
+		// Read before the offer: it appends at position i, and the sift
+		// moves only positions up to i.
+		e := old[i]
+		t.offer(e.id, float64(estT[e.slot]), e.slot)
+	}
+	if m > 0 {
+		t.sizeSlab(len(cols) / stride)
+	}
+	for i := range other.heap {
+		from := i
+		if !other.stale {
+			from = int(other.heap[i].slot)
+		}
+		if s := t.offer(other.heap[i].id, float64(estO[from]), int32(len(t.heap))); s >= 0 {
+			t.put(s, cols, signs, stride, from)
 		}
 	}
-	est := r.estimates(len(ids))
-	q.QueryColumns(b, ids, est)
-	t.Reset()
-	offerAll(t, ids, est)
 	return nil
 }
 

@@ -2,60 +2,46 @@ package topk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// sorted returns the tracked items in ascending order.
+func sorted(tr *Tracker) []uint64 {
+	c := tr.Candidates()
+	slices.Sort(c)
+	return c
+}
+
 func TestKeepsLargest(t *testing.T) {
-	tr := New(4)
+	tr := New(4) // retains 8
 	for i := uint64(0); i < 1000; i++ {
 		tr.Offer(i, float64(i))
 	}
-	tr.Compact()
-	keep := map[uint64]bool{}
-	for _, c := range tr.Candidates() {
-		keep[c] = true
-	}
-	for want := uint64(996); want < 1000; want++ {
-		if !keep[want] {
-			t.Errorf("evicted top item %d; kept %v", want, tr.Candidates())
-		}
-	}
-	if tr.Len() != 4 {
-		t.Errorf("Len = %d after compaction, want 4", tr.Len())
+	if got, want := sorted(tr), []uint64{992, 993, 994, 995, 996, 997, 998, 999}; !slices.Equal(got, want) {
+		t.Errorf("kept %v, want the top 8 %v", got, want)
 	}
 }
 
 func TestNegativeMagnitudes(t *testing.T) {
-	tr := New(2)
+	tr := New(1) // retains 2
 	tr.Offer(1, -100)
 	tr.Offer(2, 5)
 	tr.Offer(3, 1)
-	tr.Compact()
-	keep := map[uint64]bool{}
-	for _, c := range tr.Candidates() {
-		keep[c] = true
-	}
-	if !keep[1] || !keep[2] {
-		t.Errorf("|estimate| ordering wrong: %v", tr.Candidates())
+	if got := sorted(tr); !slices.Equal(got, []uint64{1, 2}) {
+		t.Errorf("|estimate| ordering wrong: kept %v, want [1 2]", got)
 	}
 }
 
 func TestUpdatedEstimateResurrects(t *testing.T) {
-	tr := New(2)
+	tr := New(1) // retains 2
 	tr.Offer(7, 1)
 	tr.Offer(8, 50)
-	tr.Offer(9, 60)
-	tr.Offer(7, 100)
-	tr.Compact()
-	found := false
-	for _, c := range tr.Candidates() {
-		if c == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("re-offered item with larger estimate was evicted")
+	tr.Offer(7, 100) // re-sifts 7 above 8
+	tr.Offer(9, 60)  // evicts the new minimum, 8
+	if got := sorted(tr); !slices.Equal(got, []uint64{7, 9}) {
+		t.Errorf("kept %v, want [7 9]: the re-offered item with the larger estimate must stay", got)
 	}
 }
 
@@ -85,32 +71,24 @@ func TestZeroCapacityClamped(t *testing.T) {
 	}
 }
 
+// TestDeterministicTieBreak: among equal estimates the smallest indices
+// stay, whatever the offer order.
 func TestDeterministicTieBreak(t *testing.T) {
-	run := func() []uint64 {
-		tr := New(2)
-		for _, i := range []uint64{5, 3, 9, 7} {
+	for _, order := range [][]uint64{{5, 3, 9, 7}, {9, 7, 5, 3}, {7, 3, 9, 5}} {
+		tr := New(1) // retains 2
+		for _, i := range order {
 			tr.Offer(i, 42)
 		}
-		tr.Compact()
-		return tr.Candidates()
-	}
-	a := run()
-	b := run()
-	am := map[uint64]bool{}
-	for _, x := range a {
-		am[x] = true
-	}
-	for _, x := range b {
-		if !am[x] {
-			t.Fatalf("tie-break nondeterministic: %v vs %v", a, b)
+		if got := sorted(tr); !slices.Equal(got, []uint64{3, 5}) {
+			t.Fatalf("offers %v kept %v, want [3 5]", order, got)
 		}
 	}
 }
 
 // TestIndexMatchesReference fuzzes the linear-probe index + heap against
-// a naive reference that tracks the same bounded set with a map and a
-// full sort, checking the retained sets match exactly after every
-// compaction point.
+// an unbounded latest-estimate map, checking after every offer that the
+// index resolves every tracked id and at the end that every stored
+// estimate is the latest offer.
 func TestIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -128,10 +106,17 @@ func TestIndexMatchesReference(t *testing.T) {
 			if tr.Len() > 2*capacity {
 				t.Fatalf("Len %d exceeds limit %d", tr.Len(), 2*capacity)
 			}
+			// The slab slots are a permutation of [0, Len()): nothing
+			// frees a slot but an eviction, which hands it on.
+			seen := make([]bool, tr.Len())
 			for slot, e := range tr.heap {
 				if got := tr.idxFind(e.id); int(got) != slot {
 					t.Fatalf("index maps %d to slot %d, heap has it at %d", e.id, got, slot)
 				}
+				if int(e.slot) >= len(seen) || seen[e.slot] {
+					t.Fatalf("slab slot %d of %d is out of [0, %d) or taken twice", e.slot, e.id, tr.Len())
+				}
+				seen[e.slot] = true
 			}
 		}
 		// Every tracked item's stored estimate must be its latest offer.
