@@ -2,6 +2,7 @@ package bounded
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/cauchy"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/stream"
 	"repro/internal/support"
+	"repro/internal/wire"
 )
 
 // Update is one stream element: add Delta to coordinate Index.
@@ -37,7 +39,7 @@ type Config struct {
 	// constructor).
 	Eps float64
 	// Alpha is the assumed L_p alpha-property bound of the input stream
-	// (>= 1). It scales sampling budgets and retention windows.
+	// (finite, >= 1). It scales sampling budgets and retention windows.
 	Alpha float64
 	// Seed drives all randomness: equal Configs fed equal call sequences
 	// give identical bytes in every regime (the determinism contract in
@@ -63,7 +65,7 @@ func (c Config) Validate() error {
 	if c.N > 1<<44 {
 		return fmt.Errorf("bounded: Config.N must be <= 2^44 (the fast-range bucket reduction and Cauchy key packing are uniform only up to 44-bit universes), got %d", c.N)
 	}
-	if c.Eps <= 0 {
+	if !(c.Eps > 0) {
 		return fmt.Errorf("bounded: Config.Eps must be positive, got %v", c.Eps)
 	}
 	if c.Eps >= 1 {
@@ -71,6 +73,9 @@ func (c Config) Validate() error {
 	}
 	if c.Alpha < 1 {
 		return fmt.Errorf("bounded: Config.Alpha must be >= 1 (alpha = 1 is the insertion-only model; see Definition 1), got %v", c.Alpha)
+	}
+	if math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 1) {
+		return fmt.Errorf("bounded: Config.Alpha must be finite, got %v", c.Alpha)
 	}
 	return nil
 }
@@ -81,9 +86,8 @@ func (c Config) Validate() error {
 // probability for strict turnstile streams (Theorem 4) and constant
 // probability for general turnstile streams (Theorem 3).
 type HeavyHitters struct {
-	cfg    Config
-	strict bool
-	impl   *heavy.AlphaL1
+	shape
+	impl *heavy.AlphaL1
 }
 
 // NewHeavyHitters builds the structure. By default it assumes the
@@ -95,17 +99,20 @@ func NewHeavyHitters(cfg Config, opts ...Option) (*HeavyHitters, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := heavy.General
-	if o.strict {
-		mode = heavy.Strict
-	}
+	e := echo{general: !o.strict}
 	return &HeavyHitters{
-		cfg:    cfg,
-		strict: o.strict,
-		impl: heavy.NewAlphaL1(cfg.rng(), heavy.AlphaL1Params{
-			N: cfg.N, Eps: cfg.Eps, Mode: mode, Alpha: cfg.Alpha,
-		}),
+		shape: shape{KindHeavyHitters, cfg, e},
+		impl:  heavy.NewAlphaL1(cfg.rng(), hhParams(cfg, e)),
 	}, nil
+}
+
+// hhParams are the Section 3 structure's parameters at (cfg, e).
+func hhParams(cfg Config, e echo) heavy.AlphaL1Params {
+	mode := heavy.Strict
+	if e.general {
+		mode = heavy.General
+	}
+	return heavy.AlphaL1Params{N: cfg.N, Eps: cfg.Eps, Mode: mode, Alpha: cfg.Alpha}
 }
 
 // Update feeds one stream update.
@@ -179,8 +186,7 @@ func (h *HeavyHitters) SpaceBits() int64 {
 // eps): Figure 4 / Theorem 6 in the strict turnstile model (tiny space:
 // O(log(alpha/eps) + loglog n) bits), Theorem 8 in the general model.
 type L1Estimator struct {
-	cfg     Config
-	delta   float64
+	shape
 	strict  *l1.AlphaEstimator
 	general *cauchy.SampledSketch
 }
@@ -201,17 +207,22 @@ func NewL1Estimator(cfg Config, opts ...Option) (*L1Estimator, error) {
 	rng := cfg.rng()
 	if o.strict {
 		base := l1.RecommendedBase(cfg.Alpha, cfg.Eps, o.failureProb, cfg.N)
-		return &L1Estimator{cfg: cfg, delta: o.failureProb, strict: l1.New(rng, base)}, nil
+		return &L1Estimator{
+			shape:  shape{KindL1Estimator, cfg, echo{failureProb: o.failureProb}},
+			strict: l1.New(rng, base),
+		}, nil
 	}
-	r := int(4 / (cfg.Eps * cfg.Eps))
-	if r < 16 {
-		r = 16
-	}
+	// 2^40 rows is beyond any memory; the clamp keeps level lengths in
+	// range for any eps.
+	r := max(16, int(min(4/(cfg.Eps*cfg.Eps), 1<<40)))
 	base := int64(64 * cfg.Alpha * cfg.Alpha / cfg.Eps)
 	if base < 16 {
 		base = 16
 	}
-	return &L1Estimator{cfg: cfg, delta: o.failureProb, general: l1.NewGeneral(rng, r, 32, 6, base, 10)}, nil
+	return &L1Estimator{
+		shape:   shape{KindL1Estimator, cfg, echo{general: true}},
+		general: l1.NewGeneral(rng, r, 32, 6, base, 10),
+	}, nil
 }
 
 // Update feeds one stream update.
@@ -259,7 +270,7 @@ func (e *L1Estimator) SpaceBits() int64 {
 // subsampling rows are kept live, replacing the turnstile
 // eps^-2 log n with eps^-2 log(alpha/eps) + log n.
 type L0Estimator struct {
-	cfg  Config
+	shape
 	impl *l0.Estimator
 }
 
@@ -269,12 +280,14 @@ func NewL0Estimator(cfg Config, opts ...Option) (*L0Estimator, error) {
 		return nil, err
 	}
 	return &L0Estimator{
-		cfg: cfg,
-		impl: l0.NewEstimator(cfg.rng(), l0.Params{
-			N: cfg.N, Eps: cfg.Eps,
-			Windowed: true, Window: l0.RecommendedWindow(cfg.Alpha, cfg.Eps),
-		}),
+		shape: shape{KindL0Estimator, cfg, echo{}},
+		impl:  l0.NewEstimator(cfg.rng(), l0Params(cfg)),
 	}, nil
+}
+
+// l0Params are the Figure 7 estimator's parameters at cfg.
+func l0Params(cfg Config) l0.Params {
+	return l0.Params{N: cfg.N, Eps: cfg.Eps, Windowed: true, Window: l0.RecommendedWindow(cfg.Alpha, cfg.Eps)}
 }
 
 // Update feeds one stream update.
@@ -316,9 +329,8 @@ type Sample = sampler.Result
 // L1Sampler is the Figure 3 / Theorem 5 perfect L1 sampler for strict
 // turnstile strong alpha-property streams.
 type L1Sampler struct {
-	cfg    Config
-	copies int
-	impl   *sampler.Sampler
+	shape
+	impl *sampler.Sampler
 }
 
 // NewL1Sampler builds the sampler. WithCopies sets the number of
@@ -329,20 +341,25 @@ func NewL1Sampler(cfg Config, opts ...Option) (*L1Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	copies := o.copies
-	if copies <= 0 {
-		copies = int(2 / cfg.Eps)
-		if copies < 4 {
-			copies = 4
-		}
-	}
+	copies := samplerCopies(cfg, o.copies)
 	return &L1Sampler{
-		cfg:    cfg,
-		copies: copies,
-		impl: sampler.New(cfg.rng(), sampler.Params{
-			N: cfg.N, Eps: cfg.Eps, Alpha: cfg.Alpha,
-		}, copies),
+		shape: shape{KindL1Sampler, cfg, echo{copies: copies}},
+		impl:  sampler.New(cfg.rng(), samplerParams(cfg), copies),
 	}, nil
+}
+
+// samplerCopies is the sampler's instance count: copies, or 2/eps (at
+// least 4) when copies is 0.
+func samplerCopies(cfg Config, copies int) int {
+	if copies > 0 {
+		return copies
+	}
+	return max(4, int(2/cfg.Eps))
+}
+
+// samplerParams are one Figure 3 instance's parameters at cfg.
+func samplerParams(cfg Config) sampler.Params {
+	return sampler.Params{N: cfg.N, Eps: cfg.Eps, Alpha: cfg.Alpha}
 }
 
 // Update feeds one stream update.
@@ -372,8 +389,7 @@ func (s *L1Sampler) SpaceBits() int64 {
 // SupportSampler returns at least min(k, ||f||_0) support coordinates of
 // a strict turnstile L0 alpha-property stream (Figure 8 / Theorem 11).
 type SupportSampler struct {
-	cfg  Config
-	k    int
+	shape
 	impl *support.Sampler
 }
 
@@ -385,13 +401,14 @@ func NewSupportSampler(cfg Config, opts ...Option) (*SupportSampler, error) {
 		return nil, err
 	}
 	return &SupportSampler{
-		cfg: cfg,
-		k:   o.k,
-		impl: support.NewSampler(cfg.rng(), support.Params{
-			N: cfg.N, K: o.k,
-			Windowed: true, Window: support.RecommendedWindow(cfg.Alpha),
-		}),
+		shape: shape{KindSupportSampler, cfg, echo{k: o.k}},
+		impl:  support.NewSampler(cfg.rng(), supportParams(cfg, o.k)),
 	}, nil
+}
+
+// supportParams are the Figure 8 sampler's parameters at (cfg, k).
+func supportParams(cfg Config, k int) support.Params {
+	return support.Params{N: cfg.N, K: k, Windowed: true, Window: support.RecommendedWindow(cfg.Alpha)}
 }
 
 // Update feeds one stream update.
@@ -455,7 +472,7 @@ func (s *SupportSampler) SpaceBits() int64 {
 // InnerProduct estimates <f, g> between two alpha-property streams to
 // additive eps ||f||_1 ||g||_1 (Theorem 2).
 type InnerProduct struct {
-	cfg  Config
+	shape
 	impl *inner.Estimator
 }
 
@@ -470,7 +487,7 @@ func NewInnerProduct(cfg Config, opts ...Option) (*InnerProduct, error) {
 		base = 16
 	}
 	return &InnerProduct{
-		cfg: cfg,
+		shape: shape{KindInnerProduct, cfg, echo{}},
 		impl: inner.New(cfg.rng(), inner.Params{
 			N: cfg.N, Eps: cfg.Eps, Base: base, Rows: 5,
 		}),
@@ -529,9 +546,8 @@ var ErrDense = sparse.ErrDense
 // coordinates on which the two frequency vectors differ — provided
 // there are at most `capacity` of them (otherwise ErrDense).
 type SyncSketch struct {
-	cfg      Config
-	capacity int
-	impl     *sparse.Recovery
+	shape
+	impl *sparse.Recovery
 }
 
 // NewSyncSketch builds a sketch able to recover up to WithCapacity
@@ -543,9 +559,8 @@ func NewSyncSketch(cfg Config, opts ...Option) (*SyncSketch, error) {
 		return nil, err
 	}
 	return &SyncSketch{
-		cfg:      cfg,
-		capacity: o.capacity,
-		impl:     sparse.NewRecovery(cfg.rng(), o.capacity, cfg.N),
+		shape: shape{KindSyncSketch, cfg, echo{capacity: o.capacity}},
+		impl:  sparse.NewRecovery(cfg.rng(), o.capacity, cfg.N),
 	}, nil
 }
 
@@ -561,21 +576,29 @@ func (s *SyncSketch) UpdateBatch(batch []Update) { core.UpdateBatch(s.UpdateColu
 func (s *SyncSketch) UpdateColumns(b *Batch) { s.impl.UpdateColumns(b) }
 
 // SubRemote subtracts a peer's serialized sketch (built with the same
-// seed) from this one, leaving the sketch of the difference vector. It
-// accepts the MarshalBinary envelope only. On a zero-value receiver
-// that has not restored any state yet it returns a descriptive error
-// instead of panicking: an empty receiver has no hash wiring to
-// subtract against — call UnmarshalBinary (or NewSyncSketch plus
-// updates) first.
+// Config and capacity) from this one, leaving the sketch of the
+// difference vector. It accepts the MarshalBinary envelope only. On a
+// zero-value receiver that has not restored any state yet it returns a
+// descriptive error instead of panicking: an empty receiver has no hash
+// wiring to subtract against — call UnmarshalBinary (or NewSyncSketch
+// plus updates) first.
 func (s *SyncSketch) SubRemote(data []byte) error {
 	if s.impl == nil {
 		return fmt.Errorf("bounded: SubRemote on zero-value SyncSketch; restore it with UnmarshalBinary (or build it with NewSyncSketch) first")
 	}
-	payload, err := syncPayload(data)
+	env, err := parseEnvelope(data, KindSyncSketch)
 	if err != nil {
 		return err
 	}
-	return s.impl.SubRemote(payload)
+	if err := s.shape.admits(env.shape); err != nil {
+		return err
+	}
+	remote := s.impl.Sibling()
+	if err := wire.Fill(env.payload, remote); err != nil {
+		return fmt.Errorf("bounded: SyncSketch state: %w", err)
+	}
+	s.impl.Sub(remote)
+	return nil
 }
 
 // Decode recovers the sketched (difference) vector exactly, or returns
@@ -598,7 +621,7 @@ func (s *SyncSketch) SpaceBits() int64 {
 // streams (Appendix A): every i with |f_i| >= eps ||f||_2 is returned
 // and no i with |f_i| < (eps/2) ||f||_2, using O((alpha/eps)^2) space.
 type L2HeavyHitters struct {
-	cfg  Config
+	shape
 	impl *heavy.AlphaL2
 }
 
@@ -608,8 +631,8 @@ func NewL2HeavyHitters(cfg Config, opts ...Option) (*L2HeavyHitters, error) {
 		return nil, err
 	}
 	return &L2HeavyHitters{
-		cfg:  cfg,
-		impl: heavy.NewAlphaL2(cfg.rng(), cfg.N, cfg.Eps, cfg.Alpha),
+		shape: shape{KindL2HeavyHitters, cfg, echo{}},
+		impl:  heavy.NewAlphaL2(cfg.rng(), cfg.N, cfg.Eps, cfg.Alpha),
 	}, nil
 }
 

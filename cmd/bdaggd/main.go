@@ -2,8 +2,8 @@
 // (cmd/bdagent) over TCP, keeps every agent's latest full sketch
 // snapshot, and answers point/heavy-hitter/L1/support queries for the
 // merged union stream. Agents are admitted only when their sketch
-// Config matches exactly (same seed, so the sketches share hash
-// coefficients and merge linearly).
+// Config matches exactly (same seed, so the sketches are built with the
+// same hash functions and merge linearly).
 //
 // Usage:
 //

@@ -90,8 +90,9 @@
 // original's generator (so a Clone is part of the call sequence — it
 // advances the original; Merge takes the same one draw from its ARGUMENT
 // when, and only when, it must thin a copy of the argument's CSSS table
-// — until wire v2, ROADMAP 4a), and UnmarshalBinary seeds from a hash of
-// the payload (Go's generator state is not portable). The seed word is
+// — until the generator travels on the wire, ROADMAP 4a), and
+// UnmarshalBinary seeds from a hash of the state (Go's generator state
+// is not portable). The seed word is
 // kept and the generator built at the copy's first draw: the same draws,
 // paid only by a copy that samples. Equal bytes restore equal structures, and
 // counters, positions and schedules round-trip exactly; but the copy's
@@ -120,12 +121,19 @@
 // The paper's headline scenarios — distributed monitoring, file
 // synchronization — have each site build a small linear sketch and
 // ship it for merging elsewhere. MarshalBinary implements exactly
-// that: a versioned, self-describing envelope (magic, kind byte,
-// format version, Config echo) around the structure's state INCLUDING
-// its hash coefficients, so the receiver reconstructs the identical
-// linear map. UnmarshalBinary works on a zero-value receiver;
-// UnmarshalSketch dispatches on the kind byte when the receiver does
-// not know what it was sent; SketchKind peeks without restoring.
+// that: a versioned, self-describing envelope (magic, format version,
+// kind byte, Config echo, options echo) around the structure's state —
+// what Update and Merge change (counters, clocks, candidates, live
+// levels) and nothing else. Every dimension, prime and hash coefficient
+// is a function of the Config and options, so the receiver rebuilds the
+// identical linear map: UnmarshalBinary holds the state's length to the
+// echoed shape's dense length before anything is allocated, builds the
+// structure through its constructor exactly as New does — an echo the
+// constructor refuses, or would not have written, is refused — and
+// fills the state in. It works on a zero-value receiver; UnmarshalSketch
+// dispatches on the kind byte when the receiver does not know what it
+// was sent; SketchKind peeks without restoring. The format has one
+// version (2); a blob of another is refused.
 //
 //	wire, _ := siteSketch.MarshalBinary()      // site: serialize
 //	sk, err := bounded.UnmarshalSketch(wire)   // coordinator: restore
@@ -153,7 +161,12 @@
 // a single known bit inside the receiver's accept set, not repeated,
 // the payload's kind the one the engine's table gives that bit, the
 // payload's Config echo equal to the receiver's Config, then
-// UnmarshalSketch — every blob decoded before any is committed.
+// UnmarshalSketch — every blob decoded before any is committed. A blob
+// it admits merges with any structure built from that Config and the
+// same options: there is no hash wiring left on the wire to disagree.
+// (It does not compare the options echo: an engine restore does, against
+// its own structures; an aggregator still admits agents whose options
+// differ, ROADMAP 3c.)
 //
 // # Performance
 //

@@ -67,8 +67,8 @@
 // bounded.UnmarshalSketch + Merge (what the networked aggregator does).
 // SnapshotPartitioned serializes every shard's live structures in
 // place (no merge) under a versioned envelope carrying the shard
-// count, partition-hash coefficients, Config echo, structure set, and
-// generation. RestorePartitioned installs that state shard-for-shard
+// count, Config echo (its Seed fixes the partition hash), structure
+// set, and generation. RestorePartitioned installs that state shard-for-shard
 // into a pristine engine with the same Config and topology, so routed
 // reads keep working (SnapshotBuilds stays 0). Sketch state cannot be
 // re-keyed: a snapshot from a different shard count is an error, to be

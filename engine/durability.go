@@ -14,7 +14,6 @@ import (
 
 	bounded "repro"
 	"repro/internal/ckpt"
-	"repro/internal/hash"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -39,8 +38,9 @@ func (s structSet) marshalBlobs() ([]wire.Blob, error) {
 }
 
 // SnapshotPartitioned serializes the engine's WHOLE sharded state with
-// the partition preserved: a topology header (shard count, partition
-// hash, Config echo, structure set, generation) followed by one blob
+// the partition preserved: a topology header (shard count, Config echo
+// — its Seed fixes the partition hash — structure set, generation)
+// followed by one blob
 // list per shard, each marshaled inside its own shard goroutine — no
 // merged view is built and SnapshotBuilds does not advance. Feed the
 // bytes to RestorePartitioned on a peer (or back through
@@ -58,10 +58,6 @@ func (e *Engine) SnapshotPartitioned() ([]byte, error) {
 	}
 	e.flushLocked()
 	genAt := e.gen.Load()
-	partBytes, err := e.part.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
 	shards := make([][]wire.Blob, len(e.workers))
 	errs := make([]error, len(e.workers))
 	e.eachShard(func(s int) { shards[s], errs[s] = e.sets[s].marshalBlobs() })
@@ -72,14 +68,13 @@ func (e *Engine) SnapshotPartitioned() ([]byte, error) {
 	}
 	ps := &wire.PartSnapshot{
 		Header: wire.PartHeader{
-			Shards:      uint32(e.opt.Shards),
-			Partitioner: partBytes,
-			N:           e.cfg.N,
-			Eps:         e.cfg.Eps,
-			Alpha:       e.cfg.Alpha,
-			Seed:        e.cfg.Seed,
-			Structures:  uint32(e.opt.Structures),
-			Generation:  genAt,
+			Shards:     uint32(e.opt.Shards),
+			N:          e.cfg.N,
+			Eps:        e.cfg.Eps,
+			Alpha:      e.cfg.Alpha,
+			Seed:       e.cfg.Seed,
+			Structures: uint32(e.opt.Structures),
+			Generation: genAt,
 		},
 		Shards: shards,
 	}
@@ -96,10 +91,12 @@ func (e *Engine) SnapshotPartitioned() ([]byte, error) {
 // engine (no Ingest and no RestorePartitioned yet — Generation() == 0);
 // anything else errors, because a partitioned install replaces shard
 // state rather than merging into it. The engine's Config must equal the
-// snapshot's echoed Config exactly, its topology (shard count and
-// partition hash) must equal the snapshot's, and the snapshot's
-// structure set must be a subset of the engine's (extra engine
-// structures stay empty).
+// snapshot's echoed Config exactly (which fixes the partition hash),
+// its shard count must equal the snapshot's, the snapshot's structure
+// set must be a subset of the engine's (extra engine structures stay
+// empty), and every blob must have been built with the engine's
+// options (bounded.Compatible with the engine's own structure), so
+// every later merge of the shards succeeds.
 //
 // Each shard's payloads are installed into that shard's live
 // structures, inside its goroutine. The engine is then bit-identical
@@ -139,13 +136,6 @@ func (e *Engine) RestorePartitioned(data []byte) error {
 		return fmt.Errorf("engine: partitioned snapshot was taken at %d shards, engine has %d; sketch state cannot be re-keyed — open it with its own topology via RestoreCheckpoint(payload, Options{})",
 			hdr.Shards, e.opt.Shards)
 	}
-	var hdrPart hash.KWise
-	if err := hdrPart.UnmarshalBinary(hdr.Partitioner); err != nil {
-		return fmt.Errorf("engine: partitioned snapshot partitioner echo: %w", err)
-	}
-	if !e.part.Equal(&hdrPart) {
-		return fmt.Errorf("engine: partitioned snapshot's partition hash differs from the engine's; open it with its own topology via RestoreCheckpoint(payload, Options{})")
-	}
 	if snapStructs == 0 {
 		return fmt.Errorf("engine: partitioned snapshot with empty structure set")
 	}
@@ -165,6 +155,9 @@ func (e *Engine) RestorePartitioned(data []byte) error {
 		for j, b := range blobs {
 			bit := Structures(b.Bit)
 			row, _ := bit.row()
+			if err := bounded.Compatible(e.sets[0][row], sks[j]); err != nil {
+				return fmt.Errorf("engine: shard %d: structure %s: %w", si, bit, err)
+			}
 			set[row] = sks[j]
 			seen |= bit
 		}

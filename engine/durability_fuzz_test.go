@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	bounded "repro"
+	"repro/internal/wire"
 )
 
 // fuzzCfg keeps per-exec engine construction cheap.
@@ -27,15 +30,46 @@ func fuzzSnapshotSeed(shards int) []byte {
 	return snap
 }
 
+// foreignSeedSnapshot is valid with shard 0's heavy-hitters blob taken
+// from an engine built from another Seed and its Config echo rewritten
+// to the receiver's: an honest echo over a state built under foreign
+// hash functions. Where a blob carried its hash coefficients, such a
+// blob was admitted and then failed every merge of the shards.
+func foreignSeedSnapshot(valid []byte) []byte {
+	foreign := fuzzCfg
+	foreign.Seed++
+	e, err := New(foreign, Options{Shards: 2, Structures: fuzzStructures})
+	if err != nil {
+		panic(err)
+	}
+	defer e.Close()
+	if err := e.Ingest([]bounded.Update{{Index: 1, Delta: 3}, {Index: 7, Delta: 1}}); err != nil {
+		panic(err)
+	}
+	var src, dst wire.PartSnapshot
+	if err := src.UnmarshalBinary(must(e.SnapshotPartitioned())); err != nil {
+		panic(err)
+	}
+	if err := dst.UnmarshalBinary(valid); err != nil {
+		panic(err)
+	}
+	blob := bytes.Clone(src.Shards[0][0].Payload)                  // HeavyHitters: the lowest bit
+	binary.LittleEndian.PutUint64(blob[28:], uint64(fuzzCfg.Seed)) // the Seed echo, after magic, version, kind, N, Eps and Alpha
+	dst.Shards[0][0].Payload = blob
+	return must(dst.MarshalBinary())
+}
+
 // FuzzPartitionedSnapshot throws arbitrary bytes at RestorePartitioned.
 // The decode-all-then-install contract under test: malformed input of
 // any kind errors without panicking and without committing partial
 // state (the engine stays pristine — generation 0 — and still accepts
 // a valid snapshot afterwards); accepted input leaves a fully live
-// engine.
+// engine, every structure of which merges into one built from the
+// receiver's Config and options.
 func FuzzPartitionedSnapshot(f *testing.F) {
 	valid := fuzzSnapshotSeed(2)
 	f.Add(valid)
+	f.Add(foreignSeedSnapshot(valid))
 	f.Add(fuzzSnapshotSeed(1))
 	for _, cut := range []int{1, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:cut])
@@ -52,7 +86,26 @@ func FuzzPartitionedSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		if rerr := e.RestorePartitioned(data); rerr != nil {
+		rerr := e.RestorePartitioned(data)
+		if rerr == nil {
+			// Admitted ⇒ mergeable: each installed structure merges into
+			// one the receiver builds.
+			for s, set := range e.sets {
+				for row, sk := range set {
+					if sk == nil {
+						continue
+					}
+					recv, err := kinds[row].build(fuzzCfg, e.opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := recv.Merge(sk); err != nil {
+						t.Fatalf("shard %d: an admitted %s does not merge into the receiver's: %v", s, kinds[row].kind, err)
+					}
+				}
+			}
+		}
+		if rerr != nil {
 			// Failed restores must leave the engine untouched and still
 			// pristine: the known-good snapshot installs cleanly after.
 			if g := e.Generation(); g != 0 {

@@ -155,9 +155,13 @@ func ParseStructures(s string) (Structures, error) {
 // its payload must hold the wire kind the table gives that bit (an L1
 // estimator cannot be filed under the heavy-hitters slot), echo exactly
 // cfg (same seed ⇒ same hash wirings ⇒ mergeable — a foreign Config
-// admitted here would poison every later Merge), and unmarshal. The
-// sketches come back parallel to blobs, and only once every blob has
-// passed, so a caller commits all of a list or none of it.
+// admitted here would poison every later Merge), and unmarshal. A blob
+// carries no hash wiring of its own — the decoder rebuilds it from cfg
+// — so an admitted blob merges with every structure built from cfg and
+// the same options; the options echo is the caller's to compare
+// (RestorePartitioned does, against its own structures). The sketches
+// come back parallel to blobs, and only once every blob has passed, so
+// a caller commits all of a list or none of it.
 func DecodeBlobs(blobs []wire.Blob, accept Structures, cfg bounded.Config) ([]bounded.Sketch, error) {
 	out := make([]bounded.Sketch, len(blobs))
 	var seen Structures

@@ -194,9 +194,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 		return fmt.Errorf("cauchy: merging Sketches with different dimensions (r=%d/%d r'=%d/%d)",
 			s.r, other.r, s.rPrime, other.rPrime)
 	}
-	if !s.hA.Equal(other.hA) || !s.hAPrime.Equal(other.hAPrime) {
-		return fmt.Errorf("cauchy: merging Sketches with different hash functions (same seed required)")
-	}
 	for j := range s.y {
 		s.y[j] += other.y[j]
 		if a := math.Abs(s.y[j]); a > s.maxAbs {
@@ -402,9 +399,6 @@ func (s *SampledSketch) Merge(other *SampledSketch) error {
 	}
 	if s.r != other.r || s.rPrime != other.rPrime || s.base != other.base || s.fpBits != other.fpBits {
 		return fmt.Errorf("cauchy: merging SampledSketches with different params")
-	}
-	if !s.hA.Equal(other.hA) || !s.hAPrime.Equal(other.hAPrime) {
-		return fmt.Errorf("cauchy: merging SampledSketches with different hash functions (same seed required)")
 	}
 	s.win.Merge(other.win, func(lv, olv *sampledLevel) {
 		for i := range lv.y {

@@ -3,158 +3,88 @@ package cauchy
 import (
 	"errors"
 
-	"repro/internal/hash"
 	"repro/internal/sample"
 	"repro/internal/wire"
 )
 
-// Wire layouts. Both sketches serialize their matrix seeds (the two
-// polynomial hashes that derandomize the Cauchy matrices) alongside the
-// counters, so a receiver reconstructs the exact same linear map — the
-// requirement for merging or continuing to update a shipped sketch.
-const (
-	sketchMagic        = "CY"
-	sampledSketchMagic = "CZ"
-	formatV1           = 1
-)
+// Wire states. The matrix seeds (the two polynomial hashes that
+// derandomize the Cauchy matrices) and the dimensions are the
+// constructor's, so a receiver built from the same seed holds the same
+// linear map — the requirement for merging or continuing to update a
+// shipped sketch — and only the counters travel.
 
-// MarshalBinary encodes the dense Figure 5 sketch.
+// MarshalBinary encodes the dense Figure 5 sketch's state.
 func (s *Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // EncodedLen is the length of the sketch's encoding, a closed form of
 // its dimensions: what an enclosing structure grows its buffer by.
-func (s *Sketch) EncodedLen() int {
-	return 3 + 8 + 4 + s.hA.EncodedLen() + 4 + s.hAPrime.EncodedLen() + 4 + 8*len(s.y) + 4 + 8*len(s.yPrime) + 16
-}
+func (s *Sketch) EncodedLen() int { return SketchStateLen(s.r, s.rPrime) }
+
+// SketchStateLen is the encoded length of a Sketch with r main and
+// rPrime median rows.
+func SketchStateLen(r, rPrime int) int { return 8*(r+rPrime) + 16 }
 
 // AppendBinary appends the sketch's encoding to dst.
 func (s *Sketch) AppendBinary(dst []byte) ([]byte, error) {
-	w := wire.Append(dst, sketchMagic, formatV1)
-	w.Grow(s.EncodedLen())
-	w.U32(uint32(s.r))
-	w.U32(uint32(s.rPrime))
-	if err := w.Marshal(s.hA); err != nil {
-		return nil, err
-	}
-	if err := w.Marshal(s.hAPrime); err != nil {
-		return nil, err
-	}
-	w.F64s(s.y)
-	w.F64s(s.yPrime)
+	w := wire.State(wire.Grow(dst, s.EncodedLen()))
+	w.FixedF64s(s.y)
+	w.FixedF64s(s.yPrime)
 	w.F64(s.maxAbs)
 	w.I64(s.m)
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary restores a dense sketch serialized by MarshalBinary.
-// On failure the receiver is left unchanged.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
-	rd, v, err := wire.NewReader(data, sketchMagic)
-	if err != nil {
-		return err
+// Fill restores the counters into a sketch of the encoder's dimensions
+// (wire.Filler).
+func (s *Sketch) Fill(r *wire.Reader) {
+	r.FixedF64s(s.y)
+	r.FixedF64s(s.yPrime)
+	s.maxAbs, s.m = r.F64(), r.I64()
+	if s.m < 0 || s.maxAbs < 0 {
+		r.Fail(errors.New("cauchy: negative Sketch diagnostics"))
 	}
-	if v != formatV1 {
-		return errors.New("cauchy: unsupported Sketch format version")
-	}
-	r := int(rd.U32())
-	rPrime := int(rd.U32())
-	hA, hAPrime := &hash.KWise{}, &hash.KWise{}
-	rd.Unmarshal(hA)
-	rd.Unmarshal(hAPrime)
-	y := rd.F64s()
-	yPrime := rd.F64s()
-	maxAbs := rd.F64()
-	m := rd.I64()
-	if err := rd.Done(); err != nil {
-		return err
-	}
-	if r < 1 || rPrime < 1 || len(y) != r || len(yPrime) != rPrime {
-		return errors.New("cauchy: Sketch dimensions disagree with counters")
-	}
-	if m < 0 || maxAbs < 0 {
-		return errors.New("cauchy: negative Sketch diagnostics")
-	}
-	s.r, s.rPrime = r, rPrime
-	s.hA, s.hAPrime = hA, hAPrime
-	s.y, s.yPrime = y, yPrime
-	s.maxAbs, s.m = maxAbs, m
-	return nil
 }
 
-// MarshalBinary encodes the sampled Theorem 8 sketch: parameters, matrix
-// seeds, stream position, and every live level's fixed-point counters.
+// MarshalBinary encodes the sampled Theorem 8 sketch's state: stream
+// position, maxCount and every live level's fixed-point counters.
 func (s *SampledSketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// EncodedLen is the length of the sampled sketch's encoding.
+func (s *SampledSketch) EncodedLen() int { return 20 + s.win.Len()*(12+8*(s.r+s.rPrime)) }
 
 // AppendBinary appends the sampled sketch's encoding to dst, growing
 // it once by the length its live levels will take.
 func (s *SampledSketch) AppendBinary(dst []byte) ([]byte, error) {
-	w := wire.Append(dst, sampledSketchMagic, formatV1)
-	w.Grow(3 + 20 + 4 + s.hA.EncodedLen() + 4 + s.hAPrime.EncodedLen() + 20 + s.win.Len()*(20+8*(s.r+s.rPrime)))
-	w.U32(uint32(s.r))
-	w.U32(uint32(s.rPrime))
-	w.I64(s.base)
-	w.U32(uint32(s.fpBits))
-	if err := w.Marshal(s.hA); err != nil {
-		return nil, err
-	}
-	if err := w.Marshal(s.hAPrime); err != nil {
-		return nil, err
-	}
+	w := wire.State(wire.Grow(dst, s.EncodedLen()))
 	w.I64(s.t)
 	w.I64(s.maxCount)
 	s.win.WriteLevels(w, func(lv *sampledLevel) {
 		w.I64(lv.start)
-		w.I64s(lv.y)
-		w.I64s(lv.yPrime)
+		w.FixedI64s(lv.y)
+		w.FixedI64s(lv.yPrime)
 	})
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary restores a sampled sketch serialized by MarshalBinary.
-// The restored instance reseeds its sampling rng deterministically from
-// the payload (counters are exact; the rng only drives future sampling
-// decisions). On failure the receiver is left unchanged.
-func (s *SampledSketch) UnmarshalBinary(data []byte) error {
-	rd, v, err := wire.NewReader(data, sampledSketchMagic)
-	if err != nil {
-		return err
+// Fill restores the state into a sketch fresh from NewSampledSketch
+// with the encoder's parameters (wire.Filler). The restored instance
+// reseeds its sampling rng deterministically from the state (counters
+// are exact; the rng only drives future sampling decisions).
+func (s *SampledSketch) Fill(r *wire.Reader) {
+	at := r.Offset()
+	s.t, s.maxCount = r.I64(), r.I64()
+	if r.Err() == nil && s.t < 0 {
+		r.Fail(errors.New("cauchy: negative SampledSketch position"))
 	}
-	if v != formatV1 {
-		return errors.New("cauchy: unsupported SampledSketch format version")
-	}
-	r := int(rd.U32())
-	rPrime := int(rd.U32())
-	base := rd.I64()
-	fpBits := uint(rd.U32())
-	hA, hAPrime := &hash.KWise{}, &hash.KWise{}
-	rd.Unmarshal(hA)
-	rd.Unmarshal(hAPrime)
-	t := rd.I64()
-	maxCount := rd.I64()
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	if r < 1 || rPrime < 1 || base < 4 || fpBits > 62 || t < 0 {
-		return errors.New("cauchy: bad SampledSketch parameters")
-	}
-	win, err := sample.ReadLevels(rd, base, func() (*sampledLevel, error) {
-		lv := &sampledLevel{start: rd.I64(), y: rd.I64s(), yPrime: rd.I64s()}
-		if len(lv.y) != r || len(lv.yPrime) != rPrime {
-			return nil, errors.New("cauchy: bad SampledSketch level")
+	s.win.ReadLevels(r, func(int) *sampledLevel {
+		if !r.Need(8 * (1 + s.r + s.rPrime)) {
+			return nil
 		}
-		return lv, nil
+		lv := s.newLevel(0)
+		lv.start = r.I64()
+		r.FixedI64s(lv.y)
+		r.FixedI64s(lv.yPrime)
+		return lv
 	})
-	if err != nil {
-		return err
-	}
-	if err := rd.Done(); err != nil {
-		return err
-	}
-	s.r, s.rPrime = r, rPrime
-	s.base, s.fpBits = base, fpBits
-	s.hA, s.hAPrime = hA, hAPrime
-	s.t, s.maxCount = t, maxCount
-	s.win = win
-	s.rng = sample.Seeded(wire.Seed(data))
-	return nil
+	s.rng = sample.Seeded(wire.Seed(r.Since(at)))
 }

@@ -18,10 +18,7 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &Sketch{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, NewSketch(rand.New(rand.NewSource(1)), 16, 8, 4), data)
 	if restored.MedianEstimate() != s.MedianEstimate() {
 		t.Errorf("MedianEstimate differs: %v vs %v", restored.MedianEstimate(), s.MedianEstimate())
 	}
@@ -48,10 +45,7 @@ func TestSampledSketchMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &SampledSketch{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, NewSampledSketch(rand.New(rand.NewSource(2)), 8, 8, 4, 1<<20, 6), data)
 	if restored.t != s.t || restored.win.Len() != s.win.Len() {
 		t.Fatalf("state: restored (t=%d, levels=%d), original (t=%d, levels=%d)",
 			restored.t, restored.win.Len(), s.t, s.win.Len())
@@ -78,26 +72,23 @@ func TestSampledSketchMarshalRoundTrip(t *testing.T) {
 }
 
 func TestCauchyUnmarshalRejectsGarbage(t *testing.T) {
-	s := NewSketch(rand.New(rand.NewSource(3)), 4, 4, 4)
-	data, _ := s.MarshalBinary()
-	fresh := &Sketch{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	fresh := func() *Sketch { return NewSketch(rand.New(rand.NewSource(3)), 4, 4, 4) }
+	data, _ := fresh().MarshalBinary()
+	if err := wire.Fill(nil, fresh()); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-1]); err == nil {
+	if err := wire.Fill(data[:len(data)-1], fresh()); err == nil {
 		t.Error("accepted truncated payload")
 	}
-	ss := NewSampledSketch(rand.New(rand.NewSource(4)), 2, 2, 4, 8, 4)
+	freshS := func() *SampledSketch { return NewSampledSketch(rand.New(rand.NewSource(4)), 2, 2, 4, 8, 4) }
+	ss := freshS()
 	ss.Update(1, 1)
 	sdata, _ := ss.MarshalBinary()
-	freshS := &SampledSketch{}
-	if err := freshS.UnmarshalBinary(sdata[:len(sdata)-2]); err == nil {
+	if err := wire.Fill(sdata[:len(sdata)-2], freshS()); err == nil {
 		t.Error("accepted truncated sampled payload")
 	}
-	bad := append([]byte(nil), sdata...)
-	bad[2] = 77
-	if err := freshS.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted wrong version")
+	if err := wire.Fill(append(sdata, 0), freshS()); err == nil {
+		t.Error("accepted a trailing byte")
 	}
 }
 
@@ -134,11 +125,7 @@ func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
 	}
 	blob := wiretest.MustMarshal(t, build())
 	restore := func() *SampledSketch {
-		s := new(SampledSketch)
-		if err := s.UnmarshalBinary(blob); err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return wiretest.Restore(t, NewSampledSketch(rand.New(rand.NewSource(5)), 8, 4, 4, 4, 8), blob)
 	}
 	seed := func(s *SampledSketch) { s.rng.Get() }
 	work := func(s *SampledSketch) {

@@ -41,7 +41,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 						}
 					}
 					if mode == "restored" && off == 2500 {
-						s = wiretest.Restore[SampledSketch](t, wiretest.MustMarshal(t, s))
+						s = wiretest.Restore(t, small(7, base), wiretest.MustMarshal(t, s))
 					}
 				}
 				return s
@@ -83,7 +83,7 @@ func TestRestoreMidStreamExactInRateOneRegime(t *testing.T) {
 		whole.Update(u.Index, u.Delta)
 		cut.Update(u.Index, u.Delta)
 		if i == 1234 {
-			cut = wiretest.Restore[SampledSketch](t, wiretest.MustMarshal(t, cut))
+			cut = wiretest.Restore(t, small(3, 1<<30), wiretest.MustMarshal(t, cut))
 		}
 	}
 	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
@@ -157,13 +157,12 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 	}
 }
 
-// craft rewrites the tail of an empty sketch's encoding — position,
-// counter peak, level list — to hold the given {level, fill} pairs in
-// the given order at position pos: sets no ingest produces. Every row
-// of a level holds its fill.
-func craft(t *testing.T, base, pos int64, levels ...[2]int64) []byte {
-	data := wiretest.MustMarshal(t, small(1, base))
-	w := wire.NewWriter(sampledSketchMagic, formatV1)
+// craft writes a small sketch's state — position, counter peak, level
+// list — holding the given {level, fill} pairs in the given order at
+// position pos: sets no ingest produces. Every row of a level holds its
+// fill.
+func craft(pos int64, levels ...[2]int64) []byte {
+	w := wire.State(nil)
 	w.I64(pos)
 	w.I64(0)
 	w.U32(uint32(len(levels)))
@@ -171,11 +170,10 @@ func craft(t *testing.T, base, pos int64, levels ...[2]int64) []byte {
 		rows := []int64{lv[1], lv[1], lv[1], lv[1]}
 		w.U32(uint32(lv[0]))
 		w.I64(1) // start
-		w.I64s(rows)
-		w.I64s(rows)
+		w.FixedI64s(rows)
+		w.FixedI64s(rows)
 	}
-	const emptyTail, header = 8 + 8 + 4, 3
-	return append(data[:len(data)-emptyTail:len(data)-emptyTail], w.Bytes()[header:]...)
+	return w.Bytes()
 }
 
 // TestCraftedLevelLists: a level list that is not the schedule's set for
@@ -194,14 +192,14 @@ func TestCraftedLevelLists(t *testing.T) {
 		"empty at a large t":      {1 << 40, nil, nil},
 		"three levels":            {20, [][2]int64{{1, 5e7}, {2, 6e7}, {3, 7e7}}, [][2]int64{{1, 5e7}, {2, 6e7}, {3, 7e7}}},
 	} {
-		s := wiretest.Restore[SampledSketch](t, craft(t, base, tc.pos, tc.levels...))
+		s := wiretest.Restore(t, small(1, base), craft(tc.pos, tc.levels...))
 		if len(tc.levels) == 0 && s.Estimate() != 0 {
 			t.Errorf("%s: estimate %v from no level", name, s.Estimate())
 		}
 		if j, _ := s.win.Oldest(); len(tc.levels) > 0 && int64(j) != tc.canonical[0][0] {
 			t.Errorf("%s: answers from level %d, want the oldest listed, %d", name, j, tc.canonical[0][0])
 		}
-		if !bytes.Equal(wiretest.MustMarshal(t, s), craft(t, base, tc.pos, tc.canonical...)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, s), craft(tc.pos, tc.canonical...)) {
 			t.Errorf("%s: re-marshal is not the ascending encoding", name)
 		}
 		listed := map[int]int64{}
@@ -227,10 +225,10 @@ func TestCraftedLevelLists(t *testing.T) {
 		}
 	}
 	for name, data := range map[string][]byte{
-		"duplicate level": craft(t, base, 9, [2]int64{1, 0}, [2]int64{1, 0}),
-		"level past 62":   craft(t, base, 9, [2]int64{63, 0}),
+		"duplicate level": craft(9, [2]int64{1, 0}, [2]int64{1, 0}),
+		"level past 62":   craft(9, [2]int64{63, 0}),
 	} {
-		if err := new(SampledSketch).UnmarshalBinary(data); err == nil {
+		if err := wire.Fill(data, small(1, base)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

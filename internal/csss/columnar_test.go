@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/topk"
+	"repro/internal/wire/wiretest"
 )
 
 // mixedDeltas draws a delta column that exercises every thin branch:
@@ -322,15 +323,12 @@ func TestRegimeCountersRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restored Sketch
-	if err := restored.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, New(rand.New(rand.NewSource(7)), Params{Rows: 7, K: 8, S: S}), blob)
 	if p := DispatchStats().SampleExponent; p != halved {
 		t.Errorf("gauge reads %d after restoring a sketch at exponent %d", p, halved)
 	}
 	fresh := New(rand.New(rand.NewSource(7)), Params{Rows: 7, K: 8, S: S})
-	if err := fresh.Merge(&restored); err != nil {
+	if err := fresh.Merge(restored); err != nil {
 		t.Fatal(err)
 	}
 	if p := DispatchStats().SampleExponent; p != int64(fresh.SampleExponent()) || p < halved {
@@ -715,10 +713,7 @@ func TestCloneAndRestoreShareNoBatchScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := new(Sketch)
-	if err := restored.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, New(rand.New(rand.NewSource(81)), p), blob)
 	// Each sketch draws from its own rng from here on, so each gets its
 	// own per-item twin, made the same way at the same moment.
 	twin := func(sk *Sketch) *Sketch {
@@ -726,14 +721,9 @@ func TestCloneAndRestoreShareNoBatchScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tw := new(Sketch)
-		if err := tw.UnmarshalBinary(b); err != nil {
-			t.Fatal(err)
-		}
+		tw := wiretest.Restore(t, New(rand.New(rand.NewSource(81)), p), b)
 		b2, _ := tw.MarshalBinary()
-		if err := sk.UnmarshalBinary(b2); err != nil { // both now seeded by the same bytes
-			t.Fatal(err)
-		}
+		wiretest.Restore(t, sk, b2) // both now seeded by the same bytes
 		return tw
 	}
 	sketches := []*Sketch{src, clone, restored}

@@ -824,18 +824,16 @@ func (s *Sketch) halveOnce() {
 // stream positions, and re-applies the halving schedule at the combined
 // position. other is read, never thinned: when it is the finer one, a
 // COPY of its table is halved, under an rng seeded as Clone seeds one —
-// the one word Merge takes from other (until wire v2, ROADMAP 4a). While
-// neither sketch has halved (the rate-1 regime), the merge is exact:
-// counters equal a single sketch's that ingested the concatenated stream.
+// the one word Merge takes from other (until the generator travels on
+// the wire, ROADMAP 4a). While neither sketch has halved (the rate-1
+// regime), the merge is exact: counters equal a single sketch's that
+// ingested the concatenated stream.
 func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil {
 		return fmt.Errorf("csss: merge with nil sketch")
 	}
 	if s.params != other.params {
 		return fmt.Errorf("csss: merging sketches with different params (%+v vs %+v)", s.params, other.params)
-	}
-	if !s.buckets.Equal(other.buckets) {
-		return fmt.Errorf("csss: merging sketches with different hash wirings (same seed required)")
 	}
 	for s.p < other.p {
 		s.halveOnce()

@@ -23,10 +23,7 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &Sketch{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, New(rand.New(rand.NewSource(17)), params), data)
 	if restored.t != sk.t || restored.p != sk.p || restored.nextHalf != sk.nextHalf {
 		t.Fatalf("clock: restored (%d,%d,%d), original (%d,%d,%d)",
 			restored.t, restored.p, restored.nextHalf, sk.t, sk.p, sk.nextHalf)
@@ -75,10 +72,7 @@ func TestSketchMarshalAfterHalving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &Sketch{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, New(rand.New(rand.NewSource(5)), params), data)
 	if restored.p != sk.p || restored.nextHalf != sk.nextHalf || restored.scale != sk.scale || restored.estScale != sk.estScale {
 		t.Fatalf("sampling clock mismatch: restored p=%d nextHalf=%d scale=%v, original p=%d nextHalf=%d scale=%v",
 			restored.p, restored.nextHalf, restored.scale, sk.p, sk.nextHalf, sk.scale)
@@ -100,10 +94,7 @@ func TestTailEstimatorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &TailEstimator{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, NewTailEstimator(rand.New(rand.NewSource(3)), params), data)
 	cands := []uint64{1, 2, 3, 4, 5}
 	v1, _ := te.Estimate(cands, 100, 0.01)
 	v2, _ := restored.Estimate(cands, 100, 0.01)
@@ -113,29 +104,24 @@ func TestTailEstimatorMarshalRoundTrip(t *testing.T) {
 }
 
 func TestSketchUnmarshalRejectsGarbage(t *testing.T) {
-	sk := New(rand.New(rand.NewSource(9)), Params{Rows: 3, K: 4, S: 64})
+	fresh := func() *Sketch { return New(rand.New(rand.NewSource(9)), Params{Rows: 3, K: 4, S: 64}) }
+	sk := fresh()
 	sk.Update(1, 5)
 	data, _ := sk.MarshalBinary()
-	fresh := &Sketch{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	if err := wire.Fill(nil, fresh()); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-5]); err == nil {
+	if err := wire.Fill(data[:len(data)-5], fresh()); err == nil {
 		t.Error("accepted truncated payload")
 	}
-	bad := append([]byte(nil), data...)
-	bad[2] = 99 // version byte
-	if err := fresh.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted wrong version")
+	if err := wire.Fill(append(data, 0), fresh()); err == nil {
+		t.Error("accepted a trailing byte")
 	}
-}
-
-// positionOffset locates the position field t inside an encoded
-// Sketch: the fixed-width parameter block, then the length-prefixed
-// hash wiring, then t.
-func positionOffset(data []byte) int {
-	const params = 3 + 4 + 4 + 8 + 4 // magic+version, rows, K, S, fixed-point bits
-	return params + 4 + int(binary.LittleEndian.Uint32(data[params:]))
+	negative := append([]byte(nil), data...)
+	negative[len(negative)-1] = 0x80 // the last counter's sign bit
+	if err := wire.Fill(negative, fresh()); err == nil {
+		t.Error("accepted a negative sampled counter")
+	}
 }
 
 // TestSketchUnmarshalRejectsPositionPastBoundary: exponent p implies
@@ -157,7 +143,7 @@ func TestSketchUnmarshalRejectsPositionPastBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := positionOffset(data)
+	const off = 0 // the position field t opens a Sketch's state
 	if got := int64(binary.LittleEndian.Uint64(data[off:])); got != sk.t {
 		t.Fatalf("position field reads %d, sketch is at %d", got, sk.t)
 	}
@@ -167,13 +153,13 @@ func TestSketchUnmarshalRejectsPositionPastBoundary(t *testing.T) {
 		return out
 	}
 	for _, pos := range []int64{sk.nextHalf, sk.nextHalf + 1, 1 << 40} {
-		err := new(Sketch).UnmarshalBinary(patched(pos))
+		err := wire.Fill(patched(pos), New(rand.New(rand.NewSource(9)), params))
 		if err == nil || !strings.Contains(err.Error(), "sampling clock") {
 			t.Errorf("position %d with boundary %d: err = %v, want a bad sampling clock", pos, sk.nextHalf, err)
 		}
 	}
-	last := new(Sketch)
-	if err := last.UnmarshalBinary(patched(sk.nextHalf - 1)); err != nil {
+	last := New(rand.New(rand.NewSource(9)), params)
+	if err := wire.Fill(patched(sk.nextHalf-1), last); err != nil {
 		t.Fatalf("position one short of the boundary rejected: %v", err)
 	}
 	feedColumns(last, []stream.Update{{Index: 1, Delta: 1}, {Index: 2, Delta: 1}})
@@ -187,10 +173,9 @@ func TestSketchUnmarshalRejectsPositionPastBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// k, then CS1 as a length-prefixed blob; patch CS1's position.
-	const cs1 = 3 + 4 + 4
-	binary.LittleEndian.PutUint64(blob[cs1+positionOffset(blob[cs1:]):], uint64(2*params.S+1))
-	if err := new(TailEstimator).UnmarshalBinary(blob); err == nil {
+	// CS1's state opens the blob; patch its position.
+	binary.LittleEndian.PutUint64(blob, uint64(2*params.S+1))
+	if err := wire.Fill(blob, NewTailEstimator(rand.New(rand.NewSource(3)), params)); err == nil {
 		t.Error("tail estimator accepted an instance past its halving boundary")
 	}
 }
@@ -226,11 +211,7 @@ func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
 	}
 	blob := wiretest.MustMarshal(t, build())
 	restore := func() *Sketch {
-		s := new(Sketch)
-		if err := s.UnmarshalBinary(blob); err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return wiretest.Restore(t, New(rand.New(rand.NewSource(5)), Params{Rows: 5, K: 8, S: 64}), blob)
 	}
 	seed := func(s *Sketch) { s.rng.Get() }
 	work := func(s *Sketch) {

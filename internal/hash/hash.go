@@ -84,25 +84,6 @@ func NewFourWise(rng *rand.Rand) *KWise { return NewKWise(rng, 4) }
 // K returns the independence parameter of the family.
 func (h *KWise) K() int { return len(h.coeffs) }
 
-// Equal reports whether two functions have identical coefficients —
-// i.e. they are the same hash function, regardless of how each was
-// constructed. Mergeable structures use this to verify that two
-// instances were built from the same seed before combining state.
-func (h *KWise) Equal(other *KWise) bool {
-	if h == other {
-		return true
-	}
-	if h == nil || other == nil || len(h.coeffs) != len(other.coeffs) {
-		return false
-	}
-	for i, c := range h.coeffs {
-		if other.coeffs[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
 // Field evaluates the polynomial at x, returning a value uniform in
 // [0, 2^61-1). x is reduced into the field first. The k = 2, 4 and 8
 // cases — every subsampling hash, every Count-Sketch row, and the
@@ -307,24 +288,6 @@ func (b *Buckets) BucketSignsInto(x uint64, cols []uint64, signs []int64) {
 		cols[i] = hi
 		signs[i] = 1 - int64(v&1)<<1
 	}
-}
-
-// Equal reports whether two wirings have identical dimensions and row
-// polynomials — the compatibility requirement for merging sketches that
-// were built from the same seed but do not share pointers.
-func (b *Buckets) Equal(other *Buckets) bool {
-	if b == other {
-		return true
-	}
-	if b == nil || other == nil || b.Rows != other.Rows || b.Cols != other.Cols {
-		return false
-	}
-	for i := range b.fns {
-		if !b.fns[i].Equal(other.fns[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // SpaceBits returns the seed storage cost of all rows.

@@ -51,13 +51,16 @@ type l1Scale struct {
 	l1Est   *cauchy.Sketch // General mode: constant-factor estimator
 }
 
+// The general scale's Cauchy sketch dimensions (r, r').
+const l1EstR, l1EstRPrime = 4, 32
+
 func newL1Scale(rng *rand.Rand, mode Mode) l1Scale {
 	if mode == Strict {
 		return l1Scale{}
 	}
 	// Fact 1: a constant-factor L1 suffices; 32 median rows give
 	// (1 +- 1/4) with good probability.
-	return l1Scale{l1Est: cauchy.NewSketch(rng, 4, 32, 4)}
+	return l1Scale{l1Est: cauchy.NewSketch(rng, l1EstR, l1EstRPrime, 4)}
 }
 
 func (r *l1Scale) add(delta int64) {
@@ -117,7 +120,6 @@ func (r *l1Scale) cloneInto(dst *l1Scale) l1Scale {
 
 // AlphaL1 is the Section 3 heavy hitters structure.
 type AlphaL1 struct {
-	mode    Mode
 	eps     float64
 	sk      *csss.Sketch
 	tracker *topk.Tracker
@@ -145,11 +147,20 @@ type AlphaL1Params struct {
 
 // NewAlphaL1 builds the alpha-property heavy hitters structure.
 func NewAlphaL1(rng *rand.Rand, p AlphaL1Params) *AlphaL1 {
+	h := &AlphaL1{
+		eps:     p.Eps,
+		sk:      csss.New(rng, p.sketchParams()),
+		tracker: topk.New(l1TrackerCap(p.Eps)),
+		n:       p.N,
+	}
+	h.scale = newL1Scale(rng, p.Mode) // after the sketch: the rng draw order is part of the seed contract
+	return h
+}
+
+// sketchParams resolves the CSSS parameters NewAlphaL1 builds with.
+func (p AlphaL1Params) sketchParams() csss.Params {
 	if p.Eps <= 0 || p.Eps >= 1 {
 		panic(fmt.Sprintf("heavy: eps must be in (0,1), got %v", p.Eps))
-	}
-	if p.Alpha < 1 {
-		p.Alpha = 1
 	}
 	q := p.Quality
 	if q <= 0 {
@@ -161,18 +172,22 @@ func NewAlphaL1(rng *rand.Rand, p AlphaL1Params) *AlphaL1 {
 	}
 	s := p.S
 	if s <= 0 {
-		s = csss.RecommendedS(p.Alpha, p.Eps, p.N)
+		s = csss.RecommendedS(max(p.Alpha, 1), p.Eps, p.N)
 	}
-	k := int(math.Ceil(q / p.Eps))
-	h := &AlphaL1{
-		mode:    p.Mode,
-		eps:     p.Eps,
-		sk:      csss.New(rng, csss.Params{Rows: rows, K: k, S: s}),
-		tracker: topk.New(l1TrackerCap(p.Eps)),
-		n:       p.N,
+	// 2^40 columns is beyond any memory; the clamp keeps StateLen in
+	// range for any Config.
+	return csss.Params{Rows: rows, K: int(min(math.Ceil(q/p.Eps), 1<<40)), S: s}
+}
+
+// StateLen is the encoded length of an AlphaL1 built with p that tracks
+// no candidates: the dense part every state of that shape holds, known
+// before anything is allocated.
+func (p AlphaL1Params) StateLen() int {
+	n := csss.StateLen(p.sketchParams()) + 4
+	if p.Mode == General {
+		return n + cauchy.SketchStateLen(l1EstR, l1EstRPrime)
 	}
-	h.scale = newL1Scale(rng, p.Mode) // after the sketch: the rng draw order is part of the seed contract
-	return h
+	return n + 16
 }
 
 // l1TrackerCap is the candidate capacity at sensitivity eps: at most
@@ -249,7 +264,7 @@ func (h *AlphaL1) Merge(other *AlphaL1) error {
 	if other == nil {
 		return fmt.Errorf("heavy: merge with nil AlphaL1")
 	}
-	if h.mode != other.mode || h.eps != other.eps || h.n != other.n {
+	if (h.scale.l1Est == nil) != (other.scale.l1Est == nil) || h.eps != other.eps || h.n != other.n {
 		return fmt.Errorf("heavy: merging AlphaL1 with different params (same seed/params required)")
 	}
 	if err := h.sk.Merge(other.sk); err != nil {
@@ -269,7 +284,6 @@ func (h *AlphaL1) Merge(other *AlphaL1) error {
 func (h *AlphaL1) CloneInto(dst *AlphaL1) *AlphaL1 {
 	dst = core.OrNew(dst)
 	*dst = AlphaL1{
-		mode:    h.mode,
 		eps:     h.eps,
 		sk:      h.sk.CloneInto(dst.sk),
 		tracker: h.tracker.CloneInto(dst.tracker),

@@ -38,28 +38,34 @@ type AlphaL2 struct {
 // appendix: the insertion pass at sensitivity eps/alpha needs
 // O((alpha/eps)^2) columns; the verifier needs O(1/eps^2).
 func NewAlphaL2(rng *rand.Rand, n uint64, eps, alpha float64) *AlphaL2 {
+	insCols, verCols := l2Cols(eps, alpha)
+	return &AlphaL2{
+		eps:   eps,
+		alpha: max(alpha, 1),
+		insCS: sketch.NewCountSketch(rng, 5, insCols),
+		verCS: sketch.NewCountSketch(rng, 7, verCols),
+		trk:   topk.New(l2TrackerCap(eps, max(alpha, 1))),
+		n:     n,
+	}
+}
+
+// l2Cols returns the insertion-pass and verifier column counts.
+func l2Cols(eps, alpha float64) (ins, ver uint64) {
 	if eps <= 0 || eps >= 1 {
 		panic("heavy: eps must be in (0,1)")
 	}
-	if alpha < 1 {
-		alpha = 1
-	}
-	insCols := uint64(math.Ceil(4 * (alpha / eps) * (alpha / eps)))
-	if insCols < 16 {
-		insCols = 16
-	}
-	verCols := uint64(math.Ceil(4 / (eps * eps)))
-	if verCols < 16 {
-		verCols = 16
-	}
-	return &AlphaL2{
-		eps:   eps,
-		alpha: alpha,
-		insCS: sketch.NewCountSketch(rng, 5, insCols),
-		verCS: sketch.NewCountSketch(rng, 7, verCols),
-		trk:   topk.New(l2TrackerCap(eps, alpha)),
-		n:     n,
-	}
+	// 2^40 columns is beyond any memory; the clamp keeps the lengths
+	// below in range for any Config.
+	cols := func(v float64) uint64 { return uint64(max(16, min(math.Ceil(v), 1<<40))) }
+	alpha = max(alpha, 1)
+	return cols(4 * (alpha / eps) * (alpha / eps)), cols(4 / (eps * eps))
+}
+
+// L2StateLen is the encoded length of an AlphaL2 built with (eps,
+// alpha) that tracks no candidates (see AlphaL1Params.StateLen).
+func L2StateLen(eps, alpha float64) int {
+	ins, ver := l2Cols(eps, alpha)
+	return 8 + 8*5*int(ins) + 8 + 8*7*int(ver) + 4
 }
 
 // l2TrackerCap is the candidate capacity of the insertion pass: at most

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/stream"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -17,18 +18,14 @@ func fig1Workload(seed int64) []stream.Update {
 
 func TestAlphaL1MarshalRoundTrip(t *testing.T) {
 	for _, mode := range []Mode{Strict, General} {
-		h := NewAlphaL1(rand.New(rand.NewSource(11)), AlphaL1Params{
-			N: 1 << 12, Eps: 0.05, Mode: mode, Alpha: 4,
-		})
+		p := AlphaL1Params{N: 1 << 12, Eps: 0.05, Mode: mode, Alpha: 4}
+		h := NewAlphaL1(rand.New(rand.NewSource(11)), p)
 		core.UpdateBatch(h.UpdateColumns, fig1Workload(3))
 		data, err := h.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := &AlphaL1{}
-		if err := restored.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
+		restored := wiretest.Restore(t, NewAlphaL1(rand.New(rand.NewSource(11)), p), data)
 		a, b := h.HeavyHitters(), restored.HeavyHitters()
 		if len(a) != len(b) {
 			t.Fatalf("mode %v: heavy hitters differ: %v vs %v", mode, a, b)
@@ -56,10 +53,7 @@ func TestAlphaL2MarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &AlphaL2{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, NewAlphaL2(rand.New(rand.NewSource(12)), 1<<12, 0.1, 2), data)
 	a, b := h.HeavyHitters(), restored.HeavyHitters()
 	if len(a) != len(b) {
 		t.Fatalf("heavy hitters differ: %v vs %v", a, b)
@@ -75,20 +69,21 @@ func TestAlphaL2MarshalRoundTrip(t *testing.T) {
 }
 
 func TestHeavyUnmarshalRejectsGarbage(t *testing.T) {
-	h := NewAlphaL1(rand.New(rand.NewSource(13)), AlphaL1Params{N: 256, Eps: 0.2, Mode: Strict, Alpha: 2})
+	fresh := func(mode Mode) *AlphaL1 {
+		return NewAlphaL1(rand.New(rand.NewSource(13)), AlphaL1Params{N: 256, Eps: 0.2, Mode: mode, Alpha: 2})
+	}
+	h := fresh(Strict)
 	h.Update(1, 5)
 	data, _ := h.MarshalBinary()
-	fresh := &AlphaL1{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	if err := wire.Fill(nil, fresh(Strict)); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-4]); err == nil {
+	if err := wire.Fill(data[:len(data)-4], fresh(Strict)); err == nil {
 		t.Error("accepted truncated payload")
 	}
-	bad := append([]byte(nil), data...)
-	bad[3] = 9 // mode byte
-	if err := fresh.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted unknown mode")
+	// The mode is the constructor's: a strict state is not a general one.
+	if err := wire.Fill(data, fresh(General)); err == nil {
+		t.Error("a general structure accepted a strict state")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/wire/wiretest"
 )
 
 // hashedHeavyHitters is the read the tracker's column slab replaced:
@@ -91,11 +92,7 @@ func TestSlabReadMatchesHashedRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var r AlphaL1
-			if err := r.UnmarshalBinary(blob); err != nil {
-				t.Fatal(err)
-			}
-			return &r
+			return wiretest.Restore(t, NewAlphaL1(rand.New(rand.NewSource(77)), p), blob)
 		}
 		scalar := func(h *AlphaL1, k int) {
 			for range k {

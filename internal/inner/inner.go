@@ -57,7 +57,9 @@ func (p *Params) fill() {
 		panic("inner: base must be >= 4")
 	}
 	if p.K <= 0 {
-		p.K = int(math.Ceil(4 / p.Eps))
+		// 2^40 buckets is beyond any memory; the clamp keeps level
+		// lengths in range for any eps.
+		p.K = int(min(math.Ceil(4/p.Eps), 1<<40))
 	}
 	if p.Rows <= 0 {
 		p.Rows = 1

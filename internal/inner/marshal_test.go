@@ -24,10 +24,7 @@ func TestEstimatorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &Estimator{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, New(rand.New(rand.NewSource(41)), Params{N: 1 << 10, Eps: 0.25, Base: 1 << 20, Rows: 3}), data)
 	if restored.Estimate() != e.Estimate() {
 		t.Fatalf("Estimate differs: %v vs %v", restored.Estimate(), e.Estimate())
 	}
@@ -98,19 +95,20 @@ func TestEstimatorCloneIsDeep(t *testing.T) {
 }
 
 func TestInnerUnmarshalRejectsGarbage(t *testing.T) {
-	e := buildEstimator(47)
-	data, _ := e.MarshalBinary()
-	fresh := &Estimator{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	fresh := func() *Estimator {
+		return New(rand.New(rand.NewSource(47)), Params{N: 1 << 10, Eps: 0.25, Base: 1 << 20, Rows: 3})
+	}
+	data, _ := buildEstimator(47).MarshalBinary()
+	if err := wire.Fill(nil, fresh()); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-7]); err == nil {
+	if err := wire.Fill(data[:len(data)-7], fresh()); err == nil {
 		t.Error("accepted truncated payload")
 	}
 	bad := append([]byte(nil), data...)
-	bad[2] = 123
-	if err := fresh.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted wrong version")
+	bad[7] = 0x80 // side f's position goes negative
+	if err := wire.Fill(bad, fresh()); err == nil {
+		t.Error("accepted a negative position")
 	}
 }
 
@@ -147,11 +145,7 @@ func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
 	}
 	blob := wiretest.MustMarshal(t, build())
 	restore := func() *Estimator {
-		e := new(Estimator)
-		if err := e.UnmarshalBinary(blob); err != nil {
-			t.Fatal(err)
-		}
-		return e
+		return wiretest.Restore(t, New(rand.New(rand.NewSource(5)), Params{N: 1 << 10, Eps: 0.25, Base: 4}), blob)
 	}
 	seed := func(e *Estimator) { e.rng.Get() }
 	work := func(e *Estimator) { feed(e, 300) }

@@ -22,11 +22,6 @@ func (e *Estimator) Merge(other *Estimator) error {
 	if e.params != other.params || e.prime != other.prime {
 		return fmt.Errorf("inner: merging Estimators with different params (same seed/params required)")
 	}
-	for r := range e.hb {
-		if !e.hb[r].Equal(other.hb[r]) || !e.hs[r].Equal(other.hs[r]) {
-			return fmt.Errorf("inner: merging Estimators with different hash functions (same seed required)")
-		}
-	}
 	e.mergeSide(e.f, other.f)
 	e.mergeSide(e.g, other.g)
 	return nil

@@ -45,7 +45,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 						}
 					}
 					if mode == "restored" && off == 2500 {
-						e = wiretest.Restore[Estimator](t, wiretest.MustMarshal(t, e))
+						e = wiretest.Restore(t, small(7, base), wiretest.MustMarshal(t, e))
 					}
 				}
 				return e
@@ -92,7 +92,7 @@ func TestRestoreMidStreamExactInRateOneRegime(t *testing.T) {
 			e.UpdateG(u.Index+1, u.Delta)
 		}
 		if i == 1234 {
-			cut = wiretest.Restore[Estimator](t, wiretest.MustMarshal(t, cut))
+			cut = wiretest.Restore(t, small(3, 1<<30), wiretest.MustMarshal(t, cut))
 		}
 	}
 	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
@@ -168,13 +168,12 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 	}
 }
 
-// craft rewrites the tail of an empty estimator's encoding — both
-// sides' position, bin peak and level list — so that each side sits at
-// pos holding the given {level, fill} pairs in the given order: sets no
-// ingest produces. Every bin of a level holds its fill.
-func craft(t *testing.T, base, pos int64, levels ...[2]int64) []byte {
-	data := wiretest.MustMarshal(t, small(1, base))
-	w := wire.NewWriter(estimatorMagic, formatV1)
+// craft writes a small estimator's state — both sides' position, bin
+// peak and level list — so that each side sits at pos holding the given
+// {level, fill} pairs in the given order: sets no ingest produces. Every
+// bin of a level holds its fill.
+func craft(pos int64, levels ...[2]int64) []byte {
+	w := wire.State(nil)
 	for side := 0; side < 2; side++ {
 		w.I64(pos)
 		w.I64(0)
@@ -182,14 +181,12 @@ func craft(t *testing.T, base, pos int64, levels ...[2]int64) []byte {
 		for _, lv := range levels {
 			w.U32(uint32(lv[0]))
 			w.I64(1) // start
-			w.U32(2)
 			for r := 0; r < 2; r++ {
-				w.I64s([]int64{lv[1], lv[1], lv[1], lv[1]})
+				w.FixedI64s([]int64{lv[1], lv[1], lv[1], lv[1]})
 			}
 		}
 	}
-	const emptyTail, header = 2 * (8 + 8 + 4), 3
-	return append(data[:len(data)-emptyTail:len(data)-emptyTail], w.Bytes()[header:]...)
+	return w.Bytes()
 }
 
 // TestCraftedLevelLists: a level list that is not the schedule's set for
@@ -208,7 +205,7 @@ func TestCraftedLevelLists(t *testing.T) {
 		"empty at a large t":      {1 << 40, nil, nil},
 		"three levels":            {20, [][2]int64{{1, 50}, {2, 60}, {3, 70}}, [][2]int64{{1, 50}, {2, 60}, {3, 70}}},
 	} {
-		e := wiretest.Restore[Estimator](t, craft(t, base, tc.pos, tc.levels...))
+		e := wiretest.Restore(t, small(1, base), craft(tc.pos, tc.levels...))
 		if len(tc.levels) == 0 && e.Estimate() != 0 {
 			t.Errorf("%s: estimate %v from no level", name, e.Estimate())
 		}
@@ -219,7 +216,7 @@ func TestCraftedLevelLists(t *testing.T) {
 				t.Errorf("%s: estimate %v, want %v from the oldest listed level", name, e.Estimate(), want)
 			}
 		}
-		if !bytes.Equal(wiretest.MustMarshal(t, e), craft(t, base, tc.pos, tc.canonical...)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, e), craft(tc.pos, tc.canonical...)) {
 			t.Errorf("%s: re-marshal is not the ascending encoding", name)
 		}
 		listed := map[int]int64{}
@@ -249,10 +246,10 @@ func TestCraftedLevelLists(t *testing.T) {
 		}
 	}
 	for name, data := range map[string][]byte{
-		"duplicate level": craft(t, base, 9, [2]int64{1, 0}, [2]int64{1, 0}),
-		"level past 62":   craft(t, base, 9, [2]int64{63, 0}),
+		"duplicate level": craft(9, [2]int64{1, 0}, [2]int64{1, 0}),
+		"level past 62":   craft(9, [2]int64{63, 0}),
 	} {
-		if err := new(Estimator).UnmarshalBinary(data); err == nil {
+		if err := wire.Fill(data, small(1, base)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nt"
 	"repro/internal/stream"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -113,6 +114,12 @@ func estimatorPair(p Params) (item, cols *Estimator) {
 	return NewEstimator(rand.New(rand.NewSource(41)), p), NewEstimator(rand.New(rand.NewSource(41)), p)
 }
 
+// restorePair restores blob into an estimatorPair's twins.
+func restorePair(t *testing.T, p Params, blob []byte) (item, cols *Estimator) {
+	item, cols = estimatorPair(p)
+	return wiretest.Restore(t, item, blob), wiretest.Restore(t, cols, blob)
+}
+
 // TestUpdateColumnsMatchesScalar is the regime matrix: windowed and
 // unwindowed; a stream that slides the window many times, one that
 // holds it still, and batch cuts from 1 through past the 4096-update column chunk — so
@@ -174,15 +181,10 @@ func TestUpdateColumnsAfterRestore(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		us := burstStream(rng, n, 8, 40, 200)
 		half := len(us) / 3
-		orig, _ := estimatorPair(Params{N: n, Eps: 0.25, Windowed: windowed, Window: 5})
+		p := Params{N: n, Eps: 0.25, Windowed: windowed, Window: 5}
+		orig, _ := estimatorPair(p)
 		core.UpdateBatch(orig.UpdateColumns, us[:half])
-		blob := wiretest.MustMarshal(t, orig)
-		item, cols := &Estimator{}, &Estimator{}
-		for _, e := range []*Estimator{item, cols} {
-			if err := e.UnmarshalBinary(blob); err != nil {
-				t.Fatal(err)
-			}
-		}
+		item, cols := restorePair(t, p, wiretest.MustMarshal(t, orig))
 		feedEstimators(t, item, cols, us[half:], cutter(rng, 0))
 		core.UpdateBatch(orig.UpdateColumns, us[half:])
 		checkEstimators(t, orig, cols, fmt.Sprintf("windowed=%v: never-marshalled vs restored", windowed))
@@ -226,16 +228,11 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 	for name, craft := range crafts {
 		for _, size := range []int{1, 1000, 0} {
 			t.Run(fmt.Sprintf("%s/cut=%d", name, size), func(t *testing.T) {
-				src, _ := estimatorPair(Params{N: n, Eps: 0.25, Windowed: true, Window: 5})
+				p := Params{N: n, Eps: 0.25, Windowed: true, Window: 5}
+				src, _ := estimatorPair(p)
 				core.UpdateBatch(src.UpdateColumns, us[:len(us)/3])
 				craft(src)
-				blob := wiretest.MustMarshal(t, src)
-				item, cols := &Estimator{}, &Estimator{}
-				for _, e := range []*Estimator{item, cols} {
-					if err := e.UnmarshalBinary(blob); err != nil {
-						t.Fatal(err)
-					}
-				}
+				item, cols := restorePair(t, p, wiretest.MustMarshal(t, src))
 				// A leading zero delta must not trigger the convergence:
 				// the per-item path returns before touching anything.
 				rest := append([]stream.Update{{Index: 3, Delta: 0}}, us[len(us)/3:]...)
@@ -401,11 +398,9 @@ func TestRoughF0StaleRestore(t *testing.T) {
 	honest := src.Estimate()
 	src.best = 0
 	blob := wiretest.MustMarshal(t, src)
-	item, cols := &RoughF0{}, &RoughF0{}
+	item, cols := NewRoughF0(rand.New(rand.NewSource(13)), 16), NewRoughF0(rand.New(rand.NewSource(13)), 16)
 	for _, r := range []*RoughF0{item, cols} {
-		if err := r.UnmarshalBinary(blob); err != nil {
-			t.Fatal(err)
-		}
+		wiretest.Restore(t, r, blob)
 		if r.Estimate() != 0 {
 			t.Fatalf("restore changed the running max to %d", r.Estimate())
 		}
@@ -421,27 +416,20 @@ func TestRoughF0StaleRestore(t *testing.T) {
 
 // TestRoughF0UnmarshalRejectsLevelOutOfRange: no update sets a level
 // above 60, and current() indexes by the top level — a blob with bits
-// 61..63 set must be refused, not panic, and leave the receiver alone.
+// 61..63 set must be refused, not panic.
 func TestRoughF0UnmarshalRejectsLevelOutOfRange(t *testing.T) {
-	src := NewRoughF0(rand.New(rand.NewSource(14)), 16)
+	fresh := func() *RoughF0 { return NewRoughF0(rand.New(rand.NewSource(14)), 16) }
+	src := fresh()
 	src.Update(5)
-	good := wiretest.MustMarshal(t, src)
 	for bit := 61; bit < 64; bit++ {
 		src.bitmaps[len(src.bitmaps)-1] |= 1 << bit
-		r := &RoughF0{}
-		if err := r.UnmarshalBinary(good); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.UnmarshalBinary(wiretest.MustMarshal(t, src)); err == nil {
+		if err := wire.Fill(wiretest.MustMarshal(t, src), fresh()); err == nil {
 			t.Fatalf("accepted a bitmap with level %d set", bit)
-		}
-		if !bytes.Equal(wiretest.MustMarshal(t, r), good) {
-			t.Fatalf("failed restore (level %d) changed the receiver", bit)
 		}
 		src.bitmaps[len(src.bitmaps)-1] &^= 1 << bit
 	}
 	src.bitmaps[0] |= zeroLevel // the highest honest level stays accepted
-	if err := (&RoughF0{}).UnmarshalBinary(wiretest.MustMarshal(t, src)); err != nil {
+	if err := wire.Fill(wiretest.MustMarshal(t, src), fresh()); err != nil {
 		t.Fatalf("rejected level 60: %v", err)
 	}
 }
@@ -817,10 +805,7 @@ func TestUpdateColumnsDirectedCases(t *testing.T) {
 		// bitmaps (stale) and whose windows nobody has synced: the first
 		// key of the first batch repairs both, on both paths.
 		warm.rough.best = 0
-		stale := &Estimator{}
-		if err := stale.UnmarshalBinary(wiretest.MustMarshal(t, warm)); err != nil {
-			t.Fatal(err)
-		}
+		stale, _ := restorePair(t, warm.params, wiretest.MustMarshal(t, warm))
 		if !stale.rough.stale || stale.rows.syncedAt != unsynced {
 			t.Fatal("the restored estimator is not stale and unsynced")
 		}
@@ -908,11 +893,9 @@ func TestEstimatorUnmarshalRejectsUnreducedBin(t *testing.T) {
 	} {
 		good := wiretest.MustMarshal(t, e)
 		poke()
-		if err := (&Estimator{}).UnmarshalBinary(wiretest.MustMarshal(t, e)); err == nil {
+		if err := wire.Fill(wiretest.MustMarshal(t, e), NewEstimator(rand.New(rand.NewSource(41)), e.params)); err == nil {
 			t.Fatal("accepted a bin at or above p")
 		}
-		if err := e.UnmarshalBinary(good); err != nil {
-			t.Fatal(err)
-		}
+		wiretest.Restore(t, e, good)
 	}
 }

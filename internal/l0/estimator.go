@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -64,15 +63,17 @@ func NewEstimator(rng *rand.Rand, params Params) *Estimator {
 	if params.N < 2 {
 		panic("l0: universe too small")
 	}
-	k := int(math.Ceil(1 / (params.Eps * params.Eps)))
-	if k < 16 {
-		k = 16
-	}
+	k := binsPerRow(params.Eps)
 	// Random prime p in [D, D^2], D = 100*K*log(mM) with log(mM) ~ 64;
 	// [D, D^2] holds far more than the K^2 log^2(mM) primes the
-	// distinctness argument of Lemma 16 consumes.
+	// distinctness argument of Lemma 16 consumes. D^2 saturates at
+	// 2^64 - 1 once D passes 2^32.
 	d := uint64(100 * k * 64)
-	p, err := nt.RandomPrime(rng, d, d*d)
+	hi := uint64(math.MaxUint64)
+	if d <= 1<<32 {
+		hi = d * d
+	}
+	p, err := nt.RandomPrime(rng, d, hi)
 	if err != nil {
 		panic("l0: no prime: " + err.Error())
 	}
@@ -94,7 +95,7 @@ func NewEstimator(rng *rand.Rand, params Params) *Estimator {
 	e.singleRow = make([]uint64, 2*k)
 	e.us = randomVector(rng, 2*k, p)
 	if params.Windowed {
-		e.rough = NewRoughF0(rng, 16)
+		e.rough = NewRoughF0(rng, roughCopies)
 		logN := float64(nt.Log2Ceil(params.N))
 		e.floorRow = int64(8 * logN / math.Max(1, math.Log2(logN)))
 		e.final = NewRoughL0Windowed(rng, params.N, params.Window+4)
@@ -104,6 +105,15 @@ func NewEstimator(rng *rand.Rand, params Params) *Estimator {
 	e.rows = NewWindow[[]uint64](e.maxRow, params.Windowed, 0, &rowStats)
 	e.rows.Sync(e.rough, e.span, e.newRow)
 	return e
+}
+
+// roughCopies is the copy count of the Figure 7 rough estimator.
+const roughCopies = 16
+
+// binsPerRow is K = max(16, ceil(1/eps^2)), clamped at 2^40 bins —
+// beyond any memory — so lengths derived from it stay in range.
+func binsPerRow(eps float64) int {
+	return int(max(16, min(math.Ceil(1/(eps*eps)), 1<<40)))
 }
 
 // RecommendedWindow returns a row window for Figure 7 in the paper's
@@ -363,13 +373,6 @@ func (e *Estimator) Merge(other *Estimator) error {
 	}
 	if e.params != other.params || e.k != other.k || e.p != other.p {
 		return fmt.Errorf("l0: merging Estimators with different params (same seed/params required)")
-	}
-	if !e.h1.Equal(other.h1) || !e.h2.Equal(other.h2) || !e.h3.Equal(other.h3) || !e.h4.Equal(other.h4) ||
-		!e.h2s.Equal(other.h2s) || !e.h3s.Equal(other.h3s) || !e.h4s.Equal(other.h4s) {
-		return fmt.Errorf("l0: merging Estimators with different hash functions (same seed required)")
-	}
-	if !slices.Equal(e.u, other.u) || !slices.Equal(e.us, other.us) {
-		return fmt.Errorf("l0: merging Estimators with different multiplier vectors (same seed required)")
 	}
 	if e.params.Windowed {
 		if err := e.rough.Merge(other.rough); err != nil {

@@ -277,7 +277,7 @@ func (e *ExactSmall) Merge(other *ExactSmall) error {
 	if other == nil {
 		return fmt.Errorf("l0: merge with nil ExactSmall")
 	}
-	if e.c != other.c || e.prime != other.prime || e.buckets != other.buckets || !e.hash.Equal(other.hash) {
+	if e.c != other.c || e.buckets != other.buckets {
 		return fmt.Errorf("l0: merging ExactSmall structures with different wiring (same seed/params required)")
 	}
 	if e.overflow || other.overflow {

@@ -79,15 +79,9 @@ func (m *mapExact) merge(o *mapExact) {
 }
 
 func (m *mapExact) marshal(t *testing.T) []byte {
-	w := wire.NewWriter(exactSmallMagic, formatV1)
-	w.U32(uint32(m.e.c))
-	w.U64(m.e.buckets)
-	w.U64(m.e.prime)
+	w := wire.State(nil)
 	w.Bool(m.overflow)
 	w.U32(uint32(m.maxLive))
-	if err := w.Marshal(m.e.hash); err != nil {
-		t.Fatal(err)
-	}
 	keys := make([]uint64, 0, len(m.counters))
 	for b := range m.counters {
 		keys = append(keys, b)
@@ -196,93 +190,40 @@ func TestBucketTableMatchesMap(t *testing.T) {
 			t.Fatalf("c=%d: clone reads (%d, overflow %v) after its source moved on", c, n, clone.overflow)
 		}
 		for _, k := range []int{0, 2} {
-			restored := new(ExactSmall)
-			if err := restored.UnmarshalBinary(wiretest.MustMarshal(t, shards[k])); err != nil {
-				t.Fatal(err)
-			}
-			requireSameExact(t, refs[k], restored)
+			restored, _ := newPair()
+			requireSameExact(t, refs[k], wiretest.Restore(t, restored, wiretest.MustMarshal(t, shards[k])))
 		}
 	}
 }
 
-// TestExactSmallDecodedBoundSizesNothing: the promise bound in an
-// encoding is any uint32; the restored table is sized by the counters
-// present, never by the bound.
-func TestExactSmallDecodedBoundSizesNothing(t *testing.T) {
-	e := NewExactSmall(rand.New(rand.NewSource(4)), 10)
-	e.Update(1, 1)
-	enc, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(enc[3:], 1<<31) // c, the first field after magic and version
-	restored := new(ExactSmall)
-	if err := restored.UnmarshalBinary(enc); err != nil {
-		t.Fatal(err)
-	}
-	if restored.c != 1<<31 || len(restored.counters.cells) > 8 {
-		t.Fatalf("restored c = %d with a table of %d cells", restored.c, len(restored.counters.cells))
-	}
-	for i := uint64(0); i < 200; i++ { // the update path grows the table as it fills
-		restored.Update(i, 1)
-	}
-	// 400 buckets (the honest bound's 4c^2) take 200 keys with many
-	// collisions; an honest c = 10 would have latched LARGE at 10.
-	if n, ok := restored.Count(); !ok || n < 50 {
-		t.Fatalf("Count = (%d, %v) after 200 distinct inserts under a bound of 2^31", n, ok)
-	}
-}
-
-// TestExactSmallLatchedDecodeSizesNothing: a latched blob may carry a
-// counter list — one encoded before LARGE was a latch does. The decoder
-// checks the list and keeps none of it, so what it allocates does not
-// grow with the list, and a list that is out of range or out of order
-// is still refused.
+// TestExactSmallLatchedDecodeSizesNothing: a latched structure lists no
+// counters, so a latched state that carries a list — however long — is
+// refused before anything is sized by it.
 func TestExactSmallLatchedDecodeSizesNothing(t *testing.T) {
-	e := NewExactSmall(rand.New(rand.NewSource(4)), 2000) // 4c^2 = 16M buckets
+	fresh := func() *ExactSmall { return NewExactSmall(rand.New(rand.NewSource(4)), 2000) } // 4c^2 = 16M buckets
+	e := fresh()
 	e.latch()
 	enc := wiretest.MustMarshal(t, e)
-	head := enc[:len(enc)-4] // all but the empty list's count
-	blob := func(n int, entry func(i int) (bucket, count uint64)) []byte {
-		out := binary.LittleEndian.AppendUint32(slices.Clone(head), uint32(n))
-		for i := range n {
-			b, v := entry(i)
-			out = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(out, b), v)
-		}
-		return out
+	if err := wire.Fill(enc, fresh()); err != nil {
+		t.Fatalf("an honest latched state refused: %v", err)
 	}
-	honest := func(i int) (uint64, uint64) { return uint64(3 * i), uint64(i + 1) }
-	decodeAlloc := func(data []byte) uint64 {
+	head := enc[:len(enc)-4] // all but the empty list's count
+	for _, n := range []int{1, 1 << 16} {
+		blob := binary.LittleEndian.AppendUint32(slices.Clone(head), uint32(n))
+		for i := range n {
+			blob = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(blob, uint64(3*i)), uint64(i+1))
+		}
+		d := fresh()
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		d := new(ExactSmall)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := d.UnmarshalBinary(data)
+		err := wire.Fill(blob, d)
 		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			t.Fatalf("a latched state listing %d counters decoded", n)
 		}
-		if _, ok := d.Count(); ok || len(d.counters.cells) != 0 {
-			t.Fatalf("a decoded latched blob answers %v with a table of %d cells", ok, len(d.counters.cells))
-		}
-		if !bytes.Equal(wiretest.MustMarshal(t, d), enc) {
-			t.Fatal("a decoded latched blob re-encodes with counters")
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	short, long := decodeAlloc(blob(1, honest)), decodeAlloc(blob(1<<16, honest))
-	if long > short+512 {
-		t.Fatalf("decoding a latched blob allocated %d bytes with one listed counter, %d with 65536", short, long)
-	}
-	for name, entry := range map[string]func(int) (uint64, uint64){
-		"repeat":       func(i int) (uint64, uint64) { return uint64(i / 2), 1 },
-		"descent":      func(i int) (uint64, uint64) { return uint64(9 - i), 1 },
-		"out of range": func(i int) (uint64, uint64) { return e.buckets + uint64(i), 1 },
-		"zero count":   func(i int) (uint64, uint64) { return uint64(i), 0 },
-		"unreduced":    func(i int) (uint64, uint64) { return uint64(i), e.prime },
-	} {
-		if err := new(ExactSmall).UnmarshalBinary(blob(3, entry)); err == nil {
-			t.Errorf("%s: a latched blob with a bad counter list decoded", name)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 512 {
+			t.Fatalf("refusing a latched state listing %d counters allocated %d bytes", n, alloc)
 		}
 	}
 }
@@ -521,16 +462,8 @@ func TestLatchMatchesParentBody(t *testing.T) {
 				case op == 17:
 					got[a], ref[a], updateOnly[a] = got[b].CloneInto(got[a]), ref[b].clone(), updateOnly[b]
 				case op == 18:
-					restored, fromParent := new(ExactSmall), new(ExactSmall)
-					if err := restored.UnmarshalBinary(wiretest.MustMarshal(t, got[a])); err != nil {
-						t.Fatal(err)
-					}
-					// A blob the parent wrote, latched list and all, restores.
-					if err := fromParent.UnmarshalBinary(wiretest.MustMarshal(t, (*ExactSmall)(ref[a]))); err != nil {
-						t.Fatal(err)
-					}
-					requireLatchMatches(t, ref[a], fromParent, true, where+": parent's blob")
-					got[a] = restored
+					restored, _ := fresh()
+					got[a] = wiretest.Restore(t, restored, wiretest.MustMarshal(t, got[a]))
 				default:
 					got[a], ref[a] = fresh()
 					updateOnly[a] = true
@@ -624,15 +557,9 @@ func TestLatchMatchesParentBody(t *testing.T) {
 			old := whole.CloneInto(nil)
 			feed(whole, wholeRef, us[len(us)/2:], true, where)
 			whole = whole.CloneInto(old)
-			restored, fromParent := new(Estimator), new(Estimator)
-			if err := restored.UnmarshalBinary(wiretest.MustMarshal(t, whole)); err != nil {
-				t.Fatal(err)
-			}
-			if err := fromParent.UnmarshalBinary(wiretest.MustMarshal(t, wholeRef.as(whole, false))); err != nil {
-				t.Fatal(err)
-			}
+			restored, _ := mk()
+			wiretest.Restore(t, restored, wiretest.MustMarshal(t, whole))
 			requireL0Matches(t, wholeRef, restored, true, where+": round trip")
-			requireL0Matches(t, wholeRef, fromParent, true, where+": parent's blob")
 
 			// A short stream leaves small and every level counting.
 			part, partRef := mk()
@@ -729,9 +656,7 @@ func TestLatchCounterCountsLatches(t *testing.T) {
 	if err := e.Merge(a); err != nil || !e.overflow {
 		t.Fatalf("merging a latched structure: err %v, latched %v", err, e.overflow)
 	}
-	if err := new(ExactSmall).UnmarshalBinary(wiretest.MustMarshal(t, a)); err != nil {
-		t.Fatal(err)
-	}
+	wiretest.Restore(t, mk(), wiretest.MustMarshal(t, a))
 	a.CloneInto(nil)
 	check("merges, a decode and a clone")
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -16,10 +17,7 @@ func TestExactSmallMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &ExactSmall{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, NewExactSmall(rand.New(rand.NewSource(1)), 50), data)
 	a, aok := e.Count()
 	b, bok := restored.Count()
 	if a != b || aok != bok {
@@ -43,10 +41,7 @@ func TestRoughF0MarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &RoughF0{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, NewRoughF0(rand.New(rand.NewSource(2)), 8), data)
 	if restored.Estimate() != r.Estimate() {
 		t.Fatalf("Estimate differs: %d vs %d", restored.Estimate(), r.Estimate())
 	}
@@ -55,41 +50,35 @@ func TestRoughF0MarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRoughL0MarshalRoundTrip: the v2 encoding and the parent's v1 one
-// (a windowed v1 payload embeds its R_t) restore the same levels.
+// TestRoughL0MarshalRoundTrip: a restored RoughL0 holds the same
+// levels.
 func TestRoughL0MarshalRoundTrip(t *testing.T) {
 	for _, windowed := range []bool{false, true} {
 		r := newSolo(rand.New(rand.NewSource(3)), 1<<12, windowed, 8)
 		for i := uint64(0); i < 2000; i++ {
 			r.Update(i, 1)
 		}
-		for version, data := range [][]byte{wiretest.MustMarshal(t, r), wiretest.MustMarshal(t, r.RoughL0)} {
-			restored := &RoughL0{}
-			if err := restored.UnmarshalBinary(data); err != nil {
-				t.Fatal(err)
-			}
-			if restored.Estimate() != r.Estimate() {
-				t.Fatalf("windowed=%v v%d: Estimate differs: %d vs %d", windowed, version+1, restored.Estimate(), r.Estimate())
-			}
-			if restored.LiveLevels() != r.LiveLevels() {
-				t.Fatalf("windowed=%v v%d: LiveLevels differs", windowed, version+1)
-			}
-			var rt int64
-			if windowed {
-				rt = r.rough.Estimate()
-			}
-			if err := restored.Merge(r.RoughL0.CloneInto(nil), rt); err != nil {
-				t.Fatalf("windowed=%v v%d: merge of restored RoughL0 rejected: %v", windowed, version+1, err)
-			}
+		restored := wiretest.Restore(t, newRoughL0(rand.New(rand.NewSource(3)), 1<<12, windowed, 8), wiretest.MustMarshal(t, r.RoughL0))
+		if restored.Estimate() != r.Estimate() {
+			t.Fatalf("windowed=%v: Estimate differs: %d vs %d", windowed, restored.Estimate(), r.Estimate())
+		}
+		if restored.LiveLevels() != r.LiveLevels() {
+			t.Fatalf("windowed=%v: LiveLevels differs", windowed)
+		}
+		var rt int64
+		if windowed {
+			rt = r.rough.Estimate()
+		}
+		if err := restored.Merge(r.RoughL0.CloneInto(nil), rt); err != nil {
+			t.Fatalf("windowed=%v: merge of restored RoughL0 rejected: %v", windowed, err)
 		}
 	}
 }
 
 func TestEstimatorMarshalRoundTrip(t *testing.T) {
 	for _, windowed := range []bool{false, true} {
-		e := NewEstimator(rand.New(rand.NewSource(4)), Params{
-			N: 1 << 12, Eps: 0.25, Windowed: windowed, Window: RecommendedWindow(4, 0.25),
-		})
+		p := Params{N: 1 << 12, Eps: 0.25, Windowed: windowed, Window: RecommendedWindow(4, 0.25)}
+		e := NewEstimator(rand.New(rand.NewSource(4)), p)
 		for i := uint64(0); i < 3000; i++ {
 			e.Update(i%1500, 1)
 		}
@@ -97,10 +86,7 @@ func TestEstimatorMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := &Estimator{}
-		if err := restored.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
+		restored := wiretest.Restore(t, NewEstimator(rand.New(rand.NewSource(4)), p), data)
 		if restored.Estimate() != e.Estimate() {
 			t.Fatalf("windowed=%v: Estimate differs: %v vs %v", windowed, restored.Estimate(), e.Estimate())
 		}
@@ -123,20 +109,21 @@ func TestEstimatorMarshalRoundTrip(t *testing.T) {
 }
 
 func TestL0UnmarshalRejectsGarbage(t *testing.T) {
-	e := NewEstimator(rand.New(rand.NewSource(5)), Params{N: 256, Eps: 0.3})
+	fresh := func(eps float64) *Estimator {
+		return NewEstimator(rand.New(rand.NewSource(5)), Params{N: 256, Eps: eps})
+	}
+	e := fresh(0.3)
 	e.Update(1, 1)
 	data, _ := e.MarshalBinary()
-	fresh := &Estimator{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	if err := wire.Fill(nil, fresh(0.3)); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)/2]); err == nil {
+	if err := wire.Fill(data[:len(data)/2], fresh(0.3)); err == nil {
 		t.Error("accepted truncated payload")
 	}
-	bad := append([]byte(nil), data...)
-	bad[2] = 200
-	if err := fresh.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted wrong version")
+	// eps sizes every row: the state of K = 16 bins does not fill K = 25.
+	if err := wire.Fill(data, fresh(0.2)); err == nil {
+		t.Error("an eps = 0.2 estimator accepted an eps = 0.3 state")
 	}
 }
 

@@ -236,11 +236,6 @@ func (r *RoughF0) Merge(other *RoughF0) error {
 	if len(r.hs) != len(other.hs) || r.safety != other.safety {
 		return fmt.Errorf("l0: merging RoughF0 with different shapes")
 	}
-	for i := range r.hs {
-		if !r.hs[i].Equal(other.hs[i]) {
-			return fmt.Errorf("l0: merging RoughF0 with different hash functions (same seed required)")
-		}
-	}
 	for c := range r.bitmaps {
 		r.bitmaps[c] |= other.bitmaps[c]
 	}
@@ -428,8 +423,7 @@ func (r *RoughL0) Merge(other *RoughL0, rt int64) error {
 	if other == nil {
 		return fmt.Errorf("l0: merge with nil RoughL0")
 	}
-	if r.maxLevel != other.maxLevel || r.windowed != other.windowed ||
-		r.window != other.window || r.levelSeed != other.levelSeed || !r.h.Equal(other.h) {
+	if r.maxLevel != other.maxLevel || r.windowed != other.windowed || r.window != other.window {
 		return fmt.Errorf("l0: merging RoughL0 with different wiring (same seed/params required)")
 	}
 	if err := r.levels.Merge(&other.levels, (*ExactSmall).Merge, (*ExactSmall).CloneInto); err != nil {

@@ -3,12 +3,9 @@ package l0
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -23,8 +20,7 @@ import (
 // soloL0 is a RoughL0 standing alone with an R_t of its own, fed first:
 // the parent's RoughL0, whose constructor drew that RoughF0's 16 hashes
 // right after the level hash and seed — so the same rng builds the same
-// instance. The baseline has no rough and stands at 0. MarshalBinary is
-// the parent's (v1) encoding, the rough embedded.
+// instance. The baseline has no rough and stands at 0.
 type soloL0 struct {
 	*RoughL0
 	rough *RoughF0
@@ -86,40 +82,14 @@ func (s *soloL0) clone() *soloL0 {
 	return c
 }
 
-// restore decodes the parent's encoding: the level estimator through
-// today's v1 decoder, the R_t it drops kept from the same bytes.
-func (s *soloL0) restore(t testing.TB) *soloL0 {
-	c := &soloL0{RoughL0: wiretest.Restore[RoughL0](t, wiretest.MustMarshal(t, s))}
+// restoreInto fills fresh, a soloL0 built as s was, from s's two
+// states.
+func (s *soloL0) restoreInto(t testing.TB, fresh *soloL0) *soloL0 {
+	wiretest.Restore(t, fresh.RoughL0, wiretest.MustMarshal(t, s.RoughL0))
 	if s.rough != nil {
-		c.rough = wiretest.Restore[RoughF0](t, wiretest.MustMarshal(t, s.rough))
+		wiretest.Restore(t, fresh.rough, wiretest.MustMarshal(t, s.rough))
 	}
-	return c
-}
-
-func (s *soloL0) MarshalBinary() ([]byte, error) {
-	v2, err := s.RoughL0.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	var rough []byte
-	if s.rough != nil {
-		if rough, err = s.rough.MarshalBinary(); err != nil {
-			return nil, err
-		}
-	}
-	return spliceV1(v2, s.RoughL0, rough), nil
-}
-
-// spliceV1 turns r's v2 encoding into the v1 one: version 1, and — for
-// a windowed r — rough's nested bytes after the level hash.
-func spliceV1(v2 []byte, r *RoughL0, rough []byte) []byte {
-	at := 3 + 25 + 4 + r.h.EncodedLen() // magic, version, five fixed fields, the level hash
-	v1 := slices.Clone(v2[:at])
-	v1[2] = formatV1
-	if r.windowed {
-		v1 = append(binary.LittleEndian.AppendUint32(v1, uint32(len(rough))), rough...)
-	}
-	return append(v1, v2[at:]...)
+	return fresh
 }
 
 // parentL0 is the parent's two-rough Estimator, kept as the reference
@@ -206,18 +176,6 @@ func (r *parentL0) parent() *Estimator {
 	pe := *r.e
 	pe.final = r.final.RoughL0
 	return &pe
-}
-
-// marshal is the parent's encoding: e's, with the parent's final (v1,
-// its R_t embedded) in place of e.final.
-func (r *parentL0) marshal(t testing.TB) []byte {
-	e := r.e
-	enc := wiretest.MustMarshal(t, e)
-	tail := 4 + e.small.EncodedLen() + 4 + e.rows.Len()*(8+8*e.k) // small, then the rows
-	at := len(enc) - tail - 4 - e.final.EncodedLen()
-	final := wiretest.MustMarshal(t, r.final)
-	out := binary.LittleEndian.AppendUint32(slices.Clone(enc[:at]), uint32(len(final)))
-	return append(append(out, final...), enc[len(enc)-tail:]...)
 }
 
 // requireSharedMatches holds e to the reference: the parent's answer,
@@ -314,15 +272,20 @@ func TestSharedRoughMatchesParentBody(t *testing.T) {
 				b.e, b.r = a.e.CloneInto(b.e), a.r.clone()
 				ops["clone"]++
 			case 3:
-				a.e = wiretest.Restore[Estimator](t, wiretest.MustMarshal(t, a.e))
-				a.r.e = wiretest.Restore[Estimator](t, wiretest.MustMarshal(t, a.r.e))
-				a.r.final = a.r.final.restore(t)
+				r := newParentL0(43, p)
+				a.e = wiretest.Restore(t, NewEstimator(rand.New(rand.NewSource(43)), p), wiretest.MustMarshal(t, a.e))
+				r.e = wiretest.Restore(t, r.e, wiretest.MustMarshal(t, a.r.e))
+				r.final = a.r.final.restoreInto(t, r.final)
+				a.r = r
 				ops["round trip"]++
-			case 4: // a checkpoint the parent wrote: its final's levels, re-synced at the shared R_t
-				a.e = wiretest.Restore[Estimator](t, a.r.marshal(t))
-				a.r.e = wiretest.Restore[Estimator](t, wiretest.MustMarshal(t, a.r.e))
-				a.r.e.final = wiretest.Restore[RoughL0](t, wiretest.MustMarshal(t, a.r.final))
-				ops["parent's blob"]++
+			case 4: // the parent's state: its final's levels, re-synced at the shared R_t
+				r := newParentL0(43, p)
+				a.e = wiretest.Restore(t, NewEstimator(rand.New(rand.NewSource(43)), p), wiretest.MustMarshal(t, a.r.parent()))
+				r.e = wiretest.Restore(t, r.e, wiretest.MustMarshal(t, a.r.e))
+				wiretest.Restore(t, r.e.final, wiretest.MustMarshal(t, a.r.final.RoughL0))
+				r.final = a.r.final.restoreInto(t, r.final)
+				a.r = r
+				ops["parent's state"]++
 			}
 			requireSharedMatches(t, a.r, a.e, where+": after the step")
 		}
@@ -334,20 +297,20 @@ func TestSharedRoughMatchesParentBody(t *testing.T) {
 }
 
 // TestParentReferenceIsTheParent pins the reference to the parent
-// commit: its encoding after a fixed stream hashes to the digest the
-// parent's own Estimator recorded, windowed and not.
+// commit: its state after a fixed stream hashes to the digest the
+// parent's own Estimator's state recorded, windowed and not.
 func TestParentReferenceIsTheParent(t *testing.T) {
 	const n = 1 << 30
 	golden := map[bool]string{
-		true:  "d4b65142630a03c9fdac4a380aa49d29bc885386bf988d3b23f6e5189cf49a6c",
-		false: "531fc9a41a9e0a43fa9f27d69477786302ec9b75263a363fd73481e67f488541",
+		true:  "3c07ee3a61602fad1ad8b9a3d9292011387731b3f885689d2caa4c42cae9c9d7",
+		false: "088ee5ec5ad3d823fc68685ec9972afbc3e9c55e7b71c56317315d8ce2d1fdc3",
 	}
 	for _, windowed := range []bool{true, false} {
 		r := newParentL0(41, Params{N: n, Eps: 0.25, Windowed: windowed, Window: 3})
 		for _, u := range burstStream(rand.New(rand.NewSource(3)), n, 8, 40, 200) {
 			r.update(u.Index, u.Delta)
 		}
-		sum := sha256.Sum256(r.marshal(t))
+		sum := sha256.Sum256(wiretest.MustMarshal(t, r.parent()))
 		if got := hex.EncodeToString(sum[:]); got != golden[windowed] {
 			t.Errorf("windowed=%v: the reference encodes to %s, the parent to %s", windowed, got, golden[windowed])
 		}
@@ -383,55 +346,6 @@ func TestOneRoughScanPerBatch(t *testing.T) {
 		if calls := fieldCalls() - before; calls != 16+4 || e.rough.Estimate() != rt {
 			t.Fatalf("batch %d: %d FieldBatch calls (R_t %d -> %d), want 16 for the one rough scan + 4", batch, calls, rt, e.rough.Estimate())
 		}
-	}
-}
-
-// TestRoughL0DecodesV1 is the bounded decode of the dropped field. A v1
-// payload embeds the RoughF0 the window followed: the decoder checks it
-// — a bad one is refused — and keeps nothing of it, so the result
-// re-encodes as the v2 payload, and what a decode allocates stays within
-// a few bytes per input byte however many copies the dropped estimator
-// claims.
-func TestRoughL0DecodesV1(t *testing.T) {
-	s := newSolo(rand.New(rand.NewSource(3)), 1<<12, true, 8)
-	for i := uint64(0); i < 2000; i++ {
-		s.Update(i, 1)
-	}
-	v2 := wiretest.MustMarshal(t, s.RoughL0)
-	if got := wiretest.MustMarshal(t, wiretest.Restore[RoughL0](t, wiretest.MustMarshal(t, s))); !bytes.Equal(got, v2) {
-		t.Fatal("a v1 payload re-encodes to other bytes than its v2 twin")
-	}
-	decode := func(rough []byte) error {
-		blob := spliceV1(v2, s.RoughL0, rough)
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := new(RoughL0).UnmarshalBinary(blob)
-		runtime.ReadMemStats(&after)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(blob))+16<<10 {
-			t.Fatalf("decoding a %d-byte v1 payload allocated %d bytes", len(blob), alloc)
-		}
-		return err
-	}
-	big := wiretest.MustMarshal(t, NewRoughF0(rand.New(rand.NewSource(4)), 4096))
-	if err := decode(big); err != nil {
-		t.Fatalf("an honest 4096-copy estimator refused: %v", err)
-	}
-	// The copy count sits after magic, version, best and safety.
-	claim := func(n uint32) []byte {
-		forged := slices.Clone(big)
-		binary.LittleEndian.PutUint32(forged[19:], n)
-		return forged
-	}
-	for _, n := range []uint32{1 << 31, uint32(len(big)-23) / 4, uint32(len(big)-23)/4 + 1} {
-		if err := decode(claim(n)); err == nil {
-			t.Fatalf("a dropped estimator claiming %d copies decoded", n)
-		}
-	}
-	high := NewRoughF0(rand.New(rand.NewSource(4)), 16)
-	high.bitmaps[3] = 1 << 62
-	if err := decode(wiretest.MustMarshal(t, high)); err == nil {
-		t.Fatal("a dropped estimator with a level above 60 decoded")
 	}
 }
 

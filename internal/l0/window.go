@@ -215,12 +215,17 @@ func (w *Window[T]) Clone(into *Window[T], copy func(src, dst *T) *T) Window[T] 
 // window was told of): what SpaceBits charges.
 func (w *Window[T]) Peak() int { return w.peak }
 
-// ReadLevels fills an empty window from a WriteLevels list (see
+// ReadLevels replaces the window's levels by a WriteLevels list (see
 // sample.Slots.ReadLevels; an index above top is refused) and records
-// the peak its header carried. The window stays unsynced.
-func (w *Window[T]) ReadLevels(rd *wire.Reader, peak int, get func() (*T, error)) error {
+// the peak the state carried. get reads level j into built — the
+// payload the window held at j before, which its constructor left
+// fresh, or nil — and returns it. The window is left unsynced, with
+// nothing instantiated (ReadEver restores that list).
+func (w *Window[T]) ReadLevels(rd *wire.Reader, peak int, get func(j int, built *T) *T) {
+	built := w.Slots
+	*w = NewWindow[T](w.top, w.windowed, w.alwaysOn, w.stats)
 	w.peak = peak
-	return w.Slots.ReadLevels(rd, w.top, get)
+	w.Slots.ReadLevels(rd, w.top, func(j int) *T { return get(j, built.At(j)) })
 }
 
 // WriteEver appends the ascending list of levels ever instantiated — a
@@ -228,6 +233,6 @@ func (w *Window[T]) ReadLevels(rd *wire.Reader, peak int, get func() (*T, error)
 func (w *Window[T]) WriteEver(wr *wire.Writer) { w.ever.WriteLevels(wr, func(*struct{}) {}) }
 
 // ReadEver is the inverse of WriteEver, under the level list's rules.
-func (w *Window[T]) ReadEver(rd *wire.Reader) error {
-	return w.ever.ReadLevels(rd, w.top, func() (*struct{}, error) { return instantiated, nil })
+func (w *Window[T]) ReadEver(rd *wire.Reader) {
+	w.ever.ReadLevels(rd, w.top, func(int) *struct{} { return instantiated })
 }

@@ -241,12 +241,8 @@ func unmarshalWindow(data []byte, s shape) (Window[cell], error) {
 		return w, err
 	}
 	peak := int(rd.U32())
-	if err := w.ReadLevels(rd, peak, func() (*cell, error) { return getCell(rd), nil }); err != nil {
-		return w, err
-	}
-	if err := w.ReadEver(rd); err != nil {
-		return w, err
-	}
+	w.ReadLevels(rd, peak, func(int, *cell) *cell { return getCell(rd) })
+	w.ReadEver(rd)
 	return w, rd.Done()
 }
 

@@ -11,12 +11,11 @@ import (
 
 func TestAlphaEstimatorMarshalRoundTrip(t *testing.T) {
 	for _, exact := range []bool{false, true} {
-		var a *AlphaEstimator
+		build := New
 		if exact {
-			a = NewExactClock(rand.New(rand.NewSource(1)), 1<<16)
-		} else {
-			a = New(rand.New(rand.NewSource(1)), 1<<16)
+			build = NewExactClock
 		}
+		a := build(rand.New(rand.NewSource(1)), 1<<16)
 		for i := uint64(0); i < 500; i++ {
 			a.Update(i, 3)
 		}
@@ -24,10 +23,7 @@ func TestAlphaEstimatorMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := &AlphaEstimator{}
-		if err := restored.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
+		restored := wiretest.Restore(t, build(rand.New(rand.NewSource(1)), 1<<16), data)
 		if restored.Estimate() != a.Estimate() {
 			t.Fatalf("exact=%v: Estimate differs: %v vs %v", exact, restored.Estimate(), a.Estimate())
 		}
@@ -49,20 +45,20 @@ func TestAlphaEstimatorMarshalRoundTrip(t *testing.T) {
 }
 
 func TestAlphaEstimatorUnmarshalRejectsGarbage(t *testing.T) {
-	a := New(rand.New(rand.NewSource(2)), 64)
+	fresh := func() *AlphaEstimator { return New(rand.New(rand.NewSource(2)), 64) }
+	a := fresh()
 	a.Update(1, 5)
 	data, _ := a.MarshalBinary()
-	fresh := &AlphaEstimator{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	if err := wire.Fill(nil, fresh()); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-1]); err == nil {
+	if err := wire.Fill(data[:len(data)-1], fresh()); err == nil {
 		t.Error("accepted truncated payload")
 	}
 	bad := append([]byte(nil), data...)
-	bad[2] = 42
-	if err := fresh.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted wrong version")
+	bad[0] = 42 // Morris v above 63
+	if err := wire.Fill(bad, fresh()); err == nil {
+		t.Error("accepted a Morris exponent past 63")
 	}
 }
 
@@ -94,11 +90,7 @@ func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
 	}
 	blob := wiretest.MustMarshal(t, build())
 	restore := func() *AlphaEstimator {
-		a := new(AlphaEstimator)
-		if err := a.UnmarshalBinary(blob); err != nil {
-			t.Fatal(err)
-		}
-		return a
+		return wiretest.Restore(t, New(rand.New(rand.NewSource(5)), 4), blob)
 	}
 	seed := func(a *AlphaEstimator) { a.rng.Get() }
 	work := func(a *AlphaEstimator) {

@@ -38,7 +38,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 							}
 						}
 						if mode == "restored" && off == 2500 {
-							a = wiretest.Restore[AlphaEstimator](t, wiretest.MustMarshal(t, a))
+							a = wiretest.Restore(t, build(rand.New(rand.NewSource(7)), base), wiretest.MustMarshal(t, a))
 						}
 					}
 					return a
@@ -83,7 +83,7 @@ func TestRestoreMidStreamExactInLevelZeroRegime(t *testing.T) {
 		whole.Update(u.Index, u.Delta)
 		cut.Update(u.Index, u.Delta)
 		if i == 1234 {
-			cut = wiretest.Restore[AlphaEstimator](t, wiretest.MustMarshal(t, cut))
+			cut = wiretest.Restore(t, NewExactClock(rand.New(rand.NewSource(3)), 1<<30), wiretest.MustMarshal(t, cut))
 		}
 	}
 	if !bytes.Equal(wiretest.MustMarshal(t, cut), wiretest.MustMarshal(t, whole)) {
@@ -159,12 +159,10 @@ func TestMergeTwoSampledLevels(t *testing.T) {
 	}
 }
 
-// craft encodes an exact-clock estimator at position pos holding the
-// given levels in the given order — sets no ingest produces.
-func craft(base, pos int64, levels ...[3]int64) []byte {
-	w := wire.NewWriter(estimatorMagic, formatV1)
-	w.I64(base)
-	w.U8(clockExact)
+// craft encodes an exact-clock estimator's state at position pos
+// holding the given levels in the given order — sets no ingest produces.
+func craft(pos int64, levels ...[3]int64) []byte {
+	w := wire.State(nil)
 	w.I64(pos)
 	w.I64(pos)
 	w.I64(0)
@@ -195,11 +193,11 @@ func TestCraftedLevelLists(t *testing.T) {
 		"empty at a large t":      {1 << 40, nil, nil, 0},
 		"three levels":            {20, [][3]int64{{1, 5, 0}, {2, 6, 0}, {3, 7, 0}}, [][3]int64{{1, 5, 0}, {2, 6, 0}, {3, 7, 0}}, 5 * 4},
 	} {
-		a := wiretest.Restore[AlphaEstimator](t, craft(base, tc.pos, tc.levels...))
+		a := wiretest.Restore(t, NewExactClock(rand.New(rand.NewSource(1)), base), craft(tc.pos, tc.levels...))
 		if got := a.Estimate(); got != tc.estimate {
 			t.Errorf("%s: estimate %v, want %v from the oldest listed level", name, got, tc.estimate)
 		}
-		if !bytes.Equal(wiretest.MustMarshal(t, a), craft(base, tc.pos, tc.canonical...)) {
+		if !bytes.Equal(wiretest.MustMarshal(t, a), craft(tc.pos, tc.canonical...)) {
 			t.Errorf("%s: re-marshal is not the ascending encoding", name)
 		}
 		listed := map[int][3]int64{}
@@ -219,11 +217,11 @@ func TestCraftedLevelLists(t *testing.T) {
 		}
 	}
 	for name, data := range map[string][]byte{
-		"duplicate level":  craft(base, 9, [3]int64{1, 0, 0}, [3]int64{1, 0, 0}),
-		"level past 62":    craft(base, 9, [3]int64{63, 0, 0}),
-		"negative counter": craft(base, 9, [3]int64{1, -1, 0}),
+		"duplicate level":  craft(9, [3]int64{1, 0, 0}, [3]int64{1, 0, 0}),
+		"level past 62":    craft(9, [3]int64{63, 0, 0}),
+		"negative counter": craft(9, [3]int64{1, -1, 0}),
 	} {
-		if err := new(AlphaEstimator).UnmarshalBinary(data); err == nil {
+		if err := wire.Fill(data, NewExactClock(rand.New(rand.NewSource(1)), base)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -297,7 +295,10 @@ func TestUpdateColumnsLockstep(t *testing.T) {
 					sampledLevels = max(sampledLevels, js[1])
 				}
 				if round == 40 {
-					item, col = wiretest.Restore[AlphaEstimator](t, wiretest.MustMarshal(t, item)), wiretest.Restore[AlphaEstimator](t, wiretest.MustMarshal(t, col))
+					restore := func(a *AlphaEstimator) *AlphaEstimator {
+						return wiretest.Restore(t, build(rand.New(rand.NewSource(9)), base), wiretest.MustMarshal(t, a))
+					}
+					item, col = restore(item), restore(col)
 				}
 			}
 			if sampledLevels < 2 {

@@ -3,6 +3,7 @@ package netagg
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	bounded "repro"
@@ -10,12 +11,16 @@ import (
 )
 
 // TestGoldenAggCheckpoint pins the "AG" checkpoint payload byte for
-// byte: two agents, three structures each, fixed watermarks, hashed
-// against the digest recorded before the per-agent blob loop moved into
-// wire.Blob — so every checkpoint the parent's bdaggd wrote still
-// opens, and reopening this one yields both agents.
+// byte: two agents, three structures each, fixed watermarks. The digest
+// was last re-pinned when a sketch's state stopped carrying what its
+// constructor derives from the Config (wire format v2); beside it sits
+// the digest of what every reopened sketch answers, recorded by the same
+// probe in the tree before that re-pin. Reopening yields both agents.
 func TestGoldenAggCheckpoint(t *testing.T) {
-	const golden = "94016a4fc95311d848e1f7a2110bd6a1e824261853f4e6d8baefa7849a509f59"
+	const (
+		golden  = "e67cc5a0c6ca75e663eb7500330e81f28da2c90e9a7f206ec3098e17545c92e7"
+		answers = "d6638772391d6e14f04ee3d68adeca3678c27c10b614fac6e3ca44a3be3216ee"
+	)
 	site := func(seed int64) map[engine.Structures]bounded.Sketch {
 		hh, err := bounded.NewHeavyHitters(testConfig)
 		if err != nil {
@@ -47,10 +52,47 @@ func TestGoldenAggCheckpoint(t *testing.T) {
 	}
 	sum := sha256.Sum256(payload)
 	if got := hex.EncodeToString(sum[:]); got != golden {
-		t.Fatalf("%d-byte checkpoint hashes to %s, the parent's to %s", len(payload), got, golden)
+		t.Fatalf("%d-byte checkpoint hashes to %s, recorded %s", len(payload), got, golden)
 	}
 	back, err := unmarshalAggState(payload, testConfig, testStructures)
 	if err != nil || len(back) != 2 || len(back[0].sketches) != 3 || len(back[1].sketches) != 3 {
 		t.Fatalf("reopening the checkpoint: %d rows, %v", len(back), err)
 	}
+	var all string
+	for _, row := range back {
+		for _, bit := range testStructures.Bits() {
+			blob, err := row.sketches[bit].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			all += blobAnswers(t, blob)
+		}
+	}
+	if got := digest([]byte(all)); got != answers {
+		t.Fatalf("the reopened sketches' answers hash to %s, the parent's to %s", got, answers)
+	}
+}
+
+// blobAnswers restores a heavy-hitters, L1 or support blob and lists
+// what it answers: none of these reads a draw the restore seeded.
+func blobAnswers(t testing.TB, blob []byte) string {
+	t.Helper()
+	sk, err := bounded.UnmarshalSketch(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch s := sk.(type) {
+	case *bounded.HeavyHitters:
+		keys := make([]uint64, 4096)
+		for i := range keys {
+			keys[i] = uint64(i) * 16
+		}
+		return fmt.Sprint(s.HeavyHitters(), s.EstimateBatch(keys))
+	case *bounded.L1Estimator:
+		return fmt.Sprint(s.Estimate())
+	case *bounded.SupportSampler:
+		return fmt.Sprint(s.Recover())
+	}
+	t.Fatalf("no answers for a %T", sk)
+	return ""
 }

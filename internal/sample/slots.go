@@ -117,36 +117,27 @@ func (s *Slots[T]) WriteLevels(wr *wire.Writer, put func(v *T)) {
 	}
 }
 
-// ReadLevels is the inverse of WriteLevels into an empty set; get reads
-// one payload and reports whether it is well-formed. The list may arrive
-// in any order and need not be the driver's set for its state (the next
-// sync settles that); a count the remaining bytes cannot hold, an index
-// above top — the highest level the structure can address — and a
-// repeated level are refused.
-func (s *Slots[T]) ReadLevels(rd *wire.Reader, top int, get func() (*T, error)) error {
-	n := int(rd.U32())
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	if n > rd.Remaining() {
-		return errors.New("sample: level count exceeds payload")
-	}
-	for i := 0; i < n; i++ {
+// ReadLevels is the inverse of WriteLevels into an empty set; get
+// reads level j's payload (its value is ignored once the reader has
+// latched an error). The list may arrive in any order and need not be
+// the driver's set for its state (the next sync settles that); a count
+// above NumSlots or beyond the remaining bytes, an index above top —
+// the highest level the structure can address — and a repeated level
+// are refused.
+func (s *Slots[T]) ReadLevels(rd *wire.Reader, top int, get func(j int) *T) {
+	n := rd.Count(4, NumSlots)
+	for i := 0; i < n && rd.Err() == nil; i++ {
 		j := int(rd.U32())
-		v, err := get()
-		if rd.Err() != nil {
-			return rd.Err()
+		switch {
+		case rd.Err() != nil:
+		case j > top:
+			rd.Fail(errors.New("sample: level index out of range"))
+		case s.slots[j] != nil:
+			rd.Fail(errors.New("sample: duplicate level"))
+		default:
+			if v := get(j); rd.Err() == nil {
+				s.Put(j, v)
+			}
 		}
-		if err != nil {
-			return err
-		}
-		if j > top {
-			return errors.New("sample: level index out of range")
-		}
-		if s.slots[j] != nil {
-			return errors.New("sample: duplicate level")
-		}
-		s.Put(j, v)
 	}
-	return nil
 }

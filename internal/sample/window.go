@@ -131,12 +131,8 @@ func (w *Window[T]) CloneInto(dst *Window[T], copy func(src, dst *T) *T) *Window
 	return dst
 }
 
-// ReadLevels restores a window over interval base s >= 2 from a
-// WriteLevels list (see Slots.ReadLevels); the window is unsynced.
-func ReadLevels[T any](rd *wire.Reader, base int64, get func() (*T, error)) (*Window[T], error) {
-	w := NewWindow[T](base)
-	if err := w.Slots.ReadLevels(rd, maxLevel, get); err != nil {
-		return nil, err
-	}
-	return w, nil
+// ReadLevels fills an empty window from a WriteLevels list (see
+// Slots.ReadLevels); the window is unsynced.
+func (w *Window[T]) ReadLevels(rd *wire.Reader, get func(j int) *T) {
+	w.Slots.ReadLevels(rd, maxLevel, get)
 }

@@ -121,12 +121,8 @@ func unmarshalWindow(data []byte, base int64) (*Window[cell], error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := ReadLevels(rd, base, func() (*cell, error) {
-		return &cell{born: rd.I64(), sum: rd.I64()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	w := NewWindow[cell](base)
+	w.ReadLevels(rd, func(int) *cell { return &cell{born: rd.I64(), sum: rd.I64()} })
 	return w, rd.Done()
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -21,10 +22,7 @@ func TestSamplerMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := &Sampler{}
-		if err := restored.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
+		restored := wiretest.Restore(t, New(rand.New(rand.NewSource(21)), p, 4), data)
 		r1, ok1 := s.Sample()
 		r2, ok2 := restored.Sample()
 		if ok1 != ok2 || r1 != r2 {
@@ -41,20 +39,22 @@ func TestSamplerMarshalRoundTrip(t *testing.T) {
 }
 
 func TestSamplerUnmarshalRejectsGarbage(t *testing.T) {
-	s := New(rand.New(rand.NewSource(22)), Params{N: 256, Eps: 0.3, Alpha: 1}, 2)
+	fresh := func(copies int) *Sampler {
+		return New(rand.New(rand.NewSource(22)), Params{N: 256, Eps: 0.3, Alpha: 1}, copies)
+	}
+	s := fresh(2)
 	s.Update(1, 3)
 	data, _ := s.MarshalBinary()
-	fresh := &Sampler{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	if err := wire.Fill(nil, fresh(2)); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-6]); err == nil {
+	if err := wire.Fill(data[:len(data)-6], fresh(2)); err == nil {
 		t.Error("accepted truncated payload")
 	}
-	bad := append([]byte(nil), data...)
-	bad[2] = 55
-	if err := fresh.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted wrong version")
+	// The copy count is the constructor's: two instances' state does
+	// not fill three.
+	if err := wire.Fill(data, fresh(3)); err == nil {
+		t.Error("three instances accepted the state of two")
 	}
 }
 

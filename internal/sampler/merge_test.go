@@ -58,15 +58,14 @@ func TestSamplerMergeMatchesSingleStream(t *testing.T) {
 	}
 }
 
-// TestSamplerMergeRejectsMismatches.
+// TestSamplerMergeRejectsMismatches: copy count and params mismatches
+// fail. (Whether two samplers share a seed is their owner's Config
+// check.)
 func TestSamplerMergeRejectsMismatches(t *testing.T) {
 	p := Params{N: 64, Eps: 0.25, Alpha: 2, S: 1 << 12}
 	a := New(rand.New(rand.NewSource(1)), p, 4)
 	if err := a.Merge(New(rand.New(rand.NewSource(1)), p, 8)); err == nil {
 		t.Fatal("merging different copy counts should fail")
-	}
-	if err := a.Merge(New(rand.New(rand.NewSource(2)), p, 4)); err == nil {
-		t.Fatal("merging different seeds should fail")
 	}
 	p2 := p
 	p2.Eps = 0.5

@@ -95,8 +95,10 @@ func (p *Params) fill() {
 		// up exactly when a heavy z_i exists and every instance FAILs.
 		// One factor of T on top of the generic budget suffices at
 		// laptop scale; the paper's own S carries T^2.
-		t := int64(math.Ceil(4 / (p.Eps * p.Eps)))
-		p.S = csss.RecommendedS(p.Alpha, p.Eps, p.N) * t
+		// The product saturates at 2^60, beyond any stream, so no eps
+		// overflows it.
+		t := int64(min(math.Ceil(4/(p.Eps*p.Eps)), 1<<60))
+		p.S = min(csss.RecommendedS(p.Alpha, p.Eps, p.N), 1<<60/t) * t
 	}
 	if p.TWise <= 0 {
 		p.TWise = 8
@@ -133,6 +135,11 @@ type instance struct {
 	qFP     float64
 }
 
+// csssParams are the tail estimator's CSSS parameters at filled p.
+func (p *Params) csssParams() csss.Params {
+	return csss.Params{Rows: p.Rows, K: p.K, S: p.S, FixedPointBits: p.FPBits}
+}
+
 // trackerCap is the candidate capacity of one instance: 8 per CSSS
 // column.
 func trackerCap(k int) int { return 8 * k }
@@ -143,7 +150,7 @@ func newInstance(rng *rand.Rand, p Params) *instance {
 	in := &instance{
 		p:       p,
 		tHash:   hash.NewKWise(rng, p.TWise),
-		te:      csss.NewTailEstimator(rng, csss.Params{Rows: p.Rows, K: p.K, S: p.S, FixedPointBits: p.FPBits}),
+		te:      csss.NewTailEstimator(rng, p.csssParams()),
 		trk:     topk.New(trackerCap(p.K)),
 		epsPrim: p.Eps * p.Eps * p.Eps / (logN * logN),
 		logN:    logN,
@@ -302,9 +309,6 @@ func (s *Sampler) UpdateColumns(b *core.Batch) {
 func (in *instance) merge(other *instance, r *topk.Refresher[float64], b *core.Batch) error {
 	if in.p != other.p {
 		return fmt.Errorf("sampler: merging instances with different params")
-	}
-	if !in.tHash.Equal(other.tHash) {
-		return fmt.Errorf("sampler: merging instances with different scaling hashes (same seed required)")
 	}
 	if err := in.te.Merge(other.te); err != nil {
 		return err

@@ -287,14 +287,11 @@ func (cs *CountSketch) combine(other *CountSketch, sign int64) {
 // stream into this one by coordinate-wise addition — the linearity the
 // sharded ingest engine relies on. Unlike Add, the two sketches need
 // not share a *hash.Buckets pointer: they must merely have been built
-// from the same seed, verified by comparing the row polynomials.
-// other is not mutated.
+// the same way from the same seed, which the owner's Config check
+// vouches for. other is not mutated.
 func (cs *CountSketch) Merge(other *CountSketch) error {
 	if other == nil {
 		return fmt.Errorf("sketch: merge with nil CountSketch")
-	}
-	if !cs.buckets.Equal(other.buckets) {
-		return fmt.Errorf("sketch: merging CountSketches with different hash wirings (same seed/params required)")
 	}
 	for r := range cs.table {
 		row, orow := cs.table[r], other.table[r]

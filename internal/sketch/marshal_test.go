@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -17,10 +18,7 @@ func TestCountSketchMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &CountSketch{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, NewCountSketch(rand.New(rand.NewSource(1)), 5, 64), data)
 	for i := uint64(0); i < 500; i++ {
 		if restored.Query(i) != cs.Query(i) {
 			t.Fatalf("query %d differs after round trip", i)
@@ -32,15 +30,12 @@ func TestCountSketchMarshalRoundTrip(t *testing.T) {
 }
 
 func TestCountSketchUnmarshalRejectsGarbage(t *testing.T) {
-	cs := &CountSketch{}
-	for _, data := range [][]byte{nil, {9}, []byte("CSgarbagegarbagegarbagegarbagegar")} {
-		if err := cs.UnmarshalBinary(data); err == nil {
-			t.Errorf("accepted garbage of length %d", len(data))
+	fresh := func() *CountSketch { return NewCountSketch(rand.New(rand.NewSource(4)), 2, 8) }
+	good := wiretest.MustMarshal(t, fresh())
+	for _, data := range [][]byte{nil, {9}, good[:len(good)-3], append(good, 0)} {
+		if err := wire.Fill(data, fresh()); err == nil {
+			t.Errorf("accepted a %d-byte state (the shape's is %d)", len(data), len(good))
 		}
-	}
-	good, _ := NewCountSketch(rand.New(rand.NewSource(4)), 2, 8).MarshalBinary()
-	if err := cs.UnmarshalBinary(good[:len(good)-3]); err == nil {
-		t.Error("accepted truncated data")
 	}
 }
 

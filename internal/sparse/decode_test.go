@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/nt"
+	"repro/internal/wire"
 )
 
 const p61 = int64(nt.MersennePrime61)
@@ -256,50 +257,34 @@ func TestDecodeTerminatesOnPingPong(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRejectsInconsistentHeader: capacity and perTable come off
-// the wire separately and must agree the way NewRecovery makes them —
-// the crafted frame holds three cells under a capacity of 2^32 - 1, which
-// would size the peel bound — and the field sums must be reduced.
-func TestUnmarshalRejectsInconsistentHeader(t *testing.T) {
-	r := NewRecovery(rand.New(rand.NewSource(5)), 16, 1<<32)
+// TestUnmarshalRejectsUnreducedSums: the capacity, and with it the peel
+// bound and the cell count, are the constructor's; what the state can
+// still get wrong is a field sum that is not reduced mod p, which the
+// field adds and the decode's division test assume.
+func TestUnmarshalRejectsUnreducedSums(t *testing.T) {
+	fresh := func() *Recovery { return NewRecovery(rand.New(rand.NewSource(5)), 16, 1<<32) }
+	r := fresh()
 	r.Update(12345, 7)
 	honest, err := r.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := new(Recovery).UnmarshalBinary(honest); err != nil {
-		t.Fatalf("honest frame refused: %v", err)
+	if err := wire.Fill(honest, fresh()); err != nil {
+		t.Fatalf("honest state refused: %v", err)
 	}
 	cellsAt := len(honest) - len(r.cells)*24
-	one := honest[cellsAt+r.bucket(0, 12345)*24:][:24]
-
-	tiny := slices.Clone(honest[:cellsAt])
-	binary.LittleEndian.PutUint32(tiny[2:], math.MaxUint32) // capacity
-	binary.LittleEndian.PutUint32(tiny[14:], 1)             // perTable
-	tiny = append(append(tiny, one...), make([]byte, 2*24)...)
-	if len(tiny) > 400 {
-		t.Fatalf("crafted frame is %d bytes", len(tiny))
-	}
-
 	patched := func(off int, v uint64) []byte {
 		out := slices.Clone(honest)
 		binary.LittleEndian.PutUint64(out[off:], v)
 		return out
 	}
-	grown := slices.Clone(honest)
-	binary.LittleEndian.PutUint32(grown[2:], 17) // capacity 17 wants 14 cells per subtable, the frame holds 13
 	for name, frame := range map[string][]byte{
-		"three cells under capacity 2^32-1": tiny,
-		"capacity off by one":               grown,
-		"keySum == p":                       patched(cellsAt+8, nt.MersennePrime61),
-		"fpSum == 2^64-1":                   patched(cellsAt+16, math.MaxUint64),
+		"keySum == p":     patched(cellsAt+8, nt.MersennePrime61),
+		"fpSum == 2^64-1": patched(cellsAt+16, math.MaxUint64),
+		"one cell short":  honest[:len(honest)-24],
 	} {
-		var got Recovery
-		if err := got.UnmarshalBinary(frame); err == nil {
+		if err := wire.Fill(frame, fresh()); err == nil {
 			t.Errorf("%s: accepted", name)
-		}
-		if !reflect.DeepEqual(got, Recovery{}) {
-			t.Errorf("%s: a refused frame left state behind", name)
 		}
 	}
 }

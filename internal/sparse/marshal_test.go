@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -19,10 +20,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &Recovery{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, NewRecovery(rand.New(rand.NewSource(1)), 16, 1<<20), data)
 	got, err := restored.Decode()
 	if err != nil {
 		t.Fatal(err)
@@ -55,13 +53,7 @@ func TestRemoteSyncExchange(t *testing.T) {
 	for x, d := range newFile {
 		server.Update(x, d)
 	}
-	wire, err := client.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.SubRemote(wire); err != nil {
-		t.Fatal(err)
-	}
+	server.Sub(wiretest.Restore(t, server.Sibling(), wiretest.MustMarshal(t, client)))
 	diff, err := server.Decode()
 	if err != nil {
 		t.Fatal(err)
@@ -72,29 +64,13 @@ func TestRemoteSyncExchange(t *testing.T) {
 	}
 }
 
-func TestSubRemoteRejectsForeign(t *testing.T) {
-	a := NewRecovery(rand.New(rand.NewSource(1)), 8, 1<<16)
-	b := NewRecovery(rand.New(rand.NewSource(2)), 8, 1<<16)
-	wire, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SubRemote(wire); err == nil {
-		t.Error("expected rejection of foreign hash functions")
-	}
-}
-
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	r := &Recovery{}
-	for _, data := range [][]byte{nil, {1, 2, 3}, []byte("SRxxxxxxxxxxxxxxxxxxxxxxxxxxx")} {
-		if err := r.UnmarshalBinary(data); err == nil {
-			t.Errorf("accepted garbage %v", data)
+	fresh := func() *Recovery { return NewRecovery(rand.New(rand.NewSource(3)), 4, 1<<10) }
+	good := wiretest.MustMarshal(t, fresh())
+	for _, data := range [][]byte{nil, {1, 2, 3}, good[:len(good)-5], append(good, 0)} {
+		if err := wire.Fill(data, fresh()); err == nil {
+			t.Errorf("accepted a %d-byte state (the shape's is %d)", len(data), len(good))
 		}
-	}
-	// Truncated valid prefix.
-	good, _ := NewRecovery(rand.New(rand.NewSource(3)), 4, 1<<10).MarshalBinary()
-	if err := r.UnmarshalBinary(good[:len(good)-5]); err == nil {
-		t.Error("accepted truncated data")
 	}
 }
 

@@ -193,15 +193,15 @@ func (r *Recovery) UpdateColumns(b *core.Batch) {
 }
 
 // Add accumulates another sketch with identical hash functions and
-// dimensions (i.e., one returned by Sibling).
+// dimensions (one returned by Sibling, or built from the same seed).
 func (r *Recovery) Add(other *Recovery) { r.combine(other, 1) }
 
 // Sub subtracts another sketch with identical hash functions.
 func (r *Recovery) Sub(other *Recovery) { r.combine(other, -1) }
 
 func (r *Recovery) combine(other *Recovery, sign int64) {
-	if other.perTable != r.perTable || other.hs != r.hs {
-		panic("sparse: combining incompatible sketches")
+	if other.perTable != r.perTable {
+		panic("sparse: combining sketches of different dimensions")
 	}
 	for i := range r.cells {
 		oc := other.cells[i]
@@ -225,46 +225,17 @@ func (r *Recovery) combine(other *Recovery, sign int64) {
 	}
 }
 
-// Compatible reports (as an error) whether another sketch has the same
-// dimensions and hash functions — coefficient equality, not pointer
-// identity, so sketches built independently from the same seed qualify.
-func (r *Recovery) Compatible(other *Recovery) error {
-	if other == nil {
-		return errors.New("sparse: nil sketch")
-	}
-	if other.capacity != r.capacity || other.perTable != r.perTable || other.universe != r.universe {
-		return errors.New("sparse: sketches have different dimensions")
-	}
-	for i := range r.hs {
-		if !r.hs[i].Equal(other.hs[i]) {
-			return errors.New("sparse: sketches use different hash functions (same seed required)")
-		}
-	}
-	if !r.fp.Equal(other.fp) {
-		return errors.New("sparse: sketches use different fingerprints (same seed required)")
-	}
-	return nil
-}
-
 // Merge folds another sketch built from the same seed into this one by
 // cell-wise addition — the sketch is linear, so the result sketches the
-// sum of the two frequency vectors exactly.
+// sum of the two frequency vectors exactly. Both must have been built
+// with the same capacity and universe, which the owner's Config and
+// options check vouches for.
 func (r *Recovery) Merge(other *Recovery) error {
-	if err := r.Compatible(other); err != nil {
-		return err
+	if other == nil || other.perTable != r.perTable {
+		return errors.New("sparse: merge with a nil sketch or one of another capacity")
 	}
-	for i := range r.cells {
-		oc := other.cells[i]
-		r.cells[i].count += oc.count
-		r.cells[i].keySum = nt.AddModMersenne61(r.cells[i].keySum, oc.keySum)
-		r.cells[i].fpSum = nt.AddModMersenne61(r.cells[i].fpSum, oc.fpSum)
-		if a := stream.Abs64(r.cells[i].count); a > r.maxCount {
-			r.maxCount = a
-		}
-	}
-	if other.maxCount > r.maxCount {
-		r.maxCount = other.maxCount
-	}
+	r.combine(other, 1)
+	r.maxCount = max(r.maxCount, other.maxCount)
 	return nil
 }
 

@@ -215,10 +215,10 @@ func TestSpaceBitsScalesWithCapacity(t *testing.T) {
 func TestCombinePanicsOnForeign(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := NewRecovery(rng, 4, 1<<10)
-	b := NewRecovery(rng, 4, 1<<10)
+	b := NewRecovery(rng, 16, 1<<10)
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic combining foreign sketches")
+			t.Error("expected panic combining sketches of different dimensions")
 		}
 	}()
 	a.Add(b)

@@ -112,6 +112,12 @@ func samplerPair(p Params) (item, cols *Sampler) {
 	return NewSampler(rand.New(rand.NewSource(41)), p), NewSampler(rand.New(rand.NewSource(41)), p)
 }
 
+// restorePair restores blob into a samplerPair's twins.
+func restorePair(t *testing.T, p Params, blob []byte) (item, cols *Sampler) {
+	item, cols = samplerPair(p)
+	return wiretest.Restore(t, item, blob), wiretest.Restore(t, cols, blob)
+}
+
 // TestUpdateColumnsMatchesScalar is the regime matrix: windowed and
 // unwindowed; a stream that slides the window many times, one that
 // holds it still, and batch cuts from 1 through past the 4096-update column chunk — so
@@ -161,15 +167,10 @@ func TestUpdateColumnsAfterRestore(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		us := burstStream(rng, n, 8, 40, 200)
 		third := len(us) / 3
-		orig, _ := samplerPair(Params{N: n, K: 4, SparsityFactor: 2, Windowed: windowed, Window: 3})
+		p := Params{N: n, K: 4, SparsityFactor: 2, Windowed: windowed, Window: 3}
+		orig, _ := samplerPair(p)
 		core.UpdateBatch(orig.UpdateColumns, us[:third])
-		blob := wiretest.MustMarshal(t, orig)
-		item, cols := &Sampler{}, &Sampler{}
-		for _, sp := range []*Sampler{item, cols} {
-			if err := sp.UnmarshalBinary(blob); err != nil {
-				t.Fatal(err)
-			}
-		}
+		item, cols := restorePair(t, p, wiretest.MustMarshal(t, orig))
 		feedSamplers(t, item, cols, us[third:], cutter(rng, 0))
 		core.UpdateBatch(orig.UpdateColumns, us[third:])
 		checkSamplers(t, orig, cols, fmt.Sprintf("windowed=%v: never-marshalled vs restored", windowed))
@@ -194,28 +195,19 @@ func TestUpdateColumnsFromCraftedBlob(t *testing.T) {
 			sp.levels.Put(0, sp.newLevel(0))
 		},
 		"lagging-running-max": func(sp *Sampler) {
-			stale := &Sampler{}
-			if err := stale.UnmarshalBinary(wiretest.MustMarshal(t, NewSampler(rand.New(rand.NewSource(41)), sp.params))); err != nil {
-				t.Fatal(err)
-			}
 			// The untouched twin's rough estimator (running max 0) under
 			// the fed twin's levels: every level is out of place.
-			sp.rough = stale.rough
+			sp.rough = NewSampler(rand.New(rand.NewSource(41)), sp.params).rough
 		},
 	}
 	for name, craft := range crafts {
 		for _, size := range []int{1, 1000, 0} {
 			t.Run(fmt.Sprintf("%s/cut=%d", name, size), func(t *testing.T) {
-				src, _ := samplerPair(Params{N: n, K: 4, SparsityFactor: 2, Windowed: true, Window: 3})
+				p := Params{N: n, K: 4, SparsityFactor: 2, Windowed: true, Window: 3}
+				src, _ := samplerPair(p)
 				core.UpdateBatch(src.UpdateColumns, us[:len(us)/3])
 				craft(src)
-				blob := wiretest.MustMarshal(t, src)
-				item, cols := &Sampler{}, &Sampler{}
-				for _, sp := range []*Sampler{item, cols} {
-					if err := sp.UnmarshalBinary(blob); err != nil {
-						t.Fatal(err)
-					}
-				}
+				item, cols := restorePair(t, p, wiretest.MustMarshal(t, src))
 				// A leading zero delta must not trigger the convergence:
 				// the per-item path returns before touching anything.
 				rest := append([]stream.Update{{Index: 3, Delta: 0}}, us[len(us)/3:]...)
@@ -247,10 +239,7 @@ func TestSyncIsNoOpBetweenEvents(t *testing.T) {
 		state := wiretest.MustMarshal(t, sp)
 		// A restored window has forgotten what it was synced at, so this
 		// Sync runs in full.
-		full := &Sampler{}
-		if err := full.UnmarshalBinary(state); err != nil {
-			t.Fatal(err)
-		}
+		full, _ := restorePair(t, sp.params, state)
 		full.levels.Sync(full.rough, full.span, full.newLevel)
 		if !bytes.Equal(state, wiretest.MustMarshal(t, full)) {
 			t.Fatalf("sync after update of key %d changed the state", u.Index)
@@ -468,10 +457,7 @@ func TestUpdateColumnsDirectedCases(t *testing.T) {
 		// level out of place until the first key of the first batch.
 		lagging := warm.CloneInto(nil)
 		lagging.rough = cold.rough.CloneInto(nil)
-		restored := &Sampler{}
-		if err := restored.UnmarshalBinary(wiretest.MustMarshal(t, lagging)); err != nil {
-			t.Fatal(err)
-		}
+		restored, _ := restorePair(t, warm.params, wiretest.MustMarshal(t, lagging))
 		var next uint64
 		var shadow *l0.RoughF0
 		walk := func(feed bool) ([]stream.Update, uint64) { return raiserWalk(t, shadow, &next, n, feed) }

@@ -1,13 +1,13 @@
 package support
 
 import (
-	"bytes"
 	"encoding"
 	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"repro/internal/l0"
+	"repro/internal/sparse"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
@@ -24,10 +24,9 @@ func TestSamplerMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := &Sampler{}
-		if err := restored.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
+		restored := wiretest.Restore(t, NewSampler(rand.New(rand.NewSource(31)), Params{
+			N: 1 << 10, K: 8, Windowed: windowed, Window: RecommendedWindow(4),
+		}), data)
 		a, b := sp.Recover(), restored.Recover()
 		if len(a) != len(b) {
 			t.Fatalf("windowed=%v: Recover differs: %v vs %v", windowed, a, b)
@@ -48,117 +47,107 @@ func TestSamplerMarshalRoundTrip(t *testing.T) {
 }
 
 func TestSupportUnmarshalRejectsGarbage(t *testing.T) {
-	sp := NewSampler(rand.New(rand.NewSource(32)), Params{N: 256, K: 4})
+	fresh := func(k int) *Sampler { return NewSampler(rand.New(rand.NewSource(32)), Params{N: 256, K: k}) }
+	sp := fresh(4)
 	sp.Update(1, 2)
 	data, _ := sp.MarshalBinary()
-	fresh := &Sampler{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	if err := wire.Fill(nil, fresh(4)); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-9]); err == nil {
+	if err := wire.Fill(data[:len(data)-9], fresh(4)); err == nil {
 		t.Error("accepted truncated payload")
 	}
-	bad := append([]byte(nil), data...)
-	bad[2] = 99
-	if err := fresh.UnmarshalBinary(bad); err == nil {
-		t.Error("accepted wrong version")
+	// k sizes every level sketch: a state of k = 4 does not fill k = 5.
+	if err := wire.Fill(data, fresh(5)); err == nil {
+		t.Error("a k = 5 sampler accepted a k = 4 state")
 	}
 }
 
-// TestLevelListReadersRefuse: the three windowed formats frame their
+// parse is a wire.Filler that only reads: it finds offsets inside a
+// state.
+type parse func(rd *wire.Reader)
+
+func (p parse) Fill(rd *wire.Reader) { p(rd) }
+
+// skipExactSmall and skipRoughL0 read past one l0.ExactSmall and one
+// l0.RoughL0 state.
+func skipExactSmall(rd *wire.Reader) {
+	rd.Bool()
+	rd.U32()
+	rd.Take(16 * int(rd.U32()))
+}
+
+func skipRoughL0(rd *wire.Reader) {
+	for n := rd.U32(); n > 0 && rd.Err() == nil; n-- {
+		rd.U32()
+		skipExactSmall(rd)
+	}
+	rd.Take(4 * int(rd.U32()))
+}
+
+// TestLevelListReadersRefuse: the three windowed states frame their
 // rows and levels with one list and read it under one rule — a count
 // the payload cannot hold, an index above the structure's top level
-// (for "0M" once any row up to 64: Estimate's median read a planted row
-// no update could reach) and a repeated index are refused, as is the
-// same in "0R"'s list of levels ever instantiated; the receiver keeps
-// the state it had.
+// (for the L0 estimator once any row up to 64: Estimate's median read
+// a planted row no update could reach) and a repeated index are
+// refused, as is the same in RoughL0's list of levels ever
+// instantiated.
 func TestLevelListReadersRefuse(t *testing.T) {
 	type codec interface {
 		encoding.BinaryMarshaler
-		encoding.BinaryUnmarshaler
-	}
-	marshal := func(c codec) []byte {
-		data, err := c.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		wire.Filler
 	}
 	const n = 1 << 10 // top level 10
-	nested := func(rd *wire.Reader, blobs int) {
-		for i := 0; i < blobs; i++ {
-			rd.Bytes32()
-		}
-	}
 	formats := []struct {
-		magic string
+		name  string
 		build func(seed int64) codec
-		// header skips to the level list; payload is an entry's byte
-		// length past its index, given the u32 that follows the index.
-		header  func(rd *wire.Reader)
-		payload func(prefix uint32) int
-		ever    bool // the list of levels ever instantiated ends the blob
+		// header reads up to the level list; entry is an entry's byte
+		// length past its index, which ends at offset at.
+		header func(rd *wire.Reader)
+		entry  func(blob []byte, at int) int
+		ever   bool // the list of levels ever instantiated ends the blob
 	}{
-		{"0R", func(seed int64) codec { return l0.NewRoughL0Windowed(rand.New(rand.NewSource(seed)), n, 2) },
-			func(rd *wire.Reader) {
-				rd.U32()
-				rd.I64()
-				rd.Bool()
-				rd.U32()
-				rd.I64()
-				nested(rd, 1)
-			},
-			func(prefix uint32) int { return 4 + int(prefix) }, true},
-		{"0M", func(seed int64) codec {
+		{"RoughL0", func(seed int64) codec { return l0.NewRoughL0Windowed(rand.New(rand.NewSource(seed)), n, 2) },
+			func(*wire.Reader) {},
+			func(blob []byte, at int) int { return 9 + 16*int(binary.LittleEndian.Uint32(blob[at+5:])) }, true},
+		{"Estimator", func(seed int64) codec {
 			return l0.NewEstimator(rand.New(rand.NewSource(seed)), l0.Params{N: n, Eps: 0.25, Windowed: true, Window: 2})
 		},
 			func(rd *wire.Reader) {
-				rd.U64()
-				rd.F64()
-				rd.Bool()
-				rd.U32()
-				rd.U32()
-				rd.U64()
-				rd.I64()
-				rd.U32()
-				nested(rd, 7)
-				rd.U64s()
-				rd.U64s()
-				rd.U64s()
-				nested(rd, 3)
+				rd.U32()            // peak
+				rd.Take(8 * 2 * 16) // the single row's 2K bins
+				rd.Take(8 + 8*16)   // the rough estimator
+				skipRoughL0(rd)
+				skipExactSmall(rd)
 			},
-			func(prefix uint32) int { return 4 + 8*int(prefix) }, false},
-		{"SS", func(seed int64) codec {
+			func([]byte, int) int { return 8 * 16 }, false},
+		{"Sampler", func(seed int64) codec {
 			return NewSampler(rand.New(rand.NewSource(seed)), Params{N: n, K: 2, Windowed: true, Window: 1})
 		},
 			func(rd *wire.Reader) {
-				rd.U64()
-				rd.U32()
-				rd.U32()
-				rd.Bool()
-				rd.U32()
-				rd.U32()
-				rd.U32()
-				nested(rd, 3)
+				rd.Take(8 + 8*roughCopies)
+				rd.U32() // peak
 			},
-			func(prefix uint32) int { return 4 + int(prefix) }, false},
+			func([]byte, int) int { return sparse.StateLen(Params{K: 2}.capacity()) }, false},
 	}
 	for _, f := range formats {
-		blob := marshal(f.build(1))
-		rd, _, err := wire.NewReader(blob, f.magic)
-		if err != nil {
+		blob := wiretest.MustMarshal(t, f.build(1))
+		var list int
+		if err := wire.Fill(blob, parse(func(rd *wire.Reader) {
+			f.header(rd)
+			list = rd.Offset()
+			rd.Take(rd.Remaining())
+		})); err != nil {
 			t.Fatal(err)
 		}
-		f.header(rd)
-		list := len(blob) - rd.Remaining()
-		if count := rd.U32(); rd.Err() != nil || count < 2 {
-			t.Fatalf("%s: level list of %d entries at offset %d (%v); want two or more", f.magic, count, list, rd.Err())
+		if count := binary.LittleEndian.Uint32(blob[list:]); count < 2 {
+			t.Fatalf("%s: level list of %d entries at offset %d; want two or more", f.name, count, list)
 		}
 		first := list + 4
-		second := first + 4 + f.payload(binary.LittleEndian.Uint32(blob[first+4:]))
+		second := first + 4 + f.entry(blob, first+4)
 		// The list ascends, so two indices in order say the offsets are right.
 		if j0, j1 := binary.LittleEndian.Uint32(blob[first:]), binary.LittleEndian.Uint32(blob[second:]); j0 >= j1 || j1 > 10 {
-			t.Fatalf("%s: offsets %d and %d hold %d and %d, not two ascending level indices", f.magic, first, second, j0, j1)
+			t.Fatalf("%s: offsets %d and %d hold %d and %d, not two ascending level indices", f.name, first, second, j0, j1)
 		}
 		patch := func(at int, v uint32) []byte {
 			bad := append([]byte(nil), blob...)
@@ -176,17 +165,12 @@ func TestLevelListReadersRefuse(t *testing.T) {
 			crafts["duplicate instantiated index"] = patch(len(blob)-4, binary.LittleEndian.Uint32(blob[len(blob)-8:]))
 		}
 		for name, bad := range crafts {
-			recv := f.build(2)
-			before := marshal(recv)
-			if err := recv.UnmarshalBinary(bad); err == nil {
-				t.Errorf("%s: %s accepted", f.magic, name)
-			}
-			if !bytes.Equal(before, marshal(recv)) {
-				t.Errorf("%s: %s changed the receiver", f.magic, name)
+			if err := wire.Fill(bad, f.build(2)); err == nil {
+				t.Errorf("%s: %s accepted", f.name, name)
 			}
 		}
-		if err := f.build(2).UnmarshalBinary(blob); err != nil {
-			t.Errorf("%s: honest blob refused: %v", f.magic, err)
+		if err := wire.Fill(blob, f.build(2)); err != nil {
+			t.Errorf("%s: honest blob refused: %v", f.name, err)
 		}
 	}
 }

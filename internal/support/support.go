@@ -76,6 +76,18 @@ type Sampler struct {
 	decode sparse.Scratch   // read scratch: every level decodes into it, one at a time
 }
 
+// capacity is the per-level sparse recovery capacity s = factor*K.
+func (params Params) capacity() int {
+	factor := params.SparsityFactor
+	if factor <= 0 {
+		factor = 8
+	}
+	return factor * params.K
+}
+
+// roughCopies is the copy count of the rough-F0 tracker.
+const roughCopies = 16
+
 // alwaysOn is the number of top levels Figure 8 keeps at every estimate:
 // they cover streams whose L0 stays below the rough estimator's reliable
 // range.
@@ -86,16 +98,12 @@ func NewSampler(rng *rand.Rand, params Params) *Sampler {
 	if params.K < 1 || params.N < 2 {
 		panic(fmt.Sprintf("support: invalid params %+v", params))
 	}
-	factor := params.SparsityFactor
-	if factor <= 0 {
-		factor = 8
-	}
 	sp := &Sampler{
 		params:   params,
-		s:        factor * params.K,
+		s:        params.capacity(),
 		maxLevel: nt.Log2Ceil(params.N),
 		h:        hash.NewPairwise(rng),
-		rough:    l0.NewRoughF0(rng, 16),
+		rough:    l0.NewRoughF0(rng, roughCopies),
 	}
 	sp.proto = sparse.NewRecovery(rng, sp.s, params.N)
 	sp.levels = l0.NewWindow[sparse.Recovery](sp.maxLevel, params.Windowed, alwaysOn, &levelStats)
@@ -266,11 +274,8 @@ func (sp *Sampler) Merge(other *Sampler) error {
 	if other == nil {
 		return fmt.Errorf("support: merge with nil Sampler")
 	}
-	if sp.params != other.params || sp.s != other.s || !sp.h.Equal(other.h) {
-		return fmt.Errorf("support: merging Samplers with different wiring (same seed/params required)")
-	}
-	if err := sp.proto.Compatible(other.proto); err != nil {
-		return fmt.Errorf("support: %w", err)
+	if sp.params != other.params {
+		return fmt.Errorf("support: merging Samplers with different params (same seed/params required)")
 	}
 	if err := sp.rough.Merge(other.rough); err != nil {
 		return err

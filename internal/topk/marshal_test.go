@@ -3,6 +3,7 @@ package topk
 import (
 	"testing"
 
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -15,10 +16,7 @@ func TestTrackerMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &Tracker{}
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := wiretest.Restore(t, New(8), data)
 	if restored.Capacity() != tr.Capacity() || restored.Len() != tr.Len() {
 		t.Fatalf("shape: restored (%d,%d), original (%d,%d)",
 			restored.Capacity(), restored.Len(), tr.Capacity(), tr.Len())
@@ -53,11 +51,10 @@ func TestTrackerUnmarshalRejectsGarbage(t *testing.T) {
 	tr := New(4)
 	tr.Offer(1, 10)
 	data, _ := tr.MarshalBinary()
-	fresh := &Tracker{}
-	if err := fresh.UnmarshalBinary(nil); err == nil {
+	if err := wire.Fill(nil, New(4)); err == nil {
 		t.Error("accepted nil")
 	}
-	if err := fresh.UnmarshalBinary(data[:len(data)-3]); err == nil {
+	if err := wire.Fill(data[:len(data)-3], New(4)); err == nil {
 		t.Error("accepted truncated payload")
 	}
 	// Duplicate entries are rejected (a valid payload never carries them).
@@ -65,11 +62,18 @@ func TestTrackerUnmarshalRejectsGarbage(t *testing.T) {
 	dup.Offer(7, 1)
 	d, _ := dup.MarshalBinary()
 	// Append a second copy of the same entry by hand-editing the count.
-	d2 := append([]byte(nil), d...)
-	d2[7], d2[8], d2[9], d2[10] = 2, 0, 0, 0 // entry count u32 -> 2
-	d2 = append(d2, d[11:]...)               // repeat the (id, est) pair
-	if err := fresh.UnmarshalBinary(d2); err == nil {
+	d2 := append([]byte{2, 0, 0, 0}, d[4:]...) // entry count u32 -> 2
+	d2 = append(d2, d[4:]...)                  // repeat the (id, est) pair
+	if err := wire.Fill(d2, New(4)); err == nil {
 		t.Error("accepted duplicate ids")
+	}
+	// More entries than the capacity's 2x retention are refused unread.
+	many := New(64)
+	for i := uint64(0); i < 20; i++ {
+		many.Offer(i, float64(i))
+	}
+	if err := wire.Fill(wiretest.MustMarshal(t, many), New(4)); err == nil {
+		t.Error("accepted more entries than the tracker retains")
 	}
 }
 

@@ -5,9 +5,9 @@ import "fmt"
 // Partitioned engine snapshot envelope. Where the public "BD" envelope
 // carries ONE merged structure, this frame carries an engine's whole
 // sharded state with the partition preserved: a header naming the
-// topology the payloads were built under (shard count, the fast-range
-// partition hash's marshaled coefficients, the Config echo, the
-// structure set, and the state generation), then per-shard blob lists —
+// topology the payloads were built under (shard count, the Config echo
+// — whose Seed fixes the fast-range partition hash — the structure set,
+// and the state generation), then per-shard blob lists —
 // one "BD" envelope per enabled structure per shard, exactly as each
 // shard's live goroutine marshaled it. A restoring engine whose
 // topology matches installs the payloads shard-for-shard and keeps
@@ -16,22 +16,19 @@ import "fmt"
 // semantic checks (bit validity, Config equality, type dispatch).
 const (
 	partMagic = "BP"
-	// PartVersion is the current partitioned-snapshot format version.
-	PartVersion = 1
+	// PartVersion is the current partitioned-snapshot format version;
+	// version 2 dropped the partition hash echo.
+	PartVersion = 2
 )
 
 // PartHeader names the topology a partitioned snapshot was built
-// under. Shards and Partitioner decide whether a restore can install
-// shard-for-shard; the Config echo gates mergeability either way.
+// under. Shards and the Config echo (its Seed derives the partition
+// hash) decide whether a restore can install shard-for-shard; the
+// Config echo gates mergeability either way.
 type PartHeader struct {
 	// Shards is the producing engine's shard count; the body carries
 	// exactly this many blob lists.
 	Shards uint32
-	// Partitioner is the producing engine's partition hash, in
-	// hash.KWise MarshalBinary form. Same Config.Seed implies the same
-	// coefficients today; echoing them keeps topology matching honest
-	// if the seed derivation ever changes between versions.
-	Partitioner []byte
 	// Config echo (bounded.Config fields, flattened to keep this
 	// package dependency-free).
 	N          uint64
@@ -61,14 +58,13 @@ func (p *PartSnapshot) AppendBinary(dst []byte) ([]byte, error) {
 		return nil, fmt.Errorf("wire: partitioned snapshot header declares %d shards, body has %d",
 			p.Header.Shards, len(p.Shards))
 	}
-	size := 3 + 52 + len(p.Header.Partitioner)
+	size := 3 + 48
 	for _, blobs := range p.Shards {
 		size += blobsLen(blobs)
 	}
 	w := Append(dst, partMagic, PartVersion)
 	w.Grow(size)
 	w.U32(p.Header.Shards)
-	w.Bytes32(p.Header.Partitioner)
 	w.U64(p.Header.N)
 	w.F64(p.Header.Eps)
 	w.F64(p.Header.Alpha)
@@ -95,7 +91,6 @@ func (p *PartSnapshot) UnmarshalBinary(data []byte) error {
 	}
 	var hdr PartHeader
 	hdr.Shards = r.U32()
-	hdr.Partitioner = r.Bytes32()
 	hdr.N = r.U64()
 	hdr.Eps = r.F64()
 	hdr.Alpha = r.F64()

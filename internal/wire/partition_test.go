@@ -9,14 +9,13 @@ import (
 func samplePartSnapshot() *PartSnapshot {
 	return &PartSnapshot{
 		Header: PartHeader{
-			Shards:      2,
-			Partitioner: []byte{'H', 'K', 2, 0, 1, 2, 3, 4, 5, 6, 7, 8},
-			N:           1 << 16,
-			Eps:         0.05,
-			Alpha:       8,
-			Seed:        42,
-			Structures:  0b10001,
-			Generation:  77,
+			Shards:     2,
+			N:          1 << 16,
+			Eps:        0.05,
+			Alpha:      8,
+			Seed:       42,
+			Structures: 0b10001,
+			Generation: 77,
 		},
 		Shards: [][]Blob{
 			{{Bit: 1, Payload: []byte("hh-shard0")}, {Bit: 16, Payload: []byte("sup-shard0")}},
@@ -35,13 +34,7 @@ func TestPartSnapshotRoundTrip(t *testing.T) {
 	if err := got.UnmarshalBinary(enc); err != nil {
 		t.Fatal(err)
 	}
-	// Partitioner is a slice; compare it separately and zero it for the
-	// struct comparison.
 	gh, ph := got.Header, p.Header
-	if !bytes.Equal(gh.Partitioner, ph.Partitioner) {
-		t.Fatalf("partitioner echo: got %x, want %x", gh.Partitioner, ph.Partitioner)
-	}
-	gh.Partitioner, ph.Partitioner = nil, nil
 	if !reflect.DeepEqual(gh, ph) {
 		t.Fatalf("header round trip: got %+v, want %+v", gh, ph)
 	}

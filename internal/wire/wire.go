@@ -6,36 +6,47 @@
 // both streams had been ingested in one process. The codec gives every
 // package the same framing so that property holds uniformly:
 //
-//   - a two-byte package magic plus a one-byte format version open every
-//     payload, so a reader can reject foreign or stale bytes up front
-//     instead of mis-wiring a structure;
+//   - an envelope (the public "BD" sketch frame, the partitioned
+//     snapshot, a checkpoint) opens with a two-byte magic plus a
+//     one-byte format version, so a reader can reject foreign or stale
+//     bytes up front; the structure state inside a "BD" frame carries
+//     neither, because the frame's version is the format's one version;
+//   - a structure's state holds exactly what Update and Merge can
+//     change — counters, clocks, candidates, live levels. Dimensions,
+//     primes and hash wirings are what its constructor derives from the
+//     Config, so they never travel: a reader builds the structure as
+//     New does and Fills it, and a state that does not fit that shape
+//     is refused;
 //   - all integers are little-endian fixed-width (no varints: payload
 //     sizes are dominated by counter tables, and fixed width keeps the
 //     reader allocation-bounded);
-//   - slices and nested messages are u32-length-prefixed, and the reader
-//     refuses any prefix that exceeds the bytes actually remaining, so a
+//   - variable-length lists are u32-count-prefixed, and the reader
+//     refuses any count that exceeds the bytes actually remaining, so a
 //     corrupt length can never drive an allocation larger than the input
 //     itself (the FuzzUnmarshal contract: errors, never panics or OOM).
+//     Arrays whose length the shape fixes (the Fixed methods) carry no
+//     count.
 //
 // The Reader is sticky: the first framing error latches, subsequent
 // reads return zero values, and Done() reports the latched error plus a
-// trailing-garbage check. Unmarshal implementations parse into locals,
-// call Done(), validate ranges, and only then commit to the receiver, so
-// a failed restore leaves the receiver untouched.
+// trailing-garbage check. Envelope decoders parse into locals, call
+// Done(), validate ranges, and only then commit to the receiver, so a
+// failed restore leaves the receiver untouched; a structure's Fill
+// writes into a receiver fresh from its constructor, which its owner
+// discards on failure.
 //
 // Nesting rule: a structure encodes itself with AppendBinary(dst), and a
-// parent nests a child with Writer.Marshal, which reserves the u32
-// length, lets the child append to the SAME buffer and back-patches the
-// length — no level copies the level below it. A child must therefore
-// never write below len(dst): what is there belongs to its ancestors.
-// MarshalBinary is AppendBinary(nil) everywhere.
+// parent nests a child with Writer.Marshal, which lets the child append
+// to the SAME buffer — no level copies the level below it. A child must
+// therefore never write below len(dst): what is there belongs to its
+// ancestors. MarshalBinary is AppendBinary(nil) everywhere.
 //
-// Aliasing rule: Reader.View32, Reader.Take, Reader.Blobs (every Blob
-// payload) and Reader.Unmarshal hand out slices of the reader's INPUT,
-// not copies. They are for a caller that decodes the bytes into its own
-// arrays before the input can change — which every UnmarshalBinary in
-// this library does (the round-trip tests overwrite the input afterwards
-// to catch one that does not). Bytes32 is the copying read.
+// Aliasing rule: Reader.View32, Reader.Take and Reader.Blobs (every Blob
+// payload) hand out slices of the reader's INPUT, not copies. They are
+// for a caller that decodes the bytes into its own arrays before the
+// input can change — which every UnmarshalBinary in this library does
+// (the round-trip tests overwrite the input afterwards to catch one that
+// does not). Bytes32 is the copying read.
 package wire
 
 import (
@@ -64,6 +75,10 @@ func Append(dst []byte, magic string, version uint8) *Writer {
 	}
 	return &Writer{buf: append(dst, magic[0], magic[1], version)}
 }
+
+// State opens a structure's state at the end of dst: no magic and no
+// version, which belong to the envelope around it.
+func State(dst []byte) *Writer { return &Writer{buf: dst} }
 
 // Bytes returns the buffer: what Append was given, then the payload.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -127,28 +142,13 @@ func (w *Writer) Bytes32(b []byte) {
 // U64s appends a u32-count-prefixed []uint64.
 func (w *Writer) U64s(v []uint64) {
 	w.U32(uint32(len(v)))
-	b := w.Extend(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], x)
-	}
-}
-
-// I64s appends a u32-count-prefixed []int64.
-func (w *Writer) I64s(v []int64) {
-	w.U32(uint32(len(v)))
-	b := w.Extend(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
+	w.FixedU64s(v)
 }
 
 // F64s appends a u32-count-prefixed []float64.
 func (w *Writer) F64s(v []float64) {
 	w.U32(uint32(len(v)))
-	b := w.Extend(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
+	w.FixedF64s(v)
 }
 
 // Blob is one structure's serialized state as every container ships
@@ -187,18 +187,41 @@ func (w *Writer) Blobs(blobs []Blob) {
 	}
 }
 
-// Marshal appends a nested structure as a u32-length-prefixed payload:
-// the length is reserved, the child appends in place, and the length is
-// patched once the child has said how long it was.
-func (w *Writer) Marshal(m encoding.BinaryAppender) error {
-	at := len(w.buf)
-	buf, err := m.AppendBinary(append(w.buf, 0, 0, 0, 0))
+// Marshal appends a nested structure's state in place: the child's
+// length is a function of its shape, which the reader knows. A state
+// encoding cannot fail — it is counters written into a buffer — so an
+// error from one is a bug, and panics.
+func (w *Writer) Marshal(m encoding.BinaryAppender) {
+	buf, err := m.AppendBinary(w.buf)
 	if err != nil {
-		return err
+		panic(fmt.Sprintf("wire: encoding a %T: %v", m, err))
 	}
-	binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	w.buf = buf
-	return nil
+}
+
+// FixedU64s appends v without a count: the reader knows len(v) from the
+// structure's shape. FixedI64s and FixedF64s are its twins.
+func (w *Writer) FixedU64s(v []uint64) {
+	b := w.Extend(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
+	}
+}
+
+// FixedI64s appends v without a count (see FixedU64s).
+func (w *Writer) FixedI64s(v []int64) {
+	b := w.Extend(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+	}
+}
+
+// FixedF64s appends v without a count (see FixedU64s).
+func (w *Writer) FixedF64s(v []float64) {
+	b := w.Extend(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
 }
 
 // Reader consumes one framed payload. Errors latch: after the first
@@ -246,6 +269,16 @@ func (r *Reader) Take(n int) []byte {
 	b := r.data[r.pos : r.pos+n]
 	r.pos += n
 	return b
+}
+
+// Need reports whether n more bytes remain, latching a truncation
+// error when they do not: the check a Fill runs before it allocates a
+// level its shape sizes, so no allocation outgrows the input.
+func (r *Reader) Need(n int) bool {
+	if r.err == nil && (n < 0 || r.Remaining() < n) {
+		r.fail("wire: truncated payload (need %d bytes, have %d)", n, r.Remaining())
+	}
+	return r.err == nil
 }
 
 // U8 reads one byte.
@@ -322,49 +355,23 @@ func (r *Reader) Bytes32() []byte {
 	return out
 }
 
-// words reads a u32 count and returns the bytes of that many 8-byte
-// elements, or false after a latched error; count has held the prefix
-// against the remaining input before the caller allocates by it.
-func (r *Reader) words() ([]byte, bool) {
-	b := r.Take(8 * r.count(8))
-	return b, r.err == nil
-}
-
-// U64s reads a u32-count-prefixed []uint64.
+// U64s reads a u32-count-prefixed []uint64; count has held the prefix
+// against the remaining input before it sizes anything.
 func (r *Reader) U64s() []uint64 {
-	b, ok := r.words()
-	if !ok {
+	out := make([]uint64, r.count(8))
+	r.FixedU64s(out)
+	if r.err != nil {
 		return nil
-	}
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
 }
 
-// I64s reads a u32-count-prefixed []int64.
-func (r *Reader) I64s() []int64 {
-	b, ok := r.words()
-	if !ok {
-		return nil
-	}
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// F64s reads a u32-count-prefixed []float64.
+// F64s reads a u32-count-prefixed []float64 (see U64s).
 func (r *Reader) F64s() []float64 {
-	b, ok := r.words()
-	if !ok {
+	out := make([]float64, r.count(8))
+	r.FixedF64s(out)
+	if r.err != nil {
 		return nil
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
@@ -390,15 +397,76 @@ func (r *Reader) Blobs() []Blob {
 	return blobs
 }
 
-// Unmarshal reads a length-prefixed nested blob into m.
-func (r *Reader) Unmarshal(m encoding.BinaryUnmarshaler) {
-	b := r.View32()
-	if r.err != nil {
-		return
+// FixedU64s fills dst from len(dst) uncounted words (Writer.FixedU64s).
+// FixedI64s and FixedF64s are its twins.
+func (r *Reader) FixedU64s(dst []uint64) {
+	if b := r.Take(8 * len(dst)); b != nil {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
 	}
-	if err := m.UnmarshalBinary(b); err != nil {
-		r.fail("wire: nested payload: %w", err)
+}
+
+// FixedI64s fills dst from len(dst) uncounted words (see FixedU64s).
+func (r *Reader) FixedI64s(dst []int64) {
+	if b := r.Take(8 * len(dst)); b != nil {
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
+}
+
+// FixedF64s fills dst from len(dst) uncounted words (see FixedU64s).
+func (r *Reader) FixedF64s(dst []float64) {
+	if b := r.Take(8 * len(dst)); b != nil {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+}
+
+// Count reads a u32 list length whose entries occupy at least elemBytes
+// each, refusing one above max or one the remaining input cannot hold
+// (see count): a list a structure sizes by it costs O(1) per input byte.
+func (r *Reader) Count(elemBytes, max int) int {
+	n := r.count(elemBytes)
+	if n > max {
+		r.fail("wire: list of %d entries exceeds the shape's %d", n, max)
+		return 0
+	}
+	return n
+}
+
+// Fail latches err as the reader's error (a no-op after the first) —
+// how a Fill reports a well-framed value its shape refuses.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// Offset is the reader's position; Since(Offset()) later returns what
+// was read in between.
+func (r *Reader) Offset() int { return r.pos }
+
+// Since returns the input read from offset at on, aliased.
+func (r *Reader) Since(at int) []byte { return r.data[at:r.pos] }
+
+// Filler is a structure whose state a reader fills: the receiver comes
+// fresh from its constructor, so every dimension and hash wiring is
+// already in place, and Fill reads only what Update and Merge change.
+// It reports a malformed state through the reader (Fail) — Fill itself
+// returns nothing, so a parent fills its children in sequence and
+// checks once.
+type Filler interface {
+	Fill(r *Reader)
+}
+
+// Fill fills f from data, which must hold exactly f's state.
+func Fill(data []byte, f Filler) error {
+	r := &Reader{data: data}
+	f.Fill(r)
+	return r.Done()
 }
 
 // Err returns the latched error, if any.

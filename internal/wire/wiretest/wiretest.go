@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // MustMarshal returns m's encoding, failing the test on an error.
@@ -25,17 +26,41 @@ func MustMarshal(t testing.TB, m encoding.BinaryMarshaler) []byte {
 	return data
 }
 
-// Restore decodes data into a new T, failing the test on an error.
-func Restore[T any, P interface {
-	*T
-	encoding.BinaryUnmarshaler
-}](t testing.TB, data []byte) P {
+// Restore fills fresh — a structure built as the encoder's was, from
+// the same parameters and seed — from data, failing the test on an
+// error, and returns it.
+func Restore[T wire.Filler](t testing.TB, fresh T, data []byte) T {
 	t.Helper()
-	p := P(new(T))
-	if err := p.UnmarshalBinary(data); err != nil {
+	if err := wire.Fill(data, fresh); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return fresh
+}
+
+// The allocation bound CheckBoundedDecode holds a decode to: at most
+// decodePerByte bytes per input byte plus decodeFixed.
+const (
+	decodePerByte = 64
+	decodeFixed   = 1 << 20
+)
+
+// CheckBoundedDecode asserts that decode allocates at most
+// decodePerByte·len(blob) + decodeFixed bytes on blob, whether it
+// succeeds or not: a short blob cannot name a shape whose state the
+// decoder then allocates. The constructors of some kinds build what a
+// window holds at estimate zero (up to a few dozen levels) where a
+// state need only carry the two that never leave, so the per-byte
+// factor is a few dozen, never a function of the Config.
+func CheckBoundedDecode(t testing.TB, blob []byte, decode func([]byte) error) {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode(blob)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(decodePerByte*len(blob)+decodeFixed); got > limit {
+		t.Errorf("decoding a %d-byte blob allocated %d bytes (limit %d; err %v)", len(blob), got, limit, err)
+	}
 }
 
 // LiveSet lists the levels a window's Each visits, in its order.

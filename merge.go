@@ -15,15 +15,19 @@ package bounded
 // Contract shared by every Merge below (the Sketch interface contract):
 //
 //   - other must be the same concrete type as the receiver and both
-//     structures must have been built with identical Config (and
-//     options); mismatches return a descriptive error and leave the
-//     receiver unchanged where practical.
+//     structures must have been built with identical Config and
+//     options. One check (Compatible) compares exactly that, for every
+//     kind, before anything is touched: every dimension, prime and hash
+//     wiring is a function of it, so nothing else can disagree. A
+//     mismatch returns a descriptive error and leaves the receiver
+//     unchanged.
 //   - Merge leaves other's answers and encoding unchanged: other is
 //     read, never thinned (CSSS aligns sampling rates on the receiver
 //     or on a copy of other's table), so a stored sketch needs no
 //     defensive Clone before it is merged. All Merge may take from other
 //     is the generator word that seeds that copy — Clone's clause, see
-//     Sketch.Merge; until wire v2 (ROADMAP 4a).
+//     Sketch.Merge; until the generator travels on the wire (ROADMAP
+//     4a).
 //   - Neither Merge nor Clone is safe concurrently with updates to the
 //     involved structures; the engine serializes them through its shard
 //     workers.
@@ -59,6 +63,35 @@ func mergeTypeError(want Kind, other Sketch) error {
 	return fmt.Errorf("bounded: merge of %T into %s (Merge requires the same concrete type)", other, want)
 }
 
+// Compatible reports, as Merge's error, whether b may be merged into a:
+// the same concrete type, built from the same Config and options. It is
+// the one check every Merge runs first.
+func Compatible(a, b Sketch) error {
+	as, ok := a.(structure)
+	if !ok {
+		return fmt.Errorf("bounded: %T is not a structure of this package", a)
+	}
+	want := as.shapeOf()
+	if want.kind == 0 {
+		return fmt.Errorf("bounded: merge into zero-value %T (construct or UnmarshalBinary first)", a)
+	}
+	bs, ok := b.(structure)
+	if !ok || reflect.TypeOf(a) != reflect.TypeOf(b) || reflect.ValueOf(b).IsNil() {
+		return mergeTypeError(want.kind, b)
+	}
+	return want.admits(bs.shapeOf())
+}
+
+// admits reports whether a state of shape other may be combined with
+// one of shape s.
+func (s shape) admits(other shape) error {
+	if other != s {
+		return fmt.Errorf("bounded: a %s built from %+v %+v cannot combine with one built from %+v %+v (identical Config and options required)",
+			other.kind, other.cfg, other.opts, s.cfg, s.opts)
+	}
+	return nil
+}
+
 // reuse returns dst when it is a *T, to be overwritten by CloneInto, and
 // a new T otherwise.
 func reuse[T any](dst Sketch) *T {
@@ -69,17 +102,16 @@ func reuse[T any](dst Sketch) *T {
 // Merge folds another HeavyHitters built from the same Config into this
 // one; afterwards queries answer for the union of both input streams.
 func (h *HeavyHitters) Merge(other Sketch) error {
-	o, ok := other.(*HeavyHitters)
-	if !ok || o == nil {
-		return mergeTypeError(KindHeavyHitters, other)
+	if err := Compatible(h, other); err != nil {
+		return err
 	}
-	return h.impl.Merge(o.impl)
+	return h.impl.Merge(other.(*HeavyHitters).impl)
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
 func (h *HeavyHitters) CloneInto(dst Sketch) Sketch {
 	d := reuse[HeavyHitters](dst)
-	*d = HeavyHitters{cfg: h.cfg, strict: h.strict, impl: h.impl.CloneInto(d.impl)}
+	*d = HeavyHitters{shape: h.shape, impl: h.impl.CloneInto(d.impl)}
 	return d
 }
 
@@ -89,13 +121,10 @@ func (h *HeavyHitters) Clone() Sketch { return h.CloneInto(nil) }
 // Merge folds another L1Estimator built from the same Config (and the
 // same strict flag) into this one.
 func (e *L1Estimator) Merge(other Sketch) error {
-	o, ok := other.(*L1Estimator)
-	if !ok || o == nil {
-		return mergeTypeError(KindL1Estimator, other)
+	if err := Compatible(e, other); err != nil {
+		return err
 	}
-	if (e.strict != nil) != (o.strict != nil) {
-		return fmt.Errorf("bounded: merging strict and general L1Estimators")
-	}
+	o := other.(*L1Estimator)
 	if e.strict != nil {
 		return e.strict.Merge(o.strict)
 	}
@@ -105,7 +134,7 @@ func (e *L1Estimator) Merge(other Sketch) error {
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
 func (e *L1Estimator) CloneInto(dst Sketch) Sketch {
 	d := reuse[L1Estimator](dst)
-	c := L1Estimator{cfg: e.cfg, delta: e.delta}
+	c := L1Estimator{shape: e.shape}
 	if e.strict != nil {
 		c.strict = e.strict.CloneInto(d.strict)
 	} else {
@@ -121,17 +150,16 @@ func (e *L1Estimator) Clone() Sketch { return e.CloneInto(nil) }
 // Merge folds another L0Estimator built from the same Config into this
 // one.
 func (e *L0Estimator) Merge(other Sketch) error {
-	o, ok := other.(*L0Estimator)
-	if !ok || o == nil {
-		return mergeTypeError(KindL0Estimator, other)
+	if err := Compatible(e, other); err != nil {
+		return err
 	}
-	return e.impl.Merge(o.impl)
+	return e.impl.Merge(other.(*L0Estimator).impl)
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
 func (e *L0Estimator) CloneInto(dst Sketch) Sketch {
 	d := reuse[L0Estimator](dst)
-	*d = L0Estimator{cfg: e.cfg, impl: e.impl.CloneInto(d.impl)}
+	*d = L0Estimator{shape: e.shape, impl: e.impl.CloneInto(d.impl)}
 	return d
 }
 
@@ -141,17 +169,16 @@ func (e *L0Estimator) Clone() Sketch { return e.CloneInto(nil) }
 // Merge folds another L1Sampler built from the same Config and copy
 // count into this one.
 func (s *L1Sampler) Merge(other Sketch) error {
-	o, ok := other.(*L1Sampler)
-	if !ok || o == nil {
-		return mergeTypeError(KindL1Sampler, other)
+	if err := Compatible(s, other); err != nil {
+		return err
 	}
-	return s.impl.Merge(o.impl)
+	return s.impl.Merge(other.(*L1Sampler).impl)
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
 func (s *L1Sampler) CloneInto(dst Sketch) Sketch {
 	d := reuse[L1Sampler](dst)
-	*d = L1Sampler{cfg: s.cfg, copies: s.copies, impl: s.impl.CloneInto(d.impl)}
+	*d = L1Sampler{shape: s.shape, impl: s.impl.CloneInto(d.impl)}
 	return d
 }
 
@@ -161,17 +188,16 @@ func (s *L1Sampler) Clone() Sketch { return s.CloneInto(nil) }
 // Merge folds another SupportSampler built from the same Config and k
 // into this one.
 func (s *SupportSampler) Merge(other Sketch) error {
-	o, ok := other.(*SupportSampler)
-	if !ok || o == nil {
-		return mergeTypeError(KindSupportSampler, other)
+	if err := Compatible(s, other); err != nil {
+		return err
 	}
-	return s.impl.Merge(o.impl)
+	return s.impl.Merge(other.(*SupportSampler).impl)
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
 func (s *SupportSampler) CloneInto(dst Sketch) Sketch {
 	d := reuse[SupportSampler](dst)
-	*d = SupportSampler{cfg: s.cfg, k: s.k, impl: s.impl.CloneInto(d.impl)}
+	*d = SupportSampler{shape: s.shape, impl: s.impl.CloneInto(d.impl)}
 	return d
 }
 
@@ -183,17 +209,16 @@ func (s *SupportSampler) Clone() Sketch { return s.CloneInto(nil) }
 // the inner product of the concatenated f streams and concatenated g
 // streams.
 func (ip *InnerProduct) Merge(other Sketch) error {
-	o, ok := other.(*InnerProduct)
-	if !ok || o == nil {
-		return mergeTypeError(KindInnerProduct, other)
+	if err := Compatible(ip, other); err != nil {
+		return err
 	}
-	return ip.impl.Merge(o.impl)
+	return ip.impl.Merge(other.(*InnerProduct).impl)
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
 func (ip *InnerProduct) CloneInto(dst Sketch) Sketch {
 	d := reuse[InnerProduct](dst)
-	*d = InnerProduct{cfg: ip.cfg, impl: ip.impl.CloneInto(d.impl)}
+	*d = InnerProduct{shape: ip.shape, impl: ip.impl.CloneInto(d.impl)}
 	return d
 }
 
@@ -203,17 +228,16 @@ func (ip *InnerProduct) Clone() Sketch { return ip.CloneInto(nil) }
 // Merge folds another L2HeavyHitters built from the same Config into
 // this one.
 func (h *L2HeavyHitters) Merge(other Sketch) error {
-	o, ok := other.(*L2HeavyHitters)
-	if !ok || o == nil {
-		return mergeTypeError(KindL2HeavyHitters, other)
+	if err := Compatible(h, other); err != nil {
+		return err
 	}
-	return h.impl.Merge(o.impl)
+	return h.impl.Merge(other.(*L2HeavyHitters).impl)
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
 func (h *L2HeavyHitters) CloneInto(dst Sketch) Sketch {
 	d := reuse[L2HeavyHitters](dst)
-	*d = L2HeavyHitters{cfg: h.cfg, impl: h.impl.CloneInto(d.impl)}
+	*d = L2HeavyHitters{shape: h.shape, impl: h.impl.CloneInto(d.impl)}
 	return d
 }
 
@@ -225,20 +249,16 @@ func (h *L2HeavyHitters) Clone() Sketch { return h.CloneInto(nil) }
 // the sum of both frequency vectors — shard-local sync sketches merge
 // into the sketch of the full stream before an exchange.
 func (s *SyncSketch) Merge(other Sketch) error {
-	o, ok := other.(*SyncSketch)
-	if !ok || o == nil || o.impl == nil {
-		return mergeTypeError(KindSyncSketch, other)
+	if err := Compatible(s, other); err != nil {
+		return err
 	}
-	if s.impl == nil {
-		return fmt.Errorf("bounded: merge into zero-value SyncSketch (construct with NewSyncSketch or UnmarshalBinary first)")
-	}
-	return s.impl.Merge(o.impl)
+	return s.impl.Merge(other.(*SyncSketch).impl)
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
 func (s *SyncSketch) CloneInto(dst Sketch) Sketch {
 	d := reuse[SyncSketch](dst)
-	c := SyncSketch{cfg: s.cfg, capacity: s.capacity}
+	c := SyncSketch{shape: s.shape}
 	if s.impl != nil {
 		c.impl = s.impl.CloneInto(d.impl)
 	}

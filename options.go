@@ -28,6 +28,39 @@ type sketchOptions struct {
 	capacitySet bool
 }
 
+// echo is the options a structure was built with, as its envelope
+// carries them and Merge compares them: what the constructor resolved,
+// defaults included, with zero in every field the kind does not take —
+// so options() rebuilds the same structure from it.
+type echo struct {
+	general     bool    // WithStrict(false): HeavyHitters, L1Estimator
+	copies      int     // L1Sampler
+	failureProb float64 // the strict L1Estimator
+	k           int     // SupportSampler
+	capacity    int     // SyncSketch
+}
+
+// options returns the Options that rebuild a structure with echo e.
+func (e echo) options() []Option {
+	var opts []Option
+	if e.general {
+		opts = append(opts, WithStrict(false))
+	}
+	if e.copies != 0 {
+		opts = append(opts, WithCopies(e.copies))
+	}
+	if e.failureProb != 0 {
+		opts = append(opts, WithFailureProb(e.failureProb))
+	}
+	if e.k != 0 {
+		opts = append(opts, WithK(e.k))
+	}
+	if e.capacity != 0 {
+		opts = append(opts, WithCapacity(e.capacity))
+	}
+	return opts
+}
+
 // Option names, used for the does-not-apply diagnostics.
 const (
 	optStrict   = "WithStrict"
@@ -111,20 +144,9 @@ func buildOptions(constructor string, cfg Config, opts []Option, allowed ...stri
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	o := &sketchOptions{
-		strict:      true,
-		copies:      0, // 0 = the sampler's 2/eps default
-		failureProb: 0.1,
-		k:           32,
-		capacity:    256,
-	}
-	for _, opt := range opts {
-		if opt == nil {
-			return nil, fmt.Errorf("bounded: %s received a nil Option", constructor)
-		}
-		if err := opt(o); err != nil {
-			return nil, err
-		}
+	o, err := applyOptions(constructor, opts)
+	if err != nil {
+		return nil, err
 	}
 	set := map[string]bool{
 		optStrict:   o.strictSet,
@@ -139,6 +161,27 @@ func buildOptions(constructor string, cfg Config, opts []Option, allowed ...stri
 	for name, wasSet := range set {
 		if wasSet {
 			return nil, fmt.Errorf("bounded: %s does not apply to %s", name, constructor)
+		}
+	}
+	return o, nil
+}
+
+// applyOptions applies opts over the defaults: the option values a
+// constructor given opts builds with, whether or not they apply to it.
+func applyOptions(constructor string, opts []Option) (*sketchOptions, error) {
+	o := &sketchOptions{
+		strict:      true,
+		copies:      0, // 0 = the sampler's 2/eps default
+		failureProb: 0.1,
+		k:           32,
+		capacity:    256,
+	}
+	for _, opt := range opts {
+		if opt == nil {
+			return nil, fmt.Errorf("bounded: %s received a nil Option", constructor)
+		}
+		if err := opt(o); err != nil {
+			return nil, err
 		}
 	}
 	return o, nil

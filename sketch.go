@@ -4,14 +4,9 @@ import (
 	"encoding"
 	"fmt"
 
-	"repro/internal/cauchy"
 	"repro/internal/heavy"
-	"repro/internal/inner"
-	"repro/internal/l0"
-	"repro/internal/l1"
 	"repro/internal/sampler"
 	"repro/internal/sparse"
-	"repro/internal/support"
 	"repro/internal/wire"
 )
 
@@ -23,8 +18,8 @@ import (
 // package's Snapshot ships exactly these bytes.
 //
 // Merge requires the other sketch to be the same concrete type, built
-// from the same Config (seed included); violations return a descriptive
-// error. Clone returns a deep snapshot safe to hand to another
+// from the same Config (seed included) and options; violations return a
+// descriptive error. Clone returns a deep snapshot safe to hand to another
 // goroutine while the original keeps ingesting. A marshal → unmarshal
 // round trip is answer-preserving: in the sketches' exact regimes the
 // restored instance is bit-identical to a Clone, which the differential
@@ -45,11 +40,13 @@ type Sketch interface {
 	// Idx/Delta columns are read-only to the callee; its hash-column
 	// scratch is consumed and may be overwritten.
 	UpdateColumns(b *Batch)
-	// Merge folds another same-type, same-Config sketch into this one;
-	// afterwards queries answer for the union of both input streams.
-	// Merge leaves other's answers and encoding unchanged: other is
-	// read, never thinned. (Until wire v2, ROADMAP 4a: to align CSSS
-	// sampling rates Merge thins a COPY of other's table under a
+	// Merge folds another same-type sketch built from the same Config
+	// and options into this one (Compatible is the one check; any other
+	// is an error and leaves the receiver unchanged); afterwards queries
+	// answer for the union of both input streams. Merge leaves other's
+	// answers and encoding unchanged: other is read, never thinned.
+	// (Until the generator travels on the wire, ROADMAP 4a: to align
+	// CSSS sampling rates Merge thins a COPY of other's table under a
 	// generator seeded, as Clone seeds one, by one draw of other's — so
 	// like Clone it is part of other's call sequence.)
 	Merge(other Sketch) error
@@ -84,22 +81,47 @@ const (
 )
 
 // kindTable is the one enumeration of the wire kinds: per kind, its
-// name and a zero-value constructor (what UnmarshalSketch restores
-// into, and the compile-time proof that every public structure is a
-// Sketch). A ninth structure is one constant and one row; a kind in
-// range always has a constructor.
+// name, its constructor (what a blob is decoded through, and the
+// compile-time proof that every public structure is a Sketch) and the
+// length of its dense state. A ninth structure is one constant and one
+// row; a kind in range always has a row.
 var kindTable = [...]struct {
-	name string
-	zero func() Sketch
+	name  string
+	build func(Config, ...Option) (Sketch, error)
+	// stateLen is the least length of a state at cfg under the option
+	// values o resolves to: the part every state of that shape holds, a
+	// closed form of the parameters the constructor derives. Decoding
+	// holds a payload to it before anything is allocated. (The L1
+	// estimators' and the inner product's are a few words — clocks,
+	// positions, level counts — and their levels are sized only as they
+	// are read.)
+	stateLen func(cfg Config, o *sketchOptions) int
 }{
-	KindHeavyHitters:   {"HeavyHitters", func() Sketch { return &HeavyHitters{} }},
-	KindL1Estimator:    {"L1Estimator", func() Sketch { return &L1Estimator{} }},
-	KindL0Estimator:    {"L0Estimator", func() Sketch { return &L0Estimator{} }},
-	KindL1Sampler:      {"L1Sampler", func() Sketch { return &L1Sampler{} }},
-	KindSupportSampler: {"SupportSampler", func() Sketch { return &SupportSampler{} }},
-	KindInnerProduct:   {"InnerProduct", func() Sketch { return &InnerProduct{} }},
-	KindL2HeavyHitters: {"L2HeavyHitters", func() Sketch { return &L2HeavyHitters{} }},
-	KindSyncSketch:     {"SyncSketch", func() Sketch { return &SyncSketch{} }},
+	KindHeavyHitters: {"HeavyHitters", ctor(NewHeavyHitters), func(c Config, o *sketchOptions) int {
+		return hhParams(c, echo{general: !o.strict}).StateLen()
+	}},
+	KindL1Estimator: {"L1Estimator", ctor(NewL1Estimator), func(Config, *sketchOptions) int { return 20 }},
+	KindL0Estimator: {"L0Estimator", ctor(NewL0Estimator), func(c Config, _ *sketchOptions) int { return l0Params(c).StateLen() }},
+	KindL1Sampler: {"L1Sampler", ctor(NewL1Sampler), func(c Config, o *sketchOptions) int {
+		return sampler.StateLen(samplerParams(c), samplerCopies(c, o.copies))
+	}},
+	KindSupportSampler: {"SupportSampler", ctor(NewSupportSampler), func(c Config, o *sketchOptions) int {
+		return supportParams(c, o.k).StateLen()
+	}},
+	KindInnerProduct:   {"InnerProduct", ctor(NewInnerProduct), func(Config, *sketchOptions) int { return 40 }},
+	KindL2HeavyHitters: {"L2HeavyHitters", ctor(NewL2HeavyHitters), func(c Config, _ *sketchOptions) int { return heavy.L2StateLen(c.Eps, c.Alpha) }},
+	KindSyncSketch:     {"SyncSketch", ctor(NewSyncSketch), func(_ Config, o *sketchOptions) int { return sparse.StateLen(o.capacity) }},
+}
+
+// ctor adapts a constructor to the table's Sketch-returning form.
+func ctor[T Sketch](f func(Config, ...Option) (T, error)) func(Config, ...Option) (Sketch, error) {
+	return func(cfg Config, opts ...Option) (Sketch, error) {
+		s, err := f(cfg, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
 }
 
 // valid reports whether k names a known structure (kind 0 is unused).
@@ -113,57 +135,76 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// The public wire envelope: "BD" magic, a format version, the kind, the
-// Config echo (N, Eps, Alpha, Seed), the constructor options echo, and
-// the structure's own framed payload (which carries every hash
-// coefficient). The envelope makes payloads self-describing — a
+// shape is what a structure is built from: its kind, its Config and the
+// options echo. Every public structure embeds the one its constructor
+// gave it (a zero value holds the zero shape); the envelope carries it,
+// the decoder rebuilds the structure from it, and Merge requires it to
+// be equal on both sides — the one check that stands for every
+// dimension, prime and hash wiring, which are all functions of it.
+type shape struct {
+	kind Kind
+	cfg  Config
+	opts echo
+}
+
+func (s shape) shapeOf() shape { return s }
+
+// state is a structure's internal state: what the envelope carries
+// and what a decoded structure is filled from.
+type state interface {
+	encoding.BinaryAppender
+	wire.Filler
+}
+
+// structure is what every public structure is beneath the Sketch
+// interface: a shape and a state.
+type structure interface {
+	Sketch
+	shapeOf() shape
+	state() state
+}
+
+// The public wire envelope (format v2): "BD" magic, the format version,
+// the kind, the Config echo (N, Eps, Alpha, Seed), the options echo,
+// then the structure's state — what Update and Merge change (counters,
+// clocks, candidates, live levels) and nothing its constructor derives
+// from the Config. The envelope makes payloads self-describing — a
 // receiver can SketchKind-peek a blob, UnmarshalSketch it without
 // knowing its type, and verify the Config matches its own before
-// merging.
+// merging — and its version is the format's one version.
 const (
 	envelopeMagic = "BD"
-	envelopeV1    = 1
+	envelopeV2    = 2
 )
 
 // envelope is the decoded public frame. payload aliases the input:
-// every structure decoder copies what it keeps into fresh arrays, so
+// every structure's Fill copies what it keeps into its own arrays, so
 // the frame itself is never copied.
 type envelope struct {
-	kind    Kind
-	cfg     Config
-	opts    sketchOptions
+	shape
 	payload []byte
 }
 
-// errZeroValueMarshal is the zero-value-receiver diagnostic. Callers
-// must check their CONCRETE impl pointer before calling
-// appendEnvelope: a nil *X boxed into the BinaryAppender parameter
-// would slip past an interface nil check (the typed-nil trap).
-func errZeroValueMarshal(kind Kind) error {
-	return fmt.Errorf("bounded: marshal of zero-value %s (construct or UnmarshalBinary first)", kind)
-}
-
-// appendEnvelope appends a structure's framed payload to dst. The
-// structure appends in place behind the header and grows the buffer by
-// its own encoded length, so the frame costs one allocation.
-func appendEnvelope(dst []byte, kind Kind, cfg Config, o sketchOptions, impl encoding.BinaryAppender) ([]byte, error) {
-	if impl == nil {
-		return nil, errZeroValueMarshal(kind)
+// appendBinary appends s's envelope to dst. The state appends in place
+// behind the header, so the frame costs one allocation when the state
+// grows the buffer by its own length.
+func appendBinary(dst []byte, s structure, kind Kind) ([]byte, error) {
+	sh := s.shapeOf()
+	if sh.kind == 0 {
+		return nil, fmt.Errorf("bounded: marshal of zero-value %s (construct or UnmarshalBinary first)", kind)
 	}
-	w := wire.Append(dst, envelopeMagic, envelopeV1)
-	w.U8(uint8(kind))
-	w.U64(cfg.N)
-	w.F64(cfg.Eps)
-	w.F64(cfg.Alpha)
-	w.I64(cfg.Seed)
-	w.Bool(o.strict)
-	w.U32(uint32(o.copies))
-	w.F64(o.failureProb)
-	w.U32(uint32(o.k))
-	w.U32(uint32(o.capacity))
-	if err := w.Marshal(impl); err != nil {
-		return nil, err
-	}
+	w := wire.Append(dst, envelopeMagic, envelopeV2)
+	w.U8(uint8(sh.kind))
+	w.U64(sh.cfg.N)
+	w.F64(sh.cfg.Eps)
+	w.F64(sh.cfg.Alpha)
+	w.I64(sh.cfg.Seed)
+	w.Bool(sh.opts.general)
+	w.U32(uint32(sh.opts.copies))
+	w.F64(sh.opts.failureProb)
+	w.U32(uint32(sh.opts.k))
+	w.U32(uint32(sh.opts.capacity))
+	w.Marshal(s.state())
 	return w.Bytes(), nil
 }
 
@@ -175,7 +216,7 @@ func openEnvelope(data []byte) (*wire.Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bounded: not a sketch envelope: %w", err)
 	}
-	if v != envelopeV1 {
+	if v != envelopeV2 {
 		return nil, fmt.Errorf("bounded: unsupported wire format version %d", v)
 	}
 	return rd, nil
@@ -195,13 +236,13 @@ func parseEnvelope(data []byte, wantKind Kind) (*envelope, error) {
 	e := &envelope{}
 	e.kind = Kind(rd.U8())
 	e.cfg = configEcho(rd)
-	e.opts.strict = rd.Bool()
+	e.opts.general = rd.Bool()
 	e.opts.copies = int(rd.U32())
 	e.opts.failureProb = rd.F64()
 	e.opts.k = int(rd.U32())
 	e.opts.capacity = int(rd.U32())
-	e.payload = rd.View32()
-	if err := rd.Done(); err != nil {
+	e.payload = rd.Take(rd.Remaining())
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	if !e.kind.valid() {
@@ -213,36 +254,54 @@ func parseEnvelope(data []byte, wantKind Kind) (*envelope, error) {
 	return e, nil
 }
 
-// restoreEnvelope is the shared body of the UnmarshalBinary methods:
-// parse the envelope, check it holds kind, validate the Config echo,
-// and decode the payload into a fresh T. Nothing is committed here, so
-// a failure leaves the caller's receiver untouched.
-func restoreEnvelope[T any, P interface {
-	*T
-	encoding.BinaryUnmarshaler
-}](data []byte, kind Kind) (*envelope, P, error) {
-	env, err := parseEnvelope(data, kind)
+// decode restores a structure from its envelope (of kind want, when
+// nonzero). The constructor is the validator: the state's length is
+// held to the dense length of the shape the echo resolves to before
+// anything is allocated, the structure is built from the echoed Config
+// and options exactly as New builds it — an echo the constructor
+// refuses, or one it would not have written, is refused — and the state
+// then fills what that build left empty. Nothing is committed anywhere,
+// so a failure leaves every caller's receiver untouched.
+func decode(data []byte, want Kind) (structure, error) {
+	env, err := parseEnvelope(data, want)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	impl, err := restorePayload[T, P](env)
-	return env, impl, err
-}
-
-// restorePayload is restoreEnvelope after the parse, for a caller that
-// reads the options echo to pick T.
-func restorePayload[T any, P interface {
-	*T
-	encoding.BinaryUnmarshaler
-}](env *envelope) (P, error) {
 	if err := env.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	impl := P(new(T))
-	if err := impl.UnmarshalBinary(env.payload); err != nil {
-		return nil, err
+	row := &kindTable[env.kind]
+	o, err := applyOptions(row.name, env.opts.options())
+	if err != nil {
+		return nil, fmt.Errorf("bounded: %s options echo: %w", env.kind, err)
 	}
-	return impl, nil
+	if need := row.stateLen(env.cfg, o); len(env.payload) < need {
+		return nil, fmt.Errorf("bounded: %s state of %d bytes is shorter than the %d its Config and options call for",
+			env.kind, len(env.payload), need)
+	}
+	sk, err := row.build(env.cfg, env.opts.options()...)
+	if err != nil {
+		return nil, fmt.Errorf("bounded: %s options echo: %w", env.kind, err)
+	}
+	s := sk.(structure)
+	if s.shapeOf() != env.shape {
+		return nil, fmt.Errorf("bounded: %s options echo %+v is not the one its constructor writes (%+v)", env.kind, env.opts, s.shapeOf().opts)
+	}
+	if err := wire.Fill(env.payload, s.state()); err != nil {
+		return nil, fmt.Errorf("bounded: %s state: %w", env.kind, err)
+	}
+	return s, nil
+}
+
+// unmarshalInto is the body of every UnmarshalBinary: decode a kind's
+// blob and, only on success, overwrite the receiver with it.
+func unmarshalInto[T any](dst *T, data []byte, kind Kind) error {
+	s, err := decode(data, kind)
+	if err != nil {
+		return err
+	}
+	*dst = *any(s).(*T)
+	return nil
 }
 
 // SketchConfig peeks at a serialized sketch's Config echo without
@@ -285,215 +344,110 @@ func SketchKind(data []byte) (Kind, error) {
 // exchange (the networked aggregator and the engine's partitioned
 // restore are built on it).
 func UnmarshalSketch(data []byte) (Sketch, error) {
-	kind, err := SketchKind(data)
+	s, err := decode(data, 0)
 	if err != nil {
-		return nil, err
-	}
-	s := kindTable[kind].zero()
-	if err := s.UnmarshalBinary(data); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// MarshalBinary serializes the structure: a self-describing envelope
-// (kind, Config echo, options echo) around the sketch state including
-// its hash coefficients. Ship the bytes to a peer holding a same-Config
-// instance and Merge there — identical to an in-process merge in the
-// sketches' exact regimes.
-func (h *HeavyHitters) MarshalBinary() ([]byte, error) { return h.appendBinary(nil) }
+// Every structure's MarshalBinary writes the self-describing envelope
+// (kind, Config echo, options echo) around its state; ship the bytes
+// to a peer holding a same-Config instance and Merge there — identical
+// to an in-process merge in the sketches' exact regimes. Every
+// UnmarshalBinary restores what MarshalBinary wrote: it works on a
+// zero-value receiver, and on failure leaves the receiver unchanged.
 
-// appendBinary is MarshalBinary onto the end of dst, as on every
-// structure below.
-func (h *HeavyHitters) appendBinary(dst []byte) ([]byte, error) {
-	if h == nil || h.impl == nil {
-		return nil, errZeroValueMarshal(KindHeavyHitters)
-	}
-	return appendEnvelope(dst, KindHeavyHitters, h.cfg, sketchOptions{strict: h.strict}, h.impl)
-}
+// MarshalBinary serializes the structure.
+func (h *HeavyHitters) MarshalBinary() ([]byte, error) { return appendBinary(nil, h, KindHeavyHitters) }
 
-// UnmarshalBinary restores a structure serialized by MarshalBinary. It
-// works on a zero-value receiver; on failure the receiver is left
-// unchanged.
+// UnmarshalBinary restores a structure serialized by MarshalBinary.
 func (h *HeavyHitters) UnmarshalBinary(data []byte) error {
-	env, impl, err := restoreEnvelope[heavy.AlphaL1](data, KindHeavyHitters)
-	if err != nil {
-		return err
-	}
-	h.cfg, h.strict, h.impl = env.cfg, env.opts.strict, impl
-	return nil
+	return unmarshalInto(h, data, KindHeavyHitters)
 }
 
-// MarshalBinary serializes the estimator (see HeavyHitters.MarshalBinary).
-func (e *L1Estimator) MarshalBinary() ([]byte, error) { return e.appendBinary(nil) }
+func (h *HeavyHitters) state() state { return h.impl }
 
-func (e *L1Estimator) appendBinary(dst []byte) ([]byte, error) {
-	if e == nil || (e.strict == nil && e.general == nil) {
-		return nil, errZeroValueMarshal(KindL1Estimator)
-	}
-	var impl encoding.BinaryAppender
-	if e.strict != nil {
-		impl = e.strict
-	} else {
-		impl = e.general
-	}
-	return appendEnvelope(dst, KindL1Estimator, e.cfg,
-		sketchOptions{strict: e.strict != nil, failureProb: e.delta}, impl)
-}
+// MarshalBinary serializes the estimator.
+func (e *L1Estimator) MarshalBinary() ([]byte, error) { return appendBinary(nil, e, KindL1Estimator) }
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
 func (e *L1Estimator) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data, KindL1Estimator)
-	if err != nil {
-		return err
-	}
-	// The options echo says which variant the payload holds.
-	if env.opts.strict {
-		impl, err := restorePayload[l1.AlphaEstimator](env)
-		if err != nil {
-			return err
-		}
-		e.cfg, e.delta, e.strict, e.general = env.cfg, env.opts.failureProb, impl, nil
-		return nil
-	}
-	impl, err := restorePayload[cauchy.SampledSketch](env)
-	if err != nil {
-		return err
-	}
-	e.cfg, e.delta, e.strict, e.general = env.cfg, env.opts.failureProb, nil, impl
-	return nil
+	return unmarshalInto(e, data, KindL1Estimator)
 }
 
-// MarshalBinary serializes the estimator (see HeavyHitters.MarshalBinary).
-func (e *L0Estimator) MarshalBinary() ([]byte, error) { return e.appendBinary(nil) }
-
-func (e *L0Estimator) appendBinary(dst []byte) ([]byte, error) {
-	if e == nil || e.impl == nil {
-		return nil, errZeroValueMarshal(KindL0Estimator)
+func (e *L1Estimator) state() state {
+	if e.strict != nil {
+		return e.strict
 	}
-	return appendEnvelope(dst, KindL0Estimator, e.cfg, sketchOptions{}, e.impl)
+	return e.general
 }
+
+// MarshalBinary serializes the estimator.
+func (e *L0Estimator) MarshalBinary() ([]byte, error) { return appendBinary(nil, e, KindL0Estimator) }
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
 func (e *L0Estimator) UnmarshalBinary(data []byte) error {
-	env, impl, err := restoreEnvelope[l0.Estimator](data, KindL0Estimator)
-	if err != nil {
-		return err
-	}
-	e.cfg, e.impl = env.cfg, impl
-	return nil
+	return unmarshalInto(e, data, KindL0Estimator)
 }
 
-// MarshalBinary serializes the sampler (see HeavyHitters.MarshalBinary).
-func (s *L1Sampler) MarshalBinary() ([]byte, error) { return s.appendBinary(nil) }
+func (e *L0Estimator) state() state { return e.impl }
 
-func (s *L1Sampler) appendBinary(dst []byte) ([]byte, error) {
-	if s == nil || s.impl == nil {
-		return nil, errZeroValueMarshal(KindL1Sampler)
-	}
-	return appendEnvelope(dst, KindL1Sampler, s.cfg, sketchOptions{copies: s.copies}, s.impl)
-}
+// MarshalBinary serializes the sampler.
+func (s *L1Sampler) MarshalBinary() ([]byte, error) { return appendBinary(nil, s, KindL1Sampler) }
 
 // UnmarshalBinary restores a sampler serialized by MarshalBinary.
 func (s *L1Sampler) UnmarshalBinary(data []byte) error {
-	env, impl, err := restoreEnvelope[sampler.Sampler](data, KindL1Sampler)
-	if err != nil {
-		return err
-	}
-	s.cfg, s.copies, s.impl = env.cfg, env.opts.copies, impl
-	return nil
+	return unmarshalInto(s, data, KindL1Sampler)
 }
 
-// MarshalBinary serializes the sampler (see HeavyHitters.MarshalBinary).
-func (s *SupportSampler) MarshalBinary() ([]byte, error) { return s.appendBinary(nil) }
+func (s *L1Sampler) state() state { return s.impl }
 
-func (s *SupportSampler) appendBinary(dst []byte) ([]byte, error) {
-	if s == nil || s.impl == nil {
-		return nil, errZeroValueMarshal(KindSupportSampler)
-	}
-	return appendEnvelope(dst, KindSupportSampler, s.cfg, sketchOptions{k: s.k}, s.impl)
+// MarshalBinary serializes the sampler.
+func (s *SupportSampler) MarshalBinary() ([]byte, error) {
+	return appendBinary(nil, s, KindSupportSampler)
 }
 
 // UnmarshalBinary restores a sampler serialized by MarshalBinary.
 func (s *SupportSampler) UnmarshalBinary(data []byte) error {
-	env, impl, err := restoreEnvelope[support.Sampler](data, KindSupportSampler)
-	if err != nil {
-		return err
-	}
-	s.cfg, s.k, s.impl = env.cfg, env.opts.k, impl
-	return nil
+	return unmarshalInto(s, data, KindSupportSampler)
 }
 
-// MarshalBinary serializes the estimator (see HeavyHitters.MarshalBinary).
-func (ip *InnerProduct) MarshalBinary() ([]byte, error) { return ip.appendBinary(nil) }
+func (s *SupportSampler) state() state { return s.impl }
 
-func (ip *InnerProduct) appendBinary(dst []byte) ([]byte, error) {
-	if ip == nil || ip.impl == nil {
-		return nil, errZeroValueMarshal(KindInnerProduct)
-	}
-	return appendEnvelope(dst, KindInnerProduct, ip.cfg, sketchOptions{}, ip.impl)
+// MarshalBinary serializes the estimator.
+func (ip *InnerProduct) MarshalBinary() ([]byte, error) {
+	return appendBinary(nil, ip, KindInnerProduct)
 }
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
 func (ip *InnerProduct) UnmarshalBinary(data []byte) error {
-	env, impl, err := restoreEnvelope[inner.Estimator](data, KindInnerProduct)
-	if err != nil {
-		return err
-	}
-	ip.cfg, ip.impl = env.cfg, impl
-	return nil
+	return unmarshalInto(ip, data, KindInnerProduct)
 }
 
-// MarshalBinary serializes the structure (see HeavyHitters.MarshalBinary).
-func (h *L2HeavyHitters) MarshalBinary() ([]byte, error) { return h.appendBinary(nil) }
+func (ip *InnerProduct) state() state { return ip.impl }
 
-func (h *L2HeavyHitters) appendBinary(dst []byte) ([]byte, error) {
-	if h == nil || h.impl == nil {
-		return nil, errZeroValueMarshal(KindL2HeavyHitters)
-	}
-	return appendEnvelope(dst, KindL2HeavyHitters, h.cfg, sketchOptions{}, h.impl)
+// MarshalBinary serializes the structure.
+func (h *L2HeavyHitters) MarshalBinary() ([]byte, error) {
+	return appendBinary(nil, h, KindL2HeavyHitters)
 }
 
 // UnmarshalBinary restores a structure serialized by MarshalBinary.
 func (h *L2HeavyHitters) UnmarshalBinary(data []byte) error {
-	env, impl, err := restoreEnvelope[heavy.AlphaL2](data, KindL2HeavyHitters)
-	if err != nil {
-		return err
-	}
-	h.cfg, h.impl = env.cfg, impl
-	return nil
+	return unmarshalInto(h, data, KindL2HeavyHitters)
 }
+
+func (h *L2HeavyHitters) state() state { return h.impl }
 
 // MarshalBinary serializes the sync sketch in the self-describing
 // envelope every other structure uses.
-func (s *SyncSketch) MarshalBinary() ([]byte, error) { return s.appendBinary(nil) }
+func (s *SyncSketch) MarshalBinary() ([]byte, error) { return appendBinary(nil, s, KindSyncSketch) }
 
-func (s *SyncSketch) appendBinary(dst []byte) ([]byte, error) {
-	if s == nil || s.impl == nil {
-		return nil, errZeroValueMarshal(KindSyncSketch)
-	}
-	return appendEnvelope(dst, KindSyncSketch, s.cfg, sketchOptions{capacity: s.capacity}, s.impl)
-}
-
-// UnmarshalBinary restores a sync sketch serialized by MarshalBinary. It
-// works on a zero-value receiver — `var s SyncSketch;
-// s.UnmarshalBinary(data)` is the receive side of an exchange — and on
-// failure leaves the receiver as it was.
+// UnmarshalBinary restores a sync sketch serialized by MarshalBinary —
+// `var s SyncSketch; s.UnmarshalBinary(data)` is the receive side of an
+// exchange.
 func (s *SyncSketch) UnmarshalBinary(data []byte) error {
-	env, impl, err := restoreEnvelope[sparse.Recovery](data, KindSyncSketch)
-	if err != nil {
-		return err
-	}
-	s.cfg, s.capacity, s.impl = env.cfg, env.opts.capacity, impl
-	return nil
+	return unmarshalInto(s, data, KindSyncSketch)
 }
 
-// syncPayload extracts the sparse-recovery frame from a sync sketch's
-// envelope — the input SubRemote's subtraction consumes.
-func syncPayload(data []byte) ([]byte, error) {
-	env, err := parseEnvelope(data, KindSyncSketch)
-	if err != nil {
-		return nil, err
-	}
-	return env.payload, nil
-}
+func (s *SyncSketch) state() state { return s.impl }

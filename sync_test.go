@@ -88,13 +88,7 @@ func TestSyncSketchRefusesBareFrame(t *testing.T) {
 	s := must(NewSyncSketch(cfg, WithCapacity(32)))
 	s.Update(42, 3)
 	enveloped := must(s.MarshalBinary())
-	bare, err := syncPayload(enveloped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(bare[:2]) != "SR" {
-		t.Fatalf("the envelope carries a %q frame, want SR", bare[:2])
-	}
+	bare := enveloped[stateAt(t, enveloped):]
 	var z SyncSketch
 	if err := z.UnmarshalBinary(bare); err == nil || !strings.Contains(err.Error(), "envelope") {
 		t.Errorf("UnmarshalBinary of a bare SR frame: got %v, want an error naming the envelope", err)
@@ -146,5 +140,29 @@ func TestSyncSketchMerge(t *testing.T) {
 	var zero SyncSketch
 	if err := zero.Merge(a); err == nil {
 		t.Error("Merge into zero-value SyncSketch should fail")
+	}
+}
+
+// TestSubRemoteRejectsForeign: SubRemote subtracts only a peer's sketch
+// built from the same Config and capacity — a blob carries no hash
+// functions to compare, so its echo is what is checked — and a refused
+// one leaves the receiver's bytes alone.
+func TestSubRemoteRejectsForeign(t *testing.T) {
+	cfg := Config{N: 1 << 16, Eps: 0.1, Alpha: 2, Seed: 79}
+	a := must(NewSyncSketch(cfg, WithCapacity(8)))
+	a.Update(3, 1)
+	before := must(a.MarshalBinary())
+	foreign := cfg
+	foreign.Seed++
+	for name, peer := range map[string]*SyncSketch{
+		"another seed":     must(NewSyncSketch(foreign, WithCapacity(8))),
+		"another capacity": must(NewSyncSketch(cfg, WithCapacity(9))),
+	} {
+		if err := a.SubRemote(must(peer.MarshalBinary())); err == nil {
+			t.Errorf("%s: SubRemote accepted the peer's sketch", name)
+		}
+	}
+	if string(must(a.MarshalBinary())) != string(before) {
+		t.Error("a refused SubRemote changed the receiver")
 	}
 }

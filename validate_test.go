@@ -1,6 +1,7 @@
 package bounded
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,9 @@ func TestConfigValidate(t *testing.T) {
 		{"Eps too large", Config{N: 1 << 10, Eps: 1.5, Alpha: 2}, "Eps must be below 1"},
 		{"Alpha below one", Config{N: 1 << 10, Eps: 0.1, Alpha: 0.5}, "Alpha must be >= 1"},
 		{"Alpha zero", Config{N: 1 << 10, Eps: 0.1, Alpha: 0}, "Alpha must be >= 1"},
+		{"Eps NaN", Config{N: 1 << 10, Eps: math.NaN(), Alpha: 2}, "Eps must be positive"},
+		{"Alpha NaN", Config{N: 1 << 10, Eps: 0.1, Alpha: math.NaN()}, "Alpha must be finite"},
+		{"Alpha infinite", Config{N: 1 << 10, Eps: 0.1, Alpha: math.Inf(1)}, "Alpha must be finite"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
