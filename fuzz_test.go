@@ -3,6 +3,7 @@ package bounded
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/csss"
@@ -188,13 +189,15 @@ func FuzzUnmarshal(f *testing.F) {
 	seed(NewL2HeavyHitters(cfg))
 	// Wire values that once sized an allocation: a candidate list longer
 	// than the tracker retains (a fresh structure's tracker count is the
-	// last word of its state), and a short blob whose echo names a shape
-	// of 1.6 GB.
+	// last word of its state), a short blob whose echo names a shape of
+	// 1.6 GB, and an eps naming a Count-Sketch of 2^40 columns.
 	many := append([]byte(nil), hhData...)
 	binary.LittleEndian.PutUint32(many[len(many)-4:], 1<<22)
 	for name, bad := range map[string][]byte{
 		"tracker entry count 2^22": many,
 		"huge shape":               hugeShapeBlob(f),
+		"Count-Sketch of 2^40 columns": countSketchColsCrafted(
+			must(must(NewL2HeavyHitters(cfg)).MarshalBinary()), math.SmallestNonzeroFloat64),
 	} {
 		if _, err := UnmarshalSketch(bad); err == nil {
 			f.Fatalf("accepted a %s", name)

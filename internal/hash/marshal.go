@@ -9,11 +9,10 @@ import (
 )
 
 // Binary layout of a KWise function: "HK" magic, a uint16 k, then k
-// little-endian uint64 coefficients. Serialization exists because the
-// library's sketches are linear and therefore shippable: a remote party
-// can only merge or subtract a sketch if it can reconstruct the exact
-// hash functions (the RDC synchronization scenario of the paper's
-// introduction).
+// little-endian uint64 coefficients. No sketch encoding uses it: a
+// sketch's hash functions are rebuilt from its Config's seed by its
+// constructor, so they never travel. What is left here encodes a bare
+// function or wiring on its own.
 
 var errBadHashData = errors.New("hash: malformed KWise data")
 

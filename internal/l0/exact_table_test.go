@@ -196,6 +196,31 @@ func TestBucketTableMatchesMap(t *testing.T) {
 	}
 }
 
+// TestExactSmallDecodedBoundSizesNothing: the promise bound c is the
+// constructor's and sizes no table — a structure built under c = 300
+// (360 000 buckets) decodes a one-counter state into a table of a few
+// cells, and its update path grows the table as it fills.
+func TestExactSmallDecodedBoundSizesNothing(t *testing.T) {
+	fresh := func() *ExactSmall { return NewExactSmall(rand.New(rand.NewSource(4)), 300) }
+	e := fresh()
+	e.Update(1, 1)
+	enc := wiretest.MustMarshal(t, e)
+	restored := fresh()
+	if err := wire.Fill(enc, restored); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := restored.Count(); !ok || n != 1 || len(restored.counters.cells) > 8 {
+		t.Fatalf("restored Count = (%d, %v) with a table of %d cells", n, ok, len(restored.counters.cells))
+	}
+	for i := uint64(0); i < 200; i++ {
+		restored.Update(i, 1)
+	}
+	// 200 keys in 360 000 buckets: a collision or two at most.
+	if n, ok := restored.Count(); !ok || n < 198 || n > 200 {
+		t.Fatalf("Count = (%d, %v) after 200 distinct keys under a bound of 300", n, ok)
+	}
+}
+
 // TestExactSmallLatchedDecodeSizesNothing: a latched structure lists no
 // counters, so a latched state that carries a list — however long — is
 // refused before anything is sized by it.

@@ -257,6 +257,41 @@ func TestDecodeTerminatesOnPingPong(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsInconsistentHeader: the capacity, the subtable
+// width and the cell count are the receiver's constructor's, not the
+// state's, so a state must hold exactly the receiver's cells — one cell
+// short or over, or a state of a capacity-17 structure filled into one
+// of capacity 16, is refused.
+func TestUnmarshalRejectsInconsistentHeader(t *testing.T) {
+	fresh := func(capacity int) *Recovery { return NewRecovery(rand.New(rand.NewSource(5)), capacity, 1<<32) }
+	r := fresh(16)
+	r.Update(12345, 7)
+	honest, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.Fill(honest, fresh(16)); err != nil {
+		t.Fatalf("honest state refused: %v", err)
+	}
+	wider, err := fresh(17).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wider) == len(honest) {
+		t.Fatalf("capacities 16 and 17 encode to the same %d bytes", len(honest))
+	}
+	for name, frame := range map[string][]byte{
+		"one cell short":     honest[:len(honest)-24],
+		"one cell over":      append(slices.Clone(honest), make([]byte, 24)...),
+		"capacity 17 state":  wider,
+		"capacity 17, short": wider[:len(honest)+1],
+	} {
+		if err := wire.Fill(frame, fresh(16)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestUnmarshalRejectsUnreducedSums: the capacity, and with it the peel
 // bound and the cell count, are the constructor's; what the state can
 // still get wrong is a field sum that is not reduced mod p, which the
@@ -281,7 +316,6 @@ func TestUnmarshalRejectsUnreducedSums(t *testing.T) {
 	for name, frame := range map[string][]byte{
 		"keySum == p":     patched(cellsAt+8, nt.MersennePrime61),
 		"fpSum == 2^64-1": patched(cellsAt+16, math.MaxUint64),
-		"one cell short":  honest[:len(honest)-24],
 	} {
 		if err := wire.Fill(frame, fresh()); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -490,6 +492,35 @@ func TestUnmarshalSketchRejectsGarbage(t *testing.T) {
 	wrongKind[3] = 200
 	if _, err := UnmarshalSketch(wrongKind); err == nil {
 		t.Error("accepted unknown kind byte")
+	}
+}
+
+// countSketchColsCrafted rewrites the eps of an L2HeavyHitters blob's
+// Config echo, from which its Count-Sketch's column count is derived,
+// and leaves the state as it was.
+func countSketchColsCrafted(blob []byte, eps float64) []byte {
+	out := slices.Clone(blob)
+	binary.LittleEndian.PutUint64(out[12:], math.Float64bits(eps)) // after magic, version, kind and N
+	return out
+}
+
+// TestCraftedCountSketchColsRefused: a Count-Sketch's column count is
+// its constructor's, derived from the echoed eps, so a crafted eps is
+// how a blob names one. Down to the smallest positive eps the count
+// (clamped at 2^40) and the state length it implies must not wrap the
+// length check: each such blob is refused by that check within the
+// allocation bound, and the honest blob still decodes.
+func TestCraftedCountSketchColsRefused(t *testing.T) {
+	blob := must(must(NewL2HeavyHitters(Config{N: 1 << 16, Eps: 0.1, Alpha: 2, Seed: 7})).MarshalBinary())
+	for _, eps := range []float64{0.01, 1e-6, 1e-12, 1e-100, math.SmallestNonzeroFloat64} {
+		var err error
+		wiretest.CheckBoundedDecode(t, countSketchColsCrafted(blob, eps), func(b []byte) error { _, err = UnmarshalSketch(b); return err })
+		if err == nil || !strings.Contains(err.Error(), "shorter than") {
+			t.Errorf("eps %g: err = %v, want the length refusal", eps, err)
+		}
+	}
+	if _, err := UnmarshalSketch(blob); err != nil {
+		t.Fatalf("honest blob refused: %v", err)
 	}
 }
 
