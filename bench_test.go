@@ -630,8 +630,9 @@ func itoa(v int) string {
 // BenchmarkSnapshotCodec times the wire codec alone on the three
 // structures with the biggest tables, warmed on the Figure 1 stream:
 // MB/s of encoded bytes and, with -benchmem, B/op against the blob size
-// reported beside it (one buffer out; about one blob's worth of tables
-// in).
+// reported beside it (one buffer out; the decoded tables in, up to 8
+// times a packed column). Beside the blob size sits the structure's
+// SpaceBits()/8, which the blob tracks now that counts travel packed.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	cfg := Config{N: 1 << 20, Eps: 0.02, Alpha: benchAlpha, Seed: benchSeed}
 	s, _ := benchHHStream()
@@ -652,6 +653,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		space := float64(sk.SpaceBits()) / 8
 		b.Run("marshal/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(blob)))
@@ -661,6 +663,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(blob)), "bytes/blob")
+			b.ReportMetric(space, "space-B/blob")
 		})
 		b.Run("unmarshal/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -671,6 +674,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(blob)), "bytes/blob")
+			b.ReportMetric(space, "space-B/blob")
 		})
 	}
 }

@@ -78,15 +78,19 @@ func TestDecodeBoundedAtExtremeConfigs(t *testing.T) {
 	}
 }
 
-// TestRefusesV1: the format has one version; a blob of the first one is
-// refused with one clear error.
+// TestRefusesV1: the format has one version; a blob of an earlier one
+// (v1, or v2 with its counters a word each) is refused with one clear
+// error.
 func TestRefusesV1(t *testing.T) {
-	blob := must(must(NewHeavyHitters(Config{N: 1 << 10, Eps: 0.1, Alpha: 2, Seed: 1})).MarshalBinary())
-	blob[2] = 1
-	var h HeavyHitters
-	for _, err := range []error{h.UnmarshalBinary(blob), second(UnmarshalSketch(blob)), second(SketchKind(blob))} {
-		if err == nil || err.Error() != "bounded: unsupported wire format version 1" {
-			t.Errorf("a v1 envelope: err = %v", err)
+	for _, v := range []byte{1, 2} {
+		blob := must(must(NewHeavyHitters(Config{N: 1 << 10, Eps: 0.1, Alpha: 2, Seed: 1})).MarshalBinary())
+		blob[2] = v
+		want := fmt.Sprintf("bounded: unsupported wire format version %d", v)
+		var h HeavyHitters
+		for _, err := range []error{h.UnmarshalBinary(blob), second(UnmarshalSketch(blob)), second(SketchKind(blob))} {
+			if err == nil || err.Error() != want {
+				t.Errorf("a v%d envelope: err = %v", v, err)
+			}
 		}
 	}
 }

@@ -127,13 +127,16 @@
 // levels) and nothing else. Every dimension, prime and hash coefficient
 // is a function of the Config and options, so the receiver rebuilds the
 // identical linear map: UnmarshalBinary holds the state's length to the
-// echoed shape's dense length before anything is allocated, builds the
+// echoed shape's least length before anything is allocated, builds the
 // structure through its constructor exactly as New does — an echo the
 // constructor refuses, or would not have written, is refused — and
 // fills the state in. It works on a zero-value receiver; UnmarshalSketch
 // dispatches on the kind byte when the receiver does not know what it
 // was sent; SketchKind peeks without restoring. The format has one
-// version (2); a blob of another is refused.
+// version (3); a blob of another is refused. Every count column travels
+// at the byte width of its widest entry, so a blob is about
+// SpaceBits()/8 bytes: the wire ships the bits the space bound charges,
+// with field elements, floats and ids a word each.
 //
 //	wire, _ := siteSketch.MarshalBinary()      // site: serialize
 //	sk, err := bounded.UnmarshalSketch(wire)   // coordinator: restore
@@ -165,8 +168,8 @@
 // it admits merges with any structure built from that Config and the
 // same options: there is no hash wiring left on the wire to disagree.
 // (It does not compare the options echo: an engine restore does, against
-// its own structures; an aggregator still admits agents whose options
-// differ, ROADMAP 3c.)
+// its own structures, and an aggregator against what its other agents
+// hold of the kind.)
 //
 // # Performance
 //

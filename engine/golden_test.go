@@ -10,19 +10,19 @@ import (
 // TestGoldenPartitionedSnapshot pins the "BP" image byte for byte: an
 // engine holding every structure of the kinds table, fed the Figure 1
 // workload in uneven chunks, must marshal to the digests recorded. They
-// were last re-pinned when a sketch's state stopped carrying what its
-// constructor derives from the Config (wire format v2: no parameters,
-// dimensions or hash coefficients). A moved byte anywhere — envelope,
+// were last re-pinned when every count column began to travel packed at
+// its byte width (wire format v3). A moved byte anywhere — envelope,
 // blob list, any structure's state — fails here.
 //
 // Beside each byte digest sits the digest of every answer the image
 // gives once restored, recorded by the same probe in the tree before
-// that re-pin: the bytes moved, the answers did not.
+// the v2 re-pin and unmoved by v3's: the bytes moved, the answers did
+// not.
 func TestGoldenPartitionedSnapshot(t *testing.T) {
 	golden := map[int]string{
-		1: "bd312403607c97ced05a50eb4e3c763c0f75e2c1f26f1f3200db613c11193385",
-		2: "7d5d61e41687759d66503c69afb5056be05a557b97dbef345c45b7318c1a14ac",
-		4: "b443880d7fb9c214683934357143817ae61ac0a5fe490df8fdec4be07d1608e2",
+		1: "b54d6bc0a7fa86f2c8cc851b8c44418d586eb7f9700ac0850a85061ad33c11bc",
+		2: "b226d1cf142b4c84fc5b0c34a6dc08d8c8e4ac8c5418f6361307727ef2e55210",
+		4: "53b0291e3972a30dbf183d4c7f8aaa2828fbf9c8e4336b766d25f8f41de58e54",
 	}
 	answers := map[int]string{
 		1: "7eef854e57522fa3cb9358a9308e03dc4aaa3019cbfc0748b8c59af7942fb6f5",

@@ -159,7 +159,8 @@ func ParseStructures(s string) (Structures, error) {
 // carries no hash wiring of its own — the decoder rebuilds it from cfg
 // — so an admitted blob merges with every structure built from cfg and
 // the same options; the options echo is the caller's to compare
-// (RestorePartitioned does, against its own structures). The sketches
+// (RestorePartitioned does, against its own structures, and the
+// networked aggregator against its other agents'). The sketches
 // come back parallel to blobs, and only once every blob has passed, so
 // a caller commits all of a list or none of it.
 func DecodeBlobs(blobs []wire.Blob, accept Structures, cfg bounded.Config) ([]bounded.Sketch, error) {

@@ -100,23 +100,70 @@ func pingPongFrames(f *testing.F, cfg Config) (tiny, held []byte) {
 	s := must(NewSyncSketch(cfg, WithCapacity(16)))
 	s.Update(5, 3)
 	held = must(s.MarshalBinary())
-	const cellBytes = 24
-	cellsAt := stateAt(f, held) + 8 // past maxCount
-	per := (len(held) - cellsAt) / cellBytes / 3
-	var one []byte
-	for c := held[cellsAt : cellsAt+per*cellBytes]; len(c) > 0; c = c[cellBytes:] {
-		if !bytes.Equal(c[:cellBytes], make([]byte, cellBytes)) {
-			one = c[:cellBytes]
-		}
-	}
-	if one == nil {
+	// The state: maxCount, the width byte, the packed count column,
+	// then each cell's two field sums.
+	countsAt := stateAt(f, held) + 9
+	width := int(held[countsAt-1])
+	cells := (len(held) - countsAt) / (width + 16)
+	per, sumsAt := cells/3, countsAt+cells*width
+	if bytes.Equal(held[countsAt:countsAt+per*width], make([]byte, per*width)) {
 		f.Fatal("no nonzero cell in subtable 0")
 	}
-	clear(held[cellsAt+per*cellBytes:])
+	clear(held[countsAt+per*width : sumsAt])
+	clear(held[sumsAt+per*16:])
 	tiny = append([]byte(nil), held...)
 	// The capacity echo is the last word of the header.
 	binary.LittleEndian.PutUint32(tiny[stateAt(f, tiny)-4:], 1<<22)
 	return tiny, held
+}
+
+// packedWidths returns blobs whose packed count columns sit at widths
+// 1, 3 and 8 — sync sketches whose widest count's zigzag needs that
+// many bytes, and a fresh heavy-hitters table repacked at 3 and 8 — and
+// three the reader must refuse: the table at widths 0 and 9, and at
+// width 8 with its last counter's sign bit set.
+func packedWidths(tb testing.TB, cfg Config) [][]byte {
+	var out [][]byte
+	for _, c := range []struct {
+		width int
+		count int64
+	}{{1, 2}, {3, 1 << 20}, {8, -1 << 60}} {
+		width, count := c.width, c.count
+		s := must(NewSyncSketch(cfg, WithCapacity(16)))
+		s.Update(3, count)
+		data := must(s.MarshalBinary())
+		if got := int(data[stateAt(tb, data)+8]); got != width {
+			tb.Fatalf("a sync sketch holding %d packs at width %d, want %d", count, got, width)
+		}
+		out = append(out, data)
+	}
+	// A strict heavy-hitters state: the exact L1 scale's two words, the
+	// CSSS clock and maxCount, the width byte, the table, then the
+	// candidate count (a fresh tracker holds none).
+	hh := must(must(NewHeavyHitters(cfg)).MarshalBinary())
+	at := stateAt(tb, hh) + 16 + 20
+	entries := hhParams(cfg, echo{}).StateLen() - 16 - 21 - 4
+	repacked := func(width int) []byte {
+		data := append(hh[:at:at], byte(width))
+		data = append(data, make([]byte, entries*width)...)
+		return append(data, hh[at+1+entries:]...)
+	}
+	for _, width := range []int{3, 8} {
+		data := repacked(width)
+		if _, err := UnmarshalSketch(data); err != nil {
+			tb.Fatalf("a fresh heavy-hitters table at width %d refused: %v", width, err)
+		}
+		out = append(out, data)
+	}
+	negative := repacked(8)
+	negative[at+8*entries] |= 0x80
+	for _, data := range [][]byte{repacked(0), repacked(9), negative} {
+		if _, err := UnmarshalSketch(data); err == nil {
+			tb.Fatalf("accepted a heavy-hitters table at width %d", data[at])
+		}
+		out = append(out, data)
+	}
+	return out
 }
 
 // FuzzUnmarshal drives arbitrary bytes through every deserialization
@@ -224,6 +271,11 @@ func FuzzUnmarshal(f *testing.F) {
 	// A bare state, without the envelope: refused.
 	bare := must(must(NewSyncSketch(cfg, WithCapacity(16))).MarshalBinary())
 	f.Add(bare[stateAt(f, bare):])
+	// Count columns at widths 1, 3 and 8, and the widths a reader
+	// refuses: 0, 9, and a CSSS counter at width 8 with its sign bit set.
+	for _, data := range packedWidths(f, cfg) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The generic dispatcher, allocating O(len(data)) whatever the

@@ -770,6 +770,13 @@ func (s *Sketch) bump(r int, amount int64) {
 	s.table[s.rowIdx[r]][s.rowSide[r]] += amount
 }
 
+// counters views the table as its 2·cells counters in cell order,
+// positive side first: the column the wire packs. No counter is
+// negative, so the unsigned view reads each one's value.
+func (s *Sketch) counters() []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&s.table[0])), 2*len(s.table))
+}
+
 // refreshMaxCount folds the current table maximum into maxCount.
 // Because pos/neg increase monotonically between halvings and only
 // shrink at a halving, scanning just before each halving and at

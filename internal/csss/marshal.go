@@ -1,7 +1,6 @@
 package csss
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 
@@ -9,36 +8,60 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire state of a CSSampSim sketch: the sampling clock (t, p), maxCount
-// and the positive/negative counter pairs. The Figure 2 parameters and
-// the hash wiring are the constructor's; scale, estScale and nextHalf
-// are pure functions of (params, p) and are rederived on restore; the
-// per-update scratch and the row-hash memo start empty. The restored
-// instance reseeds its thinning rng deterministically from the state —
-// counters are exact, the rng only drives future halvings and sampling
-// decisions, so any fixed reseed preserves Theorem 1's guarantees.
+// Wire state of a CSSampSim sketch: the sampling clock (t, p), maxCount,
+// then the positive/negative counter pairs packed at one byte width —
+// that of the OR of the counters, so the table travels in about the
+// 2·cells·BitsFor(maxCount) bits SpaceBits charges it — behind the
+// width byte. The Figure 2 parameters and the hash wiring are the
+// constructor's; scale, estScale and nextHalf are pure functions of
+// (params, p) and are rederived on restore; the per-update scratch and
+// the row-hash memo start empty. The restored instance reseeds its
+// thinning rng deterministically from the state — counters are exact,
+// the rng only drives future halvings and sampling decisions, so any
+// fixed reseed preserves Theorem 1's guarantees.
 
 // MarshalBinary encodes the sketch's state.
 func (s *Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
-// EncodedLen is the length of the sketch's encoding, a closed form of
-// its dimensions: what an enclosing structure grows its buffer by.
-func (s *Sketch) EncodedLen() int { return StateLen(s.params) }
+// EncodedLen is the length of the sketch's encoding: what an enclosing
+// structure grows its buffer by.
+func (s *Sketch) EncodedLen() int { return stateLen(len(s.table), s.width()) }
 
-// StateLen is the encoded length of a sketch with params p.
-func StateLen(p Params) int { return 20 + 16*p.Rows*6*p.K }
+// StateLen is the least encoded length of a sketch with params p: its
+// table packed at width 1.
+func StateLen(p Params) int { return stateLen(p.Rows*6*p.K, 1) }
+
+func stateLen(cells, width int) int { return 21 + 2*cells*width }
+
+// width is the byte width the table packs at. It reads the counters
+// themselves, not maxCount, which only SpaceBits refreshes: encoding
+// leaves the sketch alone.
+func (s *Sketch) width() int {
+	// Four lanes: the ORs of one lane wait on each other, not on the
+	// other lanes'.
+	var a, b, c, d uint64
+	v := s.counters()
+	for ; len(v) >= 4; v = v[4:] {
+		a |= v[0]
+		b |= v[1]
+		c |= v[2]
+		d |= v[3]
+	}
+	for _, x := range v {
+		a |= x
+	}
+	return wire.ByteWidth(a | b | c | d)
+}
 
 // AppendBinary appends the sketch's encoding to dst.
 func (s *Sketch) AppendBinary(dst []byte) ([]byte, error) {
-	w := wire.State(wire.Grow(dst, s.EncodedLen()))
+	width := s.width()
+	w := wire.State(wire.Grow(dst, stateLen(len(s.table), width)))
 	w.I64(s.t)
 	w.U32(uint32(s.p))
 	w.I64(s.maxCount)
-	b := w.Extend(16 * len(s.table))
-	for c := range s.table {
-		binary.LittleEndian.PutUint64(b[16*c:], uint64(s.table[c][0]))
-		binary.LittleEndian.PutUint64(b[16*c+8:], uint64(s.table[c][1]))
-	}
+	w.U8(uint8(width))
+	w.Packed(s.counters(), width)
 	return w.Bytes(), nil
 }
 
@@ -49,8 +72,9 @@ func (s *Sketch) Fill(r *wire.Reader) {
 	t := r.I64()
 	p := int(r.U32())
 	s.maxCount = r.I64()
-	b := r.Take(16 * len(s.table))
-	if b == nil {
+	width := int(r.U8())
+	r.Packed(s.counters(), width)
+	if r.Err() != nil {
 		return
 	}
 	if p > 60 || t < 0 || s.params.S > int64(1)<<(61-uint(p)) || t > s.params.S<<uint(p+1) {
@@ -61,12 +85,12 @@ func (s *Sketch) Fill(r *wire.Reader) {
 		r.Fail(errors.New("csss: bad Sketch sampling clock"))
 		return
 	}
-	for c := range s.table {
-		s.table[c][0] = int64(binary.LittleEndian.Uint64(b[16*c:]))
-		s.table[c][1] = int64(binary.LittleEndian.Uint64(b[16*c+8:]))
-		if s.table[c][0] < 0 || s.table[c][1] < 0 {
-			r.Fail(errors.New("csss: negative sampled counter"))
-			return
+	if width == 8 {
+		for _, v := range s.counters() {
+			if int64(v) < 0 {
+				r.Fail(errors.New("csss: negative sampled counter"))
+				return
+			}
 		}
 	}
 	s.t, s.p, s.haveLast = t, p, false

@@ -2,11 +2,14 @@ package csss
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/nt"
 	"repro/internal/sample"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -117,11 +120,90 @@ func TestSketchUnmarshalRejectsGarbage(t *testing.T) {
 	if err := wire.Fill(append(data, 0), fresh()); err == nil {
 		t.Error("accepted a trailing byte")
 	}
-	negative := append([]byte(nil), data...)
-	negative[len(negative)-1] = 0x80 // the last counter's sign bit
-	if err := wire.Fill(negative, fresh()); err == nil {
+	for _, width := range []byte{0, 9} {
+		bad := append([]byte(nil), data...)
+		bad[widthAt] = width
+		if err := wire.Fill(bad, fresh()); err == nil || !strings.Contains(err.Error(), "width") {
+			t.Errorf("width %d: err = %v", width, err)
+		}
+	}
+	wide := repack(data, 8)
+	if err := wire.Fill(wide, fresh()); err != nil {
+		t.Fatalf("the same table at width 8 refused: %v", err)
+	}
+	wide[len(wide)-1] = 0x80 // the last counter's sign bit
+	if err := wire.Fill(wide, fresh()); err == nil {
 		t.Error("accepted a negative sampled counter")
 	}
+}
+
+// TestSketchPacksAtEveryByteBoundary: the table packs at the byte width
+// of its largest counter — on each side of every byte boundary, with
+// that counter last, where the column's tail is written a byte at a
+// time — and round trips.
+func TestSketchPacksAtEveryByteBoundary(t *testing.T) {
+	params := Params{Rows: 3, K: 4, S: 64}
+	rng := rand.New(rand.NewSource(3))
+	for _, max := range []int64{0, 255, 256, 65535, 65536, 1<<56 - 1, 1 << 56, math.MaxInt64} {
+		sk := New(rand.New(rand.NewSource(9)), params)
+		for c := range sk.table {
+			sk.table[c] = cell{rng.Int63n(max/2 + 1), rng.Int63n(max/2 + 1)}
+		}
+		sk.table[len(sk.table)-1][1] = max
+		data := wiretest.MustMarshal(t, sk)
+		width := wire.ByteWidth(uint64(max))
+		if int(data[widthAt]) != width || len(data) != widthAt+1+2*len(sk.table)*width {
+			t.Fatalf("max %d: %d bytes at width %d, want %d counters at width %d", max, len(data), data[widthAt], 2*len(sk.table), width)
+		}
+		restored := wiretest.Restore(t, New(rand.New(rand.NewSource(9)), params), data)
+		if !slices.Equal(restored.table, sk.table) {
+			t.Fatalf("max %d: the table did not round trip", max)
+		}
+	}
+}
+
+// TestSketchWireTracksSpaceBits: after a stream, at rate 1 and past
+// several halvings, the table is exactly 2·cells·ByteWidth(max) bytes
+// for its largest current counter, which is at most the 2·cells
+// counters at BitsFor(maxCount) bits that SpaceBits charges plus 7 bits
+// each.
+func TestSketchWireTracksSpaceBits(t *testing.T) {
+	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: 8})
+	for _, budget := range []int64{1 << 20, 1 << 10} {
+		sk := New(rand.New(rand.NewSource(17)), Params{Rows: 5, K: 16, S: budget})
+		feedColumns(sk, s.Updates)
+		if (sk.p == 0) != (budget == 1<<20) {
+			t.Fatalf("S=%d: the stream left the sketch at p=%d", budget, sk.p)
+		}
+		var max int64
+		for _, c := range sk.table {
+			max = slices.Max([]int64{max, c[0], c[1]})
+		}
+		table := len(wiretest.MustMarshal(t, sk)) - widthAt - 1
+		if want := 2 * len(sk.table) * wire.ByteWidth(uint64(max)); table != want {
+			t.Errorf("S=%d: the table is %d bytes, want 2·%d cells at the width of %d: %d", budget, table, len(sk.table), max, want)
+		}
+		charged := sk.SpaceBits() - sk.buckets.SpaceBits() - int64(nt.BitsFor(uint64(sk.t))+nt.BitsFor(uint64(sk.p)))
+		if slack := int64(8*table) - charged; slack < 0 || slack > 7*2*int64(len(sk.table)) {
+			t.Errorf("S=%d at p=%d: %d table bits against the %d SpaceBits charges the counters", budget, sk.p, 8*table, charged)
+		}
+	}
+}
+
+// widthAt is the offset of the table's width byte in a Sketch's state:
+// behind t, p and maxCount.
+const widthAt = 20
+
+// repack returns a Sketch state with its table packed at width.
+func repack(data []byte, width int) []byte {
+	from := int(data[widthAt])
+	out := append(data[:widthAt:widthAt], byte(width))
+	for at := widthAt + 1; at < len(data); at += from {
+		var v [8]byte
+		copy(v[:], data[at:at+from])
+		out = append(out, v[:width]...)
+	}
+	return out
 }
 
 // TestSketchUnmarshalRejectsPositionPastBoundary: exponent p implies

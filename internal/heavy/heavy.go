@@ -179,9 +179,9 @@ func (p AlphaL1Params) sketchParams() csss.Params {
 	return csss.Params{Rows: rows, K: int(min(math.Ceil(q/p.Eps), 1<<40)), S: s}
 }
 
-// StateLen is the encoded length of an AlphaL1 built with p that tracks
-// no candidates: the dense part every state of that shape holds, known
-// before anything is allocated.
+// StateLen is the least encoded length of an AlphaL1 built with p: it
+// tracks no candidates and its table packs at width 1. Every state of
+// that shape holds it, and it is known before anything is allocated.
 func (p AlphaL1Params) StateLen() int {
 	n := csss.StateLen(p.sketchParams()) + 4
 	if p.Mode == General {

@@ -61,11 +61,12 @@ func l2Cols(eps, alpha float64) (ins, ver uint64) {
 	return cols(4 * (alpha / eps) * (alpha / eps)), cols(4 / (eps * eps))
 }
 
-// L2StateLen is the encoded length of an AlphaL2 built with (eps,
-// alpha) that tracks no candidates (see AlphaL1Params.StateLen).
+// L2StateLen is the least encoded length of an AlphaL2 built with (eps,
+// alpha): both Count-Sketches packed at width 1 and no candidates (see
+// AlphaL1Params.StateLen).
 func L2StateLen(eps, alpha float64) int {
 	ins, ver := l2Cols(eps, alpha)
-	return 8 + 8*5*int(ins) + 8 + 8*7*int(ver) + 4
+	return sketch.StateLen(5*int(ins), 1) + sketch.StateLen(7*int(ver), 1) + 4
 }
 
 // l2TrackerCap is the candidate capacity of the insertion pass: at most

@@ -8,21 +8,41 @@ import (
 )
 
 // Wire state of the inner-product estimator: both stream sides, each a
-// position counter, maxCount and the live interval-sampled levels. The
-// Params, the shared random prime and the per-row bucket/sign hashes
-// are the constructor's. The restored instance reseeds its sampling rng
-// from the state; bins are exact.
+// position counter, maxCount and the live interval-sampled levels —
+// each its start and its bins, zigzagged and packed at the byte width
+// of their OR behind the width byte. The Params, the shared random
+// prime and the per-row bucket/sign hashes are the constructor's. The
+// restored instance reseeds its sampling rng from the state; bins are
+// exact.
 
 // MarshalBinary encodes the estimator's state.
 func (e *Estimator) MarshalBinary() ([]byte, error) { return e.AppendBinary(nil) }
 
 // EncodedLen is the length of the estimator's encoding.
 func (e *Estimator) EncodedLen() int {
-	return 40 + (e.f.win.Len()+e.g.win.Len())*e.levelLen()
+	n := 40
+	for _, sd := range []*side{e.f, e.g} {
+		for _, lv := range sd.win.Each {
+			n += e.levelLen(lv.width())
+		}
+	}
+	return n
 }
 
-// levelLen is one level's encoded length: index, start and the bins.
-func (e *Estimator) levelLen() int { return 12 + 8*e.params.Rows*e.params.K }
+// levelLen is one level's encoded length with its bins at width:
+// index, start, the width byte and the bins.
+func (e *Estimator) levelLen(width int) int { return 13 + width*e.params.Rows*e.params.K }
+
+// width is the byte width a level's bins pack at.
+func (lv *ipLevel) width() int {
+	var or uint64
+	for _, row := range lv.bins {
+		for _, v := range row {
+			or |= wire.Zigzag(v)
+		}
+	}
+	return wire.ByteWidth(or)
+}
 
 // AppendBinary appends the estimator's encoding to dst, growing it
 // once by the length its live levels will take.
@@ -33,8 +53,14 @@ func (e *Estimator) AppendBinary(dst []byte) ([]byte, error) {
 		w.I64(sd.maxCount)
 		sd.win.WriteLevels(w, func(lv *ipLevel) {
 			w.I64(lv.start)
-			for r := range lv.bins {
-				w.FixedI64s(lv.bins[r])
+			width := lv.width()
+			w.U8(uint8(width))
+			col, i := w.Column(e.params.Rows*e.params.K, width), 0
+			for _, row := range lv.bins {
+				for _, v := range row {
+					col.Put(i, wire.Zigzag(v))
+					i++
+				}
 			}
 		})
 	}
@@ -51,12 +77,20 @@ func (e *Estimator) Fill(r *wire.Reader) {
 			r.Fail(errors.New("inner: bad side position"))
 		}
 		sd.win.ReadLevels(r, func(int) *ipLevel {
-			if !r.Need(e.levelLen() - 4) {
+			if !r.Need(e.levelLen(1) - 4) {
 				return nil
 			}
 			lv := e.newLevel(r.I64())
-			for _, bins := range lv.bins {
-				r.FixedI64s(bins)
+			col, ok := r.Column(e.params.Rows*e.params.K, int(r.U8()))
+			if !ok {
+				return nil
+			}
+			i := 0
+			for _, row := range lv.bins {
+				for j := range row {
+					row[j] = wire.Unzigzag(col.At(i))
+					i++
+				}
 			}
 			return lv
 		})

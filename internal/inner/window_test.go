@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -181,9 +182,9 @@ func craft(pos int64, levels ...[2]int64) []byte {
 		for _, lv := range levels {
 			w.U32(uint32(lv[0]))
 			w.I64(1) // start
-			for r := 0; r < 2; r++ {
-				w.FixedI64s([]int64{lv[1], lv[1], lv[1], lv[1]})
-			}
+			bin := wire.Zigzag(lv[1])
+			w.U8(uint8(wire.ByteWidth(bin)))
+			w.Packed(slices.Repeat([]uint64{bin}, 2*4), wire.ByteWidth(bin))
 		}
 	}
 	return w.Bytes()

@@ -396,7 +396,8 @@ func (a *Aggregator) handle(conn net.Conn) {
 
 // applySnapshot decodes and checks every blob (engine.DecodeBlobs: the
 // admission rules the engine's own restore applies, the Config echo
-// included), then commits all of them in one critical section.
+// included), checks each kind against what the other agents hold of it
+// (admits), then commits all of them in one critical section.
 // Decode-before-commit is the atomicity guarantee: a snapshot with any
 // malformed or foreign blob changes nothing.
 func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
@@ -413,6 +414,10 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 	}
 
 	a.mu.Lock()
+	if err := a.admits(id, sketches); err != nil {
+		a.mu.Unlock()
+		return err
+	}
 	st := a.agents[id]
 	if st == nil {
 		st = &agentState{}
@@ -437,6 +442,29 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 
 	a.snapshotsApplied.Add(1)
 	a.applyNanos.ObserveSince(start)
+	return nil
+}
+
+// admits reports whether every sketch an agent ships combines with
+// what the other agents hold of its kind (bounded.Compatible: the same
+// Config and options). The aggregator has no options of its own: the
+// first agent to ship a kind fixes them, and one built otherwise — a
+// different SupportK, SyncCapacity, SamplerCopies or mode — is refused
+// here rather than failing every fleet-wide query of that kind. The
+// caller holds a.mu.
+func (a *Aggregator) admits(id string, sketches map[engine.Structures]bounded.Sketch) error {
+	for bit, sk := range sketches {
+		for other, st := range a.agents {
+			held := st.sketches[bit]
+			if other == id || held == nil {
+				continue
+			}
+			if err := bounded.Compatible(held, sk); err != nil {
+				return fmt.Errorf("structure %s does not combine with agent %q's: %w", bit, other, err)
+			}
+			break // the stored sketches of a kind all combine
+		}
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package netagg
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -700,6 +701,66 @@ func TestForeignConfigSnapshotRefused(t *testing.T) {
 	}
 	if hh, err := client.HeavyHitters(); err != nil || len(hh) != 1 || hh[0] != 42 {
 		t.Fatalf("heavy hitters = %v, %v; want [42]", hh, err)
+	}
+}
+
+// TestForeignOptionsSnapshotRefused: an agent whose Config matches the
+// fleet's but whose options do not (another SupportK) is refused at its
+// SNAPSHOT: its Sync errors, nothing of it is stored, and every
+// fleet-wide query keeps answering from the agents already admitted.
+func TestForeignOptionsSnapshotRefused(t *testing.T) {
+	agg, addr := startAggregator(t, AggregatorOptions{
+		Config: testConfig, Structures: testStructures, IOTimeout: 2 * time.Second,
+	})
+	defer agg.Close()
+	ctx := context.Background()
+	for site, id := range []string{"site-a", "site-b"} {
+		a := newTestAgent(t, id, addr)
+		if err := a.Ingest(testStream(2000, int64(site+1))); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, err := DialClient(addr, ClientOptions{Config: testConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	answers := func() string {
+		t.Helper()
+		hh, err1 := client.HeavyHitters()
+		l1, err2 := client.L1()
+		support, err3 := client.Support()
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatalf("a fleet-wide query failed: %v", err)
+		}
+		return fmt.Sprint(hh, l1, support)
+	}
+	before := answers()
+
+	odd, err := NewAgent(AgentOptions{
+		ID: "site-odd", Aggregator: addr, Config: testConfig,
+		Engine:    engine.Options{Shards: 2, Structures: testStructures, SupportK: 16},
+		IOTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer odd.Close()
+	if err := odd.Ingest(testStream(2000, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := odd.Sync(ctx); err == nil || !strings.Contains(err.Error(), "SupportSampler") {
+		t.Fatalf("an agent with another SupportK synced: err = %v, want a refusal naming the SupportSampler", err)
+	}
+	if after := answers(); after != before {
+		t.Fatalf("fleet answers moved when the mismatched agent was refused:\n%s\n%s", before, after)
+	}
+	if st := agg.Stats(); st.SnapshotsApplied != 2 || st.SnapshotsRejected != 1 || len(st.Agents) != 2 {
+		t.Fatalf("applied %d, rejected %d, agents %+v; want 2, 1 and the two admitted sites",
+			st.SnapshotsApplied, st.SnapshotsRejected, st.Agents)
 	}
 }
 

@@ -104,14 +104,14 @@ func chainBytes(t *testing.T, blobs [][]byte) []byte {
 // byte for byte an in-process Clone + Merge chain over the same blobs in
 // sorted agent order — at rate 1, and in a sampled round in which every
 // agent synced (fleet-sync's shape). The view's byte digests were last
-// re-pinned when a sketch's state stopped carrying what its constructor
-// derives from the Config (wire format v2). At rate 1 the digest of
-// what the view answers was recorded by running this body in the tree
-// before that re-pin. The sampled view's answers moved with it: Merge
-// thins a restored sketch's copy under a generator seeded from the
-// sketch's own state bytes (wire.Seed), and those bytes changed; they
-// stay inside the ε band below, and ROADMAP 4a's rng on the wire ends
-// the dependence.
+// re-pinned when every count column began to travel packed at its byte
+// width (wire format v3). At rate 1 the digest of what the view answers
+// was recorded by running this body in the tree before the v2 re-pin,
+// and v3's left it alone. The sampled view's answers moved with each:
+// Merge thins a restored sketch's copy under a generator seeded from
+// the sketch's own state bytes (wire.Seed), and those bytes changed;
+// they stay inside the ε band below, and ROADMAP 4a's rng on the wire
+// ends the dependence.
 //
 // Documented, not hidden: a sampled rebuild over an agent that did NOT
 // re-sync since the last rebuild can differ from the parent's. The
@@ -123,8 +123,8 @@ func chainBytes(t *testing.T, blobs [][]byte) []byte {
 // ε band; ROADMAP 4a's pure Clone removes the clause.
 func TestMergedViewMatchesCloneMergeChain(t *testing.T) {
 	const (
-		rate1             = "ca15bc034cc3ddcef8928adb7190cc515ee583e7a6c8440166a6c193a94a0520"
-		allSynced         = "bca0c05bf26a4b5ac4029a87315e8dd0f1b5d15617d58f65ad21029e1192497a"
+		rate1             = "57c8e178dc53769406f41fdb1766625484ca536c5b2ab67cff01958317fdd5af"
+		allSynced         = "9ce3fe669ed3a74522fdb878db60d331743c3863383caa067c9b504e7af62203"
 		parentOneResynced = "9f49bd0c147771d71e8058edf0a0eca0a97ce4f3b770cb2832a9f9d997887e56"
 	)
 	for _, tc := range []struct {

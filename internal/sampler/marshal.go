@@ -43,9 +43,10 @@ func (s *Sampler) Fill(r *wire.Reader) {
 	}
 }
 
-// StateLen is the encoded length of a sampler built with p and copies
-// whose instances track no candidates: the dense part every state of
-// that shape holds, known before anything is allocated.
+// StateLen is the least encoded length of a sampler built with p and
+// copies: its instances track no candidates and their tables pack at
+// width 1. Every state of that shape holds it, and it is known before
+// anything is allocated.
 func StateLen(p Params, copies int) int {
 	p.fill()
 	n := 24 + 2*csss.StateLen(p.csssParams()) + 4

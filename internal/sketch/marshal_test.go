@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -48,4 +49,27 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 	}
 	wiretest.CheckAppend(t, cs)
 	wiretest.CheckGrowsOnce(t, cs)
+}
+
+// TestCountersPackAtEveryByteBoundary: the counters pack at the byte
+// width of the widest zigzagged one — on each side of every byte
+// boundary, negative counters on the odd values — and round trip.
+func TestCountersPackAtEveryByteBoundary(t *testing.T) {
+	fresh := func() *CountSketch { return NewCountSketch(rand.New(rand.NewSource(3)), 5, 64) }
+	for _, zz := range []uint64{255, 256, 65535, 65536, 1<<56 - 1, 1 << 56} {
+		cs := fresh()
+		for i, v := range cs.flat {
+			cs.flat[i] = v + int64(i%7) - 3
+		}
+		cs.flat[len(cs.flat)-1] = wire.Unzigzag(zz)
+		data := wiretest.MustMarshal(t, cs)
+		width := wire.ByteWidth(zz)
+		if int(data[8]) != width || len(data) != 9+len(cs.flat)*width {
+			t.Fatalf("counter %d: %d bytes at width %d, want %d counters at width %d", cs.flat[len(cs.flat)-1], len(data), data[8], len(cs.flat), width)
+		}
+		restored := wiretest.Restore(t, fresh(), data)
+		if !slices.Equal(restored.flat, cs.flat) {
+			t.Fatalf("counter %d: the counters did not round trip", cs.flat[len(cs.flat)-1])
+		}
+	}
 }

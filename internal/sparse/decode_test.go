@@ -280,9 +280,10 @@ func TestUnmarshalRejectsInconsistentHeader(t *testing.T) {
 	if len(wider) == len(honest) {
 		t.Fatalf("capacities 16 and 17 encode to the same %d bytes", len(honest))
 	}
+	cell := 1 + 16 // a count at width 1 and the two sums
 	for name, frame := range map[string][]byte{
-		"one cell short":     honest[:len(honest)-24],
-		"one cell over":      append(slices.Clone(honest), make([]byte, 24)...),
+		"one cell short":     honest[:len(honest)-cell],
+		"one cell over":      append(slices.Clone(honest), make([]byte, cell)...),
 		"capacity 17 state":  wider,
 		"capacity 17, short": wider[:len(honest)+1],
 	} {
@@ -307,15 +308,15 @@ func TestUnmarshalRejectsUnreducedSums(t *testing.T) {
 	if err := wire.Fill(honest, fresh()); err != nil {
 		t.Fatalf("honest state refused: %v", err)
 	}
-	cellsAt := len(honest) - len(r.cells)*24
+	sumsAt := len(honest) - len(r.cells)*16 // behind the packed counts
 	patched := func(off int, v uint64) []byte {
 		out := slices.Clone(honest)
 		binary.LittleEndian.PutUint64(out[off:], v)
 		return out
 	}
 	for name, frame := range map[string][]byte{
-		"keySum == p":     patched(cellsAt+8, nt.MersennePrime61),
-		"fpSum == 2^64-1": patched(cellsAt+16, math.MaxUint64),
+		"keySum == p":     patched(sumsAt, nt.MersennePrime61),
+		"fpSum == 2^64-1": patched(sumsAt+8, math.MaxUint64),
 	} {
 		if err := wire.Fill(frame, fresh()); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -8,34 +8,54 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire state of a Recovery sketch: maxCount, then the cells. The sketch
-// is linear, so a client can ship its sketch of the old file state,
-// have the server subtract it from a sketch of the new state (built
-// from the same seed, so the hash functions are the server's own), and
-// decode exactly the changed coordinates — the paper's remote
-// differential compression scenario end to end.
+// Wire state of a Recovery sketch: maxCount, the cells' count column
+// zigzagged and packed at the byte width of its OR behind the width
+// byte, then each cell's key and fingerprint sums (field elements, a
+// word each). The sketch is linear, so a client can ship its sketch of
+// the old file state, have the server subtract it from a sketch of the
+// new state (built from the same seed, so the hash functions are the
+// server's own), and decode exactly the changed coordinates — the
+// paper's remote differential compression scenario end to end.
 
 var errBadRecoveryData = errors.New("sparse: malformed Recovery data")
 
 // MarshalBinary encodes the sketch's state.
 func (r *Recovery) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
 
-// EncodedLen is the length of the sketch's encoding, a closed form of
-// its dimensions: what an enclosing structure grows its buffer by.
-func (r *Recovery) EncodedLen() int { return 8 + 24*len(r.cells) }
+// EncodedLen is the length of the sketch's encoding: what an enclosing
+// structure grows its buffer by.
+func (r *Recovery) EncodedLen() int { return stateLen(len(r.cells), r.width()) }
 
-// StateLen is the encoded length of a sketch of the given capacity.
-func StateLen(capacity int) int { return 8 + 24*subtables*perTableFor(capacity) }
+// StateLen is the least encoded length of a sketch of the given
+// capacity: its counts packed at width 1.
+func StateLen(capacity int) int { return stateLen(subtables*perTableFor(capacity), 1) }
+
+func stateLen(cells, width int) int { return 9 + (width+16)*cells }
+
+// width is the byte width the count column packs at.
+func (r *Recovery) width() int {
+	var or uint64
+	for i := range r.cells {
+		or |= wire.Zigzag(r.cells[i].count)
+	}
+	return wire.ByteWidth(or)
+}
 
 // AppendBinary appends the sketch's encoding to dst.
 func (r *Recovery) AppendBinary(dst []byte) ([]byte, error) {
-	w := wire.State(wire.Grow(dst, r.EncodedLen()))
+	width := r.width()
+	w := wire.State(wire.Grow(dst, stateLen(len(r.cells), width)))
 	w.I64(r.maxCount)
-	b := w.Extend(24 * len(r.cells))
-	for i, c := range r.cells {
-		binary.LittleEndian.PutUint64(b[24*i:], uint64(c.count))
-		binary.LittleEndian.PutUint64(b[24*i+8:], c.keySum)
-		binary.LittleEndian.PutUint64(b[24*i+16:], c.fpSum)
+	w.U8(uint8(width))
+	// One pass over the cells fills both columns: the Grow above made
+	// room for the sums, so extending for them leaves col in place.
+	col := w.Column(len(r.cells), width)
+	sums := w.Extend(16 * len(r.cells))
+	for i := range r.cells {
+		c := &r.cells[i]
+		col.Put(i, wire.Zigzag(c.count))
+		binary.LittleEndian.PutUint64(sums[16*i:], c.keySum)
+		binary.LittleEndian.PutUint64(sums[16*i+8:], c.fpSum)
 	}
 	return w.Bytes(), nil
 }
@@ -44,15 +64,16 @@ func (r *Recovery) AppendBinary(dst []byte) ([]byte, error) {
 // (wire.Filler).
 func (r *Recovery) Fill(rd *wire.Reader) {
 	r.maxCount = rd.I64()
-	b := rd.Take(24 * len(r.cells))
-	if b == nil {
+	col, ok := rd.Column(len(r.cells), int(rd.U8()))
+	b := rd.Take(16 * len(r.cells))
+	if !ok || b == nil {
 		return
 	}
 	for i := range r.cells {
 		c := &r.cells[i]
-		c.count = int64(binary.LittleEndian.Uint64(b[24*i:]))
-		c.keySum = binary.LittleEndian.Uint64(b[24*i+8:])
-		c.fpSum = binary.LittleEndian.Uint64(b[24*i+16:])
+		c.count = wire.Unzigzag(col.At(i))
+		c.keySum = binary.LittleEndian.Uint64(b[16*i:])
+		c.fpSum = binary.LittleEndian.Uint64(b[16*i+8:])
 		// Every encoder writes reduced sums; the field adds and the
 		// decode's division test assume them.
 		if c.keySum >= nt.MersennePrime61 || c.fpSum >= nt.MersennePrime61 {

@@ -15,13 +15,17 @@ func (sp *Sampler) MarshalBinary() ([]byte, error) { return sp.AppendBinary(nil)
 
 // EncodedLen is the length of the sampler's encoding.
 func (sp *Sampler) EncodedLen() int {
-	return sp.rough.EncodedLen() + 8 + sp.levels.Len()*(4+sp.proto.EncodedLen())
+	n := sp.rough.EncodedLen() + 8
+	for _, lv := range sp.levels.Each {
+		n += 4 + lv.EncodedLen()
+	}
+	return n
 }
 
-// StateLen is the encoded length of a sampler built with params whose
-// window holds only the levels no estimate drops (Figure 8's always-on
-// top two): the dense part every state of that shape holds, known
-// before anything is allocated.
+// StateLen is the least encoded length of a sampler built with params:
+// its window holds only the levels no estimate drops (Figure 8's
+// always-on top two), their counts packed at width 1. Every state of
+// that shape holds it, and it is known before anything is allocated.
 func (params Params) StateLen() int {
 	return 8 + 8*roughCopies + 8 + alwaysOn*(4+sparse.StateLen(params.capacity()))
 }
@@ -42,7 +46,7 @@ func (sp *Sampler) Fill(r *wire.Reader) {
 	sp.rough.Fill(r)
 	peak := int(r.U32())
 	sp.levels.ReadLevels(r, peak, func(j int, lv *sparse.Recovery) *sparse.Recovery {
-		if !r.Need(sp.proto.EncodedLen()) {
+		if !r.Need(sparse.StateLen(sp.s)) {
 			return nil
 		}
 		if lv == nil {

@@ -17,9 +17,11 @@
 //     Config, so they never travel: a reader builds the structure as
 //     New does and Fills it, and a state that does not fit that shape
 //     is refused;
-//   - all integers are little-endian fixed-width (no varints: payload
-//     sizes are dominated by counter tables, and fixed width keeps the
-//     reader allocation-bounded);
+//   - all integers are little-endian fixed-width (no varints: fixed
+//     width keeps the reader allocation-bounded); a count column, which
+//     dominates payload sizes, is fixed-width too, at the byte width of
+//     its widest entry named once ahead of it (packed.go), so a table
+//     travels in about the bits its counters need;
 //   - variable-length lists are u32-count-prefixed, and the reader
 //     refuses any count that exceeds the bytes actually remaining, so a
 //     corrupt length can never drive an allocation larger than the input
@@ -188,7 +190,8 @@ func (w *Writer) Blobs(blobs []Blob) {
 }
 
 // Marshal appends a nested structure's state in place: the child's
-// length is a function of its shape, which the reader knows. A state
+// length is a function of its shape, which the reader knows, and of the
+// widths its packed columns name ahead of themselves. A state
 // encoding cannot fail — it is counters written into a buffer — so an
 // error from one is a bug, and panics.
 func (w *Writer) Marshal(m encoding.BinaryAppender) {

@@ -83,18 +83,19 @@ const (
 // kindTable is the one enumeration of the wire kinds: per kind, its
 // name, its constructor (what a blob is decoded through, and the
 // compile-time proof that every public structure is a Sketch) and the
-// length of its dense state. A ninth structure is one constant and one
+// least length of its state. A ninth structure is one constant and one
 // row; a kind in range always has a row.
 var kindTable = [...]struct {
 	name  string
 	build func(Config, ...Option) (Sketch, error)
 	// stateLen is the least length of a state at cfg under the option
-	// values o resolves to: the part every state of that shape holds, a
-	// closed form of the parameters the constructor derives. Decoding
-	// holds a payload to it before anything is allocated. (The L1
-	// estimators' and the inner product's are a few words — clocks,
-	// positions, level counts — and their levels are sized only as they
-	// are read.)
+	// values o resolves to: the part every state of that shape holds,
+	// every packed count column at width 1, a closed form of the
+	// parameters the constructor derives. Decoding holds a payload to it
+	// before anything is allocated; a dense table is then at most 8
+	// times the bytes that carried it. (The L1 estimators' and the inner
+	// product's are a few words — clocks, positions, level counts — and
+	// their levels are sized only as they are read.)
 	stateLen func(cfg Config, o *sketchOptions) int
 }{
 	KindHeavyHitters: {"HeavyHitters", ctor(NewHeavyHitters), func(c Config, o *sketchOptions) int {
@@ -164,17 +165,21 @@ type structure interface {
 	state() state
 }
 
-// The public wire envelope (format v2): "BD" magic, the format version,
+// The public wire envelope (format v3): "BD" magic, the format version,
 // the kind, the Config echo (N, Eps, Alpha, Seed), the options echo,
 // then the structure's state — what Update and Merge change (counters,
 // clocks, candidates, live levels) and nothing its constructor derives
-// from the Config. The envelope makes payloads self-describing — a
-// receiver can SketchKind-peek a blob, UnmarshalSketch it without
-// knowing its type, and verify the Config matches its own before
-// merging — and its version is the format's one version.
+// from the Config. Every count column in a state (the CSSS tables, the
+// Count-Sketch counters, the sparse-recovery counts) is packed at the
+// byte width of its widest entry behind a width byte, so a state is
+// about SpaceBits()/8 bytes; field elements, floats and ids stay a word
+// each. The envelope makes payloads self-describing — a receiver can
+// SketchKind-peek a blob, UnmarshalSketch it without knowing its type,
+// and verify the Config matches its own before merging — and its
+// version is the format's one version.
 const (
 	envelopeMagic = "BD"
-	envelopeV2    = 2
+	envelopeV3    = 3
 )
 
 // envelope is the decoded public frame. payload aliases the input:
@@ -193,7 +198,7 @@ func appendBinary(dst []byte, s structure, kind Kind) ([]byte, error) {
 	if sh.kind == 0 {
 		return nil, fmt.Errorf("bounded: marshal of zero-value %s (construct or UnmarshalBinary first)", kind)
 	}
-	w := wire.Append(dst, envelopeMagic, envelopeV2)
+	w := wire.Append(dst, envelopeMagic, envelopeV3)
 	w.U8(uint8(sh.kind))
 	w.U64(sh.cfg.N)
 	w.F64(sh.cfg.Eps)
@@ -216,7 +221,7 @@ func openEnvelope(data []byte) (*wire.Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bounded: not a sketch envelope: %w", err)
 	}
-	if v != envelopeV2 {
+	if v != envelopeV3 {
 		return nil, fmt.Errorf("bounded: unsupported wire format version %d", v)
 	}
 	return rd, nil
@@ -256,7 +261,7 @@ func parseEnvelope(data []byte, wantKind Kind) (*envelope, error) {
 
 // decode restores a structure from its envelope (of kind want, when
 // nonzero). The constructor is the validator: the state's length is
-// held to the dense length of the shape the echo resolves to before
+// held to the least length of the shape the echo resolves to before
 // anything is allocated, the structure is built from the echoed Config
 // and options exactly as New builds it — an echo the constructor
 // refuses, or one it would not have written, is refused — and the state
@@ -276,7 +281,7 @@ func decode(data []byte, want Kind) (structure, error) {
 		return nil, fmt.Errorf("bounded: %s options echo: %w", env.kind, err)
 	}
 	if need := row.stateLen(env.cfg, o); len(env.payload) < need {
-		return nil, fmt.Errorf("bounded: %s state of %d bytes is shorter than the %d its Config and options call for",
+		return nil, fmt.Errorf("bounded: %s state of %d bytes is shorter than the least %d its Config and options call for",
 			env.kind, len(env.payload), need)
 	}
 	sk, err := row.build(env.cfg, env.opts.options()...)
