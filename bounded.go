@@ -137,6 +137,35 @@ func (h *HeavyHitters) SampleExponent() int {
 	return h.impl.SampleExponent()
 }
 
+// SamplePosition returns t, the unit updates the structure's CSSS rows
+// have consumed: the clock the Figure 2 schedule halves on. A merge sums
+// it.
+func (h *HeavyHitters) SamplePosition() int64 {
+	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "SamplePosition")
+	return h.impl.SamplePosition()
+}
+
+// SampleExponentAt returns the exponent the halving schedule sets at
+// position t. Merge sums positions and re-applies the schedule, so a
+// union of same-Config structures whose SamplePositions sum to t
+// samples at 2^-max(SampleExponentAt(t), their largest SampleExponent).
+func (h *HeavyHitters) SampleExponentAt(t int64) int {
+	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "SampleExponentAt")
+	return h.impl.SampleExponentAt(t)
+}
+
+// RaiseSampleExponent thins the structure's CSSS rows down to rate
+// 2^-p, one binomial halving per level — what a Merge into a union at
+// exponent p would do to them — and leaves a structure already at p or
+// coarser alone. From then on it samples at 2^-p until its own position
+// reaches the next boundary of the schedule. Its estimates keep their
+// law at the coarser rate: only their variance grows. A p the wire
+// could not carry is an error and changes nothing.
+func (h *HeavyHitters) RaiseSampleExponent(p int) error {
+	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "RaiseSampleExponent")
+	return h.impl.RaiseSampleExponent(p)
+}
+
 // HeavyHitters returns the detected heavy coordinates, sorted.
 func (h *HeavyHitters) HeavyHitters() []uint64 {
 	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "HeavyHitters")

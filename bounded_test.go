@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/csss"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -229,5 +230,42 @@ func TestTrackerExport(t *testing.T) {
 	tr.Update(Update{Index: 1, Delta: -2})
 	if tr.AlphaL1() != 7.0/3.0 {
 		t.Errorf("AlphaL1 = %v", tr.AlphaL1())
+	}
+}
+
+// TestRaiseSampleExponentAlignsAMerge: two heavy-hitters sites, each
+// below 2S, whose union is past it. SampleExponentAt of their summed
+// SamplePositions is the union's exponent; once both are raised to it,
+// merging them halves nothing and lands on it. A raise past what the
+// wire carries is refused.
+func TestRaiseSampleExponentAlignsAMerge(t *testing.T) {
+	cfg := Config{N: 1 << 16, Eps: 0.2, Alpha: 1.5, Seed: 7} // S = 1024
+	sites := make([]*HeavyHitters, 2)
+	for i := range sites {
+		sites[i] = must(NewHeavyHitters(cfg))
+		sites[i].UpdateBatch(gen.BoundedDeletion(gen.Config{N: cfg.N, Items: 1200, Alpha: cfg.Alpha, Zipf: 1.5, Shuffle: true, Seed: int64(i + 1)}).Updates)
+		if p := sites[i].SampleExponent(); p != 0 {
+			t.Fatalf("site %d at exponent %d, want a site still at rate 1", i, p)
+		}
+	}
+	p := sites[0].SampleExponentAt(sites[0].SamplePosition() + sites[1].SamplePosition())
+	if p != 1 {
+		t.Fatalf("union exponent %d, want 1: two sites of about 1600 units against 2S = 2048", p)
+	}
+	for _, hh := range sites {
+		if err := hh.RaiseSampleExponent(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	halvings := csss.DispatchStats().Halvings
+	union := sites[0].Clone().(*HeavyHitters)
+	if err := union.Merge(sites[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := csss.DispatchStats().Halvings - halvings; got != 0 || union.SampleExponent() != p {
+		t.Fatalf("merge of aligned sites: %d halvings, exponent %d (want 0 and %d)", got, union.SampleExponent(), p)
+	}
+	if err := union.RaiseSampleExponent(61); err == nil || union.SampleExponent() != p {
+		t.Fatalf("a raise to 61: err %v, exponent %d", err, union.SampleExponent())
 	}
 }

@@ -135,8 +135,8 @@ func runSynthetic(ctx context.Context, agent *netagg.Agent, logf func(string, ..
 	}
 	st := agent.Stats()
 	fmt.Printf("bdagent %s: %s\n", *id, rep)
-	fmt.Printf("bdagent %s: snapshots sent=%d skipped=%d, %d sketch blobs, %d bytes out, %d reconnects\n",
-		*id, st.SnapshotsSent, st.SnapshotsSkipped, st.SketchesSent, st.BytesOut, st.Reconnects)
+	fmt.Printf("bdagent %s: snapshots sent=%d skipped=%d, %d sketch blobs, %d bytes out, %d reconnects, fleet exponent %d\n",
+		*id, st.SnapshotsSent, st.SnapshotsSkipped, st.SketchesSent, st.BytesOut, st.Reconnects, st.FleetExponent)
 }
 
 // runStdin ingests "index delta" lines while Run ships snapshots on
@@ -193,6 +193,6 @@ func runStdin(ctx context.Context, agent *netagg.Agent, logf func(string, ...any
 	cancel() // Run's shutdown path performs the final sync
 	<-done
 	st := agent.Stats()
-	logf("bdagent %s: ingested %d updates; snapshots sent=%d skipped=%d, %d bytes out, %d reconnects",
-		*id, lines, st.SnapshotsSent, st.SnapshotsSkipped, st.BytesOut, st.Reconnects)
+	logf("bdagent %s: ingested %d updates; snapshots sent=%d skipped=%d, %d bytes out, %d reconnects, fleet exponent %d",
+		*id, lines, st.SnapshotsSent, st.SnapshotsSkipped, st.BytesOut, st.Reconnects, st.FleetExponent)
 }

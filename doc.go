@@ -492,8 +492,15 @@
 // The protocol is HELLO/WELCOME (version negotiation plus an exact
 // Config-echo admission gate — same seed or the sketches are not
 // mergeable), SNAPSHOT/ACK (full engine-merged state per enabled
-// structure), and QUERY/ANSWER (point estimates, heavy hitters, L1,
-// support). Sync is generation-gated: an idle agent whose engine
+// structure; the ACK carries P, the CSSS exponent of the aggregator's
+// heavy-hitters union after the commit), and QUERY/ANSWER (point
+// estimates, heavy hitters, L1, support). An agent thins its heavy
+// hitters to the P its ACK carries (Engine.RaiseSampleExponent) and
+// samples at 2^-P from then on: one fleet clock, so the aggregator's
+// rebuilds add tables already at the union's rate and halve only in
+// the rounds in which the union crosses a boundary of the Figure 2
+// schedule, at the price of local answers as coarse as the fleet's.
+// Sync is generation-gated: an idle agent whose engine
 // Generation has not moved since the last ACK ships nothing at all.
 // Because snapshots carry full state, a resend after a lost ACK or a
 // reconnect REPLACES the agent's prior contribution rather than

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -333,6 +334,64 @@ func (e *Engine) Flush() error {
 	e.met.flushCalls.Inc()
 	e.met.flushNanos.ObserveSince(start)
 	return nil
+}
+
+// RaiseSampleExponent thins every shard's heavy-hitters CSSS down to
+// rate 2^-p (bounded.HeavyHitters.RaiseSampleExponent) — what a
+// networked agent does when its aggregator's union samples at 2^-p, so
+// that the union's rebuilds add tables already at its rate instead of
+// thinning each agent's again. Every pending run is handed off first,
+// as a flush hands it off, so the thinning lands behind every update
+// already ingested; the shards then sample at 2^-p on their own
+// schedule. A shard already at p or coarser is left alone; when any
+// shard moved the generation advances (the state changed) and the
+// per-shard exponent gauges are republished. The cost is the
+// documented one: local answers become as coarse as the union's. An
+// engine without heavy hitters has nothing to raise, and a call no
+// shard's published exponent is below returns without a lock.
+func (e *Engine) RaiseSampleExponent(p int) error {
+	row, _ := HeavyHitters.row()
+	if e.opt.Structures&HeavyHitters == 0 || !e.belowExponent(p) {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed.Load() {
+		return fmt.Errorf("engine: RaiseSampleExponent on closed engine")
+	}
+	e.inflight.Wait()
+	for s := range e.pending {
+		e.handOffLocked(s)
+	}
+	var raised atomic.Bool
+	errs := make([]error, len(e.workers))
+	e.eachShard(func(s int) {
+		hh := e.sets[s][row].(*bounded.HeavyHitters)
+		if hh.SampleExponent() >= p {
+			return
+		}
+		if errs[s] = hh.RaiseSampleExponent(p); errs[s] == nil {
+			raised.Store(true)
+			applyShard{e, s}.publish()
+		}
+	})
+	if raised.Load() {
+		e.gen.Add(1)
+	}
+	return errors.Join(errs...)
+}
+
+// belowExponent reports whether some shard's published heavy-hitters
+// exponent is below p. A shard publishes after every batch and restore,
+// and between restores its exponent only rises, so a gauge at p or
+// above means the shard is there too.
+func (e *Engine) belowExponent(p int) bool {
+	for s := range e.met.csssExponent {
+		if e.met.csssExponent[s].Load() < int64(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // mergedView is the merged snapshot at one generation: one row per

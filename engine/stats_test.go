@@ -341,3 +341,91 @@ func TestShardSampleExponent(t *testing.T) {
 		t.Errorf("restored engine before its first batch: exponents %v, want %v", got, want)
 	}
 }
+
+// TestRaiseSampleExponent: a raise thins every shard's heavy hitters to
+// the given exponent behind the runs still pending (the merged view
+// then holds every ingested unit at that rate), moves the generation
+// and republishes the per-shard gauges; a raise no shard is below, one
+// out of the wire's range and one on an engine without heavy hitters
+// change nothing.
+func TestRaiseSampleExponent(t *testing.T) {
+	cfg := bounded.Config{N: 1 << 20, Eps: 0.1, Alpha: 1, Seed: 9} // S = 2100
+	e := must(New(cfg, Options{Shards: 2, Structures: HeavyHitters, BatchSize: 256}))
+	defer e.Close()
+	us := make([]bounded.Update, 1000)
+	for i := range us {
+		us[i] = bounded.Update{Index: uint64(i % 97), Delta: 1}
+	}
+	if err := e.Ingest(us); err != nil {
+		t.Fatal(err)
+	}
+	gen := e.Generation()
+	if err := e.RaiseSampleExponent(2); err != nil {
+		t.Fatal(err)
+	}
+	if e.Generation() == gen {
+		t.Fatal("a raise that thinned left the generation alone")
+	}
+	for s, sh := range e.Stats().PerShard {
+		if sh.SampleExponent != 2 {
+			t.Fatalf("shard %d at exponent %d after a raise to 2", s, sh.SampleExponent)
+		}
+	}
+	blob := must(e.Snapshot(HeavyHitters))
+	hh := must(bounded.UnmarshalSketch(blob)).(*bounded.HeavyHitters)
+	if hh.SampleExponent() != 2 || hh.SamplePosition() != int64(len(us)) {
+		t.Fatalf("merged view at exponent %d over %d units, want 2 over %d", hh.SampleExponent(), hh.SamplePosition(), len(us))
+	}
+	gen = e.Generation()
+	for _, p := range []int{0, 2} {
+		if err := e.RaiseSampleExponent(p); err != nil || e.Generation() != gen {
+			t.Fatalf("a raise to %d, which no shard is below: err %v, generation %d -> %d", p, err, gen, e.Generation())
+		}
+	}
+	if err := e.RaiseSampleExponent(61); err == nil || e.Generation() != gen || e.Stats().PerShard[0].SampleExponent != 2 {
+		t.Fatalf("a raise past the wire's exponents: err %v, generation %d -> %d", err, gen, e.Generation())
+	}
+	l1 := must(New(cfg, Options{Shards: 2, Structures: L1Estimator}))
+	defer l1.Close()
+	if err := l1.RaiseSampleExponent(3); err != nil || l1.Generation() != 0 {
+		t.Fatalf("an engine without heavy hitters: err %v, generation %d", err, l1.Generation())
+	}
+	e.Close()
+	if err := e.RaiseSampleExponent(5); err == nil {
+		t.Fatal("a raise on a closed engine succeeded")
+	}
+}
+
+// TestRaiseSampleExponentRacesIngestAndReads: raises to a growing
+// exponent interleave with a producer and with global and routed reads
+// — for the race detector, and for the invariant that a raise lands
+// between batches: the merged view holds every ingested unit.
+func TestRaiseSampleExponentRacesIngestAndReads(t *testing.T) {
+	cfg := bounded.Config{N: 1 << 20, Eps: 0.1, Alpha: 1, Seed: 9}
+	e := must(New(cfg, Options{Shards: 2, Structures: HeavyHitters, BatchSize: 64}))
+	defer e.Close()
+	stop := wiretest.Readers(t,
+		func() error { _, err := e.HeavyHitters(); return err },
+		func() error {
+			_, err := e.EstimateBatch([]uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+			return err
+		},
+	)
+	batch := make([]bounded.Update, 100)
+	for round := 0; round < 40; round++ {
+		for i := range batch {
+			batch[i] = bounded.Update{Index: uint64(round*len(batch) + i), Delta: 1}
+		}
+		if err := e.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RaiseSampleExponent(round / 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop()
+	hh := must(bounded.UnmarshalSketch(must(e.Snapshot(HeavyHitters)))).(*bounded.HeavyHitters)
+	if hh.SampleExponent() != 3 || hh.SamplePosition() != 40*int64(len(batch)) {
+		t.Fatalf("merged view at exponent %d over %d units, want 3 over %d", hh.SampleExponent(), hh.SamplePosition(), 40*len(batch))
+	}
+}

@@ -804,10 +804,43 @@ func (s *Sketch) maybeHalve() {
 	}
 }
 
+// RaiseExponent thins the table down to rate 2^-p, one halveOnce per
+// level, and leaves a sketch already at p or coarser alone: the loop
+// Merge runs to align two sketches' rates, and the one a site runs when
+// its fleet's union samples more coarsely than it does. The halving
+// boundary moves up with each step, so afterwards the sketch keeps
+// sampling at 2^-p until its own position reaches S*2^(p+1) + 1. The
+// caller keeps p inside ExponentFits.
+func (s *Sketch) RaiseExponent(p int) {
+	for s.p < p {
+		s.halveOnce()
+	}
+}
+
+// ExponentFits reports whether exponent p keeps the sketch's clock one
+// the wire carries: the bound Fill applies, under which the halving
+// boundary S*2^(p+1) + 1 stays inside int64.
+func (s *Sketch) ExponentFits(p int) bool {
+	return p >= 0 && p <= 60 && s.params.S <= int64(1)<<(61-uint(p))
+}
+
+// ExponentAt is the exponent the Figure 2 schedule sets at position t:
+// the number of boundaries S*2^(r+1) + 1, r >= 0, that t has reached.
+// Merge sums positions and re-applies the schedule, so a union of
+// sketches whose summed position is t samples at 2^-max(ExponentAt(t),
+// their largest p).
+func (s *Sketch) ExponentAt(t int64) int {
+	p := 0
+	for t > 0 && (t-1)>>uint(p+1) >= s.params.S {
+		p++
+	}
+	return p
+}
+
 // halveOnce performs one halving step unconditionally: thin every
 // counter by Bin(a, 1/2) and move the sampling exponent up one level.
-// maybeHalve drives it on schedule; Merge drives it to align two
-// sketches' sampling rates.
+// maybeHalve drives it on schedule; RaiseExponent drives it to a rate
+// set from outside (Merge's alignment, a fleet's exponent).
 func (s *Sketch) halveOnce() {
 	halvings.Inc()
 	s.refreshMaxCount()
@@ -842,16 +875,12 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if s.params != other.params {
 		return fmt.Errorf("csss: merging sketches with different params (%+v vs %+v)", s.params, other.params)
 	}
-	for s.p < other.p {
-		s.halveOnce()
-	}
+	s.RaiseExponent(other.p)
 	if other.p < s.p {
 		thin := *other // halveOnce touches table, rng and the rate fields only
 		thin.table = slices.Clone(other.table)
 		thin.rng = sample.Seeded(other.rng.Get().Int63())
-		for thin.p < s.p {
-			thin.halveOnce()
-		}
+		thin.RaiseExponent(s.p)
 		other = &thin
 	}
 	for c := range s.table {

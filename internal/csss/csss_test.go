@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // zipfStream builds a bounded-deletion stream: zipfian inserts followed
@@ -86,6 +87,82 @@ func TestHalvingSchedule(t *testing.T) {
 		} else if p != 0 {
 			t.Fatalf("halved too early: t=%d p=%d", tt, p)
 		}
+	}
+}
+
+// TestExponentAtIsTheSchedule: a sketch fed from empty samples at
+// ExponentAt of its position after every update, and ExponentAt stays
+// finite at the largest position.
+func TestExponentAtIsTheSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	const S = 16
+	sk := New(rng, Params{Rows: 1, K: 1, S: S})
+	for step := 0; step < 300*S; step++ {
+		sk.Update(uint64(step%64), 1)
+		if p, want := sk.SampleExponent(), sk.ExponentAt(sk.Position()); p != want {
+			t.Fatalf("t=%d: exponent %d, ExponentAt %d", sk.Position(), p, want)
+		}
+	}
+	for _, tc := range []struct {
+		t    int64
+		want int
+	}{{0, 0}, {2 * S, 0}, {2*S + 1, 1}, {4 * S, 1}, {4*S + 1, 2}, {math.MaxInt64, 58}} {
+		if got := sk.ExponentAt(tc.t); got != tc.want {
+			t.Errorf("ExponentAt(%d) = %d, want %d", tc.t, got, tc.want)
+		}
+	}
+}
+
+// TestRaiseExponent: a raise thins the table one binomial halving per
+// level and moves the halving boundary with it, so the sketch halves
+// next at its own position S*2^(p+1) + 1 and its encoding restores; a
+// raise to the exponent it has, or below, changes nothing.
+func TestRaiseExponent(t *testing.T) {
+	const S = 64
+	sk := New(rand.New(rand.NewSource(5)), Params{Rows: 3, K: 4, S: S})
+	for i := 0; i < 100; i++ {
+		sk.Update(uint64(i%7), 1)
+	}
+	mass := func() (m int64) {
+		for _, c := range sk.table {
+			m += c[0] + c[1]
+		}
+		return m
+	}
+	before := mass()
+	sk.RaiseExponent(3)
+	if sk.SampleExponent() != 3 || sk.nextHalf != S<<4+1 || sk.scale != 8 {
+		t.Fatalf("raised to p=%d, nextHalf %d, scale %v", sk.SampleExponent(), sk.nextHalf, sk.scale)
+	}
+	if after := mass(); after >= before || after > before/2 {
+		t.Fatalf("three halvings kept %d of %d sampled units", after, before)
+	}
+	kept := mass()
+	sk.RaiseExponent(2)
+	sk.RaiseExponent(3)
+	if sk.SampleExponent() != 3 || mass() != kept {
+		t.Fatal("a raise to the exponent held or below moved the sketch")
+	}
+	for sk.Position() < S<<4 {
+		sk.Update(1, 1)
+	}
+	if sk.SampleExponent() != 3 {
+		t.Fatalf("halved on its own before S*2^4 + 1: p=%d at t=%d", sk.SampleExponent(), sk.Position())
+	}
+	sk.Update(1, 1)
+	if sk.SampleExponent() != 4 {
+		t.Fatalf("did not halve at S*2^4 + 1: p=%d", sk.SampleExponent())
+	}
+	blob, _ := sk.MarshalBinary()
+	back := New(rand.New(rand.NewSource(5)), sk.params)
+	if err := wire.Fill(blob, back); err != nil {
+		t.Fatalf("a raised sketch does not restore: %v", err)
+	}
+	if !sk.ExponentFits(55) || sk.ExponentFits(56) || sk.ExponentFits(-1) {
+		t.Fatal("ExponentFits disagrees with Fill's bound at S = 64")
+	}
+	if huge := New(rand.New(rand.NewSource(5)), Params{Rows: 1, K: 1, S: 1 << 40}); huge.ExponentFits(22) || !huge.ExponentFits(21) {
+		t.Fatal("ExponentFits lets S*2^(p+1) leave int64")
 	}
 }
 

@@ -77,8 +77,8 @@ func (s *Sketch) Fill(r *wire.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if p > 60 || t < 0 || s.params.S > int64(1)<<(61-uint(p)) || t > s.params.S<<uint(p+1) {
-		// The S clause keeps the rederived halving boundary S*2^(p+1)+1
+	if !s.ExponentFits(p) || t < 0 || t > s.params.S<<uint(p+1) {
+		// ExponentFits keeps the rederived halving boundary S*2^(p+1)+1
 		// inside int64. The last clause keeps t short of that boundary:
 		// every Update, Merge and Clone leaves it so (they halve until it
 		// is), and UpdateColumns sizes its runs by the room left below it.

@@ -297,6 +297,23 @@ func (h *AlphaL1) CloneInto(dst *AlphaL1) *AlphaL1 {
 // SampleExponent returns the CSSS sketch's sampling exponent p.
 func (h *AlphaL1) SampleExponent() int { return h.sk.SampleExponent() }
 
+// SamplePosition returns the CSSS sketch's position t.
+func (h *AlphaL1) SamplePosition() int64 { return h.sk.Position() }
+
+// SampleExponentAt returns the exponent the CSSS schedule sets at t.
+func (h *AlphaL1) SampleExponentAt(t int64) int { return h.sk.ExponentAt(t) }
+
+// RaiseSampleExponent thins the CSSS sketch to rate 2^-p (a no-op when
+// it already samples at or below that rate). The candidates stay, as
+// they do across a scheduled halving.
+func (h *AlphaL1) RaiseSampleExponent(p int) error {
+	if !h.sk.ExponentFits(p) {
+		return fmt.Errorf("heavy: sampling exponent %d out of range", p)
+	}
+	h.sk.RaiseExponent(p)
+	return nil
+}
+
 // SpaceBits charges the CSSS sketch, the scale estimator, and the
 // candidate tracker.
 func (h *AlphaL1) SpaceBits() int64 {

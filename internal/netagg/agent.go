@@ -103,6 +103,10 @@ type AgentStats struct {
 	// CheckpointsWritten counts engine checkpoints actually written
 	// (unchanged-generation ticks are not counted).
 	CheckpointsWritten int64
+	// FleetExponent is the exponent P the last ACK carried: the CSSS
+	// exponent of the aggregator's heavy-hitters union, to which the
+	// agent has thinned its own heavy-hitters tables.
+	FleetExponent int
 }
 
 // Agent is one monitored site: a local sharded engine fed by Ingest,
@@ -148,6 +152,7 @@ type Agent struct {
 	syncFailures                    atomic.Int64
 	acksReceived                    atomic.Int64
 	checkpointsWritten              atomic.Int64
+	fleetExponent                   atomic.Int64
 	syncNanos                       obs.Histogram
 }
 
@@ -294,6 +299,7 @@ func (a *Agent) Sync(ctx context.Context) error {
 		return fmt.Errorf("netagg: agent %s awaiting ack %d: %w", a.opt.ID, msg.Seq, err)
 	}
 	a.framesIn.Add(1)
+	var exp int
 	switch r := reply.(type) {
 	case *netproto.Ack:
 		if r.Seq != msg.Seq {
@@ -301,6 +307,7 @@ func (a *Agent) Sync(ctx context.Context) error {
 			a.dropConnLocked()
 			return fmt.Errorf("netagg: agent %s: ack for seq %d, want %d", a.opt.ID, r.Seq, msg.Seq)
 		}
+		exp = int(r.Exponent)
 	case *netproto.Error:
 		a.syncFailures.Add(1)
 		a.dropConnLocked()
@@ -316,8 +323,23 @@ func (a *Agent) Sync(ctx context.Context) error {
 	a.acksReceived.Add(1)
 	a.snapshotsSent.Add(1)
 	a.sketchesSent.Add(int64(len(blobs)))
+	a.adoptExponent(exp)
 	a.syncNanos.ObserveSince(start)
 	return nil
+}
+
+// adoptExponent takes the union's exponent from an ACK: the local
+// heavy-hitters tables thin to it (a no-op when they are there), so
+// the aggregator's next rebuilds add this agent's table at the union's
+// rate instead of thinning a copy of it every time. A thinning moves
+// the engine generation, so the next sync ships the aligned state.
+// Correctness never depends on it — Merge aligns whatever it is given
+// — so a failure is logged, not returned.
+func (a *Agent) adoptExponent(p int) {
+	a.fleetExponent.Store(int64(p))
+	if err := a.eng.RaiseSampleExponent(p); err != nil {
+		a.opt.Logf("netagg: agent %s adopting fleet exponent %d: %v", a.opt.ID, p, err)
+	}
 }
 
 // ensureConn dials and handshakes when no connection is live,
@@ -439,6 +461,7 @@ func (a *Agent) Stats() AgentStats {
 		SyncFailures:       a.syncFailures.Load(),
 		AcksReceived:       a.acksReceived.Load(),
 		CheckpointsWritten: a.checkpointsWritten.Load(),
+		FleetExponent:      int(a.fleetExponent.Load()),
 	}
 }
 
@@ -465,6 +488,7 @@ func (a *Agent) ExposeMetrics(r *obs.Registry, instance string) func() {
 	c("repro_agent_sync_failures_total", "sync attempts that errored", a.syncFailures.Load, inst)
 	c("repro_agent_acks_total", "snapshot ACKs received", a.acksReceived.Load, inst)
 	c("repro_agent_checkpoints_total", "engine checkpoints written", a.checkpointsWritten.Load, inst)
+	r.GaugeFunc(owner, "repro_agent_fleet_exponent", "CSSS exponent of the aggregator's heavy-hitters union, as the last ACK carried it", a.fleetExponent.Load, inst)
 	r.HistogramFunc(owner, "repro_agent_sync_seconds", "marshal+push+ack wall time per shipped snapshot", a.syncNanos.Snapshot, inst)
 	var unregCkpt func()
 	if a.store != nil {

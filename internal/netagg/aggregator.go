@@ -106,8 +106,11 @@ type AggregatorStats struct {
 	HandshakeFailures                int64
 	ViewBuilds                       int64
 	// ViewSampleExponent is the CSSS exponent p of the merged heavy
-	// hitters view at its last build: the UNION can have left rate 1 (every
-	// rebuild then pays alignment halvings) while each agent reports 0.
+	// hitters view at its last build. The UNION can leave rate 1 while
+	// every agent is still at 0; the ACK then hands the agents its
+	// exponent, they thin to it, and only the builds of a round in which
+	// the union crosses a halving boundary (or an agent has not yet
+	// caught up) pay alignment halvings.
 	ViewSampleExponent int
 	// CheckpointsWritten counts state checkpoints actually written
 	// (unchanged-state ticks are not counted); RecoveredAgents counts
@@ -131,6 +134,12 @@ type Aggregator struct {
 	mu           sync.Mutex
 	agents       map[string]*agentState
 	stateVersion uint64
+	// The union's sampling clock, moved by every commit (setSketchesLocked):
+	// the summed position of the stored heavy-hitters sketches, and the
+	// exponent P the next merged-view build reaches, which each ACK
+	// carries.
+	unionPosition int64
+	unionExponent uint8
 
 	// qmu serializes query answering and guards the merged-view cache.
 	// One merge rebuild serves every query until the next commit.
@@ -367,12 +376,13 @@ func (a *Aggregator) handle(conn net.Conn) {
 				refuse("SNAPSHOT from non-agent role %s", hello.Role)
 				return
 			}
-			if err := a.applySnapshot(hello.Agent, m); err != nil {
+			exp, err := a.applySnapshot(hello.Agent, m)
+			if err != nil {
 				a.snapshotsRejected.Add(1)
 				refuse("snapshot %d from %q: %s", m.Seq, hello.Agent, err)
 				return
 			}
-			if err := send(&netproto.Ack{Seq: m.Seq}); err != nil {
+			if err := send(&netproto.Ack{Seq: m.Seq, Exponent: exp}); err != nil {
 				return
 			}
 		case *netproto.Query:
@@ -399,12 +409,14 @@ func (a *Aggregator) handle(conn net.Conn) {
 // included), checks each kind against what the other agents hold of it
 // (admits), then commits all of them in one critical section.
 // Decode-before-commit is the atomicity guarantee: a snapshot with any
-// malformed or foreign blob changes nothing.
-func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
+// malformed or foreign blob changes nothing. It returns the exponent
+// the heavy-hitters union has once the snapshot is committed, which
+// the ACK carries.
+func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) (uint8, error) {
 	start := obs.Now()
 	decoded, err := engine.DecodeBlobs(m.Sketches, a.opt.Structures, a.opt.Config)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// The agent's whole kind map, from this list alone: a kind the
 	// snapshot leaves out is a kind the agent no longer contributes.
@@ -416,7 +428,7 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 	a.mu.Lock()
 	if err := a.admits(id, sketches); err != nil {
 		a.mu.Unlock()
-		return err
+		return 0, err
 	}
 	st := a.agents[id]
 	if st == nil {
@@ -428,11 +440,13 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 		// A duplicate or reordered resend: the committed state already
 		// covers it (full snapshots are idempotent), so skip the write
 		// but still ACK so the sender can move on.
+		exp := a.unionExponent
 		a.mu.Unlock()
 		a.snapshotsStale.Add(1)
-		return nil
+		return exp, nil
 	}
-	st.sketches = sketches
+	a.setSketchesLocked(st, sketches)
+	exp := a.unionExponent
 	st.seq = m.Seq
 	st.gen = m.Gen
 	st.lastSyncUnixNano.Store(time.Now().UnixNano())
@@ -442,7 +456,46 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) error {
 
 	a.snapshotsApplied.Add(1)
 	a.applyNanos.ObserveSince(start)
-	return nil
+	return exp, nil
+}
+
+// setSketchesLocked replaces an agent's kinds and moves the union's
+// clock with them: the running sum of the stored heavy-hitters
+// positions, then P, the larger of the stored sketches' highest
+// exponent and the halving schedule at that sum. Merge raises its
+// receiver to its argument's exponent and re-applies the schedule at
+// the summed position, so P is exactly the exponent the next
+// merged-view build reaches, whatever order it merges in. The caller
+// holds a.mu (or owns the aggregator outright, as at recovery).
+func (a *Aggregator) setSketchesLocked(st *agentState, sketches map[engine.Structures]bounded.Sketch) {
+	if hh := heavyOf(st.sketches); hh != nil {
+		a.unionPosition -= hh.SamplePosition()
+	}
+	st.sketches = sketches
+	if hh := heavyOf(sketches); hh != nil {
+		a.unionPosition += hh.SamplePosition()
+	}
+	p := 0
+	var some *bounded.HeavyHitters // any stored one: they share the Config, hence the schedule
+	for _, other := range a.agents {
+		if hh := heavyOf(other.sketches); hh != nil {
+			p, some = max(p, hh.SampleExponent()), hh
+		}
+	}
+	if some != nil {
+		p = max(p, some.SampleExponentAt(a.unionPosition))
+	}
+	// A stored sketch's exponent is at most netproto.MaxExponent (its
+	// decode's bound); only a summed position past any real stream's
+	// could schedule more.
+	a.unionExponent = uint8(min(p, int(netproto.MaxExponent)))
+}
+
+// heavyOf returns an agent's stored heavy-hitters sketch, nil when it
+// ships none.
+func heavyOf(sketches map[engine.Structures]bounded.Sketch) *bounded.HeavyHitters {
+	hh, _ := sketches[engine.HeavyHitters].(*bounded.HeavyHitters)
+	return hh
 }
 
 // admits reports whether every sketch an agent ships combines with

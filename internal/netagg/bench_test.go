@@ -116,14 +116,19 @@ func BenchmarkQueryRoundTrip(b *testing.B) {
 // HeavyHitters query that follows rebuilds the merged view over every
 // agent. rate1 keeps the union exact (B/op is one blob decode plus one
 // accumulator, whatever the fleet size); past2S has every agent at rate
-// 1 and their union past 2S — fleet-sync's shape, where each build also
-// halves the accumulator and a copy of every later agent's table.
+// 1 and their union past 2S — a fleet whose agents ignore the ACK's
+// exponent, where each build also halves the accumulator and a copy of
+// every later agent's table; aligned/past2S is the same fleet after
+// every agent adopted the union's exponent from its ACK, as agents do,
+// where a build halves nothing. halvings/op counts the build's CSSS
+// halvings (repro_netagg_view_align_halvings_total).
 func BenchmarkViewRebuild(b *testing.B) {
 	for _, regime := range []struct {
-		name string
-		cfg  bounded.Config
-		mass int
-	}{{"rate1", testConfig, 10_000}, {"past2S", sampledConfig, 700}} {
+		name    string
+		cfg     bounded.Config
+		mass    int
+		aligned bool
+	}{{"rate1", testConfig, 10_000, false}, {"past2S", sampledConfig, 700, false}, {"aligned/past2S", sampledConfig, 700, true}} {
 		for _, agents := range []int{4, 16} {
 			b.Run(fmt.Sprintf("%s/agents=%d", regime.name, agents), func(b *testing.B) {
 				agg, err := NewAggregator(AggregatorOptions{Config: regime.cfg})
@@ -132,19 +137,45 @@ func BenchmarkViewRebuild(b *testing.B) {
 				}
 				defer agg.Close()
 				blobs := rate1Sites(b, agg, regime.cfg, agents, regime.mass)
+				if regime.aligned {
+					blobs = alignSites(b, agg, blobs)
+				}
+				halvings := agg.viewHalvings.Load()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					commitHH(b, agg, "site-0", uint64(i+2), blobs[0])
+					commitHH(b, agg, "site-0", uint64(i+3), blobs[0])
 					askHH(b, agg)
 				}
 				b.StopTimer()
 				if got := agg.Stats().ViewBuilds; got != int64(b.N) {
 					b.Fatalf("%d view builds in %d laps", got, b.N)
 				}
+				b.ReportMetric(float64(agg.viewHalvings.Load()-halvings)/float64(b.N), "halvings/op")
 			})
 		}
 	}
+}
+
+// alignSites has every committed site adopt the exponent the last
+// commit's ACK carried: each blob is thinned to it and committed again.
+func alignSites(b *testing.B, agg *Aggregator, blobs [][]byte) [][]byte {
+	p := int(agg.unionExponent)
+	out := make([][]byte, len(blobs))
+	for site, blob := range blobs {
+		sk, err := bounded.UnmarshalSketch(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sk.(*bounded.HeavyHitters).RaiseSampleExponent(p); err != nil {
+			b.Fatal(err)
+		}
+		if out[site], err = sk.MarshalBinary(); err != nil {
+			b.Fatal(err)
+		}
+		commitHH(b, agg, fmt.Sprintf("site-%d", site), 2, out[site])
+	}
+	return out
 }
 
 // BenchmarkSyntheticIngest measures the load generator feeding the

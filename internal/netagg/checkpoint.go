@@ -162,10 +162,11 @@ func (a *Aggregator) openCheckpoint() error {
 		return err
 	}
 	for _, row := range rows {
-		st := &agentState{sketches: row.sketches, seq: row.seq, gen: row.gen}
+		st := &agentState{seq: row.seq, gen: row.gen}
 		st.lastSyncUnixNano.Store(row.lastSyncNano)
 		st.snapshots.Store(row.snapshots)
 		a.agents[row.id] = st
+		a.setSketchesLocked(st, row.sketches)
 	}
 	if len(rows) > 0 {
 		a.stateVersion++ // recovered state is a new version to checkpoint loops

@@ -112,7 +112,7 @@ func TestAggregatorCheckpointValidation(t *testing.T) {
 		Bit:     uint32(engine.HeavyHitters),
 		Payload: hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}, {Index: 7, Delta: 2}}),
 	}}}
-	if err := a1.applySnapshot("site-a", snap); err != nil {
+	if _, err := a1.applySnapshot("site-a", snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := a1.Checkpoint(); err != nil {
@@ -279,7 +279,7 @@ func TestAggregatorRejectsMistaggedBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agg.Close()
-	err = agg.applySnapshot("site-a", &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []wire.Blob{{
+	_, err = agg.applySnapshot("site-a", &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: []wire.Blob{{
 		Bit:     uint32(engine.SupportSampler),
 		Payload: hhBlob(t, []bounded.Update{{Index: 42, Delta: 9}}),
 	}}})

@@ -766,7 +766,8 @@ func TestForeignOptionsSnapshotRefused(t *testing.T) {
 
 // TestHandshakeRefusals pins the admission checks: wrong config, a
 // structure set the aggregator does not accept, a first frame that is
-// not HELLO, and a disjoint version range are all ERROR + close.
+// not HELLO, a disjoint version range and a HELLO offering only
+// revision 1 are all ERROR + close.
 func TestHandshakeRefusals(t *testing.T) {
 	agg, addr := startAggregator(t, AggregatorOptions{
 		Config: testConfig, Structures: engine.HeavyHitters,
@@ -774,7 +775,7 @@ func TestHandshakeRefusals(t *testing.T) {
 	})
 	defer agg.Close()
 
-	expectRefusal := func(name string, first netproto.Msg) {
+	expectRefusal := func(name string, first netproto.Msg, want ...string) {
 		t.Helper()
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -789,8 +790,14 @@ func TestHandshakeRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reading refusal: %v", name, err)
 		}
-		if _, ok := reply.(*netproto.Error); !ok {
+		e, ok := reply.(*netproto.Error)
+		if !ok {
 			t.Fatalf("%s: reply = %T, want ERROR", name, reply)
+		}
+		for _, w := range want {
+			if !strings.Contains(e.Msg, w) {
+				t.Fatalf("%s: refused with %q, want it to say %q", name, e.Msg, w)
+			}
 		}
 		if _, err := mr.Next(); err == nil {
 			t.Fatalf("%s: connection stayed open after refusal", name)
@@ -801,16 +808,16 @@ func TestHandshakeRefusals(t *testing.T) {
 	wrongSeed.Seed++
 	expectRefusal("config mismatch", &netproto.Hello{
 		Role: netproto.RoleAgent, Agent: "x",
-		MinVersion: 1, MaxVersion: 1, Config: wrongSeed,
+		MinVersion: netproto.VersionMin, MaxVersion: netproto.VersionMax, Config: wrongSeed,
 		Structures: uint32(engine.HeavyHitters),
 	})
 	expectRefusal("structures not accepted", &netproto.Hello{
 		Role: netproto.RoleAgent, Agent: "x",
-		MinVersion: 1, MaxVersion: 1, Config: configEcho(testConfig),
+		MinVersion: netproto.VersionMin, MaxVersion: netproto.VersionMax, Config: configEcho(testConfig),
 		Structures: uint32(engine.HeavyHitters | engine.SyncSketch),
 	})
 	expectRefusal("empty agent id", &netproto.Hello{
-		Role: netproto.RoleAgent, MinVersion: 1, MaxVersion: 1,
+		Role: netproto.RoleAgent, MinVersion: netproto.VersionMin, MaxVersion: netproto.VersionMax,
 		Config: configEcho(testConfig), Structures: uint32(engine.HeavyHitters),
 	})
 	expectRefusal("version range disjoint", &netproto.Hello{
@@ -818,6 +825,12 @@ func TestHandshakeRefusals(t *testing.T) {
 		MinVersion: 200, MaxVersion: 210, Config: configEcho(testConfig),
 		Structures: uint32(engine.HeavyHitters),
 	})
+	// Revision 1's ACK carried no exponent; nothing here speaks it.
+	expectRefusal("v1 HELLO", &netproto.Hello{
+		Role: netproto.RoleAgent, Agent: "x",
+		MinVersion: 1, MaxVersion: 1, Config: configEcho(testConfig),
+		Structures: uint32(engine.HeavyHitters),
+	}, "no common protocol version")
 	expectRefusal("first frame not HELLO", &netproto.Ack{Seq: 1})
 
 	// A client pushing a SNAPSHOT is a role violation.
@@ -828,7 +841,7 @@ func TestHandshakeRefusals(t *testing.T) {
 	defer client.Close()
 	cmr := netproto.NewMessageReader(client, 0)
 	if err := netproto.WriteMessage(client, &netproto.Hello{
-		Role: netproto.RoleClient, MinVersion: 1, MaxVersion: 1,
+		Role: netproto.RoleClient, MinVersion: netproto.VersionMin, MaxVersion: netproto.VersionMax,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -846,8 +859,8 @@ func TestHandshakeRefusals(t *testing.T) {
 		t.Fatalf("client SNAPSHOT answered %T, want ERROR", reply)
 	}
 
-	if st := agg.Stats(); st.HandshakeFailures < 5 {
-		t.Fatalf("HandshakeFailures = %d, want >= 5", st.HandshakeFailures)
+	if st := agg.Stats(); st.HandshakeFailures < 6 {
+		t.Fatalf("HandshakeFailures = %d, want >= 6", st.HandshakeFailures)
 	}
 }
 

@@ -10,28 +10,64 @@ import (
 	"repro/engine"
 )
 
-// TestSplitsThatBreakLocalStrictness: TestEndToEndDifferential routes
-// by key (siteOf), so every site's substream is itself a strict
-// turnstile stream. Real monitoring promises no such thing — a flow
-// opens at one router and closes at another — so here the same stream
-// and the same whole-stream reference engine meet two splits under
-// which a site's substream is NOT strict, although the union is:
+// splitSites is how many sites a split cuts a stream across.
+const splitSites = 4
+
+// split routes update j of a stream, u, to one of splitSites sites.
+type split struct {
+	name  string
+	route func(j int, u bounded.Update) int
+}
+
+// cut returns each site's substream, in stream order.
+func (sp split) cut(stream []bounded.Update) [][]bounded.Update {
+	bySite := make([][]bounded.Update, splitSites)
+	for j, u := range stream {
+		s := sp.route(j, u)
+		bySite[s] = append(bySite[s], u)
+	}
+	return bySite
+}
+
+// keyPartitioned sends every update of a key to one site, so each
+// site's substream is strict whenever the stream is.
+var keyPartitioned = split{"key-partitioned", func(_ int, u bounded.Update) int { return int(u.Index % splitSites) }}
+
+// nonStrictSplits cut a strict stream so that sites' substreams are not:
 //
 //   - round-robin: update j goes to site j mod 4, so a delete routinely
 //     lands on a site that never saw the insert;
 //   - delete-elsewhere: every delete goes to the site after its
 //     insert's, so no site ever sees both signs of one key.
+var nonStrictSplits = []split{
+	{"round-robin", func(j int, _ bounded.Update) int { return j % splitSites }},
+	{"delete-elsewhere", func(_ int, u bounded.Update) int {
+		s := int(u.Index % splitSites)
+		if u.Delta < 0 {
+			s = (s + 1) % splitSites
+		}
+		return s
+	}},
+}
+
+// TestSplitsThatBreakLocalStrictness: TestEndToEndDifferential routes
+// by key (siteOf), so every site's substream is itself a strict
+// turnstile stream. Real monitoring promises no such thing — a flow
+// opens at one router and closes at another — so here the same stream
+// and the same whole-stream reference engine meet the two splits under
+// which a site's substream is NOT strict, although the union is
+// (nonStrictSplits: round-robin and delete-elsewhere).
 //
 // In the rate-1 regime the CSSS tables are linear in the stream, so the
 // merged point estimates must equal the reference's bit for bit however
 // the stream was cut; so must the strict L1 estimate, the heavy-hitter
 // set and the recovered support (verifyAgainstReference); and the
 // heavy-hitter set must hold every truly eps-heavy key. The sampled
-// regime, where each site halves on a clock of its own, is not covered
-// here: no split is bit-identical there, and the test for it is ROADMAP
-// item 2's seed sweep.
+// regime is covered by TestFleetClockSameDistribution, a seed sweep
+// over these splits and the key-partitioned one: no split is
+// bit-identical there (draws differ), so it asserts the same
+// distribution as a whole-stream engine instead.
 func TestSplitsThatBreakLocalStrictness(t *testing.T) {
-	const sites = 4
 	stream := testStream(60_000, 11)
 	probeKeys := []uint64{0, 1, 2, 3, 7, 31, 100, 4096, testConfig.N - 1}
 
@@ -56,20 +92,7 @@ func TestSplitsThatBreakLocalStrictness(t *testing.T) {
 		t.Fatal("the test stream has no eps-heavy key: the superset assertion would be vacuous")
 	}
 
-	splits := []struct {
-		name  string
-		route func(j int, u bounded.Update) int
-	}{
-		{"round-robin", func(j int, _ bounded.Update) int { return j % sites }},
-		{"delete-elsewhere", func(_ int, u bounded.Update) int {
-			s := int(u.Index % sites)
-			if u.Delta < 0 {
-				s = (s + 1) % sites
-			}
-			return s
-		}},
-	}
-	for _, sp := range splits {
+	for _, sp := range nonStrictSplits {
 		t.Run(sp.name, func(t *testing.T) {
 			agg, addr := startAggregator(t, AggregatorOptions{Config: testConfig, Structures: testStructures})
 			defer agg.Close()
@@ -82,11 +105,7 @@ func TestSplitsThatBreakLocalStrictness(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			bySite := make([][]bounded.Update, sites)
-			for j, u := range stream {
-				s := sp.route(j, u)
-				bySite[s] = append(bySite[s], u)
-			}
+			bySite := sp.cut(stream)
 			nonStrict := 0
 			for s, us := range bySite {
 				local := bounded.NewTracker(testConfig.N)

@@ -166,7 +166,7 @@ func TestCommittedStateSurvivesAliasedInput(t *testing.T) {
 			t.Fatal("SNAPSHOT payloads are copies, not views of the frame: this test no longer tests anything")
 		}
 		snap.Sketches[0].Payload[0] ^= 0xFF
-		if err := agg.applySnapshot("site", snap); err != nil {
+		if _, err := agg.applySnapshot("site", snap); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {

@@ -41,13 +41,16 @@ func hhBlobAt(t testing.TB, cfg bounded.Config, updates []bounded.Update) ([]byt
 	return b, hh.SampleExponent()
 }
 
-// commitHH commits one heavy-hitters blob as agent id's snapshot seq.
-func commitHH(t testing.TB, agg *Aggregator, id string, seq uint64, blob []byte) {
+// commitHH commits one heavy-hitters blob as agent id's snapshot seq
+// and returns the exponent its ACK would carry.
+func commitHH(t testing.TB, agg *Aggregator, id string, seq uint64, blob []byte) int {
 	t.Helper()
 	snap := &netproto.Snapshot{Seq: seq, Gen: seq, Sketches: []wire.Blob{{Bit: uint32(engine.HeavyHitters), Payload: blob}}}
-	if err := agg.applySnapshot(id, snap); err != nil {
+	exp, err := agg.applySnapshot(id, snap)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return int(exp)
 }
 
 // askHH asks the aggregator a heavy-hitters query, which builds the
@@ -279,11 +282,13 @@ func TestViewRebuildAllocatesOneState(t *testing.T) {
 }
 
 // TestViewExponentReported: four sites each below 2S report exponent 0
-// while their union is past it — every rebuild now pays alignment
-// halvings — and the aggregator says so: ViewSampleExponent 1, and on
-// /metrics the exponent gauge and the halvings counter (two: the
-// accumulator's own when the third site carries it past 2S, then the
-// fourth site's copy thinned to meet it).
+// while their union is past it — the crossing round, whose rebuild
+// pays alignment halvings until the sites adopt the exponent their
+// ACKs carry (TestAlignedFleetRebuildHalvesNothing) — and the
+// aggregator says so: ViewSampleExponent 1, and on /metrics the
+// exponent gauge and the halvings counter (two: the accumulator's own
+// when the third site carries it past 2S, then the fourth site's copy
+// thinned to meet it).
 func TestViewExponentReported(t *testing.T) {
 	agg, err := NewAggregator(AggregatorOptions{Config: sampledConfig})
 	if err != nil {
@@ -328,7 +333,7 @@ func TestViewReadersRaceWithCommitsAndCheckpoints(t *testing.T) {
 	}
 	defer agg.Close()
 	commit := func(site int, seq uint64, blobs []wire.Blob) {
-		if err := agg.applySnapshot(fmt.Sprintf("site-%d", site), &netproto.Snapshot{Seq: seq, Gen: seq, Sketches: blobs}); err != nil {
+		if _, err := agg.applySnapshot(fmt.Sprintf("site-%d", site), &netproto.Snapshot{Seq: seq, Gen: seq, Sketches: blobs}); err != nil {
 			t.Fatal(err)
 		}
 	}

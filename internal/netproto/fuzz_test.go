@@ -27,11 +27,11 @@ func frame(payload []byte) []byte {
 func FuzzFrameDecode(f *testing.F) {
 	// One valid frame of every message kind.
 	msgs := []Msg{
-		&Hello{Role: RoleAgent, Agent: "seed", MinVersion: 1, MaxVersion: 1,
+		&Hello{Role: RoleAgent, Agent: "seed", MinVersion: VersionMin, MaxVersion: VersionMax,
 			Config: ConfigEcho{N: 1 << 16, Eps: 0.05, Alpha: 4, Seed: 7}, Structures: 1, Shards: 2},
-		&Welcome{Version: 1, LastSeq: 3},
+		&Welcome{Version: VersionMax, LastSeq: 3},
 		&Snapshot{Seq: 1, Gen: 2, Sketches: []wire.Blob{{Bit: 1, Payload: []byte("BDxx")}}},
-		&Ack{Seq: 1},
+		&Ack{Seq: 1, Exponent: 3},
 		&Query{ID: 1, Op: OpEstimate, Keys: []uint64{1, 2, 3}},
 		&Answer{ID: 1, Values: []float64{1.5}},
 		&Error{Msg: "seed"},
@@ -56,9 +56,18 @@ func FuzzFrameDecode(f *testing.F) {
 	// Length prefix claiming more than delivered.
 	f.Add(append(frame([]byte("short"))[:4], 'N', 'P'))
 	// Garbage kind byte inside a well-formed frame.
-	f.Add(frame([]byte{'N', 'P', 1, 0xEE, 1, 2, 3}))
+	f.Add(frame([]byte{'N', 'P', VersionMax, 0xEE, 1, 2, 3}))
+	// An ACK whose exponent is past any sketch's (refused above
+	// MaxExponent), and the last one accepted.
+	for _, p := range []uint8{MaxExponent, MaxExponent + 1, 0xFF} {
+		ack := wire.NewWriter(Magic, VersionMax)
+		ack.U8(uint8(KindAck))
+		ack.U64(1)
+		ack.U8(p)
+		f.Add(frame(ack.Bytes()))
+	}
 	// Snapshot with a hostile blob count and no blobs.
-	hostile := wire.NewWriter(Magic, 1)
+	hostile := wire.NewWriter(Magic, VersionMax)
 	hostile.U8(uint8(KindSnapshot))
 	hostile.U64(1)
 	hostile.U64(1)

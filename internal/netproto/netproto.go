@@ -9,7 +9,7 @@
 //	site agent ──HELLO──────────────▶ aggregator   config + version offer
 //	           ◀─────────WELCOME──── aggregator   chosen version + last seq
 //	           ──SNAPSHOT(seq,gen)──▶              full sketch state
-//	           ◀─────────ACK(seq)───               committed
+//	           ◀──────ACK(seq, P)───               committed; the union's exponent
 //	           ── ... periodic SNAPSHOTs, skipped while gen is unchanged
 //
 //	client     ──HELLO──────────────▶ aggregator   role=client
@@ -30,8 +30,15 @@
 // Negotiate(hello)'s pick — the highest revision both ends speak — or
 // an ERROR frame when the ranges do not intersect. Frame payloads
 // themselves open with the "NP" magic and the envelope revision they
-// are encoded at (1 today), so a reader rejects frames from a future
+// are encoded at (2 today), so a reader rejects frames from an
 // incompatible encoding before touching any field.
+//
+// Revision 2 is the only one: its ACK carries the CSSS exponent P of
+// the aggregator's heavy-hitters union after the commit, the fleet's
+// sampling clock, which an agent adopts so the union's rebuilds stop
+// re-thinning its table. There is no revision-1 decode path: a HELLO
+// offering only 1 is refused with "no common protocol version", and a
+// frame encoded at revision 1 fails to decode.
 package netproto
 
 import (
@@ -47,8 +54,11 @@ const (
 	// VersionMin and VersionMax bound the protocol revisions this build
 	// speaks; HELLO advertises the range and Negotiate intersects it
 	// with the peer's.
-	VersionMin uint8 = 1
-	VersionMax uint8 = 1
+	VersionMin uint8 = 2
+	VersionMax uint8 = 2
+	// MaxExponent caps an ACK's exponent: the largest CSSS sampling
+	// exponent a sketch's encoding carries (csss Fill's bound).
+	MaxExponent uint8 = 60
 	// DefaultMaxFrame caps a frame payload (64 MiB): comfortably above
 	// any sketch snapshot at this library's parameter ranges, small
 	// enough that a hostile length prefix cannot balloon a connection
@@ -259,20 +269,30 @@ func decodeSnapshot(r *wire.Reader) (*Snapshot, error) {
 }
 
 // Ack commits a SNAPSHOT: the aggregator has decoded every blob and
-// atomically replaced the agent's previous state.
+// atomically replaced the agent's previous state. Exponent is P, the
+// CSSS exponent the aggregator's heavy-hitters union has after this
+// commit (0 while it is exact): the next merged-view build reaches
+// exactly P, and an agent whose own exponent is below it thins to it.
 type Ack struct {
-	Seq uint64
+	Seq      uint64
+	Exponent uint8
 }
 
 // Kind implements Msg.
 func (*Ack) Kind() MsgKind { return KindAck }
 
-func (m *Ack) encode(w *wire.Writer) { w.U64(m.Seq) }
+func (m *Ack) encode(w *wire.Writer) {
+	w.U64(m.Seq)
+	w.U8(m.Exponent)
+}
 
 func decodeAck(r *wire.Reader) (*Ack, error) {
-	m := &Ack{Seq: r.U64()}
+	m := &Ack{Seq: r.U64(), Exponent: r.U8()}
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	if m.Exponent > MaxExponent {
+		return nil, fmt.Errorf("netproto: ACK exponent %d exceeds %d", m.Exponent, MaxExponent)
 	}
 	return m, nil
 }

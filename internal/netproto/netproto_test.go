@@ -42,6 +42,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		}},
 		&Snapshot{Seq: 1, Gen: 0},
 		&Ack{Seq: 9},
+		&Ack{Seq: 10, Exponent: MaxExponent},
 		&Query{ID: 3, Op: OpEstimate, Keys: []uint64{1, 2, 1 << 40}},
 		&Query{ID: 4, Op: OpHeavyHitters},
 		&Answer{ID: 3, Values: []float64{1.5, -2, 0}},
@@ -74,15 +75,18 @@ func TestSnapshotBlobFidelity(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
-	valid := Encode(&Ack{Seq: 1})
+	valid := Encode(&Ack{Seq: 1, Exponent: 2})
 	cases := map[string][]byte{
 		"empty":            {},
 		"bad magic":        append([]byte("ZZ"), valid[2:]...),
 		"foreign version":  append([]byte{'N', 'P', 99}, valid[3:]...),
-		"unknown kind":     {'N', 'P', 1, 200},
+		"version 1":        append([]byte{'N', 'P', 1}, valid[3:]...),
+		"version 1 ack":    append([]byte{'N', 'P', 1}, valid[3:len(valid)-1]...),
+		"unknown kind":     {'N', 'P', VersionMax, 200},
 		"truncated ack":    valid[:len(valid)-2],
+		"ack without P":    valid[:len(valid)-1],
 		"trailing bytes":   append(append([]byte{}, valid...), 0xFF),
-		"kind only, empty": {'N', 'P', 1},
+		"kind only, empty": {'N', 'P', VersionMax},
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {
@@ -112,6 +116,11 @@ func TestDecodeRejectsSemanticViolations(t *testing.T) {
 	if _, err := Decode(s); err == nil {
 		t.Error("multi-bit structure id accepted")
 	}
+	// An ACK exponent past what a sketch's encoding carries.
+	a := Encode(&Ack{Seq: 1, Exponent: MaxExponent + 1})
+	if _, err := Decode(a); err == nil {
+		t.Error("ACK exponent above MaxExponent accepted")
+	}
 	// Oversize agent id.
 	h = Encode(&Hello{Role: RoleAgent, Agent: string(bytes.Repeat([]byte{'a'}, 4096)), MinVersion: 1, MaxVersion: 1})
 	if _, err := Decode(h); err == nil {
@@ -120,8 +129,13 @@ func TestDecodeRejectsSemanticViolations(t *testing.T) {
 }
 
 func TestNegotiate(t *testing.T) {
-	if v, err := Negotiate(&Hello{MinVersion: 1, MaxVersion: 1}); err != nil || v != 1 {
+	if v, err := Negotiate(&Hello{MinVersion: VersionMin, MaxVersion: VersionMax}); err != nil || v != VersionMax {
 		t.Fatalf("same range: v=%d err=%v", v, err)
+	}
+	// A peer that speaks only revision 1 (an ACK without the union's
+	// exponent) shares no version with this build.
+	if _, err := Negotiate(&Hello{MinVersion: 1, MaxVersion: 1}); err == nil {
+		t.Fatal("revision-1-only peer negotiated")
 	}
 	// Peer speaks a superset including the future: pick our max.
 	if v, err := Negotiate(&Hello{MinVersion: 1, MaxVersion: 9}); err != nil || v != VersionMax {

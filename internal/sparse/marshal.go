@@ -24,7 +24,11 @@ func (r *Recovery) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) 
 
 // EncodedLen is the length of the sketch's encoding: what an enclosing
 // structure grows its buffer by.
-func (r *Recovery) EncodedLen() int { return stateLen(len(r.cells), r.width()) }
+func (r *Recovery) EncodedLen() int { return r.LenAt(r.Width()) }
+
+// LenAt is the length of the encoding with the count column packed at
+// width.
+func (r *Recovery) LenAt(width int) int { return stateLen(len(r.cells), width) }
 
 // StateLen is the least encoded length of a sketch of the given
 // capacity: its counts packed at width 1.
@@ -32,8 +36,10 @@ func StateLen(capacity int) int { return stateLen(subtables*perTableFor(capacity
 
 func stateLen(cells, width int) int { return 9 + (width+16)*cells }
 
-// width is the byte width the count column packs at.
-func (r *Recovery) width() int {
+// Width is the byte width the count column packs at: one scan of the
+// counts. A structure that sizes its buffer by it (LenAt) hands it to
+// Write rather than have the count column scanned again.
+func (r *Recovery) Width() int {
 	var or uint64
 	for i := range r.cells {
 		or |= wire.Zigzag(r.cells[i].count)
@@ -43,8 +49,15 @@ func (r *Recovery) width() int {
 
 // AppendBinary appends the sketch's encoding to dst.
 func (r *Recovery) AppendBinary(dst []byte) ([]byte, error) {
-	width := r.width()
-	w := wire.State(wire.Grow(dst, stateLen(len(r.cells), width)))
+	width := r.Width()
+	w := wire.State(wire.Grow(dst, r.LenAt(width)))
+	r.Write(w, width)
+	return w.Bytes(), nil
+}
+
+// Write appends the sketch's encoding to w with the count column packed
+// at width, which is Width()'s value.
+func (r *Recovery) Write(w *wire.Writer, width int) {
 	w.I64(r.maxCount)
 	w.U8(uint8(width))
 	// One pass over the cells fills both columns: the Grow above made
@@ -57,7 +70,6 @@ func (r *Recovery) AppendBinary(dst []byte) ([]byte, error) {
 		binary.LittleEndian.PutUint64(sums[16*i:], c.keySum)
 		binary.LittleEndian.PutUint64(sums[16*i+8:], c.fpSum)
 	}
-	return w.Bytes(), nil
 }
 
 // Fill restores the state into a sketch of the encoder's dimensions

@@ -1,6 +1,7 @@
 package support
 
 import (
+	"repro/internal/sample"
 	"repro/internal/sparse"
 	"repro/internal/wire"
 )
@@ -15,9 +16,19 @@ func (sp *Sampler) MarshalBinary() ([]byte, error) { return sp.AppendBinary(nil)
 
 // EncodedLen is the length of the sampler's encoding.
 func (sp *Sampler) EncodedLen() int {
-	n := sp.rough.EncodedLen() + 8
+	var widths [sample.NumSlots]int
+	return sp.levelWidths(&widths)
+}
+
+// levelWidths stores each live level's count width, in level order, and
+// returns the encoding's length at those widths: the one scan of every
+// level's counts that a marshal makes.
+func (sp *Sampler) levelWidths(widths *[sample.NumSlots]int) int {
+	n, i := sp.rough.EncodedLen()+8, 0
 	for _, lv := range sp.levels.Each {
-		n += 4 + lv.EncodedLen()
+		widths[i] = lv.Width()
+		n += 4 + lv.LenAt(widths[i])
+		i++
 	}
 	return n
 }
@@ -31,12 +42,18 @@ func (params Params) StateLen() int {
 }
 
 // AppendBinary appends the sampler's encoding to dst, growing it once
-// by the length its live levels will take.
+// by the length its live levels will take; each level's count column is
+// scanned for its width once, for that length, and written at it.
 func (sp *Sampler) AppendBinary(dst []byte) ([]byte, error) {
-	w := wire.State(wire.Grow(dst, sp.EncodedLen()))
+	var widths [sample.NumSlots]int
+	w := wire.State(wire.Grow(dst, sp.levelWidths(&widths)))
 	w.Marshal(sp.rough)
 	w.U32(uint32(sp.levels.Peak()))
-	sp.levels.WriteLevels(w, func(lv *sparse.Recovery) { w.Marshal(lv) })
+	i := 0
+	sp.levels.WriteLevels(w, func(lv *sparse.Recovery) {
+		lv.Write(w, widths[i])
+		i++
+	})
 	return w.Bytes(), nil
 }
 
