@@ -166,6 +166,15 @@ func (h *HeavyHitters) RaiseSampleExponent(p int) error {
 	return h.impl.RaiseSampleExponent(p)
 }
 
+// MergeCounts reports the candidates of the last MergeAll or Merge run
+// into h's storage: how many distinct ones its parts held together, and
+// how many it kept — all of them up to the tracker's limit. Before any
+// merge it reports zeros.
+func (h *HeavyHitters) MergeCounts() (union, kept int) {
+	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "MergeCounts")
+	return h.impl.MergeCounts()
+}
+
 // HeavyHitters returns the detected heavy coordinates, sorted.
 func (h *HeavyHitters) HeavyHitters() []uint64 {
 	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "HeavyHitters")

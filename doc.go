@@ -407,7 +407,15 @@
 // Config (seed included) and reports a descriptive error otherwise; in
 // the sketches' exact regimes a merged snapshot is bit-identical to a
 // single-writer structure fed the concatenated stream, which the
-// engine's differential tests assert. One caveat: InnerProduct
+// engine's differential tests assert. MergeAll(dst, parts) builds the
+// union of k parts into dst's storage (the engine's merged view and the
+// aggregator's fleet view go through it): the heavy-hitters kinds sum
+// their tables in one pass — bytes equal to the pairwise chain
+// parts[0].CloneInto(dst), then Merge of each later part, with the
+// same draws — and re-rank the union of every part's candidates once,
+// keeping its top under the merged estimates in a layout that does not
+// depend on the order of the parts; every other kind runs that chain.
+// One caveat: InnerProduct
 // sketches TWO streams, so the engine's single-partition Ingest does
 // not feed it — merge InnerProduct instances directly (each site calls
 // UpdateF/UpdateG) rather than through engine shards.

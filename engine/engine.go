@@ -475,9 +475,10 @@ func (e *Engine) viewRead(kind Structures, op string, f func(bounded.Sketch)) er
 // viewRowLocked returns row's sketch merged over all shards, building
 // what is missing: a stale view is replaced by an empty one at the
 // current generation after ONE flush, and the row is cloned inside each
-// shard's goroutine (the shard keeps ingesting; Merge itself only reads
-// its argument) into the storage of the row's last build, and merged —
-// the other kinds are left alone until somebody asks. Rows are cached
+// shard's goroutine (the shard keeps ingesting) into the storage of the
+// row's last build, and the copies are merged into the first by one
+// bounded.MergeAll — the other kinds are left alone until somebody
+// asks. Rows are cached
 // until the next Ingest, and a valid view means no Ingest completed
 // since its flush, hence nothing pending or in flight: a second kind at
 // the same generation flushes nothing. Callers hold e.mu and e.queryMu.
@@ -488,7 +489,7 @@ func (e *Engine) viewRowLocked(row int) (bounded.Sketch, error) {
 		return v.rows[row], nil
 	}
 	// Building a row is the engine's most expensive maintenance step, so
-	// it gets a trace task (flush + clone fan-out + merge chain show up
+	// it gets a trace task (flush + clone fan-out + merge show up
 	// as one unit in `go tool trace`) and a latency histogram observation.
 	start := obs.Now()
 	task := obs.StartTask(context.Background(), "engine.snapshotBuild")
@@ -513,14 +514,11 @@ func (e *Engine) viewRowLocked(row int) (bounded.Sketch, error) {
 	e.eachShard(func(s int) { copies[s] = e.sets[s][row].CloneInto(copies[s]) })
 	cloneSpan.End()
 	mergeSpan := obs.StartRegion(task.Context(), "engine.mergeShards")
-	merged := copies[0]
-	for _, c := range copies[1:] {
-		if err := merged.Merge(c); err != nil {
-			mergeSpan.End()
-			return nil, err
-		}
-	}
+	merged, err := bounded.MergeAll(copies[0], copies) // in place: the copies are the view's own
 	mergeSpan.End()
+	if err != nil {
+		return nil, err
+	}
 	e.met.snapshotNanos.ObserveSince(start)
 	next := &mergedView{gen: v.gen, rows: slices.Clone(v.rows)}
 	next.rows[row] = merged

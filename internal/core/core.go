@@ -32,6 +32,26 @@ func Grow[T any](s *[]T, n int) []T {
 	return *s
 }
 
+// SumBlocks writes first (nil: what dst holds) plus the entries of
+// parts slices into dst, all of dst's length — the table sum of a k-way
+// merge of linear sketches. It runs a block at a time, so each block of
+// dst stays in cache while every part is added to it.
+func SumBlocks[T int64 | uint64](dst, first []T, parts int, part func(int) []T) {
+	const block = 512
+	for lo := 0; lo < len(dst); lo += block {
+		hi := min(lo+block, len(dst))
+		d := dst[lo:hi]
+		if first != nil {
+			copy(d, first[lo:hi])
+		}
+		for j := range parts {
+			for c, v := range part(j)[lo:hi] {
+				d[c] += v
+			}
+		}
+	}
+}
+
 // RelErr returns |got-want| / |want| (or |got| when want == 0).
 func RelErr(got, want float64) float64 {
 	if want == 0 {

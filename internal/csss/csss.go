@@ -897,16 +897,70 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
+// MergeAll returns s merged with others, written into dst (nil, s
+// itself — the merge runs in place — or an earlier copy nobody else
+// holds; never one of others): the state, and the draws, of the chain
+// s.CloneInto(dst) followed by Merge of each of others in order. When
+// every sketch samples at s's rate and their summed position stays
+// below s's next halving, no step of that chain halves or thins, so the
+// tables are summed block by block in one pass straight into dst;
+// otherwise the chain runs. Params are checked before anything is
+// written.
+func (s *Sketch) MergeAll(dst *Sketch, others []*Sketch) (*Sketch, error) {
+	t, aligned := s.t, true
+	for _, o := range others {
+		if o == nil {
+			return nil, fmt.Errorf("csss: merge with nil sketch")
+		}
+		if o.params != s.params {
+			return nil, fmt.Errorf("csss: merging sketches with different params (%+v vs %+v)", s.params, o.params)
+		}
+		t += o.t
+		aligned = aligned && o.p == s.p
+	}
+	if !aligned || t >= s.nextHalf {
+		if dst != s {
+			dst = s.CloneInto(dst)
+		}
+		for _, o := range others {
+			if err := dst.Merge(o); err != nil {
+				return nil, err
+			}
+		}
+		return dst, nil
+	}
+	var first []uint64 // nil in place: dst already holds s's counters
+	if dst != s {
+		dst, first = s.shellInto(dst), s.counters()
+	}
+	core.SumBlocks(dst.counters(), first, len(others), func(j int) []uint64 { return others[j].counters() })
+	dst.t = t
+	for _, o := range others {
+		dst.maxCount = max(dst.maxCount, o.maxCount)
+	}
+	dst.haveLast = false
+	sampleExponent.Set(int64(dst.p))
+	return dst, nil
+}
+
 // CloneInto returns a deep copy sharing the (immutable) hash wiring,
 // written into dst (nil, or an earlier copy nobody else holds; its table
 // and scratch are reused where the shape matches). The copy's rng stream
 // is seeded by one draw of s's and built when the copy first draws.
 func (s *Sketch) CloneInto(dst *Sketch) *Sketch {
+	dst = s.shellInto(dst)
+	copy(dst.table, s.table)
+	return dst
+}
+
+// shellInto is CloneInto short of the table's contents, which are
+// whatever dst held.
+func (s *Sketch) shellInto(dst *Sketch) *Sketch {
 	if dst == nil || dst.params != s.params {
 		dst = (&Sketch{rows: s.rows}).withScratch()
 	}
 	c := *s
-	c.table, c.rng, c.haveLast = append(dst.table[:0], s.table...), sample.Seeded(s.rng.Get().Int63()), false
+	c.table, c.rng, c.haveLast = core.Grow(&dst.table, len(s.table)), sample.Seeded(s.rng.Get().Int63()), false
 	c.rowCols, c.rowSigns, c.rowIdx, c.rowSide = dst.rowCols, dst.rowSigns, dst.rowIdx, dst.rowSide
 	c.cnts, c.qest, c.qBatch, c.resid = dst.cnts, dst.qest, dst.qBatch, dst.resid
 	*dst = c

@@ -256,27 +256,62 @@ func (h *AlphaL1) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 }
 
 // Merge folds another AlphaL1 built from the same seed into this one:
-// the CSSS sketches and L1 scale merge, then the union of both
-// candidate sets is re-offered against the merged sketch, so the
-// tracker holds the top candidates under post-merge estimates. other
-// is only read.
+// MergeAll with one part, in place. other is only read.
 func (h *AlphaL1) Merge(other *AlphaL1) error {
-	if other == nil {
-		return fmt.Errorf("heavy: merge with nil AlphaL1")
+	_, err := h.MergeAll(h, []*AlphaL1{other})
+	return err
+}
+
+// MergeAll returns h merged with others, built from the same seed,
+// written into dst (nil, h itself — in place — or an earlier result
+// nobody else holds; never one of others). The CSSS tables and L1
+// scales merge as the chain of pairwise Merges would, to the same
+// bytes and draws (csss.Sketch.MergeAll); the candidates of every part
+// are then re-ranked ONCE against the merged sketch
+// (topk.Refresher.MergeAll), so the tracker holds the top candidates of
+// the union under its estimates whatever order the parts come in. With
+// no others, dst holds h's tables and h's candidates re-ranked against
+// them. The parts are only read.
+func (h *AlphaL1) MergeAll(dst *AlphaL1, others []*AlphaL1) (*AlphaL1, error) {
+	sks := make([]*csss.Sketch, len(others))
+	trackers := make([]*topk.Tracker, 1+len(others))
+	trackers[0] = h.tracker
+	for j, o := range others {
+		if o == nil {
+			return nil, fmt.Errorf("heavy: merge with nil AlphaL1")
+		}
+		if (h.scale.l1Est == nil) != (o.scale.l1Est == nil) || h.eps != o.eps || h.n != o.n {
+			return nil, fmt.Errorf("heavy: merging AlphaL1 with different params (same seed/params required)")
+		}
+		sks[j], trackers[j+1] = o.sk, o.tracker
 	}
-	if (h.scale.l1Est == nil) != (other.scale.l1Est == nil) || h.eps != other.eps || h.n != other.n {
-		return fmt.Errorf("heavy: merging AlphaL1 with different params (same seed/params required)")
+	dst = core.OrNew(dst)
+	sk, err := h.sk.MergeAll(dst.sk, sks)
+	if err != nil {
+		return nil, err
 	}
-	if err := h.sk.Merge(other.sk); err != nil {
-		return err
+	scale := h.scale
+	if dst != h {
+		scale = h.scale.cloneInto(&dst.scale)
 	}
-	if err := h.scale.merge(&other.scale); err != nil {
-		return err
+	for _, o := range others {
+		if err := scale.merge(&o.scale); err != nil {
+			return nil, err
+		}
 	}
 	b := core.GetBatch()
 	defer core.PutBatch(b)
-	return h.refresh.Merge(h.tracker, other.tracker, b, h.sk)
+	tracker, err := dst.refresh.MergeAll(dst.tracker, trackers, b, sk)
+	if err != nil {
+		return nil, err
+	}
+	*dst = AlphaL1{eps: h.eps, sk: sk, tracker: tracker, n: h.n, scale: scale, refresh: dst.refresh}
+	return dst, nil
 }
+
+// MergeCounts reports the last MergeAll run into h's storage: how many
+// distinct candidates its parts held together, and how many it kept.
+func (h *AlphaL1) MergeCounts() (union, kept int) { return h.refresh.MergeCounts() }
 
 // CloneInto returns a deep copy safe to hand to another goroutine while
 // h keeps ingesting, written into dst (nil: a new one), an earlier copy

@@ -151,24 +151,50 @@ func (h *AlphaL2) QueryColumns(b *core.Batch, keys []uint64, est []float64) {
 }
 
 // Merge folds another AlphaL2 built from the same seed into this one:
-// both Count-Sketches add coordinate-wise and the candidate union is
-// re-offered against the merged insertion-pass sketch.
+// MergeAll with one part, in place. other is only read.
 func (h *AlphaL2) Merge(other *AlphaL2) error {
-	if other == nil {
-		return fmt.Errorf("heavy: merge with nil AlphaL2")
+	_, err := h.MergeAll(h, []*AlphaL2{other})
+	return err
+}
+
+// MergeAll returns h merged with others, built from the same seed,
+// written into dst (nil, h itself — in place — or an earlier result
+// nobody else holds; never one of others): both Count-Sketches are
+// summed in one pass each (sketch.CountSketch.Add) and the candidates
+// of every part are re-ranked ONCE
+// against the merged insertion-pass sketch (topk.Refresher.MergeAll).
+// With no others, dst holds h's sketches and h's candidates re-ranked
+// against them. The parts are only read.
+func (h *AlphaL2) MergeAll(dst *AlphaL2, others []*AlphaL2) (*AlphaL2, error) {
+	ins, ver := make([]*sketch.CountSketch, len(others)), make([]*sketch.CountSketch, len(others))
+	trackers := make([]*topk.Tracker, 1+len(others))
+	trackers[0] = h.trk
+	for j, o := range others {
+		if o == nil {
+			return nil, fmt.Errorf("heavy: merge with nil AlphaL2")
+		}
+		if h.eps != o.eps || h.alpha != o.alpha || h.n != o.n {
+			return nil, fmt.Errorf("heavy: merging AlphaL2 with different params (same seed/params required)")
+		}
+		ins[j], ver[j], trackers[j+1] = o.insCS, o.verCS, o.trk
 	}
-	if h.eps != other.eps || h.alpha != other.alpha || h.n != other.n {
-		return fmt.Errorf("heavy: merging AlphaL2 with different params (same seed/params required)")
+	dst = core.OrNew(dst)
+	insCS, err := h.insCS.Add(dst.insCS, ins)
+	if err != nil {
+		return nil, err
 	}
-	if err := h.insCS.Merge(other.insCS); err != nil {
-		return err
-	}
-	if err := h.verCS.Merge(other.verCS); err != nil {
-		return err
+	verCS, err := h.verCS.Add(dst.verCS, ver)
+	if err != nil {
+		return nil, err
 	}
 	b := core.GetBatch()
 	defer core.PutBatch(b)
-	return h.refresh.Merge(h.trk, other.trk, b, h.insCS)
+	trk, err := dst.refresh.MergeAll(dst.trk, trackers, b, insCS)
+	if err != nil {
+		return nil, err
+	}
+	*dst = AlphaL2{eps: h.eps, alpha: h.alpha, insCS: insCS, verCS: verCS, trk: trk, n: h.n, refresh: dst.refresh, qInt: dst.qInt}
+	return dst, nil
 }
 
 // CloneInto returns a deep copy (snapshot) written into dst (nil: a new

@@ -112,6 +112,11 @@ type AggregatorStats struct {
 	// the union crosses a halving boundary (or an agent has not yet
 	// caught up) pay alignment halvings.
 	ViewSampleExponent int
+	// ViewCandidates and ViewKept describe the heavy-hitters view's
+	// candidate set at its last build: the distinct candidates of every
+	// agent's tracker together, and how many of them the view's tracker
+	// kept — all of them up to its limit, ranked once over the union.
+	ViewCandidates, ViewKept int
 	// CheckpointsWritten counts state checkpoints actually written
 	// (unchanged-state ticks are not counted); RecoveredAgents counts
 	// agents whose state was restored from disk at construction.
@@ -172,6 +177,7 @@ type Aggregator struct {
 	handshakeFailures                atomic.Int64
 	viewBuilds                       atomic.Int64
 	viewExponent, viewHalvings       atomic.Int64 // the HH view's p at its last build; CSSS halvings builds performed
+	viewCandidates, viewKept         atomic.Int64 // the HH view's candidate union and kept count at its last build
 	mergeNanos                       obs.Histogram
 	applyNanos                       obs.Histogram
 
@@ -555,27 +561,30 @@ func (a *Aggregator) mergedView() (map[engine.Structures]bounded.Sketch, error) 
 	start := obs.Now()
 	halvings := csss.DispatchStats().Halvings
 	view := make(map[engine.Structures]bounded.Sketch)
+	var parts []bounded.Sketch
 	for _, bit := range a.opt.Structures.Bits() {
-		var acc bounded.Sketch
+		parts = parts[:0]
 		for _, sketches := range stored {
-			sk := sketches[bit]
-			if sk == nil {
-				continue
-			}
-			if acc == nil {
-				acc = sk.CloneInto(a.view[bit])
-			} else if err := acc.Merge(sk); err != nil {
-				return nil, fmt.Errorf("netagg: merging %T: %w", sk, err)
+			if sk := sketches[bit]; sk != nil {
+				parts = append(parts, sk)
 			}
 		}
-		if acc != nil {
-			view[bit] = acc
+		if len(parts) == 0 {
+			continue
 		}
+		acc, err := bounded.MergeAll(a.view[bit], parts)
+		if err != nil {
+			return nil, fmt.Errorf("netagg: merging %T: %w", parts[0], err)
+		}
+		view[bit] = acc
 	}
 	a.viewBuilds.Add(1)
 	a.viewHalvings.Add(csss.DispatchStats().Halvings - halvings)
 	if hh, ok := view[engine.HeavyHitters].(*bounded.HeavyHitters); ok {
 		a.viewExponent.Store(int64(hh.SampleExponent()))
+		union, kept := hh.MergeCounts()
+		a.viewCandidates.Store(int64(union))
+		a.viewKept.Store(int64(kept))
 	}
 	a.mergeNanos.ObserveSince(start)
 
@@ -664,6 +673,8 @@ func (a *Aggregator) Stats() AggregatorStats {
 		HandshakeFailures:  a.handshakeFailures.Load(),
 		ViewBuilds:         a.viewBuilds.Load(),
 		ViewSampleExponent: int(a.viewExponent.Load()),
+		ViewCandidates:     int(a.viewCandidates.Load()),
+		ViewKept:           int(a.viewKept.Load()),
 		CheckpointsWritten: a.checkpointsWritten.Load(),
 		RecoveredAgents:    a.recoveredAgents.Load(),
 	}
@@ -710,6 +721,10 @@ func (a *Aggregator) ExposeMetrics(r *obs.Registry, instance string) func() {
 	c("repro_aggd_view_builds_total", "merged-view rebuilds", a.viewBuilds.Load, inst)
 	r.GaugeFunc(owner, "repro_netagg_view_csss_exponent", "CSSS exponent p of the merged heavy-hitters view at its last build (0 = exact)", a.viewExponent.Load, inst)
 	c("repro_netagg_view_align_halvings_total", "CSSS halvings performed by merged-view builds", a.viewHalvings.Load, inst)
+	r.GaugeFunc(owner, "repro_netagg_view_candidates", "heavy-hitters candidates at the last merged-view build: the agents' union, and those the view kept",
+		a.viewCandidates.Load, inst, obs.Label{Key: "set", Value: "union"})
+	r.GaugeFunc(owner, "repro_netagg_view_candidates", "heavy-hitters candidates at the last merged-view build: the agents' union, and those the view kept",
+		a.viewKept.Load, inst, obs.Label{Key: "set", Value: "kept"})
 	c("repro_aggd_checkpoints_total", "state checkpoints written", a.checkpointsWritten.Load, inst)
 	c("repro_aggd_recovered_agents_total", "agents restored from a checkpoint at startup", a.recoveredAgents.Load, inst)
 	r.HistogramFunc(owner, "repro_aggd_merge_seconds", "merged-view rebuild wall time", a.mergeNanos.Snapshot, inst)

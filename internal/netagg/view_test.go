@@ -3,6 +3,7 @@ package netagg
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -80,21 +81,21 @@ func digest(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// chainBytes is the in-process reading of the same blobs: decode each,
-// clone the first, merge the rest in order.
-func chainBytes(t *testing.T, blobs [][]byte) []byte {
+// mergeAllBytes is the in-process reading of the same blobs: decode
+// each and merge them all with bounded.MergeAll, in order.
+func mergeAllBytes(t *testing.T, blobs [][]byte) []byte {
 	t.Helper()
-	var acc bounded.Sketch
-	for _, blob := range blobs {
+	parts := make([]bounded.Sketch, len(blobs))
+	for j, blob := range blobs {
 		sk, err := bounded.UnmarshalSketch(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acc == nil {
-			acc = sk.Clone()
-		} else if err := acc.Merge(sk); err != nil {
-			t.Fatal(err)
-		}
+		parts[j] = sk
+	}
+	acc, err := bounded.MergeAll(nil, parts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	b, err := acc.MarshalBinary()
 	if err != nil {
@@ -103,18 +104,20 @@ func chainBytes(t *testing.T, blobs [][]byte) []byte {
 	return b
 }
 
-// TestMergedViewMatchesCloneMergeChain: the aggregator's merged view is
-// byte for byte an in-process Clone + Merge chain over the same blobs in
-// sorted agent order — at rate 1, and in a sampled round in which every
-// agent synced (fleet-sync's shape). The view's byte digests were last
-// re-pinned when every count column began to travel packed at its byte
-// width (wire format v3). At rate 1 the digest of what the view answers
-// was recorded by running this body in the tree before the v2 re-pin,
-// and v3's left it alone. The sampled view's answers moved with each:
-// Merge thins a restored sketch's copy under a generator seeded from
-// the sketch's own state bytes (wire.Seed), and those bytes changed;
-// they stay inside the ε band below, and ROADMAP 4a's rng on the wire
-// ends the dependence.
+// TestMergedViewMatchesMergeAll: the aggregator's merged view is byte
+// for byte an in-process bounded.MergeAll over the same blobs in sorted
+// agent order — at rate 1, and in a sampled round in which every agent
+// synced (fleet-sync's shape). The view's byte digests were last
+// re-pinned when the view began to be built by MergeAll: its tables are
+// the pairwise chain's, and its candidates are re-ranked once over the
+// union and laid out by id, where the chain re-ranked after every agent
+// and laid them out in offer order. At rate 1 the digest of what the
+// view answers was recorded by running this body in the tree before
+// wire format v2, and neither re-pin since moved it. The sampled view's
+// answers moved with each wire re-pin: Merge thins a restored sketch's
+// copy under a generator seeded from the sketch's own state bytes
+// (wire.Seed), and those bytes changed; they stay inside the ε band
+// below, and ROADMAP 4a's rng on the wire ends the dependence.
 //
 // Documented, not hidden: a sampled rebuild over an agent that did NOT
 // re-sync since the last rebuild can differ from the parent's. The
@@ -124,10 +127,10 @@ func chainBytes(t *testing.T, blobs [][]byte) []byte {
 // build (not thinned) and is thinned in the second: it gives its first
 // word where the parent's gave its second. The answers stay inside the
 // ε band; ROADMAP 4a's pure Clone removes the clause.
-func TestMergedViewMatchesCloneMergeChain(t *testing.T) {
+func TestMergedViewMatchesMergeAll(t *testing.T) {
 	const (
-		rate1             = "57c8e178dc53769406f41fdb1766625484ca536c5b2ab67cff01958317fdd5af"
-		allSynced         = "9ce3fe669ed3a74522fdb878db60d331743c3863383caa067c9b504e7af62203"
+		rate1             = "491ee313f1e3be740e2bf80b8782aa490dbbea50dd170030a413d178dfb39ba2"
+		allSynced         = "709560dad2371a23b1bdadd72a2e62efab745180ec1b6291c2b2c7ea7d932dc8"
 		parentOneResynced = "9f49bd0c147771d71e8058edf0a0eca0a97ce4f3b770cb2832a9f9d997887e56"
 	)
 	for _, tc := range []struct {
@@ -168,8 +171,8 @@ func TestMergedViewMatchesCloneMergeChain(t *testing.T) {
 				commitHH(t, agg, fmt.Sprintf("site-%d", site), 1, blobs[site])
 			}
 			view := viewBytes(t, agg)
-			if !bytes.Equal(view, chainBytes(t, blobs)) {
-				t.Fatal("merged view differs from the in-process Clone + Merge chain over the same blobs")
+			if !bytes.Equal(view, mergeAllBytes(t, blobs)) {
+				t.Fatal("merged view differs from an in-process MergeAll over the same blobs")
 			}
 			if got := digest(view); got != tc.bytes {
 				t.Fatalf("merged view hashes to %s, recorded %s", got, tc.bytes)
@@ -233,11 +236,12 @@ func rate1Sites(t testing.TB, agg *Aggregator, cfg bounded.Config, n, mass int) 
 }
 
 // TestViewRebuildAllocatesOneState: a rate-1 rebuild over four agents
-// copies ONE heavy-hitters state — the accumulator, into the previous
-// view's storage; the other three are read where they are stored — so
-// what it allocates is the candidate re-rank's scratch: 0.06 times what
-// cloning one stored sketch allocates, held under 0.074x (a fresh
-// accumulator per build would add 1x, a clone of every agent 4x).
+// writes ONE heavy-hitters state — the union, into the previous view's
+// storage; the agents' sketches are read where they are stored — and
+// the candidate re-rank's scratch is pooled, so it allocates under
+// 0.01 times what cloning one stored sketch allocates, held under
+// 0.074x (a fresh accumulator per build would add 1x, a clone of every
+// agent 4x).
 func TestViewRebuildAllocatesOneState(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of its Puts on
 	// purpose, so there each merge may allocate its hash-column batch.
@@ -263,6 +267,10 @@ func TestViewRebuildAllocatesOneState(t *testing.T) {
 	}
 	stored := agg.agents["site-0"].sketches[engine.HeavyHitters]
 	state := allocated(func() { stored.Clone() })
+	// The collector is off from here on: a cycle between the warm-up and
+	// the measured rebuild can empty the pools the re-rank's scratch and
+	// the batch live in, and their refill would be charged to the rebuild.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	askHH(t, agg) // the batch pool and the query scratch reach their steady size
 	commitHH(t, agg, "site-3", 2, blobs[3])
 	rebuild := allocated(func() {
@@ -310,6 +318,42 @@ func TestViewExponentReported(t *testing.T) {
 	for _, want := range []string{
 		`repro_netagg_view_csss_exponent{instance="t"} 1`,
 		`repro_netagg_view_align_halvings_total{instance="t"} 2`,
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
+// TestViewCandidatesReported: a build over four agents reports the
+// union of their candidates and how many the view kept — the tracker's
+// limit, 2 · 4⌈1/ε⌉, of a union larger than it — in AggregatorStats
+// and on /metrics, and the view's tracker holds that many: its encoding
+// ends in the kept count and 16 bytes per candidate.
+func TestViewCandidatesReported(t *testing.T) {
+	agg, err := NewAggregator(AggregatorOptions{Config: testConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	reg := obs.NewRegistry()
+	agg.ExposeMetrics(reg, "t")
+	rate1Sites(t, agg, testConfig, 4, 10_000)
+	askHH(t, agg)
+	st := agg.Stats()
+	limit := 2 * 4 * int(math.Ceil(1/testConfig.Eps))
+	if st.ViewCandidates <= limit || st.ViewKept != min(limit, st.ViewCandidates) {
+		t.Fatalf("view kept %d of a union of %d candidates, want min(limit %d, union) of a union past it", st.ViewKept, st.ViewCandidates, limit)
+	}
+	b := viewBytes(t, agg)
+	if at := len(b) - 16*st.ViewKept - 4; at < 0 || binary.LittleEndian.Uint32(b[at:]) != uint32(st.ViewKept) {
+		t.Fatalf("the view's tracker does not hold the %d candidates reported kept", st.ViewKept)
+	}
+	var out bytes.Buffer
+	reg.WriteMetrics(&out)
+	for _, want := range []string{
+		fmt.Sprintf(`repro_netagg_view_candidates{instance="t",set="union"} %d`, st.ViewCandidates),
+		fmt.Sprintf(`repro_netagg_view_candidates{instance="t",set="kept"} %d`, st.ViewKept),
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("/metrics lacks %q", want)

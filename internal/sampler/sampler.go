@@ -329,7 +329,8 @@ func (in *instance) merge(other *instance, r *topk.Refresher[float64], b *core.B
 			return err
 		}
 	}
-	return r.Merge(in.trk, other.trk, b, in.te.CS1)
+	_, err := r.MergeAll(in.trk, []*topk.Tracker{in.trk, other.trk}, b, in.te.CS1)
+	return err
 }
 
 // cloneInto returns a deep copy of the instance written into dst (nil: a

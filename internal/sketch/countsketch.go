@@ -262,45 +262,53 @@ func (cs *CountSketch) InnerProduct(other *CountSketch) int64 {
 	return order.MedianInt64(cs.qInt)
 }
 
-// Add accumulates another sketch sharing the same hashes (linearity).
-func (cs *CountSketch) Add(other *CountSketch) {
-	cs.combine(other, 1)
+// Merge folds another Count-Sketch of a disjoint (or overlapping)
+// stream into this one by coordinate-wise addition — the linearity the
+// sharded ingest engine relies on. The two sketches need not share a
+// *hash.Buckets pointer: they must merely have been built
+// the same way from the same seed, which the owner's Config check
+// vouches for. other is not mutated: Add with one part, in place.
+func (cs *CountSketch) Merge(other *CountSketch) error {
+	_, err := cs.Add(cs, []*CountSketch{other})
+	return err
 }
 
-// Sub subtracts another sketch sharing the same hashes.
+// Add returns cs plus others, coordinate-wise, written into dst (nil,
+// cs itself, or an earlier copy nobody else holds; never one of
+// others): the table a chain of Merge calls leaves, summed block by
+// block in one pass. Shapes are checked before anything is written.
+func (cs *CountSketch) Add(dst *CountSketch, others []*CountSketch) (*CountSketch, error) {
+	mass := cs.mass
+	for _, o := range others {
+		if o == nil {
+			return nil, fmt.Errorf("sketch: merge with nil CountSketch")
+		}
+		if o.rows != cs.rows || o.cols != cs.cols {
+			return nil, fmt.Errorf("sketch: adding a %dx%d CountSketch to a %dx%d one", o.rows, o.cols, cs.rows, cs.cols)
+		}
+		mass += o.mass
+	}
+	var first []int64 // nil in place: dst already holds cs's counters
+	if dst != cs {
+		if dst == nil || dst.buckets != cs.buckets {
+			dst = NewCountSketchWithBuckets(cs.buckets)
+		}
+		first = cs.flat
+	}
+	core.SumBlocks(dst.flat, first, len(others), func(j int) []int64 { return others[j].flat })
+	dst.mass = mass
+	return dst, nil
+}
+
+// Sub subtracts the counters of another sketch sharing the same
+// hashes; the mass is left alone.
 func (cs *CountSketch) Sub(other *CountSketch) {
-	cs.combine(other, -1)
-}
-
-func (cs *CountSketch) combine(other *CountSketch, sign int64) {
 	if cs.buckets != other.buckets {
 		panic("sketch: combining sketches with different hashes")
 	}
-	for r := range cs.table {
-		for c := range cs.table[r] {
-			cs.table[r][c] += sign * other.table[r][c]
-		}
+	for c := range cs.flat {
+		cs.flat[c] -= other.flat[c]
 	}
-}
-
-// Merge folds another Count-Sketch of a disjoint (or overlapping)
-// stream into this one by coordinate-wise addition — the linearity the
-// sharded ingest engine relies on. Unlike Add, the two sketches need
-// not share a *hash.Buckets pointer: they must merely have been built
-// the same way from the same seed, which the owner's Config check
-// vouches for. other is not mutated.
-func (cs *CountSketch) Merge(other *CountSketch) error {
-	if other == nil {
-		return fmt.Errorf("sketch: merge with nil CountSketch")
-	}
-	for r := range cs.table {
-		row, orow := cs.table[r], other.table[r]
-		for c := range row {
-			row[c] += orow[c]
-		}
-	}
-	cs.mass += other.mass
-	return nil
 }
 
 // CloneInto returns a deep copy sharing the hash functions, written into

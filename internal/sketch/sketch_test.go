@@ -82,8 +82,10 @@ func TestCountSketchLinearity(t *testing.T) {
 	vc := stream.Vector{2: 7, 9: 1}
 	feedVector(a, va)
 	feedVector(c, vc)
-	sum := a.CloneInto(nil)
-	sum.Add(c)
+	sum, err := a.Add(nil, []*CountSketch{c})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// sum should equal a sketch of va+vc.
 	direct := NewCountSketchWithBuckets(b)
 	merged := va.Clone()

@@ -13,19 +13,19 @@
 //
 // Beside the heap sits a cache of each candidate's hash columns (its
 // bucket and sign in every sketch row), a slab indexed by a slot the
-// candidate keeps while tracked (a merge re-offers the receiver's at
-// their own): an appended candidate takes its heap index, one that
+// candidate keeps while tracked (a merge in place keeps the receiver's
+// in theirs): an appended candidate takes its heap index, one that
 // evicts the minimum takes the minimum's slot. A batched
 // offer copies an admitted index's columns from the batch's, so a read
-// (Refresher.Estimates) or a merge estimates off the slab and hashes
-// nothing. Tracker.Offer and a decode admit candidates without columns
-// and mark the slab stale: the next read or merge hashes every
-// candidate once. The slab is a function of the ids: SpaceBits does not
+// (Refresher.Estimates) or a merge (Refresher.MergeAll) estimates off
+// the slab and hashes nothing. Tracker.Offer and a decode admit
+// candidates without columns and mark the slab stale: the next read
+// hashes every candidate once, and so does every merge that reads the
+// tracker. The slab is a function of the ids: SpaceBits does not
 // charge it and the wire does not carry it.
 package topk
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/core"
@@ -251,6 +251,8 @@ type Columnar[E int64 | float64] interface {
 // estimate scratch; E is the sketch's estimate type.
 type Refresher[E int64 | float64] struct {
 	est []E
+
+	gathered, kept int // the last MergeAll's candidate counts
 }
 
 // Offer hashes b's distinct indices against q in one pass and hands
@@ -372,65 +374,6 @@ func (t *Tracker) CloneInto(dst *Tracker) *Tracker {
 		stale:    t.stale,
 	}
 	return dst
-}
-
-// Merge combines other's candidate set into t's: the union of both
-// sets — t's candidates in heap order, then other's — is re-estimated
-// against q, the merged sketch, off the two slabs (a stale receiver's
-// is refilled first, a stale argument's candidates are hashed) and
-// re-offered into t, reset. t's candidates keep their slots, so their
-// columns stay put; an admitted candidate of other's has its columns
-// copied in. The surviving set is the top-limit of the union under the
-// post-merge estimates whatever the insertion order (an id tracked on
-// both sides is offered twice with the same estimate), and t's slab is
-// whole afterwards. b supplies the hash scratch; other is only read.
-func (r *Refresher[E]) Merge(t, other *Tracker, b *core.Batch, q Columnar[E]) error {
-	if other == nil {
-		return fmt.Errorf("topk: merge with nil Tracker")
-	}
-	if t.cap != other.cap {
-		return fmt.Errorf("topk: merging trackers with different capacities (%d vs %d)", t.cap, other.cap)
-	}
-	n, m := len(t.heap), len(other.heap)
-	est := core.Grow(&r.est, 2*t.limit)
-	estT, estO := est[:t.limit], est[t.limit:]
-	if n > 0 {
-		refill(t, b, q)
-		q.EstimateHashed(t.cols, t.signs, estT)
-	}
-	cols, signs, stride := other.cols, other.signs, other.limit
-	if m > 0 {
-		if other.stale {
-			ids := b.Col64(m)
-			for i := range other.heap {
-				ids[i] = other.heap[i].id
-			}
-			cols, signs = q.HashColumns(b, ids)
-			stride = m
-		}
-		q.EstimateHashed(cols, signs, estO[:stride])
-	}
-	old := t.heap
-	t.Reset()
-	for i := range old {
-		// Read before the offer: it appends at position i, and the sift
-		// moves only positions up to i.
-		e := old[i]
-		t.offer(e.id, float64(estT[e.slot]), e.slot)
-	}
-	if m > 0 {
-		t.sizeSlab(len(cols) / stride)
-	}
-	for i := range other.heap {
-		from := i
-		if !other.stale {
-			from = int(other.heap[i].slot)
-		}
-		if s := t.offer(other.heap[i].id, float64(estO[from]), int32(len(t.heap))); s >= 0 {
-			t.put(s, cols, signs, stride, from)
-		}
-	}
-	return nil
 }
 
 // SpaceBits charges cap slots of (id, estimate) pairs over universe n.

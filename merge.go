@@ -48,6 +48,7 @@ import (
 	"reflect"
 
 	"repro/internal/core"
+	"repro/internal/heavy"
 )
 
 // mergeTypeError formats the mismatched-operand diagnostic,
@@ -92,6 +93,63 @@ func (s shape) admits(other shape) error {
 	return nil
 }
 
+// MergeAll returns the union of parts — all built from the same Config
+// and options (Compatible) — written into dst's storage: parts[0] is
+// cloned into dst and the rest are folded in, so queries answer for the
+// concatenation of every part's stream. dst is nil, a sketch an earlier
+// CloneInto or MergeAll of the same kind returned that nobody else
+// holds (one of another kind is ignored), or parts[0] itself, which is
+// then merged into in place and not copied; never one of parts[1:]. The
+// parts are read as Merge reads its argument, and every mismatch is
+// refused before anything is written.
+//
+// The heavy-hitters kinds (HeavyHitters, L2HeavyHitters) build the
+// union in one k-way pass: their tables come out byte for byte as the
+// pairwise chain's — parts[0].CloneInto(dst), then Merge of each later
+// part in order, with the same draws — and their candidate set is the
+// top of the union of every part's candidates under the merged
+// estimates, laid out the same whatever order the parts come in. The
+// chain instead re-ranks after every step, and a candidate it drops
+// early may rank in the union's top. Every other kind runs that chain.
+func MergeAll(dst Sketch, parts []Sketch) (Sketch, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("bounded: MergeAll of no parts")
+	}
+	for _, p := range parts {
+		if err := Compatible(parts[0], p); err != nil {
+			return nil, err
+		}
+	}
+	if k, ok := parts[0].(kWay); ok {
+		return k.mergeAll(dst, parts[1:])
+	}
+	acc := parts[0]
+	if dst != parts[0] {
+		acc = parts[0].CloneInto(dst)
+	}
+	for _, p := range parts[1:] {
+		if err := acc.Merge(p); err != nil {
+			return nil, err
+		}
+	}
+	return acc, nil
+}
+
+// kWay is implemented by the kinds that merge k parts in one pass: the
+// receiver is parts[0], others the rest, already checked Compatible.
+type kWay interface {
+	mergeAll(dst Sketch, others []Sketch) (Sketch, error)
+}
+
+// impls returns the implementations of others, of concrete type *T.
+func impls[T, I any](others []Sketch, impl func(*T) I) []I {
+	out := make([]I, len(others))
+	for j, o := range others {
+		out[j] = impl(any(o).(*T))
+	}
+	return out
+}
+
 // reuse returns dst when it is a *T, to be overwritten by CloneInto, and
 // a new T otherwise.
 func reuse[T any](dst Sketch) *T {
@@ -106,6 +164,17 @@ func (h *HeavyHitters) Merge(other Sketch) error {
 		return err
 	}
 	return h.impl.Merge(other.(*HeavyHitters).impl)
+}
+
+// mergeAll is MergeAll's k-way pass (heavy.AlphaL1.MergeAll).
+func (h *HeavyHitters) mergeAll(dst Sketch, others []Sketch) (Sketch, error) {
+	d := reuse[HeavyHitters](dst)
+	impl, err := h.impl.MergeAll(d.impl, impls(others, func(o *HeavyHitters) *heavy.AlphaL1 { return o.impl }))
+	if err != nil {
+		return nil, err
+	}
+	*d = HeavyHitters{shape: h.shape, impl: impl}
+	return d, nil
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
@@ -232,6 +301,17 @@ func (h *L2HeavyHitters) Merge(other Sketch) error {
 		return err
 	}
 	return h.impl.Merge(other.(*L2HeavyHitters).impl)
+}
+
+// mergeAll is MergeAll's k-way pass (heavy.AlphaL2.MergeAll).
+func (h *L2HeavyHitters) mergeAll(dst Sketch, others []Sketch) (Sketch, error) {
+	d := reuse[L2HeavyHitters](dst)
+	impl, err := h.impl.MergeAll(d.impl, impls(others, func(o *L2HeavyHitters) *heavy.AlphaL2 { return o.impl }))
+	if err != nil {
+		return nil, err
+	}
+	*d = L2HeavyHitters{shape: h.shape, impl: impl}
+	return d, nil
 }
 
 // CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).

@@ -60,16 +60,18 @@ type walker func(r *wire.Reader)
 
 func (w walker) Fill(r *wire.Reader) { w(r) }
 
-// packedColumns tallies the count columns a walk of a state passes.
+// packedColumns tallies the count columns a walk of a state passes,
+// and keeps the candidate trackers' entries it passes.
 type packedColumns struct {
-	entries int64
-	bytes   int
+	entries  int64
+	bytes    int
+	trackers [][]byte
 }
 
 // walk reads a state of shape sh as its kind lays it out. Only the
 // count columns are told apart; the rest is read over.
 func (p *packedColumns) walk(r *wire.Reader, sh shape) {
-	tracker := func() { r.Take(16 * int(r.U32())) }
+	tracker := func() { p.trackers = append(p.trackers, r.Take(16*int(r.U32()))) }
 	levels := func(level func()) {
 		for n := r.U32(); n > 0 && r.Err() == nil; n-- {
 			r.U32() // the level's index
