@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Fails when an alternative of a `go test -run` pattern in the workflow
+# files matches no test, benchmark, fuzz target or example of the root
+# module. Such a name (a test since renamed or deleted) silently runs
+# nothing, so the step that names it checks less than it says.
+# Alternatives are split at every '|', so a -run list must not group
+# alternatives in parentheses.
+#
+# Run from anywhere: bash .github/scripts/check-run-lists.sh
+set -euo pipefail
+cd "$(dirname "$0")/../.."
+
+names=$(go test -list '.*' ./... | grep -E '^(Test|Benchmark|Fuzz|Example)')
+status=0
+while IFS= read -r alt; do
+	# Go splits a -run pattern at '/' into per-level patterns; only the
+	# top level names a function.
+	top=${alt%%/*}
+	[ -z "${top//[\^\$]/}" ] && continue # '^$': run nothing, on purpose
+	if ! grep -qE -- "$top" <<<"$names"; then
+		echo "-run alternative '$alt' matches no test, benchmark, fuzz target or example"
+		status=1
+	fi
+done < <(grep -ohE -- "-run '[^']*'" .github/workflows/*.yml |
+	sed -E "s/^-run '(.*)'$/\1/" | tr '|' '\n' | sort -u)
+exit $status

@@ -222,13 +222,12 @@
 // ~1.5us on the reference Xeon — instead of one per row. Each
 // dispatch compares its total key count (rows x batch length for the
 // fused forms) against a per-family cutover and routes below-bar calls
-// to the scalar loops. The cutovers are calibrated at package init by
-// a scalar-vs-vector microprobe on the running host (min-of-3 timing
-// of both bodies down a size ladder, through the assembly entries
-// that traffic takes; the smallest size at which vector still wins);
-// nothing overrides them, and purego builds skip the probe and keep
+// to the scalar loops. The cutovers are one fixed table, each family's
+// scalar-vs-vector crossover on the reference host, so dispatch is a
+// function of the call's size alone and every process routes the same
+// work the same way; nothing overrides them, and purego builds keep
 // the scalar loops. hash.KernelCutovers and hash.KernelCutoverSource
-// expose the resolved values. Single-CPU hosts see the full win — the
+// expose the values. Single-CPU hosts see the full win — the
 // kernels vectorize within one core, not across cores. The measured
 // ratios per kernel, and what an operator can read and force, are in
 // README § "the vector kernel layer".

@@ -682,16 +682,6 @@ func (e *Engine) Estimate(i uint64) (out float64, err error) {
 	return out, err
 }
 
-// estimateBatchCutover is the batch size at or below which
-// EstimateBatch answers through per-index routed queries instead of
-// the planned fan-out: the measured crossover where batch planning
-// overhead stops paying for itself. This is an ENGINE-level bar
-// (shard fan-out and plan setup), independent of the kernel layer's
-// per-family vector cutovers (hash.KernelCutovers) — batches above it
-// still route each shard column through the fused kernels, whose own
-// calibrated bars decide scalar vs vector per call.
-const estimateBatchCutover = 16
-
 // EstimateBatch returns the heavy-hitters point estimate of every
 // index in idxs, in input order — the batched form of Estimate and the
 // read-side mirror of Ingest's columnar plan: ONE batch hash evaluation
@@ -704,23 +694,6 @@ const estimateBatchCutover = 16
 // bit-identical to calling Estimate once per index (duplicates simply
 // repeat their estimate).
 func (e *Engine) EstimateBatch(idxs []uint64) ([]float64, error) {
-	// Small batches route through the scalar path: below the cutover
-	// the plan (shard hash, scatter, per-shard goroutine crossing and
-	// barrier) costs more than per-index owning-shard queries, so the
-	// batched entry point would be SLOWER than a caller's own Estimate
-	// loop — measured at the crossover on the regression benchmark's
-	// size=16 case. Answers are identical either way.
-	if len(idxs) <= estimateBatchCutover {
-		out := make([]float64, len(idxs))
-		for j, i := range idxs {
-			v, err := e.Estimate(i)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = v
-		}
-		return out, nil
-	}
 	return routedBatch(e, HeavyHitters, "EstimateBatch", idxs, func(sk bounded.Sketch, keys []uint64) []float64 {
 		return sk.(bounded.BatchPointQuerier).EstimateBatch(keys)
 	})

@@ -21,10 +21,10 @@ var routedReads = []struct {
 	{"Support", func(e *Engine, _ []uint64) error { _, err := e.Support(); return err }},
 }
 
-// routedTestKeys is past estimateBatchCutover, so EstimateBatch takes
-// the planned fan-out rather than the per-index loop.
+// routedTestKeys is the key column the batched routed reads are
+// driven with.
 func routedTestKeys() []uint64 {
-	keys := make([]uint64, 4*estimateBatchCutover)
+	keys := make([]uint64, 64)
 	for j := range keys {
 		keys[j] = uint64(j * 37)
 	}

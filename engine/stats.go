@@ -125,9 +125,7 @@ type Stats struct {
 
 	// PointQueries counts routed scalar queries (Estimate, Probe);
 	// BatchedQueries routed batched queries (EstimateBatch, ProbeBatch,
-	// Support) — note EstimateBatch at or below its small-batch cutover
-	// answers via per-index Estimate calls, which then also count as
-	// point queries; MergedQueries queries answered from the merged view
+	// Support); MergedQueries queries answered from the merged view
 	// (the global queries and Snapshot).
 	PointQueries   int64
 	PointLatency   obs.HistogramSnapshot

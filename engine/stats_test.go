@@ -91,7 +91,7 @@ func TestStatsExactWorkload(t *testing.T) {
 			t.Errorf("shards=%d: Flushes = %d (latency count %d), want 1", shards, st.Flushes, st.FlushLatency.Count)
 		}
 
-		// Queries: 3 routed points, 1 routed batch (above the cutover),
+		// Queries: 3 routed points, 1 routed batch,
 		// 2 merged (second hits the warm view cache — still a merged
 		// query, but not a second snapshot build; one shard builds none).
 		for _, i := range []uint64{1, 2, 3} {
@@ -99,7 +99,7 @@ func TestStatsExactWorkload(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		big := make([]uint64, estimateBatchCutover+8)
+		big := make([]uint64, 24)
 		for j := range big {
 			big[j] = uint64(j)
 		}
@@ -143,25 +143,24 @@ func TestStatsExactWorkload(t *testing.T) {
 	}
 }
 
-// TestStatsSmallBatchCutover pins the documented double-count: an
-// EstimateBatch at or below the cutover answers via per-index Estimate,
-// so it shows up as point queries, not a batched query.
+// TestStatsSmallBatchCutover pins that EstimateBatch has no small-batch
+// cutover: a four-key batch takes the same planned fan-out as a large
+// one, so it is one batched query and no point query.
 func TestStatsSmallBatchCutover(t *testing.T) {
 	e := must(New(testCfg, Options{Shards: 2, BatchSize: 128}))
 	defer e.Close()
 	if err := e.Ingest([]bounded.Update{{Index: 1, Delta: 3}, {Index: 2, Delta: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	small := []uint64{1, 2, 3, 4}
-	if _, err := e.EstimateBatch(small); err != nil {
+	if _, err := e.EstimateBatch([]uint64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.BatchedQueries != 0 {
-		t.Errorf("BatchedQueries = %d, want 0 below the cutover", st.BatchedQueries)
+	if st.BatchedQueries != 1 || st.BatchedLatency.Count != 1 {
+		t.Errorf("BatchedQueries = %d (latency count %d), want 1", st.BatchedQueries, st.BatchedLatency.Count)
 	}
-	if st.PointQueries != int64(len(small)) {
-		t.Errorf("PointQueries = %d, want %d", st.PointQueries, len(small))
+	if st.PointQueries != 0 {
+		t.Errorf("PointQueries = %d, want 0", st.PointQueries)
 	}
 }
 

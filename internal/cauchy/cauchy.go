@@ -444,14 +444,9 @@ func (s *SampledSketch) SpaceBits() int64 {
 	return counters + seeds + position
 }
 
-func medianAbs(xs []float64) float64 {
-	var scratch []float64
-	return medianAbsScratch(xs, &scratch)
-}
-
-// medianAbsScratch is medianAbs over a caller-owned scratch buffer
-// (grown on demand): the sort works on a copy, so xs is never
-// reordered, and repeated queries reuse one allocation.
+// medianAbsScratch returns the median of |xs| over a caller-owned
+// scratch buffer (grown on demand): the sort works on a copy, so xs is
+// never reordered, and repeated queries reuse one allocation.
 func medianAbsScratch(xs []float64, scratch *[]float64) float64 {
 	a := core.Grow(scratch, len(xs))
 	for i, v := range xs {

@@ -147,15 +147,6 @@ func (t *Table) Add(name string, values ...string) {
 	t.Rows = append(t.Rows, Row{Name: name, Values: values})
 }
 
-// AddF appends a row of formatted values.
-func (t *Table) AddF(name string, format string, values ...interface{}) {
-	parts := make([]string, len(values))
-	for i, v := range values {
-		parts[i] = fmt.Sprintf(format, v)
-	}
-	t.Add(name, parts...)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	var b strings.Builder

@@ -19,7 +19,7 @@ type dispatchCounters struct {
 
 // count records calls dispatches processing n keys each: the call
 // routes to vector assembly exactly when the active table has vector
-// kernels and n clears the family's calibrated cutover. Fused all-rows
+// kernels and n clears the family's cutover. Fused all-rows
 // entry points pass the TOTAL key volume (rows * column length) — the
 // same quantity their wrappers compare — so the tallies stay exact
 // per batch. (A vector-routed call still hands its sub-4 tail to the

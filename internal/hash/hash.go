@@ -233,21 +233,12 @@ func NewBuckets(rng *rand.Rand, rows int, cols uint64) *Buckets {
 	if rows < 1 || cols < 1 {
 		panic(fmt.Sprintf("hash: NewBuckets(rows=%d, cols=%d)", rows, cols))
 	}
-	b := &Buckets{Rows: rows, Cols: cols}
-	b.fns = make([]*KWise, rows)
-	for i := 0; i < rows; i++ {
+	b := &Buckets{Rows: rows, Cols: cols, fns: make([]*KWise, rows), flat: make([]uint64, 0, 4*rows)}
+	for i := range b.fns {
 		b.fns[i] = NewFourWise(rng)
+		b.flat = append(b.flat, b.fns[i].coeffs...)
 	}
-	b.buildFlat()
 	return b
-}
-
-// buildFlat (re)derives the contiguous coefficient array from fns.
-func (b *Buckets) buildFlat() {
-	b.flat = make([]uint64, 0, 4*b.Rows)
-	for _, f := range b.fns {
-		b.flat = append(b.flat, f.coeffs...)
-	}
 }
 
 // Bucket returns the column index of x in row i.

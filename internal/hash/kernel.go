@@ -91,13 +91,14 @@ var scalarTable = kernelTable{
 // The vector entry points carry a per-call fixed cost (vector-unit
 // power-up after VZEROUPPER — measured ~1.5µs and flat across n=16..64
 // on the reference Xeon) that only amortizes over enough keys, so
-// vector kernel tables route small calls to the scalar twins. PR 6
-// hard-coded that bar at 512 keys; it is now a PER-FAMILY value,
-// calibrated once at init on hosts with vector kernels by a microprobe
-// that measures the actual scalar-vs-vector crossover (see
-// calibrateCutovers in kernel_amd64.go). Under -tags purego and on
-// CPUs without vector kernels no calibration runs and the values are
-// inert (every call is scalar).
+// vector kernel tables route small calls to the scalar twins. The bar
+// is a fixed PER-FAMILY value: each family's scalar-vs-vector
+// crossover on the reference host, so dispatch is a function of the
+// call's size alone and every process routes the same work the same
+// way. At a crossover both bodies cost the same by definition, so a
+// bar near it loses little on another host. Under -tags purego and on
+// CPUs without vector kernels the values are inert (every call is
+// scalar).
 //
 // Units are KEYS PER KERNEL CALL: a single-column dispatch compares
 // its column length n, a fused all-rows dispatch compares rows*n —
@@ -119,31 +120,23 @@ const (
 // keys, obs label values).
 var familyNames = [famCount]string{"bucket_signs", "field", "range", "gather", "median"}
 
-// defaultCutover is the pre-calibration value — PR 6's measured bar on
-// the reference Xeon, kept as the fallback when no probe runs.
-const defaultCutover = 512
-
-// maxCutover caps calibration: when the probe never sees the vector
-// body win (a pathological or very noisy host), the family's cutover
-// settles here rather than "never" — calls that large amortize any
-// plausible power-up, and the cap keeps test columns bounded.
-const maxCutover = 4096
-
-// cutoverValues holds the per-family key-count bars. Written once at
-// init by calibration (in-package tests that need a bar assign it
-// directly, under SetKernel's non-concurrent contract); read on every
-// dispatch.
-var cutoverValues = [famCount]int{defaultCutover, defaultCutover, defaultCutover, defaultCutover, defaultCutover}
-
-// cutoverSource records where cutoverValues came from: "default" (no
-// vector kernels, so no calibration ran) or "calibrated" (init-time
-// microprobe). Bench tooling records it next to the values as
-// provenance.
-var cutoverSource = "default"
+// cutoverValues holds the per-family key-count bars, read on every
+// dispatch. The values are the modal crossovers of an init-time
+// microprobe over 24 process starts on a 2-vCPU AVX2 VM (the probe
+// picked them in 15 starts; each family's own value in 19 to 24).
+// In-package tests that need another bar assign it directly, under
+// SetKernel's non-concurrent contract.
+var cutoverValues = [famCount]int{
+	famBucketSigns: 128,
+	famField:       256,
+	famRange:       512,
+	famGather:      32,
+	famMedian:      32,
+}
 
 // KernelCutovers reports the per-family vector cutovers in keys per
 // kernel call (fused all-rows calls compare rows*n against the bar).
-// On builds without vector kernels the values are inert defaults.
+// On builds without vector kernels the values are inert.
 func KernelCutovers() map[string]int {
 	m := make(map[string]int, famCount)
 	for f, name := range familyNames {
@@ -152,9 +145,9 @@ func KernelCutovers() map[string]int {
 	return m
 }
 
-// KernelCutoverSource reports how the cutovers were chosen:
-// "calibrated" or "default".
-func KernelCutoverSource() string { return cutoverSource }
+// KernelCutoverSource reports how the cutovers were chosen: always
+// "default", the fixed table above.
+func KernelCutoverSource() string { return "default" }
 
 // tables registers every kernel table the build supports; the amd64
 // init adds "avx2" when the CPU does.

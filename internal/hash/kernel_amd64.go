@@ -2,8 +2,6 @@
 
 package hash
 
-import "time"
-
 // AVX2 kernel dispatch. Feature detection is hand-rolled CPUID (this
 // module has no dependencies): AVX2 requires the CPU flag itself plus
 // OSXSAVE/AVX and an OS that saves YMM state across context switches
@@ -72,8 +70,7 @@ func medianOf7ColsAVX2(est, out *float64, stride, count int)
 // Each wrapper routes below-cutover calls to the scalar twin, calls
 // the assembly on the 4-aligned prefix and hands the sub-4 tail back
 // to scalar code. The field, range and median kernels dispatch through
-// them; calibration probes the raw assembly against the scalar bodies
-// directly.
+// them.
 
 func fieldK2Vec(c0, c1 uint64, keys []uint64, out []uint64) {
 	if len(keys) < cutoverValues[famField] {
@@ -204,109 +201,10 @@ var avx2Table = kernelTable{
 	medianOf7Cols:      medianOf7ColsVec,
 }
 
-// --- cutover calibration --------------------------------------------
-
-// probeSizes are the candidate cutovers, walked from largest down: the
-// probe keeps lowering the bar while the vector body still beats the
-// scalar body at that size. Multiples of 4 so the assembly runs with
-// no tail.
-var probeSizes = [...]int{2048, 1024, 512, 256, 128, 64, 32}
-
-// timeKernel times one kernel invocation, min-of-3 to shed scheduler
-// noise. The bodies probed run ~1-10µs at the sizes used, so the
-// whole calibration stays around a millisecond of init time.
-func timeKernel(f func()) time.Duration {
-	best := time.Duration(1 << 62)
-	for rep := 0; rep < 3; rep++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// calibrateCutovers measures the scalar-vs-vector crossover per kernel
-// family ON THIS HOST and writes cutoverValues/cutoverSource. It probes
-// the raw kernel bodies (never the dispatch wrappers), so no dispatch
-// stats are recorded and the current cutovers don't bias the probe.
-// The fused families are probed at rows = 1: the same work per key as
-// any row count, through the assembly entry that traffic takes.
-// A family whose vector body never wins — even at the largest probe —
-// settles at maxCutover rather than "never": calls that large amortize
-// any plausible power-up.
-func calibrateCutovers() {
-	const maxN = 2048
-	keys := make([]uint64, maxN)
-	for i := range keys {
-		keys[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
-	}
-	cols := make([]uint32, maxN)
-	sgns := make([]int8, maxN)
-	out := make([]uint64, maxN)
-
-	const tableN = 1024
-	row := make([]int64, tableN)
-	for i := range row {
-		row[i] = int64(i) - tableN/2
-	}
-	idx := make([]uint32, maxN)
-	gsigns := make([]int8, maxN)
-	gout := make([]int64, maxN)
-	for i := range idx {
-		idx[i] = uint32(i % tableN)
-		gsigns[i] = int8(1 - 2*(i&1))
-	}
-	est := make([]float64, 7*maxN)
-	for i := range est {
-		est[i] = float64(i % 97)
-	}
-	med := make([]float64, maxN)
-
-	const p61 = 1<<61 - 1
-	const c0, c1 = uint64(0x0123456789ABCDEF) % p61, uint64(0x0FEDCBA987654321) % p61
-	const c2, c3 = uint64(0x1122334455667788) % p61, uint64(0x18877665544332211 % p61)
-	flat := [4]uint64{c0, c1, c2, c3}
-	const width = uint64(1 << 20)
-
-	probe := func(fam kernelFamily, scalar, vector func(n int)) {
-		cut := maxCutover
-		for _, n := range probeSizes {
-			ts := timeKernel(func() { scalar(n) })
-			tv := timeKernel(func() { vector(n) })
-			if tv > ts {
-				break // scalar wins at n: the bar stays above it
-			}
-			cut = n
-		}
-		cutoverValues[fam] = cut
-	}
-
-	probe(famBucketSigns,
-		func(n int) { bucketSignsRowScalar(c0, c1, c2, c3, width, keys[:n], cols[:n], sgns[:n]) },
-		func(n int) { bucketSignsRowsAVX2(&flat[0], 1, width, keys[:n], &cols[0], &sgns[0], n) })
-	probe(famField,
-		func(n int) { fieldK4Scalar(c0, c1, c2, c3, keys[:n], out[:n]) },
-		func(n int) { fieldK4AVX2(c0, c1, c2, c3, keys[:n], out[:n]) })
-	probe(famRange,
-		func(n int) { rangeK2Scalar(c0, c1, width, keys[:n], out[:n]) },
-		func(n int) { rangeK2AVX2(c0, c1, width, keys[:n], out[:n]) })
-	probe(famGather,
-		func(n int) { gatherSignInt64Scalar(row, idx[:n], gsigns[:n], gout[:n]) },
-		func(n int) { gatherSignRowsAVX2(&row[0], tableN, 1, &idx[0], &gsigns[0], &gout[0], n, n) })
-	probe(famMedian,
-		func(n int) { medianOf7ColsScalar(est[:7*n], med[:n]) },
-		func(n int) { medianOf7ColsAVX2(&est[0], &med[0], n, n) })
-
-	cutoverSource = "calibrated"
-}
-
 func init() {
 	if !hasAVX2 {
 		return
 	}
 	tables["avx2"] = &avx2Table
 	active = &avx2Table
-	calibrateCutovers()
 }

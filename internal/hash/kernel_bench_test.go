@@ -34,9 +34,9 @@ func forEachKernel(b *testing.B, run func(b *testing.B)) {
 }
 
 func BenchmarkBucketSignsBatch(b *testing.B) {
-	// The grid straddles the calibrated cutovers from both sides: with
-	// 7 rows the fused table compares 7n against the bucket_signs bar
-	// (so even n=64 can go vector once calibration drops the bar).
+	// The grid straddles the cutovers from both sides: with 7 rows the
+	// fused table compares 7n against the bucket_signs bar (so even
+	// n=64 goes vector at the bar of 128).
 	// 1024 and 4096 amortize the vector entry cost to different
 	// degrees.
 	const rows = 7

@@ -1,31 +1,21 @@
 package hash
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 )
 
-// TestKernelCutoverAccessors pins the public cutover surface: the map
-// names every family and reads the live bars, and the source string is
-// one of the two documented values.
+// TestKernelCutoverAccessors pins the public cutover surface to the
+// fixed table: every family at its reference-host crossover, reported
+// as "default" on every build, and the map reads the live bars.
 func TestKernelCutoverAccessors(t *testing.T) {
-	m := KernelCutovers()
-	if len(m) != int(famCount) {
-		t.Fatalf("KernelCutovers() has %d entries, want %d", len(m), famCount)
+	want := map[string]int{"bucket_signs": 128, "field": 256, "range": 512, "gather": 32, "median": 32}
+	if got := KernelCutovers(); !maps.Equal(got, want) {
+		t.Fatalf("KernelCutovers() = %v, want %v", got, want)
 	}
-	for _, name := range familyNames {
-		v, ok := m[name]
-		if !ok {
-			t.Fatalf("KernelCutovers() missing family %q", name)
-		}
-		if v < 1 {
-			t.Fatalf("KernelCutovers()[%q] = %d, want >= 1", name, v)
-		}
-	}
-	switch src := KernelCutoverSource(); src {
-	case "default", "calibrated":
-	default:
-		t.Fatalf("KernelCutoverSource() = %q, want default/calibrated", src)
+	if src := KernelCutoverSource(); src != "default" {
+		t.Fatalf("KernelCutoverSource() = %q, want default", src)
 	}
 
 	prev := cutoverValues[famGather]

@@ -9,7 +9,7 @@ import (
 
 // maxFamilyCutover returns the largest per-family cutover currently in
 // effect — fuzz columns tile past it so every kernel body runs its
-// vector path regardless of what calibration chose.
+// vector path whatever the table holds.
 func maxFamilyCutover() int {
 	max := 1
 	for _, v := range cutoverValues {
@@ -27,7 +27,7 @@ func maxFamilyCutover() int {
 // owns the lengths and the row count (1..8), so unaligned and odd
 // tails (the 4-lane body plus sub-4 scalar remainder),
 // adjacent-duplicate columns, and every rows/length combination
-// straddling the calibrated cutovers fall out of the corpus rather
+// straddling the cutovers fall out of the corpus rather
 // than hand-picked cases. On builds with no vector
 // kernel (purego, non-amd64, no AVX2) the loop is empty and the fuzz
 // target trivially passes.
@@ -69,7 +69,7 @@ func FuzzKernelDifferential(f *testing.F) {
 			short = append(short, binary.LittleEndian.Uint64(w[:]))
 		}
 		// Fuzz inputs are short, and short columns route to the scalar
-		// twins by the calibrated cutovers — so also tile the column
+		// twins by the cutovers — so also tile the column
 		// past the largest family cutover to drive the assembly bodies.
 		// The tiled length varies with the input, covering every sub-4
 		// tail, and rows*n lands on both sides of the fused bars.

@@ -15,8 +15,8 @@ import (
 // cutovers — short columns route to the scalar twins by the cutover,
 // so only lengths >= the family bar (with every sub-4 tail residue)
 // actually reach the vector bodies. The fixed lengths straddle the
-// 512 default; tests that must straddle the CALIBRATED bars derive
-// lengths from cutoverValues directly (see fusedLengths).
+// range bar of 512; tests that must straddle another family's bar
+// derive lengths from cutoverValues directly (see fusedLengths).
 func kernelKeyCases(rng *rand.Rand) [][]uint64 {
 	const p = nt.MersennePrime61
 	adversarial := []uint64{
@@ -144,7 +144,7 @@ func TestKernelMedianOf7ColsBitIdentical(t *testing.T) {
 }
 
 // fusedLengths derives per-row column lengths that straddle the
-// family's CALIBRATED cutover for a fused rows-way call: rows*n lands
+// family's cutover for a fused rows-way call: rows*n lands
 // below, at and above cutoverValues[fam], with every sub-4 tail
 // residue represented on both sides.
 func fusedLengths(fam kernelFamily, rows int) []int {
@@ -161,7 +161,7 @@ func fusedLengths(fam kernelFamily, rows int) []int {
 
 // TestKernelFusedRowsBitIdentical pins every fused all-rows kernel to
 // its scalar twin across every registered vector table, for every row
-// count 1..8 and lengths straddling the calibrated cutovers; at rows 1
+// count 1..8 and lengths straddling the cutovers; at rows 1
 // and 7 it adds the adversarial columns: kernelKeyCases (field-boundary
 // keys, runs of duplicates) under narrow, typical and 2^32-1 row
 // widths, and gather tables holding both int64 extremes.

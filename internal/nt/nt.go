@@ -254,25 +254,6 @@ func RandomPrime(rng *rand.Rand, lo, hi uint64) (uint64, error) {
 	return 0, ErrNoPrime
 }
 
-// NextPrime returns the smallest prime >= n, or an error on overflow.
-func NextPrime(n uint64) (uint64, error) {
-	if n <= 2 {
-		return 2, nil
-	}
-	if n%2 == 0 {
-		n++
-	}
-	for ; n >= 2; n += 2 {
-		if IsPrime(n) {
-			return n, nil
-		}
-		if n > n+2 { // overflow
-			break
-		}
-	}
-	return 0, ErrNoPrime
-}
-
 // Log2Ceil returns ceil(log2(n)) for n >= 1, and 0 for n <= 1.
 func Log2Ceil(n uint64) int {
 	if n <= 1 {

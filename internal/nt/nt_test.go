@@ -223,18 +223,6 @@ func TestRandomPrimeTinyIntervals(t *testing.T) {
 	}
 }
 
-func TestNextPrime(t *testing.T) {
-	cases := []struct{ n, want uint64 }{
-		{0, 2}, {2, 2}, {3, 3}, {4, 5}, {90, 97}, {7907, 7907}, {7908, 7919},
-	}
-	for _, c := range cases {
-		got, err := NextPrime(c.n)
-		if err != nil || got != c.want {
-			t.Errorf("NextPrime(%d) = %d, %v; want %d", c.n, got, err, c.want)
-		}
-	}
-}
-
 func TestLog2(t *testing.T) {
 	cases := []struct {
 		n         uint64

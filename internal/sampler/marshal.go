@@ -3,14 +3,13 @@ package sampler
 import (
 	"math"
 
-	"repro/internal/cauchy"
 	"repro/internal/csss"
 	"repro/internal/wire"
 )
 
 // Wire state of the Figure 3 sampler: each instance's norm counters
-// (r, q, maxR), tail-estimator pair, candidate tracker and — in the
-// Remark 1 variant — Cauchy norm estimators, in instance order. The
+// (r, q, maxR), tail-estimator pair and candidate tracker, in instance
+// order. The
 // Params, the copy count and every scaling hash are the constructor's.
 
 // MarshalBinary encodes all parallel instances.
@@ -50,9 +49,6 @@ func (s *Sampler) Fill(r *wire.Reader) {
 func StateLen(p Params, copies int) int {
 	p.fill()
 	n := 24 + 2*csss.StateLen(p.csssParams()) + 4
-	if p.General {
-		n += 2 * cauchy.SketchStateLen(4, 32)
-	}
 	return n * min(copies, math.MaxInt/n) // saturates: no input fits it
 }
 
@@ -61,11 +57,7 @@ func (in *instance) MarshalBinary() ([]byte, error) { return in.AppendBinary(nil
 
 // EncodedLen is the length of one instance's encoding.
 func (in *instance) EncodedLen() int {
-	n := 24 + in.te.EncodedLen() + in.trk.EncodedLen()
-	if in.p.General {
-		n += in.rSketch.EncodedLen() + in.qSketch.EncodedLen()
-	}
-	return n
+	return 24 + in.te.EncodedLen() + in.trk.EncodedLen()
 }
 
 // AppendBinary appends one sampling instance's encoding to dst.
@@ -76,10 +68,6 @@ func (in *instance) AppendBinary(dst []byte) ([]byte, error) {
 	w.I64(in.maxR)
 	w.Marshal(in.te)
 	w.Marshal(in.trk)
-	if in.p.General {
-		w.Marshal(in.rSketch)
-		w.Marshal(in.qSketch)
-	}
 	return w.Bytes(), nil
 }
 
@@ -88,8 +76,4 @@ func (in *instance) Fill(r *wire.Reader) {
 	in.r, in.q, in.maxR = r.I64(), r.F64(), r.I64()
 	in.te.Fill(r)
 	in.trk.Fill(r)
-	if in.p.General {
-		in.rSketch.Fill(r)
-		in.qSketch.Fill(r)
-	}
 }

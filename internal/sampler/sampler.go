@@ -20,10 +20,7 @@
 //
 // A single instance succeeds with probability Theta(eps); Sampler runs
 // O(eps^-1 log(1/delta)) instances and returns the first success
-// (Theorem 5). Params.General selects the paper's Remark 1 variant:
-// the exact r, q counters are replaced by constant-factor Cauchy
-// estimates, extending the sampler to general turnstile streams for an
-// extra O(log^2 n) bits.
+// (Theorem 5).
 //
 // Baseline is the same precision-sampling loop over a dense Count-Sketch
 // with O(log n)-bit counters — the unbounded-deletion JST layout that
@@ -35,7 +32,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/cauchy"
 	"repro/internal/core"
 	"repro/internal/csss"
 	"repro/internal/hash"
@@ -63,12 +59,6 @@ type Params struct {
 	FPBits uint
 	// WeightCap clamps 1/t_i to keep counters in range (default 2^24).
 	WeightCap float64
-	// General selects the paper's Remark 1 variant: the exact r = ||f||_1
-	// and q = ||z||_1 counters (valid only for strict turnstile input)
-	// are replaced by constant-factor Cauchy median estimates, making the
-	// sampler run on general turnstile streams at an extra O(log^2 n)
-	// bits.
-	General bool
 }
 
 func (p *Params) fill() {
@@ -128,11 +118,6 @@ type instance struct {
 	maxR    int64
 	epsPrim float64 // eps' = eps^3 / log^2(n), the CSSS sensitivity
 	logN    float64
-	// Remark 1 (general turnstile): constant-factor estimators replace
-	// the exact counters.
-	rSketch *cauchy.Sketch
-	qSketch *cauchy.Sketch
-	qFP     float64
 }
 
 // csssParams are the tail estimator's CSSS parameters at filled p.
@@ -147,7 +132,7 @@ func trackerCap(k int) int { return 8 * k }
 func newInstance(rng *rand.Rand, p Params) *instance {
 	p.fill()
 	logN := math.Max(4, float64(nt.Log2Ceil(p.N)))
-	in := &instance{
+	return &instance{
 		p:       p,
 		tHash:   hash.NewKWise(rng, p.TWise),
 		te:      csss.NewTailEstimator(rng, p.csssParams()),
@@ -155,29 +140,6 @@ func newInstance(rng *rand.Rand, p Params) *instance {
 		epsPrim: p.Eps * p.Eps * p.Eps / (logN * logN),
 		logN:    logN,
 	}
-	if p.General {
-		in.rSketch = cauchy.NewSketch(rng, 4, 32, 4)
-		in.qSketch = cauchy.NewSketch(rng, 4, 32, 4)
-		in.qFP = 1 << 10
-	}
-	return in
-}
-
-// rEstimate returns ||f||_1 — exact in strict mode, a constant-factor
-// Cauchy median in general mode (Remark 1).
-func (in *instance) rEstimate() float64 {
-	if in.rSketch != nil {
-		return in.rSketch.MedianEstimate()
-	}
-	return float64(in.r)
-}
-
-// qEstimate returns ||z||_1 under the same convention.
-func (in *instance) qEstimate() float64 {
-	if in.qSketch != nil {
-		return in.qSketch.MedianEstimate() / in.qFP
-	}
-	return in.q
 }
 
 // weight returns 1/t_i, clamped.
@@ -205,16 +167,12 @@ func (in *instance) ingest(i uint64, delta int64) {
 		in.maxR = in.r
 	}
 	in.q += float64(delta) * w
-	if in.rSketch != nil {
-		in.rSketch.Update(i, delta)
-		in.qSketch.Update(i, int64(math.Round(float64(delta)*w*in.qFP)))
-	}
 }
 
 // sample runs Figure 3's Recovery. ok is false on FAIL.
 func (in *instance) sample() (Result, bool) {
 	cands := in.trk.Candidates()
-	rEst, qEst := in.rEstimate(), in.qEstimate()
+	rEst, qEst := float64(in.r), in.q
 	if len(cands) == 0 || rEst <= 0 {
 		return Result{}, false
 	}
@@ -247,12 +205,8 @@ func (in *instance) sample() (Result, bool) {
 }
 
 func (in *instance) spaceBits() int64 {
-	total := in.te.SpaceBits() + in.trk.SpaceBits(in.p.N) +
+	return in.te.SpaceBits() + in.trk.SpaceBits(in.p.N) +
 		int64(nt.BitsFor(uint64(in.maxR))) + 64 + in.tHash.SpaceBits()
-	if in.rSketch != nil {
-		total += in.rSketch.SpaceBits() + in.qSketch.SpaceBits()
-	}
-	return total
 }
 
 // Sampler runs parallel instances and returns the first success
@@ -321,14 +275,6 @@ func (in *instance) merge(other *instance, r *topk.Refresher[float64], b *core.B
 		in.maxR = other.maxR
 	}
 	in.q += other.q
-	if in.rSketch != nil {
-		if err := in.rSketch.Merge(other.rSketch); err != nil {
-			return err
-		}
-		if err := in.qSketch.Merge(other.qSketch); err != nil {
-			return err
-		}
-	}
 	_, err := r.MergeAll(in.trk, []*topk.Tracker{in.trk, other.trk}, b, in.te.CS1)
 	return err
 }
@@ -339,9 +285,6 @@ func (in *instance) cloneInto(dst *instance) *instance {
 	dst = core.OrNew(dst)
 	c := *in
 	c.te, c.trk = in.te.CloneInto(dst.te), in.trk.CloneInto(dst.trk)
-	if in.rSketch != nil {
-		c.rSketch, c.qSketch = in.rSketch.CloneInto(dst.rSketch), in.qSketch.CloneInto(dst.qSketch)
-	}
 	*dst = c
 	return dst
 }

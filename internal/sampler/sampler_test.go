@@ -204,73 +204,6 @@ func BenchmarkUpdate(b *testing.B) {
 	}
 }
 
-// TestGeneralModeSamplesNegativeStream — Remark 1: with constant-factor
-// r, q estimates the sampler runs on general turnstile streams. The
-// stream here has negative coordinates, so the strict counters would be
-// wrong; the general mode still samples from |f_i|/||f||_1.
-func TestGeneralModeSamplesNegativeStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	const n = 16
-	// f: half the coordinates negative.
-	f := map[uint64]int64{}
-	for i := uint64(0); i < n; i++ {
-		v := int64(50 + rng.Intn(200))
-		if i%2 == 0 {
-			v = -v
-		}
-		f[i] = v
-	}
-	counts := map[uint64]int{}
-	fails := 0
-	const trials = 80
-	for trial := 0; trial < trials; trial++ {
-		sp := New(rng, Params{N: n, Eps: 0.25, S: 1 << 20, General: true}, 24)
-		for i, v := range f {
-			sp.Update(i, v)
-		}
-		res, ok := sp.Sample()
-		if !ok {
-			fails++
-			continue
-		}
-		if f[res.Index] == 0 {
-			t.Fatalf("sampled %d outside support", res.Index)
-		}
-		counts[res.Index]++
-	}
-	if fails > trials/3 {
-		t.Fatalf("general-mode sampler failed %d/%d trials", fails, trials)
-	}
-	// Negative-coordinate items must be sampled too (they carry half the
-	// L1 mass).
-	neg := 0
-	for i, c := range counts {
-		if f[i] < 0 {
-			neg += c
-		}
-	}
-	succ := trials - fails
-	if neg < succ/5 {
-		t.Errorf("negative coordinates sampled only %d/%d times", neg, succ)
-	}
-}
-
-// TestGeneralModeSpaceIncludesEstimators: Remark 1 costs the extra
-// Cauchy estimate space.
-func TestGeneralModeSpaceIncludesEstimators(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	p := Params{N: 1 << 10, Eps: 0.25, S: 1 << 12}
-	strict := New(rng, p, 1)
-	pg := p
-	pg.General = true
-	general := New(rng, pg, 1)
-	strict.Update(1, 5)
-	general.Update(1, 5)
-	if general.SpaceBits() <= strict.SpaceBits() {
-		t.Error("general mode should cost extra estimator space")
-	}
-}
-
 // TestTheorem19Instance — the L1-sampling lower bound's own instance
 // (augmented indexing with one planted heavy item per level, eps = 1/2)
 // is decoded by the sampler: the returned index is the planted item.

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"encoding"
 	"iter"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -184,21 +185,29 @@ func CheckAppend(t *testing.T, m Codec) {
 // encoded length up front pays for one buffer: MarshalBinary allocates
 // little more than the bytes it returns (the slack covers allocator
 // size classes and the small Writer headers of the nesting), where a
-// size that fell short would cost the encoding again.
+// size that fell short would cost the encoding again. TotalAlloc is
+// process-wide, so a goroutine of another test can land in the window:
+// the check takes the least of a few marshals, which such noise only
+// ever raises.
 func CheckGrowsOnce(t *testing.T, m Codec) {
 	t.Helper()
-	// The collector is off for the one measured marshal: a cycle inside
+	// The collector is off for the measured marshals: a cycle inside
 	// the window can empty a sync.Pool, and its refill would be charged
 	// to the marshal.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	enc, err := m.MarshalBinary()
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatalf("%T.MarshalBinary: %v", m, err)
+	const marshals = 5
+	least, n := uint64(math.MaxUint64), 0
+	for range marshals {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		enc, err := m.MarshalBinary()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%T.MarshalBinary: %v", m, err)
+		}
+		least, n = min(least, after.TotalAlloc-before.TotalAlloc), len(enc)
 	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(enc))*115/100+4096; got > limit {
-		t.Errorf("%T.MarshalBinary allocated %d bytes for a %d-byte encoding (limit %d)", m, got, len(enc), limit)
+	if limit := uint64(n)*115/100 + 4096; least > limit {
+		t.Errorf("%T.MarshalBinary allocated at least %d bytes for a %d-byte encoding in %d marshals (limit %d)", m, least, n, marshals, limit)
 	}
 }
