@@ -294,6 +294,18 @@ func (e *L1Estimator) Estimate() float64 {
 	return e.general.Estimate()
 }
 
+// SampleLevel returns j*, the oldest live level of the interval
+// schedule, whose counters answer Estimate: they sample the stream at
+// rate s^-j*, and 0 means every unit is counted. Both variants sit on
+// the schedule, the strict one with a Morris clock.
+func (e *L1Estimator) SampleLevel() int {
+	queryGuard(e != nil && (e.strict != nil || e.general != nil), KindL1Estimator, "SampleLevel")
+	if e.strict != nil {
+		return e.strict.Level()
+	}
+	return e.general.Level()
+}
+
 // SpaceBits reports the structure's space.
 func (e *L1Estimator) SpaceBits() int64 {
 	queryGuard(e != nil && (e.strict != nil || e.general != nil), KindL1Estimator, "SpaceBits")

@@ -97,7 +97,10 @@ func TestPublicUpdateColumns(t *testing.T) {
 // (TestPublicUpdateColumns, the internal differentials): a batch offers
 // each distinct index once with its final estimate, the per-item path
 // offers after every update, so the candidate heap's layout — not its
-// decisions — can differ.
+// decisions — can differ. So is the strict L1 estimator, whose batch
+// is one walk of its Morris clock: equal to per-item feeding in law
+// (l1.TestWalkMatchesPerUnitLaw), not in draws. At level 0 — this
+// stream never leaves it — its estimate is the exact count on both.
 func TestIngestRolesAgree(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 12000, Alpha: 4, Zipf: 1.4, Seed: 9})
 	cfg := Config{N: 1 << 12, Eps: 0.1, Alpha: 4, Seed: 77}
@@ -119,7 +122,7 @@ func TestIngestRolesAgree(t *testing.T) {
 	}{
 		{"HeavyHitters", func() Sketch { return must(NewHeavyHitters(cfg)) }, first, false},
 		{"HeavyHitters/general", func() Sketch { return must(NewHeavyHitters(cfg, WithStrict(false))) }, first, false},
-		{"L1Estimator", func() Sketch { return must(NewL1Estimator(cfg)) }, first, true},
+		{"L1Estimator", func() Sketch { return must(NewL1Estimator(cfg)) }, first, false},
 		{"L1Estimator/general", func() Sketch { return must(NewL1Estimator(cfg, WithStrict(false))) }, first, true},
 		{"L0Estimator", func() Sketch { return must(NewL0Estimator(cfg)) }, first, true},
 		{"L1Sampler", func() Sketch { return must(NewL1Sampler(cfg, WithCopies(2))) }, first, false},
@@ -151,6 +154,9 @@ func TestIngestRolesAgree(t *testing.T) {
 			}
 			if got := must(byItem.MarshalBinary()); tc.itemBytes && !bytes.Equal(got, want) {
 				t.Fatal("per-item Update state differs from UpdateBatch state")
+			}
+			if l1, ok := byItem.(*L1Estimator); ok && (l1.SampleLevel() != 0 || l1.Estimate() != byBatch.(*L1Estimator).Estimate()) {
+				t.Fatalf("L1 estimate at level %d: per-item %v, batch %v", l1.SampleLevel(), l1.Estimate(), byBatch.(*L1Estimator).Estimate())
 			}
 			if byItem.SpaceBits() != byBatch.SpaceBits() {
 				t.Fatalf("SpaceBits: per-item %d, batch %d", byItem.SpaceBits(), byBatch.SpaceBits())

@@ -83,7 +83,12 @@
 // (internal/sample.Window, the one schedule under the strict and
 // general L1 estimators and both sides of the inner product), never in
 // map order. TestSameSeedSameBytes holds all eight structures to this;
-// every bit-identity differential and golden digest rests on it.
+// every bit-identity differential and golden digest rests on it. For
+// the strict L1 estimator batch boundaries are part of the call
+// sequence: a batch is one walk of its Morris clock, so UpdateColumns
+// equals per-item feeding in law (internal/l1 TestWalkMatchesPerUnitLaw)
+// and the same batches give the same bytes, but a batch cut elsewhere
+// draws differently.
 //
 // Clone and restore derive a fresh rng stream, deterministically: Clone
 // (CloneInto, into any storage) seeds the copy from one draw of the
@@ -107,14 +112,16 @@
 // them: CSSS (both HeavyHitters, the L1Sampler's tail estimator) thins
 // with one binomial per row and cuts only at its O(log |delta|)
 // halving boundaries; the strict L1 estimator walks its Morris clock
-// in O(log |delta|) geometrically growing chunks, one binomial per
-// sampled live level per chunk; the general L1 estimator and
+// from tick to tick (one geometric gap each, O(log |delta|) ticks), and
+// between ticks each sampled live level keeps one binomial of the
+// positive and one of the negative units; the general L1 estimator and
 // InnerProduct step through the interval schedule in runs over which
 // the live set stands still — level 0 adds the run in closed form, a
 // sampled level keeps Binomial(run, s^-j) units — O(1) draws per live
 // level per window move, O(log_s |delta|) moves. A run of exactly one
 // unit draws the single coin it always drew, so unit-delta streams are
-// byte-identical to a per-unit loop.
+// byte-identical to a per-unit loop; the strict L1 estimator's Update
+// keeps that too (a clock draw, then one coin per sampled level).
 //
 // # Serialization: sketches cross process boundaries
 //
@@ -322,11 +329,20 @@
 // order is preserved where it shows, and the rng draw order is the
 // contract — CSSS's thin step makes exactly the draws the per-item
 // path makes for the same updates, in the same order, the windowed
-// kinds draw nothing, and the precision sampler and the
-// interval-schedule structures (l1, sampled Cauchy, inner product)
-// still apply per-item exactly where their draws occur. Differential
-// tests assert this equality per structure and through the engine at
-// 1/2/4/8 shards.
+// kinds draw nothing, and the precision sampler and the sampled
+// interval-schedule structures (sampled Cauchy, inner product) still
+// apply per-item exactly where their draws occur. Differential tests
+// assert this equality per structure and through the engine at 1/2/4/8
+// shards. The one exception is the strict L1 estimator, whose columnar
+// path equals per-item feeding in LAW, not in bytes: its Morris clock
+// ticks about once per 2^v units, and between two ticks the live levels
+// stand still, so a batch is walked tick to tick — level 0 takes the
+// stretch's P positive and N negative units exactly, each sampled level
+// j one Binomial(P, s^-j) and one Binomial(N, s^-j) — the joint law of
+// one coin per unit per level at O(ticks + live levels) draws per
+// batch, where Update draws per unit. Its batch boundaries are part of
+// the call sequence; its estimate is exact on both paths while level 0
+// answers.
 //
 // # Querying: capability-typed interfaces and columnar batched reads
 //
@@ -470,8 +486,9 @@
 // dispatcher. Engine.Stats() returns an exact point-in-time snapshot —
 // ingest calls/keys/batches with latency, query counts and latency by
 // path (point / batched / merged), snapshot rebuilds, flush and close
-// timings, and per-shard applied work, busy time, send stalls and
-// queue depth. After a Flush the identities are exact: batches applied
+// timings, and per-shard applied work, busy time, send stalls, queue
+// depth and the regime each shard's sketches are in (the CSSS sampling
+// exponent, and the L1 estimator's answering level j*). After a Flush the identities are exact: batches applied
 // sum to batches sent, keys applied sum to keys ingested.
 // Engine.ExposeMetrics mounts those series on an obs.Registry, and
 // obs.Handler() serves every registered metric as Prometheus text or

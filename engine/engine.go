@@ -144,6 +144,7 @@ func New(cfg bounded.Config, opts Options) (*Engine, error) {
 		pending: make([]*core.Batch, opts.Shards),
 	}
 	e.met.csssExponent = make([]obs.Gauge, opts.Shards)
+	e.met.l1Level = make([]obs.Gauge, opts.Shards)
 	for i := range e.workers {
 		set, err := newStructSet(cfg, opts)
 		if err != nil {

@@ -10,19 +10,19 @@ import (
 // TestGoldenPartitionedSnapshot pins the "BP" image byte for byte: an
 // engine holding every structure of the kinds table, fed the Figure 1
 // workload in uneven chunks, must marshal to the digests recorded. They
-// were last re-pinned when every count column began to travel packed at
-// its byte width (wire format v3). A moved byte anywhere — envelope,
-// blob list, any structure's state — fails here.
+// were last re-pinned when the L1 estimator began to walk its Morris
+// clock a batch at a time (its draws moved, not its law). A moved byte
+// anywhere — envelope, blob list, any structure's state — fails here.
 //
 // Beside each byte digest sits the digest of every answer the image
 // gives once restored, recorded by the same probe in the tree before
-// the v2 re-pin and unmoved by v3's: the bytes moved, the answers did
-// not.
+// the v2 re-pin and unmoved by v3's or the clock walk's: the bytes
+// moved, the answers did not.
 func TestGoldenPartitionedSnapshot(t *testing.T) {
 	golden := map[int]string{
-		1: "b54d6bc0a7fa86f2c8cc851b8c44418d586eb7f9700ac0850a85061ad33c11bc",
-		2: "b226d1cf142b4c84fc5b0c34a6dc08d8c8e4ac8c5418f6361307727ef2e55210",
-		4: "53b0291e3972a30dbf183d4c7f8aaa2828fbf9c8e4336b766d25f8f41de58e54",
+		1: "0bfd45302135873995b3fa53529e07fd95d93509d990853ba5b1f1f6867a9e55",
+		2: "3fe64a769d01a5a32721e8333854bc43285de192c915c400e305df1b35884680",
+		4: "bb19eac189f4409f8b424f59579384d067408d9c6452c3add53f2dc6eb885cb6",
 	}
 	answers := map[int]string{
 		1: "7eef854e57522fa3cb9358a9308e03dc4aaa3019cbfc0748b8c59af7942fb6f5",

@@ -47,6 +47,7 @@ type engineMetrics struct {
 
 	// Algorithm state per shard, stored by its goroutine (applyShard.publish).
 	csssExponent []obs.Gauge // sampling exponent p of the heavy hitters structure
+	l1Level      []obs.Gauge // oldest live level j* of the L1 estimator
 }
 
 // applyShard is shard s's shard.Ingester: apply the batch, then publish
@@ -62,10 +63,13 @@ func (a applyShard) UpdateColumns(b *core.Batch) {
 }
 
 // publish runs in the shard's goroutine, after each applied batch and
-// after a restore: one atomic store.
+// after a restore: one atomic store per regime gauge.
 func (a applyShard) publish() {
 	if hh, ok := a.e.sets[a.s][0].(*bounded.HeavyHitters); ok { // kinds[0]
 		a.e.met.csssExponent[a.s].Set(int64(hh.SampleExponent()))
+	}
+	if l1, ok := a.e.sets[a.s][1].(*bounded.L1Estimator); ok { // kinds[1]
+		a.e.met.l1Level[a.s].Set(int64(l1.SampleLevel()))
 	}
 }
 
@@ -101,6 +105,10 @@ type ShardStats struct {
 	// SampleExponent is the CSSS exponent p (rate 2^-p, 0 = exact) of the
 	// shard's heavy hitters structure as of its last batch or restore.
 	SampleExponent int
+	// L1Level is the oldest live level j* of the shard's L1 estimator,
+	// whose counters answer (rate s^-j*, 0 = every unit counted), as of
+	// its last batch or restore.
+	L1Level int
 }
 
 // Stats is a point-in-time snapshot of the engine's metrics. Counters
@@ -204,6 +212,7 @@ func (e *Engine) Stats() Stats {
 			QueueDepth:     w.QueueDepth(),
 			QueueCap:       w.QueueCap(),
 			SampleExponent: int(e.met.csssExponent[i].Load()),
+			L1Level:        int(e.met.l1Level[i].Load()),
 		}
 		s.PerShard[i] = ss
 		s.BackpressureStalls += ss.SendStalls
@@ -263,6 +272,8 @@ func (e *Engine) ExposeMetrics(r *obs.Registry, instance string) func() {
 			func() int64 { return int64(w.QueueCap()) }, inst, sh)
 		r.GaugeFunc(owner, "repro_engine_shard_csss_exponent", "CSSS sampling exponent p (rate 2^-p) of the shard's heavy hitters",
 			m.csssExponent[i].Load, inst, sh)
+		r.GaugeFunc(owner, "repro_engine_shard_l1_level", "oldest live level j* (rate s^-j*) of the shard's L1 estimator",
+			m.l1Level[i].Load, inst, sh)
 	}
 	return func() { r.RemoveOwner(owner) }
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -338,6 +339,59 @@ func TestShardSampleExponent(t *testing.T) {
 	defer opened.Close()
 	if got := exponents(opened); got != want {
 		t.Errorf("restored engine before its first batch: exponents %v, want %v", got, want)
+	}
+}
+
+// TestShardL1Level: each shard publishes the oldest live level j* of
+// its L1 estimator beside the CSSS exponent — after every applied batch
+// and after a restore. Shard 0 is fed far past s^2 units (base 16), so
+// its answer comes from a sampled level; shard 1 stays below s and
+// answers from level 0, its exact count.
+func TestShardL1Level(t *testing.T) {
+	cfg := bounded.Config{N: 1 << 10, Eps: 0.9, Alpha: 1, Seed: 9} // RecommendedBase clamps to 16
+	opts := Options{Shards: 2, Structures: L1Estimator, L1Delta: 0.9, BatchSize: 64}
+	e := must(New(cfg, opts))
+	defer e.Close()
+	var us []bounded.Update
+	for i := uint64(0); len(us) < 300; i++ {
+		if d := int64(1000); e.ShardOf(i) == 0 {
+			us = append(us, bounded.Update{Index: i, Delta: d})
+		} else if len(us) < 5 {
+			us = append(us, bounded.Update{Index: i, Delta: 1})
+		}
+	}
+	if err := e.Ingest(us); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	levels := func(e *Engine) [2]int {
+		st := e.Stats()
+		return [2]int{st.PerShard[0].L1Level, st.PerShard[1].L1Level}
+	}
+	want := [2]int{e.sets[0][1].(*bounded.L1Estimator).SampleLevel(), 0}
+	if got := levels(e); got != want || want[0] < 1 {
+		t.Errorf("levels %v, the shards' estimators %v (shard 0 must sample)", got, want)
+	}
+	reg := obs.NewRegistry()
+	defer e.ExposeMetrics(reg, "l1")()
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if row := fmt.Sprintf(`repro_engine_shard_l1_level{instance="l1",shard="0"} %d`, want[0]); !strings.Contains(rec.Body.String(), row) {
+		t.Errorf("scrape missing %q", row)
+	}
+	snap, err := e.SnapshotPartitioned()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := RestoreCheckpoint(snap, Options{L1Delta: opts.L1Delta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	if got := levels(opened); got != want {
+		t.Errorf("restored engine before its first batch: levels %v, want %v", got, want)
 	}
 }
 

@@ -365,6 +365,10 @@ func (s *SampledSketch) Estimate() float64 {
 	return lnCos(s.qY, medianAbsScratch(s.qYPrime, &s.qAbs))
 }
 
+// Level returns the oldest live level j*, whose counters answer the
+// query (0: they sample every unit).
+func (s *SampledSketch) Level() int { j, _ := s.win.Oldest(); return j }
+
 // MedianEstimate returns the constant-factor Indyk estimate from the
 // oldest live level.
 func (s *SampledSketch) MedianEstimate() float64 {
@@ -412,6 +416,14 @@ func (s *SampledSketch) Merge(other *SampledSketch) error {
 	s.t = sample.AddPos(s.t, other.t)
 	s.maxCount = max(s.maxCount, other.maxCount)
 	s.win.Sync(s.t, s.newLevel)
+	for _, lv := range s.win.Each { // the summed counters can be wider than either side's
+		for _, c := range lv.y {
+			s.maxCount = max(s.maxCount, stream.Abs64(c))
+		}
+		for _, c := range lv.yPrime {
+			s.maxCount = max(s.maxCount, stream.Abs64(c))
+		}
+	}
 	return nil
 }
 

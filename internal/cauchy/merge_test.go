@@ -96,3 +96,20 @@ func TestSampledSketchMergeExactInRateOneRegime(t *testing.T) {
 		t.Fatal("merging different bases should fail")
 	}
 }
+
+// TestSampledSketchMergedCountersCharged: two level-0 sketches holding
+// 1000 of one key merge to counters twice as wide, charged as a sketch
+// fed 2000 at once is charged.
+func TestSampledSketchMergedCountersCharged(t *testing.T) {
+	build := func() *SampledSketch { return NewSampledSketch(rand.New(rand.NewSource(7)), 16, 8, 4, 1<<30, 10) }
+	a, b, whole := build(), build(), build()
+	a.Update(5, 1000)
+	b.Update(5, 1000)
+	whole.Update(5, 2000)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if a.maxCount != whole.maxCount || a.SpaceBits() != whole.SpaceBits() {
+		t.Fatalf("merged maxCount %d (%d bits), fed at once %d (%d bits)", a.maxCount, a.SpaceBits(), whole.maxCount, whole.SpaceBits())
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sample"
+	"repro/internal/stream"
 )
 
 // Merge folds another Estimator built from the same seed into this one.
@@ -40,6 +41,13 @@ func (e *Estimator) mergeSide(sd, osd *side) {
 	sd.t = sample.AddPos(sd.t, osd.t)
 	sd.maxCount = max(sd.maxCount, osd.maxCount)
 	sd.win.Sync(sd.t, func(int) *ipLevel { return e.newLevel(sd.t) })
+	for _, lv := range sd.win.Each { // the summed bins can be wider than either side's
+		for _, row := range lv.bins {
+			for _, c := range row {
+				sd.maxCount = max(sd.maxCount, stream.Abs64(c))
+			}
+		}
+	}
 }
 
 func copyLevel(lv, dst *ipLevel) *ipLevel {

@@ -312,3 +312,23 @@ func TestHugeDeltasAreCheap(t *testing.T) {
 		t.Errorf("bulk-fed estimate within budget only %d/%d times", good, reps)
 	}
 }
+
+// TestMergedCountersCharged: two rate-one estimators holding 1000 of
+// one key per side merge to bins twice as wide, charged as an estimator
+// fed 2000 at once is charged.
+func TestMergedCountersCharged(t *testing.T) {
+	a, b, whole := small(5, 1<<20), small(5, 1<<20), small(5, 1<<20)
+	for _, e := range []*Estimator{a, b} {
+		e.UpdateF(5, 1000)
+		e.UpdateG(6, -1000)
+	}
+	whole.UpdateF(5, 2000)
+	whole.UpdateG(6, -2000)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if a.f.maxCount != whole.f.maxCount || a.g.maxCount != whole.g.maxCount || a.SpaceBits() != whole.SpaceBits() {
+		t.Fatalf("merged maxCount %d/%d (%d bits), fed at once %d/%d (%d bits)",
+			a.f.maxCount, a.g.maxCount, a.SpaceBits(), whole.f.maxCount, whole.g.maxCount, whole.SpaceBits())
+	}
+}

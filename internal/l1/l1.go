@@ -15,12 +15,17 @@
 //     cauchy (SampledSketch); this package re-exports a constructor so
 //     callers find both variants in one place.
 //
-// An exact-clock variant (Morris counter replaced by a log(n)-bit
-// position counter) is provided for ablation AB3.
+// Ingest walks the clock, not the units: between two ticks the live
+// levels stand still, so a stretch of P positive and N negative units
+// is counted at level 0 and thinned by one Binomial(P, s^-j) and one
+// Binomial(N, s^-j) at each sampled level j — the law of one coin per
+// unit per level, in O(ticks + live levels) draws. An exact-clock
+// variant (a log(n)-bit position counter) is provided for ablation AB3.
 package l1
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/cauchy"
@@ -31,50 +36,40 @@ import (
 	"repro/internal/stream"
 )
 
-// Clock abstracts the stream-position estimate: Figure 4 uses a Morris
-// counter (O(log log n) bits); the ablation uses an exact counter
-// (O(log n) bits).
-type Clock interface {
-	Advance(n int64)
-	Now() int64
-	SpaceBits() int64
-	// Clone copies the clock state; the copy draws any randomness it
-	// needs from rng (snapshot support for merge-on-query).
-	Clone(rng *sample.Rand) Clock
+// clock is the stream position: Figure 4's Morris counter (O(log log
+// n) bits) or, with m nil, ablation AB3's exact counter t (O(log n)).
+type clock struct {
+	m *morris.Counter
+	t int64
 }
 
-// morrisClock adapts morris.Counter to Clock.
-type morrisClock struct{ c *morris.Counter }
-
-func (m morrisClock) Advance(n int64)  { m.c.Add(n) }
-func (m morrisClock) Now() int64       { return m.c.Estimate() }
-func (m morrisClock) SpaceBits() int64 { return m.c.SpaceBits() }
-func (m morrisClock) Clone(rng *sample.Rand) Clock {
-	return morrisClock{m.c.Clone(rng)}
+func (c *clock) now() int64 {
+	if c.m != nil {
+		return c.m.Estimate()
+	}
+	return c.t
 }
 
-// exactClock is the ablation clock.
-type exactClock struct {
-	t   int64
-	max int64
-}
-
-func (e *exactClock) Advance(n int64) { e.t = sample.AddPos(e.t, n); e.max = e.t }
-func (e *exactClock) Now() int64      { return e.t }
-func (e *exactClock) SpaceBits() int64 {
-	return int64(nt.BitsFor(uint64(e.max)))
-}
-func (e *exactClock) Clone(*sample.Rand) Clock {
-	return &exactClock{t: e.t, max: e.max}
+// step moves through the head of n >= 1 units: the first run share the
+// live set w is synced to on return (where they left the clock), and
+// tick reports that the Morris clock moved on the unit after them.
+func (c *clock) step(w *sample.Window[level], n int64) (run int64, tick bool) {
+	if c.m == nil {
+		return w.Step(&c.t, n, newLevel), false
+	}
+	w.Sync(c.m.Estimate(), newLevel)
+	if run, tick = c.m.Walk(n); tick {
+		run--
+	}
+	return run, tick
 }
 
 // AlphaEstimator is the Figure 4 structure.
 type AlphaEstimator struct {
-	base  int64 // s = poly(alpha * log(n) / eps), laptop-scaled
-	clock Clock
-	win   *sample.Window[level]
-	rng   *sample.Rand // shared with a Morris clock
-
+	base     int64 // s = poly(alpha * log(n) / eps), laptop-scaled
+	clock    clock
+	win      *sample.Window[level]
+	rng      *sample.Rand // shared with a Morris clock
 	maxCount int64
 	units    int64 // exact unit count, kept only for tests/metrics
 }
@@ -94,25 +89,20 @@ func copyLevel(lv, dst *level) *level {
 // s = O(alpha^2 delta^-1 log^3(n) / eps^2); pass RecommendedBase for a
 // laptop-scaled default) and a Morris clock.
 func New(rng *rand.Rand, base int64) *AlphaEstimator {
-	return newWithClock(rng, base, morrisClock{morris.New(rng)})
+	return newWithClock(rng, base, clock{m: morris.New(rng)})
 }
 
 // NewExactClock builds the ablation variant with an exact position
 // counter instead of the Morris counter.
 func NewExactClock(rng *rand.Rand, base int64) *AlphaEstimator {
-	return newWithClock(rng, base, &exactClock{})
+	return newWithClock(rng, base, clock{})
 }
 
-func newWithClock(rng *rand.Rand, base int64, clock Clock) *AlphaEstimator {
+func newWithClock(rng *rand.Rand, base int64, c clock) *AlphaEstimator {
 	if base < 4 {
 		panic(fmt.Sprintf("l1: interval base must be >= 4, got %d", base))
 	}
-	return &AlphaEstimator{
-		base:  base,
-		clock: clock,
-		win:   sample.NewWindow[level](base),
-		rng:   sample.Wrap(rng),
-	}
+	return &AlphaEstimator{base: base, clock: c, win: sample.NewWindow[level](base), rng: sample.Wrap(rng)}
 }
 
 // RecommendedBase scales the paper's s = O(alpha^2 log^3(n) / (delta
@@ -122,95 +112,91 @@ func RecommendedBase(alpha, eps, delta float64, n uint64) int64 {
 	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
 		panic("l1: eps and delta must be in (0,1)")
 	}
-	if alpha < 1 {
-		alpha = 1
-	}
+	alpha = max(alpha, 1)
 	v := alpha * alpha / (eps * eps * delta) * float64(nt.Log2Ceil(n)+1)
-	if v < 16 {
-		v = 16
-	}
-	if v > 1<<40 {
-		v = 1 << 40
-	}
-	return int64(v)
+	return int64(min(max(v, 16), 1<<40))
 }
 
-// Update feeds an update; |delta| > 1 conceptually expands into unit
-// updates, processed in chunks: the clock advances by whole sub-chunks
-// (Morris's Add walks geometric gaps exactly) and each live level thins
-// the sub-chunk with one binomial draw. Sub-chunks are bounded by a
-// quarter of the current clock estimate so the level schedule is
-// re-synced at least as often as the intervals can move — the same
-// granularity tolerance the psi-slack of Theorem 6's analysis already
-// absorbs. The cost is O(log |delta|) chunks of one Morris walk and one
-// binomial draw per sampled live level, drawn in ascending level order.
-func (a *AlphaEstimator) Update(i uint64, delta int64) {
-	_ = i // the L1 estimator is index-oblivious: it sums signed samples
-	mag := stream.Abs64(delta)
-	for mag > 0 {
-		chunk := a.clock.Now()/4 + 1
-		if chunk > mag {
-			chunk = mag
+// Update feeds |delta| unit updates of delta's sign, walked as a batch
+// of one: a unit delta makes one clock draw, then one coin per sampled
+// level in ascending order; a wide one costs O(log |delta|) ticks.
+func (a *AlphaEstimator) Update(_ uint64, delta int64) { a.feed([]int64{delta}) }
+
+// UpdateColumns consumes a pre-planned columnar batch as one walk over
+// its units in column order. It equals per-item feeding in law, not in
+// bytes: batch boundaries are part of the call sequence.
+func (a *AlphaEstimator) UpdateColumns(b *core.Batch) { a.feed(b.Delta) }
+
+// feed counts the units of ds by sign in one branch-free pass and walks
+// them; a batch holding a delta of 2^32 or more, whose sums could
+// overflow, walks delta by delta (math.MinInt64 is skipped, as ever).
+func (a *AlphaEstimator) feed(ds []int64) {
+	var p, n, wide int64
+	for _, d := range ds {
+		s := d >> 63
+		m := (d ^ s) - s
+		p += m &^ s
+		n += m & s
+		wide |= m
+	}
+	if wide>>32 == 0 {
+		a.walk(ds, p, n)
+		return
+	}
+	for k, d := range ds {
+		if d != math.MinInt64 {
+			a.walk(ds[k:k+1], max(d, 0), max(-d, 0))
 		}
-		a.clock.Advance(chunk)
-		a.units += chunk
-		a.win.Sync(a.clock.Now(), newLevel)
-		for j, lv := range a.win.Each {
-			cnt := chunk
-			if j > 0 {
-				cnt = sample.Binomial(a.rng.Get(), chunk, 1/float64(sample.Pow(a.base, j)))
-			}
-			if cnt == 0 {
-				continue
-			}
-			c := &lv.pos
-			if delta < 0 {
-				c = &lv.neg
-			}
-			*c += cnt
-			a.maxCount = max(a.maxCount, *c)
-		}
-		mag -= chunk
 	}
 }
 
-// UpdateColumns consumes a pre-planned columnar batch in column order,
-// making Update's draws in Update's order (the state is identical to
-// the scalar path's). Unit deltas under the Morris clock skip Update's
-// per-item set-up: the live levels and their rates are re-read only
-// when the clock's exponent moved or a wider delta went through Update.
-func (a *AlphaEstimator) UpdateColumns(b *core.Batch) {
-	mc, morris := a.clock.(morrisClock)
-	var lvs [2]*level // the n live levels and their sampling rates,
-	var rate [2]float64
-	n, exp := 0, -1 // as read at Morris exponent exp (-1: not read)
-	for pos, delta := range b.Delta {
-		if !morris || (delta != 1 && delta != -1) {
-			a.Update(b.Idx[pos], delta)
-			exp = -1
-			continue
-		}
-		mc.c.Add(1)
-		a.units++
-		if e := mc.c.Exponent(); e != exp {
-			exp, n = e, 0
-			a.win.Sync(mc.c.Estimate(), newLevel)
-			for j, lv := range a.win.Each {
-				lvs[n], rate[n] = lv, 1/float64(sample.Pow(a.base, j))
-				n++
+// walk ingests ds, holding p positive and n negative units, stretch by
+// stretch: the quiet run before a clock tick at the live set it found,
+// the ticking unit at the live set after the tick — the per-unit order.
+func (a *AlphaEstimator) walk(ds []int64, p, n int64) {
+	a.units = sample.AddPos(a.units, p+n)
+	k, off := 0, int64(0) // delta k has off of its units walked
+	take := func(q int64) (p, n int64) {
+		for q > 0 {
+			m := stream.Abs64(ds[k]) - off
+			u := min(m, q)
+			s := ds[k] >> 63
+			p, n = p+u&^s, n+u&s
+			if q, off = q-u, off+u; u == m {
+				k, off = k+1, 0
 			}
 		}
-		for k, lv := range lvs[:n] {
-			if rate[k] < 1 && sample.Binomial(a.rng.Get(), 1, rate[k]) == 0 {
-				continue
-			}
-			c := &lv.pos
-			if delta < 0 {
-				c = &lv.neg
-			}
-			*c++
-			a.maxCount = max(a.maxCount, *c)
+		return p, n
+	}
+	for p+n > 0 {
+		run, tick := a.clock.step(a.win, p+n)
+		qp, qn := p, n
+		if run < p+n {
+			qp, qn = take(run)
 		}
+		a.sample(qp, qn)
+		p, n = p-qp, n-qn
+		if tick {
+			qp, qn = take(1)
+			a.win.Sync(a.clock.now(), newLevel)
+			a.sample(qp, qn)
+			p, n = p-qp, n-qn
+		}
+	}
+}
+
+// sample adds p positive and n negative units to every live level j,
+// keeping Binomial(p, s^-j) and Binomial(n, s^-j) drawn in ascending j.
+func (a *AlphaEstimator) sample(p, n int64) {
+	for j, lv := range a.win.Each {
+		kp, kn := p, n
+		if j > 0 && p+n > 0 {
+			rng, rate := a.rng.Get(), 1/float64(sample.Pow(a.base, j))
+			kp, kn = sample.Binomial(rng, p, rate), sample.Binomial(rng, n, rate)
+		}
+		lv.pos += kp
+		lv.neg += kn
+		a.maxCount = max(a.maxCount, lv.pos, lv.neg)
 	}
 }
 
@@ -228,14 +214,16 @@ func (a *AlphaEstimator) Merge(other *AlphaEstimator) error {
 	if a.base != other.base {
 		return fmt.Errorf("l1: merging estimators with different interval bases (%d vs %d)", a.base, other.base)
 	}
-	a.clock.Advance(other.clock.Now())
-	a.units += other.units
-	a.win.Merge(other.win, func(dst, src *level) {
-		dst.pos += src.pos
-		dst.neg += src.neg
-	}, copyLevel)
+	if n := other.clock.now(); a.clock.m != nil {
+		a.clock.m.Add(n)
+	} else {
+		a.clock.t = sample.AddPos(a.clock.t, n)
+	}
+	a.units = sample.AddPos(a.units, other.units)
+	a.win.Merge(other.win, func(dst, src *level) { *dst = level{dst.pos + src.pos, dst.neg + src.neg} }, copyLevel)
+	a.win.Sync(a.clock.now(), newLevel)
 	a.maxCount = max(a.maxCount, other.maxCount)
-	a.win.Sync(a.clock.Now(), newLevel)
+	a.sample(0, 0) // folds the summed counters into maxCount
 	return nil
 }
 
@@ -244,9 +232,14 @@ func (a *AlphaEstimator) Merge(other *AlphaEstimator) error {
 func (a *AlphaEstimator) CloneInto(dst *AlphaEstimator) *AlphaEstimator {
 	dst = core.OrNew(dst)
 	rng := sample.Seeded(a.rng.Get().Int63())
+	c := a.clock
+	if c.m != nil {
+		v, max := c.m.State()
+		c.m = morris.Restore(rng, v, max)
+	}
 	*dst = AlphaEstimator{
 		base:     a.base,
-		clock:    a.clock.Clone(rng),
+		clock:    c,
 		win:      a.win.CloneInto(dst.win, copyLevel),
 		rng:      rng,
 		maxCount: a.maxCount,
@@ -282,7 +275,11 @@ func (a *AlphaEstimator) SpaceBits() int64 {
 	counters := int64(live) * 2 * perCounter
 	levelIndex := int64(2 * nt.BitsFor(uint64(live+2)))
 	baseBits := int64(nt.BitsFor(uint64(a.base)))
-	return a.clock.SpaceBits() + counters + levelIndex + baseBits
+	clockBits := int64(nt.BitsFor(uint64(a.clock.t)))
+	if a.clock.m != nil {
+		clockBits = a.clock.m.SpaceBits()
+	}
+	return clockBits + counters + levelIndex + baseBits
 }
 
 // NewGeneral returns the general-turnstile alpha-property L1 estimator
@@ -291,3 +288,7 @@ func (a *AlphaEstimator) SpaceBits() int64 {
 func NewGeneral(rng *rand.Rand, r, rPrime, k int, base int64, fpBits uint) *cauchy.SampledSketch {
 	return cauchy.NewSampledSketch(rng, r, rPrime, k, base, fpBits)
 }
+
+// Level returns the oldest live level j*, whose counters answer the
+// query (0: they count every unit).
+func (a *AlphaEstimator) Level() int { j, _ := a.win.Oldest(); return j }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/nt"
 )
 
 // TestMergeExactInLevelZeroRegime: with an interval base far above the
@@ -102,5 +103,32 @@ func TestCloneIsolated(t *testing.T) {
 	}
 	if c.Units() != 600 {
 		t.Fatalf("clone units %d, want 600", c.Units())
+	}
+}
+
+// TestMergedCountersCharged: two level-0 estimators at 1000 units merge
+// to a 2000 counter, and SpaceBits charges its width — the merged
+// high-water mark, not the larger input's.
+func TestMergedCountersCharged(t *testing.T) {
+	for name, build := range map[string]func(*rand.Rand, int64) *AlphaEstimator{"morris": New, "exact": NewExactClock} {
+		a, b, whole := build(rand.New(rand.NewSource(1)), 1<<20), build(rand.New(rand.NewSource(2)), 1<<20), build(rand.New(rand.NewSource(3)), 1<<20)
+		a.Update(0, 1000)
+		b.Update(1, 1000)
+		whole.Update(0, 2000)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, lv := a.win.Oldest(); lv.pos != 2000 || a.maxCount != 2000 {
+			t.Fatalf("%s: merged level 0 holds %d, maxCount %d; want 2000 for both", name, lv.pos, a.maxCount)
+		}
+		beside := func(e *AlphaEstimator) int64 { // SpaceBits less the clock's
+			if e.clock.m != nil {
+				return e.SpaceBits() - e.clock.m.SpaceBits()
+			}
+			return e.SpaceBits() - int64(nt.BitsFor(uint64(e.clock.t)))
+		}
+		if beside(a) != beside(whole) {
+			t.Fatalf("%s: the merged estimator charges %d bits beside its clock, one fed 2000 units %d", name, beside(a), beside(whole))
+		}
 	}
 }

@@ -2,6 +2,8 @@ package l1
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,17 +11,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sample"
-	"repro/internal/stream"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
-// TestSameSeedSameBytes: equal seed and equal update sequence leave
-// equal bytes, in the regime where two sampled levels are live and each
-// draws per chunk — per item, per column batch, and through a marshal
+// TestSameSeedSameBytes: equal seed and equal calls leave equal bytes,
+// per path, in the regime where two sampled levels are live and each
+// draws per stretch — per item, per column batch, and through a marshal
 // and restore in mid-stream; base 4 and 16 cross at least three window
-// moves in 6000 units. Drawing inside a map range (the parent) fails
-// this within a few thousand updates.
+// moves in 6000 updates. Drawing inside a map range fails this within a
+// few thousand updates. The paths agree with each other in law, not in
+// bytes (TestWalkMatchesPerUnitLaw).
 func TestSameSeedSameBytes(t *testing.T) {
 	builders := map[string]func(*rand.Rand, int64) *AlphaEstimator{"morris": New, "exact": NewExactClock}
 	for _, base := range []int64{4, 16} {
@@ -30,12 +32,12 @@ func TestSameSeedSameBytes(t *testing.T) {
 					a := build(rand.New(rand.NewSource(7)), base)
 					for off := 0; off < len(us); off += 500 {
 						chunk := us[off : off+500]
-						if mode == "columns" {
-							core.UpdateBatch(a.UpdateColumns, chunk)
-						} else {
+						if mode == "item" {
 							for _, u := range chunk {
 								a.Update(u.Index, u.Delta)
 							}
+						} else {
+							core.UpdateBatch(a.UpdateColumns, chunk)
 						}
 						if mode == "restored" && off == 2500 {
 							a = wiretest.Restore(t, build(rand.New(rand.NewSource(7)), base), wiretest.MustMarshal(t, a))
@@ -44,28 +46,23 @@ func TestSameSeedSameBytes(t *testing.T) {
 					return a
 				}
 				name := fmt.Sprintf("base %d %s multi=%v", base, clock, multi)
-				item := run("item")
-				want := wiretest.MustMarshal(t, item)
-				if js := wiretest.LiveSet(item.win.Each); len(js) != 2 || js[0] < 1 {
-					t.Fatalf("%s: live levels %v; the test must end with two sampled levels", name, js)
-				}
-				for rep := 0; rep < 4; rep++ {
-					if !bytes.Equal(wiretest.MustMarshal(t, run("item")), want) {
-						t.Fatalf("%s: two same-seed per-item runs marshal differently", name)
+				for _, mode := range []string{"item", "columns", "restored"} {
+					first := run(mode)
+					if js := wiretest.LiveSet(first.win.Each); len(js) != 2 || js[0] < 1 {
+						t.Fatalf("%s %s: live levels %v; the test must end with two sampled levels", name, mode, js)
 					}
-				}
-				if !bytes.Equal(wiretest.MustMarshal(t, run("columns")), want) {
-					t.Fatalf("%s: UpdateColumns state differs from per-item state", name)
-				}
-				restored := run("restored")
-				if !bytes.Equal(wiretest.MustMarshal(t, run("restored")), wiretest.MustMarshal(t, restored)) {
-					t.Fatalf("%s: two runs restored in mid-stream marshal differently", name)
-				}
-				// A restore reseeds the rng, so counters may differ from the
-				// never-marshalled run; under the exact clock the schedule may not.
-				if clock == "exact" && fmt.Sprint(wiretest.LiveSet(restored.win.Each)) != fmt.Sprint(wiretest.LiveSet(item.win.Each)) {
-					t.Fatalf("%s: restored in mid-stream holds levels %v, never marshalled %v",
-						name, wiretest.LiveSet(restored.win.Each), wiretest.LiveSet(item.win.Each))
+					want := wiretest.MustMarshal(t, first)
+					for rep := 0; rep < 3; rep++ {
+						if !bytes.Equal(wiretest.MustMarshal(t, run(mode)), want) {
+							t.Fatalf("%s: two same-seed %s runs marshal differently", name, mode)
+						}
+					}
+					// Under the exact clock the schedule is the position's, whatever
+					// the path and however the rng was reseeded.
+					lo, hi := sample.ActiveLevels(first.clock.now(), base)
+					if clock == "exact" && fmt.Sprint(wiretest.LiveSet(first.win.Each)) != fmt.Sprint([]int{lo, hi}) {
+						t.Fatalf("%s %s: holds levels %v at position %d", name, mode, wiretest.LiveSet(first.win.Each), first.clock.now())
+					}
 				}
 			}
 		}
@@ -153,20 +150,30 @@ func TestMergeTwoSampledLevels(t *testing.T) {
 	if err := m1.Merge(m2); err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := sample.ActiveLevels(m1.clock.Now(), base)
+	lo, hi := sample.ActiveLevels(m1.clock.now(), base)
 	if got, want := fmt.Sprint(wiretest.LiveSet(m1.win.Each)), fmt.Sprint([]int{lo, hi}); got != want {
 		t.Fatalf("Morris merge: window %s, schedule at the merged clock %s", got, want)
 	}
 }
 
 // craft encodes an exact-clock estimator's state at position pos
-// holding the given levels in the given order — sets no ingest produces.
+// holding the given levels in the given order — sets no ingest produces
+// — with maxCount their largest counter.
 func craft(pos int64, levels ...[3]int64) []byte {
+	var maxCount int64
+	for _, lv := range levels {
+		maxCount = max(maxCount, lv[1], lv[2])
+	}
+	return craftState(pos, maxCount, pos, levels...)
+}
+
+// craftState is craft with maxCount and the unit count as given.
+func craftState(pos, maxCount, units int64, levels ...[3]int64) []byte {
 	w := wire.State(nil)
 	w.I64(pos)
 	w.I64(pos)
-	w.I64(0)
-	w.I64(pos)
+	w.I64(maxCount)
+	w.I64(units)
 	w.U32(uint32(len(levels)))
 	for _, lv := range levels {
 		w.U32(uint32(lv[0]))
@@ -217,9 +224,11 @@ func TestCraftedLevelLists(t *testing.T) {
 		}
 	}
 	for name, data := range map[string][]byte{
-		"duplicate level":  craft(9, [3]int64{1, 0, 0}, [3]int64{1, 0, 0}),
-		"level past 62":    craft(9, [3]int64{63, 0, 0}),
-		"negative counter": craft(9, [3]int64{1, -1, 0}),
+		"duplicate level":   craft(9, [3]int64{1, 0, 0}, [3]int64{1, 0, 0}),
+		"level past 62":     craft(9, [3]int64{63, 0, 0}),
+		"negative counter":  craft(9, [3]int64{1, -1, 0}),
+		"negative maxCount": craftState(9, -1, 9, [3]int64{1, 0, 0}),
+		"negative units":    craftState(9, 0, -1),
 	} {
 		if err := wire.Fill(data, NewExactClock(rand.New(rand.NewSource(1)), base)); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -237,8 +246,8 @@ func TestHugeDeltasAreCheap(t *testing.T) {
 		for _, d := range []int64{1 << 40, -(1 << 39), math.MaxInt64, math.MinInt64 + 1, math.MaxInt64} {
 			a.Update(5, d)
 		}
-		if name == "exact" && a.clock.Now() != math.MaxInt64 {
-			t.Errorf("exact clock at %d after 2^64 units, want saturation", a.clock.Now())
+		if name == "exact" && a.clock.now() != math.MaxInt64 {
+			t.Errorf("exact clock at %d after 2^64 units, want saturation", a.clock.now())
 		}
 		if a.LiveLevels() != 2 {
 			t.Errorf("%s: %d live levels", name, a.LiveLevels())
@@ -246,67 +255,50 @@ func TestHugeDeltasAreCheap(t *testing.T) {
 	}
 }
 
-// TestUpdateColumnsLockstep holds the column loop to the per-item
-// oracle batch by batch: equal encoded state AND an equal next rng word
-// (so no draw was added, dropped or reordered), with levels 1 and 2
-// live (small base), unit / multi-unit / zero / MinInt64 deltas mixed in
-// one batch, Morris hits in mid-batch, a marshal-and-restore in
-// mid-stream (the restored window is unsynced) and the exact-clock
-// variant, which stays on the per-item loop.
-func TestUpdateColumnsLockstep(t *testing.T) {
+// TestUnitUpdatesKeepParentBytes pins the scalar path: a loop of
+// Update(i, ±1) makes one clock draw per unit and then one coin per
+// sampled level, in ascending level order, as it did before the
+// columnar walk shared its body. The digests were recorded on that
+// per-unit body: base 4 and 16, both clocks, two sampled levels live at
+// the end, with a marshal and restore in mid-stream.
+func TestUnitUpdatesKeepParentBytes(t *testing.T) {
 	builders := map[string]func(*rand.Rand, int64) *AlphaEstimator{"morris": New, "exact": NewExactClock}
+	golden := map[string]string{
+		"base 4 morris":  "cad55b48ed86b9ce804afc6e4aa6dabaa6007cd8a04bc61a98bc64afe27bc81c",
+		"base 4 exact":   "ee9c47ba64568f1e5b3e77288a9f2180b8c742ddf95df0534c0ebc9f84d03f41",
+		"base 16 morris": "65cdef93fd15cb81352e071f98822d6319ec446311623492f07da2a54ef19cb2",
+		"base 16 exact":  "e7c6a8c784c716ad959acc890384cbee5b716bc31fd6c08971202ae0350a822f",
+	}
 	for _, base := range []int64{4, 16} {
 		for clock, build := range builders {
-			item, col := build(rand.New(rand.NewSource(9)), base), build(rand.New(rand.NewSource(9)), base)
-			work := rand.New(rand.NewSource(base))
-			hitMidBatch, sampledLevels := false, 0
-			for round := 0; round < 80; round++ {
-				us := make([]stream.Update, 1+work.Intn(400))
-				for k := range us {
-					d := int64(1)
-					switch v := work.Intn(40); {
-					case v == 0:
-						d = 0
-					case v == 1:
-						d = math.MinInt64
-					case v < 6:
-						d = 2 + int64(work.Intn(30))
-					}
-					if work.Intn(5) == 0 {
-						d = -d
-					}
-					us[k] = stream.Update{Index: uint64(k), Delta: d}
-				}
-				for k, u := range us {
-					before := item.clock.Now()
-					item.Update(u.Index, u.Delta)
-					if clock == "morris" && stream.Abs64(u.Delta) == 1 && item.clock.Now() != before && k > 0 && k < len(us)-1 {
-						hitMidBatch = true
-					}
-				}
-				core.UpdateBatch(col.UpdateColumns, us)
-				if !bytes.Equal(wiretest.MustMarshal(t, item), wiretest.MustMarshal(t, col)) {
-					t.Fatalf("base %d %s round %d: column state differs from per-item state", base, clock, round)
-				}
-				if item.rng.Get().Int63() != col.rng.Get().Int63() {
-					t.Fatalf("base %d %s round %d: next rng word differs", base, clock, round)
-				}
-				if js := wiretest.LiveSet(item.win.Each); len(js) == 2 && js[0] >= 1 {
-					sampledLevels = max(sampledLevels, js[1])
-				}
-				if round == 40 {
-					restore := func(a *AlphaEstimator) *AlphaEstimator {
-						return wiretest.Restore(t, build(rand.New(rand.NewSource(9)), base), wiretest.MustMarshal(t, a))
-					}
-					item, col = restore(item), restore(col)
+			a := build(rand.New(rand.NewSource(7)), base)
+			for k, u := range wiretest.SignedUnits(6000, false) {
+				a.Update(u.Index, u.Delta)
+				if k == 2999 {
+					a = wiretest.Restore(t, build(rand.New(rand.NewSource(7)), base), wiretest.MustMarshal(t, a))
 				}
 			}
-			if sampledLevels < 2 {
-				t.Fatalf("base %d %s: never had two sampled levels live", base, clock)
+			name := fmt.Sprintf("base %d %s", base, clock)
+			if js := wiretest.LiveSet(a.win.Each); len(js) != 2 || js[0] < 1 {
+				t.Fatalf("%s: live levels %v; the pin must end with two sampled levels", name, js)
 			}
-			if clock == "morris" && !hitMidBatch {
-				t.Fatalf("base %d: no Morris hit on a unit update in mid-batch", base)
+			sum := sha256.Sum256(wiretest.MustMarshal(t, a))
+			if got := hex.EncodeToString(sum[:]); got != golden[name] {
+				t.Errorf("%s: per-unit Update bytes hash to %s, recorded %s", name, got, golden[name])
 			}
 		}
+	}
+}
+
+// TestFillRaisesStaleMaxCount: a checkpoint whose maxCount is below its
+// counters (merged before Merge folded them in) restores charged for
+// the counters it holds, and re-marshals with the raised maxCount.
+func TestFillRaisesStaleMaxCount(t *testing.T) {
+	a := wiretest.Restore(t, NewExactClock(rand.New(rand.NewSource(1)), 1<<20), craftState(2000, 1000, 2000, [3]int64{0, 2000, 0}))
+	if a.maxCount != 2000 || a.SpaceBits() != wiretest.Restore(t, NewExactClock(rand.New(rand.NewSource(1)), 1<<20), craft(2000, [3]int64{0, 2000, 0})).SpaceBits() {
+		t.Fatalf("restored maxCount %d, SpaceBits %d: not raised to the level-0 counter 2000", a.maxCount, a.SpaceBits())
+	}
+	if !bytes.Equal(wiretest.MustMarshal(t, a), craft(2000, [3]int64{0, 2000, 0})) {
+		t.Fatal("re-marshal does not carry the raised maxCount")
 	}
 }

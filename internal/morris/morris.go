@@ -38,10 +38,7 @@ func (c *Counter) Increment() {
 		return // saturated; beyond any stream this library produces
 	}
 	if c.rng.Get().Uint64()&((1<<uint(c.v))-1) == 0 {
-		c.v++
-		if c.v > c.max {
-			c.max = c.v
-		}
+		c.bump()
 	}
 }
 
@@ -57,57 +54,58 @@ var unitMiss = func() (t [53]float64) {
 	return t
 }()
 
-// Add registers n events at once, exactly distributed as n Increment
-// calls: the wait until the next successful increment at exponent v is
-// Geometric(2^-v), so the batch walks geometric gaps — O(log n) work
-// per call instead of O(n). The unit step — the L1 estimator's clock
-// tick, almost always a miss — is answered from the draw alone whenever
-// it is clear of the boundary (see unitMiss); every success and the
-// band around 1-p take the arithmetic below, on the same one draw.
-func (c *Counter) Add(n int64) {
-	for n > 0 && c.v < 63 {
-		if c.v == 0 {
-			c.v++
-			if c.v > c.max {
-				c.max = c.v
-			}
-			n--
-			continue
-		}
-		u := c.rng.Get().Float64()
-		if n == 1 && int(c.v) < len(unitMiss) && u < unitMiss[c.v] {
-			return
-		}
-		p := math.Ldexp(1, -int(c.v))
-		if u == 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		gap := math.Floor(math.Log(u)/math.Log1p(-p)) + 1
-		if gap < 1 { // numerical floor guard
-			gap = 1
-		}
-		// Compare before converting: from v = 58 an honest gap can
-		// exceed int64, and a wrapped one would read as a success.
-		if gap >= 1<<63 || int64(gap) > n {
-			return // no success within the remaining events
-		}
-		n -= int64(gap)
-		c.v++
-		if c.v > c.max {
-			c.max = c.v
-		}
+// Walk registers the head of n events up to the first increment: it
+// returns how many it used and whether the last of them incremented v.
+// The wait for an increment at exponent v is Geometric(2^-v), one draw;
+// a walk that ends without one forgets its gap, which is exact because
+// the geometric is memoryless. A unit walk — the L1 estimator's clock
+// tick, almost always a miss — is answered from the draw alone when it
+// is clear of the boundary (see unitMiss).
+func (c *Counter) Walk(n int64) (used int64, ticked bool) {
+	switch {
+	case n <= 0 || c.v >= 63:
+		return max(n, 0), false
+	case c.v == 0:
+		c.bump()
+		return 1, true
 	}
+	u := c.rng.Get().Float64()
+	if n == 1 && int(c.v) < len(unitMiss) && u < unitMiss[c.v] {
+		return 1, false
+	}
+	p := math.Ldexp(1, -int(c.v))
+	if u == 0 {
+		u = math.SmallestNonzeroFloat64
+	}
+	gap := math.Floor(math.Log(u)/math.Log1p(-p)) + 1
+	if gap < 1 { // numerical floor guard
+		gap = 1
+	}
+	// Compare before converting: from v = 58 an honest gap can exceed
+	// int64, and a wrapped one would read as a success.
+	if gap >= 1<<63 || int64(gap) > n {
+		return n, false // no success within the remaining events
+	}
+	c.bump()
+	return int64(gap), true
+}
+
+// Add registers n events at once, exactly distributed as n Increment
+// calls: a walk from increment to increment, O(log n) draws, not O(n).
+func (c *Counter) Add(n int64) {
+	for used, ticked := c.Walk(n); ticked; used, ticked = c.Walk(n) {
+		n -= used
+	}
+}
+
+func (c *Counter) bump() {
+	c.v++
+	c.max = max(c.max, c.v)
 }
 
 // Estimate returns the unbiased estimate 2^v - 1 of the event count.
 func (c *Counter) Estimate() int64 {
 	return int64(1)<<uint(c.v) - 1
-}
-
-// Clone returns a copy of the counter state drawing randomness from
-// rng — the snapshot primitive for structures that embed a Morris clock.
-func (c *Counter) Clone(rng *sample.Rand) *Counter {
-	return &Counter{rng: rng, v: c.v, max: c.max}
 }
 
 // Exponent returns the raw exponent v (the paper indexes sampling levels
@@ -119,7 +117,8 @@ func (c *Counter) Exponent() int { return int(c.v) }
 func (c *Counter) State() (v, max uint8) { return c.v, c.max }
 
 // Restore rebuilds a counter from serialized State, drawing future
-// randomness from rng.
+// randomness from rng (also how a structure that embeds a Morris clock
+// copies it).
 func Restore(rng *sample.Rand, v, max uint8) *Counter {
 	return &Counter{rng: rng, v: v, max: max}
 }

@@ -114,11 +114,13 @@ func Binomial(rng *rand.Rand, n int64, p float64) int64 {
 		// Count successes by jumping geometric gaps: the index of the
 		// next success after position i is i + Geom(p). Exact.
 		//
-		// One trial — the L1 estimator's per-unit coin, almost always a
-		// miss — is answered from the draw alone when it is clear of the
-		// boundary: u < (1-p)(1-2^-48) puts ln u / ln(1-p) above 1 + 2^-48,
-		// beyond what one-ulp errors of Log, Log1p and the quotient undo,
-		// so the gap is at least 2. The rest take the arithmetic, on that u.
+		// One trial — the strict L1 estimator's coin for a unit Update,
+		// almost always a miss (its batches draw once per stretch of
+		// units between clock ticks) — is answered from the draw alone
+		// when it is clear of the boundary: u < (1-p)(1-2^-48) puts
+		// ln u / ln(1-p) above 1 + 2^-48, beyond what one-ulp errors of
+		// Log, Log1p and the quotient undo, so the gap is at least 2.
+		// The rest take the arithmetic, on that u.
 		u := rng.Float64()
 		if n == 1 && u < (1-p)*(1-0x1p-48) {
 			return 0
@@ -182,9 +184,9 @@ func ActiveLevels(t, s int64) (lo, hi int) {
 
 // Pow returns s^j as int64, saturating at math.MaxInt64 on overflow.
 func Pow(s int64, j int) int64 {
-	result := int64(1)
+	result, limit := int64(1), math.MaxInt64/s
 	for i := 0; i < j; i++ {
-		if result > math.MaxInt64/s {
+		if result > limit {
 			return math.MaxInt64
 		}
 		result *= s

@@ -84,3 +84,18 @@ func TestCloneIsolated(t *testing.T) {
 		t.Fatalf("clone decode %v, want two entries", cgot)
 	}
 }
+
+// TestMergedCountersCharged: two sketches holding 1000 of one key merge
+// to cells of 2000, charged as a sketch fed 2000 at once is charged.
+func TestMergedCountersCharged(t *testing.T) {
+	a, b, whole := NewRecovery(rand.New(rand.NewSource(3)), 16, 1<<10), NewRecovery(rand.New(rand.NewSource(3)), 16, 1<<10), NewRecovery(rand.New(rand.NewSource(3)), 16, 1<<10)
+	a.Update(5, 1000)
+	b.Update(5, 1000)
+	whole.Update(5, 2000)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if a.maxCount != whole.maxCount || a.SpaceBits() != whole.SpaceBits() {
+		t.Fatalf("merged maxCount %d (%d bits), fed at once %d (%d bits)", a.maxCount, a.SpaceBits(), whole.maxCount, whole.SpaceBits())
+	}
+}

@@ -2,10 +2,14 @@
 // property that holds with some probability runs over a FIXED list of
 // seeds, so CI stays deterministic, and its count of failures is judged
 // against a binomial tail at a stated false-alarm rate rather than on
-// one lucky or unlucky seed.
+// one lucky or unlucky seed. A change that moves draws but should keep
+// their law is judged by SameDistribution over such seeds.
 package sweep
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Seeds returns the fixed seed list 1..n.
 func Seeds(n int) []int64 {
@@ -62,4 +66,34 @@ func Threshold(n int, p, alarm float64) int {
 // reaches the Bin(m, 1/2) threshold at alarm/2 (two-sided).
 func Separable(a, b int, alarm float64) bool {
 	return max(a, b) >= Threshold(a+b, 0.5, alarm/2)
+}
+
+// SameDistribution reports whether samples a and b pass a two-sample
+// Kolmogorov–Smirnov test at false-alarm rate alarm: the largest gap D
+// between their empirical CDFs stays within the asymptotic critical
+// value sqrt(-ln(alarm/2)/2 · (n+m)/(n·m)). The CDFs are compared only
+// between distinct values — both sides step past a tied value together
+// — so discrete samples (counters, exponents) are judged on the law
+// they share, and the test is conservative on them. An empty side
+// passes.
+func SameDistribution(a, b []float64, alarm float64) bool {
+	n, m := float64(len(a)), float64(len(b))
+	return ksDistance(a, b) <= math.Sqrt(-math.Log(alarm/2)/2*(n+m)/(n*m))
+}
+
+// ksDistance is the two-sample Kolmogorov–Smirnov statistic D.
+func ksDistance(a, b []float64) float64 {
+	a, b = slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))
+	var d float64
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		x := min(a[i], b[j])
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		d = max(d, math.Abs(float64(i)/float64(len(a))-float64(j)/float64(len(b))))
+	}
+	return d
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -70,5 +71,56 @@ func TestSweepReportsFailingSeedsInOrder(t *testing.T) {
 	})
 	if !slices.Equal(ran, Seeds(10)) || !slices.Equal(failed, []int64{3, 6, 9}) {
 		t.Fatalf("ran %v, failed %v", ran, failed)
+	}
+}
+
+// binomialSample draws k values of Bin(10, 0.3), plus shift: a
+// discrete law, so most draws tie with others.
+func binomialSample(rng *rand.Rand, k int, shift float64) []float64 {
+	xs := make([]float64, k)
+	for i := range xs {
+		for range 10 {
+			if rng.Float64() < 0.3 {
+				xs[i]++
+			}
+		}
+		xs[i] += shift
+	}
+	return xs
+}
+
+// TestSameDistributionOnDiscreteLaws: two samples of one discrete law
+// pass on every fixed seed, and a shift by one step fails on every one.
+func TestSameDistributionOnDiscreteLaws(t *testing.T) {
+	for _, seed := range Seeds(40) {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := binomialSample(rng, 3000, 0), binomialSample(rng, 3000, 0)
+		if !SameDistribution(a, b, 1e-3) {
+			t.Errorf("seed %d: one law alarms (D = %.3f)", seed, ksDistance(a, b))
+		}
+		if c := binomialSample(rng, 300, 1); SameDistribution(a, c, 1e-3) {
+			t.Errorf("seed %d: a one-step shift passes (D = %.3f)", seed, ksDistance(a, c))
+		}
+	}
+}
+
+// TestSameDistributionStepsPastTies: the CDFs are compared between
+// distinct values only. Stepping one side through a tie before the
+// other reads a gap the laws do not have: here 1/2 on identical
+// samples, where D is 0.
+func TestSameDistributionStepsPastTies(t *testing.T) {
+	a := []float64{0, 0, 0, 1, 1, 1}
+	b := []float64{1, 0, 1, 0, 1, 0}
+	if d := ksDistance(a, b); d != 0 {
+		t.Fatalf("identical tied samples: D = %v, want 0", d)
+	}
+	if d := ksDistance([]float64{0, 0, 1, 1}, []float64{0, 1, 1, 1}); d != 0.25 {
+		t.Fatalf("D = %v, want 1/4 (the CDFs at 0 are 1/2 and 1/4)", d)
+	}
+	if d := ksDistance([]float64{0, 0}, []float64{2, 2, 2}); d != 1 {
+		t.Fatalf("disjoint samples: D = %v, want 1", d)
+	}
+	if !SameDistribution(a, b, 1e-3) || !SameDistribution(nil, a, 1e-3) {
+		t.Fatal("identical samples, or an empty side, alarm")
 	}
 }
