@@ -74,7 +74,7 @@ func BenchmarkRestorePartitioned(b *testing.B) {
 }
 
 // BenchmarkCheckpointSave measures the full durable write: partitioned
-// snapshot + CRC frame + atomic write-fsync-rename + manifest + prune.
+// snapshot + CRC frame + atomic write-fsync-rename + prune.
 func BenchmarkCheckpointSave(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -41,9 +41,11 @@ type Options struct {
 	General bool
 	// SamplerCopies is passed to bounded.NewL1Sampler (0 = its default).
 	SamplerCopies int
-	// SupportK is the support sampler's coordinate budget (default 32).
+	// SupportK is passed to bounded.NewSupportSampler as WithK (0 = its
+	// default).
 	SupportK int
-	// SyncCapacity is the sync sketch's recoverable sparsity (default 256).
+	// SyncCapacity is passed to bounded.NewSyncSketch as WithCapacity
+	// (0 = its default).
 	SyncCapacity int
 	// L1Delta is the strict L1 estimator's failure probability (0 = its
 	// default; out-of-range values are rejected by engine.New). The
@@ -63,12 +65,6 @@ func (o *Options) fill() {
 	}
 	if o.Structures == 0 {
 		o.Structures = HeavyHitters
-	}
-	if o.SupportK <= 0 {
-		o.SupportK = 32
-	}
-	if o.SyncCapacity <= 0 {
-		o.SyncCapacity = 256
 	}
 }
 

@@ -72,13 +72,21 @@ var kinds = [...]struct {
 		return bounded.NewL1Sampler(cfg, opts...)
 	}},
 	{SupportSampler, "support", bounded.KindSupportSampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
-		return bounded.NewSupportSampler(cfg, bounded.WithK(o.SupportK))
+		var opts []bounded.Option
+		if o.SupportK > 0 {
+			opts = append(opts, bounded.WithK(o.SupportK))
+		}
+		return bounded.NewSupportSampler(cfg, opts...)
 	}},
 	{L2HeavyHitters, "l2hh", bounded.KindL2HeavyHitters, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
 		return bounded.NewL2HeavyHitters(cfg)
 	}},
 	{SyncSketch, "sync", bounded.KindSyncSketch, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
-		return bounded.NewSyncSketch(cfg, bounded.WithCapacity(o.SyncCapacity))
+		var opts []bounded.Option
+		if o.SyncCapacity > 0 {
+			opts = append(opts, bounded.WithCapacity(o.SyncCapacity))
+		}
+		return bounded.NewSyncSketch(cfg, opts...)
 	}},
 }
 

@@ -4,17 +4,18 @@
 // aggregator's per-agent state) with the guarantees a crash-recovery
 // path needs:
 //
-//   - every file is a CRC-guarded frame ("CK" data, "CM" manifest): a
-//     torn or bit-flipped file fails its checksum instead of restoring
-//     a wrong payload;
+//   - every checkpoint is one CRC-guarded "CK" frame: a torn or
+//     bit-flipped file fails its checksum instead of restoring a wrong
+//     payload;
 //   - writes are atomic: write to a .tmp sibling, fsync, rename into
-//     place, fsync the directory — a crash mid-write leaves at worst a
-//     garbage .tmp and never replaces a valid checkpoint with a torn
-//     one;
-//   - checkpoints are sequence-numbered files (ckpt-<seq>.bd); a
-//     MANIFEST points at the newest, and recovery falls back to a
-//     descending directory scan that skips every torn/corrupt tail
-//     until it lands on the newest fully-valid checkpoint;
+//     place, fsync the directory — the rename, once the directory
+//     fsync returns, is the commit point, so a crash mid-write leaves
+//     at worst a garbage .tmp and never replaces a valid checkpoint
+//     with a torn one;
+//   - checkpoints are sequence-numbered files (ckpt-<seq>.bd), and
+//     recovery is one descending directory scan that skips every
+//     torn/corrupt tail until it lands on the newest fully-valid
+//     checkpoint — no pointer file can disagree with the data;
 //   - after each successful save the store prunes all but the last
 //     Keep checkpoints, bounding disk use.
 //
@@ -23,7 +24,9 @@
 //	dir/
 //	  ckpt-00000000000000000001.bd   CRC-framed payload, seq 1
 //	  ckpt-00000000000000000002.bd   ... newest retained
-//	  MANIFEST                       CRC-framed pointer to the newest seq
+//
+// Any other name in the directory (a .tmp left by a crash, a MANIFEST
+// an older layout wrote) is ignored.
 //
 // The layering mirrors the pager/LSM idiom: the store knows nothing
 // about sketch state — callers hand it marshaled bytes and get back
@@ -49,14 +52,12 @@ import (
 )
 
 const (
-	dataMagic     = "CK"
-	manifestMagic = "CM"
-	frameVersion  = 1
+	dataMagic    = "CK"
+	frameVersion = 1
 
-	dataPrefix   = "ckpt-"
-	dataSuffix   = ".bd"
-	manifestName = "MANIFEST"
-	tmpSuffix    = ".tmp"
+	dataPrefix = "ckpt-"
+	dataSuffix = ".bd"
+	tmpSuffix  = ".tmp"
 
 	defaultKeep = 3
 )
@@ -146,16 +147,9 @@ func (s *Store) Save(payload []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.nextSeq
-	frame := encodeFrame(dataMagic, seq, payload)
+	frame := encodeFrame(seq, payload)
 	name := dataName(seq)
 	if err := s.writeFileAtomic(name, frame); err != nil {
-		return 0, err
-	}
-	// The data file is durable; the manifest pointer follows. A crash
-	// between the two renames leaves a valid data file the scan
-	// fallback still finds, so manifest staleness is never data loss.
-	manifest := encodeFrame(manifestMagic, seq, []byte(name))
-	if err := s.writeFileAtomic(manifestName, manifest); err != nil {
 		return 0, err
 	}
 	s.nextSeq = seq + 1
@@ -168,34 +162,21 @@ func (s *Store) Save(payload []byte) (uint64, error) {
 }
 
 // Load returns the newest fully-valid checkpoint's payload and
-// sequence number. The MANIFEST pointer is tried first; on any
-// failure — missing, corrupt, or pointing at a torn data file — Load
-// falls back to a descending scan of the data files, skipping (and
+// sequence number: a descending scan of the data files, skipping (and
 // counting) every corrupt tail. ErrNoCheckpoint when nothing valid
 // remains.
 func (s *Store) Load() ([]byte, uint64, error) {
 	start := obs.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	payload, seq, tried, ok := s.loadViaManifest()
-	if ok {
-		s.loads.Add(1)
-		s.loadNanos.ObserveSince(start)
-		return payload, seq, nil
-	}
-
 	seqs, err := s.listSeqs()
 	if err != nil {
 		return nil, 0, err
 	}
 	for i := len(seqs) - 1; i >= 0; i-- {
-		name := dataName(seqs[i])
-		payload, seq, err := s.readFrame(name, dataMagic)
+		payload, seq, err := s.readFrame(dataName(seqs[i]))
 		if err != nil {
-			if name != tried { // the manifest target was already counted
-				s.skippedCorrupt.Add(1)
-			}
+			s.skippedCorrupt.Add(1)
 			continue
 		}
 		s.loads.Add(1)
@@ -214,44 +195,20 @@ func (s *Store) LatestSeq() uint64 {
 	return s.nextSeq - 1
 }
 
-// loadViaManifest attempts the MANIFEST fast path. It returns the
-// data file name it tried (for corrupt-count dedup) even on failure.
-func (s *Store) loadViaManifest() (payload []byte, seq uint64, name string, ok bool) {
-	ptr, mseq, err := s.readFrame(manifestName, manifestMagic)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.skippedCorrupt.Add(1)
-		}
-		return nil, 0, "", false
-	}
-	name = string(ptr)
-	// The pointer must be a plain data-file name inside the directory.
-	if name != filepath.Base(name) || !strings.HasPrefix(name, dataPrefix) {
-		s.skippedCorrupt.Add(1)
-		return nil, 0, "", false
-	}
-	payload, seq, err = s.readFrame(name, dataMagic)
-	if err != nil || seq != mseq {
-		s.skippedCorrupt.Add(1)
-		return nil, 0, name, false
-	}
-	return payload, seq, name, true
-}
-
 // readFrame reads and CRC-verifies one framed file.
-func (s *Store) readFrame(name, magic string) ([]byte, uint64, error) {
+func (s *Store) readFrame(name string) ([]byte, uint64, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
 		return nil, 0, err
 	}
-	return decodeFrame(data, magic)
+	return decodeFrame(data)
 }
 
 // encodeFrame builds one CRC-guarded file image: a wire frame (magic,
 // version, seq, length-prefixed payload) followed by the CRC-32C of
 // everything before it.
-func encodeFrame(magic string, seq uint64, payload []byte) []byte {
-	w := wire.NewWriter(magic, frameVersion)
+func encodeFrame(seq uint64, payload []byte) []byte {
+	w := wire.NewWriter(dataMagic, frameVersion)
 	w.U64(seq)
 	w.Bytes32(payload)
 	body := w.Bytes()
@@ -266,7 +223,7 @@ func encodeFrame(magic string, seq uint64, payload []byte) []byte {
 // Malformed input of any kind — truncation, bit flips, foreign magic,
 // trailing garbage — errors; it never panics and allocations are
 // bounded by the input size.
-func decodeFrame(data []byte, magic string) ([]byte, uint64, error) {
+func decodeFrame(data []byte) ([]byte, uint64, error) {
 	if len(data) < 4 {
 		return nil, 0, fmt.Errorf("ckpt: frame shorter than its checksum")
 	}
@@ -275,7 +232,7 @@ func decodeFrame(data []byte, magic string) ([]byte, uint64, error) {
 	if got := crc32.Checksum(body, castagnoli); got != want {
 		return nil, 0, fmt.Errorf("ckpt: checksum mismatch (file %08x, computed %08x)", want, got)
 	}
-	r, v, err := wire.NewReader(body, magic)
+	r, v, err := wire.NewReader(body, dataMagic)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,11 +2,14 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -68,7 +71,7 @@ func TestLoadCorruptOnlyDirErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Corrupt every data file and the manifest.
+	// Corrupt every data file.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -119,31 +122,53 @@ func TestRetentionPrunes(t *testing.T) {
 	}
 }
 
-func TestManifestFallbackToScan(t *testing.T) {
+// TestStrayManifestNeverMasksNewest: the directory scan is the only
+// recovery path, so a MANIFEST file — a stale pointer an older layout
+// wrote, a foreign-magic "CM" frame naming an older seq, or garbage —
+// never decides what Load returns; the newest valid data file does.
+func TestStrayManifestNeverMasksNewest(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Save([]byte("good")); err != nil {
-		t.Fatal(err)
+	for _, p := range []string{"old", "newest"} {
+		if _, err := s.Save([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Kill the manifest entirely: the scan must still find the data.
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
+	manifest := filepath.Join(dir, "MANIFEST")
+	for _, stray := range [][]byte{
+		withMagic(encodeFrame(1, []byte(dataName(1))), "CM"),
+		[]byte("garbage"),
+	} {
+		if err := os.WriteFile(manifest, stray, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, seq, err := s.Load()
+		if err != nil || seq != 2 || string(got) != "newest" {
+			t.Fatalf("Load beside MANIFEST %q = (%q, %d, %v), want (newest, 2)", stray, got, seq, err)
+		}
+		// Nor does it move the sequence a reopened store continues.
+		re, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.LatestSeq() != 2 {
+			t.Fatalf("reopened beside MANIFEST %q: LatestSeq = %d, want 2", stray, re.LatestSeq())
+		}
 	}
-	got, seq, err := s.Load()
-	if err != nil || seq != 1 || string(got) != "good" {
-		t.Fatalf("Load without manifest = (%q, %d, %v)", got, seq, err)
+	if st := s.Stats(); st.SkippedCorrupt != 0 {
+		t.Fatalf("a stray MANIFEST counted as %d corrupt checkpoints, want 0", st.SkippedCorrupt)
 	}
-	// A corrupt manifest must not mask valid data either.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, seq, err = s.Load()
-	if err != nil || seq != 1 || string(got) != "good" {
-		t.Fatalf("Load with corrupt manifest = (%q, %d, %v)", got, seq, err)
-	}
+}
+
+// withMagic re-frames a valid frame under another magic with its CRC
+// recomputed, so only the magic check can refuse it.
+func withMagic(frame []byte, magic string) []byte {
+	body := append([]byte(nil), frame[:len(frame)-4]...)
+	copy(body, magic)
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
 func TestTornNewestFallsBackToPrevious(t *testing.T) {
@@ -176,8 +201,7 @@ func TestTornNewestFallsBackToPrevious(t *testing.T) {
 
 // failingWriter errors (simulated crash) once a shared byte budget is
 // exhausted, committing the prefix that fit first (torn write). The
-// budget is shared across files so one sweep covers the data write and
-// runs on into the manifest write.
+// budget is shared by every write of one Save.
 type failingWriter struct {
 	w      io.Writer
 	budget *int
@@ -203,10 +227,10 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 
 // TestCrashAtEveryByteBoundary is the exhaustive fault-injection
 // sweep: a first checkpoint is committed, then a second Save is
-// crashed at every byte boundary of its data-file and manifest writes.
-// Recovery must always land on a fully-valid checkpoint — the old one
-// when the new data file never landed, either one when only the
-// manifest write died.
+// crashed at every byte boundary of its data-file write. Recovery must
+// always land on a fully-valid checkpoint — the old one when the new
+// data file never landed — and, once the budget covers the whole
+// frame, on the new one the Save reported.
 func TestCrashAtEveryByteBoundary(t *testing.T) {
 	probe, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -217,10 +241,9 @@ func TestCrashAtEveryByteBoundary(t *testing.T) {
 	if _, err := probe.Save(first); err != nil {
 		t.Fatal(err)
 	}
-	frameLen := len(encodeFrame(dataMagic, 2, second))
-	manifestLen := len(encodeFrame(manifestMagic, 2, []byte(dataName(2))))
+	frameLen := len(encodeFrame(2, second))
 
-	for limit := 0; limit < frameLen+manifestLen; limit++ {
+	for limit := 0; limit <= frameLen; limit++ {
 		dir := t.TempDir()
 		s, err := Open(dir, Options{})
 		if err != nil {
@@ -247,11 +270,13 @@ func TestCrashAtEveryByteBoundary(t *testing.T) {
 		switch {
 		case seq == 1 && bytes.Equal(got, first):
 		case seq == 2 && bytes.Equal(got, second):
-			// The data file landed before the crash (the crash hit the
-			// manifest write); the scan found it. Fine — it is fully
-			// valid.
+			// The data file landed; the scan found it. Fine — it is
+			// fully valid.
 		default:
 			t.Fatalf("limit %d: recovered (%q, %d) — neither committed checkpoint", limit, got, seq)
+		}
+		if saveErr == nil && seq != 2 {
+			t.Fatalf("limit %d: Save returned nil but recovery landed on seq %d", limit, seq)
 		}
 	}
 }
@@ -264,7 +289,7 @@ func TestCrashAtEveryByteBoundary(t *testing.T) {
 func TestTornRenameAtEveryByteBoundary(t *testing.T) {
 	first := []byte("the previous fully-valid checkpoint")
 	second := []byte("the torn one")
-	frameLen := len(encodeFrame(dataMagic, 2, second))
+	frameLen := len(encodeFrame(2, second))
 	for cut := 0; cut < frameLen; cut++ {
 		dir := t.TempDir()
 		s, err := Open(dir, Options{})
@@ -297,8 +322,8 @@ func TestTornRenameAtEveryByteBoundary(t *testing.T) {
 }
 
 func TestFrameDecodeRejectsForeignMagic(t *testing.T) {
-	frame := encodeFrame(dataMagic, 7, []byte("x"))
-	if _, _, err := decodeFrame(frame, manifestMagic); err == nil {
-		t.Fatal("data frame accepted as manifest")
+	frame := withMagic(encodeFrame(7, []byte("x")), "CM")
+	if _, _, err := decodeFrame(frame); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("CRC-valid \"CM\" frame: err = %v, want a magic refusal", err)
 	}
 }

@@ -33,8 +33,6 @@ type AgentOptions struct {
 	Engine engine.Options
 	// SyncInterval paces Run's snapshot ticks (default 500ms).
 	SyncInterval time.Duration
-	// DialTimeout bounds each dial attempt (default 2s).
-	DialTimeout time.Duration
 	// IOTimeout bounds each frame write and each ACK/WELCOME read
 	// (default 5s).
 	IOTimeout time.Duration
@@ -43,9 +41,6 @@ type AgentOptions struct {
 	// BackoffMax (defaults 100ms and 5s).
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// MaxFrame caps inbound frame payloads (default
-	// netproto.DefaultMaxFrame).
-	MaxFrame uint32
 	// CheckpointDir, when set, makes the agent durable: the engine is
 	// checkpointed to this directory and restored on construction, so
 	// a restarted agent resumes without replaying its stream.
@@ -61,9 +56,6 @@ func (o *AgentOptions) fill() {
 	if o.SyncInterval == 0 {
 		o.SyncInterval = 500 * time.Millisecond
 	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 2 * time.Second
-	}
 	if o.IOTimeout == 0 {
 		o.IOTimeout = 5 * time.Second
 	}
@@ -72,9 +64,6 @@ func (o *AgentOptions) fill() {
 	}
 	if o.BackoffMax == 0 {
 		o.BackoffMax = 5 * time.Second
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = netproto.DefaultMaxFrame
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = time.Second
@@ -356,14 +345,14 @@ func (a *Agent) ensureConn(ctx context.Context) error {
 		}
 	}
 	a.dials.Add(1)
-	conn, err := net.DialTimeout("tcp", a.opt.Aggregator, a.opt.DialTimeout)
+	conn, err := net.DialTimeout("tcp", a.opt.Aggregator, dialTimeout)
 	if err != nil {
 		a.dialFailures.Add(1)
 		a.bumpBackoffLocked()
 		return fmt.Errorf("netagg: agent %s dialing %s: %w", a.opt.ID, a.opt.Aggregator, err)
 	}
 	cc := &countingConn{Conn: conn, in: &a.bytesIn, out: &a.bytesOut}
-	mr := netproto.NewMessageReader(cc, a.opt.MaxFrame)
+	mr := netproto.NewMessageReader(cc, netproto.DefaultMaxFrame)
 	mw := netproto.NewMessageWriter(cc)
 
 	hello := &netproto.Hello{

@@ -26,9 +26,6 @@ type AggregatorOptions struct {
 	// HeavyHitters). An agent may ship a subset; extra kinds are a
 	// handshake error, not a silent drop.
 	Structures engine.Structures
-	// MaxFrame caps inbound frame payloads (default
-	// netproto.DefaultMaxFrame).
-	MaxFrame uint32
 	// IOTimeout bounds each response write and the opening HELLO read
 	// (default 10s). Steady-state reads are unbounded by default —
 	// agents are allowed to go quiet between syncs — unless
@@ -55,9 +52,6 @@ type AggregatorOptions struct {
 func (o *AggregatorOptions) fill() {
 	if o.Structures == 0 {
 		o.Structures = engine.HeavyHitters
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = netproto.DefaultMaxFrame
 	}
 	if o.IOTimeout == 0 {
 		o.IOTimeout = 10 * time.Second
@@ -310,7 +304,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 	defer a.dropConn(conn)
 
 	cc := &countingConn{Conn: conn, in: &a.bytesIn, out: &a.bytesOut}
-	mr := netproto.NewMessageReader(cc, a.opt.MaxFrame)
+	mr := netproto.NewMessageReader(cc, netproto.DefaultMaxFrame)
 	mw := netproto.NewMessageWriter(cc)
 	send := func(m netproto.Msg) error {
 		conn.SetWriteDeadline(deadline(a.opt.IOTimeout))
@@ -412,8 +406,8 @@ func (a *Aggregator) handle(conn net.Conn) {
 
 // applySnapshot decodes and checks every blob (engine.DecodeBlobs: the
 // admission rules the engine's own restore applies, the Config echo
-// included), checks each kind against what the other agents hold of it
-// (admits), then commits all of them in one critical section.
+// included), then admits and commits all of them in one critical
+// section (commitLocked).
 // Decode-before-commit is the atomicity guarantee: a snapshot with any
 // malformed or foreign blob changes nothing. It returns the exponent
 // the heavy-hitters union has once the snapshot is committed, which
@@ -432,29 +426,18 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) (uint8, erro
 	}
 
 	a.mu.Lock()
-	if err := a.admits(id, sketches); err != nil {
+	st, committed, err := a.commitLocked(id, sketches, m.Seq, m.Gen)
+	if err != nil {
 		a.mu.Unlock()
 		return 0, err
 	}
-	st := a.agents[id]
-	if st == nil {
-		st = &agentState{}
-		a.agents[id] = st
-		a.registerAgentGauge(id, st)
-	}
-	if m.Seq <= st.seq {
-		// A duplicate or reordered resend: the committed state already
-		// covers it (full snapshots are idempotent), so skip the write
-		// but still ACK so the sender can move on.
-		exp := a.unionExponent
+	exp := a.unionExponent
+	if !committed {
+		// A stale resend is still ACKed so the sender can move on.
 		a.mu.Unlock()
 		a.snapshotsStale.Add(1)
 		return exp, nil
 	}
-	a.setSketchesLocked(st, sketches)
-	exp := a.unionExponent
-	st.seq = m.Seq
-	st.gen = m.Gen
 	st.lastSyncUnixNano.Store(time.Now().UnixNano())
 	st.snapshots.Add(1)
 	a.stateVersion++
@@ -504,14 +487,21 @@ func heavyOf(sketches map[engine.Structures]bounded.Sketch) *bounded.HeavyHitter
 	return hh
 }
 
-// admits reports whether every sketch an agent ships combines with
-// what the other agents hold of its kind (bounded.Compatible: the same
-// Config and options). The aggregator has no options of its own: the
-// first agent to ship a kind fixes them, and one built otherwise — a
-// different SupportK, SyncCapacity, SamplerCopies or mode — is refused
-// here rather than failing every fleet-wide query of that kind. The
-// caller holds a.mu.
-func (a *Aggregator) admits(id string, sketches map[engine.Structures]bounded.Sketch) error {
+// commitLocked is the one step that puts an agent's kinds into the
+// table, for a live snapshot and a recovered checkpoint row alike.
+// Every sketch must first combine with what the other agents hold of
+// its kind (bounded.Compatible: the same Config and options). The
+// aggregator has no options of its own: the first agent to ship a kind
+// fixes them, and one built otherwise — a different SupportK,
+// SyncCapacity, SamplerCopies or mode — is refused here rather than
+// failing every fleet-wide query of that kind. An admitted agent's row
+// is created on first sight; then, unless seq is not past the row's
+// committed one (a duplicate or reordered resend the committed state
+// already covers — full snapshots are idempotent), its kinds are
+// replaced (setSketchesLocked) and its watermarks moved; the bool
+// reports which. The caller holds a.mu (or owns the aggregator
+// outright, as at recovery).
+func (a *Aggregator) commitLocked(id string, sketches map[engine.Structures]bounded.Sketch, seq, gen uint64) (*agentState, bool, error) {
 	for bit, sk := range sketches {
 		for other, st := range a.agents {
 			held := st.sketches[bit]
@@ -519,12 +509,23 @@ func (a *Aggregator) admits(id string, sketches map[engine.Structures]bounded.Sk
 				continue
 			}
 			if err := bounded.Compatible(held, sk); err != nil {
-				return fmt.Errorf("structure %s does not combine with agent %q's: %w", bit, other, err)
+				return nil, false, fmt.Errorf("structure %s does not combine with agent %q's: %w", bit, other, err)
 			}
 			break // the stored sketches of a kind all combine
 		}
 	}
-	return nil
+	st := a.agents[id]
+	if st == nil {
+		st = &agentState{}
+		a.agents[id] = st
+		a.registerAgentGauge(id, st)
+	}
+	if seq <= st.seq {
+		return st, false, nil
+	}
+	a.setSketchesLocked(st, sketches)
+	st.seq, st.gen = seq, gen
+	return st, true, nil
 }
 
 // mergedView returns the union-of-all-agents sketch set, rebuilding

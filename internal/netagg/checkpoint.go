@@ -142,8 +142,11 @@ func unmarshalAggState(data []byte, cfg bounded.Config, accept engine.Structures
 	return rows, nil
 }
 
-// openCheckpoint opens the store and recovers the agent table. Called
-// from NewAggregator before Serve, so the table is written lock-free.
+// openCheckpoint opens the store and recovers the agent table, each
+// row through the commit step a live snapshot takes (commitLocked): a
+// checkpoint whose agents do not combine fails as a whole, like a
+// malformed one. Called from NewAggregator before Serve, so the table
+// is written lock-free.
 func (a *Aggregator) openCheckpoint() error {
 	store, err := ckpt.Open(a.opt.CheckpointDir, ckpt.Options{Keep: a.opt.CheckpointKeep})
 	if err != nil {
@@ -162,11 +165,12 @@ func (a *Aggregator) openCheckpoint() error {
 		return err
 	}
 	for _, row := range rows {
-		st := &agentState{seq: row.seq, gen: row.gen}
+		st, _, err := a.commitLocked(row.id, row.sketches, row.seq, row.gen)
+		if err != nil {
+			return fmt.Errorf("netagg: checkpoint agent %q: %w", row.id, err)
+		}
 		st.lastSyncUnixNano.Store(row.lastSyncNano)
 		st.snapshots.Store(row.snapshots)
-		a.agents[row.id] = st
-		a.setSketchesLocked(st, row.sketches)
 	}
 	if len(rows) > 0 {
 		a.stateVersion++ // recovered state is a new version to checkpoint loops

@@ -2,6 +2,7 @@ package netagg
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -183,6 +184,54 @@ func TestAggregatorCheckpointValidation(t *testing.T) {
 	}
 	if ans.Values[0] != 9 || ans.Values[1] != 2 || ans.Values[2] != 0 {
 		t.Fatalf("recovered estimates = %v, want [9 2 0]", ans.Values)
+	}
+}
+
+// TestRecoveredAgentsPassLiveAdmission: a restored agent table goes
+// through the admission a live SNAPSHOT gets. A checkpoint holding a
+// strict and a general heavy-hitters agent under the same Config —
+// crafted, since no live aggregator admits the pair — fails
+// NewAggregator with an error naming both agents and the kind, instead
+// of restoring two agents whose every HeavyHitters query errors.
+func TestRecoveredAgentsPassLiveAdmission(t *testing.T) {
+	rows := make([]aggAgentRow, 0, 2)
+	for i, strict := range []bool{true, false} {
+		hh, err := bounded.NewHeavyHitters(testConfig, bounded.WithStrict(strict))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hh.Update(42, 9)
+		rows = append(rows, aggAgentRow{
+			id: fmt.Sprintf("site-%c", 'a'+i), seq: 1, gen: 1, snapshots: 1,
+			sketches: map[engine.Structures]bounded.Sketch{engine.HeavyHitters: hh},
+		})
+	}
+	crafted, err := marshalAggState(testConfig, engine.HeavyHitters, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := ckpt.Open(dir, ckpt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(crafted); err != nil {
+		t.Fatal(err)
+	}
+	agg, err := NewAggregator(AggregatorOptions{
+		Config: testConfig, Structures: engine.HeavyHitters,
+		CheckpointDir: dir, CheckpointEvery: time.Hour,
+	})
+	if err == nil {
+		defer agg.Close()
+		ans := agg.answer(&netproto.Query{Op: netproto.OpHeavyHitters})
+		t.Fatalf("mixed strict/general checkpoint restored %d agents (HeavyHitters query: %q), want a refusal",
+			agg.Stats().RecoveredAgents, ans.Err)
+	}
+	for _, want := range []string{`"site-a"`, `"site-b"`, "HeavyHitters"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("mixed strict/general checkpoint: err = %v, want it to name %s", err, want)
+		}
 	}
 }
 

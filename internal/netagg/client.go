@@ -11,31 +11,16 @@ import (
 	"repro/internal/netproto"
 )
 
-// ClientOptions configures a query Client.
+// ClientOptions configures a query Client. The dial is bounded by
+// dialTimeout and each query round trip by clientIOTimeout.
 type ClientOptions struct {
-	// DialTimeout bounds the dial (default 2s); IOTimeout bounds each
-	// query round trip (default 5s).
-	DialTimeout time.Duration
-	IOTimeout   time.Duration
-	// MaxFrame caps inbound frame payloads (default
-	// netproto.DefaultMaxFrame).
-	MaxFrame uint32
 	// Config is echoed in HELLO for diagnostics; clients carry no
 	// sketch state so it is informational.
 	Config bounded.Config
 }
 
-func (o *ClientOptions) fill() {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.IOTimeout == 0 {
-		o.IOTimeout = 5 * time.Second
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = netproto.DefaultMaxFrame
-	}
-}
+// clientIOTimeout bounds each client query round trip.
+const clientIOTimeout = 5 * time.Second
 
 // Client queries an aggregator's merged global state over one TCP
 // connection. Methods serialize internally; a failed round trip leaves
@@ -46,21 +31,19 @@ type Client struct {
 	conn    net.Conn
 	mr      *netproto.MessageReader
 	mw      *netproto.MessageWriter
-	ioTO    time.Duration
 	nextID  uint64
 	version uint8
 }
 
 // DialClient connects and handshakes as RoleClient.
 func DialClient(addr string, opt ClientOptions) (*Client, error) {
-	opt.fill()
-	conn, err := net.DialTimeout("tcp", addr, opt.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("netagg: client dialing %s: %w", addr, err)
 	}
-	mr := netproto.NewMessageReader(conn, opt.MaxFrame)
+	mr := netproto.NewMessageReader(conn, netproto.DefaultMaxFrame)
 	mw := netproto.NewMessageWriter(conn)
-	conn.SetWriteDeadline(deadline(opt.IOTimeout))
+	conn.SetWriteDeadline(deadline(clientIOTimeout))
 	if err := mw.Write(&netproto.Hello{
 		Role:       netproto.RoleClient,
 		MinVersion: netproto.VersionMin,
@@ -70,7 +53,7 @@ func DialClient(addr string, opt ClientOptions) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("netagg: client hello: %w", err)
 	}
-	conn.SetReadDeadline(deadline(opt.IOTimeout))
+	conn.SetReadDeadline(deadline(clientIOTimeout))
 	reply, err := mr.Next()
 	if err != nil {
 		conn.Close()
@@ -84,7 +67,7 @@ func DialClient(addr string, opt ClientOptions) (*Client, error) {
 		}
 		return nil, fmt.Errorf("netagg: client expected WELCOME, got %s", reply.Kind())
 	}
-	return &Client{conn: conn, mr: mr, mw: mw, ioTO: opt.IOTimeout, version: welcome.Version}, nil
+	return &Client{conn: conn, mr: mr, mw: mw, version: welcome.Version}, nil
 }
 
 // Version reports the negotiated protocol version.
@@ -99,11 +82,11 @@ func (c *Client) do(op netproto.QueryOp, keys []uint64) (*netproto.Answer, error
 	}
 	c.nextID++
 	q := &netproto.Query{ID: c.nextID, Op: op, Keys: keys}
-	c.conn.SetWriteDeadline(deadline(c.ioTO))
+	c.conn.SetWriteDeadline(deadline(clientIOTimeout))
 	if err := c.mw.Write(q); err != nil {
 		return nil, fmt.Errorf("netagg: client query: %w", err)
 	}
-	c.conn.SetReadDeadline(deadline(c.ioTO))
+	c.conn.SetReadDeadline(deadline(clientIOTimeout))
 	reply, err := c.mr.Next()
 	if err != nil {
 		return nil, fmt.Errorf("netagg: client awaiting answer: %w", err)

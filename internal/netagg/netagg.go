@@ -71,6 +71,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// dialTimeout bounds each TCP dial an agent or a client makes.
+const dialTimeout = 2 * time.Second
+
 // configEcho converts the library Config to the netproto echo form.
 // Exact field equality on the echo is the merge-compatibility gate:
 // same seed means same hash coefficients, which is what makes two

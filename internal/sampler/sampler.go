@@ -187,20 +187,27 @@ func (in *instance) sample() (Result, bool) {
 			best, bestAbs, bestVal = c, a, y
 		}
 	}
-	sqrtK := math.Sqrt(float64(in.p.K))
-	// Tail check: v <= sqrt(k) r + 45 sqrt(k) eps' q.
-	if v > sqrtK*rEst+45*sqrtK*in.epsPrim*qEst {
+	return accept(in.p, in.epsPrim, in.logN, rEst, qEst, v, best, bestVal, in.weight)
+}
+
+// accept is Figure 3's Recovery step 4, shared by Sampler and
+// Baseline: FAIL unless both the tail check
+// v <= sqrt(k) r + 45 sqrt(k) eps' q and the magnitude check
+// |y*| >= max(r/eps, (c/2)(eps^2/log^2 n) q), c = 1/4, pass; otherwise
+// output best with estimate t * y*, where t = 1/weight(best).
+func accept(p Params, epsPrim, logN, r, q, v float64, best uint64, bestVal float64, weight func(uint64) float64) (Result, bool) {
+	sqrtK := math.Sqrt(float64(p.K))
+	if v > sqrtK*r+45*sqrtK*epsPrim*q {
 		return Result{}, false
 	}
-	// Magnitude check: |y*| >= max(r/eps, (c/2)(eps^2/log^2 n) q), c=1/4.
-	thr := rEst / in.p.Eps
-	if alt := 0.125 * in.p.Eps * in.p.Eps / (in.logN * in.logN) * qEst; alt > thr {
+	thr := r / p.Eps
+	if alt := 0.125 * p.Eps * p.Eps / (logN * logN) * q; alt > thr {
 		thr = alt
 	}
-	if bestAbs < thr {
+	if math.Abs(bestVal) < thr {
 		return Result{}, false
 	}
-	t := 1 / in.weight(best)
+	t := 1 / weight(best)
 	return Result{Index: best, Estimate: t * bestVal}, true
 }
 
@@ -449,20 +456,7 @@ func (bi *baseInstance) sample() (Result, bool) {
 			best, bestAbs, bestVal = e.i, a, e.v
 		}
 	}
-	sqrtK := math.Sqrt(float64(bi.p.K))
-	rF := float64(bi.r)
-	if v > sqrtK*rF+45*sqrtK*bi.epsPrim*bi.q {
-		return Result{}, false
-	}
-	thr := rF / bi.p.Eps
-	if alt := 0.125 * bi.p.Eps * bi.p.Eps / (bi.logN * bi.logN) * bi.q; alt > thr {
-		thr = alt
-	}
-	if bestAbs < thr {
-		return Result{}, false
-	}
-	t := 1 / bi.weight(best)
-	return Result{Index: best, Estimate: t * bestVal}, true
+	return accept(bi.p, bi.epsPrim, bi.logN, float64(bi.r), bi.q, v, best, bestVal, bi.weight)
 }
 
 // Update feeds all instances.

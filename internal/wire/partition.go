@@ -11,8 +11,9 @@ import "fmt"
 // one "BD" envelope per enabled structure per shard, exactly as each
 // shard's live goroutine marshaled it. A restoring engine whose
 // topology matches installs the payloads shard-for-shard and keeps
-// routed (snapshot-free) reads; anything else falls back to a merged
-// import. The frame is structural only — the engine package owns the
+// routed (snapshot-free) reads; one at any other topology refuses the
+// snapshot, since sharded state cannot be re-keyed. The frame is
+// structural only — the engine package owns the
 // semantic checks (bit validity, Config equality, type dispatch).
 const (
 	partMagic = "BP"
