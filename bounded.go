@@ -175,6 +175,64 @@ func (h *HeavyHitters) MergeCounts() (union, kept int) {
 	return h.impl.MergeCounts()
 }
 
+// Halvings reports how many binomial halvings h's CSSS rows performed
+// since h was built, decoded or copied — counting those of the copies
+// a Merge thinned to meet it — so after a MergeAll into a copy it is
+// what that build cost.
+func (h *HeavyHitters) Halvings() int64 {
+	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "Halvings")
+	return h.impl.Halvings()
+}
+
+// Shift is the linear step of a union kept in place: when h's table is
+// the sum of some parts' tables at one sampling exponent (a MergeAll
+// whose parts all sampled at the rate it reached), replacing part sub
+// by add keeps it the sum of the new set, exactly; sub is nil when add
+// joins the set. Only the table and its clock move; Rerank then
+// finishes the union. It refuses, changing nothing, unless add and sub
+// are compatible with h (Compatible) and sample at h's exponent, and
+// the moved position stays below h's next halving. Neither argument is
+// written.
+func (h *HeavyHitters) Shift(add, sub *HeavyHitters) error {
+	if err := Compatible(h, add); err != nil {
+		return err
+	}
+	if sub == nil {
+		return h.impl.Shift(add.impl, nil)
+	}
+	if err := Compatible(h, sub); err != nil {
+		return err
+	}
+	return h.impl.Shift(add.impl, sub.impl)
+}
+
+// Rerank finishes a union whose table already is the sum of parts'
+// (a MergeAll over parts at one exponent, or one moved by Shift since):
+// it merges the parts' L1 scales, sets the table's high-water mark and
+// re-ranks every part's candidates against the table, leaving h byte
+// for byte as MergeAll(h, parts) would — in O(parts × candidates), not
+// O(parts × table). The parts are read as Merge reads its argument.
+func (h *HeavyHitters) Rerank(parts []*HeavyHitters) error {
+	impls := make([]*heavy.AlphaL1, len(parts))
+	for j, o := range parts {
+		if err := Compatible(h, o); err != nil {
+			return err
+		}
+		impls[j] = o.impl
+	}
+	return h.impl.Rerank(impls)
+}
+
+// HashCandidates fills the hash columns of h's candidates, which a
+// decode leaves out, so that every later read of h and every merge
+// that reads it hashes nothing: what a store that keeps decoded
+// structures to merge pays once per structure instead of once per
+// merge.
+func (h *HeavyHitters) HashCandidates() {
+	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "HashCandidates")
+	h.impl.HashCandidates()
+}
+
 // HeavyHitters returns the detected heavy coordinates, sorted.
 func (h *HeavyHitters) HeavyHitters() []uint64 {
 	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "HeavyHitters")

@@ -1,9 +1,11 @@
 package bounded
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -174,5 +176,103 @@ func TestMergeRefusesEveryMismatch(t *testing.T) {
 				t.Errorf("%s × %s: a refused Merge changed the receiver", kc.name, name)
 			}
 		}
+	}
+}
+
+// TestRecycledDecodeMatchesFresh: UnmarshalSketchInto refills a retired
+// HeavyHitters or L1Estimator of the blob's shape in place — after a
+// refill that was refused half way, too — and the refilled structure is
+// a fresh decode's twin: the same bytes and answers, and the same again
+// after both ingest more (the generator a decode seeds draws alike) and
+// merge a peer. A retired structure of another shape, or a nil one, is
+// left alone.
+func TestRecycledDecodeMatchesFresh(t *testing.T) {
+	cfg := Config{N: 1 << 16, Eps: 0.2, Alpha: 1.5, Seed: 7} // CSSS leaves rate 1 after 2048 units
+	other := Config{N: 1 << 16, Eps: 0.1, Alpha: 1.5, Seed: 7}
+	updates := func(seed int64, n int) []Update {
+		r := rand.New(rand.NewSource(seed))
+		us := make([]Update, n)
+		for i := range us {
+			us[i] = Update{Index: uint64(r.ExpFloat64() * 40), Delta: 1 + r.Int63n(3)}
+		}
+		return us
+	}
+	keys := make([]uint64, 64)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	answers := func(sk Sketch) string {
+		switch s := sk.(type) {
+		case *HeavyHitters:
+			return fmt.Sprint(s.HeavyHitters(), s.EstimateBatch(keys), s.SampleExponent())
+		case *L1Estimator:
+			return fmt.Sprint(s.Estimate(), s.SampleLevel())
+		}
+		t.Fatalf("no answers for %T", sk)
+		return ""
+	}
+	same := func(t *testing.T, step string, fresh, refilled Sketch) {
+		t.Helper()
+		if a, b := must(fresh.MarshalBinary()), must(refilled.MarshalBinary()); !bytes.Equal(a, b) {
+			t.Fatalf("%s: the refilled structure's bytes differ from a fresh decode's", step)
+		}
+		if a, b := answers(fresh), answers(refilled); a != b {
+			t.Fatalf("%s: the refilled structure answers %s, a fresh decode %s", step, b, a)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(Config) Sketch
+	}{
+		{"HeavyHitters/strict", func(c Config) Sketch { return must(NewHeavyHitters(c)) }},
+		{"HeavyHitters/general", func(c Config) Sketch { return must(NewHeavyHitters(c, WithStrict(false))) }},
+		{"L1Estimator/strict", func(c Config) Sketch { return must(NewL1Estimator(c)) }},
+		{"L1Estimator/general", func(c Config) Sketch { return must(NewL1Estimator(c, WithStrict(false))) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.build(cfg)
+			src.UpdateBatch(updates(1, 3000))
+			blob := must(src.MarshalBinary())
+			retired := tc.build(cfg)
+			retired.UpdateBatch(updates(2, 4500))
+			dst := must(UnmarshalSketch(must(retired.MarshalBinary())))
+
+			if _, err := UnmarshalSketchInto(dst, blob[:len(blob)-8]); err == nil {
+				t.Fatal("a truncated blob refilled without error")
+			}
+			got, err := UnmarshalSketchInto(dst, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != dst {
+				t.Fatal("a retired structure of the blob's shape was not refilled in place")
+			}
+			fresh := must(UnmarshalSketch(blob))
+			same(t, "decoded", fresh, got)
+			more := updates(3, 4000)
+			fresh.UpdateBatch(more)
+			got.UpdateBatch(more)
+			same(t, "after further ingest", fresh, got)
+			// One peer each: a merge may take a word of its argument's
+			// generator, and the second would take the next.
+			for _, sk := range []Sketch{fresh, got} {
+				peer := tc.build(cfg)
+				peer.UpdateBatch(updates(4, 2500))
+				if err := sk.Merge(peer); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same(t, "after a merge", fresh, got)
+
+			foreign := tc.build(other)
+			if got, err := UnmarshalSketchInto(foreign, blob); err != nil || got == foreign {
+				t.Fatalf("a retired structure of another shape was refilled (err %v)", err)
+			}
+			for _, none := range []Sketch{(*HeavyHitters)(nil), (*L1Estimator)(nil)} {
+				if _, err := UnmarshalSketchInto(none, blob); err != nil {
+					t.Fatalf("decoding into a nil %T: %v", none, err)
+				}
+			}
+		})
 	}
 }

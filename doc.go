@@ -524,6 +524,16 @@
 // rebuilds add tables already at the union's rate and halve only in
 // the rounds in which the union crosses a boundary of the Figure 2
 // schedule, at the price of local answers as coarse as the fleet's.
+// Between those rounds a commit is a delta: the aggregator shifts its
+// view's heavy-hitters table by the agent's new table minus its old
+// one (HeavyHitters.Shift — tables at one exponent below the next
+// halving are integer tables, so their union is their sum), and the
+// next query only re-ranks the candidates (HeavyHitters.Rerank),
+// O(agents × candidates) instead of O(agents × state). SNAPSHOTs are
+// decoded into retired agent sets (UnmarshalSketchInto): a
+// HeavyHitters or L1Estimator of the blob's shape is refilled in
+// place, neither its tables nor its hash wiring nor its generator
+// built again, to the bytes and draws of a fresh decode.
 // Sync is generation-gated: an idle agent whose engine
 // Generation has not moved since the last ACK ships nothing at all.
 // Because snapshots carry full state, a resend after a lost ACK or a

@@ -146,7 +146,7 @@ func (e *Engine) RestorePartitioned(data []byte) error {
 	// Decode and validate EVERYTHING before touching any shard.
 	decoded := make([]structSet, len(ps.Shards))
 	for si, blobs := range ps.Shards {
-		sks, err := DecodeBlobs(blobs, snapStructs, e.cfg)
+		sks, err := DecodeBlobs(blobs, snapStructs, e.cfg, nil)
 		if err != nil {
 			return fmt.Errorf("engine: shard %d: %w", si, err)
 		}

@@ -170,8 +170,11 @@ func ParseStructures(s string) (Structures, error) {
 // (RestorePartitioned does, against its own structures, and the
 // networked aggregator against its other agents'). The sketches
 // come back parallel to blobs, and only once every blob has passed, so
-// a caller commits all of a list or none of it.
-func DecodeBlobs(blobs []wire.Blob, accept Structures, cfg bounded.Config) ([]bounded.Sketch, error) {
+// a caller commits all of a list or none of it. spare, when not nil,
+// holds retired sketches nobody else holds, by bit: each blob is
+// decoded into its bit's (bounded.UnmarshalSketchInto), and the caller
+// gives them all up.
+func DecodeBlobs(blobs []wire.Blob, accept Structures, cfg bounded.Config, spare map[Structures]bounded.Sketch) ([]bounded.Sketch, error) {
 	out := make([]bounded.Sketch, len(blobs))
 	var seen Structures
 	for j, b := range blobs {
@@ -201,7 +204,7 @@ func DecodeBlobs(blobs []wire.Blob, accept Structures, cfg bounded.Config) ([]bo
 		if bcfg != cfg {
 			return nil, fmt.Errorf("structure %s built from Config %+v, receiver has %+v", bit, bcfg, cfg)
 		}
-		if out[j], err = bounded.UnmarshalSketch(b.Payload); err != nil {
+		if out[j], err = bounded.UnmarshalSketchInto(spare[bit], b.Payload); err != nil {
 			return nil, fmt.Errorf("structure %s: %w", bit, err)
 		}
 	}

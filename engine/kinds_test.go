@@ -198,7 +198,7 @@ func TestDecodeBlobsAllocatesOnceOverTheBlob(t *testing.T) {
 	blobs := []wire.Blob{{Bit: uint32(HeavyHitters), Payload: payload}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = DecodeBlobs(blobs, HeavyHitters, cfg)
+	_, err = DecodeBlobs(blobs, HeavyHitters, cfg, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -287,6 +287,11 @@ func NewSampledSketch(rng *rand.Rand, r, rPrime, k int, base int64, fpBits uint)
 	}
 }
 
+// Reset puts s back, for a Fill, in the state NewSampledSketch left it
+// in, short of what Fill writes itself: the window is emptied. The
+// dimensions, the hash wiring and the query scratch stay.
+func (s *SampledSketch) Reset() { s.win.Reset() }
+
 // Update feeds an update: |delta| unit updates, each sampled
 // independently at every live level's rate, applied in runs over which
 // the live set stands still — one draw per sampled level per run (in

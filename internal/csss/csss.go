@@ -125,6 +125,7 @@ type Sketch struct {
 	nextHalf int64   // next halving boundary S*2^r + 1
 	maxCount int64   // largest counter value ever held (space accounting)
 	fpUnit   int64   // 2^FixedPointBits
+	halved   int64   // halvings since built, decoded or copied (Halvings)
 
 	// Per-update scratch: row bucket/sign pairs are evaluated once per
 	// update (one 4-wise evaluation per row) and reused across the
@@ -843,6 +844,7 @@ func (s *Sketch) ExponentAt(t int64) int {
 // set from outside (Merge's alignment, a fleet's exponent).
 func (s *Sketch) halveOnce() {
 	halvings.Inc()
+	s.halved++
 	s.refreshMaxCount()
 	rng := s.rng.Get()
 	for c := range s.table {
@@ -877,10 +879,12 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	s.RaiseExponent(other.p)
 	if other.p < s.p {
-		thin := *other // halveOnce touches table, rng and the rate fields only
+		thin := *other // halveOnce touches table, rng, the rate fields and halved only
 		thin.table = slices.Clone(other.table)
 		thin.rng = sample.Seeded(other.rng.Get().Int63())
+		thin.halved = 0
 		thin.RaiseExponent(s.p)
+		s.halved += thin.halved
 		other = &thin
 	}
 	for c := range s.table {
@@ -943,6 +947,57 @@ func (s *Sketch) MergeAll(dst *Sketch, others []*Sketch) (*Sketch, error) {
 	return dst, nil
 }
 
+// Shift moves s's table by add's minus sub's, the linear step of a
+// union kept in place: when s is the sum of some sketches' tables,
+// replacing sub by add among them leaves it the sum of the new set,
+// exactly — a table sampled at one rate is an integer table. sub may be
+// nil (add joins the set). The position moves by add's minus sub's. It
+// refuses, changing nothing, unless both share s's params and exponent
+// and the new position stays below s's next halving: past it the union
+// would have halved, which no sum can say. maxCount is left as it was
+// (MaxCountOf sets a union's). Neither argument is written.
+func (s *Sketch) Shift(add, sub *Sketch) error {
+	t := s.t + add.t
+	for _, o := range []*Sketch{add, sub} {
+		if o != nil && (o.params != s.params || o.p != s.p) {
+			return fmt.Errorf("csss: shift by a sketch at %+v p=%d into one at %+v p=%d", o.params, o.p, s.params, s.p)
+		}
+	}
+	if sub != nil {
+		t -= sub.t
+	}
+	if t < 0 || t >= s.nextHalf {
+		return fmt.Errorf("csss: shift to position %d leaves [0, %d), the exponent %d's", t, s.nextHalf, s.p)
+	}
+	v, a := s.counters(), add.counters()
+	if sub == nil {
+		for i := range v {
+			v[i] += a[i]
+		}
+	} else {
+		b := sub.counters()
+		for i := range v {
+			v[i] += a[i] - b[i]
+		}
+	}
+	s.t, s.haveLast = t, false
+	return nil
+}
+
+// MaxCountOf sets s's maxCount as MergeAll's summed pass sets a
+// union's: the largest of its parts'.
+func (s *Sketch) MaxCountOf(parts []*Sketch) {
+	s.maxCount = 0
+	for _, o := range parts {
+		s.maxCount = max(s.maxCount, o.maxCount)
+	}
+}
+
+// Halvings returns how many halvings s performed since it was built,
+// decoded or copied, counting those of the copies Merge thinned to
+// meet it: what one merge, or one k-way build into a copy, cost.
+func (s *Sketch) Halvings() int64 { return s.halved }
+
 // CloneInto returns a deep copy sharing the (immutable) hash wiring,
 // written into dst (nil, or an earlier copy nobody else holds; its table
 // and scratch are reused where the shape matches). The copy's rng stream
@@ -960,7 +1015,7 @@ func (s *Sketch) shellInto(dst *Sketch) *Sketch {
 		dst = (&Sketch{rows: s.rows}).withScratch()
 	}
 	c := *s
-	c.table, c.rng, c.haveLast = core.Grow(&dst.table, len(s.table)), sample.Seeded(s.rng.Get().Int63()), false
+	c.table, c.rng, c.haveLast, c.halved = core.Grow(&dst.table, len(s.table)), sample.Seeded(s.rng.Get().Int63()), false, 0
 	c.rowCols, c.rowSigns, c.rowIdx, c.rowSide = dst.rowCols, dst.rowSigns, dst.rowIdx, dst.rowSide
 	c.cnts, c.qest, c.qBatch, c.resid = dst.cnts, dst.qest, dst.qBatch, dst.resid
 	*dst = c

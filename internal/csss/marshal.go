@@ -93,7 +93,7 @@ func (s *Sketch) Fill(r *wire.Reader) {
 			}
 		}
 	}
-	s.t, s.p, s.haveLast = t, p, false
+	s.t, s.p, s.haveLast, s.halved = t, p, false, 0
 	s.rng = sample.Seeded(wire.Seed(r.Since(at)))
 	s.scale = math.Ldexp(1, p)
 	s.estScale = s.scale / float64(s.fpUnit)

@@ -144,3 +144,70 @@ func TestTailEstimatorMerge(t *testing.T) {
 		t.Fatalf("tail bound: merged %v, single-stream %v (rate-1 regime should be exact)", vMerged, vWhole)
 	}
 }
+
+// TestShiftKeepsTheSum: a union summed from parts at one exponent and
+// shifted by new − old for one part, or by a joining part, holds the
+// bytes MergeAll writes over the new set; a shift by a part at another
+// exponent, by one of other params, or to a position at the next
+// halving is refused and changes nothing.
+func TestShiftKeepsTheSum(t *testing.T) {
+	params := Params{Rows: 5, K: 16, S: 1 << 10}
+	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 60000, Alpha: 4, Zipf: 1.2, Seed: 9})
+	part := func(lo, hi, p int) *Sketch {
+		sk := New(rand.New(rand.NewSource(5)), params)
+		feedColumns(sk, s.Updates[lo:hi])
+		sk.RaiseExponent(p)
+		return sk
+	}
+	bytesOf := func(sk *Sketch) string {
+		b, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	union := func(parts ...*Sketch) string {
+		u, err := parts[0].MergeAll(nil, parts[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytesOf(u)
+	}
+	a, b, c, d := part(0, 1500, 2), part(1500, 2500, 2), part(2500, 3000, 2), part(3000, 3600, 2)
+	view, err := a.MergeAll(nil, []*Sketch{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Shift(c, b); err != nil {
+		t.Fatal(err)
+	}
+	view.MaxCountOf([]*Sketch{a, c})
+	if bytesOf(view) != union(a, c) {
+		t.Fatal("a union shifted by c − b differs from MergeAll over a and c")
+	}
+	if err := view.Shift(d, nil); err != nil {
+		t.Fatal(err)
+	}
+	view.MaxCountOf([]*Sketch{a, c, d})
+	if bytesOf(view) != union(a, c, d) {
+		t.Fatal("a union shifted by a joining d differs from MergeAll over a, c and d")
+	}
+	before := bytesOf(view)
+	for name, shift := range map[string]func() error{
+		"a part at another exponent":      func() error { return view.Shift(part(0, 500, 3), nil) },
+		"an old part at another exponent": func() error { return view.Shift(part(0, 500, 2), part(0, 500, 1)) },
+		"other params": func() error {
+			o := New(rand.New(rand.NewSource(5)), Params{Rows: 5, K: 16, S: 1 << 11})
+			o.RaiseExponent(2)
+			return view.Shift(o, nil)
+		},
+		"a position at the next halving": func() error { return view.Shift(part(0, 8000, 2), nil) },
+	} {
+		if err := shift(); err == nil {
+			t.Errorf("a shift by %s was accepted", name)
+		}
+		if bytesOf(view) != before {
+			t.Fatalf("a refused shift by %s changed the union", name)
+		}
+	}
+}

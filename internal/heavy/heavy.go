@@ -264,40 +264,65 @@ func (h *AlphaL1) Merge(other *AlphaL1) error {
 
 // MergeAll returns h merged with others, built from the same seed,
 // written into dst (nil, h itself — in place — or an earlier result
-// nobody else holds; never one of others). The CSSS tables and L1
-// scales merge as the chain of pairwise Merges would, to the same
-// bytes and draws (csss.Sketch.MergeAll); the candidates of every part
-// are then re-ranked ONCE against the merged sketch
-// (topk.Refresher.MergeAll), so the tracker holds the top candidates of
-// the union under its estimates whatever order the parts come in. With
-// no others, dst holds h's tables and h's candidates re-ranked against
-// them. The parts are only read.
+// nobody else holds; never one of others). The CSSS tables merge as the
+// chain of pairwise Merges would, to the same bytes and draws
+// (csss.Sketch.MergeAll); the rest is finish, the step Rerank shares.
+// With no others, dst holds h's tables and h's candidates re-ranked
+// against them. The parts are only read.
 func (h *AlphaL1) MergeAll(dst *AlphaL1, others []*AlphaL1) (*AlphaL1, error) {
-	sks := make([]*csss.Sketch, len(others))
-	trackers := make([]*topk.Tracker, 1+len(others))
-	trackers[0] = h.tracker
-	for j, o := range others {
-		if o == nil {
-			return nil, fmt.Errorf("heavy: merge with nil AlphaL1")
-		}
-		if (h.scale.l1Est == nil) != (o.scale.l1Est == nil) || h.eps != o.eps || h.n != o.n {
-			return nil, fmt.Errorf("heavy: merging AlphaL1 with different params (same seed/params required)")
-		}
-		sks[j], trackers[j+1] = o.sk, o.tracker
+	sks, err := h.tables(others)
+	if err != nil {
+		return nil, err
 	}
 	dst = core.OrNew(dst)
 	sk, err := h.sk.MergeAll(dst.sk, sks)
 	if err != nil {
 		return nil, err
 	}
-	scale := h.scale
-	if dst != h {
-		scale = h.scale.cloneInto(&dst.scale)
+	return dst.finish(sk, h, others)
+}
+
+// tables checks that others merge with h and returns their CSSS
+// sketches.
+func (h *AlphaL1) tables(others []*AlphaL1) ([]*csss.Sketch, error) {
+	sks := make([]*csss.Sketch, len(others))
+	for j, o := range others {
+		if err := h.admits(o); err != nil {
+			return nil, err
+		}
+		sks[j] = o.sk
 	}
-	for _, o := range others {
+	return sks, nil
+}
+
+// admits reports whether o merges with h.
+func (h *AlphaL1) admits(o *AlphaL1) error {
+	if o == nil {
+		return fmt.Errorf("heavy: merge with nil AlphaL1")
+	}
+	if (h.scale.l1Est == nil) != (o.scale.l1Est == nil) || h.eps != o.eps || h.n != o.n {
+		return fmt.Errorf("heavy: merging AlphaL1 with different params (same seed/params required)")
+	}
+	return nil
+}
+
+// finish completes a union into dst once sk holds the union's table:
+// first's L1 scale merged with each of others' in order, and the
+// candidates of every part re-ranked ONCE against sk
+// (topk.Refresher.MergeAll), so the tracker holds the top candidates
+// of the union under its estimates whatever order the parts come in.
+func (dst *AlphaL1) finish(sk *csss.Sketch, first *AlphaL1, others []*AlphaL1) (*AlphaL1, error) {
+	trackers := make([]*topk.Tracker, 1+len(others))
+	trackers[0] = first.tracker
+	scale := first.scale
+	if dst != first {
+		scale = first.scale.cloneInto(&dst.scale)
+	}
+	for j, o := range others {
 		if err := scale.merge(&o.scale); err != nil {
 			return nil, err
 		}
+		trackers[j+1] = o.tracker
 	}
 	b := core.GetBatch()
 	defer core.PutBatch(b)
@@ -305,8 +330,65 @@ func (h *AlphaL1) MergeAll(dst *AlphaL1, others []*AlphaL1) (*AlphaL1, error) {
 	if err != nil {
 		return nil, err
 	}
-	*dst = AlphaL1{eps: h.eps, sk: sk, tracker: tracker, n: h.n, scale: scale, refresh: dst.refresh}
+	*dst = AlphaL1{eps: first.eps, sk: sk, tracker: tracker, n: first.n, scale: scale, refresh: dst.refresh}
 	return dst, nil
+}
+
+// Shift moves h's table by add's minus sub's (csss.Sketch.Shift):
+// when h's table is the sum of its parts' at one exponent, replacing
+// sub by add among them keeps it so. sub may be nil. Only the table
+// and its position move — the scale, maxCount and candidates wait for
+// Rerank — and a refusal changes nothing.
+func (h *AlphaL1) Shift(add, sub *AlphaL1) error {
+	if err := h.admits(add); err != nil {
+		return err
+	}
+	if sub == nil {
+		return h.sk.Shift(add.sk, nil)
+	}
+	if err := h.admits(sub); err != nil {
+		return err
+	}
+	return h.sk.Shift(add.sk, sub.sk)
+}
+
+// Rerank is MergeAll's finish over a table that already is the sum of
+// parts' (built by MergeAll's summed pass, then moved by Shift): the
+// table's maxCount is set as that pass sets it and everything else as
+// finish does, so h ends byte for byte as MergeAll(h, parts[0],
+// parts[1:]) would leave it. No part is h, and none is written.
+func (h *AlphaL1) Rerank(parts []*AlphaL1) error {
+	if len(parts) == 0 {
+		return fmt.Errorf("heavy: re-rank over no parts")
+	}
+	sks, err := h.tables(parts)
+	if err != nil {
+		return err
+	}
+	h.sk.MaxCountOf(sks)
+	_, err = h.finish(h.sk, parts[0], parts[1:])
+	return err
+}
+
+// HashCandidates fills the candidates' hash columns when a decode left
+// them out, so the merges that read h hash nothing
+// (topk.Hash).
+func (h *AlphaL1) HashCandidates() {
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+	topk.Hash(h.tracker, b, h.sk)
+}
+
+// Halvings returns the CSSS halvings h's table performed since it was
+// built, decoded or copied (csss.Sketch.Halvings).
+func (h *AlphaL1) Halvings() int64 { return h.sk.Halvings() }
+
+// Reset puts h back, for a Fill, in the state New left it in, short of
+// what Fill writes itself: the tracker is emptied and the merge counts
+// cleared. The dimensions, the hash wiring and the scratch stay.
+func (h *AlphaL1) Reset() {
+	h.tracker.Reset()
+	h.refresh = topk.Refresher[float64]{}
 }
 
 // MergeCounts reports the last MergeAll run into h's storage: how many

@@ -105,6 +105,11 @@ func newWithClock(rng *rand.Rand, base int64, c clock) *AlphaEstimator {
 	return &AlphaEstimator{base: base, clock: c, win: sample.NewWindow[level](base), rng: sample.Wrap(rng)}
 }
 
+// Reset puts a back, for a Fill, in the state New left it in, short of
+// what Fill writes itself: the window is emptied. The base and the
+// clock's kind stay.
+func (a *AlphaEstimator) Reset() { a.win.Reset() }
+
 // RecommendedBase scales the paper's s = O(alpha^2 log^3(n) / (delta
 // eps^2)) to a usable sample budget: quadratic in alpha/eps with a log n
 // factor.

@@ -11,7 +11,6 @@ import (
 	bounded "repro"
 	"repro/engine"
 	"repro/internal/ckpt"
-	"repro/internal/csss"
 	"repro/internal/netproto"
 	"repro/internal/obs"
 )
@@ -63,10 +62,13 @@ func (o *AggregatorOptions) fill() {
 }
 
 // agentState is one agent's latest committed contribution: exactly the
-// kinds its newest snapshot carried. Sketches are immutable once stored
-// — a commit REPLACES the whole map, it never mutates a stored sketch
-// or keeps a kind the snapshot left out — so the merged-view builder
-// may read them outside the lock after capturing the pointers under it.
+// kinds its newest snapshot carried. Nothing writes a stored sketch: a
+// commit REPLACES the whole map (it never keeps a kind the snapshot
+// left out) and retires the old one, which a later snapshot is decoded
+// into — but a set is never recycled while a reader may hold it. The
+// readers that capture the map under mu and read it outside are the
+// view build, which holds qmu as every commit does, and Checkpoint,
+// which counts itself in Aggregator.readers (retireLocked).
 type agentState struct {
 	sketches map[engine.Structures]bounded.Sketch
 	seq      uint64 // highest committed Snapshot.Seq
@@ -98,7 +100,13 @@ type AggregatorStats struct {
 	SnapshotsRejected                int64
 	QueriesServed, QueryErrors       int64
 	HandshakeFailures                int64
-	ViewBuilds                       int64
+	// ViewBuilds counts merged-view refreshes: the first query after a
+	// commit rebuilds what the commits moved, or only re-ranks the
+	// heavy-hitters candidates when every commit since was folded in by
+	// a shift. ViewShifts counts those commits: an agent's heavy-hitters
+	// table moved the view's by new − old in place, at the union's
+	// exponent.
+	ViewBuilds, ViewShifts int64
 	// ViewSampleExponent is the CSSS exponent p of the merged heavy
 	// hitters view at its last build. The UNION can leave rate 1 while
 	// every agent is still at 0; the ACK then hands the agents its
@@ -128,8 +136,7 @@ type Aggregator struct {
 	opt AggregatorOptions
 
 	// mu guards the per-agent state table. stateVersion increments on
-	// every commit; the merged-view cache is tagged with the version it
-	// was built from.
+	// every commit; the checkpoint loop writes only when it moved.
 	mu           sync.Mutex
 	agents       map[string]*agentState
 	stateVersion uint64
@@ -139,13 +146,26 @@ type Aggregator struct {
 	// carries.
 	unionPosition int64
 	unionExponent uint8
+	// Recycling, guarded by mu: readers counts the Checkpoint calls
+	// marshaling captured sets, and retired holds the sets commits
+	// replaced meanwhile; the last reader out moves them to spares, the
+	// pool applySnapshot decodes into.
+	readers int
+	retired []map[engine.Structures]bounded.Sketch
+	spares  sync.Pool
 
-	// qmu serializes query answering and guards the merged-view cache.
-	// One merge rebuild serves every query until the next commit.
-	qmu         sync.Mutex
-	view        map[engine.Structures]bounded.Sketch
-	viewVersion uint64
-	haveView    bool
+	// qmu serializes query answering with commits and guards the merged
+	// view, which commits fold themselves into (foldLocked) and the next
+	// query refreshes (mergedView): the kinds in stale are rebuilt, and a
+	// heavy-hitters table shifted since the last query (rerank) only has
+	// its candidates re-ranked. summed says the heavy-hitters view's
+	// table is the exact sum of the stored ones: each samples at its
+	// exponent, as after a build whose parts all did.
+	qmu    sync.Mutex
+	view   map[engine.Structures]bounded.Sketch
+	stale  engine.Structures
+	rerank bool
+	summed bool
 
 	lnMu   sync.Mutex
 	ln     net.Listener
@@ -169,7 +189,7 @@ type Aggregator struct {
 	snapshotsRejected                atomic.Int64
 	queriesServed, queryErrors       atomic.Int64
 	handshakeFailures                atomic.Int64
-	viewBuilds                       atomic.Int64
+	viewBuilds, viewShifts           atomic.Int64
 	viewExponent, viewHalvings       atomic.Int64 // the HH view's p at its last build; CSSS halvings builds performed
 	viewCandidates, viewKept         atomic.Int64 // the HH view's candidate union and kept count at its last build
 	mergeNanos                       obs.Histogram
@@ -194,6 +214,7 @@ func NewAggregator(opt AggregatorOptions) (*Aggregator, error) {
 	a := &Aggregator{
 		opt:    opt,
 		agents: make(map[string]*agentState),
+		view:   make(map[engine.Structures]bounded.Sketch),
 		conns:  make(map[net.Conn]struct{}),
 	}
 	if opt.CheckpointDir != "" {
@@ -406,35 +427,49 @@ func (a *Aggregator) handle(conn net.Conn) {
 
 // applySnapshot decodes and checks every blob (engine.DecodeBlobs: the
 // admission rules the engine's own restore applies, the Config echo
-// included), then admits and commits all of them in one critical
-// section (commitLocked).
-// Decode-before-commit is the atomicity guarantee: a snapshot with any
-// malformed or foreign blob changes nothing. It returns the exponent
-// the heavy-hitters union has once the snapshot is committed, which
-// the ACK carries.
+// included) into a retired agent set when the pool has one, hashes the
+// heavy-hitters candidates once, then admits and commits all of them in
+// one critical section (commitLocked) under qmu and mu — the order
+// answer takes them in. Decode-before-commit is the atomicity
+// guarantee: a snapshot with any malformed or foreign blob changes
+// nothing. It returns the exponent the heavy-hitters union has once
+// the snapshot is committed, which the ACK carries.
 func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) (uint8, error) {
 	start := obs.Now()
-	decoded, err := engine.DecodeBlobs(m.Sketches, a.opt.Structures, a.opt.Config)
+	sketches, _ := a.spares.Get().(map[engine.Structures]bounded.Sketch)
+	decoded, err := engine.DecodeBlobs(m.Sketches, a.opt.Structures, a.opt.Config, sketches)
 	if err != nil {
+		if sketches != nil {
+			a.spares.Put(sketches)
+		}
 		return 0, err
 	}
 	// The agent's whole kind map, from this list alone: a kind the
 	// snapshot leaves out is a kind the agent no longer contributes.
-	sketches := make(map[engine.Structures]bounded.Sketch, len(decoded))
+	if sketches == nil {
+		sketches = make(map[engine.Structures]bounded.Sketch, len(decoded))
+	} else {
+		clear(sketches)
+	}
 	for j, sk := range decoded {
 		sketches[engine.Structures(m.Sketches[j].Bit)] = sk
 	}
+	if hh := heavyOf(sketches); hh != nil {
+		hh.HashCandidates()
+	}
 
+	a.qmu.Lock()
+	defer a.qmu.Unlock()
 	a.mu.Lock()
 	st, committed, err := a.commitLocked(id, sketches, m.Seq, m.Gen)
-	if err != nil {
-		a.mu.Unlock()
-		return 0, err
-	}
 	exp := a.unionExponent
-	if !committed {
-		// A stale resend is still ACKed so the sender can move on.
+	if err != nil || !committed {
 		a.mu.Unlock()
+		a.spares.Put(sketches) // never stored: nobody else holds it
+		if err != nil {
+			return 0, err
+		}
+		// A stale resend is still ACKed so the sender can move on.
 		a.snapshotsStale.Add(1)
 		return exp, nil
 	}
@@ -448,22 +483,27 @@ func (a *Aggregator) applySnapshot(id string, m *netproto.Snapshot) (uint8, erro
 	return exp, nil
 }
 
-// setSketchesLocked replaces an agent's kinds and moves the union's
-// clock with them: the running sum of the stored heavy-hitters
-// positions, then P, the larger of the stored sketches' highest
-// exponent and the halving schedule at that sum. Merge raises its
-// receiver to its argument's exponent and re-applies the schedule at
-// the summed position, so P is exactly the exponent the next
-// merged-view build reaches, whatever order it merges in. The caller
-// holds a.mu (or owns the aggregator outright, as at recovery).
+// setSketchesLocked replaces an agent's kinds, folds the change into
+// the merged view (foldLocked), retires the set it replaced
+// (retireLocked), and moves the union's clock with them: the running
+// sum of the stored heavy-hitters positions, then P, the larger of the
+// stored sketches' highest exponent and the halving schedule at that
+// sum. Merge raises its receiver to its argument's exponent and
+// re-applies the schedule at the summed position, so P is exactly the
+// exponent the next merged-view build reaches, whatever order it
+// merges in. The caller holds qmu and a.mu (or owns the aggregator
+// outright, as at recovery).
 func (a *Aggregator) setSketchesLocked(st *agentState, sketches map[engine.Structures]bounded.Sketch) {
-	if hh := heavyOf(st.sketches); hh != nil {
+	old := st.sketches
+	if hh := heavyOf(old); hh != nil {
 		a.unionPosition -= hh.SamplePosition()
 	}
 	st.sketches = sketches
 	if hh := heavyOf(sketches); hh != nil {
 		a.unionPosition += hh.SamplePosition()
 	}
+	a.foldLocked(old, sketches)
+	a.retireLocked(old)
 	p := 0
 	var some *bounded.HeavyHitters // any stored one: they share the Config, hence the schedule
 	for _, other := range a.agents {
@@ -478,6 +518,63 @@ func (a *Aggregator) setSketchesLocked(st *agentState, sketches map[engine.Struc
 	// decode's bound); only a summed position past any real stream's
 	// could schedule more.
 	a.unionExponent = uint8(min(p, int(netproto.MaxExponent)))
+}
+
+// foldLocked moves the merged view from an agent's old kinds to its
+// new ones. Every kind either set holds is left to the next query's
+// rebuild, except the heavy-hitters table while it is the exact sum of
+// the stored ones (summed): it is shifted by new − old in place, and
+// the next query only re-ranks. A shift the table refuses — new or old
+// at another exponent, or a sum that reaches the next halving, where
+// the union would have halved — changes nothing, and the view is
+// rebuilt. The caller holds qmu and a.mu.
+func (a *Aggregator) foldLocked(old, sketches map[engine.Structures]bounded.Sketch) {
+	var moved engine.Structures
+	for bit := range old {
+		moved |= bit
+	}
+	for bit := range sketches {
+		moved |= bit
+	}
+	if view, ok := a.view[engine.HeavyHitters].(*bounded.HeavyHitters); ok && a.summed {
+		if add := heavyOf(sketches); add != nil && view.Shift(add, heavyOf(old)) == nil {
+			moved &^= engine.HeavyHitters
+			a.rerank = true
+			a.viewShifts.Add(1)
+		}
+	}
+	if moved&engine.HeavyHitters != 0 {
+		a.summed = false
+	}
+	a.stale |= moved
+}
+
+// retireLocked hands a set a commit replaced to the pool the next
+// snapshot is decoded into — at once, or, while a Checkpoint may still
+// be marshaling it, when the last one ends (release). The view build
+// needs no such wait: it holds qmu, which the commit did. The caller
+// holds a.mu.
+func (a *Aggregator) retireLocked(set map[engine.Structures]bounded.Sketch) {
+	switch {
+	case set == nil:
+	case a.readers > 0:
+		a.retired = append(a.retired, set)
+	default:
+		a.spares.Put(set)
+	}
+}
+
+// release ends a reader's hold on the stored sets (see retireLocked).
+func (a *Aggregator) release() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.readers--; a.readers == 0 {
+		for _, set := range a.retired {
+			a.spares.Put(set)
+		}
+		clear(a.retired)
+		a.retired = a.retired[:0]
+	}
 }
 
 // heavyOf returns an agent's stored heavy-hitters sketch, nil when it
@@ -499,8 +596,8 @@ func heavyOf(sketches map[engine.Structures]bounded.Sketch) *bounded.HeavyHitter
 // committed one (a duplicate or reordered resend the committed state
 // already covers — full snapshots are idempotent), its kinds are
 // replaced (setSketchesLocked) and its watermarks moved; the bool
-// reports which. The caller holds a.mu (or owns the aggregator
-// outright, as at recovery).
+// reports which. The caller holds qmu and a.mu (or owns the
+// aggregator outright, as at recovery).
 func (a *Aggregator) commitLocked(id string, sketches map[engine.Structures]bounded.Sketch, seq, gen uint64) (*agentState, bool, error) {
 	for bit, sk := range sketches {
 		for other, st := range a.agents {
@@ -528,21 +625,28 @@ func (a *Aggregator) commitLocked(id string, sketches map[engine.Structures]boun
 	return st, true, nil
 }
 
-// mergedView returns the union-of-all-agents sketch set, rebuilding
-// the cache only when a commit moved stateVersion since the last
-// build. Kinds merge in ascending bit order and, within a kind, agents
-// in sorted-ID order, so the same committed state always produces the
-// same merged bytes — the determinism the bit-identity e2e test leans
-// on. The caller must hold qmu; the returned sketches stay valid (and
-// are mutated only under qmu, e.g. heavy-hitters query scratch) until
-// the next rebuild.
+// mergedView returns the union-of-all-agents sketch set, refreshing
+// what the commits since the last query moved: each kind in stale is
+// rebuilt by bounded.MergeAll over the stored sketches, written into
+// the last view's storage — kinds in ascending bit order and, within a
+// kind, agents in sorted-ID order — and a heavy-hitters table the
+// commits only shifted has its candidates re-ranked (Rerank), to the
+// bytes a rebuild would write. The view's bytes are then a function of
+// the committed state wherever the rebuild's are: at rate 1, and
+// whenever every stored heavy-hitters sketch samples at the union's
+// exponent below its next halving. A rebuild that halves draws (the
+// accumulator's generator is seeded by a word of the first agent's,
+// and a thinned copy by one of its agent's), so there the bytes also
+// depend on how many builds read the same stored sketches — on the
+// query history (ROADMAP 4a). The caller holds qmu, which every commit
+// also takes, so the stored sketches are read where they are, outside
+// a.mu; the returned sketches stay valid (and are mutated only under
+// qmu, e.g. heavy-hitters query scratch) until the next refresh.
 func (a *Aggregator) mergedView() (map[engine.Structures]bounded.Sketch, error) {
-	a.mu.Lock()
-	version := a.stateVersion
-	if a.haveView && a.viewVersion == version {
-		a.mu.Unlock()
+	if a.stale == 0 && !a.rerank {
 		return a.view, nil
 	}
+	a.mu.Lock()
 	ids := make([]string, 0, len(a.agents))
 	for id := range a.agents {
 		ids = append(ids, id)
@@ -554,43 +658,63 @@ func (a *Aggregator) mergedView() (map[engine.Structures]bounded.Sketch, error) 
 	}
 	a.mu.Unlock()
 
-	// Merge outside the state lock: stored sketches are immutable and
-	// Merge only reads its argument, so a build copies one accumulator
-	// per kind, into the previous view's (nothing reads it outside qmu).
-	// A commit racing this build just tags the cache with the pre-commit
-	// version, forcing a rebuild on the next query.
 	start := obs.Now()
-	halvings := csss.DispatchStats().Halvings
-	view := make(map[engine.Structures]bounded.Sketch)
 	var parts []bounded.Sketch
+	var halvings int64
 	for _, bit := range a.opt.Structures.Bits() {
+		rebuild := a.stale&bit != 0
+		if !rebuild && (bit != engine.HeavyHitters || !a.rerank) {
+			continue
+		}
 		parts = parts[:0]
 		for _, sketches := range stored {
 			if sk := sketches[bit]; sk != nil {
 				parts = append(parts, sk)
 			}
 		}
+		if !rebuild {
+			if err := a.view[bit].(*bounded.HeavyHitters).Rerank(heavies(parts)); err != nil {
+				return nil, fmt.Errorf("netagg: re-ranking the heavy hitters: %w", err)
+			}
+			continue
+		}
 		if len(parts) == 0 {
+			delete(a.view, bit)
 			continue
 		}
 		acc, err := bounded.MergeAll(a.view[bit], parts)
 		if err != nil {
 			return nil, fmt.Errorf("netagg: merging %T: %w", parts[0], err)
 		}
-		view[bit] = acc
+		a.view[bit] = acc
+		if hh, ok := acc.(*bounded.HeavyHitters); ok {
+			halvings = hh.Halvings()
+			a.summed = true
+			for _, part := range heavies(parts) {
+				a.summed = a.summed && part.SampleExponent() == hh.SampleExponent()
+			}
+		}
 	}
+	a.stale, a.rerank = 0, false
 	a.viewBuilds.Add(1)
-	a.viewHalvings.Add(csss.DispatchStats().Halvings - halvings)
-	if hh, ok := view[engine.HeavyHitters].(*bounded.HeavyHitters); ok {
+	a.viewHalvings.Add(halvings)
+	if hh, ok := a.view[engine.HeavyHitters].(*bounded.HeavyHitters); ok {
 		a.viewExponent.Store(int64(hh.SampleExponent()))
 		union, kept := hh.MergeCounts()
 		a.viewCandidates.Store(int64(union))
 		a.viewKept.Store(int64(kept))
 	}
 	a.mergeNanos.ObserveSince(start)
+	return a.view, nil
+}
 
-	a.view, a.viewVersion, a.haveView = view, version, true
-	return view, nil
+// heavies returns heavy-hitters parts as their concrete type.
+func heavies(parts []bounded.Sketch) []*bounded.HeavyHitters {
+	out := make([]*bounded.HeavyHitters, len(parts))
+	for j, p := range parts {
+		out[j] = p.(*bounded.HeavyHitters)
+	}
+	return out
 }
 
 // answer executes one query against the merged view. An empty
@@ -673,6 +797,7 @@ func (a *Aggregator) Stats() AggregatorStats {
 		QueryErrors:        a.queryErrors.Load(),
 		HandshakeFailures:  a.handshakeFailures.Load(),
 		ViewBuilds:         a.viewBuilds.Load(),
+		ViewShifts:         a.viewShifts.Load(),
 		ViewSampleExponent: int(a.viewExponent.Load()),
 		ViewCandidates:     int(a.viewCandidates.Load()),
 		ViewKept:           int(a.viewKept.Load()),
@@ -719,9 +844,10 @@ func (a *Aggregator) ExposeMetrics(r *obs.Registry, instance string) func() {
 	c("repro_aggd_queries_total", "client queries answered", a.queriesServed.Load, inst)
 	c("repro_aggd_query_errors_total", "client queries answered with an error", a.queryErrors.Load, inst)
 	c("repro_aggd_handshake_failures_total", "connections refused during handshake", a.handshakeFailures.Load, inst)
-	c("repro_aggd_view_builds_total", "merged-view rebuilds", a.viewBuilds.Load, inst)
+	c("repro_aggd_view_builds_total", "merged-view refreshes: rebuilds, or re-ranks after shifts", a.viewBuilds.Load, inst)
+	c("repro_netagg_view_shifts_total", "commits folded into the heavy-hitters view by a shift of its table", a.viewShifts.Load, inst)
 	r.GaugeFunc(owner, "repro_netagg_view_csss_exponent", "CSSS exponent p of the merged heavy-hitters view at its last build (0 = exact)", a.viewExponent.Load, inst)
-	c("repro_netagg_view_align_halvings_total", "CSSS halvings performed by merged-view builds", a.viewHalvings.Load, inst)
+	c("repro_netagg_view_align_halvings_total", "CSSS halvings the merged-view builds performed (each build counts its own table's and its thinned copies')", a.viewHalvings.Load, inst)
 	r.GaugeFunc(owner, "repro_netagg_view_candidates", "heavy-hitters candidates at the last merged-view build: the agents' union, and those the view kept",
 		a.viewCandidates.Load, inst, obs.Label{Key: "set", Value: "union"})
 	r.GaugeFunc(owner, "repro_netagg_view_candidates", "heavy-hitters candidates at the last merged-view build: the agents' union, and those the view kept",

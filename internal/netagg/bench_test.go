@@ -113,15 +113,20 @@ func BenchmarkQueryRoundTrip(b *testing.B) {
 
 // BenchmarkViewRebuild measures the fleet-wide read after a commit: one
 // agent's heavy-hitters blob is decoded and committed, and the
-// HeavyHitters query that follows rebuilds the merged view over every
-// agent. rate1 keeps the union exact (B/op is one blob decode plus one
-// accumulator, whatever the fleet size); past2S has every agent at rate
-// 1 and their union past 2S — a fleet whose agents ignore the ACK's
-// exponent, where each build also halves the accumulator and a copy of
-// every later agent's table; aligned/past2S is the same fleet after
-// every agent adopted the union's exponent from its ACK, as agents do,
-// where a build halves nothing. halvings/op counts the build's CSSS
-// halvings (repro_netagg_view_align_halvings_total).
+// HeavyHitters query that follows refreshes the merged view over every
+// agent. rate1 keeps the union exact (each site's mass shrinks with the
+// fleet so the union stays below 2S) and aligned/past2S is a fleet
+// whose agents all adopted the union's exponent from their ACKs, as
+// agents do: there a commit shifts the view's table by new − old and
+// the query only re-ranks the candidates, so the cost follows the
+// changed agents and the candidates, not agents × state (B/op: the
+// decode's hash scratch and the re-rank's; the decode refills a
+// retired set). past2S has every agent at rate 1 and their union past
+// 2S — a fleet whose agents ignore the ACK's exponent — where each
+// commit leaves the view to a rebuild that also halves the accumulator
+// and a copy of every later agent's table. halvings/op counts the
+// build's own CSSS halvings (repro_netagg_view_align_halvings_total)
+// and shifts/op the commits folded in by a shift.
 func BenchmarkViewRebuild(b *testing.B) {
 	for _, regime := range []struct {
 		name    string
@@ -129,17 +134,23 @@ func BenchmarkViewRebuild(b *testing.B) {
 		mass    int
 		aligned bool
 	}{{"rate1", testConfig, 10_000, false}, {"past2S", sampledConfig, 700, false}, {"aligned/past2S", sampledConfig, 700, true}} {
-		for _, agents := range []int{4, 16} {
+		for _, agents := range []int{4, 16, 64} {
 			b.Run(fmt.Sprintf("%s/agents=%d", regime.name, agents), func(b *testing.B) {
 				agg, err := NewAggregator(AggregatorOptions{Config: regime.cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer agg.Close()
-				blobs := rate1Sites(b, agg, regime.cfg, agents, regime.mass)
+				mass := regime.mass
+				if regime.name == "rate1" {
+					mass = min(mass, 200_000/agents) // 2S = 217 600 at testConfig
+				}
+				blobs := rate1Sites(b, agg, regime.cfg, agents, mass)
 				if regime.aligned {
 					blobs = alignSites(b, agg, blobs)
 				}
+				askHH(b, agg)
+				before := agg.Stats()
 				halvings := agg.viewHalvings.Load()
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -148,10 +159,12 @@ func BenchmarkViewRebuild(b *testing.B) {
 					askHH(b, agg)
 				}
 				b.StopTimer()
-				if got := agg.Stats().ViewBuilds; got != int64(b.N) {
+				st := agg.Stats()
+				if got := st.ViewBuilds - before.ViewBuilds; got != int64(b.N) {
 					b.Fatalf("%d view builds in %d laps", got, b.N)
 				}
 				b.ReportMetric(float64(agg.viewHalvings.Load()-halvings)/float64(b.N), "halvings/op")
+				b.ReportMetric(float64(st.ViewShifts-before.ViewShifts)/float64(b.N), "shifts/op")
 			})
 		}
 	}

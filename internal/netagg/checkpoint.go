@@ -27,7 +27,8 @@ const (
 
 // aggAgentRow is one agent's state captured under a.mu for
 // checkpointing. The kind map is safe to marshal outside the lock:
-// commits replace it, they never mutate it or a stored sketch.
+// commits replace it and never write a stored sketch, and a set the
+// capture holds is not recycled until the capture is released.
 type aggAgentRow struct {
 	id           string
 	seq, gen     uint64
@@ -123,7 +124,7 @@ func unmarshalAggState(data []byte, cfg bounded.Config, accept engine.Structures
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("netagg: checkpoint agent %q blobs: %w", row.id, err)
 		}
-		sks, err := engine.DecodeBlobs(blobs, fileAccept, cfg)
+		sks, err := engine.DecodeBlobs(blobs, fileAccept, cfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("netagg: checkpoint agent %q: %w", row.id, err)
 		}
@@ -214,9 +215,10 @@ func (a *Aggregator) Checkpoint() error {
 		a.mu.Unlock()
 		return nil
 	}
-	// An agent's kind map and the sketches in it are immutable once
-	// committed (a commit REPLACES the map), so capturing the maps under
-	// the lock licenses marshaling them outside it.
+	// Nothing writes a stored set (a commit REPLACES the map), and one a
+	// commit retires is not recycled while a reader holds it
+	// (retireLocked), so capturing the maps under the lock, as a reader,
+	// licenses marshaling them outside it.
 	rows := make([]aggAgentRow, 0, len(a.agents))
 	for id, st := range a.agents {
 		rows = append(rows, aggAgentRow{
@@ -228,10 +230,12 @@ func (a *Aggregator) Checkpoint() error {
 			sketches:     st.sketches,
 		})
 	}
+	a.readers++
 	a.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 
 	payload, err := marshalAggState(a.opt.Config, a.opt.Structures, rows)
+	a.release()
 	if err != nil {
 		return err
 	}

@@ -241,7 +241,8 @@ func rate1Sites(t testing.TB, agg *Aggregator, cfg bounded.Config, n, mass int) 
 // the candidate re-rank's scratch is pooled, so it allocates under
 // 0.01 times what cloning one stored sketch allocates, held under
 // 0.074x (a fresh accumulator per build would add 1x, a clone of every
-// agent 4x).
+// agent 4x). So does the refresh after a commit folded in by a shift,
+// which only re-ranks.
 func TestViewRebuildAllocatesOneState(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of its Puts on
 	// purpose, so there each merge may allocate its hash-column batch.
@@ -265,6 +266,15 @@ func TestViewRebuildAllocatesOneState(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	refresh := func() uint64 {
+		return allocated(func() {
+			agg.qmu.Lock()
+			defer agg.qmu.Unlock()
+			if _, err := agg.mergedView(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 	stored := agg.agents["site-0"].sketches[engine.HeavyHitters]
 	state := allocated(func() { stored.Clone() })
 	// The collector is off from here on: a cycle between the warm-up and
@@ -273,19 +283,22 @@ func TestViewRebuildAllocatesOneState(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	askHH(t, agg) // the batch pool and the query scratch reach their steady size
 	commitHH(t, agg, "site-3", 2, blobs[3])
-	rebuild := allocated(func() {
-		agg.qmu.Lock()
-		defer agg.qmu.Unlock()
-		if _, err := agg.mergedView(); err != nil {
-			t.Error(err)
-		}
-	})
-	if got := agg.Stats().ViewBuilds; got != 2 {
-		t.Fatalf("%d view builds, want 2", got)
+	rerank := refresh()
+	agg.qmu.Lock()
+	agg.stale |= engine.HeavyHitters // as a commit the view's table refused leaves it
+	agg.qmu.Unlock()
+	rebuild := refresh()
+	if st := agg.Stats(); st.ViewBuilds != 3 || st.ViewShifts != 1 {
+		t.Fatalf("%d view builds and %d shifts, want 3 and 1 (site-3's resync)", st.ViewBuilds, st.ViewShifts)
 	}
-	t.Logf("rebuild allocated %d bytes, %.2fx one %d-byte state", rebuild, float64(rebuild)/float64(state), state)
-	if ceiling := state * 74 / 1000; rebuild > ceiling {
-		t.Fatalf("a rebuild over 4 agents allocated %d bytes, %.3fx one %d-byte state (ceiling 0.074x)", rebuild, float64(rebuild)/float64(state), state)
+	for _, m := range []struct {
+		what  string
+		bytes uint64
+	}{{"rebuild", rebuild}, {"re-rank", rerank}} {
+		t.Logf("%s allocated %d bytes, %.2fx one %d-byte state", m.what, m.bytes, float64(m.bytes)/float64(state), state)
+		if ceiling := state * 74 / 1000; m.bytes > ceiling {
+			t.Fatalf("a %s over 4 agents allocated %d bytes, %.3fx one %d-byte state (ceiling 0.074x)", m.what, m.bytes, float64(m.bytes)/float64(state), state)
+		}
 	}
 }
 
@@ -413,4 +426,232 @@ func TestViewReadersRaceWithCommitsAndCheckpoints(t *testing.T) {
 		default:
 		}
 	}
+}
+
+// fleetRun drives in-process heavy-hitters sites through rounds of
+// commits to agg, each site fed its own chunk of a stream per round and
+// thinned after each commit to the exponent its ACK carried, as an
+// agent is. A site idle in a round (idle, when not nil) ingests and
+// commits nothing in it. After each commit, after(round, site, blob)
+// runs. It returns each site's last committed blob.
+func fleetRun(t *testing.T, agg *Aggregator, cfg bounded.Config, sites, rounds, chunk int, idle func(round, site int) bool, after func(round, site int, blob []byte)) [][]byte {
+	t.Helper()
+	live := make([]*bounded.HeavyHitters, sites)
+	fed := make([]int, sites)
+	blobs := make([][]byte, sites)
+	for site := range live {
+		hh, err := bounded.NewHeavyHitters(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[site] = hh
+	}
+	for r := 0; r < rounds; r++ {
+		for site, hh := range live {
+			if idle != nil && idle(r, site) {
+				continue
+			}
+			hh.UpdateBatch(testStream(60_000, int64(site+1))[fed[site] : fed[site]+chunk])
+			fed[site] += chunk
+			hh.SpaceBits() // a space report refreshes the table's high-water mark, which the wire carries
+			blob, err := hh.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := commitHH(t, agg, fmt.Sprintf("site-%d", site), uint64(r+1), blob)
+			blobs[site] = blob
+			if after != nil {
+				after(r, site, blob)
+			}
+			if err := hh.RaiseSampleExponent(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return blobs
+}
+
+// TestMaintainedViewMatchesMergeAll: after every commit the view's
+// bytes equal an in-process bounded.MergeAll over the committed blobs,
+// whether the commit was folded in by a shift of the view's table (the
+// first commit of sites 1–3 and every commit of an aligned round) or
+// left the view to a rebuild (the first commit, and in the sampled
+// fleet the rounds that cross a halving or start unaligned). A folded
+// commit is held to a MergeAll over fresh decodes: the maintained
+// table draws nothing, so its bytes are the committed state's. A
+// rebuild is held to a MergeAll over the blobs as the aggregator
+// decoded and stored them, each decoded once and read by the same
+// rebuilds, since a rebuild that halves takes words from the stored
+// sketches' generators. A stale resend and a snapshot the aggregator
+// refuses leave the view as it was.
+func TestMaintainedViewMatchesMergeAll(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   bounded.Config
+		chunk int
+	}{{"rate1", testConfig, 1500}, {"sampled", sampledConfig, 250}} {
+		t.Run(tc.name, func(t *testing.T) {
+			agg, err := NewAggregator(AggregatorOptions{Config: tc.cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
+			const sites, rounds = 4, 8
+			committed := make([][]byte, sites)
+			stored := make([]bounded.Sketch, sites)
+			var shifts int64 // the count before the commit after() sees
+			rebuilds, crossings, exponent, shiftedSampled := 0, 0, 0, 0
+			present := func() (blobs [][]byte, parts []bounded.Sketch) {
+				for site, blob := range committed {
+					if blob != nil {
+						blobs, parts = append(blobs, blob), append(parts, stored[site])
+					}
+				}
+				return blobs, parts
+			}
+			same := func(step string, view []byte) {
+				t.Helper()
+				if got := viewBytes(t, agg); !bytes.Equal(got, view) {
+					t.Fatalf("%s moved the view", step)
+				}
+			}
+			// Two sites sit out round 3, the one after the first crossing,
+			// so that the next round's commits meet stored sketches still
+			// at the old exponent.
+			idle := func(r, site int) bool { return r == 3 && site >= 2 }
+			fleetRun(t, agg, tc.cfg, sites, rounds, tc.chunk, idle, func(r, site int, blob []byte) {
+				defer func() { shifts = agg.Stats().ViewShifts }()
+				committed[site] = blob
+				var err error
+				if stored[site], err = bounded.UnmarshalSketch(blob); err != nil {
+					t.Fatal(err)
+				}
+				view := viewBytes(t, agg)
+				blobs, parts := present()
+				want := mergeAllBytes(t, blobs)
+				if shifted := agg.Stats().ViewShifts; shifted == shifts {
+					rebuilds++
+					acc, err := bounded.MergeAll(nil, parts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want, err = acc.MarshalBinary(); err != nil {
+						t.Fatal(err)
+					}
+				} else if shifted != shifts+1 {
+					t.Fatalf("round %d site-%d: one commit counted %d shifts", r, site, shifted-shifts)
+				} else if exponent > 0 {
+					shiftedSampled++
+				}
+				if !bytes.Equal(view, want) {
+					t.Fatalf("round %d site-%d: the view differs from a MergeAll over the committed blobs", r, site)
+				}
+				if p := agg.Stats().ViewSampleExponent; p > exponent {
+					crossings, exponent = crossings+1, p
+				}
+				id := fmt.Sprintf("site-%d", site)
+				switch {
+				case r == 1 && site == 1:
+					stale := agg.Stats().SnapshotsStale
+					commitHH(t, agg, id, 1, blob)
+					if agg.Stats().SnapshotsStale != stale+1 {
+						t.Fatal("a resend of seq 1 was not counted stale")
+					}
+					same("a stale resend", view)
+				case r == 2 && site == 2:
+					general, err := bounded.NewHeavyHitters(tc.cfg, bounded.WithStrict(false))
+					if err != nil {
+						t.Fatal(err)
+					}
+					foreign, err := general.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					snap := &netproto.Snapshot{Seq: 99, Gen: 99, Sketches: []wire.Blob{{Bit: uint32(engine.HeavyHitters), Payload: foreign}}}
+					if _, err := agg.applySnapshot(id, snap); err == nil {
+						t.Fatal("a general heavy-hitters snapshot among strict ones was committed")
+					}
+					same("a refused snapshot", view)
+				}
+			})
+			st := agg.Stats()
+			t.Logf("%d commits: %d shifts, %d rebuilds, %d crossings to exponent %d", st.SnapshotsApplied, st.ViewShifts, rebuilds, crossings, exponent)
+			if want := int64(sites*rounds - 2); st.SnapshotsApplied != want || st.ViewShifts+int64(rebuilds) != want {
+				t.Fatalf("%d commits applied, %d shifted and %d rebuilt, want %d", st.SnapshotsApplied, st.ViewShifts, rebuilds, want)
+			}
+			switch {
+			case tc.name == "rate1" && rebuilds != 1:
+				t.Fatalf("%d rebuilds at rate 1, want the first commit's alone", rebuilds)
+			case tc.name == "sampled" && (crossings < 2 || shiftedSampled < sites):
+				t.Fatalf("the sampled fleet crossed %d halvings and shifted %d commits past the first: not what it tests", crossings, shiftedSampled)
+			}
+		})
+	}
+}
+
+// TestAlignedViewIgnoresQueryHistory: two aggregators given the same
+// fleet-aligned commits, one asked after every commit and one only at
+// each round's end, hold the same view bytes — those of a MergeAll over
+// the committed blobs — at the end of every round in which every
+// stored sketch samples at the union's exponent. (Outside those rounds
+// a rebuild halves, and its draws depend on how often earlier builds
+// read the same stored sketches: ROADMAP 4a.)
+func TestAlignedViewIgnoresQueryHistory(t *testing.T) {
+	eager, err := NewAggregator(AggregatorOptions{Config: sampledConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eager.Close()
+	lazy, err := NewAggregator(AggregatorOptions{Config: sampledConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	const sites = 4
+	committed := make([][]byte, sites)
+	compared, sampled := 0, 0
+	fleetRun(t, eager, sampledConfig, sites, 8, 250, nil, func(r, site int, blob []byte) {
+		askHH(t, eager)
+		if got := commitHH(t, lazy, fmt.Sprintf("site-%d", site), uint64(r+1), blob); got != int(eager.unionExponent) {
+			t.Fatalf("round %d site-%d: the two aggregators ACK exponents %d and %d", r, site, eager.unionExponent, got)
+		}
+		committed[site] = blob
+		if site < sites-1 {
+			return
+		}
+		want := mergeAllBytes(t, committed)
+		p := -1
+		for _, blob := range committed {
+			_, e := hhExponent(t, blob)
+			if p >= 0 && e != p {
+				return // an unaligned round
+			}
+			p = e
+		}
+		askHH(t, lazy)
+		if p != lazy.Stats().ViewSampleExponent {
+			return // the union crossed a halving
+		}
+		if !bytes.Equal(viewBytes(t, eager), want) || !bytes.Equal(viewBytes(t, lazy), want) {
+			t.Fatalf("round %d: an aligned union's view depends on when it was asked", r)
+		}
+		compared++
+		if p > 0 {
+			sampled++
+		}
+	})
+	if compared < 4 || sampled < 2 {
+		t.Fatalf("compared %d aligned rounds, %d of them sampled: not what it tests", compared, sampled)
+	}
+}
+
+// hhExponent decodes a heavy-hitters blob and reports its exponent.
+func hhExponent(t *testing.T, blob []byte) (*bounded.HeavyHitters, int) {
+	t.Helper()
+	sk, err := bounded.UnmarshalSketch(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hh := sk.(*bounded.HeavyHitters)
+	return hh, hh.SampleExponent()
 }

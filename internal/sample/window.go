@@ -41,6 +41,9 @@ func NewWindow[T any](base int64) *Window[T] {
 	return &Window[T]{base: base, from: 1}
 }
 
+// Reset empties the window, as NewWindow returns it.
+func (w *Window[T]) Reset() { *w = Window[T]{base: w.base, from: 1} }
+
 // Sync makes the live set the schedule's at position t: levels that
 // left [lo, hi] = ActiveLevels(t) are dropped, missing ones are built
 // with fresh (in ascending j).

@@ -302,6 +302,12 @@ func (r *Refresher[E]) Estimates(t *Tracker, b *core.Batch, q Columnar[E]) (ids 
 	return ids, est[:len(ids)]
 }
 
+// Hash fills t's slab with its candidates' columns off q when it is
+// stale (a whole slab is left alone), so the reads and merges that
+// follow hash nothing: what a decoded tracker kept beside a store pays
+// once instead of at every merge that reads it.
+func Hash[E int64 | float64](t *Tracker, b *core.Batch, q Columnar[E]) { refill(t, b, q) }
+
 // refill returns t's candidate ids by slot in b's Col64 scratch, first
 // hashing them into a stale slab, which is whole afterwards.
 func refill[E int64 | float64](t *Tracker, b *core.Batch, q Columnar[E]) []uint64 {

@@ -3,6 +3,7 @@ package bounded
 import (
 	"encoding"
 	"fmt"
+	"reflect"
 
 	"repro/internal/heavy"
 	"repro/internal/sampler"
@@ -165,6 +166,16 @@ type structure interface {
 	state() state
 }
 
+// refillable is a structure a decode may refill in place: reset puts
+// back its constructor's state, short of what Fill writes anyway (the
+// generator Fill reseeds, the tables it overwrites), and keeps the
+// dimensions, the hash wiring and the scratch. Kinds without one
+// decode into a fresh build.
+type refillable interface {
+	structure
+	reset()
+}
+
 // The public wire envelope (format v3): "BD" magic, the format version,
 // the kind, the Config echo (N, Eps, Alpha, Seed), the options echo,
 // then the structure's state — what Update and Merge change (counters,
@@ -265,9 +276,12 @@ func parseEnvelope(data []byte, wantKind Kind) (*envelope, error) {
 // anything is allocated, the structure is built from the echoed Config
 // and options exactly as New builds it — an echo the constructor
 // refuses, or one it would not have written, is refused — and the state
-// then fills what that build left empty. Nothing is committed anywhere,
-// so a failure leaves every caller's receiver untouched.
-func decode(data []byte, want Kind) (structure, error) {
+// then fills what that build left empty. A dst of the echoed shape that
+// can be put back into its constructor's state (refillable) stands in
+// for the build: it is reset and filled in place. Nothing else is
+// committed anywhere, so a failure leaves every caller's receiver
+// untouched.
+func decode(data []byte, want Kind, dst Sketch) (structure, error) {
 	env, err := parseEnvelope(data, want)
 	if err != nil {
 		return nil, err
@@ -284,13 +298,19 @@ func decode(data []byte, want Kind) (structure, error) {
 		return nil, fmt.Errorf("bounded: %s state of %d bytes is shorter than the least %d its Config and options call for",
 			env.kind, len(env.payload), need)
 	}
-	sk, err := row.build(env.cfg, env.opts.options()...)
-	if err != nil {
-		return nil, fmt.Errorf("bounded: %s options echo: %w", env.kind, err)
-	}
-	s := sk.(structure)
-	if s.shapeOf() != env.shape {
-		return nil, fmt.Errorf("bounded: %s options echo %+v is not the one its constructor writes (%+v)", env.kind, env.opts, s.shapeOf().opts)
+	var s structure
+	if r, ok := dst.(refillable); ok && !reflect.ValueOf(r).IsNil() && r.shapeOf() == env.shape {
+		r.reset()
+		s = r
+	} else {
+		sk, err := row.build(env.cfg, env.opts.options()...)
+		if err != nil {
+			return nil, fmt.Errorf("bounded: %s options echo: %w", env.kind, err)
+		}
+		s = sk.(structure)
+		if s.shapeOf() != env.shape {
+			return nil, fmt.Errorf("bounded: %s options echo %+v is not the one its constructor writes (%+v)", env.kind, env.opts, s.shapeOf().opts)
+		}
 	}
 	if err := wire.Fill(env.payload, s.state()); err != nil {
 		return nil, fmt.Errorf("bounded: %s state: %w", env.kind, err)
@@ -301,7 +321,7 @@ func decode(data []byte, want Kind) (structure, error) {
 // unmarshalInto is the body of every UnmarshalBinary: decode a kind's
 // blob and, only on success, overwrite the receiver with it.
 func unmarshalInto[T any](dst *T, data []byte, kind Kind) error {
-	s, err := decode(data, kind)
+	s, err := decode(data, kind, nil)
 	if err != nil {
 		return err
 	}
@@ -348,8 +368,20 @@ func SketchKind(data []byte) (Kind, error) {
 // envelope's kind byte — the receive side of a heterogeneous sketch
 // exchange (the networked aggregator and the engine's partitioned
 // restore are built on it).
-func UnmarshalSketch(data []byte) (Sketch, error) {
-	s, err := decode(data, 0)
+func UnmarshalSketch(data []byte) (Sketch, error) { return UnmarshalSketchInto(nil, data) }
+
+// UnmarshalSketchInto is UnmarshalSketch written into dst's storage:
+// dst is nil or a sketch nobody else holds (the caller gives it up, as
+// with CloneInto). When dst is a HeavyHitters or an L1Estimator of the
+// blob's shape — the same Config and options — it is put back into its
+// constructor's state and filled in place, so neither its hash wiring
+// nor its generator is built again and its tables are reused; any
+// other dst is ignored and a new structure is built. Either way the
+// result is byte for byte, draw for draw, what UnmarshalSketch returns.
+// On error dst holds no state worth reading, but it may be passed
+// again.
+func UnmarshalSketchInto(dst Sketch, data []byte) (Sketch, error) {
+	s, err := decode(data, 0, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -373,12 +405,22 @@ func (h *HeavyHitters) UnmarshalBinary(data []byte) error {
 
 func (h *HeavyHitters) state() state { return h.impl }
 
+func (h *HeavyHitters) reset() { h.impl.Reset() }
+
 // MarshalBinary serializes the estimator.
 func (e *L1Estimator) MarshalBinary() ([]byte, error) { return appendBinary(nil, e, KindL1Estimator) }
 
 // UnmarshalBinary restores an estimator serialized by MarshalBinary.
 func (e *L1Estimator) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(e, data, KindL1Estimator)
+}
+
+func (e *L1Estimator) reset() {
+	if e.strict != nil {
+		e.strict.Reset()
+	} else {
+		e.general.Reset()
+	}
 }
 
 func (e *L1Estimator) state() state {
