@@ -86,8 +86,7 @@ func (c Config) Validate() error {
 // probability for strict turnstile streams (Theorem 4) and constant
 // probability for general turnstile streams (Theorem 3).
 type HeavyHitters struct {
-	shape
-	impl *heavy.AlphaL1
+	of[HeavyHitters, *heavy.AlphaL1]
 }
 
 // NewHeavyHitters builds the structure. By default it assumes the
@@ -100,10 +99,7 @@ func NewHeavyHitters(cfg Config, opts ...Option) (*HeavyHitters, error) {
 		return nil, err
 	}
 	e := echo{general: !o.strict}
-	return &HeavyHitters{
-		shape: shape{KindHeavyHitters, cfg, e},
-		impl:  heavy.NewAlphaL1(cfg.rng(), hhParams(cfg, e)),
-	}, nil
+	return wrap[HeavyHitters](shape{KindHeavyHitters, cfg, e}, heavy.NewAlphaL1(cfg.rng(), hhParams(cfg, e))), nil
 }
 
 // hhParams are the Section 3 structure's parameters at (cfg, e).
@@ -115,34 +111,17 @@ func hhParams(cfg Config, e echo) heavy.AlphaL1Params {
 	return heavy.AlphaL1Params{N: cfg.N, Eps: cfg.Eps, Mode: mode, Alpha: cfg.Alpha}
 }
 
-// Update feeds one stream update.
-func (h *HeavyHitters) Update(i uint64, delta int64) { h.impl.Update(i, delta) }
-
-// UpdateBatch feeds a batch of updates in one call — the preferred
-// high-throughput ingest path: per-call overhead amortizes across the
-// batch and candidate tracking refreshes once per distinct index.
-func (h *HeavyHitters) UpdateBatch(batch []Update) { core.UpdateBatch(h.UpdateColumns, batch) }
-
-// UpdateColumns feeds a pre-planned columnar batch (plan → hash →
-// apply): the CSSS rows hash a whole key column in one batch
-// evaluation and apply row-major — the full index column in the exact
-// (rate-1) regime, and once sampling only the updates its thin step
-// kept, drawn in the per-item path's rng order.
-func (h *HeavyHitters) UpdateColumns(b *Batch) { h.impl.UpdateColumns(b) }
-
 // SampleExponent returns p: the structure's CSSS rows sample the stream
 // at rate 2^-p, 0 while it is exact (fewer than 2S units seen).
 func (h *HeavyHitters) SampleExponent() int {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "SampleExponent")
-	return h.impl.SampleExponent()
+	return h.use("SampleExponent").SampleExponent()
 }
 
 // SamplePosition returns t, the unit updates the structure's CSSS rows
 // have consumed: the clock the Figure 2 schedule halves on. A merge sums
 // it.
 func (h *HeavyHitters) SamplePosition() int64 {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "SamplePosition")
-	return h.impl.SamplePosition()
+	return h.use("SamplePosition").SamplePosition()
 }
 
 // SampleExponentAt returns the exponent the halving schedule sets at
@@ -150,8 +129,7 @@ func (h *HeavyHitters) SamplePosition() int64 {
 // union of same-Config structures whose SamplePositions sum to t
 // samples at 2^-max(SampleExponentAt(t), their largest SampleExponent).
 func (h *HeavyHitters) SampleExponentAt(t int64) int {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "SampleExponentAt")
-	return h.impl.SampleExponentAt(t)
+	return h.use("SampleExponentAt").SampleExponentAt(t)
 }
 
 // RaiseSampleExponent thins the structure's CSSS rows down to rate
@@ -162,8 +140,7 @@ func (h *HeavyHitters) SampleExponentAt(t int64) int {
 // law at the coarser rate: only their variance grows. A p the wire
 // could not carry is an error and changes nothing.
 func (h *HeavyHitters) RaiseSampleExponent(p int) error {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "RaiseSampleExponent")
-	return h.impl.RaiseSampleExponent(p)
+	return h.use("RaiseSampleExponent").RaiseSampleExponent(p)
 }
 
 // MergeCounts reports the candidates of the last MergeAll or Merge run
@@ -171,8 +148,7 @@ func (h *HeavyHitters) RaiseSampleExponent(p int) error {
 // how many it kept — all of them up to the tracker's limit. Before any
 // merge it reports zeros.
 func (h *HeavyHitters) MergeCounts() (union, kept int) {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "MergeCounts")
-	return h.impl.MergeCounts()
+	return h.use("MergeCounts").MergeCounts()
 }
 
 // Halvings reports how many binomial halvings h's CSSS rows performed
@@ -180,8 +156,7 @@ func (h *HeavyHitters) MergeCounts() (union, kept int) {
 // a Merge thinned to meet it — so after a MergeAll into a copy it is
 // what that build cost.
 func (h *HeavyHitters) Halvings() int64 {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "Halvings")
-	return h.impl.Halvings()
+	return h.use("Halvings").Halvings()
 }
 
 // Shift is the linear step of a union kept in place: when h's table is
@@ -229,27 +204,23 @@ func (h *HeavyHitters) Rerank(parts []*HeavyHitters) error {
 // structures to merge pays once per structure instead of once per
 // merge.
 func (h *HeavyHitters) HashCandidates() {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "HashCandidates")
-	h.impl.HashCandidates()
+	h.use("HashCandidates").HashCandidates()
 }
 
 // HeavyHitters returns the detected heavy coordinates, sorted.
 func (h *HeavyHitters) HeavyHitters() []uint64 {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "HeavyHitters")
-	return h.impl.HeavyHitters()
+	return h.use("HeavyHitters").HeavyHitters()
 }
 
 // Members returns the heavy-hitter set — the SetQuerier capability
 // (an alias of HeavyHitters).
 func (h *HeavyHitters) Members() []uint64 {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "Members")
-	return h.impl.HeavyHitters()
+	return h.use("Members").HeavyHitters()
 }
 
 // Estimate returns the point estimate of f_i.
 func (h *HeavyHitters) Estimate(i uint64) float64 {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "Estimate")
-	return h.impl.Query(i)
+	return h.use("Estimate").Query(i)
 }
 
 // EstimateBatch returns the point estimate of every index in one
@@ -259,8 +230,7 @@ func (h *HeavyHitters) Estimate(i uint64) float64 {
 // row-major. Results are in input order and bit-identical to per-index
 // Estimate calls.
 func (h *HeavyHitters) EstimateBatch(idxs []uint64) []float64 {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "EstimateBatch")
-	return estimateBatchImpl(h.impl, idxs)
+	return estimateBatchImpl(h.use("EstimateBatch"), idxs)
 }
 
 // EstimateColumns fills out[j] with the point estimate of b.Idx[j],
@@ -268,23 +238,46 @@ func (h *HeavyHitters) EstimateBatch(idxs []uint64) []float64 {
 // EstimateBatch for callers that plan one Batch (GetBatch + LoadKeys)
 // and query repeatedly. out must hold b.Len() entries.
 func (h *HeavyHitters) EstimateColumns(b *Batch, out []float64) {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "EstimateColumns")
-	estimateColumnsImpl(h.impl, b, out)
-}
-
-// SpaceBits reports the structure's space in the paper's cost model.
-func (h *HeavyHitters) SpaceBits() int64 {
-	queryGuard(h != nil && h.impl != nil, KindHeavyHitters, "SpaceBits")
-	return h.impl.SpaceBits()
+	estimateColumnsImpl(h.use("EstimateColumns"), b, out)
 }
 
 // L1Estimator estimates ||f||_1 of an alpha-property stream to (1 +-
 // eps): Figure 4 / Theorem 6 in the strict turnstile model (tiny space:
 // O(log(alpha/eps) + loglog n) bits), Theorem 8 in the general model.
 type L1Estimator struct {
-	shape
-	strict  *l1.AlphaEstimator
-	general *cauchy.SampledSketch
+	of[L1Estimator, l1Variant]
+}
+
+// l1Variant is what both L1 estimators answer through: the strict one
+// (l1.AlphaEstimator) and the general one (cauchy.SampledSketch), each
+// in its adapter below.
+type l1Variant interface {
+	implementation[l1Variant]
+	Estimate() float64
+	Level() int
+	Reset()
+}
+
+type strictL1 struct{ *l1.AlphaEstimator }
+
+func (s strictL1) Merge(o l1Variant) error {
+	return s.AlphaEstimator.Merge(o.(strictL1).AlphaEstimator)
+}
+
+func (s strictL1) CloneInto(dst l1Variant) l1Variant {
+	d, _ := dst.(strictL1)
+	return strictL1{s.AlphaEstimator.CloneInto(d.AlphaEstimator)}
+}
+
+type generalL1 struct{ *cauchy.SampledSketch }
+
+func (g generalL1) Merge(o l1Variant) error {
+	return g.SampledSketch.Merge(o.(generalL1).SampledSketch)
+}
+
+func (g generalL1) CloneInto(dst l1Variant) l1Variant {
+	d, _ := dst.(generalL1)
+	return generalL1{g.SampledSketch.CloneInto(d.SampledSketch)}
 }
 
 // NewL1Estimator builds the estimator. By default it assumes the strict
@@ -303,10 +296,8 @@ func NewL1Estimator(cfg Config, opts ...Option) (*L1Estimator, error) {
 	rng := cfg.rng()
 	if o.strict {
 		base := l1.RecommendedBase(cfg.Alpha, cfg.Eps, o.failureProb, cfg.N)
-		return &L1Estimator{
-			shape:  shape{KindL1Estimator, cfg, echo{failureProb: o.failureProb}},
-			strict: l1.New(rng, base),
-		}, nil
+		sh := shape{KindL1Estimator, cfg, echo{failureProb: o.failureProb}}
+		return wrap[L1Estimator, l1Variant](sh, strictL1{l1.New(rng, base)}), nil
 	}
 	// 2^40 rows is beyond any memory; the clamp keeps level lengths in
 	// range for any eps.
@@ -315,82 +306,32 @@ func NewL1Estimator(cfg Config, opts ...Option) (*L1Estimator, error) {
 	if base < 16 {
 		base = 16
 	}
-	return &L1Estimator{
-		shape:   shape{KindL1Estimator, cfg, echo{general: true}},
-		general: l1.NewGeneral(rng, r, 32, 6, base, 10),
-	}, nil
-}
-
-// Update feeds one stream update.
-func (e *L1Estimator) Update(i uint64, delta int64) {
-	if e.strict != nil {
-		e.strict.Update(i, delta)
-	} else {
-		e.general.Update(i, delta)
-	}
-}
-
-// UpdateBatch feeds a batch of updates in one call.
-func (e *L1Estimator) UpdateBatch(batch []Update) { core.UpdateBatch(e.UpdateColumns, batch) }
-
-// UpdateColumns feeds a pre-planned columnar batch.
-func (e *L1Estimator) UpdateColumns(b *Batch) {
-	if e.strict != nil {
-		e.strict.UpdateColumns(b)
-	} else {
-		e.general.UpdateColumns(b)
-	}
+	sh := shape{KindL1Estimator, cfg, echo{general: true}}
+	return wrap[L1Estimator, l1Variant](sh, generalL1{l1.NewGeneral(rng, r, 32, 6, base, 10)}), nil
 }
 
 // Estimate returns the (1 +- eps) estimate of ||f||_1 — the
 // ScalarQuerier capability.
-func (e *L1Estimator) Estimate() float64 {
-	queryGuard(e != nil && (e.strict != nil || e.general != nil), KindL1Estimator, "Estimate")
-	if e.strict != nil {
-		return e.strict.Estimate()
-	}
-	return e.general.Estimate()
-}
+func (e *L1Estimator) Estimate() float64 { return e.use("Estimate").Estimate() }
 
 // SampleLevel returns j*, the oldest live level of the interval
 // schedule, whose counters answer Estimate: they sample the stream at
 // rate s^-j*, and 0 means every unit is counted. Both variants sit on
 // the schedule, the strict one with a Morris clock.
-func (e *L1Estimator) SampleLevel() int {
-	queryGuard(e != nil && (e.strict != nil || e.general != nil), KindL1Estimator, "SampleLevel")
-	if e.strict != nil {
-		return e.strict.Level()
-	}
-	return e.general.Level()
-}
-
-// SpaceBits reports the structure's space.
-func (e *L1Estimator) SpaceBits() int64 {
-	queryGuard(e != nil && (e.strict != nil || e.general != nil), KindL1Estimator, "SpaceBits")
-	if e.strict != nil {
-		return e.strict.SpaceBits()
-	}
-	return e.general.SpaceBits()
-}
+func (e *L1Estimator) SampleLevel() int { return e.use("SampleLevel").Level() }
 
 // L0Estimator estimates the support size ||f||_0 of an L0 alpha-property
 // stream to (1 +- eps) (Figure 7 / Theorem 10): only O(log(alpha/eps))
 // subsampling rows are kept live, replacing the turnstile
 // eps^-2 log n with eps^-2 log(alpha/eps) + log n.
-type L0Estimator struct {
-	shape
-	impl *l0.Estimator
-}
+type L0Estimator struct{ of[L0Estimator, *l0.Estimator] }
 
 // NewL0Estimator builds the windowed estimator.
 func NewL0Estimator(cfg Config, opts ...Option) (*L0Estimator, error) {
 	if _, err := buildOptions("NewL0Estimator", cfg, opts); err != nil {
 		return nil, err
 	}
-	return &L0Estimator{
-		shape: shape{KindL0Estimator, cfg, echo{}},
-		impl:  l0.NewEstimator(cfg.rng(), l0Params(cfg)),
-	}, nil
+	return wrap[L0Estimator](shape{KindL0Estimator, cfg, echo{}}, l0.NewEstimator(cfg.rng(), l0Params(cfg))), nil
 }
 
 // l0Params are the Figure 7 estimator's parameters at cfg.
@@ -398,36 +339,17 @@ func l0Params(cfg Config) l0.Params {
 	return l0.Params{N: cfg.N, Eps: cfg.Eps, Windowed: true, Window: l0.RecommendedWindow(cfg.Alpha, cfg.Eps)}
 }
 
-// Update feeds one stream update.
-func (e *L0Estimator) Update(i uint64, delta int64) { e.impl.Update(i, delta) }
-
-// UpdateBatch feeds a batch of updates in one call.
-func (e *L0Estimator) UpdateBatch(batch []Update) { core.UpdateBatch(e.UpdateColumns, batch) }
-
-// UpdateColumns feeds a pre-planned columnar batch: the column is cut
-// at the items that move the row window and each run between cuts is
-// hashed and applied in bulk, bit-identical to per-item Update.
-func (e *L0Estimator) UpdateColumns(b *Batch) { e.impl.UpdateColumns(b) }
-
 // Estimate returns the (1 +- eps) estimate of ||f||_0 — the
 // ScalarQuerier capability.
 func (e *L0Estimator) Estimate() float64 {
-	queryGuard(e != nil && e.impl != nil, KindL0Estimator, "Estimate")
-	return e.impl.Estimate()
+	return e.use("Estimate").Estimate()
 }
 
 // LiveRows reports how many subsampling rows are currently maintained —
 // O(log(alpha/eps)) for this windowed structure versus log(n) for the
 // unbounded-deletion baseline.
 func (e *L0Estimator) LiveRows() int {
-	queryGuard(e != nil && e.impl != nil, KindL0Estimator, "LiveRows")
-	return e.impl.LiveRows()
-}
-
-// SpaceBits reports the structure's space.
-func (e *L0Estimator) SpaceBits() int64 {
-	queryGuard(e != nil && e.impl != nil, KindL0Estimator, "SpaceBits")
-	return e.impl.SpaceBits()
+	return e.use("LiveRows").LiveRows()
 }
 
 // Sample is a successful L1 sample: an index drawn with probability
@@ -437,8 +359,7 @@ type Sample = sampler.Result
 // L1Sampler is the Figure 3 / Theorem 5 perfect L1 sampler for strict
 // turnstile strong alpha-property streams.
 type L1Sampler struct {
-	shape
-	impl *sampler.Sampler
+	of[L1Sampler, *sampler.Sampler]
 }
 
 // NewL1Sampler builds the sampler. WithCopies sets the number of
@@ -450,10 +371,7 @@ func NewL1Sampler(cfg Config, opts ...Option) (*L1Sampler, error) {
 		return nil, err
 	}
 	copies := samplerCopies(cfg, o.copies)
-	return &L1Sampler{
-		shape: shape{KindL1Sampler, cfg, echo{copies: copies}},
-		impl:  sampler.New(cfg.rng(), samplerParams(cfg), copies),
-	}, nil
+	return wrap[L1Sampler](shape{KindL1Sampler, cfg, echo{copies: copies}}, sampler.New(cfg.rng(), samplerParams(cfg), copies)), nil
 }
 
 // samplerCopies is the sampler's instance count: copies, or 2/eps (at
@@ -470,35 +388,16 @@ func samplerParams(cfg Config) sampler.Params {
 	return sampler.Params{N: cfg.N, Eps: cfg.Eps, Alpha: cfg.Alpha}
 }
 
-// Update feeds one stream update.
-func (s *L1Sampler) Update(i uint64, delta int64) { s.impl.Update(i, delta) }
-
-// UpdateBatch feeds a batch of updates in one call; the distinct-index
-// candidate refresh is computed once and shared across the sampler's
-// parallel copies.
-func (s *L1Sampler) UpdateBatch(batch []Update) { core.UpdateBatch(s.UpdateColumns, batch) }
-
-// UpdateColumns feeds a pre-planned columnar batch.
-func (s *L1Sampler) UpdateColumns(b *Batch) { s.impl.UpdateColumns(b) }
-
 // Sample draws one sample — the SampleQuerier capability; ok is false
 // when every instance FAILed (the sampler never fabricates an index).
 func (s *L1Sampler) Sample() (Sample, bool) {
-	queryGuard(s != nil && s.impl != nil, KindL1Sampler, "Sample")
-	return s.impl.Sample()
-}
-
-// SpaceBits reports the structure's space.
-func (s *L1Sampler) SpaceBits() int64 {
-	queryGuard(s != nil && s.impl != nil, KindL1Sampler, "SpaceBits")
-	return s.impl.SpaceBits()
+	return s.use("Sample").Sample()
 }
 
 // SupportSampler returns at least min(k, ||f||_0) support coordinates of
 // a strict turnstile L0 alpha-property stream (Figure 8 / Theorem 11).
 type SupportSampler struct {
-	shape
-	impl *support.Sampler
+	of[SupportSampler, *support.Sampler]
 }
 
 // NewSupportSampler builds the sampler; WithK sets the number of
@@ -508,10 +407,7 @@ func NewSupportSampler(cfg Config, opts ...Option) (*SupportSampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SupportSampler{
-		shape: shape{KindSupportSampler, cfg, echo{k: o.k}},
-		impl:  support.NewSampler(cfg.rng(), supportParams(cfg, o.k)),
-	}, nil
+	return wrap[SupportSampler](shape{KindSupportSampler, cfg, echo{k: o.k}}, support.NewSampler(cfg.rng(), supportParams(cfg, o.k))), nil
 }
 
 // supportParams are the Figure 8 sampler's parameters at (cfg, k).
@@ -519,29 +415,15 @@ func supportParams(cfg Config, k int) support.Params {
 	return support.Params{N: cfg.N, K: k, Windowed: true, Window: support.RecommendedWindow(cfg.Alpha)}
 }
 
-// Update feeds one stream update.
-func (s *SupportSampler) Update(i uint64, delta int64) { s.impl.Update(i, delta) }
-
-// UpdateBatch feeds a batch of updates in one call.
-func (s *SupportSampler) UpdateBatch(batch []Update) { core.UpdateBatch(s.UpdateColumns, batch) }
-
-// UpdateColumns feeds a pre-planned columnar batch: each item is
-// hashed once for all levels, the column is cut at the items that move
-// the level window and each run between cuts is applied in bulk,
-// bit-identical to per-item Update.
-func (s *SupportSampler) UpdateColumns(b *Batch) { s.impl.UpdateColumns(b) }
-
 // Recover returns distinct support coordinates, sorted.
 func (s *SupportSampler) Recover() []uint64 {
-	queryGuard(s != nil && s.impl != nil, KindSupportSampler, "Recover")
-	return s.impl.Recover()
+	return s.use("Recover").Recover()
 }
 
 // Members returns the recovered support coordinates — the SetQuerier
 // capability (an alias of Recover).
 func (s *SupportSampler) Members() []uint64 {
-	queryGuard(s != nil && s.impl != nil, KindSupportSampler, "Members")
-	return s.impl.Recover()
+	return s.use("Members").Recover()
 }
 
 // Contains reports whether i belongs to the sampler's recovered
@@ -550,8 +432,7 @@ func (s *SupportSampler) Members() []uint64 {
 // probe is cheaper than materializing Recover's whole union; the
 // verdict equals membership in Recover().
 func (s *SupportSampler) Contains(i uint64) bool {
-	queryGuard(s != nil && s.impl != nil, KindSupportSampler, "Contains")
-	return s.impl.Contains(i)
+	return s.use("Contains").Contains(i)
 }
 
 // ProbeBatch returns Contains for every index, in input order — the
@@ -560,28 +441,23 @@ func (s *SupportSampler) Contains(i uint64) bool {
 // once per batch (the dominant probe cost), instead of once per index;
 // verdicts are identical to per-index Contains calls.
 func (s *SupportSampler) ProbeBatch(idxs []uint64) []bool {
-	queryGuard(s != nil && s.impl != nil, KindSupportSampler, "ProbeBatch")
+	impl := s.use("ProbeBatch")
 	out := make([]bool, len(idxs))
 	if len(idxs) == 0 {
 		return out
 	}
 	b := core.GetBatch()
-	s.impl.ProbeBatch(b, idxs, out)
+	impl.ProbeBatch(b, idxs, out)
 	core.PutBatch(b)
 	return out
 }
 
-// SpaceBits reports the structure's space.
-func (s *SupportSampler) SpaceBits() int64 {
-	queryGuard(s != nil && s.impl != nil, KindSupportSampler, "SpaceBits")
-	return s.impl.SpaceBits()
-}
-
 // InnerProduct estimates <f, g> between two alpha-property streams to
-// additive eps ||f||_1 ||g||_1 (Theorem 2).
+// additive eps ||f||_1 ||g||_1 (Theorem 2). Its Sketch ingest (Update,
+// UpdateBatch, UpdateColumns) feeds the first stream f; UpdateG,
+// UpdateBatchG and UpdateColumnsG feed the second stream g.
 type InnerProduct struct {
-	shape
-	impl *inner.Estimator
+	of[InnerProduct, *inner.Estimator]
 }
 
 // NewInnerProduct builds the estimator. The sample budget grows with
@@ -594,53 +470,36 @@ func NewInnerProduct(cfg Config, opts ...Option) (*InnerProduct, error) {
 	if base < 16 {
 		base = 16
 	}
-	return &InnerProduct{
-		shape: shape{KindInnerProduct, cfg, echo{}},
-		impl: inner.New(cfg.rng(), inner.Params{
-			N: cfg.N, Eps: cfg.Eps, Base: base, Rows: 5,
-		}),
-	}, nil
+	return wrap[InnerProduct](shape{KindInnerProduct, cfg, echo{}}, inner.New(cfg.rng(), inner.Params{
+		N: cfg.N, Eps: cfg.Eps, Base: base, Rows: 5,
+	})), nil
 }
 
-// Update feeds an update to the FIRST stream f — the Sketch-interface
-// ingest path. Use UpdateG for the second stream g.
-func (ip *InnerProduct) Update(i uint64, delta int64) { ip.impl.UpdateF(i, delta) }
-
-// UpdateBatch feeds a batch of updates to the first stream f.
-func (ip *InnerProduct) UpdateBatch(batch []Update) { core.UpdateBatch(ip.UpdateColumns, batch) }
-
 // UpdateF feeds an update to the first stream (alias of Update).
-func (ip *InnerProduct) UpdateF(i uint64, delta int64) { ip.impl.UpdateF(i, delta) }
+func (ip *InnerProduct) UpdateF(i uint64, delta int64) { ip.use("UpdateF").UpdateF(i, delta) }
 
 // UpdateG feeds an update to the second stream.
-func (ip *InnerProduct) UpdateG(i uint64, delta int64) { ip.impl.UpdateG(i, delta) }
+func (ip *InnerProduct) UpdateG(i uint64, delta int64) { ip.use("UpdateG").UpdateG(i, delta) }
 
 // UpdateBatchF feeds a batch of updates to the first stream (alias of
 // UpdateBatch).
-func (ip *InnerProduct) UpdateBatchF(batch []Update) { core.UpdateBatch(ip.UpdateColumns, batch) }
+func (ip *InnerProduct) UpdateBatchF(batch []Update) {
+	core.UpdateBatch(ip.use("UpdateBatchF").UpdateColumnsF, batch)
+}
 
 // UpdateBatchG feeds a batch of updates to the second stream.
-func (ip *InnerProduct) UpdateBatchG(batch []Update) { core.UpdateBatch(ip.UpdateColumnsG, batch) }
-
-// UpdateColumns feeds a pre-planned columnar batch to the first
-// stream; UpdateColumnsG feeds the second.
-func (ip *InnerProduct) UpdateColumns(b *Batch) { ip.impl.UpdateColumnsF(b) }
+func (ip *InnerProduct) UpdateBatchG(batch []Update) {
+	core.UpdateBatch(ip.use("UpdateBatchG").UpdateColumnsG, batch)
+}
 
 // UpdateColumnsG feeds a pre-planned columnar batch to the second
 // stream.
-func (ip *InnerProduct) UpdateColumnsG(b *Batch) { ip.impl.UpdateColumnsG(b) }
+func (ip *InnerProduct) UpdateColumnsG(b *Batch) { ip.use("UpdateColumnsG").UpdateColumnsG(b) }
 
 // Estimate returns the inner-product estimate — the ScalarQuerier
 // capability.
 func (ip *InnerProduct) Estimate() float64 {
-	queryGuard(ip != nil && ip.impl != nil, KindInnerProduct, "Estimate")
-	return ip.impl.Estimate()
-}
-
-// SpaceBits reports the structure's space.
-func (ip *InnerProduct) SpaceBits() int64 {
-	queryGuard(ip != nil && ip.impl != nil, KindInnerProduct, "SpaceBits")
-	return ip.impl.SpaceBits()
+	return ip.use("Estimate").Estimate()
 }
 
 // ErrDense is returned by SyncSketch.Decode when the sketched difference
@@ -652,10 +511,11 @@ var ErrDense = sparse.ErrDense
 // sketch with the same Seed, one ships its serialized sketch to the
 // other, the receiver subtracts it, and Decode returns exactly the
 // coordinates on which the two frequency vectors differ — provided
-// there are at most `capacity` of them (otherwise ErrDense).
+// there are at most `capacity` of them (otherwise ErrDense). The sketch
+// is linear, so Merge sums frequency vectors: shard-local sync sketches
+// merge into the sketch of the full stream before an exchange.
 type SyncSketch struct {
-	shape
-	impl *sparse.Recovery
+	of[SyncSketch, *sparse.Recovery]
 }
 
 // NewSyncSketch builds a sketch able to recover up to WithCapacity
@@ -666,22 +526,8 @@ func NewSyncSketch(cfg Config, opts ...Option) (*SyncSketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SyncSketch{
-		shape: shape{KindSyncSketch, cfg, echo{capacity: o.capacity}},
-		impl:  sparse.NewRecovery(cfg.rng(), o.capacity, cfg.N),
-	}, nil
+	return wrap[SyncSketch](shape{KindSyncSketch, cfg, echo{capacity: o.capacity}}, sparse.NewRecovery(cfg.rng(), o.capacity, cfg.N)), nil
 }
-
-// Update feeds one stream update.
-func (s *SyncSketch) Update(i uint64, delta int64) { s.impl.Update(i, delta) }
-
-// UpdateBatch feeds a batch of updates in one call.
-func (s *SyncSketch) UpdateBatch(batch []Update) { core.UpdateBatch(s.UpdateColumns, batch) }
-
-// UpdateColumns feeds a pre-planned columnar batch: the fingerprint
-// column is hashed once and each IBLT subtable applies it in one
-// cache-friendly sweep.
-func (s *SyncSketch) UpdateColumns(b *Batch) { s.impl.UpdateColumns(b) }
 
 // SubRemote subtracts a peer's serialized sketch (built with the same
 // Config and capacity) from this one, leaving the sketch of the
@@ -719,18 +565,11 @@ func (s *SyncSketch) Decode() (map[uint64]int64, error) {
 	return s.impl.Decode()
 }
 
-// SpaceBits reports the structure's space.
-func (s *SyncSketch) SpaceBits() int64 {
-	queryGuard(s != nil && s.impl != nil, KindSyncSketch, "SpaceBits")
-	return s.impl.SpaceBits()
-}
-
 // L2HeavyHitters answers L2 heavy hitters queries on alpha-property
 // streams (Appendix A): every i with |f_i| >= eps ||f||_2 is returned
 // and no i with |f_i| < (eps/2) ||f||_2, using O((alpha/eps)^2) space.
 type L2HeavyHitters struct {
-	shape
-	impl *heavy.AlphaL2
+	of[L2HeavyHitters, *heavy.AlphaL2]
 }
 
 // NewL2HeavyHitters builds the Appendix A structure.
@@ -738,58 +577,34 @@ func NewL2HeavyHitters(cfg Config, opts ...Option) (*L2HeavyHitters, error) {
 	if _, err := buildOptions("NewL2HeavyHitters", cfg, opts); err != nil {
 		return nil, err
 	}
-	return &L2HeavyHitters{
-		shape: shape{KindL2HeavyHitters, cfg, echo{}},
-		impl:  heavy.NewAlphaL2(cfg.rng(), cfg.N, cfg.Eps, cfg.Alpha),
-	}, nil
+	return wrap[L2HeavyHitters](shape{KindL2HeavyHitters, cfg, echo{}}, heavy.NewAlphaL2(cfg.rng(), cfg.N, cfg.Eps, cfg.Alpha)), nil
 }
-
-// Update feeds one stream update.
-func (h *L2HeavyHitters) Update(i uint64, delta int64) { h.impl.Update(i, delta) }
-
-// UpdateBatch feeds a batch of updates in one call.
-func (h *L2HeavyHitters) UpdateBatch(batch []Update) { core.UpdateBatch(h.UpdateColumns, batch) }
-
-// UpdateColumns feeds a pre-planned columnar batch to both the
-// insertion-pass and verifier Count-Sketches.
-func (h *L2HeavyHitters) UpdateColumns(b *Batch) { h.impl.UpdateColumns(b) }
 
 // HeavyHitters returns the detected heavy coordinates, sorted.
 func (h *L2HeavyHitters) HeavyHitters() []uint64 {
-	queryGuard(h != nil && h.impl != nil, KindL2HeavyHitters, "HeavyHitters")
-	return h.impl.HeavyHitters()
+	return h.use("HeavyHitters").HeavyHitters()
 }
 
 // Members returns the heavy-hitter set — the SetQuerier capability
 // (an alias of HeavyHitters).
 func (h *L2HeavyHitters) Members() []uint64 {
-	queryGuard(h != nil && h.impl != nil, KindL2HeavyHitters, "Members")
-	return h.impl.HeavyHitters()
+	return h.use("Members").HeavyHitters()
 }
 
 // Estimate returns the verification Count-Sketch's point estimate of
 // f_i — the value the L2 decision rule thresholds.
 func (h *L2HeavyHitters) Estimate(i uint64) float64 {
-	queryGuard(h != nil && h.impl != nil, KindL2HeavyHitters, "Estimate")
-	return h.impl.Query(i)
+	return h.use("Estimate").Query(i)
 }
 
 // EstimateBatch returns the point estimate of every index in one
 // batched read (see HeavyHitters.EstimateBatch).
 func (h *L2HeavyHitters) EstimateBatch(idxs []uint64) []float64 {
-	queryGuard(h != nil && h.impl != nil, KindL2HeavyHitters, "EstimateBatch")
-	return estimateBatchImpl(h.impl, idxs)
+	return estimateBatchImpl(h.use("EstimateBatch"), idxs)
 }
 
 // EstimateColumns fills out[j] with the point estimate of b.Idx[j],
 // reusing b's hash-column scratch (see HeavyHitters.EstimateColumns).
 func (h *L2HeavyHitters) EstimateColumns(b *Batch, out []float64) {
-	queryGuard(h != nil && h.impl != nil, KindL2HeavyHitters, "EstimateColumns")
-	estimateColumnsImpl(h.impl, b, out)
-}
-
-// SpaceBits reports the structure's space.
-func (h *L2HeavyHitters) SpaceBits() int64 {
-	queryGuard(h != nil && h.impl != nil, KindL2HeavyHitters, "SpaceBits")
-	return h.impl.SpaceBits()
+	estimateColumnsImpl(h.use("EstimateColumns"), b, out)
 }

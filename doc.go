@@ -387,11 +387,14 @@
 // SyncSketch.Decode peels a scratch copy of the cells, so answers
 // repeat and marshaled bytes do not depend on what was asked before.
 //
-// Query methods on a zero-value structure (never constructed, or left
-// untouched by a failed UnmarshalBinary) panic with a diagnostic that
-// names the structure and the fix ("construct with NewX or restore
-// with UnmarshalBinary first") instead of nil-panicking deep inside an
-// internal package.
+// Every method on a zero-value structure (never constructed, or left
+// untouched by a failed UnmarshalBinary) — its queries, Update,
+// UpdateBatch, UpdateColumns, SpaceBits, Clone and CloneInto — panics
+// with a diagnostic that names the structure and the fix ("construct
+// with NewX or restore with UnmarshalBinary first") instead of
+// nil-panicking deep inside an internal package. Merge, MarshalBinary
+// and SyncSketch's SubRemote and Decode return it as an error, and
+// UnmarshalBinary is the fix: it works on a zero value.
 //
 // # Concurrency and the sharded ingest engine
 //

@@ -65,10 +65,13 @@ func (a applyShard) UpdateColumns(b *core.Batch) {
 // publish runs in the shard's goroutine, after each applied batch and
 // after a restore: one atomic store per regime gauge.
 func (a applyShard) publish() {
-	if hh, ok := a.e.sets[a.s][0].(*bounded.HeavyHitters); ok { // kinds[0]
+	set := a.e.sets[a.s]
+	hhRow, _ := HeavyHitters.row()
+	if hh, ok := set[hhRow].(*bounded.HeavyHitters); ok {
 		a.e.met.csssExponent[a.s].Set(int64(hh.SampleExponent()))
 	}
-	if l1, ok := a.e.sets[a.s][1].(*bounded.L1Estimator); ok { // kinds[1]
+	l1Row, _ := L1Estimator.row()
+	if l1, ok := set[l1Row].(*bounded.L1Estimator); ok {
 		a.e.met.l1Level[a.s].Set(int64(l1.SampleLevel()))
 	}
 }

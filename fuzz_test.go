@@ -81,8 +81,8 @@ func craftedL1Windows(f *testing.F, cfg Config) [][]byte {
 			f.Fatalf("crafted window %d refused: %v", i, err)
 		}
 		s.Update(1, 1)
-		if again := must(UnmarshalSketch(must(s.MarshalBinary()))); again.(*L1Estimator).strict.LiveLevels() > 2 {
-			f.Fatalf("crafted window %d still holds %d levels after an update", i, again.(*L1Estimator).strict.LiveLevels())
+		if again := must(UnmarshalSketch(must(s.MarshalBinary()))); again.(*L1Estimator).impl.(strictL1).LiveLevels() > 2 {
+			f.Fatalf("crafted window %d still holds %d levels after an update", i, again.(*L1Estimator).impl.(strictL1).LiveLevels())
 		}
 	}
 	return out

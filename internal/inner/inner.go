@@ -126,6 +126,13 @@ func New(rng *rand.Rand, params Params) *Estimator {
 // UpdateF feeds an update to the first stream.
 func (e *Estimator) UpdateF(i uint64, delta int64) { e.update(e.f, i, delta) }
 
+// Update is UpdateF: a single-stream caller (the public Sketch ingest
+// path) feeds the first stream.
+func (e *Estimator) Update(i uint64, delta int64) { e.update(e.f, i, delta) }
+
+// UpdateColumns is UpdateColumnsF, for the same callers.
+func (e *Estimator) UpdateColumns(b *core.Batch) { e.updateColumns(e.f, b) }
+
 // UpdateG feeds an update to the second stream.
 func (e *Estimator) UpdateG(i uint64, delta int64) { e.update(e.g, i, delta) }
 

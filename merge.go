@@ -12,7 +12,8 @@ package bounded
 // sketch.go it also crosses process boundaries: marshal on one machine,
 // unmarshal on another, Merge there.
 //
-// Contract shared by every Merge below (the Sketch interface contract):
+// Contract of Merge, written once for every kind as of.Merge in body.go
+// (the Sketch interface contract):
 //
 //   - other must be the same concrete type as the receiver and both
 //     structures must have been built with identical Config and
@@ -47,7 +48,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"repro/internal/core"
 	"repro/internal/heavy"
 )
 
@@ -72,15 +72,7 @@ func Compatible(a, b Sketch) error {
 	if !ok {
 		return fmt.Errorf("bounded: %T is not a structure of this package", a)
 	}
-	want := as.shapeOf()
-	if want.kind == 0 {
-		return fmt.Errorf("bounded: merge into zero-value %T (construct or UnmarshalBinary first)", a)
-	}
-	bs, ok := b.(structure)
-	if !ok || reflect.TypeOf(a) != reflect.TypeOf(b) || reflect.ValueOf(b).IsNil() {
-		return mergeTypeError(want.kind, b)
-	}
-	return want.admits(bs.shapeOf())
+	return as.compatible(b)
 }
 
 // admits reports whether a state of shape other may be combined with
@@ -141,210 +133,12 @@ type kWay interface {
 	mergeAll(dst Sketch, others []Sketch) (Sketch, error)
 }
 
-// impls returns the implementations of others, of concrete type *T.
-func impls[T, I any](others []Sketch, impl func(*T) I) []I {
-	out := make([]I, len(others))
-	for j, o := range others {
-		out[j] = impl(any(o).(*T))
-	}
-	return out
-}
-
-// reuse returns dst when it is a *T, to be overwritten by CloneInto, and
-// a new T otherwise.
-func reuse[T any](dst Sketch) *T {
-	d, _ := any(dst).(*T)
-	return core.OrNew(d)
-}
-
-// Merge folds another HeavyHitters built from the same Config into this
-// one; afterwards queries answer for the union of both input streams.
-func (h *HeavyHitters) Merge(other Sketch) error {
-	if err := Compatible(h, other); err != nil {
-		return err
-	}
-	return h.impl.Merge(other.(*HeavyHitters).impl)
-}
-
 // mergeAll is MergeAll's k-way pass (heavy.AlphaL1.MergeAll).
 func (h *HeavyHitters) mergeAll(dst Sketch, others []Sketch) (Sketch, error) {
-	d := reuse[HeavyHitters](dst)
-	impl, err := h.impl.MergeAll(d.impl, impls(others, func(o *HeavyHitters) *heavy.AlphaL1 { return o.impl }))
-	if err != nil {
-		return nil, err
-	}
-	*d = HeavyHitters{shape: h.shape, impl: impl}
-	return d, nil
-}
-
-// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
-func (h *HeavyHitters) CloneInto(dst Sketch) Sketch {
-	d := reuse[HeavyHitters](dst)
-	*d = HeavyHitters{shape: h.shape, impl: h.impl.CloneInto(d.impl)}
-	return d
-}
-
-// Clone returns a deep snapshot.
-func (h *HeavyHitters) Clone() Sketch { return h.CloneInto(nil) }
-
-// Merge folds another L1Estimator built from the same Config (and the
-// same strict flag) into this one.
-func (e *L1Estimator) Merge(other Sketch) error {
-	if err := Compatible(e, other); err != nil {
-		return err
-	}
-	o := other.(*L1Estimator)
-	if e.strict != nil {
-		return e.strict.Merge(o.strict)
-	}
-	return e.general.Merge(o.general)
-}
-
-// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
-func (e *L1Estimator) CloneInto(dst Sketch) Sketch {
-	d := reuse[L1Estimator](dst)
-	c := L1Estimator{shape: e.shape}
-	if e.strict != nil {
-		c.strict = e.strict.CloneInto(d.strict)
-	} else {
-		c.general = e.general.CloneInto(d.general)
-	}
-	*d = c
-	return d
-}
-
-// Clone returns a deep snapshot.
-func (e *L1Estimator) Clone() Sketch { return e.CloneInto(nil) }
-
-// Merge folds another L0Estimator built from the same Config into this
-// one.
-func (e *L0Estimator) Merge(other Sketch) error {
-	if err := Compatible(e, other); err != nil {
-		return err
-	}
-	return e.impl.Merge(other.(*L0Estimator).impl)
-}
-
-// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
-func (e *L0Estimator) CloneInto(dst Sketch) Sketch {
-	d := reuse[L0Estimator](dst)
-	*d = L0Estimator{shape: e.shape, impl: e.impl.CloneInto(d.impl)}
-	return d
-}
-
-// Clone returns a deep snapshot.
-func (e *L0Estimator) Clone() Sketch { return e.CloneInto(nil) }
-
-// Merge folds another L1Sampler built from the same Config and copy
-// count into this one.
-func (s *L1Sampler) Merge(other Sketch) error {
-	if err := Compatible(s, other); err != nil {
-		return err
-	}
-	return s.impl.Merge(other.(*L1Sampler).impl)
-}
-
-// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
-func (s *L1Sampler) CloneInto(dst Sketch) Sketch {
-	d := reuse[L1Sampler](dst)
-	*d = L1Sampler{shape: s.shape, impl: s.impl.CloneInto(d.impl)}
-	return d
-}
-
-// Clone returns a deep snapshot.
-func (s *L1Sampler) Clone() Sketch { return s.CloneInto(nil) }
-
-// Merge folds another SupportSampler built from the same Config and k
-// into this one.
-func (s *SupportSampler) Merge(other Sketch) error {
-	if err := Compatible(s, other); err != nil {
-		return err
-	}
-	return s.impl.Merge(other.(*SupportSampler).impl)
-}
-
-// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
-func (s *SupportSampler) CloneInto(dst Sketch) Sketch {
-	d := reuse[SupportSampler](dst)
-	*d = SupportSampler{shape: s.shape, impl: s.impl.CloneInto(d.impl)}
-	return d
-}
-
-// Clone returns a deep snapshot.
-func (s *SupportSampler) Clone() Sketch { return s.CloneInto(nil) }
-
-// Merge folds another InnerProduct built from the same Config into this
-// one: both of its stream sketches are linear, so the result estimates
-// the inner product of the concatenated f streams and concatenated g
-// streams.
-func (ip *InnerProduct) Merge(other Sketch) error {
-	if err := Compatible(ip, other); err != nil {
-		return err
-	}
-	return ip.impl.Merge(other.(*InnerProduct).impl)
-}
-
-// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
-func (ip *InnerProduct) CloneInto(dst Sketch) Sketch {
-	d := reuse[InnerProduct](dst)
-	*d = InnerProduct{shape: ip.shape, impl: ip.impl.CloneInto(d.impl)}
-	return d
-}
-
-// Clone returns a deep snapshot.
-func (ip *InnerProduct) Clone() Sketch { return ip.CloneInto(nil) }
-
-// Merge folds another L2HeavyHitters built from the same Config into
-// this one.
-func (h *L2HeavyHitters) Merge(other Sketch) error {
-	if err := Compatible(h, other); err != nil {
-		return err
-	}
-	return h.impl.Merge(other.(*L2HeavyHitters).impl)
+	return h.unionInto(dst, others, (*heavy.AlphaL1).MergeAll)
 }
 
 // mergeAll is MergeAll's k-way pass (heavy.AlphaL2.MergeAll).
 func (h *L2HeavyHitters) mergeAll(dst Sketch, others []Sketch) (Sketch, error) {
-	d := reuse[L2HeavyHitters](dst)
-	impl, err := h.impl.MergeAll(d.impl, impls(others, func(o *L2HeavyHitters) *heavy.AlphaL2 { return o.impl }))
-	if err != nil {
-		return nil, err
-	}
-	*d = L2HeavyHitters{shape: h.shape, impl: impl}
-	return d, nil
+	return h.unionInto(dst, others, (*heavy.AlphaL2).MergeAll)
 }
-
-// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
-func (h *L2HeavyHitters) CloneInto(dst Sketch) Sketch {
-	d := reuse[L2HeavyHitters](dst)
-	*d = L2HeavyHitters{shape: h.shape, impl: h.impl.CloneInto(d.impl)}
-	return d
-}
-
-// Clone returns a deep snapshot.
-func (h *L2HeavyHitters) Clone() Sketch { return h.CloneInto(nil) }
-
-// Merge folds another SyncSketch built from the same Config and
-// capacity into this one: the sketch is linear, so the result sketches
-// the sum of both frequency vectors — shard-local sync sketches merge
-// into the sketch of the full stream before an exchange.
-func (s *SyncSketch) Merge(other Sketch) error {
-	if err := Compatible(s, other); err != nil {
-		return err
-	}
-	return s.impl.Merge(other.(*SyncSketch).impl)
-}
-
-// CloneInto returns a deep snapshot written into dst (Sketch.CloneInto).
-func (s *SyncSketch) CloneInto(dst Sketch) Sketch {
-	d := reuse[SyncSketch](dst)
-	c := SyncSketch{shape: s.shape}
-	if s.impl != nil {
-		c.impl = s.impl.CloneInto(d.impl)
-	}
-	*d = c
-	return d
-}
-
-// Clone returns a deep snapshot.
-func (s *SyncSketch) Clone() Sketch { return s.CloneInto(nil) }

@@ -33,10 +33,13 @@ import "fmt"
 // single-goroutine for queries AND updates (shard across instances, or
 // use the engine, for parallel readers).
 //
-// Query methods on a zero-value structure (never constructed, or left
-// untouched by a failed UnmarshalBinary) fail fast with a descriptive
-// panic naming the structure and the fix, instead of nil-panicking
-// deep inside an internal package.
+// Every method on a zero-value structure (never constructed, or left
+// untouched by a failed UnmarshalBinary) — a query, an update, a copy —
+// fails fast with a descriptive panic naming the structure and the fix,
+// instead of nil-panicking deep inside an internal package. The one
+// guard is of.use in body.go. Merge and MarshalBinary return the
+// diagnostic as an error instead, as do SyncSketch's SubRemote and
+// Decode.
 
 // PointQuerier answers point queries: Estimate returns the structure's
 // estimate of the frequency f_i.
@@ -138,18 +141,6 @@ func estimateBatchImpl(impl batchPointImpl, idxs []uint64) []float64 {
 func estimateColumnsImpl(impl batchPointImpl, b *Batch, out []float64) {
 	outGuard("EstimateColumns", b.Len(), len(out))
 	impl.QueryColumns(b, b.Idx, out)
-}
-
-// queryGuard backs the zero-value hardening of every query method: a
-// zero-value receiver has no impl wiring, and without the guard a
-// query nil-panics deep inside an internal package with a message that
-// names nothing the caller wrote. constructed is the receiver's
-// "impl present" condition, checked on the CONCRETE pointer.
-func queryGuard(constructed bool, kind Kind, method string) {
-	if !constructed {
-		panic(fmt.Sprintf("bounded: %s on zero-value %s (construct with New%s or restore with UnmarshalBinary first)",
-			method, kind, kind))
-	}
 }
 
 // outGuard validates a caller-supplied EstimateColumns output column.

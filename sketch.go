@@ -84,8 +84,13 @@ const (
 // kindTable is the one enumeration of the wire kinds: per kind, its
 // name, its constructor (what a blob is decoded through, and the
 // compile-time proof that every public structure is a Sketch) and the
-// least length of its state. A ninth structure is one constant and one
-// row; a kind in range always has a row.
+// least length of its state; a kind in range always has a row. A ninth
+// structure is one constant, one row, and a public type that embeds
+// of[P, T] (body.go) over an internal structure T satisfying
+// implementation: the body supplies its Sketch methods and zero-value
+// guard, so the type writes only its constructor, its query methods
+// (each through use) and its MarshalBinary/UnmarshalBinary one-liners.
+// An engine kind is one more row in engine's kinds table.
 var kindTable = [...]struct {
 	name  string
 	build func(Config, ...Option) (Sketch, error)
@@ -138,11 +143,11 @@ func (k Kind) String() string {
 }
 
 // shape is what a structure is built from: its kind, its Config and the
-// options echo. Every public structure embeds the one its constructor
-// gave it (a zero value holds the zero shape); the envelope carries it,
-// the decoder rebuilds the structure from it, and Merge requires it to
-// be equal on both sides — the one check that stands for every
-// dimension, prime and hash wiring, which are all functions of it.
+// options echo. Every public structure's body (of) holds the one its
+// constructor gave it (a zero value holds the zero shape); the envelope
+// carries it, the decoder rebuilds the structure from it, and Merge
+// requires it to be equal on both sides — the one check that stands for
+// every dimension, prime and hash wiring, which are all functions of it.
 type shape struct {
 	kind Kind
 	cfg  Config
@@ -159,11 +164,12 @@ type state interface {
 }
 
 // structure is what every public structure is beneath the Sketch
-// interface: a shape and a state.
+// interface: a shape and a state, and the check Compatible runs.
 type structure interface {
 	Sketch
 	shapeOf() shape
 	state() state
+	compatible(other Sketch) error
 }
 
 // refillable is a structure a decode may refill in place: reset puts
@@ -403,8 +409,6 @@ func (h *HeavyHitters) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(h, data, KindHeavyHitters)
 }
 
-func (h *HeavyHitters) state() state { return h.impl }
-
 func (h *HeavyHitters) reset() { h.impl.Reset() }
 
 // MarshalBinary serializes the estimator.
@@ -415,20 +419,7 @@ func (e *L1Estimator) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(e, data, KindL1Estimator)
 }
 
-func (e *L1Estimator) reset() {
-	if e.strict != nil {
-		e.strict.Reset()
-	} else {
-		e.general.Reset()
-	}
-}
-
-func (e *L1Estimator) state() state {
-	if e.strict != nil {
-		return e.strict
-	}
-	return e.general
-}
+func (e *L1Estimator) reset() { e.impl.Reset() }
 
 // MarshalBinary serializes the estimator.
 func (e *L0Estimator) MarshalBinary() ([]byte, error) { return appendBinary(nil, e, KindL0Estimator) }
@@ -438,8 +429,6 @@ func (e *L0Estimator) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(e, data, KindL0Estimator)
 }
 
-func (e *L0Estimator) state() state { return e.impl }
-
 // MarshalBinary serializes the sampler.
 func (s *L1Sampler) MarshalBinary() ([]byte, error) { return appendBinary(nil, s, KindL1Sampler) }
 
@@ -447,8 +436,6 @@ func (s *L1Sampler) MarshalBinary() ([]byte, error) { return appendBinary(nil, s
 func (s *L1Sampler) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(s, data, KindL1Sampler)
 }
-
-func (s *L1Sampler) state() state { return s.impl }
 
 // MarshalBinary serializes the sampler.
 func (s *SupportSampler) MarshalBinary() ([]byte, error) {
@@ -460,8 +447,6 @@ func (s *SupportSampler) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(s, data, KindSupportSampler)
 }
 
-func (s *SupportSampler) state() state { return s.impl }
-
 // MarshalBinary serializes the estimator.
 func (ip *InnerProduct) MarshalBinary() ([]byte, error) {
 	return appendBinary(nil, ip, KindInnerProduct)
@@ -471,8 +456,6 @@ func (ip *InnerProduct) MarshalBinary() ([]byte, error) {
 func (ip *InnerProduct) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(ip, data, KindInnerProduct)
 }
-
-func (ip *InnerProduct) state() state { return ip.impl }
 
 // MarshalBinary serializes the structure.
 func (h *L2HeavyHitters) MarshalBinary() ([]byte, error) {
@@ -484,8 +467,6 @@ func (h *L2HeavyHitters) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(h, data, KindL2HeavyHitters)
 }
 
-func (h *L2HeavyHitters) state() state { return h.impl }
-
 // MarshalBinary serializes the sync sketch in the self-describing
 // envelope every other structure uses.
 func (s *SyncSketch) MarshalBinary() ([]byte, error) { return appendBinary(nil, s, KindSyncSketch) }
@@ -496,5 +477,3 @@ func (s *SyncSketch) MarshalBinary() ([]byte, error) { return appendBinary(nil, 
 func (s *SyncSketch) UnmarshalBinary(data []byte) error {
 	return unmarshalInto(s, data, KindSyncSketch)
 }
-
-func (s *SyncSketch) state() state { return s.impl }
