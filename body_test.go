@@ -65,6 +65,7 @@ func TestPublicMethodSets(t *testing.T) {
 			"Halvings() int64",
 			"HashCandidates()",
 			"HeavyHitters() []uint64",
+			"HeavyHittersOver([]*bounded.HeavyHitters) ([]uint64, error)",
 			"Members() []uint64",
 			"MergeCounts() (int, int)",
 			"RaiseSampleExponent(int) error",

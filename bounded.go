@@ -143,10 +143,12 @@ func (h *HeavyHitters) RaiseSampleExponent(p int) error {
 	return h.use("RaiseSampleExponent").RaiseSampleExponent(p)
 }
 
-// MergeCounts reports the candidates of the last MergeAll or Merge run
-// into h's storage: how many distinct ones its parts held together, and
-// how many it kept — all of them up to the tracker's limit. Before any
-// merge it reports zeros.
+// MergeCounts reports the candidates of the last MergeAll, Merge or
+// Rerank run into h's storage: how many distinct ones its parts held
+// together, and how many it kept — all of them up to the tracker's
+// limit. After a HeavyHittersOver on h it reports that answer's: how
+// many distinct candidates crossed the rule, and how many it returned.
+// Before any of these it reports zeros.
 func (h *HeavyHitters) MergeCounts() (union, kept int) {
 	return h.use("MergeCounts").MergeCounts()
 }
@@ -188,14 +190,41 @@ func (h *HeavyHitters) Shift(add, sub *HeavyHitters) error {
 // for byte as MergeAll(h, parts) would — in O(parts × candidates), not
 // O(parts × table). The parts are read as Merge reads its argument.
 func (h *HeavyHitters) Rerank(parts []*HeavyHitters) error {
+	impls, err := h.impls(parts)
+	if err != nil {
+		return err
+	}
+	return h.impl.Rerank(impls)
+}
+
+// HeavyHittersOver returns what Rerank(parts) followed by HeavyHitters
+// returns — the heavy hitters of the union whose table h holds — and
+// writes none of h's candidates: each part's candidates are estimated
+// against h's table and those crossing the (3 eps / 4) R rule, with R
+// the parts' merged L1 scale, are returned sorted. A union maintained
+// by Shift answers its heavy hitters this way without the re-rank,
+// which only a read of h's own candidates (its encoding, a Merge from
+// it) needs. The parts are read as Merge reads its argument.
+func (h *HeavyHitters) HeavyHittersOver(parts []*HeavyHitters) ([]uint64, error) {
+	body := h.use("HeavyHittersOver")
+	impls, err := h.impls(parts)
+	if err != nil {
+		return nil, err
+	}
+	return body.HeavyHittersOver(impls)
+}
+
+// impls checks that every part combines with h and returns their
+// bodies.
+func (h *HeavyHitters) impls(parts []*HeavyHitters) ([]*heavy.AlphaL1, error) {
 	impls := make([]*heavy.AlphaL1, len(parts))
 	for j, o := range parts {
 		if err := Compatible(h, o); err != nil {
-			return err
+			return nil, err
 		}
 		impls[j] = o.impl
 	}
-	return h.impl.Rerank(impls)
+	return impls, nil
 }
 
 // HashCandidates fills the hash columns of h's candidates, which a

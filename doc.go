@@ -531,8 +531,11 @@
 // view's heavy-hitters table by the agent's new table minus its old
 // one (HeavyHitters.Shift — tables at one exponent below the next
 // halving are integer tables, so their union is their sum), and the
-// next query only re-ranks the candidates (HeavyHitters.Rerank),
-// O(agents × candidates) instead of O(agents × state). SNAPSHOTs are
+// next heavy-hitters query applies the threshold rule to the agents'
+// candidates against that table (HeavyHitters.HeavyHittersOver, what
+// HeavyHitters.Rerank and a read would return, without the re-rank),
+// O(agents × candidates) instead of O(agents × state). A query
+// refreshes only the kind it reads. SNAPSHOTs are
 // decoded into retired agent sets (UnmarshalSketchInto): a
 // HeavyHitters or L1Estimator of the blob's shape is refilled in
 // place, neither its tables nor its hash wiring nor its generator

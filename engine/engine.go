@@ -35,9 +35,11 @@ type Options struct {
 	// Structures selects the sketches each shard maintains (default
 	// HeavyHitters).
 	Structures Structures
-	// General selects general-turnstile variants where a structure has
-	// one (heavy hitters' Cauchy L1 scale, the sampled-Cauchy L1
-	// estimator). The default is the strict turnstile model.
+	// General asks for the general turnstile model: the general
+	// variants where a structure has one (heavy hitters' Cauchy L1
+	// scale, the sampled-Cauchy L1 estimator), and New refuses a
+	// structure proven only for strict turnstile streams (the L1 and
+	// support samplers). The default is the strict turnstile model.
 	General bool
 	// SamplerCopies is passed to bounded.NewL1Sampler (0 = its default).
 	SamplerCopies int

@@ -35,21 +35,49 @@ const (
 	SyncSketch
 )
 
+// alphaProperty is the α property of the stream a kind's guarantee
+// assumes (Definition 1 and its variants).
+type alphaProperty uint8
+
+const (
+	alphaNone   alphaProperty = iota // exact whatever the stream: nothing assumed
+	alphaL1                          // ‖I + D‖₁ ≤ α‖f‖₁
+	alphaL0                          // F₀(I + D) ≤ α‖f‖₀
+	alphaL2                          // ‖I + D‖₂ ≤ α‖f‖₂
+	alphaStrong                      // the strong α property of the L1 sampler
+)
+
+func (p alphaProperty) String() string {
+	return [...]string{"no α property", "the L1 α property", "the L0 α property", "the L2 α property", "the strong α property"}[p]
+}
+
+// model is the stream model a kind's guarantee is proven for: the α
+// property it assumes, and whether it also holds in the general
+// turnstile model (a frequency may go negative) or only in the strict
+// one. Options.General asks for the general model; New refuses it for
+// a kind proven only for the strict one.
+type model struct {
+	general bool
+	alpha   alphaProperty
+}
+
 // kinds is the one table of structure kinds: per Structures bit, its
 // command-line name (ParseStructures), the wire kind its snapshots
-// carry and the constructor with its Options plumbing. Rows are in
-// ascending bit order (kinds[i].bit == 1<<i), so a structSet is indexed
-// by row and "each enabled structure" is a loop.
+// carry, the stream model its guarantee is proven for and the
+// constructor with its Options plumbing. Rows are in ascending bit
+// order (kinds[i].bit == 1<<i), so a structSet is indexed by row and
+// "each enabled structure" is a loop.
 var kinds = [...]struct {
 	bit   Structures
 	name  string
 	kind  bounded.Kind
+	model model
 	build func(bounded.Config, Options) (bounded.Sketch, error)
 }{
-	{HeavyHitters, "hh", bounded.KindHeavyHitters, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{HeavyHitters, "hh", bounded.KindHeavyHitters, model{true, alphaL1}, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		return bounded.NewHeavyHitters(cfg, bounded.WithStrict(!o.General))
 	}},
-	{L1Estimator, "l1", bounded.KindL1Estimator, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{L1Estimator, "l1", bounded.KindL1Estimator, model{true, alphaL1}, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		opts := []bounded.Option{bounded.WithStrict(!o.General)}
 		// L1Delta == 0 means "the constructor's default"; any other value
 		// goes through WithFailureProb so an out-of-range delta surfaces
@@ -61,27 +89,27 @@ var kinds = [...]struct {
 		}
 		return bounded.NewL1Estimator(cfg, opts...)
 	}},
-	{L0Estimator, "l0", bounded.KindL0Estimator, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
+	{L0Estimator, "l0", bounded.KindL0Estimator, model{true, alphaL0}, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
 		return bounded.NewL0Estimator(cfg)
 	}},
-	{L1Sampler, "l1sampler", bounded.KindL1Sampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{L1Sampler, "l1sampler", bounded.KindL1Sampler, model{false, alphaStrong}, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		var opts []bounded.Option
 		if o.SamplerCopies > 0 {
 			opts = append(opts, bounded.WithCopies(o.SamplerCopies))
 		}
 		return bounded.NewL1Sampler(cfg, opts...)
 	}},
-	{SupportSampler, "support", bounded.KindSupportSampler, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{SupportSampler, "support", bounded.KindSupportSampler, model{false, alphaL0}, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		var opts []bounded.Option
 		if o.SupportK > 0 {
 			opts = append(opts, bounded.WithK(o.SupportK))
 		}
 		return bounded.NewSupportSampler(cfg, opts...)
 	}},
-	{L2HeavyHitters, "l2hh", bounded.KindL2HeavyHitters, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
+	{L2HeavyHitters, "l2hh", bounded.KindL2HeavyHitters, model{true, alphaL2}, func(cfg bounded.Config, _ Options) (bounded.Sketch, error) {
 		return bounded.NewL2HeavyHitters(cfg)
 	}},
-	{SyncSketch, "sync", bounded.KindSyncSketch, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
+	{SyncSketch, "sync", bounded.KindSyncSketch, model{true, alphaNone}, func(cfg bounded.Config, o Options) (bounded.Sketch, error) {
 		var opts []bounded.Option
 		if o.SyncCapacity > 0 {
 			opts = append(opts, bounded.WithCapacity(o.SyncCapacity))
@@ -237,6 +265,9 @@ func newStructSet(cfg bounded.Config, o Options) (structSet, error) {
 	for i, k := range kinds {
 		if o.Structures&k.bit == 0 {
 			continue
+		}
+		if o.General && !k.model.general {
+			return nil, fmt.Errorf("engine: structure %s (%s) is proven only for strict turnstile streams with %s; Options.General asks for the general model", k.name, k.kind, k.model.alpha)
 		}
 		sk, err := k.build(cfg, o)
 		if err != nil {

@@ -10,6 +10,51 @@ import (
 	"repro/internal/wire"
 )
 
+// TestGeneralModelPerKind enumerates every (kind, General) pair: each
+// builds a structure proven for that model or fails New with an error
+// naming the kind. The L1 sampler (strong α property) and the support
+// sampler are proven only for strict turnstile streams, so General
+// refuses them. General heavy hitters and L1 estimators are the general
+// variants, which do not combine with the strict ones; every other kind
+// is one structure, proven for both models, and builds the same way.
+func TestGeneralModelPerKind(t *testing.T) {
+	cfg := bounded.Config{N: 1 << 12, Eps: 0.1, Alpha: 4, Seed: 5}
+	for _, k := range kinds {
+		strictOnly := k.bit == L1Sampler || k.bit == SupportSampler
+		var built [2]bounded.Sketch
+		for g, general := range []bool{false, true} {
+			e, err := New(cfg, Options{Shards: 1, Structures: k.bit, General: general})
+			if general && strictOnly {
+				if err == nil {
+					e.Close()
+					t.Errorf("New built %s for the general turnstile model, which it is not proven for", k.name)
+				} else if !strings.Contains(err.Error(), k.name) {
+					t.Errorf("New refused a general %s without naming it: %v", k.name, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s, General %v: %v", k.name, general, err)
+			}
+			blob, err := e.Snapshot(k.bit)
+			e.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if built[g], err = bounded.UnmarshalSketch(blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if strictOnly {
+			continue
+		}
+		variant := k.bit == HeavyHitters || k.bit == L1Estimator
+		if err := bounded.Compatible(built[0], built[1]); variant != (err != nil) {
+			t.Fatalf("%s: strict and general builds combine: %v, want %v (%v)", k.name, err == nil, !variant, err)
+		}
+	}
+}
+
 // TestKindTableComplete walks the one table of structure kinds: the
 // rows are the Structures bits in order with nothing missing, and every
 // bit on its own constructs, ships snapshots of its table kind, names

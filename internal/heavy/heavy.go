@@ -127,6 +127,7 @@ type AlphaL1 struct {
 	scale   l1Scale
 
 	refresh topk.Refresher[float64]
+	over    l1Scale // HeavyHittersOver's merged scale, scratch
 }
 
 // AlphaL1Params configures AlphaL1.
@@ -312,16 +313,13 @@ func (h *AlphaL1) admits(o *AlphaL1) error {
 // (topk.Refresher.MergeAll), so the tracker holds the top candidates
 // of the union under its estimates whatever order the parts come in.
 func (dst *AlphaL1) finish(sk *csss.Sketch, first *AlphaL1, others []*AlphaL1) (*AlphaL1, error) {
+	scale, err := mergeScales(&dst.scale, first, others)
+	if err != nil {
+		return nil, err
+	}
 	trackers := make([]*topk.Tracker, 1+len(others))
 	trackers[0] = first.tracker
-	scale := first.scale
-	if dst != first {
-		scale = first.scale.cloneInto(&dst.scale)
-	}
 	for j, o := range others {
-		if err := scale.merge(&o.scale); err != nil {
-			return nil, err
-		}
 		trackers[j+1] = o.tracker
 	}
 	b := core.GetBatch()
@@ -330,8 +328,25 @@ func (dst *AlphaL1) finish(sk *csss.Sketch, first *AlphaL1, others []*AlphaL1) (
 	if err != nil {
 		return nil, err
 	}
-	*dst = AlphaL1{eps: first.eps, sk: sk, tracker: tracker, n: first.n, scale: scale, refresh: dst.refresh}
+	*dst = AlphaL1{eps: first.eps, sk: sk, tracker: tracker, n: first.n, scale: scale, refresh: dst.refresh, over: dst.over}
 	return dst, nil
+}
+
+// mergeScales returns first's L1 scale merged with each of others' in
+// order, written into into's storage — or, when into is first's own
+// scale, merged in place. A union's scale is this merge; finish and
+// HeavyHittersOver both take it here, so they agree on it.
+func mergeScales(into *l1Scale, first *AlphaL1, others []*AlphaL1) (l1Scale, error) {
+	scale := first.scale
+	if into != &first.scale {
+		scale = first.scale.cloneInto(into)
+	}
+	for _, o := range others {
+		if err := scale.merge(&o.scale); err != nil {
+			return l1Scale{}, err
+		}
+	}
+	return scale, nil
 }
 
 // Shift moves h's table by add's minus sub's (csss.Sketch.Shift):
@@ -370,6 +385,35 @@ func (h *AlphaL1) Rerank(parts []*AlphaL1) error {
 	return err
 }
 
+// HeavyHittersOver returns what Rerank(parts) followed by HeavyHitters
+// returns, without writing h's tracker, scale or table: the parts' L1
+// scales are merged in part order into scratch, and the candidates of
+// every part whose estimate against h's table reaches (3 eps / 4) R are
+// read off the parts' slabs (topk.Refresher.Over). h's table must be
+// the sum of the parts', as for Rerank; no part is h, and none is
+// written. MergeCounts then reports the candidates that reached the
+// threshold and how many were returned.
+func (h *AlphaL1) HeavyHittersOver(parts []*AlphaL1) ([]uint64, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("heavy: heavy hitters over no parts")
+	}
+	trackers := make([]*topk.Tracker, len(parts))
+	for j, o := range parts {
+		if err := h.admits(o); err != nil {
+			return nil, err
+		}
+		trackers[j] = o.tracker
+	}
+	over, err := mergeScales(&h.over, parts[0], parts[1:])
+	if err != nil {
+		return nil, err
+	}
+	h.over = over
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+	return h.refresh.Over(trackers, b, h.sk, 3*h.eps*h.over.value()/4)
+}
+
 // HashCandidates fills the candidates' hash columns when a decode left
 // them out, so the merges that read h hash nothing
 // (topk.Hash).
@@ -392,7 +436,9 @@ func (h *AlphaL1) Reset() {
 }
 
 // MergeCounts reports the last MergeAll run into h's storage: how many
-// distinct candidates its parts held together, and how many it kept.
+// distinct candidates its parts held together, and how many it kept —
+// or the last HeavyHittersOver on h: how many distinct candidates
+// reached the threshold, and how many it returned.
 func (h *AlphaL1) MergeCounts() (union, kept int) { return h.refresh.MergeCounts() }
 
 // CloneInto returns a deep copy safe to hand to another goroutine while
@@ -407,6 +453,7 @@ func (h *AlphaL1) CloneInto(dst *AlphaL1) *AlphaL1 {
 		n:       h.n,
 		scale:   h.scale.cloneInto(&dst.scale),
 		refresh: dst.refresh,
+		over:    dst.over,
 	}
 	return dst
 }

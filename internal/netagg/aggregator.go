@@ -100,12 +100,17 @@ type AggregatorStats struct {
 	SnapshotsRejected                int64
 	QueriesServed, QueryErrors       int64
 	HandshakeFailures                int64
-	// ViewBuilds counts merged-view refreshes: the first query after a
-	// commit rebuilds what the commits moved, or only re-ranks the
-	// heavy-hitters candidates when every commit since was folded in by
-	// a shift. ViewShifts counts those commits: an agent's heavy-hitters
-	// table moved the view's by new − old in place, at the union's
-	// exponent.
+	// ViewBuilds counts merged-view refreshes, one per commit
+	// generation: the first query after a commit that refreshes
+	// anything counts one, whatever kinds the queries before the next
+	// commit then refresh. A query refreshes only the kind it reads: a
+	// kind a commit left stale is rebuilt, and when every commit since
+	// was folded into the heavy-hitters table by a shift, a
+	// heavy-hitters query answers over the agents' candidates against
+	// that table (HeavyHitters.HeavyHittersOver) while a point query
+	// reads the table as it stands. ViewShifts counts those commits: an
+	// agent's heavy-hitters table moved the view's by new − old in
+	// place, at the union's exponent.
 	ViewBuilds, ViewShifts int64
 	// ViewSampleExponent is the CSSS exponent p of the merged heavy
 	// hitters view at its last build. The UNION can leave rate 1 while
@@ -118,7 +123,12 @@ type AggregatorStats struct {
 	// candidate set at its last build: the distinct candidates of every
 	// agent's tracker together, and how many of them the view's tracker
 	// kept — all of them up to its limit, ranked once over the union.
-	ViewCandidates, ViewKept int
+	// AnswerCrossing and AnswerReturned describe the last heavy-hitters
+	// answer taken over a shifted table: the distinct candidates whose
+	// estimate crossed the threshold, and how many it returned — all of
+	// them up to the same limit.
+	ViewCandidates, ViewKept       int
+	AnswerCrossing, AnswerReturned int
 	// CheckpointsWritten counts state checkpoints actually written
 	// (unchanged-state ticks are not counted); RecoveredAgents counts
 	// agents whose state was restored from disk at construction.
@@ -156,16 +166,20 @@ type Aggregator struct {
 
 	// qmu serializes query answering with commits and guards the merged
 	// view, which commits fold themselves into (foldLocked) and the next
-	// query refreshes (mergedView): the kinds in stale are rebuilt, and a
-	// heavy-hitters table shifted since the last query (rerank) only has
-	// its candidates re-ranked. summed says the heavy-hitters view's
-	// table is the exact sum of the stored ones: each samples at its
-	// exponent, as after a build whose parts all did.
-	qmu    sync.Mutex
-	view   map[engine.Structures]bounded.Sketch
-	stale  engine.Structures
-	rerank bool
-	summed bool
+	// query of a kind refreshes (mergedView): a kind in stale is
+	// rebuilt, and a heavy-hitters table shifted since its last build
+	// (shifted) keeps its candidates as they were — a heavy-hitters
+	// query answers over the agents' candidates instead (heavyHitters).
+	// summed says the heavy-hitters view's table is the exact sum of the
+	// stored ones: each samples at its exponent, as after a build whose
+	// parts all did. refreshed says a query refreshed the view since the
+	// last commit moved it (ViewBuilds counts one per such generation).
+	qmu       sync.Mutex
+	view      map[engine.Structures]bounded.Sketch
+	stale     engine.Structures
+	shifted   bool
+	summed    bool
+	refreshed bool
 
 	lnMu   sync.Mutex
 	ln     net.Listener
@@ -192,6 +206,7 @@ type Aggregator struct {
 	viewBuilds, viewShifts           atomic.Int64
 	viewExponent, viewHalvings       atomic.Int64 // the HH view's p at its last build; CSSS halvings builds performed
 	viewCandidates, viewKept         atomic.Int64 // the HH view's candidate union and kept count at its last build
+	answerCrossing, answerReturned   atomic.Int64 // the last HH answer over a shifted table: candidates crossing, returned
 	mergeNanos                       obs.Histogram
 	applyNanos                       obs.Histogram
 
@@ -524,10 +539,11 @@ func (a *Aggregator) setSketchesLocked(st *agentState, sketches map[engine.Struc
 // new ones. Every kind either set holds is left to the next query's
 // rebuild, except the heavy-hitters table while it is the exact sum of
 // the stored ones (summed): it is shifted by new − old in place, and
-// the next query only re-ranks. A shift the table refuses — new or old
-// at another exponent, or a sum that reaches the next halving, where
-// the union would have halved — changes nothing, and the view is
-// rebuilt. The caller holds qmu and a.mu.
+// the next heavy-hitters query answers over the agents' candidates
+// against it. A shift the table refuses — new or old at another
+// exponent, or a sum that reaches the next halving, where the union
+// would have halved — changes nothing, and the view is rebuilt. The
+// caller holds qmu and a.mu.
 func (a *Aggregator) foldLocked(old, sketches map[engine.Structures]bounded.Sketch) {
 	var moved engine.Structures
 	for bit := range old {
@@ -536,10 +552,13 @@ func (a *Aggregator) foldLocked(old, sketches map[engine.Structures]bounded.Sket
 	for bit := range sketches {
 		moved |= bit
 	}
+	if moved != 0 {
+		a.refreshed = false
+	}
 	if view, ok := a.view[engine.HeavyHitters].(*bounded.HeavyHitters); ok && a.summed {
 		if add := heavyOf(sketches); add != nil && view.Shift(add, heavyOf(old)) == nil {
 			moved &^= engine.HeavyHitters
-			a.rerank = true
+			a.shifted = true
 			a.viewShifts.Add(1)
 		}
 	}
@@ -625,87 +644,112 @@ func (a *Aggregator) commitLocked(id string, sketches map[engine.Structures]boun
 	return st, true, nil
 }
 
-// mergedView returns the union-of-all-agents sketch set, refreshing
-// what the commits since the last query moved: each kind in stale is
-// rebuilt by bounded.MergeAll over the stored sketches, written into
-// the last view's storage — kinds in ascending bit order and, within a
-// kind, agents in sorted-ID order — and a heavy-hitters table the
-// commits only shifted has its candidates re-ranked (Rerank), to the
-// bytes a rebuild would write. The view's bytes are then a function of
-// the committed state wherever the rebuild's are: at rate 1, and
-// whenever every stored heavy-hitters sketch samples at the union's
-// exponent below its next halving. A rebuild that halves draws (the
-// accumulator's generator is seeded by a word of the first agent's,
-// and a thinned copy by one of its agent's), so there the bytes also
-// depend on how many builds read the same stored sketches — on the
-// query history (ROADMAP 4a). The caller holds qmu, which every commit
-// also takes, so the stored sketches are read where they are, outside
-// a.mu; the returned sketches stay valid (and are mutated only under
-// qmu, e.g. heavy-hitters query scratch) until the next refresh.
-func (a *Aggregator) mergedView() (map[engine.Structures]bounded.Sketch, error) {
-	if a.stale == 0 && !a.rerank {
-		return a.view, nil
+// mergedView returns kind bit of the union-of-all-agents view, nil when
+// no agent ships it. When a commit left the kind stale it is rebuilt
+// first, alone, by bounded.MergeAll over the stored sketches in
+// sorted-ID order, written into the last view's storage. A
+// heavy-hitters view whose table the commits only shifted is returned
+// as it stands: its table is the union's, which is all a point query
+// reads, and its candidates are left as the last build ranked them —
+// the heavy-hitters answer is taken over the agents' candidates
+// (heavyHitters), and only a read of the view's own tracker would need
+// them re-ranked (HeavyHitters.Rerank), to the bytes a rebuild writes.
+// A rebuild's bytes are a function of the committed state at rate 1,
+// and whenever every stored heavy-hitters sketch samples at the
+// union's exponent below its next halving. A rebuild that halves draws
+// (the accumulator's generator is seeded by a word of the first
+// agent's, and a thinned copy by one of its agent's), so there the
+// bytes also depend on how many builds read the same stored sketches —
+// on the query history (ROADMAP 4a). The caller holds qmu, which every
+// commit also takes, so the stored sketches are read where they are,
+// outside a.mu; the returned sketch stays valid (and is mutated only
+// under qmu, e.g. heavy-hitters query scratch) until the next refresh.
+func (a *Aggregator) mergedView(bit engine.Structures) (bounded.Sketch, error) {
+	if a.stale&bit == 0 {
+		return a.view[bit], nil
 	}
-	a.mu.Lock()
-	ids := make([]string, 0, len(a.agents))
-	for id := range a.agents {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	stored := make([]map[engine.Structures]bounded.Sketch, len(ids))
-	for j, id := range ids {
-		stored[j] = a.agents[id].sketches
-	}
-	a.mu.Unlock()
-
 	start := obs.Now()
-	var parts []bounded.Sketch
-	var halvings int64
-	for _, bit := range a.opt.Structures.Bits() {
-		rebuild := a.stale&bit != 0
-		if !rebuild && (bit != engine.HeavyHitters || !a.rerank) {
-			continue
-		}
-		parts = parts[:0]
-		for _, sketches := range stored {
-			if sk := sketches[bit]; sk != nil {
-				parts = append(parts, sk)
-			}
-		}
-		if !rebuild {
-			if err := a.view[bit].(*bounded.HeavyHitters).Rerank(heavies(parts)); err != nil {
-				return nil, fmt.Errorf("netagg: re-ranking the heavy hitters: %w", err)
-			}
-			continue
-		}
-		if len(parts) == 0 {
-			delete(a.view, bit)
-			continue
-		}
+	parts := a.stored(bit)
+	if len(parts) == 0 {
+		delete(a.view, bit)
+	} else {
 		acc, err := bounded.MergeAll(a.view[bit], parts)
 		if err != nil {
 			return nil, fmt.Errorf("netagg: merging %T: %w", parts[0], err)
 		}
 		a.view[bit] = acc
 		if hh, ok := acc.(*bounded.HeavyHitters); ok {
-			halvings = hh.Halvings()
-			a.summed = true
+			a.summed, a.shifted = true, false
 			for _, part := range heavies(parts) {
 				a.summed = a.summed && part.SampleExponent() == hh.SampleExponent()
 			}
+			a.viewHalvings.Add(hh.Halvings())
+			a.viewExponent.Store(int64(hh.SampleExponent()))
+			union, kept := hh.MergeCounts()
+			a.viewCandidates.Store(int64(union))
+			a.viewKept.Store(int64(kept))
 		}
 	}
-	a.stale, a.rerank = 0, false
-	a.viewBuilds.Add(1)
-	a.viewHalvings.Add(halvings)
-	if hh, ok := a.view[engine.HeavyHitters].(*bounded.HeavyHitters); ok {
-		a.viewExponent.Store(int64(hh.SampleExponent()))
-		union, kept := hh.MergeCounts()
-		a.viewCandidates.Store(int64(union))
-		a.viewKept.Store(int64(kept))
+	a.stale &^= bit
+	a.noteRefresh(start)
+	return a.view[bit], nil
+}
+
+// heavyHitters answers a heavy-hitters query. Over a table the commits
+// only shifted it is taken over the agents' candidates
+// (HeavyHitters.HeavyHittersOver): what a re-rank and then a read of
+// the view would return, without writing the view's tracker. The
+// caller holds qmu.
+func (a *Aggregator) heavyHitters() ([]uint64, error) {
+	sk, err := a.mergedView(engine.HeavyHitters)
+	if err != nil || sk == nil {
+		return nil, err
+	}
+	hh := sk.(*bounded.HeavyHitters)
+	if !a.shifted {
+		return hh.HeavyHitters(), nil
+	}
+	start := obs.Now()
+	keys, err := hh.HeavyHittersOver(heavies(a.stored(engine.HeavyHitters)))
+	if err != nil {
+		return nil, fmt.Errorf("netagg: heavy hitters over the agents: %w", err)
+	}
+	crossing, returned := hh.MergeCounts()
+	a.answerCrossing.Store(int64(crossing))
+	a.answerReturned.Store(int64(returned))
+	a.noteRefresh(start)
+	return keys, nil
+}
+
+// noteRefresh records a view refresh that began at start: its wall
+// time, and one ViewBuilds count when it is the first since a commit
+// moved the view. The caller holds qmu.
+func (a *Aggregator) noteRefresh(start int64) {
+	if !a.refreshed {
+		a.refreshed = true
+		a.viewBuilds.Add(1)
 	}
 	a.mergeNanos.ObserveSince(start)
-	return a.view, nil
+}
+
+// stored returns every agent's stored sketch of kind bit, in sorted-ID
+// order. The caller holds qmu, under which the stored sets stay where
+// they are.
+func (a *Aggregator) stored(bit engine.Structures) []bounded.Sketch {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ids := make([]string, 0, len(a.agents))
+	for id, st := range a.agents {
+		if st.sketches[bit] != nil {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	parts := make([]bounded.Sketch, len(ids))
+	for j, id := range ids {
+		parts[j] = a.agents[id].sketches[bit]
+	}
+	return parts
 }
 
 // heavies returns heavy-hitters parts as their concrete type.
@@ -723,18 +767,24 @@ func heavies(parts []bounded.Sketch) []*bounded.HeavyHitters {
 // aggregator does not accept is an Answer.Err, not a connection error.
 func (a *Aggregator) answer(q *netproto.Query) *netproto.Answer {
 	ans := &netproto.Answer{ID: q.ID}
-	need := func(bit engine.Structures) (bounded.Sketch, bool) {
+	accepts := func(bit engine.Structures) bool {
 		if bit&^a.opt.Structures != 0 {
 			ans.Err = fmt.Sprintf("netagg: %s needs structure %s, aggregator accepts %s",
 				q.Op, bit, a.opt.Structures)
+			return false
+		}
+		return true
+	}
+	need := func(bit engine.Structures) (bounded.Sketch, bool) {
+		if !accepts(bit) {
 			return nil, false
 		}
-		view, err := a.mergedView()
+		sk, err := a.mergedView(bit)
 		if err != nil {
 			ans.Err = err.Error()
 			return nil, false
 		}
-		return view[bit], true
+		return sk, true
 	}
 
 	a.qmu.Lock()
@@ -751,13 +801,14 @@ func (a *Aggregator) answer(q *netproto.Query) *netproto.Answer {
 		}
 		ans.Values = sk.(*bounded.HeavyHitters).EstimateBatch(q.Keys)
 	case netproto.OpHeavyHitters:
-		sk, ok := need(engine.HeavyHitters)
-		if !ok {
+		if !accepts(engine.HeavyHitters) {
 			return ans
 		}
-		if sk != nil {
-			ans.Keys = sk.(*bounded.HeavyHitters).HeavyHitters()
+		keys, err := a.heavyHitters()
+		if err != nil {
+			ans.Err = err.Error()
 		}
+		ans.Keys = keys
 	case netproto.OpL1:
 		sk, ok := need(engine.L1Estimator)
 		if !ok {
@@ -801,6 +852,8 @@ func (a *Aggregator) Stats() AggregatorStats {
 		ViewSampleExponent: int(a.viewExponent.Load()),
 		ViewCandidates:     int(a.viewCandidates.Load()),
 		ViewKept:           int(a.viewKept.Load()),
+		AnswerCrossing:     int(a.answerCrossing.Load()),
+		AnswerReturned:     int(a.answerReturned.Load()),
 		CheckpointsWritten: a.checkpointsWritten.Load(),
 		RecoveredAgents:    a.recoveredAgents.Load(),
 	}
@@ -844,17 +897,20 @@ func (a *Aggregator) ExposeMetrics(r *obs.Registry, instance string) func() {
 	c("repro_aggd_queries_total", "client queries answered", a.queriesServed.Load, inst)
 	c("repro_aggd_query_errors_total", "client queries answered with an error", a.queryErrors.Load, inst)
 	c("repro_aggd_handshake_failures_total", "connections refused during handshake", a.handshakeFailures.Load, inst)
-	c("repro_aggd_view_builds_total", "merged-view refreshes: rebuilds, or re-ranks after shifts", a.viewBuilds.Load, inst)
+	c("repro_aggd_view_builds_total", "merged-view refreshes, one per commit generation: rebuilds, or heavy-hitters answers over a shifted table", a.viewBuilds.Load, inst)
 	c("repro_netagg_view_shifts_total", "commits folded into the heavy-hitters view by a shift of its table", a.viewShifts.Load, inst)
 	r.GaugeFunc(owner, "repro_netagg_view_csss_exponent", "CSSS exponent p of the merged heavy-hitters view at its last build (0 = exact)", a.viewExponent.Load, inst)
 	c("repro_netagg_view_align_halvings_total", "CSSS halvings the merged-view builds performed (each build counts its own table's and its thinned copies')", a.viewHalvings.Load, inst)
-	r.GaugeFunc(owner, "repro_netagg_view_candidates", "heavy-hitters candidates at the last merged-view build: the agents' union, and those the view kept",
-		a.viewCandidates.Load, inst, obs.Label{Key: "set", Value: "union"})
-	r.GaugeFunc(owner, "repro_netagg_view_candidates", "heavy-hitters candidates at the last merged-view build: the agents' union, and those the view kept",
-		a.viewKept.Load, inst, obs.Label{Key: "set", Value: "kept"})
+	const candidatesHelp = "heavy-hitters candidates: the agents' union at the last merged-view build and those the view kept; those crossing the threshold at the last answer over a shifted table and those it returned"
+	for _, g := range []struct {
+		set string
+		f   func() int64
+	}{{"union", a.viewCandidates.Load}, {"kept", a.viewKept.Load}, {"crossing", a.answerCrossing.Load}, {"answered", a.answerReturned.Load}} {
+		r.GaugeFunc(owner, "repro_netagg_view_candidates", candidatesHelp, g.f, inst, obs.Label{Key: "set", Value: g.set})
+	}
 	c("repro_aggd_checkpoints_total", "state checkpoints written", a.checkpointsWritten.Load, inst)
 	c("repro_aggd_recovered_agents_total", "agents restored from a checkpoint at startup", a.recoveredAgents.Load, inst)
-	r.HistogramFunc(owner, "repro_aggd_merge_seconds", "merged-view rebuild wall time", a.mergeNanos.Snapshot, inst)
+	r.HistogramFunc(owner, "repro_aggd_merge_seconds", "merged-view refresh wall time: rebuilds, heavy-hitters answers over a shifted table", a.mergeNanos.Snapshot, inst)
 	r.HistogramFunc(owner, "repro_aggd_apply_seconds", "snapshot decode+commit wall time", a.applyNanos.Snapshot, inst)
 	var ckptUnreg func()
 	if a.store != nil {

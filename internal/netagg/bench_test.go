@@ -112,60 +112,86 @@ func BenchmarkQueryRoundTrip(b *testing.B) {
 }
 
 // BenchmarkViewRebuild measures the fleet-wide read after a commit: one
-// agent's heavy-hitters blob is decoded and committed, and the
-// HeavyHitters query that follows refreshes the merged view over every
-// agent. rate1 keeps the union exact (each site's mass shrinks with the
+// agent's heavy-hitters blob is decoded and committed, and the read that
+// follows refreshes the merged view over every agent. The plain rows
+// materialize the view — what reading its tracker, e.g. its encoding,
+// costs — and the answer/ rows ask the heavy-hitters query, as clients
+// do. rate1 keeps the union exact (each site's mass shrinks with the
 // fleet so the union stays below 2S) and aligned/past2S is a fleet
 // whose agents all adopted the union's exponent from their ACKs, as
-// agents do: there a commit shifts the view's table by new − old and
-// the query only re-ranks the candidates, so the cost follows the
+// agents do: there a commit shifts the view's table by new − old, the
+// materialized read re-ranks the candidates and the query answers over
+// them without writing the view's tracker, so the cost follows the
 // changed agents and the candidates, not agents × state (B/op: the
-// decode's hash scratch and the re-rank's; the decode refills a
-// retired set). past2S has every agent at rate 1 and their union past
-// 2S — a fleet whose agents ignore the ACK's exponent — where each
-// commit leaves the view to a rebuild that also halves the accumulator
-// and a copy of every later agent's table. halvings/op counts the
-// build's own CSSS halvings (repro_netagg_view_align_halvings_total)
-// and shifts/op the commits folded in by a shift.
+// decode's hash scratch and the read's; the decode refills a retired
+// set). past2S has every agent at rate 1 and their union past 2S — a
+// fleet whose agents ignore the ACK's exponent — where each commit
+// leaves the view to a rebuild that also halves the accumulator and a
+// copy of every later agent's table. Every lap is one commit
+// generation: on the answer/ rows its query is one view refresh
+// (ViewBuilds moves by b.N) — a rebuild or an answer over the shifted
+// table; on the plain rows a lap either rebuilds (one refresh) or
+// re-ranks a shifted view, which is the materialization's own and no
+// query's refresh (ViewBuilds + ViewShifts move by b.N). halvings/op
+// counts the build's own CSSS halvings
+// (repro_netagg_view_align_halvings_total) and shifts/op the commits
+// folded in by a shift.
 func BenchmarkViewRebuild(b *testing.B) {
-	for _, regime := range []struct {
-		name    string
-		cfg     bounded.Config
-		mass    int
-		aligned bool
-	}{{"rate1", testConfig, 10_000, false}, {"past2S", sampledConfig, 700, false}, {"aligned/past2S", sampledConfig, 700, true}} {
-		for _, agents := range []int{4, 16, 64} {
-			b.Run(fmt.Sprintf("%s/agents=%d", regime.name, agents), func(b *testing.B) {
-				agg, err := NewAggregator(AggregatorOptions{Config: regime.cfg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer agg.Close()
-				mass := regime.mass
-				if regime.name == "rate1" {
-					mass = min(mass, 200_000/agents) // 2S = 217 600 at testConfig
-				}
-				blobs := rate1Sites(b, agg, regime.cfg, agents, mass)
-				if regime.aligned {
-					blobs = alignSites(b, agg, blobs)
-				}
-				askHH(b, agg)
-				before := agg.Stats()
-				halvings := agg.viewHalvings.Load()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					commitHH(b, agg, "site-0", uint64(i+3), blobs[0])
-					askHH(b, agg)
-				}
-				b.StopTimer()
-				st := agg.Stats()
-				if got := st.ViewBuilds - before.ViewBuilds; got != int64(b.N) {
-					b.Fatalf("%d view builds in %d laps", got, b.N)
-				}
-				b.ReportMetric(float64(agg.viewHalvings.Load()-halvings)/float64(b.N), "halvings/op")
-				b.ReportMetric(float64(st.ViewShifts-before.ViewShifts)/float64(b.N), "shifts/op")
-			})
+	for _, read := range []string{"", "answer/"} {
+		for _, regime := range []struct {
+			name    string
+			cfg     bounded.Config
+			mass    int
+			aligned bool
+		}{{"rate1", testConfig, 10_000, false}, {"past2S", sampledConfig, 700, false}, {"aligned/past2S", sampledConfig, 700, true}} {
+			for _, agents := range []int{4, 16, 64} {
+				b.Run(fmt.Sprintf("%s%s/agents=%d", read, regime.name, agents), func(b *testing.B) {
+					agg, err := NewAggregator(AggregatorOptions{Config: regime.cfg})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer agg.Close()
+					refresh := func() {
+						if read != "" {
+							askHH(b, agg)
+							return
+						}
+						agg.qmu.Lock()
+						defer agg.qmu.Unlock()
+						if _, err := agg.materializedView(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					mass := regime.mass
+					if regime.name == "rate1" {
+						mass = min(mass, 200_000/agents) // 2S = 217 600 at testConfig
+					}
+					blobs := rate1Sites(b, agg, regime.cfg, agents, mass)
+					if regime.aligned {
+						blobs = alignSites(b, agg, blobs)
+					}
+					refresh()
+					before := agg.Stats()
+					halvings := agg.viewHalvings.Load()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						commitHH(b, agg, "site-0", uint64(i+3), blobs[0])
+						refresh()
+					}
+					b.StopTimer()
+					st := agg.Stats()
+					builds, shifts := st.ViewBuilds-before.ViewBuilds, st.ViewShifts-before.ViewShifts
+					if read == "" {
+						builds += shifts
+					}
+					if builds != int64(b.N) {
+						b.Fatalf("%d view refreshes and %d shifts in %d laps", st.ViewBuilds-before.ViewBuilds, shifts, b.N)
+					}
+					b.ReportMetric(float64(agg.viewHalvings.Load()-halvings)/float64(b.N), "halvings/op")
+					b.ReportMetric(float64(shifts)/float64(b.N), "shifts/op")
+				})
+			}
 		}
 	}
 }

@@ -273,10 +273,13 @@ func fleetHH(t *testing.T, cfg bounded.Config, bySite [][]bounded.Update, rounds
 			}
 		}
 	}
-	askHH(t, agg)
 	agg.qmu.Lock()
 	defer agg.qmu.Unlock()
-	return agg.view[engine.HeavyHitters].(*bounded.HeavyHitters)
+	hh, err := agg.materializedView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hh
 }
 
 // missesBand reports whether hh answers outside Theorem 1's band on

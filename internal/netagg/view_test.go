@@ -2,6 +2,7 @@ package netagg
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -10,6 +11,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -54,8 +56,9 @@ func commitHH(t testing.TB, agg *Aggregator, id string, seq uint64, blob []byte)
 	return int(exp)
 }
 
-// askHH asks the aggregator a heavy-hitters query, which builds the
-// merged view if a commit moved the state since the last one.
+// askHH asks the aggregator a heavy-hitters query, which rebuilds the
+// heavy-hitters view if a commit left it stale, or answers over the
+// agents' candidates if commits only shifted its table.
 func askHH(t testing.TB, agg *Aggregator) {
 	t.Helper()
 	if ans := agg.answer(&netproto.Query{Op: netproto.OpHeavyHitters}); ans.Err != "" {
@@ -63,10 +66,50 @@ func askHH(t testing.TB, agg *Aggregator) {
 	}
 }
 
-// viewBytes returns the merged heavy-hitters view's encoding.
+// materializedView returns the heavy-hitters view whole: refreshed as
+// a query refreshes it and, when commits only shifted its table, its
+// candidates re-ranked against the agents' (HeavyHitters.Rerank), to
+// the bytes a rebuild would write. Only a read of the view's own
+// tracker — its encoding — needs that; no query does, so the
+// aggregator never re-ranks and this is not counted as a refresh. The
+// caller holds qmu.
+func (a *Aggregator) materializedView() (*bounded.HeavyHitters, error) {
+	sk, err := a.mergedView(engine.HeavyHitters)
+	if err != nil || sk == nil {
+		return nil, err
+	}
+	hh := sk.(*bounded.HeavyHitters)
+	if a.shifted {
+		if err := hh.Rerank(heavies(a.stored(engine.HeavyHitters))); err != nil {
+			return nil, err
+		}
+		a.shifted = false
+	}
+	return hh, nil
+}
+
+// viewBytes returns the encoding of the merged heavy-hitters view,
+// materialized (materializedView).
 func viewBytes(t testing.TB, agg *Aggregator) []byte {
 	t.Helper()
-	askHH(t, agg)
+	agg.qmu.Lock()
+	defer agg.qmu.Unlock()
+	hh, err := agg.materializedView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// heldViewBytes returns the encoding of the heavy-hitters view as the
+// aggregator holds it, refreshing nothing: a query that leaves it
+// unchanged wrote neither its table nor its tracker.
+func heldViewBytes(t testing.TB, agg *Aggregator) []byte {
+	t.Helper()
 	agg.qmu.Lock()
 	defer agg.qmu.Unlock()
 	b, err := agg.view[engine.HeavyHitters].MarshalBinary()
@@ -235,14 +278,77 @@ func rate1Sites(t testing.TB, agg *Aggregator, cfg bounded.Config, n, mass int) 
 	return blobs
 }
 
+// TestViewBuildsCountGenerations: ViewBuilds counts one refresh per
+// commit generation, however many kinds that generation's queries
+// refresh. Each round two sites commit heavy hitters and L1, and the
+// heavy-hitters query (a rebuild in the first round, an answer over
+// the shifted table after), the L1 query (a rebuild) and repeated
+// queries of either count one together, so a fleet asking both after
+// each round reads one per round.
+func TestViewBuildsCountGenerations(t *testing.T) {
+	agg, err := NewAggregator(AggregatorOptions{Config: testConfig, Structures: engine.HeavyHitters | engine.L1Estimator})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	const sites, rounds, chunk = 2, 3, 2000
+	hhs := make([]*bounded.HeavyHitters, sites)
+	l1s := make([]*bounded.L1Estimator, sites)
+	for site := range hhs {
+		if hhs[site], err = bounded.NewHeavyHitters(testConfig); err != nil {
+			t.Fatal(err)
+		}
+		if l1s[site], err = bounded.NewL1Estimator(testConfig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask := func(op netproto.QueryOp) {
+		t.Helper()
+		if ans := agg.answer(&netproto.Query{Op: op}); ans.Err != "" {
+			t.Fatal(ans.Err)
+		}
+	}
+	for round := 1; round <= rounds; round++ {
+		before := agg.Stats()
+		for site := range hhs {
+			updates := testStream(rounds*chunk, int64(site+1))[(round-1)*chunk : round*chunk]
+			hhs[site].UpdateBatch(updates)
+			l1s[site].UpdateBatch(updates)
+			var blobs []wire.Blob
+			for bit, sk := range map[engine.Structures]bounded.Sketch{engine.HeavyHitters: hhs[site], engine.L1Estimator: l1s[site]} {
+				b, err := sk.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blobs = append(blobs, wire.Blob{Bit: uint32(bit), Payload: b})
+			}
+			slices.SortFunc(blobs, func(a, b wire.Blob) int { return cmp.Compare(a.Bit, b.Bit) })
+			snap := &netproto.Snapshot{Seq: uint64(round), Gen: uint64(round), Sketches: blobs}
+			if _, err := agg.applySnapshot(fmt.Sprintf("site-%d", site), snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, op := range []netproto.QueryOp{netproto.OpHeavyHitters, netproto.OpL1, netproto.OpHeavyHitters, netproto.OpL1} {
+			ask(op)
+		}
+		st := agg.Stats()
+		if got := st.ViewBuilds - before.ViewBuilds; got != 1 {
+			t.Fatalf("round %d: %d view builds for one commit generation, want 1", round, got)
+		}
+		if round > 1 && st.ViewShifts-before.ViewShifts != sites {
+			t.Fatalf("round %d: %d of %d commits shifted: the answer over a shifted table is not what it tests", round, st.ViewShifts-before.ViewShifts, sites)
+		}
+	}
+}
+
 // TestViewRebuildAllocatesOneState: a rate-1 rebuild over four agents
 // writes ONE heavy-hitters state — the union, into the previous view's
 // storage; the agents' sketches are read where they are stored — and
 // the candidate re-rank's scratch is pooled, so it allocates under
 // 0.01 times what cloning one stored sketch allocates, held under
 // 0.074x (a fresh accumulator per build would add 1x, a clone of every
-// agent 4x). So does the refresh after a commit folded in by a shift,
-// which only re-ranks.
+// agent 4x). So do the re-rank of a view a commit shifted, and the
+// heavy-hitters answer taken over the agents' candidates instead.
 func TestViewRebuildAllocatesOneState(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of its Puts on
 	// purpose, so there each merge may allocate its hash-column batch.
@@ -270,7 +376,7 @@ func TestViewRebuildAllocatesOneState(t *testing.T) {
 		return allocated(func() {
 			agg.qmu.Lock()
 			defer agg.qmu.Unlock()
-			if _, err := agg.mergedView(); err != nil {
+			if _, err := agg.materializedView(); err != nil {
 				t.Error(err)
 			}
 		})
@@ -288,13 +394,22 @@ func TestViewRebuildAllocatesOneState(t *testing.T) {
 	agg.stale |= engine.HeavyHitters // as a commit the view's table refused leaves it
 	agg.qmu.Unlock()
 	rebuild := refresh()
-	if st := agg.Stats(); st.ViewBuilds != 3 || st.ViewShifts != 1 {
-		t.Fatalf("%d view builds and %d shifts, want 3 and 1 (site-3's resync)", st.ViewBuilds, st.ViewShifts)
+	if st := agg.Stats(); st.ViewBuilds != 2 || st.ViewShifts != 1 {
+		t.Fatalf("%d view builds and %d shifts, want 2 (the re-rank is no query's) and 1 (site-3's resync)", st.ViewBuilds, st.ViewShifts)
+	}
+	commitHH(t, agg, "site-3", 3, blobs[3])
+	held := heldViewBytes(t, agg)
+	answer := allocated(func() { askHH(t, agg) })
+	if st := agg.Stats(); st.ViewBuilds != 3 || st.ViewShifts != 2 {
+		t.Fatalf("%d view builds and %d shifts, want 3 and 2", st.ViewBuilds, st.ViewShifts)
+	}
+	if !bytes.Equal(heldViewBytes(t, agg), held) {
+		t.Fatal("the answer over a shifted table wrote the view")
 	}
 	for _, m := range []struct {
 		what  string
 		bytes uint64
-	}{{"rebuild", rebuild}, {"re-rank", rerank}} {
+	}{{"rebuild", rebuild}, {"re-rank", rerank}, {"answer", answer}} {
 		t.Logf("%s allocated %d bytes, %.2fx one %d-byte state", m.what, m.bytes, float64(m.bytes)/float64(state), state)
 		if ceiling := state * 74 / 1000; m.bytes > ceiling {
 			t.Fatalf("a %s over 4 agents allocated %d bytes, %.3fx one %d-byte state (ceiling 0.074x)", m.what, m.bytes, float64(m.bytes)/float64(state), state)
@@ -342,7 +457,10 @@ func TestViewExponentReported(t *testing.T) {
 // union of their candidates and how many the view kept — the tracker's
 // limit, 2 · 4⌈1/ε⌉, of a union larger than it — in AggregatorStats
 // and on /metrics, and the view's tracker holds that many: its encoding
-// ends in the kept count and 16 bytes per candidate.
+// ends in the kept count and 16 bytes per candidate. After a commit a
+// shift folds in, the query's answer over the agents' candidates
+// reports, under their own labels, those that crossed the threshold and
+// those it returned, and the build's two stand.
 func TestViewCandidatesReported(t *testing.T) {
 	agg, err := NewAggregator(AggregatorOptions{Config: testConfig})
 	if err != nil {
@@ -351,7 +469,7 @@ func TestViewCandidatesReported(t *testing.T) {
 	defer agg.Close()
 	reg := obs.NewRegistry()
 	agg.ExposeMetrics(reg, "t")
-	rate1Sites(t, agg, testConfig, 4, 10_000)
+	blobs := rate1Sites(t, agg, testConfig, 4, 10_000)
 	askHH(t, agg)
 	st := agg.Stats()
 	limit := 2 * 4 * int(math.Ceil(1/testConfig.Eps))
@@ -367,6 +485,31 @@ func TestViewCandidatesReported(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf(`repro_netagg_view_candidates{instance="t",set="union"} %d`, st.ViewCandidates),
 		fmt.Sprintf(`repro_netagg_view_candidates{instance="t",set="kept"} %d`, st.ViewKept),
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+
+	commitHH(t, agg, "site-3", 2, blobs[3])
+	ans := agg.answer(&netproto.Query{Op: netproto.OpHeavyHitters})
+	if ans.Err != "" {
+		t.Fatal(ans.Err)
+	}
+	over := agg.Stats()
+	if over.ViewShifts != 1 || over.AnswerReturned != len(ans.Keys) || over.AnswerReturned == 0 || over.AnswerCrossing != over.AnswerReturned {
+		t.Fatalf("answer over %d shifted commits reports %d of %d crossing candidates returned for %d keys answered", over.ViewShifts, over.AnswerReturned, over.AnswerCrossing, len(ans.Keys))
+	}
+	if over.ViewCandidates != st.ViewCandidates || over.ViewKept != st.ViewKept {
+		t.Fatalf("after the answer the view reports %d of %d candidates kept, its build %d of %d", over.ViewKept, over.ViewCandidates, st.ViewKept, st.ViewCandidates)
+	}
+	out.Reset()
+	reg.WriteMetrics(&out)
+	for _, want := range []string{
+		fmt.Sprintf(`repro_netagg_view_candidates{instance="t",set="union"} %d`, st.ViewCandidates),
+		fmt.Sprintf(`repro_netagg_view_candidates{instance="t",set="kept"} %d`, st.ViewKept),
+		fmt.Sprintf(`repro_netagg_view_candidates{instance="t",set="crossing"} %d`, over.AnswerCrossing),
+		fmt.Sprintf(`repro_netagg_view_candidates{instance="t",set="answered"} %d`, over.AnswerReturned),
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("/metrics lacks %q", want)
@@ -433,14 +576,15 @@ func TestViewReadersRaceWithCommitsAndCheckpoints(t *testing.T) {
 // thinned after each commit to the exponent its ACK carried, as an
 // agent is. A site idle in a round (idle, when not nil) ingests and
 // commits nothing in it. After each commit, after(round, site, blob)
-// runs. It returns each site's last committed blob.
-func fleetRun(t *testing.T, agg *Aggregator, cfg bounded.Config, sites, rounds, chunk int, idle func(round, site int) bool, after func(round, site int, blob []byte)) [][]byte {
+// runs. opts build the sites' structures. It returns each site's last
+// committed blob.
+func fleetRun(t *testing.T, agg *Aggregator, cfg bounded.Config, sites, rounds, chunk int, idle func(round, site int) bool, after func(round, site int, blob []byte), opts ...bounded.Option) [][]byte {
 	t.Helper()
 	live := make([]*bounded.HeavyHitters, sites)
 	fed := make([]int, sites)
 	blobs := make([][]byte, sites)
 	for site := range live {
-		hh, err := bounded.NewHeavyHitters(cfg)
+		hh, err := bounded.NewHeavyHitters(cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -584,6 +728,76 @@ func TestMaintainedViewMatchesMergeAll(t *testing.T) {
 				t.Fatalf("%d rebuilds at rate 1, want the first commit's alone", rebuilds)
 			case tc.name == "sampled" && (crossings < 2 || shiftedSampled < sites):
 				t.Fatalf("the sampled fleet crossed %d halvings and shifted %d commits past the first: not what it tests", crossings, shiftedSampled)
+			}
+		})
+	}
+}
+
+// TestHeavyHittersOverMatchesRerank: after every commit of
+// TestMaintainedViewMatchesMergeAll's rate-1 and sampled fleets, and of
+// a rate-1 fleet in the general model (a Cauchy L1 scale), the answer a
+// heavy-hitters query returns equals what the materialized view — its
+// candidates re-ranked — answers. After a commit a shift folded in, the
+// query takes that answer over the agents' candidates, counts one view
+// refresh and leaves the view's bytes as they were: only the
+// materialization re-ranks.
+func TestHeavyHittersOverMatchesRerank(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   bounded.Config
+		chunk int
+		opts  []bounded.Option
+	}{
+		{"rate1", testConfig, 1500, nil},
+		{"sampled", sampledConfig, 250, nil},
+		{"general", testConfig, 1500, []bounded.Option{bounded.WithStrict(false)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			agg, err := NewAggregator(AggregatorOptions{Config: tc.cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
+			over, found := 0, 0
+			idle := func(r, site int) bool { return r == 3 && site >= 2 }
+			fleetRun(t, agg, tc.cfg, 4, 8, tc.chunk, idle, func(r, site int, _ []byte) {
+				agg.qmu.Lock()
+				shifted := agg.shifted
+				agg.qmu.Unlock()
+				var held []byte
+				if shifted {
+					held = heldViewBytes(t, agg)
+				}
+				before := agg.Stats()
+				got := agg.answer(&netproto.Query{Op: netproto.OpHeavyHitters})
+				if got.Err != "" {
+					t.Fatal(got.Err)
+				}
+				if shifted {
+					if !bytes.Equal(heldViewBytes(t, agg), held) {
+						t.Fatalf("round %d site-%d: a heavy-hitters query wrote the shifted view", r, site)
+					}
+					if st := agg.Stats(); st.ViewBuilds != before.ViewBuilds+1 {
+						t.Fatalf("round %d site-%d: the answer over a shifted table counted %d refreshes", r, site, st.ViewBuilds-before.ViewBuilds)
+					}
+				}
+				agg.qmu.Lock()
+				hh, err := agg.materializedView()
+				agg.qmu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := hh.HeavyHitters(); !slices.Equal(got.Keys, want) {
+					t.Fatalf("round %d site-%d (shifted %v): answered %v, the re-ranked view %v", r, site, shifted, got.Keys, want)
+				}
+				if shifted {
+					over++
+				}
+				found += len(got.Keys)
+			}, tc.opts...)
+			t.Logf("%d commits answered over a shifted table, %d keys answered in all", over, found)
+			if over < 4 || found == 0 {
+				t.Fatalf("%d commits answered over a shifted table, %d keys answered: not what it tests", over, found)
 			}
 		})
 	}

@@ -252,7 +252,7 @@ type Columnar[E int64 | float64] interface {
 type Refresher[E int64 | float64] struct {
 	est []E
 
-	gathered, kept int // the last MergeAll's candidate counts
+	gathered, kept int // the last MergeAll's or Over's candidate counts
 }
 
 // Offer hashes b's distinct indices against q in one pass and hands

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -24,13 +25,13 @@ type source struct {
 	from int32
 }
 
-// unionScratch is MergeAll's scratch: the dedupe table, each gathered
-// candidate's column source, each slab part's offset into the estimate
-// column, the stale parts' ids, the select's copy of the union, the
-// slab slots in use and those of kept candidates whose columns are
-// hashed again. It is pooled, not kept by the Refresher: a view keeps
-// no union-sized scratch between rebuilds, nor does a core.Batch, which
-// the ingest path shares.
+// unionScratch is MergeAll's and Over's scratch: the dedupe table, each
+// gathered candidate's column source, each slab part's offset into the
+// estimate column, the stale parts' ids, the select's copy of the union
+// (Over's candidates at its threshold), the slab slots in use and those
+// of kept candidates whose columns are hashed again. It is pooled, not
+// kept by the Refresher: a view keeps no union-sized scratch between
+// rebuilds, nor does a core.Batch, which the ingest path shares.
 type unionScratch struct {
 	set   unionSet
 	src   []source
@@ -60,16 +61,8 @@ var scratchPool = sync.Pool{New: func() any { return new(unionScratch) }}
 // afterwards. b supplies the hash scratch. Mismatched capacities are
 // refused before anything is written.
 func (r *Refresher[E]) MergeAll(dst *Tracker, parts []*Tracker, b *core.Batch, q Columnar[E]) (*Tracker, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("topk: merge of no trackers")
-	}
-	for _, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("topk: merge with nil Tracker")
-		}
-		if p.cap != parts[0].cap {
-			return nil, fmt.Errorf("topk: merging trackers with different capacities (%d vs %d)", parts[0].cap, p.cap)
-		}
+	if err := check(parts); err != nil {
+		return nil, err
 	}
 	if dst == nil || dst.cap != parts[0].cap {
 		dst = New(parts[0].cap)
@@ -172,9 +165,91 @@ func (r *Refresher[E]) MergeAll(dst *Tracker, parts []*Tracker, b *core.Batch, q
 	return dst, nil
 }
 
+// Over answers a threshold read of the union of parts without building
+// it: the candidates whose |estimate| against q — the sketch of that
+// union — reaches thr, sorted by id, nil when none does. Every part's
+// candidates are estimated off its slab (hashed limit at a time when it
+// is stale, as MergeAll hashes them), those at or above thr are kept
+// once each and, when more than limit are, cut to the first limit under
+// less. That is what MergeAll followed by the same read of the kept
+// candidates returns: a candidate at or above thr ranks above every one
+// below it under less, so the top limit of the union, read at thr, is
+// the top limit of the candidates at or above thr. The parts are only
+// read; MergeCounts then reports how many distinct candidates reached
+// thr and how many were returned.
+func (r *Refresher[E]) Over(parts []*Tracker, b *core.Batch, q Columnar[E], thr float64) ([]uint64, error) {
+	if err := check(parts); err != nil {
+		return nil, err
+	}
+	m := scratchPool.Get().(*unionScratch)
+	defer scratchPool.Put(m)
+	stale := m.stale[:0]
+	for _, p := range parts {
+		if p.stale {
+			for i := range p.heap {
+				stale = append(stale, p.heap[i].id)
+			}
+		}
+	}
+	m.stale = stale
+	est, _ := r.estimate(m, parts, stale, b, q)
+	kept, s := m.ranks[:0], 0
+	for pi, p := range parts {
+		for i := range p.heap {
+			at := m.off[pi] + int(p.heap[i].slot)
+			if p.stale {
+				at, s = s, s+1
+			}
+			if v := abs(float64(est[at])); v >= thr {
+				kept = append(kept, entry{id: p.heap[i].id, absEst: v})
+			}
+		}
+	}
+	// A candidate on several parts has one estimate: the same columns
+	// against the same table.
+	byID := func(a, b entry) int { return cmp.Compare(a.id, b.id) }
+	slices.SortFunc(kept, byID)
+	kept = slices.CompactFunc(kept, func(a, b entry) bool { return a.id == b.id })
+	m.ranks = kept
+	r.gathered = len(kept)
+	if limit := parts[0].limit; len(kept) > limit {
+		least := selectAt(kept, len(kept)-limit)
+		kept = slices.DeleteFunc(kept, func(e entry) bool { return less(&e, &least) })
+		slices.SortFunc(kept, byID)
+	}
+	r.kept = len(kept)
+	if len(kept) == 0 {
+		return nil, nil
+	}
+	out := make([]uint64, len(kept))
+	for j := range kept {
+		out[j] = kept[j].id
+	}
+	return out, nil
+}
+
+// check refuses a merge or a read over no parts, a nil part or parts of
+// different capacities.
+func check(parts []*Tracker) error {
+	if len(parts) == 0 {
+		return fmt.Errorf("topk: merge of no trackers")
+	}
+	for _, p := range parts {
+		if p == nil {
+			return fmt.Errorf("topk: merge with nil Tracker")
+		}
+		if p.cap != parts[0].cap {
+			return fmt.Errorf("topk: merging trackers with different capacities (%d vs %d)", parts[0].cap, p.cap)
+		}
+	}
+	return nil
+}
+
 // MergeCounts reports the last MergeAll's candidate counts: how many
 // distinct candidates its parts held together, and how many it kept
-// (the smaller of that and the tracker's limit).
+// (the smaller of that and the tracker's limit) — or the last Over's:
+// how many distinct candidates reached its threshold, and how many it
+// returned.
 func (r *Refresher[E]) MergeCounts() (union, kept int) {
 	return r.gathered, r.kept
 }

@@ -229,3 +229,98 @@ func TestSelectAtMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestOverMatchesMergeAllRead: over parts whose candidates overlap, some
+// parts stale, with more than limit candidates at or above the
+// threshold and every |estimate| among them tied in fives, Over
+// returns what MergeAll followed by a read of the kept candidates at
+// the threshold returns — the first limit under less, so ties go to the
+// smaller id — at every threshold from above every candidate to below
+// all of them, and reads no part it could write.
+func TestOverMatchesMergeAllRead(t *testing.T) {
+	// |estimate| 30 for ids 0-4, 27 for 5-9, ...: the limit of 12 cuts
+	// through the ties at 24, which break by id.
+	est := func(i uint64) float64 {
+		v := float64(30 - 3*(int64(i)/5))
+		if i%2 == 1 {
+			v = -v
+		}
+		return v
+	}
+	build := func(ids []uint64, stale bool) *Tracker {
+		tr := New(6) // limit 12
+		if stale {
+			for _, id := range ids {
+				tr.Offer(id, 0)
+			}
+			return tr
+		}
+		var ref Refresher[float64]
+		b := core.GetBatch()
+		defer core.PutBatch(b)
+		b.LoadKeys(ids)
+		ref.Offer(tr, b, estFunc(est))
+		return tr
+	}
+	span := func(lo, hi uint64) []uint64 {
+		var ids []uint64
+		for i := lo; i < hi; i++ {
+			ids = append(ids, i)
+		}
+		return ids
+	}
+	parts := []*Tracker{build(span(6, 18), false), build(span(0, 12), true), build(span(12, 24), false)}
+	before := make([][]byte, len(parts))
+	for j, p := range parts {
+		before[j], _ = p.MarshalBinary()
+	}
+	var ref Refresher[float64]
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+	merged, err := ref.MergeAll(nil, parts, b, estFunc(est))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand, slab := ref.Estimates(merged, b, estFunc(est))
+	cand, slab = slices.Clone(cand), slices.Clone(slab)
+	tested := 0
+	for thr := 31.0; thr >= -1; thr-- { // through every |estimate|: the rule keeps equality
+		var want []uint64
+		for j, id := range cand {
+			if abs(slab[j]) >= thr {
+				want = append(want, id)
+			}
+		}
+		slices.Sort(want)
+		above := 0
+		for i := uint64(0); i < 24; i++ {
+			if abs(est(i)) >= thr {
+				above++
+			}
+		}
+		got, err := ref.Over(parts, b, estFunc(est), thr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("threshold %v: Over %v, MergeAll read %v", thr, got, want)
+		}
+		if union, kept := ref.MergeCounts(); union != above || kept != len(want) {
+			t.Fatalf("threshold %v: MergeCounts %d, %d; %d distinct candidates reach it, %d returned", thr, union, kept, above, len(want))
+		}
+		if above > 12 {
+			tested++
+		}
+	}
+	if tested == 0 {
+		t.Fatal("no threshold passed more than limit candidates: the cut went untested")
+	}
+	for j, p := range parts {
+		if after, _ := p.MarshalBinary(); !bytes.Equal(after, before[j]) || (j == 1) != p.stale {
+			t.Fatalf("Over wrote part %d", j)
+		}
+	}
+	if _, err := ref.Over(nil, b, estFunc(est), 0); err == nil {
+		t.Fatal("Over read no parts")
+	}
+}

@@ -134,6 +134,7 @@ func TestZeroValueQueryDiagnostics(t *testing.T) {
 	var hh HeavyHitters
 	expectPanic("HeavyHitters.HeavyHitters", func() { hh.HeavyHitters() })
 	expectPanic("HeavyHitters.Members", func() { hh.Members() })
+	expectPanic("HeavyHitters.HeavyHittersOver", func() { hh.HeavyHittersOver(nil) })
 	expectPanic("HeavyHitters.Estimate", func() { hh.Estimate(1) })
 	expectPanic("HeavyHitters.EstimateBatch", func() { hh.EstimateBatch([]uint64{1}) })
 	expectPanic("HeavyHitters.EstimateColumns", func() { hh.EstimateColumns(GetBatch(), nil) })
