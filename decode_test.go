@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -81,10 +82,10 @@ func TestDecodeBoundedAtExtremeConfigs(t *testing.T) {
 }
 
 // TestRefusesV1: the format has one version; a blob of an earlier one
-// (v1, or v2 with its counters a word each) is refused with one clear
-// error.
+// (v1, v2 with its counters a word each, v3 with each count column at
+// its widest entry's width) is refused with one clear error.
 func TestRefusesV1(t *testing.T) {
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		blob := must(must(NewHeavyHitters(Config{N: 1 << 10, Eps: 0.1, Alpha: 2, Seed: 1})).MarshalBinary())
 		blob[2] = v
 		want := fmt.Sprintf("bounded: unsupported wire format version %d", v)
@@ -93,6 +94,25 @@ func TestRefusesV1(t *testing.T) {
 			if err == nil || err.Error() != want {
 				t.Errorf("a v%d envelope: err = %v", v, err)
 			}
+		}
+	}
+}
+
+// TestRefusesV3Blobs: every blob of the engine's format-3 golden image
+// — one of each engine kind, as the format-3 encoder wrote it — is refused by
+// UnmarshalSketch with the error naming format 3.
+func TestRefusesV3Blobs(t *testing.T) {
+	var img wire.PartSnapshot
+	if err := img.UnmarshalBinary(wiretest.V3Image(t, ".")); err != nil {
+		t.Fatal(err)
+	}
+	blobs := img.Shards[0]
+	if len(blobs) != 7 {
+		t.Fatalf("the image holds %d blobs, want one per engine kind (7)", len(blobs))
+	}
+	for _, b := range blobs {
+		if _, err := UnmarshalSketch(b.Payload); err == nil || err.Error() != "bounded: unsupported wire format version 3" {
+			t.Errorf("a format-3 blob of bit %d: err = %v", b.Bit, err)
 		}
 	}
 }

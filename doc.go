@@ -140,10 +140,11 @@
 // fills the state in. It works on a zero-value receiver; UnmarshalSketch
 // dispatches on the kind byte when the receiver does not know what it
 // was sent; SketchKind peeks without restoring. The format has one
-// version (3); a blob of another is refused. Every count column travels
-// at the byte width of its widest entry, so a blob is about
-// SpaceBits()/8 bytes: the wire ships the bits the space bound charges,
-// with field elements, floats and ids a word each.
+// version (4); a blob of another is refused. Every count column travels
+// at the byte width most of its entries need, the few wider entries
+// patched in behind it, so a blob's counters take no more than the bits
+// the space bound charges them (a heavy-hitters blob is about 0.6 ×
+// SpaceBits()/8), with field elements and floats a word each.
 //
 //	wire, _ := siteSketch.MarshalBinary()      // site: serialize
 //	sk, err := bounded.UnmarshalSketch(wire)   // coordinator: restore

@@ -4,25 +4,30 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 // TestGoldenPartitionedSnapshot pins the "BP" image byte for byte: an
 // engine holding every structure of the kinds table, fed the Figure 1
 // workload in uneven chunks, must marshal to the digests recorded. They
-// were last re-pinned when the L1 estimator began to walk its Morris
-// clock a batch at a time (its draws moved, not its law). A moved byte
-// anywhere — envelope, blob list, any structure's state — fails here.
+// were last re-pinned at wire format v4, when every count column began
+// to travel at the width most of its entries need with the few wide
+// ones patched in, and the candidate ids became a count column. A moved
+// byte anywhere — envelope, blob list, any structure's state — fails
+// here.
 //
 // Beside each byte digest sits the digest of every answer the image
 // gives once restored, recorded by the same probe in the tree before
-// the v2 re-pin and unmoved by v3's or the clock walk's: the bytes
-// moved, the answers did not.
+// the v2 re-pin and unmoved by v3's, the clock walk's or v4's: the
+// bytes moved, the answers did not.
 func TestGoldenPartitionedSnapshot(t *testing.T) {
 	golden := map[int]string{
-		1: "0bfd45302135873995b3fa53529e07fd95d93509d990853ba5b1f1f6867a9e55",
-		2: "3fe64a769d01a5a32721e8333854bc43285de192c915c400e305df1b35884680",
-		4: "bb19eac189f4409f8b424f59579384d067408d9c6452c3add53f2dc6eb885cb6",
+		1: "87270ecbd267ad8d005592a9590dfaea51fb8a1adc19eef1d7a77db50190394c",
+		2: "2c798c866030bf6d1075862104c1e1a21e6054c1778c5e4bcd95a75985247da4",
+		4: "09230b2d87afd17dd452e8c87a0cdabd6b865a66c788ea3b41b003d7cc5f6889",
 	}
 	answers := map[int]string{
 		1: "7eef854e57522fa3cb9358a9308e03dc4aaa3019cbfc0748b8c59af7942fb6f5",
@@ -76,6 +81,21 @@ func restoredAnswers(t *testing.T, img []byte, opts Options) string {
 	return fmt.Sprint(must(e.HeavyHitters()), must(e.L1()), must(e.L0()),
 		must(e.Support()), must(e.L2HeavyHitters()), decoded, decodeErr,
 		must(e.EstimateBatch(idxs)), must(e.ProbeBatch(idxs)))
+}
+
+// TestRefusesV3Image: the golden image as the format-3 encoder wrote it
+// is refused with an error naming the format, not read by a second
+// decode path: a v3 checkpoint is re-sent, not translated.
+func TestRefusesV3Image(t *testing.T) {
+	img := wiretest.V3Image(t, "..")
+	e, err := RestoreCheckpoint(img, Options{BatchSize: 512, SamplerCopies: 2})
+	if err == nil {
+		e.Close()
+		t.Fatal("a format-3 image restored")
+	}
+	if !strings.Contains(err.Error(), "unsupported wire format version 3") {
+		t.Fatalf("a format-3 image: err = %v, want one naming format 3", err)
+	}
 }
 
 func digest(b []byte) string {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/csss"
+	"repro/internal/topk"
 	"repro/internal/wire/wiretest"
 )
 
@@ -100,16 +101,18 @@ func pingPongFrames(f *testing.F, cfg Config) (tiny, held []byte) {
 	s := must(NewSyncSketch(cfg, WithCapacity(16)))
 	s.Update(5, 3)
 	held = must(s.MarshalBinary())
-	// The state: maxCount, the width byte, the packed count column,
-	// then each cell's two field sums.
+	// The state: maxCount, the count column (widths 1/1: its widths
+	// byte, then a byte a cell), then each cell's two field sums.
 	countsAt := stateAt(f, held) + 9
-	width := int(held[countsAt-1])
-	cells := (len(held) - countsAt) / (width + 16)
-	per, sumsAt := cells/3, countsAt+cells*width
-	if bytes.Equal(held[countsAt:countsAt+per*width], make([]byte, per*width)) {
+	if held[countsAt-1] != 0x11 {
+		f.Fatalf("a sync sketch holding 3 packs at widths % x, want 11", held[countsAt-1])
+	}
+	cells := (len(held) - countsAt) / 17
+	per, sumsAt := cells/3, countsAt+cells
+	if bytes.Equal(held[countsAt:countsAt+per], make([]byte, per)) {
 		f.Fatal("no nonzero cell in subtable 0")
 	}
-	clear(held[countsAt+per*width : sumsAt])
+	clear(held[countsAt+per : sumsAt])
 	clear(held[sumsAt+per*16:])
 	tiny = append([]byte(nil), held...)
 	// The capacity echo is the last word of the header.
@@ -117,49 +120,69 @@ func pingPongFrames(f *testing.F, cfg Config) (tiny, held []byte) {
 	return tiny, held
 }
 
-// packedWidths returns blobs whose packed count columns sit at widths
-// 1, 3 and 8 — sync sketches whose widest count's zigzag needs that
-// many bytes, and a fresh heavy-hitters table repacked at 3 and 8 — and
-// three the reader must refuse: the table at widths 0 and 9, and at
-// width 8 with its last counter's sign bit set.
+// hhTableAt is the offset of a strict heavy-hitters blob's table
+// column: behind the exact L1 scale's two words and the CSSS clock and
+// maxCount.
+func hhTableAt(tb testing.TB, hh []byte) int { return stateAt(tb, hh) + 16 + 20 }
+
+// packedWidths returns blobs whose count columns reach widths 1, 3 and
+// 8 — sync sketches whose widest count's zigzag needs that many bytes,
+// the two wider ones patched into a byte-wide column — a heavy-hitters
+// table whose few heavy counters are patched into a byte-wide column,
+// and four the reader must refuse: a fresh (all-zero) heavy-hitters
+// table at widths 0/1, 1/9 and 3/3, and at widths 1/8 with one patch
+// that sets a counter's sign bit.
 func packedWidths(tb testing.TB, cfg Config) [][]byte {
 	var out [][]byte
 	for _, c := range []struct {
-		width int
+		high  byte
 		count int64
 	}{{1, 2}, {3, 1 << 20}, {8, -1 << 60}} {
-		width, count := c.width, c.count
 		s := must(NewSyncSketch(cfg, WithCapacity(16)))
-		s.Update(3, count)
+		s.Update(3, c.count)
 		data := must(s.MarshalBinary())
-		if got := int(data[stateAt(tb, data)+8]); got != width {
-			tb.Fatalf("a sync sketch holding %d packs at width %d, want %d", count, got, width)
+		if got := data[stateAt(tb, data)+8]; got != c.high<<4|1 {
+			tb.Fatalf("a sync sketch holding %d packs at widths % x, want %x1", c.count, got, c.high)
 		}
 		out = append(out, data)
 	}
-	// A strict heavy-hitters state: the exact L1 scale's two words, the
-	// CSSS clock and maxCount, the width byte, the table, then the
-	// candidate count (a fresh tracker holds none).
+	wide := must(NewHeavyHitters(cfg))
+	for i := range uint64(200) {
+		wide.Update(i, 3)
+	}
+	wide.Update(5, 1<<20)
+	wide.Update(9, 700)
+	data := must(wide.MarshalBinary())
+	if got := data[hhTableAt(tb, data)]; got&15 != 1 || got>>4 < 2 {
+		tb.Fatalf("a heavy-hitters table with a few heavy counters packs at widths % x, want a patched byte column", got)
+	}
+	out = append(out, data)
+
 	hh := must(must(NewHeavyHitters(cfg)).MarshalBinary())
-	at := stateAt(tb, hh) + 16 + 20
-	entries := hhParams(cfg, echo{}).StateLen() - 16 - 21 - 4
-	repacked := func(width int) []byte {
-		data := append(hh[:at:at], byte(width))
-		data = append(data, make([]byte, entries*width)...)
-		return append(data, hh[at+1+entries:]...)
+	at := hhTableAt(tb, hh)
+	entries := hhParams(cfg, echo{}).StateLen() - 16 - 21 - topk.MinLen
+	if hh[at] != 0x11 {
+		tb.Fatalf("a fresh heavy-hitters table packs at widths % x, want 11", hh[at])
 	}
-	for _, width := range []int{3, 8} {
-		data := repacked(width)
-		if _, err := UnmarshalSketch(data); err != nil {
-			tb.Fatalf("a fresh heavy-hitters table at width %d refused: %v", width, err)
-		}
-		out = append(out, data)
+	tracker := hh[at+1+entries:]
+	repacked := func(widths byte, column []byte) []byte {
+		data := append(hh[:at:at], widths)
+		return append(append(data, column...), tracker...)
 	}
-	negative := repacked(8)
-	negative[at+8*entries] |= 0x80
-	for _, data := range [][]byte{repacked(0), repacked(9), negative} {
+	// One counter's high bytes set its sign bit: patch entry 0, whose
+	// seven high bytes end in 0x80.
+	sign := binary.LittleEndian.AppendUint32(nil, 1)
+	sign = append(sign, make([]byte, entries)...)
+	sign = binary.LittleEndian.AppendUint32(sign, 0)
+	sign = append(sign, 0, 0, 0, 0, 0, 0, 0x80)
+	for _, data := range [][]byte{
+		repacked(0x10, make([]byte, entries)),
+		repacked(0x91, make([]byte, entries)),
+		repacked(0x33, make([]byte, 3*entries)),
+		repacked(0x81, sign),
+	} {
 		if _, err := UnmarshalSketch(data); err == nil {
-			tb.Fatalf("accepted a heavy-hitters table at width %d", data[at])
+			tb.Fatalf("accepted a heavy-hitters table at widths % x", data[at])
 		}
 		out = append(out, data)
 	}
@@ -239,7 +262,7 @@ func FuzzUnmarshal(f *testing.F) {
 	// last word of its state), a short blob whose echo names a shape of
 	// 1.6 GB, and an eps naming a Count-Sketch of 2^40 columns.
 	many := append([]byte(nil), hhData...)
-	binary.LittleEndian.PutUint32(many[len(many)-4:], 1<<22)
+	binary.LittleEndian.PutUint32(many[len(many)-topk.MinLen:], 1<<22)
 	for name, bad := range map[string][]byte{
 		"tracker entry count 2^22": many,
 		"huge shape":               hugeShapeBlob(f),
@@ -271,8 +294,10 @@ func FuzzUnmarshal(f *testing.F) {
 	// A bare state, without the envelope: refused.
 	bare := must(must(NewSyncSketch(cfg, WithCapacity(16))).MarshalBinary())
 	f.Add(bare[stateAt(f, bare):])
-	// Count columns at widths 1, 3 and 8, and the widths a reader
-	// refuses: 0, 9, and a CSSS counter at width 8 with its sign bit set.
+	// Count columns reaching widths 1, 3 and 8, a heavy-hitters table
+	// with wide counters patched in, and the columns a reader refuses:
+	// widths 0 and 9, a low width no shorter than one, and a CSSS
+	// counter patched past its sign bit.
 	for _, data := range packedWidths(f, cfg) {
 		f.Add(data)
 	}

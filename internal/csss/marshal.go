@@ -9,11 +9,11 @@ import (
 )
 
 // Wire state of a CSSampSim sketch: the sampling clock (t, p), maxCount,
-// then the positive/negative counter pairs packed at one byte width —
-// that of the OR of the counters, so the table travels in about the
-// 2·cells·BitsFor(maxCount) bits SpaceBits charges it — behind the
-// width byte. The Figure 2 parameters and the hash wiring are the
-// constructor's; scale, estScale and nextHalf are pure functions of
+// then the positive/negative counter pairs as one count column (packed
+// at the width most counters need, the few wide ones patched in), so the
+// table travels in about the 2·cells·BitsFor(maxCount) bits SpaceBits
+// charges it or fewer. The Figure 2 parameters and the hash wiring are
+// the constructor's; scale, estScale and nextHalf are pure functions of
 // (params, p) and are rederived on restore; the per-update scratch and
 // the row-hash memo start empty. The restored instance reseeds its
 // thinning rng deterministically from the state — counters are exact,
@@ -25,44 +25,36 @@ func (s *Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // EncodedLen is the length of the sketch's encoding: what an enclosing
 // structure grows its buffer by.
-func (s *Sketch) EncodedLen() int { return stateLen(len(s.table), s.width()) }
+func (s *Sketch) EncodedLen() int { return LenAt(s.Layout()) }
+
+// LenAt is the length of the encoding with the table laid out as l.
+func LenAt(l wire.Layout) int { return 20 + l.Len() }
 
 // StateLen is the least encoded length of a sketch with params p: its
-// table packed at width 1.
-func StateLen(p Params) int { return stateLen(p.Rows*6*p.K, 1) }
+// table one byte a counter, nothing patched.
+func StateLen(p Params) int { return 20 + wire.MinColumnLen(2*p.Rows*6*p.K) }
 
-func stateLen(cells, width int) int { return 21 + 2*cells*width }
-
-// width is the byte width the table packs at. It reads the counters
-// themselves, not maxCount, which only SpaceBits refreshes: encoding
-// leaves the sketch alone.
-func (s *Sketch) width() int {
-	// Four lanes: the ORs of one lane wait on each other, not on the
-	// other lanes'.
-	var a, b, c, d uint64
-	v := s.counters()
-	for ; len(v) >= 4; v = v[4:] {
-		a |= v[0]
-		b |= v[1]
-		c |= v[2]
-		d |= v[3]
-	}
-	for _, x := range v {
-		a |= x
-	}
-	return wire.ByteWidth(a | b | c | d)
-}
+// Layout is the count column the table packs as: one scan of the
+// counters (not of maxCount, which only SpaceBits refreshes: encoding
+// leaves the sketch alone). A structure that sizes its buffer by it
+// (LenAt) hands it to Write rather than have the table scanned again.
+func (s *Sketch) Layout() wire.Layout { return wire.LayoutOf(s.counters()) }
 
 // AppendBinary appends the sketch's encoding to dst.
 func (s *Sketch) AppendBinary(dst []byte) ([]byte, error) {
-	width := s.width()
-	w := wire.State(wire.Grow(dst, stateLen(len(s.table), width)))
+	l := s.Layout()
+	w := wire.State(wire.Grow(dst, LenAt(l)))
+	s.Write(w, l)
+	return w.Bytes(), nil
+}
+
+// Write appends the sketch's encoding to w with the table laid out as
+// l, which is Layout()'s value.
+func (s *Sketch) Write(w *wire.Writer, l wire.Layout) {
 	w.I64(s.t)
 	w.U32(uint32(s.p))
 	w.I64(s.maxCount)
-	w.U8(uint8(width))
-	w.Packed(s.counters(), width)
-	return w.Bytes(), nil
+	w.Counts(s.counters(), l)
 }
 
 // Fill restores the state into a sketch fresh from New with the
@@ -72,8 +64,7 @@ func (s *Sketch) Fill(r *wire.Reader) {
 	t := r.I64()
 	p := int(r.U32())
 	s.maxCount = r.I64()
-	width := int(r.U8())
-	r.Packed(s.counters(), width)
+	or := r.Counts(s.counters())
 	if r.Err() != nil {
 		return
 	}
@@ -85,13 +76,11 @@ func (s *Sketch) Fill(r *wire.Reader) {
 		r.Fail(errors.New("csss: bad Sketch sampling clock"))
 		return
 	}
-	if width == 8 {
-		for _, v := range s.counters() {
-			if int64(v) < 0 {
-				r.Fail(errors.New("csss: negative sampled counter"))
-				return
-			}
-		}
+	// A counter past MaxInt64 is negative once read as a count; a patch
+	// can set its top bit at any low width, so the values are checked.
+	if int64(or) < 0 {
+		r.Fail(errors.New("csss: negative sampled counter"))
+		return
 	}
 	s.t, s.p, s.haveLast, s.halved = t, p, false, 0
 	s.rng = sample.Seeded(wire.Seed(r.Since(at)))
@@ -110,9 +99,10 @@ func (te *TailEstimator) EncodedLen() int { return te.CS1.EncodedLen() + te.CS2.
 
 // AppendBinary appends the tail estimator's encoding to dst.
 func (te *TailEstimator) AppendBinary(dst []byte) ([]byte, error) {
-	w := wire.State(wire.Grow(dst, te.EncodedLen()))
-	w.Marshal(te.CS1)
-	w.Marshal(te.CS2)
+	l1, l2 := te.CS1.Layout(), te.CS2.Layout()
+	w := wire.State(wire.Grow(dst, LenAt(l1)+LenAt(l2)))
+	te.CS1.Write(w, l1)
+	te.CS2.Write(w, l2)
 	return w.Bytes(), nil
 }
 

@@ -181,10 +181,11 @@ func (p AlphaL1Params) sketchParams() csss.Params {
 }
 
 // StateLen is the least encoded length of an AlphaL1 built with p: it
-// tracks no candidates and its table packs at width 1. Every state of
-// that shape holds it, and it is known before anything is allocated.
+// tracks no candidates and its table packs one byte a counter. Every
+// state of that shape holds it, and it is known before anything is
+// allocated.
 func (p AlphaL1Params) StateLen() int {
-	n := csss.StateLen(p.sketchParams()) + 4
+	n := csss.StateLen(p.sketchParams()) + topk.MinLen
 	if p.Mode == General {
 		return n + cauchy.SketchStateLen(l1EstR, l1EstRPrime)
 	}

@@ -62,11 +62,11 @@ func l2Cols(eps, alpha float64) (ins, ver uint64) {
 }
 
 // L2StateLen is the least encoded length of an AlphaL2 built with (eps,
-// alpha): both Count-Sketches packed at width 1 and no candidates (see
+// alpha): both Count-Sketches one byte a counter and no candidates (see
 // AlphaL1Params.StateLen).
 func L2StateLen(eps, alpha float64) int {
 	ins, ver := l2Cols(eps, alpha)
-	return sketch.StateLen(5*int(ins), 1) + sketch.StateLen(7*int(ver), 1) + 4
+	return sketch.StateLen(5*int(ins)) + sketch.StateLen(7*int(ver)) + topk.MinLen
 }
 
 // l2TrackerCap is the candidate capacity of the insertion pass: at most

@@ -1,6 +1,9 @@
 package heavy
 
-import "repro/internal/wire"
+import (
+	"repro/internal/csss"
+	"repro/internal/wire"
+)
 
 // Wire states of the two alpha-property heavy hitters structures: each
 // nests its components' states (the CSSS / Count-Sketch counters, the
@@ -11,8 +14,11 @@ import "repro/internal/wire"
 func (h *AlphaL1) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
 
 // EncodedLen is the length of the structure's encoding.
-func (h *AlphaL1) EncodedLen() int {
-	n := h.sk.EncodedLen() + h.tracker.EncodedLen()
+func (h *AlphaL1) EncodedLen() int { return h.lenAt(h.sk.Layout()) }
+
+// lenAt is the length of the encoding with the table laid out as l.
+func (h *AlphaL1) lenAt(l wire.Layout) int {
+	n := csss.LenAt(l) + h.tracker.EncodedLen()
 	if h.scale.l1Est != nil {
 		return n + h.scale.l1Est.EncodedLen()
 	}
@@ -20,16 +26,18 @@ func (h *AlphaL1) EncodedLen() int {
 }
 
 // AppendBinary appends the structure's encoding to dst, growing it
-// once by the length its components will take.
+// once by the length its components will take; the table is scanned
+// for its layout once, for that length, and written as it.
 func (h *AlphaL1) AppendBinary(dst []byte) ([]byte, error) {
-	w := wire.State(wire.Grow(dst, h.EncodedLen()))
+	l := h.sk.Layout()
+	w := wire.State(wire.Grow(dst, h.lenAt(l)))
 	if h.scale.l1Est != nil {
 		w.Marshal(h.scale.l1Est)
 	} else {
 		w.I64(h.scale.l1Exact)
 		w.I64(h.scale.maxL1)
 	}
-	w.Marshal(h.sk)
+	h.sk.Write(w, l)
 	w.Marshal(h.tracker)
 	return w.Bytes(), nil
 }

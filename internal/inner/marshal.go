@@ -9,11 +9,11 @@ import (
 
 // Wire state of the inner-product estimator: both stream sides, each a
 // position counter, maxCount and the live interval-sampled levels —
-// each its start and its bins, zigzagged and packed at the byte width
-// of their OR behind the width byte. The Params, the shared random
-// prime and the per-row bucket/sign hashes are the constructor's. The
-// restored instance reseeds its sampling rng from the state; bins are
-// exact.
+// each its start and its bins, zigzagged into one count column (packed
+// at the width most bins need, the few wide ones patched in). The
+// Params, the shared random prime and the per-row bucket/sign hashes
+// are the constructor's. The restored instance reseeds its sampling rng
+// from the state; bins are exact.
 
 // MarshalBinary encodes the estimator's state.
 func (e *Estimator) MarshalBinary() ([]byte, error) { return e.AppendBinary(nil) }
@@ -23,25 +23,28 @@ func (e *Estimator) EncodedLen() int {
 	n := 40
 	for _, sd := range []*side{e.f, e.g} {
 		for _, lv := range sd.win.Each {
-			n += e.levelLen(lv.width())
+			n += e.levelLen(lv.layout())
 		}
 	}
 	return n
 }
 
-// levelLen is one level's encoded length with its bins at width:
-// index, start, the width byte and the bins.
-func (e *Estimator) levelLen(width int) int { return 13 + width*e.params.Rows*e.params.K }
+// levelLen is one level's encoded length with its bins laid out as l:
+// index, start and the bins' column.
+func (e *Estimator) levelLen(l wire.Layout) int { return 12 + l.Len() }
 
-// width is the byte width a level's bins pack at.
-func (lv *ipLevel) width() int {
-	var or uint64
+// minLevelLen is the least encoded length of a level: one byte a bin.
+func (e *Estimator) minLevelLen() int { return 12 + wire.MinColumnLen(e.params.Rows*e.params.K) }
+
+// layout is the count column a level's bins pack as.
+func (lv *ipLevel) layout() wire.Layout {
+	var h wire.Widths
 	for _, row := range lv.bins {
 		for _, v := range row {
-			or |= wire.Zigzag(v)
+			h.Add(wire.Zigzag(v))
 		}
 	}
-	return wire.ByteWidth(or)
+	return h.Layout()
 }
 
 // AppendBinary appends the estimator's encoding to dst, growing it
@@ -53,9 +56,7 @@ func (e *Estimator) AppendBinary(dst []byte) ([]byte, error) {
 		w.I64(sd.maxCount)
 		sd.win.WriteLevels(w, func(lv *ipLevel) {
 			w.I64(lv.start)
-			width := lv.width()
-			w.U8(uint8(width))
-			col, i := w.Column(e.params.Rows*e.params.K, width), 0
+			col, i := w.Column(lv.layout()), 0
 			for _, row := range lv.bins {
 				for _, v := range row {
 					col.Put(i, wire.Zigzag(v))
@@ -77,18 +78,18 @@ func (e *Estimator) Fill(r *wire.Reader) {
 			r.Fail(errors.New("inner: bad side position"))
 		}
 		sd.win.ReadLevels(r, func(int) *ipLevel {
-			if !r.Need(e.levelLen(1) - 4) {
+			if !r.Need(e.minLevelLen() - 4) {
 				return nil
 			}
 			lv := e.newLevel(r.I64())
-			col, ok := r.Column(e.params.Rows*e.params.K, int(r.U8()))
+			col, ok := r.Column(e.params.Rows * e.params.K)
 			if !ok {
 				return nil
 			}
 			i := 0
 			for _, row := range lv.bins {
 				for j := range row {
-					row[j] = wire.Unzigzag(col.At(i))
+					row[j] = wire.Unzigzag(col.Value(i))
 					i++
 				}
 			}

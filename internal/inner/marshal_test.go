@@ -159,9 +159,10 @@ func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
 	wiretest.CheckLazySeeding(t, "UnmarshalBinary", restore, seed, seedWith(wire.Seed(blob)), work)
 }
 
-// TestBinsPackAtEveryByteBoundary: each level's bins pack at the byte
-// width of its widest zigzagged bin — on each side of every byte
-// boundary, negative bins on the odd values — and round trip.
+// TestBinsPackAtEveryByteBoundary: each level's bins take the byte
+// width of its widest zigzagged bin as their high width — on each side
+// of every byte boundary, negative bins on the odd values — and round
+// trip.
 func TestBinsPackAtEveryByteBoundary(t *testing.T) {
 	params := Params{N: 1 << 10, Eps: 0.25, Base: 1 << 20, Rows: 3}
 	for _, zz := range []uint64{255, 256, 65535, 65536, 1<<56 - 1, 1 << 56} {
@@ -171,8 +172,8 @@ func TestBinsPackAtEveryByteBoundary(t *testing.T) {
 		last[len(last)-1] = wire.Unzigzag(zz)
 		data := wiretest.MustMarshal(t, e)
 		// f's position and peak, its one level's count, index and start.
-		if got := int(data[16+4+4+8]); got != wire.ByteWidth(zz) {
-			t.Fatalf("bin %d: f's level packs at width %d, want %d", last[len(last)-1], got, wire.ByteWidth(zz))
+		if got := int(data[16+4+4+8] >> 4); got != wire.ByteWidth(zz) {
+			t.Fatalf("bin %d: f's level packs at high width %d, want %d", last[len(last)-1], got, wire.ByteWidth(zz))
 		}
 		if got := len(data); got != e.EncodedLen() {
 			t.Fatalf("bin %d: %d bytes, EncodedLen %d", last[len(last)-1], got, e.EncodedLen())

@@ -182,9 +182,7 @@ func craft(pos int64, levels ...[2]int64) []byte {
 		for _, lv := range levels {
 			w.U32(uint32(lv[0]))
 			w.I64(1) // start
-			bin := wire.Zigzag(lv[1])
-			w.U8(uint8(wire.ByteWidth(bin)))
-			w.Packed(slices.Repeat([]uint64{bin}, 2*4), wire.ByteWidth(bin))
+			wiretest.Counts(w, slices.Repeat([]uint64{wire.Zigzag(lv[1])}, 2*4))
 		}
 	}
 	return w.Bytes()

@@ -12,14 +12,14 @@ import (
 
 // TestGoldenAggCheckpoint pins the "AG" checkpoint payload byte for
 // byte: two agents, three structures each, fixed watermarks. The digest
-// was last re-pinned when every count column began to travel packed at
-// its byte width (wire format v3); beside it sits the digest of what
-// every reopened sketch answers, recorded by the same probe in the tree
-// before the v2 re-pin and unmoved by v3's. Reopening yields both
-// agents.
+// was last re-pinned when every count column began to travel at the
+// width most of its entries need, the few wide ones patched in (wire
+// format v4); beside it sits the digest of what every reopened sketch
+// answers, recorded by the same probe in the tree before the v2 re-pin
+// and unmoved by v3's or v4's. Reopening yields both agents.
 func TestGoldenAggCheckpoint(t *testing.T) {
 	const (
-		golden  = "03cf78331153043a212781e9e649b9c966392319ef2707ddf93ede3d89c00509"
+		golden  = "d8803cc45d72ef33379e7d53eada09f637d671d461d6fdaff2c54ac95147d661"
 		answers = "d6638772391d6e14f04ee3d68adeca3678c27c10b614fac6e3ca44a3be3216ee"
 	)
 	site := func(seed int64) map[engine.Structures]bounded.Sketch {

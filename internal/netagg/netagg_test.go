@@ -16,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/netproto"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // testConfig is the e2e parameterization: the distributedmerge
@@ -701,6 +702,32 @@ func TestForeignConfigSnapshotRefused(t *testing.T) {
 	}
 	if hh, err := client.HeavyHitters(); err != nil || len(hh) != 1 || hh[0] != 42 {
 		t.Fatalf("heavy hitters = %v, %v; want [42]", hh, err)
+	}
+}
+
+// TestV3SnapshotRefused: a SNAPSHOT carrying the blobs of the engine's
+// format-3 golden image is refused at admission with an error naming
+// the format, and nothing of it is stored.
+func TestV3SnapshotRefused(t *testing.T) {
+	var img wire.PartSnapshot
+	if err := img.UnmarshalBinary(wiretest.V3Image(t, "../..")); err != nil {
+		t.Fatal(err)
+	}
+	h := img.Header
+	agg, err := NewAggregator(AggregatorOptions{
+		Config:     bounded.Config{N: h.N, Eps: h.Eps, Alpha: h.Alpha, Seed: h.Seed},
+		Structures: engine.Structures(h.Structures),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	_, err = agg.applySnapshot("site-v3", &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: img.Shards[0]})
+	if err == nil || !strings.Contains(err.Error(), "unsupported wire format version 3") {
+		t.Fatalf("a format-3 SNAPSHOT: err = %v, want a refusal naming format 3", err)
+	}
+	if st := agg.Stats(); len(st.Agents) != 0 {
+		t.Fatalf("the refused SNAPSHOT left %d agents stored", len(st.Agents))
 	}
 }
 

@@ -151,10 +151,12 @@ func mergeAllBytes(t *testing.T, blobs [][]byte) []byte {
 // for byte an in-process bounded.MergeAll over the same blobs in sorted
 // agent order — at rate 1, and in a sampled round in which every agent
 // synced (fleet-sync's shape). The view's byte digests were last
-// re-pinned when the view began to be built by MergeAll: its tables are
-// the pairwise chain's, and its candidates are re-ranked once over the
-// union and laid out by id, where the chain re-ranked after every agent
-// and laid them out in offer order. At rate 1 the digest of what the
+// re-pinned at wire format v4 (count columns patched, candidate ids a
+// count column); the re-pin before it came when the view began to be
+// built by MergeAll: its tables are the pairwise chain's, and its
+// candidates are re-ranked once over the union and laid out by id,
+// where the chain re-ranked after every agent and laid them out in
+// offer order. At rate 1 the digest of what the
 // view answers was recorded by running this body in the tree before
 // wire format v2, and neither re-pin since moved it. The sampled view's
 // answers moved with each wire re-pin: Merge thins a restored sketch's
@@ -172,8 +174,8 @@ func mergeAllBytes(t *testing.T, blobs [][]byte) []byte {
 // ε band; ROADMAP 4a's pure Clone removes the clause.
 func TestMergedViewMatchesMergeAll(t *testing.T) {
 	const (
-		rate1             = "491ee313f1e3be740e2bf80b8782aa490dbbea50dd170030a413d178dfb39ba2"
-		allSynced         = "709560dad2371a23b1bdadd72a2e62efab745180ec1b6291c2b2c7ea7d932dc8"
+		rate1             = "4dcd6dea173e988fcbde7d037f4f1f1300463f563b1c92303ba8bf3ba51c1388"
+		allSynced         = "b16103ce40109537f7050c77fe1c533e3a8b1bcdc82e14c578679ebe909af474"
 		parentOneResynced = "9f49bd0c147771d71e8058edf0a0eca0a97ce4f3b770cb2832a9f9d997887e56"
 	)
 	for _, tc := range []struct {
@@ -453,11 +455,33 @@ func TestViewExponentReported(t *testing.T) {
 	}
 }
 
+// endsInTracker reports whether b ends in a tracker of n candidates:
+// the u32 count n, an n-entry count column of ids that ends where the n
+// estimate words begin.
+func endsInTracker(b []byte, n int) bool {
+	ests := len(b) - 8*n
+	for at := ests - 4 - wire.MinColumnLen(n); at >= max(0, ests-4-(1+4+12*n)); at-- {
+		if binary.LittleEndian.Uint32(b[at:]) != uint32(n) {
+			continue
+		}
+		if wire.Fill(b[at+4:ests], ids(n)) == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// ids reads an n-entry count column.
+type ids int
+
+func (n ids) Fill(r *wire.Reader) { r.Counts(make([]uint64, n)) }
+
 // TestViewCandidatesReported: a build over four agents reports the
 // union of their candidates and how many the view kept — the tracker's
 // limit, 2 · 4⌈1/ε⌉, of a union larger than it — in AggregatorStats
 // and on /metrics, and the view's tracker holds that many: its encoding
-// ends in the kept count and 16 bytes per candidate. After a commit a
+// ends in the kept count, a count column of that many ids and an
+// estimate word per candidate. After a commit a
 // shift folds in, the query's answer over the agents' candidates
 // reports, under their own labels, those that crossed the threshold and
 // those it returned, and the build's two stand.
@@ -476,8 +500,7 @@ func TestViewCandidatesReported(t *testing.T) {
 	if st.ViewCandidates <= limit || st.ViewKept != min(limit, st.ViewCandidates) {
 		t.Fatalf("view kept %d of a union of %d candidates, want min(limit %d, union) of a union past it", st.ViewKept, st.ViewCandidates, limit)
 	}
-	b := viewBytes(t, agg)
-	if at := len(b) - 16*st.ViewKept - 4; at < 0 || binary.LittleEndian.Uint32(b[at:]) != uint32(st.ViewKept) {
+	if !endsInTracker(viewBytes(t, agg), st.ViewKept) {
 		t.Fatalf("the view's tracker does not hold the %d candidates reported kept", st.ViewKept)
 	}
 	var out bytes.Buffer

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/csss"
+	"repro/internal/topk"
 	"repro/internal/wire"
 )
 
@@ -43,12 +44,12 @@ func (s *Sampler) Fill(r *wire.Reader) {
 }
 
 // StateLen is the least encoded length of a sampler built with p and
-// copies: its instances track no candidates and their tables pack at
-// width 1. Every state of that shape holds it, and it is known before
-// anything is allocated.
+// copies: its instances track no candidates and their tables pack one
+// byte a counter. Every state of that shape holds it, and it is known
+// before anything is allocated.
 func StateLen(p Params, copies int) int {
 	p.fill()
-	n := 24 + 2*csss.StateLen(p.csssParams()) + 4
+	n := 24 + 2*csss.StateLen(p.csssParams()) + topk.MinLen
 	return n * min(copies, math.MaxInt/n) // saturates: no input fits it
 }
 

@@ -3,39 +3,38 @@ package sketch
 import "repro/internal/wire"
 
 // Wire state of a CountSketch: mass, then the rows*cols counters
-// zigzagged and packed at the byte width of their OR behind the width
-// byte. The dimensions and hash wiring are its constructor's; a
-// deserialized state combines (Add/Sub) with any sketch built the same
-// way — the distributed-aggregation and synchronization use cases of
-// linear sketches.
+// zigzagged into one count column (packed at the width most counters
+// need, the few wide ones patched in). The dimensions and hash wiring
+// are its constructor's; a deserialized state combines (Add/Sub) with
+// any sketch built the same way — the distributed-aggregation and
+// synchronization use cases of linear sketches.
 
 // MarshalBinary encodes the sketch's state.
 func (cs *CountSketch) MarshalBinary() ([]byte, error) { return cs.AppendBinary(nil) }
 
 // EncodedLen is the length of the sketch's encoding: what an enclosing
 // structure grows its buffer by.
-func (cs *CountSketch) EncodedLen() int { return StateLen(len(cs.flat), cs.width()) }
+func (cs *CountSketch) EncodedLen() int { return 8 + cs.layout().Len() }
 
-// StateLen is the encoded length of n counters packed at width; at
-// width 1 it is the least length of a sketch of n counters.
-func StateLen(n, width int) int { return 9 + n*width }
+// StateLen is the least encoded length of a sketch of n counters: one
+// byte a counter, nothing patched.
+func StateLen(n int) int { return 8 + wire.MinColumnLen(n) }
 
-// width is the byte width the counters pack at.
-func (cs *CountSketch) width() int {
-	var or uint64
+// layout is the count column the counters pack as.
+func (cs *CountSketch) layout() wire.Layout {
+	var h wire.Widths
 	for _, v := range cs.flat {
-		or |= wire.Zigzag(v)
+		h.Add(wire.Zigzag(v))
 	}
-	return wire.ByteWidth(or)
+	return h.Layout()
 }
 
 // AppendBinary appends the sketch's encoding to dst.
 func (cs *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
-	width := cs.width()
-	w := wire.State(wire.Grow(dst, StateLen(len(cs.flat), width)))
+	l := cs.layout()
+	w := wire.State(wire.Grow(dst, 8+l.Len()))
 	w.I64(cs.mass)
-	w.U8(uint8(width))
-	col := w.Column(len(cs.flat), width)
+	col := w.Column(l)
 	for i, v := range cs.flat {
 		col.Put(i, wire.Zigzag(v))
 	}
@@ -46,11 +45,11 @@ func (cs *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
 // (wire.Filler).
 func (cs *CountSketch) Fill(r *wire.Reader) {
 	cs.mass = r.I64()
-	col, ok := r.Column(len(cs.flat), int(r.U8()))
+	col, ok := r.Column(len(cs.flat))
 	if !ok {
 		return
 	}
 	for i := range cs.flat {
-		cs.flat[i] = wire.Unzigzag(col.At(i))
+		cs.flat[i] = wire.Unzigzag(col.Value(i))
 	}
 }

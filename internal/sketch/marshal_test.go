@@ -51,9 +51,10 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 	wiretest.CheckGrowsOnce(t, cs)
 }
 
-// TestCountersPackAtEveryByteBoundary: the counters pack at the byte
-// width of the widest zigzagged one — on each side of every byte
-// boundary, negative counters on the odd values — and round trip.
+// TestCountersPackAtEveryByteBoundary: the counters' high width is
+// the byte width of the widest zigzagged one — on each side of every
+// byte boundary, negative counters on the odd values; the rest fit a
+// byte, so it is patched into a byte-wide column — and they round trip.
 func TestCountersPackAtEveryByteBoundary(t *testing.T) {
 	fresh := func() *CountSketch { return NewCountSketch(rand.New(rand.NewSource(3)), 5, 64) }
 	for _, zz := range []uint64{255, 256, 65535, 65536, 1<<56 - 1, 1 << 56} {
@@ -63,9 +64,8 @@ func TestCountersPackAtEveryByteBoundary(t *testing.T) {
 		}
 		cs.flat[len(cs.flat)-1] = wire.Unzigzag(zz)
 		data := wiretest.MustMarshal(t, cs)
-		width := wire.ByteWidth(zz)
-		if int(data[8]) != width || len(data) != 9+len(cs.flat)*width {
-			t.Fatalf("counter %d: %d bytes at width %d, want %d counters at width %d", cs.flat[len(cs.flat)-1], len(data), data[8], len(cs.flat), width)
+		if want := byte(wire.ByteWidth(zz)<<4 | 1); data[8] != want || len(data) != cs.EncodedLen() {
+			t.Fatalf("counter %d: %d bytes at widths % x, want %x in %d", cs.flat[len(cs.flat)-1], len(data), data[8], want, cs.EncodedLen())
 		}
 		restored := wiretest.Restore(t, fresh(), data)
 		if !slices.Equal(restored.flat, cs.flat) {

@@ -85,9 +85,10 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 	wiretest.CheckGrowsOnce(t, r)
 }
 
-// TestCountsPackAtEveryByteBoundary: the count column packs at the byte
-// width of its widest zigzagged count — on each side of every byte
-// boundary, negative counts on the odd values — and round trips.
+// TestCountsPackAtEveryByteBoundary: the count column's high width is
+// the byte width of its widest zigzagged count — on each side of every
+// byte boundary, negative counts on the odd values; the few nonzero
+// cells are patched into a byte-wide column — and it round trips.
 func TestCountsPackAtEveryByteBoundary(t *testing.T) {
 	fresh := func() *Recovery { return NewRecovery(rand.New(rand.NewSource(3)), 16, 1<<32) }
 	for _, zz := range []uint64{255, 256, 65535, 65536, 1<<56 - 1, 1 << 56} {
@@ -96,9 +97,8 @@ func TestCountsPackAtEveryByteBoundary(t *testing.T) {
 		r.Update(12345, count)
 		r.Update(777, -count/3)
 		data := wiretest.MustMarshal(t, r)
-		width := wire.ByteWidth(zz)
-		if int(data[8]) != width || len(data) != 9+len(r.cells)*(width+16) {
-			t.Fatalf("count %d: %d bytes at width %d, want %d cells at width %d", count, len(data), data[8], len(r.cells), width)
+		if want := byte(wire.ByteWidth(zz)<<4 | 1); data[8] != want || len(data) != r.EncodedLen() {
+			t.Fatalf("count %d: %d bytes at widths % x, want %x in %d", count, len(data), data[8], want, r.EncodedLen())
 		}
 		restored := wiretest.Restore(t, fresh(), data)
 		if !reflect.DeepEqual(restored.cells, r.cells) || restored.maxCount != r.maxCount {

@@ -16,18 +16,18 @@ func (sp *Sampler) MarshalBinary() ([]byte, error) { return sp.AppendBinary(nil)
 
 // EncodedLen is the length of the sampler's encoding.
 func (sp *Sampler) EncodedLen() int {
-	var widths [sample.NumSlots]int
-	return sp.levelWidths(&widths)
+	var layouts [sample.NumSlots]wire.Layout
+	return sp.levelLayouts(&layouts)
 }
 
-// levelWidths stores each live level's count width, in level order, and
-// returns the encoding's length at those widths: the one scan of every
-// level's counts that a marshal makes.
-func (sp *Sampler) levelWidths(widths *[sample.NumSlots]int) int {
+// levelLayouts stores each live level's count column layout, in level
+// order, and returns the encoding's length at those layouts: the one
+// scan of every level's counts that a marshal makes.
+func (sp *Sampler) levelLayouts(layouts *[sample.NumSlots]wire.Layout) int {
 	n, i := sp.rough.EncodedLen()+8, 0
 	for _, lv := range sp.levels.Each {
-		widths[i] = lv.Width()
-		n += 4 + lv.LenAt(widths[i])
+		layouts[i] = lv.Layout()
+		n += 4 + lv.LenAt(layouts[i])
 		i++
 	}
 	return n
@@ -35,7 +35,7 @@ func (sp *Sampler) levelWidths(widths *[sample.NumSlots]int) int {
 
 // StateLen is the least encoded length of a sampler built with params:
 // its window holds only the levels no estimate drops (Figure 8's
-// always-on top two), their counts packed at width 1. Every state of
+// always-on top two), their counts one byte each. Every state of
 // that shape holds it, and it is known before anything is allocated.
 func (params Params) StateLen() int {
 	return 8 + 8*roughCopies + 8 + alwaysOn*(4+sparse.StateLen(params.capacity()))
@@ -43,15 +43,15 @@ func (params Params) StateLen() int {
 
 // AppendBinary appends the sampler's encoding to dst, growing it once
 // by the length its live levels will take; each level's count column is
-// scanned for its width once, for that length, and written at it.
+// scanned for its layout once, for that length, and written as it.
 func (sp *Sampler) AppendBinary(dst []byte) ([]byte, error) {
-	var widths [sample.NumSlots]int
-	w := wire.State(wire.Grow(dst, sp.levelWidths(&widths)))
+	var layouts [sample.NumSlots]wire.Layout
+	w := wire.State(wire.Grow(dst, sp.levelLayouts(&layouts)))
 	w.Marshal(sp.rough)
 	w.U32(uint32(sp.levels.Peak()))
 	i := 0
 	sp.levels.WriteLevels(w, func(lv *sparse.Recovery) {
-		lv.Write(w, widths[i])
+		lv.Write(w, layouts[i])
 		i++
 	})
 	return w.Bytes(), nil

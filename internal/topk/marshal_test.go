@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -44,6 +45,30 @@ func TestTrackerMarshalRoundTrip(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("restored tracker dropped a dominant offer")
+	}
+}
+
+// TestTrackerIDsPackAsCounts: the ids travel as a count column — item
+// indices below 2^16 take two bytes each, one wide id is patched in —
+// and the estimates a word each.
+func TestTrackerIDsPackAsCounts(t *testing.T) {
+	tr := New(64)
+	for i := uint64(0); i < 64; i++ {
+		tr.Offer(1000+i, float64(i))
+	}
+	data := wiretest.MustMarshal(t, tr)
+	if want := 4 + wire.MinColumnLen(64) + 64 + 8*64; len(data) != want || data[4] != 0x22 {
+		t.Fatalf("64 ids below 2^16: %d bytes at widths % x, want %d at 22", len(data), data[4], want)
+	}
+	tr.Offer(1<<40, 1e9)
+	n := tr.Len()
+	data = wiretest.MustMarshal(t, tr)
+	if want := 4 + wire.MinColumnLen(n) + n + 4 + 4 + 4 + 8*n; len(data) != want || data[4] != 0x62 {
+		t.Fatalf("one wide id: %d bytes at widths % x, want %d at 62", len(data), data[4], want)
+	}
+	restored := wiretest.Restore(t, New(64), data)
+	if got := restored.Candidates(); len(got) != n || !slices.Contains(got, 1<<40) {
+		t.Fatalf("the wide id did not round trip: %v", got)
 	}
 }
 

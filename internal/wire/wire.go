@@ -19,9 +19,10 @@
 //     is refused;
 //   - all integers are little-endian fixed-width (no varints: fixed
 //     width keeps the reader allocation-bounded); a count column, which
-//     dominates payload sizes, is fixed-width too, at the byte width of
-//     its widest entry named once ahead of it (packed.go), so a table
-//     travels in about the bits its counters need;
+//     dominates payload sizes, is fixed-width too, at the byte width
+//     most of its entries need, with the few wider entries patched in
+//     behind it by index (packed.go), so a table travels in about the
+//     bits its typical counter needs;
 //   - variable-length lists are u32-count-prefixed, and the reader
 //     refuses any count that exceeds the bytes actually remaining, so a
 //     corrupt length can never drive an allocation larger than the input
@@ -191,7 +192,7 @@ func (w *Writer) Blobs(blobs []Blob) {
 
 // Marshal appends a nested structure's state in place: the child's
 // length is a function of its shape, which the reader knows, and of the
-// widths its packed columns name ahead of themselves. A state
+// widths and patch counts its count columns name ahead of themselves. A state
 // encoding cannot fail — it is counters written into a buffer — so an
 // error from one is a bug, and panics.
 func (w *Writer) Marshal(m encoding.BinaryAppender) {

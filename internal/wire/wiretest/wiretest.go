@@ -5,9 +5,15 @@ package wiretest
 
 import (
 	"bytes"
+	"compress/gzip"
+	"crypto/sha256"
 	"encoding"
+	"encoding/hex"
+	"io"
 	"iter"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -25,6 +31,39 @@ func MustMarshal(t testing.TB, m encoding.BinaryMarshaler) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// Counts appends v to w as the count column its values lay out as:
+// what a structure's encoder writes, for a test crafting a state.
+func Counts(w *wire.Writer, v []uint64) { w.Counts(v, wire.LayoutOf(v)) }
+
+// V3Image returns the partitioned engine snapshot the format-3 encoder
+// wrote for engine.TestGoldenPartitionedSnapshot at one shard: every
+// kind of the engine's kinds table at Config{N: 1 << 16, Eps: 0.05,
+// Alpha: 8, Seed: 42}, its blobs "BD" envelopes of format 3. Its digest
+// is the one that test pinned before the format-4 re-pin; the tests
+// that hold every decoder to refusing format 3 read it. root is the
+// path from the calling package's directory to the repository's.
+func V3Image(t testing.TB, root string) []byte {
+	t.Helper()
+	f, err := os.Open(filepath.Join(root, "engine", "testdata", "golden-v3-shards1.bin.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pinned = "0bfd45302135873995b3fa53529e07fd95d93509d990853ba5b1f1f6867a9e55"
+	if sum := sha256.Sum256(img); hex.EncodeToString(sum[:]) != pinned {
+		t.Fatalf("the format-3 image hashes to %x, pinned %s", sum, pinned)
+	}
+	return img
 }
 
 // Restore fills fresh — a structure built as the encoder's was, from

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/stream"
+	"repro/internal/topk"
 	"repro/internal/wire/wiretest"
 )
 
@@ -537,10 +538,11 @@ func TestCraftedTrackerCapacityRefused(t *testing.T) {
 		"L2HeavyHitters": must(NewL2HeavyHitters(cfg)),
 		"L1Sampler":      must(NewL1Sampler(Config{N: 1 << 16, Eps: 0.25, Alpha: 2, Seed: 7}, WithCopies(2))),
 	} {
-		// Untouched, each ends with its (last) tracker's empty list.
+		// Untouched, each ends with its (last) tracker's empty list: its
+		// count, then an empty id column's widths byte.
 		blob := must(s.MarshalBinary())
 		bad := append([]byte(nil), blob...)
-		binary.LittleEndian.PutUint32(bad[len(bad)-4:], 1<<22)
+		binary.LittleEndian.PutUint32(bad[len(bad)-topk.MinLen:], 1<<22)
 		var err error
 		wiretest.CheckBoundedDecode(t, bad, func(b []byte) error { _, err = UnmarshalSketch(b); return err })
 		if err == nil {

@@ -2,7 +2,6 @@ package bounded
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -31,12 +30,9 @@ func splitTracker(t *testing.T, sk Sketch) (head, tracker []byte, pairs []candid
 	if err := wire.Fill(blob[stateAt(t, blob):], walker(func(r *wire.Reader) { p.walk(r, sk.(structure).shapeOf()) })); err != nil {
 		t.Fatal(err)
 	}
-	entries := p.trackers[len(p.trackers)-1]
-	for j := 0; j < len(entries); j += 16 {
-		pairs = append(pairs, candidate{binary.LittleEndian.Uint64(entries[j:]), math.Float64frombits(binary.LittleEndian.Uint64(entries[j+8:]))})
-	}
+	pairs = p.trackers[len(p.trackers)-1]
 	sort.Slice(pairs, func(a, b int) bool { return pairs[a].id < pairs[b].id })
-	at := len(blob) - len(entries) - 4
+	at := stateAt(t, blob) + p.trackerAt[len(p.trackerAt)-1]
 	return blob[:at], blob[at:], pairs
 }
 

@@ -96,12 +96,12 @@ var kindTable = [...]struct {
 	build func(Config, ...Option) (Sketch, error)
 	// stateLen is the least length of a state at cfg under the option
 	// values o resolves to: the part every state of that shape holds,
-	// every packed count column at width 1, a closed form of the
-	// parameters the constructor derives. Decoding holds a payload to it
-	// before anything is allocated; a dense table is then at most 8
-	// times the bytes that carried it. (The L1 estimators' and the inner
-	// product's are a few words — clocks, positions, level counts — and
-	// their levels are sized only as they are read.)
+	// every count column a byte an entry and nothing patched, a closed
+	// form of the parameters the constructor derives. Decoding holds a
+	// payload to it before anything is allocated; a dense table is then
+	// at most 8 times the bytes that carried it. (The L1 estimators' and
+	// the inner product's are a few words — clocks, positions, level
+	// counts — and their levels are sized only as they are read.)
 	stateLen func(cfg Config, o *sketchOptions) int
 }{
 	KindHeavyHitters: {"HeavyHitters", ctor(NewHeavyHitters), func(c Config, o *sketchOptions) int {
@@ -182,21 +182,23 @@ type refillable interface {
 	reset()
 }
 
-// The public wire envelope (format v3): "BD" magic, the format version,
+// The public wire envelope (format v4): "BD" magic, the format version,
 // the kind, the Config echo (N, Eps, Alpha, Seed), the options echo,
 // then the structure's state — what Update and Merge change (counters,
 // clocks, candidates, live levels) and nothing its constructor derives
 // from the Config. Every count column in a state (the CSSS tables, the
-// Count-Sketch counters, the sparse-recovery counts) is packed at the
-// byte width of its widest entry behind a width byte, so a state is
-// about SpaceBits()/8 bytes; field elements, floats and ids stay a word
+// Count-Sketch counters, the sparse-recovery counts, the inner-product
+// bins, the candidate ids) is packed at the byte width most of its
+// entries need, the few wider ones patched in behind it, so a state is
+// at or below SpaceBits()/8 bytes; field elements and floats stay a word
 // each. The envelope makes payloads self-describing — a receiver can
 // SketchKind-peek a blob, UnmarshalSketch it without knowing its type,
 // and verify the Config matches its own before merging — and its
-// version is the format's one version.
+// version is the format's one version: an earlier one is refused, not
+// translated.
 const (
 	envelopeMagic = "BD"
-	envelopeV3    = 3
+	envelopeV4    = 4
 )
 
 // envelope is the decoded public frame. payload aliases the input:
@@ -215,7 +217,7 @@ func appendBinary(dst []byte, s structure, kind Kind) ([]byte, error) {
 	if sh.kind == 0 {
 		return nil, fmt.Errorf("bounded: marshal of zero-value %s (construct or UnmarshalBinary first)", kind)
 	}
-	w := wire.Append(dst, envelopeMagic, envelopeV3)
+	w := wire.Append(dst, envelopeMagic, envelopeV4)
 	w.U8(uint8(sh.kind))
 	w.U64(sh.cfg.N)
 	w.F64(sh.cfg.Eps)
@@ -238,7 +240,7 @@ func openEnvelope(data []byte) (*wire.Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bounded: not a sketch envelope: %w", err)
 	}
-	if v != envelopeV3 {
+	if v != envelopeV4 {
 		return nil, fmt.Errorf("bounded: unsupported wire format version %d", v)
 	}
 	return rd, nil

@@ -8,14 +8,15 @@ import (
 	"repro/internal/heavy"
 	"repro/internal/sampler"
 	"repro/internal/sparse"
+	"repro/internal/topk"
 	"repro/internal/wire"
 )
 
 // TestWireTracksSpaceBits: a state travels in about the bits SpaceBits
 // charges it. For every kind, after a random stream, 8·len(state)
 // exceeds SpaceBits() by at most 7 bits per packed counter plus what the
-// state carries outside its count columns (fixed headers, clocks, ids,
-// floats, field elements, each at its full width) — so the packed
+// state carries outside its count columns (fixed headers, clocks,
+// candidate ids and estimates, floats, field elements) — so the count
 // columns alone take at most SpaceBits() plus 7 bits a counter, the
 // rounding of a counter's bits up to whole bytes. The walk of each
 // kind's layout below finds the columns, and must consume the state
@@ -61,17 +62,32 @@ type walker func(r *wire.Reader)
 func (w walker) Fill(r *wire.Reader) { w(r) }
 
 // packedColumns tallies the count columns a walk of a state passes,
-// and keeps the candidate trackers' entries it passes.
+// and keeps where each candidate tracker it passes starts and the
+// (id, estimate) pairs it holds. A tracker's id column is not a count
+// column: its bytes count as the state's headers.
 type packedColumns struct {
-	entries  int64
-	bytes    int
-	trackers [][]byte
+	entries   int64
+	bytes     int
+	trackerAt []int
+	trackers  [][]candidate
 }
 
 // walk reads a state of shape sh as its kind lays it out. Only the
 // count columns are told apart; the rest is read over.
 func (p *packedColumns) walk(r *wire.Reader, sh shape) {
-	tracker := func() { p.trackers = append(p.trackers, r.Take(16*int(r.U32()))) }
+	tracker := func() {
+		p.trackerAt = append(p.trackerAt, r.Offset())
+		n := int(r.U32())
+		ids, _ := r.Column(n)
+		pairs := make([]candidate, n)
+		for i := range pairs {
+			pairs[i].id = ids.Value(i)
+		}
+		for i := range pairs {
+			pairs[i].est = r.F64()
+		}
+		p.trackers = append(p.trackers, pairs)
+	}
 	levels := func(level func()) {
 		for n := r.U32(); n > 0 && r.Err() == nil; n-- {
 			r.U32() // the level's index
@@ -81,18 +97,18 @@ func (p *packedColumns) walk(r *wire.Reader, sh shape) {
 	switch sh.kind {
 	case KindHeavyHitters:
 		// The least state: the L1 scale (two words when strict), the
-		// table at width 1, no candidates.
+		// table one byte a counter, no candidates.
 		least := hhParams(sh.cfg, sh.opts).StateLen()
-		table := hhParams(sh.cfg, echo{}).StateLen() - 16 - 21 - 4
-		r.Take(least - 21 - table - 4)
+		table := hhParams(sh.cfg, echo{}).StateLen() - 16 - 21 - topk.MinLen
+		r.Take(least - 21 - table - topk.MinLen)
 		p.csss(r, table)
 		tracker()
 	case KindL1Sampler:
 		one := sampler.StateLen(samplerParams(sh.cfg), 1) // r, q, maxR, two tables, no candidates
 		for range samplerCopies(sh.cfg, sh.opts.copies) {
 			r.Take(24)
-			p.csss(r, (one-24-4)/2-21)
-			p.csss(r, (one-24-4)/2-21)
+			p.csss(r, (one-24-topk.MinLen)/2-21)
+			p.csss(r, (one-24-topk.MinLen)/2-21)
 			tracker()
 		}
 	case KindSupportSampler:
@@ -110,7 +126,7 @@ func (p *packedColumns) walk(r *wire.Reader, sh shape) {
 	case KindL2HeavyHitters:
 		ins := max(16, int(math.Ceil(4*(sh.cfg.Alpha/sh.cfg.Eps)*(sh.cfg.Alpha/sh.cfg.Eps)))) // heavy.l2Cols
 		p.countSketch(r, 5*ins)
-		p.countSketch(r, heavy.L2StateLen(sh.cfg.Eps, sh.cfg.Alpha)-9-5*ins-9-4)
+		p.countSketch(r, heavy.L2StateLen(sh.cfg.Eps, sh.cfg.Alpha)-9-5*ins-9-topk.MinLen)
 		tracker()
 	case KindSyncSketch:
 		p.sparse(r, (sparse.StateLen(sh.opts.capacity)-9)/17)
@@ -119,12 +135,12 @@ func (p *packedColumns) walk(r *wire.Reader, sh shape) {
 	}
 }
 
-// column reads a width byte and n entries at that width.
+// column reads an n-entry count column.
 func (p *packedColumns) column(r *wire.Reader, n int) {
-	width := int(r.U8())
-	r.Take(n * width)
+	at := r.Offset()
+	r.Column(n)
 	p.entries += int64(n)
-	p.bytes += n * width
+	p.bytes += r.Offset() - at
 }
 
 func (p *packedColumns) csss(r *wire.Reader, counters int) {
