@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Fails when an alternative of a `go test -run` pattern in the workflow
-# files matches no test, benchmark, fuzz target or example of the root
-# module. Such a name (a test since renamed or deleted) silently runs
-# nothing, so the step that names it checks less than it says.
+# files or the verify skill's commands matches no test, benchmark, fuzz
+# target or example of the root module. Such a name (a test since
+# renamed or deleted) silently runs nothing, so the step or command
+# that names it checks less than it says. A pattern is read quoted
+# ('...') or, in the skill, as one bare word starting with a capital.
 # Alternatives are split at every '|', so a -run list must not group
 # alternatives in parentheses.
 #
@@ -21,6 +23,8 @@ while IFS= read -r alt; do
 		echo "-run alternative '$alt' matches no test, benchmark, fuzz target or example"
 		status=1
 	fi
-done < <(grep -ohE -- "-run '[^']*'" .github/workflows/*.yml |
-	sed -E "s/^-run '(.*)'$/\1/" | tr '|' '\n' | sort -u)
+done < <({
+	grep -ohE -- "-run '[^']*'" .github/workflows/*.yml
+	grep -ohE -- "-run ('[^']*'|[A-Z][A-Za-z0-9_|]*)" .claude/skills/verify/SKILL.md
+} | sed -E "s/^-run '?//; s/'$//" | tr '|' '\n' | sort -u)
 exit $status

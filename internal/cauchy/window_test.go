@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sample"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -17,61 +16,6 @@ import (
 
 func small(seed, base int64) *SampledSketch {
 	return NewSampledSketch(rand.New(rand.NewSource(seed)), 4, 4, 4, base, 8)
-}
-
-// TestSameSeedSameBytes: equal seed and equal update sequence leave
-// equal bytes once both live levels sample — per item, per column
-// batch, and through a marshal and restore in mid-stream; base 4 and 16
-// cross at least three window moves in 6000 updates, and multi-unit
-// deltas cross them inside one update. Drawing inside a map range (the
-// parent) fails this within a few thousand updates.
-func TestSameSeedSameBytes(t *testing.T) {
-	for _, base := range []int64{4, 16} {
-		for _, multi := range []bool{false, true} {
-			us := wiretest.SignedUnits(6000, multi)
-			run := func(mode string) *SampledSketch {
-				s := small(7, base)
-				for off := 0; off < len(us); off += 500 {
-					chunk := us[off : off+500]
-					if mode == "columns" {
-						core.UpdateBatch(s.UpdateColumns, chunk)
-					} else {
-						for _, u := range chunk {
-							s.Update(u.Index, u.Delta)
-						}
-					}
-					if mode == "restored" && off == 2500 {
-						s = wiretest.Restore(t, small(7, base), wiretest.MustMarshal(t, s))
-					}
-				}
-				return s
-			}
-			name := fmt.Sprintf("base %d multi=%v", base, multi)
-			item := run("item")
-			want := wiretest.MustMarshal(t, item)
-			if js := wiretest.LiveSet(item.win.Each); len(js) != 2 || js[0] < 1 {
-				t.Fatalf("%s: live levels %v; the test must end with two sampled levels", name, js)
-			}
-			for rep := 0; rep < 4; rep++ {
-				if !bytes.Equal(wiretest.MustMarshal(t, run("item")), want) {
-					t.Fatalf("%s: two same-seed per-item runs marshal differently", name)
-				}
-			}
-			if !bytes.Equal(wiretest.MustMarshal(t, run("columns")), want) {
-				t.Fatalf("%s: UpdateColumns state differs from per-item state", name)
-			}
-			restored := run("restored")
-			if !bytes.Equal(wiretest.MustMarshal(t, run("restored")), wiretest.MustMarshal(t, restored)) {
-				t.Fatalf("%s: two runs restored in mid-stream marshal differently", name)
-			}
-			// A restore reseeds the rng, so counters may differ from the
-			// never-marshalled run; position and schedule may not.
-			if restored.t != item.t || fmt.Sprint(wiretest.LiveSet(restored.win.Each)) != fmt.Sprint(wiretest.LiveSet(item.win.Each)) {
-				t.Fatalf("%s: restored in mid-stream is at t=%d with levels %v, never marshalled t=%d %v",
-					name, restored.t, wiretest.LiveSet(restored.win.Each), item.t, wiretest.LiveSet(item.win.Each))
-			}
-		}
-	}
 }
 
 // TestRestoreMidStreamExactInRateOneRegime: below the interval base

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sample"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -18,68 +17,6 @@ import (
 
 func small(seed, base int64) *Estimator {
 	return New(rand.New(rand.NewSource(seed)), Params{N: 1 << 10, Eps: 0.25, Base: base, K: 4, Rows: 2})
-}
-
-// TestSameSeedSameBytes: equal seed and equal update sequence leave
-// equal bytes once both live levels of a side sample — per item, per
-// column batch, and through a marshal and restore in mid-stream, with f
-// and g interleaved on the one shared rng; base 4 and 16 cross at least
-// three window moves in 6000 updates per side. Drawing inside a map
-// range (the parent) fails this within a few thousand updates.
-func TestSameSeedSameBytes(t *testing.T) {
-	for _, base := range []int64{4, 16} {
-		for _, multi := range []bool{false, true} {
-			us := wiretest.SignedUnits(6000, multi)
-			run := func(mode string) *Estimator {
-				e := small(7, base)
-				for off := 0; off < len(us); off += 500 {
-					chunk := us[off : off+500]
-					if mode == "columns" {
-						core.UpdateBatch(e.UpdateColumnsF, chunk)
-						core.UpdateBatch(e.UpdateColumnsG, chunk[:250])
-					} else {
-						for _, u := range chunk {
-							e.UpdateF(u.Index, u.Delta)
-						}
-						for _, u := range chunk[:250] {
-							e.UpdateG(u.Index, u.Delta)
-						}
-					}
-					if mode == "restored" && off == 2500 {
-						e = wiretest.Restore(t, small(7, base), wiretest.MustMarshal(t, e))
-					}
-				}
-				return e
-			}
-			name := fmt.Sprintf("base %d multi=%v", base, multi)
-			item := run("item")
-			want := wiretest.MustMarshal(t, item)
-			for _, sd := range []*side{item.f, item.g} {
-				if js := wiretest.LiveSet(sd.win.Each); len(js) != 2 || js[0] < 1 {
-					t.Fatalf("%s: live levels %v; the test must end with two sampled levels a side", name, js)
-				}
-			}
-			for rep := 0; rep < 4; rep++ {
-				if !bytes.Equal(wiretest.MustMarshal(t, run("item")), want) {
-					t.Fatalf("%s: two same-seed per-item runs marshal differently", name)
-				}
-			}
-			if !bytes.Equal(wiretest.MustMarshal(t, run("columns")), want) {
-				t.Fatalf("%s: UpdateColumns state differs from per-item state", name)
-			}
-			restored := run("restored")
-			if !bytes.Equal(wiretest.MustMarshal(t, run("restored")), wiretest.MustMarshal(t, restored)) {
-				t.Fatalf("%s: two runs restored in mid-stream marshal differently", name)
-			}
-			// A restore reseeds the rng, so bins may differ from the
-			// never-marshalled run; positions and schedules may not.
-			if restored.f.t != item.f.t || restored.g.t != item.g.t ||
-				fmt.Sprint(wiretest.LiveSet(restored.f.win.Each), wiretest.LiveSet(restored.g.win.Each)) != fmt.Sprint(wiretest.LiveSet(item.f.win.Each), wiretest.LiveSet(item.g.win.Each)) {
-				t.Fatalf("%s: restored in mid-stream holds levels %v/%v, never marshalled %v/%v",
-					name, wiretest.LiveSet(restored.f.win.Each), wiretest.LiveSet(restored.g.win.Each), wiretest.LiveSet(item.f.win.Each), wiretest.LiveSet(item.g.win.Each))
-			}
-		}
-	}
 }
 
 // TestRestoreMidStreamExactInRateOneRegime: below the interval base

@@ -9,65 +9,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sample"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
-
-// TestSameSeedSameBytes: equal seed and equal calls leave equal bytes,
-// per path, in the regime where two sampled levels are live and each
-// draws per stretch — per item, per column batch, and through a marshal
-// and restore in mid-stream; base 4 and 16 cross at least three window
-// moves in 6000 updates. Drawing inside a map range fails this within a
-// few thousand updates. The paths agree with each other in law, not in
-// bytes (TestWalkMatchesPerUnitLaw).
-func TestSameSeedSameBytes(t *testing.T) {
-	builders := map[string]func(*rand.Rand, int64) *AlphaEstimator{"morris": New, "exact": NewExactClock}
-	for _, base := range []int64{4, 16} {
-		for clock, build := range builders {
-			for _, multi := range []bool{false, true} {
-				us := wiretest.SignedUnits(6000, multi)
-				run := func(mode string) *AlphaEstimator {
-					a := build(rand.New(rand.NewSource(7)), base)
-					for off := 0; off < len(us); off += 500 {
-						chunk := us[off : off+500]
-						if mode == "item" {
-							for _, u := range chunk {
-								a.Update(u.Index, u.Delta)
-							}
-						} else {
-							core.UpdateBatch(a.UpdateColumns, chunk)
-						}
-						if mode == "restored" && off == 2500 {
-							a = wiretest.Restore(t, build(rand.New(rand.NewSource(7)), base), wiretest.MustMarshal(t, a))
-						}
-					}
-					return a
-				}
-				name := fmt.Sprintf("base %d %s multi=%v", base, clock, multi)
-				for _, mode := range []string{"item", "columns", "restored"} {
-					first := run(mode)
-					if js := wiretest.LiveSet(first.win.Each); len(js) != 2 || js[0] < 1 {
-						t.Fatalf("%s %s: live levels %v; the test must end with two sampled levels", name, mode, js)
-					}
-					want := wiretest.MustMarshal(t, first)
-					for rep := 0; rep < 3; rep++ {
-						if !bytes.Equal(wiretest.MustMarshal(t, run(mode)), want) {
-							t.Fatalf("%s: two same-seed %s runs marshal differently", name, mode)
-						}
-					}
-					// Under the exact clock the schedule is the position's, whatever
-					// the path and however the rng was reseeded.
-					lo, hi := sample.ActiveLevels(first.clock.now(), base)
-					if clock == "exact" && fmt.Sprint(wiretest.LiveSet(first.win.Each)) != fmt.Sprint([]int{lo, hi}) {
-						t.Fatalf("%s %s: holds levels %v at position %d", name, mode, wiretest.LiveSet(first.win.Each), first.clock.now())
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestRestoreMidStreamExactInLevelZeroRegime: while only level 0 is
 // live nothing is drawn, so a run restored in mid-stream ends at the

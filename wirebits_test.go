@@ -2,59 +2,13 @@ package bounded
 
 import (
 	"math"
-	"testing"
 
-	"repro/internal/gen"
 	"repro/internal/heavy"
 	"repro/internal/sampler"
 	"repro/internal/sparse"
 	"repro/internal/topk"
 	"repro/internal/wire"
 )
-
-// TestWireTracksSpaceBits: a state travels in about the bits SpaceBits
-// charges it. For every kind, after a random stream, 8·len(state)
-// exceeds SpaceBits() by at most 7 bits per packed counter plus what the
-// state carries outside its count columns (fixed headers, clocks,
-// candidate ids and estimates, floats, field elements) — so the count
-// columns alone take at most SpaceBits() plus 7 bits a counter, the
-// rounding of a counter's bits up to whole bytes. The walk of each
-// kind's layout below finds the columns, and must consume the state
-// exactly.
-func TestWireTracksSpaceBits(t *testing.T) {
-	cfg := Config{N: 1 << 16, Eps: 0.05, Alpha: 4, Seed: 3}
-	s := gen.BoundedDeletion(gen.Config{N: cfg.N, Items: 10000, Alpha: cfg.Alpha, Zipf: 1.2, Seed: 5})
-	for _, c := range []struct {
-		name  string
-		build func() (Sketch, error)
-	}{
-		{"HeavyHitters", func() (Sketch, error) { return NewHeavyHitters(cfg) }},
-		{"HeavyHitters/general", func() (Sketch, error) { return NewHeavyHitters(cfg, WithStrict(false)) }},
-		{"L1Estimator", func() (Sketch, error) { return NewL1Estimator(cfg) }},
-		{"L1Estimator/general", func() (Sketch, error) { return NewL1Estimator(cfg, WithStrict(false)) }},
-		{"L0Estimator", func() (Sketch, error) { return NewL0Estimator(cfg) }},
-		{"L1Sampler", func() (Sketch, error) { return NewL1Sampler(cfg) }},
-		{"SupportSampler", func() (Sketch, error) { return NewSupportSampler(cfg) }},
-		{"InnerProduct", func() (Sketch, error) { return NewInnerProduct(cfg) }},
-		{"L2HeavyHitters", func() (Sketch, error) { return NewL2HeavyHitters(cfg) }},
-		{"SyncSketch", func() (Sketch, error) { return NewSyncSketch(cfg) }},
-	} {
-		sk := must(c.build())
-		sk.UpdateBatch(s.Updates)
-		blob := must(sk.MarshalBinary())
-		state := blob[stateAt(t, blob):]
-		var p packedColumns
-		if err := wire.Fill(state, walker(func(r *wire.Reader) { p.walk(r, sk.(structure).shapeOf()) })); err != nil {
-			t.Fatalf("%s: walking the state: %v", c.name, err)
-		}
-		bits, charged := int64(8*len(state)), sk.SpaceBits()
-		if headers := int64(8 * (len(state) - p.bytes)); bits-charged > 7*p.entries+headers {
-			t.Errorf("%s: %d state bits, %d charged: %d packed counters in %d bytes, %d header bits",
-				c.name, bits, charged, p.entries, p.bytes, headers)
-		}
-		t.Logf("%s: %d state bits against %d charged, %d counters packed in %d bytes", c.name, bits, charged, p.entries, p.bytes)
-	}
-}
 
 // walker is a wire.Filler that only reads.
 type walker func(r *wire.Reader)
