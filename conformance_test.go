@@ -336,13 +336,11 @@ var weaker = map[string][]string{
 	},
 	// ... and the L0 estimator's rows answer otherwise too.
 	"split answers": {"L0Estimator/rate1"},
-	// A Clone, or a query, of these moves what the source later writes:
-	// a copy takes its seed word from the source's generator (ROADMAP
-	// 4a), and SpaceBits folds a CSSS table's maximum into the maxCount
-	// its state carries (the heavy hitters at rate 1, the L1 sampler).
+	// A Clone of these moves what the source later writes: a copy takes
+	// its seed word from the source's generator (ROADMAP 4a).
 	"reads move": {
-		"HeavyHitters/rate1", "HeavyHitters/sampled", "HeavyHitters/general/rate1", "HeavyHitters/general/sampled",
-		"L1Estimator/sampled", "L1Estimator/general/sampled", "L1Sampler/rate1", "L1Sampler/sampled",
+		"HeavyHitters/sampled", "HeavyHitters/general/sampled",
+		"L1Estimator/sampled", "L1Estimator/general/sampled",
 		"InnerProduct/sampled",
 	},
 }

@@ -316,7 +316,9 @@
 // WINDOW EVENTS AND BATCHED BETWEEN THEM: the rough estimator scans the
 // distinct column (a repeat only ORs in level bits its first occurrence
 // set, so only a first occurrence can raise R_t) and reports the first
-// index that does; the batch is cut before that index's first update,
+// index that does. The scan is one kernel call that ORs every rough
+// copy's level bits over the column at once, writing no field column.
+// The batch is cut before that index's first update,
 // the window re-syncs — the raising update is applied under the window
 // it produces, the per-item order rough → sync → apply — and stages 2
 // and 3 run between cuts against a dense row/level array. A batch with

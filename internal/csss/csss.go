@@ -765,8 +765,9 @@ func (s *Sketch) addSampled(i uint64, sign, wfp, units int64) {
 
 // bump adds `amount` sampled sub-units to row r's precomputed cell and
 // side. Counters only grow between halvings, so the largest-ever
-// diagnostic is recovered by scanning at halving time and in SpaceBits
-// (refreshMaxCount) instead of two compares per write.
+// diagnostic is recovered by scanning at halving time (refreshMaxCount)
+// and, without storing it, in SpaceBits (peakCount) instead of two
+// compares per write.
 func (s *Sketch) bump(r int, amount int64) {
 	s.table[s.rowIdx[r]][s.rowSide[r]] += amount
 }
@@ -778,12 +779,13 @@ func (s *Sketch) counters() []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&s.table[0])), 2*len(s.table))
 }
 
-// refreshMaxCount folds the current table maximum into maxCount.
-// Because pos/neg increase monotonically between halvings and only
-// shrink at a halving, scanning just before each halving and at
-// SpaceBits time observes every per-epoch peak — the same value the
-// historical per-write tracking maintained.
-func (s *Sketch) refreshMaxCount() {
+// peakCount is the largest counter value ever held: maxCount folded
+// with the current table maximum. Because pos/neg increase
+// monotonically between halvings and only shrink at a halving, folding
+// the table into maxCount just before each halving (refreshMaxCount)
+// keeps every earlier epoch's peak, and the scan here adds the current
+// one — the same value the historical per-write tracking maintained.
+func (s *Sketch) peakCount() int64 {
 	m := s.maxCount
 	for c := range s.table {
 		cl := &s.table[c]
@@ -794,8 +796,12 @@ func (s *Sketch) refreshMaxCount() {
 			m = cl[1]
 		}
 	}
-	s.maxCount = m
+	return m
 }
+
+// refreshMaxCount folds the current table maximum into maxCount, ahead
+// of a halving that shrinks it.
+func (s *Sketch) refreshMaxCount() { s.maxCount = s.peakCount() }
 
 // maybeHalve applies the Figure 2 step 5(a) boundary: when t crosses
 // S*2^r + 1, thin every counter by Bin(a, 1/2) and bump p.
@@ -1170,10 +1176,10 @@ func (s *Sketch) Rows() int { return s.rows }
 
 // SpaceBits charges each of the 2 * rows * cols counters at the width of
 // the largest value ever held, plus hash seeds, plus the log(n)-bit
-// position counter and the sampling exponent — Figure 2's layout.
+// position counter and the sampling exponent — Figure 2's layout. It
+// reads the sketch and writes nothing.
 func (s *Sketch) SpaceBits() int64 {
-	s.refreshMaxCount()
-	perCounter := int64(nt.BitsFor(uint64(s.maxCount)))
+	perCounter := int64(nt.BitsFor(uint64(s.peakCount())))
 	counters := 2 * int64(s.rows) * int64(s.cols) * perCounter
 	position := int64(nt.BitsFor(uint64(s.t))) + int64(nt.BitsFor(uint64(s.p)))
 	return counters + position + s.buckets.SpaceBits()

@@ -35,7 +35,7 @@ func LenAt(l wire.Layout) int { return 20 + l.Len() }
 func StateLen(p Params) int { return 20 + wire.MinColumnLen(2*p.Rows*6*p.K) }
 
 // Layout is the count column the table packs as: one scan of the
-// counters (not of maxCount, which only SpaceBits refreshes: encoding
+// counters (not of maxCount, which only a halving refreshes: encoding
 // leaves the sketch alone). A structure that sizes its buffer by it
 // (LenAt) hands it to Write rather than have the table scanned again.
 func (s *Sketch) Layout() wire.Layout { return wire.LayoutOf(s.counters()) }

@@ -35,7 +35,7 @@ func (d *dispatchCounters) count(n int, calls int64) {
 
 var (
 	bucketSignsDispatch = dispatchCounters{fam: famBucketSigns} // fused BucketSignsBatch calls
-	fieldDispatch       = dispatchCounters{fam: famField}       // FieldBatch (k2/k4/fallback)
+	fieldDispatch       = dispatchCounters{fam: famField}       // FieldBatch (k2/k4/fallback) + fused PairwiseRows.LevelMasks calls
 	rangeDispatch       = dispatchCounters{fam: famRange}       // RangeBatch
 	gatherDispatch      = dispatchCounters{fam: famGather}      // GatherSignRows + GatherSignDiffRows
 	medianDispatch      = dispatchCounters{fam: famMedian}      // MedianOf7Columns
@@ -48,7 +48,9 @@ type DispatchStats struct {
 	// Every family counts whole batch-evaluator calls. BucketSigns
 	// counts fused BucketSignsBatch calls (all Count-Sketch rows in one
 	// dispatch) — before the fused kernels it counted one dispatch per
-	// row, so ratios are not comparable across that change.
+	// row, so ratios are not comparable across that change. Field
+	// counts a PairwiseRows.LevelMasks call (every row at once) as one
+	// dispatch of rows*n keys.
 	BucketSignsScalar, BucketSignsVector int64
 	FieldScalar, FieldVector             int64
 	RangeScalar, RangeVector             int64

@@ -281,6 +281,79 @@ func (b *Buckets) BucketSignsInto(x uint64, cols []uint64, signs []int64) {
 	}
 }
 
+// PairwiseRows is a bundle of independent pairwise functions laid out
+// like Buckets' rows: every row's two coefficients contiguous (row i at
+// flat[2i:2i+2], constant term first), so an all-rows sweep reduces a
+// key into the field once and walks one array, and LevelMasks takes
+// every row's level mask over a key column in one kernel call. A bundle
+// never changes after construction; copies of its owner share it.
+type PairwiseRows struct {
+	rows int
+	flat []uint64
+}
+
+// NewPairwiseRows draws rows pairwise functions: exactly the draws of
+// rows NewPairwise calls, in the same order, so row i is the function
+// the i-th call would have returned.
+func NewPairwiseRows(rng *rand.Rand, rows int) *PairwiseRows {
+	if rows < 1 {
+		panic(fmt.Sprintf("hash: NewPairwiseRows(rows=%d)", rows))
+	}
+	p := &PairwiseRows{rows: rows, flat: make([]uint64, 0, 2*rows)}
+	for range rows {
+		p.flat = append(p.flat, NewPairwise(rng).coeffs...)
+	}
+	return p
+}
+
+// Field evaluates row i at x, bit-identical to KWise.Field.
+func (p *PairwiseRows) Field(i int, x uint64) uint64 {
+	return nt.MulAddModMersenne61(p.flat[2*i+1], x%nt.MersennePrime61, p.flat[2*i])
+}
+
+// FieldsInto fills out[i] with row i evaluated at x for every row,
+// reducing x into the field once.
+func (p *PairwiseRows) FieldsInto(x uint64, out []uint64) {
+	xr := x % nt.MersennePrime61
+	flat := p.flat[:2*p.rows]
+	for i := range out[:p.rows] {
+		out[i] = nt.MulAddModMersenne61(flat[2*i+1], xr, flat[2*i])
+	}
+}
+
+// LevelBit returns 1 << LSB(v, 60) for a field value v: the one-hot
+// Flajolet-Martin level of v, with a zero value at level 60 (field
+// values stay below 2^61, so 60 is also the highest level a nonzero
+// value reaches).
+func LevelBit(v uint64) uint64 {
+	v |= zeroLevel
+	return v & -v
+}
+
+// zeroLevel is LevelBit(0).
+const zeroLevel = 1 << 60
+
+// LevelMasks fills masks[i] with the OR of LevelBit(Field(i, k)) over
+// every key k — each row's level bitmap of the column — in ONE kernel
+// call for all rows, writing no field column. masks must hold one
+// entry per row; an empty column leaves them zero.
+func (p *PairwiseRows) LevelMasks(keys []uint64, masks []uint64) {
+	masks = masks[:p.rows]
+	if len(keys) == 0 {
+		clear(masks) // before stats: an empty sweep is not a dispatch
+		return
+	}
+	// One fused call covers every row, tallied like BucketSignsBatch:
+	// one dispatch of the total key volume, the quantity the wrapper's
+	// cutover check compares.
+	fieldDispatch.count(p.rows*len(keys), 1)
+	active.levelMaskRows(p.flat, p.rows, keys, masks)
+}
+
+// SpaceBits returns the seed storage cost of all rows, what as many
+// KWise pairwise functions charge.
+func (p *PairwiseRows) SpaceBits() int64 { return int64(p.rows) * 2 * 61 }
+
 // SpaceBits returns the seed storage cost of all rows.
 func (b *Buckets) SpaceBits() int64 {
 	var total int64

@@ -53,6 +53,11 @@ type kernelTable struct {
 	// cutover from cut keys per row to cut/rows. Outputs are row-major:
 	// row i fills cols[i*n:(i+1)*n] and signs[i*n:(i+1)*n].
 	bucketSignsRows func(flat []uint64, rows int, r uint64, keys []uint64, cols []uint32, signs []int8)
+	// levelMaskRows fills masks[i] with the OR of LevelBit over row i's
+	// pairwise field values of every key, for all rows in one call:
+	// flat holds each row's 2 coefficients contiguously
+	// (PairwiseRows.flat layout). No field column is written.
+	levelMaskRows func(flat []uint64, rows int, keys []uint64, masks []uint64)
 	// fieldK2 / fieldK4 evaluate a degree-1 / degree-3 polynomial over
 	// F_{2^61-1} at every key, writing canonical field values.
 	fieldK2 func(c0, c1 uint64, keys []uint64, out []uint64)
@@ -78,6 +83,7 @@ type kernelTable struct {
 var scalarTable = kernelTable{
 	name:               "scalar",
 	bucketSignsRows:    bucketSignsRowsScalar,
+	levelMaskRows:      levelMaskRowsScalar,
 	fieldK2:            fieldK2Scalar,
 	fieldK4:            fieldK4Scalar,
 	rangeK2:            rangeK2Scalar,
@@ -337,6 +343,22 @@ func bucketSignsRowsScalar(flat []uint64, rows int, r uint64, keys []uint64, col
 		c := flat[4*i : 4*i+4 : 4*i+4]
 		bucketSignsRowScalar(c[0], c[1], c[2], c[3], r, keys, cols[i*n:i*n+n:i*n+n], signs[i*n:i*n+n:i*n+n])
 	}
+}
+
+func levelMaskRowsScalar(flat []uint64, rows int, keys []uint64, masks []uint64) {
+	for i := range masks[:rows] {
+		masks[i] = levelMaskRowScalar(flat[2*i], flat[2*i+1], keys)
+	}
+}
+
+// levelMaskRowScalar ORs the level bits of one pairwise row over keys —
+// the scalar kernel's row body and the vector kernel's tail.
+func levelMaskRowScalar(c0, c1 uint64, keys []uint64) uint64 {
+	var m uint64
+	for _, x := range keys {
+		m |= LevelBit(nt.MulAddModMersenne61(c1, x%nt.MersennePrime61, c0))
+	}
+	return m
 }
 
 func gatherSignRowsScalar(table []int64, stride, rows int, idx []uint32, signs []int8, out []int64) {

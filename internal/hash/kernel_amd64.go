@@ -48,6 +48,9 @@ func detectAVX2() bool {
 func bucketSignsRowsAVX2(flat *uint64, rows int, r uint64, keys []uint64, cols *uint32, signs *int8, stride int)
 
 //go:noescape
+func levelMaskRowsAVX2(flat *uint64, rows int, keys []uint64, masks *uint64)
+
+//go:noescape
 func fieldK2AVX2(c0, c1 uint64, keys []uint64, out []uint64)
 
 //go:noescape
@@ -154,6 +157,21 @@ func bucketSignsRowsFused(flat []uint64, rows int, r uint64, keys []uint64, cols
 	}
 }
 
+func levelMaskRowsFused(flat []uint64, rows int, keys []uint64, masks []uint64) {
+	n := len(keys)
+	m := n &^ 3
+	if rows*n < cutoverValues[famField] || m == 0 {
+		levelMaskRowsScalar(flat, rows, keys, masks)
+		return
+	}
+	levelMaskRowsAVX2(&flat[0], rows, keys[:m], &masks[0])
+	if m < n {
+		for i := range masks[:rows] {
+			masks[i] |= levelMaskRowScalar(flat[2*i], flat[2*i+1], keys[m:])
+		}
+	}
+}
+
 func gatherSignRowsFused(table []int64, stride, rows int, idx []uint32, signs []int8, out []int64) {
 	n := len(out) / rows
 	m := n &^ 3
@@ -193,6 +211,7 @@ var avx2Table = kernelTable{
 	name:               "avx2",
 	vector:             true,
 	bucketSignsRows:    bucketSignsRowsFused,
+	levelMaskRows:      levelMaskRowsFused,
 	fieldK2:            fieldK2Vec,
 	fieldK4:            fieldK4Vec,
 	rangeK2:            rangeK2Vec,

@@ -23,7 +23,10 @@ func maxFamilyCutover() int {
 // FuzzKernelDifferential drives arbitrary byte strings — decoded into
 // a key column, polynomial coefficients, a range width and a row count
 // — through every registered vector kernel against its scalar oracle,
-// the fused forms at one row and at the fuzzer's row count. The fuzzer
+// the fused forms at one row and at the fuzzer's row count.
+// levelMaskRows runs in every table, the scalar twin included, against
+// per-row FieldBatch plus OR over 1..16 rows (its own fuzzer-owned
+// count: the rough estimators run 16). The fuzzer
 // owns the lengths and the row count (1..8), so unaligned and odd
 // tails (the 4-lane body plus sub-4 scalar remainder),
 // adjacent-duplicate columns, and every rows/length combination
@@ -36,6 +39,13 @@ func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{0xFF})
 	seed := make([]byte, 0, 64)
 	for _, v := range []uint64{0, 1, nt.MersennePrime61, 1<<61 + 1, ^uint64(0), 42, 42} {
+		seed = binary.LittleEndian.AppendUint64(seed, v)
+	}
+	f.Add(seed)
+	// c0 = 0 and keys at 0 and multiples of p: row 0's field value is 0
+	// there, the level-60 case.
+	seed = seed[:0]
+	for _, v := range []uint64{0, 3, 0, 0, 5 << 36, 0, nt.MersennePrime61, 2 * nt.MersennePrime61, 7} {
 		seed = binary.LittleEndian.AppendUint64(seed, v)
 	}
 	f.Add(seed)
@@ -93,6 +103,27 @@ func FuzzKernelDifferential(f *testing.F) {
 			flat4[4*i+1] = (c1 + d) % nt.MersennePrime61
 			flat4[4*i+2] = (c2 + d) % nt.MersennePrime61
 			flat4[4*i+3] = (c3 + d) % nt.MersennePrime61
+		}
+		// Level masks: a pairwise bundle of maskRows rows, row 0 carrying
+		// c0, c1 exactly and later rows perturbed.
+		maskRows := int(params[4]>>36)%16 + 1
+		flat2 := make([]uint64, 2*maskRows)
+		fns := make([]*KWise, maskRows)
+		for i := range fns {
+			d := uint64(i) * 0x9E3779B97F4A7C15 % nt.MersennePrime61
+			flat2[2*i] = (c0 + d) % nt.MersennePrime61
+			flat2[2*i+1] = (c1 + d) % nt.MersennePrime61
+			fns[i] = &KWise{coeffs: flat2[2*i : 2*i+2]}
+		}
+		wantMasks := levelMaskOracle(fns, keys)
+		for _, kt := range append(vectorTables(), &scalarTable) {
+			gotMasks := make([]uint64, maskRows)
+			kt.levelMaskRows(flat2, maskRows, keys, gotMasks)
+			for i := range wantMasks {
+				if gotMasks[i] != wantMasks[i] {
+					t.Fatalf("%s levelMaskRows rows=%d n=%d row %d: got %#x, want %#x", kt.name, maskRows, n, i, gotMasks[i], wantMasks[i])
+				}
+			}
 		}
 		for _, vt := range vectorTables() {
 			// Row widths live in [1, 2^32-1]: BucketSignsBatch rejects

@@ -3,6 +3,7 @@ package hash
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -159,14 +160,111 @@ func fusedLengths(fam kernelFamily, rows int) []int {
 	return ns
 }
 
+// levelMaskOracle is per-row FieldBatch plus an OR of level bits: the
+// masks levelMaskRows must produce for fns' rows over keys.
+func levelMaskOracle(fns []*KWise, keys []uint64) []uint64 {
+	masks := make([]uint64, len(fns))
+	col := make([]uint64, len(keys))
+	for i, h := range fns {
+		h.FieldBatch(keys, col)
+		for _, v := range col {
+			masks[i] |= LevelBit(v)
+		}
+	}
+	return masks
+}
+
+// fieldRoot returns the key in [0, p) at which the pairwise function
+// h evaluates to 0 — the key whose level is 60.
+func fieldRoot(h *KWise) uint64 {
+	const p = nt.MersennePrime61
+	inv := nt.PowMod(h.coeffs[1], p-2, p)
+	return nt.MulModMersenne61((p-h.coeffs[0])%p, inv)
+}
+
+// levelMaskKeys returns a column of n keys over fns' rows: random and
+// field-boundary keys (2^61 and above among them), adjacent duplicates,
+// and now and then a row's root or the root plus a multiple of p (a
+// key past 2^61 whose field value is 0). Every fourth column is one key
+// repeated and then another: the only bits its sub-4 tail adds are the
+// last key's, so a kernel that drops its tail shows.
+func levelMaskKeys(rng *rand.Rand, fns []*KWise, n int) []uint64 {
+	const p = nt.MersennePrime61
+	pick := func() uint64 {
+		switch rng.Intn(8) {
+		case 0:
+			return fieldRoot(fns[rng.Intn(len(fns))]) + p*uint64(rng.Intn(4))
+		case 1:
+			return []uint64{0, p - 1, p, p + 1, 1 << 61, 1<<62 - 1, math.MaxUint64}[rng.Intn(7)]
+		default:
+			return rng.Uint64()
+		}
+	}
+	keys := make([]uint64, n)
+	if rng.Intn(4) == 0 {
+		k := pick()
+		for j := range keys {
+			keys[j] = k
+		}
+		if n > 0 {
+			keys[n-1] = pick()
+		}
+		return keys
+	}
+	for j := range keys {
+		if j > 0 && rng.Intn(4) == 0 {
+			keys[j] = keys[j-1]
+		} else {
+			keys[j] = pick()
+		}
+	}
+	return keys
+}
+
 // TestKernelFusedRowsBitIdentical pins every fused all-rows kernel to
 // its scalar twin across every registered vector table, for every row
 // count 1..8 and lengths straddling the cutovers; at rows 1
 // and 7 it adds the adversarial columns: kernelKeyCases (field-boundary
 // keys, runs of duplicates) under narrow, typical and 2^32-1 row
-// widths, and gather tables holding both int64 extremes.
+// widths, and gather tables holding both int64 extremes. levelMaskRows
+// is pinned in every table, the scalar twin included, to per-row
+// FieldBatch plus OR (levelMaskOracle) for rows 1..16 and lengths
+// 0..1100, over a bundle NewPairwiseRows drew against the functions as
+// many NewPairwise calls draw from the same seed.
 func TestKernelFusedRowsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
+	zeros := 0 // columns holding a zero field value, past the cutover
+	for rows := 1; rows <= 16; rows++ {
+		bundle := NewPairwiseRows(rand.New(rand.NewSource(int64(rows))), rows)
+		draw := rand.New(rand.NewSource(int64(rows)))
+		fns := make([]*KWise, rows)
+		for i := range fns {
+			fns[i] = NewPairwise(draw)
+		}
+		lengths := append([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, fusedLengths(famField, rows)...)
+		for _, n := range append(lengths, 1097, 1098, 1099, 1100) {
+			keys := levelMaskKeys(rng, fns, n)
+			want := levelMaskOracle(fns, keys)
+			if rows*n >= cutoverValues[famField] && slices.ContainsFunc(want, func(m uint64) bool { return m>>60 != 0 }) {
+				zeros++
+			}
+			for _, kt := range append(vectorTables(), &scalarTable) {
+				got := make([]uint64, rows)
+				for i := range got {
+					got[i] = ^uint64(0) // every mask must be written, not ORed into
+				}
+				kt.levelMaskRows(bundle.flat, rows, keys, got)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("kernel %s levelMaskRows rows=%d n=%d row %d: got %#x, want %#x", kt.name, rows, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("no long column held a key whose field value is 0: level 60 went unchecked")
+	}
 	for _, vt := range vectorTables() {
 		checkBuckets := func(flat []uint64, rows int, r uint64, keys []uint64) {
 			t.Helper()

@@ -16,6 +16,7 @@
 // past the epilogue. Checked per symbol:
 //
 //	bucketSignsRowsAVX2   single exit (done:)  VZEROUPPER+RET
+//	levelMaskRowsAVX2     single exit (done:)  VZEROUPPER+RET
 //	fieldK2AVX2           single exit (done:)  VZEROUPPER+RET
 //	fieldK4AVX2           single exit (done:)  VZEROUPPER+RET
 //	rangeK2AVX2           single exit (done:)  VZEROUPPER+RET
@@ -215,6 +216,67 @@ rownext:
 	ADDQ R11, R8         // signs += stride bytes
 	DECQ R10
 	JMP  rowloop
+
+done:
+	VZEROUPPER
+	RET
+
+// func levelMaskRowsAVX2(flat *uint64, rows int, keys []uint64, masks *uint64)
+//
+// Every row's Flajolet-Martin level mask over one key column: evaluate
+// the row's pairwise polynomial (fieldK2's chain), turn the canonical
+// value v into its level bit w & -w with w = v | 1<<60 (a zero value
+// sits at level 60), and OR it into a register accumulator. At the end
+// of a row the four lanes OR together into masks[row]; no field column
+// is written. The row loop runs inside the kernel, one vector power-up
+// for all rows. flat holds every row's 2 coefficients contiguously
+// (c0, c1 per row); len(keys) is a multiple of 4 (the Go wrapper ORs
+// the sub-4 tail in with the scalar twin).
+TEXT ·levelMaskRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ $0x1000000000000000, AX // 1<<60: the zero value's level
+	MOVQ AX, X7
+	VPBROADCASTQ X7, Y13
+	CONSTANTS
+	MOVQ flat+0(FP), BX
+	MOVQ rows+8(FP), R10
+	MOVQ keys_base+16(FP), SI
+	MOVQ keys_len+24(FP), CX
+	MOVQ masks+40(FP), DI
+
+rowloop:
+	TESTQ R10, R10
+	JLE   done
+	VPBROADCASTQ 8(BX), Y8 // c1
+	VPBROADCASTQ (BX), Y9  // c0
+	VPXOR Y12, Y12, Y12    // the row's mask, per lane
+	XORQ  DX, DX
+	CMPQ  DX, CX
+	JGE   rowstore
+
+keyloop:
+	LOADKEYS
+	VMOVDQA Y8, Y2
+	HSTEP(Y9)
+	CREDUCE
+	VPOR    Y13, Y2, Y2 // w = v | 1<<60
+	VPXOR   Y3, Y3, Y3
+	VPSUBQ  Y2, Y3, Y3  // -w
+	VPAND   Y3, Y2, Y2  // w & -w: the level bit
+	VPOR    Y2, Y12, Y12
+	ADDQ    $4, DX
+	CMPQ    DX, CX
+	JLT     keyloop
+
+rowstore:
+	VEXTRACTI128 $1, Y12, X3
+	VPOR         X3, X12, X12
+	VPSHUFD      $0x4E, X12, X3 // swap the two qwords
+	VPOR         X3, X12, X12
+	VMOVQ        X12, (DI)
+	ADDQ         $16, BX // next row's 2 coefficients
+	ADDQ         $8, DI
+	DECQ         R10
+	JMP          rowloop
 
 done:
 	VZEROUPPER

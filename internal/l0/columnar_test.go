@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hash"
 	"repro/internal/nt"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -348,7 +349,6 @@ func TestRoughF0UpdateColumnMatchesUpdate(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(copies*size) + 3))
 			item := NewRoughF0(rand.New(rand.NewSource(12)), copies)
 			cols := NewRoughF0(rand.New(rand.NewSource(12)), copies)
-			col := make([]uint64, size)
 			raises := 0
 			for fresh, round := uint64(0), 0; round < max(60, 4000/size); round++ {
 				keys := make([]uint64, size)
@@ -361,7 +361,7 @@ func TestRoughF0UpdateColumnMatchesUpdate(t *testing.T) {
 					}
 				}
 				for pos := 0; pos < len(keys); {
-					cut := pos + cols.UpdateColumn(keys[pos:], col)
+					cut := pos + cols.UpdateColumn(keys[pos:])
 					want := len(keys)
 					for j := pos; j < len(keys); j++ {
 						if item.Update(keys[j]) {
@@ -406,7 +406,7 @@ func TestRoughF0StaleRestore(t *testing.T) {
 		}
 	}
 	keys := []uint64{7, 8, 9} // seen before: no top level rises
-	if !item.Update(keys[0]) || cols.UpdateColumn(keys, make([]uint64, 3)) != 0 {
+	if !item.Update(keys[0]) || cols.UpdateColumn(keys) != 0 {
 		t.Fatal("first update after a stale restore did not raise the estimate")
 	}
 	if item.Estimate() != honest || cols.Estimate() != honest {
@@ -428,7 +428,7 @@ func TestRoughF0UnmarshalRejectsLevelOutOfRange(t *testing.T) {
 		}
 		src.bitmaps[len(src.bitmaps)-1] &^= 1 << bit
 	}
-	src.bitmaps[0] |= zeroLevel // the highest honest level stays accepted
+	src.bitmaps[0] |= hash.LevelBit(0) // the highest honest level stays accepted
 	if err := wire.Fill(wiretest.MustMarshal(t, src), fresh()); err != nil {
 		t.Fatalf("rejected level 60: %v", err)
 	}
@@ -573,7 +573,7 @@ func BenchmarkUpdateColumns(b *testing.B) {
 // not hash whole columns ahead of each rise.
 func BenchmarkRoughF0Cold(b *testing.B) {
 	const size = 4096
-	keys, col := make([]uint64, size), make([]uint64, size)
+	keys := make([]uint64, size)
 	for j := range keys {
 		keys[j] = uint64(j+1) * 0x9E3779B97F4A7C15
 	}
@@ -589,7 +589,7 @@ func BenchmarkRoughF0Cold(b *testing.B) {
 					continue
 				}
 				for pos := 0; pos < size; {
-					pos += r.UpdateColumn(keys[pos:], col) + 1
+					pos += r.UpdateColumn(keys[pos:]) + 1
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/update")

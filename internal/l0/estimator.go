@@ -235,7 +235,7 @@ func (e *Estimator) updateRun(b *core.Batch) {
 		row[o] = uint64(min(hash.LSB(hv, e.maxRow), e.maxRow)) // lsb, clamped
 	}
 	e.final.levelColumn(keys, lvl)
-	e.rows.CutPlanned(e.rough, b, scratch, e.span, e.newRow, func(lo, hi, seen int) {
+	e.rows.CutPlanned(e.rough, b, e.span, e.newRow, func(lo, hi, seen int) {
 		e.final.applyRun(e.rows.syncedAt, b, lo, hi, seen, lvl, scratch)
 		clear(sum[:seen])
 		for j, delta := range b.Delta[lo:hi] {

@@ -26,9 +26,10 @@ import (
 // The median moves only when some copy's TOP level rises, which happens
 // at most 61 times per copy in a stream's life. Both ingest paths rest
 // on that: Update recomputes the median only then, and UpdateColumn
-// OR-reduces whole key columns between such items.
+// OR-reduces whole key columns between such items, every copy in one
+// kernel call.
 type RoughF0 struct {
-	hs      []*hash.KWise
+	hs      *hash.PairwiseRows // one pairwise function per copy
 	bitmaps []uint64
 	best    int64
 	safety  int64
@@ -36,17 +37,13 @@ type RoughF0 struct {
 	// a crafted blob has one): the next update recomputes the median
 	// whether or not a top level rises, as every update once did.
 	stale bool
-	// pending holds one OR-reduced level mask per copy between
-	// UpdateColumn's scan and its commit.
-	pending []uint64
+	// scratch holds one word per copy: UpdateColumn's level masks
+	// between its scan and its commit, Update's field values.
+	scratch []uint64
 	// block is UpdateColumn's next scan length — pacing, not state: it
 	// changes how far ahead keys are hashed, never what they leave.
 	block int
 }
-
-// zeroLevel is the level bit of a zero hash value: hash.LSB(0, 60) = 60.
-// Field values stay below 2^61, so it is also the highest level bit.
-const zeroLevel = 1 << 60
 
 // NewRoughF0 builds the estimator with the given number of parallel
 // copies (more copies tighten the constant; 16 is the library default).
@@ -54,30 +51,21 @@ func NewRoughF0(rng *rand.Rand, copies int) *RoughF0 {
 	if copies < 1 {
 		copies = 1
 	}
-	r := &RoughF0{
-		hs:      make([]*hash.KWise, copies),
+	return &RoughF0{
+		hs:      hash.NewPairwiseRows(rng, copies),
 		bitmaps: make([]uint64, copies),
 		safety:  4,
-		pending: make([]uint64, copies),
+		scratch: make([]uint64, copies),
 	}
-	for i := range r.hs {
-		r.hs[i] = hash.NewPairwise(rng)
-	}
-	return r
-}
-
-// levelBit returns 1 << hash.LSB(v, 60) for a field value v.
-func levelBit(v uint64) uint64 {
-	v |= zeroLevel
-	return v & -v
 }
 
 // Update feeds one identity (deltas are irrelevant to F0: any touch
 // counts) and reports whether it raised the estimate.
 func (r *RoughF0) Update(i uint64) bool {
 	rose := r.stale
-	for c, h := range r.hs {
-		b := levelBit(h.Field(i))
+	r.hs.FieldsInto(i, r.scratch)
+	for c, v := range r.scratch {
+		b := hash.LevelBit(v)
 		// A single bit exceeds the bitmap iff it lies above its top bit.
 		rose = rose || b > r.bitmaps[c]
 		r.bitmaps[c] |= b
@@ -96,14 +84,13 @@ func (r *RoughF0) Update(i uint64) bool {
 // UpdateColumn feeds keys in order and stops after the first one that
 // raises the estimate. It returns that key's index — keys[:index+1] are
 // consumed — or len(keys) when every key is consumed and the estimate
-// stands. col is scratch of at least len(keys) entries, shared by all
-// copies. State after the consumed prefix equals per-key Update.
+// stands. State after the consumed prefix equals per-key Update.
 //
 // Keys are scanned in blocks: minScanBlock after a key lifted some
 // copy's top level, four times longer after each block in which none
 // did. A warm estimator therefore scans whole columns, and a cold one —
 // whose lifts come a few keys apart — never hashes far past the next.
-func (r *RoughF0) UpdateColumn(keys, col []uint64) int {
+func (r *RoughF0) UpdateColumn(keys []uint64) int {
 	done := 0
 	for done < len(keys) {
 		rest := keys[done:]
@@ -111,7 +98,7 @@ func (r *RoughF0) UpdateColumn(keys, col []uint64) int {
 		quiet := 0
 		if !r.stale {
 			rest = rest[:min(len(rest), block)]
-			quiet = r.quietPrefix(rest, col)
+			quiet = r.quietPrefix(rest)
 		}
 		done += quiet
 		if quiet == len(rest) {
@@ -162,36 +149,32 @@ func ZeroFreeRuns(b *core.Batch, apply func(*core.Batch)) {
 }
 
 // quietPrefix commits the longest prefix of keys that raises no copy's
-// top level — so cannot move the estimate — and returns its length: one
-// FieldBatch and one OR-reduction per copy, no per-key branch.
-func (r *RoughF0) quietPrefix(keys, col []uint64) int {
+// top level — so cannot move the estimate — and returns its length. One
+// kernel call takes every copy's level mask over keys, with no field
+// column and no per-key branch. Only when some copy's top rises inside
+// them does it walk that copy's keys to the first that lifts it, and
+// then retake the masks over the keys before the earliest such lift (no
+// copy rises inside them, so that call is the last).
+func (r *RoughF0) quietPrefix(keys []uint64) int {
+	masks := r.scratch
+	r.hs.LevelMasks(keys, masks)
 	limit := len(keys)
-	for shrunk := true; shrunk; {
-		shrunk = false
-		for c, h := range r.hs {
-			h.FieldBatch(keys[:limit], col)
-			var m uint64
-			for _, v := range col[:limit] {
-				m |= levelBit(v)
+	for c, m := range masks {
+		bm := r.bitmaps[c]
+		if bits.Len64(m) <= bits.Len64(bm) {
+			continue
+		}
+		for j, k := range keys[:limit] {
+			if hash.LevelBit(r.hs.Field(c, k)) > bm {
+				limit = j
+				break
 			}
-			if bits.Len64(m) <= bits.Len64(r.bitmaps[c]) {
-				r.pending[c] = m
-				continue
-			}
-			// Copy c's top rises inside keys[:limit]: cut before it.
-			// Masks already taken cover a longer prefix, so one more
-			// pass retakes them over the final one (no copy rises
-			// inside it, so that pass is the last).
-			for j, v := range col[:limit] {
-				if levelBit(v) > r.bitmaps[c] {
-					limit = j
-					break
-				}
-			}
-			shrunk = true
 		}
 	}
-	for c, m := range r.pending {
+	if limit < len(keys) {
+		r.hs.LevelMasks(keys[:limit], masks)
+	}
+	for c, m := range masks {
 		r.bitmaps[c] |= m
 	}
 	return limit
@@ -233,7 +216,7 @@ func (r *RoughF0) Merge(other *RoughF0) error {
 	if other == nil {
 		return fmt.Errorf("l0: merge with nil RoughF0")
 	}
-	if len(r.hs) != len(other.hs) || r.safety != other.safety {
+	if len(r.bitmaps) != len(other.bitmaps) || r.safety != other.safety {
 		return fmt.Errorf("l0: merging RoughF0 with different shapes")
 	}
 	for c := range r.bitmaps {
@@ -249,11 +232,11 @@ func (r *RoughF0) Merge(other *RoughF0) error {
 	return nil
 }
 
-// CloneInto returns a deep copy sharing the (immutable) hash functions,
+// CloneInto returns a deep copy sharing the (immutable) hash bundle,
 // written into dst (nil: a new one), an earlier copy nobody else holds.
 func (r *RoughF0) CloneInto(dst *RoughF0) *RoughF0 {
-	if dst == nil || len(dst.pending) != len(r.bitmaps) {
-		dst = &RoughF0{pending: make([]uint64, len(r.bitmaps))}
+	if dst == nil || len(dst.scratch) != len(r.bitmaps) {
+		dst = &RoughF0{scratch: make([]uint64, len(r.bitmaps))}
 	}
 	*dst = RoughF0{
 		hs:      r.hs,
@@ -261,7 +244,7 @@ func (r *RoughF0) CloneInto(dst *RoughF0) *RoughF0 {
 		best:    r.best,
 		safety:  r.safety,
 		stale:   r.stale,
-		pending: dst.pending,
+		scratch: dst.scratch,
 		block:   r.block,
 	}
 	return dst
@@ -269,11 +252,7 @@ func (r *RoughF0) CloneInto(dst *RoughF0) *RoughF0 {
 
 // SpaceBits charges the bitmaps and hash seeds: O(copies * log n).
 func (r *RoughF0) SpaceBits() int64 {
-	var seeds int64
-	for _, h := range r.hs {
-		seeds += h.SpaceBits()
-	}
-	return int64(len(r.bitmaps))*61 + seeds + int64(nt.BitsFor(uint64(r.best)))
+	return int64(len(r.bitmaps))*61 + r.hs.SpaceBits() + int64(nt.BitsFor(uint64(r.best)))
 }
 
 // RoughL0 is the constant-factor end-of-stream L0 estimator: Lemma 14

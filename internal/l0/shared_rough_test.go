@@ -54,7 +54,7 @@ func (s *soloL0) UpdateColumn(b *core.Batch, col []uint64) {
 	keys, _ := core.Distinct(b)
 	lvl, bucket := col[:len(keys)], col[len(keys):2*len(keys)]
 	s.levelColumn(keys, lvl)
-	s.levels.CutPlanned(s.rough, b, bucket, s.span, s.newLevel, func(lo, hi, seen int) {
+	s.levels.CutPlanned(s.rough, b, s.span, s.newLevel, func(lo, hi, seen int) {
 		s.applyRun(s.levels.syncedAt, b, lo, hi, seen, lvl, bucket)
 	})
 }
@@ -318,10 +318,11 @@ func TestParentReferenceIsTheParent(t *testing.T) {
 }
 
 // TestOneRoughScanPerBatch is the count witness: a warm UpdateColumns
-// scans its distinct keys with ONE RoughF0 — 16 FieldBatch calls, one
-// per copy, in its single pass — where the parent's two made 32. The
-// other four are h1's row hash, final's level hash, and h3s and h3,
-// 8-wise hashes whose RangeBatch evaluates through FieldBatch.
+// scans its distinct keys with ONE RoughF0 — one field-family dispatch,
+// the all-copies level-mask kernel, in its single pass — where the
+// parent's two rough estimators made 32 FieldBatch calls, one per copy
+// each. The other four are h1's row hash, final's level hash, and h3s
+// and h3, 8-wise hashes whose RangeBatch evaluates through FieldBatch.
 func TestOneRoughScanPerBatch(t *testing.T) {
 	const n = 1 << 26
 	e := NewEstimator(rand.New(rand.NewSource(16)), Params{N: n, Eps: 0.1, Windowed: true, Window: RecommendedWindow(8, 0.1)})
@@ -343,8 +344,8 @@ func TestOneRoughScanPerBatch(t *testing.T) {
 		fill()
 		rt, before := e.rough.Estimate(), fieldCalls()
 		e.UpdateColumns(b)
-		if calls := fieldCalls() - before; calls != 16+4 || e.rough.Estimate() != rt {
-			t.Fatalf("batch %d: %d FieldBatch calls (R_t %d -> %d), want 16 for the one rough scan + 4", batch, calls, rt, e.rough.Estimate())
+		if calls := fieldCalls() - before; calls != 1+4 || e.rough.Estimate() != rt {
+			t.Fatalf("batch %d: %d field dispatches (R_t %d -> %d), want 1 for the one rough scan + 4", batch, calls, rt, e.rough.Estimate())
 		}
 	}
 }

@@ -137,14 +137,14 @@ func (w *Window[T]) Observe(rough *RoughF0, i uint64, span func(int64) (int, int
 // the window stands still. The raising key heads the NEXT run: rough
 // estimate, then the window it produces, then the item. An unsynced
 // window converges as per-item Observe makes it, on the first key,
-// whether or not that key moves R_t. col is scratch of at least
-// len(keys) entries. State equals per-key Observe + apply.
-func (w *Window[T]) CutRuns(rough *RoughF0, keys, col []uint64,
+// whether or not that key moves R_t. State equals per-key Observe +
+// apply.
+func (w *Window[T]) CutRuns(rough *RoughF0, keys []uint64,
 	span func(int64) (int, int), fresh func(int) *T, apply func(lo, hi int)) {
 	pos, fed := 0, 0
 	if !w.windowed {
 		for rough != nil && fed < len(keys) {
-			fed += rough.UpdateColumn(keys[fed:], col) + 1
+			fed += rough.UpdateColumn(keys[fed:]) + 1
 		}
 		apply(0, len(keys))
 		return
@@ -154,7 +154,7 @@ func (w *Window[T]) CutRuns(rough *RoughF0, keys, col []uint64,
 		fed = 1
 	}
 	for pos < len(keys) {
-		cut := fed + rough.UpdateColumn(keys[fed:], col)
+		cut := fed + rough.UpdateColumn(keys[fed:])
 		apply(pos, cut)
 		pos, fed = cut, cut+1
 		if cut < len(keys) {
@@ -169,9 +169,8 @@ func (w *Window[T]) CutRuns(rough *RoughF0, keys, col []uint64,
 // so only a first occurrence can raise R_t. A cut before distinct key o
 // falls before that key's first update (core.First): apply gets update
 // positions and the number of distinct keys the scan has reached —
-// b.Idx[lo:hi] holds keys of ordinal below seen, none beyond. col holds
-// at least as many entries as the batch has distinct keys.
-func (w *Window[T]) CutPlanned(rough *RoughF0, b *core.Batch, col []uint64,
+// b.Idx[lo:hi] holds keys of ordinal below seen, none beyond.
+func (w *Window[T]) CutPlanned(rough *RoughF0, b *core.Batch,
 	span func(int64) (int, int), fresh func(int) *T, apply func(lo, hi, seen int)) {
 	keys, _ := core.Distinct(b)
 	first := core.First(b)
@@ -179,7 +178,7 @@ func (w *Window[T]) CutPlanned(rough *RoughF0, b *core.Batch, col []uint64,
 		w.stats.BatchKeys.Add(int64(b.Len()))
 		w.stats.KeysHashed.Add(int64(len(keys)))
 	}
-	w.CutRuns(rough, keys, col, span, fresh, func(lo, hi int) { apply(int(first[lo]), int(first[hi]), hi) })
+	w.CutRuns(rough, keys, span, fresh, func(lo, hi int) { apply(int(first[lo]), int(first[hi]), hi) })
 }
 
 // Merge folds other's levels into w: a level live in both is combined

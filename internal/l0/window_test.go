@@ -377,7 +377,7 @@ func FuzzRoughWindowDifferential(f *testing.F) {
 			}
 		}
 		perColumn := func(ks []uint64) {
-			a.w.CutRuns(a.rough, ks, make([]uint64, len(ks)), s.span, newLevel, func(lo, hi int) {
+			a.w.CutRuns(a.rough, ks, s.span, newLevel, func(lo, hi int) {
 				for _, i := range ks[lo:hi] {
 					route(i, &a.w)
 				}

@@ -164,7 +164,7 @@ func (sp *Sampler) updateRun(b *core.Batch) {
 		from[o] = uint64(minLevel(hv))
 	}
 	top := sp.maxLevel + 1 // no level above it: the walk up stops there, not at slot 64
-	sp.levels.CutPlanned(sp.rough, b, scratch, sp.span, sp.newLevel, func(lo, hi, _ int) {
+	sp.levels.CutPlanned(sp.rough, b, sp.span, sp.newLevel, func(lo, hi, _ int) {
 		for j := lo; j < hi; j++ {
 			o := slot[j]
 			e := sparse.MakeEntry(b.Idx[j], b.Delta[j], fp[o], cells[3*o:])
