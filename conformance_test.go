@@ -334,8 +334,6 @@ var weaker = map[string][]string{
 		"HeavyHitters/general/rate1", "L1Estimator/rate1", "L1Estimator/general/rate1", "L0Estimator/rate1",
 		"L1Sampler/rate1", "SupportSampler/rate1", "InnerProduct/rate1",
 	},
-	// ... and the L0 estimator's rows answer otherwise too.
-	"split answers": {"L0Estimator/rate1"},
 	// A Clone of these moves what the source later writes: a copy takes
 	// its seed word from the source's generator (ROADMAP 4a).
 	"reads move": {

@@ -10,6 +10,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
+	"weak"
 )
 
 // OrNew returns dst, or a new T when dst is nil: the storage a structure's
@@ -30,6 +32,37 @@ func Grow[T any](s *[]T, n int) []T {
 	}
 	*s = (*s)[:n]
 	return *s
+}
+
+// Spare is one scratch column for whoever needs it next: Take lends it
+// (a Take that finds it lent makes its own) and Give hands it back. It
+// is held weakly, so a collection frees it as it would a sync.Pool's,
+// but unlike a pool it drops nothing at random under the race detector.
+// The zero value is ready.
+type Spare[T any] struct {
+	mu  sync.Mutex
+	col weak.Pointer[[]T]
+}
+
+// Take returns the spare column, or a new one when it is lent or was
+// collected, at n entries (contents unspecified).
+func (s *Spare[T]) Take(n int) *[]T {
+	s.mu.Lock()
+	p := s.col.Value()
+	s.col = weak.Pointer[[]T]{}
+	s.mu.Unlock()
+	if p == nil {
+		p = new([]T)
+	}
+	Grow(p, n)
+	return p
+}
+
+// Give makes p the spare column.
+func (s *Spare[T]) Give(p *[]T) {
+	s.mu.Lock()
+	s.col = weak.Make(p)
+	s.mu.Unlock()
 }
 
 // SumBlocks writes first (nil: what dst holds) plus the entries of

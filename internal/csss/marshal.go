@@ -54,7 +54,7 @@ func (s *Sketch) Write(w *wire.Writer, l wire.Layout) {
 	w.I64(s.t)
 	w.U32(uint32(s.p))
 	w.I64(s.maxCount)
-	w.Counts(s.counters(), l)
+	wire.WriteCounts(w, s.counters(), l)
 }
 
 // Fill restores the state into a sketch fresh from New with the
@@ -64,7 +64,7 @@ func (s *Sketch) Fill(r *wire.Reader) {
 	t := r.I64()
 	p := int(r.U32())
 	s.maxCount = r.I64()
-	or := r.Counts(s.counters())
+	or := wire.ReadCounts(r, s.counters())
 	if r.Err() != nil {
 		return
 	}

@@ -85,7 +85,7 @@ type side struct {
 
 type ipLevel struct {
 	start int64
-	bins  [][]int64 // [row][bucket] signed sampled counts
+	bins  []int64 // signed sampled counts, row r's bucket b at r*K+b
 }
 
 // New builds the estimator.
@@ -170,10 +170,10 @@ func (e *Estimator) update(sd *side, i uint64, delta int64) {
 				kept = -kept
 			}
 			for r := 0; r < e.params.Rows; r++ {
-				b := e.hb[r].Range(reduced, uint64(e.params.K))
+				b := r*e.params.K + int(e.hb[r].Range(reduced, uint64(e.params.K)))
 				s := int64(e.hs[r].Sign(reduced))
-				lv.bins[r][b] += s * kept
-				if a := stream.Abs64(lv.bins[r][b]); a > sd.maxCount {
+				lv.bins[b] += s * kept
+				if a := stream.Abs64(lv.bins[b]); a > sd.maxCount {
 					sd.maxCount = a
 				}
 			}
@@ -184,11 +184,7 @@ func (e *Estimator) update(sd *side, i uint64, delta int64) {
 
 // newLevel opens a level at position start.
 func (e *Estimator) newLevel(start int64) *ipLevel {
-	lv := &ipLevel{start: start, bins: make([][]int64, e.params.Rows)}
-	for r := range lv.bins {
-		lv.bins[r] = make([]int64, e.params.K)
-	}
-	return lv
+	return &ipLevel{start: start, bins: make([]int64, e.params.Rows*e.params.K)}
 }
 
 // Estimate returns p_f^-1 p_g^-1 <A, B> (median over rows).
@@ -201,10 +197,11 @@ func (e *Estimator) Estimate() float64 {
 	scaleF := float64(sample.Pow(e.params.Base, jf))
 	scaleG := float64(sample.Pow(e.params.Base, jg))
 	ests := make([]float64, e.params.Rows)
+	k := e.params.K
 	for r := range ests {
 		var dot int64
-		for c := 0; c < e.params.K; c++ {
-			dot += lf.bins[r][c] * lg.bins[r][c]
+		for c, g := range lg.bins[r*k : (r+1)*k] {
+			dot += lf.bins[r*k+c] * g
 		}
 		ests[r] = scaleF * scaleG * float64(dot)
 	}

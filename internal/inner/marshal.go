@@ -23,28 +23,10 @@ func (e *Estimator) EncodedLen() int {
 	n := 40
 	for _, sd := range []*side{e.f, e.g} {
 		for _, lv := range sd.win.Each {
-			n += e.levelLen(lv.layout())
+			n += 12 + wire.LayoutOf(lv.bins).Len() // index, start and the bins' column
 		}
 	}
 	return n
-}
-
-// levelLen is one level's encoded length with its bins laid out as l:
-// index, start and the bins' column.
-func (e *Estimator) levelLen(l wire.Layout) int { return 12 + l.Len() }
-
-// minLevelLen is the least encoded length of a level: one byte a bin.
-func (e *Estimator) minLevelLen() int { return 12 + wire.MinColumnLen(e.params.Rows*e.params.K) }
-
-// layout is the count column a level's bins pack as.
-func (lv *ipLevel) layout() wire.Layout {
-	var h wire.Widths
-	for _, row := range lv.bins {
-		for _, v := range row {
-			h.Add(wire.Zigzag(v))
-		}
-	}
-	return h.Layout()
 }
 
 // AppendBinary appends the estimator's encoding to dst, growing it
@@ -56,13 +38,7 @@ func (e *Estimator) AppendBinary(dst []byte) ([]byte, error) {
 		w.I64(sd.maxCount)
 		sd.win.WriteLevels(w, func(lv *ipLevel) {
 			w.I64(lv.start)
-			col, i := w.Column(lv.layout()), 0
-			for _, row := range lv.bins {
-				for _, v := range row {
-					col.Put(i, wire.Zigzag(v))
-					i++
-				}
-			}
+			wire.WriteCounts(w, lv.bins, wire.LayoutOf(lv.bins))
 		})
 	}
 	return w.Bytes(), nil
@@ -78,20 +54,13 @@ func (e *Estimator) Fill(r *wire.Reader) {
 			r.Fail(errors.New("inner: bad side position"))
 		}
 		sd.win.ReadLevels(r, func(int) *ipLevel {
-			if !r.Need(e.minLevelLen() - 4) {
+			// The start and the bins, one byte a bin at the least.
+			if !r.Need(8 + wire.MinColumnLen(e.params.Rows*e.params.K)) {
 				return nil
 			}
 			lv := e.newLevel(r.I64())
-			col, ok := r.Column(e.params.Rows * e.params.K)
-			if !ok {
+			if wire.ReadCounts(r, lv.bins); r.Err() != nil {
 				return nil
-			}
-			i := 0
-			for _, row := range lv.bins {
-				for j := range row {
-					row[j] = wire.Unzigzag(col.Value(i))
-					i++
-				}
 			}
 			return lv
 		})

@@ -31,10 +31,8 @@ func (e *Estimator) Merge(other *Estimator) error {
 // mergeSide folds one stream's level stack into the receiver's.
 func (e *Estimator) mergeSide(sd, osd *side) {
 	sd.win.Merge(osd.win, func(lv, olv *ipLevel) {
-		for r := range lv.bins {
-			for c := range lv.bins[r] {
-				lv.bins[r][c] += olv.bins[r][c]
-			}
+		for i, c := range olv.bins {
+			lv.bins[i] += c
 		}
 		lv.start = min(lv.start, olv.start)
 	}, copyLevel)
@@ -42,22 +40,17 @@ func (e *Estimator) mergeSide(sd, osd *side) {
 	sd.maxCount = max(sd.maxCount, osd.maxCount)
 	sd.win.Sync(sd.t, func(int) *ipLevel { return e.newLevel(sd.t) })
 	for _, lv := range sd.win.Each { // the summed bins can be wider than either side's
-		for _, row := range lv.bins {
-			for _, c := range row {
-				sd.maxCount = max(sd.maxCount, stream.Abs64(c))
-			}
+		for _, c := range lv.bins {
+			sd.maxCount = max(sd.maxCount, stream.Abs64(c))
 		}
 	}
 }
 
 func copyLevel(lv, dst *ipLevel) *ipLevel {
-	if dst == nil || len(dst.bins) != len(lv.bins) {
-		dst = &ipLevel{bins: make([][]int64, len(lv.bins))}
+	if dst == nil {
+		dst = new(ipLevel)
 	}
-	dst.start = lv.start
-	for r := range lv.bins {
-		dst.bins[r] = append(dst.bins[r][:0], lv.bins[r]...)
-	}
+	dst.start, dst.bins = lv.start, append(dst.bins[:0], lv.bins...)
 	return dst
 }
 

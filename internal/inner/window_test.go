@@ -60,7 +60,7 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 		for _, e := range []*Estimator{a, b} {
 			for s, sd := range []*side{e.f, e.g} {
 				for j, lv := range sd.win.Each {
-					sums[s][j] += lv.bins[1][2]
+					sums[s][j] += lv.bins[e.params.K+2]
 				}
 			}
 		}
@@ -78,8 +78,8 @@ func TestEstimatorMergeTwoSampledLevels(t *testing.T) {
 				t.Fatalf("%s: side %d merged window %s at %d, schedule at the combined position %d is %s", at, s, got, sd.t, pos, want)
 			}
 			for j, lv := range sd.win.Each {
-				if lv.bins[1][2] != sums[s][j] {
-					t.Fatalf("%s: side %d level %d bin holds %d, inputs sum to %d", at, s, j, lv.bins[1][2], sums[s][j])
+				if got := lv.bins[ab.params.K+2]; got != sums[s][j] {
+					t.Fatalf("%s: side %d level %d bin holds %d, inputs sum to %d", at, s, j, got, sums[s][j])
 				}
 			}
 		}
@@ -119,7 +119,8 @@ func craft(pos int64, levels ...[2]int64) []byte {
 		for _, lv := range levels {
 			w.U32(uint32(lv[0]))
 			w.I64(1) // start
-			wiretest.Counts(w, slices.Repeat([]uint64{wire.Zigzag(lv[1])}, 2*4))
+			bins := slices.Repeat([]int64{lv[1]}, 2*4)
+			wire.WriteCounts(w, bins, wire.LayoutOf(bins))
 		}
 	}
 	return w.Bytes()
@@ -172,11 +173,9 @@ func TestCraftedLevelLists(t *testing.T) {
 			if !survivor && lv.start != tc.pos+1 {
 				t.Errorf("%s: level %d opened at %d, want %d", name, j, lv.start, tc.pos+1)
 			}
-			for _, row := range lv.bins {
-				for _, v := range row {
-					if v < fill-1 || v > fill+1 {
-						t.Errorf("%s: level %d bin holds %d after one unit, listed fill %d", name, j, v, fill)
-					}
+			for _, v := range lv.bins {
+				if v < fill-1 || v > fill+1 {
+					t.Errorf("%s: level %d bin holds %d after one unit, listed fill %d", name, j, v, fill)
 				}
 			}
 		}

@@ -270,9 +270,11 @@ func (e *ExactSmall) latch() {
 // Merge folds another ExactSmall built from the same seed into this
 // one: per-bucket counters add modulo the shared prime (cancellations
 // stay honest), and the structure latches if either side has latched
-// or the combined live set exceeds the promise bound. Once a side has
-// latched the union's live count is no longer visible, so maxLive
-// becomes the larger of the two sides'.
+// or the combined live set exceeds the promise bound. A union past the
+// bound is charged c live pairs, as one structure fed both streams
+// would have been when it latched: no more. Once a side has latched the
+// union's live count is no longer visible, so maxLive becomes the
+// larger of the two sides'.
 func (e *ExactSmall) Merge(other *ExactSmall) error {
 	if other == nil {
 		return fmt.Errorf("l0: merge with nil ExactSmall")
@@ -288,7 +290,7 @@ func (e *ExactSmall) Merge(other *ExactSmall) error {
 				e.counters.addMod(e.counters.find(c.bucket), c.bucket, c.count, e.prime)
 			}
 		}
-		e.maxLive = max(e.maxLive, e.counters.n)
+		e.maxLive = max(e.maxLive, min(e.counters.n, e.c))
 		if e.counters.n > e.c {
 			e.latch()
 		}

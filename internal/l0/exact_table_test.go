@@ -20,8 +20,9 @@ import (
 
 // mapExact is ExactSmall as a Go map from occupied bucket to counter —
 // what the flat table replaced — under the latch rule: past the promise
-// bound it answers LARGE for good and keeps nothing. The table is held
-// to it: same counts, same latch, same high-water mark, same bytes.
+// bound it answers LARGE for good and keeps nothing, and a merge whose
+// union passes the bound charges c live pairs, no more. The table is
+// held to it: same counts, same latch, same high-water mark, same bytes.
 type mapExact struct {
 	e        *ExactSmall // supplies c, the hash, the bucket range and the prime; its table is never touched
 	counters map[uint64]uint64
@@ -70,7 +71,7 @@ func (m *mapExact) merge(o *mapExact) {
 				m.counters[b] = nv
 			}
 		}
-		m.maxLive = max(m.maxLive, len(m.counters))
+		m.maxLive = max(m.maxLive, min(len(m.counters), m.e.c))
 		if len(m.counters) > m.e.c {
 			m.latch()
 		}
@@ -256,7 +257,8 @@ func TestExactSmallLatchedDecodeSizesNothing(t *testing.T) {
 // parentExact is ExactSmall's update and merge as they were before
 // LARGE became a latch: past the bound a structure went on probing,
 // adding to and freeing its counters, and a merge added into a latched
-// table. It is the reference the latch is held to.
+// table. It is the reference the latch is held to; like the latch, its
+// merge charges a union past the bound c live pairs, no more.
 type parentExact ExactSmall
 
 func (p *parentExact) update(i uint64, delta int64) {
@@ -284,7 +286,7 @@ func (p *parentExact) merge(o *parentExact) error {
 		}
 	}
 	p.overflow = p.overflow || o.overflow || p.counters.n > p.c
-	p.maxLive = max(p.maxLive, p.counters.n, o.maxLive)
+	p.maxLive = max(p.maxLive, min(p.counters.n, p.c), o.maxLive)
 	return nil
 }
 

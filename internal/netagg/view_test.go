@@ -388,7 +388,11 @@ func TestViewRebuildAllocatesOneState(t *testing.T) {
 	// The collector is off from here on: a cycle between the warm-up and
 	// the measured rebuild can empty the pools the re-rank's scratch and
 	// the batch live in, and their refill would be charged to the rebuild.
+	// One P from here on, too: a pool hands out only its own P's private
+	// slot, so a goroutine moved to another P between the warm-up and a
+	// measurement would miss the scratch the warm-up put back.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	askHH(t, agg) // the batch pool and the query scratch reach their steady size
 	commitHH(t, agg, "site-3", 2, blobs[3])
 	rerank := refresh()
@@ -474,7 +478,7 @@ func endsInTracker(b []byte, n int) bool {
 // ids reads an n-entry count column.
 type ids int
 
-func (n ids) Fill(r *wire.Reader) { r.Counts(make([]uint64, n)) }
+func (n ids) Fill(r *wire.Reader) { wire.ReadCounts(r, make([]uint64, n)) }
 
 // TestViewCandidatesReported: a build over four agents reports the
 // union of their candidates and how many the view kept — the tracker's

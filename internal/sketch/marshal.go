@@ -14,30 +14,18 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) { return cs.AppendBinary(
 
 // EncodedLen is the length of the sketch's encoding: what an enclosing
 // structure grows its buffer by.
-func (cs *CountSketch) EncodedLen() int { return 8 + cs.layout().Len() }
+func (cs *CountSketch) EncodedLen() int { return 8 + wire.LayoutOf(cs.flat).Len() }
 
 // StateLen is the least encoded length of a sketch of n counters: one
 // byte a counter, nothing patched.
 func StateLen(n int) int { return 8 + wire.MinColumnLen(n) }
 
-// layout is the count column the counters pack as.
-func (cs *CountSketch) layout() wire.Layout {
-	var h wire.Widths
-	for _, v := range cs.flat {
-		h.Add(wire.Zigzag(v))
-	}
-	return h.Layout()
-}
-
 // AppendBinary appends the sketch's encoding to dst.
 func (cs *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
-	l := cs.layout()
+	l := wire.LayoutOf(cs.flat)
 	w := wire.State(wire.Grow(dst, 8+l.Len()))
 	w.I64(cs.mass)
-	col := w.Column(l)
-	for i, v := range cs.flat {
-		col.Put(i, wire.Zigzag(v))
-	}
+	wire.WriteCounts(w, cs.flat, l)
 	return w.Bytes(), nil
 }
 
@@ -45,11 +33,5 @@ func (cs *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
 // (wire.Filler).
 func (cs *CountSketch) Fill(r *wire.Reader) {
 	cs.mass = r.I64()
-	col, ok := r.Column(len(cs.flat))
-	if !ok {
-		return
-	}
-	for i := range cs.flat {
-		cs.flat[i] = wire.Unzigzag(col.Value(i))
-	}
+	wire.ReadCounts(r, cs.flat)
 }

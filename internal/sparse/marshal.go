@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"repro/internal/core"
 	"repro/internal/nt"
 	"repro/internal/wire"
 )
@@ -42,11 +43,22 @@ func StateLen(capacity int) int {
 // counts. A structure that sizes its buffer by it (LenAt) hands it to
 // Write rather than have the count column scanned again.
 func (r *Recovery) Layout() wire.Layout {
-	var h wire.Widths
+	p := r.counts()
+	defer spareCounts.Give(p)
+	return wire.LayoutOf(*p)
+}
+
+var spareCounts core.Spare[int64]
+
+// counts copies the cells' counts into spareCounts, the flat column they
+// cross the codec in (a sketch keeps no copy), for the caller to give
+// back.
+func (r *Recovery) counts() *[]int64 {
+	p := spareCounts.Take(len(r.cells))
 	for i := range r.cells {
-		h.Add(wire.Zigzag(r.cells[i].count))
+		(*p)[i] = r.cells[i].count
 	}
-	return h.Layout()
+	return p
 }
 
 // AppendBinary appends the sketch's encoding to dst.
@@ -61,13 +73,12 @@ func (r *Recovery) AppendBinary(dst []byte) ([]byte, error) {
 // out as l, which is Layout()'s value.
 func (r *Recovery) Write(w *wire.Writer, l wire.Layout) {
 	w.I64(r.maxCount)
-	// One pass over the cells fills both columns: the Grow above made
-	// room for the sums, so extending for them leaves col in place.
-	col := w.Column(l)
+	p := r.counts()
+	defer spareCounts.Give(p)
+	wire.WriteCounts(w, *p, l)
 	sums := w.Extend(16 * len(r.cells))
 	for i := range r.cells {
 		c := &r.cells[i]
-		col.Put(i, wire.Zigzag(c.count))
 		binary.LittleEndian.PutUint64(sums[16*i:], c.keySum)
 		binary.LittleEndian.PutUint64(sums[16*i+8:], c.fpSum)
 	}
@@ -77,14 +88,16 @@ func (r *Recovery) Write(w *wire.Writer, l wire.Layout) {
 // (wire.Filler).
 func (r *Recovery) Fill(rd *wire.Reader) {
 	r.maxCount = rd.I64()
-	col, ok := rd.Column(len(r.cells))
+	p := spareCounts.Take(len(r.cells))
+	defer spareCounts.Give(p)
+	wire.ReadCounts(rd, *p)
 	b := rd.Take(16 * len(r.cells))
-	if !ok || b == nil {
+	if b == nil {
 		return
 	}
 	for i := range r.cells {
 		c := &r.cells[i]
-		c.count = wire.Unzigzag(col.Value(i))
+		c.count = (*p)[i]
 		c.keySum = binary.LittleEndian.Uint64(b[16*i:])
 		c.fpSum = binary.LittleEndian.Uint64(b[16*i+8:])
 		// Every encoder writes reduced sums; the field adds and the

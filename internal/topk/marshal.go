@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -23,26 +24,33 @@ const MinLen = 4 + 1
 func (t *Tracker) MarshalBinary() ([]byte, error) { return t.AppendBinary(nil) }
 
 // EncodedLen is the length of the tracker's encoding.
-func (t *Tracker) EncodedLen() int { return 4 + t.layout().Len() + 8*len(t.heap) }
+func (t *Tracker) EncodedLen() int {
+	p := t.ids()
+	defer spareIDs.Give(p)
+	return 4 + wire.LayoutOf(*p).Len() + 8*len(t.heap)
+}
 
-// layout is the count column the ids pack as.
-func (t *Tracker) layout() wire.Layout {
-	var h wire.Widths
+var spareIDs core.Spare[uint64]
+
+// ids copies the ids, in heap order, into spareIDs, the flat column they
+// cross the codec in (a tracker keeps no copy), for the caller to give
+// back.
+func (t *Tracker) ids() *[]uint64 {
+	p := spareIDs.Take(len(t.heap))
 	for i := range t.heap {
-		h.Add(t.heap[i].id)
+		(*p)[i] = t.heap[i].id
 	}
-	return h.Layout()
+	return p
 }
 
 // AppendBinary appends the tracker's encoding to dst.
 func (t *Tracker) AppendBinary(dst []byte) ([]byte, error) {
-	l := t.layout()
+	p := t.ids()
+	defer spareIDs.Give(p)
+	l := wire.LayoutOf(*p)
 	w := wire.State(wire.Grow(dst, 4+l.Len()+8*len(t.heap)))
 	w.U32(uint32(len(t.heap)))
-	col := w.Column(l)
-	for i := range t.heap {
-		col.Put(i, t.heap[i].id)
-	}
+	wire.WriteCounts(w, *p, l)
 	b := w.Extend(8 * len(t.heap))
 	for i := range t.heap {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(t.heap[i].est))
@@ -54,13 +62,15 @@ func (t *Tracker) AppendBinary(dst []byte) ([]byte, error) {
 // capacity (wire.Filler).
 func (t *Tracker) Fill(r *wire.Reader) {
 	n := r.Count(9, t.limit)
-	col, ok := r.Column(n)
+	p := spareIDs.Take(n)
+	defer spareIDs.Give(p)
+	wire.ReadCounts(r, *p)
 	b := r.Take(8 * n)
-	if !ok || b == nil {
+	if b == nil {
 		return
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
-		id := col.Value(i)
+		id := (*p)[i]
 		est := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		before := t.Len()
 		if !math.IsNaN(est) {

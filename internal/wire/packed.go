@@ -6,14 +6,14 @@ import (
 	"math/bits"
 )
 
-// packed.go is the codec's one count-column layout: a column of
-// counters written at the byte width most of its entries need, with the
-// few wider ones patched in behind it, so a table travels in about the
-// bits the space bound charges its typical counter rather than in its
-// widest one's (or in a 64-bit word apiece). An α-property counter
-// needs O(log α) bits, and a sampled table holds mostly small counts
-// beside a handful of heavy ones: the width of the widest entry would
-// charge every counter for those few.
+// packed.go is the codec's one count-column layout and its one API: a
+// column of counters written at the byte width most of its entries
+// need, with the few wider ones patched in behind it, so a table
+// travels in about the bits the space bound charges its typical counter
+// rather than in its widest one's (or in a 64-bit word apiece). An
+// α-property counter needs O(log α) bits, and a sampled table holds
+// mostly small counts beside a handful of heavy ones: the width of the
+// widest entry would charge every counter for those few.
 //
 //	u8            widths: the low width in the low nibble, the high width
 //	              (the widest entry's) in the high nibble, 1 ≤ low ≤ high ≤ 8
@@ -28,14 +28,21 @@ import (
 // reader refuses any column the writer would not have written (indices
 // out of order or range, a patch with no high bytes, a high width no
 // entry needs, a low width that is not the minimising one): accepted
-// bytes re-marshal to themselves. A signed column is zigzagged first, so
-// its width follows its magnitude.
+// bytes re-marshal to themselves. A signed column is zigzagged on the
+// way, so its width follows its magnitude.
 //
-// The low bytes move a word at a time: each entry is an 8-byte
-// little-endian store whose high bytes the next entries overwrite (so a
-// column is written in increasing entry order), and unpacking an 8-byte
-// load and a mask. Only the last entries, whose word would run past the
-// low bytes' end, and the patches move a byte at a time.
+// A column moves as a whole slice — LayoutOf scans it, WriteCounts
+// writes it, ReadCounts reads it — in loops generic over the entry type,
+// so a signed column zigzags inside them (int64 and uint64 are distinct
+// shapes, each compiled apart). The low bytes move a word at a time:
+// each entry is an 8-byte little-endian store whose high bytes the next
+// entries overwrite, and unpacking an 8-byte load and a mask. Only the
+// last entries, whose word would run past the low bytes' end, and the
+// patches move a byte at a time.
+
+// Count is a count column's entry type: an unsigned count, or a signed
+// one, which travels zigzagged.
+type Count interface{ int64 | uint64 }
 
 // ByteWidth returns the number of bytes, 1 to 8, that hold v.
 func ByteWidth(v uint64) int { return max(1, (bits.Len64(v)+7)/8) }
@@ -48,21 +55,41 @@ func Zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // Unzigzag inverts Zigzag.
 func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// signed reports whether T is int64; a constant in each shape's body.
+func signed[T Count]() bool { return ^T(0) < 0 }
+
+// encode is the unsigned value entry x travels as.
+func encode[T Count](x T) uint64 {
+	if signed[T]() {
+		return Zigzag(int64(x))
+	}
+	return uint64(x)
+}
+
+// decode is the entry that travels as u. Decoding distributes over
+// XOR between a patched entry's low bytes and its high part, whose bits
+// sit above every low bit (so its lowest bit, a zigzag's sign, is
+// clear): a reader decodes the low bytes and XORs the high part's
+// decoding in later.
+func decode[T Count](u uint64) T {
+	if signed[T]() {
+		return T(Unzigzag(u))
+	}
+	return T(u)
+}
+
 // MinColumnLen is the least encoded length of an n-entry count column:
 // every entry one byte, nothing patched.
 func MinColumnLen(n int) int { return 1 + n }
 
-// Widths is a count column's histogram of entry byte widths, which its
-// layout is chosen from, for a column a structure walks entry by entry
-// (LayoutOf takes a plain slice). The zero value is empty.
-type Widths struct {
-	n [9]int // n[w]: entries of byte width w; n[0] holds zeros, width 1
-}
+// widths is a count column's histogram of entry byte widths, which its
+// layout is chosen from. The zero value is empty.
+type widths [9]int // [w]: entries of byte width w; [0] holds zeros, width 1
 
-// Add counts one entry.
-func (h *Widths) Add(v uint64) { h.n[(bits.Len64(v)+7)>>3]++ }
+// add counts one entry.
+func (h *widths) add(v uint64) { h[(bits.Len64(v)+7)>>3]++ }
 
-// LayoutOf is the Layout of the Widths of all, in one pass for most
+// LayoutOf is the Layout of all's entries, in one pass for most
 // columns. That pass takes the column's OR eight entries at a time and
 // counts the wider-than-a-byte entries only in a block whose OR is
 // wider (an entry below 2^63 is wider exactly when 255−x has its top
@@ -72,61 +99,62 @@ func (h *Widths) Add(v uint64) { h.n[(bits.Len64(v)+7)>>3]++ }
 // column is shorter than any column at two bytes or more could be — a
 // sampled table's shape. Any other column is counted by width in a
 // second pass.
-func LayoutOf(all []uint64) Layout {
+func LayoutOf[T Count](all []T) Layout {
 	v := all
 	var or uint64
 	n, wide := len(v), 0
 	for ; len(v) >= 8; v = v[8:] {
-		o := v[0] | v[1] | v[2] | v[3] | v[4] | v[5] | v[6] | v[7]
+		o := encode(v[0]) | encode(v[1]) | encode(v[2]) | encode(v[3]) |
+			encode(v[4]) | encode(v[5]) | encode(v[6]) | encode(v[7])
 		or |= o
 		if o > 255 {
 			for _, x := range v[:8] {
-				wide += int((255 - x) >> 63)
+				wide += int((255 - encode(x)) >> 63)
 			}
 		}
 	}
 	for _, x := range v {
-		or |= x
-		wide += int((255 - x) >> 63)
+		u := encode(x)
+		or |= u
+		wide += int((255 - u) >> 63)
 	}
-	var h Widths
+	var h widths
 	if high := ByteWidth(or); or < 1<<63 {
 		if high <= 2 {
-			h.n[1], h.n[2] = n-wide, wide
-			return h.Layout()
+			h[1], h[2] = n-wide, wide
+			return h.layout()
 		}
 		if l := (Layout{n: n, low: 1, high: high, patches: wide}); l.Len() < 1+2*n {
 			return l
 		}
 	}
 	for _, x := range all {
-		h.Add(x)
+		h.add(encode(x))
 	}
-	return h.Layout()
+	return h.layout()
 }
 
 // Layout is the shape of a count column: its entry count, its low and
 // high byte widths and the number of entries patched above the low
-// width. Widths.Layout and LayoutOf choose it; Len is its encoded
-// length.
+// width. LayoutOf chooses it; Len is its encoded length.
 type Layout struct {
 	n, low, high, patches int
 }
 
-// Layout returns the column layout of the entries counted: the low
+// layout returns the column layout of the entries counted: the low
 // width whose column is shortest, the wider one on a tie (fewer
 // patches to apply).
-func (h *Widths) Layout() Layout {
-	n, high := h.n[0], 1
+func (h *widths) layout() Layout {
+	n, high := h[0], 1
 	for w := 1; w <= 8; w++ {
-		if h.n[w] > 0 {
-			n, high = n+h.n[w], w
+		if h[w] > 0 {
+			n, high = n+h[w], w
 		}
 	}
 	best := Layout{n: n, low: high, high: high}
 	above := 0
 	for low := high - 1; low >= 1; low-- {
-		above += h.n[low+1]
+		above += h[low+1]
 		if l := (Layout{n: n, low: low, high: high, patches: above}); l.Len() < best.Len() {
 			best = l
 		}
@@ -143,11 +171,9 @@ func (l Layout) Len() int {
 	return n
 }
 
-// Column is a count column open for writing (Put) or reading (Value),
-// entry by entry in increasing order. Writer.Counts and Reader.Counts
-// move a plain []uint64 through one; a structure whose counts sit
-// inside records, or need a zigzag on the way, drives a Column itself.
-type Column struct {
+// column is a count column's bytes, open for WriteCounts to fill or
+// ReadCounts to unpack.
+type column struct {
 	b     []byte // the low bytes
 	low   int
 	whole int    // entries below whole move their low bytes as whole words
@@ -155,22 +181,23 @@ type Column struct {
 	index []byte // patches × u32
 	high  []byte // patches × (high − low)
 	hw    int    // high − low
-	next  int    // the next patch to write or apply
+	next  int    // the next patch to write
 }
 
-func newColumn(b []byte, low int) Column {
+func newColumn(b []byte, low int) column {
 	// Entry i's word b[i·low : i·low+8] lies inside b while
 	// i·low+8 <= len(b).
 	whole := 0
 	if len(b) >= 8 {
 		whole = (len(b)-8)/low + 1
 	}
-	return Column{b: b, low: low, whole: whole, mask: ^uint64(0) >> (64 - 8*low)}
+	return column{b: b, low: low, whole: whole, mask: ^uint64(0) >> (64 - 8*low)}
 }
 
-// Column appends a column of layout l — its widths byte, its patch
-// count and room for its entries and patches — for Put to fill.
-func (w *Writer) Column(l Layout) Column {
+// column appends a column of layout l — its widths byte, its patch
+// count and room for its entries and patches — for WriteCounts to
+// fill.
+func (w *Writer) column(l Layout) column {
 	w.U8(uint8(l.low | l.high<<4))
 	if l.high > l.low {
 		w.U32(uint32(l.patches))
@@ -184,30 +211,8 @@ func (w *Writer) Column(l Layout) Column {
 	return c
 }
 
-// Put writes v as entry i. Entries are put in increasing order: the
-// word store writes zeros over the entries behind i, which their own
-// Puts then fill, and a patch goes behind the ones before it.
-func (c *Column) Put(i int, v uint64) {
-	if i < c.whole {
-		binary.LittleEndian.PutUint64(c.b[i*c.low:], v)
-	} else {
-		c.putTail(i, v)
-	}
-	if v > c.mask {
-		c.patch(i, v)
-	}
-}
-
-// putTail writes the low bytes of an entry whose word would run past
-// the low bytes' end.
-func (c *Column) putTail(i int, v uint64) {
-	for k := range c.low {
-		c.b[i*c.low+k] = byte(v >> (8 * k))
-	}
-}
-
 // patch records entry i, of value v, as the next patch.
-func (c *Column) patch(i int, v uint64) {
+func (c *column) patch(i int, v uint64) {
 	k := c.next
 	binary.LittleEndian.PutUint32(c.index[4*k:], uint32(i))
 	for j := range c.hw {
@@ -216,38 +221,69 @@ func (c *Column) patch(i int, v uint64) {
 	c.next++
 }
 
-// Counts appends v as a count column of layout l, the Layout of v's
-// Widths.
-func (w *Writer) Counts(v []uint64, l Layout) {
-	c := w.Column(l)
+// WriteCounts appends v to w as a count column of layout l, which is
+// LayoutOf(v).
+func WriteCounts[T Count](w *Writer, v []T, l Layout) {
+	c := w.column(l)
 	b, at, low, mask := c.b, 0, c.low, c.mask
 	for i, x := range v[:c.whole] {
-		binary.LittleEndian.PutUint64(b[at:at+8], x)
+		u := encode(x)
+		binary.LittleEndian.PutUint64(b[at:at+8], u)
 		at += low
-		if x > mask {
-			c.patch(i, x)
+		if u > mask {
+			c.patch(i, u)
 		}
 	}
-	for i := c.whole; i < len(v); i++ {
-		c.putTail(i, v[i])
-		if v[i] > mask {
-			c.patch(i, v[i])
+	for i := c.whole; i < len(v); i++ { // a word would run past the low bytes' end
+		u := encode(v[i])
+		for k := range low {
+			b[i*low+k] = byte(u >> (8 * k))
+		}
+		if u > mask {
+			c.patch(i, u)
 		}
 	}
 }
 
-// Column takes an n-entry count column for Value, refusing one the
-// writer would not have written. ok is false, with the error latched,
-// when it cannot.
-func (r *Reader) Column(n int) (c Column, ok bool) {
-	widths := r.U8()
-	low, high := int(widths&15), int(widths>>4)
+// ReadCounts fills dst from a len(dst)-entry count column and returns
+// the OR of the values its entries travel as, for a caller that bounds
+// them. It refuses, with the error latched and dst unwritten, a column
+// the writer would not have written.
+func ReadCounts[T Count](r *Reader, dst []T) (or uint64) {
+	c := r.column(len(dst))
 	if r.err != nil {
-		return Column{}, false
+		return 0
 	}
-	if low < 1 || low > high || high > 8 {
+	b, low, mask, at := c.b, c.low, c.mask, 0
+	for i := range dst[:c.whole] {
+		x := binary.LittleEndian.Uint64(b[at:at+8]) & mask
+		dst[i] = decode[T](x)
+		or |= x
+		at += low
+	}
+	for i := c.whole; i < len(dst); i++ {
+		x := c.atTail(i)
+		dst[i] = decode[T](x)
+		or |= x
+	}
+	for k := range len(c.index) / 4 {
+		hi := c.highAt(k) << (8 * low)
+		dst[c.indexAt(k)] ^= decode[T](hi)
+		or |= hi
+	}
+	return or
+}
+
+// column takes an n-entry count column, refusing (with the error
+// latched) one the writer would not have written.
+func (r *Reader) column(n int) column {
+	wb := r.U8()
+	low, high := int(wb&15), int(wb>>4)
+	if r.err == nil && (low < 1 || low > high || high > 8) {
 		r.fail("wire: count column widths %d/%d outside 1 <= low <= high <= 8", low, high)
-		return Column{}, false
+	}
+	if r.err != nil {
+		return column{}
 	}
 	patches := 0
 	if high > low {
@@ -264,23 +300,22 @@ func (r *Reader) Column(n int) (c Column, ok bool) {
 	index := r.Take(4 * patches)
 	hb := r.Take((high - low) * patches)
 	if r.err != nil {
-		return Column{}, false
+		return column{}
 	}
-	c = newColumn(b, low)
+	c := newColumn(b, low)
 	c.index, c.high, c.hw = index, hb, high-low
 	if err := c.check(n, high); err != nil {
 		r.fail("%v", err)
-		return Column{}, false
 	}
-	return c, true
+	return c
 }
 
 // check holds the column to the one the writer makes of its values:
 // patches at ascending in-range indices, each with high bytes, the
-// widest needing exactly the high width, and the widths the Layout of
-// the values' Widths.
-func (c *Column) check(n, high int) error {
-	var h Widths
+// widest needing exactly the high width, and the widths the layout of
+// the values' widths.
+func (c *column) check(n, high int) error {
+	var h widths
 	widest, prev, patches := 0, -1, len(c.index)/4
 	for k := range patches {
 		i := c.indexAt(k)
@@ -294,7 +329,7 @@ func (c *Column) check(n, high int) error {
 		}
 		w := ByteWidth(hi)
 		widest = max(widest, w)
-		h.n[c.low+w]++
+		h[c.low+w]++
 	}
 	if patches > 0 && widest != c.hw {
 		return fmt.Errorf("wire: count column high width %d, its widest entry needs %d", high, c.low+widest)
@@ -303,20 +338,20 @@ func (c *Column) check(n, high int) error {
 	// every one is width 1, otherwise their low bytes are counted, less
 	// the patched entries'.
 	if c.low == 1 {
-		h.n[1] += n - patches
+		h[1] += n - patches
 	} else {
-		var lows Widths
+		var lows widths
 		for i := range n {
-			lows.Add(c.lowAt(i))
+			lows.add(c.lowAt(i))
 		}
 		for k := range patches {
-			lows.n[(bits.Len64(c.lowAt(c.indexAt(k)))+7)>>3]--
+			lows[(bits.Len64(c.lowAt(c.indexAt(k)))+7)>>3]--
 		}
 		for w := range c.low + 1 {
-			h.n[w] += lows.n[w]
+			h[w] += lows[w]
 		}
 	}
-	if l := h.Layout(); l != (Layout{n: n, low: c.low, high: high, patches: patches}) {
+	if l := h.layout(); l != (Layout{n: n, low: c.low, high: high, patches: patches}) {
 		return fmt.Errorf("wire: count column widths %d/%d with %d patches, its entries call for %d/%d with %d",
 			c.low, high, patches, l.low, l.high, l.patches)
 	}
@@ -324,10 +359,10 @@ func (c *Column) check(n, high int) error {
 }
 
 // indexAt is patch k's entry index.
-func (c *Column) indexAt(k int) int { return int(binary.LittleEndian.Uint32(c.index[4*k:])) }
+func (c *column) indexAt(k int) int { return int(binary.LittleEndian.Uint32(c.index[4*k:])) }
 
 // highAt is patch k's high bytes as a number.
-func (c *Column) highAt(k int) uint64 {
+func (c *column) highAt(k int) uint64 {
 	at := k * c.hw
 	if at+8 <= len(c.high) {
 		return binary.LittleEndian.Uint64(c.high[at:]) & (^uint64(0) >> (64 - 8*c.hw))
@@ -340,7 +375,7 @@ func (c *Column) highAt(k int) uint64 {
 }
 
 // lowAt reads entry i's low bytes: its value unless it is patched.
-func (c *Column) lowAt(i int) uint64 {
+func (c *column) lowAt(i int) uint64 {
 	if i < c.whole {
 		return binary.LittleEndian.Uint64(c.b[i*c.low:]) & c.mask
 	}
@@ -348,47 +383,10 @@ func (c *Column) lowAt(i int) uint64 {
 }
 
 // atTail reads an entry whose word would run past the low bytes' end.
-func (c *Column) atTail(i int) uint64 {
+func (c *column) atTail(i int) uint64 {
 	var v uint64
 	for k := c.low - 1; k >= 0; k-- {
 		v = v<<8 | uint64(c.b[i*c.low+k])
 	}
 	return v
-}
-
-// Value reads entry i in full. Entries are read in increasing order: a
-// cursor walks the patches.
-func (c *Column) Value(i int) uint64 {
-	v := c.lowAt(i)
-	if c.next < len(c.index)/4 && c.indexAt(c.next) == i {
-		v |= c.highAt(c.next) << (8 * c.low)
-		c.next++
-	}
-	return v
-}
-
-// Counts fills dst from a len(dst)-entry count column (Reader.Column)
-// and returns the OR of the entries, for a caller that bounds them.
-func (r *Reader) Counts(dst []uint64) (or uint64) {
-	c, ok := r.Column(len(dst))
-	if !ok {
-		return 0
-	}
-	b, low, mask, at := c.b, c.low, c.mask, 0
-	for i := range dst[:c.whole] {
-		x := binary.LittleEndian.Uint64(b[at:at+8]) & mask
-		dst[i] = x
-		or |= x
-		at += low
-	}
-	for i := c.whole; i < len(dst); i++ {
-		dst[i] = c.atTail(i)
-		or |= dst[i]
-	}
-	for k := range len(c.index) / 4 {
-		hi := c.highAt(k) << (8 * c.low)
-		dst[c.indexAt(k)] |= hi
-		or |= hi
-	}
-	return or
 }

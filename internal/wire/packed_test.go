@@ -99,12 +99,24 @@ func skewed(rng *rand.Rand, n int, outliers float64, widest int) []uint64 {
 	return v
 }
 
+// signedOf is the signed column whose entries travel as v's: v
+// unzigzagged, so it packs at v's widths and small counts of either
+// sign stay narrow.
+func signedOf(v []uint64) []int64 {
+	s := make([]int64, len(v))
+	for i, u := range v {
+		s[i] = Unzigzag(u)
+	}
+	return s
+}
+
 // TestPackedRoundTrip: for columns of every length up to past the
-// word-store cutover, dense, skewed and uniformly wide, LayoutOf lays a
-// column out as its Widths do, and Counts and a Column of Puts lay it
-// out as the bytewise reference does, behind whatever the buffer held
-// and ahead of the next field, in Layout.Len bytes; Counts and Value
-// read it back bit for bit, and Counts returns the entries' OR.
+// word-store cutover, dense, skewed and uniformly wide, unsigned and
+// signed, LayoutOf lays a column out as its widths histogram does, and
+// WriteCounts lays it out as the bytewise reference lays out the values
+// its entries travel as (a signed entry zigzagged), behind whatever the
+// buffer held and ahead of the next field, in Layout.Len bytes;
+// ReadCounts reads it back bit for bit and returns those values' OR.
 func TestPackedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 1100; n += 1 + n/8 {
@@ -112,58 +124,53 @@ func TestPackedRoundTrip(t *testing.T) {
 			for _, widest := range []int{2, 3, 8} {
 				v := skewed(rng, n, outliers, widest)
 				if n > 0 && outliers > 0 && widest == 8 {
-					v[n-1] = math.MaxUint64 // the widest entry last, where the tail path writes it
+					v[n-1] = math.MaxUint64 // the widest entry last, where the tail path writes it (math.MinInt64 signed)
 				}
-				roundTrip(t, v)
+				roundTrip(t, v, v)
+				roundTrip(t, signedOf(v), v)
 			}
 		}
 	}
 }
 
-func roundTrip(t *testing.T, v []uint64) {
+// roundTrip holds the pair to the reference on v, whose entries travel
+// as the values enc.
+func roundTrip[T Count](t *testing.T, v []T, enc []uint64) {
 	t.Helper()
 	n := len(v)
 	l := LayoutOf(v)
-	var h Widths
+	var h widths
 	var or uint64
-	for _, x := range v {
-		h.Add(x)
+	for _, x := range enc {
+		h.add(x)
 		or |= x
 	}
-	if h.Layout() != l {
-		t.Fatalf("%d entries: Widths lay out %+v, LayoutOf %+v", n, h.Layout(), l)
+	if h.layout() != l {
+		t.Fatalf("%d %T entries: the histogram lays out %+v, LayoutOf %+v", n, v, h.layout(), l)
 	}
-	want := refColumn(v)
+	want := refColumn(enc)
 	prefix := []byte{0xA5, 0x5A, 0xA5}
 	w := State(append(make([]byte, 0, 512), prefix...))
-	w.Counts(v, l)
+	WriteCounts(w, v, l)
 	w.U8(0xEE) // the next field
-	col := State(bytes.Clone(prefix))
-	c := col.Column(l)
-	for i, x := range v {
-		c.Put(i, x)
-	}
-	col.U8(0xEE)
 	got := w.Bytes()
-	if !bytes.Equal(got, col.Bytes()) || !bytes.Equal(got[:3], prefix) ||
-		!bytes.Equal(got[3:len(got)-1], want) || got[len(got)-1] != 0xEE || l.Len() != len(want) {
-		t.Fatalf("%d entries: Counts % x, Column % x, want %x ‖ % x ‖ ee (Len %d)", n, got, col.Bytes(), prefix, want, l.Len())
+	if !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:len(got)-1], want) ||
+		got[len(got)-1] != 0xEE || l.Len() != len(want) {
+		t.Fatalf("%d %T entries: WriteCounts % x, want %x ‖ % x ‖ ee (Len %d)", n, v, got, prefix, want, l.Len())
 	}
 
-	back := make([]uint64, n)
+	back := make([]T, n)
 	r := &Reader{data: got[3:]}
-	if got := r.Counts(back); got != or {
-		t.Fatalf("%d entries: Counts returned OR %x, want %x", n, got, or)
+	if got := ReadCounts(r, back); got != or {
+		t.Fatalf("%d %T entries: ReadCounts returned OR %x, want %x", n, v, got, or)
 	}
 	r.U8()
 	if err := r.Done(); err != nil {
-		t.Fatalf("%d entries: %v", n, err)
+		t.Fatalf("%d %T entries: %v", n, v, err)
 	}
-	r = &Reader{data: got[3:]}
-	rc, ok := r.Column(n)
 	for i := range v {
-		if !ok || back[i] != v[i] || rc.Value(i) != v[i] {
-			t.Fatalf("%d entries, entry %d: Counts read %d, wrote %d", n, i, back[i], v[i])
+		if back[i] != v[i] {
+			t.Fatalf("%d %T entries, entry %d: ReadCounts read %d, wrote %d", n, v, i, back[i], v[i])
 		}
 	}
 }
@@ -199,7 +206,7 @@ func TestLayoutPatchesTheFew(t *testing.T) {
 func TestPackedWidthEight(t *testing.T) {
 	v := []uint64{1 << 63, math.MaxUint64, 1 << 62, 1 << 60}
 	w := State(nil)
-	w.Counts(v, LayoutOf(v))
+	WriteCounts(w, v, LayoutOf(v))
 	fixed := State([]byte{0x88})
 	fixed.FixedU64s(v)
 	if !bytes.Equal(w.Bytes(), fixed.Bytes()) {
@@ -207,10 +214,10 @@ func TestPackedWidthEight(t *testing.T) {
 	}
 }
 
-// column encodes v for the refusal cases to corrupt.
-func column(v []uint64) []byte {
+// encoded encodes v for the refusal cases to corrupt.
+func encoded(v []uint64) []byte {
 	w := State(nil)
-	w.Counts(v, LayoutOf(v))
+	WriteCounts(w, v, LayoutOf(v))
 	return w.Bytes()
 }
 
@@ -221,7 +228,7 @@ func refuses(t *testing.T, name, msg string, data []byte, n int) {
 	t.Helper()
 	dst := slices.Repeat([]uint64{7}, n)
 	r := &Reader{data: data}
-	r.Counts(dst)
+	ReadCounts(r, dst)
 	if err := r.Err(); err == nil || !strings.Contains(err.Error(), msg) {
 		t.Errorf("%s: err = %v, want one naming %q", name, err, msg)
 	}
@@ -235,7 +242,7 @@ func refuses(t *testing.T, name, msg string, data []byte, n int) {
 func patched(t *testing.T) (good []byte, idx, hi int) {
 	v := make([]uint64, 40)
 	v[3], v[7], v[9] = 1<<16, 1<<10, 300
-	good = column(v)
+	good = encoded(v)
 	if good[0] != 0x31 || binary.LittleEndian.Uint32(good[1:]) != 3 {
 		t.Fatalf("the fixture column is % x", good)
 	}
@@ -285,30 +292,30 @@ func TestPackedRefusesWhatNoWriterWrites(t *testing.T) {
 	// refused.
 	v := slices.Repeat([]uint64{300}, 40)
 	v[20] = 1 << 20
-	if got := column(v); got[0] != 0x32 {
+	if got := encoded(v); got[0] != 0x32 {
 		t.Fatalf("the two-byte column packs at widths % x", got[0])
 	}
 	w := State(nil)
-	c := w.Column(Layout{n: 40, low: 1, high: 3, patches: 40})
-	for i, x := range v {
-		c.Put(i, x)
-	}
+	WriteCounts(w, v, Layout{n: 40, low: 1, high: 3, patches: 40})
 	refuses(t, "every entry patched", "call for", w.Bytes(), 40)
 }
 
 // FuzzCountColumn holds the codec to its two contracts on fuzzer-owned
-// input. Values built from the bytes — mostly byte-wide, with a few wide
-// outliers of fuzzer-chosen widths — round-trip bit for bit as
-// TestPackedRoundTrip's columns do (roundTrip). The same bytes read
-// as a column either are refused or re-encode to themselves, never
-// panic, and the read allocates nothing beyond the entries it fills.
+// input, for unsigned and signed columns alike. Values built from the
+// bytes — mostly byte-wide, with a few wide outliers of fuzzer-chosen
+// widths — round-trip bit for bit as TestPackedRoundTrip's columns do
+// (roundTrip), and so do those values unzigzagged. The same bytes read
+// as a column of either type either are refused by both or re-encode
+// to themselves, the signed entries the unsigned ones unzigzagged;
+// nothing panics, and a read allocates nothing beyond the entries it
+// fills.
 func FuzzCountColumn(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, uint8(0))
-	f.Add(column([]uint64{1, 2, 1 << 20, 3}), uint8(4))
-	f.Add(column([]uint64{1 << 16, 1 << 16, 1 << 16, 7}), uint8(4))
+	f.Add(encoded([]uint64{1, 2, 1 << 20, 3}), uint8(4))
+	f.Add(encoded([]uint64{1 << 16, 1 << 16, 1 << 16, 7}), uint8(4))
 	v := make([]uint64, 40)
 	v[5], v[30] = math.MaxUint64, 1<<40
-	f.Add(column(v), uint8(40))
+	f.Add(encoded(v), uint8(40))
 	f.Add(append([]byte{0x22}, make([]byte, 8)...), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		// Values: each byte an entry; a byte whose top bits are set
@@ -326,30 +333,46 @@ func FuzzCountColumn(f *testing.F) {
 			}
 			vals = append(vals, x)
 		}
-		roundTrip(t, vals)
+		roundTrip(t, vals, vals)
+		roundTrip(t, signedOf(vals), vals)
 
-		// Bytes: n entries read from data.
-		dst := make([]uint64, n)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rd := &Reader{data: data}
-		rd.Counts(dst)
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1024 {
-			t.Fatalf("reading a %d-byte column allocated %d bytes", len(data), grew)
+		// Bytes: n entries read from data, as either type. A refused read
+		// allocates its error, and an allocation that refills a span is
+		// charged all of the span's free slots at once, so the least of
+		// three reads is held to the bound.
+		dst, sdst := make([]uint64, n), make([]int64, n)
+		var rd, srd *Reader
+		grew := uint64(math.MaxUint64)
+		for range 3 {
+			rd, srd = &Reader{data: data}, &Reader{data: data}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ReadCounts(rd, dst)
+			ReadCounts(srd, sdst)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew > 1024 {
+			t.Fatalf("reading a %d-byte column as both types allocated %d bytes", len(data), grew)
+		}
+		if (rd.Err() == nil) != (srd.Err() == nil) {
+			t.Fatalf("% x: read unsigned %v, signed %v", data, rd.Err(), srd.Err())
 		}
 		if rd.Err() != nil {
 			return
 		}
+		if !slices.Equal(signedOf(dst), sdst) {
+			t.Fatalf("% x: signed entries %d, the unsigned ones unzigzagged %d", data, sdst, signedOf(dst))
+		}
 		again := State(nil)
-		again.Counts(dst, LayoutOf(dst))
+		WriteCounts(again, dst, LayoutOf(dst))
 		if !bytes.Equal(again.Bytes(), data[:rd.Offset()]) {
 			t.Fatalf("accepted % x re-encodes to % x", data[:rd.Offset()], again.Bytes())
 		}
+		again = State(nil)
+		WriteCounts(again, sdst, LayoutOf(sdst))
+		if !bytes.Equal(again.Bytes(), data[:rd.Offset()]) {
+			t.Fatalf("accepted % x re-encodes to % x signed", data[:rd.Offset()], again.Bytes())
+		}
 	})
 }
-
-// fillInto fills dst from a count column.
-type fillInto []uint64
-
-func (v fillInto) Fill(r *Reader) { r.Counts(v) }

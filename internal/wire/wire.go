@@ -21,8 +21,10 @@
 //     width keeps the reader allocation-bounded); a count column, which
 //     dominates payload sizes, is fixed-width too, at the byte width
 //     most of its entries need, with the few wider entries patched in
-//     behind it by index (packed.go), so a table travels in about the
-//     bits its typical counter needs;
+//     behind it by index, so a table travels in about the bits its
+//     typical counter needs. Every count column moves as a whole slice
+//     of int64 (zigzagged) or uint64 entries through one bulk pair,
+//     WriteCounts and ReadCounts, laid out by LayoutOf (packed.go);
 //   - variable-length lists are u32-count-prefixed, and the reader
 //     refuses any count that exceeds the bytes actually remaining, so a
 //     corrupt length can never drive an allocation larger than the input

@@ -33,10 +33,6 @@ func MustMarshal(t testing.TB, m encoding.BinaryMarshaler) []byte {
 	return data
 }
 
-// Counts appends v to w as the count column its values lay out as:
-// what a structure's encoder writes, for a test crafting a state.
-func Counts(w *wire.Writer, v []uint64) { w.Counts(v, wire.LayoutOf(v)) }
-
 // V3Image returns the partitioned engine snapshot the format-3 encoder
 // wrote for engine.TestGoldenPartitionedSnapshot at one shard: every
 // kind of the engine's kinds table at Config{N: 1 << 16, Eps: 0.05,

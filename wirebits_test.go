@@ -31,13 +31,11 @@ type packedColumns struct {
 func (p *packedColumns) walk(r *wire.Reader, sh shape) {
 	tracker := func() {
 		p.trackerAt = append(p.trackerAt, r.Offset())
-		n := int(r.U32())
-		ids, _ := r.Column(n)
-		pairs := make([]candidate, n)
+		ids := make([]uint64, r.U32())
+		wire.ReadCounts(r, ids)
+		pairs := make([]candidate, len(ids))
 		for i := range pairs {
-			pairs[i].id = ids.Value(i)
-		}
-		for i := range pairs {
+			pairs[i].id = ids[i]
 			pairs[i].est = r.F64()
 		}
 		p.trackers = append(p.trackers, pairs)
@@ -92,7 +90,7 @@ func (p *packedColumns) walk(r *wire.Reader, sh shape) {
 // column reads an n-entry count column.
 func (p *packedColumns) column(r *wire.Reader, n int) {
 	at := r.Offset()
-	r.Column(n)
+	wire.ReadCounts(r, make([]uint64, n))
 	p.entries += int64(n)
 	p.bytes += r.Offset() - at
 }
