@@ -328,15 +328,21 @@ func NewL1Estimator(cfg Config, opts ...Option) (*L1Estimator, error) {
 		sh := shape{KindL1Estimator, cfg, echo{failureProb: o.failureProb}}
 		return wrap[L1Estimator, l1Variant](sh, strictL1{l1.New(rng, base)}), nil
 	}
+	r, base := generalL1Dims(cfg)
+	sh := shape{KindL1Estimator, cfg, echo{general: true}}
+	return wrap[L1Estimator, l1Variant](sh, generalL1{cauchy.NewSampledSketch(rng, r, generalL1RPrime, 6, base, 10)}), nil
+}
+
+// generalL1RPrime is the general L1 estimator's median row count.
+const generalL1RPrime = 32
+
+// generalL1Dims returns the general L1 estimator's main row count r and
+// interval base.
+func generalL1Dims(cfg Config) (r int, base int64) {
 	// 2^40 rows is beyond any memory; the clamp keeps level lengths in
 	// range for any eps.
-	r := max(16, int(min(4/(cfg.Eps*cfg.Eps), 1<<40)))
-	base := int64(64 * cfg.Alpha * cfg.Alpha / cfg.Eps)
-	if base < 16 {
-		base = 16
-	}
-	sh := shape{KindL1Estimator, cfg, echo{general: true}}
-	return wrap[L1Estimator, l1Variant](sh, generalL1{l1.NewGeneral(rng, r, 32, 6, base, 10)}), nil
+	r = max(16, int(min(4/(cfg.Eps*cfg.Eps), 1<<40)))
+	return r, max(16, int64(64*cfg.Alpha*cfg.Alpha/cfg.Eps))
 }
 
 // Estimate returns the (1 +- eps) estimate of ||f||_1 — the

@@ -324,12 +324,17 @@ var weaker = map[string][]string{
 	// ... and once the strict L1 estimator's levels sample, other
 	// answers: equal in law (l1.TestWalkMatchesPerUnitLaw), not in draws.
 	"item answers": {"L1Estimator/sampled"},
-	// A split merged at rate 1 leaves other bytes, answering alike: the
-	// Cauchy sums (general L1, the general heavy hitters' scale) add
-	// floats in another order, the strict L1 estimator's Morris clock
-	// and the inner product's second level draw, the L1 sampler's
-	// trackers rank by the merged estimates, and the windowed kinds
-	// keep the live rows the sites' rough estimates gave them.
+	// A split merged at rate 1 leaves other bytes, answering alike. The
+	// general heavy hitters differ only in their Cauchy scale's peak, the
+	// widest value a counter held, which the sites' running sums need
+	// not reach. The general L1 estimator's answering level 0 is
+	// byte-identical, but its fixture is past t = base, so level 1 (rate
+	// 1/base) is live with each site's start and draws: the bytes differ
+	// from the peak on, then at level 1's start and counters. The strict
+	// L1 estimator's Morris clock and the inner product's second level
+	// draw, the L1 sampler's trackers rank by the merged estimates, and
+	// the windowed kinds keep the live rows the sites' rough estimates
+	// gave them.
 	"split bytes": {
 		"HeavyHitters/general/rate1", "L1Estimator/rate1", "L1Estimator/general/rate1", "L0Estimator/rate1",
 		"L1Sampler/rate1", "SupportSampler/rate1", "InnerProduct/rate1",
@@ -689,10 +694,9 @@ func TestRecycledDecodeMatchesFresh(t *testing.T) {
 // TestWireTracksSpaceBits: a state travels in about the bits SpaceBits
 // charges it — 8·len(state) exceeds SpaceBits() by at most 7 bits per
 // packed counter plus what the state carries outside its count columns
-// (fixed headers, clocks, candidate ids and estimates, floats, field
-// elements) — so the count columns alone take at most SpaceBits() plus
-// 7 bits a counter, the rounding of a counter's bits up to whole
-// bytes. The walk of each kind's layout (packedColumns) finds the
+// (fixed headers, clocks, candidate ids and estimates, field elements)
+// — so the count columns alone take at most SpaceBits() plus 7 bits a
+// counter, the rounding of a counter's bits up to whole bytes. The walk of each kind's layout (packedColumns) finds the
 // columns, and must consume the state exactly.
 func TestWireTracksSpaceBits(t *testing.T) {
 	forEach(t, (*fixture).name, func(t *testing.T, f *fixture) {
@@ -701,7 +705,6 @@ func TestWireTracksSpaceBits(t *testing.T) {
 		if err := wire.Fill(state, walker(func(r *wire.Reader) { p.walk(r, f.whole.(structure).shapeOf()) })); err != nil {
 			t.Fatalf("walking the state: %v", err)
 		}
-		// SpaceBits writes a CSSS table's maximum into its state: ask a copy.
 		bits, charged := int64(8*len(state)), must(UnmarshalSketch(f.blob)).SpaceBits()
 		if headers := int64(8 * (len(state) - p.bytes)); bits-charged > 7*p.entries+headers {
 			t.Errorf("%d state bits, %d charged: %d packed counters in %d bytes, %d header bits", bits, charged, p.entries, p.bytes, headers)
@@ -783,9 +786,9 @@ func TestMergeReadsItsArgument(t *testing.T) {
 //     bytes, whether MergeAll writes into nil, into parts[0] in place or
 //     into an earlier result. The one exception is the heavy hitters' L1
 //     scale, which merges as the chain does, in part order: the general
-//     mode's Cauchy sums add floats, and the strict mode's high-water
-//     mark follows the running sum, which a part with net deletions (a
-//     substream that is not strict) lowers on the way.
+//     mode's Cauchy peak and the strict mode's high-water mark follow
+//     the running sums, which a part with net deletions (a substream
+//     that is not strict) lowers on the way.
 func TestMergeAllMatchesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, variant := range []string{"rate1", "aligned", "unaligned"} {

@@ -96,21 +96,23 @@ func TestRefusesV1(t *testing.T) {
 	}
 }
 
-// TestRefusesV3Blobs: every blob of the engine's format-3 golden image
-// — one of each engine kind, as the format-3 encoder wrote it — is refused by
-// UnmarshalSketch with the error naming format 3.
+// TestRefusesV3Blobs: every blob of the engine's format-3 and format-4
+// golden images — one of each engine kind, as those encoders wrote it —
+// is refused by UnmarshalSketch with the error naming its format.
 func TestRefusesV3Blobs(t *testing.T) {
-	var img wire.PartSnapshot
-	if err := img.UnmarshalBinary(wiretest.V3Image(t, ".")); err != nil {
-		t.Fatal(err)
-	}
-	blobs := img.Shards[0]
-	if len(blobs) != 7 {
-		t.Fatalf("the image holds %d blobs, want one per engine kind (7)", len(blobs))
-	}
-	for _, b := range blobs {
-		if _, err := UnmarshalSketch(b.Payload); err == nil || err.Error() != "bounded: unsupported wire format version 3" {
-			t.Errorf("a format-3 blob of bit %d: err = %v", b.Bit, err)
+	for _, v := range wiretest.OldFormats {
+		var img wire.PartSnapshot
+		if err := img.UnmarshalBinary(wiretest.Image(t, ".", v)); err != nil {
+			t.Fatal(err)
+		}
+		blobs := img.Shards[0]
+		if len(blobs) != 7 {
+			t.Fatalf("the format-%d image holds %d blobs, want one per engine kind (7)", v, len(blobs))
+		}
+		for _, b := range blobs {
+			if _, err := UnmarshalSketch(b.Payload); err == nil || err.Error() != fmt.Sprintf("bounded: unsupported wire format version %d", v) {
+				t.Errorf("a format-%d blob of bit %d: err = %v", v, b.Bit, err)
+			}
 		}
 	}
 }

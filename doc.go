@@ -71,7 +71,12 @@
 // — so generic code (the engine, a network shipper, a checkpointer)
 // handles all eight uniformly. SpaceBits is an information-theoretic
 // space account in the paper's cost model, which the benchmark harness
-// uses to regenerate Figure 1 empirically.
+// uses to regenerate Figure 1 empirically. It follows one peak rule: a
+// counter is charged at the widest value it has held, a peak kept in
+// the state and merged by max, since a streaming algorithm's space is
+// its maximum over the stream. Every structure's peak field (maxCount,
+// maxLive, maxL1, the Cauchy sketches' peak) is this rule's, and the
+// gated strict space_bits rests on CSSS's peak.
 //
 // # Determinism
 //
@@ -140,11 +145,13 @@
 // fills the state in. It works on a zero-value receiver; UnmarshalSketch
 // dispatches on the kind byte when the receiver does not know what it
 // was sent; SketchKind peeks without restoring. The format has one
-// version (4); a blob of another is refused. Every count column travels
-// at the byte width most of its entries need, the few wider entries
-// patched in behind it, so a blob's counters take no more than the bits
-// the space bound charges them (a heavy-hitters blob is about 0.6 ×
-// SpaceBits()/8), with field elements and floats a word each.
+// version (5); a blob of another is refused. Every count column — the
+// Cauchy sums of the general model among them — travels at the byte
+// width most of its entries need, the few wider entries patched in
+// behind it, so a blob's counters take no more than the bits the space
+// bound charges them (a heavy-hitters blob is about 0.6 ×
+// SpaceBits()/8), with field elements a word each; only the trackers'
+// estimates remain floats.
 //
 //	wire, _ := siteSketch.MarshalBinary()      // site: serialize
 //	sk, err := bounded.UnmarshalSketch(wire)   // coordinator: restore

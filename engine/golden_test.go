@@ -13,21 +13,20 @@ import (
 // TestGoldenPartitionedSnapshot pins the "BP" image byte for byte: an
 // engine holding every structure of the kinds table, fed the Figure 1
 // workload in uneven chunks, must marshal to the digests recorded. They
-// were last re-pinned at wire format v4, when every count column began
-// to travel at the width most of its entries need with the few wide
-// ones patched in, and the candidate ids became a count column. A moved
-// byte anywhere — envelope, blob list, any structure's state — fails
-// here.
+// were last re-pinned at wire format v5, when the Cauchy sums of the
+// general model became count columns; the engine's kinds are all
+// strict, so only each blob's version byte moved. A moved byte anywhere
+// — envelope, blob list, any structure's state — fails here.
 //
 // Beside each byte digest sits the digest of every answer the image
 // gives once restored, recorded by the same probe in the tree before
-// the v2 re-pin and unmoved by v3's, the clock walk's or v4's: the
-// bytes moved, the answers did not.
+// the v2 re-pin and unmoved by v3's, the clock walk's, v4's or v5's:
+// the bytes moved, the answers did not.
 func TestGoldenPartitionedSnapshot(t *testing.T) {
 	golden := map[int]string{
-		1: "87270ecbd267ad8d005592a9590dfaea51fb8a1adc19eef1d7a77db50190394c",
-		2: "2c798c866030bf6d1075862104c1e1a21e6054c1778c5e4bcd95a75985247da4",
-		4: "09230b2d87afd17dd452e8c87a0cdabd6b865a66c788ea3b41b003d7cc5f6889",
+		1: "4f255cdd375ad78688f08811f899fe61a89d356d101061b40b152186eb6aa258",
+		2: "4300ceeef5336d0a509c3359a6ca691146b7806435269465371ebb00d24846e7",
+		4: "22c3dc2b2bdf42ec1d06b249e855b549aee3318e763e5a8f9de34d1250dffa80",
 	}
 	answers := map[int]string{
 		1: "7eef854e57522fa3cb9358a9308e03dc4aaa3019cbfc0748b8c59af7942fb6f5",
@@ -83,18 +82,20 @@ func restoredAnswers(t *testing.T, img []byte, opts Options) string {
 		must(e.EstimateBatch(idxs)), must(e.ProbeBatch(idxs)))
 }
 
-// TestRefusesV3Image: the golden image as the format-3 encoder wrote it
-// is refused with an error naming the format, not read by a second
-// decode path: a v3 checkpoint is re-sent, not translated.
+// TestRefusesV3Image: the golden images as the format-3 and format-4
+// encoders wrote them are refused with an error naming the format, not
+// read by a second decode path: an old checkpoint is re-sent, not
+// translated.
 func TestRefusesV3Image(t *testing.T) {
-	img := wiretest.V3Image(t, "..")
-	e, err := RestoreCheckpoint(img, Options{BatchSize: 512, SamplerCopies: 2})
-	if err == nil {
-		e.Close()
-		t.Fatal("a format-3 image restored")
-	}
-	if !strings.Contains(err.Error(), "unsupported wire format version 3") {
-		t.Fatalf("a format-3 image: err = %v, want one naming format 3", err)
+	for _, v := range wiretest.OldFormats {
+		e, err := RestoreCheckpoint(wiretest.Image(t, "..", v), Options{BatchSize: 512, SamplerCopies: 2})
+		if err == nil {
+			e.Close()
+			t.Fatalf("a format-%d image restored", v)
+		}
+		if want := fmt.Sprintf("unsupported wire format version %d", v); !strings.Contains(err.Error(), want) {
+			t.Fatalf("a format-%d image: err = %v, want one naming format %d", v, err, v)
+		}
 	}
 }
 

@@ -18,6 +18,12 @@
 //     double-buffer schedule, so each counter needs O(log(alpha log n /
 //     eps)) bits rather than O(log n).
 //
+// Both keep their counters as one type, level: int64 sums on a
+// 2^-fpBits grid, fed by one closed-form add, merged by one level merge,
+// rescaled to floats only by the query and shipped as one count column.
+// The dense sketch is one level on the 2^-20 grid; the sampled one keeps
+// a window of levels on a coarser grid.
+//
 // Cauchy variables are derandomized exactly as in the paper: the entry
 // A_{j,i} is tan(pi * (u - 1/2)) for u drawn k-wise independently from
 // a single polynomial hash over the combined key (row, item) — one seed
@@ -27,6 +33,7 @@ package cauchy
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -46,31 +53,189 @@ func entryKey(j int, i uint64) uint64 {
 	return uint64(j)<<rowKeyBits | (i & (1<<rowKeyBits - 1))
 }
 
+// cauchyClamp bounds |A_{j,i}|, the measure-zero pole clamped away.
+const cauchyClamp = 1e12
+
 // cauchyFromUnit maps u in (0,1] to a standard Cauchy variable,
 // clamped to avoid the measure-zero pole at u = 1 (u - 1/2 = 1/2).
 func cauchyFromUnit(u float64) float64 {
 	x := math.Tan(math.Pi * (u - 0.5))
-	const clamp = 1e12
-	if x > clamp {
-		return clamp
+	if x > cauchyClamp {
+		return cauchyClamp
 	}
-	if x < -clamp {
-		return -clamp
+	if x < -cauchyClamp {
+		return -cauchyClamp
 	}
 	return x
 }
 
-// Sketch is the Figure 5 baseline: dense Cauchy counters over the whole
-// stream.
-type Sketch struct {
+// denseFPBits is the dense sketch's grid: the paper's delta =
+// Theta(eps/m) precision bits (Lemma 12) below a counter's magnitude.
+const denseFPBits = 20
+
+// maxFPBits is the finest grid whose entries fit an int64:
+// cauchyClamp·2^23 < 2^63.
+const maxFPBits = 23
+
+// matrix is what both sketches share: the dimensions, the two matrix
+// seeds, the fixed-point grid, the counter peak and the query scratch.
+type matrix struct {
 	r, rPrime int
 	hA        *hash.KWise // generates A entries, k-wise
 	hAPrime   *hash.KWise // generates A' entries, 4-wise
-	y         []float64
-	yPrime    []float64
-	maxAbs    float64
-	m         int64
+	fpBits    uint
+	peak      int64     // the widest |counter| held (the peak rule, doc.go)
 	qAbs      []float64 // scratch for the query-side |y'| median
+}
+
+func newMatrix(rng *rand.Rand, r, rPrime, k int, fpBits uint) matrix {
+	if r < 1 || rPrime < 1 || k < 2 || fpBits > maxFPBits {
+		panic(fmt.Sprintf("cauchy: invalid dims r=%d r'=%d k=%d fpBits=%d", r, rPrime, k, fpBits))
+	}
+	return matrix{r: r, rPrime: rPrime, fpBits: fpBits, hA: hash.NewKWise(rng, k), hAPrime: hash.NewKWise(rng, 4)}
+}
+
+func (m *matrix) sameShape(o *matrix) error {
+	if m.r != o.r || m.rPrime != o.rPrime || m.fpBits != o.fpBits {
+		return fmt.Errorf("cauchy: merging sketches with different dimensions (r=%d/%d r'=%d/%d fpBits=%d/%d)",
+			m.r, o.r, m.rPrime, o.rPrime, m.fpBits, o.fpBits)
+	}
+	return nil
+}
+
+// level is one set of Cauchy counters over the stream since start: the
+// sums y = Af (the r main rows) then y' = A'f (the r' median rows), on
+// the 2^-fpBits grid.
+type level struct {
+	start int64
+	c     []int64
+}
+
+// open returns a level of zero counters starting at start.
+func (m *matrix) open(start int64) *level {
+	return &level{start: start, c: make([]int64, m.r+m.rPrime)}
+}
+
+func copyLevel(lv, dst *level) *level {
+	dst = core.OrNew(dst)
+	*dst = level{start: lv.start, c: append(dst.c[:0], lv.c...)}
+	return dst
+}
+
+// addTo adds units signed copies of item i's Cauchy column to the level
+// in closed form: equal contributions move a counter monotonically, so
+// its peak magnitude is at an endpoint.
+func (m *matrix) addTo(lv *level, i uint64, units int64) {
+	for j := range lv.c {
+		lv.c[j] = m.widen(satAdd(lv.c[j], satMul(units, m.entry(j, i))))
+	}
+}
+
+// entry is counter j's matrix entry for item i on the grid: A_{j,i} for
+// a main row, A'_{j-r,i} for a median row.
+func (m *matrix) entry(j int, i uint64) int64 {
+	h := m.hA
+	if j >= m.r {
+		h, j = m.hAPrime, j-m.r
+	}
+	return int64(math.Round(cauchyFromUnit(h.Unit(entryKey(j, i))) * float64(int64(1)<<m.fpBits)))
+}
+
+// mergeLevel adds o's counters into lv's: both sampled the same rate.
+func (m *matrix) mergeLevel(lv, o *level) {
+	for j, v := range o.c {
+		lv.c[j] = m.widen(satAdd(lv.c[j], v))
+	}
+	lv.start = min(lv.start, o.start)
+}
+
+// widen raises the peak to |v| and returns v.
+func (m *matrix) widen(v int64) int64 {
+	m.peak = max(m.peak, stream.Abs64(v))
+	return v
+}
+
+// satMul is a·b saturated at ±MaxInt64.
+func satMul(a, b int64) int64 {
+	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
+	p := int64(min(lo, math.MaxInt64))
+	if hi != 0 {
+		p = math.MaxInt64
+	}
+	if (a < 0) != (b < 0) {
+		return -p
+	}
+	return p
+}
+
+// satAdd is a+b saturated at ±MaxInt64: a counter that would wrap holds
+// its sign's extreme instead, so no counter changes sign by overflow.
+func satAdd(a, b int64) int64 {
+	s := a + b
+	if (a^s)&(b^s) < 0 { // a and b share the sign s lacks: the sum wrapped
+		if a < 0 {
+			return -math.MaxInt64
+		}
+		return math.MaxInt64
+	}
+	return max(s, -math.MaxInt64)
+}
+
+func magnitude(x int64) uint64 {
+	if x < 0 {
+		return -uint64(x)
+	}
+	return uint64(x)
+}
+
+// estimate rescales lv's counters to the stream — by rate·2^-fpBits,
+// rate the level's sampling denominator — and returns Indyk's median
+// |y'| or, with lnCos, the Figure 5 estimate over y, which falls back
+// to the median when the cosine average is nonpositive (possible only
+// in the extreme tail for small r). The median sorts reusable scratch,
+// so steady-state queries allocate nothing.
+func (m *matrix) estimate(lv *level, rate int64, lnCos bool) float64 {
+	scale := float64(rate) / float64(int64(1)<<m.fpBits)
+	a := core.Grow(&m.qAbs, m.rPrime)
+	for j, v := range lv.c[m.r:] {
+		a[j] = math.Abs(float64(v) * scale)
+	}
+	sort.Float64s(a)
+	ymed := a[m.rPrime/2]
+	if m.rPrime%2 == 0 {
+		ymed = (a[m.rPrime/2-1] + ymed) / 2
+	}
+	if !lnCos || ymed <= 0 {
+		return ymed
+	}
+	var acc float64
+	for _, v := range lv.c[:m.r] {
+		acc += math.Cos(float64(v) * scale / ymed)
+	}
+	if acc /= float64(m.r); acc <= 0 {
+		// Out-of-theory regime; the median estimate is still a constant
+		// factor answer, so return it rather than NaN.
+		return ymed
+	}
+	return ymed * (-math.Log(acc))
+}
+
+// MaxCounterBits returns the width of the widest counter held, sign
+// included: on the dense sketch's 2^-20 grid the O(log n) width Figure 1
+// row 5 charges the baseline, on the sampled sketch's the O(log(alpha
+// log n / eps)) width Theorem 8 buys. A saturated counter reads 64.
+func (m *matrix) MaxCounterBits() int64 {
+	return int64(nt.BitsFor(uint64(m.peak))) + 1
+}
+
+func (m *matrix) seedBits() int64 { return m.hA.SpaceBits() + m.hAPrime.SpaceBits() }
+
+// Sketch is the Figure 5 baseline: dense Cauchy counters over the whole
+// stream, one level on the 2^-20 grid.
+type Sketch struct {
+	matrix
+	lv level
+	m  int64
 }
 
 // NewSketch builds the baseline with r main rows (use Theta(1/eps^2)),
@@ -78,110 +243,32 @@ type Sketch struct {
 // median estimate), and independence k (Theta(log(1/eps)/loglog(1/eps));
 // k >= 4 suffices for the regimes exercised here).
 func NewSketch(rng *rand.Rand, r, rPrime, k int) *Sketch {
-	if r < 1 || rPrime < 1 || k < 2 {
-		panic(fmt.Sprintf("cauchy: invalid dims r=%d r'=%d k=%d", r, rPrime, k))
-	}
-	return &Sketch{
-		r: r, rPrime: rPrime,
-		hA:      hash.NewKWise(rng, k),
-		hAPrime: hash.NewKWise(rng, 4),
-		y:       make([]float64, r),
-		yPrime:  make([]float64, rPrime),
-	}
-}
-
-// entryA returns A_{j,i}.
-func (s *Sketch) entryA(j int, i uint64) float64 {
-	return cauchyFromUnit(s.hA.Unit(entryKey(j, i)))
-}
-
-// entryAPrime returns A'_{j,i}.
-func (s *Sketch) entryAPrime(j int, i uint64) float64 {
-	return cauchyFromUnit(s.hAPrime.Unit(entryKey(j, i)))
+	s := &Sketch{matrix: newMatrix(rng, r, rPrime, k, denseFPBits)}
+	s.lv = *s.open(0)
+	return s
 }
 
 // Update adds delta to coordinate i of the underlying frequency vector.
 func (s *Sketch) Update(i uint64, delta int64) {
-	d := float64(delta)
 	s.m += stream.Abs64(delta)
-	for j := range s.y {
-		s.y[j] += s.entryA(j, i) * d
-		if a := math.Abs(s.y[j]); a > s.maxAbs {
-			s.maxAbs = a
-		}
-	}
-	for j := range s.yPrime {
-		s.yPrime[j] += s.entryAPrime(j, i) * d
-		if a := math.Abs(s.yPrime[j]); a > s.maxAbs {
-			s.maxAbs = a
-		}
-	}
+	s.addTo(&s.lv, i, delta)
 }
 
-// UpdateColumns applies a pre-planned columnar batch accumulator-major:
-// each dense counter folds the whole batch in one straight-line loop
-// before the next counter is touched. Every accumulator sees its adds
-// in batch order — the same float sequence as the scalar path — so the
-// counters and the running |y| peak are bit-identical to Update.
+// UpdateColumns applies a pre-planned columnar batch, per item in
+// column order; integer adds commute, so any order gives these counters.
 func (s *Sketch) UpdateColumns(b *core.Batch) {
-	idx, deltas := b.Idx, b.Delta
-	for _, d := range deltas {
-		s.m += stream.Abs64(d)
-	}
-	for j := range s.y {
-		acc := s.y[j]
-		for t, i := range idx {
-			acc += s.entryA(j, i) * float64(deltas[t])
-			if a := math.Abs(acc); a > s.maxAbs {
-				s.maxAbs = a
-			}
-		}
-		s.y[j] = acc
-	}
-	for j := range s.yPrime {
-		acc := s.yPrime[j]
-		for t, i := range idx {
-			acc += s.entryAPrime(j, i) * float64(deltas[t])
-			if a := math.Abs(acc); a > s.maxAbs {
-				s.maxAbs = a
-			}
-		}
-		s.yPrime[j] = acc
+	for j, i := range b.Idx {
+		s.Update(i, b.Delta[j])
 	}
 }
 
 // MedianEstimate returns Indyk's estimator median(|y'_j|): a constant-
 // factor approximation of ||f||_1 with the r' rows, the "Fact 1" rough
-// estimate the heavy-hitters algorithm needs. The median works over
-// reusable scratch, so steady-state queries allocate nothing.
-func (s *Sketch) MedianEstimate() float64 {
-	return medianAbsScratch(s.yPrime, &s.qAbs)
-}
+// estimate the heavy-hitters algorithm needs.
+func (s *Sketch) MedianEstimate() float64 { return s.estimate(&s.lv, 1, false) }
 
-// LnCosEstimate returns the Figure 5 estimator. It falls back to the
-// median estimate when the cosine average is nonpositive (possible only
-// in the extreme tail for small r).
-func (s *Sketch) LnCosEstimate() float64 {
-	return lnCos(s.y, medianAbsScratch(s.yPrime, &s.qAbs))
-}
-
-// lnCos computes ymed * (-ln((1/r) sum cos(y_i/ymed))) with guards.
-func lnCos(y []float64, ymed float64) float64 {
-	if ymed <= 0 {
-		return 0
-	}
-	var acc float64
-	for _, v := range y {
-		acc += math.Cos(v / ymed)
-	}
-	acc /= float64(len(y))
-	if acc <= 0 {
-		// Out-of-theory regime; the median estimate is still a constant
-		// factor answer, so return it rather than NaN.
-		return ymed
-	}
-	return ymed * (-math.Log(acc))
-}
+// LnCosEstimate returns the Figure 5 estimator.
+func (s *Sketch) LnCosEstimate() float64 { return s.estimate(&s.lv, 1, true) }
 
 // Merge folds another Sketch built from the same seed into this one:
 // the counters are linear in the input stream, so coordinate-wise
@@ -190,25 +277,11 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil {
 		return fmt.Errorf("cauchy: merge with nil Sketch")
 	}
-	if s.r != other.r || s.rPrime != other.rPrime {
-		return fmt.Errorf("cauchy: merging Sketches with different dimensions (r=%d/%d r'=%d/%d)",
-			s.r, other.r, s.rPrime, other.rPrime)
+	if err := s.sameShape(&other.matrix); err != nil {
+		return err
 	}
-	for j := range s.y {
-		s.y[j] += other.y[j]
-		if a := math.Abs(s.y[j]); a > s.maxAbs {
-			s.maxAbs = a
-		}
-	}
-	for j := range s.yPrime {
-		s.yPrime[j] += other.yPrime[j]
-		if a := math.Abs(s.yPrime[j]); a > s.maxAbs {
-			s.maxAbs = a
-		}
-	}
-	if other.maxAbs > s.maxAbs {
-		s.maxAbs = other.maxAbs
-	}
+	s.mergeLevel(&s.lv, &other.lv)
+	s.peak = max(s.peak, other.peak)
 	s.m += other.m
 	return nil
 }
@@ -218,25 +291,15 @@ func (s *Sketch) Merge(other *Sketch) error {
 func (s *Sketch) CloneInto(dst *Sketch) *Sketch {
 	dst = core.OrNew(dst)
 	c := *s
-	c.y, c.yPrime, c.qAbs = append(dst.y[:0], s.y...), append(dst.yPrime[:0], s.yPrime...), dst.qAbs
+	c.lv, c.qAbs = *copyLevel(&s.lv, &dst.lv), dst.qAbs
 	*dst = c
 	return dst
-}
-
-// MaxCounterBits returns the fixed-point width one dense counter needs:
-// log2(1+max|y|) magnitude bits plus the paper's delta = Theta(eps/m)
-// precision bits (Lemma 12) plus a sign — the O(log n) width Figure 1
-// row 5 charges the baseline.
-func (s *Sketch) MaxCounterBits() int64 {
-	const precisionBits = 20
-	return int64(nt.BitsFor(uint64(s.maxAbs))) + precisionBits + 1
 }
 
 // SpaceBits charges every counter at MaxCounterBits plus the two shared
 // matrix seeds.
 func (s *Sketch) SpaceBits() int64 {
-	seeds := s.hA.SpaceBits() + s.hAPrime.SpaceBits()
-	return int64(s.r+s.rPrime)*s.MaxCounterBits() + seeds
+	return int64(s.r+s.rPrime)*s.MaxCounterBits() + s.seedBits()
 }
 
 // SampledSketch is the alpha-property L1 estimator of Theorem 8: Cauchy
@@ -245,45 +308,28 @@ func (s *Sketch) SpaceBits() int64 {
 // sampled at rate >= base/(2m) over a (1 - O(1/base))-suffix of the
 // stream.
 type SampledSketch struct {
-	r, rPrime int
-	hA        *hash.KWise
-	hAPrime   *hash.KWise
-	base      int64 // interval base s
-	fpBits    uint
-	t         int64
-	win       *sample.Window[sampledLevel]
-	rng       *sample.Rand
-	maxCount  int64
-
-	// Query scratch: Estimate/MedianEstimate rescale the oldest level's
-	// counters into these reusable buffers instead of allocating per call.
-	qY, qYPrime, qAbs []float64
-}
-
-type sampledLevel struct {
-	start  int64
-	y      []int64 // fixed-point sampled Cauchy sums
-	yPrime []int64
+	matrix
+	base int64 // interval base s
+	t    int64
+	win  *sample.Window[level]
+	rng  *sample.Rand
 }
 
 // NewSampledSketch builds the Theorem 8 estimator. base is the interval
 // base s: the level answering a query at time m has sampled between
 // base/m and base^2/m of the suffix, so base sets the sample budget (the
 // paper's s = poly(alpha/eps), scaled down by a constant here). fpBits
-// is the fixed-point resolution of sampled Cauchy contributions.
+// (at most 23) is the fixed-point resolution of sampled Cauchy
+// contributions.
 func NewSampledSketch(rng *rand.Rand, r, rPrime, k int, base int64, fpBits uint) *SampledSketch {
 	if base < 4 {
 		panic("cauchy: interval base must be >= 4")
 	}
-	if r < 1 || rPrime < 1 || k < 2 {
-		panic(fmt.Sprintf("cauchy: invalid dims r=%d r'=%d k=%d", r, rPrime, k))
-	}
 	return &SampledSketch{
-		r: r, rPrime: rPrime, base: base, fpBits: fpBits,
-		hA:      hash.NewKWise(rng, k),
-		hAPrime: hash.NewKWise(rng, 4),
-		win:     sample.NewWindow[sampledLevel](base),
-		rng:     sample.Wrap(rng),
+		matrix: newMatrix(rng, r, rPrime, k, fpBits),
+		base:   base,
+		win:    sample.NewWindow[level](base),
+		rng:    sample.Wrap(rng),
 	}
 }
 
@@ -315,15 +361,7 @@ func (s *SampledSketch) Update(i uint64, delta int64) {
 }
 
 // newLevel opens a level at the current position.
-func (s *SampledSketch) newLevel(int) *sampledLevel {
-	return &sampledLevel{start: s.t, y: make([]int64, s.r), yPrime: make([]int64, s.rPrime)}
-}
-
-func copySampledLevel(lv, dst *sampledLevel) *sampledLevel {
-	dst = core.OrNew(dst)
-	*dst = sampledLevel{start: lv.start, y: append(dst.y[:0], lv.y...), yPrime: append(dst.yPrime[:0], lv.yPrime...)}
-	return dst
-}
+func (s *SampledSketch) newLevel(int) *level { return s.open(s.t) }
 
 // UpdateColumns consumes a pre-planned columnar batch. The sampled
 // levels draw one rng decision per unit update, so application stays
@@ -335,39 +373,14 @@ func (s *SampledSketch) UpdateColumns(b *core.Batch) {
 	}
 }
 
-// addTo adds units signed copies of item i's Cauchy row to the level
-// in closed form: equal contributions move a counter monotonically, so
-// its peak magnitude is at an endpoint.
-func (s *SampledSketch) addTo(lv *sampledLevel, i uint64, units int64) {
-	unit := float64(int64(1) << s.fpBits)
-	for j := range lv.y {
-		c := int64(math.Round(cauchyFromUnit(s.hA.Unit(entryKey(j, i))) * unit))
-		lv.y[j] += units * c
-		if a := stream.Abs64(lv.y[j]); a > s.maxCount {
-			s.maxCount = a
-		}
-	}
-	for j := range lv.yPrime {
-		c := int64(math.Round(cauchyFromUnit(s.hAPrime.Unit(entryKey(j, i))) * unit))
-		lv.yPrime[j] += units * c
-		if a := stream.Abs64(lv.yPrime[j]); a > s.maxCount {
-			s.maxCount = a
-		}
-	}
-}
-
 // Estimate returns the ln-cos L1 estimate from the oldest live level,
-// rescaled by its sampling rate. The rescaled rows live in reusable
-// scratch, so steady-state queries allocate nothing.
+// rescaled by its sampling rate.
 func (s *SampledSketch) Estimate() float64 {
 	j, lv := s.win.Oldest()
 	if lv == nil {
 		return 0
 	}
-	scale := float64(sample.Pow(s.base, j)) / float64(int64(1)<<s.fpBits)
-	rescaleInto(&s.qY, lv.y, scale)
-	rescaleInto(&s.qYPrime, lv.yPrime, scale)
-	return lnCos(s.qY, medianAbsScratch(s.qYPrime, &s.qAbs))
+	return s.estimate(lv, sample.Pow(s.base, j), true)
 }
 
 // Level returns the oldest live level j*, whose counters answer the
@@ -381,18 +394,7 @@ func (s *SampledSketch) MedianEstimate() float64 {
 	if lv == nil {
 		return 0
 	}
-	scale := float64(sample.Pow(s.base, j)) / float64(int64(1)<<s.fpBits)
-	rescaleInto(&s.qYPrime, lv.yPrime, scale)
-	return medianAbsScratch(s.qYPrime, &s.qAbs)
-}
-
-// rescaleInto sizes *dst (grown on demand) to len(xs) and fills it with
-// xs[i]*scale.
-func rescaleInto(dst *[]float64, xs []int64, scale float64) {
-	d := core.Grow(dst, len(xs))
-	for i, v := range xs {
-		d[i] = float64(v) * scale
-	}
+	return s.estimate(lv, sample.Pow(s.base, j), false)
 }
 
 // Merge folds another SampledSketch built from the same seed into this
@@ -406,29 +408,16 @@ func (s *SampledSketch) Merge(other *SampledSketch) error {
 	if other == nil {
 		return fmt.Errorf("cauchy: merge with nil SampledSketch")
 	}
-	if s.r != other.r || s.rPrime != other.rPrime || s.base != other.base || s.fpBits != other.fpBits {
-		return fmt.Errorf("cauchy: merging SampledSketches with different params")
+	if s.base != other.base {
+		return fmt.Errorf("cauchy: merging SampledSketches with different bases %d/%d", s.base, other.base)
 	}
-	s.win.Merge(other.win, func(lv, olv *sampledLevel) {
-		for i := range lv.y {
-			lv.y[i] += olv.y[i]
-		}
-		for i := range lv.yPrime {
-			lv.yPrime[i] += olv.yPrime[i]
-		}
-		lv.start = min(lv.start, olv.start)
-	}, copySampledLevel)
+	if err := s.sameShape(&other.matrix); err != nil {
+		return err
+	}
+	s.win.Merge(other.win, s.mergeLevel, copyLevel)
 	s.t = sample.AddPos(s.t, other.t)
-	s.maxCount = max(s.maxCount, other.maxCount)
+	s.peak = max(s.peak, other.peak)
 	s.win.Sync(s.t, s.newLevel)
-	for _, lv := range s.win.Each { // the summed counters can be wider than either side's
-		for _, c := range lv.y {
-			s.maxCount = max(s.maxCount, stream.Abs64(c))
-		}
-		for _, c := range lv.yPrime {
-			s.maxCount = max(s.maxCount, stream.Abs64(c))
-		}
-	}
 	return nil
 }
 
@@ -437,45 +426,17 @@ func (s *SampledSketch) Merge(other *SampledSketch) error {
 func (s *SampledSketch) CloneInto(dst *SampledSketch) *SampledSketch {
 	dst = core.OrNew(dst)
 	c := *s
-	c.win = s.win.CloneInto(dst.win, copySampledLevel)
+	c.win = s.win.CloneInto(dst.win, copyLevel)
 	c.rng = sample.Seeded(s.rng.Get().Int63())
-	c.qY, c.qYPrime, c.qAbs = dst.qY, dst.qYPrime, dst.qAbs
+	c.qAbs = dst.qAbs
 	*dst = c
 	return dst
 }
 
-// MaxCounterBits returns the width of the widest sampled counter — the
-// O(log(alpha log n / eps)) width Theorem 8 buys, to contrast with the
-// dense Sketch.MaxCounterBits.
-func (s *SampledSketch) MaxCounterBits() int64 {
-	return int64(nt.BitsFor(uint64(s.maxCount))) + 1
-}
-
-// SpaceBits charges the live sampled counters at their observed widths
-// plus the matrix seeds and the position counter.
+// SpaceBits charges the live sampled counters at MaxCounterBits plus
+// the matrix seeds and the position counter.
 func (s *SampledSketch) SpaceBits() int64 {
-	perCounter := s.MaxCounterBits()
-	counters := int64(s.win.Len()) * int64(s.r+s.rPrime) * perCounter
-	seeds := s.hA.SpaceBits() + s.hAPrime.SpaceBits()
+	counters := int64(s.win.Len()) * int64(s.r+s.rPrime) * s.MaxCounterBits()
 	position := int64(nt.BitsFor(uint64(s.t)))
-	return counters + seeds + position
-}
-
-// medianAbsScratch returns the median of |xs| over a caller-owned
-// scratch buffer (grown on demand): the sort works on a copy, so xs is
-// never reordered, and repeated queries reuse one allocation.
-func medianAbsScratch(xs []float64, scratch *[]float64) float64 {
-	a := core.Grow(scratch, len(xs))
-	for i, v := range xs {
-		a[i] = math.Abs(v)
-	}
-	sort.Float64s(a)
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return a[n/2]
-	}
-	return (a[n/2-1] + a[n/2]) / 2
+	return counters + s.seedBits() + position
 }

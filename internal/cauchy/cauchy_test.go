@@ -109,12 +109,15 @@ func TestLnCosEstimate(t *testing.T) {
 
 // TestLnCosGuards: degenerate inputs do not produce NaN.
 func TestLnCosGuards(t *testing.T) {
-	if got := lnCos([]float64{1, 2}, 0); got != 0 {
-		t.Errorf("lnCos with ymed=0 = %v", got)
+	sk := NewSketch(rand.New(rand.NewSource(4)), 2, 1, 4)
+	one := int64(1) << denseFPBits
+	if got := sk.estimate(&level{c: []int64{one, 2 * one, 0}}, 1, true); got != 0 {
+		t.Errorf("ln-cos with ymed=0 = %v", got)
 	}
-	// Force nonpositive cosine average.
-	if got := lnCos([]float64{math.Pi, math.Pi}, 1); math.IsNaN(got) || got <= 0 {
-		t.Errorf("lnCos fallback = %v", got)
+	// Force nonpositive cosine average: cos(pi) twice over ymed = 1.
+	pi := int64(math.Round(math.Pi * float64(one)))
+	if got := sk.estimate(&level{c: []int64{pi, pi, one}}, 1, true); math.IsNaN(got) || got <= 0 {
+		t.Errorf("ln-cos fallback = %v", got)
 	}
 }
 
@@ -126,13 +129,51 @@ func TestSketchLinearity(t *testing.T) {
 	sk.Update(9, -40)
 	sk.Update(5, -100)
 	sk.Update(9, 40)
-	for _, y := range sk.y {
-		if math.Abs(y) > 1e-6 {
-			t.Fatalf("counter not returned to zero: %v", sk.y)
+	for _, y := range sk.lv.c {
+		if y != 0 {
+			t.Fatalf("counter not returned to zero: %v", sk.lv.c)
 		}
 	}
-	if sk.MedianEstimate() > 1e-6 {
+	if sk.MedianEstimate() != 0 {
 		t.Errorf("estimate of zero vector = %v", sk.MedianEstimate())
+	}
+}
+
+// TestSaturatingAdd: a delta whose fixed-point product passes int64
+// leaves the counter at its sign's extreme, never wrapped to the other
+// sign, and while fewer than half the median rows saturate the median
+// estimate stays in TestMedianEstimateConstantFactor's band. On the
+// 2^-20 grid one add of 2^41 overflows the product of a row with |A| >
+// 4, and a second one the sum of a row with |A| > 2 (about 30 % of the
+// rows), so both checks are crossed.
+func TestSaturatingAdd(t *testing.T) {
+	sk := NewSketch(rand.New(rand.NewSource(21)), 4, 64, 4)
+	const i, delta = 7, int64(1) << 41
+	sk.Update(i, delta)
+	sk.Update(i, delta)
+	saturated := 0
+	for j, y := range sk.lv.c {
+		e := sk.entry(j, i)
+		switch {
+		case y == math.MaxInt64 || y == -math.MaxInt64:
+			if (y < 0) != (e < 0) {
+				t.Fatalf("counter %d saturated at %d for entry %d: changed sign", j, y, e)
+			}
+			if j >= sk.r {
+				saturated++
+			}
+		case y != 2*e*delta: // exact: the sum fits
+			t.Fatalf("unsaturated counter %d holds %d, want %d", j, y, 2*e*delta)
+		}
+	}
+	if saturated == 0 || 2*saturated >= sk.rPrime {
+		t.Fatalf("%d of %d median rows saturated, want some and fewer than half", saturated, sk.rPrime)
+	}
+	if got, want := sk.MedianEstimate(), float64(2*delta); got < 0.65*want || got > 1.35*want {
+		t.Errorf("median estimate %.4g with %d rows saturated, want %.4g +- 35%%", got, saturated, want)
+	}
+	if got := sk.MaxCounterBits(); got != 64 {
+		t.Errorf("MaxCounterBits = %d with counters saturated, want 64", got)
 	}
 }
 

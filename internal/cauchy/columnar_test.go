@@ -8,9 +8,8 @@ import (
 	"repro/internal/gen"
 )
 
-// TestSketchColumnarMatchesScalar: the accumulator-major columnar
-// apply must be bit-identical to per-update ingestion — every float
-// accumulator sees the same add sequence, so estimates and the |y|
+// TestSketchColumnarMatchesScalar: the columnar apply must be
+// bit-identical to per-update ingestion — estimates and the counter
 // peak (SpaceBits) match exactly.
 func TestSketchColumnarMatchesScalar(t *testing.T) {
 	s := gen.BoundedDeletion(gen.Config{N: 256, Items: 8000, Alpha: 4, Zipf: 1.2, Seed: 13})

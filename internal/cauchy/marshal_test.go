@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/sample"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
@@ -140,4 +141,22 @@ func TestCopiesSeedTheirGeneratorLazily(t *testing.T) {
 	}
 	wiretest.CheckLazySeeding(t, "CloneInto", func() *SampledSketch { return build().CloneInto(nil) }, seed, seedWith(build().rng.Get().Int63()), work)
 	wiretest.CheckLazySeeding(t, "UnmarshalBinary", restore, seed, seedWith(wire.Seed(blob)), work)
+}
+
+// TestSampledBlobTracksSpaceBits: with two levels live, the sampled
+// sketch travels in at most 1.1·SpaceBits()/8 bytes — its counters pack
+// at the width most of them need, where SpaceBits charges every one the
+// widest's.
+func TestSampledBlobTracksSpaceBits(t *testing.T) {
+	s := gen.BoundedDeletion(gen.Config{N: 1 << 16, Items: 20000, Alpha: 8, Zipf: 1.2, Seed: 3})
+	sk := NewSampledSketch(rand.New(rand.NewSource(7)), 192, 32, 6, 256, 10)
+	for _, u := range s.Updates {
+		sk.Update(u.Index, u.Delta)
+	}
+	if js := wiretest.LiveSet(sk.win.Each); len(js) != 2 {
+		t.Fatalf("live levels %v, want two", js)
+	}
+	if n, charged := len(wiretest.MustMarshal(t, sk)), sk.SpaceBits()/8; float64(n) > 1.1*float64(charged) {
+		t.Errorf("%d-byte blob, SpaceBits()/8 = %d", n, charged)
+	}
 }

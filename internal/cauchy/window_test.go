@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -53,9 +54,9 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 		for _, s := range []*SampledSketch{a, b} {
 			for j, lv := range s.win.Each {
 				if sums[j] == nil {
-					sums[j] = make([]int64, len(lv.y))
+					sums[j] = make([]int64, len(lv.c))
 				}
-				for i, v := range lv.y {
+				for i, v := range lv.c {
 					sums[j][i] += v
 				}
 			}
@@ -74,10 +75,10 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 		for j, lv := range ab.win.Each {
 			want := sums[j]
 			if want == nil {
-				want = make([]int64, len(lv.y)) // opened by the merge's re-sync
+				want = make([]int64, len(lv.c)) // opened by the merge's re-sync
 			}
-			if fmt.Sprint(lv.y) != fmt.Sprint(want) {
-				t.Fatalf("%d+%d units: level %d rows %v, inputs sum to %v", tc.na, tc.nb, j, lv.y, want)
+			if fmt.Sprint(lv.c) != fmt.Sprint(want) {
+				t.Fatalf("%d+%d units: level %d rows %v, inputs sum to %v", tc.na, tc.nb, j, lv.c, want)
 			}
 		}
 		if !bytes.Equal(wiretest.MustMarshal(t, ab), wiretest.MustMarshal(t, ba)) {
@@ -111,11 +112,10 @@ func craft(pos int64, levels ...[2]int64) []byte {
 	w.I64(0)
 	w.U32(uint32(len(levels)))
 	for _, lv := range levels {
-		rows := []int64{lv[1], lv[1], lv[1], lv[1]}
+		rows := slices.Repeat([]int64{lv[1]}, 8) // r + r'
 		w.U32(uint32(lv[0]))
 		w.I64(1) // start
-		w.FixedI64s(rows)
-		w.FixedI64s(rows)
+		wire.WriteCounts(w, rows, wire.LayoutOf(rows))
 	}
 	return w.Bytes()
 }
@@ -161,7 +161,7 @@ func TestCraftedLevelLists(t *testing.T) {
 			if !survivor && lv.start != tc.pos+1 {
 				t.Errorf("%s: level %d opened at %d, want %d", name, j, lv.start, tc.pos+1)
 			}
-			for _, v := range lv.y {
+			for _, v := range lv.c {
 				if d := v - fill; d < -1e6 || d > 1e6 {
 					t.Errorf("%s: level %d row holds %d after one unit, listed fill %d", name, j, v, fill)
 				}

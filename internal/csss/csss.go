@@ -123,7 +123,7 @@ type Sketch struct {
 	scale    float64 // 2^p, cached so estimates avoid math.Ldexp per row
 	estScale float64 // 2^p / 2^fb: the per-row estimate rescaling factor
 	nextHalf int64   // next halving boundary S*2^r + 1
-	maxCount int64   // largest counter value ever held (space accounting)
+	maxCount int64   // largest counter value ever held (the peak rule, doc.go)
 	fpUnit   int64   // 2^FixedPointBits
 	halved   int64   // halvings since built, decoded or copied (Halvings)
 

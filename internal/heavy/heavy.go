@@ -47,7 +47,7 @@ const (
 // l1Est is nil exactly when the scale is exact.
 type l1Scale struct {
 	l1Exact int64          // Strict mode: running sum of deltas
-	maxL1   int64          // Strict mode: high-water mark, for SpaceBits
+	maxL1   int64          // Strict mode: high-water mark (the peak rule, doc.go)
 	l1Est   *cauchy.Sketch // General mode: constant-factor estimator
 }
 
@@ -181,9 +181,9 @@ func (p AlphaL1Params) sketchParams() csss.Params {
 }
 
 // StateLen is the least encoded length of an AlphaL1 built with p: it
-// tracks no candidates and its table packs one byte a counter. Every
-// state of that shape holds it, and it is known before anything is
-// allocated.
+// tracks no candidates and its counters (the table's, a general scale's)
+// pack one byte each. Every state of that shape holds it, and it is
+// known before anything is allocated.
 func (p AlphaL1Params) StateLen() int {
 	n := csss.StateLen(p.sketchParams()) + topk.MinLen
 	if p.Mode == General {

@@ -80,7 +80,7 @@ type Estimator struct {
 type side struct {
 	t        int64
 	win      *sample.Window[ipLevel]
-	maxCount int64
+	maxCount int64 // the bins' peak (the peak rule, doc.go)
 }
 
 type ipLevel struct {

@@ -44,7 +44,7 @@ type ExactSmall struct {
 	prime    uint64
 	counters bucketTable // occupied bucket -> frequency mod prime
 	overflow bool
-	maxLive  int
+	maxLive  int // the live count's peak (the peak rule, doc.go)
 }
 
 // bucketTable maps the occupied buckets to their counters: a flat

@@ -12,8 +12,7 @@
 //     collapses to log(alpha/eps).
 //
 //   - The general turnstile estimator of Theorem 8 lives in package
-//     cauchy (SampledSketch); this package re-exports a constructor so
-//     callers find both variants in one place.
+//     cauchy (SampledSketch).
 //
 // Ingest walks the clock, not the units: between two ticks the live
 // levels stand still, so a stretch of P positive and N negative units
@@ -28,7 +27,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/cauchy"
 	"repro/internal/core"
 	"repro/internal/morris"
 	"repro/internal/nt"
@@ -70,8 +68,8 @@ type AlphaEstimator struct {
 	clock    clock
 	win      *sample.Window[level]
 	rng      *sample.Rand // shared with a Morris clock
-	maxCount int64
-	units    int64 // exact unit count, kept only for tests/metrics
+	maxCount int64        // the counters' peak (the peak rule, doc.go)
+	units    int64        // exact unit count, kept only for tests/metrics
 }
 
 // level is one interval's (c+, c-) counter pair.
@@ -285,13 +283,6 @@ func (a *AlphaEstimator) SpaceBits() int64 {
 		clockBits = a.clock.m.SpaceBits()
 	}
 	return clockBits + counters + levelIndex + baseBits
-}
-
-// NewGeneral returns the general-turnstile alpha-property L1 estimator
-// of Theorem 8 (sampled Cauchy sketches; see package cauchy). r controls
-// accuracy (r = Theta(1/eps^2)).
-func NewGeneral(rng *rand.Rand, r, rPrime, k int, base int64, fpBits uint) *cauchy.SampledSketch {
-	return cauchy.NewSampledSketch(rng, r, rPrime, k, base, fpBits)
 }
 
 // Level returns the oldest live level j*, whose counters answer the

@@ -196,18 +196,6 @@ func TestNewPanicsOnSmallBase(t *testing.T) {
 	New(rand.New(rand.NewSource(9)), 2)
 }
 
-func TestNewGeneral(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	g := NewGeneral(rng, 64, 16, 4, 64, 8)
-	for i := 0; i < 10000; i++ {
-		g.Update(uint64(i%32), 1)
-	}
-	got := g.Estimate()
-	if got < 2000 || got > 50000 {
-		t.Errorf("general estimator = %.0f, want near 10000", got)
-	}
-}
-
 func BenchmarkUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	a := New(rng, 1024)

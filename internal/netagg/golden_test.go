@@ -12,14 +12,14 @@ import (
 
 // TestGoldenAggCheckpoint pins the "AG" checkpoint payload byte for
 // byte: two agents, three structures each, fixed watermarks. The digest
-// was last re-pinned when every count column began to travel at the
-// width most of its entries need, the few wide ones patched in (wire
-// format v4); beside it sits the digest of what every reopened sketch
-// answers, recorded by the same probe in the tree before the v2 re-pin
-// and unmoved by v3's or v4's. Reopening yields both agents.
+// was last re-pinned at wire format v5, which moved only each blob's
+// version byte here (every structure is strict); beside it sits the
+// digest of what every reopened sketch answers, recorded by the same
+// probe in the tree before the v2 re-pin and unmoved by v3's, v4's or
+// v5's. Reopening yields both agents.
 func TestGoldenAggCheckpoint(t *testing.T) {
 	const (
-		golden  = "d8803cc45d72ef33379e7d53eada09f637d671d461d6fdaff2c54ac95147d661"
+		golden  = "363a2e29c03e7c253dd8df673ea66ad5d0d5f6fd44c394a2b237cf9115b55fdc"
 		answers = "d6638772391d6e14f04ee3d68adeca3678c27c10b614fac6e3ca44a3be3216ee"
 	)
 	site := func(seed int64) map[engine.Structures]bounded.Sketch {

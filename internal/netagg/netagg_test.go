@@ -706,28 +706,30 @@ func TestForeignConfigSnapshotRefused(t *testing.T) {
 }
 
 // TestV3SnapshotRefused: a SNAPSHOT carrying the blobs of the engine's
-// format-3 golden image is refused at admission with an error naming
-// the format, and nothing of it is stored.
+// format-3 or format-4 golden image is refused at admission with an
+// error naming the format, and nothing of it is stored.
 func TestV3SnapshotRefused(t *testing.T) {
-	var img wire.PartSnapshot
-	if err := img.UnmarshalBinary(wiretest.V3Image(t, "../..")); err != nil {
-		t.Fatal(err)
-	}
-	h := img.Header
-	agg, err := NewAggregator(AggregatorOptions{
-		Config:     bounded.Config{N: h.N, Eps: h.Eps, Alpha: h.Alpha, Seed: h.Seed},
-		Structures: engine.Structures(h.Structures),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	_, err = agg.applySnapshot("site-v3", &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: img.Shards[0]})
-	if err == nil || !strings.Contains(err.Error(), "unsupported wire format version 3") {
-		t.Fatalf("a format-3 SNAPSHOT: err = %v, want a refusal naming format 3", err)
-	}
-	if st := agg.Stats(); len(st.Agents) != 0 {
-		t.Fatalf("the refused SNAPSHOT left %d agents stored", len(st.Agents))
+	for _, v := range wiretest.OldFormats {
+		var img wire.PartSnapshot
+		if err := img.UnmarshalBinary(wiretest.Image(t, "../..", v)); err != nil {
+			t.Fatal(err)
+		}
+		h := img.Header
+		agg, err := NewAggregator(AggregatorOptions{
+			Config:     bounded.Config{N: h.N, Eps: h.Eps, Alpha: h.Alpha, Seed: h.Seed},
+			Structures: engine.Structures(h.Structures),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agg.Close()
+		_, err = agg.applySnapshot("site-old", &netproto.Snapshot{Seq: 1, Gen: 1, Sketches: img.Shards[0]})
+		if want := fmt.Sprintf("unsupported wire format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("a format-%d SNAPSHOT: err = %v, want a refusal naming format %d", v, err, v)
+		}
+		if st := agg.Stats(); len(st.Agents) != 0 {
+			t.Fatalf("the refused format-%d SNAPSHOT left %d agents stored", v, len(st.Agents))
+		}
 	}
 }
 

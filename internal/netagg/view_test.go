@@ -151,14 +151,15 @@ func mergeAllBytes(t *testing.T, blobs [][]byte) []byte {
 // for byte an in-process bounded.MergeAll over the same blobs in sorted
 // agent order — at rate 1, and in a sampled round in which every agent
 // synced (fleet-sync's shape). The view's byte digests were last
-// re-pinned at wire format v4 (count columns patched, candidate ids a
-// count column); the re-pin before it came when the view began to be
-// built by MergeAll: its tables are the pairwise chain's, and its
-// candidates are re-ranked once over the union and laid out by id,
-// where the chain re-ranked after every agent and laid them out in
-// offer order. At rate 1 the digest of what the
-// view answers was recorded by running this body in the tree before
-// wire format v2, and neither re-pin since moved it. The sampled view's
+// re-pinned at wire format v5, which moved only the version byte (the
+// view is strict); v4's re-pin patched the count columns and made the
+// candidate ids a count column; the one before came when the view
+// began to be built by MergeAll: its tables are the pairwise chain's,
+// and its candidates are re-ranked once over the union and laid out by
+// id, where the chain re-ranked after every agent and laid them out in
+// offer order. At rate 1 the digest of what the view answers was
+// recorded by running this body in the tree before wire format v2, and
+// no re-pin since moved it. The sampled view's
 // answers moved with each wire re-pin: Merge thins a restored sketch's
 // copy under a generator seeded from the sketch's own state bytes
 // (wire.Seed), and those bytes changed; they stay inside the ε band
@@ -174,8 +175,8 @@ func mergeAllBytes(t *testing.T, blobs [][]byte) []byte {
 // ε band; ROADMAP 4a's pure Clone removes the clause.
 func TestMergedViewMatchesMergeAll(t *testing.T) {
 	const (
-		rate1             = "4dcd6dea173e988fcbde7d037f4f1f1300463f563b1c92303ba8bf3ba51c1388"
-		allSynced         = "b16103ce40109537f7050c77fe1c533e3a8b1bcdc82e14c578679ebe909af474"
+		rate1             = "8047536c4f87894a188bb4aea345e6089b8bbf914860c9beb379bacfda3ece7c"
+		allSynced         = "02687094b1f3d236fc24183c3b0efaaa5f06b64d589e9e1acca10185d6a0d304"
 		parentOneResynced = "9f49bd0c147771d71e8058edf0a0eca0a97ce4f3b770cb2832a9f9d997887e56"
 	)
 	for _, tc := range []struct {

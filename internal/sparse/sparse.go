@@ -47,7 +47,7 @@ type Recovery struct {
 	hs       [subtables]*hash.KWise
 	fp       *hash.KWise
 	cells    []cell // subtables concatenated
-	maxCount int64
+	maxCount int64  // the counts' peak (the peak rule, doc.go)
 }
 
 type cell struct {

@@ -29,7 +29,7 @@ func (tr tree) AppendBinary(dst []byte) ([]byte, error) {
 	w := wire.Append(dst, "TR", 1)
 	w.Marshal(tr.a)
 	w.U32(uint32(len(tr.col)))
-	w.FixedI64s(tr.col)
+	wire.WriteCounts(w, tr.col, wire.LayoutOf(tr.col))
 	w.Marshal(tr.b)
 	return w.Bytes(), nil
 }
@@ -58,7 +58,7 @@ func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
 		}
 		if child.body[0] == 'f' {
 			col := make([]int64, r.U32())
-			r.FixedI64s(col)
+			wire.ReadCounts(r, col)
 			if len(col) != 3 || col[2] != -3 {
 				t.Errorf("column between the children = %v", col)
 			}

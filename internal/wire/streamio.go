@@ -145,16 +145,3 @@ func unexpectedEOF(err error) error {
 	}
 	return err
 }
-
-// NextReader returns the next frame opened as a wire Reader, validating
-// the payload's two-byte magic and returning its format version — the
-// io.Reader-based envelope decode path. The Reader decodes in place
-// over the FrameReader's buffer (no copy); like Next's slice it is
-// valid only until the following Next/NextReader call.
-func (f *FrameReader) NextReader(magic string) (*Reader, uint8, error) {
-	payload, err := f.Next()
-	if err != nil {
-		return nil, 0, err
-	}
-	return NewReader(payload, magic)
-}

@@ -129,44 +129,6 @@ func TestFrameBufferReuse(t *testing.T) {
 	}
 }
 
-// TestNextReaderEnvelope runs a wire payload through the framed stream
-// path: NextReader opens the standard Reader over the frame in place.
-func TestNextReaderEnvelope(t *testing.T) {
-	w := NewWriter("XY", 3)
-	w.U64(42)
-	w.Bytes32([]byte("payload"))
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, w.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(&buf, 1<<16)
-	rd, version, err := fr.NextReader("XY")
-	if err != nil {
-		t.Fatalf("NextReader: %v", err)
-	}
-	if version != 3 {
-		t.Fatalf("version = %d, want 3", version)
-	}
-	if got := rd.U64(); got != 42 {
-		t.Fatalf("U64 = %d, want 42", got)
-	}
-	if got := rd.Bytes32(); string(got) != "payload" {
-		t.Fatalf("Bytes32 = %q", got)
-	}
-	if err := rd.Done(); err != nil {
-		t.Fatalf("Done: %v", err)
-	}
-	// Wrong magic surfaces as the Reader's bad-magic error.
-	var buf2 bytes.Buffer
-	if err := WriteFrame(&buf2, w.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	fr2 := NewFrameReader(&buf2, 1<<16)
-	if _, _, err := fr2.NextReader("ZZ"); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
-}
-
 func TestWriteFrameSingleWrite(t *testing.T) {
 	// The header and body must land in one Write call so small frames
 	// are one TCP segment.

@@ -29,8 +29,7 @@
 //     refuses any count that exceeds the bytes actually remaining, so a
 //     corrupt length can never drive an allocation larger than the input
 //     itself (the FuzzUnmarshal contract: errors, never panics or OOM).
-//     Arrays whose length the shape fixes (the Fixed methods) carry no
-//     count.
+//     Arrays whose length the shape fixes (FixedU64s) carry no count.
 //
 // The Reader is sticky: the first framing error latches, subsequent
 // reads return zero values, and Done() reports the latched error plus a
@@ -153,7 +152,9 @@ func (w *Writer) U64s(v []uint64) {
 // F64s appends a u32-count-prefixed []float64.
 func (w *Writer) F64s(v []float64) {
 	w.U32(uint32(len(v)))
-	w.FixedF64s(v)
+	for _, x := range v {
+		w.F64(x)
+	}
 }
 
 // Blob is one structure's serialized state as every container ships
@@ -206,27 +207,11 @@ func (w *Writer) Marshal(m encoding.BinaryAppender) {
 }
 
 // FixedU64s appends v without a count: the reader knows len(v) from the
-// structure's shape. FixedI64s and FixedF64s are its twins.
+// structure's shape.
 func (w *Writer) FixedU64s(v []uint64) {
 	b := w.Extend(8 * len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], x)
-	}
-}
-
-// FixedI64s appends v without a count (see FixedU64s).
-func (w *Writer) FixedI64s(v []int64) {
-	b := w.Extend(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-}
-
-// FixedF64s appends v without a count (see FixedU64s).
-func (w *Writer) FixedF64s(v []float64) {
-	b := w.Extend(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -375,7 +360,9 @@ func (r *Reader) U64s() []uint64 {
 // F64s reads a u32-count-prefixed []float64 (see U64s).
 func (r *Reader) F64s() []float64 {
 	out := make([]float64, r.count(8))
-	r.FixedF64s(out)
+	for i := range out {
+		out[i] = r.F64()
+	}
 	if r.err != nil {
 		return nil
 	}
@@ -404,29 +391,10 @@ func (r *Reader) Blobs() []Blob {
 }
 
 // FixedU64s fills dst from len(dst) uncounted words (Writer.FixedU64s).
-// FixedI64s and FixedF64s are its twins.
 func (r *Reader) FixedU64s(dst []uint64) {
 	if b := r.Take(8 * len(dst)); b != nil {
 		for i := range dst {
 			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-}
-
-// FixedI64s fills dst from len(dst) uncounted words (see FixedU64s).
-func (r *Reader) FixedI64s(dst []int64) {
-	if b := r.Take(8 * len(dst)); b != nil {
-		for i := range dst {
-			dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	}
-}
-
-// FixedF64s fills dst from len(dst) uncounted words (see FixedU64s).
-func (r *Reader) FixedF64s(dst []float64) {
-	if b := r.Take(8 * len(dst)); b != nil {
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	w.F64(3.25)
 	w.Bytes32([]byte("hello"))
 	w.U64s([]uint64{1, 2, 3})
-	w.FixedI64s([]int64{-1, 0, 1})
+	WriteCounts(w, []int64{-1, 0, 1}, LayoutOf([]int64{-1, 0, 1}))
 	w.F64s([]float64{0.5, -0.5})
 
 	r, v, err := NewReader(w.Bytes(), "XY")
@@ -53,9 +53,9 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("U64s = %v", got)
 	}
 	fixed := make([]int64, 3)
-	r.FixedI64s(fixed)
+	ReadCounts(r, fixed)
 	if fixed[0] != -1 || fixed[2] != 1 {
-		t.Errorf("FixedI64s = %v", fixed)
+		t.Errorf("ReadCounts = %v", fixed)
 	}
 	if got := r.F64s(); len(got) != 2 || got[1] != -0.5 {
 		t.Errorf("F64s = %v", got)

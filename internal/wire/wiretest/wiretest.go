@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"iter"
 	"math"
@@ -33,16 +34,20 @@ func MustMarshal(t testing.TB, m encoding.BinaryMarshaler) []byte {
 	return data
 }
 
-// V3Image returns the partitioned engine snapshot the format-3 encoder
+// OldFormats are the wire formats before the current one whose golden
+// images engine/testdata keeps: every decoder refuses them by name.
+var OldFormats = []int{3, 4}
+
+// Image returns the partitioned engine snapshot the format-v encoder
 // wrote for engine.TestGoldenPartitionedSnapshot at one shard: every
 // kind of the engine's kinds table at Config{N: 1 << 16, Eps: 0.05,
-// Alpha: 8, Seed: 42}, its blobs "BD" envelopes of format 3. Its digest
-// is the one that test pinned before the format-4 re-pin; the tests
-// that hold every decoder to refusing format 3 read it. root is the
-// path from the calling package's directory to the repository's.
-func V3Image(t testing.TB, root string) []byte {
+// Alpha: 8, Seed: 42}, its blobs "BD" envelopes of format v. Its digest
+// is the one that test pinned before the next format's re-pin; the
+// tests that hold every decoder to refusing an old format read it. root
+// is the path from the calling package's directory to the repository's.
+func Image(t testing.TB, root string, v int) []byte {
 	t.Helper()
-	f, err := os.Open(filepath.Join(root, "engine", "testdata", "golden-v3-shards1.bin.gz"))
+	f, err := os.Open(filepath.Join(root, "engine", "testdata", fmt.Sprintf("golden-v%d-shards1.bin.gz", v)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +60,12 @@ func V3Image(t testing.TB, root string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pinned = "0bfd45302135873995b3fa53529e07fd95d93509d990853ba5b1f1f6867a9e55"
+	pinned := map[int]string{
+		3: "0bfd45302135873995b3fa53529e07fd95d93509d990853ba5b1f1f6867a9e55",
+		4: "87270ecbd267ad8d005592a9590dfaea51fb8a1adc19eef1d7a77db50190394c",
+	}[v]
 	if sum := sha256.Sum256(img); hex.EncodeToString(sum[:]) != pinned {
-		t.Fatalf("the format-3 image hashes to %x, pinned %s", sum, pinned)
+		t.Fatalf("the format-%d image hashes to %x, pinned %s", v, sum, pinned)
 	}
 	return img
 }

@@ -182,23 +182,23 @@ type refillable interface {
 	reset()
 }
 
-// The public wire envelope (format v4): "BD" magic, the format version,
+// The public wire envelope (format v5): "BD" magic, the format version,
 // the kind, the Config echo (N, Eps, Alpha, Seed), the options echo,
 // then the structure's state — what Update and Merge change (counters,
 // clocks, candidates, live levels) and nothing its constructor derives
 // from the Config. Every count column in a state (the CSSS tables, the
 // Count-Sketch counters, the sparse-recovery counts, the inner-product
-// bins, the candidate ids) is packed at the byte width most of its
-// entries need, the few wider ones patched in behind it, so a state is
-// at or below SpaceBits()/8 bytes; field elements and floats stay a word
-// each. The envelope makes payloads self-describing — a receiver can
+// bins, the Cauchy sums, the candidate ids) is packed at the byte width
+// most of its entries need, the few wider ones patched in behind it, so
+// a state is at or below SpaceBits()/8 bytes; field elements and the
+// trackers' estimates stay a word each. The envelope makes payloads self-describing — a receiver can
 // SketchKind-peek a blob, UnmarshalSketch it without knowing its type,
 // and verify the Config matches its own before merging — and its
 // version is the format's one version: an earlier one is refused, not
 // translated.
 const (
 	envelopeMagic = "BD"
-	envelopeV4    = 4
+	envelopeV5    = 5
 )
 
 // envelope is the decoded public frame. payload aliases the input:
@@ -217,7 +217,7 @@ func appendBinary(dst []byte, s structure, kind Kind) ([]byte, error) {
 	if sh.kind == 0 {
 		return nil, fmt.Errorf("bounded: marshal of zero-value %s (construct or UnmarshalBinary first)", kind)
 	}
-	w := wire.Append(dst, envelopeMagic, envelopeV4)
+	w := wire.Append(dst, envelopeMagic, envelopeV5)
 	w.U8(uint8(sh.kind))
 	w.U64(sh.cfg.N)
 	w.F64(sh.cfg.Eps)
@@ -240,7 +240,7 @@ func openEnvelope(data []byte) (*wire.Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bounded: not a sketch envelope: %w", err)
 	}
-	if v != envelopeV4 {
+	if v != envelopeV5 {
 		return nil, fmt.Errorf("bounded: unsupported wire format version %d", v)
 	}
 	return rd, nil

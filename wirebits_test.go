@@ -48,11 +48,15 @@ func (p *packedColumns) walk(r *wire.Reader, sh shape) {
 	}
 	switch sh.kind {
 	case KindHeavyHitters:
-		// The least state: the L1 scale (two words when strict), the
+		// The least state: the L1 scale (two words when strict; when
+		// general, two words and the Cauchy counters one byte each), the
 		// table one byte a counter, no candidates.
 		least := hhParams(sh.cfg, sh.opts).StateLen()
 		table := hhParams(sh.cfg, echo{}).StateLen() - 16 - 21 - topk.MinLen
-		r.Take(least - 21 - table - topk.MinLen)
+		r.Take(16) // the scale's two words
+		if sh.opts.general {
+			p.column(r, least-16-21-table-topk.MinLen-wire.MinColumnLen(0))
+		}
 		p.csss(r, table)
 		tracker()
 	case KindL1Sampler:
@@ -82,7 +86,18 @@ func (p *packedColumns) walk(r *wire.Reader, sh shape) {
 		tracker()
 	case KindSyncSketch:
 		p.sparse(r, (sparse.StateLen(sh.opts.capacity)-9)/17)
-	default: // L1Estimator, L0Estimator: no count column
+	case KindL1Estimator:
+		if !sh.opts.general { // no count column
+			r.Take(r.Remaining())
+			break
+		}
+		rows, _ := generalL1Dims(sh.cfg)
+		r.Take(16) // position, peak
+		levels(func() {
+			r.Take(8) // start
+			p.column(r, rows+generalL1RPrime)
+		})
+	default: // L0Estimator: no count column
 		r.Take(r.Remaining())
 	}
 }
