@@ -52,6 +52,9 @@ func (s *Sketch) Fill(r *wire.Reader) {
 		r.Fail(errors.New("cauchy: negative Sketch mass"))
 	}
 	wire.ReadCounts(r, s.lv.c)
+	for _, v := range s.lv.c { // a crafted peak may sit below the counters
+		s.widen(v)
+	}
 }
 
 // MarshalBinary encodes the sampled Theorem 8 sketch's state: stream
@@ -98,6 +101,9 @@ func (s *SampledSketch) Fill(r *wire.Reader) {
 		lv := s.open(r.I64())
 		if wire.ReadCounts(r, lv.c); r.Err() != nil {
 			return nil
+		}
+		for _, v := range lv.c { // as in Sketch.Fill
+			s.widen(v)
 		}
 		return lv
 	})

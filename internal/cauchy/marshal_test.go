@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/sample"
+	"repro/internal/stream"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
@@ -28,6 +29,14 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	}
 	if restored.SpaceBits() != s.SpaceBits() {
 		t.Errorf("SpaceBits differs")
+	}
+	// Fill raises a crafted peak of 0 to the widest restored counter.
+	clear(data[:8])
+	low := wiretest.Restore(t, NewSketch(rand.New(rand.NewSource(1)), 16, 8, 4), data)
+	for _, v := range low.lv.c {
+		if stream.Abs64(v) > low.peak {
+			t.Fatalf("restored counter %d above the peak %d", v, low.peak)
+		}
 	}
 	// The restored sketch merges where a clone would.
 	peer := NewSketch(rand.New(rand.NewSource(1)), 16, 8, 4)

@@ -104,12 +104,12 @@ func TestSampledSketchMergeTwoSampledLevels(t *testing.T) {
 
 // craft writes a small sketch's state — position, counter peak, level
 // list — holding the given {level, fill} pairs in the given order at
-// position pos: sets no ingest produces. Every row of a level holds its
-// fill.
-func craft(pos int64, levels ...[2]int64) []byte {
+// position pos, with the given counter peak: sets no ingest produces.
+// Every row of a level holds its fill.
+func craft(pos, peak int64, levels ...[2]int64) []byte {
 	w := wire.State(nil)
 	w.I64(pos)
-	w.I64(0)
+	w.I64(peak)
 	w.U32(uint32(len(levels)))
 	for _, lv := range levels {
 		rows := slices.Repeat([]int64{lv[1]}, 8) // r + r'
@@ -122,29 +122,32 @@ func craft(pos int64, levels ...[2]int64) []byte {
 
 // TestCraftedLevelLists: a level list that is not the schedule's set for
 // its position restores as written, answers from its oldest level,
-// re-marshals in ascending order, and is settled by the first update —
-// survivors keep their rows, the rest are dropped or opened fresh.
+// re-marshals in ascending order with the peak raised to its widest
+// counter (each list is crafted with peak 0), and is settled by the
+// first update — survivors keep their rows, the rest are dropped or
+// opened fresh.
 func TestCraftedLevelLists(t *testing.T) {
 	const base = 4
 	for name, tc := range map[string]struct {
 		pos       int64
 		levels    [][2]int64
+		peak      int64
 		canonical [][2]int64
 	}{
-		"non-adjacent, unordered": {100, [][2]int64{{5, 7e7}, {0, 9e7}}, [][2]int64{{0, 9e7}, {5, 7e7}}},
-		"top level":               {100, [][2]int64{{62, 1e7}, {3, 4e7}}, [][2]int64{{3, 4e7}, {62, 1e7}}},
-		"empty at a large t":      {1 << 40, nil, nil},
-		"three levels":            {20, [][2]int64{{1, 5e7}, {2, 6e7}, {3, 7e7}}, [][2]int64{{1, 5e7}, {2, 6e7}, {3, 7e7}}},
+		"non-adjacent, unordered": {100, [][2]int64{{5, 7e7}, {0, 9e7}}, 9e7, [][2]int64{{0, 9e7}, {5, 7e7}}},
+		"top level":               {100, [][2]int64{{62, 1e7}, {3, 4e7}}, 4e7, [][2]int64{{3, 4e7}, {62, 1e7}}},
+		"empty at a large t":      {1 << 40, nil, 0, nil},
+		"three levels":            {20, [][2]int64{{1, 5e7}, {2, 6e7}, {3, 7e7}}, 7e7, [][2]int64{{1, 5e7}, {2, 6e7}, {3, 7e7}}},
 	} {
-		s := wiretest.Restore(t, small(1, base), craft(tc.pos, tc.levels...))
+		s := wiretest.Restore(t, small(1, base), craft(tc.pos, 0, tc.levels...))
 		if len(tc.levels) == 0 && s.Estimate() != 0 {
 			t.Errorf("%s: estimate %v from no level", name, s.Estimate())
 		}
 		if j, _ := s.win.Oldest(); len(tc.levels) > 0 && int64(j) != tc.canonical[0][0] {
 			t.Errorf("%s: answers from level %d, want the oldest listed, %d", name, j, tc.canonical[0][0])
 		}
-		if !bytes.Equal(wiretest.MustMarshal(t, s), craft(tc.pos, tc.canonical...)) {
-			t.Errorf("%s: re-marshal is not the ascending encoding", name)
+		if !bytes.Equal(wiretest.MustMarshal(t, s), craft(tc.pos, tc.peak, tc.canonical...)) {
+			t.Errorf("%s: re-marshal is not the ascending encoding at peak %d", name, tc.peak)
 		}
 		listed := map[int]int64{}
 		for _, lv := range tc.levels {
@@ -169,8 +172,8 @@ func TestCraftedLevelLists(t *testing.T) {
 		}
 	}
 	for name, data := range map[string][]byte{
-		"duplicate level": craft(9, [2]int64{1, 0}, [2]int64{1, 0}),
-		"level past 62":   craft(9, [2]int64{63, 0}),
+		"duplicate level": craft(9, 0, [2]int64{1, 0}, [2]int64{1, 0}),
+		"level past 62":   craft(9, 0, [2]int64{63, 0}),
 	} {
 		if err := wire.Fill(data, small(1, base)); err == nil {
 			t.Errorf("%s: accepted", name)

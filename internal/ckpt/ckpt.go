@@ -135,9 +135,6 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Save atomically persists one checkpoint and prunes beyond the
 // retention bound, returning the new checkpoint's sequence number. On
 // error nothing valid is replaced: the previous newest checkpoint

@@ -16,48 +16,6 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
-func TestSketchMarshalRoundTrip(t *testing.T) {
-	s := gen.BoundedDeletion(gen.Config{N: 1 << 12, Items: 20000, Alpha: 4, Zipf: 1.2, Seed: 8})
-	params := Params{Rows: 5, K: 16, S: 1 << 20}
-	sk := New(rand.New(rand.NewSource(17)), params)
-	feedColumns(sk, s.Updates)
-
-	data, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := wiretest.Restore(t, New(rand.New(rand.NewSource(17)), params), data)
-	if restored.t != sk.t || restored.p != sk.p || restored.nextHalf != sk.nextHalf {
-		t.Fatalf("clock: restored (%d,%d,%d), original (%d,%d,%d)",
-			restored.t, restored.p, restored.nextHalf, sk.t, sk.p, sk.nextHalf)
-	}
-	for i := uint64(0); i < 1<<12; i++ {
-		if restored.Query(i) != sk.Query(i) {
-			t.Fatalf("query %d differs after round trip", i)
-		}
-	}
-	if restored.SpaceBits() != sk.SpaceBits() {
-		t.Errorf("SpaceBits differs")
-	}
-
-	// A restored sketch merges like a clone: in the rate-1 regime the
-	// result must be bit-identical.
-	peerA := New(rand.New(rand.NewSource(17)), params)
-	peerA.Update(7, 3)
-	peerB := peerA.CloneInto(nil)
-	if err := peerA.Merge(sk.CloneInto(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := peerB.Merge(restored); err != nil {
-		t.Fatal(err)
-	}
-	for c := range peerA.table {
-		if peerA.table[c] != peerB.table[c] {
-			t.Fatalf("cell %d: clone-merge %v, wire-merge %v", c, peerA.table[c], peerB.table[c])
-		}
-	}
-}
-
 // TestSketchMarshalAfterHalving: a sketch that has left the rate-1
 // regime round-trips its sampling clock (the rederived halving boundary
 // must match).

@@ -9,41 +9,6 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
-func TestAlphaEstimatorMarshalRoundTrip(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		build := New
-		if exact {
-			build = NewExactClock
-		}
-		a := build(rand.New(rand.NewSource(1)), 1<<16)
-		for i := uint64(0); i < 500; i++ {
-			a.Update(i, 3)
-		}
-		data, err := a.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored := wiretest.Restore(t, build(rand.New(rand.NewSource(1)), 1<<16), data)
-		if restored.Estimate() != a.Estimate() {
-			t.Fatalf("exact=%v: Estimate differs: %v vs %v", exact, restored.Estimate(), a.Estimate())
-		}
-		if restored.Units() != a.Units() || restored.LiveLevels() != a.LiveLevels() {
-			t.Fatalf("exact=%v: state differs after round trip", exact)
-		}
-		if restored.base != a.base || restored.maxCount != a.maxCount {
-			t.Fatalf("exact=%v: diagnostics differ", exact)
-		}
-		// The restored estimator merges where a clone would.
-		peer := NewExactClock(rand.New(rand.NewSource(9)), 1<<16)
-		if exact {
-			peer.Update(1, 10)
-			if err := peer.Merge(restored); err != nil {
-				t.Fatalf("merge of restored estimator rejected: %v", err)
-			}
-		}
-	}
-}
-
 func TestAlphaEstimatorUnmarshalRejectsGarbage(t *testing.T) {
 	fresh := func() *AlphaEstimator { return New(rand.New(rand.NewSource(2)), 64) }
 	a := fresh()

@@ -320,9 +320,6 @@ func (t *Tracker) StrongAlpha() float64 {
 // for the given alpha.
 func (t *Tracker) HasAlphaL1(alpha float64) bool { return t.AlphaL1() <= alpha }
 
-// HasAlphaL0 reports whether the stream satisfies the L0 alpha-property.
-func (t *Tracker) HasAlphaL0(alpha float64) bool { return t.AlphaL0() <= alpha }
-
 // ExpandUnits rewrites a stream into unit updates (|Delta| = 1), the
 // normalization Sections 2-5 of the paper assume. The result has
 // UnitLength identical to the input.

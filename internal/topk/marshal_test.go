@@ -8,46 +8,6 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
-func TestTrackerMarshalRoundTrip(t *testing.T) {
-	tr := New(8)
-	for i := uint64(0); i < 40; i++ {
-		tr.Offer(i, float64(i)*1.5-20)
-	}
-	data, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := wiretest.Restore(t, New(8), data)
-	if restored.Capacity() != tr.Capacity() || restored.Len() != tr.Len() {
-		t.Fatalf("shape: restored (%d,%d), original (%d,%d)",
-			restored.Capacity(), restored.Len(), tr.Capacity(), tr.Len())
-	}
-	want := map[uint64]bool{}
-	for _, id := range tr.Candidates() {
-		want[id] = true
-	}
-	for _, id := range restored.Candidates() {
-		if !want[id] {
-			t.Fatalf("restored tracks %d, original does not", id)
-		}
-		delete(want, id)
-	}
-	if len(want) != 0 {
-		t.Fatalf("restored lost candidates: %v", want)
-	}
-	// The restored tracker keeps evicting correctly.
-	restored.Offer(999, 1e9)
-	found := false
-	for _, id := range restored.Candidates() {
-		if id == 999 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("restored tracker dropped a dominant offer")
-	}
-}
-
 // TestTrackerIDsPackAsCounts: the ids travel as a count column — item
 // indices below 2^16 take two bytes each, one wide id is patched in —
 // and the estimates a word each.
